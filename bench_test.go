@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	speedybox "github.com/fastpathnfv/speedybox"
+	"github.com/fastpathnfv/speedybox/internal/chainspec"
 	"github.com/fastpathnfv/speedybox/internal/harness"
+	"github.com/fastpathnfv/speedybox/internal/server"
 )
 
 // Benchmarks: one per table/figure of the paper's evaluation, each
@@ -185,6 +187,34 @@ func benchChain(b *testing.B) []speedybox.NF {
 	return []speedybox.NF{fw, ids, mon}
 }
 
+// benchPerPacket times Process on one replayed UDP packet (no
+// handshake). The fw/ids/mon chain rewrites nothing and forwards it, so
+// the same parsed descriptor is valid on every iteration and packet
+// construction stays outside the timed loop. The untimed first call
+// records and consolidates the flow, so with SpeedyBox on every timed
+// packet is fast path; the baseline has only the one path.
+func benchPerPacket(b *testing.B, p speedybox.Platform) {
+	defer p.Close()
+	pkt, err := speedybox.BuildPacket(speedybox.PacketSpec{
+		SrcIP: [4]byte{10, 0, 0, 1}, DstIP: [4]byte{20, 0, 0, 1},
+		SrcPort: 7777, DstPort: 80, Proto: 17,
+		Payload: []byte("bench payload bytes"),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := p.Process(pkt); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.Process(pkt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFastPathPerPacket measures the Go-level cost of one
 // fast-path packet through a 3-NF chain on BESS.
 func BenchmarkFastPathPerPacket(b *testing.B) {
@@ -192,28 +222,7 @@ func BenchmarkFastPathPerPacket(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer p.Close()
-	mk := func(i int) *speedybox.Packet {
-		pkt, err := speedybox.BuildPacket(speedybox.PacketSpec{
-			SrcIP: [4]byte{10, 0, 0, 1}, DstIP: [4]byte{20, 0, 0, 1},
-			SrcPort: 7777, DstPort: 80, Proto: 17, // UDP: no handshake
-			Payload: []byte("bench payload bytes"),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return pkt
-	}
-	// Install the rule with one initial packet.
-	if _, err := p.Process(mk(0)); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Process(mk(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchPerPacket(b, p)
 }
 
 // BenchmarkFastPathPerPacketTelemetry is BenchmarkFastPathPerPacket
@@ -227,28 +236,7 @@ func BenchmarkFastPathPerPacketTelemetry(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer p.Close()
-	mk := func() *speedybox.Packet {
-		pkt, err := speedybox.BuildPacket(speedybox.PacketSpec{
-			SrcIP: [4]byte{10, 0, 0, 1}, DstIP: [4]byte{20, 0, 0, 1},
-			SrcPort: 7777, DstPort: 80, Proto: 17,
-			Payload: []byte("bench payload bytes"),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return pkt
-	}
-	if _, err := p.Process(mk()); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Process(mk()); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchPerPacket(b, p)
 }
 
 // BenchmarkSlowPathPerPacket measures the original-chain traversal.
@@ -257,21 +245,7 @@ func BenchmarkSlowPathPerPacket(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer p.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pkt, err := speedybox.BuildPacket(speedybox.PacketSpec{
-			SrcIP: [4]byte{10, 0, 0, 1}, DstIP: [4]byte{20, 0, 0, 1},
-			SrcPort: 7777, DstPort: 80, Proto: 17,
-			Payload: []byte("bench payload bytes"),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := p.Process(pkt); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchPerPacket(b, p)
 }
 
 // BenchmarkONVMPipelinePerPacket measures a packet through the real
@@ -281,21 +255,7 @@ func BenchmarkONVMPipelinePerPacket(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer p.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pkt, err := speedybox.BuildPacket(speedybox.PacketSpec{
-			SrcIP: [4]byte{10, 0, 0, 1}, DstIP: [4]byte{20, 0, 0, 1},
-			SrcPort: 7777, DstPort: 80, Proto: 17,
-			Payload: []byte("bench payload"),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := p.Process(pkt); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchPerPacket(b, p)
 }
 
 // mqChain is the multi-queue benchmark chain: three IPFilters with
@@ -492,6 +452,64 @@ func BenchmarkFastPathBatchWAL(b *testing.B) {
 		n += len(v)
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "pkts-Mpps")
+}
+
+// BenchmarkChain1FastPathBatch is the batched fast path on the paper's
+// Chain1 (the daemon's boot chain: MazuNAT, Maglev, Monitor, IPFilter)
+// — unlike the 3-IPFilter benchmarks around it, every packet here has
+// header rewrites to apply, state functions to execute and events to
+// probe. The NAT and the load balancer rewrite the packets, so each
+// pass first reloads its descriptors from the pristine frames with the
+// timer stopped; parsing is inside the timed region, as on a real rx
+// path. b.N counts packets; the gate is 0 allocs/packet.
+func BenchmarkChain1FastPathBatch(b *testing.B) {
+	spec, err := chainspec.Parse([]byte(server.DefaultSpecJSON))
+	if err != nil {
+		b.Fatal(err)
+	}
+	chain, err := spec.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := speedybox.NewBESS(chain, speedybox.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer p.Close()
+	tr, err := speedybox.GenerateTrace(speedybox.TraceConfig{
+		Seed: 1, Flows: 256, MeanPackets: 8, UDPFraction: 1.0, Interleave: true,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	frames, pkts := tr.Packets(), tr.Packets()
+	// Prime: record and consolidate every flow (UDP flows never tear
+	// down), so the timed passes run pure fast path.
+	if _, err := speedybox.Run(p, pkts); err != nil {
+		b.Fatal(err)
+	}
+	const vec = 32
+	bat := speedybox.NewBatch(vec)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; {
+		b.StopTimer()
+		for i, pkt := range pkts {
+			pkt.SetFrame(frames[i].Data())
+		}
+		b.StartTimer()
+		for off := 0; off < len(pkts) && n < b.N; off += vec {
+			v := pkts[off:min(off+vec, len(pkts))]
+			if _, err := p.ProcessBatch(v, bat); err != nil {
+				b.Fatal(err)
+			}
+			n += len(v)
+		}
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "pkts-Mpps")
+	if st := p.Engine().Stats(); st.FastPath+uint64(len(pkts)) < st.Packets {
+		b.Fatalf("timed passes left the fast path: %d of %d packets fast", st.FastPath, st.Packets)
+	}
 }
 
 // BenchmarkPooledReplay measures a whole-trace replay cycle with pooled

@@ -143,8 +143,7 @@ func (p *Platform) measure(res *core.PacketResult) platform.Measurement {
 			// critical path, throughput is bounded by the busiest
 			// core.
 			m.LatencyCycles = mainCore + f.SF.CriticalCycles
-			worker := maxStageCritical(res)
-			m.BottleneckCycles = maxU64(mainCore, worker)
+			m.BottleneckCycles = max(mainCore, f.SF.MaxStageCycles)
 		} else {
 			// Sequential SF execution stays on the main core.
 			m.LatencyCycles = mainCore + f.SF.TotalCycles
@@ -152,21 +151,4 @@ func (p *Platform) measure(res *core.PacketResult) platform.Measurement {
 		}
 	}
 	return m
-}
-
-func maxStageCritical(res *core.PacketResult) uint64 {
-	var worst uint64
-	for _, st := range res.Fast.SF.Stages {
-		if st.CriticalCycles > worst {
-			worst = st.CriticalCycles
-		}
-	}
-	return worst
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -109,7 +109,7 @@ func TestFastPathLatencyFormula(t *testing.T) {
 		t.Errorf("latency = %d, want %d", meas.LatencyCycles, want)
 	}
 	// Worker stage (1020) is below the main core here.
-	if meas.BottleneckCycles != maxU64(mainCore, sfCritical) {
+	if meas.BottleneckCycles != max(mainCore, sfCritical) {
 		t.Errorf("bottleneck = %d, want max(%d, %d)", meas.BottleneckCycles, mainCore, sfCritical)
 	}
 	// Work metric: fixed + SF critical path (dispatch excluded).

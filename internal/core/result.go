@@ -53,8 +53,8 @@ type FastPathInfo struct {
 	FixedCycles uint64
 	// HeaderCycles is the consolidated header-action application.
 	HeaderCycles uint64
-	// SF is the state-function execution result (critical path and
-	// total work per stage).
+	// SF is the state-function execution result: critical path, total
+	// work, largest stage and stage count.
 	SF sfunc.ExecResult
 	// DispatchCycles is the batch dispatch overhead paid by the
 	// dispatching core.

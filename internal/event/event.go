@@ -204,9 +204,13 @@ func (t *Table) Probe(fid flow.FID) (fired []Firing, registered bool) {
 		}
 		remaining = append(remaining, e)
 	}
-	if len(remaining) == 0 {
+	// remaining shares events' backing array, so when nothing was
+	// dropped the map already holds it: the common probe (no one-shot
+	// fired) does no map write.
+	switch {
+	case len(remaining) == 0:
 		delete(s.byFID, fid)
-	} else {
+	case len(remaining) < len(events):
 		s.byFID[fid] = remaining
 	}
 	return fired, true

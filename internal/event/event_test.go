@@ -1,6 +1,7 @@
 package event
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -123,6 +124,91 @@ func TestMultipleEventsFireInRegistrationOrder(t *testing.T) {
 	}
 	if tbl.Pending(2) != 1 {
 		t.Errorf("Pending = %d, want sleeper still armed", tbl.Pending(2))
+	}
+}
+
+// TestProbeWriteBack walks one flow's event set through every shape of
+// Probe's table update: nothing dropped (no write-back), some one-shots
+// dropped (shrunk slice written back), the last one dropped (key
+// deleted). Pending and Len must track the set at every step.
+func TestProbeWriteBack(t *testing.T) {
+	tbl := NewTable()
+	const fid = 7
+	armed := map[string]bool{"recurring": true}
+	reg := func(nf string, oneShot bool) {
+		t.Helper()
+		cond := func(flow.FID) bool { return armed[nf] }
+		if err := tbl.Register(fid, Event{NF: nf, Condition: cond, Update: noUpdate, OneShot: oneShot}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg("recurring", false)
+	reg("shot1", true)
+	reg("shot2", true)
+
+	steps := []struct {
+		name        string
+		arm         []string
+		wantFired   []string
+		wantPending int
+	}{
+		{"recurring fires and stays", nil, []string{"recurring"}, 3},
+		{"again: nothing was dropped", nil, []string{"recurring"}, 3},
+		{"one-shot fires and is removed", []string{"shot1"}, []string{"recurring", "shot1"}, 2},
+		{"removed one-shot stays removed", nil, []string{"recurring"}, 2},
+	}
+	for _, st := range steps {
+		for _, nf := range st.arm {
+			armed[nf] = true
+		}
+		fired, registered := tbl.Probe(fid)
+		if !registered {
+			t.Fatalf("%s: registered = false", st.name)
+		}
+		var got []string
+		for _, f := range fired {
+			got = append(got, f.Event.NF)
+		}
+		if !slices.Equal(got, st.wantFired) {
+			t.Errorf("%s: fired %v, want %v", st.name, got, st.wantFired)
+		}
+		if tbl.Pending(fid) != st.wantPending || tbl.Len() != 1 {
+			t.Errorf("%s: Pending = %d Len = %d, want %d and 1", st.name, tbl.Pending(fid), tbl.Len(), st.wantPending)
+		}
+	}
+
+	// Only one-shots left: the last one to fire deletes the key.
+	tbl.Remove(fid)
+	reg("shot1", true)
+	reg("shot2", true)
+	armed["shot2"] = true
+	if fired, _ := tbl.Probe(fid); len(fired) != 2 {
+		t.Fatalf("fired %d one-shots, want 2", len(fired))
+	}
+	if tbl.Pending(fid) != 0 || tbl.Len() != 0 {
+		t.Errorf("Pending = %d Len = %d after the last one-shot, want 0 and 0", tbl.Pending(fid), tbl.Len())
+	}
+	if _, registered := tbl.Probe(fid); registered {
+		t.Error("registered = true for a flow whose events are all gone")
+	}
+}
+
+func TestProbeQuietFlowDoesNotAllocate(t *testing.T) {
+	tbl := NewTable()
+	for _, nf := range []string{"a", "b"} {
+		if err := tbl.Register(3, Event{NF: nf, Condition: never, Update: noUpdate}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if fired, registered := tbl.Probe(3); len(fired) != 0 || !registered {
+			t.Fatalf("fired %d registered %v", len(fired), registered)
+		}
+	}); n != 0 {
+		t.Errorf("Probe of a quiet flow allocates %v per run, want 0", n)
+	}
+	if tbl.Pending(3) != 2 {
+		t.Errorf("Pending = %d, want 2", tbl.Pending(3))
 	}
 }
 

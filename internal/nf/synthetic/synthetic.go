@@ -25,8 +25,8 @@ type Config struct {
 	// the cost is Snort-equivalent: Model.InspectCost(payload length).
 	Cycles uint64
 	// TouchPayload makes the handler genuinely read (or write, for
-	// ClassWrite) the payload bytes so the race detector exercises
-	// the parallel executor's memory discipline.
+	// ClassWrite) the payload bytes, so a handler that broke its
+	// declared class would show in the output-equivalence checks.
 	TouchPayload bool
 }
 

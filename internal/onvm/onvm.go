@@ -666,16 +666,9 @@ func (p *Platform) measure(res *core.PacketResult) platform.Measurement {
 		mgrWork := f.FixedCycles + f.HeaderCycles + f.DispatchCycles + f.ReconsolidateCycles
 		parallel := p.eng.Options().ParallelSF && f.BatchCount > 0
 		if parallel {
-			lat := model.ONVMRx + mgrWork + model.ONVMTx
-			bott := model.ONVMStageFramework + mgrWork
-			for _, st := range f.SF.Stages {
-				lat += model.ONVMHop + st.CriticalCycles
-				if c := model.ONVMStageFramework + st.CriticalCycles; c > bott {
-					bott = c
-				}
-			}
-			m.LatencyCycles = lat
-			m.BottleneckCycles = bott
+			m.LatencyCycles = model.ONVMRx + mgrWork +
+				uint64(f.SF.Stages)*model.ONVMHop + f.SF.CriticalCycles + model.ONVMTx
+			m.BottleneckCycles = model.ONVMStageFramework + max(mgrWork, f.SF.MaxStageCycles)
 		} else {
 			m.LatencyCycles = model.ONVMRx + mgrWork +
 				uint64(f.BatchCount)*model.ONVMHop + f.SF.TotalCycles + model.ONVMTx

@@ -7,6 +7,9 @@ import (
 	"github.com/fastpathnfv/speedybox/internal/packet"
 )
 
+// benchBatches returns n read-class batches that each scan the payload
+// work times; work 0 is a counter-update-sized handler, where the
+// executor's own overhead is what shows.
 func benchBatches(n int, work int) []Batch {
 	batches := make([]Batch, n)
 	for i := range batches {
@@ -39,38 +42,53 @@ func benchPacket(b *testing.B) *packet.Packet {
 	})
 }
 
-// BenchmarkExecuteParallel vs BenchmarkExecuteSequential is the
-// state-function parallelism ablation (§V-C2): real goroutine fan-out
-// against in-order execution of the same read-class batches.
+var benchSink ExecResult
+
+// BenchmarkExecuteParallel vs BenchmarkExecuteSequential compares the
+// two executors' wall time over the same read-class batches. Both run
+// every batch inline on the calling goroutine — a planned parallel
+// stage changes the cycles charged, not where the handlers run — so
+// the pair must read alike and allocate nothing; the §V-C2 parallelism
+// result itself is a cycle-model figure (harness Fig. 7).
 func BenchmarkExecuteParallel(b *testing.B) {
-	for _, n := range []int{2, 4} {
-		b.Run(fmt.Sprintf("batches=%d", n), func(b *testing.B) {
-			batches := benchBatches(n, 50)
-			plan := Plan(batches)
-			pkt := benchPacket(b)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := plan.Execute(batches, pkt, 0); err != nil {
-					b.Fatal(err)
+	for _, work := range []int{0, 50} {
+		for _, n := range []int{2, 4} {
+			b.Run(fmt.Sprintf("work=%d/batches=%d", work, n), func(b *testing.B) {
+				batches := benchBatches(n, work)
+				plan := Plan(batches)
+				pkt := benchPacket(b)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					res, err := plan.Execute(batches, pkt, 0)
+					if err != nil {
+						b.Fatal(err)
+					}
+					benchSink = res
 				}
-			}
-		})
+			})
+		}
 	}
 }
 
-// BenchmarkExecuteSequential is the baseline half of the ablation.
+// BenchmarkExecuteSequential is the one-batch-per-stage half of the pair.
 func BenchmarkExecuteSequential(b *testing.B) {
-	for _, n := range []int{2, 4} {
-		b.Run(fmt.Sprintf("batches=%d", n), func(b *testing.B) {
-			batches := benchBatches(n, 50)
-			pkt := benchPacket(b)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ExecuteSequential(batches, pkt); err != nil {
-					b.Fatal(err)
+	for _, work := range []int{0, 50} {
+		for _, n := range []int{2, 4} {
+			b.Run(fmt.Sprintf("work=%d/batches=%d", work, n), func(b *testing.B) {
+				batches := benchBatches(n, work)
+				pkt := benchPacket(b)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					res, err := ExecuteSequential(batches, pkt)
+					if err != nil {
+						b.Fatal(err)
+					}
+					benchSink = res
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

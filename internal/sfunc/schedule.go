@@ -3,18 +3,16 @@ package sfunc
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"github.com/fastpathnfv/speedybox/internal/packet"
 )
 
 // Schedule is an execution plan for a flow's state-function batches: a
-// sequence of stages, each holding the indices of batches that run
-// concurrently. Stages execute in order; batches inside a stage run in
-// parallel.
+// sequence of stages, each holding the indices of batches that Table I
+// allows to run concurrently. Stages execute in order; the batches of
+// a stage are charged as parallel and executed inline (see Execute).
 type Schedule struct {
-	// Stages holds batch indices grouped by concurrent stage.
+	// Stages holds batch indices grouped by parallelizable stage.
 	Stages [][]int
 }
 
@@ -76,114 +74,65 @@ func (s Schedule) String() string {
 	return strings.Join(parts, " ")
 }
 
-// StageResult reports one executed stage's cost decomposition. It
-// carries only the aggregates the platform formulas consume — per-batch
-// detail would cost a map allocation per stage on the per-packet fast
-// path.
-type StageResult struct {
-	// CriticalCycles is the stage's latency contribution: the maximum
-	// batch cost (plus the caller's fork/join overhead for parallel
-	// stages).
-	CriticalCycles uint64
-	// TotalCycles is the stage's aggregate work.
-	TotalCycles uint64
-	// Parallel reports whether the stage ran more than one batch.
-	Parallel bool
-}
-
-// ExecResult aggregates an executed schedule.
+// ExecResult aggregates an executed schedule. It is a small value, not
+// a per-stage slice: the platform formulas consume a stage count and
+// the largest stage, and the fast path builds one per packet.
 type ExecResult struct {
-	Stages []StageResult
-	// CriticalCycles is the latency-relevant sum over stages.
+	// CriticalCycles is the latency-relevant sum over stages: each
+	// stage contributes its largest batch, plus the caller's fork/join
+	// overhead when the stage is parallel.
 	CriticalCycles uint64
-	// TotalCycles is the aggregate work over all batches.
+	// TotalCycles is the aggregate work over all batches (parallel
+	// stages include their fork/join overhead).
 	TotalCycles uint64
+	// MaxStageCycles is the largest single stage's critical cycles:
+	// the busiest worker core in the platforms' throughput bounds.
+	MaxStageCycles uint64
+	// Stages is the number of stages that ran.
+	Stages int
 }
 
-// stageExec is one parallel stage's shared coordination state. It is
-// pooled: the fast path runs Execute per packet, and allocating the
-// mutex/waitgroup/accumulators fresh each time (as captured closure
-// variables) showed up as the top allocation site in profiles.
-type stageExec struct {
-	wg      sync.WaitGroup
-	mu      sync.Mutex
-	next    atomic.Int64
-	batches []Batch
-	stage   []int
-	pkt     *packet.Packet
-	// critical, total and err accumulate under mu.
-	critical uint64
-	total    uint64
-	err      error
-}
-
-var stageExecPool = sync.Pool{New: func() any { return new(stageExec) }}
-
-// run is one worker goroutine: it claims batch slots off the shared
-// counter until the stage is drained.
-func (se *stageExec) run() {
-	defer se.wg.Done()
-	for {
-		i := int(se.next.Add(1)) - 1
-		if i >= len(se.stage) {
-			return
-		}
-		c, err := se.batches[se.stage[i]].RunSequential(se.pkt)
-		se.mu.Lock()
-		se.total += c
-		if c > se.critical {
-			se.critical = c
-		}
-		if err != nil && se.err == nil {
-			se.err = err
-		}
-		se.mu.Unlock()
+// addStage folds one executed stage into the result.
+func (r *ExecResult) addStage(critical, total uint64) {
+	r.CriticalCycles += critical
+	r.TotalCycles += total
+	if critical > r.MaxStageCycles {
+		r.MaxStageCycles = critical
 	}
+	r.Stages++
 }
 
-// Execute runs the schedule on pkt. Batches within a stage genuinely
-// run on separate goroutines — the Table-I discipline guarantees a
-// writer is never co-scheduled with a reader or another writer, so
-// sharing the packet is safe. forkJoin is the per-parallel-stage
-// dispatch/join overhead added to the stage's critical path.
+// Execute runs the schedule on pkt to completion on the calling
+// goroutine: stages in order, a stage's batches in chain order. A
+// parallel stage is charged max(batch cycles) + forkJoin on the
+// critical path and Σ(batch cycles) + forkJoin in total; a single-batch
+// stage pays no forkJoin.
 //
 // Execution is fail-fast across stages: if any batch in a stage
 // errors, later stages do not run, mirroring an NF chain aborting on a
-// processing error. All batches within the already-running stage are
-// allowed to finish (their goroutines are always joined).
+// processing error. Every batch of the failing stage still runs (its
+// co-scheduled NFs would already have started), and the error returned
+// is the first in chain order.
 func (s Schedule) Execute(batches []Batch, pkt *packet.Packet, forkJoin uint64) (ExecResult, error) {
 	var res ExecResult
-	if len(s.Stages) > 0 {
-		res.Stages = make([]StageResult, 0, len(s.Stages))
-	}
 	for _, stage := range s.Stages {
-		var sr StageResult
+		var critical, total uint64
 		var firstErr error
-		if len(stage) == 1 {
-			c, err := batches[stage[0]].RunSequential(pkt)
-			sr.CriticalCycles = c
-			sr.TotalCycles = c
-			firstErr = err
-		} else {
-			sr.Parallel = true
-			se := stageExecPool.Get().(*stageExec)
-			se.batches, se.stage, se.pkt = batches, stage, pkt
-			se.critical, se.total, se.err = 0, 0, nil
-			se.next.Store(0)
-			se.wg.Add(len(stage))
-			for range stage {
-				go se.run()
+		for _, i := range stage {
+			c, err := batches[i].RunSequential(pkt)
+			total += c
+			if c > critical {
+				critical = c
 			}
-			se.wg.Wait()
-			sr.CriticalCycles = se.critical + forkJoin
-			sr.TotalCycles = se.total + forkJoin
-			firstErr = se.err
-			se.batches, se.stage, se.pkt, se.err = nil, nil, nil, nil
-			stageExecPool.Put(se)
+			if err != nil && firstErr == nil {
+				firstErr = err
+			}
 		}
-		res.Stages = append(res.Stages, sr)
-		res.CriticalCycles += sr.CriticalCycles
-		res.TotalCycles += sr.TotalCycles
+		if len(stage) > 1 {
+			critical += forkJoin
+			total += forkJoin
+		}
+		res.addStage(critical, total)
 		if firstErr != nil {
 			return res, firstErr
 		}
@@ -191,25 +140,16 @@ func (s Schedule) Execute(batches []Batch, pkt *packet.Packet, forkJoin uint64) 
 	return res, nil
 }
 
-// ExecuteSequential runs every batch in chain order with no
-// parallelism, for the original-path and ablation (HA-only) modes.
+// ExecuteSequential runs every batch in chain order as a stage of its
+// own, for the original-path and ablation (HA-only) modes.
 func ExecuteSequential(batches []Batch, pkt *packet.Packet) (ExecResult, error) {
 	var res ExecResult
-	if len(batches) > 0 {
-		res.Stages = make([]StageResult, 0, len(batches))
-	}
 	for _, b := range batches {
 		if b.Empty() {
 			continue
 		}
 		c, err := b.RunSequential(pkt)
-		sr := StageResult{
-			CriticalCycles: c,
-			TotalCycles:    c,
-		}
-		res.Stages = append(res.Stages, sr)
-		res.CriticalCycles += c
-		res.TotalCycles += c
+		res.addStage(c, c)
 		if err != nil {
 			return res, err
 		}

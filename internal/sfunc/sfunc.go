@@ -8,6 +8,12 @@
 // the NF's code dependencies (§IV-B). Batches from different NFs may
 // execute in parallel when the payload-dependency analysis of Table I
 // allows it.
+//
+// That parallelism is planned and charged, executed inline: Plan groups
+// batches into Table-I stages and Execute charges a stage as the paper
+// measures it (max(batch cycles) + fork/join), but runs every batch to
+// completion on the calling goroutine, in chain order. Nothing in this
+// package starts a goroutine or allocates per packet.
 package sfunc
 
 import (
@@ -70,7 +76,8 @@ func (c PayloadClass) priority() int {
 // and return the work cycles consumed, which the executor charges to
 // the owning NF's stage. Handlers must honour their declared
 // PayloadClass: a ClassRead handler must not modify the payload. The
-// parallel executor relies on that contract for memory safety.
+// planner relies on that contract for the validity of the charged
+// critical path: a stage is only as parallel as its classes are honest.
 type Handler func(pkt *packet.Packet) (cycles uint64, err error)
 
 // Func is one recorded state function: the handler plus the metadata

@@ -2,6 +2,8 @@ package sfunc
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -211,28 +213,94 @@ func TestExecuteSequentialStage(t *testing.T) {
 	}
 }
 
-func TestExecuteParallelActuallyConcurrent(t *testing.T) {
-	// Verify real goroutine concurrency: two batches rendezvous via a
-	// channel; sequential execution would deadlock-timeout.
-	meet := make(chan struct{})
-	mk := func(name string) Batch {
-		return Batch{NF: name, Funcs: []Func{{Name: "sync", Class: ClassRead,
+// orderedBatches returns n single-function batches of the given class
+// that append their index to *order when run; those listed in fail
+// return an error naming their index.
+func orderedBatches(n int, class PayloadClass, order *[]int, fail map[int]error) []Batch {
+	batches := make([]Batch, n)
+	for i := range batches {
+		i := i
+		batches[i] = Batch{NF: fmt.Sprintf("nf%d", i), Funcs: []Func{{Name: "f", Class: class,
 			Run: func(*packet.Packet) (uint64, error) {
-				select {
-				case meet <- struct{}{}:
-				case <-meet:
-				}
-				return 1, nil
+				*order = append(*order, i)
+				return 10, fail[i]
 			}}}}
 	}
-	batches := []Batch{mk("a"), mk("b")}
-	done := make(chan error, 1)
-	go func() {
-		_, err := Plan(batches).Execute(batches, testPacket(t), 0)
-		done <- err
-	}()
-	if err := <-done; err != nil {
+	return batches
+}
+
+func TestExecuteRunsStageInChainOrderInline(t *testing.T) {
+	// The appends below are unsynchronized: under -race this also pins
+	// that every batch runs on the calling goroutine.
+	var order []int
+	batches := orderedBatches(4, ClassRead, &order, nil)
+	plan := Plan(batches)
+	if len(plan.Stages) != 1 {
+		t.Fatalf("plan = %v, want one stage of four", plan)
+	}
+	res, err := plan.Execute(batches, testPacket(t), 100)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if !slices.Equal(order, []int{0, 1, 2, 3}) {
+		t.Errorf("run order = %v, want chain order", order)
+	}
+	want := ExecResult{CriticalCycles: 110, TotalCycles: 140, MaxStageCycles: 110, Stages: 1}
+	if res != want {
+		t.Errorf("result = %+v, want %+v", res, want)
+	}
+}
+
+func TestExecuteParallelStageFirstErrorInChainOrder(t *testing.T) {
+	errB, errD := errors.New("b failed"), errors.New("d failed")
+	var order []int
+	// Stage 0: four readers, the second and fourth fail. Stage 1: a
+	// writer that must not run.
+	batches := orderedBatches(5, ClassRead, &order, map[int]error{1: errB, 3: errD})
+	batches[4].Funcs[0].Class = ClassWrite
+	plan := Plan(batches)
+	if len(plan.Stages) != 2 {
+		t.Fatalf("plan = %v, want two stages", plan)
+	}
+	for i := 0; i < 20; i++ {
+		order = order[:0]
+		res, err := plan.Execute(batches, testPacket(t), 0)
+		if !errors.Is(err, errB) || errors.Is(err, errD) {
+			t.Fatalf("err = %v, want the first failure in chain order (b)", err)
+		}
+		if !slices.Equal(order, []int{0, 1, 2, 3}) {
+			t.Fatalf("ran %v, want every batch of the failing stage and none after", order)
+		}
+		if res.Stages != 1 || res.TotalCycles != 40 {
+			t.Fatalf("result = %+v, want the failing stage charged in full", res)
+		}
+	}
+}
+
+func TestExecuteDoesNotAllocate(t *testing.T) {
+	batches := []Batch{
+		{NF: "a", Funcs: []Func{costed("fa", ClassRead, 300)}},
+		{NF: "b", Funcs: []Func{costed("fb", ClassRead, 500)}},
+		{NF: "c", Funcs: []Func{costed("fc", ClassWrite, 7)}},
+	}
+	plan := Plan(batches)
+	pkt := testPacket(t)
+	if plan.ParallelStages() != 1 || len(plan.Stages) != 2 {
+		t.Fatalf("plan = %v, want one parallel and one single stage", plan)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := plan.Execute(batches, pkt, 100); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Execute allocates %v per run, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := ExecuteSequential(batches, pkt); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("ExecuteSequential allocates %v per run, want 0", n)
 	}
 }
 
@@ -294,8 +362,8 @@ func TestExecuteSequentialHelper(t *testing.T) {
 	if res.CriticalCycles != 800 || res.TotalCycles != 800 {
 		t.Errorf("critical=%d total=%d, want 800/800", res.CriticalCycles, res.TotalCycles)
 	}
-	if len(res.Stages) != 2 {
-		t.Errorf("stages = %d, want 2 (empty batch skipped)", len(res.Stages))
+	if res.Stages != 2 {
+		t.Errorf("stages = %d, want 2 (empty batch skipped)", res.Stages)
 	}
 }
 
