@@ -353,8 +353,10 @@ func fastTrace(b *testing.B) []*speedybox.Packet {
 	return tr.Packets()
 }
 
-// BenchmarkFastPath is the scalar half of the batching comparison: one
-// Process call per packet of a pre-built, replayable trace on the
+// BenchmarkFastPath is the vector-of-one half of the vector-size
+// comparison: one Process call per packet — the engine's ladder over a
+// one-packet vector on its pooled Batch, the result copied out to the
+// caller — of a pre-built, replayable trace on the
 // dispatch-dominated 3-IPFilter chain (no regex, no payload work — the
 // measurement isolates classification, rule lookup and accounting).
 // b.N counts packets, so ns/op and allocs/op read per packet.

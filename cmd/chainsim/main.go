@@ -44,7 +44,7 @@ func run(args []string) error {
 	seed := fs.Int64("seed", 1, "trace seed")
 	flows := fs.Int("flows", 200, "trace size in flows")
 	workers := fs.Int("workers", 1, "RSS worker queues: >1 hash-partitions flows across concurrent workers")
-	batch := fs.Int("batch", 0, "process packets in vectors of this size (0 = per-packet); composes with -workers")
+	batch := fs.Int("batch", 0, "process packets in vectors of this size (0 or 1 = one packet per vector); composes with -workers")
 	instances := fs.Int("instances", 1, "engine instances behind the consistent-hash flow steerer: >1 runs a static cluster (bess only) and reports per-instance stats")
 	pcapPath := fs.String("pcap", "", "replay this pcap instead of generating a trace")
 	dumpRules := fs.Bool("dump-rules", false, "print the consolidated Global MAT rules after the SpeedyBox run")
@@ -176,7 +176,7 @@ func run(args []string) error {
 			if err != nil {
 				return err
 			}
-			res, err := cl.Run(pktsFor(), *workers, *batch)
+			res, err := cl.Run(pktsFor(), *workers, max(*batch, 1))
 			if err != nil {
 				_ = cl.Close()
 				return err
@@ -211,22 +211,13 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		var res *speedybox.RunResult
-		switch {
-		case *workers > 1:
-			var mq *speedybox.MultiQueue
-			mq, err = speedybox.NewMultiQueue(p, *workers)
-			if err != nil {
-				_ = p.Close()
-				return err
-			}
-			mq.SetBatchSize(*batch)
-			res, err = mq.Run(pktsFor())
-		case *batch > 1:
-			res, err = speedybox.RunBatch(p, pktsFor(), *batch, nil)
-		default:
-			res, err = speedybox.Run(p, pktsFor())
+		mq, err := speedybox.NewMultiQueue(p, *workers)
+		if err != nil {
+			_ = p.Close()
+			return err
 		}
+		mq.SetBatchSize(*batch)
+		res, err := mq.Run(pktsFor())
 		if err == nil && enabled && *dumpRules {
 			fmt.Printf("\nGlobal MAT (%d rules):\n%s\n", p.Engine().Global().Len(), p.Engine().Global().Dump())
 		}
@@ -420,21 +411,13 @@ func runTopo(cfg topoRunConfig) error {
 	if err != nil {
 		return err
 	}
-	var res *speedybox.RunResult
-	if cfg.workers > 1 {
-		mq, err := tp.NewMultiQueue(cfg.workers, cfg.batch)
-		if err != nil {
-			return err
-		}
-		res, err = mq.Run(pkts)
-		if err != nil {
-			return err
-		}
-	} else {
-		res, err = tp.RunBatch(pkts, cfg.batch)
-		if err != nil {
-			return err
-		}
+	mq, err := tp.NewMultiQueue(cfg.workers, cfg.batch)
+	if err != nil {
+		return err
+	}
+	res, err := mq.Run(pkts)
+	if err != nil {
+		return err
 	}
 
 	label := fmt.Sprintf("topo %s", spec.Name)

@@ -113,7 +113,7 @@ func run(args []string, out io.Writer) error {
 	oracleCluster := fs.Bool("oracle-cluster", false, "run the cluster oracle: an engine fleet scaling 1→2→4→3 mid-trace with live flow migration, against a static single-engine reference")
 	seed := fs.Int64("seed", 1, "trace generation seed")
 	flows := fs.Int("flows", 0, "trace size in flows (0 = experiment default)")
-	batch := fs.Int("batch", 0, "process packets in vectors of this size (0 = per-packet); for -exp oracle the fast engine runs batched against the scalar reference")
+	batch := fs.Int("batch", 0, "process packets in vectors of this size (0 or 1 = one packet per vector); for -exp oracle it is the fast engine's vector size, the reference always runs per packet")
 	asJSON := fs.Bool("json", false, "emit results as JSON instead of tables")
 	cdf := fs.Bool("cdf", false, "for fig9a/fig9b: print the full CDF series (plot data) instead of summaries")
 	telemetryAddr := fs.String("telemetry-addr", "", "serve /metrics, /statusz and /debug/pprof on this address (e.g. :8080)")

@@ -292,46 +292,39 @@ func (c *Cluster) Process(pkt *packet.Packet) (platform.Measurement, error) {
 	}
 }
 
-// ProcessRuns feeds pkts through the cluster in arrival order,
-// splitting the stream into maximal same-instance runs of at most
-// batchSize and draining each through the owner's batched path. fold,
-// when non-nil, runs after each sub-run while its measurements are
-// still valid (they point into b, which the next run reuses). One
-// Batch serves every instance: all of its caches are generation-
-// validated, and generations are banded per table, so a handle or rule
-// cached against one engine can never falsely validate against
-// another's.
+// ProcessRuns feeds pkts through the cluster in arrival order
+// (platform.Drain), splitting the stream into maximal same-instance
+// runs of at most batchSize (0 picks the default vector size) and
+// draining each through the owner's ProcessBatch behind the same fence Process uses: route under a view,
+// take the instance's drain gate, re-check the view, and route again if
+// a rebalance published a new one in between. fold, when non-nil, runs
+// after each sub-run while its measurements are still valid (they
+// point into b, which the next run reuses). One Batch serves every
+// instance: all of its caches are generation-validated, and generations
+// are banded per table, so a handle or rule cached against one engine
+// can never falsely validate against another's.
 func (c *Cluster) ProcessRuns(pkts []*packet.Packet, batchSize int, b *platform.Batch, fold func(off int, ms []platform.Measurement) error) error {
-	if batchSize <= 0 {
-		batchSize = core.DefaultBatchSize
-	}
-	for off := 0; off < len(pkts); {
-		v := c.cur.Load()
-		idx := v.route(pkts[off])
-		end := off + 1
-		for end < len(pkts) && end-off < batchSize && v.route(pkts[end]) == idx {
-			end++
-		}
-		in := v.insts[idx]
-		in.mu.RLock()
-		if c.cur.Load() != v {
-			in.mu.RUnlock()
-			continue // view changed; re-route this run
-		}
-		ms, err := in.plat.ProcessBatch(pkts[off:end], b)
-		if err != nil {
-			in.mu.RUnlock()
-			return fmt.Errorf("cluster: instance %s batch at packet %d: %w", in.name, off, err)
-		}
-		in.mu.RUnlock()
-		if fold != nil {
-			if err := fold(off, ms); err != nil {
-				return err
+	// v is the view runs are routed under. It is refreshed only when the
+	// fence finds it stale, so every run that is processed was routed
+	// under the view current while its instance's gate was held.
+	v := c.cur.Load()
+	return platform.Drain(pkts, batchSize,
+		func(pkt *packet.Packet) int { return v.route(pkt) },
+		func(idx int, run []*packet.Packet) ([]platform.Measurement, error) {
+			in := v.insts[idx]
+			in.mu.RLock()
+			if cur := c.cur.Load(); cur != v {
+				in.mu.RUnlock()
+				v = cur
+				return nil, platform.ErrReroute
 			}
-		}
-		off = end
-	}
-	return nil
+			ms, err := in.plat.ProcessBatch(run, b)
+			in.mu.RUnlock()
+			if err != nil {
+				return nil, fmt.Errorf("cluster: instance %s: %w", in.name, err)
+			}
+			return ms, nil
+		}, fold)
 }
 
 // RunBatch runs a trace through the cluster serially, folding
@@ -353,66 +346,21 @@ func (c *Cluster) RunBatch(pkts []*packet.Packet, batchSize int, b *platform.Bat
 }
 
 // Run partitions the trace across workers by home FID — the RSS
-// partitioning MultiQueue uses, which is stable across rebalances so a
-// flow always has a single writer — and drives each partition through
-// ProcessRuns concurrently. Worker queue depths land in the result as
-// MultiQueue's would.
+// partitioning MultiQueue uses (platform.RunWorkers), which is stable
+// across rebalances so a flow always has a single writer — and drives
+// each partition through ProcessRuns concurrently. Like MultiQueue.Run
+// it returns the aggregate of every completed packet, worker queue
+// depths included, alongside the first worker error.
 func (c *Cluster) Run(pkts []*packet.Packet, workers, batchSize int) (*platform.RunResult, error) {
-	if workers <= 1 {
-		res, err := c.RunBatch(pkts, batchSize, nil)
-		if err != nil {
-			return nil, err
-		}
-		res.QueueDepths = []int{res.Packets}
-		return res, nil
-	}
-	queues := make([][]*packet.Packet, workers)
-	for _, pkt := range pkts {
-		w := 0
-		if !pkt.Parsed() {
-			_ = pkt.Parse()
-		}
-		if hi, lo, ok := pkt.FlowKey(); ok {
-			w = int(uint32(flow.HashKey(hi, lo)) % uint32(workers))
-		}
-		queues[w] = append(queues[w], pkt)
-	}
-	results := make([]*platform.RunResult, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			b := platform.NewBatch(batchSize)
-			res := platform.NewRunResult(c.Model())
-			errs[w] = c.ProcessRuns(queues[w], batchSize, b, func(_ int, ms []platform.Measurement) error {
-				res.Fold(ms)
+	res, err := platform.RunWorkers(pkts, max(workers, 1), c.Model(),
+		func(_ int, q []*packet.Packet, part *platform.RunResult) error {
+			return c.ProcessRuns(q, batchSize, platform.NewBatch(batchSize), func(_ int, ms []platform.Measurement) error {
+				part.Fold(ms)
 				return nil
 			})
-			results[w] = res
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	total := platform.NewRunResult(c.Model())
-	for w, res := range results {
-		total.Packets += res.Packets
-		total.Drops += res.Drops
-		total.WorkCycles = append(total.WorkCycles, res.WorkCycles...)
-		total.Latencies = append(total.Latencies, res.Latencies...)
-		total.Bottlenecks = append(total.Bottlenecks, res.Bottlenecks...)
-		for fid, cyc := range res.FlowCycles {
-			total.FlowCycles[fid] += cyc
-		}
-		total.QueueDepths = append(total.QueueDepths, len(queues[w]))
-	}
-	total.Stats = c.Stats()
-	return total, nil
+		})
+	res.Stats = c.Stats()
+	return res, err
 }
 
 // Stats folds every live instance's engine counters plus the banked

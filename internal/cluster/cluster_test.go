@@ -395,7 +395,7 @@ func TestMigrationAbortOrphanSweep(t *testing.T) {
 
 // TestClusterRunMatchesSingleEngine pushes a generated trace through
 // Run (the partitioned multi-worker driver) on a static cluster and
-// checks aggregate packet/drop accounting against the scalar path.
+// checks aggregate packet/drop accounting against the serial runner.
 func TestClusterRunMatchesSingleEngine(t *testing.T) {
 	tr, err := trace.Generate(trace.Config{Seed: 11, Flows: 40, Interleave: true})
 	if err != nil {

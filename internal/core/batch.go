@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"github.com/fastpathnfv/speedybox/internal/classifier"
 	"github.com/fastpathnfv/speedybox/internal/fault"
 	"github.com/fastpathnfv/speedybox/internal/flow"
@@ -18,7 +16,7 @@ const DefaultBatchSize = 32
 // ruleCacheWays is the associativity of the per-worker rule cache.
 // Four entries cover the handful of flows interleaved within one
 // 32-packet vector of a realistic trace; a miss only costs the sharded
-// map lookup the scalar path always pays.
+// map lookup.
 const ruleCacheWays = 4
 
 // ruleCacheEntry caches what the data path learns about one flow:
@@ -38,12 +36,12 @@ type ruleCacheEntry struct {
 // RuleCache is a tiny per-worker, generation-validated cache over the
 // Global MAT and Event Table (the paper's DPDK prototype keeps the
 // analogous last-rule pointer in each lcore's local storage). It must
-// not be shared between goroutines; each batch worker owns one inside
-// its Batch. Correctness does not depend on the cache: every hit is
-// revalidated against the source table's generation with one atomic
-// load, so any Install, Remove, MarkStale or event Register anywhere
-// invalidates all caches, and a stale check simply falls back to the
-// locked lookup the scalar path performs.
+// not be shared between goroutines; each worker owns one inside its
+// Batch, and the ONVM manager core owns a bare one. Correctness does
+// not depend on the cache: every hit is revalidated against the source
+// table's generation with one atomic load, so any Install, Remove,
+// MarkStale or event Register anywhere invalidates all caches, and a
+// stale check simply falls back to the locked lookup.
 type RuleCache struct {
 	entries [ruleCacheWays]ruleCacheEntry
 	clock   uint8
@@ -90,16 +88,13 @@ func (rc *RuleCache) putNoEvents(fid flow.FID, evGen uint64) {
 	en.evGen = evGen
 }
 
-// lookupRule is LookupLive behind the optional per-worker cache: a
+// lookupRule is LookupLive behind the per-worker cache: a
 // generation-valid hit returns the cached rule pointer without
 // touching the sharded map; a miss performs the locked lookup and
 // caches the result stamped with the generation read *before* the
 // lookup, so a racing mutation can only make the entry conservatively
 // stale, never serve a rule newer than its stamp.
 func (e *Engine) lookupRule(fid flow.FID, rc *RuleCache) (*mat.GlobalRule, bool) {
-	if rc == nil {
-		return e.global.LookupLive(fid)
-	}
 	gen := e.global.Gen()
 	if en := rc.find(fid); en != nil && en.hasRule && en.ruleGen == gen {
 		return en.rule, true
@@ -114,14 +109,76 @@ func (e *Engine) lookupRule(fid flow.FID, rc *RuleCache) (*mat.GlobalRule, bool)
 	return rule, ok
 }
 
-// statsDelta accumulates one shard's counter increments across a batch
-// in plain (non-atomic) fields; flushStats folds each non-zero delta
-// into the shared shard with one atomic add per touched counter,
-// instead of the scalar path's several atomic adds per packet.
+// statsDelta accumulates one shard's counter increments across a
+// vector in plain (non-atomic) fields; fold publishes each non-zero
+// delta into the shared shard with one atomic add per touched counter
+// instead of several per packet.
 type statsDelta struct {
 	packets, initial, subsequent, handshake, final uint64
 	fastPath, slowPath, dropped                    uint64
 	eventsFired, consolidations                    uint64
+}
+
+// add counts one finished packet — the one place a PacketResult is
+// turned into counter increments.
+func (d *statsDelta) add(res *PacketResult) {
+	d.packets++
+	switch res.Kind {
+	case classifier.KindInitial:
+		d.initial++
+	case classifier.KindSubsequent:
+		d.subsequent++
+	case classifier.KindHandshake:
+		d.handshake++
+	case classifier.KindFinal:
+		d.final++
+	}
+	if res.Path == PathFast {
+		d.fastPath++
+	} else {
+		d.slowPath++
+	}
+	if res.Verdict == VerdictDrop {
+		d.dropped++
+	}
+	if res.Fast != nil {
+		d.eventsFired += uint64(res.Fast.EventsFired)
+	}
+	if res.Slow != nil && res.Slow.ConsolidateCycles > 0 {
+		d.consolidations++
+	}
+}
+
+// fold publishes a delta into the shared counter shard.
+func (s *statsShard) fold(d *statsDelta) {
+	s.packets.Add(d.packets)
+	if d.initial != 0 {
+		s.initial.Add(d.initial)
+	}
+	if d.subsequent != 0 {
+		s.subsequent.Add(d.subsequent)
+	}
+	if d.handshake != 0 {
+		s.handshake.Add(d.handshake)
+	}
+	if d.final != 0 {
+		s.final.Add(d.final)
+	}
+	if d.fastPath != 0 {
+		s.fastPath.Add(d.fastPath)
+	}
+	if d.slowPath != 0 {
+		s.slowPath.Add(d.slowPath)
+	}
+	if d.dropped != 0 {
+		s.dropped.Add(d.dropped)
+	}
+	if d.eventsFired != 0 {
+		s.eventsFired.Add(d.eventsFired)
+	}
+	if d.consolidations != 0 {
+		s.consolidations.Add(d.consolidations)
+	}
 }
 
 // flowCacheWays is the associativity of the per-worker flow-handle
@@ -160,13 +217,11 @@ func (sl *flowSlot) flush() {
 	sl.dPkts, sl.dBytes, sl.dirty = 0, 0, false
 }
 
-// Batch is the per-worker scratch state of the batched data path: the
-// rule and flow-handle caches, preallocated result storage, the
-// per-packet classification scratch (structure-of-arrays, so the
-// classify and process loops each stream through contiguous memory),
-// and the counter-fold buffers. A Batch must not be shared between
-// goroutines (each MultiQueue worker, and the ONVM manager, owns one);
-// results returned by ProcessBatch and FastProcessBatch point into the
+// Batch is the per-worker scratch state of the data path: the rule and
+// flow-handle caches, preallocated result storage, and the counter and
+// telemetry fold buffers. A Batch must not be shared between goroutines
+// (each runner worker owns one; ProcessPacket draws one from the
+// engine's pool); results returned by ProcessBatch point into the
 // Batch's storage and are valid only until the next call on the same
 // Batch.
 type Batch struct {
@@ -178,9 +233,8 @@ type Batch struct {
 	info []FastPathInfo
 	out  []*PacketResult
 
-	// Per-packet classification scratch for the current vector,
-	// indexed by packet position: the FID and the flow-cache slot it
-	// resolved to.
+	// delta holds the vector's counter increments per stats shard; dirty
+	// lists the shards touched, so flushStats visits only those.
 	delta [statsShardCount]statsDelta
 	dirty []uint32
 
@@ -221,17 +275,15 @@ func (b *Batch) begin(n int) {
 	}
 	b.res = b.res[:n]
 	b.info = b.info[:n]
-	for i := 0; i < n; i++ {
-		b.res[i] = PacketResult{}
-		b.info[i] = FastPathInfo{}
-	}
+	clear(b.res)
+	clear(b.info)
 	b.out = b.out[:0]
 }
 
 // flushFlows folds every flow slot's pending bookkeeping into the
 // flow table. It must run before any code that reads or rewrites a
-// flow entry through the locked paths (the scalar fallback, teardown)
-// and at end of batch.
+// flow entry through the locked paths (full classification, the slow
+// path, teardown) and at end of batch.
 func (b *Batch) flushFlows() {
 	for i := range b.flows {
 		b.flows[i].flush()
@@ -287,39 +339,14 @@ func (b *Batch) flowSlotFor(flows *flow.Table, pkt *packet.Packet, kHi, kLo uint
 }
 
 // account folds one finished packet into the batch-local deltas and
-// telemetry run-length buffers (the batched counterpart of
-// Engine.Account).
+// telemetry run-length buffers.
 func (b *Batch) account(e *Engine, res *PacketResult) {
 	shard := uint32(res.FID) & (statsShardCount - 1)
 	d := &b.delta[shard]
 	if d.packets == 0 {
 		b.dirty = append(b.dirty, shard)
 	}
-	d.packets++
-	switch res.Kind {
-	case classifier.KindInitial:
-		d.initial++
-	case classifier.KindSubsequent:
-		d.subsequent++
-	case classifier.KindHandshake:
-		d.handshake++
-	case classifier.KindFinal:
-		d.final++
-	}
-	if res.Path == PathFast {
-		d.fastPath++
-	} else {
-		d.slowPath++
-	}
-	if res.Verdict == VerdictDrop {
-		d.dropped++
-	}
-	if res.Fast != nil {
-		d.eventsFired += uint64(res.Fast.EventsFired)
-	}
-	if res.Slow != nil && res.Slow.ConsolidateCycles > 0 {
-		d.consolidations++
-	}
+	d.add(res)
 	if e.tel == nil {
 		return
 	}
@@ -365,91 +392,33 @@ func (e *Engine) flushStats(b *Batch) {
 		b.flowHits, b.flowMisses = 0, 0
 	}
 	for _, shard := range b.dirty {
-		d := &b.delta[shard]
-		s := &e.stats[shard]
-		s.packets.Add(d.packets)
-		if d.initial != 0 {
-			s.initial.Add(d.initial)
-		}
-		if d.subsequent != 0 {
-			s.subsequent.Add(d.subsequent)
-		}
-		if d.handshake != 0 {
-			s.handshake.Add(d.handshake)
-		}
-		if d.final != 0 {
-			s.final.Add(d.final)
-		}
-		if d.fastPath != 0 {
-			s.fastPath.Add(d.fastPath)
-		}
-		if d.slowPath != 0 {
-			s.slowPath.Add(d.slowPath)
-		}
-		if d.dropped != 0 {
-			s.dropped.Add(d.dropped)
-		}
-		if d.eventsFired != 0 {
-			s.eventsFired.Add(d.eventsFired)
-		}
-		if d.consolidations != 0 {
-			s.consolidations.Add(d.consolidations)
-		}
-		*d = statsDelta{}
+		e.stats[shard].fold(&b.delta[shard])
+		b.delta[shard] = statsDelta{}
 	}
 	b.dirty = b.dirty[:0]
 }
 
 // ProcessBatch classifies and processes a vector of packets in arrival
-// order, amortizing per-packet dispatch: classification of plain data
-// packets takes a single-lock fast path, consolidated-rule and
-// event-table lookups are served from the Batch's generation-validated
-// cache, results are written into preallocated storage, and counters
+// order — the engine's one data path; ProcessPacket is a vector of one.
+// A vector amortizes per-packet dispatch: fast-shaped packets classify
+// through the Batch's flow-handle cache, consolidated-rule and
+// event-table lookups are served from its generation-validated cache,
+// fast-path results are written into preallocated storage, and counters
 // and the fast-path latency histogram are folded into a few updates
 // per vector.
 //
-// Semantics are packet-for-packet identical to calling ProcessPacket
-// in a loop — the differential oracle enforces this bit-for-bit.
+// The vector size never changes what a packet observes — the
+// differential oracle holds vectors of 1 and of 32 bit-identical.
 // Arrival order is preserved across the whole vector (no grouping or
 // sorting): NFs keep cross-flow state (rate limiters, DoS counters),
 // so reordering could change verdicts. Returned results point into the
-// Batch and are valid until its next use; the error behavior matches
-// ProcessPacket (processing stops at the first failing packet).
+// Batch and are valid until its next use; processing stops at the
+// first failing packet, whose predecessors stay accounted.
 func (e *Engine) ProcessBatch(pkts []*packet.Packet, b *Batch) ([]*PacketResult, error) {
-	if !e.opts.EnableSpeedyBox {
-		// The baseline engine routes everything down the original
-		// chain; there is nothing to amortize, so stay on the exact
-		// scalar code path.
-		b.out = b.out[:0]
-		for _, pkt := range pkts {
-			res, err := e.ProcessPacket(pkt)
-			if err != nil {
-				return nil, err
-			}
-			b.out = append(b.out, res)
-		}
-		return b.out, nil
-	}
 	b.begin(len(pkts))
 	out := b.out
 	for i, pkt := range pkts {
-		fid, ok := e.classifyFast(pkt, b)
-		if !ok {
-			// Not fast-shaped (unparseable, handshake, FIN/RST,
-			// untracked or not-yet-established flow): fold the pending
-			// flow bookkeeping — the scalar path reads and rewrites the
-			// same entries — then take the full scalar path, which
-			// accounts for itself.
-			b.flushFlows()
-			res, err := e.ProcessPacket(pkt)
-			if err != nil {
-				e.flushStats(b)
-				return nil, err
-			}
-			out = append(out, res)
-			continue
-		}
-		res, err := e.processClassified(fid, pkt, &b.info[i], &b.res[i], b)
+		res, err := e.process(pkt, &b.info[i], &b.res[i], b)
 		if err != nil {
 			e.flushStats(b)
 			return nil, err
@@ -461,19 +430,106 @@ func (e *Engine) ProcessBatch(pkts []*packet.Packet, b *Batch) ([]*PacketResult,
 	return out, nil
 }
 
+// process is the per-packet decision ladder: classify, eviction fault,
+// one arm per packet kind, account. info and res are the packet's
+// (zeroed) slots in b's result storage, used when it takes the fast
+// path; slow-path results are allocated by the traversal.
+func (e *Engine) process(pkt *packet.Packet, info *FastPathInfo, res *PacketResult, b *Batch) (*PacketResult, error) {
+	var (
+		fid  flow.FID
+		kind classifier.Kind
+	)
+	// The flow-handle and rule caches belong to SpeedyBox. The baseline
+	// engine — every oracle's reference — classifies through the locked
+	// Classify alone, independent of the code it polices.
+	fastShaped := false
+	if e.opts.EnableSpeedyBox {
+		fid, fastShaped = e.classifyFast(pkt, b)
+	}
+	if fastShaped {
+		// Established data packet: Subsequent with a live rule, else the
+		// flow's initial packet (or a re-record after eviction or
+		// staleness) — the decision Classify's hasRule probe makes.
+		kind = classifier.KindInitial
+		if _, ok := e.lookupRule(fid, &b.cache); ok {
+			kind = classifier.KindSubsequent
+		} else {
+			pkt.Meta.Initial = true
+		}
+	} else {
+		// Unparseable, handshake, FIN/RST, untracked or not-yet-
+		// established flow: the locked state machine reads and rewrites
+		// flow entries, so pending folded bookkeeping lands first.
+		b.flushFlows()
+		cls, err := e.Classify(pkt)
+		if err != nil {
+			return nil, err
+		}
+		fid, kind = cls.FID, cls.Kind
+	}
+
+	// Fault: flow-table eviction pressure — the MAT "ran out of space"
+	// for this flow. Consolidated state is evicted (the next packet
+	// re-records); flow tracking and NF-internal state survive, exactly
+	// as a real table eviction leaves them. It strikes after the kind is
+	// decided: a Subsequent packet whose rule was just evicted falls
+	// back to the slow path, it does not re-record as Initial.
+	if e.faults != nil && e.opts.EnableSpeedyBox &&
+		e.faults.Should(fault.KindEvictPressure, fid) {
+		e.evictConsolidated(fid)
+	}
+
+	var (
+		r   *PacketResult
+		err error
+	)
+	switch kind {
+	case classifier.KindSubsequent:
+		r, err = e.fastPathInto(fid, pkt, info, res, &b.cache)
+	case classifier.KindFinal:
+		if e.hasRule != nil && e.hasRule(fid) {
+			r, err = e.fastPathInto(fid, pkt, info, res, &b.cache)
+		} else {
+			r, err = e.slowPath(fid, pkt, false)
+		}
+		if err == nil {
+			e.teardown(fid, CauseFinTeardown)
+			r.TornDown = true
+		}
+	case classifier.KindInitial:
+		// The slow path drives the original chain, which may observe
+		// flow entries: fold pending bookkeeping first.
+		b.flushFlows()
+		recording := e.TryBeginRecording(fid)
+		r, err = e.slowPath(fid, pkt, recording)
+		if recording {
+			e.EndRecording(fid)
+		}
+	default: // KindHandshake
+		r, err = e.slowPath(fid, pkt, false)
+	}
+	if err != nil {
+		return nil, err
+	}
+	r.FID = fid
+	r.Kind = kind
+	b.account(e, r)
+	return r, nil
+}
+
 // classifyFast classifies one fast-shaped packet — a plain data packet
 // (no SYN/FIN/RST) of an established, tracked flow — through the
 // Batch's flow-handle cache: a tuple compare, a generation load and a
-// state load replace the scalar path's lock acquisition and map probe.
+// state load replace Classify's lock acquisition and map probe.
 // Per-flow bookkeeping folds into the flow slot (flushed at batch
 // boundaries and before any locked flow-table access); the logical
-// clock ticks once per packet, exactly as scalar classification would,
-// so clock-deadline reads during processing (the degradation ladder's
-// backoff arithmetic) observe identical values on both paths.
+// clock ticks once per packet, exactly as Classify does, so
+// clock-deadline reads during processing (the degradation ladder's
+// backoff arithmetic) observe the same values at every vector size.
 //
 // For every other packet shape it reports ok=false without mutating
 // the flow table or consuming a clock tick, and the caller routes the
-// packet through the full scalar path.
+// packet through the full Classify state machine.
 func (e *Engine) classifyFast(pkt *packet.Packet, b *Batch) (flow.FID, bool) {
 	if !pkt.Parsed() {
 		if err := pkt.Parse(); err != nil {
@@ -504,87 +560,4 @@ func (e *Engine) classifyFast(pkt *packet.Packet, b *Batch) (flow.FID, bool) {
 	pkt.Meta.FID = uint32(fid)
 	pkt.Meta.HasFID = true
 	return fid, true
-}
-
-// processClassified routes one fast-shaped, already-classified packet
-// of a vector, mirroring ProcessPacket's decision sequence from the
-// post-classification point exactly: eviction-pressure fault, then
-// Subsequent (fast path) versus Initial (recording slow path).
-func (e *Engine) processClassified(fid flow.FID, pkt *packet.Packet, info *FastPathInfo, res *PacketResult, b *Batch) (*PacketResult, error) {
-	// Decide Subsequent vs Initial before the eviction fault, exactly
-	// as the scalar classifier's hasRule probe runs inside Classify: a
-	// fault evicting the rule right after classification must leave a
-	// Subsequent packet falling back to the slow path (not re-recording
-	// as Initial).
-	_, hasRule := e.lookupRule(fid, &b.cache)
-
-	if e.faults != nil && e.faults.Should(fault.KindEvictPressure, fid) {
-		e.evictConsolidated(fid)
-	}
-
-	if hasRule {
-		r, err := e.fastPathInto(fid, pkt, info, res, &b.cache)
-		if err != nil {
-			return nil, err
-		}
-		r.FID = fid
-		r.Kind = classifier.KindSubsequent
-		b.account(e, r)
-		return r, nil
-	}
-
-	// Established data packet without a live rule: the flow's initial
-	// packet (or a re-record after eviction/staleness). Same recording
-	// gate as ProcessPacket's KindInitial arm. The slow path drives
-	// the original chain and may observe flow entries, so pending
-	// folded bookkeeping is flushed first.
-	b.flushFlows()
-	pkt.Meta.Initial = true
-	recording := false
-	if e.recordingAllowed(fid) {
-		recording = e.TryBeginRecording(fid)
-	} else {
-		e.countDegradedPacket(fid)
-	}
-	r, err := e.slowPath(fid, pkt, recording)
-	if recording {
-		e.EndRecording(fid)
-	}
-	if err != nil {
-		return nil, err
-	}
-	r.FID = fid
-	r.Kind = classifier.KindInitial
-	b.account(e, r)
-	return r, nil
-}
-
-// FastProcessBatch runs the consolidated fast path over a vector of
-// pre-classified subsequent packets (fids[i] identifies pkts[i]),
-// writing results into the Batch's preallocated storage and serving
-// rule and event lookups from its cache — one locked Global MAT lookup
-// per unique (or invalidated) flow per batch instead of one per
-// packet. It is the batched FastProcess: exposed for callers that
-// classify and dispatch fast-path packets themselves.
-// Like FastProcess, it does not account the results; the platform
-// does, once per packet, when it assembles its measurements. Packets
-// whose rule vanished mid-batch transparently traverse the slow path,
-// exactly as FastProcess would.
-func (e *Engine) FastProcessBatch(fids []flow.FID, pkts []*packet.Packet, b *Batch) ([]*PacketResult, error) {
-	if len(fids) != len(pkts) {
-		return nil, fmt.Errorf("core: FastProcessBatch: %d fids for %d packets", len(fids), len(pkts))
-	}
-	b.begin(len(pkts))
-	out := b.out
-	for i, pkt := range pkts {
-		res, err := e.fastPathInto(fids[i], pkt, &b.info[i], &b.res[i], &b.cache)
-		if err != nil {
-			return nil, err
-		}
-		res.FID = fids[i]
-		res.Kind = classifier.KindSubsequent
-		out = append(out, res)
-	}
-	b.out = out
-	return out, nil
 }

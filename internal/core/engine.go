@@ -130,8 +130,8 @@ type recShard struct {
 // Engine wires a service chain to the SpeedyBox machinery. It is safe
 // for concurrent use: the pipelined ONVM platform classifies,
 // processes and consolidates from different goroutines, and the
-// multi-queue platform calls ProcessPacket from one worker per RSS
-// queue. All per-flow state (flow table, Global MAT, Event Table,
+// multi-queue platform calls ProcessBatch from one worker per RSS
+// queue, each on its own Batch. All per-flow state (flow table, Global MAT, Event Table,
 // recording claims, counters) is sharded by FID so workers handling
 // disjoint flows do not contend.
 type Engine struct {
@@ -184,6 +184,11 @@ type Engine struct {
 	// successful Checkpoint (0 = never), read at scrape time by the
 	// speedybox_checkpoint_age_seconds gauge and by daemon status.
 	lastCheckpoint atomic.Int64
+
+	// scalar pools the one-packet Batches behind ProcessPacket. The pool
+	// is per engine: a Batch's flow handles and cached rules validate
+	// against this engine's table generations only.
+	scalar sync.Pool
 }
 
 // NewEngine builds an engine over the chain.
@@ -212,6 +217,7 @@ func NewEngine(chain []NF, opts Options) (*Engine, error) {
 		class:  classifier.New(flow.NewTable()),
 	}
 	e.cur.Store(newChainState(chain, nil, 0))
+	e.scalar.New = func() any { return NewBatch(1) }
 	for i := range e.recording {
 		e.recording[i].fids = make(map[flow.FID]struct{})
 	}
@@ -265,13 +271,25 @@ func (e *Engine) releaseEventBudget(fid flow.FID) {
 	}
 }
 
-// TryBeginRecording claims the flow's recording slot. When several
-// initial packets of one flow are in flight concurrently (free-running
-// pipeline mode), only the first may record — a second recorder would
-// append duplicate actions and state functions to the Local MATs. The
-// losers traverse the chain without recording, which is always
-// correct. EndRecording releases the slot.
+// TryBeginRecording is the recording gate every initial packet passes,
+// on the run-to-completion ladder and at the ONVM RX thread alike: a
+// flow on the degradation ladder may only retry recording once its
+// backoff deadline has passed (until then its packets are counted as
+// degraded and stay on the slow path without burning consolidation
+// work), and when several initial packets of one flow are in flight
+// concurrently only the first claims the recording slot — a second
+// recorder would append duplicate actions and state functions to the
+// Local MATs. The losers traverse the chain without recording, which is
+// always correct. A true return must be paired with EndRecording. The
+// baseline engine never records.
 func (e *Engine) TryBeginRecording(fid flow.FID) bool {
+	if !e.opts.EnableSpeedyBox {
+		return false
+	}
+	if !e.recordingAllowed(fid) {
+		e.countDegradedPacket(fid)
+		return false
+	}
 	s := e.recShardFor(fid)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -477,116 +495,49 @@ func (e *Engine) PrepareRecording(fid flow.FID) {
 // mat.ErrNotConsolidatable error means the flow stays on the slow
 // path; the caller decides whether that is fatal.
 func (e *Engine) ConsolidateFlow(fid flow.FID) (uint64, error) {
-	info := &SlowPathInfo{}
-	if err := e.consolidate(fid, -1, info, e.state()); err != nil {
-		return 0, err
-	}
-	return info.ConsolidateCycles, nil
+	return e.reconsolidate(fid, e.state())
 }
 
 // TeardownFlow removes all state for a finished flow (FIN/RST
 // cleanup, §VI-B).
 func (e *Engine) TeardownFlow(fid flow.FID) { e.teardown(fid, CauseFinTeardown) }
 
-// Account folds a finished packet's result into the engine counters.
-// ProcessPacket calls it automatically; platforms that assemble
-// results themselves call it once per packet.
+// Account folds a finished packet's result into the engine counters,
+// for platforms that assemble results themselves (the ONVM pipeline)
+// and so account once per packet outside ProcessBatch.
 func (e *Engine) Account(res *PacketResult) {
-	s := &e.stats[uint32(res.FID)&(statsShardCount-1)]
-	s.packets.Add(1)
-	switch res.Kind {
-	case classifier.KindInitial:
-		s.initial.Add(1)
-	case classifier.KindSubsequent:
-		s.subsequent.Add(1)
-	case classifier.KindHandshake:
-		s.handshake.Add(1)
-	case classifier.KindFinal:
-		s.final.Add(1)
-	}
-	if res.Path == PathFast {
-		s.fastPath.Add(1)
-	} else {
-		s.slowPath.Add(1)
-	}
-	if res.Verdict == VerdictDrop {
-		s.dropped.Add(1)
-	}
-	if res.Fast != nil {
-		s.eventsFired.Add(uint64(res.Fast.EventsFired))
-	}
-	if res.Slow != nil && res.Slow.ConsolidateCycles > 0 {
-		s.consolidations.Add(1)
-	}
+	var d statsDelta
+	d.add(res)
+	e.statsFor(res.FID).fold(&d)
 	if e.tel != nil {
 		e.tel.accountPacket(res)
 	}
 }
 
 // ProcessPacket classifies and processes one packet, returning the
-// full accounting. The packet is mutated (or dropped) in place.
+// full accounting. The packet is mutated (or dropped) in place. It is
+// ProcessBatch over a vector of one on a pooled Batch: the counters and
+// the flow's bookkeeping are folded before it returns, and the result is
+// caller-owned — a fast-path result is copied out of the Batch's
+// storage (slow-path results are allocated by the traversal already).
 func (e *Engine) ProcessPacket(pkt *packet.Packet) (*PacketResult, error) {
-	cls, err := e.Classify(pkt)
+	b := e.scalar.Get().(*Batch)
+	defer e.scalar.Put(b)
+	vec := [1]*packet.Packet{pkt}
+	out, err := e.ProcessBatch(vec[:], b)
 	if err != nil {
 		return nil, err
 	}
-
-	// Fault: flow-table eviction pressure — the MAT "ran out of
-	// space" for this flow. Consolidated state is evicted (the next
-	// packet re-records); flow tracking and NF-internal state survive,
-	// exactly as a real table eviction leaves them.
-	if e.faults != nil && e.opts.EnableSpeedyBox &&
-		e.faults.Should(fault.KindEvictPressure, cls.FID) {
-		e.evictConsolidated(cls.FID)
+	res := out[0]
+	if res.Fast == nil {
+		return res, nil
 	}
-
-	var res *PacketResult
-	switch cls.Kind {
-	case classifier.KindSubsequent:
-		res, err = e.fastPath(cls.FID, pkt)
-	case classifier.KindFinal:
-		if e.opts.EnableSpeedyBox {
-			if _, ok := e.global.LookupLive(cls.FID); ok {
-				res, err = e.fastPath(cls.FID, pkt)
-			} else {
-				res, err = e.slowPath(cls.FID, pkt, false)
-			}
-		} else {
-			res, err = e.slowPath(cls.FID, pkt, false)
-		}
-		if err == nil {
-			e.teardown(cls.FID, CauseFinTeardown)
-			res.TornDown = true
-		}
-	case classifier.KindInitial:
-		// Claim the flow's recording slot: if another packet of this
-		// flow is recording concurrently (callers that overlap
-		// ProcessPacket for one flow), traverse without recording. A
-		// degraded flow may only retry recording once its backoff
-		// deadline passes; until then its packets stay on the slow
-		// path without burning consolidation work.
-		recording := false
-		if e.opts.EnableSpeedyBox {
-			if e.recordingAllowed(cls.FID) {
-				recording = e.TryBeginRecording(cls.FID)
-				if recording {
-					defer e.EndRecording(cls.FID)
-				}
-			} else {
-				e.countDegradedPacket(cls.FID)
-			}
-		}
-		res, err = e.slowPath(cls.FID, pkt, recording)
-	default: // KindHandshake
-		res, err = e.slowPath(cls.FID, pkt, false)
-	}
-	if err != nil {
-		return nil, err
-	}
-	res.FID = cls.FID
-	res.Kind = cls.Kind
-	e.Account(res)
-	return res, nil
+	owned := &struct {
+		PacketResult
+		FastPathInfo
+	}{*res, *res.Fast}
+	owned.Fast = &owned.FastPathInfo
+	return &owned.PacketResult, nil
 }
 
 // slowPath runs the packet through the original service chain,
@@ -813,8 +764,9 @@ func (e *Engine) evictConsolidated(fid flow.FID) {
 	}
 }
 
-// reconsolidate rebuilds the flow's rule after event updates, against
-// the same chain snapshot the firings were validated under.
+// reconsolidate rebuilds the flow's rule from its Local MAT entries
+// against the given chain snapshot — after event updates, the snapshot
+// the firings were validated under.
 func (e *Engine) reconsolidate(fid flow.FID, cs *chainState) (uint64, error) {
 	info := &SlowPathInfo{}
 	if err := e.consolidate(fid, -1, info, cs); err != nil {
@@ -823,26 +775,21 @@ func (e *Engine) reconsolidate(fid flow.FID, cs *chainState) (uint64, error) {
 	return info.ConsolidateCycles, nil
 }
 
-// FastProcess runs the consolidated fast path for a subsequent packet,
-// exposed for platforms that dispatch fast-path packets from their own
-// cores (the ONVM manager).
-func (e *Engine) FastProcess(fid flow.FID, pkt *packet.Packet) (*PacketResult, error) {
-	return e.fastPath(fid, pkt)
-}
-
-// fastPath applies the consolidated rule (scalar entry point: fresh
-// result storage, no rule cache).
-func (e *Engine) fastPath(fid flow.FID, pkt *packet.Packet) (*PacketResult, error) {
-	return e.fastPathInto(fid, pkt, &FastPathInfo{}, &PacketResult{}, nil)
+// FastProcess runs the consolidated fast path for a subsequent packet
+// on fresh result storage, exposed for platforms that dispatch
+// fast-path packets from their own cores (the ONVM manager) and account
+// the result themselves. rc is the calling core's rule cache.
+func (e *Engine) FastProcess(fid flow.FID, pkt *packet.Packet, rc *RuleCache) (*PacketResult, error) {
+	return e.fastPathInto(fid, pkt, &FastPathInfo{}, &PacketResult{}, rc)
 }
 
 // fastPathInto applies the consolidated rule, writing into the
-// caller-provided (zeroed) info and res storage — the batched path
-// reuses per-worker arrays so steady-state fast-path packets allocate
-// nothing. rc, when non-nil, is the worker's rule cache: generation-
-// validated hits skip the sharded Global MAT map and the Event Table
-// probes. On a rule miss the packet transparently falls back to the
-// slow path, whose (allocated) result is returned instead of res.
+// caller-provided (zeroed) info and res storage — ProcessBatch reuses
+// per-worker arrays so steady-state fast-path packets allocate
+// nothing. rc is the worker's rule cache: generation-validated hits
+// skip the sharded Global MAT map and the Event Table probes. On a
+// rule miss the packet transparently falls back to the slow path,
+// whose (allocated) result is returned instead of res.
 func (e *Engine) fastPathInto(fid flow.FID, pkt *packet.Packet, info *FastPathInfo, res *PacketResult, rc *RuleCache) (*PacketResult, error) {
 	m := e.model
 	info.FixedCycles = m.HashFID + m.FastPathBase + m.EventCheck + m.GMATLookup
@@ -935,33 +882,25 @@ func (e *Engine) fastPathInto(fid flow.FID, pkt *packet.Packet, info *FastPathIn
 	return res, nil
 }
 
-// fireEvents probes the Event Table for the flow, applies any updates
-// to the owning Local MATs and reconsolidates. It returns whether
-// anything fired.
-func (e *Engine) fireEvents(fid flow.FID, info *FastPathInfo) (bool, error) {
-	return e.fireEventsCached(fid, info, nil)
-}
-
-// fireEventsCached is fireEvents with an optional per-worker cache: a
-// flow known to have no registered events (verdict validated against
+// fireEventsCached probes the Event Table for the flow, applies any
+// updates to the owning Local MATs and reconsolidates, reporting
+// whether anything fired. rc is the per-worker cache: a flow known to
+// have no registered events (verdict validated against
 // the Event Table's registration generation) skips the locked probe
 // entirely. The verdict can only be invalidated by Register, which
 // advances the generation; firings and removals merely shrink the
 // event set, which the cache handles conservatively by keeping probing
 // flows it has no verdict for.
 func (e *Engine) fireEventsCached(fid flow.FID, info *FastPathInfo, rc *RuleCache) (bool, error) {
-	if rc != nil && rc.noEventsValid(e, fid) {
+	if rc.noEventsValid(e, fid) {
 		return false, nil
 	}
-	var evGen uint64
-	if rc != nil {
-		// Read the generation before probing: if a Register lands
-		// between the two, the cached verdict is stamped with the older
-		// generation and the next validity check conservatively misses.
-		evGen = e.events.RegGen()
-	}
+	// Read the generation before probing: if a Register lands between
+	// the two, the cached verdict is stamped with the older generation
+	// and the next validity check conservatively misses.
+	evGen := e.events.RegGen()
 	firings, registered := e.events.Probe(fid)
-	if rc != nil && !registered {
+	if !registered {
 		rc.putNoEvents(fid, evGen)
 	}
 	if len(firings) == 0 {

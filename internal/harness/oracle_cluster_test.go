@@ -39,7 +39,8 @@ func TestOracleClusterEquivalence(t *testing.T) {
 // TestOracleClusterBatchEquivalence drives the cluster through its
 // batched run-splitting path in 32-packet vectors: outcomes — packets
 // compared, faults injected, degradation counters, flows migrated —
-// must be identical to the scalar cluster run under the same seeds.
+// must be identical to the vectors-of-one cluster run under the same
+// seeds.
 func TestOracleClusterBatchEquivalence(t *testing.T) {
 	schedules := 40
 	if testing.Short() {

@@ -40,10 +40,10 @@ func TestOracleEquivalenceUnderFaults(t *testing.T) {
 }
 
 // TestOracleBatchEquivalence runs the oracle with the fast engine in
-// 32-packet vector mode: the batched data path must stay bit-identical
-// to the scalar reference under the same fault schedules, and the
-// seeded runs must also agree packet-for-packet with a scalar-fast-
-// engine oracle run (batching changes no observable outcome).
+// 32-packet vector mode: it must stay bit-identical to the per-packet
+// baseline reference under the same fault schedules, and the seeded
+// runs must also agree packet-for-packet with an oracle run whose fast
+// engine takes vectors of one (the vector size is not observable).
 func TestOracleBatchEquivalence(t *testing.T) {
 	schedules := 40
 	if testing.Short() {
@@ -137,7 +137,7 @@ func TestOracleCatchesCorruptedRewrite(t *testing.T) {
 // TestOracleReconfigEquivalence adds live chain reconfigurations to the
 // fault schedules: gateways, filters and monitors are inserted, removed
 // and reordered mid-trace on both engines at the same packet indices,
-// in scalar and in 32-packet vector mode, and every packet must still
+// in vectors of one and of 32, and every packet must still
 // agree. Fault-aborted plans are skipped on both engines — the rollback
 // contract — and at least some plans must actually land for the run to
 // count.
@@ -193,7 +193,7 @@ func TestOracleCatchesBrokenReconfig(t *testing.T) {
 // TestOracleCrashRestoreEquivalence kills and restores the fast engine
 // mid-trace — checkpoint at the kill point, fresh chain, Restore from
 // the encoded checkpoint plus the durable WAL prefix — under the usual
-// fault chaos, in scalar and vector mode, and demands zero divergence
+// fault chaos, in vectors of one and of 32, and demands zero divergence
 // from the uninterrupted reference. Closure-bearing rules cannot
 // survive a restore, so their flows must transparently re-record.
 func TestOracleCrashRestoreEquivalence(t *testing.T) {

@@ -53,9 +53,9 @@ func buildPlatform(kind PlatformKind, mk chainFactory, opts core.Options) (platf
 	}
 }
 
-// runVariant builds a platform, runs the packets (scalar, or in
-// batch-packet vectors when batch > 1) and partitions the
-// measurements, closing the platform afterwards.
+// runVariant builds a platform, runs the packets in batch-packet
+// vectors and partitions the measurements, closing the platform
+// afterwards.
 func runVariant(kind PlatformKind, mk chainFactory, opts core.Options, pkts []*packet.Packet, batch int) (*Partitioned, error) {
 	p, err := buildPlatform(kind, mk, opts)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/fastpathnfv/speedybox/internal/core"
+	"github.com/fastpathnfv/speedybox/internal/fault"
 	"github.com/fastpathnfv/speedybox/internal/packet"
 	"github.com/fastpathnfv/speedybox/internal/platform"
 	"github.com/fastpathnfv/speedybox/internal/trace"
@@ -121,5 +122,46 @@ func TestFailingInitialDoesNotInstallRule(t *testing.T) {
 	}
 	if n := p.Engine().Global().Len(); n != 0 {
 		t.Errorf("failed initial packet installed %d rules", n)
+	}
+}
+
+// TestInstallFaultHonoursBackoff: the RX thread passes initial packets
+// through the engine's one recording gate, so under a persistent
+// install fault a degraded flow retries consolidation on the ladder's
+// backoff schedule (8, 16, 32, ... packets) and not on every initial
+// packet, and the held-back packets are counted as degraded.
+func TestInstallFaultHonoursBackoff(t *testing.T) {
+	inj := fault.New(fault.Config{Seed: 42, Rates: map[fault.Kind]float64{fault.KindInstallFail: 1}})
+	opts := core.DefaultOptions()
+	opts.Faults = inj
+	p, err := New(Config{Chain: []core.NF{&flakyNF{name: "nf"}}, Options: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	const n = 600
+	for i := 0; i < n; i++ {
+		m, err := p.Process(udpPkt(t, 4000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Result.Path != core.PathSlow || m.Result.Verdict != core.VerdictForward {
+			t.Fatalf("packet %d: path %v verdict %v, want the slow path forwarding", i, m.Result.Path, m.Result.Verdict)
+		}
+	}
+	// 8+16+32+64+128+256 > 500: 600 packets admit at most ~7 attempts.
+	attempts := inj.Decisions(fault.KindInstallFail)
+	if attempts < 2 || attempts > 10 {
+		t.Errorf("%d install attempts over %d packets, want the backoff schedule's handful", attempts, n)
+	}
+	st := p.Engine().Stats()
+	if st.Consolidations != attempts {
+		t.Errorf("%d consolidations for %d install attempts", st.Consolidations, attempts)
+	}
+	if st.DegradedPackets != n-attempts {
+		t.Errorf("DegradedPackets = %d, want the %d packets held back between retries", st.DegradedPackets, n-attempts)
+	}
+	if rules := p.Engine().Global().Len(); rules != 0 {
+		t.Errorf("%d rules installed with every install failing", rules)
 	}
 }

@@ -296,13 +296,14 @@ func (p *Platform) enqueueBatch(r *ring.Ring[*job], jobs []*job) {
 }
 
 // managerLoop is the NF manager core: it consolidates freshly recorded
-// flows and executes the Global MAT fast path. Like the NF cores it
-// drains its ring in bursts; per-job work stays scalar because each
-// job's result must outlive the burst (jobs complete asynchronously,
-// while batch storage is reused).
+// flows and executes the Global MAT fast path behind the core's own
+// rule cache. Like the NF cores it drains its ring in bursts; each
+// job's result is allocated per job because it must outlive the burst
+// (jobs complete asynchronously).
 func (p *Platform) managerLoop() {
 	defer p.wg.Done()
 	buf := make([]*job, core.DefaultBatchSize)
+	var rc core.RuleCache
 	for {
 		n, err := p.mgrRing.DequeueBatch(buf)
 		if err != nil {
@@ -325,7 +326,7 @@ func (p *Platform) managerLoop() {
 				continue
 			}
 			// Fast-path packet.
-			res, err := p.eng.FastProcess(j.cls.FID, j.pkt)
+			res, err := p.eng.FastProcess(j.cls.FID, j.pkt, &rc)
 			if err != nil {
 				j.err = err
 			} else {
@@ -465,10 +466,11 @@ func (p *Platform) inject(pkt *packet.Packet) (*job, error) {
 		}
 		return j, nil
 	}
-	if opts.EnableSpeedyBox && cls.Kind == classifier.KindInitial {
-		// Only one in-flight packet may record for a flow; racing
-		// initial packets traverse the chain without recording,
-		// which is always correct.
+	if cls.Kind == classifier.KindInitial {
+		// The engine's one recording gate: a flow still inside its
+		// degradation backoff does not retry, and only one in-flight
+		// packet may record for a flow; the others traverse the chain
+		// without recording, which is always correct.
 		j.recording = p.eng.TryBeginRecording(cls.FID)
 	}
 	if j.recording {
@@ -521,19 +523,43 @@ func (p *Platform) Process(pkt *packet.Packet) (platform.Measurement, error) {
 // overlap across the NF cores, and the ring bursts amortize lock
 // traffic), lock-step across batches. As with RunPipelined, several
 // leading packets of a flow may traverse the slow path before its
-// first consolidation lands; each is safe.
+// first consolidation lands; each is safe. A vector of one is Process.
 func (p *Platform) ProcessBatch(pkts []*packet.Packet, b *platform.Batch) ([]platform.Measurement, error) {
+	return p.pipeline(pkts, b.Measurements(len(pkts))[:0])
+}
+
+// RunPipelined pushes the whole packet sequence through the pipeline
+// free-running — one vector as long as the trace — and returns
+// per-packet measurements in arrival order. Compared to the lock-step
+// runner:
+//
+//   - NF-internal state and MAT state stay exactly correct (the NFs
+//     are concurrent-safe and recording is single-writer per flow);
+//   - several leading packets of a flow may traverse the slow path
+//     before the first consolidation lands (each is safe), so the
+//     fast-path packet count can be lower than in lock-step mode;
+//   - measurements remain deterministic per packet given the path it
+//     took, but path assignment depends on scheduling.
+func (p *Platform) RunPipelined(pkts []*packet.Packet) ([]platform.Measurement, error) {
+	return p.pipeline(pkts, make([]platform.Measurement, 0, len(pkts)))
+}
+
+// pipeline injects pkts back-to-back, then collects every injected
+// descriptor, appending the measurements to ms in arrival order.
+// Injection stops at the first error; already-injected jobs are
+// drained before returning, and the injection error wins over a
+// collection error.
+func (p *Platform) pipeline(pkts []*packet.Packet, ms []platform.Measurement) ([]platform.Measurement, error) {
 	jobs := make([]*job, 0, len(pkts))
-	var injectErr error
+	var firstErr error
 	for _, pkt := range pkts {
 		j, err := p.inject(pkt)
 		if err != nil {
-			injectErr = err
+			firstErr = err
 			break
 		}
 		jobs = append(jobs, j)
 	}
-	ms := b.Measurements(len(jobs))[:0]
 	var collectErr error
 	for _, j := range jobs {
 		m, err := p.collect(j)
@@ -545,54 +571,10 @@ func (p *Platform) ProcessBatch(pkts []*packet.Packet, b *platform.Batch) ([]pla
 		}
 		ms = append(ms, m)
 	}
-	if injectErr != nil {
-		return ms, injectErr
+	if firstErr == nil {
+		firstErr = collectErr
 	}
-	return ms, collectErr
-}
-
-// RunPipelined pushes the whole packet sequence through the pipeline
-// free-running — packets of different flows genuinely overlap across
-// the NF cores, as on the real platform — and returns per-packet
-// measurements in arrival order. Compared to the lock-step runner:
-//
-//   - NF-internal state and MAT state stay exactly correct (the NFs
-//     are concurrent-safe and recording is single-writer per flow);
-//   - several leading packets of a flow may traverse the slow path
-//     before the first consolidation lands (each is safe), so the
-//     fast-path packet count can be lower than in lock-step mode;
-//   - measurements remain deterministic per packet given the path it
-//     took, but path assignment depends on scheduling.
-//
-// Injection stops at the first error; already-injected jobs are
-// drained before returning.
-func (p *Platform) RunPipelined(pkts []*packet.Packet) ([]platform.Measurement, error) {
-	jobs := make([]*job, 0, len(pkts))
-	var injectErr error
-	for _, pkt := range pkts {
-		j, err := p.inject(pkt)
-		if err != nil {
-			injectErr = err
-			break
-		}
-		jobs = append(jobs, j)
-	}
-	out := make([]platform.Measurement, 0, len(jobs))
-	var collectErr error
-	for _, j := range jobs {
-		m, err := p.collect(j)
-		if err != nil {
-			if collectErr == nil {
-				collectErr = err
-			}
-			continue
-		}
-		out = append(out, m)
-	}
-	if injectErr != nil {
-		return out, injectErr
-	}
-	return out, collectErr
+	return ms, firstErr
 }
 
 func (p *Platform) hasRule(fid flow.FID) bool {

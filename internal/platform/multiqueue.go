@@ -2,21 +2,18 @@ package platform
 
 import (
 	"fmt"
-	"sync"
 
-	"github.com/fastpathnfv/speedybox/internal/core"
-	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/packet"
 	"github.com/fastpathnfv/speedybox/internal/telemetry"
 )
 
 // MultiQueue models an RSS-style multi-queue NIC feeding one engine
 // from several cores: packets are hash-partitioned by 5-tuple across W
-// worker queues, and each worker drains its queue by calling the
-// platform's Process. Because the partition key is the flow hash, all
-// packets of a flow land on the same worker, which preserves per-flow
-// ordering — the same guarantee hardware RSS gives — while disjoint
-// flows proceed in parallel on the engine's FID-sharded state.
+// worker queues (Partition), and each worker drains its queue through
+// the platform's ProcessBatch. Because the partition key is the flow
+// hash, all packets of a flow land on the same worker, which preserves
+// per-flow ordering — the same guarantee hardware RSS gives — while
+// disjoint flows proceed in parallel on the engine's FID-sharded state.
 type MultiQueue struct {
 	p       Platform
 	workers int
@@ -56,7 +53,7 @@ func NewMultiQueue(p Platform, workers int) (*MultiQueue, error) {
 	if workers < 1 {
 		return nil, fmt.Errorf("platform: multiqueue: workers must be >= 1, got %d", workers)
 	}
-	m := &MultiQueue{p: p, workers: workers}
+	m := &MultiQueue{p: p, workers: workers, batch: 1}
 	if hub := p.Engine().Telemetry(); hub != nil {
 		m.queueDepth = make([]*telemetry.Gauge, workers)
 		m.workerPkts = make([]*telemetry.Counter, workers)
@@ -75,14 +72,13 @@ func NewMultiQueue(p Platform, workers int) (*MultiQueue, error) {
 // Workers returns the configured queue count.
 func (m *MultiQueue) Workers() int { return m.workers }
 
-// SetBatchSize switches the workers to batched draining: each worker
-// owns a Batch (rule cache, pooled results) and feeds its queue through
-// the platform's ProcessBatch in n-packet vectors. n <= 1 keeps the
-// scalar per-packet loop; 0 is scalar, matching NewMultiQueue's
-// default. Call before Run, not during one.
-func (m *MultiQueue) SetBatchSize(n int) { m.batch = n }
+// SetBatchSize sets the vector size: each worker owns a Batch (rule
+// cache, pooled results) and feeds its queue through the platform's
+// ProcessBatch in n-packet vectors. n <= 1 is a vector of one, which is
+// also NewMultiQueue's default. Call before Run, not during one.
+func (m *MultiQueue) SetBatchSize(n int) { m.batch = max(n, 1) }
 
-// BatchSize returns the configured vector size (0 or 1 = scalar).
+// BatchSize returns the configured vector size (at least 1).
 func (m *MultiQueue) BatchSize() int { return m.batch }
 
 // Platform returns the wrapped platform.
@@ -119,32 +115,14 @@ func (m *MultiQueue) SetClasses(classes []ChainClass, route func(*packet.Packet)
 	return nil
 }
 
-// partition maps a flow's home FID (flow.HashTuple) to a worker queue.
-// For worker counts up to the engine's shard count, the mapping groups
-// whole state shards into contiguous per-worker ranges: the engine
-// shards every per-flow structure — flow table, Global MAT, stats,
-// degradation ladder — by the FID's low ShardCount bits, and flow-table
-// collision probing advances in ShardCount strides, so those bits are
-// stable for every FID a flow can end up with. Each shard (and each
-// shard's mutexes and cache lines) is then touched by exactly one
-// worker for the whole run instead of ping-ponging between cores.
-// Worker counts above the shard count cannot own whole shards and fall
-// back to plain modulo.
-func (m *MultiQueue) partition(home flow.FID) int {
-	w := uint32(m.workers)
-	if w <= flow.ShardCount {
-		shard := uint32(home) & (flow.ShardCount - 1)
-		return int(shard * w / flow.ShardCount)
-	}
-	return int(uint32(home) % w)
-}
-
 // drainClasses feeds one worker's queue through the class platforms in
 // weighted-round-robin order: per round, class c processes up to
-// Weight×quantum of its own backlog, then yields. Packets keep their
-// arrival order within a class (per-flow order), while classes
-// interleave at quantum granularity — the fair-share guarantee.
-func (m *MultiQueue) drainClasses(w int, q []*packet.Packet, part *mqPartial) {
+// Weight×quantum of its own backlog in vectors of at most the batch
+// size, then yields. Packets keep their arrival order within a class
+// (per-flow order), while classes interleave at quantum granularity —
+// the fair-share guarantee. It is the one drain policy besides Drain's
+// arrival order.
+func (m *MultiQueue) drainClasses(w int, q []*packet.Packet, part *RunResult) error {
 	nc := len(m.classes)
 	sub := make([][]*packet.Packet, nc)
 	for _, pkt := range q {
@@ -154,49 +132,23 @@ func (m *MultiQueue) drainClasses(w int, q []*packet.Packet, part *mqPartial) {
 		}
 		sub[c] = append(sub[c], pkt)
 	}
-	quantum := m.batch
-	if quantum < 1 {
-		quantum = 1
-	}
 	batches := make([]*Batch, nc)
 	off := make([]int, nc)
-	remaining := len(q)
-	for remaining > 0 {
-		for c := 0; c < nc && part.err == nil; c++ {
-			budget := m.classes[c].Weight * quantum
+	for remaining := len(q); remaining > 0; {
+		for c := 0; c < nc; c++ {
+			budget := m.classes[c].Weight * m.batch
 			for budget > 0 && off[c] < len(sub[c]) {
-				end := off[c] + budget
-				if m.batch > 1 && end > off[c]+m.batch {
-					end = off[c] + m.batch
-				}
-				if end > len(sub[c]) {
-					end = len(sub[c])
-				}
+				end := min(off[c]+min(budget, m.batch), len(sub[c]))
 				span := sub[c][off[c]:end]
-				if m.batch > 1 {
-					if batches[c] == nil {
-						batches[c] = NewBatch(m.batch)
-					}
-					ms, err := m.classes[c].Platform.ProcessBatch(span, batches[c])
-					if err != nil {
-						part.err = fmt.Errorf("platform %s: queue %d class %d batch at packet %d: %w",
-							m.classes[c].Platform.Name(), w, c, off[c], err)
-						return
-					}
-					for i := range ms {
-						part.add(&ms[i])
-					}
-				} else {
-					for i, pkt := range span {
-						meas, err := m.classes[c].Platform.Process(pkt)
-						if err != nil {
-							part.err = fmt.Errorf("platform %s: queue %d class %d packet %d: %w",
-								m.classes[c].Platform.Name(), w, c, off[c]+i, err)
-							return
-						}
-						part.add(&meas)
-					}
+				if batches[c] == nil {
+					batches[c] = NewBatch(m.batch)
 				}
+				ms, err := m.classes[c].Platform.ProcessBatch(span, batches[c])
+				if err != nil {
+					return fmt.Errorf("platform %s: queue %d class %d batch at packet %d: %w",
+						m.classes[c].Platform.Name(), w, c, off[c], err)
+				}
+				part.Fold(ms)
 				if m.workerPkts != nil {
 					m.workerPkts[w].Add(uint64(len(span)))
 				}
@@ -205,149 +157,50 @@ func (m *MultiQueue) drainClasses(w int, q []*packet.Packet, part *mqPartial) {
 				remaining -= len(span)
 			}
 		}
-		if part.err != nil {
-			return
-		}
 	}
+	return nil
 }
 
-// mqPartial is one worker's private slice of the run aggregate; the
-// partials are merged after all workers join, so workers never share a
-// counter or map during the run.
-type mqPartial struct {
-	packets     int
-	drops       int
-	workCycles  []uint64
-	latencies   []uint64
-	bottlenecks []uint64
-	flowCycles  map[flow.FID]uint64
-	err         error
-}
-
-// add folds one measurement into the partial.
-func (part *mqPartial) add(meas *Measurement) {
-	part.packets++
-	if meas.Result.Verdict == core.VerdictDrop {
-		part.drops++
-	}
-	part.workCycles = append(part.workCycles, meas.WorkCycles)
-	part.latencies = append(part.latencies, meas.LatencyCycles)
-	part.bottlenecks = append(part.bottlenecks, meas.BottleneckCycles)
-	part.flowCycles[meas.Result.FID] += meas.LatencyCycles
-}
-
-// drainBatched feeds one worker's queue through the platform in
-// m.batch-packet vectors, reusing a worker-owned Batch (rule cache and
-// result storage persist across vectors of the same queue — by the RSS
+// drain is one worker's share of a Run: its queue through the wrapped
+// platform in arrival order, or through the class platforms in
+// fair-share mode, reusing a worker-owned Batch (rule cache and result
+// storage persist across vectors of the same queue — by the RSS
 // partition, exactly the packets of the worker's own flows).
-func (m *MultiQueue) drainBatched(w int, q []*packet.Packet, part *mqPartial) {
-	b := NewBatch(m.batch)
-	for off := 0; off < len(q); off += m.batch {
-		end := off + m.batch
-		if end > len(q) {
-			end = len(q)
-		}
-		ms, err := m.p.ProcessBatch(q[off:end], b)
-		if err != nil {
-			part.err = fmt.Errorf("platform %s: queue %d batch at packet %d: %w",
-				m.p.Name(), w, off, err)
-			return
-		}
-		for i := range ms {
-			part.add(&ms[i])
-		}
-		if m.workerPkts != nil {
-			m.workerPkts[w].Add(uint64(len(ms)))
-		}
+func (m *MultiQueue) drain(w int, q []*packet.Packet, part *RunResult) error {
+	if m.queueDepth != nil {
+		m.queueDepth[w].Set(int64(len(q)))
 	}
+	if m.classes != nil {
+		return m.drainClasses(w, q, part)
+	}
+	b := NewBatch(m.batch)
+	err := Drain(q, m.batch, nil,
+		func(_ int, run []*packet.Packet) ([]Measurement, error) { return m.p.ProcessBatch(run, b) },
+		func(_ int, ms []Measurement) error {
+			part.Fold(ms)
+			if m.workerPkts != nil {
+				m.workerPkts[w].Add(uint64(len(ms)))
+			}
+			return nil
+		})
+	if err != nil {
+		return fmt.Errorf("platform %s: queue %d: %w", m.p.Name(), w, err)
+	}
+	return nil
 }
 
 // Run partitions the trace across the workers and processes the queues
-// concurrently, aggregating the same measurements as the serial Run.
-// Packet buffers are consumed (the platform mutates or drops them).
-// Packets that cannot be partitioned (unparseable) are sent to queue 0,
-// where Process reports the parse error. The first worker error (by
-// worker index) is returned; statistics are a merge of all workers'
-// completed packets.
+// concurrently (RunWorkers), aggregating the same measurements as the
+// serial Run. Packet buffers are consumed (the platform mutates or
+// drops them). On a worker error the result still aggregates every
+// completed packet, alongside the first error by worker index.
 func (m *MultiQueue) Run(pkts []*packet.Packet) (*RunResult, error) {
-	queues := make([][]*packet.Packet, m.workers)
-	for _, pkt := range pkts {
-		w := 0
-		if ft, err := pkt.FiveTuple(); err == nil {
-			w = m.partition(flow.HashTuple(ft))
-		}
-		queues[w] = append(queues[w], pkt)
-	}
-	if m.queueDepth != nil {
-		for w, q := range queues {
-			m.queueDepth[w].Set(int64(len(q)))
-		}
-	}
-
-	partials := make([]mqPartial, m.workers)
-	var wg sync.WaitGroup
-	for w := 0; w < m.workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			part := &partials[w]
-			part.flowCycles = make(map[flow.FID]uint64)
-			if m.classes != nil {
-				m.drainClasses(w, queues[w], part)
-				return
-			}
-			if m.batch > 1 {
-				m.drainBatched(w, queues[w], part)
-				return
-			}
-			for i, pkt := range queues[w] {
-				meas, err := m.p.Process(pkt)
-				if err != nil {
-					part.err = fmt.Errorf("platform %s: queue %d packet %d: %w",
-						m.p.Name(), w, i, err)
-					return
-				}
-				part.add(&meas)
-				if m.workerPkts != nil {
-					m.workerPkts[w].Inc()
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	res := &RunResult{
-		FlowCycles:  make(map[flow.FID]uint64),
-		QueueDepths: make([]int, m.workers),
-		model:       m.p.Model(),
-	}
-	for w, q := range queues {
-		res.QueueDepths[w] = len(q)
-	}
-	var firstErr error
-	for w := range partials {
-		part := &partials[w]
-		if part.err != nil && firstErr == nil {
-			firstErr = part.err
-		}
-		res.Packets += part.packets
-		res.Drops += part.drops
-		res.WorkCycles = append(res.WorkCycles, part.workCycles...)
-		res.Latencies = append(res.Latencies, part.latencies...)
-		res.Bottlenecks = append(res.Bottlenecks, part.bottlenecks...)
-		for fid, c := range part.flowCycles {
-			res.FlowCycles[fid] += c
-		}
-	}
-	if m.classes != nil {
-		for _, c := range m.classes {
-			res.Stats.Add(c.Platform.Engine().Stats())
-		}
-	} else {
+	res, err := RunWorkers(pkts, m.workers, m.p.Model(), m.drain)
+	if m.classes == nil {
 		res.Stats = m.p.Engine().Stats()
 	}
-	if firstErr != nil {
-		return res, firstErr
+	for _, c := range m.classes {
+		res.Stats.Add(c.Platform.Engine().Stats())
 	}
-	return res, nil
+	return res, err
 }

@@ -3,6 +3,8 @@ package platform
 import (
 	"errors"
 	"math"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -218,15 +220,97 @@ func TestMultiQueuePropagatesError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mq.Run([]*packet.Packet{pkt(t)}); err == nil {
+	res, err := mq.Run([]*packet.Packet{pkt(t)})
+	if err == nil {
 		t.Error("multiqueue swallowed the platform error")
+	}
+	if res == nil || res.Packets != 0 || len(res.QueueDepths) != 2 {
+		t.Errorf("partial result = %+v, want an empty aggregate with both queue depths", res)
+	}
+}
+
+// unparsedTwin returns fresh, never-parsed descriptors over copies of
+// the packets' frames — what a NIC ring hands the runner.
+func unparsedTwin(pkts []*packet.Packet) []*packet.Packet {
+	out := make([]*packet.Packet, len(pkts))
+	for i, p := range pkts {
+		out[i] = packet.New(append([]byte(nil), p.Data()...))
+	}
+	return out
+}
+
+// TestPartitionParsesOnDemand: a descriptor that has not been parsed yet
+// is not unparseable. An unparsed trace must spread over the worker
+// queues exactly as its parsed twin does, and produce the same run.
+func TestPartitionParsesOnDemand(t *testing.T) {
+	run := func(pkts []*packet.Packet) *RunResult {
+		mq, err := NewMultiQueue(newEngPlatform(t, []core.NF{dropNF{}}, core.DefaultOptions()), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mq.SetBatchSize(8)
+		res, err := mq.Run(pkts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	parsed := run(testTrace(t))
+	twin := unparsedTwin(testTrace(t))
+	if twin[0].Parsed() {
+		t.Fatal("twin descriptors are already parsed; the test is vacuous")
+	}
+	unparsed := run(twin)
+	if !slices.Equal(unparsed.QueueDepths, parsed.QueueDepths) {
+		t.Errorf("queue depths: unparsed %v, parsed %v", unparsed.QueueDepths, parsed.QueueDepths)
+	}
+	busy := 0
+	for _, d := range parsed.QueueDepths {
+		if d > 0 {
+			busy++
+		}
+	}
+	if busy < 2 {
+		t.Errorf("queue depths %v: the trace never left queue 0", parsed.QueueDepths)
+	}
+	if unparsed.Packets != parsed.Packets || unparsed.Drops != parsed.Drops || unparsed.Stats != parsed.Stats {
+		t.Errorf("runs diverged:\nunparsed: packets=%d drops=%d %+v\nparsed:   packets=%d drops=%d %+v",
+			unparsed.Packets, unparsed.Drops, unparsed.Stats, parsed.Packets, parsed.Drops, parsed.Stats)
+	}
+}
+
+// TestMalformedFrameSurfacesFromQueueZero: a frame Parse rejects has no
+// flow, so it goes to queue 0, whose worker reports the parse error —
+// alongside the aggregate of everything that did complete.
+func TestMalformedFrameSurfacesFromQueueZero(t *testing.T) {
+	good := unparsedTwin(testTrace(t))
+	pkts := append(good, packet.New([]byte{0xde, 0xad, 0xbe, 0xef}))
+	mq, err := NewMultiQueue(newEngPlatform(t, []core.NF{noopNF{}}, core.DefaultOptions()), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := mq.Run(pkts)
+	if !errors.Is(err, packet.ErrTruncated) {
+		t.Fatalf("err = %v, want the frame's ErrTruncated", err)
+	}
+	if !strings.Contains(err.Error(), "queue 0") {
+		t.Errorf("err = %v, want it attributed to queue 0", err)
+	}
+	if res == nil || res.Packets != len(good) {
+		t.Fatalf("partial result = %+v, want the %d good packets aggregated", res, len(good))
+	}
+	total := 0
+	for _, d := range res.QueueDepths {
+		total += d
+	}
+	if total != len(pkts) {
+		t.Errorf("queue depths %v sum to %d, want %d", res.QueueDepths, total, len(pkts))
 	}
 }
 
 // TestMultiQueueBatchedMatchesSerial is TestMultiQueueMatchesSerial
-// with batched workers: SetBatchSize must change only how packets move
-// (vectors through ProcessBatch instead of scalar calls), never the
-// aggregate accounting.
+// across vector sizes: SetBatchSize must change only how many packets
+// move per ProcessBatch call, never the aggregate accounting.
 func TestMultiQueueBatchedMatchesSerial(t *testing.T) {
 	serialP := newEngPlatform(t, []core.NF{dropNF{}}, core.DefaultOptions())
 	serial, err := Run(serialP, testTrace(t))
@@ -361,9 +445,9 @@ func TestMultiQueueClassesMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRunBatchMatchesRun drives the chunked batch runner over the same
-// trace as the scalar runner and compares every aggregate, with and
-// without a descriptor pool.
+// TestRunBatchMatchesRun drives the runner in vectors of 32 over the
+// same trace as in vectors of one (Run) and compares every aggregate,
+// with and without a descriptor pool.
 func TestRunBatchMatchesRun(t *testing.T) {
 	serialP := newEngPlatform(t, []core.NF{dropNF{}}, core.DefaultOptions())
 	serial, err := Run(serialP, testTrace(t))

@@ -6,7 +6,9 @@
 package platform
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 
 	"github.com/fastpathnfv/speedybox/internal/core"
 	"github.com/fastpathnfv/speedybox/internal/cost"
@@ -121,9 +123,8 @@ type RunResult struct {
 	model       *cost.Model
 }
 
-// NewRunResult returns an empty aggregate bound to the cost model,
-// for callers (multi-chain topologies) that fold measurements in
-// themselves rather than through Run/RunBatch.
+// NewRunResult returns an empty aggregate bound to the cost model.
+// Fold and Merge are the only ways measurements enter one.
 func NewRunResult(m *cost.Model) *RunResult {
 	return &RunResult{FlowCycles: make(map[flow.FID]uint64), model: m}
 }
@@ -141,6 +142,20 @@ func (r *RunResult) Fold(ms []Measurement) {
 		r.Latencies = append(r.Latencies, m.LatencyCycles)
 		r.Bottlenecks = append(r.Bottlenecks, m.BottleneckCycles)
 		r.FlowCycles[m.Result.FID] += m.LatencyCycles
+	}
+}
+
+// Merge folds another aggregate's measurements into r — how a parallel
+// runner joins its workers' private partial results. QueueDepths and
+// Stats describe a whole run, not a part; the runner sets them.
+func (r *RunResult) Merge(o *RunResult) {
+	r.Packets += o.Packets
+	r.Drops += o.Drops
+	r.WorkCycles = append(r.WorkCycles, o.WorkCycles...)
+	r.Latencies = append(r.Latencies, o.Latencies...)
+	r.Bottlenecks = append(r.Bottlenecks, o.Bottlenecks...)
+	for fid, c := range o.FlowCycles {
+		r.FlowCycles[fid] += c
 	}
 }
 
@@ -200,72 +215,157 @@ func meanU64(xs []uint64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Run feeds every packet of the trace through the platform in order
-// and aggregates the measurements. Packet buffers are consumed (the
-// platform mutates or drops them).
-func Run(p Platform, pkts []*packet.Packet) (*RunResult, error) {
-	res := &RunResult{
-		FlowCycles: make(map[flow.FID]uint64),
-		model:      p.Model(),
+// ErrReroute is returned, bare, by a Drain process step that found its
+// target stale (the cluster's view changed between routing and the
+// instance lock): Drain routes the same run again.
+var ErrReroute = errors.New("platform: route went stale")
+
+// Drain is the arrival-order run loop every runner shares: it cuts pkts
+// into maximal runs of at most batch packets that route sends to one
+// target (a nil route means a single target, 0), hands each run to
+// process — a ProcessBatch on the target's platform — and passes the
+// measurements to fold while they are still valid (they point into the
+// Batch the next run reuses), with the run's offset in pkts. A batch of
+// 1 is the per-packet loop; 0 picks core.DefaultBatchSize, as NewBatch
+// does. A nil fold discards the measurements. Arrival order is never
+// changed, so NFs with cross-flow state see the packets exactly as a
+// serial per-packet loop would feed them.
+func Drain(pkts []*packet.Packet, batch int, route func(*packet.Packet) int,
+	process func(target int, run []*packet.Packet) ([]Measurement, error),
+	fold func(off int, ms []Measurement) error) error {
+	if batch <= 0 {
+		batch = core.DefaultBatchSize
 	}
-	for i, pkt := range pkts {
-		m, err := p.Process(pkt)
+	for off := 0; off < len(pkts); {
+		target, end := 0, min(off+batch, len(pkts))
+		if route != nil {
+			target = route(pkts[off])
+			for n := off + 1; n < end; n++ {
+				if route(pkts[n]) != target {
+					end = n
+					break
+				}
+			}
+		}
+		ms, err := process(target, pkts[off:end])
+		if err == ErrReroute {
+			continue
+		}
 		if err != nil {
-			return nil, fmt.Errorf("platform %s: packet %d: %w", p.Name(), i, err)
+			return fmt.Errorf("batch at packet %d: %w", off, err)
 		}
-		res.Packets++
-		if m.Result.Verdict == core.VerdictDrop {
-			res.Drops++
+		if fold != nil {
+			if err := fold(off, ms); err != nil {
+				return err
+			}
 		}
-		res.WorkCycles = append(res.WorkCycles, m.WorkCycles)
-		res.Latencies = append(res.Latencies, m.LatencyCycles)
-		res.Bottlenecks = append(res.Bottlenecks, m.BottleneckCycles)
-		res.FlowCycles[m.Result.FID] += m.LatencyCycles
+		off = end
+	}
+	return nil
+}
+
+// Run feeds every packet of the trace through the platform in order,
+// one packet per vector, and aggregates the measurements. Packet
+// buffers are consumed (the platform mutates or drops them).
+func Run(p Platform, pkts []*packet.Packet) (*RunResult, error) {
+	return RunBatch(p, pkts, 1, nil)
+}
+
+// RunBatch is Run over batchSize-packet vectors (0 picks
+// core.DefaultBatchSize): packets are fed through ProcessBatch in
+// arrival order. When pool is non-nil, every packet is returned to it
+// after its measurement is folded in, so pooled trace replay recycles
+// descriptors.
+func RunBatch(p Platform, pkts []*packet.Packet, batchSize int, pool *packet.Pool) (*RunResult, error) {
+	b := NewBatch(batchSize)
+	res := NewRunResult(p.Model())
+	err := Drain(pkts, batchSize, nil,
+		func(_ int, run []*packet.Packet) ([]Measurement, error) { return p.ProcessBatch(run, b) },
+		func(off int, ms []Measurement) error {
+			res.Fold(ms)
+			if pool != nil {
+				for _, pkt := range pkts[off : off+len(ms)] {
+					pool.Put(pkt)
+				}
+			}
+			return nil
+		})
+	if err != nil {
+		return nil, fmt.Errorf("platform %s: %w", p.Name(), err)
 	}
 	res.Stats = p.Engine().Stats()
 	return res, nil
 }
 
-// RunBatch is Run over batchSize-packet vectors (0 picks
-// core.DefaultBatchSize): packets are fed through ProcessBatch in
-// arrival order and measurements aggregate exactly as Run's. When pool
-// is non-nil, every packet is returned to it after its measurement is
-// folded in, so pooled trace replay recycles descriptors.
-func RunBatch(p Platform, pkts []*packet.Packet, batchSize int, pool *packet.Pool) (*RunResult, error) {
-	if batchSize <= 0 {
-		batchSize = core.DefaultBatchSize
-	}
-	b := NewBatch(batchSize)
-	res := &RunResult{
-		FlowCycles: make(map[flow.FID]uint64),
-		model:      p.Model(),
-	}
-	for off := 0; off < len(pkts); off += batchSize {
-		end := off + batchSize
-		if end > len(pkts) {
-			end = len(pkts)
-		}
-		ms, err := p.ProcessBatch(pkts[off:end], b)
-		if err != nil {
-			return nil, fmt.Errorf("platform %s: batch at packet %d: %w", p.Name(), off, err)
-		}
-		for i := range ms {
-			m := &ms[i]
-			res.Packets++
-			if m.Result.Verdict == core.VerdictDrop {
-				res.Drops++
-			}
-			res.WorkCycles = append(res.WorkCycles, m.WorkCycles)
-			res.Latencies = append(res.Latencies, m.LatencyCycles)
-			res.Bottlenecks = append(res.Bottlenecks, m.BottleneckCycles)
-			res.FlowCycles[m.Result.FID] += m.LatencyCycles
-		}
-		if pool != nil {
-			for _, pkt := range pkts[off:end] {
-				pool.Put(pkt)
+// Partition splits pkts into per-worker queues by each flow's home FID,
+// the way RSS hardware hashes the 5-tuple: all packets of a flow land
+// in one queue in arrival order, so the flow has a single writer.
+// Descriptors are parsed on demand; only frames Parse rejects have no
+// flow and go to queue 0, where the platform reports the parse error.
+//
+// For worker counts up to the engine's shard count, the mapping groups
+// whole state shards into contiguous per-worker ranges: the engine
+// shards every per-flow structure — flow table, Global MAT, stats,
+// degradation ladder — by the FID's low ShardCount bits, and flow-table
+// collision probing advances in ShardCount strides, so those bits are
+// stable for every FID a flow can end up with. Each shard (and each
+// shard's mutexes and cache lines) is then touched by exactly one
+// worker for the whole run instead of ping-ponging between cores.
+// Worker counts above the shard count cannot own whole shards and fall
+// back to plain modulo.
+func Partition(pkts []*packet.Packet, workers int) [][]*packet.Packet {
+	queues := make([][]*packet.Packet, workers)
+	n := uint32(workers)
+	for _, pkt := range pkts {
+		w := 0
+		if pkt.Parsed() || pkt.Parse() == nil {
+			hi, lo, _ := pkt.FlowKey()
+			home := uint32(flow.HashKey(hi, lo))
+			if n <= flow.ShardCount {
+				w = int((home & (flow.ShardCount - 1)) * n / flow.ShardCount)
+			} else {
+				w = int(home % n)
 			}
 		}
+		queues[w] = append(queues[w], pkt)
 	}
-	res.Stats = p.Engine().Stats()
-	return res, nil
+	return queues
+}
+
+// RunWorkers is the parallel run shell: it partitions pkts across
+// workers (Partition), drains every queue concurrently — drain folds
+// worker w's measurements into its private partial result — and merges
+// the partials after all workers join, so workers never share a counter
+// or map during the run. It returns the aggregate of every completed
+// packet, with QueueDepths set, plus the first worker error by worker
+// index; the caller fills in Stats.
+func RunWorkers(pkts []*packet.Packet, workers int, model *cost.Model,
+	drain func(w int, queue []*packet.Packet, part *RunResult) error) (*RunResult, error) {
+	queues := Partition(pkts, workers)
+	parts := make([]RunResult, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range queues {
+		parts[w] = *NewRunResult(model)
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			errs[w] = drain(w, queues[w], &parts[w])
+		}(w)
+	}
+	wg.Wait()
+
+	total := &parts[0] // worker 0's partial becomes the aggregate
+	total.QueueDepths = make([]int, workers)
+	var first error
+	for w := range parts {
+		total.QueueDepths[w] = len(queues[w])
+		if w > 0 {
+			total.Merge(&parts[w])
+		}
+		if first == nil {
+			first = errs[w]
+		}
+	}
+	return total, first
 }

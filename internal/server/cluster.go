@@ -32,10 +32,8 @@ type clusterRunner struct {
 
 func (cr *clusterRunner) Run(pkts []*packet.Packet) (*platform.RunResult, error) {
 	res, err := cr.cl.Run(pkts, cr.workers, cr.batch)
-	if res != nil {
-		d := append([]int(nil), res.QueueDepths...)
-		cr.depths.Store(&d)
-	}
+	depths := res.QueueDepths // its own variable: the window's result must not stay reachable
+	cr.depths.Store(&depths)
 	return res, err
 }
 

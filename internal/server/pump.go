@@ -11,9 +11,11 @@ import (
 )
 
 // trafficRunner is the pump's sink: one window of packets in, one
-// aggregated result out, returning only after every packet has fully
-// drained. The multi-queue dispatcher satisfies it in single-instance
-// mode; the cluster steerer's adapter satisfies it in cluster mode.
+// aggregated result out — never nil; on an error it still counts the
+// window's completed packets — returning only after every packet has
+// fully drained. The multi-queue dispatcher satisfies it in
+// single-instance mode; the cluster steerer's adapter satisfies it in
+// cluster mode.
 type trafficRunner interface {
 	Run(pkts []*packet.Packet) (*platform.RunResult, error)
 }
@@ -113,10 +115,8 @@ func (p *pump) run() {
 		p.mu.Unlock()
 
 		res, err := p.sink.Run(p.tr.Packets())
-		if res != nil {
-			p.packets.Add(uint64(res.Packets))
-			p.drops.Add(uint64(res.Drops))
-		}
+		p.packets.Add(uint64(res.Packets))
+		p.drops.Add(uint64(res.Drops))
 		p.windows.Add(1)
 		if err != nil {
 			p.mu.Lock()

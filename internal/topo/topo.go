@@ -229,13 +229,14 @@ func (t *Topology) NF(name string) core.NF { return t.shared[name] }
 func (t *Topology) Admission() *TenantAdmission { return t.admission }
 
 // classify resolves a packet to its chain and tenant by first-match
-// policy; unparseable or unmatched packets go to the default chain
-// (index 0) untagged.
+// policy, parsing the descriptor on demand; frames Parse rejects and
+// unmatched packets go to the default chain (index 0) untagged, where
+// the chain's platform reports the parse error.
 func (t *Topology) classify(pkt *packet.Packet) (int, int32) {
-	ft, err := pkt.FiveTuple()
-	if err != nil {
+	if !pkt.Parsed() && pkt.Parse() != nil {
 		return 0, 0
 	}
+	ft, _ := pkt.FiveTuple() // parsed above, so it cannot fail
 	for i := range t.policies {
 		if t.policies[i].match(ft) {
 			return t.policies[i].chain, t.policies[i].tenant
@@ -276,8 +277,8 @@ func (t *Topology) Classes() []platform.ChainClass {
 
 // NewMultiQueue builds a fair-share multi-queue dispatcher over the
 // topology: flow-hash partitioning across workers, weighted-round-
-// robin chain scheduling within each worker, batched draining when
-// batch > 1.
+// robin chain scheduling within each worker, in vectors of batch
+// packets (batch <= 1 is a vector of one).
 func (t *Topology) NewMultiQueue(workers, batch int) (*platform.MultiQueue, error) {
 	mq, err := platform.NewMultiQueue(t.chains[0].Platform, workers)
 	if err != nil {
@@ -290,31 +291,31 @@ func (t *Topology) NewMultiQueue(workers, batch int) (*platform.MultiQueue, erro
 	return mq, nil
 }
 
-// RunBatch feeds the packets through the topology in arrival order,
-// splitting the stream into maximal same-chain runs and draining each
-// through its chain platform in batchSize vectors. Measurements fold
-// into one aggregate exactly as platform.RunBatch's.
+// RunBatch feeds the packets through the topology in arrival order
+// (platform.Drain), splitting the stream into maximal same-chain runs
+// and draining each through its chain platform in batchSize vectors
+// (0 picks the default vector size).
+// Measurements fold into one aggregate exactly as platform.RunBatch's.
 func (t *Topology) RunBatch(pkts []*packet.Packet, batchSize int) (*platform.RunResult, error) {
-	if batchSize <= 0 {
-		batchSize = core.DefaultBatchSize
-	}
 	batches := make([]*platform.Batch, len(t.chains))
 	res := platform.NewRunResult(t.chains[0].Platform.Model())
-	for off := 0; off < len(pkts); {
-		chain := t.Route(pkts[off])
-		end := off + 1
-		for end < len(pkts) && end-off < batchSize && t.Route(pkts[end]) == chain {
-			end++
-		}
-		if batches[chain] == nil {
-			batches[chain] = platform.NewBatch(batchSize)
-		}
-		ms, err := t.chains[chain].Platform.ProcessBatch(pkts[off:end], batches[chain])
-		if err != nil {
-			return nil, fmt.Errorf("topo: chain %q batch at packet %d: %w", t.chains[chain].Name, off, err)
-		}
-		res.Fold(ms)
-		off = end
+	err := platform.Drain(pkts, batchSize, t.Route,
+		func(chain int, run []*packet.Packet) ([]platform.Measurement, error) {
+			if batches[chain] == nil {
+				batches[chain] = platform.NewBatch(batchSize)
+			}
+			ms, err := t.chains[chain].Platform.ProcessBatch(run, batches[chain])
+			if err != nil {
+				return nil, fmt.Errorf("chain %q: %w", t.chains[chain].Name, err)
+			}
+			return ms, nil
+		},
+		func(_ int, ms []platform.Measurement) error {
+			res.Fold(ms)
+			return nil
+		})
+	if err != nil {
+		return nil, fmt.Errorf("topo: %w", err)
 	}
 	for i := range t.chains {
 		res.Stats.Add(t.Engine(i).Stats())

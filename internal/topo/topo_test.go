@@ -3,6 +3,7 @@ package topo
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"github.com/fastpathnfv/speedybox/internal/chainspec"
@@ -352,8 +353,8 @@ func twoChainSpec() *Spec {
 	}
 }
 
-// TestRunBatchMatchesProcess drives the chain-boundary batch splitter
-// over the same stream as the scalar path and compares the per-chain
+// TestRunBatchMatchesProcess drives the chain-boundary run splitter
+// over the same stream as per-packet Process and compares the per-chain
 // engine accounting.
 func TestRunBatchMatchesProcess(t *testing.T) {
 	serial := build(t, twoChainSpec())
@@ -414,5 +415,62 @@ func TestMultiQueueFairShare(t *testing.T) {
 		if len(pres.QueueDepths) != 4 {
 			t.Errorf("batch=%d: QueueDepths = %v, want 4 workers", batch, pres.QueueDepths)
 		}
+	}
+}
+
+// TestRouteParsesOnDemand: a descriptor that has not been parsed yet is
+// routed by its tuple like its parsed twin — through RunBatch and the
+// fair-share dispatcher alike — while a frame Parse rejects goes to
+// chain 0 untagged, whose platform reports the parse error.
+func TestRouteParsesOnDemand(t *testing.T) {
+	unparsed := func(pkts []*packet.Packet) []*packet.Packet {
+		out := make([]*packet.Packet, len(pkts))
+		for i, p := range pkts {
+			out[i] = packet.New(append([]byte(nil), p.Data()...))
+		}
+		return out
+	}
+	perChain := func(tp *Topology) []uint64 {
+		out := make([]uint64, tp.NumChains())
+		for i := range out {
+			out[i] = tp.Engine(i).Stats().Packets
+		}
+		return out
+	}
+	parsed := build(t, twoChainSpec())
+	if _, err := parsed.RunBatch(mergedTrace(t, 11, 20, 1000, 2000), 16); err != nil {
+		t.Fatal(err)
+	}
+	want := perChain(parsed)
+	if want[0] == 0 || want[1] == 0 {
+		t.Fatalf("per-chain packets %v: the trace does not exercise both chains", want)
+	}
+
+	serial := build(t, twoChainSpec())
+	if _, err := serial.RunBatch(unparsed(mergedTrace(t, 11, 20, 1000, 2000)), 16); err != nil {
+		t.Fatal(err)
+	}
+	if got := perChain(serial); !slices.Equal(got, want) {
+		t.Errorf("RunBatch per-chain packets: unparsed %v, parsed %v", got, want)
+	}
+
+	par := build(t, twoChainSpec())
+	mq, err := par.NewMultiQueue(2, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mq.Run(unparsed(mergedTrace(t, 11, 20, 1000, 2000))); err != nil {
+		t.Fatal(err)
+	}
+	if got := perChain(par); !slices.Equal(got, want) {
+		t.Errorf("fair-share per-chain packets: unparsed %v, parsed %v", got, want)
+	}
+
+	bad := packet.New([]byte{0xde, 0xad})
+	if chain := par.Route(bad); chain != 0 || bad.Meta.Tenant != 0 {
+		t.Errorf("malformed frame routed to chain %d tenant %d, want 0/0", chain, bad.Meta.Tenant)
+	}
+	if _, err := par.RunBatch([]*packet.Packet{bad}, 1); !errors.Is(err, packet.ErrTruncated) {
+		t.Errorf("malformed frame: err = %v, want ErrTruncated from chain 0", err)
 	}
 }

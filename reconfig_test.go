@@ -74,7 +74,12 @@ func TestConcurrentReconfigure(t *testing.T) {
 		packets   atomic.Int64
 		done      = make(chan struct{})
 	)
-	for w := 0; w < workers; w++ {
+	// The traces are generated, and the control goroutine is running,
+	// before the first worker starts: the workers drain in tens of
+	// milliseconds, and a hammer that starts late would find the data
+	// path already idle.
+	traces := make([][]*speedybox.Packet, workers)
+	for w := range traces {
 		// Disjoint source prefixes inside the NAT's 10/8: workers never
 		// share a flow, so every shard of the data path stays busy.
 		tr, err := speedybox.GenerateTrace(speedybox.TraceConfig{
@@ -84,31 +89,17 @@ func TestConcurrentReconfigure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		workerWg.Add(1)
-		go func(pkts []*speedybox.Packet) {
-			defer workerWg.Done()
-			b := speedybox.NewBatch(32)
-			for off := 0; off < len(pkts); off += 32 {
-				end := off + 32
-				if end > len(pkts) {
-					end = len(pkts)
-				}
-				if _, err := p.ProcessBatch(pkts[off:end], b); err != nil {
-					t.Errorf("worker batch at %d: %v", off, err)
-					procErrs.Add(1)
-					return
-				}
-				packets.Add(int64(end - off))
-			}
-		}(tr.Packets())
+		traces[w] = tr.Packets()
 	}
 
 	// Control plane: splice the hammer filter in and out until the data
 	// path drains, taking aborts in stride and probing invalid plans.
 	var applied, aborted atomic.Int64
+	hammering := make(chan struct{})
 	controlWg.Add(1)
 	go func() {
 		defer controlWg.Done()
+		close(hammering)
 		inserted := false
 		for i := 0; ; i++ {
 			select {
@@ -187,6 +178,27 @@ func TestConcurrentReconfigure(t *testing.T) {
 			time.Sleep(2 * time.Millisecond)
 		}
 	}()
+
+	<-hammering
+	for _, pkts := range traces {
+		workerWg.Add(1)
+		go func(pkts []*speedybox.Packet) {
+			defer workerWg.Done()
+			b := speedybox.NewBatch(32)
+			for off := 0; off < len(pkts); off += 32 {
+				end := off + 32
+				if end > len(pkts) {
+					end = len(pkts)
+				}
+				if _, err := p.ProcessBatch(pkts[off:end], b); err != nil {
+					t.Errorf("worker batch at %d: %v", off, err)
+					procErrs.Add(1)
+					return
+				}
+				packets.Add(int64(end - off))
+			}
+		}(pkts)
+	}
 
 	// The data-path workers drain their traces; only then do the
 	// control goroutines stand down.

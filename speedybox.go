@@ -422,16 +422,18 @@ func NewONVMPipeline(chain []NF, opts Options) (*ONVM, error) {
 	return onvm.New(onvm.Config{Chain: chain, Options: opts})
 }
 
-// Run feeds every packet of a trace through the platform and
-// aggregates measurements.
+// Run feeds every packet of a trace through the platform, one packet
+// per vector, and aggregates measurements: it is RunBatch with a batch
+// size of 1.
 func Run(p Platform, pkts []*Packet) (*RunResult, error) {
 	return platform.Run(p, pkts)
 }
 
-// RunBatch is Run in batchSize-packet vectors (0 picks the canonical
-// 32): the platform's ProcessBatch amortizes classification, rule
-// lookups, allocations and counter updates across each vector while
-// preserving arrival order. A non-nil pool receives every packet back
+// RunBatch feeds a trace through the platform in batchSize-packet
+// vectors (0 picks the canonical 32; 1 is a vector of one): the
+// platform's ProcessBatch amortizes classification, rule lookups,
+// allocations and counter updates across each vector while preserving
+// arrival order. The vector size changes performance, never results. A non-nil pool receives every packet back
 // after measurement, so pooled trace replay recycles descriptors.
 func RunBatch(p Platform, pkts []*Packet, batchSize int, pool *PacketPool) (*RunResult, error) {
 	return platform.RunBatch(p, pkts, batchSize, pool)
@@ -446,9 +448,12 @@ func NewBatch(n int) *Batch { return platform.NewBatch(n) }
 func NewPacketPool() *PacketPool { return packet.NewPool() }
 
 // NewMultiQueue wraps a platform with a workers-way RSS dispatcher:
-// MultiQueue.Run hash-partitions flows across the workers, preserving
-// per-flow packet order while disjoint flows are processed in parallel
-// on the engine's FID-sharded state.
+// MultiQueue.Run hash-partitions flows across the workers (parsing
+// descriptors on demand), preserving per-flow packet order while
+// disjoint flows are processed in parallel on the engine's FID-sharded
+// state. Workers drain their queues through ProcessBatch in vectors of
+// one until SetBatchSize picks a larger vector; Run returns the
+// aggregate of every completed packet even alongside an error.
 func NewMultiQueue(p Platform, workers int) (*MultiQueue, error) {
 	return platform.NewMultiQueue(p, workers)
 }
