@@ -5,7 +5,9 @@ import (
 
 	"github.com/fastpathnfv/speedybox/internal/classifier"
 	"github.com/fastpathnfv/speedybox/internal/fault"
+	"github.com/fastpathnfv/speedybox/internal/mat"
 	"github.com/fastpathnfv/speedybox/internal/packet"
+	"github.com/fastpathnfv/speedybox/internal/telemetry"
 )
 
 // runScalar replays pkts one ProcessPacket at a time — vectors of one
@@ -368,5 +370,102 @@ func TestRuleCacheEviction(t *testing.T) {
 	}
 	if used != ruleCacheWays {
 		t.Fatalf("cache holds %d entries, want %d", used, ruleCacheWays)
+	}
+}
+
+// tcpLifecycle is one short connection: SYN, handshake ACK, a data
+// packet that records and installs the flow's rule, and the FIN that
+// removes it.
+func tcpLifecycle(t *testing.T, port uint16) []*packet.Packet {
+	t.Helper()
+	return []*packet.Packet{
+		tcpPkt(t, port, packet.TCPFlagSYN, 0, ""),
+		tcpPkt(t, port, packet.TCPFlagACK, 1, ""),
+		tcpPkt(t, port, packet.TCPFlagACK, 2, "data"),
+		tcpPkt(t, port, packet.TCPFlagFIN|packet.TCPFlagACK, 6, ""),
+	}
+}
+
+// TestFlowChurnMutatesGlobalMATInPlace counts, it does not time: 1 024
+// TCP connections set up and torn down beside 32 768 resident UDP
+// rules leave exactly the resident rules behind, and cost the table at
+// most a compaction or two per shard — not a rebuilt shard per install
+// and per removal, which is 2 048 publications.
+func TestFlowChurnMutatesGlobalMATInPlace(t *testing.T) {
+	const resident, conns = 32768, 1024
+	eng := newBatchTestEngine(t, DefaultOptions())
+	var pkts []*packet.Packet
+	for i := 0; i < resident; i++ {
+		pkts = append(pkts, udpPkt(t, uint16(i), "resident"))
+	}
+	runBatched(t, eng, pkts, 32)
+	g := eng.Global()
+	if g.Len() != resident {
+		t.Fatalf("Len = %d after set-up, want %d", g.Len(), resident)
+	}
+
+	before := g.Publishes()
+	pkts = pkts[:0]
+	for i := 0; i < conns; i++ {
+		pkts = append(pkts, tcpLifecycle(t, uint16(1+i))...)
+	}
+	runBatched(t, eng, pkts, 32)
+	if st := eng.Stats(); st.Consolidations != resident+conns {
+		t.Fatalf("consolidations = %d, want %d: the connections did not install rules", st.Consolidations, resident+conns)
+	}
+	if g.Len() != resident || g.StaleLen() != 0 {
+		t.Errorf("Len = %d StaleLen = %d after %d connections, want %d and 0", g.Len(), g.StaleLen(), conns, resident)
+	}
+	if got := g.Publishes() - before; got > 2*mat.ShardCount {
+		t.Errorf("%d connections published %d slot arrays, want at most %d", conns, got, 2*mat.ShardCount)
+	}
+	if g.DeadSlots() > conns {
+		t.Errorf("DeadSlots = %d, want at most one per torn-down connection (%d)", g.DeadSlots(), conns)
+	}
+}
+
+// TestRuleCacheHitCounters: the hub's rule-cache pair shows nearly all
+// hits while four flows share a worker's four ways, and shows the cost
+// of the table's single generation once another flow churns — every
+// install and removal anywhere invalidates every cached rule.
+func TestRuleCacheHitCounters(t *testing.T) {
+	hub := telemetry.NewHub()
+	opts := DefaultOptions()
+	opts.Telemetry = hub
+	eng := newBatchTestEngine(t, opts)
+	ratio := func(run func()) (hits, misses uint64) {
+		t.Helper()
+		c := hub.Registry.Snapshot().Counters
+		h0, m0 := c["speedybox_rule_cache_hits_total"], c["speedybox_rule_cache_misses_total"]
+		run()
+		c = hub.Registry.Snapshot().Counters
+		return c["speedybox_rule_cache_hits_total"] - h0, c["speedybox_rule_cache_misses_total"] - m0
+	}
+	fourFlows := func(n int) []*packet.Packet {
+		var pkts []*packet.Packet
+		for i := 0; i < n; i++ {
+			pkts = append(pkts, udpPkt(t, uint16(9001+i%4), "steady"))
+		}
+		return pkts
+	}
+
+	const n = 512
+	hits, misses := ratio(func() { runBatched(t, eng, fourFlows(n), 32) })
+	if hits+misses < n || hits*100 < (hits+misses)*95 {
+		t.Errorf("4-flow trace: %d hits, %d misses over %d packets, want >= 95%% hits", hits, misses, n)
+	}
+
+	// The same four flows, with one short connection in every vector.
+	var pkts []*packet.Packet
+	for v := 0; v < n/28; v++ {
+		pkts = append(pkts, fourFlows(28)...)
+		pkts = append(pkts, tcpLifecycle(t, uint16(100+v))...)
+	}
+	churnHits, churnMisses := ratio(func() { runBatched(t, eng, pkts, 32) })
+	lookups := churnHits + churnMisses
+	t.Logf("quiet %d/%d hits, churning %d/%d", hits, hits+misses, churnHits, lookups)
+	if churnMisses < uint64(2*(n/28)) || churnHits*100 >= lookups*95 {
+		t.Errorf("with a churning flow: %d hits, %d misses, want a visibly lower hit share than %d/%d",
+			churnHits, churnMisses, hits, hits+misses)
 	}
 }

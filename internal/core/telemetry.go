@@ -85,6 +85,13 @@ type engineTelemetry struct {
 	flowCacheHits   *telemetry.Counter
 	flowCacheMisses *telemetry.Counter
 
+	// Batched rule lookups served from a worker's generation-validated
+	// rule cache versus those that probed the Global MAT. Every table
+	// mutation anywhere bumps the one generation, so under flow churn
+	// the miss share is the price of that global invalidation.
+	ruleCacheHits   *telemetry.Counter
+	ruleCacheMisses *telemetry.Counter
+
 	// Consolidation attempts that did not fold into one rule.
 	unconsolidatable *telemetry.Counter
 
@@ -157,6 +164,10 @@ func newEngineTelemetry(e *Engine, hub *telemetry.Hub, chain string) *engineTele
 			"Batched classifications served from a worker's flow-handle cache"),
 		flowCacheMisses: reg.Counter(n("speedybox_flow_cache_misses_total"),
 			"Batched classifications that acquired the flow handle through the shard lock"),
+		ruleCacheHits: reg.Counter(n("speedybox_rule_cache_hits_total"),
+			"Rule lookups served from a worker's generation-validated rule cache"),
+		ruleCacheMisses: reg.Counter(n("speedybox_rule_cache_misses_total"),
+			"Rule lookups that probed the Global MAT (cold, evicted, or invalidated by a table mutation)"),
 		unconsolidatable: reg.Counter(n("speedybox_consolidate_unconsolidatable_total"),
 			"Consolidation attempts whose actions did not fold into one rule"),
 		reconfigRollbacks: reg.Counter(n("speedybox_reconfig_rollbacks_total"),
@@ -201,6 +212,10 @@ func newEngineTelemetry(e *Engine, hub *telemetry.Hub, chain string) *engineTele
 		"Tracked flows (flow table occupancy)", func() float64 { return float64(e.class.Flows().Len()) })
 	reg.GaugeFunc(n("speedybox_mat_global_rules"),
 		"Installed Global MAT rules", func() float64 { return float64(e.global.Len()) })
+	reg.CounterFunc(n("speedybox_mat_table_rebuilds_total"),
+		"Global MAT slot arrays published (growth or compaction)", e.global.Publishes)
+	reg.GaugeFunc(n("speedybox_mat_dead_slots"),
+		"Global MAT tombstones awaiting compaction", func() float64 { return float64(e.global.DeadSlots()) })
 	reg.GaugeFunc(n("speedybox_event_flows"),
 		"Flows with registered events", func() float64 { return float64(e.events.Len()) })
 	reg.CounterFunc(n("speedybox_event_registered_total"),

@@ -181,10 +181,10 @@ func (t *Table) Check(fid flow.FID) []Firing {
 // Probe is Check plus a report of whether the flow had any events
 // registered at all. The batched data path uses registered=false to
 // cache a "no events" verdict for the flow and skip both per-packet
-// probes: the verdict stays valid while RegisteredTotal is unchanged,
-// because a flow can only go from no-events to has-events through
-// Register (one-shot firings and Remove only shrink the set, which the
-// cache treats conservatively by keep probing).
+// probes: the verdict stays valid while RegGen is unchanged, because a
+// flow can only go from no-events to has-events through Register
+// (one-shot firings and Remove only shrink the set, which the cache
+// treats conservatively by keep probing).
 func (t *Table) Probe(fid flow.FID) (fired []Firing, registered bool) {
 	s := t.shardFor(fid)
 	s.mu.Lock()

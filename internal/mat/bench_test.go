@@ -87,16 +87,65 @@ func BenchmarkApplyNaive(b *testing.B) {
 	}
 }
 
-// BenchmarkGlobalLookup measures the fast-path table fetch.
-func BenchmarkGlobalLookup(b *testing.B) {
-	g := NewGlobal()
-	for fid := 0; fid < 10000; fid++ {
-		g.Install(&GlobalRule{FID: flow.FID(fid)})
+// hashedFIDs returns n distinct FIDs scattered over the 20-bit FID
+// space the way tuple hashing scatters them (an odd multiplier is a
+// bijection modulo 2^20), so probe chains and cache misses are those
+// of real traffic, not of a sequential fill.
+func hashedFIDs(n int) []flow.FID {
+	fids := make([]flow.FID, n)
+	for i := range fids {
+		fids[i] = flow.FID(uint32(i+1) * 2654435761 & flow.MaxFID)
 	}
+	return fids
+}
+
+// residentGlobal returns a table holding one preallocated rule per FID.
+func residentGlobal(fids []flow.FID) *Global {
+	g := NewGlobal()
+	rules := make([]GlobalRule, len(fids))
+	for i, fid := range fids {
+		rules[i].FID = fid
+		g.Install(&rules[i])
+	}
+	return g
+}
+
+// BenchmarkGlobalLookup measures the table fetch the data path makes:
+// LookupLive over 32 768 resident rules at hashed FIDs.
+func BenchmarkGlobalLookup(b *testing.B) {
+	fids := hashedFIDs(32768)
+	g := residentGlobal(fids)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := g.Lookup(flow.FID(i % 10000)); !ok {
+		if _, ok := g.LookupLive(fids[i&(len(fids)-1)]); !ok {
 			b.Fatal("miss")
 		}
+	}
+}
+
+// BenchmarkGlobalInstallRemove measures one flow set-up plus teardown
+// (an op is the pair) beside a resident population: the write side of
+// the table. The cycled FIDs (4 096 a shard) outnumber a shard's
+// tombstone budget (2 047 at 1 024 resident), so compactions are in
+// the timed region; two allocations per couple of thousand pairs round
+// to the 0 allocs/op CI gates at 32 768 resident. At 0 resident every
+// pair grows a shard out of, and empties it back into, the shared
+// empty array — one small array a pair, the price of an empty table
+// holding no memory.
+func BenchmarkGlobalInstallRemove(b *testing.B) {
+	for _, resident := range []int{0, 32768} {
+		b.Run(fmt.Sprintf("resident=%d", resident), func(b *testing.B) {
+			const churn = 1 << 17
+			fids := hashedFIDs(churn + resident)
+			g := residentGlobal(fids[churn:])
+			var rule GlobalRule // free for reuse once removed
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rule.FID = fids[i&(churn-1)]
+				g.Install(&rule)
+				g.Remove(rule.FID)
+			}
+		})
 	}
 }

@@ -147,38 +147,52 @@ const shardMask = ShardCount - 1
 // selection, skipped by the in-shard slot hash.
 const shardBits = 5
 
-// ruleSlot is one slot of a shard's open-addressing table: the rule,
-// its key, and the per-rule flags that LookupLive consults (staleness
-// rides in the slot, not a side map, so the lock-free read path
-// resolves liveness and the rule in one probe).
+// Slot states, the low slotStateBits of a slot's key word, ordered so
+// that "holds an installed rule" is state >= slotLive. A slot moves
+// empty -> live <-> stale -> dead -> live (revived, same FID only).
+const (
+	slotEmpty uint64 = iota // never keyed: probes stop here
+	slotDead                // removed: a tombstone probes walk past
+	slotLive                // installed and servable
+	slotStale               // installed but known to disagree with the Local MATs
+)
+
+const (
+	slotStateBits = 2
+	slotStateMask = 1<<slotStateBits - 1
+)
+
+// ruleSlot is one slot of a shard's open-addressing array. The key
+// word packs the FID with the slot state, so a probe step is one load
+// that resolves occupancy, key match and liveness together; the rule
+// pointer is loaded only on a hit.
 type ruleSlot struct {
-	rule *GlobalRule
-	fid  flow.FID
-	used bool
-	// stale marks a rule known to disagree with the Local MATs (a
-	// failed install left the previous version behind, or a recompute
-	// was dropped). LookupLive refuses it so the fast path degrades
-	// to the slow path instead of serving outdated actions.
-	stale bool
+	key  atomic.Uint64 // fid<<slotStateBits | state; 0 while empty
+	rule atomic.Pointer[GlobalRule]
 }
 
-// ruleTable is one shard's immutable table snapshot: a power-of-two
-// open-addressing array probed linearly. Writers never mutate a
-// published snapshot — every mutation builds a replacement under the
-// shard mutex and publishes it with one atomic pointer store — so
-// readers probe without locks, fences or torn-read hazards. The table
-// is tombstone-free: removal rebuilds the array, so probe chains
-// never accumulate dead slots.
+func slotKey(fid flow.FID, state uint64) uint64 { return uint64(fid)<<slotStateBits | state }
+
+// ruleTable is one shard's slot array: power-of-two sized, probed
+// linearly. Writers (serialized by the shard mutex) mutate a published
+// array in place, one or two atomic word stores per mutation; readers
+// probe it without locks. Two rules make that safe. A slot is keyed
+// once: the FID in its key word never changes while the array is
+// published, so a reader that matched the key cannot be handed another
+// flow's rule, and removal leaves a tombstone only the same FID may
+// revive. And whichever store makes a rule servable comes last: the
+// rule pointer is stored before a key turns live, a key turns dead
+// before its rule pointer is dropped (readers treat a nil rule as a
+// miss). A fresh array is built only when live plus dead slots reach
+// 3/4 load.
 type ruleTable struct {
 	slots []ruleSlot
 	mask  uint32 // len(slots)-1
-	count int    // occupied slots
-	stale int    // stale-marked among them
 }
 
-// emptyRuleTable is the shared snapshot of an empty shard: one unused
-// slot, so probes terminate immediately. Immutable, hence shareable
-// by every shard of every Global.
+// emptyRuleTable is the shared array of an empty shard: one slot that
+// is never keyed (the first install grows past it), so probes
+// terminate immediately and every shard of every Global can share it.
 var emptyRuleTable = &ruleTable{slots: make([]ruleSlot, 1)}
 
 // hashFID spreads a FID over a shard's slot array. All FIDs of a
@@ -190,73 +204,58 @@ func hashFID(fid flow.FID) uint32 {
 	return h ^ h>>16
 }
 
-// get returns the slot holding fid, or nil. The probe always
-// terminates: builders keep load strictly below capacity, so every
-// chain reaches an unused slot.
-func (t *ruleTable) get(fid flow.FID) *ruleSlot {
+// find returns fid's slot and its state, or the empty slot that ends
+// fid's probe chain (where a writer may key it) and slotEmpty. The
+// probe always terminates: writers keep live plus dead slots strictly
+// below capacity, so every chain reaches an empty slot.
+func (t *ruleTable) find(fid flow.FID) (*ruleSlot, uint64) {
 	i := hashFID(fid) & t.mask
 	for {
 		s := &t.slots[i]
-		if !s.used {
-			return nil
+		k := s.key.Load()
+		if k == 0 {
+			return s, slotEmpty
 		}
-		if s.fid == fid {
-			return s
+		if flow.FID(k>>slotStateBits) == fid {
+			return s, k & slotStateMask
 		}
 		i = (i + 1) & t.mask
 	}
 }
 
-// place inserts a slot during table construction (never on a
-// published table). The caller guarantees free capacity and that fid
-// is not already present.
-func (t *ruleTable) place(s ruleSlot) {
-	i := hashFID(s.fid) & t.mask
-	for t.slots[i].used {
-		i = (i + 1) & t.mask
-	}
-	t.slots[i] = s
-	t.count++
-	if s.stale {
-		t.stale++
-	}
-}
-
-// tableFor returns an unpublished table sized for n rules at under
-// 3/4 load, minimum 8 slots.
-func tableFor(n int) *ruleTable {
+// rebuild returns an unpublished array holding t's installed rules —
+// tombstones are left behind — sized for n rules at no more than half
+// load, minimum 8 slots. Half, not 3/4: a compaction must buy a
+// tombstone budget proportional to the array (at least a quarter of
+// it) or steady churn at a fixed population would compact on every
+// few installs; growth from 3/4 load still exactly doubles.
+func (t *ruleTable) rebuild(n int) *ruleTable {
 	size := 8
-	for n >= size-size/4 {
+	for size < 2*n {
 		size *= 2
 	}
-	return &ruleTable{slots: make([]ruleSlot, size), mask: uint32(size - 1)}
-}
-
-// rebuild returns an unpublished copy of t sized for its count plus
-// extra upcoming insertions, skipping the slot for skip (NoFID-like
-// sentinel: pass an impossible key to keep everything). Rehashing
-// from scratch is what makes removal tombstone-free.
-func (t *ruleTable) rebuild(extra int, skip flow.FID, skipValid bool) *ruleTable {
-	n := t.count + extra
-	if skipValid {
-		n--
-	}
-	nt := tableFor(n)
+	nt := &ruleTable{slots: make([]ruleSlot, size), mask: uint32(size - 1)}
 	for i := range t.slots {
-		s := &t.slots[i]
-		if !s.used || (skipValid && s.fid == skip) {
+		k := t.slots[i].key.Load()
+		if k&slotStateMask < slotLive {
 			continue
 		}
-		nt.place(*s)
+		s, _ := nt.find(flow.FID(k >> slotStateBits))
+		s.rule.Store(t.slots[i].rule.Load())
+		s.key.Store(k)
 	}
 	return nt
 }
 
 // globalShardCore is the hot state of one shard: the write-serializing
-// mutex and the published snapshot pointer.
+// mutex, the published slot array, and the slot counts (written under
+// the mutex, read lock-free by Len, StaleLen and DeadSlots).
 type globalShardCore struct {
 	mu    sync.Mutex
 	table atomic.Pointer[ruleTable]
+	count atomic.Int64 // installed rules: live plus stale slots
+	stale atomic.Int64 // stale-marked among them
+	dead  atomic.Int64 // tombstones in the published array
 }
 
 // globalShard pads the core to a full cache-line multiple, computed
@@ -276,25 +275,26 @@ const cacheLine = 64
 // for concurrent use; rules returned by Lookup are immutable once
 // installed — replacement installs a fresh rule pointer.
 //
-// Reads are lock-free: each shard publishes an immutable
-// open-addressing snapshot through an atomic pointer, so the data
-// path's LookupLive is one atomic load plus a linear probe over
-// contiguous slots — no mutex, no map hashing. Writers serialize on
-// the shard mutex, copy the slot array, apply the mutation to the
-// copy, publish it, and only then bump the generation: a worker cache
-// that validated against the pre-publication generation is invalidated
-// by the bump, and one that read the post-bump generation can only
-// have probed the already-published snapshot (or a newer one), so a
-// generation-valid cached rule is never staler than the table.
+// Reads are lock-free: the data path's LookupLive is one atomic load
+// of the shard's slot array plus a linear probe over contiguous key
+// words — no mutex, no map hashing. Writes are O(1): writers serialize
+// on the shard mutex and mutate the slot in place (see ruleTable), so
+// an install or teardown costs a few word stores however many rules
+// the shard holds. Every writer mutates first and bumps the generation
+// after: a worker cache that validated against the pre-mutation
+// generation is invalidated by the bump, and one that read the
+// post-bump generation can only have probed the already-mutated slot,
+// so a generation-valid cached rule is never staler than the table.
 type Global struct {
 	shards [ShardCount]globalShard
-	// publishes counts snapshot publications (copy-on-write table
-	// swaps), one per successful mutation — the control-plane write
-	// amplification the lock-free read path is bought with.
+	// publishes counts slot arrays published: growth, compaction, and
+	// the swap back to emptyRuleTable when a shard empties — the only
+	// writes that cost more than a few word stores.
 	publishes atomic.Uint64
 	// gen counts table mutations that can change what LookupLive
-	// returns (Install, Remove, MarkStale — bumped under the owning
-	// shard's lock). Batch workers cache rule pointers keyed by this
+	// returns (Install, Remove, MarkStale, an epoch sweep that marked
+	// something — bumped under the owning shard's lock, after the slot
+	// stores). Batch workers cache rule pointers keyed by this
 	// generation: a cached rule is served only while Gen() still equals
 	// the generation observed when it was looked up, so any install,
 	// teardown or stale-marking anywhere invalidates every cache at the
@@ -372,19 +372,20 @@ func (g *Global) shardFor(fid flow.FID) *globalShard {
 	return &g.shards[uint32(fid)&shardMask]
 }
 
-// publish swaps in a shard's new snapshot and then bumps the table
-// generation — in that order, so a reader that observes the new
-// generation before probing can only see the new (or an even newer)
-// snapshot. The caller holds the shard mutex.
+// publish swaps in a shard's fresh, tombstone-free slot array. The
+// caller holds the shard mutex and bumps the generation itself, after
+// its own slot stores.
 func (g *Global) publish(s *globalShard, t *ruleTable) {
 	s.table.Store(t)
+	s.dead.Store(0)
 	g.publishes.Add(1)
-	g.gen.Add(1)
 }
 
-// Publishes returns the number of copy-on-write snapshot publications
-// since the table was created — the write-side cost of lock-free
-// reads, for telemetry and capacity planning.
+// Publishes returns the number of slot arrays published (growth or
+// compaction, plus the hand-back when a shard empties) since the table
+// was created: it grows with the logarithm of the rule count plus
+// churn over the tombstone budget, not with the number of mutations,
+// which are applied in place.
 func (g *Global) Publishes() uint64 { return g.publishes.Load() }
 
 // Install inserts or replaces the rule for a flow, reporting whether
@@ -399,16 +400,33 @@ func (g *Global) Install(r *GlobalRule) (replaced bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t := s.table.Load()
+	sl, state := t.find(r.FID)
 	stored := r
-	if old := t.get(r.FID); old != nil {
+	switch state {
+	case slotEmpty:
+		// Keying one more slot must not bring live plus dead to 3/4 load.
+		if n := int(s.count.Load()); n+int(s.dead.Load())+1 >= len(t.slots)-len(t.slots)/4 {
+			t = t.rebuild(n + 1)
+			g.publish(s, t)
+			sl, _ = t.find(r.FID)
+		}
+		s.count.Add(1)
+	case slotDead:
+		s.dead.Add(-1)
+		s.count.Add(1)
+	default:
 		versioned := *r
-		versioned.Version = old.rule.Version + 1
-		stored = &versioned
-		replaced = true
+		versioned.Version = sl.rule.Load().Version + 1
+		stored, replaced = &versioned, true
+		if state == slotStale {
+			s.stale.Add(-1)
+		}
 	}
-	nt := t.rebuild(1, r.FID, replaced)
-	nt.place(ruleSlot{rule: stored, fid: r.FID, used: true})
-	g.publish(s, nt)
+	sl.rule.Store(stored)
+	if state != slotLive {
+		sl.key.Store(slotKey(r.FID, slotLive))
+	}
+	g.gen.Add(1)
 	if j := g.journalOf(); j != nil {
 		j.RuleInstalled(stored, replaced)
 	}
@@ -460,60 +478,73 @@ func (g *Global) RestoreEpoch(e uint64) {
 // install, FIN teardown, idle expiry) clean the carcasses up; the rules
 // were already dead to LookupLive the moment AdvanceEpoch published the
 // new epoch, so the sweep only makes the staleness visible to StaleLen
-// and Dump and lets IsStale-driven tooling see it.
+// and Dump and lets IsStale-driven tooling see it. A shard where
+// nothing was marked is left untouched, generation included.
 func (g *Global) SweepEpoch(cur uint64) int {
 	n := 0
 	for i := range g.shards {
 		s := &g.shards[i]
 		s.mu.Lock()
 		t := s.table.Load()
-		marked := false
-		var nt *ruleTable
+		marked := 0
 		for si := range t.slots {
 			sl := &t.slots[si]
-			if !sl.used || sl.stale || sl.rule.Epoch == cur {
+			k := sl.key.Load()
+			if k&slotStateMask != slotLive || sl.rule.Load().Epoch == cur {
 				continue
 			}
-			if nt == nil {
-				nt = t.rebuild(0, 0, false)
-			}
-			nt.get(sl.fid).stale = true
-			nt.stale++
-			marked = true
-			n++
+			sl.key.Store(k&^slotStateMask | slotStale)
+			marked++
 		}
-		if marked {
-			g.publish(s, nt)
+		if marked > 0 {
+			s.stale.Add(int64(marked))
+			g.gen.Add(1)
+			n += marked
 		}
 		s.mu.Unlock()
 	}
 	return n
 }
 
-// Lookup fetches the rule for a flow, lock-free off the shard's
-// published snapshot. The returned rule must be treated as immutable.
+// Lookup fetches the rule for a flow, lock-free off the shard's slot
+// array. The returned rule must be treated as immutable.
 func (g *Global) Lookup(fid flow.FID) (*GlobalRule, bool) {
-	if sl := g.shardFor(fid).table.Load().get(fid); sl != nil {
-		return sl.rule, true
+	if sl, state := g.shardFor(fid).table.Load().find(fid); state >= slotLive {
+		if r := sl.rule.Load(); r != nil { // nil: a racing Remove got there first
+			return r, true
+		}
 	}
 	return nil, false
 }
 
 // Remove deletes a flow's rule (FIN/RST teardown, §VI-B). It reports
-// whether a rule existed.
+// whether a rule existed. The slot becomes a tombstone and drops its
+// rule pointer, so the rule is collectable at once; the tombstone is
+// reclaimed by the next compaction, or right here when the shard
+// empties and goes back to the shared empty array.
 func (g *Global) Remove(fid flow.FID) bool {
 	s := g.shardFor(fid)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	t := s.table.Load()
-	if t.get(fid) == nil {
+	sl, state := s.table.Load().find(fid)
+	if state < slotLive {
 		// Nothing to remove; bump the generation anyway so the call's
 		// cache-invalidation contract matches the locked-table era
 		// (callers rely on Remove invalidating worker caches).
 		g.gen.Add(1)
 		return false
 	}
-	g.publish(s, t.rebuild(0, fid, true))
+	if state == slotStale {
+		s.stale.Add(-1)
+	}
+	if s.count.Add(-1) == 0 {
+		g.publish(s, emptyRuleTable)
+	} else {
+		sl.key.Store(slotKey(fid, slotDead))
+		sl.rule.Store(nil)
+		s.dead.Add(1)
+	}
+	g.gen.Add(1)
 	if j := g.journalOf(); j != nil {
 		j.RuleRemoved(fid)
 	}
@@ -531,19 +562,14 @@ func (g *Global) MarkStale(fid flow.FID) bool {
 	s := g.shardFor(fid)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	t := s.table.Load()
-	sl := t.get(fid)
-	if sl == nil {
-		g.gen.Add(1) // cache-invalidation contract, as in Remove
-		return false
+	sl, state := s.table.Load().find(fid)
+	if state == slotLive {
+		sl.key.Store(slotKey(fid, slotStale))
+		s.stale.Add(1)
 	}
-	if !sl.stale {
-		nt := t.rebuild(0, 0, false)
-		nt.get(fid).stale = true
-		nt.stale++
-		g.publish(s, nt)
-	} else {
-		g.gen.Add(1)
+	g.gen.Add(1) // even when nothing changed: the contract of Remove
+	if state < slotLive {
+		return false
 	}
 	if j := g.journalOf(); j != nil {
 		j.RuleStaled(fid)
@@ -553,56 +579,66 @@ func (g *Global) MarkStale(fid flow.FID) bool {
 
 // IsStale reports whether the flow's rule is stale-marked.
 func (g *Global) IsStale(fid flow.FID) bool {
-	sl := g.shardFor(fid).table.Load().get(fid)
-	return sl != nil && sl.stale
+	_, state := g.shardFor(fid).table.Load().find(fid)
+	return state == slotStale
 }
 
 // LookupLive fetches the rule for a flow only if it is current: a
 // stale-marked rule misses, sending the caller to the always-correct
 // slow path. This is the data path's (and classifier probe's) lookup —
-// one atomic snapshot load and a lock-free linear probe; plain Lookup
-// keeps returning stale rules for inspection.
+// one atomic load of the slot array and a lock-free linear probe;
+// plain Lookup keeps returning stale rules for inspection.
 func (g *Global) LookupLive(fid flow.FID) (*GlobalRule, bool) {
-	sl := g.shardFor(fid).table.Load().get(fid)
-	if sl == nil || sl.stale {
+	sl, state := g.shardFor(fid).table.Load().find(fid)
+	if state != slotLive {
 		return nil, false
 	}
-	if sl.rule.Epoch != g.epoch.Load() {
-		// Consolidated under a retired chain layout; dead even if the
-		// epoch sweep has not stale-marked it yet.
+	r := sl.rule.Load()
+	if r == nil || r.Epoch != g.epoch.Load() {
+		// Removed under our feet, or consolidated under a retired chain
+		// layout: dead even if the epoch sweep has not marked it yet.
 		return nil, false
 	}
-	return sl.rule, true
+	return r, true
 }
 
-// StaleLen returns the number of stale-marked rules.
-func (g *Global) StaleLen() int {
-	n := 0
+// counts sums the per-shard slot counts.
+func (g *Global) counts() (rules, stale, dead int) {
 	for i := range g.shards {
-		n += g.shards[i].table.Load().stale
+		s := &g.shards[i]
+		rules += int(s.count.Load())
+		stale += int(s.stale.Load())
+		dead += int(s.dead.Load())
 	}
-	return n
+	return rules, stale, dead
 }
 
 // Len returns the number of installed rules.
-func (g *Global) Len() int {
-	n := 0
-	for i := range g.shards {
-		n += g.shards[i].table.Load().count
-	}
-	return n
-}
+func (g *Global) Len() int { n, _, _ := g.counts(); return n }
 
-// ForEach calls fn for every installed rule. It iterates each shard's
-// published snapshot, so fn sees a per-shard-consistent view and may
-// safely call back into the table; rules must still be treated as
-// immutable.
+// StaleLen returns the number of stale-marked rules.
+func (g *Global) StaleLen() int { _, n, _ := g.counts(); return n }
+
+// DeadSlots returns the number of tombstones awaiting compaction —
+// slots that lengthen probe chains without holding a rule.
+func (g *Global) DeadSlots() int { _, _, n := g.counts(); return n }
+
+// ForEach calls fn for every installed rule. It walks each shard's
+// current slot array without locking, so fn may safely call back into
+// the table; under concurrent writers the view is weakly consistent (a
+// rule installed or removed during the walk may or may not be seen),
+// and exact once writers are quiesced, as checkpoint and restore
+// require. Rules must still be treated as immutable.
 func (g *Global) ForEach(fn func(*GlobalRule)) {
 	for i := range g.shards {
 		t := g.shards[i].table.Load()
 		for si := range t.slots {
-			if t.slots[si].used {
-				fn(t.slots[si].rule)
+			sl := &t.slots[si]
+			if sl.key.Load()&slotStateMask < slotLive {
+				continue
+			}
+			if r := sl.rule.Load(); r != nil {
+				fn(r)
 			}
 		}
 	}
