@@ -338,7 +338,7 @@ func BenchmarkMultiQueue(b *testing.B) {
 
 // fastTrace builds the batched-fast-path benchmark trace: 4 UDP flows
 // of ~512 data packets, interleaved — the "handful of flows per vector"
-// shape the per-worker 4-way rule cache is sized for. Forward-only
+// shape the per-worker 4-way flow-context cache is sized for. Forward-only
 // IPFilters never rewrite the packets, so the same descriptors replay
 // indefinitely.
 func fastTrace(b *testing.B) []*speedybox.Packet {

@@ -83,7 +83,7 @@ func (p *Platform) Close() error { return nil }
 // completion on one core, so the engine's snapshot swap is the whole
 // transition: the next packet's traversal loads the new run-to-completion
 // vector, and in-flight batch workers fall back to the slow path when
-// their rule caches miss on the bumped generation.
+// their cached rule pointers miss on the bumped generation.
 func (p *Platform) Reconfigure(plan core.ChainPlan) error { return p.eng.Reconfigure(plan) }
 
 // Process implements platform.Platform.

@@ -183,9 +183,9 @@ func (c *Classifier) Classify(pkt *packet.Packet, hasRule func(flow.FID) bool) (
 // established, already-tracked flow — with one flow-table lock
 // acquisition and no closure allocation, assigning the FID and
 // applying the per-packet bookkeeping. The Kind in the returned Result
-// is left undecided (zero): the batch engine resolves Subsequent
-// versus Initial against its rule cache, which replaces the hasRule
-// probe of the scalar path.
+// is left undecided (zero): the caller resolves Subsequent versus
+// Initial itself, as core does against its flow context's rule, in
+// place of Classify's hasRule probe.
 //
 // For every other packet shape — unparseable, handshake, teardown,
 // untracked or not-yet-established flow — it reports ok=false without

@@ -300,9 +300,10 @@ func (c *Cluster) Process(pkt *packet.Packet) (platform.Measurement, error) {
 // a rebalance published a new one in between. fold, when non-nil, runs
 // after each sub-run while its measurements are still valid (they
 // point into b, which the next run reuses). One Batch serves every
-// instance: all of its caches are generation-validated, and generations
-// are banded per table, so a handle or rule cached against one engine
-// can never falsely validate against another's.
+// instance: every field of its flow contexts is generation-validated,
+// and generations are banded per table, so a handle, rule or event
+// verdict cached against one engine can never falsely validate against
+// another's.
 func (c *Cluster) ProcessRuns(pkts []*packet.Packet, batchSize int, b *platform.Batch, fold func(off int, ms []platform.Measurement) error) error {
 	// v is the view runs are routed under. It is refreshed only when the
 	// fence finds it stale, so every run that is processed was routed

@@ -14,105 +14,81 @@ import (
 // dispatch across the vector.
 const DefaultBatchSize = 32
 
-// ruleCacheWays is the associativity of the per-worker rule cache.
+// flowCacheWays is the associativity of a worker's flow-context cache.
 // Four entries cover the handful of flows interleaved within one
-// 32-packet vector of a realistic trace; a miss only costs the Global
-// MAT's lock-free probe.
-const ruleCacheWays = 4
+// 32-packet vector of a realistic trace; a miss costs the flow table's
+// shard read lock and the Global MAT's lock-free probe.
+const flowCacheWays = 4
 
-// ruleCacheEntry caches what the data path learns about one flow:
-// the live consolidated rule (valid while the Global MAT's mutation
-// generation is unchanged) and a "no registered events" verdict (valid
-// while the Event Table's registration generation is unchanged).
-type ruleCacheEntry struct {
-	fid      flow.FID
-	used     bool
-	rule     *mat.GlobalRule
-	ruleGen  uint64
-	hasRule  bool
+// flowCtx is what one worker knows about one flow, found by the
+// packet's single keyed probe: the flow-table handle with the
+// bookkeeping deltas folded into the flow entry at flush, the live
+// consolidated rule, and a "no registered events" verdict. The
+// steady-state packet is then a key compare, a state load, a
+// generation load per field and plain integer adds — no lock, no map,
+// no per-packet atomic read-modify-write (the paper's DPDK prototype
+// keeps the analogous last-rule pointer in each lcore's local storage).
+// It must not be shared between goroutines. Correctness does not depend
+// on it: each field is revalidated against its source table's
+// generation with one atomic load, so any flow removal, any Install,
+// Remove, MarkStale or epoch advance, and any event Register anywhere
+// invalidates the matching field in every worker, and a failed check
+// simply falls back to the table's own lookup. Generations are banded
+// per table instance, so a context warmed on one engine never validates
+// against another's tables.
+type flowCtx struct {
+	// kHi/kLo are the packed flow key (packet.FlowKey) the probe
+	// compares; a context reached by FID alone (Batch.scratchFor) leaves
+	// them and the handle zero.
+	kHi, kLo uint64
+	h        flow.Handle
+	// gen is the flow table's generation read before h was acquired.
+	gen   uint64
+	used  bool
+	dirty bool
+	// Folded established-data bookkeeping: packet and byte counts,
+	// and the logical-clock tick of the flow's most recent packet.
+	dPkts    uint64
+	dBytes   uint64
+	lastTick uint64
+
+	// fid keys everything below. It changes only when the whole context
+	// is rebuilt, so a rule or verdict is never served to another flow.
+	fid flow.FID
+	// rule is valid while the Global MAT's mutation generation is still
+	// ruleGen.
+	rule    *mat.GlobalRule
+	ruleGen uint64
+	// noEvents is valid while the Event Table's registration generation
+	// is still evGen.
 	noEvents bool
 	evGen    uint64
 }
 
-// RuleCache is a tiny per-worker, generation-validated cache over the
-// Global MAT and Event Table (the paper's DPDK prototype keeps the
-// analogous last-rule pointer in each lcore's local storage). It must
-// not be shared between goroutines; each worker owns one inside its
-// Batch, and the ONVM manager core owns a bare one. Correctness does
-// not depend on the cache: every hit is revalidated against the source
-// table's generation with one atomic load, so any Install, Remove,
-// MarkStale or event Register anywhere invalidates all caches, and a
-// stale check simply falls back to the table's lock-free lookup.
-type RuleCache struct {
-	entries [ruleCacheWays]ruleCacheEntry
-	clock   uint8
-	// hits/misses count lookupRule outcomes in plain fields; a Batch's
-	// are folded into the hub once per vector, like its flow-cache pair.
-	hits, misses uint64
-}
-
-// Invalidate forgets everything, for tests and for callers that want a
-// cold cache between traces.
-func (rc *RuleCache) Invalidate() { *rc = RuleCache{} }
-
-// find returns the entry for fid, or nil.
-func (rc *RuleCache) find(fid flow.FID) *ruleCacheEntry {
-	for i := range rc.entries {
-		if rc.entries[i].used && rc.entries[i].fid == fid {
-			return &rc.entries[i]
-		}
+// flush folds the context's pending bookkeeping into the flow entry.
+func (fc *flowCtx) flush() {
+	if !fc.dirty {
+		return
 	}
-	return nil
+	fc.h.FoldTouches(fc.dPkts, fc.dBytes, fc.lastTick)
+	fc.dPkts, fc.dBytes, fc.dirty = 0, 0, false
 }
 
-// slot returns the entry for fid, repurposing the round-robin victim
-// (cleared) if the flow is not cached.
-func (rc *RuleCache) slot(fid flow.FID) *ruleCacheEntry {
-	if en := rc.find(fid); en != nil {
-		return en
-	}
-	en := &rc.entries[rc.clock&(ruleCacheWays-1)]
-	rc.clock++
-	*en = ruleCacheEntry{fid: fid, used: true}
-	return en
-}
-
-// noEventsValid reports a still-valid "flow has no registered events"
-// verdict.
-func (rc *RuleCache) noEventsValid(e *Engine, fid flow.FID) bool {
-	en := rc.find(fid)
-	return en != nil && en.noEvents && en.evGen == e.events.RegGen()
-}
-
-// putNoEvents caches the no-events verdict observed at registration
-// generation evGen.
-func (rc *RuleCache) putNoEvents(fid flow.FID, evGen uint64) {
-	en := rc.slot(fid)
-	en.noEvents = true
-	en.evGen = evGen
-}
-
-// lookupRule is LookupLive behind the per-worker cache: a
+// lookupRule is LookupLive behind the flow's context: a
 // generation-valid hit returns the cached rule pointer without
-// touching the table; a miss probes it and caches the result stamped
-// with the generation read *before* the lookup, so a racing mutation
-// can only make the entry conservatively stale, never serve a rule
-// newer than its stamp.
-func (e *Engine) lookupRule(fid flow.FID, rc *RuleCache) (*mat.GlobalRule, bool) {
+// touching the table (cached=true); a miss probes it and caches the
+// result stamped with the generation read *before* the lookup, so a
+// racing mutation can only make the context conservatively stale, never
+// serve a rule newer than its stamp. A nil rule means the flow has no
+// live one.
+func (e *Engine) lookupRule(fc *flowCtx) (rule *mat.GlobalRule, cached bool) {
 	gen := e.global.Gen()
-	if en := rc.find(fid); en != nil && en.hasRule && en.ruleGen == gen {
-		rc.hits++
-		return en.rule, true
+	if fc.rule != nil && fc.ruleGen == gen {
+		return fc.rule, true
 	}
-	rc.misses++
-	rule, ok := e.global.LookupLive(fid)
-	if ok {
-		en := rc.slot(fid)
-		en.rule = rule
-		en.ruleGen = gen
-		en.hasRule = true
-	}
-	return rule, ok
+	rule, _ = e.global.LookupLive(fc.fid)
+	fc.rule, fc.ruleGen = rule, gen
+	return rule, false
 }
 
 // statsDelta accumulates one shard's counter increments across a
@@ -187,52 +163,19 @@ func (s *statsShard) fold(d *statsDelta) {
 	}
 }
 
-// flowCacheWays is the associativity of the per-worker flow-handle
-// cache, matching the rule cache: the flows interleaved within one
-// vector.
-const flowCacheWays = 4
-
-// flowSlot caches one flow's table handle keyed by 5-tuple, plus the
-// batch-local bookkeeping deltas folded into the flow entry at flush:
-// the steady-state per-packet flow touch is then a tuple compare, two
-// generation/state loads and plain integer adds — no lock, no map, no
-// per-packet atomic read-modify-write.
-type flowSlot struct {
-	// kHi/kLo are the packed flow key (packet.FlowKey) the hot probe
-	// compares; tuple is the same key unpacked, kept for re-acquiring
-	// the handle when the table generation moves.
-	kHi, kLo uint64
-	tuple    packet.FiveTuple
-	h        flow.Handle
-	gen      uint64
-	used     bool
-	dirty    bool
-	// Folded established-data bookkeeping: packet and byte counts,
-	// and the logical-clock tick of the flow's most recent packet.
-	dPkts    uint64
-	dBytes   uint64
-	lastTick uint64
-}
-
-// flush folds the slot's pending bookkeeping into the flow entry.
-func (sl *flowSlot) flush() {
-	if !sl.dirty {
-		return
-	}
-	sl.h.FoldTouches(sl.dPkts, sl.dBytes, sl.lastTick)
-	sl.dPkts, sl.dBytes, sl.dirty = 0, 0, false
-}
-
-// Batch is the per-worker scratch state of the data path: the rule and
-// flow-handle caches, preallocated result storage, and the counter and
-// telemetry fold buffers. A Batch must not be shared between goroutines
-// (each runner worker owns one; ProcessPacket draws one from the
-// engine's pool); results returned by ProcessBatch point into the
-// Batch's storage and are valid only until the next call on the same
-// Batch.
+// Batch is the per-worker scratch state of the data path: the flow
+// contexts, preallocated result storage, and the counter and telemetry
+// fold buffers. A Batch must not be shared between goroutines (each
+// runner worker owns one; ProcessPacket draws one from the engine's
+// pool); results returned by ProcessBatch point into the Batch's
+// storage and are valid only until the next call on the same Batch.
 type Batch struct {
-	flows  [flowCacheWays]flowSlot
-	fclock uint8
+	// flows is the keyed context cache, clock its round-robin victim
+	// pointer. scratch serves packets that arrive with a FID and no
+	// cached tuple (see scratchFor).
+	flows   [flowCacheWays]flowCtx
+	clock   uint8
+	scratch flowCtx
 
 	res  []PacketResult
 	info []FastPathInfo
@@ -243,21 +186,20 @@ type Batch struct {
 	delta [statsShardCount]statsDelta
 	dirty []uint32
 
-	// flowHits/flowMisses count flow-handle cache outcomes across the
-	// batch, folded into the engine counters at flush.
-	flowHits   uint64
-	flowMisses uint64
+	// flowHits/flowMisses count keyed probes that found a valid handle
+	// versus those that took the flow table's shard lock; ruleHits/
+	// ruleMisses count the Subsequent/Initial decisions served from the
+	// context versus those that probed the Global MAT. A fast-shaped
+	// packet counts once in the first pair and, if its flow is
+	// established, once in the second; both fold into the hub at flush.
+	flowHits, flowMisses uint64
+	ruleHits, ruleMisses uint64
 
 	// telVal/telN/telHint fold the fast-path latency histogram: a run
 	// of packets with identical modeled work collapses into one RecordN.
 	telVal  uint64
 	telN    uint64
 	telHint uint32
-
-	// cache is last so that growing it moves no other field: the flow
-	// slots' placement is measurable (16 bytes further in cost the
-	// benchmark's `hot` workload ~1.5 %).
-	cache RuleCache
 }
 
 // NewBatch returns batch scratch sized for n-packet vectors (0 picks
@@ -275,9 +217,9 @@ func NewBatch(n int) *Batch {
 	}
 }
 
-// begin resets the per-vector storage for n packets. The rule and
-// flow caches deliberately survive across vectors — that is where the
-// amortization for repeated flows comes from.
+// begin resets the per-vector storage for n packets. The flow contexts
+// deliberately survive across vectors — that is where the amortization
+// for repeated flows comes from.
 func (b *Batch) begin(n int) {
 	if cap(b.res) < n {
 		b.res = make([]PacketResult, n)
@@ -290,7 +232,7 @@ func (b *Batch) begin(n int) {
 	b.out = b.out[:0]
 }
 
-// flushFlows folds every flow slot's pending bookkeeping into the
+// flushFlows folds every flow context's pending bookkeeping into the
 // flow table. It must run before any code that reads or rewrites a
 // flow entry through the locked paths (full classification, the slow
 // path, teardown) and at end of batch.
@@ -300,52 +242,64 @@ func (b *Batch) flushFlows() {
 	}
 }
 
-// flowSlotFor resolves a packet's flow key to a flow-cache slot,
-// acquiring (or revalidating) the table handle as needed. The hot
-// probe compares the packed two-word key; the FiveTuple struct is only
-// built on the acquire paths. The table generation is read before
-// every acquire, so a racing removal can only leave the slot
-// conservatively stale. It reports ok=false when the flow is not
-// tracked — the caller falls back to full classification.
-func (b *Batch) flowSlotFor(flows *flow.Table, pkt *packet.Packet, kHi, kLo uint64) (uint8, bool) {
+// flowCtxFor resolves a packet's flow key to its context — the packet's
+// one keyed probe. A context whose handle is still valid is a hit;
+// otherwise the handle is acquired under the flow table's shard lock
+// and the context is rebuilt from nothing — a re-acquired tuple may be
+// a new connection under a new FID, so no rule or verdict survives a
+// re-key. The table generation is read before the acquire, so a racing
+// removal can only leave the context conservatively stale. It reports
+// ok=false when the flow is not tracked — the caller falls back to full
+// classification.
+func (b *Batch) flowCtxFor(flows *flow.Table, pkt *packet.Packet, kHi, kLo uint64) (*flowCtx, bool) {
 	gen := flows.Gen()
+	var fc *flowCtx
 	for i := range b.flows {
-		sl := &b.flows[i]
-		if !sl.used || sl.kHi != kHi || sl.kLo != kLo {
+		c := &b.flows[i]
+		if !c.used || c.kHi != kHi || c.kLo != kLo {
 			continue
 		}
-		if sl.gen == gen {
+		if c.gen == gen {
 			b.flowHits++
-			return uint8(i), true
+			return c, true
 		}
-		// The table mutated since the handle was cached: pending
-		// deltas belong to the old entry, so fold them through the
-		// old handle before re-acquiring.
-		sl.flush()
-		h, ok := flows.Acquire(sl.tuple)
-		if !ok {
-			sl.used = false
-			return 0, false
-		}
-		sl.h, sl.gen = h, gen
-		b.flowHits++
-		return uint8(i), true
+		fc = c
+		break
 	}
 	b.flowMisses++
 	ft, err := pkt.FiveTuple()
 	if err != nil {
-		return 0, false
+		return nil, false
 	}
 	h, ok := flows.Acquire(ft)
-	if !ok {
-		return 0, false
+	if fc == nil {
+		if !ok {
+			return nil, false
+		}
+		fc = &b.flows[b.clock&(flowCacheWays-1)]
+		b.clock++
 	}
-	v := b.fclock & (flowCacheWays - 1)
-	b.fclock++
-	sl := &b.flows[v]
-	sl.flush()
-	*sl = flowSlot{kHi: kHi, kLo: kLo, tuple: ft, h: h, gen: gen, used: true}
-	return v, true
+	// Pending deltas belong to the entry the context held: fold them
+	// through the old handle before it is overwritten.
+	fc.flush()
+	*fc = flowCtx{kHi: kHi, kLo: kLo, h: h, gen: gen, used: ok}
+	if !ok {
+		return nil, false
+	}
+	fc.fid = h.FID()
+	return fc, true
+}
+
+// scratchFor returns the context for a packet that arrives with only a
+// FID: a FIN/RST (or any packet) classified by the locked Classify, and
+// every packet on the ONVM manager core, whose RX core classified it.
+// It is one entry, rebuilt when the FID changes, so a run of one flow's
+// packets keeps its rule and verdict and nothing is keyed twice.
+func (b *Batch) scratchFor(fid flow.FID) *flowCtx {
+	if b.scratch.fid != fid {
+		b.scratch = flowCtx{fid: fid}
+	}
+	return &b.scratch
 }
 
 // account folds one finished packet into the batch-local deltas and
@@ -408,10 +362,10 @@ func (e *Engine) flushStats(b *Batch) {
 	if t := e.tel; t != nil {
 		foldCount(t.flowCacheHits, &b.flowHits)
 		foldCount(t.flowCacheMisses, &b.flowMisses)
-		foldCount(t.ruleCacheHits, &b.cache.hits)
-		foldCount(t.ruleCacheMisses, &b.cache.misses)
+		foldCount(t.ruleCacheHits, &b.ruleHits)
+		foldCount(t.ruleCacheMisses, &b.ruleMisses)
 	} else {
-		b.flowHits, b.flowMisses, b.cache.hits, b.cache.misses = 0, 0, 0, 0
+		b.flowHits, b.flowMisses, b.ruleHits, b.ruleMisses = 0, 0, 0, 0
 	}
 	for _, shard := range b.dirty {
 		e.stats[shard].fold(&b.delta[shard])
@@ -422,12 +376,11 @@ func (e *Engine) flushStats(b *Batch) {
 
 // ProcessBatch classifies and processes a vector of packets in arrival
 // order — the engine's one data path; ProcessPacket is a vector of one.
-// A vector amortizes per-packet dispatch: fast-shaped packets classify
-// through the Batch's flow-handle cache, consolidated-rule and
-// event-table lookups are served from its generation-validated cache,
-// fast-path results are written into preallocated storage, and counters
-// and the fast-path latency histogram are folded into a few updates
-// per vector.
+// A vector amortizes per-packet dispatch: a fast-shaped packet finds its
+// flow context with one keyed probe, and its classification, rule and
+// event-table lookups are generation compares on that context; fast-path
+// results are written into preallocated storage, and counters and the
+// fast-path latency histogram are folded into a few updates per vector.
 //
 // The vector size never changes what a packet observes — the
 // differential oracle holds vectors of 1 and of 32 bit-identical.
@@ -460,20 +413,27 @@ func (e *Engine) process(pkt *packet.Packet, info *FastPathInfo, res *PacketResu
 	var (
 		fid  flow.FID
 		kind classifier.Kind
+		fc   *flowCtx
 	)
-	// The flow-handle and rule caches belong to SpeedyBox. The baseline
-	// engine — every oracle's reference — classifies through the locked
-	// Classify alone, independent of the code it polices.
+	// The keyed flow contexts belong to SpeedyBox. The baseline engine —
+	// every oracle's reference — classifies through the locked Classify
+	// alone, independent of the code it polices.
 	fastShaped := false
 	if e.opts.EnableSpeedyBox {
-		fid, fastShaped = e.classifyFast(pkt, b)
+		fc, fastShaped = e.classifyFast(pkt, b)
 	}
 	if fastShaped {
 		// Established data packet: Subsequent with a live rule, else the
 		// flow's initial packet (or a re-record after eviction or
 		// staleness) — the decision Classify's hasRule probe makes.
-		kind = classifier.KindInitial
-		if _, ok := e.lookupRule(fid, &b.cache); ok {
+		fid, kind = fc.fid, classifier.KindInitial
+		rule, cached := e.lookupRule(fc)
+		if cached {
+			b.ruleHits++
+		} else {
+			b.ruleMisses++
+		}
+		if rule != nil {
 			kind = classifier.KindSubsequent
 		} else {
 			pkt.Meta.Initial = true
@@ -488,6 +448,7 @@ func (e *Engine) process(pkt *packet.Packet, info *FastPathInfo, res *PacketResu
 			return nil, err
 		}
 		fid, kind = cls.FID, cls.Kind
+		fc = b.scratchFor(fid)
 	}
 
 	// Fault: flow-table eviction pressure — the MAT "ran out of space"
@@ -507,10 +468,10 @@ func (e *Engine) process(pkt *packet.Packet, info *FastPathInfo, res *PacketResu
 	)
 	switch kind {
 	case classifier.KindSubsequent:
-		r, err = e.fastPathInto(fid, pkt, info, res, &b.cache)
+		r, err = e.fastPathInto(fc, pkt, info, res)
 	case classifier.KindFinal:
 		if e.hasRule != nil && e.hasRule(fid) {
-			r, err = e.fastPathInto(fid, pkt, info, res, &b.cache)
+			r, err = e.fastPathInto(fc, pkt, info, res)
 		} else {
 			r, err = e.slowPath(fid, pkt, false)
 		}
@@ -541,45 +502,40 @@ func (e *Engine) process(pkt *packet.Packet, info *FastPathInfo, res *PacketResu
 
 // classifyFast classifies one fast-shaped packet — a plain data packet
 // (no SYN/FIN/RST) of an established, tracked flow — through the
-// Batch's flow-handle cache: a tuple compare, a generation load and a
-// state load replace Classify's lock acquisition and map probe.
-// Per-flow bookkeeping folds into the flow slot (flushed at batch
-// boundaries and before any locked flow-table access); the logical
-// clock ticks once per packet, exactly as Classify does, so
+// Batch's flow contexts, returning the packet's: a key compare, a
+// generation load and a state load replace Classify's lock acquisition
+// and map probe. Per-flow bookkeeping folds into the context (flushed
+// at batch boundaries and before any locked flow-table access); the
+// logical clock ticks once per packet, exactly as Classify does, so
 // clock-deadline reads during processing (the degradation ladder's
 // backoff arithmetic) observe the same values at every vector size.
 //
 // For every other packet shape it reports ok=false without mutating
 // the flow table or consuming a clock tick, and the caller routes the
 // packet through the full Classify state machine.
-func (e *Engine) classifyFast(pkt *packet.Packet, b *Batch) (flow.FID, bool) {
+func (e *Engine) classifyFast(pkt *packet.Packet, b *Batch) (*flowCtx, bool) {
 	if !pkt.Parsed() {
 		if err := pkt.Parse(); err != nil {
-			return 0, false // full Classify reproduces the error
+			return nil, false // full Classify reproduces the error
 		}
 	}
 	if flags, isTCP := pkt.TCPFlags(); isTCP &&
 		flags&(packet.TCPFlagSYN|packet.TCPFlagFIN|packet.TCPFlagRST) != 0 {
-		return 0, false
+		return nil, false
 	}
 	kHi, kLo, ok := pkt.FlowKey()
 	if !ok {
-		return 0, false
+		return nil, false
 	}
-	si, ok := b.flowSlotFor(e.class.Flows(), pkt, kHi, kLo)
-	if !ok {
-		return 0, false
+	fc, ok := b.flowCtxFor(e.class.Flows(), pkt, kHi, kLo)
+	if !ok || !fc.h.Established() {
+		return nil, false
 	}
-	sl := &b.flows[si]
-	if !sl.h.Established() {
-		return 0, false
-	}
-	sl.dPkts++
-	sl.dBytes += uint64(pkt.Len())
-	sl.lastTick = e.class.SeqClock().Add(1)
-	sl.dirty = true
-	fid := sl.h.FID()
-	pkt.Meta.FID = uint32(fid)
+	fc.dPkts++
+	fc.dBytes += uint64(pkt.Len())
+	fc.lastTick = e.class.SeqClock().Add(1)
+	fc.dirty = true
+	pkt.Meta.FID = uint32(fc.fid)
 	pkt.Meta.HasFID = true
-	return fid, true
+	return fc, true
 }

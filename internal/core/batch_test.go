@@ -1,10 +1,13 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"github.com/fastpathnfv/speedybox/internal/classifier"
+	"github.com/fastpathnfv/speedybox/internal/event"
 	"github.com/fastpathnfv/speedybox/internal/fault"
+	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/mat"
 	"github.com/fastpathnfv/speedybox/internal/packet"
 	"github.com/fastpathnfv/speedybox/internal/telemetry"
@@ -268,6 +271,70 @@ func TestProcessBatchStaleRuleMidBatch(t *testing.T) {
 	}
 }
 
+// neighbourRegistrar forwards everything; while processing a packet
+// from source port trigger it registers an always-true drop event
+// against another flow, target — a Register that lands mid-vector.
+type neighbourRegistrar struct {
+	name    string
+	events  *event.Table
+	target  flow.FID
+	trigger uint16
+}
+
+func (f *neighbourRegistrar) Name() string { return f.name }
+
+func (f *neighbourRegistrar) Process(ctx *Ctx, pkt *packet.Packet) (Verdict, error) {
+	ctx.Charge(ctx.Model.Parse + ctx.Model.Classify)
+	if pkt.SrcPort() == f.trigger {
+		err := f.events.Register(f.target, event.Event{
+			NF:        f.name,
+			Condition: func(flow.FID) bool { return true },
+			Update: func(_ flow.FID, r *mat.LocalRule) {
+				r.Actions = []mat.HeaderAction{mat.Drop()}
+			},
+			OneShot: true,
+		})
+		if err != nil {
+			return 0, err
+		}
+	}
+	return VerdictForward, ctx.AddHeaderAction(mat.Forward())
+}
+
+// TestProcessBatchRegisterMidBatch: a flow's context holds a valid "no
+// registered events" verdict when a neighbour's slow-path packet, in
+// the same vector, registers an event against it. The flow's very next
+// packet must probe the Event Table again and fire.
+func TestProcessBatchRegisterMidBatch(t *testing.T) {
+	nf := &neighbourRegistrar{name: "lb", trigger: 8452}
+	eng, err := NewEngine([]NF{nf}, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nf.events = eng.Events()
+	b := NewBatch(4)
+	fc := warmCtx(t, eng, b, 8451, 3)
+	if !fc.noEvents {
+		t.Fatal("warm flow has no cached no-events verdict")
+	}
+	nf.target = fc.fid
+	rs, err := eng.ProcessBatch([]*packet.Packet{
+		udpPkt(t, 8451, "verdict still valid"),
+		udpPkt(t, 8452, "neighbour registers"),
+		udpPkt(t, 8451, "must fire"),
+	}, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs[0].Verdict != VerdictForward || rs[0].Fast.EventsFired != 0 {
+		t.Errorf("packet before the Register: verdict %v, %d fired", rs[0].Verdict, rs[0].Fast.EventsFired)
+	}
+	if rs[2].Path != PathFast || rs[2].Fast.EventsFired != 1 || rs[2].Verdict != VerdictDrop {
+		t.Errorf("packet after the Register: path=%v fired=%d verdict=%v, want the event to fire and drop (stale verdict served?)",
+			rs[2].Path, rs[2].Fast.EventsFired, rs[2].Verdict)
+	}
+}
+
 // TestProcessBatchFaultedMatchesScalar: under full eviction pressure
 // (every data packet's rule evicted right after classification) the
 // engine must degrade identically on vectors of one and of 32 — same
@@ -308,68 +375,286 @@ func TestProcessBatchFaultedMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestRuleCacheGenerationValidation exercises the cache directly: a hit
-// returns the cached pointer without a map lookup, any MAT mutation
-// invalidates it, and Invalidate forgets everything.
-func TestRuleCacheGenerationValidation(t *testing.T) {
-	eng := newBatchTestEngine(t, DefaultOptions())
-	res, err := eng.ProcessPacket(udpPkt(t, 8701, "install"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fid := res.FID
-	var rc RuleCache
-
-	r1, ok := eng.lookupRule(fid, &rc)
-	if !ok || r1 == nil {
-		t.Fatal("no rule after consolidation")
-	}
-	r2, ok := eng.lookupRule(fid, &rc)
-	if !ok || r2 != r1 {
-		t.Fatalf("cache hit returned %p, want cached %p", r2, r1)
-	}
-
-	// MarkStale bumps the generation; a live lookup must now miss (the
-	// rule disagrees with recorded actions) rather than serve the
-	// cached pointer.
-	if !eng.Global().MarkStale(fid) {
-		t.Fatal("MarkStale found no rule")
-	}
-	if _, ok := eng.lookupRule(fid, &rc); ok {
-		t.Fatal("stale rule served from cache after MarkStale")
-	}
-
-	rc.Invalidate()
-	for i := range rc.entries {
-		if rc.entries[i].used {
-			t.Fatal("Invalidate left a used entry")
-		}
-	}
-}
-
-// TestRuleCacheEviction: a 4-way cache holding 4 flows must evict the
-// round-robin victim when a fifth arrives, and keep serving the
-// survivors.
-func TestRuleCacheEviction(t *testing.T) {
-	eng := newBatchTestEngine(t, DefaultOptions())
-	var rc RuleCache
-	for i := 0; i < 5; i++ {
-		res, err := eng.ProcessPacket(udpPkt(t, uint16(8801+i), "install"))
+// warmCtx drives n packets of the UDP flow through b and returns the
+// flow's keyed context, which must exist afterwards.
+func warmCtx(t *testing.T, eng *Engine, b *Batch, port uint16, n int) *flowCtx {
+	t.Helper()
+	var fid flow.FID
+	for i := 0; i < n; i++ {
+		rs, err := eng.ProcessBatch([]*packet.Packet{udpPkt(t, port, "warm")}, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := eng.lookupRule(res.FID, &rc); !ok {
-			t.Fatalf("flow %d: no rule after consolidation", i)
+		fid = rs[0].FID
+	}
+	for i := range b.flows {
+		if fc := &b.flows[i]; fc.used && fc.fid == fid {
+			return fc
 		}
 	}
-	used := 0
-	for i := range rc.entries {
-		if rc.entries[i].used {
-			used++
+	t.Fatalf("flow %v (port %d) has no context after %d packets", fid, port, n)
+	return nil
+}
+
+// TestRuleCacheGenerationValidation exercises the flow context's rule
+// directly: a hit returns the cached pointer without touching the
+// table, and every kind of Global-MAT mutation — an unrelated Install,
+// MarkStale, Remove, AdvanceEpoch — forces the next lookup to the table.
+func TestRuleCacheGenerationValidation(t *testing.T) {
+	eng := newBatchTestEngine(t, DefaultOptions())
+	b := NewBatch(4)
+	fc := warmCtx(t, eng, b, 8701, 2)
+	lookup := func(wantCached, wantRule bool, when string) *mat.GlobalRule {
+		t.Helper()
+		rule, cached := eng.lookupRule(fc)
+		if cached != wantCached || (rule != nil) != wantRule {
+			t.Fatalf("%s: cached=%v rule=%v, want cached=%v rule=%v", when, cached, rule != nil, wantCached, wantRule)
+		}
+		return rule
+	}
+	r1 := lookup(true, true, "warm")
+	if r2 := lookup(true, true, "second hit"); r2 != r1 {
+		t.Fatalf("hit returned %p, want the cached %p", r2, r1)
+	}
+
+	// Another flow's install moves the one generation: a miss that finds
+	// the same, untouched rule and re-stamps it.
+	if _, err := eng.ProcessPacket(udpPkt(t, 8702, "neighbour")); err != nil {
+		t.Fatal(err)
+	}
+	if r := lookup(false, true, "after a neighbour's Install"); r != r1 {
+		t.Fatalf("miss found %p, want the installed %p", r, r1)
+	}
+	lookup(true, true, "re-stamped")
+
+	// A live lookup must miss rather than serve a pointer the table no
+	// longer vouches for; the next packet re-records the flow.
+	rerecord := func() {
+		t.Helper()
+		if got := warmCtx(t, eng, b, 8701, 2); got != fc {
+			t.Fatal("re-recording moved the flow to another context")
+		}
+		lookup(true, true, "re-recorded")
+	}
+	if !eng.Global().MarkStale(fc.fid) {
+		t.Fatal("MarkStale found no rule")
+	}
+	lookup(false, false, "after MarkStale")
+	rerecord()
+	if !eng.Global().Remove(fc.fid) {
+		t.Fatal("Remove found no rule")
+	}
+	lookup(false, false, "after Remove")
+	rerecord()
+	eng.Global().AdvanceEpoch()
+	lookup(false, false, "after AdvanceEpoch")
+}
+
+// TestRuleCacheEviction: four contexts holding four flows; a fifth flow
+// takes exactly one of them, and the evicted flow's pending bookkeeping
+// reaches its flow entry before the context is overwritten.
+func TestRuleCacheEviction(t *testing.T) {
+	eng := newBatchTestEngine(t, DefaultOptions())
+	b := NewBatch(4)
+	var fids [flowCacheWays]flow.FID
+	for i := range fids {
+		fids[i] = warmCtx(t, eng, b, uint16(8801+i), 2).fid
+	}
+	// One unflushed packet per cached flow, then a tracked fifth flow.
+	for i := range fids {
+		if _, ok := eng.classifyFast(udpPkt(t, uint16(8801+i), "pending"), b); !ok {
+			t.Fatalf("flow %d not served from its context", i)
 		}
 	}
-	if used != ruleCacheWays {
-		t.Fatalf("cache holds %d entries, want %d", used, ruleCacheWays)
+	if _, err := eng.ProcessPacket(udpPkt(t, 8805, "fifth")); err != nil {
+		t.Fatal(err)
+	}
+	fifth, ok := eng.classifyFast(udpPkt(t, 8805, "fifth"), b)
+	if !ok {
+		t.Fatal("fifth flow not fast-shaped")
+	}
+	evicted := 0
+	for i, fid := range fids {
+		held := false
+		for j := range b.flows {
+			if fc := &b.flows[j]; fc != fifth && fc.used && fc.fid == fid {
+				held = fc.dirty && fc.dPkts == 1
+			}
+		}
+		en, ok := eng.class.Flows().LookupFID(fid)
+		if !ok {
+			t.Fatalf("flow %d untracked", i)
+		}
+		switch {
+		case held && en.Packets == 2: // delta still pending in its context
+		case !held && en.Packets == 3: // evicted, delta folded first
+			evicted++
+		default:
+			t.Errorf("flow %d: held=%v with %d packets in the flow entry", i, held, en.Packets)
+		}
+	}
+	if evicted != 1 {
+		t.Fatalf("the fifth flow evicted %d contexts, want 1", evicted)
+	}
+}
+
+// lateEventNF is fakeEventNF with the registration switched off until
+// register is set: flows recorded before that have no events.
+type lateEventNF struct {
+	fakeEventNF
+	register atomic.Bool
+}
+
+func (f *lateEventNF) Process(ctx *Ctx, pkt *packet.Packet) (Verdict, error) {
+	if f.register.Load() {
+		return f.fakeEventNF.Process(ctx, pkt)
+	}
+	ctx.Charge(ctx.Model.Parse + ctx.Model.Classify)
+	return VerdictForward, ctx.AddHeaderAction(mat.Forward())
+}
+
+// TestRekeyClearsContext: a cached flow is torn down and its 5-tuple
+// comes back as a new connection whose recording registers an (armed)
+// event. The warm Batch re-acquires the context; it must serve neither
+// the old connection's rule nor its "no events" verdict, so the new
+// connection's first fast-path packet fires the event and drops.
+func TestRekeyClearsContext(t *testing.T) {
+	nf := &lateEventNF{fakeEventNF: fakeEventNF{name: "lb"}}
+	eng, err := NewEngine([]NF{nf}, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBatch(4)
+	fc := warmCtx(t, eng, b, 8901, 3)
+	old := fc.rule
+	if old == nil || !fc.noEvents {
+		t.Fatalf("warm context: rule=%p noEvents=%v, want both set", old, fc.noEvents)
+	}
+	eng.TeardownFlow(fc.fid)
+	nf.register.Store(true)
+	nf.armed.Store(true)
+	if _, err := eng.ProcessPacket(udpPkt(t, 8901, "reborn")); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := eng.ProcessBatch([]*packet.Packet{udpPkt(t, 8901, "re-keyed")}, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs[0].Path != PathFast || rs[0].Verdict != VerdictDrop || rs[0].Fast.EventsFired != 1 {
+		t.Fatalf("re-keyed packet: path=%v verdict=%v fired=%d, want the new connection's event to fire and drop",
+			rs[0].Path, rs[0].Verdict, rs[0].Fast.EventsFired)
+	}
+	live, _ := eng.Global().LookupLive(rs[0].FID)
+	if fc.rule == old || fc.rule != live || fc.gen != eng.class.Flows().Gen() {
+		t.Fatalf("context after re-key: rule %p (old %p, live %p)", fc.rule, old, live)
+	}
+}
+
+// TestOneBatchTwoEngines: the cluster carries a worker's Batch across
+// engine instances. Contexts warmed on engine A — keyed ones and the
+// FID-keyed scratch — hold A's handle, rule and verdict under the same
+// tuples and FIDs engine B uses; every stamp is from A's generation
+// bands, so B's packets must record on B and execute B's rules.
+func TestOneBatchTwoEngines(t *testing.T) {
+	mk := func(dip byte) *Engine {
+		eng, err := NewEngine([]NF{
+			&fakeModifier{name: "nat", dip: [4]byte{dip, 0, 0, 1}},
+			&fakeCounter{name: "monitor"},
+		}, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	trace := func() []*packet.Packet {
+		pkts := []*packet.Packet{
+			tcpPkt(t, 7301, packet.TCPFlagSYN, 0, ""),
+			tcpPkt(t, 7301, packet.TCPFlagACK, 1, ""),
+		}
+		for i := 0; i < 3; i++ {
+			pkts = append(pkts, tcpPkt(t, 7301, packet.TCPFlagACK, 2+i, "data"),
+				udpPkt(t, 7401, "one"), udpPkt(t, 7402, "two"))
+		}
+		// The FIN rides the fast path on the scratch context.
+		return append(pkts, tcpPkt(t, 7301, packet.TCPFlagFIN|packet.TCPFlagACK, 5, ""))
+	}
+	b := NewBatch(32)
+	a, bEng := mk(99), mk(98)
+	for _, run := range []struct {
+		eng *Engine
+		dip byte
+	}{{a, 99}, {bEng, 98}} {
+		pkts := trace()
+		rs, err := run.eng.ProcessBatch(pkts, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fast := 0
+		for i, r := range rs {
+			if r.Kind == classifier.KindHandshake {
+				continue
+			}
+			if got := pkts[i].DstIP(); got != [4]byte{run.dip, 0, 0, 1} {
+				t.Errorf("engine %d packet %d (%v, %v): rewritten to %v", run.dip, i, r.Kind, r.Path, got)
+			}
+			if r.Path == PathFast {
+				fast++
+			}
+		}
+		// Three flows record once each; everything after rides the rule.
+		st := run.eng.Stats()
+		if st.Initial != 3 || st.Consolidations != 3 || st.FastPath != 7 || fast != 7 {
+			t.Errorf("engine %d: %+v (fast results %d), want 3 initial, 3 consolidations, 7 fast", run.dip, st, fast)
+		}
+	}
+	if st := a.Stats(); st.Packets != 12 {
+		t.Errorf("engine A saw %d packets after B's replay, want its own 12", st.Packets)
+	}
+}
+
+// TestWarmPathAllocatesNothing: a warm 32-packet vector over cached
+// flows allocates nothing, and neither does the FID-keyed scratch
+// context FastProcess runs on — FastProcess itself allocates exactly the
+// result storage it hands to its asynchronous caller.
+func TestWarmPathAllocatesNothing(t *testing.T) {
+	// A state-function-only chain leaves packets byte-identical, so one
+	// vector can be replayed.
+	eng, err := NewEngine([]NF{&fakeCounter{name: "monitor"}}, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBatch(32)
+	vec := make([]*packet.Packet, 32)
+	for i := range vec {
+		vec[i] = udpPkt(t, uint16(9101+i%4), "steady")
+	}
+	run := func() {
+		if _, err := eng.ProcessBatch(vec, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if n := testing.AllocsPerRun(50, run); n != 0 {
+		t.Errorf("warm 32-packet vector: %v allocs, want 0", n)
+	}
+	fid := b.flows[0].fid
+	var info FastPathInfo
+	var res PacketResult
+	scratch := func() {
+		info, res = FastPathInfo{}, PacketResult{}
+		if _, err := eng.fastPathInto(b.scratchFor(fid), vec[0], &info, &res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(50, scratch); n != 0 || res.Path != PathFast {
+		t.Errorf("scratch context: %v allocs, path %v, want 0 on the fast path", n, res.Path)
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		if _, err := eng.FastProcess(fid, vec[0], b); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 2 {
+		t.Errorf("FastProcess: %v allocs, want 2 (its FastPathInfo and PacketResult)", n)
 	}
 }
 
@@ -424,22 +709,31 @@ func TestFlowChurnMutatesGlobalMATInPlace(t *testing.T) {
 	}
 }
 
-// TestRuleCacheHitCounters: the hub's rule-cache pair shows nearly all
-// hits while four flows share a worker's four ways, and shows the cost
-// of the table's single generation once another flow churns — every
-// install and removal anywhere invalidates every cached rule.
+// TestRuleCacheHitCounters: the hub's two hit/miss pairs count packets,
+// not lookups — one keyed probe per fast-shaped packet, one rule
+// decision per established one — show nearly all hits while four flows
+// share a worker's four contexts, and show the cost of the tables'
+// single generations once another flow churns: every install and
+// removal anywhere invalidates every cached rule, and every removal
+// sends every cached handle back through the shard lock, which is a
+// miss, not a hit.
 func TestRuleCacheHitCounters(t *testing.T) {
 	hub := telemetry.NewHub()
 	opts := DefaultOptions()
 	opts.Telemetry = hub
 	eng := newBatchTestEngine(t, opts)
-	ratio := func(run func()) (hits, misses uint64) {
-		t.Helper()
+	type pair struct{ hits, misses uint64 }
+	read := func() (flows, rules pair) {
 		c := hub.Registry.Snapshot().Counters
-		h0, m0 := c["speedybox_rule_cache_hits_total"], c["speedybox_rule_cache_misses_total"]
-		run()
-		c = hub.Registry.Snapshot().Counters
-		return c["speedybox_rule_cache_hits_total"] - h0, c["speedybox_rule_cache_misses_total"] - m0
+		return pair{c["speedybox_flow_cache_hits_total"], c["speedybox_flow_cache_misses_total"]},
+			pair{c["speedybox_rule_cache_hits_total"], c["speedybox_rule_cache_misses_total"]}
+	}
+	delta := func(pkts []*packet.Packet) (flows, rules pair) {
+		t.Helper()
+		f0, r0 := read()
+		runBatched(t, eng, pkts, 32)
+		f1, r1 := read()
+		return pair{f1.hits - f0.hits, f1.misses - f0.misses}, pair{r1.hits - r0.hits, r1.misses - r0.misses}
 	}
 	fourFlows := func(n int) []*packet.Packet {
 		var pkts []*packet.Packet
@@ -449,23 +743,37 @@ func TestRuleCacheHitCounters(t *testing.T) {
 		return pkts
 	}
 
+	// Quiet, from cold: every packet is fast-shaped and probes once; all
+	// but each flow's recording packet ride the fast path and decide
+	// once.
 	const n = 512
-	hits, misses := ratio(func() { runBatched(t, eng, fourFlows(n), 32) })
-	if hits+misses < n || hits*100 < (hits+misses)*95 {
-		t.Errorf("4-flow trace: %d hits, %d misses over %d packets, want >= 95%% hits", hits, misses, n)
+	flows, rules := delta(fourFlows(n))
+	if got := flows.hits + flows.misses; got != n {
+		t.Errorf("4-flow trace: %d flow probes counted over %d fast-shaped packets", got, n)
+	}
+	if got, fast := rules.hits+rules.misses, eng.Stats().FastPath; got != fast || fast != n-4 {
+		t.Errorf("4-flow trace: %d rule decisions counted over %d fast-path packets, want %d of each", got, fast, n-4)
+	}
+	if rules.hits*100 < (n-4)*95 || flows.hits*100 < n*95 {
+		t.Errorf("4-flow trace: flows %+v rules %+v over %d packets, want >= 95%% hits", flows, rules, n)
 	}
 
 	// The same four flows, with one short connection in every vector.
+	const vectors = n / 28
 	var pkts []*packet.Packet
-	for v := 0; v < n/28; v++ {
+	for v := 0; v < vectors; v++ {
 		pkts = append(pkts, fourFlows(28)...)
 		pkts = append(pkts, tcpLifecycle(t, uint16(100+v))...)
 	}
-	churnHits, churnMisses := ratio(func() { runBatched(t, eng, pkts, 32) })
-	lookups := churnHits + churnMisses
-	t.Logf("quiet %d/%d hits, churning %d/%d", hits, hits+misses, churnHits, lookups)
-	if churnMisses < uint64(2*(n/28)) || churnHits*100 >= lookups*95 {
-		t.Errorf("with a churning flow: %d hits, %d misses, want a visibly lower hit share than %d/%d",
-			churnHits, churnMisses, hits, hits+misses)
+	churnFlows, churnRules := delta(pkts)
+	t.Logf("quiet flows %+v rules %+v, churning flows %+v rules %+v", flows, rules, churnFlows, churnRules)
+	decisions := churnRules.hits + churnRules.misses
+	if churnRules.misses < 2*vectors || churnRules.hits*100 >= decisions*95 {
+		t.Errorf("with a churning flow: rules %+v, want a visibly lower hit share than %+v", churnRules, rules)
+	}
+	// Each FIN's teardown moves the flow-table generation, so each of the
+	// four steady flows re-acquires its handle once per vector.
+	if churnFlows.misses < 4*vectors {
+		t.Errorf("with a churning flow: flows %+v over %d vectors, want >= 4 revalidations counted as misses per vector", churnFlows, vectors)
 	}
 }

@@ -778,39 +778,40 @@ func (e *Engine) reconsolidate(fid flow.FID, cs *chainState) (uint64, error) {
 // FastProcess runs the consolidated fast path for a subsequent packet
 // on fresh result storage, exposed for platforms that dispatch
 // fast-path packets from their own cores (the ONVM manager) and account
-// the result themselves. rc is the calling core's rule cache.
-func (e *Engine) FastProcess(fid flow.FID, pkt *packet.Packet, rc *RuleCache) (*PacketResult, error) {
-	return e.fastPathInto(fid, pkt, &FastPathInfo{}, &PacketResult{}, rc)
+// the result themselves. b is the calling core's Batch; only its
+// FID-keyed scratch context is used.
+func (e *Engine) FastProcess(fid flow.FID, pkt *packet.Packet, b *Batch) (*PacketResult, error) {
+	return e.fastPathInto(b.scratchFor(fid), pkt, &FastPathInfo{}, &PacketResult{})
 }
 
 // fastPathInto applies the consolidated rule, writing into the
 // caller-provided (zeroed) info and res storage — ProcessBatch reuses
 // per-worker arrays so steady-state fast-path packets allocate
-// nothing. rc is the worker's rule cache: generation-validated hits
-// skip the sharded Global MAT map and the Event Table probes. On a
-// rule miss the packet transparently falls back to the slow path,
-// whose (allocated) result is returned instead of res.
-func (e *Engine) fastPathInto(fid flow.FID, pkt *packet.Packet, info *FastPathInfo, res *PacketResult, rc *RuleCache) (*PacketResult, error) {
+// nothing. fc is the flow's context: generation-validated hits skip
+// the sharded Global MAT map and the Event Table probes. On a rule
+// miss the packet transparently falls back to the slow path, whose
+// (allocated) result is returned instead of res.
+func (e *Engine) fastPathInto(fc *flowCtx, pkt *packet.Packet, info *FastPathInfo, res *PacketResult) (*PacketResult, error) {
 	m := e.model
 	info.FixedCycles = m.HashFID + m.FastPathBase + m.EventCheck + m.GMATLookup
 
 	// Event Table pre-check: a previously-satisfied condition updates
 	// the rule before this packet is processed (§III).
-	if fired, err := e.fireEventsCached(fid, info, rc); err != nil {
+	if fired, err := e.fireEventsCached(fc, info); err != nil {
 		return nil, err
 	} else if fired {
 		// The rule was rebuilt; the fresh lookup below sees it.
 		info.FixedCycles += m.GMATLookup
 	}
 
-	rule, ok := e.lookupRule(fid, rc)
-	if !ok {
+	rule, _ := e.lookupRule(fc)
+	if rule == nil {
 		// The rule vanished (torn down or fault-evicted concurrently)
 		// or went stale (failed install, lost recomputation). Fall
 		// back to the original chain, which is always correct; the
 		// flow re-records via the degradation ladder.
-		e.countFallback(fid)
-		return e.slowPath(fid, pkt, false)
+		e.countFallback(fc.fid)
+		return e.slowPath(fc.fid, pkt, false)
 	}
 	if !rule.Drop {
 		info.FixedCycles += m.FastPathPerHA * uint64(rule.SourceNFs)
@@ -859,7 +860,7 @@ func (e *Engine) fastPathInto(fid flow.FID, pkt *packet.Packet, info *FastPathIn
 
 	// Post-execution event check: state updates from this packet may
 	// arm a condition that changes processing for the next packet.
-	if _, err := e.fireEventsCached(fid, info, rc); err != nil {
+	if _, err := e.fireEventsCached(fc, info); err != nil {
 		return nil, err
 	}
 
@@ -884,25 +885,24 @@ func (e *Engine) fastPathInto(fid flow.FID, pkt *packet.Packet, info *FastPathIn
 
 // fireEventsCached probes the Event Table for the flow, applies any
 // updates to the owning Local MATs and reconsolidates, reporting
-// whether anything fired. rc is the per-worker cache: a flow known to
+// whether anything fired. fc is the flow's context: a flow known to
 // have no registered events (verdict validated against
 // the Event Table's registration generation) skips the locked probe
 // entirely. The verdict can only be invalidated by Register, which
 // advances the generation; firings and removals merely shrink the
-// event set, which the cache handles conservatively by keeping probing
-// flows it has no verdict for.
-func (e *Engine) fireEventsCached(fid flow.FID, info *FastPathInfo, rc *RuleCache) (bool, error) {
-	if rc.noEventsValid(e, fid) {
-		return false, nil
-	}
+// event set, which the context handles conservatively by keeping
+// probing flows it has no verdict for.
+func (e *Engine) fireEventsCached(fc *flowCtx, info *FastPathInfo) (bool, error) {
 	// Read the generation before probing: if a Register lands between
 	// the two, the cached verdict is stamped with the older generation
 	// and the next validity check conservatively misses.
 	evGen := e.events.RegGen()
-	firings, registered := e.events.Probe(fid)
-	if !registered {
-		rc.putNoEvents(fid, evGen)
+	if fc.noEvents && fc.evGen == evGen {
+		return false, nil
 	}
+	fid := fc.fid
+	firings, registered := e.events.Probe(fid)
+	fc.noEvents, fc.evGen = !registered, evGen
 	if len(firings) == 0 {
 		return false, nil
 	}

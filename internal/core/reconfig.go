@@ -233,7 +233,7 @@ func (p ChainPlan) apply(cur []NF) (next []NF, inserted, removed NF, err error) 
 //     epoch untouched on rejection);
 //  2. the chain epoch advances and the new snapshot is published —
 //     from this instant every old-epoch rule is dead to LookupLive and
-//     every batch-worker rule cache misses (AdvanceEpoch bumps the
+//     every worker's cached rule pointer misses (AdvanceEpoch bumps the
 //     table generation);
 //  3. the old epoch's rules are stale-marked (the existing MarkStale
 //     representation), so in-flight batched workers fall back to the

@@ -77,18 +77,20 @@ type engineTelemetry struct {
 	// Flow lifecycle.
 	flowResets *telemetry.Counter
 
-	// Batched fast-path classification: packets served from a worker's
-	// flow-handle cache versus those that took the shard read lock.
-	// Implementation telemetry, deliberately kept out of core.Stats —
-	// Stats is the oracle-compared behavioral surface and cache hit
-	// rates legitimately differ between scalar and batched execution.
+	// Fast-shaped packets whose keyed probe found a flow context with a
+	// valid handle versus those that took the shard read lock (cold,
+	// evicted, or revalidating after a flow removal). Implementation
+	// telemetry, deliberately kept out of core.Stats — Stats is the
+	// oracle-compared behavioral surface and hit rates legitimately
+	// differ between scalar and batched execution.
 	flowCacheHits   *telemetry.Counter
 	flowCacheMisses *telemetry.Counter
 
-	// Batched rule lookups served from a worker's generation-validated
-	// rule cache versus those that probed the Global MAT. Every table
-	// mutation anywhere bumps the one generation, so under flow churn
-	// the miss share is the price of that global invalidation.
+	// Established fast-shaped packets whose Subsequent/Initial decision
+	// was served from the context's generation-validated rule versus
+	// those that probed the Global MAT. Every table mutation anywhere
+	// bumps the one generation, so under flow churn the miss share is
+	// the price of that global invalidation.
 	ruleCacheHits   *telemetry.Counter
 	ruleCacheMisses *telemetry.Counter
 
@@ -161,13 +163,13 @@ func newEngineTelemetry(e *Engine, hub *telemetry.Hub, chain string) *engineTele
 		flowResets: reg.Counter(n("speedybox_flow_resets_total"),
 			"Flows reset by a SYN reusing a tracked 5-tuple"),
 		flowCacheHits: reg.Counter(n("speedybox_flow_cache_hits_total"),
-			"Batched classifications served from a worker's flow-handle cache"),
+			"Fast-shaped packets classified from a worker's flow context without a lock"),
 		flowCacheMisses: reg.Counter(n("speedybox_flow_cache_misses_total"),
-			"Batched classifications that acquired the flow handle through the shard lock"),
+			"Fast-shaped packets that acquired or revalidated the flow handle through the shard lock"),
 		ruleCacheHits: reg.Counter(n("speedybox_rule_cache_hits_total"),
-			"Rule lookups served from a worker's generation-validated rule cache"),
+			"Packets whose rule was served from the flow context's generation-validated pointer"),
 		ruleCacheMisses: reg.Counter(n("speedybox_rule_cache_misses_total"),
-			"Rule lookups that probed the Global MAT (cold, evicted, or invalidated by a table mutation)"),
+			"Packets whose rule lookup probed the Global MAT (cold, evicted, or invalidated by a table mutation)"),
 		unconsolidatable: reg.Counter(n("speedybox_consolidate_unconsolidatable_total"),
 			"Consolidation attempts whose actions did not fold into one rule"),
 		reconfigRollbacks: reg.Counter(n("speedybox_reconfig_rollbacks_total"),

@@ -350,7 +350,7 @@ func (g *Global) journalOf() Journal {
 }
 
 // tableGen hands each Global instance its own 2^32-wide generation
-// band. Per-worker rule caches validate cached rule pointers by
+// band. Per-worker flow contexts validate cached rule pointers by
 // generation value alone, so generations must never coincide across
 // table instances: a long-lived Batch carried across an engine rebuild
 // (crash-restore, tests constructing engine pairs) could otherwise
@@ -443,7 +443,7 @@ func (g *Global) Gen() uint64 { return g.gen.Load() }
 func (g *Global) Epoch() uint64 { return g.epoch.Load() }
 
 // AdvanceEpoch moves the table to the next chain epoch and returns it.
-// The generation is bumped too, so every batch-worker rule cache
+// The generation is bumped too, so every worker's cached rule pointer
 // invalidates immediately — a cached pre-reconfiguration rule cannot be
 // served even before SweepEpoch visits its shard.
 func (g *Global) AdvanceEpoch() uint64 {
@@ -458,7 +458,7 @@ func (g *Global) AdvanceEpoch() uint64 {
 // RestoreEpoch forces the table's epoch to e (never backwards) without
 // journaling — it exists for Engine.Restore, which replays a journal
 // that already contains the epoch history. The generation is bumped so
-// batch-worker rule caches invalidate.
+// workers' cached rule pointers invalidate.
 func (g *Global) RestoreEpoch(e uint64) {
 	for {
 		cur := g.epoch.Load()

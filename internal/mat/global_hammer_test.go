@@ -32,9 +32,9 @@ import (
 //
 //   - the seqlock: the word read before and after the lookups is the
 //     same and not busy;
-//   - the generation, which is the contract RuleCache lives by: the
-//     word read after the lookups is not busy and Gen() read before and
-//     after them agrees. The operation the word names is complete, so
+//   - the generation, which is the contract core's flow contexts live
+//     by: the word read after the lookups is not busy and Gen() read
+//     before and after them agrees. The operation the word names is complete, so
 //     its bump has happened; the generation did not move, so the bump
 //     came before the first Gen() read; and the slot stores come before
 //     the bump, so the lookups saw them. (Any later operation would
@@ -291,8 +291,8 @@ type modelRule struct {
 // globalModel pairs a Global with a plain map model. Every operation
 // is applied to both and its result compared; check compares the
 // observables. The generation must move on every mutation — including
-// no-op Remove and MarkStale, which the contract bumps so batch-worker
-// rule caches revalidate — and never regress.
+// no-op Remove and MarkStale, which the contract bumps so workers'
+// cached rule pointers revalidate — and never regress.
 type globalModel struct {
 	t       *testing.T
 	g       *Global

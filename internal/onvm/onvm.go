@@ -296,14 +296,15 @@ func (p *Platform) enqueueBatch(r *ring.Ring[*job], jobs []*job) {
 }
 
 // managerLoop is the NF manager core: it consolidates freshly recorded
-// flows and executes the Global MAT fast path behind the core's own
-// rule cache. Like the NF cores it drains its ring in bursts; each
-// job's result is allocated per job because it must outlive the burst
-// (jobs complete asynchronously).
+// flows and executes the Global MAT fast path on the core's own Batch
+// (its FID-keyed flow context: the RX core classified). Like the NF
+// cores it drains its ring in bursts; each job's result is allocated
+// per job because it must outlive the burst (jobs complete
+// asynchronously).
 func (p *Platform) managerLoop() {
 	defer p.wg.Done()
 	buf := make([]*job, core.DefaultBatchSize)
-	var rc core.RuleCache
+	b := core.NewBatch(1)
 	for {
 		n, err := p.mgrRing.DequeueBatch(buf)
 		if err != nil {
@@ -326,7 +327,7 @@ func (p *Platform) managerLoop() {
 				continue
 			}
 			// Fast-path packet.
-			res, err := p.eng.FastProcess(j.cls.FID, j.pkt, &rc)
+			res, err := p.eng.FastProcess(j.cls.FID, j.pkt, b)
 			if err != nil {
 				j.err = err
 			} else {

@@ -163,8 +163,8 @@ func (m *MultiQueue) drainClasses(w int, q []*packet.Packet, part *RunResult) er
 
 // drain is one worker's share of a Run: its queue through the wrapped
 // platform in arrival order, or through the class platforms in
-// fair-share mode, reusing a worker-owned Batch (rule cache and result
-// storage persist across vectors of the same queue — by the RSS
+// fair-share mode, reusing a worker-owned Batch (flow contexts and
+// result storage persist across vectors of the same queue — by the RSS
 // partition, exactly the packets of the worker's own flows).
 func (m *MultiQueue) drain(w int, q []*packet.Packet, part *RunResult) error {
 	if m.queueDepth != nil {

@@ -70,7 +70,7 @@ type Reconfigurer interface {
 }
 
 // Batch is per-worker scratch for ProcessBatch: the engine-level batch
-// state (rule cache, pooled result storage) plus the platform's
+// state (flow contexts, pooled result storage) plus the platform's
 // measurement buffer. It must not be shared between goroutines.
 type Batch struct {
 	// Core is the engine-level batch scratch.

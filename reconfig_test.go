@@ -227,8 +227,8 @@ func TestConcurrentReconfigure(t *testing.T) {
 		packets.Load(), applied.Load(), aborted.Load(), eng.Epoch())
 }
 
-// TestStaleEpochRuleCacheMiss pins the per-worker rule cache's epoch
-// behaviour: a warmed cache must MISS after a reconfiguration (the
+// TestStaleEpochRuleCacheMiss pins the per-worker flow contexts' epoch
+// behaviour: a warmed context must MISS after a reconfiguration (the
 // generation bump makes cached pointers to retired-epoch rules
 // unusable), the affected flows must re-record, and the very next
 // batch must be fully fast again.
@@ -280,7 +280,7 @@ func TestStaleEpochRuleCacheMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Same warm flows, new epoch: the rule cache and the Global MAT must
+	// Same warm flows, new epoch: the flow contexts and the Global MAT must
 	// both refuse the retired rules — zero fast-path hits, full re-record.
 	s3 := run(3)
 	if got := s3.FastPath - s2.FastPath; got != 0 {
