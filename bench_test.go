@@ -8,6 +8,7 @@ import (
 	speedybox "github.com/fastpathnfv/speedybox"
 	"github.com/fastpathnfv/speedybox/internal/chainspec"
 	"github.com/fastpathnfv/speedybox/internal/harness"
+	"github.com/fastpathnfv/speedybox/internal/packet"
 	"github.com/fastpathnfv/speedybox/internal/server"
 )
 
@@ -465,18 +466,7 @@ func BenchmarkFastPathBatchWAL(b *testing.B) {
 // timer stopped; parsing is inside the timed region, as on a real rx
 // path. b.N counts packets; the gate is 0 allocs/packet.
 func BenchmarkChain1FastPathBatch(b *testing.B) {
-	spec, err := chainspec.Parse([]byte(server.DefaultSpecJSON))
-	if err != nil {
-		b.Fatal(err)
-	}
-	chain, err := spec.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := speedybox.NewBESS(chain, speedybox.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
+	p := chain1BESS(b)
 	defer p.Close()
 	tr, err := speedybox.GenerateTrace(speedybox.TraceConfig{
 		Seed: 1, Flows: 256, MeanPackets: 8, UDPFraction: 1.0, Interleave: true,
@@ -511,6 +501,114 @@ func BenchmarkChain1FastPathBatch(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "pkts-Mpps")
 	if st := p.Engine().Stats(); st.FastPath+uint64(len(pkts)) < st.Packets {
 		b.Fatalf("timed passes left the fast path: %d of %d packets fast", st.FastPath, st.Packets)
+	}
+}
+
+// chain1BESS builds the paper's Chain1 (the daemon's boot chain) on the
+// BESS model with full SpeedyBox.
+func chain1BESS(b *testing.B) speedybox.Platform {
+	b.Helper()
+	spec, err := chainspec.Parse([]byte(server.DefaultSpecJSON))
+	if err != nil {
+		b.Fatal(err)
+	}
+	chain, err := spec.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := speedybox.NewBESS(chain, speedybox.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return p
+}
+
+// chain1Lifecycles builds the slow-path benchmarks' input: conns short
+// TCP connections (SYN, handshake ACK, 4 data packets, FIN; with data
+// false, only the SYN and the ACK), one after the other, as pristine
+// frames and the descriptors replayed from them.
+func chain1Lifecycles(conns int, data bool) (frames, pkts []*speedybox.Packet) {
+	for c := 0; c < conns; c++ {
+		flags := []uint8{packet.TCPFlagSYN, packet.TCPFlagACK}
+		if data {
+			const ack = packet.TCPFlagACK
+			flags = append(flags, ack, ack, ack, ack, ack|packet.TCPFlagFIN)
+		}
+		for i, f := range flags {
+			payload := ""
+			if i >= 2 && i < 6 {
+				payload = "lifecycle data"
+			}
+			spec := packet.Spec{
+				SrcIP: packet.IP4(10, 0, 1, 1), DstIP: packet.IP4(10, 0, 2, 1),
+				SrcPort: uint16(20000 + c), DstPort: 80, Proto: packet.ProtoTCP,
+				TCPFlags: f, Seq: uint32(i), Payload: []byte(payload),
+			}
+			frames = append(frames, packet.MustBuild(spec))
+			pkts = append(pkts, packet.MustBuild(spec))
+		}
+	}
+	return frames, pkts
+}
+
+// benchChain1Replay times passes over pkts in 32-packet vectors,
+// reloading the descriptors from frames with the timer stopped. b.N
+// counts units of perOp packets; the last pass is run whole (a cut
+// connection would leave its flow behind), so small b.N overshoot.
+func benchChain1Replay(b *testing.B, p speedybox.Platform, frames, pkts []*speedybox.Packet, perOp int) {
+	const vec = 32
+	bat := speedybox.NewBatch(vec)
+	pass := func() {
+		b.StopTimer()
+		for i, pkt := range pkts {
+			pkt.SetFrame(frames[i].Data())
+		}
+		b.StartTimer()
+		for off := 0; off < len(pkts); off += vec {
+			if _, err := p.ProcessBatch(pkts[off:min(off+vec, len(pkts))], bat); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	// Warm the Batch, the NFs' tables and the flow table's free lists.
+	pass()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n += len(pkts) / perOp {
+		pass()
+	}
+	b.ReportMetric(float64(b.N*perOp)/b.Elapsed().Seconds()/1e6, "pkts-Mpps")
+}
+
+// BenchmarkChain1SlowPathBatch is the slow path that records nothing:
+// vectors of TCP handshake packets (SYN, ACK) walk all four Chain1 NFs
+// on the worker's traversal scratch. b.N counts packets; the gate is 0
+// allocs/packet, in the engine and in the NFs.
+func BenchmarkChain1SlowPathBatch(b *testing.B) {
+	p := chain1BESS(b)
+	defer p.Close()
+	frames, pkts := chain1Lifecycles(512, false)
+	benchChain1Replay(b, p, frames, pkts, 1)
+	if st := p.Engine().Stats(); st.Handshake != st.Packets {
+		b.Fatalf("%d of %d packets were not handshake packets", st.Packets-st.Handshake, st.Packets)
+	}
+}
+
+// BenchmarkChain1FlowLifecycle is flow set-up end to end: per op one
+// TCP connection through ProcessBatch — SYN, ACK, the data packet that
+// records, consolidates and installs the rule, three on the fast path,
+// and the FIN that tears everything down. allocs/op is what a flow
+// costs to set up and remove (parent commit: ~80; the gate is 40).
+func BenchmarkChain1FlowLifecycle(b *testing.B) {
+	const perConn = 7
+	p := chain1BESS(b)
+	defer p.Close()
+	frames, pkts := chain1Lifecycles(32, true)
+	benchChain1Replay(b, p, frames, pkts, perConn)
+	st := p.Engine().Stats()
+	if st.Consolidations*perConn != st.Packets || p.Engine().Global().Len() != 0 {
+		b.Fatalf("stats %+v, %d rules left: want one consolidation per connection and every rule removed",
+			st, p.Engine().Global().Len())
 	}
 }
 

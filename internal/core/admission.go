@@ -39,8 +39,9 @@ type Admission interface {
 	ReleaseRule(fid flow.FID)
 	// AdmitEvent asks to register one event for the flow. Returning
 	// false refuses the registration; the engine abandons the flow's
-	// recording (the partial Local MAT state and any already-admitted
-	// events are wiped and released) and keeps it on the slow path.
+	// recording (nothing reaches the Local MATs, and any
+	// already-admitted events are removed and released) and keeps it on
+	// the slow path.
 	AdmitEvent(tenant int32, fid flow.FID) bool
 	// ReleaseEvents returns everything AdmitEvent charged for the
 	// flow. Fired one-shot events decay inside the Event Table without

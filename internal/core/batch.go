@@ -2,6 +2,7 @@ package core
 
 import (
 	"github.com/fastpathnfv/speedybox/internal/classifier"
+	"github.com/fastpathnfv/speedybox/internal/cost"
 	"github.com/fastpathnfv/speedybox/internal/fault"
 	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/mat"
@@ -164,11 +165,12 @@ func (s *statsShard) fold(d *statsDelta) {
 }
 
 // Batch is the per-worker scratch state of the data path: the flow
-// contexts, preallocated result storage, and the counter and telemetry
-// fold buffers. A Batch must not be shared between goroutines (each
-// runner worker owns one; ProcessPacket draws one from the engine's
-// pool); results returned by ProcessBatch point into the Batch's
-// storage and are valid only until the next call on the same Batch.
+// contexts, preallocated result storage, the counter and telemetry
+// fold buffers, and the slow path's traversal scratch. A Batch must not
+// be shared between goroutines (each runner worker owns one;
+// ProcessPacket draws one from the engine's pool); results returned by
+// ProcessBatch — fast and slow alike — point into the Batch's storage
+// and are valid only until the next call on the same Batch.
 type Batch struct {
 	// flows is the keyed context cache, clock its round-robin victim
 	// pointer. scratch serves packets that arrive with a FID and no
@@ -200,6 +202,43 @@ type Batch struct {
 	telVal  uint64
 	telN    uint64
 	telHint uint32
+
+	// slow is the slow path's scratch, behind one pointer so the fields
+	// above keep their offsets.
+	slow *traversal
+}
+
+// traversal is a worker's reusable slow-path scratch: everything a
+// chain traversal needs besides the packet's PacketResult slot, so a
+// warm Batch runs one without allocating. infos and ledger hold one
+// entry or span per slow packet of the current vector — the results
+// point at them — and start over with the next vector; the rest is
+// rewritten by every traversal.
+type traversal struct {
+	infos []SlowPathInfo
+	used  int
+	// ledger backs every SlowPathInfo.PerNF of the vector.
+	ledger cost.Ledger
+	// ctx is the one instrumentation context, repointed per NF; its
+	// recording buffers collect the whole chain's actions and functions.
+	ctx Ctx
+	// rules[i] is NF i's span of the recording buffers and contribs[i]
+	// presents it to the consolidation (a nil Rule: recorded nothing).
+	rules    []mat.LocalRule
+	contribs []mat.Contribution
+}
+
+// nextInfo returns a fresh SlowPathInfo for the vector's next slow
+// packet. Growth leaves earlier entries, which results may point at,
+// where they are.
+func (t *traversal) nextInfo() *SlowPathInfo {
+	if t.used == len(t.infos) {
+		t.infos = append(t.infos, SlowPathInfo{})
+	}
+	info := &t.infos[t.used]
+	t.used++
+	*info = SlowPathInfo{DropIndex: -1}
+	return info
 }
 
 // NewBatch returns batch scratch sized for n-packet vectors (0 picks
@@ -214,6 +253,7 @@ func NewBatch(n int) *Batch {
 		info:  make([]FastPathInfo, n),
 		out:   make([]*PacketResult, 0, n),
 		dirty: make([]uint32, 0, statsShardCount),
+		slow:  &traversal{},
 	}
 }
 
@@ -230,6 +270,8 @@ func (b *Batch) begin(n int) {
 	clear(b.res)
 	clear(b.info)
 	b.out = b.out[:0]
+	b.slow.used = 0
+	b.slow.ledger.Reset()
 }
 
 // flushFlows folds every flow context's pending bookkeeping into the
@@ -386,19 +428,21 @@ func (e *Engine) flushStats(b *Batch) {
 // differential oracle holds vectors of 1 and of 32 bit-identical.
 // Arrival order is preserved across the whole vector (no grouping or
 // sorting): NFs keep cross-flow state (rate limiters, DoS counters),
-// so reordering could change verdicts. Returned results point into the
-// Batch and are valid until its next use; processing stops at the
-// first failing packet, whose predecessors stay accounted.
+// so reordering could change verdicts. Returned results — the
+// PacketResult, its Fast or Slow info and Slow.PerNF — point into the
+// Batch and are valid until its next use, when they are overwritten: a
+// caller that keeps one across calls copies it first (ProcessPacket
+// does). Processing stops at the first failing packet, whose
+// predecessors stay accounted.
 func (e *Engine) ProcessBatch(pkts []*packet.Packet, b *Batch) ([]*PacketResult, error) {
 	b.begin(len(pkts))
 	out := b.out
 	for i, pkt := range pkts {
-		res, err := e.process(pkt, &b.info[i], &b.res[i], b)
-		if err != nil {
+		if err := e.process(pkt, &b.info[i], &b.res[i], b); err != nil {
 			e.flushStats(b)
 			return nil, err
 		}
-		out = append(out, res)
+		out = append(out, &b.res[i])
 	}
 	b.out = out
 	e.flushStats(b)
@@ -407,9 +451,9 @@ func (e *Engine) ProcessBatch(pkts []*packet.Packet, b *Batch) ([]*PacketResult,
 
 // process is the per-packet decision ladder: classify, eviction fault,
 // one arm per packet kind, account. info and res are the packet's
-// (zeroed) slots in b's result storage, used when it takes the fast
-// path; slow-path results are allocated by the traversal.
-func (e *Engine) process(pkt *packet.Packet, info *FastPathInfo, res *PacketResult, b *Batch) (*PacketResult, error) {
+// (zeroed) slots in b's result storage; a slow-path packet leaves info
+// unused and draws its SlowPathInfo from b's traversal scratch.
+func (e *Engine) process(pkt *packet.Packet, info *FastPathInfo, res *PacketResult, b *Batch) error {
 	var (
 		fid  flow.FID
 		kind classifier.Kind
@@ -445,7 +489,7 @@ func (e *Engine) process(pkt *packet.Packet, info *FastPathInfo, res *PacketResu
 		b.flushFlows()
 		cls, err := e.Classify(pkt)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		fid, kind = cls.FID, cls.Kind
 		fc = b.scratchFor(fid)
@@ -462,42 +506,39 @@ func (e *Engine) process(pkt *packet.Packet, info *FastPathInfo, res *PacketResu
 		e.evictConsolidated(fid)
 	}
 
-	var (
-		r   *PacketResult
-		err error
-	)
+	var err error
 	switch kind {
 	case classifier.KindSubsequent:
-		r, err = e.fastPathInto(fc, pkt, info, res)
+		err = e.fastPathInto(fc, pkt, info, res, b)
 	case classifier.KindFinal:
 		if e.hasRule != nil && e.hasRule(fid) {
-			r, err = e.fastPathInto(fc, pkt, info, res)
+			err = e.fastPathInto(fc, pkt, info, res, b)
 		} else {
-			r, err = e.slowPath(fid, pkt, false)
+			err = e.slowPath(fid, pkt, false, res, b)
 		}
 		if err == nil {
 			e.teardown(fid, CauseFinTeardown)
-			r.TornDown = true
+			res.TornDown = true
 		}
 	case classifier.KindInitial:
 		// The slow path drives the original chain, which may observe
 		// flow entries: fold pending bookkeeping first.
 		b.flushFlows()
 		recording := e.TryBeginRecording(fid)
-		r, err = e.slowPath(fid, pkt, recording)
+		err = e.slowPath(fid, pkt, recording, res, b)
 		if recording {
 			e.EndRecording(fid)
 		}
 	default: // KindHandshake
-		r, err = e.slowPath(fid, pkt, false)
+		err = e.slowPath(fid, pkt, false, res, b)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	r.FID = fid
-	r.Kind = kind
-	b.account(e, r)
-	return r, nil
+	res.FID = fid
+	res.Kind = kind
+	b.account(e, res)
+	return nil
 }
 
 // classifyFast classifies one fast-shaped packet — a plain data packet

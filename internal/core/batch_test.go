@@ -30,8 +30,8 @@ func runScalar(t *testing.T, eng *Engine, pkts []*packet.Packet) []PacketResult 
 }
 
 // runBatched replays pkts through ProcessBatch in vec-sized vectors,
-// copying results out of the Batch's reused storage before the next
-// vector overwrites it.
+// copying results — path info and PerNF included — out of the Batch's
+// reused storage before the next vector overwrites it.
 func runBatched(t *testing.T, eng *Engine, pkts []*packet.Packet, vec int) []PacketResult {
 	t.Helper()
 	b := NewBatch(vec)
@@ -46,7 +46,7 @@ func runBatched(t *testing.T, eng *Engine, pkts []*packet.Packet, vec int) []Pac
 			t.Fatalf("batch at offset %d: %v", off, err)
 		}
 		for _, r := range rs {
-			out = append(out, *r)
+			out = append(out, *r.clone())
 		}
 	}
 	return out
@@ -615,7 +615,7 @@ func TestOneBatchTwoEngines(t *testing.T) {
 // TestWarmPathAllocatesNothing: a warm 32-packet vector over cached
 // flows allocates nothing, and neither does the FID-keyed scratch
 // context FastProcess runs on — FastProcess itself allocates exactly the
-// result storage it hands to its asynchronous caller.
+// result copy it hands to its asynchronous caller.
 func TestWarmPathAllocatesNothing(t *testing.T) {
 	// A state-function-only chain leaves packets byte-identical, so one
 	// vector can be replayed.
@@ -642,7 +642,7 @@ func TestWarmPathAllocatesNothing(t *testing.T) {
 	var res PacketResult
 	scratch := func() {
 		info, res = FastPathInfo{}, PacketResult{}
-		if _, err := eng.fastPathInto(b.scratchFor(fid), vec[0], &info, &res); err != nil {
+		if err := eng.fastPathInto(b.scratchFor(fid), vec[0], &info, &res, b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -653,8 +653,8 @@ func TestWarmPathAllocatesNothing(t *testing.T) {
 		if _, err := eng.FastProcess(fid, vec[0], b); err != nil {
 			t.Fatal(err)
 		}
-	}); n != 2 {
-		t.Errorf("FastProcess: %v allocs, want 2 (its FastPathInfo and PacketResult)", n)
+	}); n != 1 {
+		t.Errorf("FastProcess: %v allocs, want 1 (the caller-owned copy of its result)", n)
 	}
 }
 

@@ -1,0 +1,190 @@
+package core_test
+
+import (
+	"fmt"
+	"testing"
+
+	"github.com/fastpathnfv/speedybox/internal/chainspec"
+	"github.com/fastpathnfv/speedybox/internal/core"
+	"github.com/fastpathnfv/speedybox/internal/flow"
+	"github.com/fastpathnfv/speedybox/internal/nf/maglev"
+	"github.com/fastpathnfv/speedybox/internal/packet"
+	"github.com/fastpathnfv/speedybox/internal/server"
+)
+
+// These tests drive the engine with the paper's Chain1 built from the
+// bundled NF catalog (MazuNAT, Maglev, Monitor, IPFilter), which an
+// in-package test cannot import.
+
+func chain1(t testing.TB) []core.NF {
+	t.Helper()
+	spec, err := chainspec.Parse([]byte(server.DefaultSpecJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return chain
+}
+
+func chain1Engine(t testing.TB, opts core.Options) *core.Engine {
+	t.Helper()
+	eng, err := core.NewEngine(chain1(t), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+func chain1Pkt(port uint16, proto, flags uint8, payload string) *packet.Packet {
+	return packet.MustBuild(packet.Spec{
+		SrcIP: packet.IP4(10, 0, 0, 1), DstIP: packet.IP4(10, 0, 0, 2),
+		SrcPort: port, DstPort: 80, Proto: proto, TCPFlags: flags,
+		Payload: []byte(payload),
+	})
+}
+
+// replayer reloads a vector from its pristine frames (the NAT and the
+// load balancer rewrite the packets) and runs it on one warm Batch.
+func replayer(t *testing.T, eng *core.Engine, vec []*packet.Packet) func() {
+	t.Helper()
+	frames := make([][]byte, len(vec))
+	for i, p := range vec {
+		frames[i] = append([]byte(nil), p.Data()...)
+	}
+	b := core.NewBatch(len(vec))
+	return func() {
+		for i, p := range vec {
+			p.SetFrame(frames[i])
+		}
+		if _, err := eng.ProcessBatch(vec, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSlowPathAllocationBudget: on a warm Batch a chain traversal that
+// records nothing — handshake packets, and every packet of the baseline
+// engine — allocates nothing in the engine or in the NFs; a traversal
+// that records pays only for what outlives it.
+func TestSlowPathAllocationBudget(t *testing.T) {
+	t.Run("handshake", func(t *testing.T) {
+		eng := chain1Engine(t, core.DefaultOptions())
+		var vec []*packet.Packet
+		for f := 0; f < 16; f++ {
+			vec = append(vec,
+				chain1Pkt(uint16(7000+f), packet.ProtoTCP, packet.TCPFlagSYN, ""),
+				chain1Pkt(uint16(7000+f), packet.ProtoTCP, packet.TCPFlagACK, ""))
+		}
+		run := replayer(t, eng, vec)
+		run()
+		if n := testing.AllocsPerRun(20, run); n != 0 {
+			t.Errorf("32 handshake packets: %v allocs, want 0", n)
+		}
+		if st := eng.Stats(); st.Handshake != st.Packets || st.SlowPath != st.Packets {
+			t.Errorf("stats %+v: want every packet a slow-path handshake", st)
+		}
+	})
+	t.Run("baseline", func(t *testing.T) {
+		eng := chain1Engine(t, core.BaselineOptions())
+		vec := make([]*packet.Packet, 32)
+		for i := range vec {
+			vec[i] = chain1Pkt(uint16(7100+i%4), packet.ProtoUDP, 0, "steady")
+		}
+		run := replayer(t, eng, vec)
+		run()
+		if n := testing.AllocsPerRun(20, run); n != 0 {
+			t.Errorf("32 baseline packets: %v allocs, want 0", n)
+		}
+	})
+	t.Run("recording", func(t *testing.T) {
+		// One flow set up and torn down per run: the recording packet
+		// pays for the flow entry, the NFs' per-flow state and closures,
+		// four published Local MAT rules, the consolidated rule and its
+		// events — 33 objects when this budget was set (57 before the
+		// traversal scratch).
+		const budget = 36
+		eng := chain1Engine(t, core.DefaultOptions())
+		vec := []*packet.Packet{chain1Pkt(7200, packet.ProtoUDP, 0, "first")}
+		replay := replayer(t, eng, vec)
+		run := func() {
+			replay()
+			eng.TeardownFlow(flow.FID(vec[0].Meta.FID))
+		}
+		run()
+		if n := testing.AllocsPerRun(20, run); n > budget {
+			t.Errorf("record, consolidate, install, tear down: %v allocs, budget %d", n, budget)
+		}
+		if st := eng.Stats(); st.Consolidations != st.Packets {
+			t.Errorf("stats %+v: want every packet to record and consolidate", st)
+		}
+	})
+}
+
+// TestMaglevFailoverReconsolidates: a failover event rewrites the load
+// balancer's published Local MAT rule in place and the engine rebuilds
+// the flow's Global rule from the four Local MATs. The expected rule
+// and program are the parent commit's (per-action Local MAT writes,
+// clone-then-merge consolidation), byte for byte.
+func TestMaglevFailoverReconsolidates(t *testing.T) {
+	chain := chain1(t)
+	eng, err := core.NewEngine(chain, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lb *maglev.Maglev
+	for _, nf := range chain {
+		if m, ok := nf.(*maglev.Maglev); ok {
+			lb = m
+		}
+	}
+	first, err := eng.ProcessPacket(chain1Pkt(7300, packet.ProtoUDP, 0, "first"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fid := first.FID
+	rule, ok := eng.Global().LookupLive(fid)
+	if !ok {
+		t.Fatal("no rule after the initial packet")
+	}
+	before := fmt.Sprintf("%v %x", rule, rule.Prog)
+	// The default spec's backends are 192.168.1.10, .11 and .12, in order.
+	orig, _ := lb.BackendOf(fid)
+	if err := lb.FailBackend(int(orig.IP[3]) - 10); err != nil {
+		t.Fatal(err)
+	}
+	second := chain1Pkt(7300, packet.ProtoUDP, 0, "second")
+	res, err := eng.ProcessPacket(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Path != core.PathFast || res.Fast.EventsFired != 1 {
+		t.Fatalf("second packet: path %v, %d events fired; want the fast path after one failover", res.Path, res.Fast.EventsFired)
+	}
+	rule, _ = eng.Global().LookupLive(fid)
+	after := fmt.Sprintf("%v %x", rule, rule.Prog)
+	nb, _ := lb.BackendOf(fid)
+	if nb == orig || second.DstIP() != nb.IP {
+		t.Errorf("rerouted %v -> %v, packet rewritten to %v", orig, nb, second.DstIP())
+	}
+	const (
+		wantBefore = "fid:6c623 -> modify(SIP,SPort,DIP) + 2 SF batch(es) in 1 stage(s) [v0] 01040304c63364010407024e20040404c0a8010a05"
+		wantAfter  = "fid:6c623 -> modify(SIP,SPort,DIP) + 2 SF batch(es) in 1 stage(s) [v1] 01040304c63364010407024e20040404c0a8010b05"
+	)
+	if before != wantBefore || after != wantAfter {
+		t.Errorf("rules differ from the parent commit's:\nbefore %s\nwant   %s\nafter  %s\nwant   %s", before, wantBefore, after, wantAfter)
+	}
+	// The failover's in-place edit stayed inside the load balancer's own
+	// entry: its neighbours' published rules are what they recorded.
+	for i, want := range []string{"[modify(SIP) modify(SPort)]", "", "[forward]", "[forward]"} {
+		if i == 1 {
+			continue
+		}
+		r, _ := eng.Local(i).Get(fid)
+		if got := fmt.Sprint(r.Actions); got != want {
+			t.Errorf("Local MAT %d after the failover: %s, want %s", i, got, want)
+		}
+	}
+}

@@ -438,46 +438,50 @@ func (e *Engine) resetReusedFlow(fid flow.FID) {
 
 // ProcessNF runs the i-th NF on a slow-path packet, returning the
 // verdict and the work cycles the NF charged. Pipelined platforms call
-// it from per-NF goroutines; PrepareRecording must have run first for
-// recording packets.
-func (e *Engine) ProcessNF(i int, fid flow.FID, pkt *packet.Packet, recording bool) (Verdict, uint64, error) {
+// it from per-NF goroutines, each on its own Batch (only the traversal
+// scratch is used); PrepareRecording must have run first for recording
+// packets. What the NF recorded is published to its Local MAT when it
+// returns without error.
+func (e *Engine) ProcessNF(i int, fid flow.FID, pkt *packet.Packet, recording bool, b *Batch) (Verdict, uint64, error) {
 	cs := e.state()
 	if i < 0 || i >= len(cs.chain) {
 		return 0, 0, fmt.Errorf("%w: %d", ErrNFIndex, i)
 	}
 	nf := cs.chain[i]
-	ledger := getLedger()
-	defer putLedger(ledger)
-	ctx := &Ctx{
+	t := b.slow
+	t.ledger.Reset()
+	ctx := e.beginTraversal(t, fid, pkt, recording, cs)
+	ctx.nf = nf.Name()
+	v, err := nf.Process(ctx, pkt)
+	if err != nil {
+		return 0, t.ledger.Total(), fmt.Errorf("%w: %s: %w", ErrNFFailed, nf.Name(), err)
+	}
+	if len(ctx.acts) > 0 || len(ctx.funcs) > 0 {
+		cs.locals[i].Replace(fid, &mat.LocalRule{Actions: ctx.acts, Funcs: ctx.funcs})
+	}
+	return v, t.ledger.Total(), nil
+}
+
+// beginTraversal readies t's instrumentation context for one packet's
+// walk over the chain snapshot: empty recording buffers, a fresh ledger
+// span. The caller points ctx.nf at each NF in turn.
+func (e *Engine) beginTraversal(t *traversal, fid flow.FID, pkt *packet.Packet, recording bool, cs *chainState) *Ctx {
+	t.ledger.Begin()
+	ctx := &t.ctx
+	*ctx = Ctx{
 		FID:       fid,
 		Initial:   recording,
 		Model:     e.model,
-		nf:        nf.Name(),
-		ledger:    ledger,
-		local:     cs.locals[i],
+		ledger:    &t.ledger,
 		events:    e.events,
 		recording: recording,
+		acts:      ctx.acts[:0],
+		funcs:     ctx.funcs[:0],
 		epoch:     cs.epoch,
 		admit:     e.admission,
 		tenant:    pkt.Meta.Tenant,
 	}
-	v, err := nf.Process(ctx, pkt)
-	if err != nil {
-		return 0, ledger.Total(), fmt.Errorf("%w: %s: %w", ErrNFFailed, nf.Name(), err)
-	}
-	return v, ledger.Total(), nil
-}
-
-// ledgerPool recycles per-packet cycle ledgers so the slow path does
-// not allocate a map-backed ledger per packet (or per NF hop in the
-// pipelined platform).
-var ledgerPool = sync.Pool{New: func() any { return cost.NewLedger() }}
-
-func getLedger() *cost.Ledger { return ledgerPool.Get().(*cost.Ledger) }
-
-func putLedger(l *cost.Ledger) {
-	l.Reset()
-	ledgerPool.Put(l)
+	return ctx
 }
 
 // PrepareRecording clears the flow's Local MAT entries and events so
@@ -486,6 +490,12 @@ func (e *Engine) PrepareRecording(fid flow.FID) {
 	for _, l := range e.state().locals {
 		l.Delete(fid)
 	}
+	e.dropEvents(fid)
+}
+
+// dropEvents empties the flow's Event Table entry and returns its
+// admission budget.
+func (e *Engine) dropEvents(fid flow.FID) {
 	e.events.Remove(fid)
 	e.releaseEventBudget(fid)
 }
@@ -518,8 +528,7 @@ func (e *Engine) Account(res *PacketResult) {
 // full accounting. The packet is mutated (or dropped) in place. It is
 // ProcessBatch over a vector of one on a pooled Batch: the counters and
 // the flow's bookkeeping are folded before it returns, and the result is
-// caller-owned — a fast-path result is copied out of the Batch's
-// storage (slow-path results are allocated by the traversal already).
+// caller-owned — a deep copy out of the Batch's storage.
 func (e *Engine) ProcessPacket(pkt *packet.Packet) (*PacketResult, error) {
 	b := e.scalar.Get().(*Batch)
 	defer e.scalar.Put(b)
@@ -528,25 +537,20 @@ func (e *Engine) ProcessPacket(pkt *packet.Packet) (*PacketResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := out[0]
-	if res.Fast == nil {
-		return res, nil
-	}
-	owned := &struct {
-		PacketResult
-		FastPathInfo
-	}{*res, *res.Fast}
-	owned.Fast = &owned.FastPathInfo
-	return &owned.PacketResult, nil
+	return out[0].clone(), nil
 }
 
 // slowPath runs the packet through the original service chain,
-// recording behaviour when requested.
-func (e *Engine) slowPath(fid flow.FID, pkt *packet.Packet, recording bool) (*PacketResult, error) {
+// recording behaviour when requested, and writes the account into res,
+// the packet's slot in b. It runs on b's traversal scratch: a packet
+// that records nothing allocates nothing here. What the NFs record is
+// gathered in the scratch and published to their Local MATs only once
+// the whole chain has run — a traversal cut short by an NF error, an
+// injected NF crash or a refused event leaves no entry behind.
+func (e *Engine) slowPath(fid flow.FID, pkt *packet.Packet, recording bool, res *PacketResult, b *Batch) error {
 	cs := e.state()
-	ledger := getLedger()
-	defer putLedger(ledger)
-	info := &SlowPathInfo{DropIndex: -1}
+	t := b.slow
+	info := t.nextInfo()
 	if e.opts.EnableSpeedyBox {
 		// The SpeedyBox classifier hashed the 5-tuple and attached
 		// metadata; the baseline has no such stage.
@@ -556,26 +560,23 @@ func (e *Engine) slowPath(fid flow.FID, pkt *packet.Packet, recording bool) (*Pa
 		// Re-recording an initial packet (e.g. several packets raced
 		// in before consolidation) starts from clean Local MATs.
 		e.PrepareRecording(fid)
+		if cap(t.rules) < len(cs.chain) {
+			t.rules = make([]mat.LocalRule, len(cs.chain))
+			t.contribs = make([]mat.Contribution, len(cs.chain))
+		}
+		t.rules, t.contribs = t.rules[:len(cs.chain)], t.contribs[:len(cs.chain)]
+		for i, nf := range cs.chain {
+			t.contribs[i] = mat.Contribution{NF: nf.Name()}
+		}
 	}
 
 	verdict := VerdictForward
-	// One Ctx serves the whole traversal; only the per-NF fields are
-	// repointed between hops, so the slow path allocates no Ctx per NF.
-	ctx := &Ctx{
-		FID:       fid,
-		Initial:   recording,
-		Model:     e.model,
-		ledger:    ledger,
-		events:    e.events,
-		recording: recording,
-		epoch:     cs.epoch,
-		admit:     e.admission,
-		tenant:    pkt.Meta.Tenant,
-	}
+	// One Ctx serves the whole traversal; only the NF name is repointed
+	// between hops.
+	ctx := e.beginTraversal(t, fid, pkt, recording, cs)
 	abortRecording := false
 	for i, nf := range cs.chain {
 		ctx.nf = nf.Name()
-		ctx.local = cs.locals[i]
 		if e.faults != nil && e.faults.Should(fault.KindNFError, fid) {
 			// Fault: the NF "crashes" before touching the packet and
 			// restarts. The restarted NF reprocesses the hop
@@ -590,9 +591,18 @@ func (e *Engine) slowPath(fid flow.FID, pkt *packet.Packet, recording bool) (*Pa
 				e.tel.rec.Append(telemetry.EvFaultInject, uint32(fid), fault.KindNFError.String())
 			}
 		}
+		nActs, nFuncs := len(ctx.acts), len(ctx.funcs)
 		v, err := nf.Process(ctx, pkt)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %s: %w", ErrNFFailed, nf.Name(), err)
+			return fmt.Errorf("%w: %s: %w", ErrNFFailed, nf.Name(), err)
+		}
+		if len(ctx.acts) > nActs || len(ctx.funcs) > nFuncs {
+			// Capacity-limited: a span never grows into the next NF's.
+			t.rules[i] = mat.LocalRule{
+				Actions: ctx.acts[nActs:len(ctx.acts):len(ctx.acts)],
+				Funcs:   ctx.funcs[nFuncs:len(ctx.funcs):len(ctx.funcs)],
+			}
+			t.contribs[i].Rule = &t.rules[i]
 		}
 		if v == VerdictDrop {
 			verdict = VerdictDrop
@@ -603,17 +613,14 @@ func (e *Engine) slowPath(fid flow.FID, pkt *packet.Packet, recording bool) (*Pa
 			break
 		}
 	}
-	info.PerNF = ledger.Stages()
+	info.PerNF = t.ledger.Stages()
 
-	res := &PacketResult{
-		Path:    PathSlow,
-		Verdict: verdict,
-		Slow:    info,
-	}
+	*res = PacketResult{Path: PathSlow, Verdict: verdict, Slow: info}
 	if recording && abortRecording {
-		// Wipe the partial recording and park the flow on the ladder;
-		// a later initial packet re-records from scratch.
-		e.PrepareRecording(fid)
+		// Drop the recording (its events are all that left the scratch)
+		// and park the flow on the ladder; a later initial packet
+		// re-records from scratch.
+		e.dropEvents(fid)
 		e.degradeFlow(fid, CauseNFError)
 		recording = false
 	}
@@ -625,30 +632,37 @@ func (e *Engine) slowPath(fid flow.FID, pkt *packet.Packet, recording bool) (*Pa
 		// fault this is not degradation-laddered — the flow simply
 		// retries on its next initial packet, succeeding as soon as
 		// the tenant's other flows release budget.
-		e.PrepareRecording(fid)
+		e.dropEvents(fid)
 		e.statsFor(fid).eventCapDenied.Add(1)
 		recording = false
 	}
 	if recording {
-		if err := e.consolidate(fid, ctx.tenant, info, cs); err != nil {
+		for i, c := range t.contribs {
+			if c.Rule != nil {
+				cs.locals[i].Replace(fid, c.Rule)
+			}
+		}
+		if err := e.consolidate(fid, ctx.tenant, info, cs, t.contribs); err != nil {
 			if !errors.Is(err, mat.ErrNotConsolidatable) {
-				return nil, err
+				return err
 			}
 			// No rule is installed: the flow stays on the (always
 			// correct) slow path, just without acceleration.
 		}
 	}
 	res.WorkCycles = info.ClassifierCycles + res.NFWork() + info.ConsolidateCycles
-	return res, nil
+	return nil
 }
 
-// consolidate snapshots the Local MATs of the given chain snapshot and
-// installs the Global MAT rule, charging the consolidation cost into
-// info. The installed rule carries the snapshot's epoch: if a
-// reconfiguration raced this traversal, the rule is born under the
-// retired epoch and LookupLive never serves it. tenant attributes the
-// install for admission (-1 = resolve the flow's recorded tenant).
-func (e *Engine) consolidate(fid flow.FID, tenant int32, info *SlowPathInfo, cs *chainState) error {
+// consolidate builds the flow's Global MAT rule from its per-NF
+// contributions under the given chain snapshot and installs it,
+// charging the consolidation cost into info. The installed rule carries
+// the snapshot's epoch: if a reconfiguration raced this traversal, the
+// rule is born under the retired epoch and LookupLive never serves it.
+// tenant attributes the install for admission (-1 = resolve the flow's
+// recorded tenant). contribs is only read: the rule copies what it
+// keeps.
+func (e *Engine) consolidate(fid flow.FID, tenant int32, info *SlowPathInfo, cs *chainState, contribs []mat.Contribution) error {
 	if e.admission != nil {
 		if _, exists := e.global.Lookup(fid); !exists {
 			// Only a flow's first install consumes quota; replacements
@@ -665,16 +679,11 @@ func (e *Engine) consolidate(fid flow.FID, tenant int32, info *SlowPathInfo, cs 
 			}
 		}
 	}
-	contribs := make([]mat.Contribution, 0, len(cs.chain))
 	contributed := 0
-	for i, nf := range cs.chain {
-		rule, ok := cs.locals[i].Get(fid)
-		if !ok {
-			contribs = append(contribs, mat.Contribution{NF: nf.Name()})
-			continue
+	for _, c := range contribs {
+		if c.Rule != nil {
+			contributed++
 		}
-		contributed++
-		contribs = append(contribs, mat.Contribution{NF: nf.Name(), Rule: rule})
 	}
 	rule, err := mat.Consolidate(fid, contribs)
 	if err != nil {
@@ -764,41 +773,50 @@ func (e *Engine) evictConsolidated(fid flow.FID) {
 	}
 }
 
-// reconsolidate rebuilds the flow's rule from its Local MAT entries
-// against the given chain snapshot — after event updates, the snapshot
-// the firings were validated under.
+// reconsolidate rebuilds the flow's rule from snapshots of its Local
+// MAT entries against the given chain snapshot — after event updates,
+// the snapshot the firings were validated under.
 func (e *Engine) reconsolidate(fid flow.FID, cs *chainState) (uint64, error) {
-	info := &SlowPathInfo{}
-	if err := e.consolidate(fid, -1, info, cs); err != nil {
+	contribs := make([]mat.Contribution, len(cs.chain))
+	for i, nf := range cs.chain {
+		rule, _ := cs.locals[i].Get(fid)
+		contribs[i] = mat.Contribution{NF: nf.Name(), Rule: rule}
+	}
+	var info SlowPathInfo
+	if err := e.consolidate(fid, -1, &info, cs, contribs); err != nil {
 		return 0, err
 	}
 	return info.ConsolidateCycles, nil
 }
 
-// FastProcess runs the consolidated fast path for a subsequent packet
-// on fresh result storage, exposed for platforms that dispatch
-// fast-path packets from their own cores (the ONVM manager) and account
-// the result themselves. b is the calling core's Batch; only its
-// FID-keyed scratch context is used.
+// FastProcess runs the consolidated fast path for a subsequent packet,
+// exposed for platforms that dispatch fast-path packets from their own
+// cores (the ONVM manager) and account the result themselves. b is the
+// calling core's Batch: the packet runs as its vector of one, on its
+// FID-keyed scratch context, and the result is a caller-owned copy, as
+// ProcessPacket's is.
 func (e *Engine) FastProcess(fid flow.FID, pkt *packet.Packet, b *Batch) (*PacketResult, error) {
-	return e.fastPathInto(b.scratchFor(fid), pkt, &FastPathInfo{}, &PacketResult{})
+	b.begin(1)
+	if err := e.fastPathInto(b.scratchFor(fid), pkt, &b.info[0], &b.res[0], b); err != nil {
+		return nil, err
+	}
+	return b.res[0].clone(), nil
 }
 
-// fastPathInto applies the consolidated rule, writing into the
-// caller-provided (zeroed) info and res storage — ProcessBatch reuses
-// per-worker arrays so steady-state fast-path packets allocate
-// nothing. fc is the flow's context: generation-validated hits skip
-// the sharded Global MAT map and the Event Table probes. On a rule
-// miss the packet transparently falls back to the slow path, whose
-// (allocated) result is returned instead of res.
-func (e *Engine) fastPathInto(fc *flowCtx, pkt *packet.Packet, info *FastPathInfo, res *PacketResult) (*PacketResult, error) {
+// fastPathInto applies the consolidated rule, writing into the packet's
+// (zeroed) info and res slots of b — per-worker arrays, so steady-state
+// fast-path packets allocate nothing. fc is the flow's context:
+// generation-validated hits skip the sharded Global MAT map and the
+// Event Table probes. On a rule miss the packet transparently falls
+// back to the slow path, which fills res instead.
+func (e *Engine) fastPathInto(fc *flowCtx, pkt *packet.Packet, info *FastPathInfo, res *PacketResult, b *Batch) error {
 	m := e.model
 	info.FixedCycles = m.HashFID + m.FastPathBase + m.EventCheck + m.GMATLookup
 
 	// Event Table pre-check: a previously-satisfied condition updates
 	// the rule before this packet is processed (§III).
 	if fired, err := e.fireEventsCached(fc, info); err != nil {
-		return nil, err
+		return err
 	} else if fired {
 		// The rule was rebuilt; the fresh lookup below sees it.
 		info.FixedCycles += m.GMATLookup
@@ -811,7 +829,7 @@ func (e *Engine) fastPathInto(fc *flowCtx, pkt *packet.Packet, info *FastPathInf
 		// back to the original chain, which is always correct; the
 		// flow re-records via the degradation ladder.
 		e.countFallback(fc.fid)
-		return e.slowPath(fc.fid, pkt, false)
+		return e.slowPath(fc.fid, pkt, false, res, b)
 	}
 	if !rule.Drop {
 		info.FixedCycles += m.FastPathPerHA * uint64(rule.SourceNFs)
@@ -831,7 +849,7 @@ func (e *Engine) fastPathInto(fc *flowCtx, pkt *packet.Packet, info *FastPathInf
 			exec, err = sfunc.ExecuteSequential(rule.Batches, pkt)
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 		info.SF = exec
 		info.BatchCount = len(rule.Batches)
@@ -849,7 +867,7 @@ func (e *Engine) fastPathInto(fc *flowCtx, pkt *packet.Packet, info *FastPathInf
 	// rules.
 	alive, err := rule.ExecHeader(pkt)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	info.HeaderCycles = e.headerCost(rule)
 
@@ -861,7 +879,7 @@ func (e *Engine) fastPathInto(fc *flowCtx, pkt *packet.Packet, info *FastPathInf
 	// Post-execution event check: state updates from this packet may
 	// arm a condition that changes processing for the next packet.
 	if _, err := e.fireEventsCached(fc, info); err != nil {
-		return nil, err
+		return err
 	}
 
 	res.Path = PathFast
@@ -880,7 +898,7 @@ func (e *Engine) fastPathInto(fc *flowCtx, pkt *packet.Packet, info *FastPathInf
 	}
 	res.WorkCycles = info.FixedCycles + info.HeaderCycles + sfCycles +
 		info.ReconsolidateCycles
-	return res, nil
+	return nil
 }
 
 // fireEventsCached probes the Event Table for the flow, applies any
@@ -915,8 +933,7 @@ func (e *Engine) fireEventsCached(fc *flowCtx, info *FastPathInfo) (bool, error)
 			// Drop the whole event set — a flow's events all share one
 			// epoch (PrepareRecording wipes them before re-recording) —
 			// and let the slow path re-record under the live chain.
-			e.events.Remove(fid)
-			e.releaseEventBudget(fid)
+			e.dropEvents(fid)
 			return false, nil
 		}
 	}

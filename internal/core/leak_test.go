@@ -1,11 +1,17 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 
+	"github.com/fastpathnfv/speedybox/internal/classifier"
+	"github.com/fastpathnfv/speedybox/internal/fault"
+	"github.com/fastpathnfv/speedybox/internal/flow"
+	"github.com/fastpathnfv/speedybox/internal/mat"
 	"github.com/fastpathnfv/speedybox/internal/packet"
+	"github.com/fastpathnfv/speedybox/internal/sfunc"
 )
 
 // TestNoStateLeakAcrossFlowLifecycles runs many full TCP lifecycles
@@ -110,14 +116,95 @@ func TestProcessNFBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := eng.ProcessNF(-1, 1, dataPkt(t, 0), false); err == nil {
+	b := NewBatch(1)
+	if _, _, err := eng.ProcessNF(-1, 1, dataPkt(t, 0), false, b); err == nil {
 		t.Error("negative index accepted")
 	}
-	if _, _, err := eng.ProcessNF(1, 1, dataPkt(t, 0), false); err == nil {
+	if _, _, err := eng.ProcessNF(1, 1, dataPkt(t, 0), false, b); err == nil {
 		t.Error("out-of-range index accepted")
 	}
-	v, cycles, err := eng.ProcessNF(0, 1, dataPkt(t, 0), false)
+	v, cycles, err := eng.ProcessNF(0, 1, dataPkt(t, 0), false, b)
 	if err != nil || v != VerdictForward || cycles == 0 {
 		t.Errorf("ProcessNF = (%v, %d, %v)", v, cycles, err)
+	}
+}
+
+// noEvents is an admission policy with an event cap of zero.
+type noEvents struct{}
+
+func (noEvents) AdmitRule(int32, flow.FID) bool  { return true }
+func (noEvents) ReleaseRule(flow.FID)            {}
+func (noEvents) AdmitEvent(int32, flow.FID) bool { return false }
+func (noEvents) ReleaseEvents(flow.FID)          {}
+
+// TestUnfinishedRecordingPublishesNothing: what the NFs record reaches
+// their Local MATs only when the whole chain has run. A recording cut
+// short — an NF error mid-chain, an injected NF crash, a refused event
+// registration — leaves no Local MAT entry, no rule and no event
+// behind, not even from the NFs that had already returned.
+func TestUnfinishedRecordingPublishesNothing(t *testing.T) {
+	nat := func() NF { return &fakeModifier{name: "nat", dip: [4]byte{7, 7, 7, 7}} }
+	for _, tc := range []struct {
+		name    string
+		chain   []NF
+		opts    func(*Options)
+		wantErr error
+	}{
+		{name: "NF error", chain: []NF{nat(), &fakeCounter{name: "monitor"}, failingNF{}}, wantErr: ErrNFFailed},
+		{name: "injected NF crash", chain: []NF{nat(), &fakeCounter{name: "monitor"}}, opts: func(o *Options) {
+			o.Faults = fault.New(fault.Config{Seed: 1, Rates: map[fault.Kind]float64{fault.KindNFError: 1}})
+		}},
+		{name: "event denied", chain: []NF{nat(), &fakeEventNF{name: "dos"}, &fakeCounter{name: "monitor"}}, opts: func(o *Options) {
+			o.Admission = noEvents{}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := DefaultOptions()
+			if tc.opts != nil {
+				tc.opts(&opts)
+			}
+			eng, err := NewEngine(tc.chain, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := eng.ProcessPacket(udpPkt(t, 9601, "recorded, then abandoned"))
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("err = %v, want %v", err, tc.wantErr)
+			}
+			if err == nil && (res.Kind != classifier.KindInitial || res.Slow.ConsolidateCycles != 0) {
+				t.Errorf("result %+v %+v: want an initial packet that did not consolidate", res, res.Slow)
+			}
+			for i := 0; i < eng.ChainLen(); i++ {
+				if n := eng.Local(i).Len(); n != 0 {
+					t.Errorf("Local MAT %d holds %d entries", i, n)
+				}
+			}
+			if r, e := eng.Global().Len(), eng.Events().Len(); r != 0 || e != 0 {
+				t.Errorf("%d rules, %d flows with events; want none", r, e)
+			}
+		})
+	}
+}
+
+// TestCtxRejectsMalformedRecording: the recording APIs validate what an
+// NF hands them; a refused item is not recorded (and still costs the
+// attempt), on an engine traversal and on a standalone context alike.
+func TestCtxRejectsMalformedRecording(t *testing.T) {
+	local := mat.NewLocal("x")
+	ctx := NewCtx("x", CtxConfig{FID: 1, Local: local, Recording: true})
+	if err := ctx.AddHeaderAction(mat.HeaderAction{}); err == nil {
+		t.Error("invalid action accepted")
+	}
+	if err := ctx.AddStateFunc(sfunc.Func{Name: "nil"}); err == nil {
+		t.Error("invalid state function accepted")
+	}
+	if local.Len() != 0 {
+		t.Error("failed adds must not create rules")
+	}
+	if err := ctx.AddHeaderAction(mat.Forward()); err != nil {
+		t.Fatal(err)
+	}
+	if r, ok := local.Get(1); !ok || len(r.Actions) != 1 || len(r.Funcs) != 0 {
+		t.Errorf("standalone context did not write through: %+v", r)
 	}
 }

@@ -70,11 +70,20 @@ type Ctx struct {
 	// costs for their work.
 	Model *cost.Model
 
-	nf        string
-	ledger    *cost.Ledger
+	nf     string
+	ledger *cost.Ledger
+	// local is set on standalone contexts only (NewCtx): they publish
+	// every recorded action straight to it. An engine traversal leaves
+	// it nil and publishes each NF's span of acts and funcs itself, once
+	// the NF has returned.
 	local     *mat.Local
 	events    *event.Table
 	recording bool
+	// acts and funcs are the recording buffers: everything recorded
+	// through this context so far, in order. The engine's context is
+	// reused across packets, so they keep their storage.
+	acts  []mat.HeaderAction
+	funcs []sfunc.Func
 	// epoch stamps registered events with the chain epoch the packet
 	// is traversing, so firings recorded under a retired chain are
 	// discarded instead of mutating post-reconfiguration rules.
@@ -168,7 +177,8 @@ func NewCtx(nf string, cfg CtxConfig) *Ctx {
 	}
 }
 
-// Charge attributes work cycles to this NF's ledger stage.
+// Charge attributes work cycles to this NF's ledger stage. A stage
+// exists from its first charge: an NF that never charges has none.
 func (c *Ctx) Charge(cycles uint64) {
 	c.ledger.Charge(c.nf, cycles)
 }
@@ -176,7 +186,7 @@ func (c *Ctx) Charge(cycles uint64) {
 // Recording reports whether the instrumentation APIs are live.
 func (c *Ctx) Recording() bool { return c.recording }
 
-// AddHeaderAction records a header action in the NF's Local MAT
+// AddHeaderAction records a header action for the NF's Local MAT
 // (localmat_add_HA). The recording itself costs Model.RecordHA cycles,
 // charged to the NF — this is the "extra overhead for recording"
 // visible in Figure 4's one-action case.
@@ -185,9 +195,11 @@ func (c *Ctx) AddHeaderAction(a mat.HeaderAction) error {
 		return nil
 	}
 	c.Charge(c.Model.RecordHA)
-	if err := c.local.AddHeaderAction(c.FID, a); err != nil {
+	if err := a.Validate(); err != nil {
 		return fmt.Errorf("core: %s: %w", c.nf, err)
 	}
+	c.acts = append(c.acts, a)
+	c.writeThrough()
 	return nil
 }
 
@@ -197,10 +209,21 @@ func (c *Ctx) AddStateFunc(f sfunc.Func) error {
 		return nil
 	}
 	c.Charge(c.Model.RecordSF)
-	if err := c.local.AddStateFunc(c.FID, f); err != nil {
+	if err := f.Validate(); err != nil {
 		return fmt.Errorf("core: %s: %w", c.nf, err)
 	}
+	c.funcs = append(c.funcs, f)
+	c.writeThrough()
 	return nil
+}
+
+// writeThrough keeps a standalone context's Local MAT current after
+// every recorded item, so NF unit tests read it without a traversal to
+// publish for them.
+func (c *Ctx) writeThrough() {
+	if c.local != nil {
+		c.local.Replace(c.FID, &mat.LocalRule{Actions: c.acts, Funcs: c.funcs})
+	}
 }
 
 // RegisterEvent records an event for this flow (register_event). The

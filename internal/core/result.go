@@ -33,8 +33,11 @@ type SlowPathInfo struct {
 	// ClassifierCycles is the SpeedyBox classifier work (zero when
 	// SpeedyBox is disabled — the baseline has no classifier stage).
 	ClassifierCycles uint64
-	// PerNF is each traversed NF's work cycles, in chain order,
-	// including any Local MAT recording overhead.
+	// PerNF is the work cycles of each NF that charged any, including
+	// Local MAT recording overhead, in first-charge order — chain order
+	// for the traversed NFs, with an NF that never charged absent. The
+	// BESS and ONVM formulas take len(PerNF) as the number of modules
+	// or stages the packet crossed.
 	PerNF []cost.StageCost
 	// ConsolidateCycles is the Global MAT consolidation work after an
 	// initial packet finishes the chain (zero otherwise).
@@ -87,6 +90,26 @@ type PacketResult struct {
 	Fast *FastPathInfo
 	// TornDown reports that FIN/RST cleanup ran after processing.
 	TornDown bool
+}
+
+// clone returns a caller-owned deep copy of a result that points into a
+// Batch: the result and its path info in one allocation, plus PerNF.
+func (r *PacketResult) clone() *PacketResult {
+	if r.Fast != nil {
+		o := &struct {
+			PacketResult
+			FastPathInfo
+		}{*r, *r.Fast}
+		o.Fast = &o.FastPathInfo
+		return &o.PacketResult
+	}
+	o := &struct {
+		PacketResult
+		SlowPathInfo
+	}{*r, *r.Slow}
+	o.Slow = &o.SlowPathInfo
+	o.Slow.PerNF = append([]cost.StageCost(nil), r.Slow.PerNF...)
+	return &o.PacketResult
 }
 
 // NFWork sums the per-NF work on the slow path.

@@ -86,6 +86,50 @@ func TestProcessPacketResultIsCallerOwned(t *testing.T) {
 	}
 }
 
+// TestSlowResultLifetime: a slow-path result lives in the Batch like a
+// fast-path one. ProcessPacket hands out a deep copy — SlowPathInfo and
+// PerNF included — that 64 further calls leave intact; a result kept
+// from ProcessBatch is the Batch's storage and the next vector
+// overwrites it.
+func TestSlowResultLifetime(t *testing.T) {
+	eng := newBatchTestEngine(t, BaselineOptions())
+	kept, err := eng.ProcessPacket(udpPkt(t, 9251, "owned"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kept.Path != PathSlow || len(kept.Slow.PerNF) != 2 {
+		t.Fatalf("kept result path=%v slow=%+v, want a slow-path result over two NFs", kept.Path, kept.Slow)
+	}
+	wantRes, wantPerNF := *kept, slices.Clone(kept.Slow.PerNF)
+	wantSlow := *kept.Slow
+	for i := 0; i < 64; i++ {
+		r, err := eng.ProcessPacket(tcpPkt(t, uint16(9260+i%7), packet.TCPFlagSYN, 0, ""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r == kept || r.Slow == kept.Slow || &r.Slow.PerNF[0] == &kept.Slow.PerNF[0] {
+			t.Fatalf("call %d returned storage aliasing an earlier result", i)
+		}
+	}
+	if *kept != wantRes || kept.Slow.DropIndex != wantSlow.DropIndex || !slices.Equal(kept.Slow.PerNF, wantPerNF) {
+		t.Errorf("result changed under later calls:\nnow:  %+v %+v\nwant: %+v %+v", *kept, *kept.Slow, wantRes, wantSlow)
+	}
+
+	b := NewBatch(1)
+	first, err := eng.ProcessBatch([]*packet.Packet{udpPkt(t, 9252, "first")}, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, heldFID := first[0], first[0].FID
+	second, err := eng.ProcessBatch([]*packet.Packet{udpPkt(t, 9253, "second")}, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if held != second[0] || held.Slow != second[0].Slow || held.FID == heldFID {
+		t.Errorf("a result kept across ProcessBatch calls still reads as the first packet's (%v): the contract is that it is overwritten", held.FID)
+	}
+}
+
 // TestProcessPacketFastPathAllocs holds the scalar entry point to its
 // allocation budget: the caller-owned result (and nothing per packet
 // from the pooled Batch).

@@ -2,7 +2,6 @@ package cost
 
 import (
 	"math"
-	"sync"
 	"testing"
 	"time"
 )
@@ -117,21 +116,43 @@ func TestLedgerBasics(t *testing.T) {
 	}
 }
 
-func TestLedgerConcurrent(t *testing.T) {
+// TestLedgerSpans covers the per-vector arena: Begin opens a span that
+// charges and reads on its own, earlier spans stay as they were, and
+// Reset starts over on the same storage.
+func TestLedgerSpans(t *testing.T) {
 	l := NewLedger()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(n int) {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				l.Charge("shared", 1)
-			}
-		}(i)
+	l.Charge("nat", 10)
+	l.Charge("fw", 20)
+	first := l.Stages()
+	l.Begin()
+	if l.Total() != 0 || len(l.Stages()) != 0 {
+		t.Fatalf("fresh span not empty: %v", l)
 	}
-	wg.Wait()
-	if got := l.Total(); got != 8000 {
-		t.Errorf("concurrent Total = %d, want 8000", got)
+	l.Charge("nat", 1)
+	l.Charge("nat", 2)
+	if got := l.Stages(); len(got) != 1 || got[0] != (StageCost{"nat", 3}) {
+		t.Errorf("second span = %v, want [nat=3]", got)
+	}
+	if len(first) != 2 || first[0] != (StageCost{"nat", 10}) || first[1] != (StageCost{"fw", 20}) {
+		t.Errorf("first span changed under the second: %v", first)
+	}
+	// A closed span's slice cannot grow into the next one.
+	_ = append(first, StageCost{"x", 99})
+	if got := l.Stage("nat"); got != 3 {
+		t.Errorf("append to a closed span clobbered the open one: nat = %d", got)
+	}
+	l.Reset()
+	l.Charge("fw", 5)
+	if got := l.Stages(); len(got) != 1 || got[0] != (StageCost{"fw", 5}) {
+		t.Errorf("after Reset = %v, want [fw=5]", got)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		l.Reset()
+		l.Charge("nat", 1)
+		l.Begin()
+		l.Charge("fw", 1)
+	}); n != 0 {
+		t.Errorf("warm ledger allocates %v per use, want 0", n)
 	}
 }
 

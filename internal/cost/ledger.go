@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Ledger accumulates per-packet work cycles attributed to named
@@ -14,85 +13,79 @@ import (
 // latency (sequential or parallel composition) and throughput
 // (pipeline bottleneck).
 //
-// A Ledger is safe for concurrent use: the parallel state-function
-// executor charges batches from multiple goroutines.
+// A Ledger is a plain list in first-charge order — a chain has a
+// handful of stages, so a charge is a short scan that usually ends at
+// the newest entry — and belongs to one goroutine: state functions run
+// to completion on the calling core, so nothing charges concurrently.
+// One ledger serves a whole vector: Begin opens the next packet's span
+// behind the earlier ones, which stay readable until Reset.
 type Ledger struct {
-	mu     sync.Mutex
-	order  []string
-	stages map[string]uint64
+	stages []StageCost
+	// base is where the open span starts; charges never look below it.
+	base int
 }
 
 // NewLedger returns an empty ledger.
-func NewLedger() *Ledger {
-	return &Ledger{stages: make(map[string]uint64)}
-}
+func NewLedger() *Ledger { return &Ledger{} }
 
 // Charge adds cycles to the named stage, creating it if needed.
 func (l *Ledger) Charge(stage string, cycles uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if _, ok := l.stages[stage]; !ok {
-		l.order = append(l.order, stage)
+	for i := len(l.stages) - 1; i >= l.base; i-- {
+		if l.stages[i].Name == stage {
+			l.stages[i].Cycles += cycles
+			return
+		}
 	}
-	l.stages[stage] += cycles
+	l.stages = append(l.stages, StageCost{Name: stage, Cycles: cycles})
 }
 
 // Stage returns the cycles charged to one stage.
 func (l *Ledger) Stage(name string) uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.stages[name]
+	for _, s := range l.Stages() {
+		if s.Name == name {
+			return s.Cycles
+		}
+	}
+	return 0
 }
 
 // Total returns the sum over all stages: the per-packet work-cycle
 // metric ("CPU cycle per packet").
 func (l *Ledger) Total() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	var sum uint64
-	for _, c := range l.stages {
-		sum += c
+	for _, s := range l.Stages() {
+		sum += s.Cycles
 	}
 	return sum
 }
 
-// Stages returns (name, cycles) pairs in first-charge order.
+// Stages returns the open span's (name, cycles) pairs in first-charge
+// order. The slice aliases the ledger: it is stable once Begin closes
+// the span, and valid until Reset.
 func (l *Ledger) Stages() []StageCost {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]StageCost, 0, len(l.order))
-	for _, name := range l.order {
-		out = append(out, StageCost{Name: name, Cycles: l.stages[name]})
-	}
-	return out
+	return l.stages[l.base:len(l.stages):len(l.stages)]
 }
 
 // Max returns the largest single stage cost (the pipeline bottleneck
 // candidate) and its name.
 func (l *Ledger) Max() (string, uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	var (
 		best     uint64
 		bestName string
 	)
-	for _, name := range l.order {
-		if c := l.stages[name]; c > best {
-			best, bestName = c, name
+	for _, s := range l.Stages() {
+		if s.Cycles > best {
+			best, bestName = s.Cycles, s.Name
 		}
 	}
 	return bestName, best
 }
 
-// Reset clears all stages for descriptor reuse.
-func (l *Ledger) Reset() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.order = l.order[:0]
-	for k := range l.stages {
-		delete(l.stages, k)
-	}
-}
+// Begin closes the open span and opens an empty one after it.
+func (l *Ledger) Begin() { l.base = len(l.stages) }
+
+// Reset drops every span, keeping the storage for reuse.
+func (l *Ledger) Reset() { l.stages, l.base = l.stages[:0], 0 }
 
 // String renders the ledger for debugging.
 func (l *Ledger) String() string {

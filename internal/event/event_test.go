@@ -217,9 +217,7 @@ func TestUpdateAppliesToLocalRule(t *testing.T) {
 	// from §V-A — replace modify(DIP, origin) with modify(DIP, new).
 	local := mat.NewLocal("maglev")
 	fid := flow.FID(3)
-	if err := local.AddHeaderAction(fid, mat.Modify(packet.FieldDstIP, []byte{10, 0, 0, 1})); err != nil {
-		t.Fatal(err)
-	}
+	local.Replace(fid, &mat.LocalRule{Actions: []mat.HeaderAction{mat.Modify(packet.FieldDstIP, []byte{10, 0, 0, 1})}})
 	tbl := NewTable()
 	err := tbl.Register(fid, Event{
 		NF:        "maglev",

@@ -72,26 +72,58 @@ var ErrNotConsolidatable = errcode.Sentinel("mat.not_consolidatable", "mat: acti
 // Trailer fields (checksums) are recomputed once when the rule is
 // applied rather than once per NF (§V-B, "we modify these fields at
 // the end of the consolidation").
+//
+// The rule is built in exactly sized storage: a first scan finds where a
+// drop ends the chain and counts what the rule holds, so its sources,
+// batches, functions and merged values are each one allocation, carved
+// with capacity-limited slices.
 func Consolidate(fid flow.FID, contribs []Contribution) (*GlobalRule, error) {
+	// NFs after a recorded drop never see the packet on the original
+	// path: the dropping contribution is the last one folded.
+	end, nSources, nBatches, nFuncs := len(contribs), 0, 0, 0
+scan:
+	for i, c := range contribs {
+		if c.Rule == nil {
+			continue
+		}
+		nSources++
+		if n := len(c.Rule.Funcs); n > 0 {
+			nBatches++
+			nFuncs += n
+		}
+		for _, a := range c.Rule.Actions {
+			if a.Kind == ActionDrop {
+				end = i + 1
+				break scan
+			}
+		}
+	}
 	rule := &GlobalRule{FID: fid, SourceNFs: len(contribs)}
+	if nSources > 0 {
+		rule.Sources = make([]SourceSummary, 0, nSources)
+	}
+	if nBatches > 0 {
+		rule.Batches = make([]sfunc.Batch, 0, nBatches)
+	}
+	funcs := make([]sfunc.Func, 0, nFuncs)
 
-	fieldIdx := make(map[packet.Field]int)
+	// Merged modifies, in first-touch order; the values alias the
+	// contributions until the rule's own copy is made below. A chain
+	// rewrites a handful of fields, so finding one is a short scan.
+	var modBuf [8]FieldValue
+	mods := modBuf[:0]
 	var stack []packet.ExtraHeader
 
-	for _, c := range contribs {
+	for _, c := range contribs[:end] {
 		if c.Rule == nil {
 			continue
 		}
 		summary := SourceSummary{NF: c.NF}
-		if len(c.Rule.Funcs) > 0 && !rule.Drop {
-			rule.Batches = append(rule.Batches, sfunc.Batch{NF: c.NF, Funcs: append([]sfunc.Func(nil), c.Rule.Funcs...)})
+		if n := len(c.Rule.Funcs); n > 0 {
+			funcs = append(funcs, c.Rule.Funcs...)
+			rule.Batches = append(rule.Batches, sfunc.Batch{NF: c.NF, Funcs: funcs[len(funcs)-n : len(funcs) : len(funcs)]})
 		}
-		if rule.Drop {
-			// NFs after a recorded drop never see the packet on the
-			// original path; defensively ignore any contribution that
-			// slipped in.
-			continue
-		}
+	actions:
 		for _, a := range c.Rule.Actions {
 			if err := a.Validate(); err != nil {
 				return nil, fmt.Errorf("consolidating %v from %s: %w", fid, c.NF, err)
@@ -102,17 +134,18 @@ func Consolidate(fid flow.FID, contribs []Contribution) (*GlobalRule, error) {
 			case ActionDrop:
 				rule.Drop = true
 				summary.Dropped = true
+				break actions
 			case ActionModify:
 				summary.Modifies++
-				if i, ok := fieldIdx[a.Field]; ok {
-					// Same field modified again: the latter wins.
-					rule.Modifies[i].Value = append([]byte(nil), a.Value...)
-				} else {
-					fieldIdx[a.Field] = len(rule.Modifies)
-					rule.Modifies = append(rule.Modifies, FieldValue{
-						Field: a.Field, Value: append([]byte(nil), a.Value...),
-					})
+				i := 0
+				for i < len(mods) && mods[i].Field != a.Field {
+					i++
 				}
+				if i == len(mods) {
+					mods = append(mods, FieldValue{Field: a.Field})
+				}
+				// Same field modified again: the latter wins.
+				mods[i].Value = a.Value
 			case ActionEncap:
 				summary.Encaps++
 				stack = append(stack, a.Header)
@@ -133,17 +166,26 @@ func Consolidate(fid flow.FID, contribs []Contribution) (*GlobalRule, error) {
 			default:
 				return nil, fmt.Errorf("consolidating %v: invalid action kind %d", fid, int(a.Kind))
 			}
-			if rule.Drop {
-				break
-			}
 		}
 		rule.Sources = append(rule.Sources, summary)
 	}
-	rule.Stack.Encaps = stack
 	if rule.Drop {
 		// Dropped flows do no header work on the fast path.
-		rule.Modifies = nil
 		rule.Stack = StackOps{}
+	} else {
+		rule.Stack.Encaps = stack
+		if len(mods) > 0 {
+			size := 0
+			for _, m := range mods {
+				size += len(m.Value)
+			}
+			vals := make([]byte, 0, size)
+			rule.Modifies = make([]FieldValue, len(mods))
+			for i, m := range mods {
+				vals = append(vals, m.Value...)
+				rule.Modifies[i] = FieldValue{Field: m.Field, Value: vals[len(vals)-len(m.Value) : len(vals) : len(vals)]}
+			}
+		}
 	}
 	rule.Plan = sfunc.Plan(rule.Batches)
 	rule.Compile()

@@ -1,7 +1,6 @@
 package mat
 
 import (
-	"fmt"
 	"sync"
 
 	"github.com/fastpathnfv/speedybox/internal/flow"
@@ -18,8 +17,9 @@ type LocalRule struct {
 	Funcs []sfunc.Func
 }
 
-// Clone deep-copies the rule so consolidation can snapshot it without
-// racing with event updates.
+// Clone deep-copies the rule into exactly sized storage, so consolidation
+// can snapshot it without racing with event updates and an append to
+// the copy reallocates rather than growing into memory it shares.
 func (r *LocalRule) Clone() *LocalRule {
 	if r == nil {
 		return nil
@@ -52,40 +52,6 @@ func NewLocal(nf string) *Local {
 // NF returns the owning NF's name.
 func (l *Local) NF() string { return l.nf }
 
-// AddHeaderAction appends a header action to the flow's rule,
-// implementing the localmat_add_HA API (paper Figure 2).
-func (l *Local) AddHeaderAction(fid flow.FID, a HeaderAction) error {
-	if err := a.Validate(); err != nil {
-		return fmt.Errorf("localmat %s: %w", l.nf, err)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	r := l.rules[fid]
-	if r == nil {
-		r = &LocalRule{}
-		l.rules[fid] = r
-	}
-	r.Actions = append(r.Actions, a)
-	return nil
-}
-
-// AddStateFunc appends a state function handler to the flow's rule,
-// implementing the localmat_add_SF API (paper Figure 2).
-func (l *Local) AddStateFunc(fid flow.FID, f sfunc.Func) error {
-	if err := f.Validate(); err != nil {
-		return fmt.Errorf("localmat %s: %w", l.nf, err)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	r := l.rules[fid]
-	if r == nil {
-		r = &LocalRule{}
-		l.rules[fid] = r
-	}
-	r.Funcs = append(r.Funcs, f)
-	return nil
-}
-
 // Get returns a snapshot (deep copy) of the flow's rule and whether it
 // exists.
 func (l *Local) Get(fid flow.FID) (*LocalRule, bool) {
@@ -98,12 +64,20 @@ func (l *Local) Get(fid flow.FID) (*LocalRule, bool) {
 	return r.Clone(), true
 }
 
-// Replace overwrites the flow's rule, used by Event Table updates
-// (paper §V-C1: triggered events replace actions/functions).
+// Replace publishes the flow's rule, overwriting any previous one: the
+// one recording write into the table (localmat_add_HA and
+// localmat_add_SF, paper Figure 2, gathered per NF). A traversal
+// collects an NF's actions and functions in its own scratch and
+// publishes them here once the NF has returned — one lock and one map
+// store per NF, not per action. The table keeps an exactly sized copy,
+// so the caller may reuse r's storage, and an event Update that later
+// appends to the stored rule reallocates rather than growing into a
+// neighbour.
 func (l *Local) Replace(fid flow.FID, r *LocalRule) {
+	c := r.Clone()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.rules[fid] = r.Clone()
+	l.rules[fid] = c
 }
 
 // Mutate applies fn to the flow's rule under the table lock, creating

@@ -88,18 +88,13 @@ func TestActionString(t *testing.T) {
 func TestLocalMATRecordingOrder(t *testing.T) {
 	l := NewLocal("nat")
 	fid := flow.FID(1)
-	if err := l.AddHeaderAction(fid, Modify(packet.FieldDstIP, []byte{1, 1, 1, 1})); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AddHeaderAction(fid, Modify(packet.FieldDstPort, packet.PutUint16(8080))); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AddStateFunc(fid, noopSF("first")); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AddStateFunc(fid, noopSF("second")); err != nil {
-		t.Fatal(err)
-	}
+	l.Replace(fid, &LocalRule{
+		Actions: []HeaderAction{
+			Modify(packet.FieldDstIP, []byte{1, 1, 1, 1}),
+			Modify(packet.FieldDstPort, packet.PutUint16(8080)),
+		},
+		Funcs: []sfunc.Func{noopSF("first"), noopSF("second")},
+	})
 	r, ok := l.Get(fid)
 	if !ok {
 		t.Fatal("rule missing")
@@ -115,25 +110,32 @@ func TestLocalMATRecordingOrder(t *testing.T) {
 	}
 }
 
-func TestLocalMATValidation(t *testing.T) {
+// TestLocalMATReplaceIsExactCopy pins what publication promises: the
+// table keeps its own exactly sized copy, so the publisher may reuse
+// its buffers and a later append to the stored rule (an event Update)
+// reallocates instead of growing into storage it does not own.
+func TestLocalMATReplaceIsExactCopy(t *testing.T) {
 	l := NewLocal("x")
-	if err := l.AddHeaderAction(1, HeaderAction{}); err == nil {
-		t.Error("invalid action accepted")
-	}
-	if err := l.AddStateFunc(1, sfunc.Func{Name: "nil"}); err == nil {
-		t.Error("invalid state function accepted")
-	}
-	if l.Len() != 0 {
-		t.Error("failed adds must not create rules")
+	buf := make([]HeaderAction, 1, 8)
+	buf[0] = Forward()
+	l.Replace(1, &LocalRule{Actions: buf})
+	buf[0] = Drop()
+	buf = append(buf, Drop())
+	l.Mutate(1, func(r *LocalRule) {
+		if len(r.Actions) != 1 || cap(r.Actions) != 1 || r.Actions[0].Kind != ActionForward {
+			t.Errorf("stored actions = %v (cap %d), want an exact copy of [forward]", r.Actions, cap(r.Actions))
+		}
+		r.Actions = append(r.Actions, Forward())
+	})
+	if buf[1].Kind != ActionDrop {
+		t.Error("append to the stored rule wrote into the publisher's buffer")
 	}
 }
 
 func TestLocalMATGetIsSnapshot(t *testing.T) {
 	l := NewLocal("x")
 	fid := flow.FID(2)
-	if err := l.AddHeaderAction(fid, Forward()); err != nil {
-		t.Fatal(err)
-	}
+	l.Replace(fid, &LocalRule{Actions: []HeaderAction{Forward()}})
 	snap, _ := l.Get(fid)
 	snap.Actions[0] = Drop()
 	r, _ := l.Get(fid)
@@ -145,9 +147,7 @@ func TestLocalMATGetIsSnapshot(t *testing.T) {
 func TestLocalMATLifecycle(t *testing.T) {
 	l := NewLocal("x")
 	fid := flow.FID(3)
-	if err := l.AddHeaderAction(fid, Forward()); err != nil {
-		t.Fatal(err)
-	}
+	l.Replace(fid, &LocalRule{Actions: []HeaderAction{Forward()}})
 	if l.Len() != 1 {
 		t.Errorf("Len = %d", l.Len())
 	}
@@ -155,9 +155,7 @@ func TestLocalMATLifecycle(t *testing.T) {
 	if _, ok := l.Get(fid); ok {
 		t.Error("rule survived Reset")
 	}
-	if err := l.AddHeaderAction(fid, Drop()); err != nil {
-		t.Fatal(err)
-	}
+	l.Replace(fid, &LocalRule{Actions: []HeaderAction{Drop()}})
 	l.Delete(fid)
 	if l.Len() != 0 {
 		t.Error("rule survived Delete")

@@ -119,6 +119,9 @@ func (d *Defender) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, err
 		ctx.Charge(ctx.Model.DropAction)
 		return core.VerdictDrop, nil
 	}
+	if !ctx.Recording() {
+		return core.VerdictForward, nil
+	}
 
 	if err := ctx.AddHeaderAction(mat.Forward()); err != nil {
 		return 0, err

@@ -169,6 +169,9 @@ func (g *Gateway) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, erro
 		return 0, err
 	}
 	ctx.Charge(3*ctx.Model.ModifyField + ctx.Model.ChecksumUpdate)
+	if !ctx.Recording() {
+		return core.VerdictForward, nil
+	}
 
 	// Recording note: TTL is per-packet state in general, but within
 	// one chain position every packet of the flow arrives with the

@@ -382,23 +382,28 @@ func (lb *Maglev) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, erro
 		return 0, err
 	}
 	ctx.Charge(ctx.Model.ModifyField)
-	if err := ctx.AddHeaderAction(mat.Modify(packet.FieldDstIP, backend.IP[:])); err != nil {
-		return 0, err
-	}
 	if lb.rewritePort {
 		if err := pkt.Set(packet.FieldDstPort, packet.PutUint16(backend.Port)); err != nil {
 			return 0, err
 		}
 		ctx.Charge(ctx.Model.ModifyField)
-		if err := ctx.AddHeaderAction(mat.Modify(packet.FieldDstPort, packet.PutUint16(backend.Port))); err != nil {
-			return 0, err
-		}
 	}
 	if err := pkt.FinalizeChecksums(); err != nil {
 		return 0, err
 	}
 	ctx.Charge(ctx.Model.ChecksumUpdate)
+	if !ctx.Recording() {
+		return core.VerdictForward, nil
+	}
 
+	if err := ctx.AddHeaderAction(mat.Modify(packet.FieldDstIP, backend.IP[:])); err != nil {
+		return 0, err
+	}
+	if lb.rewritePort {
+		if err := ctx.AddHeaderAction(mat.Modify(packet.FieldDstPort, packet.PutUint16(backend.Port))); err != nil {
+			return 0, err
+		}
+	}
 	// Connection-tracking touch as a state function so the fast path
 	// keeps the conn table warm exactly like the original path.
 	connTouch := ctx.Model.ConnTrackLookup

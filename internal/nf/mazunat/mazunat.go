@@ -272,6 +272,9 @@ func (n *NAT) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, error) {
 			return 0, err
 		}
 		ctx.Charge(2*ctx.Model.ModifyField + ctx.Model.ChecksumUpdate)
+		if !ctx.Recording() {
+			break
+		}
 		if err := ctx.AddHeaderAction(mat.Modify(packet.FieldSrcIP, n.extIP[:])); err != nil {
 			return 0, err
 		}
@@ -302,6 +305,9 @@ func (n *NAT) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, error) {
 			return 0, err
 		}
 		ctx.Charge(2*ctx.Model.ModifyField + ctx.Model.ChecksumUpdate)
+		if !ctx.Recording() {
+			break
+		}
 		if err := ctx.AddHeaderAction(mat.Modify(packet.FieldDstIP, m.InsideIP[:])); err != nil {
 			return 0, err
 		}

@@ -133,6 +133,9 @@ func (m *Monitor) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, erro
 	fid := ctx.FID
 	m.count(fid, pkt.Len())
 	ctx.Charge(ctx.Model.CounterUpdate)
+	if !ctx.Recording() {
+		return core.VerdictForward, nil
+	}
 
 	if err := ctx.AddHeaderAction(mat.Forward()); err != nil {
 		return 0, err

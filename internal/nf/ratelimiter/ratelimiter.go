@@ -131,6 +131,9 @@ func (l *Limiter) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, erro
 		ctx.Charge(ctx.Model.DropAction)
 		return core.VerdictDrop, nil
 	}
+	if !ctx.Recording() {
+		return core.VerdictForward, nil
+	}
 
 	if err := ctx.AddHeaderAction(mat.Forward()); err != nil {
 		return 0, err

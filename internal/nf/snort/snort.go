@@ -275,6 +275,9 @@ func (s *Snort) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, error)
 	payload := pkt.Payload()
 	s.inspect(fid, idxs, payload)
 	ctx.Charge(ctx.Model.InspectCost(len(payload)))
+	if !ctx.Recording() {
+		return core.VerdictForward, nil
+	}
 
 	if err := ctx.AddHeaderAction(mat.Forward()); err != nil {
 		return 0, err

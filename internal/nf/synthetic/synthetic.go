@@ -101,6 +101,9 @@ func (n *NF) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, error) {
 		return 0, err
 	}
 	ctx.Charge(cycles)
+	if !ctx.Recording() {
+		return core.VerdictForward, nil
+	}
 	model := ctx.Model
 	if err := ctx.AddStateFunc(sfunc.Func{
 		Name:  "synthetic",

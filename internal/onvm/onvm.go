@@ -238,6 +238,7 @@ func (p *Platform) nfLoop(i int, rings []*ring.Ring[*job]) {
 	buf := make([]*job, core.DefaultBatchSize)
 	next := make([]*job, 0, core.DefaultBatchSize)
 	mgr := make([]*job, 0, core.DefaultBatchSize)
+	b := core.NewBatch(1) // this core's slow-path traversal scratch
 	for {
 		n, err := in.DequeueBatch(buf)
 		if err != nil {
@@ -246,7 +247,7 @@ func (p *Platform) nfLoop(i int, rings []*ring.Ring[*job]) {
 		next, mgr = next[:0], mgr[:0]
 		for _, j := range buf[:n] {
 			if j.err == nil && j.verdict != core.VerdictDrop {
-				v, cycles, err := p.eng.ProcessNF(i, j.cls.FID, j.pkt, j.recording)
+				v, cycles, err := p.eng.ProcessNF(i, j.cls.FID, j.pkt, j.recording, b)
 				j.perNF = append(j.perNF, cost.StageCost{Name: fmt.Sprintf("nf%d", i), Cycles: cycles})
 				switch {
 				case err != nil:
