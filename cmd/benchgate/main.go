@@ -1,42 +1,21 @@
-// Command benchgate parses `go test -bench` output, writes the parsed
-// results as JSON, and enforces allocation and speedup gates on the
-// batched fast path, so CI fails when a change regresses the zero-alloc
-// property or the batching win.
+// Command benchgate parses `go test -bench` output and enforces an
+// allocation gate on one benchmark, so CI fails when a change regresses
+// a zero-alloc property. Timing is not its business: wall-clock
+// regressions are judged by the repository benchmark (benchmark/), on
+// paired runs.
 //
 // Usage:
 //
 //	go test -bench 'FastPath' -benchmem . | benchgate \
-//	    -out BENCH_batch.json \
-//	    -gate BenchmarkFastPathBatch -max-allocs 1 \
-//	    -speedup-base BenchmarkFastPath -min-speedup 1.5
+//	    -gate BenchmarkFastPathBatch -max-allocs 1
 //
-// The gates:
-//
-//   - -gate/-max-allocs: the named benchmark's allocs/op must not
-//     exceed the bound (the batch benchmarks count b.N in packets, so
-//     allocs/op reads as allocations per packet).
-//   - -speedup-base/-min-speedup: ns/op of the base benchmark divided
-//     by ns/op of the gated benchmark must reach the bound. Set
-//     -min-speedup 0 to disable (machine-dependent timing gates are
-//     advisory by default in CI).
-//   - -max-ns: the gated benchmark's ns/op must not exceed the bound
-//     (0 = disabled). An absolute wall-clock gate: use it where the
-//     hardware is known, e.g. the committed fast-path budget.
-//   - -baseline/-max-regress-pct: compare the gated benchmark's ns/op
-//     against the same benchmark in a previously committed benchgate
-//     JSON report and fail when it regressed by more than the given
-//     percentage (default 10). Relative, so it tolerates machine drift
-//     better than -max-ns; pass -baseline "" to skip.
-//
-// A second mode, -render <report.json>, prints a committed report back
-// out in standard `go test -bench` text form and exits, so tools that
-// consume bench format (benchstat, benchcmp) can diff a fresh run
-// against the committed baseline without the raw text being committed.
+// The named benchmark's allocs/op must not exceed the bound (the batch
+// benchmarks count b.N in packets, so allocs/op reads as allocations per
+// packet).
 package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -47,23 +26,15 @@ import (
 
 // Result is one parsed benchmark line.
 type Result struct {
-	Name string `json:"name"`
+	Name string
 	// Iters is b.N; the batch benchmarks advance it per packet.
-	Iters int64 `json:"iters"`
+	Iters int64
 	// NsPerOp, BytesPerOp and AllocsPerOp mirror the standard
 	// -benchmem columns; custom b.ReportMetric units land in Metrics.
-	NsPerOp     float64            `json:"ns_per_op"`
-	BytesPerOp  float64            `json:"bytes_per_op"`
-	AllocsPerOp float64            `json:"allocs_per_op"`
-	Metrics     map[string]float64 `json:"metrics,omitempty"`
-}
-
-// Report is the JSON document benchgate writes.
-type Report struct {
-	Results []Result `json:"results"`
-	// Speedup is base ns/op over gated ns/op when both benchmarks are
-	// present (0 otherwise).
-	Speedup float64 `json:"speedup,omitempty"`
+	NsPerOp     float64
+	BytesPerOp  float64
+	AllocsPerOp float64
+	Metrics     map[string]float64
 }
 
 func main() {
@@ -76,21 +47,10 @@ func main() {
 func run(args []string, in io.Reader, out io.Writer) error {
 	fs := flag.NewFlagSet("benchgate", flag.ContinueOnError)
 	inPath := fs.String("in", "-", "bench output to parse (- = stdin)")
-	outPath := fs.String("out", "", "write parsed results as JSON to this file")
 	gate := fs.String("gate", "BenchmarkFastPathBatch", "benchmark whose allocs/op is gated")
 	maxAllocs := fs.Float64("max-allocs", 1, "fail if the gated benchmark exceeds this many allocs/op")
-	speedupBase := fs.String("speedup-base", "BenchmarkFastPath", "scalar baseline for the speedup ratio")
-	minSpeedup := fs.Float64("min-speedup", 0, "fail if base ns/op / gated ns/op falls below this (0 = report only)")
-	maxNs := fs.Float64("max-ns", 0, "fail if the gated benchmark exceeds this many ns/op (0 = no absolute time gate)")
-	baseline := fs.String("baseline", "", "committed benchgate JSON report to compare the gated benchmark against")
-	maxRegressPct := fs.Float64("max-regress-pct", 10, "with -baseline: fail if the gated ns/op regressed by more than this percentage")
-	render := fs.String("render", "", "print this benchgate JSON report as go-bench text and exit (no gating)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	if *render != "" {
-		return renderReport(*render, out)
 	}
 
 	if *inPath != "-" {
@@ -108,108 +68,18 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	if len(results) == 0 {
 		return fmt.Errorf("no benchmark lines found in input")
 	}
-
-	rep := Report{Results: results}
-	gated := find(results, *gate)
-	base := find(results, *speedupBase)
-	if gated != nil && base != nil && gated.NsPerOp > 0 {
-		rep.Speedup = base.NsPerOp / gated.NsPerOp
-	}
-
-	if *outPath != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*outPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-	}
-
 	for _, r := range results {
 		fmt.Fprintf(out, "%s\t%.1f ns/op\t%.2f allocs/op\n", r.Name, r.NsPerOp, r.AllocsPerOp)
 	}
-	if rep.Speedup > 0 {
-		fmt.Fprintf(out, "speedup %s vs %s: %.2fx\n", *gate, *speedupBase, rep.Speedup)
-	}
 
+	gated := find(results, *gate)
 	if gated == nil {
 		return fmt.Errorf("gated benchmark %s not in input", *gate)
 	}
 	if gated.AllocsPerOp > *maxAllocs {
 		return fmt.Errorf("%s allocates %.2f/op, gate is %.2f", *gate, gated.AllocsPerOp, *maxAllocs)
 	}
-	if *minSpeedup > 0 {
-		if base == nil {
-			return fmt.Errorf("speedup base %s not in input", *speedupBase)
-		}
-		if rep.Speedup < *minSpeedup {
-			return fmt.Errorf("speedup %.2fx below gate %.2fx", rep.Speedup, *minSpeedup)
-		}
-	}
-	if *maxNs > 0 && gated.NsPerOp > *maxNs {
-		return fmt.Errorf("%s runs at %.1f ns/op, gate is %.1f", *gate, gated.NsPerOp, *maxNs)
-	}
-	if *baseline != "" {
-		old, err := loadBaseline(*baseline, *gate)
-		if err != nil {
-			return err
-		}
-		if old.NsPerOp > 0 {
-			pct := (gated.NsPerOp - old.NsPerOp) / old.NsPerOp * 100
-			fmt.Fprintf(out, "baseline %s: %.1f -> %.1f ns/op (%+.1f%%)\n",
-				*gate, old.NsPerOp, gated.NsPerOp, pct)
-			if pct > *maxRegressPct {
-				return fmt.Errorf("%s regressed %.1f%% vs %s (%.1f -> %.1f ns/op), gate is %.1f%%",
-					*gate, pct, *baseline, old.NsPerOp, gated.NsPerOp, *maxRegressPct)
-			}
-		}
-	}
 	return nil
-}
-
-// renderReport prints a committed benchgate JSON report in the
-// standard bench text format benchstat consumes. Custom metrics are
-// re-emitted too; the iteration count is carried through verbatim.
-func renderReport(path string, out io.Writer) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var rep Report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return fmt.Errorf("render %s: %w", path, err)
-	}
-	if len(rep.Results) == 0 {
-		return fmt.Errorf("render %s: report has no results", path)
-	}
-	for _, r := range rep.Results {
-		fmt.Fprintf(out, "%s\t%d\t%g ns/op\t%g B/op\t%g allocs/op",
-			r.Name, r.Iters, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
-		for unit, val := range r.Metrics {
-			fmt.Fprintf(out, "\t%g %s", val, unit)
-		}
-		fmt.Fprintln(out)
-	}
-	return nil
-}
-
-// loadBaseline reads a previously committed benchgate report and pulls
-// the named benchmark out of it.
-func loadBaseline(path, name string) (*Result, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("baseline: %w", err)
-	}
-	var rep Report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("baseline %s: %w", path, err)
-	}
-	r := find(rep.Results, name)
-	if r == nil {
-		return nil, fmt.Errorf("baseline %s has no result for %s", path, name)
-	}
-	return r, nil
 }
 
 // find returns the result whose name matches base (ignoring the -N

@@ -13,12 +13,14 @@
 // applies that many live chain reconfigurations per schedule, to both
 // engines at the same packet indices, and -oracle-crashes kills and
 // restores the fast engine from checkpoint+WAL at that many seeded
-// packet indices per schedule. The reconfig experiment inserts a
-// gateway NF mid-trace and exits nonzero unless the run drops nothing
-// and the fast-path hit rate recovers to >=90% of its pre-change
-// baseline; the restart experiment kills the whole engine mid-trace
-// and holds the restored replacement to the same 90% bar against a
-// cold-start control.
+// packet indices per schedule; -oracle-topo and -oracle-cluster pick
+// the system under test (a three-chain topology, a scaling fleet) and
+// do not compose: asking for both is an error. The reconfig experiment
+// inserts a gateway NF mid-trace and exits nonzero unless the run drops
+// nothing and the fast-path hit rate recovers to >=90% of its
+// pre-change baseline; the restart experiment kills the whole engine
+// mid-trace and holds the restored replacement to the same 90% bar
+// against a cold-start control.
 package main
 
 import (

@@ -76,3 +76,13 @@ func TestRunCDFOutput(t *testing.T) {
 		t.Error("fallback table missing")
 	}
 }
+
+// TestRunOracleRefusesTopoCluster: the two oracle modes do not compose,
+// and asking for both is an error, not a silent topology-only run.
+func TestRunOracleRefusesTopoCluster(t *testing.T) {
+	var buf bytes.Buffer
+	err := run([]string{"-exp", "oracle", "-oracle-schedules", "1", "-oracle-topo", "-oracle-cluster"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "do not compose") {
+		t.Errorf("-oracle-topo -oracle-cluster: err = %v, output:\n%s", err, buf.String())
+	}
+}

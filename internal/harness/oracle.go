@@ -2,11 +2,15 @@ package harness
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
+	"github.com/fastpathnfv/speedybox/internal/bess"
+	"github.com/fastpathnfv/speedybox/internal/chainspec"
 	"github.com/fastpathnfv/speedybox/internal/core"
 	"github.com/fastpathnfv/speedybox/internal/fault"
 	"github.com/fastpathnfv/speedybox/internal/mat"
@@ -16,6 +20,7 @@ import (
 	"github.com/fastpathnfv/speedybox/internal/nf/monitor"
 	"github.com/fastpathnfv/speedybox/internal/nf/snort"
 	"github.com/fastpathnfv/speedybox/internal/packet"
+	"github.com/fastpathnfv/speedybox/internal/platform"
 	"github.com/fastpathnfv/speedybox/internal/trace"
 	"github.com/fastpathnfv/speedybox/internal/wal"
 )
@@ -23,15 +28,18 @@ import (
 // The differential equivalence oracle generalizes the paper's three
 // hand-written §VII-C case studies into a property checked under
 // thousands of randomized fault schedules: every trace runs twice —
-// through a pure slow-path reference engine (the unmodified chain,
-// which is correct by definition) and through full SpeedyBox with a
-// seeded fault injector attacking its control plane — and every packet
-// must leave both engines with the identical verdict, identical drop
-// state and identical rewritten bytes, with identical NF-observable
-// side effects (Monitor counters, Snort logs) at the end of the trace.
-// Backend flaps are environmental (the pool genuinely changed), so the
-// injector's deterministic FlapPlan is applied to both engines at the
-// same packet indices.
+// through a pure slow-path reference (the unmodified chain, which is
+// correct by definition) and through full SpeedyBox with a seeded fault
+// injector attacking its control plane — and every packet must leave
+// both with the identical chain, verdict, drop state and rewritten
+// bytes, with identical NF-observable side effects (Monitor counters,
+// Snort logs) at the end of the trace.
+//
+// There is one schedule driver, runSchedule, over a pluggable system
+// under test (the system interface: one engine, a multi-chain topology,
+// a scaling cluster) and a table of what runs on it (oracleRows).
+// DESIGN.md §10 describes the event list, the clip rule, the comparator
+// and the adapters.
 
 // OracleConfig configures a differential-oracle run.
 type OracleConfig struct {
@@ -43,30 +51,32 @@ type OracleConfig struct {
 	Schedules int
 	// Flows is the per-schedule trace size (default 24).
 	Flows int
-	// Chain picks the service chain: 1 or 2 (§VII-B3); 0 alternates
-	// per schedule.
+	// Chain picks the service chain: 1 or 2 (§VII-B3), 3 (the stateless
+	// header-transform chain) or 4 (the catalog chain: VPN pair,
+	// synthetic, RateLimiter, DoS defender, Monitor); 0 alternates 1 and
+	// 2 per schedule (1, 2 and 3 under Cluster). Topo runs its fixed
+	// topology and takes no Chain.
 	Chain int
-	// Batch > 1 drives the fast engine through ProcessBatch in vectors
-	// of that size (the reference engine stays scalar — its correctness
-	// is definitional), proving the batched data path bit-identical to
-	// per-packet execution under the same fault schedules. Vectors are
-	// clipped at backend-flap indices so every packet of a batch
-	// observes the same pool state as its reference twin.
+	// Batch is the vector size the system under test is driven in
+	// (Batch <= 1 is a vector of one, through the same code). The
+	// reference always takes vectors of one — its correctness is
+	// definitional — so a batched run proves the vector size is not
+	// observable under the same fault schedules.
 	Batch int
 	// Rates overrides the per-kind injection rates; nil selects a
 	// uniform moderate-chaos default across every fault kind.
 	Rates map[fault.Kind]float64
 	// TamperRule, when set, corrupts the flow's consolidated rule
-	// after each fast-engine packet. Test-only: it exists to prove the
+	// after each fast-engine vector. Test-only: it exists to prove the
 	// oracle has teeth — a deliberately broken consolidation must be
-	// caught as a divergence.
+	// caught as a divergence. Single-engine system only.
 	TamperRule func(*mat.GlobalRule)
 	// Reconfigs is how many live chain reconfigurations to apply per
 	// schedule, at deterministic mid-trace offsets derived from the
 	// schedule seed. Each plan (insert a gateway — a semantically
 	// visible MAC rewrite —, insert a pass-all filter, remove a
-	// previous insertion, reorder) is applied to the fast engine and to
-	// the slow-path reference at the same packet index; a fault-aborted
+	// previous insertion, reorder) is applied to the system under test
+	// and to the reference at the same packet index; a fault-aborted
 	// plan is skipped on both, which is exactly the rollback contract
 	// under test. 0 disables reconfiguration.
 	Reconfigs int
@@ -74,49 +84,60 @@ type OracleConfig struct {
 	// reconfiguration with a copy of the rules installed before it.
 	// Test-only teeth: re-installing those pre-reconfiguration rules
 	// under the new epoch models a broken invalidation and must be
-	// caught as a divergence.
+	// caught as a divergence. Single-engine system only.
 	TamperReconfig func(eng *core.Engine, pre []*mat.GlobalRule)
-	// Topo switches to the multi-chain topology oracle: each schedule
-	// runs a fixed three-chain, three-tenant topology (shared monitor,
-	// per-chain policies, tight tenant quotas) against per-flow pure
-	// slow-path references — the same lockstep verdict/drop/byte
-	// comparison, plus shared-NF observables, composed with Batch,
-	// Reconfigs and Crashes.
+	// Topo puts a multi-chain topology under test: a fixed three-chain,
+	// three-tenant topology (shared monitor, per-chain policies, tight
+	// tenant quotas) against the same topology on baseline options.
+	// Reconfigurations target one chain per schedule, rotating; a crash
+	// kills the whole topology. Does not compose with Cluster.
 	Topo bool
 	// TamperRoute, when set with Topo, overrides the fast topology's
 	// classifier (receiving each packet and the honest chain index).
 	// Test-only teeth: routing a flow down the wrong chain must be
 	// caught as a divergence.
 	TamperRoute func(pkt *packet.Packet, chain int) int
-	// Cluster switches to the multi-instance cluster oracle: each
-	// schedule drives the identical trace through a static single
-	// engine (the reference) and through a cluster that scales
-	// 1→2→4→3 at seeded mid-trace packet indices, live-migrating
-	// every reassigned flow at each step. Per-packet verdicts, drop
-	// decisions and rewritten bytes must stay bit-identical across
-	// every rebalance — zero drops during migration — and the
-	// end-of-trace NF observables must match. Composes with Batch
-	// (the cluster runs its batched run-splitting path), Reconfigs
-	// (applied cluster-wide at a common packet boundary) and Crashes
-	// (random instances are killed and restored from checkpoint+WAL
-	// mid-trace). Injected fault.KindMigrationAbort decisions roll
-	// whole rebalances back, which must also be verdict-invisible.
+	// Cluster puts a multi-instance cluster under test: a fleet that
+	// scales 1→2→4→3 at seeded mid-trace packet indices, live-migrating
+	// every reassigned flow at each step, against a static single
+	// engine. Reconfigurations apply cluster-wide at a common packet
+	// boundary; a crash kills one instance, round-robin, and restores it
+	// from checkpoint+WAL. Injected fault.KindMigrationAbort decisions
+	// roll whole rebalances back, which must also be verdict-invisible.
 	Cluster bool
 	// TamperMigration, when set with Cluster, corrupts each decoded
 	// migration record before the new owner adopts it. Test-only
 	// teeth: a migration that delivers the wrong rule must be caught
 	// as a divergence.
 	TamperMigration func(*wal.MigrationRecord)
-	// Crashes > 0 kills and restores the fast engine at up to that many
-	// (capped at 4) seeded packet indices per schedule: a
+	// Crashes > 0 kills and restores the system under test at up to that
+	// many (capped at 4) seeded packet indices per schedule: a
 	// crash-consistent checkpoint is taken at the kill point, the engine
 	// and every NF instance are discarded, a fresh chain is rebuilt
 	// (replaying any surviving reconfigurations), and Engine.Restore
 	// rehydrates it from the encoded checkpoint plus the durable WAL
 	// prefix — exactly what a process restart would find on disk. The
-	// reference engine runs uninterrupted, so any state the restore
-	// loses or invents shows up as a divergence.
+	// reference runs uninterrupted, so any state the restore loses or
+	// invents shows up as a divergence.
 	Crashes int
+}
+
+// check refuses a configuration the selected system cannot honour: a
+// hook or mode that would be silently ignored proves nothing.
+func (cfg OracleConfig) check() error {
+	switch {
+	case cfg.Topo && cfg.Cluster:
+		return errors.New("harness: oracle: Topo and Cluster do not compose: the cluster runs a single chain")
+	case cfg.Topo && cfg.Chain != 0:
+		return errors.New("harness: oracle: Topo runs its fixed topology and takes no Chain")
+	case cfg.Chain < 0 || cfg.Chain >= len(oracleRows):
+		return fmt.Errorf("harness: oracle: no chain %d (have 1-%d)", cfg.Chain, len(oracleRows)-1)
+	case (cfg.TamperRule != nil || cfg.TamperReconfig != nil) && (cfg.Topo || cfg.Cluster):
+		return errors.New("harness: oracle: TamperRule and TamperReconfig apply to the single-engine system only")
+	case cfg.TamperRoute != nil && !cfg.Topo, cfg.TamperMigration != nil && !cfg.Cluster:
+		return errors.New("harness: oracle: TamperRoute needs Topo, TamperMigration needs Cluster")
+	}
+	return nil
 }
 
 // OracleDivergence pinpoints one fast/slow-path disagreement.
@@ -170,6 +191,14 @@ func (r *OracleResult) Passed() bool {
 	return r.Schedules > 0 && len(r.Divergences) == 0
 }
 
+// bank folds one engine's (or fleet's) degradation counters into the run
+// totals.
+func (r *OracleResult) bank(st core.Stats) {
+	r.Fallbacks += st.SlowPathFallbacks
+	r.Degraded += st.DegradedPackets
+	r.Recoveries += st.FaultRecoveries
+}
+
 // Format renders the oracle outcome.
 func (r *OracleResult) Format() string {
 	t := &tableWriter{}
@@ -196,15 +225,12 @@ func (r *OracleResult) Format() string {
 
 // RunOracle executes the differential equivalence oracle.
 func RunOracle(cfg OracleConfig) (*OracleResult, error) {
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
+	if err := cfg.check(); err != nil {
+		return nil, err
 	}
-	if cfg.Schedules == 0 {
-		cfg.Schedules = 200
-	}
-	if cfg.Flows == 0 {
-		cfg.Flows = 24
-	}
+	cfg.Seed = cmp.Or(cfg.Seed, 1)
+	cfg.Schedules = cmp.Or(cfg.Schedules, 200)
+	cfg.Flows = cmp.Or(cfg.Flows, 24)
 	rates := cfg.Rates
 	if rates == nil {
 		rates = fault.UniformRates(0.08)
@@ -212,26 +238,19 @@ func RunOracle(cfg OracleConfig) (*OracleResult, error) {
 	res := &OracleResult{}
 	for s := 0; s < cfg.Schedules; s++ {
 		seed := cfg.Seed + int64(s)*7919
-		chain := cfg.Chain
-		if chain == 0 {
-			chain = 1 + s%2
-			if cfg.Cluster {
-				// Cycle in the stateless chain so rule-carrying
-				// migration runs alongside the demotion path the
-				// monitor-bearing chains force.
-				chain = 1 + s%3
-			}
-		}
-		var err error
+		row := cfg.Chain
 		switch {
 		case cfg.Topo:
-			err = runTopoSchedule(cfg, s, seed, rates, res)
-		case cfg.Cluster:
-			err = runClusterSchedule(cfg, s, seed, chain, rates, res)
-		default:
-			err = runOracleSchedule(cfg, s, seed, chain, rates, res)
+			row = 0
+		case row == 0 && cfg.Cluster:
+			// Cycle in the stateless chain so rule-carrying migration
+			// runs alongside the demotion path the monitor-bearing
+			// chains force.
+			row = 1 + s%3
+		case row == 0:
+			row = 1 + s%2
 		}
-		if err != nil {
+		if err := runSchedule(cfg, oracleRows[row], s, seed, rates, res); err != nil {
 			return nil, fmt.Errorf("harness: oracle schedule %d (seed %d): %w", s, seed, err)
 		}
 		res.Schedules++
@@ -242,32 +261,125 @@ func RunOracle(cfg OracleConfig) (*OracleResult, error) {
 	return res, nil
 }
 
-// oracleChain is one engine's chain with its observable NFs picked out.
-type oracleChain struct {
-	nfs []core.NF
-	lb  *maglev.Maglev
-	mon *monitor.Monitor
-	ids *snort.Snort
+// oracleRow is one thing the oracle can put under test: how to generate
+// a schedule's trace and how to build a system over it. The driver
+// builds every row twice — on baseline options with a zero config (the
+// reference) and on SpeedyBox options with the run's config and fault
+// injector (the system under test); sched is the schedule index, for
+// rows that rotate something across schedules.
+type oracleRow struct {
+	trace func(seed int64, flows int) ([]*packet.Packet, error)
+	build func(cfg OracleConfig, sched int, opts core.Options) (system, error)
 }
 
-func buildOracleChain(chain int) (*oracleChain, error) {
-	var (
-		nfs []core.NF
-		err error
-	)
-	switch chain {
-	case 1:
-		nfs, err = Chain1()
-	case 3:
-		nfs, err = ChainStateless()
-	default:
-		nfs, err = Chain2()
+// oracleRows is the table RunOracle iterates: row 0 is the fixed
+// topology (OracleConfig.Topo), rows 1.. are OracleConfig.Chain. A new
+// chain is a new row.
+var oracleRows = [...]oracleRow{
+	0: {trace: topoTrace, build: newTopoSystem},
+	1: chainRow(Chain1),
+	2: chainRow(Chain2),
+	3: chainRow(statelessChain.Build),
+	4: chainRow(catalogChain.Build),
+}
+
+// statelessChain is a pure header-transform chain (IPFilter ->
+// Gateway): no NF registers per-flow state functions, so every
+// consolidated rule is a batch-free header program — exactly the rules
+// that travel whole inside a migration record instead of demoting to
+// re-record. The cluster rotation cycles it in alongside the paper's
+// two chains so rule-carrying migration is exercised (and tamperable)
+// as well as the demotion path the monitor-bearing chains force.
+var statelessChain = &chainspec.Spec{NFs: []chainspec.NFSpec{
+	{Type: "ipfilter", Name: "ipfilter", ACLSize: 100},
+	{Type: "gateway", Name: "gateway", NextHopMAC: "02:00:00:00:00:fe"},
+}}
+
+// catalogChain runs the catalog NFs no paper chain holds: an encap/decap
+// pair that cancels in consolidation around a payload-reading NF, the
+// cross-flow shared-state limiter (§IV-A2; the quota is low enough to
+// trip inside a 24-flow trace), the per-flow SYN counter, and a monitor
+// behind them all, which must count exactly the packets the two
+// droppers let through.
+var catalogChain = &chainspec.Spec{NFs: []chainspec.NFSpec{
+	{Type: "vpn-encap"},
+	{Type: "synthetic", Cycles: 300},
+	{Type: "vpn-decap"},
+	{Type: "ratelimiter", Quota: 40},
+	{Type: "dos"},
+	{Type: "monitor"},
+}}
+
+// chainRow is the row of a single service chain: one engine, or, under
+// OracleConfig.Cluster, a scaling fleet of them.
+func chainRow(nfs func() ([]core.NF, error)) oracleRow {
+	return oracleRow{
+		trace: func(seed int64, flows int) ([]*packet.Packet, error) { return oracleTrace(seed, flows, 0) },
+		build: func(cfg OracleConfig, _ int, opts core.Options) (system, error) {
+			if cfg.Cluster {
+				return newClusterSystem(nfs, cfg, opts)
+			}
+			s := &engineSystem{nfs: nfs, cfg: cfg, opts: opts, pb: platform.NewBatch(cfg.Batch)}
+			return s, s.boot(nil, nil, nil)
+		},
 	}
+}
+
+// oracleTrace generates one schedule's interleaved trace towards
+// dstPort (0 is trace's default service port).
+func oracleTrace(seed int64, flows int, dstPort uint16) ([]*packet.Packet, error) {
+	tr, err := trace.Generate(trace.Config{
+		Seed: seed, Flows: flows,
+		AlertFraction: 0.15, LogFraction: 0.15,
+		DstPort:    dstPort,
+		Interleave: true,
+	})
 	if err != nil {
 		return nil, err
 	}
-	oc := &oracleChain{nfs: nfs}
+	return tr.Packets(), nil
+}
+
+// system is what the schedule driver needs of a packet processor, the
+// reference and the system under test alike.
+type system interface {
+	// run feeds pkts through the system in arrival order, in vectors of
+	// at most batch (platform.Drain), and hands fold each vector's
+	// measurements while they are valid, with the vector's offset in
+	// pkts and the index of the chain that ran it (0 outside
+	// topologies).
+	run(pkts []*packet.Packet, batch int, fold func(off, chain int, ms []platform.Measurement)) error
+	// events returns the environmental events the system schedules for
+	// itself on a trace of n packets (the cluster's scale walk).
+	events(seed int64, n int) []oracleEvent
+	// reconfigure applies one live chain change; an error means the
+	// system is unchanged.
+	reconfigure(plan core.ChainPlan) error
+	// crash kills the system at this packet boundary and restores it
+	// from what a restart would find; applied lists the committed
+	// reconfigurations a rebuilt chain must replay.
+	crash(applied []reconfigEvent) error
+	// chain returns the NF names reconfigurations are planned over and
+	// the observable NFs, as of the last (re)build.
+	chain() *oracleChain
+	// finish folds the system's counters into res and releases it; the
+	// driver calls it on the system under test only.
+	finish(res *OracleResult)
+}
+
+// oracleChain is one system's reconfigurable chain with its observable
+// NFs picked out.
+type oracleChain struct {
+	names []string
+	lb    *maglev.Maglev
+	mon   *monitor.Monitor
+	ids   *snort.Snort
+}
+
+func observeChain(nfs []core.NF) *oracleChain {
+	oc := &oracleChain{}
 	for _, nf := range nfs {
+		oc.names = append(oc.names, nf.Name())
 		switch v := nf.(type) {
 		case *maglev.Maglev:
 			oc.lb = v
@@ -277,30 +389,27 @@ func buildOracleChain(chain int) (*oracleChain, error) {
 			oc.ids = v
 		}
 	}
-	return oc, nil
+	return oc
+}
+
+// oracleEvent is one scheduled environmental transition: apply runs
+// before packet at, on a vector boundary.
+type oracleEvent struct {
+	at    int
+	apply func() error
 }
 
 // reconfigEvent is one scheduled live chain change. mk builds a fresh
 // plan on every call — a new NF instance each time — so the reference
-// and the fast engine never share an inserted NF's state.
+// and the system under test never share an inserted NF's state.
 type reconfigEvent struct {
 	at int
 	mk func() (core.ChainPlan, error)
 }
 
-// buildReconfigEvents derives n deterministic chain changes from the
-// schedule seed, at sorted offsets inside the middle 80% of the trace.
-// Operations cycle through inserting a gateway (a semantically visible
-// MAC rewrite), inserting a pass-all filter, removing the oldest
-// surviving insertion (or inserting an extra monitor when none
-// remains), and reordering a random NF. Plan positions track the chain
-// as if every plan lands; when an earlier plan is fault-aborted a later
-// one may be rejected by validation — on both engines identically,
-// which the schedule runner treats as a shared no-op.
-func buildReconfigEvents(seed int64, n, pkts int, chain []string) []reconfigEvent {
-	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
-	names := append([]string(nil), chain...)
-	var inserted []string
+// midTraceOffsets draws n sorted packet indices inside the middle 80%
+// of a trace of pkts packets.
+func midTraceOffsets(rng *rand.Rand, n, pkts int) []int {
 	lo, hi := pkts/10, pkts*9/10
 	if hi <= lo {
 		hi = lo + 1
@@ -310,116 +419,132 @@ func buildReconfigEvents(seed int64, n, pkts int, chain []string) []reconfigEven
 		offsets[k] = lo + rng.Intn(hi-lo)
 	}
 	sort.Ints(offsets)
+	return offsets
+}
+
+// buildReconfigEvents derives n deterministic chain changes from the
+// schedule seed, at sorted offsets inside the middle 80% of the trace.
+// Operations cycle through inserting a gateway (a semantically visible
+// MAC rewrite), inserting a pass-all filter, removing the oldest
+// surviving insertion (or inserting an extra monitor when none
+// remains), and reordering a random NF. Plan positions track the chain
+// as if every plan lands; when an earlier plan is fault-aborted a later
+// one may be rejected by validation — on both systems identically,
+// which the schedule driver treats as a shared no-op.
+func buildReconfigEvents(seed int64, n, pkts int, chain []string) []reconfigEvent {
+	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+	names := slices.Clone(chain)
+	var inserted []string
 	events := make([]reconfigEvent, 0, n)
-	for k := 0; k < n; k++ {
-		at := offsets[k]
-		switch k % 4 {
-		case 0:
-			k, name := k, fmt.Sprintf("gw%d", k)
-			pos := rng.Intn(len(names) + 1)
-			events = append(events, reconfigEvent{at: at, mk: func() (core.ChainPlan, error) {
-				nf, err := gateway.New(gateway.Config{
-					Name:       name,
-					NextHopMAC: [6]byte{2, 0, 0, 0, 0, byte(k + 1)},
-				})
-				if err != nil {
-					return core.ChainPlan{}, err
-				}
-				return core.ChainPlan{Op: core.OpInsert, Pos: pos, NF: nf}, nil
-			}})
-			names = append(names[:pos], append([]string{name}, names[pos:]...)...)
-			inserted = append(inserted, name)
-		case 1:
+	insert := func(at int, name string, mkNF func() (core.NF, error)) {
+		pos := rng.Intn(len(names) + 1)
+		events = append(events, reconfigEvent{at: at, mk: func() (core.ChainPlan, error) {
+			nf, err := mkNF()
+			return core.ChainPlan{Op: core.OpInsert, Pos: pos, NF: nf}, err
+		}})
+		names = slices.Insert(names, pos, name)
+		inserted = append(inserted, name)
+	}
+	without := func(name string) []string {
+		return slices.DeleteFunc(slices.Clone(names), func(n string) bool { return n == name })
+	}
+	for k, at := range midTraceOffsets(rng, n, pkts) {
+		switch {
+		case k%4 == 0:
+			name := fmt.Sprintf("gw%d", k)
+			insert(at, name, func() (core.NF, error) {
+				return gateway.New(gateway.Config{Name: name, NextHopMAC: [6]byte{2, 0, 0, 0, 0, byte(k + 1)}})
+			})
+		case k%4 == 1:
 			name := fmt.Sprintf("flt%d", k)
-			pos := rng.Intn(len(names) + 1)
+			insert(at, name, func() (core.NF, error) {
+				return ipfilter.New(ipfilter.Config{Name: name, Rules: ipfilter.PadRules(nil, 50)})
+			})
+		case k%4 == 2 && len(inserted) > 0:
+			name := inserted[0]
+			inserted = inserted[1:]
 			events = append(events, reconfigEvent{at: at, mk: func() (core.ChainPlan, error) {
-				nf, err := ipfilter.New(ipfilter.Config{
-					Name:  name,
-					Rules: ipfilter.PadRules(nil, 50),
-				})
-				if err != nil {
-					return core.ChainPlan{}, err
-				}
-				return core.ChainPlan{Op: core.OpInsert, Pos: pos, NF: nf}, nil
+				return core.ChainPlan{Op: core.OpRemove, Name: name}, nil
 			}})
-			names = append(names[:pos], append([]string{name}, names[pos:]...)...)
-			inserted = append(inserted, name)
-		case 2:
-			if len(inserted) > 0 {
-				name := inserted[0]
-				inserted = inserted[1:]
-				events = append(events, reconfigEvent{at: at, mk: func() (core.ChainPlan, error) {
-					return core.ChainPlan{Op: core.OpRemove, Name: name}, nil
-				}})
-				kept := names[:0:0]
-				for _, n := range names {
-					if n != name {
-						kept = append(kept, n)
-					}
-				}
-				names = kept
-			} else {
-				name := fmt.Sprintf("mon%d", k)
-				pos := rng.Intn(len(names) + 1)
-				events = append(events, reconfigEvent{at: at, mk: func() (core.ChainPlan, error) {
-					nf, err := monitor.New(name)
-					if err != nil {
-						return core.ChainPlan{}, err
-					}
-					return core.ChainPlan{Op: core.OpInsert, Pos: pos, NF: nf}, nil
-				}})
-				names = append(names[:pos], append([]string{name}, names[pos:]...)...)
-				inserted = append(inserted, name)
-			}
+			names = without(name)
+		case k%4 == 2:
+			name := fmt.Sprintf("mon%d", k)
+			insert(at, name, func() (core.NF, error) { return monitor.New(name) })
 		default:
 			name := names[rng.Intn(len(names))]
 			pos := rng.Intn(len(names))
 			events = append(events, reconfigEvent{at: at, mk: func() (core.ChainPlan, error) {
 				return core.ChainPlan{Op: core.OpReorder, Name: name, Pos: pos}, nil
 			}})
-			kept := names[:0:0]
-			for _, n := range names {
-				if n != name {
-					kept = append(kept, n)
-				}
-			}
-			names = append(kept[:pos], append([]string{name}, kept[pos:]...)...)
+			names = slices.Insert(without(name), pos, name)
 		}
 	}
 	return events
 }
 
-// runOracleSchedule replays one fault schedule through both engines.
-func runOracleSchedule(cfg OracleConfig, sched int, seed int64, chain int, rates map[fault.Kind]float64, res *OracleResult) error {
-	tr, err := trace.Generate(trace.Config{
-		Seed: seed, Flows: cfg.Flows,
-		AlertFraction: 0.15, LogFraction: 0.15,
-		Interleave: true,
-	})
+// replayReconfigs rebuilds, on a fresh engine, the chain composition a
+// checkpoint was taken under: every reconfiguration that survived, with
+// abort injection off — these plans already committed before the crash.
+func replayReconfigs(eng *core.Engine, applied []reconfigEvent) error {
+	inj := eng.Faults()
+	abortRate := inj.Rate(fault.KindReconfigAbort)
+	inj.SetRate(fault.KindReconfigAbort, 0)
+	defer inj.SetRate(fault.KindReconfigAbort, abortRate)
+	for _, ev := range applied {
+		plan, err := ev.mk()
+		if err != nil {
+			return err
+		}
+		if err := eng.Reconfigure(plan); err != nil {
+			return fmt.Errorf("crash rebuild reconfigure (%s): %v", plan, err)
+		}
+	}
+	return nil
+}
+
+// flap applies one planned backend transition to a Maglev pool.
+func flap(lb *maglev.Maglev, f fault.Flap) error {
+	if f.Restore {
+		return lb.RestoreBackend(f.Backend)
+	}
+	return lb.FailBackend(f.Backend)
+}
+
+// outcome is what the comparator holds of one packet beyond its bytes.
+type outcome struct {
+	chain   int
+	verdict core.Verdict
+}
+
+// runSchedule is the one schedule driver: it replays one trace through
+// the row's reference and its system under test, applying every event
+// to both at the same packet index, and is the only place a divergence
+// is recorded.
+func runSchedule(cfg OracleConfig, row oracleRow, sched int, seed int64, rates map[fault.Kind]float64, res *OracleResult) error {
+	refPkts, err := row.trace(seed, cfg.Flows)
 	if err != nil {
 		return err
 	}
-	ref, err := buildOracleChain(chain)
-	if err != nil {
-		return err
+	fastPkts := make([]*packet.Packet, len(refPkts))
+	for i, p := range refPkts {
+		fastPkts[i] = p.Clone()
 	}
-	fast, err := buildOracleChain(chain)
-	if err != nil {
-		return err
-	}
-	refEng, err := core.NewEngine(ref.nfs, core.BaselineOptions())
+	ref, err := row.build(OracleConfig{}, sched, core.BaselineOptions())
 	if err != nil {
 		return err
 	}
 	inj := fault.New(fault.Config{Seed: seed, Rates: rates})
-	fastOpts := core.DefaultOptions()
-	fastOpts.Faults = inj
-	fastEng, err := core.NewEngine(fast.nfs, fastOpts)
+	opts := core.DefaultOptions()
+	opts.Faults = inj
+	fast, err := row.build(cfg, sched, opts)
 	if err != nil {
 		return err
 	}
+	defer func() {
+		fast.finish(res)
+		res.Injected += inj.InjectedTotal()
+	}()
 
-	refPkts, fastPkts := tr.Packets(), tr.Packets()
 	diverge := func(pkt int, format string, args ...any) {
 		res.Divergences = append(res.Divergences, OracleDivergence{
 			Schedule: sched, Seed: seed, Packet: pkt,
@@ -427,259 +552,245 @@ func runOracleSchedule(cfg OracleConfig, sched int, seed int64, chain int, rates
 		})
 	}
 
-	// Backend flaps are pool changes, not SpeedyBox faults: both
-	// engines' Maglev instances see the identical schedule, and the
-	// reference's assignment logic re-picks for unhealthy pins exactly
-	// as the fast engine's events reroute.
-	var plan []fault.Flap
-	if ref.lb != nil {
-		plan = inj.FlapPlan(len(refPkts), 3)
-	}
-	next := 0
-
-	var crashes []fault.Crash
+	// The event list. Same-index order is scale, crash, flap, reconfig
+	// (the append order; the sort is stable).
+	n := len(refPkts)
+	events := fast.events(seed, n)
+	var applied []reconfigEvent
 	if cfg.Crashes > 0 {
 		// CrashPlan scales its count with the KindCrashRestore rate
 		// (count = int(rate*4)+1, capped at 4), so (c-1)/4 plus a nudge
 		// yields exactly min(c, 4) planned crashes.
 		inj.SetRate(fault.KindCrashRestore, float64(cfg.Crashes-1)/4+0.05)
-		crashes = inj.CrashPlan(len(refPkts))
-		fastEng.AttachWAL(wal.NewWriter(wal.Options{}))
+		for _, c := range inj.CrashPlan(n) {
+			events = append(events, oracleEvent{c.At, func() error {
+				res.CrashRestores++
+				return fast.crash(applied)
+			}})
+		}
 	}
-	nextCrash := 0
-
-	var reEvents []reconfigEvent
-	if cfg.Reconfigs > 0 {
-		chainNames := make([]string, len(ref.nfs))
-		for i, nf := range ref.nfs {
-			chainNames[i] = nf.Name()
+	if ref.chain().lb != nil {
+		// Backend flaps are pool changes, not SpeedyBox faults: both
+		// Maglev instances see the identical schedule, and the
+		// reference's assignment logic re-picks for unhealthy pins
+		// exactly as the fast engine's events reroute.
+		for _, f := range inj.FlapPlan(n, 3) {
+			events = append(events, oracleEvent{f.At, func() error {
+				return errors.Join(flap(ref.chain().lb, f), flap(fast.chain().lb, f))
+			}})
 		}
-		reEvents = buildReconfigEvents(seed, cfg.Reconfigs, len(refPkts), chainNames)
 	}
-	nextRe := 0
-	var appliedRe []reconfigEvent
-	applyReconfig := func(ev reconfigEvent) error {
-		var pre []*mat.GlobalRule
-		if cfg.TamperReconfig != nil {
-			fastEng.Global().ForEach(func(r *mat.GlobalRule) {
-				cp := *r
-				pre = append(pre, &cp)
-			})
-		}
-		fastPlan, err := ev.mk()
-		if err != nil {
-			return err
-		}
-		if ferr := fastEng.Reconfigure(fastPlan); ferr != nil {
-			// An aborted (or, after an earlier abort, validation-rejected)
-			// plan left the fast chain untouched — that is the rollback
-			// contract — so the reference skips it too and the engines
-			// stay in lockstep.
-			if errors.Is(ferr, core.ErrReconfigAborted) {
-				res.ReconfigAborts++
-			}
-			return nil
-		}
-		refPlan, err := ev.mk()
-		if err != nil {
-			return err
-		}
-		if rerr := refEng.Reconfigure(refPlan); rerr != nil {
-			return fmt.Errorf("reference reconfigure (%s): %v", refPlan, rerr)
-		}
-		res.Reconfigs++
-		appliedRe = append(appliedRe, ev)
-		if cfg.TamperReconfig != nil {
-			cfg.TamperReconfig(fastEng, pre)
-		}
-		return nil
-	}
-
-	// crashRestore kills the fast engine and rehydrates a fresh one from
-	// exactly what a process restart would find on disk: the encoded
-	// crash-consistent checkpoint plus the durable (synced) WAL prefix.
-	// The reference engine runs on uninterrupted, so any state the
-	// restore loses or invents surfaces as a divergence downstream.
-	crashRestore := func() error {
-		cp, err := fastEng.Checkpoint()
-		if err != nil {
-			return fmt.Errorf("crash checkpoint: %w", err)
-		}
-		blob := cp.Encode()
-		durable := append([]byte(nil), fastEng.WAL().DurableBytes()...)
-
-		// The old engine's degradation counters die with it; bank them.
-		st := fastEng.Stats()
-		res.Fallbacks += st.SlowPathFallbacks
-		res.Degraded += st.DegradedPackets
-		res.Recoveries += st.FaultRecoveries
-
-		nfast, err := buildOracleChain(chain)
-		if err != nil {
-			return err
-		}
-		neweng, err := core.NewEngine(nfast.nfs, fastOpts)
-		if err != nil {
-			return err
-		}
-		// Rebuild the chain composition the checkpoint was taken under:
-		// replay every reconfiguration that survived, with abort
-		// injection off — these plans already committed before the crash.
-		abortRate := inj.Rate(fault.KindReconfigAbort)
-		inj.SetRate(fault.KindReconfigAbort, 0)
-		for _, ev := range appliedRe {
+	for _, ev := range buildReconfigEvents(seed, cfg.Reconfigs, n, ref.chain().names) {
+		events = append(events, oracleEvent{ev.at, func() error {
 			plan, err := ev.mk()
 			if err != nil {
 				return err
 			}
-			if rerr := neweng.Reconfigure(plan); rerr != nil {
-				return fmt.Errorf("crash rebuild reconfigure (%s): %v", plan, rerr)
+			if ferr := fast.reconfigure(plan); ferr != nil {
+				// An aborted (or, after an earlier abort, validation-
+				// rejected) plan left the system untouched — that is the
+				// rollback contract — so the reference skips it too and
+				// the two stay in lockstep.
+				if errors.Is(ferr, core.ErrReconfigAborted) {
+					res.ReconfigAborts++
+				}
+				return nil
 			}
-		}
-		inj.SetRate(fault.KindReconfigAbort, abortRate)
+			if plan, err = ev.mk(); err != nil {
+				return err
+			}
+			if rerr := ref.reconfigure(plan); rerr != nil {
+				return fmt.Errorf("reference reconfigure (%s): %v", plan, rerr)
+			}
+			res.Reconfigs++
+			applied = append(applied, ev)
+			return nil
+		}})
+	}
+	sort.SliceStable(events, func(a, b int) bool { return events[a].at < events[b].at })
 
-		rcp, err := wal.DecodeCheckpoint(blob)
-		if err != nil {
-			return fmt.Errorf("crash checkpoint decode: %w", err)
+	// compare is the comparator: one reference packet against its twin.
+	compare := func(k int, want, got outcome) bool {
+		rp, fp := refPkts[k], fastPkts[k]
+		switch {
+		case want.chain != got.chain:
+			diverge(k, "route: ref chain %d, fast chain %d", want.chain, got.chain)
+		case want.verdict != got.verdict:
+			diverge(k, "verdict: ref %v, fast %v", want.verdict, got.verdict)
+		case rp.Dropped() != fp.Dropped():
+			diverge(k, "dropped: ref %v, fast %v", rp.Dropped(), fp.Dropped())
+		case !rp.Dropped() && !bytes.Equal(rp.Data(), fp.Data()):
+			diverge(k, "rewritten bytes differ (%d vs %d bytes)", len(rp.Data()), len(fp.Data()))
+		default:
+			return true
 		}
-		if err := neweng.Restore(rcp, durable); err != nil {
-			return fmt.Errorf("crash restore: %w", err)
-		}
-		neweng.AttachWAL(wal.NewWriter(wal.Options{}))
-		fast, fastEng = nfast, neweng
-		res.CrashRestores++
-		return nil
+		return false
 	}
 
-	var cb *core.Batch
-	if cfg.Batch > 1 {
-		cb = core.NewBatch(cfg.Batch)
-	}
-
-	i := 0
-scan:
-	for i < len(refPkts) {
-		for nextCrash < len(crashes) && crashes[nextCrash].At <= i {
-			nextCrash++
-			if err := crashRestore(); err != nil {
+	batch := max(cfg.Batch, 1)
+	want := make([]outcome, batch)
+	agree := true
+	for i, next := 0, 0; i < n && agree; {
+		for ; next < len(events) && events[next].at <= i; next++ {
+			if err := events[next].apply(); err != nil {
 				return fmt.Errorf("packet %d: %w", i, err)
 			}
 		}
-		for next < len(plan) && plan[next].At <= i {
-			f := plan[next]
-			next++
-			if f.Restore {
-				_ = ref.lb.RestoreBackend(f.Backend)
-				_ = fast.lb.RestoreBackend(f.Backend)
-			} else {
-				_ = ref.lb.FailBackend(f.Backend)
-				_ = fast.lb.FailBackend(f.Backend)
-			}
+		// One vector, clipped at the next event: events are
+		// environmental transitions and must interleave with the packet
+		// stream identically on both sides.
+		end := min(i+batch, n)
+		if next < len(events) && events[next].at < end {
+			end = events[next].at
 		}
-		for nextRe < len(reEvents) && reEvents[nextRe].at <= i {
-			ev := reEvents[nextRe]
-			nextRe++
-			if err := applyReconfig(ev); err != nil {
-				return err
+		err := ref.run(refPkts[i:end], 1, func(off, chain int, ms []platform.Measurement) {
+			for j, m := range ms {
+				want[off+j] = outcome{chain, m.Result.Verdict}
 			}
+		})
+		if err != nil {
+			return fmt.Errorf("packet %d: reference: %w", i, err)
 		}
-		// One packet, or one vector clipped at the next flap or
-		// reconfiguration index: both are environmental transitions and
-		// must interleave with the packet stream identically in both
-		// engines.
-		end := i + 1
-		if cb != nil {
-			end = i + cfg.Batch
-			if end > len(refPkts) {
-				end = len(refPkts)
+		err = fast.run(fastPkts[i:end], batch, func(off, chain int, ms []platform.Measurement) {
+			for j := 0; j < len(ms) && agree; j++ {
+				res.Packets++
+				agree = compare(i+off+j, want[off+j], outcome{chain, ms[j].Result.Verdict})
 			}
-			if next < len(plan) && plan[next].At < end {
-				end = plan[next].At
-			}
-			if nextRe < len(reEvents) && reEvents[nextRe].at < end {
-				end = reEvents[nextRe].at
-			}
-			if nextCrash < len(crashes) && crashes[nextCrash].At < end {
-				end = crashes[nextCrash].At
-			}
-		}
-		var fastResults []*core.PacketResult
-		if cb != nil {
-			var err error
-			fastResults, err = fastEng.ProcessBatch(fastPkts[i:end], cb)
-			if err != nil {
-				return fmt.Errorf("packet %d: fast batch err %v", i, err)
-			}
-		}
-		for k := i; k < end; k++ {
-			refRes, refErr := refEng.ProcessPacket(refPkts[k])
-			var fastRes *core.PacketResult
-			var fastErr error
-			if cb != nil {
-				fastRes = fastResults[k-i]
-			} else {
-				fastRes, fastErr = fastEng.ProcessPacket(fastPkts[k])
-			}
-			if refErr != nil || fastErr != nil {
-				return fmt.Errorf("packet %d: ref err %v, fast err %v", k, refErr, fastErr)
-			}
-			res.Packets++
-			if refRes.Verdict != fastRes.Verdict {
-				diverge(k, "verdict: ref %v, fast %v", refRes.Verdict, fastRes.Verdict)
-				break scan
-			}
-			if refPkts[k].Dropped() != fastPkts[k].Dropped() {
-				diverge(k, "dropped: ref %v, fast %v", refPkts[k].Dropped(), fastPkts[k].Dropped())
-				break scan
-			}
-			if !refPkts[k].Dropped() && !bytes.Equal(refPkts[k].Data(), fastPkts[k].Data()) {
-				diverge(k, "rewritten bytes differ (%d vs %d bytes)",
-					len(refPkts[k].Data()), len(fastPkts[k].Data()))
-				break scan
-			}
-			if cfg.TamperRule != nil {
-				// In batch mode the vector has already run; tampering
-				// still poisons every later vector of the flow.
-				if r, ok := fastEng.Global().Lookup(fastRes.FID); ok {
-					broken := *r
-					cfg.TamperRule(&broken)
-					// Recompile so the tamper reaches the compiled
-					// action program the data path executes — exactly
-					// as a genuinely broken Consolidate would.
-					broken.Compile()
-					fastEng.Global().Install(&broken)
-				}
-			}
+		})
+		if err != nil {
+			return fmt.Errorf("packet %d: %w", i, err)
 		}
 		i = end
 	}
 
 	// End-of-trace NF-observable state: the consolidated fast path
 	// must have driven every state function exactly as the chain did.
-	if ref.mon != nil {
-		if rc, fc := ref.mon.Totals(), fast.mon.Totals(); rc != fc {
-			diverge(-1, "monitor counters: ref %+v, fast %+v", rc, fc)
+	rc, fc := ref.chain(), fast.chain()
+	if rc.mon != nil && rc.mon.Totals() != fc.mon.Totals() {
+		diverge(-1, "monitor counters: ref %+v, fast %+v", rc.mon.Totals(), fc.mon.Totals())
+	}
+	if rc.ids != nil {
+		rl, fl := rc.ids.Logs(), fc.ids.Logs()
+		j := 0
+		for j < len(rl) && j < len(fl) && rl[j].RuleID == fl[j].RuleID && rl[j].Type == fl[j].Type {
+			j++
+		}
+		if j < len(rl) || j < len(fl) {
+			diverge(-1, "snort logs: ref %d entries, fast %d, first difference at entry %d", len(rl), len(fl), j)
 		}
 	}
-	if ref.ids != nil {
-		rl, fl := ref.ids.Logs(), fast.ids.Logs()
-		if len(rl) != len(fl) {
-			diverge(-1, "snort logs: ref %d entries, fast %d", len(rl), len(fl))
-		} else {
-			for j := range rl {
-				if rl[j].RuleID != fl[j].RuleID || rl[j].Type != fl[j].Type {
-					diverge(-1, "snort log %d: ref (%d,%v), fast (%d,%v)",
-						j, rl[j].RuleID, rl[j].Type, fl[j].RuleID, fl[j].Type)
-					break
+	return nil
+}
+
+// engineSystem is the single-engine adapter: one chain on one engine.
+// It is also the reference of every chain row, the cluster's included.
+type engineSystem struct {
+	nfs  func() ([]core.NF, error)
+	cfg  OracleConfig
+	opts core.Options
+	pb   *platform.Batch
+
+	oc   *oracleChain
+	plat *bess.Platform
+	// retired banks the counters of engines a crash discarded.
+	retired core.Stats
+}
+
+// boot builds a fresh chain and engine, replays the committed
+// reconfigurations onto it and, after a crash, restores it from the
+// checkpoint and the durable WAL prefix. A schedule that crashes
+// journals to a new WAL from then on.
+func (s *engineSystem) boot(applied []reconfigEvent, cp *wal.Checkpoint, durable []byte) error {
+	nfs, err := s.nfs()
+	if err != nil {
+		return err
+	}
+	plat, err := bess.New(bess.Config{Chain: nfs, Options: s.opts})
+	if err != nil {
+		return err
+	}
+	if err := replayReconfigs(plat.Engine(), applied); err != nil {
+		return err
+	}
+	if cp != nil {
+		if err := plat.Engine().Restore(cp, durable); err != nil {
+			return fmt.Errorf("crash restore: %w", err)
+		}
+	}
+	if s.cfg.Crashes > 0 {
+		plat.Engine().AttachWAL(wal.NewWriter(wal.Options{}))
+	}
+	s.oc, s.plat = observeChain(nfs), plat
+	return nil
+}
+
+func (s *engineSystem) run(pkts []*packet.Packet, batch int, fold func(off, chain int, ms []platform.Measurement)) error {
+	return platform.Drain(pkts, batch, nil,
+		func(_ int, run []*packet.Packet) ([]platform.Measurement, error) {
+			return s.plat.ProcessBatch(run, s.pb)
+		},
+		func(off int, ms []platform.Measurement) error {
+			fold(off, 0, ms)
+			if s.cfg.TamperRule == nil {
+				return nil
+			}
+			// The vector has already run; tampering poisons every later
+			// vector of its flows.
+			global := s.plat.Engine().Global()
+			for _, m := range ms {
+				if r, ok := global.Lookup(m.Result.FID); ok {
+					broken := *r
+					s.cfg.TamperRule(&broken)
+					// Recompile so the tamper reaches the compiled
+					// action program the data path executes — exactly
+					// as a genuinely broken Consolidate would.
+					broken.Compile()
+					global.Install(&broken)
 				}
 			}
-		}
-	}
+			return nil
+		})
+}
 
-	st := fastEng.Stats()
-	res.Injected += inj.InjectedTotal()
-	res.Fallbacks += st.SlowPathFallbacks
-	res.Degraded += st.DegradedPackets
-	res.Recoveries += st.FaultRecoveries
-	return nil
+func (s *engineSystem) events(int64, int) []oracleEvent { return nil }
+
+func (s *engineSystem) reconfigure(plan core.ChainPlan) error {
+	eng := s.plat.Engine()
+	var pre []*mat.GlobalRule
+	if s.cfg.TamperReconfig != nil {
+		eng.Global().ForEach(func(r *mat.GlobalRule) {
+			cp := *r
+			pre = append(pre, &cp)
+		})
+	}
+	err := eng.Reconfigure(plan)
+	if err == nil && s.cfg.TamperReconfig != nil {
+		s.cfg.TamperReconfig(eng, pre)
+	}
+	return err
+}
+
+// crash kills the engine and rehydrates a fresh one from exactly what a
+// process restart would find on disk: the encoded crash-consistent
+// checkpoint plus the durable (synced) WAL prefix.
+func (s *engineSystem) crash(applied []reconfigEvent) error {
+	eng := s.plat.Engine()
+	cp, err := eng.Checkpoint()
+	if err != nil {
+		return fmt.Errorf("crash checkpoint: %w", err)
+	}
+	durable := slices.Clone(eng.WAL().DurableBytes())
+	s.retired.Add(eng.Stats())
+	rcp, err := wal.DecodeCheckpoint(cp.Encode())
+	if err != nil {
+		return fmt.Errorf("crash checkpoint decode: %w", err)
+	}
+	return s.boot(applied, rcp, durable)
+}
+
+func (s *engineSystem) chain() *oracleChain { return s.oc }
+
+func (s *engineSystem) finish(res *OracleResult) {
+	res.bank(s.retired)
+	res.bank(s.plat.Engine().Stats())
 }

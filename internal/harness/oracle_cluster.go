@@ -1,358 +1,115 @@
 package harness
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"github.com/fastpathnfv/speedybox/internal/cluster"
 	"github.com/fastpathnfv/speedybox/internal/core"
 	"github.com/fastpathnfv/speedybox/internal/fault"
-	"github.com/fastpathnfv/speedybox/internal/nf/gateway"
-	"github.com/fastpathnfv/speedybox/internal/nf/ipfilter"
+	"github.com/fastpathnfv/speedybox/internal/packet"
 	"github.com/fastpathnfv/speedybox/internal/platform"
-	"github.com/fastpathnfv/speedybox/internal/trace"
 )
 
-// The cluster oracle extends the differential equivalence property to
-// elastic scale-out: the reference is one static, pure slow-path
-// engine that never rebalances, while the system under test is a
-// cluster of SpeedyBox engines behind the consistent-hash steerer,
-// scaling 1→2→4→3 at seeded mid-trace packet indices. Every scale
-// step live-migrates the reassigned flows — flow entry, consolidated
-// rule, ladder reset — through the serialized migration record, and
-// the oracle demands that no packet anywhere near a cutover is
-// dropped, reordered onto a stale owner, or processed to a different
-// verdict or different rewritten bytes than the uninterrupted
-// reference produced. Injected migration aborts must roll whole
-// rebalances back with the same invisibility.
-
-// ChainStateless builds a pure header-transform chain (IPFilter ->
-// Gateway): no NF registers per-flow state functions, so every
-// consolidated rule is a batch-free header program — exactly the
-// rules that travel whole inside a migration record instead of
-// demoting to re-record. The cluster oracle cycles it in alongside
-// the paper's two chains so rule-carrying migration is exercised (and
-// tamperable) as well as the demotion path the monitor-bearing chains
-// force.
-func ChainStateless() ([]core.NF, error) {
-	fw, err := ipfilter.New(ipfilter.Config{
-		Name:  "ipfilter",
-		Rules: ipfilter.PadRules(nil, 100),
-	})
-	if err != nil {
-		return nil, err
-	}
-	gw, err := gateway.New(gateway.Config{
-		Name:       "gateway",
-		NextHopMAC: [6]byte{2, 0, 0, 0, 0, 0xfe},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return []core.NF{fw, gw}, nil
-}
+// The cluster row (OracleConfig.Cluster): every scale step live-migrates
+// the reassigned flows — flow entry, consolidated rule, ladder reset —
+// through the serialized migration record, and no packet anywhere near
+// a cutover may be dropped, reordered onto a stale owner, or processed
+// differently than the static single-engine reference processed it.
 
 // clusterScaleTargets is the per-schedule scaling walk: out, further
 // out, back in — exercising add-migration, spread-migration and
 // drain-migration in one trace.
 var clusterScaleTargets = [...]int{2, 4, 3}
 
-// scaleEvent schedules one ScaleTo call at a trace index.
-type scaleEvent struct {
-	at     int
-	target int
+// clusterSystem is the cluster adapter: one chain row on a fleet of
+// engines sharing the chain's NF instances.
+type clusterSystem struct {
+	oc *oracleChain
+	cl *cluster.Cluster
+	pb *platform.Batch
+	// crashed counts crashes so far; victims rotate round-robin.
+	crashed int
 }
 
-// buildScaleEvents derives the seeded scale offsets, sorted, inside
-// the middle 80% of the trace.
-func buildScaleEvents(seed int64, pkts int) []scaleEvent {
-	rng := rand.New(rand.NewSource(seed ^ 0x5ca1e))
-	lo, hi := pkts/10, pkts*9/10
-	if hi <= lo {
-		hi = lo + 1
-	}
-	offsets := make([]int, len(clusterScaleTargets))
-	for i := range offsets {
-		offsets[i] = lo + rng.Intn(hi-lo)
-	}
-	sort.Ints(offsets)
-	events := make([]scaleEvent, len(offsets))
-	for i, at := range offsets {
-		events[i] = scaleEvent{at: at, target: clusterScaleTargets[i]}
-	}
-	return events
-}
-
-// runClusterSchedule replays one fault schedule through the static
-// reference engine and the scaling cluster.
-func runClusterSchedule(cfg OracleConfig, sched int, seed int64, chain int, rates map[fault.Kind]float64, res *OracleResult) error {
-	tr, err := trace.Generate(trace.Config{
-		Seed: seed, Flows: cfg.Flows,
-		AlertFraction: 0.15, LogFraction: 0.15,
-		Interleave: true,
-	})
+func newClusterSystem(build func() ([]core.NF, error), cfg OracleConfig, opts core.Options) (system, error) {
+	nfs, err := build()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	ref, err := buildOracleChain(chain)
-	if err != nil {
-		return err
-	}
-	fast, err := buildOracleChain(chain)
-	if err != nil {
-		return err
-	}
-	refEng, err := core.NewEngine(ref.nfs, core.BaselineOptions())
-	if err != nil {
-		return err
-	}
-	inj := fault.New(fault.Config{Seed: seed, Rates: rates})
 	if cfg.Rates == nil {
 		// The abort injector is consulted once per *flow that must
 		// move*, so the schedule-default 8% rate would abort nearly
 		// every multi-flow rebalance and the oracle would never watch
 		// a migration commit. A low per-flow rate makes most
 		// rebalances land while still rolling a healthy minority back.
-		inj.SetRate(fault.KindMigrationAbort, 0.02)
+		opts.Faults.SetRate(fault.KindMigrationAbort, 0.02)
 	}
-	fastOpts := core.DefaultOptions()
-	fastOpts.Faults = inj
 	cl, err := cluster.New(cluster.Config{
-		Chain:     fast.nfs,
-		Options:   fastOpts,
+		Chain:     nfs,
+		Options:   opts,
 		Instances: 1,
 		Durable:   cfg.Crashes > 0,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer cl.Close()
 	cl.TamperMigration = cfg.TamperMigration
+	return &clusterSystem{oc: observeChain(nfs), cl: cl, pb: platform.NewBatch(cfg.Batch)}, nil
+}
 
-	refPkts, fastPkts := tr.Packets(), tr.Packets()
-	diverge := func(pkt int, format string, args ...any) {
-		res.Divergences = append(res.Divergences, OracleDivergence{
-			Schedule: sched, Seed: seed, Packet: pkt,
-			Detail: fmt.Sprintf(format, args...),
-		})
-	}
+func (s *clusterSystem) run(pkts []*packet.Packet, batch int, fold func(off, chain int, ms []platform.Measurement)) error {
+	return s.cl.ProcessRuns(pkts, batch, s.pb, func(off int, ms []platform.Measurement) error {
+		fold(off, 0, ms)
+		return nil
+	})
+}
 
-	scales := buildScaleEvents(seed, len(refPkts))
-	nextScale := 0
-
-	var plan []fault.Flap
-	if ref.lb != nil {
-		plan = inj.FlapPlan(len(refPkts), 3)
-	}
-	next := 0
-
-	var crashes []fault.Crash
-	if cfg.Crashes > 0 {
-		inj.SetRate(fault.KindCrashRestore, float64(cfg.Crashes-1)/4+0.05)
-		crashes = inj.CrashPlan(len(refPkts))
-	}
-	nextCrash := 0
-	crashed := 0
-
-	var reEvents []reconfigEvent
-	if cfg.Reconfigs > 0 {
-		chainNames := make([]string, len(ref.nfs))
-		for i, nf := range ref.nfs {
-			chainNames[i] = nf.Name()
-		}
-		reEvents = buildReconfigEvents(seed, cfg.Reconfigs, len(refPkts), chainNames)
-	}
-	nextRe := 0
-	applyReconfig := func(ev reconfigEvent) error {
-		fastPlan, err := ev.mk()
-		if err != nil {
-			return err
-		}
-		if ferr := cl.Reconfigure(fastPlan); ferr != nil {
-			// An aborted (or, after an earlier abort, validation-
-			// rejected) plan left every instance untouched — instance
-			// 0 decides before the rest apply — so the reference skips
-			// it too and the engines stay in lockstep.
-			if errors.Is(ferr, core.ErrReconfigAborted) {
-				res.ReconfigAborts++
+// events schedules the scale walk at seeded offsets inside the middle
+// 80% of the trace.
+func (s *clusterSystem) events(seed int64, n int) []oracleEvent {
+	offsets := midTraceOffsets(rand.New(rand.NewSource(seed^0x5ca1e)), len(clusterScaleTargets), n)
+	events := make([]oracleEvent, len(offsets))
+	for i, at := range offsets {
+		target := clusterScaleTargets[i]
+		events[i] = oracleEvent{at, func() error {
+			// An aborted rebalance rolled back whole: the cluster stays
+			// at a consistent intermediate size and the packet stream
+			// must not be able to tell.
+			if err := s.cl.ScaleTo(target); err != nil && !errors.Is(err, cluster.ErrMigrationAborted) {
+				return fmt.Errorf("scale to %d: %w", target, err)
 			}
 			return nil
-		}
-		refPlan, err := ev.mk()
-		if err != nil {
-			return err
-		}
-		if rerr := refEng.Reconfigure(refPlan); rerr != nil {
-			return fmt.Errorf("reference reconfigure (%s): %v", refPlan, rerr)
-		}
-		res.Reconfigs++
-		return nil
+		}}
 	}
+	return events
+}
 
-	// bankStats folds an instance's degradation counters into the run
-	// totals before its engine is discarded (crash) or the schedule
-	// ends.
-	bankStats := func(st core.Stats) {
-		res.Fallbacks += st.SlowPathFallbacks
-		res.Degraded += st.DegradedPackets
-		res.Recoveries += st.FaultRecoveries
-	}
+// reconfigure applies the plan cluster-wide. Instance 0 decides before
+// the rest apply, so an aborted plan left every instance untouched.
+func (s *clusterSystem) reconfigure(plan core.ChainPlan) error { return s.cl.Reconfigure(plan) }
 
-	var pb *platform.Batch
-	if cfg.Batch > 1 {
-		pb = platform.NewBatch(cfg.Batch)
+// crash kills one instance and restores it from its checkpoint and WAL.
+// The cluster records applied plans itself, and banks the crashed
+// engine's counters inside cl.Stats().
+func (s *clusterSystem) crash([]reconfigEvent) error {
+	idx := s.crashed % s.cl.Len()
+	s.crashed++
+	if err := s.cl.CrashInstance(idx); err != nil {
+		return fmt.Errorf("crash instance %d: %w", idx, err)
 	}
-
-	// compare checks one fast measurement against its reference twin.
-	compare := func(k int, m platform.Measurement) bool {
-		refRes, refErr := refEng.ProcessPacket(refPkts[k])
-		if refErr != nil {
-			diverge(k, "reference error: %v", refErr)
-			return false
-		}
-		res.Packets++
-		if refRes.Verdict != m.Result.Verdict {
-			diverge(k, "verdict: ref %v, cluster %v", refRes.Verdict, m.Result.Verdict)
-			return false
-		}
-		if refPkts[k].Dropped() != fastPkts[k].Dropped() {
-			diverge(k, "dropped: ref %v, cluster %v", refPkts[k].Dropped(), fastPkts[k].Dropped())
-			return false
-		}
-		if !refPkts[k].Dropped() && !bytes.Equal(refPkts[k].Data(), fastPkts[k].Data()) {
-			diverge(k, "rewritten bytes differ (%d vs %d bytes)",
-				len(refPkts[k].Data()), len(fastPkts[k].Data()))
-			return false
-		}
-		return true
-	}
-
-	i := 0
-scan:
-	for i < len(refPkts) {
-		for nextScale < len(scales) && scales[nextScale].at <= i {
-			ev := scales[nextScale]
-			nextScale++
-			if serr := cl.ScaleTo(ev.target); serr != nil {
-				if !errors.Is(serr, cluster.ErrMigrationAborted) {
-					return fmt.Errorf("packet %d: scale to %d: %w", i, ev.target, serr)
-				}
-				// The rebalance rolled back whole; the cluster stays
-				// at a consistent intermediate size and the packet
-				// stream must not be able to tell.
-			}
-		}
-		for nextCrash < len(crashes) && crashes[nextCrash].At <= i {
-			nextCrash++
-			idx := crashed % cl.Len()
-			crashed++
-			// The crashed engine's counters survive inside
-			// cl.Stats(): the cluster banks them on replacement.
-			if cerr := cl.CrashInstance(idx); cerr != nil {
-				return fmt.Errorf("packet %d: crash instance %d: %w", i, idx, cerr)
-			}
-			res.CrashRestores++
-		}
-		for next < len(plan) && plan[next].At <= i {
-			f := plan[next]
-			next++
-			if f.Restore {
-				_ = ref.lb.RestoreBackend(f.Backend)
-				_ = fast.lb.RestoreBackend(f.Backend)
-			} else {
-				_ = ref.lb.FailBackend(f.Backend)
-				_ = fast.lb.FailBackend(f.Backend)
-			}
-		}
-		for nextRe < len(reEvents) && reEvents[nextRe].at <= i {
-			ev := reEvents[nextRe]
-			nextRe++
-			if err := applyReconfig(ev); err != nil {
-				return err
-			}
-		}
-		end := i + 1
-		if pb != nil {
-			end = i + cfg.Batch
-			if end > len(refPkts) {
-				end = len(refPkts)
-			}
-			if nextScale < len(scales) && scales[nextScale].at < end {
-				end = scales[nextScale].at
-			}
-			if next < len(plan) && plan[next].At < end {
-				end = plan[next].At
-			}
-			if nextRe < len(reEvents) && reEvents[nextRe].at < end {
-				end = reEvents[nextRe].at
-			}
-			if nextCrash < len(crashes) && crashes[nextCrash].At < end {
-				end = crashes[nextCrash].At
-			}
-		}
-		agree := true
-		if pb != nil {
-			err := cl.ProcessRuns(fastPkts[i:end], cfg.Batch, pb, func(off int, ms []platform.Measurement) error {
-				for j, m := range ms {
-					if !compare(i+off+j, m) {
-						agree = false
-						return errClusterDiverged
-					}
-				}
-				return nil
-			})
-			if err != nil && !errors.Is(err, errClusterDiverged) {
-				return fmt.Errorf("packet %d: cluster batch: %w", i, err)
-			}
-		} else {
-			for k := i; k < end; k++ {
-				m, ferr := cl.Process(fastPkts[k])
-				if ferr != nil {
-					return fmt.Errorf("packet %d: cluster err %v", k, ferr)
-				}
-				if !compare(k, m) {
-					agree = false
-					break
-				}
-			}
-		}
-		if !agree {
-			break scan
-		}
-		i = end
-	}
-
-	if ref.mon != nil {
-		if rc, fc := ref.mon.Totals(), fast.mon.Totals(); rc != fc {
-			diverge(-1, "monitor counters: ref %+v, cluster %+v", rc, fc)
-		}
-	}
-	if ref.ids != nil {
-		rl, fl := ref.ids.Logs(), fast.ids.Logs()
-		if len(rl) != len(fl) {
-			diverge(-1, "snort logs: ref %d entries, cluster %d", len(rl), len(fl))
-		} else {
-			for j := range rl {
-				if rl[j].RuleID != fl[j].RuleID || rl[j].Type != fl[j].Type {
-					diverge(-1, "snort log %d: ref (%d,%v), cluster (%d,%v)",
-						j, rl[j].RuleID, rl[j].Type, fl[j].RuleID, fl[j].Type)
-					break
-				}
-			}
-		}
-	}
-
-	bankStats(cl.Stats())
-	res.Injected += inj.InjectedTotal()
-	res.Migrations += cl.Migrations()
-	res.MigrationAborts += cl.Aborts()
-	res.Rebalances += cl.Rebalances()
 	return nil
 }
 
-// errClusterDiverged aborts a batched sub-run after a recorded
-// divergence without surfacing a schedule error.
-var errClusterDiverged = errors.New("cluster oracle divergence")
+func (s *clusterSystem) chain() *oracleChain { return s.oc }
+
+func (s *clusterSystem) finish(res *OracleResult) {
+	res.bank(s.cl.Stats())
+	res.Migrations += s.cl.Migrations()
+	res.MigrationAborts += s.cl.Aborts()
+	res.Rebalances += s.cl.Rebalances()
+	// Close releases the instances' platforms; BESS holds nothing that
+	// can fail to close.
+	_ = s.cl.Close()
+}

@@ -7,6 +7,8 @@ import (
 	"github.com/fastpathnfv/speedybox/internal/core"
 	"github.com/fastpathnfv/speedybox/internal/fault"
 	"github.com/fastpathnfv/speedybox/internal/mat"
+	"github.com/fastpathnfv/speedybox/internal/packet"
+	"github.com/fastpathnfv/speedybox/internal/wal"
 )
 
 // TestOracleEquivalenceUnderFaults is the CI-sized differential run:
@@ -254,5 +256,72 @@ func TestOracleDeterministic(t *testing.T) {
 	if a.Packets != b.Packets || a.Injected != b.Injected ||
 		a.Fallbacks != b.Fallbacks || a.Recoveries != b.Recoveries {
 		t.Errorf("equal seeds diverged: %+v vs %+v", a, b)
+	}
+}
+
+// TestOracleCatalogChain runs the rest of the NF catalog — the VPN pair
+// around a synthetic NF, the shared-state RateLimiter, the DoS defender
+// and a monitor behind them — under the one driver, as a vector of one,
+// batched, composed with reconfigurations and crashes, and on the
+// scaling cluster. Its teeth are the limiter's: with the parent
+// commit's event condition the packet that takes a source past its
+// quota is forwarded on the fast path, and with the limiter's state
+// outside the checkpoint a crash forgets who was blocked.
+func TestOracleCatalogChain(t *testing.T) {
+	schedules := 200
+	if testing.Short() {
+		schedules = 40
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  OracleConfig
+	}{
+		{"vector of one", OracleConfig{}},
+		{"batch", OracleConfig{Batch: 32}},
+		{"batch+reconfigs+crashes", OracleConfig{Batch: 32, Reconfigs: 2, Crashes: 2}},
+		{"cluster composed", OracleConfig{Batch: 32, Reconfigs: 2, Crashes: 2, Cluster: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Seed, cfg.Schedules, cfg.Chain = 1, schedules, 4
+			res, err := RunOracle(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Passed() {
+				t.Fatalf("catalog-chain oracle failed:\n%s", res.Format())
+			}
+			if res.Fallbacks == 0 {
+				t.Error("no slow-path fallbacks; degradation never engaged")
+			}
+			if cfg.Crashes > 0 && (res.CrashRestores == 0 || res.Reconfigs == 0) {
+				t.Errorf("vacuous run: crashes=%d reconfigs=%d", res.CrashRestores, res.Reconfigs)
+			}
+			if cfg.Cluster && res.Migrations == 0 {
+				t.Error("no flows migrated; the run was vacuous")
+			}
+		})
+	}
+}
+
+// TestOracleRefusesWhatItCannotHonour: a mode combination or a teeth
+// hook the selected system does not implement is an error, never a
+// silently narrower run.
+func TestOracleRefusesWhatItCannotHonour(t *testing.T) {
+	tamperRule := func(*mat.GlobalRule) {}
+	for name, cfg := range map[string]OracleConfig{
+		"topo+cluster":             {Topo: true, Cluster: true},
+		"topo with a chain":        {Topo: true, Chain: 2},
+		"unknown chain":            {Chain: 9},
+		"rule tamper on cluster":   {Cluster: true, TamperRule: tamperRule},
+		"rule tamper on topo":      {Topo: true, TamperRule: tamperRule},
+		"reconfig tamper on topo":  {Topo: true, TamperReconfig: func(*core.Engine, []*mat.GlobalRule) {}},
+		"route tamper off topo":    {TamperRoute: func(_ *packet.Packet, c int) int { return c }},
+		"migration tamper, single": {TamperMigration: func(*wal.MigrationRecord) {}},
+	} {
+		cfg.Schedules = 1
+		if res, err := RunOracle(cfg); err == nil {
+			t.Errorf("%s: accepted:\n%s", name, res.Format())
+		}
 	}
 }

@@ -1,31 +1,25 @@
 package harness
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
 
 	"github.com/fastpathnfv/speedybox/internal/chainspec"
 	"github.com/fastpathnfv/speedybox/internal/core"
-	"github.com/fastpathnfv/speedybox/internal/fault"
 	"github.com/fastpathnfv/speedybox/internal/nf/monitor"
 	"github.com/fastpathnfv/speedybox/internal/nf/snort"
 	"github.com/fastpathnfv/speedybox/internal/packet"
+	"github.com/fastpathnfv/speedybox/internal/platform"
 	"github.com/fastpathnfv/speedybox/internal/topo"
-	"github.com/fastpathnfv/speedybox/internal/trace"
+	"github.com/fastpathnfv/speedybox/internal/wal"
 )
 
-// The multi-chain oracle extends the differential property to
-// topologies: three chains with different semantics (a pass-through
-// IDS chain, a MAC-rewriting VoIP chain, a DoS-filtered bulk chain)
-// share a monitor instance and split flows by destination port across
-// three tenants with deliberately tight quotas. Every packet runs
-// through the fast topology (SpeedyBox engines, fault injector, tenant
-// admission) and through a pure slow-path reference topology built
-// from the same spec, in lockstep; admission denials must never change
-// a verdict, reconfigurations and crash-restores on one chain must
-// never leak into another, and the shared NF must accumulate the
-// identical state either way.
+// The topology row (OracleConfig.Topo): three chains with different
+// semantics (a pass-through IDS chain, a MAC-rewriting VoIP chain, a
+// DoS-filtered bulk chain) share a monitor instance and split flows by
+// destination port across three tenants with deliberately tight quotas.
+// Admission denials must never change a verdict, reconfigurations and
+// crash-restores on one chain must never leak into another, and the
+// shared NF must accumulate the identical state down both topologies.
 
 // Per-chain service ports of the fixed oracle topology.
 const (
@@ -78,16 +72,11 @@ func topoTrace(seed int64, flows int) ([]*packet.Packet, error) {
 	per := flows/3 + 1
 	var streams [][]*packet.Packet
 	for i, port := range []uint16{topoWebPort, topoVoipPort, topoBulkPort} {
-		tr, err := trace.Generate(trace.Config{
-			Seed: seed + int64(i), Flows: per,
-			AlertFraction: 0.15, LogFraction: 0.15,
-			DstPort:    port,
-			Interleave: true,
-		})
+		s, err := oracleTrace(seed+int64(i), per, port)
 		if err != nil {
 			return nil, err
 		}
-		streams = append(streams, tr.Packets())
+		streams = append(streams, s)
 	}
 	var out []*packet.Packet
 	for k := 0; ; k++ {
@@ -104,251 +93,96 @@ func topoTrace(seed int64, flows int) ([]*packet.Packet, error) {
 	}
 }
 
-// cloneAll deep-copies a packet slice so the reference and the fast
-// topology each consume an independent stream.
-func cloneAll(pkts []*packet.Packet) []*packet.Packet {
-	out := make([]*packet.Packet, len(pkts))
-	for i, p := range pkts {
-		out[i] = p.Clone()
-	}
-	return out
+// topoSystem is the topology adapter: every chain of the fixed topology
+// on its own engine behind the classifier, sharing NFs and tenant
+// admission. Built on baseline options it is its own reference.
+type topoSystem struct {
+	spec *topo.Spec
+	cfg  OracleConfig
+	opts core.Options
+	// target is the chain reconfigurations apply to, rotating across
+	// schedules.
+	target int
+	// pb serves every chain, as one Batch serves every cluster instance:
+	// its flow contexts are generation-validated per table.
+	pb *platform.Batch
+
+	oc *oracleChain
+	t  *topo.Topology
+	// retired banks the counters of engines a crash discarded.
+	retired core.Stats
 }
 
-// runTopoSchedule replays one fault schedule through the fast topology
-// and its pure slow-path reference.
-func runTopoSchedule(cfg OracleConfig, sched int, seed int64, rates map[fault.Kind]float64, res *OracleResult) error {
+func newTopoSystem(cfg OracleConfig, sched int, opts core.Options) (system, error) {
 	spec := topoOracleSpec()
-	pkts, err := topoTrace(seed, cfg.Flows)
+	s := &topoSystem{spec: spec, cfg: cfg, opts: opts, target: sched % len(spec.Chains), pb: platform.NewBatch(cfg.Batch)}
+	return s, s.boot(nil, nil)
+}
+
+// boot builds the topology (shared NFs included) from the spec, replays
+// the committed reconfigurations onto the target chain and, after a
+// crash, rehydrates every chain engine from its checkpoint.
+func (s *topoSystem) boot(applied []reconfigEvent, cps []*wal.Checkpoint) error {
+	t, err := topo.Build(s.spec, topo.BuildConfig{Options: s.opts})
 	if err != nil {
 		return err
 	}
-	refPkts, fastPkts := cloneAll(pkts), cloneAll(pkts)
-
-	refTopo, err := topo.Build(spec, topo.BuildConfig{Options: core.BaselineOptions()})
-	if err != nil {
+	oc := &oracleChain{names: t.Engine(s.target).ChainNames()}
+	// The monitor instance every chain shares and the web chain's IDS.
+	oc.mon, _ = t.NF("mon").(*monitor.Monitor)
+	oc.ids, _ = t.NF("ids").(*snort.Snort)
+	if err := replayReconfigs(t.Engine(s.target), applied); err != nil {
 		return err
 	}
-	inj := fault.New(fault.Config{Seed: seed, Rates: rates})
-	fastOpts := core.DefaultOptions()
-	fastOpts.Faults = inj
-	fastTopo, err := topo.Build(spec, topo.BuildConfig{Options: fastOpts})
-	if err != nil {
-		return err
-	}
-	fastTopo.TamperRoute = cfg.TamperRoute
-
-	diverge := func(pkt int, format string, args ...any) {
-		res.Divergences = append(res.Divergences, OracleDivergence{
-			Schedule: sched, Seed: seed, Packet: pkt,
-			Detail: fmt.Sprintf(format, args...),
-		})
-	}
-
-	// Reconfigurations target one chain per schedule, rotating across
-	// schedules; the same plans apply to the reference chain at the
-	// same packet indices.
-	target := sched % fastTopo.NumChains()
-	var reEvents []reconfigEvent
-	if cfg.Reconfigs > 0 {
-		names := chainNamesOf(spec.Chains[target])
-		reEvents = buildReconfigEvents(seed, cfg.Reconfigs, len(refPkts), names)
-	}
-	nextRe := 0
-	var appliedRe []reconfigEvent
-	applyReconfig := func(ev reconfigEvent) error {
-		fastPlan, err := ev.mk()
-		if err != nil {
-			return err
-		}
-		if ferr := fastTopo.Engine(target).Reconfigure(fastPlan); ferr != nil {
-			if errors.Is(ferr, core.ErrReconfigAborted) {
-				res.ReconfigAborts++
-			}
-			return nil
-		}
-		refPlan, err := ev.mk()
-		if err != nil {
-			return err
-		}
-		if rerr := refTopo.Engine(target).Reconfigure(refPlan); rerr != nil {
-			return fmt.Errorf("reference reconfigure (%s): %v", refPlan, rerr)
-		}
-		res.Reconfigs++
-		appliedRe = append(appliedRe, ev)
-		return nil
-	}
-
-	var crashes []fault.Crash
-	if cfg.Crashes > 0 {
-		inj.SetRate(fault.KindCrashRestore, float64(cfg.Crashes-1)/4+0.05)
-		crashes = inj.CrashPlan(len(refPkts))
-	}
-	nextCrash := 0
-
-	// crashRestore kills the whole fast topology: every chain engine
-	// is checkpointed at the kill point, the topology (shared NFs
-	// included) is rebuilt from the spec, surviving reconfigurations
-	// replay onto the target chain, and RestoreAll rehydrates each
-	// engine. The reference runs on uninterrupted.
-	crashRestore := func() error {
-		cps, err := fastTopo.CheckpointAll()
-		if err != nil {
-			return fmt.Errorf("crash checkpoint: %w", err)
-		}
-		for i := 0; i < fastTopo.NumChains(); i++ {
-			st := fastTopo.Engine(i).Stats()
-			res.Fallbacks += st.SlowPathFallbacks
-			res.Degraded += st.DegradedPackets
-			res.Recoveries += st.FaultRecoveries
-		}
-		ntopo, err := topo.Build(spec, topo.BuildConfig{Options: fastOpts})
-		if err != nil {
-			return err
-		}
-		abortRate := inj.Rate(fault.KindReconfigAbort)
-		inj.SetRate(fault.KindReconfigAbort, 0)
-		for _, ev := range appliedRe {
-			plan, err := ev.mk()
-			if err != nil {
-				return err
-			}
-			if rerr := ntopo.Engine(target).Reconfigure(plan); rerr != nil {
-				return fmt.Errorf("crash rebuild reconfigure (%s): %v", plan, rerr)
-			}
-		}
-		inj.SetRate(fault.KindReconfigAbort, abortRate)
-		if err := ntopo.RestoreAll(cps); err != nil {
+	if cps != nil {
+		if err := t.RestoreAll(cps); err != nil {
 			return fmt.Errorf("crash restore: %w", err)
 		}
-		ntopo.TamperRoute = cfg.TamperRoute
-		fastTopo = ntopo
-		res.CrashRestores++
-		return nil
 	}
-
-	batches := make([]*core.Batch, fastTopo.NumChains())
-
-	i := 0
-scan:
-	for i < len(refPkts) {
-		for nextCrash < len(crashes) && crashes[nextCrash].At <= i {
-			nextCrash++
-			if err := crashRestore(); err != nil {
-				return fmt.Errorf("packet %d: %w", i, err)
-			}
-		}
-		for nextRe < len(reEvents) && reEvents[nextRe].at <= i {
-			ev := reEvents[nextRe]
-			nextRe++
-			if err := applyReconfig(ev); err != nil {
-				return err
-			}
-		}
-		// One packet, or one same-chain vector clipped at the next
-		// reconfiguration or crash index and at chain boundaries, so
-		// every packet of a batch observes the same topology state as
-		// its scalar reference twin.
-		chain := fastTopo.Route(fastPkts[i])
-		end := i + 1
-		if cfg.Batch > 1 {
-			lim := i + cfg.Batch
-			if lim > len(refPkts) {
-				lim = len(refPkts)
-			}
-			if nextRe < len(reEvents) && reEvents[nextRe].at < lim {
-				lim = reEvents[nextRe].at
-			}
-			if nextCrash < len(crashes) && crashes[nextCrash].At < lim {
-				lim = crashes[nextCrash].At
-			}
-			for end < lim && fastTopo.Route(fastPkts[end]) == chain {
-				end++
-			}
-		}
-		var fastResults []*core.PacketResult
-		if cfg.Batch > 1 {
-			if batches[chain] == nil {
-				batches[chain] = core.NewBatch(cfg.Batch)
-			}
-			fastResults, err = fastTopo.Engine(chain).ProcessBatch(fastPkts[i:end], batches[chain])
-			if err != nil {
-				return fmt.Errorf("packet %d: fast batch err %v", i, err)
-			}
-		}
-		for k := i; k < end; k++ {
-			refRes, refChain, refErr := refTopo.Process(refPkts[k])
-			var fastRes *core.PacketResult
-			var fastErr error
-			if fastResults != nil {
-				fastRes = fastResults[k-i]
-			} else {
-				fastRes, fastErr = fastTopo.Engine(chain).ProcessPacket(fastPkts[k])
-			}
-			if refErr != nil || fastErr != nil {
-				return fmt.Errorf("packet %d: ref err %v, fast err %v", k, refErr, fastErr)
-			}
-			_ = refChain
-			res.Packets++
-			if refRes.Verdict != fastRes.Verdict {
-				diverge(k, "verdict: ref %v, fast %v", refRes.Verdict, fastRes.Verdict)
-				break scan
-			}
-			if refPkts[k].Dropped() != fastPkts[k].Dropped() {
-				diverge(k, "dropped: ref %v, fast %v", refPkts[k].Dropped(), fastPkts[k].Dropped())
-				break scan
-			}
-			if !refPkts[k].Dropped() && !bytes.Equal(refPkts[k].Data(), fastPkts[k].Data()) {
-				diverge(k, "rewritten bytes differ (%d vs %d bytes)",
-					len(refPkts[k].Data()), len(fastPkts[k].Data()))
-				break scan
-			}
-		}
-		i = end
-	}
-
-	// End-of-trace shared-NF observables: the monitor instance every
-	// chain shares and the web chain's IDS must have accumulated the
-	// identical state down both topologies.
-	if rm, fm := refTopo.NF("mon"), fastTopo.NF("mon"); rm != nil && fm != nil {
-		if rc, fc := rm.(*monitor.Monitor).Totals(), fm.(*monitor.Monitor).Totals(); rc != fc {
-			diverge(-1, "shared monitor counters: ref %+v, fast %+v", rc, fc)
-		}
-	}
-	if ri, fi := refTopo.NF("ids"), fastTopo.NF("ids"); ri != nil && fi != nil {
-		rl, fl := ri.(*snort.Snort).Logs(), fi.(*snort.Snort).Logs()
-		if len(rl) != len(fl) {
-			diverge(-1, "snort logs: ref %d entries, fast %d", len(rl), len(fl))
-		} else {
-			for j := range rl {
-				if rl[j].RuleID != fl[j].RuleID || rl[j].Type != fl[j].Type {
-					diverge(-1, "snort log %d: ref (%d,%v), fast (%d,%v)",
-						j, rl[j].RuleID, rl[j].Type, fl[j].RuleID, fl[j].Type)
-					break
-				}
-			}
-		}
-	}
-
-	for i := 0; i < fastTopo.NumChains(); i++ {
-		st := fastTopo.Engine(i).Stats()
-		res.Fallbacks += st.SlowPathFallbacks
-		res.Degraded += st.DegradedPackets
-		res.Recoveries += st.FaultRecoveries
-	}
-	res.Injected += inj.InjectedTotal()
+	t.TamperRoute = s.cfg.TamperRoute
+	s.oc, s.t = oc, t
 	return nil
 }
 
-// chainNamesOf resolves the instance names a topo chain spec produces,
-// mirroring topo.Build's naming (explicit name, else "chain.typeN").
-func chainNamesOf(cs topo.ChainSpec) []string {
-	names := make([]string, len(cs.NFs))
-	for i, n := range cs.NFs {
-		if n.Name != "" {
-			names[i] = n.Name
-		} else {
-			names[i] = fmt.Sprintf("%s.%s%d", cs.Name, n.Type, i+1)
-		}
-	}
-	return names
+func (s *topoSystem) run(pkts []*packet.Packet, batch int, fold func(off, chain int, ms []platform.Measurement)) error {
+	chain := 0
+	return platform.Drain(pkts, batch, s.t.Route,
+		func(c int, run []*packet.Packet) ([]platform.Measurement, error) {
+			chain = c
+			return s.t.Chain(c).Platform.ProcessBatch(run, s.pb)
+		},
+		func(off int, ms []platform.Measurement) error {
+			fold(off, chain, ms)
+			return nil
+		})
 }
+
+func (s *topoSystem) events(int64, int) []oracleEvent { return nil }
+
+func (s *topoSystem) reconfigure(plan core.ChainPlan) error {
+	return s.t.Engine(s.target).Reconfigure(plan)
+}
+
+// crash kills the whole topology: every chain engine is checkpointed at
+// the kill point and a fresh topology is restored from the snapshots.
+func (s *topoSystem) crash(applied []reconfigEvent) error {
+	cps, err := s.t.CheckpointAll()
+	if err != nil {
+		return fmt.Errorf("crash checkpoint: %w", err)
+	}
+	s.retired = s.stats()
+	return s.boot(applied, cps)
+}
+
+// stats sums the live chain engines' counters onto the retired ones.
+func (s *topoSystem) stats() core.Stats {
+	st := s.retired
+	for i := 0; i < s.t.NumChains(); i++ {
+		st.Add(s.t.Engine(i).Stats())
+	}
+	return st
+}
+
+func (s *topoSystem) chain() *oracleChain { return s.oc }
+
+func (s *topoSystem) finish(res *OracleResult) { res.bank(s.stats()) }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/fastpathnfv/speedybox/internal/fault"
@@ -62,9 +63,11 @@ func TestTopoOracleComposed(t *testing.T) {
 
 // TestTopoOracleCatchesMisclassification proves the topology oracle has
 // teeth: routing the VoIP chain's flows down the web chain (which lacks
-// the gateway's MAC rewrite) must surface as a byte-level divergence.
-// A classifier bug that silently sends flows to the wrong chain is
-// exactly the failure mode this oracle exists to catch.
+// the gateway's MAC rewrite) must surface as a divergence — and as the
+// first misrouted packet's own route divergence, not as whatever byte
+// difference happens to follow. A classifier bug that silently sends
+// flows to the wrong chain is exactly the failure mode this oracle
+// exists to catch.
 func TestTopoOracleCatchesMisclassification(t *testing.T) {
 	res, err := RunOracle(OracleConfig{
 		Seed: 1, Schedules: 4, Topo: true,
@@ -81,6 +84,9 @@ func TestTopoOracleCatchesMisclassification(t *testing.T) {
 	}
 	if res.Passed() {
 		t.Fatal("topo oracle passed a deliberately mis-classified flow")
+	}
+	if d := res.Divergences[0]; !strings.HasPrefix(d.Detail, "route: ref chain 1, fast chain 0") {
+		t.Errorf("first divergence is not the misroute itself: %+v", d)
 	}
 }
 

@@ -6,6 +6,8 @@
 package dosdefender
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"sync"
 
@@ -67,6 +69,44 @@ func (d *Defender) FlowClosed(fid flow.FID) {
 	defer d.mu.Unlock()
 	delete(d.synCnt, fid)
 	delete(d.blocked, fid)
+}
+
+// defenderState is the gob image of the defender's per-flow state.
+// Without it a restored engine brings back the rules but forgets which
+// flows were blocked.
+type defenderState struct {
+	SYNCnt  map[flow.FID]uint64
+	Blocked map[flow.FID]bool
+}
+
+var _ core.Snapshotter = (*Defender)(nil)
+
+// SnapshotState implements core.Snapshotter.
+func (d *Defender) SnapshotState() ([]byte, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(defenderState{d.synCnt, d.blocked}); err != nil {
+		return nil, fmt.Errorf("dosdefender: snapshot: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
+// RestoreState implements core.Snapshotter, replacing all per-flow
+// state. gob omits empty maps, so a snapshot taken before any traffic
+// restores to empty maps, not nil ones.
+func (d *Defender) RestoreState(data []byte) error {
+	st := defenderState{
+		SYNCnt:  make(map[flow.FID]uint64),
+		Blocked: make(map[flow.FID]bool),
+	}
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+		return fmt.Errorf("dosdefender: restore: %w", err)
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.synCnt, d.blocked = st.SYNCnt, st.Blocked
+	return nil
 }
 
 // SYNCount returns a flow's SYN counter.

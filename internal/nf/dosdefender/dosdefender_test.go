@@ -125,3 +125,50 @@ func TestEventFlipsRuleToDrop(t *testing.T) {
 		t.Errorf("rule after event = %v, want drop", updated.Actions[0])
 	}
 }
+
+// TestSnapshotRoundTrip: block state survives a checkpoint, and an
+// empty snapshot restores to usable (non-nil) maps.
+func TestSnapshotRoundTrip(t *testing.T) {
+	restored := func(from *Defender) *Defender {
+		t.Helper()
+		blob, err := from.SnapshotState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := New(Config{Name: "dos", SYNThreshold: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.RestoreState(blob); err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	fresh, err := New(Config{Name: "dos", SYNThreshold: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := restored(fresh) // empty blob: the next Process must not panic
+	for i := 0; i < 3; i++ {
+		if _, err := d.Process(core.NewCtx("dos", core.CtxConfig{FID: 1}), synPkt(t)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !d.Blocked(1) {
+		t.Fatal("flow not blocked after threshold+1 SYNs")
+	}
+	d = restored(d)
+	if !d.Blocked(1) || d.SYNCount(1) != 3 {
+		t.Errorf("after restore: blocked = %v, SYNs = %d, want true, 3", d.Blocked(1), d.SYNCount(1))
+	}
+	v, err := d.Process(core.NewCtx("dos", core.CtxConfig{FID: 1}), ackPkt(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v != core.VerdictDrop {
+		t.Errorf("blocked flow forwarded after restore: %v", v)
+	}
+	if err := d.RestoreState([]byte("not gob")); err == nil {
+		t.Error("garbage snapshot accepted")
+	}
+}

@@ -13,6 +13,8 @@
 package ratelimiter
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"sync"
 
@@ -78,6 +80,46 @@ func (l *Limiter) FlowClosed(fid flow.FID) {
 	delete(l.sources, fid)
 }
 
+// limiterState is the gob image of the limiter: the cross-flow quota
+// state and the per-flow bindings to it. Without it a restored engine
+// brings back the rules but forgets which sources were blocked.
+type limiterState struct {
+	Counts  map[[4]byte]uint64
+	Blocked map[[4]byte]bool
+	Sources map[flow.FID][4]byte
+}
+
+var _ core.Snapshotter = (*Limiter)(nil)
+
+// SnapshotState implements core.Snapshotter.
+func (l *Limiter) SnapshotState() ([]byte, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(limiterState{l.counts, l.blocked, l.sources}); err != nil {
+		return nil, fmt.Errorf("ratelimiter: snapshot: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
+// RestoreState implements core.Snapshotter, replacing all quota state.
+// gob omits empty maps, so a snapshot taken before any traffic restores
+// to empty maps, not nil ones.
+func (l *Limiter) RestoreState(data []byte) error {
+	st := limiterState{
+		Counts:  make(map[[4]byte]uint64),
+		Blocked: make(map[[4]byte]bool),
+		Sources: make(map[flow.FID][4]byte),
+	}
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+		return fmt.Errorf("ratelimiter: restore: %w", err)
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.counts, l.blocked, l.sources = st.Counts, st.Blocked, st.Sources
+	return nil
+}
+
 // Count returns the shared packet counter for a source.
 func (l *Limiter) Count(src [4]byte) uint64 {
 	l.mu.Lock()
@@ -106,12 +148,16 @@ func (l *Limiter) observe(fid flow.FID, src [4]byte) bool {
 }
 
 // sourceBlocked is the shared event condition: it reads the state of
-// the flow's *source*, which every flow from that source updates.
+// the flow's *source*, which every flow from that source updates. The
+// fast path probes events before the packet's state function charges
+// the counter, so the condition answers "would this packet exceed the
+// quota" — the packet that takes the source to quota+1 is the first
+// dropped, exactly as observe decides in the chain.
 func (l *Limiter) sourceBlocked(fid flow.FID) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	src, ok := l.sources[fid]
-	return ok && l.blocked[src]
+	return ok && (l.blocked[src] || l.counts[src] >= l.quota)
 }
 
 // Process implements core.NF.

@@ -106,6 +106,12 @@ func TestSharedEventBlocksSiblingFlows(t *testing.T) {
 		if _, err := p.Process(pkt); err != nil {
 			t.Fatal(err)
 		}
+		// The exact boundary on the fast path, as in the chain
+		// (TestSharedQuotaAcrossFlows): packet quota+1 of the source is
+		// the first dropped.
+		if over := i == 2; pkt.Dropped() != over {
+			t.Errorf("packet %d of the source: dropped = %v, want %v", 5+i, pkt.Dropped(), over)
+		}
 	}
 	if !l.Blocked(src) {
 		t.Fatal("source not blocked after burn")
@@ -122,6 +128,59 @@ func TestSharedEventBlocksSiblingFlows(t *testing.T) {
 	}
 	if res.Result.Fast == nil || res.Result.Fast.EventsFired == 0 {
 		t.Error("sibling block did not come from an event firing")
+	}
+}
+
+// TestSnapshotRoundTrip: block state survives a checkpoint, and an
+// empty snapshot restores to usable (non-nil) maps.
+func TestSnapshotRoundTrip(t *testing.T) {
+	src := packet.IP4(66, 6, 6, 6)
+	process := func(l *Limiter) core.Verdict {
+		t.Helper()
+		v, err := l.Process(core.NewCtx("rl", core.CtxConfig{FID: 1}), mkPkt(t, src, 1000, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	restored := func(from *Limiter) *Limiter {
+		t.Helper()
+		blob, err := from.SnapshotState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := New(Config{Name: "rl", Quota: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.RestoreState(blob); err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	fresh, err := New(Config{Name: "rl", Quota: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := restored(fresh) // empty blob: the next Process must not panic
+	for i := 0; i < 3; i++ {
+		process(l)
+	}
+	if !l.Blocked(src) {
+		t.Fatal("source not blocked after quota+1 packets")
+	}
+	l = restored(l)
+	if !l.Blocked(src) || l.Count(src) != 3 {
+		t.Errorf("after restore: blocked = %v, count = %d, want true, 3", l.Blocked(src), l.Count(src))
+	}
+	if !l.sourceBlocked(1) {
+		t.Error("flow-to-source binding lost in restore")
+	}
+	if v := process(l); v != core.VerdictDrop {
+		t.Errorf("blocked source forwarded after restore: %v", v)
+	}
+	if err := l.RestoreState([]byte("not gob")); err == nil {
+		t.Error("garbage snapshot accepted")
 	}
 }
 
