@@ -295,15 +295,14 @@ func (c *Cluster) Process(pkt *packet.Packet) (platform.Measurement, error) {
 // ProcessRuns feeds pkts through the cluster in arrival order
 // (platform.Drain), splitting the stream into maximal same-instance
 // runs of at most batchSize (0 picks the default vector size) and
-// draining each through the owner's ProcessBatch behind the same fence Process uses: route under a view,
-// take the instance's drain gate, re-check the view, and route again if
-// a rebalance published a new one in between. fold, when non-nil, runs
-// after each sub-run while its measurements are still valid (they
-// point into b, which the next run reuses). One Batch serves every
-// instance: every field of its flow contexts is generation-validated,
-// and generations are banded per table, so a handle, rule or event
-// verdict cached against one engine can never falsely validate against
-// another's.
+// draining each through the owner's ProcessBatch behind the same fence
+// Process uses: route under a view, take the instance's drain gate,
+// re-check the view, and route again if a rebalance published a new one
+// in between. fold, when non-nil, runs after each sub-run while its
+// measurements are still valid (they point into b, which the next run
+// reuses). One Batch serves every instance: its flow contexts validate
+// by generation and generations are banded per table, so a handle or
+// rule cached against one engine never validates against another's.
 func (c *Cluster) ProcessRuns(pkts []*packet.Packet, batchSize int, b *platform.Batch, fold func(off int, ms []platform.Measurement) error) error {
 	// v is the view runs are routed under. It is refreshed only when the
 	// fence finds it stale, so every run that is processed was routed

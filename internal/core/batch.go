@@ -23,20 +23,18 @@ const flowCacheWays = 4
 
 // flowCtx is what one worker knows about one flow, found by the
 // packet's single keyed probe: the flow-table handle with the
-// bookkeeping deltas folded into the flow entry at flush, the live
-// consolidated rule, and a "no registered events" verdict. The
-// steady-state packet is then a key compare, a state load, a
-// generation load per field and plain integer adds — no lock, no map,
-// no per-packet atomic read-modify-write (the paper's DPDK prototype
-// keeps the analogous last-rule pointer in each lcore's local storage).
-// It must not be shared between goroutines. Correctness does not depend
-// on it: each field is revalidated against its source table's
-// generation with one atomic load, so any flow removal, any Install,
-// Remove, MarkStale or epoch advance, and any event Register anywhere
-// invalidates the matching field in every worker, and a failed check
-// simply falls back to the table's own lookup. Generations are banded
-// per table instance, so a context warmed on one engine never validates
-// against another's tables.
+// bookkeeping deltas folded into the flow entry at flush, and the live
+// consolidated rule, event guards included. The steady-state packet is
+// then a key compare, a state load, two generation loads and plain
+// integer adds — no lock, no map, no per-packet atomic
+// read-modify-write (the paper's DPDK prototype keeps the analogous
+// last-rule pointer in each lcore's local storage). It must not be
+// shared between goroutines. Correctness does not depend on it: handle
+// and rule are each revalidated against their table's generation, so a
+// flow removal, Install, Remove, MarkStale or epoch advance anywhere
+// invalidates them in every worker, and a failed check falls back to
+// the table's own lookup. Generations are banded per table instance: a
+// context warmed on one engine never validates against another's.
 type flowCtx struct {
 	// kHi/kLo are the packed flow key (packet.FlowKey) the probe
 	// compares; a context reached by FID alone (Batch.scratchFor) leaves
@@ -53,17 +51,13 @@ type flowCtx struct {
 	dBytes   uint64
 	lastTick uint64
 
-	// fid keys everything below. It changes only when the whole context
-	// is rebuilt, so a rule or verdict is never served to another flow.
+	// fid keys the rule. It changes only when the whole context is
+	// rebuilt, so a rule is never served to another flow.
 	fid flow.FID
 	// rule is valid while the Global MAT's mutation generation is still
 	// ruleGen.
 	rule    *mat.GlobalRule
 	ruleGen uint64
-	// noEvents is valid while the Event Table's registration generation
-	// is still evGen.
-	noEvents bool
-	evGen    uint64
 }
 
 // flush folds the context's pending bookkeeping into the flow entry.
@@ -288,11 +282,10 @@ func (b *Batch) flushFlows() {
 // one keyed probe. A context whose handle is still valid is a hit;
 // otherwise the handle is acquired under the flow table's shard lock
 // and the context is rebuilt from nothing — a re-acquired tuple may be
-// a new connection under a new FID, so no rule or verdict survives a
-// re-key. The table generation is read before the acquire, so a racing
-// removal can only leave the context conservatively stale. It reports
-// ok=false when the flow is not tracked — the caller falls back to full
-// classification.
+// a new connection under a new FID, so no rule survives a re-key. The
+// table generation is read before the acquire, so a racing removal can
+// only leave the context conservatively stale. It reports ok=false when
+// the flow is not tracked — the caller falls back to full classification.
 func (b *Batch) flowCtxFor(flows *flow.Table, pkt *packet.Packet, kHi, kLo uint64) (*flowCtx, bool) {
 	gen := flows.Gen()
 	var fc *flowCtx
@@ -336,7 +329,7 @@ func (b *Batch) flowCtxFor(flows *flow.Table, pkt *packet.Packet, kHi, kLo uint6
 // FID: a FIN/RST (or any packet) classified by the locked Classify, and
 // every packet on the ONVM manager core, whose RX core classified it.
 // It is one entry, rebuilt when the FID changes, so a run of one flow's
-// packets keeps its rule and verdict and nothing is keyed twice.
+// packets keeps its rule and nothing is keyed twice.
 func (b *Batch) scratchFor(fid flow.FID) *flowCtx {
 	if b.scratch.fid != fid {
 		b.scratch = flowCtx{fid: fid}
@@ -419,10 +412,11 @@ func (e *Engine) flushStats(b *Batch) {
 // ProcessBatch classifies and processes a vector of packets in arrival
 // order — the engine's one data path; ProcessPacket is a vector of one.
 // A vector amortizes per-packet dispatch: a fast-shaped packet finds its
-// flow context with one keyed probe, and its classification, rule and
-// event-table lookups are generation compares on that context; fast-path
-// results are written into preallocated storage, and counters and the
-// fast-path latency histogram are folded into a few updates per vector.
+// flow context with one keyed probe, its classification and rule lookup
+// are generation compares on that context, and its event checks are
+// guards on that rule; fast-path results are written into preallocated
+// storage, and counters and the fast-path latency histogram are folded
+// into a few updates per vector.
 //
 // The vector size never changes what a packet observes — the
 // differential oracle holds vectors of 1 and of 32 bit-identical.

@@ -301,10 +301,10 @@ func (f *neighbourRegistrar) Process(ctx *Ctx, pkt *packet.Packet) (Verdict, err
 	return VerdictForward, ctx.AddHeaderAction(mat.Forward())
 }
 
-// TestProcessBatchRegisterMidBatch: a flow's context holds a valid "no
-// registered events" verdict when a neighbour's slow-path packet, in
-// the same vector, registers an event against it. The flow's very next
-// packet must probe the Event Table again and fire.
+// TestProcessBatchRegisterMidBatch: a flow's context holds a rule with
+// no guards when a neighbour's slow-path packet, in the same vector,
+// registers an event against it. The flow's very next packet must probe
+// the Event Table and fire.
 func TestProcessBatchRegisterMidBatch(t *testing.T) {
 	nf := &neighbourRegistrar{name: "lb", trigger: 8452}
 	eng, err := NewEngine([]NF{nf}, DefaultOptions())
@@ -314,8 +314,8 @@ func TestProcessBatchRegisterMidBatch(t *testing.T) {
 	nf.events = eng.Events()
 	b := NewBatch(4)
 	fc := warmCtx(t, eng, b, 8451, 3)
-	if !fc.noEvents {
-		t.Fatal("warm flow has no cached no-events verdict")
+	if fc.rule == nil || fc.rule.Guards() != nil {
+		t.Fatal("warm flow has no cached guard-free rule")
 	}
 	nf.target = fc.fid
 	rs, err := eng.ProcessBatch([]*packet.Packet{
@@ -515,9 +515,9 @@ func (f *lateEventNF) Process(ctx *Ctx, pkt *packet.Packet) (Verdict, error) {
 
 // TestRekeyClearsContext: a cached flow is torn down and its 5-tuple
 // comes back as a new connection whose recording registers an (armed)
-// event. The warm Batch re-acquires the context; it must serve neither
-// the old connection's rule nor its "no events" verdict, so the new
-// connection's first fast-path packet fires the event and drops.
+// event. The warm Batch re-acquires the context; it must not serve the
+// old connection's guard-free rule, so the new connection's first
+// fast-path packet fires the event and drops.
 func TestRekeyClearsContext(t *testing.T) {
 	nf := &lateEventNF{fakeEventNF: fakeEventNF{name: "lb"}}
 	eng, err := NewEngine([]NF{nf}, DefaultOptions())
@@ -527,8 +527,8 @@ func TestRekeyClearsContext(t *testing.T) {
 	b := NewBatch(4)
 	fc := warmCtx(t, eng, b, 8901, 3)
 	old := fc.rule
-	if old == nil || !fc.noEvents {
-		t.Fatalf("warm context: rule=%p noEvents=%v, want both set", old, fc.noEvents)
+	if old == nil || old.Guards() != nil {
+		t.Fatalf("warm context: rule=%p, want a guard-free rule", old)
 	}
 	eng.TeardownFlow(fc.fid)
 	nf.register.Store(true)

@@ -188,3 +188,90 @@ func TestMaglevFailoverReconsolidates(t *testing.T) {
 		}
 	}
 }
+
+// TestQuietFlowsNeverProbe: Chain1's fast path reaches the Event Table
+// only for a flow whose guard holds. With every backend healthy no
+// packet takes the locked probe; when one fails, each flow pinned to it
+// probes exactly once — its failover fires, it is rerouted, and its
+// one-shot event is spent — while the flows pinned elsewhere keep
+// answering off their rules.
+func TestQuietFlowsNeverProbe(t *testing.T) {
+	chain := chain1(t)
+	eng, err := core.NewEngine(chain, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lb *maglev.Maglev
+	for _, nf := range chain {
+		if m, ok := nf.(*maglev.Maglev); ok {
+			lb = m
+		}
+	}
+	const flows = 16
+	b := core.NewBatch(flows)
+	round := func(payload string) []*core.PacketResult {
+		t.Helper()
+		vec := make([]*packet.Packet, flows)
+		for f := range vec {
+			vec[f] = chain1Pkt(uint16(7400+f), packet.ProtoUDP, 0, payload)
+		}
+		rs, err := eng.ProcessBatch(vec, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs
+	}
+	quiet := func(when string) {
+		t.Helper()
+		before := eng.Events().ProbesTotal()
+		for i := 0; i < 1000/flows+1; i++ {
+			for _, r := range round("steady") {
+				if r.Path != core.PathFast || r.Fast.EventsFired != 0 {
+					t.Fatalf("%s: %v took path %v with %d events fired", when, r.FID, r.Path, r.Fast.EventsFired)
+				}
+			}
+		}
+		if got := eng.Events().ProbesTotal() - before; got != 0 {
+			t.Errorf("%s: 1000 fast-path packets took %d locked probes, want 0", when, got)
+		}
+	}
+
+	recorded := round("first")
+	quiet("every backend healthy")
+
+	victim, _ := lb.BackendOf(recorded[0].FID)
+	var onVictim [flows]bool
+	pinned := 0
+	for i, r := range recorded {
+		if be, _ := lb.BackendOf(r.FID); be == victim {
+			onVictim[i] = true
+			pinned++
+		}
+	}
+	if pinned == flows {
+		t.Fatalf("all %d flows pinned to one backend: nothing to compare", flows)
+	}
+	// The default spec's backends are 192.168.1.10, .11 and .12, in order.
+	if err := lb.FailBackend(int(victim.IP[3]) - 10); err != nil {
+		t.Fatal(err)
+	}
+	before := eng.Events().ProbesTotal()
+	for i, r := range round("failover") {
+		wantFired := 0
+		if onVictim[i] {
+			wantFired = 1
+		}
+		now, _ := lb.BackendOf(r.FID)
+		if r.Path != core.PathFast || r.Fast.EventsFired != wantFired || now == victim {
+			t.Errorf("%v (on the failed backend: %v) after the failure: path %v, %d fired, backend %v",
+				r.FID, onVictim[i], r.Path, r.Fast.EventsFired, now)
+		}
+	}
+	if got := eng.Events().ProbesTotal() - before; got != uint64(pinned) {
+		t.Errorf("the failure cost %d locked probes, want one for each of the %d pinned flows", got, pinned)
+	}
+	if got := lb.Rerouted(); got != uint64(pinned) {
+		t.Errorf("%d flows rerouted, want %d", got, pinned)
+	}
+	quiet("one backend failed, its flows rerouted")
+}

@@ -217,6 +217,7 @@ func NewEngine(chain []NF, opts Options) (*Engine, error) {
 		class:  classifier.New(flow.NewTable()),
 	}
 	e.cur.Store(newChainState(chain, nil, 0))
+	e.events.SetJournal(e.eventRegistered)
 	e.scalar.New = func() any { return NewBatch(1) }
 	for i := range e.recording {
 		e.recording[i].fids = make(map[flow.FID]struct{})
@@ -413,13 +414,7 @@ func (e *Engine) Classify(pkt *packet.Packet) (classifier.Result, error) {
 // (the classifier has already reset it to the handshake state).
 func (e *Engine) resetReusedFlow(fid flow.FID) {
 	cs := e.state()
-	removed := e.global.Remove(fid)
-	for _, l := range cs.locals {
-		l.Delete(fid)
-	}
-	e.events.Remove(fid)
-	e.releaseRuleBudget(fid)
-	e.releaseEventBudget(fid)
+	removed := e.dropConsolidated(fid, cs)
 	// The new connection must not inherit the old one's fault backoff.
 	e.dropDegraded(fid)
 	for _, nf := range cs.chain {
@@ -498,6 +493,19 @@ func (e *Engine) PrepareRecording(fid flow.FID) {
 func (e *Engine) dropEvents(fid flow.FID) {
 	e.events.Remove(fid)
 	e.releaseEventBudget(fid)
+}
+
+// dropConsolidated removes what consolidation built for the flow — the
+// Global rule, the Local MAT entries, the events — and returns both
+// admission budgets, reporting whether a rule was installed.
+func (e *Engine) dropConsolidated(fid flow.FID, cs *chainState) bool {
+	removed := e.global.Remove(fid)
+	for _, l := range cs.locals {
+		l.Delete(fid)
+	}
+	e.dropEvents(fid)
+	e.releaseRuleBudget(fid)
+	return removed
 }
 
 // ConsolidateFlow snapshots the Local MATs and installs the Global MAT
@@ -693,6 +701,7 @@ func (e *Engine) consolidate(fid flow.FID, tenant int32, info *SlowPathInfo, cs 
 		return err
 	}
 	rule.Epoch = cs.epoch
+	rule.SetGuards(e.events.Guards(fid))
 	// The merge work was done whether or not the install below lands.
 	info.ConsolidateCycles = e.model.ConsolidateBase + e.model.ConsolidatePerNF*uint64(contributed)
 	if e.faults != nil && e.faults.Should(fault.KindInstallFail, fid) {
@@ -713,6 +722,11 @@ func (e *Engine) consolidate(fid flow.FID, tenant int32, info *SlowPathInfo, cs 
 		return nil
 	}
 	replaced := e.global.Install(rule)
+	// A Register that raced the snapshot either ran before the Install,
+	// and shows here, or after, and its hook found the installed rule.
+	if !e.events.Guarded(fid, rule.Guards()) {
+		e.eventRegistered(fid)
+	}
 	if e.tel != nil {
 		e.tel.ruleInstalled(uint32(fid), replaced)
 	}
@@ -721,6 +735,17 @@ func (e *Engine) consolidate(fid flow.FID, tenant int32, info *SlowPathInfo, cs 
 		e.maybeStorm(fid, cs)
 	}
 	return nil
+}
+
+// eventRegistered is the Event Table's registration hook, run under the
+// flow's event shard lock: the installed rule's guards no longer list
+// every condition, so the flow's very next packet asks the table.
+func (e *Engine) eventRegistered(fid flow.FID) {
+	if r, ok := e.global.Lookup(fid); ok {
+		r.SetGuards(event.AskTable)
+	}
+	// The log (a nil writer ignores it) learns the rule is not restorable.
+	e.wal.Append(wal.Record{Type: wal.RecEventRegister, FID: fid, Epoch: e.global.Epoch()})
 }
 
 // maybeStorm is the event-storm fault: a burst of always-true no-op
@@ -757,13 +782,7 @@ func (e *Engine) maybeStorm(fid flow.FID, cs *chainState) {
 // eviction does not reach into NFs — so the next packet re-records
 // the same behaviour.
 func (e *Engine) evictConsolidated(fid flow.FID) {
-	removed := e.global.Remove(fid)
-	for _, l := range e.state().locals {
-		l.Delete(fid)
-	}
-	e.events.Remove(fid)
-	e.releaseRuleBudget(fid)
-	e.releaseEventBudget(fid)
+	removed := e.dropConsolidated(fid, e.state())
 	if e.tel != nil {
 		e.tel.rec.Append(telemetry.EvFaultInject, uint32(fid), fault.KindEvictPressure.String())
 		e.tel.rec.Append(telemetry.EvFlowEvict, uint32(fid), CauseFaultEvict)
@@ -805,24 +824,29 @@ func (e *Engine) FastProcess(fid flow.FID, pkt *packet.Packet, b *Batch) (*Packe
 
 // fastPathInto applies the consolidated rule, writing into the packet's
 // (zeroed) info and res slots of b — per-worker arrays, so steady-state
-// fast-path packets allocate nothing. fc is the flow's context:
-// generation-validated hits skip the sharded Global MAT map and the
-// Event Table probes. On a rule miss the packet transparently falls
-// back to the slow path, which fills res instead.
+// fast-path packets allocate nothing. fc is the flow's context: a
+// generation-validated hit skips the sharded Global MAT map, and both
+// Event Table checks are made off the rule's guards, so only a flow
+// with a guard that holds takes the table's locked probe. On a rule
+// miss the packet falls back to the slow path, which fills res instead.
 func (e *Engine) fastPathInto(fc *flowCtx, pkt *packet.Packet, info *FastPathInfo, res *PacketResult, b *Batch) error {
 	m := e.model
 	info.FixedCycles = m.HashFID + m.FastPathBase + m.EventCheck + m.GMATLookup
 
-	// Event Table pre-check: a previously-satisfied condition updates
-	// the rule before this packet is processed (§III).
-	if fired, err := e.fireEventsCached(fc, info); err != nil {
-		return err
-	} else if fired {
-		// The rule was rebuilt; the fresh lookup below sees it.
-		info.FixedCycles += m.GMATLookup
-	}
-
+	// Event pre-check: a previously-satisfied condition updates the rule
+	// before this packet is processed (§III) — or revives a stale one.
 	rule, _ := e.lookupRule(fc)
+	if rule == nil || event.Holds(rule.Guards(), fc.fid) {
+		fired, err := e.fireEvents(fc.fid, info)
+		if err != nil {
+			return err
+		}
+		if fired {
+			// The rule was rebuilt; the fresh lookup sees it.
+			info.FixedCycles += m.GMATLookup
+		}
+		rule, _ = e.lookupRule(fc)
+	}
 	if rule == nil {
 		// The rule vanished (torn down or fault-evicted concurrently)
 		// or went stale (failed install, lost recomputation). Fall
@@ -878,8 +902,10 @@ func (e *Engine) fastPathInto(fc *flowCtx, pkt *packet.Packet, info *FastPathInf
 
 	// Post-execution event check: state updates from this packet may
 	// arm a condition that changes processing for the next packet.
-	if _, err := e.fireEventsCached(fc, info); err != nil {
-		return err
+	if event.Holds(rule.Guards(), fc.fid) {
+		if _, err := e.fireEvents(fc.fid, info); err != nil {
+			return err
+		}
 	}
 
 	res.Path = PathFast
@@ -901,26 +927,12 @@ func (e *Engine) fastPathInto(fc *flowCtx, pkt *packet.Packet, info *FastPathInf
 	return nil
 }
 
-// fireEventsCached probes the Event Table for the flow, applies any
-// updates to the owning Local MATs and reconsolidates, reporting
-// whether anything fired. fc is the flow's context: a flow known to
-// have no registered events (verdict validated against
-// the Event Table's registration generation) skips the locked probe
-// entirely. The verdict can only be invalidated by Register, which
-// advances the generation; firings and removals merely shrink the
-// event set, which the context handles conservatively by keeping
-// probing flows it has no verdict for.
-func (e *Engine) fireEventsCached(fc *flowCtx, info *FastPathInfo) (bool, error) {
-	// Read the generation before probing: if a Register lands between
-	// the two, the cached verdict is stamped with the older generation
-	// and the next validity check conservatively misses.
-	evGen := e.events.RegGen()
-	if fc.noEvents && fc.evGen == evGen {
-		return false, nil
-	}
-	fid := fc.fid
-	firings, registered := e.events.Probe(fid)
-	fc.noEvents, fc.evGen = !registered, evGen
+// fireEvents takes the Event Table's locked probe for the flow — the
+// authority a rule's guards only summarize: it removes one-shot
+// firings, applies the updates to the owning Local MATs and
+// reconsolidates, reporting whether anything fired.
+func (e *Engine) fireEvents(fid flow.FID, info *FastPathInfo) (bool, error) {
+	firings := e.events.Check(fid)
 	if len(firings) == 0 {
 		return false, nil
 	}
@@ -929,7 +941,7 @@ func (e *Engine) fireEventsCached(fc *flowCtx, info *FastPathInfo) (bool, error)
 		if f.Event.Epoch != cs.epoch {
 			// The firings were registered under a retired chain: the
 			// registering NF may no longer exist, and the flow's rule is
-			// from the same epoch, so the lookup below misses anyway.
+			// from the same epoch, so the caller's lookup misses anyway.
 			// Drop the whole event set — a flow's events all share one
 			// epoch (PrepareRecording wipes them before re-recording) —
 			// and let the slow path re-record under the live chain.
@@ -1059,13 +1071,7 @@ func (e *Engine) ExpireIdle(idleFor uint64) int {
 // cause labels the removal in telemetry.
 func (e *Engine) teardown(fid flow.FID, cause string) {
 	cs := e.state()
-	removed := e.global.Remove(fid)
-	for _, l := range cs.locals {
-		l.Delete(fid)
-	}
-	e.events.Remove(fid)
-	e.releaseRuleBudget(fid)
-	e.releaseEventBudget(fid)
+	removed := e.dropConsolidated(fid, cs)
 	// Ladder state dies with the flow: a later reincarnation of the
 	// FID starts clean instead of inheriting this connection's backoff.
 	e.dropDegraded(fid)

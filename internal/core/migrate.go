@@ -67,18 +67,9 @@ func (e *Engine) ExtractFlow(fid flow.FID) (MigratedFlow, bool) {
 	}
 	mf := MigratedFlow{Entry: entry}
 	if r, live := e.global.LookupLive(fid); live && r.Epoch == e.global.Epoch() {
-		if im, restorable := wal.ImageOf(r); restorable && e.events.Pending(fid) == 0 {
-			mf.Rule = im
-		}
+		mf.Rule, _ = wal.ImageOf(r)
 	}
-	cs := e.state()
-	e.global.Remove(fid)
-	for _, l := range cs.locals {
-		l.Delete(fid)
-	}
-	e.events.Remove(fid)
-	e.releaseRuleBudget(fid)
-	e.releaseEventBudget(fid)
+	e.dropConsolidated(fid, e.state())
 	e.dropDegraded(fid)
 	e.class.Flows().Remove(fid)
 	return mf, true

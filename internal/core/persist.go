@@ -34,41 +34,34 @@ import (
 // ErrNilCheckpoint reports Restore called without a checkpoint.
 var ErrNilCheckpoint = errcode.Sentinel("core.checkpoint_missing", "core: restore requires a checkpoint")
 
-// walJournal adapts the engine's tables to the WAL writer. Its
+// walJournal adapts the Global MAT to the engine's WAL writer. Its
 // callbacks run under the owning table shard's lock, so records land
 // in the log in exactly the order mutations committed.
-type walJournal struct {
-	e *Engine
-	w *wal.Writer
-}
+type walJournal struct{ e *Engine }
 
 func (j *walJournal) RuleInstalled(r *mat.GlobalRule, replaced bool) {
 	rec := wal.Record{Type: wal.RecRuleInstall, FID: r.FID, Epoch: r.Epoch}
 	if replaced {
 		rec.Aux |= wal.AuxReplaced
 	}
-	// Restorable = declarative header work only AND no event
-	// registrations for the flow. Events register during the slow-path
-	// traversal, before consolidation installs the rule, so the check
-	// here is complete; a storm registering *after* the install emits
-	// RecEventRegister records that demote the flow during replay.
-	if im, ok := wal.ImageOf(r); ok && j.e.events.Pending(r.FID) == 0 {
+	// Restorable = declarative header work only and no event guards.
+	if im, ok := wal.ImageOf(r); ok {
 		rec.Aux |= wal.AuxRestorable
 		rec.Rule = im
 	}
-	j.w.Append(rec)
+	j.e.wal.Append(rec)
 }
 
 func (j *walJournal) RuleRemoved(fid flow.FID) {
-	j.w.Append(wal.Record{Type: wal.RecRuleRemove, FID: fid, Epoch: j.e.global.Epoch()})
+	j.e.wal.Append(wal.Record{Type: wal.RecRuleRemove, FID: fid, Epoch: j.e.global.Epoch()})
 }
 
 func (j *walJournal) RuleStaled(fid flow.FID) {
-	j.w.Append(wal.Record{Type: wal.RecRuleStale, FID: fid, Epoch: j.e.global.Epoch()})
+	j.e.wal.Append(wal.Record{Type: wal.RecRuleStale, FID: fid, Epoch: j.e.global.Epoch()})
 }
 
 func (j *walJournal) EpochAdvanced(epoch uint64) {
-	j.w.Append(wal.Record{Type: wal.RecEpochAdvance, Epoch: epoch})
+	j.e.wal.Append(wal.Record{Type: wal.RecEpochAdvance, Epoch: epoch})
 }
 
 // AttachWAL journals all future Global MAT mutations and Event Table
@@ -76,16 +69,12 @@ func (j *walJournal) EpochAdvanced(epoch uint64) {
 // the journal captures mutations from attachment onward, and a
 // checkpoint anchors the prefix it never saw.
 func (e *Engine) AttachWAL(w *wal.Writer) {
-	e.wal = w
+	e.wal = w // where eventRegistered journals registrations
 	if w == nil {
 		e.global.SetJournal(nil)
-		e.events.SetJournal(nil)
 		return
 	}
-	e.global.SetJournal(&walJournal{e: e, w: w})
-	e.events.SetJournal(func(fid flow.FID) {
-		w.Append(wal.Record{Type: wal.RecEventRegister, FID: fid, Epoch: e.global.Epoch()})
-	})
+	e.global.SetJournal(&walJournal{e})
 	if e.tel != nil {
 		e.tel.hookWAL(w)
 	}
@@ -125,11 +114,10 @@ func (e *Engine) Checkpoint() (*wal.Checkpoint, error) {
 		if r.Epoch != cp.Epoch || e.global.IsStale(r.FID) {
 			continue // dead or distrusted; the flow re-records anyway
 		}
-		im, ok := wal.ImageOf(r)
-		if !ok || e.events.Pending(r.FID) > 0 {
-			continue // closure-bearing: restorable only by re-recording
+		// A closure-bearing rule is restorable only by re-recording.
+		if im, ok := wal.ImageOf(r); ok {
+			cp.Rules = append(cp.Rules, *im)
 		}
-		cp.Rules = append(cp.Rules, *im)
 	}
 
 	cs := e.state()

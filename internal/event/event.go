@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"github.com/fastpathnfv/speedybox/internal/errcode"
 	"github.com/fastpathnfv/speedybox/internal/flow"
@@ -46,7 +47,10 @@ type Event struct {
 	// NF names the registering network function; the update applies
 	// to that NF's Local MAT.
 	NF string
-	// Condition is probed by the Event Table.
+	// Condition is probed by the Event Table under the flow's shard
+	// lock, and by the fast path as a guard on the flow's consolidated
+	// rule under no lock at all, from any worker: it must be safe for
+	// concurrent use and free of side effects.
 	Condition ConditionFunc
 	// Update edits the NF's Local MAT rule for the flow.
 	Update UpdateFunc
@@ -84,9 +88,8 @@ type Firing struct {
 }
 
 // shardCount is the number of independently locked table shards,
-// indexed by the FID's low bits (power of two). The fast path probes
-// the Event Table twice per packet, so a single table lock would
-// serialize every worker of the multi-queue platform.
+// indexed by the FID's low bits (power of two), so registrations and
+// the probes of armed flows on different workers rarely share a lock.
 const shardCount = 32
 
 const shardMask = shardCount - 1
@@ -94,7 +97,9 @@ const shardMask = shardCount - 1
 type tableShard struct {
 	mu    sync.Mutex
 	byFID map[flow.FID][]*Event
-	_     [48]byte // pad to a 64-byte cache line (best effort)
+	// probes counts Probe calls on the shard, under mu.
+	probes uint64
+	_      [40]byte // pad to a 64-byte cache line (best effort)
 }
 
 // Table is the Event Table: per-FID registered events. It is safe for
@@ -103,17 +108,11 @@ type Table struct {
 	shards     [shardCount]tableShard
 	fired      atomic.Uint64
 	registered atomic.Uint64
-	// regGen is the registration generation the batched data path
-	// validates its "no events for this flow" cache against. Unlike
-	// registered (a plain telemetry count), it starts in a per-instance
-	// 2^32-wide band so values never coincide across Tables — a cache
-	// carried across an engine rebuild must not validate against a dead
-	// table's generation.
-	regGen atomic.Uint64
-	// journal, when set, observes successful registrations for
-	// write-ahead logging: event closures cannot be serialized, so the
-	// journal record marks the flow's rule non-restorable after a
-	// crash (the flow re-records instead).
+	// journal, when set, observes successful registrations. The engine
+	// hangs two things on it: the flow's installed rule stops trusting
+	// its guard snapshot (see Guards), and the write-ahead log marks the
+	// rule non-restorable — event closures cannot be serialized, so
+	// after a crash the flow re-records instead.
 	journal atomic.Pointer[func(flow.FID)]
 }
 
@@ -129,13 +128,9 @@ func (t *Table) SetJournal(fn func(flow.FID)) {
 	t.journal.Store(&fn)
 }
 
-// instanceGen hands each Table its own registration-generation band.
-var instanceGen atomic.Uint64
-
 // NewTable returns an empty Event Table.
 func NewTable() *Table {
 	t := &Table{}
-	t.regGen.Store(instanceGen.Add(1) << 32)
 	for i := range t.shards {
 		t.shards[i].byFID = make(map[flow.FID][]*Event)
 	}
@@ -161,7 +156,6 @@ func (t *Table) Register(fid flow.FID, e Event) error {
 	ev := e
 	s.byFID[fid] = append(s.byFID[fid], &ev)
 	t.registered.Add(1)
-	t.regGen.Add(1)
 	if j := t.journal.Load(); j != nil {
 		(*j)(fid)
 	}
@@ -171,24 +165,21 @@ func (t *Table) Register(fid flow.FID, e Event) error {
 // Check probes all events registered for the flow and returns the ones
 // whose conditions hold, removing one-shot firings from the table. The
 // caller applies the updates and reconsolidates. Events fire in
-// registration order. Conditions run under the flow's shard lock and
-// must not call back into the Event Table.
+// registration order. Conditions run under the flow's shard lock here
+// (and under none as rule guards) and must not call back into the
+// Event Table.
 func (t *Table) Check(fid flow.FID) []Firing {
 	fired, _ := t.Probe(fid)
 	return fired
 }
 
 // Probe is Check plus a report of whether the flow had any events
-// registered at all. The batched data path uses registered=false to
-// cache a "no events" verdict for the flow and skip both per-packet
-// probes: the verdict stays valid while RegGen is unchanged, because a
-// flow can only go from no-events to has-events through Register
-// (one-shot firings and Remove only shrink the set, which the cache
-// treats conservatively by keep probing).
+// registered at all.
 func (t *Table) Probe(fid flow.FID) (fired []Firing, registered bool) {
 	s := t.shardFor(fid)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.probes++
 	events := s.byFID[fid]
 	if len(events) == 0 {
 		return nil, false
@@ -236,12 +227,76 @@ func (t *Table) RegisteredTotal() uint64 {
 	return t.registered.Load()
 }
 
-// RegGen returns the registration generation: bumped on every Register
-// and unique across Table instances, so a cached "no events" verdict
-// stamped with one table's generation can never validate against
-// another's.
-func (t *Table) RegGen() uint64 {
-	return t.regGen.Load()
+// ProbesTotal returns how many locked probes (Probe, Check) the table
+// has served. The fast path takes one only for a flow whose rule has a
+// guard that holds, or has no live rule.
+func (t *Table) ProbesTotal() uint64 {
+	var n uint64
+	for i := range t.shards {
+		s := &t.shards[i]
+		s.mu.Lock()
+		n += s.probes
+		s.mu.Unlock()
+	}
+	return n
+}
+
+// AskTable is the guard that always holds. A registration that arrives
+// after a rule's guard snapshot swaps it in, so the flow takes the
+// locked probe on every packet until a consolidation snapshots afresh.
+var AskTable = &mat.Guard{Cond: func(flow.FID) bool { return true }}
+
+// Holds reports whether any guard of the list holds for the flow. It is
+// how the fast path makes both of its Event Table checks: off the rule
+// it already holds, with no lock and no table access, coming to Probe
+// only when the answer is yes.
+func Holds(g *mat.Guard, fid flow.FID) bool {
+	for ; g != nil; g = g.Next {
+		if g.Cond(fid) {
+			return true
+		}
+	}
+	return false
+}
+
+// Guards snapshots the flow's registered conditions, in registration
+// order, as the guard list its consolidated rule carries (nil when the
+// flow has none). The snapshot goes out of date the moment the flow's
+// registrations change; the engine re-snapshots on every consolidation
+// — which follows every firing — and Register's hook swaps AskTable
+// into the installed rule.
+func (t *Table) Guards(fid flow.FID) *mat.Guard {
+	s := t.shardFor(fid)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var head *mat.Guard
+	events := s.byFID[fid]
+	for i := len(events) - 1; i >= 0; i-- {
+		head = &mat.Guard{Cond: events[i].Condition, Next: head}
+	}
+	return head
+}
+
+// Guarded reports whether g is exactly the flow's registered
+// conditions, in order — whether a snapshot Guards returned is still
+// current.
+func (t *Table) Guarded(fid flow.FID, g *mat.Guard) bool {
+	s := t.shardFor(fid)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, e := range s.byFID[fid] {
+		if g == nil || !sameFunc(g.Cond, e.Condition) {
+			return false
+		}
+		g = g.Next
+	}
+	return g == nil
+}
+
+// sameFunc reports whether a and b are one function value. A func
+// value is a pointer to its closure, which every copy shares.
+func sameFunc(a, b ConditionFunc) bool {
+	return *(*unsafe.Pointer)(unsafe.Pointer(&a)) == *(*unsafe.Pointer)(unsafe.Pointer(&b))
 }
 
 // Remove drops all events for a flow (FIN/RST teardown).

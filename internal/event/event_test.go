@@ -288,3 +288,91 @@ func TestConcurrentCheckAndRegister(t *testing.T) {
 		t.Errorf("FiredTotal = %d, want exactly 400", got)
 	}
 }
+
+// TestGuardsSnapshotRegistrations: Guards lists the flow's conditions
+// in registration order, Holds evaluates the list without the table,
+// and Guarded tells a current snapshot from one a registration, a
+// one-shot firing or a removal has overtaken — by the identity of the
+// conditions, not their number.
+func TestGuardsSnapshotRegistrations(t *testing.T) {
+	tbl := NewTable()
+	if g := tbl.Guards(9); g != nil || !tbl.Guarded(9, nil) || Holds(g, 9) {
+		t.Fatalf("flow without events: guards %v, want none, current and quiet", g)
+	}
+	armed := false
+	first := func(flow.FID) bool { return armed }
+	second := func(fid flow.FID) bool { return fid == 0 }
+	for _, c := range []ConditionFunc{first, second} {
+		if err := tbl.Register(9, Event{NF: "lb", Condition: c, Update: noUpdate, OneShot: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := tbl.Guards(9)
+	if g == nil || g.Next == nil || g.Next.Next != nil || !sameFunc(g.Cond, first) || !sameFunc(g.Next.Cond, second) {
+		t.Fatalf("guards %+v, want the two conditions in registration order", g)
+	}
+	probes := tbl.ProbesTotal()
+	if !tbl.Guarded(9, g) || tbl.Guarded(9, g.Next) || tbl.Guarded(9, nil) || tbl.Guarded(9, AskTable) {
+		t.Error("Guarded does not tell the current snapshot from a partial, empty or ask-the-table one")
+	}
+	if Holds(g, 9) {
+		t.Error("guards hold with both conditions false")
+	}
+	armed = true
+	if !Holds(g, 9) || !Holds(AskTable, 9) || Holds(nil, 9) {
+		t.Error("Holds: want the armed list and AskTable to hold, the empty list not to")
+	}
+	if tbl.ProbesTotal() != probes {
+		t.Error("snapshotting, comparing or evaluating guards counted as a probe")
+	}
+
+	// The one-shot fires and leaves the table: the snapshot is stale,
+	// and a fresh one lists what is left.
+	if fired, _ := tbl.Probe(9); len(fired) != 1 {
+		t.Fatalf("fired %d, want 1", len(fired))
+	}
+	if tbl.ProbesTotal() != probes+1 {
+		t.Errorf("ProbesTotal = %d after one probe, want %d", tbl.ProbesTotal(), probes+1)
+	}
+	if tbl.Guarded(9, g) {
+		t.Error("snapshot still current after a one-shot left the table")
+	}
+	if g = tbl.Guards(9); g == nil || g.Next != nil || !sameFunc(g.Cond, second) || !tbl.Guarded(9, g) {
+		t.Fatalf("guards after the firing %+v, want the second condition alone", g)
+	}
+	// Same number of conditions, another closure: not the same guards.
+	tbl.Remove(9)
+	if err := tbl.Register(9, Event{NF: "lb", Condition: never, Update: noUpdate}); err != nil {
+		t.Fatal(err)
+	}
+	if tbl.Guarded(9, g) {
+		t.Error("snapshot current against a different condition")
+	}
+}
+
+// TestJournalRunsPerRegistration: the hook the engine hangs its guard
+// retirement and its WAL record on sees every successful Register, and
+// no refused one.
+func TestJournalRunsPerRegistration(t *testing.T) {
+	tbl := NewTable()
+	var seen []flow.FID
+	tbl.SetJournal(func(fid flow.FID) { seen = append(seen, fid) })
+	for _, fid := range []flow.FID{3, 4, 3} {
+		if err := tbl.Register(fid, Event{NF: "x", Condition: never, Update: noUpdate}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tbl.Register(5, Event{NF: "x", Update: noUpdate}); err == nil {
+		t.Fatal("nil condition accepted")
+	}
+	if !slices.Equal(seen, []flow.FID{3, 4, 3}) {
+		t.Errorf("journal saw %v, want [3 4 3]", seen)
+	}
+	tbl.SetJournal(nil)
+	if err := tbl.Register(6, Event{NF: "x", Condition: never, Update: noUpdate}); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 3 {
+		t.Errorf("detached journal still called: %v", seen)
+	}
+}

@@ -104,6 +104,14 @@ func (s *clusterSystem) crash([]reconfigEvent) error {
 
 func (s *clusterSystem) chain() *oracleChain { return s.oc }
 
+func (s *clusterSystem) engines() []*core.Engine {
+	engs := make([]*core.Engine, s.cl.Len())
+	for i := range engs {
+		engs[i] = s.cl.Engine(i)
+	}
+	return engs
+}
+
 func (s *clusterSystem) finish(res *OracleResult) {
 	res.bank(s.cl.Stats())
 	res.Migrations += s.cl.Migrations()

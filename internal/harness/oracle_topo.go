@@ -185,4 +185,12 @@ func (s *topoSystem) stats() core.Stats {
 
 func (s *topoSystem) chain() *oracleChain { return s.oc }
 
+func (s *topoSystem) engines() []*core.Engine {
+	engs := make([]*core.Engine, s.t.NumChains())
+	for i := range engs {
+		engs[i] = s.t.Engine(i)
+	}
+	return engs
+}
+
 func (s *topoSystem) finish(res *OracleResult) { res.bank(s.stats()) }

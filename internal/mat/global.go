@@ -56,6 +56,28 @@ type GlobalRule struct {
 	// (hand-built rules, rules decoded from an old WAL); ExecHeader
 	// then falls back to ApplyHeader, the reference implementation.
 	Prog []byte
+	// guards is the flow's registered event conditions as consolidation
+	// found them (nil: none), the one word written after Install: a plain
+	// pointer — Install copies rules by value — behind Guards and SetGuards.
+	guards *Guard
+}
+
+// Guard is a node of a rule's immutable list of event conditions, in
+// registration order. Package event builds, evaluates and compares the
+// lists; a rule only carries one.
+type Guard struct {
+	Cond func(flow.FID) bool
+	Next *Guard
+}
+
+// Guards loads the rule's guard list.
+func (r *GlobalRule) Guards() *Guard {
+	return (*Guard)(atomic.LoadPointer((*unsafe.Pointer)(unsafe.Pointer(&r.guards))))
+}
+
+// SetGuards stores the rule's guard list.
+func (r *GlobalRule) SetGuards(g *Guard) {
+	atomic.StorePointer((*unsafe.Pointer)(unsafe.Pointer(&r.guards)), unsafe.Pointer(g))
 }
 
 // ApplyHeader performs the consolidated header work on a packet:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"unsafe"
 
 	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/packet"
@@ -472,5 +473,15 @@ func TestGlobalInstallDoesNotRaceSharedPointer(t *testing.T) {
 	<-done
 	if got, ok := g.Lookup(42); !ok || got.Version == 0 {
 		t.Fatalf("reinstalls did not version the stored rule: %+v", got)
+	}
+}
+
+// TestGlobalRuleSizeClass: a GlobalRule sits in Go's 208-byte size
+// class, and every flow holds one — 32 768 of them on the benchmark's
+// wide workload. A field that pushes it into the next class (224) costs
+// every flow 16 bytes; the guard word is the last one that fits.
+func TestGlobalRuleSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(GlobalRule{}); size > 208 {
+		t.Errorf("GlobalRule is %d bytes, beyond the 208-byte size class", size)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sync"
+	"sync/atomic"
 
 	"github.com/fastpathnfv/speedybox/internal/core"
 	"github.com/fastpathnfv/speedybox/internal/event"
@@ -52,6 +53,13 @@ type Maglev struct {
 	name        string
 	rewritePort bool
 	m           int
+	// failover is the one bound condition every flow's failover event
+	// registers, so a recording allocates no closure for it.
+	failover event.ConditionFunc
+	// unhealthy counts failed backends (written under mu). While it is
+	// zero no flow can be pinned to one, and the condition answers
+	// without mu or conns.
+	unhealthy atomic.Int32
 
 	mu       sync.Mutex
 	backends []Backend
@@ -90,6 +98,7 @@ func New(cfg Config) (*Maglev, error) {
 	for i := range lb.healthy {
 		lb.healthy[i] = true
 	}
+	lb.failover = lb.unhealthyAssigned
 	lb.populateLocked()
 	return lb, nil
 }
@@ -206,6 +215,7 @@ func (lb *Maglev) FailBackend(i int) error {
 		return nil
 	}
 	lb.healthy[i] = false
+	lb.unhealthy.Add(1)
 	lb.populateLocked()
 	return nil
 }
@@ -221,6 +231,7 @@ func (lb *Maglev) RestoreBackend(i int) error {
 		return nil
 	}
 	lb.healthy[i] = true
+	lb.unhealthy.Add(-1)
 	lb.populateLocked()
 	return nil
 }
@@ -271,6 +282,13 @@ func (lb *Maglev) RestoreState(data []byte) error {
 			len(st.Healthy), len(lb.backends))
 	}
 	lb.healthy = st.Healthy
+	var down int32
+	for _, ok := range st.Healthy {
+		if !ok {
+			down++
+		}
+	}
+	lb.unhealthy.Store(down)
 	lb.conns = st.Conns
 	if lb.conns == nil {
 		lb.conns = make(map[flow.FID]int)
@@ -325,8 +343,12 @@ func (lb *Maglev) assignLocked(fid flow.FID, ft packet.FiveTuple) (idx int, isNe
 }
 
 // unhealthyAssigned reports whether the flow's pinned backend has
-// failed — the event condition.
+// failed — the event condition, evaluated per fast-path packet from
+// any worker.
 func (lb *Maglev) unhealthyAssigned(fid flow.FID) bool {
+	if lb.unhealthy.Load() == 0 {
+		return false
+	}
 	lb.mu.Lock()
 	defer lb.mu.Unlock()
 	i, ok := lb.conns[fid]
@@ -421,7 +443,7 @@ func (lb *Maglev) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, erro
 	// replace the modify values with a freshly selected backend's.
 	rewritePort := lb.rewritePort
 	err = ctx.RegisterEvent(event.Event{
-		Condition: lb.unhealthyAssigned,
+		Condition: lb.failover,
 		Update: func(fid flow.FID, r *mat.LocalRule) {
 			nb, ok := lb.reroute(fid, ft)
 			if !ok {

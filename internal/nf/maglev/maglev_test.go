@@ -2,6 +2,7 @@ package maglev
 
 import (
 	"testing"
+	"time"
 
 	"github.com/fastpathnfv/speedybox/internal/core"
 	"github.com/fastpathnfv/speedybox/internal/event"
@@ -321,5 +322,133 @@ func TestFlowClosedReleasesConnTrack(t *testing.T) {
 	lb.FlowClosed(5)
 	if _, ok := lb.BackendOf(5); ok {
 		t.Error("conn-track pin survived FlowClosed")
+	}
+}
+
+// backendIndex finds a backend in the pool backends(n) builds.
+func backendIndex(t *testing.T, n int, b Backend) int {
+	t.Helper()
+	for i, c := range backends(n) {
+		if c == b {
+			return i
+		}
+	}
+	t.Fatalf("backend %v not in the pool", b)
+	return -1
+}
+
+// TestFailoverFiresOnNextPacket: the condition answers from the count
+// of failed backends while none has failed, so a FailBackend between
+// two packets of a pinned flow must raise that count before it returns:
+// the very next packet fires the failover and leaves for a healthy
+// backend.
+func TestFailoverFiresOnNextPacket(t *testing.T) {
+	lb, err := New(Config{Name: "lb", Backends: backends(3), TableSize: 101})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := core.NewEngine([]core.NF{lb}, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := eng.ProcessPacket(pkt(t, 3333))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fid := first.FID
+	if r, err := eng.ProcessPacket(pkt(t, 3333)); err != nil || r.Path != core.PathFast || r.Fast.EventsFired != 0 {
+		t.Fatalf("healthy pool: %+v, %v; want a quiet fast-path packet", r, err)
+	}
+	orig, _ := lb.BackendOf(fid)
+	if err := lb.FailBackend(backendIndex(t, 3, orig)); err != nil {
+		t.Fatal(err)
+	}
+	p := pkt(t, 3333)
+	r, err := eng.ProcessPacket(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nb, _ := lb.BackendOf(fid)
+	if r.Path != core.PathFast || r.Fast.EventsFired != 1 || nb == orig || p.DstIP() != nb.IP {
+		t.Errorf("packet after the failure: path %v, %d fired, backend %v -> %v, sent to %v",
+			r.Path, r.Fast.EventsFired, orig, nb, p.DstIP())
+	}
+}
+
+// TestUnhealthyCountFollowsPool: the count the condition's fast answer
+// rests on tracks FailBackend and RestoreBackend (repeats included) and
+// is rebuilt by RestoreState — a snapshot taken with a backend down
+// must not restore into a balancer that believes every flow healthy.
+// With the count at zero the condition answers without the mutex; with
+// a backend down it reads the pin under it.
+func TestUnhealthyCountFollowsPool(t *testing.T) {
+	lb, err := New(Config{Name: "lb", Backends: backends(3), TableSize: 101})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := core.NewCtx("lb", core.CtxConfig{FID: 7, Recording: true})
+	if _, err := lb.Process(ctx, pkt(t, 4444)); err != nil {
+		t.Fatal(err)
+	}
+	orig, _ := lb.BackendOf(7)
+	down := backendIndex(t, 3, orig)
+	// answers evaluates the condition while the test holds the mutex: it
+	// reports whether the condition came back without it.
+	answers := func() (holds, lockFree bool) {
+		lb.mu.Lock()
+		defer lb.mu.Unlock()
+		done := make(chan bool, 1) // the one answer; never blocks the goroutine
+		go func() { done <- lb.failover(7) }()
+		select {
+		case holds = <-done:
+			return holds, true
+		case <-time.After(200 * time.Millisecond):
+			return false, false
+		}
+	}
+	if holds, lockFree := answers(); holds || !lockFree {
+		t.Errorf("healthy pool: condition holds=%v lock-free=%v, want false without the mutex", holds, lockFree)
+	}
+
+	for i := 0; i < 2; i++ { // the second call is a no-op
+		if err := lb.FailBackend(down); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := lb.unhealthy.Load(); n != 1 {
+		t.Fatalf("unhealthy count %d after failing one backend twice, want 1", n)
+	}
+	if _, lockFree := answers(); lockFree {
+		t.Error("a backend is down: the condition answered without reading the pin under the mutex")
+	}
+	if !lb.failover(7) {
+		t.Error("condition false for a flow pinned to the failed backend")
+	}
+
+	snap, err := lb.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := New(Config{Name: "lb", Backends: backends(3), TableSize: 101})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.RestoreState(snap); err != nil {
+		t.Fatal(err)
+	}
+	if n := fresh.unhealthy.Load(); n != 1 || !fresh.failover(7) {
+		t.Errorf("restored balancer: unhealthy count %d, condition %v; want 1 and true", n, fresh.failover(7))
+	}
+
+	for i := 0; i < 2; i++ {
+		if err := lb.RestoreBackend(down); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := lb.unhealthy.Load(); n != 0 {
+		t.Fatalf("unhealthy count %d after restoring the backend twice, want 0", n)
+	}
+	if holds, lockFree := answers(); holds || !lockFree {
+		t.Errorf("pool restored: condition holds=%v lock-free=%v, want false without the mutex", holds, lockFree)
 	}
 }

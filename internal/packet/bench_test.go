@@ -1,6 +1,9 @@
 package packet
 
-import "testing"
+import (
+	"strconv"
+	"testing"
+)
 
 func benchFrame(b *testing.B, payload int) []byte {
 	b.Helper()
@@ -88,3 +91,22 @@ func BenchmarkBuild(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkChecksum measures the one's-complement kernel on a minimum
+// frame's worth of bytes, a mid-sized segment and a full MTU.
+func BenchmarkChecksum(b *testing.B) {
+	for _, n := range []int{64, 256, 1500} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			data := benchFrame(b, n)[:n]
+			b.SetBytes(int64(n))
+			var sum uint32
+			for i := 0; i < b.N; i++ {
+				sum += onesComplementSum(sum&0xffff, data)
+			}
+			checksumSink = sum
+		})
+	}
+}
+
+// checksumSink keeps BenchmarkChecksum's result live.
+var checksumSink uint32

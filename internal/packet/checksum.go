@@ -2,17 +2,44 @@ package packet
 
 import "encoding/binary"
 
-// onesComplementSum computes the 16-bit one's-complement sum used by
-// the IPv4, TCP and UDP checksums.
+// onesComplementSum adds data to sum, the running one's-complement sum
+// of 16-bit big-endian words the IPv4, TCP and UDP checksums are built
+// on; foldChecksum finishes it. One's-complement addition is
+// associative and 2^16 = 1 in it, so the sum of a wider big-endian
+// word's halves is the sum of its 16-bit words: the kernel adds the two
+// 32-bit halves of eight bytes at a time into a 64-bit accumulator —
+// which 2^31 such words cannot overflow — and narrows once at the end.
 func onesComplementSum(sum uint32, data []byte) uint32 {
-	n := len(data)
-	for i := 0; i+1 < n; i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(data[i : i+2]))
+	acc := uint64(sum)
+	for len(data) >= 32 {
+		w0 := binary.BigEndian.Uint64(data[0:8])
+		w1 := binary.BigEndian.Uint64(data[8:16])
+		w2 := binary.BigEndian.Uint64(data[16:24])
+		w3 := binary.BigEndian.Uint64(data[24:32])
+		acc += w0>>32 + w0&0xffffffff + w1>>32 + w1&0xffffffff +
+			w2>>32 + w2&0xffffffff + w3>>32 + w3&0xffffffff
+		data = data[32:]
 	}
-	if n%2 == 1 {
-		sum += uint32(data[n-1]) << 8
+	for len(data) >= 8 {
+		w := binary.BigEndian.Uint64(data[0:8])
+		acc += w>>32 + w&0xffffffff
+		data = data[8:]
 	}
-	return sum
+	if len(data) >= 4 {
+		acc += uint64(binary.BigEndian.Uint32(data[0:4]))
+		data = data[4:]
+	}
+	if len(data) >= 2 {
+		acc += uint64(binary.BigEndian.Uint16(data[0:2]))
+		data = data[2:]
+	}
+	if len(data) == 1 {
+		// An odd trailing byte is the high half of a zero-padded word.
+		acc += uint64(data[0]) << 8
+	}
+	acc = acc>>32 + acc&0xffffffff
+	acc = acc>>32 + acc&0xffffffff
+	return uint32(acc)
 }
 
 func foldChecksum(sum uint32) uint16 {
@@ -47,12 +74,7 @@ func (p *Packet) FinalizeChecksums() error {
 	// protocol/length cover the L4 segment; AH headers sit between IP
 	// and L4 and are excluded (they carry no checksum here).
 	l4 := p.hdr.L4Off
-	segLen := len(p.data) - l4
-	var pseudo [12]byte
-	copy(pseudo[0:4], p.data[ip+12:ip+16])
-	copy(pseudo[4:8], p.data[ip+16:ip+20])
-	pseudo[9] = p.hdr.L4Proto
-	binary.BigEndian.PutUint16(pseudo[10:12], uint16(segLen))
+	pseudo := p.pseudoHeader()
 
 	var ckOff int
 	switch p.hdr.L4Proto {
@@ -65,7 +87,7 @@ func (p *Packet) FinalizeChecksums() error {
 	}
 	p.data[ckOff], p.data[ckOff+1] = 0, 0
 	sum := onesComplementSum(0, pseudo[:])
-	sum = onesComplementSum(sum, p.data[l4:])
+	sum = onesComplementSum(sum, p.data[l4:p.hdr.End])
 	ck := foldChecksum(sum)
 	if p.hdr.L4Proto == ProtoUDP && ck == 0 {
 		ck = 0xffff // RFC 768: transmitted as all ones
@@ -85,14 +107,19 @@ func (p *Packet) VerifyChecksums() bool {
 	if Checksum(p.data[ip:ip+IPv4HeaderLen]) != 0 {
 		return false
 	}
-	l4 := p.hdr.L4Off
-	segLen := len(p.data) - l4
-	var pseudo [12]byte
-	copy(pseudo[0:4], p.data[ip+12:ip+16])
-	copy(pseudo[4:8], p.data[ip+16:ip+20])
-	pseudo[9] = p.hdr.L4Proto
-	binary.BigEndian.PutUint16(pseudo[10:12], uint16(segLen))
+	pseudo := p.pseudoHeader()
 	sum := onesComplementSum(0, pseudo[:])
-	sum = onesComplementSum(sum, p.data[l4:])
+	sum = onesComplementSum(sum, p.data[p.hdr.L4Off:p.hdr.End])
 	return foldChecksum(sum) == 0
+}
+
+// pseudoHeader builds the IPv4 pseudo-header of the transport checksum.
+// The segment it (and the checksum) covers ends with the IPv4 datagram,
+// not with the frame: bytes past Headers.End are link-layer padding.
+func (p *Packet) pseudoHeader() (pseudo [12]byte) {
+	ip := p.hdr.IPOff
+	copy(pseudo[0:8], p.data[ip+12:ip+20])
+	pseudo[9] = p.hdr.L4Proto
+	binary.BigEndian.PutUint16(pseudo[10:12], uint16(p.hdr.End-p.hdr.L4Off))
+	return pseudo
 }

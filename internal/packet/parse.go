@@ -87,6 +87,10 @@ func (p *Packet) Parse() error {
 	default:
 		return fmt.Errorf("%w: ip protocol %d", ErrUnsupported, proto)
 	}
+	h.End = h.IPOff + totLen
+	if h.PayloadOff > h.End {
+		return fmt.Errorf("%w: ip total length %d cuts the transport header", ErrTruncated, totLen)
+	}
 
 	p.hdr = h
 	p.parsed = true

@@ -120,10 +120,15 @@ type RuleImage struct {
 }
 
 // ImageOf projects a GlobalRule into its serializable image. It
-// reports ok=false for rules carrying state-function batches — those
-// reference live closures and are journaled as non-restorable.
+// reports ok=false for rules carrying state-function batches or event
+// guards — those reference live closures and are journaled as
+// non-restorable. The guards are the flow's registrations as the rule's
+// consolidation found them (events register during the slow-path
+// traversal, before it), and a registration after that both swaps in
+// event.AskTable and journals a RecEventRegister record, which demotes
+// the flow during replay.
 func ImageOf(r *mat.GlobalRule) (*RuleImage, bool) {
-	if len(r.Batches) > 0 {
+	if len(r.Batches) > 0 || r.Guards() != nil {
 		return nil, false
 	}
 	im := &RuleImage{
