@@ -101,19 +101,13 @@ func (c *Classifier) Classify(pkt *packet.Packet, hasRule func(flow.FID) bool) (
 			return Result{}, fmt.Errorf("classifier: %w", err)
 		}
 	}
-	ft, err := pkt.FiveTuple()
+	hi, lo, _ := pkt.FlowKey() // parsed: always ok
+
+	h, existed, err := c.flows.InsertKey(hi, lo)
 	if err != nil {
 		return Result{}, fmt.Errorf("classifier: %w", err)
 	}
-
-	entry, existed := c.flows.Lookup(ft)
-	if !existed {
-		entry, err = c.flows.Insert(ft)
-		if err != nil {
-			return Result{}, fmt.Errorf("classifier: %w", err)
-		}
-	}
-	fid := entry.FID
+	fid := h.FID()
 	pkt.Meta.FID = uint32(fid)
 	pkt.Meta.HasFID = true
 
@@ -122,43 +116,34 @@ func (c *Classifier) Classify(pkt *packet.Packet, hasRule func(flow.FID) bool) (
 	flags, isTCP := pkt.TCPFlags()
 	final := isTCP && flags&(packet.TCPFlagFIN|packet.TCPFlagRST) != 0
 
-	// The state machine runs on the snapshot and commits the result:
-	// RSS partitioning makes this classifier call the flow's only
-	// writer, so the read-modify-write needs no lock held across it,
-	// and the closure-free shape keeps the snapshot on the stack.
-	now := c.seq.Add(1)
-	entry.Packets++
-	entry.Bytes += uint64(pkt.Len())
-	entry.LastSeen = now
+	// The state machine reads the flow's state through the handle and
+	// stores the result back through it: RSS partitioning makes this
+	// classifier call the flow's only writer, so the read-modify-write
+	// needs no lock held across it.
+	state, next := h.State(), flow.StateEstablished
 	switch {
 	case final:
-		entry.State = flow.StateClosed
+		next = flow.StateClosed
 	case !isTCP:
 		// UDP flows are established by their first packet.
-		entry.State = flow.StateEstablished
 	case flags&packet.TCPFlagSYN != 0:
 		// A SYN on a flow already past the handshake is 5-tuple
 		// reuse (the FIN/RST of the previous connection was never
 		// seen): the connection restarts, and the caller must tear
 		// down the previous connection's consolidated state.
-		if entry.State != flow.StateHandshake {
-			res.Reused = true
-		}
-		entry.State = flow.StateHandshake
-	case entry.State == flow.StateHandshake && flags&packet.TCPFlagACK != 0 && len(pkt.Payload()) == 0:
+		res.Reused = state != flow.StateHandshake
+		next = flow.StateHandshake
+	case state == flow.StateHandshake && flags&packet.TCPFlagACK != 0 && len(pkt.Payload()) == 0:
 		// The bare ACK completing the 3-way handshake: the
 		// connection is now established, but per §III the
 		// *next* packet is the initial packet.
-		entry.State = flow.StateEstablished
 		res.Kind = KindHandshake
-	case entry.State == flow.StateHandshake:
-		// Data before the handshake completed (or we joined the
-		// connection mid-stream): promote to established.
-		entry.State = flow.StateEstablished
 	default:
-		entry.State = flow.StateEstablished
+		// Established already, or data before the handshake completed
+		// (or we joined the connection mid-stream): promote.
 	}
-	c.flows.Commit(fid, &entry)
+	h.SetState(next)
+	h.FoldTouches(1, uint64(pkt.Len()), c.seq.Add(1))
 
 	if res.Kind != 0 {
 		return res, nil // already decided (handshake-completing ACK)
@@ -180,9 +165,9 @@ func (c *Classifier) Classify(pkt *packet.Packet, hasRule func(flow.FID) bool) (
 
 // ClassifyData is the batched fast classification. It handles the
 // common case — a plain data packet (no SYN/FIN/RST) of an
-// established, already-tracked flow — with one flow-table lock
-// acquisition and no closure allocation, assigning the FID and
-// applying the per-packet bookkeeping. The Kind in the returned Result
+// established, already-tracked flow — with one lock-free flow-table
+// probe, assigning the FID and applying the per-packet bookkeeping
+// through the flow's handle. The Kind in the returned Result
 // is left undecided (zero): the caller resolves Subsequent versus
 // Initial itself, as core does against its flow context's rule, in
 // place of Classify's hasRule probe.
@@ -197,21 +182,18 @@ func (c *Classifier) ClassifyData(pkt *packet.Packet) (Result, bool) {
 			return Result{}, false // full Classify reproduces the error
 		}
 	}
-	ft, err := pkt.FiveTuple()
-	if err != nil {
-		return Result{}, false
-	}
 	if flags, isTCP := pkt.TCPFlags(); isTCP &&
 		flags&(packet.TCPFlagSYN|packet.TCPFlagFIN|packet.TCPFlagRST) != 0 {
 		return Result{}, false
 	}
-	entry, ok := c.flows.TouchEstablished(ft, uint64(pkt.Len()), &c.seq)
-	if !ok {
+	hi, lo, _ := pkt.FlowKey() // parsed: always ok
+	h, ok := c.flows.AcquireKey(hi, lo)
+	if !ok || !h.TouchEstablished(uint64(pkt.Len()), &c.seq) {
 		return Result{}, false
 	}
-	pkt.Meta.FID = uint32(entry.FID)
+	pkt.Meta.FID = uint32(h.FID())
 	pkt.Meta.HasFID = true
-	return Result{FID: entry.FID}, true
+	return Result{FID: h.FID()}, true
 }
 
 // Teardown removes the flow from the flow table after FIN/RST

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync/atomic"
+
 	"github.com/fastpathnfv/speedybox/internal/classifier"
 	"github.com/fastpathnfv/speedybox/internal/cost"
 	"github.com/fastpathnfv/speedybox/internal/fault"
@@ -17,8 +19,8 @@ const DefaultBatchSize = 32
 
 // flowCacheWays is the associativity of a worker's flow-context cache.
 // Four entries cover the handful of flows interleaved within one
-// 32-packet vector of a realistic trace; a miss costs the flow table's
-// shard read lock and the Global MAT's lock-free probe.
+// 32-packet vector of a realistic trace; a miss costs two lock-free
+// probes, the flow table's and the Global MAT's.
 const flowCacheWays = 4
 
 // flowCtx is what one worker knows about one flow, found by the
@@ -86,10 +88,10 @@ func (e *Engine) lookupRule(fc *flowCtx) (rule *mat.GlobalRule, cached bool) {
 	return rule, false
 }
 
-// statsDelta accumulates one shard's counter increments across a
-// vector in plain (non-atomic) fields; fold publishes each non-zero
-// delta into the shared shard with one atomic add per touched counter
-// instead of several per packet.
+// statsDelta accumulates a vector's counter increments in plain
+// (non-atomic) fields; fold publishes each non-zero one into a shared
+// shard with one atomic add per touched counter instead of several per
+// packet.
 type statsDelta struct {
 	packets, initial, subsequent, handshake, final uint64
 	fastPath, slowPath, dropped                    uint64
@@ -126,36 +128,24 @@ func (d *statsDelta) add(res *PacketResult) {
 	}
 }
 
-// fold publishes a delta into the shared counter shard.
+// fold publishes a delta into the shared counter shard, touching only
+// the counters that moved.
 func (s *statsShard) fold(d *statsDelta) {
-	s.packets.Add(d.packets)
-	if d.initial != 0 {
-		s.initial.Add(d.initial)
+	add := func(c *atomic.Uint64, n uint64) {
+		if n != 0 {
+			c.Add(n)
+		}
 	}
-	if d.subsequent != 0 {
-		s.subsequent.Add(d.subsequent)
-	}
-	if d.handshake != 0 {
-		s.handshake.Add(d.handshake)
-	}
-	if d.final != 0 {
-		s.final.Add(d.final)
-	}
-	if d.fastPath != 0 {
-		s.fastPath.Add(d.fastPath)
-	}
-	if d.slowPath != 0 {
-		s.slowPath.Add(d.slowPath)
-	}
-	if d.dropped != 0 {
-		s.dropped.Add(d.dropped)
-	}
-	if d.eventsFired != 0 {
-		s.eventsFired.Add(d.eventsFired)
-	}
-	if d.consolidations != 0 {
-		s.consolidations.Add(d.consolidations)
-	}
+	add(&s.packets, d.packets)
+	add(&s.initial, d.initial)
+	add(&s.subsequent, d.subsequent)
+	add(&s.handshake, d.handshake)
+	add(&s.final, d.final)
+	add(&s.fastPath, d.fastPath)
+	add(&s.slowPath, d.slowPath)
+	add(&s.dropped, d.dropped)
+	add(&s.eventsFired, d.eventsFired)
+	add(&s.consolidations, d.consolidations)
 }
 
 // Batch is the per-worker scratch state of the data path: the flow
@@ -177,13 +167,15 @@ type Batch struct {
 	info []FastPathInfo
 	out  []*PacketResult
 
-	// delta holds the vector's counter increments per stats shard; dirty
-	// lists the shards touched, so flushStats visits only those.
-	delta [statsShardCount]statsDelta
-	dirty []uint32
+	// delta holds the vector's counter increments, folded by flushStats
+	// into the engine's counter shard this Batch was dealt: the shards are
+	// only ever summed, so which one takes a packet is free to be the
+	// worker's own rather than the FID's.
+	delta statsDelta
+	shard uint32
 
 	// flowHits/flowMisses count keyed probes that found a valid handle
-	// versus those that took the flow table's shard lock; ruleHits/
+	// versus those that probed the flow table; ruleHits/
 	// ruleMisses count the Subsequent/Initial decisions served from the
 	// context versus those that probed the Global MAT. A fast-shaped
 	// packet counts once in the first pair and, if its flow is
@@ -235,6 +227,9 @@ func (t *traversal) nextInfo() *SlowPathInfo {
 	return info
 }
 
+// batchSeq deals counter shards to Batches round-robin.
+var batchSeq atomic.Uint32
+
 // NewBatch returns batch scratch sized for n-packet vectors (0 picks
 // DefaultBatchSize). The storage grows on demand if larger vectors
 // arrive.
@@ -246,7 +241,7 @@ func NewBatch(n int) *Batch {
 		res:   make([]PacketResult, n),
 		info:  make([]FastPathInfo, n),
 		out:   make([]*PacketResult, 0, n),
-		dirty: make([]uint32, 0, statsShardCount),
+		shard: batchSeq.Add(1) & (statsShardCount - 1),
 		slow:  &traversal{},
 	}
 }
@@ -270,7 +265,7 @@ func (b *Batch) begin(n int) {
 
 // flushFlows folds every flow context's pending bookkeeping into the
 // flow table. It must run before any code that reads or rewrites a
-// flow entry through the locked paths (full classification, the slow
+// flow entry through the table itself (full classification, the slow
 // path, teardown) and at end of batch.
 func (b *Batch) flushFlows() {
 	for i := range b.flows {
@@ -280,13 +275,14 @@ func (b *Batch) flushFlows() {
 
 // flowCtxFor resolves a packet's flow key to its context — the packet's
 // one keyed probe. A context whose handle is still valid is a hit;
-// otherwise the handle is acquired under the flow table's shard lock
-// and the context is rebuilt from nothing — a re-acquired tuple may be
-// a new connection under a new FID, so no rule survives a re-key. The
-// table generation is read before the acquire, so a racing removal can
-// only leave the context conservatively stale. It reports ok=false when
-// the flow is not tracked — the caller falls back to full classification.
-func (b *Batch) flowCtxFor(flows *flow.Table, pkt *packet.Packet, kHi, kLo uint64) (*flowCtx, bool) {
+// otherwise the handle is acquired by the flow table's lock-free probe,
+// on the key words just compared, and the context is rebuilt from
+// nothing — a re-acquired tuple may be a new connection under a new FID,
+// so no rule survives a re-key. The table generation is read before the
+// acquire, so a racing removal can only leave the context conservatively
+// stale. It reports ok=false when the flow is not tracked — the caller
+// falls back to full classification.
+func (b *Batch) flowCtxFor(flows *flow.Table, kHi, kLo uint64) (*flowCtx, bool) {
 	gen := flows.Gen()
 	var fc *flowCtx
 	for i := range b.flows {
@@ -302,11 +298,7 @@ func (b *Batch) flowCtxFor(flows *flow.Table, pkt *packet.Packet, kHi, kLo uint6
 		break
 	}
 	b.flowMisses++
-	ft, err := pkt.FiveTuple()
-	if err != nil {
-		return nil, false
-	}
-	h, ok := flows.Acquire(ft)
+	h, ok := flows.AcquireKey(kHi, kLo)
 	if fc == nil {
 		if !ok {
 			return nil, false
@@ -326,7 +318,7 @@ func (b *Batch) flowCtxFor(flows *flow.Table, pkt *packet.Packet, kHi, kLo uint6
 }
 
 // scratchFor returns the context for a packet that arrives with only a
-// FID: a FIN/RST (or any packet) classified by the locked Classify, and
+// FID: a FIN/RST (or any packet) classified by the full Classify, and
 // every packet on the ONVM manager core, whose RX core classified it.
 // It is one entry, rebuilt when the FID changes, so a run of one flow's
 // packets keeps its rule and nothing is keyed twice.
@@ -340,12 +332,7 @@ func (b *Batch) scratchFor(fid flow.FID) *flowCtx {
 // account folds one finished packet into the batch-local deltas and
 // telemetry run-length buffers.
 func (b *Batch) account(e *Engine, res *PacketResult) {
-	shard := uint32(res.FID) & (statsShardCount - 1)
-	d := &b.delta[shard]
-	if d.packets == 0 {
-		b.dirty = append(b.dirty, shard)
-	}
-	d.add(res)
+	b.delta.add(res)
 	if e.tel == nil {
 		return
 	}
@@ -402,11 +389,10 @@ func (e *Engine) flushStats(b *Batch) {
 	} else {
 		b.flowHits, b.flowMisses, b.ruleHits, b.ruleMisses = 0, 0, 0, 0
 	}
-	for _, shard := range b.dirty {
-		e.stats[shard].fold(&b.delta[shard])
-		b.delta[shard] = statsDelta{}
+	if b.delta.packets != 0 {
+		e.stats[b.shard].fold(&b.delta)
+		b.delta = statsDelta{}
 	}
-	b.dirty = b.dirty[:0]
 }
 
 // ProcessBatch classifies and processes a vector of packets in arrival
@@ -454,7 +440,7 @@ func (e *Engine) process(pkt *packet.Packet, info *FastPathInfo, res *PacketResu
 		fc   *flowCtx
 	)
 	// The keyed flow contexts belong to SpeedyBox. The baseline engine —
-	// every oracle's reference — classifies through the locked Classify
+	// every oracle's reference — classifies through the full Classify
 	// alone, independent of the code it polices.
 	fastShaped := false
 	if e.opts.EnableSpeedyBox {
@@ -478,7 +464,7 @@ func (e *Engine) process(pkt *packet.Packet, info *FastPathInfo, res *PacketResu
 		}
 	} else {
 		// Unparseable, handshake, FIN/RST, untracked or not-yet-
-		// established flow: the locked state machine reads and rewrites
+		// established flow: the full state machine reads and rewrites
 		// flow entries, so pending folded bookkeeping lands first.
 		b.flushFlows()
 		cls, err := e.Classify(pkt)
@@ -538,9 +524,9 @@ func (e *Engine) process(pkt *packet.Packet, info *FastPathInfo, res *PacketResu
 // classifyFast classifies one fast-shaped packet — a plain data packet
 // (no SYN/FIN/RST) of an established, tracked flow — through the
 // Batch's flow contexts, returning the packet's: a key compare, a
-// generation load and a state load replace Classify's lock acquisition
-// and map probe. Per-flow bookkeeping folds into the context (flushed
-// at batch boundaries and before any locked flow-table access); the
+// generation load and a state load replace Classify's hashes and
+// flow-table probe. Per-flow bookkeeping folds into the context (flushed
+// at batch boundaries and before any access through the table); the
 // logical clock ticks once per packet, exactly as Classify does, so
 // clock-deadline reads during processing (the degradation ladder's
 // backoff arithmetic) observe the same values at every vector size.
@@ -562,7 +548,7 @@ func (e *Engine) classifyFast(pkt *packet.Packet, b *Batch) (*flowCtx, bool) {
 	if !ok {
 		return nil, false
 	}
-	fc, ok := b.flowCtxFor(e.class.Flows(), pkt, kHi, kLo)
+	fc, ok := b.flowCtxFor(e.class.Flows(), kHi, kLo)
 	if !ok || !fc.h.Established() {
 		return nil, false
 	}

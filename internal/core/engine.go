@@ -83,10 +83,10 @@ var (
 	ErrUnknownEventNF = errcode.Sentinel("core.event_unknown_nf", "core: event from unknown NF")
 )
 
-// statsShardCount is the number of counter shards (power of two).
-// Counters for a packet land in the shard selected by its FID's low
-// bits, so workers of the multi-queue platform mostly hit distinct
-// cache lines; Stats() folds the shards into one snapshot.
+// statsShardCount is the number of counter shards (power of two). A
+// vector's packet counters land in the shard its Batch was dealt and
+// the rare per-flow ones in the FID's, so workers of the multi-queue
+// platform mostly hit distinct cache lines; Stats() sums the shards.
 const statsShardCount = 32
 
 // statsShardCore is one block of engine counters, updated with

@@ -57,6 +57,12 @@ func TestNoStateLeakAcrossFlowLifecycles(t *testing.T) {
 	if n := eng.Events().Len(); n != 0 {
 		t.Errorf("Event Table leaked %d flows", n)
 	}
+	// The accessors behind speedybox_flow_table_flows and
+	// speedybox_flow_dead_slots: an emptied table holds no tombstones.
+	if flows := eng.class.Flows(); flows.Len() != 0 || flows.DeadSlots() != 0 {
+		t.Errorf("flow table holds %d flows and %d dead slots after every flow ended",
+			flows.Len(), flows.DeadSlots())
+	}
 	st := eng.Stats()
 	if st.Packets != 200*5 || st.Final != 200 {
 		t.Errorf("stats = %+v", st)

@@ -294,8 +294,8 @@ func (e *Engine) Reconfigure(plan ChainPlan) error {
 		// old snapshot and completes against the old Local MATs, which
 		// is correct and whose rule install is born under the old epoch.
 		if closer, ok := removed.(FlowCloser); ok {
-			for _, fid := range e.class.Flows().FIDs() {
-				closer.FlowClosed(fid)
+			for _, en := range e.class.Flows().Snapshot() {
+				closer.FlowClosed(en.FID)
 			}
 		}
 		if td, ok := removed.(Teardowner); ok {

@@ -212,6 +212,10 @@ func newEngineTelemetry(e *Engine, hub *telemetry.Hub, chain string) *engineTele
 		"Event Table firings observed on the fast path", func() uint64 { return e.Stats().EventsFired })
 	reg.GaugeFunc(n("speedybox_flow_table_flows"),
 		"Tracked flows (flow table occupancy)", func() float64 { return float64(e.class.Flows().Len()) })
+	reg.CounterFunc(n("speedybox_flow_table_rebuilds_total"),
+		"Flow table slot arrays published (growth or compaction)", e.class.Flows().Rebuilds)
+	reg.GaugeFunc(n("speedybox_flow_dead_slots"),
+		"Flow table tombstones awaiting compaction", func() float64 { return float64(e.class.Flows().DeadSlots()) })
 	reg.GaugeFunc(n("speedybox_mat_global_rules"),
 		"Installed Global MAT rules", func() float64 { return float64(e.global.Len()) })
 	reg.CounterFunc(n("speedybox_mat_table_rebuilds_total"),

@@ -1,12 +1,19 @@
 // Package flow implements flow identification and tracking for
 // SpeedyBox: the 20-bit FID derived from the 5-tuple (paper §VI-B),
 // and the flow table the Packet Classifier uses to distinguish initial
-// from subsequent packets and to tear down rules on TCP FIN/RST.
+// from subsequent packets and to tear down rules on TCP FIN/RST. The
+// table is the paper's "hash the 5-tuple, find the FID": two
+// open-addressing slot arrays a shard (by packed 5-tuple, by FID) that
+// writers mutate in place under the shard mutex and readers probe with
+// no lock, handing out Handles through which a flow's state and
+// counters are touched with no lock either (DESIGN §16).
 package flow
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"math/rand/v2"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -61,31 +68,15 @@ const (
 	fnvPrime32  = 16777619
 )
 
-// HashTuple maps a 5-tuple to its home FID slot. Collisions are
-// resolved by the Table, not here. The FNV-1a fold is inlined (same
-// digest as hash/fnv over the 13 key bytes) so classifying a packet
-// does not allocate a hasher.
-func HashTuple(ft packet.FiveTuple) FID {
-	h := uint32(fnvOffset32)
-	for _, b := range ft.SrcIP {
-		h = (h ^ uint32(b)) * fnvPrime32
-	}
-	for _, b := range ft.DstIP {
-		h = (h ^ uint32(b)) * fnvPrime32
-	}
-	h = (h ^ uint32(ft.SrcPort>>8)) * fnvPrime32
-	h = (h ^ uint32(ft.SrcPort&0xff)) * fnvPrime32
-	h = (h ^ uint32(ft.DstPort>>8)) * fnvPrime32
-	h = (h ^ uint32(ft.DstPort&0xff)) * fnvPrime32
-	h = (h ^ uint32(ft.Proto)) * fnvPrime32
-	return FID(h & MaxFID)
-}
+// HashTuple maps a 5-tuple to its home FID slot: HashKey of its packed
+// key. Collisions are resolved by the Table, not here.
+func HashTuple(ft packet.FiveTuple) FID { return HashKey(ft.Key()) }
 
 // HashKey maps a packed two-word flow key (packet.FlowKey's encoding:
-// hi = SrcIP‖DstIP big-endian, lo = SrcPort‖DstPort‖Proto) to the same
-// home FID HashTuple computes from the unpacked 5-tuple. The cluster
-// steerer hashes the packed key straight off the wire — no FiveTuple
-// materialization — and equality with HashTuple is what guarantees the
+// hi = SrcIP‖DstIP big-endian, lo = SrcPort‖DstPort‖Proto) to its home
+// FID: the FNV-1a digest of the 13 key bytes (the same as hash/fnv's,
+// with no hasher allocated), masked to FIDBits. The flow table and the
+// cluster steerer both call it on the key straight off the wire, so the
 // steering decision agrees with the owning instance's flow table.
 func HashKey(hi, lo uint64) FID {
 	h := uint32(fnvOffset32)
@@ -137,7 +128,7 @@ func (s State) String() string {
 }
 
 // Entry is the tracked state of one flow as a plain value snapshot.
-// Lookup, LookupFID and Insert return it by value: callers always see
+// LookupFID, Insert and Snapshot return it by value: callers always see
 // a self-consistent copy, and no mutable table state escapes.
 type Entry struct {
 	FID     FID
@@ -152,22 +143,21 @@ type Entry struct {
 	LastSeen uint64
 }
 
-// tracked is the table's internal representation of one flow. The
-// identity fields (fid, tuple) are immutable after insertion; the
-// mutable lifecycle and bookkeeping fields are atomics, so the
-// per-packet touch on the hot classification path updates them
-// without taking the shard's write lock — the map structure is only
-// read (RLock or none at all via a cached Handle). RSS partitioning
-// gives every flow a single writer, so the per-flow fields never
-// contend; atomics make concurrent cross-flow readers (Snapshot,
-// IdleSince, telemetry) race-free.
+// tracked is the table's internal representation of one flow,
+// allocated once and never moved, so a Handle survives any rebuild of
+// the slot arrays that index it. The identity fields (fid and the packed
+// 5-tuple hi/lo — packed keeps the struct in the 48-byte size class) are
+// immutable: a lock-free probe confirms its hit on them. The rest are
+// atomics, updated through a Handle with no lock: RSS partitioning gives
+// a flow one writer, so they never contend, and concurrent cross-flow
+// readers (Snapshot, IdleSince) are race-free.
 type tracked struct {
-	fid      FID
-	tuple    packet.FiveTuple
-	state    atomic.Int32
+	hi, lo   uint64
 	packets  atomic.Uint64
 	bytes    atomic.Uint64
 	lastSeen atomic.Uint64
+	fid      FID
+	state    atomic.Int32
 }
 
 // snapshot copies the entry into a plain value. Field loads are
@@ -178,7 +168,7 @@ type tracked struct {
 func (e *tracked) snapshot() Entry {
 	return Entry{
 		FID:      e.fid,
-		Tuple:    e.tuple,
+		Tuple:    packet.KeyTuple(e.hi, e.lo),
 		State:    State(e.state.Load()),
 		Packets:  e.packets.Load(),
 		Bytes:    e.bytes.Load(),
@@ -186,55 +176,43 @@ func (e *tracked) snapshot() Entry {
 	}
 }
 
-// storeFrom writes the mutable fields of a snapshot back. The caller
-// holds the shard's write lock (Update path).
-func (e *tracked) storeFrom(s *Entry) {
-	e.state.Store(int32(s.State))
-	e.packets.Store(s.Packets)
-	e.bytes.Store(s.Bytes)
-	e.lastSeen.Store(s.LastSeen)
-}
-
 // Handle is a stable, lock-free reference to a tracked flow. Batch
 // workers cache handles keyed by 5-tuple and revalidate them against
 // the table generation (Gen), so the steady-state per-packet touch is
-// a few uncontended atomic operations — no lock, no map probe, no
-// hashing. The zero Handle is invalid.
+// a few uncontended atomic operations — no lock, no probe, no hashing.
+// The zero Handle is invalid.
 type Handle struct{ e *tracked }
-
-// Valid reports whether the handle references a flow.
-func (h Handle) Valid() bool { return h.e != nil }
 
 // FID returns the flow's identifier.
 func (h Handle) FID() FID { return h.e.fid }
 
+// State returns the flow's lifecycle state, SetState stores it: the
+// two halves of the classifier's state machine, the flow's one writer.
+func (h Handle) State() State     { return State(h.e.state.Load()) }
+func (h Handle) SetState(s State) { h.e.state.Store(int32(s)) }
+
 // Established reports whether the flow is currently established — the
 // shape gate of the batched fast classification.
-func (h Handle) Established() bool {
-	return State(h.e.state.Load()) == StateEstablished
-}
+func (h Handle) Established() bool { return h.State() == StateEstablished }
 
 // TouchEstablished applies the established-data-packet bookkeeping
 // through the handle: if the flow is established it counts the packet
 // and bytes and stamps LastSeen from a fresh clock tick, returning
 // true. Any other state returns false with flow and clock untouched.
 func (h Handle) TouchEstablished(bytes uint64, clock *atomic.Uint64) bool {
-	e := h.e
-	if State(e.state.Load()) != StateEstablished {
+	if !h.Established() {
 		return false
 	}
-	e.packets.Add(1)
-	e.bytes.Add(bytes)
-	e.lastSeen.Store(clock.Add(1))
+	h.FoldTouches(1, bytes, clock.Add(1))
 	return true
 }
 
-// FoldTouches folds a batch's accumulated bookkeeping for the flow in
-// three atomic operations: pkts packets, bytes bytes, and the logical
-// timestamp of the flow's last packet in the batch. The caller (one
-// batch worker — the flow's single writer under RSS partitioning)
-// guarantees lastSeen is monotonic with respect to its own earlier
-// stores.
+// FoldTouches folds accumulated bookkeeping for the flow in three
+// atomic operations: pkts packets, bytes bytes, and the logical
+// timestamp of the last of them. The counts are read-modify-writes:
+// one writer per flow is RSS's promise, not the engine's, and
+// concurrent ProcessPacket calls on one flow must not lose packets.
+// lastSeen must be monotonic with respect to the caller's earlier stores.
 func (h Handle) FoldTouches(pkts, bytes, lastSeen uint64) {
 	e := h.e
 	e.packets.Add(pkts)
@@ -245,15 +223,154 @@ func (h Handle) FoldTouches(pkts, bytes, lastSeen uint64) {
 // ErrTableFull reports FID space exhaustion.
 var ErrTableFull = errors.New("flow: FID space exhausted")
 
-// tableShardCore is the hot state of one shard: the structural lock
-// and the two views of its entries. Both maps point at the same
-// *tracked, so the tuple-keyed lookup on the hot classifier path
-// resolves in a single hash instead of tuple→FID→entry chaining
-// through two maps.
+// Slot states, the low slotStateBits of a slot's key word.
+const (
+	slotEmpty uint64 = iota // never keyed: probes stop here
+	slotDead                // removed: a tombstone probes walk past, and any flow may re-key
+	slotLive                // holds a tracked flow
+)
+
+const (
+	slotStateBits = 2
+	slotStateMask = 1<<slotStateBits - 1
+)
+
+// slot is mat.ruleSlot's layout: the key word packs a tag with the slot
+// state, so a probe step is one load that resolves occupancy and, all
+// but surely, key match; the entry is loaded only on a tag match.
+type slot struct {
+	key atomic.Uint64 // tag<<slotStateBits | state; 0 while empty
+	e   atomic.Pointer[tracked]
+}
+
+// slotTable is one index of one shard: a power-of-two slot array probed
+// linearly, tagged with a seeded mix of the packed 5-tuple (keyWord) in
+// the tuple index and with the FID (fidWord) in the FID index. It follows
+// mat.ruleTable's publication protocol (DESIGN §16): writers, serialized
+// by the shard mutex, mutate a published array in place under lock-free
+// readers; an entry is stored before its key turns live and a key turns
+// dead before its entry is cleared; a fresh array is built only when
+// live plus dead slots reach 3/4 load. One rule differs: a reader here
+// confirms every hit on the entry's own immutable key, so it is never
+// handed another flow's entry and any flow may re-key a tombstone.
+type slotTable struct {
+	slots []slot
+	mask  uint32 // len(slots)-1
+}
+
+// emptySlots is the shared array of an empty index: one slot that is
+// never keyed (the first insert grows past it), so probes terminate
+// immediately and every shard of every Table can share it.
+var emptySlots = &slotTable{slots: make([]slot, 1)}
+
+// keySeed keys the tuple index's hash, drawn once per process. A flow's
+// shard and FID come from unkeyed FNV — WALs, checkpoints and the
+// steerer need them to repeat — which anyone can compute; its slot and
+// tag inside the shard need the seed, so tuples chosen to share an FNV
+// home still spread over the array.
+var keySeed = [2]uint64{rand.Uint64(), rand.Uint64()}
+
+// keyWord is a packed 5-tuple's live key word in the tuple index: two
+// rounds of wyhash's seeded 64x64->128 multiply-fold, cut to 62 bits.
+func keyWord(hi, lo uint64) uint64 {
+	a, b := bits.Mul64(hi^keySeed[0], lo^keySeed[1])
+	a, b = bits.Mul64(a^keySeed[1], b^keySeed[0])
+	return (a^b)<<slotStateBits | slotLive
+}
+
+// fidWord is the live key word of a FID in the FID index.
+func fidWord(fid FID) uint64 { return uint64(fid)<<slotStateBits | slotLive }
+
+// home is where a key word's probe chain starts: the upper, well-mixed
+// half of a multiplicative hash (a shard's FIDs agree on their low bits).
+func (t *slotTable) home(word uint64) uint32 {
+	return uint32((word>>slotStateBits)*0x9e3779b97f4a7c15>>32) & t.mask
+}
+
+// findKey returns the slot and entry of the packed 5-tuple (hi, lo),
+// whose key word is word, or nils. The probe always terminates: writers
+// keep live plus dead slots strictly below capacity.
+func (t *slotTable) findKey(word, hi, lo uint64) (*slot, *tracked) {
+	for i := t.home(word); ; i = (i + 1) & t.mask {
+		s := &t.slots[i]
+		switch s.key.Load() {
+		case slotEmpty:
+			return nil, nil
+		case word:
+			if e := s.e.Load(); e != nil && e.hi == hi && e.lo == lo {
+				return s, e
+			}
+		}
+	}
+}
+
+// findFID is findKey for the FID index.
+func (t *slotTable) findFID(fid FID) (*slot, *tracked) {
+	word := fidWord(fid)
+	for i := t.home(word); ; i = (i + 1) & t.mask {
+		s := &t.slots[i]
+		switch s.key.Load() {
+		case slotEmpty:
+			return nil, nil
+		case word:
+			if e := s.e.Load(); e != nil && e.fid == fid {
+				return s, e
+			}
+		}
+	}
+}
+
+// free returns the first slot of word's probe chain that holds no flow:
+// a tombstone, or the empty slot that ends the chain.
+func (t *slotTable) free(word uint64) *slot {
+	i := t.home(word)
+	for t.slots[i].key.Load()&slotStateMask == slotLive {
+		i = (i + 1) & t.mask
+	}
+	return &t.slots[i]
+}
+
+// minSlots is the size of the smallest array a rebuild returns.
+const minSlots = 8
+
+// rebuild returns an unpublished array holding t's live slots, sized
+// for n flows at no more than half load (mat.ruleTable.rebuild's sizing:
+// a compaction buys a tombstone budget of a quarter of the array or
+// more, growth from 3/4 load exactly doubles).
+func (t *slotTable) rebuild(n int) *slotTable {
+	size := minSlots
+	for size < 2*n {
+		size *= 2
+	}
+	nt := &slotTable{slots: make([]slot, size), mask: uint32(size - 1)}
+	for i := range t.slots {
+		if k := t.slots[i].key.Load(); k&slotStateMask == slotLive {
+			s := nt.free(k)
+			s.e.Store(t.slots[i].e.Load())
+			s.key.Store(k)
+		}
+	}
+	return nt
+}
+
+// index is one published slot array and, under the shard mutex, its
+// tombstone count and the wiped minSlots array it last retired.
+type index struct {
+	table atomic.Pointer[slotTable]
+	dead  int
+	spare *slotTable
+}
+
+// tableShardCore is the hot state of one shard: the write-serializing
+// mutex, the two indexes of its entries — both point at the same
+// *tracked, so a tuple lookup is one probe, not tuple→FID→entry — and
+// the flow count. Everything but the two table pointers is the mutex's:
+// an insert or removal pays for its slot stores and no other atomic.
 type tableShardCore struct {
-	mu      sync.RWMutex
-	entries map[FID]*tracked
-	byTuple map[packet.FiveTuple]*tracked
+	mu    sync.Mutex
+	byKey index
+	byFID index
+	count int
 }
 
 // tableShard pads the core to a full cache-line multiple, sized from
@@ -270,17 +387,22 @@ const cacheLine = 64
 // probing in FID space: a flow whose home slot is taken by a different
 // 5-tuple gets the next free slot in its shard (probes advance by
 // ShardCount, preserving the shard index). The table is sharded by the
-// FID's low bits so concurrent classification, update and teardown of
-// disjoint flows touch disjoint locks — the multi-queue platform
-// drives it from one goroutine per RSS queue.
+// FID's low bits; lookups by tuple or FID are lock-free probes of the
+// shard's slot arrays, and inserts and removals of disjoint flows take
+// disjoint mutexes — the multi-queue platform drives it from one
+// goroutine per RSS queue.
 type Table struct {
 	shards [ShardCount]tableShard
 	// gen counts mutations that can invalidate a cached Handle:
-	// removals and restore-time replacements. Workers revalidate
-	// cached handles with one atomic load; insertions of *new* flows
-	// deliberately do not bump it (they cannot change what an existing
-	// tuple's handle refers to).
+	// removals and restore-time replacements, bumped after the slot
+	// stores. Workers revalidate cached handles with one atomic load;
+	// insertions of *new* flows deliberately do not bump it (they cannot
+	// change what an existing tuple's handle refers to), and neither
+	// does a rebuild (entries do not move).
 	gen atomic.Uint64
+	// rebuilds counts slot arrays published: growth, compaction, and the
+	// hand-back to emptySlots when a shard empties.
+	rebuilds atomic.Uint64
 }
 
 // tableGen hands every table a distinct 2^32-wide generation band, so
@@ -295,8 +417,8 @@ func NewTable() *Table {
 	t := &Table{}
 	t.gen.Store(tableGen.Add(1) << 32)
 	for i := range t.shards {
-		t.shards[i].entries = make(map[FID]*tracked)
-		t.shards[i].byTuple = make(map[packet.FiveTuple]*tracked)
+		t.shards[i].byKey.table.Store(emptySlots)
+		t.shards[i].byFID.table.Store(emptySlots)
 	}
 	return t
 }
@@ -314,90 +436,142 @@ func (t *Table) shardFor(fid FID) *tableShard {
 	return &t.shards[uint32(fid)&shardMask]
 }
 
-// Lookup returns a snapshot of the entry for a tuple, if tracked.
-func (t *Table) Lookup(ft packet.FiveTuple) (Entry, bool) {
-	s := t.shardFor(HashTuple(ft))
-	s.mu.RLock()
-	e, ok := s.byTuple[ft]
-	s.mu.RUnlock()
-	if !ok {
-		return Entry{}, false
-	}
-	return e.snapshot(), true
+// publish swaps a fresh, tombstone-free array into an index.
+func (t *Table) publish(ix *index, st *slotTable) {
+	ix.table.Store(st)
+	ix.dead = 0
+	t.rebuilds.Add(1)
 }
 
-// Acquire returns a lock-free Handle on the tracked flow for ft. Read
-// Gen before calling and revalidate cached handles against it; see
-// Gen for the invalidation contract.
-func (t *Table) Acquire(ft packet.FiveTuple) (Handle, bool) {
-	s := t.shardFor(HashTuple(ft))
-	s.mu.RLock()
-	e, ok := s.byTuple[ft]
-	s.mu.RUnlock()
-	if !ok {
-		return Handle{}, false
+// put keys a free slot of word's chain in ix with word and e, a key the
+// caller has found absent; n is the shard's flow count before it.
+func (t *Table) put(ix *index, word uint64, e *tracked, n int) {
+	st := ix.table.Load()
+	s := st.free(word)
+	if s.key.Load() != slotEmpty {
+		ix.dead--
+	} else if n+ix.dead+1 >= len(st.slots)-len(st.slots)/4 {
+		// Keying one more slot must not bring live plus dead to 3/4 load.
+		if n == 0 && ix.spare != nil {
+			st, ix.spare = ix.spare, nil
+		} else {
+			st = st.rebuild(n + 1)
+		}
+		t.publish(ix, st)
+		s = st.free(word)
 	}
-	return Handle{e}, true
+	s.e.Store(e)
+	s.key.Store(word)
 }
 
-// TouchEstablished is the scalar form of the batched classifier's
-// hot-path update: if the tuple is tracked and the flow is
-// established, it applies the data-packet bookkeeping (packet and
-// byte counts, LastSeen stamped from a fresh tick of clock) and
-// returns a snapshot. Any other state (handshake, closed, untracked)
-// returns ok=false with the table and the clock untouched, and the
-// caller falls back to the full classifier state machine, which ticks
-// the clock itself — so every classified packet consumes exactly one
-// tick on either path. Only the shard read lock is taken (map
-// structure); the bookkeeping itself is atomic per field.
-func (t *Table) TouchEstablished(ft packet.FiveTuple, bytes uint64, clock *atomic.Uint64) (Entry, bool) {
-	s := t.shardFor(HashTuple(ft))
-	s.mu.RLock()
-	e, ok := s.byTuple[ft]
-	s.mu.RUnlock()
-	if !ok || !(Handle{e}).TouchEstablished(bytes, clock) {
-		return Entry{}, false
-	}
-	return e.snapshot(), true
+// link enters e into both of s's indexes.
+func (t *Table) link(s *tableShard, e *tracked) {
+	t.put(&s.byFID, fidWord(e.fid), e, s.count)
+	t.put(&s.byKey, keyWord(e.hi, e.lo), e, s.count)
+	s.count++
 }
+
+// bury turns ix's slot sl into a tombstone.
+func (ix *index) bury(sl *slot) {
+	sl.key.Store(slotDead)
+	sl.e.Store(nil)
+	ix.dead++
+}
+
+// retire hands ix's array back for the shared empty one: its shard has
+// emptied. A minSlots array is wiped and kept as the spare, so a
+// connection on an idle engine allocates its entry and no array; a
+// reader still probing it finds nothing, as one racing the removal may.
+func (t *Table) retire(ix *index) {
+	st := ix.table.Load()
+	t.publish(ix, emptySlots)
+	if len(st.slots) != minSlots {
+		return
+	}
+	for i := range st.slots {
+		if sl := &st.slots[i]; sl.key.Load() != slotEmpty {
+			sl.key.Store(slotEmpty)
+			sl.e.Store(nil)
+		}
+	}
+	ix.spare = st
+}
+
+// unlink takes e, whose FID-index slot is fs, out of both of s's
+// indexes, retiring their arrays when that empties the shard.
+func (t *Table) unlink(s *tableShard, fs *slot, e *tracked) {
+	if s.count--; s.count == 0 {
+		t.retire(&s.byKey)
+		t.retire(&s.byFID)
+		return
+	}
+	ks, _ := s.byKey.table.Load().findKey(keyWord(e.hi, e.lo), e.hi, e.lo)
+	s.byKey.bury(ks)
+	s.byFID.bury(fs)
+}
+
+// AcquireKey returns a Handle on the flow tracked under the packed
+// 5-tuple (packet.FlowKey's hi, lo): the FNV digest for the shard, the
+// seeded mix for the slot, one lock-free probe. Read Gen before calling
+// and revalidate cached handles against it; see Gen.
+func (t *Table) AcquireKey(hi, lo uint64) (Handle, bool) {
+	_, e := t.shardFor(HashKey(hi, lo)).byKey.table.Load().findKey(keyWord(hi, lo), hi, lo)
+	return Handle{e}, e != nil
+}
+
+// Acquire is AcquireKey for an unpacked tuple.
+func (t *Table) Acquire(ft packet.FiveTuple) (Handle, bool) { return t.AcquireKey(ft.Key()) }
 
 // LookupFID returns a snapshot of the entry for a FID, if tracked.
 func (t *Table) LookupFID(fid FID) (Entry, bool) {
-	s := t.shardFor(fid)
-	s.mu.RLock()
-	e, ok := s.entries[fid]
-	s.mu.RUnlock()
-	if !ok {
+	_, e := t.shardFor(fid).byFID.table.Load().findFID(fid)
+	if e == nil {
 		return Entry{}, false
 	}
 	return e.snapshot(), true
+}
+
+// InsertKey returns the Handle of the flow tracked under the packed
+// 5-tuple, tracking it as a new handshake-state flow under a
+// collision-free FID if it is not (existed=false). A tracked flow is
+// found without the lock.
+func (t *Table) InsertKey(hi, lo uint64) (h Handle, existed bool, err error) {
+	home := HashKey(hi, lo)
+	s := t.shardFor(home)
+	word := keyWord(hi, lo)
+	if _, e := s.byKey.table.Load().findKey(word, hi, lo); e != nil {
+		return Handle{e}, true, nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, e := s.byKey.table.Load().findKey(word, hi, lo); e != nil {
+		return Handle{e}, true, nil
+	}
+	fids := s.byFID.table.Load()
+	fid := home
+	// Each shard owns (MaxFID+1)/ShardCount slots; probing in
+	// ShardCount strides visits exactly those.
+	for probes := 0; probes < (MaxFID+1)/ShardCount; probes++ {
+		if _, taken := fids.findFID(fid); taken == nil {
+			e := &tracked{hi: hi, lo: lo, fid: fid}
+			e.state.Store(int32(StateHandshake))
+			t.link(s, e)
+			return Handle{e}, false, nil
+		}
+		fid = (fid + ShardCount) & MaxFID
+	}
+	return Handle{}, false, ErrTableFull
 }
 
 // Insert tracks a new flow, allocating a collision-free FID, and
 // returns a snapshot of the entry. It returns the existing entry's
 // snapshot if the tuple is already tracked.
 func (t *Table) Insert(ft packet.FiveTuple) (Entry, error) {
-	home := HashTuple(ft)
-	s := t.shardFor(home)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.byTuple[ft]; ok {
-		return e.snapshot(), nil
+	h, _, err := t.InsertKey(ft.Key())
+	if err != nil {
+		return Entry{}, err
 	}
-	fid := home
-	// Each shard owns (MaxFID+1)/ShardCount slots; probing in
-	// ShardCount strides visits exactly those.
-	for probes := 0; probes < (MaxFID+1)/ShardCount; probes++ {
-		if _, taken := s.entries[fid]; !taken {
-			e := &tracked{fid: fid, tuple: ft}
-			e.state.Store(int32(StateHandshake))
-			s.entries[fid] = e
-			s.byTuple[ft] = e
-			return e.snapshot(), nil
-		}
-		fid = (fid + ShardCount) & MaxFID
-	}
-	return Entry{}, ErrTableFull
+	return h.e.snapshot(), nil
 }
 
 // Remove deletes a flow by FID. It reports whether the flow existed.
@@ -405,93 +579,57 @@ func (t *Table) Remove(fid FID) bool {
 	s := t.shardFor(fid)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.entries[fid]
-	if !ok {
+	fs, e := s.byFID.table.Load().findFID(fid)
+	if e == nil {
 		return false
 	}
-	delete(s.entries, fid)
-	delete(s.byTuple, e.tuple)
+	t.unlink(s, fs, e)
 	t.gen.Add(1)
 	return true
 }
 
-// Len returns the number of tracked flows.
-func (t *Table) Len() int {
-	n := 0
+// Len returns the number of tracked flows, DeadSlots the number of
+// tombstones awaiting compaction in both indexes (a shard at a time,
+// under its mutex), Rebuilds the number of slot arrays published so
+// far: it grows with the logarithm of the flow count plus churn over
+// the tombstone budget, not with inserts and removals.
+func (t *Table) Len() int       { n, _ := t.counts(); return n }
+func (t *Table) DeadSlots() int { _, n := t.counts(); return n }
+
+func (t *Table) counts() (flows, dead int) {
 	for i := range t.shards {
 		s := &t.shards[i]
-		s.mu.RLock()
-		n += len(s.entries)
-		s.mu.RUnlock()
+		s.mu.Lock()
+		flows += s.count
+		dead += s.byKey.dead + s.byFID.dead
+		s.mu.Unlock()
 	}
-	return n
+	return flows, dead
 }
 
-// FIDs returns a snapshot of every tracked flow's FID, in no
-// particular order. Reconfiguration uses it to notify a removed NF of
-// each live flow before tearing the NF down.
-func (t *Table) FIDs() []FID {
-	out := make([]FID, 0, t.Len())
+func (t *Table) Rebuilds() uint64 { return t.rebuilds.Load() }
+
+// each calls fn for every tracked entry, a shard at a time under its
+// mutex: writers wait, readers do not, and a shard's view is exact.
+func (t *Table) each(fn func(*tracked)) {
 	for i := range t.shards {
 		s := &t.shards[i]
-		s.mu.RLock()
-		for fid := range s.entries {
-			out = append(out, fid)
+		s.mu.Lock()
+		st := s.byFID.table.Load()
+		for j := range st.slots {
+			if st.slots[j].key.Load()&slotStateMask == slotLive {
+				fn(st.slots[j].e.Load())
+			}
 		}
-		s.mu.RUnlock()
+		s.mu.Unlock()
 	}
-	return out
-}
-
-// Update applies fn to a snapshot of the entry for fid under the
-// shard lock and stores the mutable fields back. The *Entry passed to
-// fn must not be retained past the call; changes to FID or Tuple are
-// ignored (flow identity is immutable).
-func (t *Table) Update(fid FID, fn func(*Entry)) bool {
-	s := t.shardFor(fid)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[fid]
-	if !ok {
-		return false
-	}
-	snap := e.snapshot()
-	fn(&snap)
-	e.storeFrom(&snap)
-	return true
-}
-
-// Commit stores snap's mutable fields back into the tracked entry for
-// fid. It is the closure-free write half of a Lookup/Insert →
-// local-state-machine → Commit sequence (the scalar classifier's
-// shape): because RSS partitioning gives each flow a single writer,
-// the read-modify-write needs no lock across the sequence, and Commit
-// itself only takes the shard read lock to find the entry — the field
-// stores are atomic. It reports whether the flow is still tracked.
-func (t *Table) Commit(fid FID, snap *Entry) bool {
-	s := t.shardFor(fid)
-	s.mu.RLock()
-	e, ok := s.entries[fid]
-	s.mu.RUnlock()
-	if !ok {
-		return false
-	}
-	e.storeFrom(snap)
-	return true
 }
 
 // Snapshot returns a copy of every tracked entry, sorted by FID so
 // checkpoint encodings are deterministic.
 func (t *Table) Snapshot() []Entry {
 	out := make([]Entry, 0, t.Len())
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.RLock()
-		for _, e := range s.entries {
-			out = append(out, e.snapshot())
-		}
-		s.mu.RUnlock()
-	}
+	t.each(func(e *tracked) { out = append(out, e.snapshot()) })
 	sort.Slice(out, func(i, j int) bool { return out[i].FID < out[j].FID })
 	return out
 }
@@ -501,20 +639,22 @@ func (t *Table) Snapshot() []Entry {
 // snapshot was taken, so probe order must not re-run). An existing
 // entry at the FID or tuple is replaced, and cached handles are
 // invalidated.
-func (t *Table) RestoreEntry(e Entry) {
-	s := t.shardFor(e.FID)
+func (t *Table) RestoreEntry(en Entry) {
+	e := &tracked{fid: en.FID}
+	e.hi, e.lo = en.Tuple.Key()
+	e.state.Store(int32(en.State))
+	Handle{e}.FoldTouches(en.Packets, en.Bytes, en.LastSeen)
+	s := t.shardFor(e.fid)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if old, ok := s.entries[e.FID]; ok {
-		delete(s.byTuple, old.tuple)
+	if fs, old := s.byFID.table.Load().findFID(e.fid); old != nil {
+		t.unlink(s, fs, old)
 	}
-	if old, ok := s.byTuple[e.Tuple]; ok {
-		delete(s.entries, old.fid)
+	if _, old := s.byKey.table.Load().findKey(keyWord(e.hi, e.lo), e.hi, e.lo); old != nil {
+		fs, _ := s.byFID.table.Load().findFID(old.fid)
+		t.unlink(s, fs, old)
 	}
-	stored := &tracked{fid: e.FID, tuple: e.Tuple}
-	stored.storeFrom(&e)
-	s.entries[e.FID] = stored
-	s.byTuple[e.Tuple] = stored
+	t.link(s, e)
 	t.gen.Add(1)
 }
 
@@ -522,15 +662,10 @@ func (t *Table) RestoreEntry(e Entry) {
 // below the cutoff, for idle-rule garbage collection.
 func (t *Table) IdleSince(cutoff uint64) []FID {
 	var out []FID
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.RLock()
-		for fid, e := range s.entries {
-			if e.lastSeen.Load() < cutoff {
-				out = append(out, fid)
-			}
+	t.each(func(e *tracked) {
+		if e.lastSeen.Load() < cutoff {
+			out = append(out, e.fid)
 		}
-		s.mu.RUnlock()
-	}
+	})
 	return out
 }

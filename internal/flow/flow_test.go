@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"hash/fnv"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -15,10 +16,26 @@ func tuple(n uint16) packet.FiveTuple {
 	}
 }
 
+// Lookup returns a snapshot of the entry for a tuple, if tracked (the
+// tests' by-value view of Acquire).
+func (t *Table) Lookup(ft packet.FiveTuple) (Entry, bool) {
+	h, ok := t.Acquire(ft)
+	if !ok {
+		return Entry{}, false
+	}
+	return h.e.snapshot(), true
+}
+
 func TestHashTupleInRange(t *testing.T) {
+	// In range, and the digest WALs, checkpoints and the steerer were
+	// written against: hash/fnv over the 13 key bytes.
 	f := func(src, dst [4]byte, sp, dp uint16, proto uint8) bool {
 		fid := HashTuple(packet.FiveTuple{SrcIP: src, DstIP: dst, SrcPort: sp, DstPort: dp, Proto: proto})
-		return fid <= MaxFID
+		ref := fnv.New32a()
+		ref.Write(src[:])
+		ref.Write(dst[:])
+		ref.Write([]byte{byte(sp >> 8), byte(sp), byte(dp >> 8), byte(dp), proto})
+		return fid <= MaxFID && fid == FID(ref.Sum32()&MaxFID)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
@@ -109,14 +126,10 @@ func TestTableRemove(t *testing.T) {
 func TestTableCollisionProbing(t *testing.T) {
 	tbl := NewTable()
 	// Force a collision: occupy the home slot of tuple(2) with a
-	// different tuple by pre-inserting an entry at that FID.
+	// different tuple by restoring an entry at that FID.
 	victim := tuple(2)
 	home := HashTuple(victim)
-	s := tbl.shardFor(home)
-	squatter := &tracked{fid: home, tuple: tuple(999)}
-	squatter.state.Store(int32(StateEstablished))
-	s.entries[home] = squatter
-	s.byTuple[squatter.tuple] = squatter
+	tbl.RestoreEntry(Entry{FID: home, Tuple: tuple(999), State: StateEstablished})
 
 	e, err := tbl.Insert(victim)
 	if err != nil {
@@ -158,18 +171,20 @@ func TestTableReturnsCopies(t *testing.T) {
 		t.Errorf("mutating the Insert snapshot leaked into the table: %+v", got)
 	}
 	snap, _ := tbl.LookupFID(e.FID)
-	tbl.Update(e.FID, func(en *Entry) { en.Packets = 7 })
+	h, _ := tbl.Acquire(tuple(1))
+	h.FoldTouches(7, 0, 0)
 	if snap.Packets != 0 {
-		t.Error("table Update mutated a previously returned snapshot")
+		t.Error("a touch through the handle mutated a previously returned snapshot")
 	}
 	if got, _ := tbl.LookupFID(e.FID); got.Packets != 7 {
-		t.Errorf("Update lost: %+v", got)
+		t.Errorf("touch lost: %+v", got)
 	}
 }
 
-// TestTableSnapshotRace drives concurrent Lookup readers against
-// Update writers; under -race this fails on the seed code, where
-// lookups returned live pointers into the table.
+// TestTableSnapshotRace drives concurrent Lookup readers against a
+// writer touching the flow through its handle; under -race this fails
+// on the seed code, where lookups returned live pointers into the
+// table.
 func TestTableSnapshotRace(t *testing.T) {
 	tbl := NewTable()
 	e, err := tbl.Insert(tuple(1))
@@ -196,12 +211,9 @@ func TestTableSnapshotRace(t *testing.T) {
 			}
 		}()
 	}
+	h, _ := tbl.Acquire(tuple(1))
 	for i := 0; i < 5000; i++ {
-		tbl.Update(e.FID, func(en *Entry) {
-			en.Packets++
-			en.Bytes += 64
-			en.LastSeen = uint64(i)
-		})
+		h.FoldTouches(1, 64, uint64(i))
 	}
 	close(stop)
 	wg.Wait()
@@ -210,23 +222,18 @@ func TestTableSnapshotRace(t *testing.T) {
 func TestTableUpdate(t *testing.T) {
 	tbl := NewTable()
 	e, _ := tbl.Insert(tuple(1))
-	ok := tbl.Update(e.FID, func(en *Entry) {
-		en.State = StateEstablished
-		en.Packets = 10
-	})
-	if !ok {
-		t.Fatal("Update returned false")
+	h, ok := tbl.Acquire(tuple(1))
+	if !ok || h.FID() != e.FID {
+		t.Fatal("Acquire missed the tracked flow")
 	}
+	h.SetState(StateEstablished)
+	h.FoldTouches(10, 640, 3)
 	got, _ := tbl.LookupFID(e.FID)
-	if got.State != StateEstablished || got.Packets != 10 {
+	if got.State != StateEstablished || got.Packets != 10 || got.Bytes != 640 || got.LastSeen != 3 {
 		t.Errorf("entry after update = %+v", got)
 	}
-	if tbl.Update(FID(0xfffff), func(*Entry) {}) && tbl.Len() == 1 {
-		// Only fails if that FID happens to be e.FID, which Update
-		// would legitimately find.
-		if e.FID != FID(0xfffff) {
-			t.Error("Update returned true for unknown FID")
-		}
+	if _, ok := tbl.Acquire(tuple(2)); ok {
+		t.Error("Acquire returned a handle for an untracked tuple")
 	}
 }
 
@@ -244,11 +251,12 @@ func TestTableConcurrent(t *testing.T) {
 					t.Errorf("Insert: %v", err)
 					return
 				}
-				tbl.Update(e.FID, func(en *Entry) { en.Packets++ })
-				if _, ok := tbl.Lookup(ft); !ok {
-					t.Error("concurrent Lookup missed own insert")
+				h, ok := tbl.Acquire(ft)
+				if !ok || h.FID() != e.FID {
+					t.Error("concurrent Acquire missed own insert")
 					return
 				}
+				h.FoldTouches(1, 0, 0)
 			}
 		}(g)
 	}

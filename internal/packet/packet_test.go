@@ -428,7 +428,11 @@ func TestQuickBuildEchoesSpec(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		// One packing: the wire's key is the tuple's key, and it unpacks.
+		hi, lo, ok := p.FlowKey()
+		kHi, kLo := ft.Key()
 		return ft == FiveTuple{SrcIP: src, DstIP: dst, SrcPort: sp, DstPort: dp, Proto: proto} &&
+			ok && hi == kHi && lo == kLo && KeyTuple(hi, lo) == ft &&
 			bytes.Equal(p.Payload(), payload) && p.VerifyChecksums()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

@@ -156,6 +156,23 @@ func (p *Packet) FlowKey() (hi, lo uint64, ok bool) {
 	return hi, lo, true
 }
 
+// Key packs the tuple into FlowKey's two words, so a tuple built by hand
+// and one parsed off the wire name a flow by the same key.
+func (ft FiveTuple) Key() (hi, lo uint64) {
+	hi = uint64(binary.BigEndian.Uint32(ft.SrcIP[:]))<<32 | uint64(binary.BigEndian.Uint32(ft.DstIP[:]))
+	lo = uint64(ft.SrcPort)<<24 | uint64(ft.DstPort)<<8 | uint64(ft.Proto)
+	return hi, lo
+}
+
+// KeyTuple is the inverse of FiveTuple.Key.
+func KeyTuple(hi, lo uint64) FiveTuple {
+	var ft FiveTuple
+	binary.BigEndian.PutUint32(ft.SrcIP[:], uint32(hi>>32))
+	binary.BigEndian.PutUint32(ft.DstIP[:], uint32(hi))
+	ft.SrcPort, ft.DstPort, ft.Proto = uint16(lo>>24), uint16(lo>>8), uint8(lo)
+	return ft
+}
+
 // TCP flag bits in the 13th byte of the TCP header.
 const (
 	TCPFlagFIN = 1 << 0

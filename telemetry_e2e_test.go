@@ -73,6 +73,14 @@ func TestTelemetryEndToEnd(t *testing.T) {
 			t.Errorf("%s = %g, want %d (Engine.Stats agreement)", name, got, want)
 		}
 	}
+	// The flow table's slot arrays report beside its occupancy: the 60
+	// flows published at least one array, and tombstones are a gauge.
+	if got := metrics["speedybox_flow_table_rebuilds_total"]; got == 0 {
+		t.Errorf("speedybox_flow_table_rebuilds_total = %g after %d flows", got, 60)
+	}
+	if _, ok := metrics["speedybox_flow_dead_slots"]; !ok {
+		t.Error("/metrics missing speedybox_flow_dead_slots")
+	}
 	// Per-NF slow-path stage histograms exist and saw the initial packets.
 	if got := metrics[`speedybox_nf_stage_cycles_count{nf="fw"}`]; got == 0 {
 		t.Errorf("per-NF stage histogram for fw is empty")
