@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/fastpathnfv/speedybox/internal/classifier"
 	"github.com/fastpathnfv/speedybox/internal/core"
 	"github.com/fastpathnfv/speedybox/internal/fault"
 	"github.com/fastpathnfv/speedybox/internal/flow"
@@ -654,5 +655,97 @@ func TestMigrationRecordRoundTripInCluster(t *testing.T) {
 	}
 	if !sawRule {
 		t.Error("no migration record carried a rule on the batch-free chain")
+	}
+}
+
+// TestMigrantEvictsResident: FIDs are allocated per instance, so a flow
+// can arrive at its new owner under a FID a resident flow holds there.
+// Three flows make it happen: two share a home FID on instance 0, so the
+// second was probed onto the next FID of the shard, which is the home of
+// the third, resident on instance 1. Draining instance 0 lands the
+// probed flow on the resident's FID. With a monitor in the chain no rule
+// travels, so the migrant must re-record — not ride the rule the evicted
+// resident left — and the resident comes back as a new flow under a
+// fresh FID; neither diverges from the reference chain.
+func TestMigrantEvictsResident(t *testing.T) {
+	cl := newTestCluster(t, 2, true, nil)
+	ref := newRefEngine(t, true)
+	v := cl.cur.Load()
+	udp := func(i int) *packet.Packet {
+		return packet.MustBuild(packet.Spec{
+			SrcIP: packet.IP4(10, byte(i>>16), byte(i>>8), byte(i)), DstIP: packet.IP4(192, 0, 2, 1),
+			SrcPort: 2000, DstPort: 80, Proto: packet.ProtoUDP, Payload: []byte("x")})
+	}
+	home := func(i int) flow.FID {
+		ft, _ := udp(i).FiveTuple()
+		return flow.HashTuple(ft)
+	}
+	// first[h] is the first tuple homed at h on instance 0, resident[h]
+	// the first homed at h on instance 1.
+	first, resident := map[flow.FID]int{}, map[flow.FID]int{}
+	var pair, probed, taken = -1, -1, -1
+	for i := 0; probed < 0 && i < 1<<20; i++ {
+		h := home(i)
+		if v.owner(h) == v.insts[1] {
+			if _, ok := resident[h]; !ok {
+				resident[h] = i
+			}
+			continue
+		}
+		if j, ok := first[h]; !ok {
+			first[h] = i
+		} else if r, ok := resident[(h+flow.ShardCount)&flow.MaxFID]; ok {
+			pair, probed, taken = j, i, r
+		}
+	}
+	if probed < 0 {
+		t.Fatal("no colliding tuples found")
+	}
+	fid := (home(probed) + flow.ShardCount) & flow.MaxFID
+
+	// send runs a flow's next packet through cluster and reference and
+	// returns the cluster's account of it.
+	send := func(i int, tag string) *core.PacketResult {
+		t.Helper()
+		compare(t, cl, ref, func() *packet.Packet { return udp(i) }, tag)
+		m, err := cl.Process(udp(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ref.ProcessPacket(udp(i)); err != nil {
+			t.Fatal(err)
+		}
+		return m.Result
+	}
+	for _, i := range []int{pair, probed, taken} {
+		send(i, "set-up")
+	}
+	if a, b := send(probed, "before").FID, send(taken, "before").FID; a != fid || b != fid {
+		t.Fatalf("probed flow holds %v on instance 0, resident %v on instance 1; want both on %v", a, b, fid)
+	}
+
+	if err := cl.RemoveInstance(v.insts[0].name); err != nil {
+		t.Fatal(err)
+	}
+	eng := cl.Engine(0)
+	if err := eng.CheckRecords(); err != nil {
+		t.Error(err)
+	}
+	// compare's packet re-records, send's own rides the new rule.
+	if res := send(probed, "migrant"); res.FID != fid || res.Kind != classifier.KindSubsequent || res.Path != core.PathFast {
+		t.Errorf("migrant after re-recording: %v %v on the %v path, want its own rule under %v", res.FID, res.Kind, res.Path, fid)
+	}
+	before := eng.Stats().Initial
+	if before != 2 {
+		t.Errorf("new owner saw %d initial packets, want the resident's and then the migrant's re-record", before)
+	}
+	if res := send(taken, "evicted resident"); res.FID == fid || res.Kind != classifier.KindSubsequent || res.Path != core.PathFast {
+		t.Errorf("evicted resident: %v %v on the %v path, want a new flow's rule under another FID than %v", res.FID, res.Kind, res.Path, fid)
+	}
+	if got := eng.Stats().Initial - before; got != 1 {
+		t.Errorf("evicted resident recorded %d times, want once, as a new flow", got)
+	}
+	if err := eng.CheckRecords(); err != nil {
+		t.Error(err)
 	}
 }

@@ -19,32 +19,34 @@ const DefaultBatchSize = 32
 
 // flowCacheWays is the associativity of a worker's flow-context cache.
 // Four entries cover the handful of flows interleaved within one
-// 32-packet vector of a realistic trace; a miss costs two lock-free
-// probes, the flow table's and the Global MAT's.
+// 32-packet vector of a realistic trace; a miss costs one lock-free
+// probe of the flow table.
 const flowCacheWays = 4
 
 // flowCtx is what one worker knows about one flow, found by the
-// packet's single keyed probe: the flow-table handle with the
-// bookkeeping deltas folded into the flow entry at flush, and the live
-// consolidated rule, event guards included. The steady-state packet is
-// then a key compare, a state load, two generation loads and plain
-// integer adds — no lock, no map, no per-packet atomic
-// read-modify-write (the paper's DPDK prototype keeps the analogous
-// last-rule pointer in each lcore's local storage). It must not be
-// shared between goroutines. Correctness does not depend on it: handle
-// and rule are each revalidated against their table's generation, so a
-// flow removal, Install, Remove, MarkStale or epoch advance anywhere
-// invalidates them in every worker, and a failed check falls back to
-// the table's own lookup. Generations are banded per table instance: a
-// context warmed on one engine never validates against another's.
+// packet's single keyed probe: the flow-table handle and the
+// bookkeeping deltas folded into the flow entry at flush. The handle is
+// the way to everything else — state, consolidated rule, event guards
+// sit on the entry it points at — so the steady-state packet is a key
+// compare, a generation load, a few loads off one entry and plain
+// integer adds — no lock, no map, no per-packet atomic read-modify-write
+// (the paper's DPDK prototype keeps the analogous last-rule pointer in
+// each lcore's local storage). It must not be shared between goroutines.
+// Correctness does not depend on it: the handle is revalidated against
+// the flow table's generation, which only a flow's removal or
+// replacement moves, and the rule is loaded off the entry every time, so
+// an Install, Remove, MarkStale or Register costs no other flow's
+// context anything. Generations are banded per table instance: a context
+// warmed on one engine never validates against another's.
 type flowCtx struct {
 	// kHi/kLo are the packed flow key (packet.FlowKey) the probe
 	// compares; a context reached by FID alone (Batch.scratchFor) leaves
-	// them and the handle zero.
+	// them zero.
 	kHi, kLo uint64
 	h        flow.Handle
 	// gen is the flow table's generation read before h was acquired.
-	gen   uint64
+	gen uint64
+	// used says h is a tracked entry's handle.
 	used  bool
 	dirty bool
 	// Folded established-data bookkeeping: packet and byte counts,
@@ -53,13 +55,8 @@ type flowCtx struct {
 	dBytes   uint64
 	lastTick uint64
 
-	// fid keys the rule. It changes only when the whole context is
-	// rebuilt, so a rule is never served to another flow.
+	// fid is h's flow. It changes only when the whole context is rebuilt.
 	fid flow.FID
-	// rule is valid while the Global MAT's mutation generation is still
-	// ruleGen.
-	rule    *mat.GlobalRule
-	ruleGen uint64
 }
 
 // flush folds the context's pending bookkeeping into the flow entry.
@@ -69,23 +66,6 @@ func (fc *flowCtx) flush() {
 	}
 	fc.h.FoldTouches(fc.dPkts, fc.dBytes, fc.lastTick)
 	fc.dPkts, fc.dBytes, fc.dirty = 0, 0, false
-}
-
-// lookupRule is LookupLive behind the flow's context: a
-// generation-valid hit returns the cached rule pointer without
-// touching the table (cached=true); a miss probes it and caches the
-// result stamped with the generation read *before* the lookup, so a
-// racing mutation can only make the context conservatively stale, never
-// serve a rule newer than its stamp. A nil rule means the flow has no
-// live one.
-func (e *Engine) lookupRule(fc *flowCtx) (rule *mat.GlobalRule, cached bool) {
-	gen := e.global.Gen()
-	if fc.rule != nil && fc.ruleGen == gen {
-		return fc.rule, true
-	}
-	rule, _ = e.global.LookupLive(fc.fid)
-	fc.rule, fc.ruleGen = rule, gen
-	return rule, false
 }
 
 // statsDelta accumulates a vector's counter increments in plain
@@ -175,13 +155,9 @@ type Batch struct {
 	shard uint32
 
 	// flowHits/flowMisses count keyed probes that found a valid handle
-	// versus those that probed the flow table; ruleHits/
-	// ruleMisses count the Subsequent/Initial decisions served from the
-	// context versus those that probed the Global MAT. A fast-shaped
-	// packet counts once in the first pair and, if its flow is
-	// established, once in the second; both fold into the hub at flush.
+	// versus those that probed the flow table, once per fast-shaped
+	// packet; they fold into the hub at flush.
 	flowHits, flowMisses uint64
-	ruleHits, ruleMisses uint64
 
 	// telVal/telN/telHint fold the fast-path latency histogram: a run
 	// of packets with identical modeled work collapses into one RecordN.
@@ -277,8 +253,8 @@ func (b *Batch) flushFlows() {
 // one keyed probe. A context whose handle is still valid is a hit;
 // otherwise the handle is acquired by the flow table's lock-free probe,
 // on the key words just compared, and the context is rebuilt from
-// nothing — a re-acquired tuple may be a new connection under a new FID,
-// so no rule survives a re-key. The table generation is read before the
+// nothing — a re-acquired tuple may be a new connection under a new
+// FID. The table generation is read before the
 // acquire, so a racing removal can only leave the context conservatively
 // stale. It reports ok=false when the flow is not tracked — the caller
 // falls back to full classification.
@@ -320,11 +296,14 @@ func (b *Batch) flowCtxFor(flows *flow.Table, kHi, kLo uint64) (*flowCtx, bool) 
 // scratchFor returns the context for a packet that arrives with only a
 // FID: a FIN/RST (or any packet) classified by the full Classify, and
 // every packet on the ONVM manager core, whose RX core classified it.
-// It is one entry, rebuilt when the FID changes, so a run of one flow's
-// packets keeps its rule and nothing is keyed twice.
-func (b *Batch) scratchFor(fid flow.FID) *flowCtx {
-	if b.scratch.fid != fid {
-		b.scratch = flowCtx{fid: fid}
+// It is one entry, rebuilt by a probe of the FID index when the FID or
+// the table generation changes (an insertion moves no generation, so a
+// miss is not remembered), so a run of one flow's packets keeps its
+// handle.
+func (b *Batch) scratchFor(flows *flow.Table, fid flow.FID) *flowCtx {
+	if gen := flows.Gen(); !b.scratch.used || b.scratch.fid != fid || b.scratch.gen != gen {
+		h, ok := flows.AcquireFID(fid)
+		b.scratch = flowCtx{h: h, gen: gen, used: ok, fid: fid}
 	}
 	return &b.scratch
 }
@@ -384,10 +363,8 @@ func (e *Engine) flushStats(b *Batch) {
 	if t := e.tel; t != nil {
 		foldCount(t.flowCacheHits, &b.flowHits)
 		foldCount(t.flowCacheMisses, &b.flowMisses)
-		foldCount(t.ruleCacheHits, &b.ruleHits)
-		foldCount(t.ruleCacheMisses, &b.ruleMisses)
 	} else {
-		b.flowHits, b.flowMisses, b.ruleHits, b.ruleMisses = 0, 0, 0, 0
+		b.flowHits, b.flowMisses = 0, 0
 	}
 	if b.delta.packets != 0 {
 		e.stats[b.shard].fold(&b.delta)
@@ -398,8 +375,8 @@ func (e *Engine) flushStats(b *Batch) {
 // ProcessBatch classifies and processes a vector of packets in arrival
 // order — the engine's one data path; ProcessPacket is a vector of one.
 // A vector amortizes per-packet dispatch: a fast-shaped packet finds its
-// flow context with one keyed probe, its classification and rule lookup
-// are generation compares on that context, and its event checks are
+// flow context with one keyed probe, its classification and rule are
+// loads off the entry that context holds, and its event checks are
 // guards on that rule; fast-path results are written into preallocated
 // storage, and counters and the fast-path latency histogram are folded
 // into a few updates per vector.
@@ -451,13 +428,7 @@ func (e *Engine) process(pkt *packet.Packet, info *FastPathInfo, res *PacketResu
 		// flow's initial packet (or a re-record after eviction or
 		// staleness) — the decision Classify's hasRule probe makes.
 		fid, kind = fc.fid, classifier.KindInitial
-		rule, cached := e.lookupRule(fc)
-		if cached {
-			b.ruleHits++
-		} else {
-			b.ruleMisses++
-		}
-		if rule != nil {
+		if e.global.Live(fc.h) != nil {
 			kind = classifier.KindSubsequent
 		} else {
 			pkt.Meta.Initial = true
@@ -472,7 +443,7 @@ func (e *Engine) process(pkt *packet.Packet, info *FastPathInfo, res *PacketResu
 			return err
 		}
 		fid, kind = cls.FID, cls.Kind
-		fc = b.scratchFor(fid)
+		fc = b.scratchFor(e.class.Flows(), fid)
 	}
 
 	// Fault: flow-table eviction pressure — the MAT "ran out of space"

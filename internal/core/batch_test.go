@@ -314,8 +314,8 @@ func TestProcessBatchRegisterMidBatch(t *testing.T) {
 	nf.events = eng.Events()
 	b := NewBatch(4)
 	fc := warmCtx(t, eng, b, 8451, 3)
-	if fc.rule == nil || fc.rule.Guards() != nil {
-		t.Fatal("warm flow has no cached guard-free rule")
+	if r := eng.global.Live(fc.h); r == nil || r.Guards() != nil {
+		t.Fatal("warm flow has no guard-free rule")
 	}
 	nf.target = fc.fid
 	rs, err := eng.ProcessBatch([]*packet.Packet{
@@ -397,57 +397,59 @@ func warmCtx(t *testing.T, eng *Engine, b *Batch, port uint16, n int) *flowCtx {
 }
 
 // TestRuleCacheGenerationValidation exercises the flow context's rule
-// directly: a hit returns the cached pointer without touching the
-// table, and every kind of Global-MAT mutation — an unrelated Install,
-// MarkStale, Remove, AdvanceEpoch — forces the next lookup to the table.
+// directly: it is read off the entry the context's handle points at, so
+// a neighbour's Install, MarkStale and Remove leave it — and the
+// context's one generation — alone, and every mutation of the flow's own
+// rule — MarkStale, Remove, AdvanceEpoch — shows on the very next read.
 func TestRuleCacheGenerationValidation(t *testing.T) {
 	eng := newBatchTestEngine(t, DefaultOptions())
 	b := NewBatch(4)
 	fc := warmCtx(t, eng, b, 8701, 2)
-	lookup := func(wantCached, wantRule bool, when string) *mat.GlobalRule {
+	lookup := func(wantRule bool, when string) *mat.GlobalRule {
 		t.Helper()
-		rule, cached := eng.lookupRule(fc)
-		if cached != wantCached || (rule != nil) != wantRule {
-			t.Fatalf("%s: cached=%v rule=%v, want cached=%v rule=%v", when, cached, rule != nil, wantCached, wantRule)
+		rule := eng.global.Live(fc.h)
+		if (rule != nil) != wantRule {
+			t.Fatalf("%s: rule=%v, want rule=%v", when, rule != nil, wantRule)
+		}
+		if live, _ := eng.Global().LookupLive(fc.fid); live != rule {
+			t.Fatalf("%s: the context reads %p, the FID index %p", when, rule, live)
 		}
 		return rule
 	}
-	r1 := lookup(true, true, "warm")
-	if r2 := lookup(true, true, "second hit"); r2 != r1 {
-		t.Fatalf("hit returned %p, want the cached %p", r2, r1)
-	}
+	r1 := lookup(true, "warm")
 
-	// Another flow's install moves the one generation: a miss that finds
-	// the same, untouched rule and re-stamps it.
-	if _, err := eng.ProcessPacket(udpPkt(t, 8702, "neighbour")); err != nil {
+	res, err := eng.ProcessPacket(udpPkt(t, 8702, "neighbour"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if r := lookup(false, true, "after a neighbour's Install"); r != r1 {
-		t.Fatalf("miss found %p, want the installed %p", r, r1)
+	if !eng.Global().MarkStale(res.FID) || !eng.Global().Remove(res.FID) {
+		t.Fatal("the neighbour had no rule to mark and remove")
 	}
-	lookup(true, true, "re-stamped")
+	if r := lookup(true, "after a neighbour's Install, MarkStale and Remove"); r != r1 || fc.gen != eng.class.Flows().Gen() {
+		t.Fatalf("a neighbour's mutations cost the context its rule (%p, was %p) or its generation", r, r1)
+	}
 
-	// A live lookup must miss rather than serve a pointer the table no
-	// longer vouches for; the next packet re-records the flow.
+	// A read must miss rather than serve a rule the table no longer
+	// vouches for; the next packet re-records the flow.
 	rerecord := func() {
 		t.Helper()
 		if got := warmCtx(t, eng, b, 8701, 2); got != fc {
 			t.Fatal("re-recording moved the flow to another context")
 		}
-		lookup(true, true, "re-recorded")
+		lookup(true, "re-recorded")
 	}
 	if !eng.Global().MarkStale(fc.fid) {
 		t.Fatal("MarkStale found no rule")
 	}
-	lookup(false, false, "after MarkStale")
+	lookup(false, "after MarkStale")
 	rerecord()
 	if !eng.Global().Remove(fc.fid) {
 		t.Fatal("Remove found no rule")
 	}
-	lookup(false, false, "after Remove")
+	lookup(false, "after Remove")
 	rerecord()
 	eng.Global().AdvanceEpoch()
-	lookup(false, false, "after AdvanceEpoch")
+	lookup(false, "after AdvanceEpoch")
 }
 
 // TestRuleCacheEviction: four contexts holding four flows; a fifth flow
@@ -526,7 +528,7 @@ func TestRekeyClearsContext(t *testing.T) {
 	}
 	b := NewBatch(4)
 	fc := warmCtx(t, eng, b, 8901, 3)
-	old := fc.rule
+	old := eng.global.Live(fc.h)
 	if old == nil || old.Guards() != nil {
 		t.Fatalf("warm context: rule=%p, want a guard-free rule", old)
 	}
@@ -545,8 +547,8 @@ func TestRekeyClearsContext(t *testing.T) {
 			rs[0].Path, rs[0].Verdict, rs[0].Fast.EventsFired)
 	}
 	live, _ := eng.Global().LookupLive(rs[0].FID)
-	if fc.rule == old || fc.rule != live || fc.gen != eng.class.Flows().Gen() {
-		t.Fatalf("context after re-key: rule %p (old %p, live %p)", fc.rule, old, live)
+	if r := eng.global.Live(fc.h); r == old || r != live || fc.gen != eng.class.Flows().Gen() {
+		t.Fatalf("context after re-key: rule %p (old %p, live %p)", r, old, live)
 	}
 }
 
@@ -642,7 +644,7 @@ func TestWarmPathAllocatesNothing(t *testing.T) {
 	var res PacketResult
 	scratch := func() {
 		info, res = FastPathInfo{}, PacketResult{}
-		if err := eng.fastPathInto(b.scratchFor(fid), vec[0], &info, &res, b); err != nil {
+		if err := eng.fastPathInto(b.scratchFor(eng.class.Flows(), fid), vec[0], &info, &res, b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -673,9 +675,11 @@ func tcpLifecycle(t *testing.T, port uint16) []*packet.Packet {
 
 // TestFlowChurnMutatesGlobalMATInPlace counts, it does not time: 1 024
 // TCP connections set up and torn down beside 32 768 resident UDP
-// rules leave exactly the resident rules behind, and cost the table at
-// most a compaction or two per shard — not a rebuilt shard per install
-// and per removal, which is 2 048 publications.
+// rules leave exactly the resident rules behind, and cost the one table
+// there is — the flow table's two indexes a shard — at most a
+// compaction or two each, not a rebuilt array per install and per
+// removal. The Global MAT publishes nothing: a rule is a word on its
+// flow's entry.
 func TestFlowChurnMutatesGlobalMATInPlace(t *testing.T) {
 	const resident, conns = 32768, 1024
 	eng := newBatchTestEngine(t, DefaultOptions())
@@ -684,12 +688,12 @@ func TestFlowChurnMutatesGlobalMATInPlace(t *testing.T) {
 		pkts = append(pkts, udpPkt(t, uint16(i), "resident"))
 	}
 	runBatched(t, eng, pkts, 32)
-	g := eng.Global()
+	g, flows := eng.Global(), eng.class.Flows()
 	if g.Len() != resident {
 		t.Fatalf("Len = %d after set-up, want %d", g.Len(), resident)
 	}
 
-	before := g.Publishes()
+	before := flows.Rebuilds()
 	pkts = pkts[:0]
 	for i := 0; i < conns; i++ {
 		pkts = append(pkts, tcpLifecycle(t, uint16(1+i))...)
@@ -701,39 +705,46 @@ func TestFlowChurnMutatesGlobalMATInPlace(t *testing.T) {
 	if g.Len() != resident || g.StaleLen() != 0 {
 		t.Errorf("Len = %d StaleLen = %d after %d connections, want %d and 0", g.Len(), g.StaleLen(), conns, resident)
 	}
-	if got := g.Publishes() - before; got > 2*mat.ShardCount {
-		t.Errorf("%d connections published %d slot arrays, want at most %d", conns, got, 2*mat.ShardCount)
+	if got := flows.Rebuilds() - before; got > 4*flow.ShardCount || g.Publishes() != 0 {
+		t.Errorf("%d connections published %d flow-table arrays (want at most %d) and %d Global MAT ones (want none)",
+			conns, got, 4*flow.ShardCount, g.Publishes())
 	}
-	if g.DeadSlots() > conns {
-		t.Errorf("DeadSlots = %d, want at most one per torn-down connection (%d)", g.DeadSlots(), conns)
+	if c := flows.Counts(); c.Dead > 2*conns || c.Records != resident || c.Detached != 0 {
+		t.Errorf("%+v: want at most two tombstones per torn-down connection (%d), a recording per resident flow and nothing detached", c, 2*conns)
+	}
+	if err := eng.CheckRecords(); err != nil {
+		t.Error(err)
 	}
 }
 
-// TestRuleCacheHitCounters: the hub's two hit/miss pairs count packets,
-// not lookups — one keyed probe per fast-shaped packet, one rule
-// decision per established one — show nearly all hits while four flows
-// share a worker's four contexts, and show the cost of the tables'
-// single generations once another flow churns: every install and
-// removal anywhere invalidates every cached rule, and every removal
-// sends every cached handle back through the shard lock, which is a
-// miss, not a hit.
+// TestRuleCacheHitCounters: the hub's hit/miss pair counts packets, not
+// lookups — one keyed probe per fast-shaped packet — shows nearly all
+// hits while four flows share a worker's four contexts, and shows the
+// cost of the flow table's single generation once another flow churns:
+// every removal sends every cached handle back to the table, which is a
+// miss, not a hit. There is no second pair: the rule is read off the
+// entry the handle holds, so no install or removal invalidates it.
 func TestRuleCacheHitCounters(t *testing.T) {
 	hub := telemetry.NewHub()
 	opts := DefaultOptions()
 	opts.Telemetry = hub
 	eng := newBatchTestEngine(t, opts)
 	type pair struct{ hits, misses uint64 }
-	read := func() (flows, rules pair) {
+	read := func() pair {
 		c := hub.Registry.Snapshot().Counters
-		return pair{c["speedybox_flow_cache_hits_total"], c["speedybox_flow_cache_misses_total"]},
-			pair{c["speedybox_rule_cache_hits_total"], c["speedybox_rule_cache_misses_total"]}
+		for _, gone := range []string{"speedybox_rule_cache_hits_total", "speedybox_rule_cache_misses_total"} {
+			if _, ok := c[gone]; ok {
+				t.Fatalf("%s is still registered", gone)
+			}
+		}
+		return pair{c["speedybox_flow_cache_hits_total"], c["speedybox_flow_cache_misses_total"]}
 	}
-	delta := func(pkts []*packet.Packet) (flows, rules pair) {
+	delta := func(pkts []*packet.Packet) pair {
 		t.Helper()
-		f0, r0 := read()
+		f0 := read()
 		runBatched(t, eng, pkts, 32)
-		f1, r1 := read()
-		return pair{f1.hits - f0.hits, f1.misses - f0.misses}, pair{r1.hits - r0.hits, r1.misses - r0.misses}
+		f1 := read()
+		return pair{f1.hits - f0.hits, f1.misses - f0.misses}
 	}
 	fourFlows := func(n int) []*packet.Packet {
 		var pkts []*packet.Packet
@@ -744,35 +755,33 @@ func TestRuleCacheHitCounters(t *testing.T) {
 	}
 
 	// Quiet, from cold: every packet is fast-shaped and probes once; all
-	// but each flow's recording packet ride the fast path and decide
-	// once.
+	// but each flow's recording packet ride the fast path.
 	const n = 512
-	flows, rules := delta(fourFlows(n))
+	flows := delta(fourFlows(n))
 	if got := flows.hits + flows.misses; got != n {
 		t.Errorf("4-flow trace: %d flow probes counted over %d fast-shaped packets", got, n)
 	}
-	if got, fast := rules.hits+rules.misses, eng.Stats().FastPath; got != fast || fast != n-4 {
-		t.Errorf("4-flow trace: %d rule decisions counted over %d fast-path packets, want %d of each", got, fast, n-4)
-	}
-	if rules.hits*100 < (n-4)*95 || flows.hits*100 < n*95 {
-		t.Errorf("4-flow trace: flows %+v rules %+v over %d packets, want >= 95%% hits", flows, rules, n)
+	if fast := eng.Stats().FastPath; fast != n-4 || flows.hits*100 < n*95 {
+		t.Errorf("4-flow trace: %d fast-path packets (want %d), flows %+v over %d packets (want >= 95%% hits)", fast, n-4, flows, n)
 	}
 
-	// The same four flows, with one short connection in every vector.
+	// The same four flows, with one short connection in every vector:
+	// its install and removal cost the steady flows' rules nothing —
+	// they stay on the fast path — and each FIN's teardown moves the
+	// flow-table generation, so each of the four steady flows re-acquires
+	// its handle once per vector.
 	const vectors = n / 28
 	var pkts []*packet.Packet
 	for v := 0; v < vectors; v++ {
 		pkts = append(pkts, fourFlows(28)...)
 		pkts = append(pkts, tcpLifecycle(t, uint16(100+v))...)
 	}
-	churnFlows, churnRules := delta(pkts)
-	t.Logf("quiet flows %+v rules %+v, churning flows %+v rules %+v", flows, rules, churnFlows, churnRules)
-	decisions := churnRules.hits + churnRules.misses
-	if churnRules.misses < 2*vectors || churnRules.hits*100 >= decisions*95 {
-		t.Errorf("with a churning flow: rules %+v, want a visibly lower hit share than %+v", churnRules, rules)
+	fastBefore := eng.Stats().FastPath
+	churnFlows := delta(pkts)
+	t.Logf("quiet flows %+v, churning flows %+v", flows, churnFlows)
+	if got := eng.Stats().FastPath - fastBefore; got != 29*vectors {
+		t.Errorf("with a churning flow: %d fast-path packets, want the steady flows' %d and each connection's FIN", got, 29*vectors)
 	}
-	// Each FIN's teardown moves the flow-table generation, so each of the
-	// four steady flows re-acquires its handle once per vector.
 	if churnFlows.misses < 4*vectors {
 		t.Errorf("with a churning flow: flows %+v over %d vectors, want >= 4 revalidations counted as misses per vector", churnFlows, vectors)
 	}

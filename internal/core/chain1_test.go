@@ -102,10 +102,11 @@ func TestSlowPathAllocationBudget(t *testing.T) {
 	t.Run("recording", func(t *testing.T) {
 		// One flow set up and torn down per run: the recording packet
 		// pays for the flow entry, the NFs' per-flow state and closures,
-		// four published Local MAT rules, the consolidated rule and its
-		// events — 33 objects when this budget was set (57 before the
+		// the flow's record (four spans in three arrays), the
+		// consolidated rule and its events — 25 objects when this budget
+		// was set (33 with a Local MAT object per NF, 57 before the
 		// traversal scratch).
-		const budget = 36
+		const budget = 28
 		eng := chain1Engine(t, core.DefaultOptions())
 		vec := []*packet.Packet{chain1Pkt(7200, packet.ProtoUDP, 0, "first")}
 		replay := replayer(t, eng, vec)
@@ -177,13 +178,13 @@ func TestMaglevFailoverReconsolidates(t *testing.T) {
 		t.Errorf("rules differ from the parent commit's:\nbefore %s\nwant   %s\nafter  %s\nwant   %s", before, wantBefore, after, wantAfter)
 	}
 	// The failover's in-place edit stayed inside the load balancer's own
-	// entry: its neighbours' published rules are what they recorded.
+	// span of the record: its neighbours' are what they recorded.
+	spans, _ := eng.Events().Recorded(fid)
 	for i, want := range []string{"[modify(SIP) modify(SPort)]", "", "[forward]", "[forward]"} {
 		if i == 1 {
 			continue
 		}
-		r, _ := eng.Local(i).Get(fid)
-		if got := fmt.Sprint(r.Actions); got != want {
+		if got := fmt.Sprint(spans[i].Actions); got != want {
 			t.Errorf("Local MAT %d after the failover: %s, want %s", i, got, want)
 		}
 	}

@@ -1,0 +1,71 @@
+package core
+
+import (
+	"fmt"
+
+	"github.com/fastpathnfv/speedybox/internal/event"
+	"github.com/fastpathnfv/speedybox/internal/flow"
+)
+
+// CheckRecords walks the flow table once and checks what every flow
+// record must satisfy between packets — what was five tables' worth of
+// cross-checks when rule, recording and events each had their own:
+//
+//   - a rule sits on the entry of its own FID;
+//   - a rule a packet could be served from knows its flow's events: its
+//     guards are the record's registrations, condition for condition, or
+//     the ask-the-table guard (an unguarded registration is an update
+//     the fast path would sleep through);
+//   - a live rule was not consolidated from a recording of another
+//     chain epoch;
+//   - a detached entry holds a rule — the only reason the engine makes
+//     one;
+//   - the Global MAT's and the Event Table's sizes are what the walk
+//     counts.
+//
+// It returns the first violation. Writers must be quiesced, as for
+// Checkpoint; the oracles, soaks and leak tests call it where a trace
+// ends.
+func (e *Engine) CheckRecords() error {
+	var rules, stale, armed int
+	var err error
+	fail := func(format string, args ...any) {
+		if err == nil {
+			err = fmt.Errorf("core: flow records: "+format, args...)
+		}
+	}
+	e.class.Flows().Each(func(h flow.Handle) {
+		fid := h.FID()
+		pending := e.events.Pending(fid)
+		if pending > 0 {
+			armed++
+		}
+		r, ok := e.global.Lookup(fid)
+		if !ok {
+			if h.Detached() {
+				fail("detached entry of %v holds no rule", fid)
+			}
+			return
+		}
+		rules++
+		if e.global.IsStale(fid) {
+			stale++
+		}
+		if r.FID != fid {
+			fail("entry of %v holds the rule of %v", fid, r.FID)
+		}
+		if e.global.Live(h) != r {
+			return
+		}
+		if g := r.Guards(); g != event.AskTable && !e.events.Guarded(fid, g) {
+			fail("rule of %v: guards are not the flow's %d registered event(s)", fid, pending)
+		}
+		if spans, epoch := e.events.Recorded(fid); spans != nil && epoch != r.Epoch {
+			fail("rule of %v is of epoch %d, its recording of epoch %d", fid, r.Epoch, epoch)
+		}
+	})
+	if n, s, a := e.global.Len(), e.global.StaleLen(), e.events.Len(); n != rules || s != stale || a != armed {
+		fail("walk counted %d rules, %d stale, %d flows with events; the tables say %d, %d, %d", rules, stale, armed, n, s, a)
+	}
+	return err
+}

@@ -46,6 +46,14 @@ type degradeShard struct {
 	_     [40]byte // pad to a 64-byte cache line (best effort)
 }
 
+// initLadder makes the ladder's maps — the one FID-keyed table the
+// engine keeps beside the flow table.
+func (e *Engine) initLadder() {
+	for i := range e.degraded {
+		e.degraded[i].flows = make(map[flow.FID]*degradeState)
+	}
+}
+
 func (e *Engine) degradeShardFor(fid flow.FID) *degradeShard {
 	return &e.degraded[uint32(fid)&(degradeShardCount-1)]
 }

@@ -110,35 +110,19 @@ type statsShard struct {
 // cacheLine is the coherence granule the shard padding targets.
 const cacheLine = 64
 
-// recShardCount is the number of recording-slot shards (power of two).
-const recShardCount = 32
-
-// recShardCore is one independently locked slice of the
-// recording-claims set.
-type recShardCore struct {
-	mu   sync.Mutex
-	fids map[flow.FID]struct{}
-}
-
-// recShard pads the claims to a full cache line (the old hard-coded
-// pad left the struct at 56 bytes — adjacent shards shared a line).
-type recShard struct {
-	recShardCore
-	_ [(cacheLine - unsafe.Sizeof(recShardCore{})%cacheLine) % cacheLine]byte
-}
-
 // Engine wires a service chain to the SpeedyBox machinery. It is safe
 // for concurrent use: the pipelined ONVM platform classifies,
 // processes and consolidates from different goroutines, and the
 // multi-queue platform calls ProcessBatch from one worker per RSS
-// queue, each on its own Batch. All per-flow state (flow table, Global MAT, Event Table,
-// recording claims, counters) is sharded by FID so workers handling
-// disjoint flows do not contend.
+// queue, each on its own Batch. A flow's state — tracking, rule,
+// recording, events, recording claim — is its one entry in the flow
+// table, which is sharded by FID as the counters and the ladder are, so
+// workers handling disjoint flows do not contend.
 type Engine struct {
 	model *cost.Model
 	opts  Options
-	// cur is the live chain snapshot: the NF sequence, its Local MATs,
-	// the name index and the chain epoch, all immutable once published.
+	// cur is the live chain snapshot: the NF sequence and the chain
+	// epoch, immutable once published.
 	// Reconfigure swaps in a fresh snapshot atomically; data-path code
 	// loads the pointer once per packet (or per batch element) and works
 	// against that consistent view for the whole traversal.
@@ -155,8 +139,6 @@ type Engine struct {
 	hasRule func(flow.FID) bool
 
 	stats [statsShardCount]statsShard
-
-	recording [recShardCount]recShard
 
 	// faults is the optional injector (Options.Faults); nil means no
 	// injection. All injection sites guard on the nil check.
@@ -209,22 +191,18 @@ func NewEngine(chain []NF, opts Options) (*Engine, error) {
 		}
 		seen[nf.Name()] = true
 	}
+	flows := flow.NewTable()
 	e := &Engine{
 		model:  opts.Model,
 		opts:   opts,
-		global: mat.NewGlobal(),
-		events: event.NewTable(),
-		class:  classifier.New(flow.NewTable()),
+		global: mat.NewGlobal(flows),
+		events: event.NewTable(flows),
+		class:  classifier.New(flows),
 	}
-	e.cur.Store(newChainState(chain, nil, 0))
+	e.cur.Store(&chainState{chain: chain})
 	e.events.SetJournal(e.eventRegistered)
 	e.scalar.New = func() any { return NewBatch(1) }
-	for i := range e.recording {
-		e.recording[i].fids = make(map[flow.FID]struct{})
-	}
-	for i := range e.degraded {
-		e.degraded[i].flows = make(map[flow.FID]*degradeState)
-	}
+	e.initLadder()
 	e.faults = opts.Faults
 	e.admission = opts.Admission
 	if opts.EnableSpeedyBox {
@@ -240,11 +218,6 @@ func NewEngine(chain []NF, opts Options) (*Engine, error) {
 		e.tel = newEngineTelemetry(e, opts.Telemetry, opts.ChainLabel)
 	}
 	return e, nil
-}
-
-// recShardFor returns the recording shard owning a FID.
-func (e *Engine) recShardFor(fid flow.FID) *recShard {
-	return &e.recording[uint32(fid)&(recShardCount-1)]
 }
 
 // statsFor returns the counter shard owning a FID.
@@ -278,11 +251,11 @@ func (e *Engine) releaseEventBudget(fid flow.FID) {
 // backoff deadline has passed (until then its packets are counted as
 // degraded and stay on the slow path without burning consolidation
 // work), and when several initial packets of one flow are in flight
-// concurrently only the first claims the recording slot — a second
-// recorder would append duplicate actions and state functions to the
-// Local MATs. The losers traverse the chain without recording, which is
-// always correct. A true return must be paired with EndRecording. The
-// baseline engine never records.
+// concurrently only the first claims the gate, a bit of the flow's entry
+// — a second recorder would publish over the first's recording. The
+// losers traverse the chain without recording, which is always correct.
+// A true return must be paired with EndRecording. The baseline engine
+// never records.
 func (e *Engine) TryBeginRecording(fid flow.FID) bool {
 	if !e.opts.EnableSpeedyBox {
 		return false
@@ -291,22 +264,15 @@ func (e *Engine) TryBeginRecording(fid flow.FID) bool {
 		e.countDegradedPacket(fid)
 		return false
 	}
-	s := e.recShardFor(fid)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.fids[fid]; ok {
-		return false
-	}
-	s.fids[fid] = struct{}{}
-	return true
+	h, ok := e.class.Flows().AcquireFID(fid)
+	return ok && h.Claim()
 }
 
-// EndRecording releases the flow's recording slot.
+// EndRecording releases the flow's recording gate.
 func (e *Engine) EndRecording(fid flow.FID) {
-	s := e.recShardFor(fid)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.fids, fid)
+	if h, ok := e.class.Flows().AcquireFID(fid); ok {
+		h.Unclaim()
+	}
 }
 
 // Model returns the engine's cost model.
@@ -345,9 +311,6 @@ func (e *Engine) Global() *mat.Global { return e.global }
 
 // Events exposes the Event Table.
 func (e *Engine) Events() *event.Table { return e.events }
-
-// Local returns the Local MAT of the i-th NF in the live chain.
-func (e *Engine) Local(i int) *mat.Local { return e.state().locals[i] }
 
 // Telemetry returns the hub this engine reports into, nil when
 // telemetry is disabled. Platform wrappers use it to register their
@@ -396,7 +359,7 @@ func (e *Engine) Faults() *fault.Injector { return e.faults }
 // path it takes. Exposed so pipelined platforms can run classification
 // on a dedicated RX core. When the packet is a SYN restarting an
 // already-tracked flow (5-tuple reuse without FIN/RST), the previous
-// connection's consolidated rule, Local MAT entries, events and
+// connection's consolidated rule, recording, events and
 // NF-internal per-flow state are torn down here, before the new
 // connection's packets can be routed — otherwise its established
 // packets would classify as subsequent and execute the old
@@ -414,7 +377,7 @@ func (e *Engine) Classify(pkt *packet.Packet) (classifier.Result, error) {
 // (the classifier has already reset it to the handshake state).
 func (e *Engine) resetReusedFlow(fid flow.FID) {
 	cs := e.state()
-	removed := e.dropConsolidated(fid, cs)
+	removed := e.dropConsolidated(fid)
 	// The new connection must not inherit the old one's fault backoff.
 	e.dropDegraded(fid)
 	for _, nf := range cs.chain {
@@ -435,8 +398,8 @@ func (e *Engine) resetReusedFlow(fid flow.FID) {
 // verdict and the work cycles the NF charged. Pipelined platforms call
 // it from per-NF goroutines, each on its own Batch (only the traversal
 // scratch is used); PrepareRecording must have run first for recording
-// packets. What the NF recorded is published to its Local MAT when it
-// returns without error.
+// packets. What the NF recorded is published to its position of the
+// flow's recording when it returns without error.
 func (e *Engine) ProcessNF(i int, fid flow.FID, pkt *packet.Packet, recording bool, b *Batch) (Verdict, uint64, error) {
 	cs := e.state()
 	if i < 0 || i >= len(cs.chain) {
@@ -452,7 +415,9 @@ func (e *Engine) ProcessNF(i int, fid flow.FID, pkt *packet.Packet, recording bo
 		return 0, t.ledger.Total(), fmt.Errorf("%w: %s: %w", ErrNFFailed, nf.Name(), err)
 	}
 	if len(ctx.acts) > 0 || len(ctx.funcs) > 0 {
-		cs.locals[i].Replace(fid, &mat.LocalRule{Actions: ctx.acts, Funcs: ctx.funcs})
+		t.rules = append(t.rules[:0], mat.LocalRule{Actions: ctx.acts, Funcs: ctx.funcs})
+		t.contribs = append(t.contribs[:0], mat.Contribution{Rule: &t.rules[0]})
+		e.events.Publish(fid, cs.epoch, len(cs.chain), i, t.contribs)
 	}
 	return v, t.ledger.Total(), nil
 }
@@ -479,31 +444,20 @@ func (e *Engine) beginTraversal(t *traversal, fid flow.FID, pkt *packet.Packet, 
 	return ctx
 }
 
-// PrepareRecording clears the flow's Local MAT entries and events so
-// an initial packet re-records from scratch.
+// PrepareRecording drops the flow's record — what its NFs recorded and
+// the events they registered — and returns its event admission budget,
+// so an initial packet re-records from scratch.
 func (e *Engine) PrepareRecording(fid flow.FID) {
-	for _, l := range e.state().locals {
-		l.Delete(fid)
-	}
-	e.dropEvents(fid)
-}
-
-// dropEvents empties the flow's Event Table entry and returns its
-// admission budget.
-func (e *Engine) dropEvents(fid flow.FID) {
 	e.events.Remove(fid)
 	e.releaseEventBudget(fid)
 }
 
 // dropConsolidated removes what consolidation built for the flow — the
-// Global rule, the Local MAT entries, the events — and returns both
-// admission budgets, reporting whether a rule was installed.
-func (e *Engine) dropConsolidated(fid flow.FID, cs *chainState) bool {
+// Global rule and the record — and returns both admission budgets,
+// reporting whether a rule was installed.
+func (e *Engine) dropConsolidated(fid flow.FID) bool {
 	removed := e.global.Remove(fid)
-	for _, l := range cs.locals {
-		l.Delete(fid)
-	}
-	e.dropEvents(fid)
+	e.PrepareRecording(fid)
 	e.releaseRuleBudget(fid)
 	return removed
 }
@@ -552,9 +506,9 @@ func (e *Engine) ProcessPacket(pkt *packet.Packet) (*PacketResult, error) {
 // recording behaviour when requested, and writes the account into res,
 // the packet's slot in b. It runs on b's traversal scratch: a packet
 // that records nothing allocates nothing here. What the NFs record is
-// gathered in the scratch and published to their Local MATs only once
+// gathered in the scratch and published to the flow's record only once
 // the whole chain has run — a traversal cut short by an NF error, an
-// injected NF crash or a refused event leaves no entry behind.
+// injected NF crash or a refused event leaves no recording behind.
 func (e *Engine) slowPath(fid flow.FID, pkt *packet.Packet, recording bool, res *PacketResult, b *Batch) error {
 	cs := e.state()
 	t := b.slow
@@ -566,7 +520,7 @@ func (e *Engine) slowPath(fid flow.FID, pkt *packet.Packet, recording bool, res 
 	}
 	if recording {
 		// Re-recording an initial packet (e.g. several packets raced
-		// in before consolidation) starts from clean Local MATs.
+		// in before consolidation) starts from a clean record.
 		e.PrepareRecording(fid)
 		if cap(t.rules) < len(cs.chain) {
 			t.rules = make([]mat.LocalRule, len(cs.chain))
@@ -628,7 +582,7 @@ func (e *Engine) slowPath(fid flow.FID, pkt *packet.Packet, recording bool, res 
 		// Drop the recording (its events are all that left the scratch)
 		// and park the flow on the ladder; a later initial packet
 		// re-records from scratch.
-		e.dropEvents(fid)
+		e.PrepareRecording(fid)
 		e.degradeFlow(fid, CauseNFError)
 		recording = false
 	}
@@ -640,17 +594,13 @@ func (e *Engine) slowPath(fid flow.FID, pkt *packet.Packet, recording bool, res 
 		// fault this is not degradation-laddered — the flow simply
 		// retries on its next initial packet, succeeding as soon as
 		// the tenant's other flows release budget.
-		e.dropEvents(fid)
+		e.PrepareRecording(fid)
 		e.statsFor(fid).eventCapDenied.Add(1)
 		recording = false
 	}
 	if recording {
-		for i, c := range t.contribs {
-			if c.Rule != nil {
-				cs.locals[i].Replace(fid, c.Rule)
-			}
-		}
-		if err := e.consolidate(fid, ctx.tenant, info, cs, t.contribs); err != nil {
+		e.events.Publish(fid, cs.epoch, len(cs.chain), 0, t.contribs)
+		if err := e.consolidate(fid, ctx.tenant, info, cs, t.contribs, false); err != nil {
 			if !errors.Is(err, mat.ErrNotConsolidatable) {
 				return err
 			}
@@ -668,9 +618,11 @@ func (e *Engine) slowPath(fid flow.FID, pkt *packet.Packet, recording bool, res 
 // the snapshot's epoch: if a reconfiguration raced this traversal, the
 // rule is born under the retired epoch and LookupLive never serves it.
 // tenant attributes the install for admission (-1 = resolve the flow's
-// recorded tenant). contribs is only read: the rule copies what it
+// recorded tenant). contribs names the chain's NFs and, fromRecord
+// unset, points at what each recorded; with fromRecord the spans are
+// the flow's record's, read in place. Either way the rule copies what it
 // keeps.
-func (e *Engine) consolidate(fid flow.FID, tenant int32, info *SlowPathInfo, cs *chainState, contribs []mat.Contribution) error {
+func (e *Engine) consolidate(fid flow.FID, tenant int32, info *SlowPathInfo, cs *chainState, contribs []mat.Contribution, fromRecord bool) error {
 	if e.admission != nil {
 		if _, exists := e.global.Lookup(fid); !exists {
 			// Only a flow's first install consumes quota; replacements
@@ -687,13 +639,19 @@ func (e *Engine) consolidate(fid flow.FID, tenant int32, info *SlowPathInfo, cs 
 			}
 		}
 	}
+	var rule *mat.GlobalRule
+	var err error
+	if fromRecord {
+		rule, err = e.events.Consolidate(fid, cs.epoch, contribs)
+	} else {
+		rule, err = mat.Consolidate(fid, contribs)
+	}
 	contributed := 0
 	for _, c := range contribs {
 		if c.Rule != nil {
 			contributed++
 		}
 	}
-	rule, err := mat.Consolidate(fid, contribs)
 	if err != nil {
 		if e.tel != nil && errors.Is(err, mat.ErrNotConsolidatable) {
 			e.tel.unconsolidatable.Inc()
@@ -707,7 +665,7 @@ func (e *Engine) consolidate(fid flow.FID, tenant int32, info *SlowPathInfo, cs 
 	if e.faults != nil && e.faults.Should(fault.KindInstallFail, fid) {
 		// Fault: the consolidated rule never reaches the Global MAT.
 		// Any previously installed version now disagrees with the
-		// Local MATs and must stop being served; the flow degrades to
+		// recording and must stop being served; the flow degrades to
 		// the slow path and retries the install after backoff. The
 		// packet itself was processed by the full chain and is
 		// correct.
@@ -737,9 +695,10 @@ func (e *Engine) consolidate(fid flow.FID, tenant int32, info *SlowPathInfo, cs 
 	return nil
 }
 
-// eventRegistered is the Event Table's registration hook, run under the
-// flow's event shard lock: the installed rule's guards no longer list
-// every condition, so the flow's very next packet asks the table.
+// eventRegistered is the Event Table's registration hook, run inside the
+// registering Edit of the flow's entry: the installed rule's guards no
+// longer list every condition, so the flow's very next packet asks the
+// table.
 func (e *Engine) eventRegistered(fid flow.FID) {
 	if r, ok := e.global.Lookup(fid); ok {
 		r.SetGuards(event.AskTable)
@@ -776,13 +735,13 @@ func (e *Engine) maybeStorm(fid flow.FID, cs *chainState) {
 }
 
 // evictConsolidated is the eviction-pressure fault: the flow's
-// consolidated state (Global rule, Local MAT entries, events) is
+// consolidated state (Global rule, recording, events) is
 // dropped as if the tables ran out of space. Flow tracking and
 // NF-internal per-flow state (NAT bindings, LB pins) survive — a real
 // eviction does not reach into NFs — so the next packet re-records
 // the same behaviour.
 func (e *Engine) evictConsolidated(fid flow.FID) {
-	removed := e.dropConsolidated(fid, e.state())
+	removed := e.dropConsolidated(fid)
 	if e.tel != nil {
 		e.tel.rec.Append(telemetry.EvFaultInject, uint32(fid), fault.KindEvictPressure.String())
 		e.tel.rec.Append(telemetry.EvFlowEvict, uint32(fid), CauseFaultEvict)
@@ -792,17 +751,16 @@ func (e *Engine) evictConsolidated(fid flow.FID) {
 	}
 }
 
-// reconsolidate rebuilds the flow's rule from snapshots of its Local
-// MAT entries against the given chain snapshot — after event updates,
-// the snapshot the firings were validated under.
+// reconsolidate rebuilds the flow's rule from its record against the
+// given chain snapshot — after event updates, the snapshot the firings
+// were validated under.
 func (e *Engine) reconsolidate(fid flow.FID, cs *chainState) (uint64, error) {
 	contribs := make([]mat.Contribution, len(cs.chain))
 	for i, nf := range cs.chain {
-		rule, _ := cs.locals[i].Get(fid)
-		contribs[i] = mat.Contribution{NF: nf.Name(), Rule: rule}
+		contribs[i].NF = nf.Name()
 	}
 	var info SlowPathInfo
-	if err := e.consolidate(fid, -1, &info, cs, contribs); err != nil {
+	if err := e.consolidate(fid, -1, &info, cs, contribs, true); err != nil {
 		return 0, err
 	}
 	return info.ConsolidateCycles, nil
@@ -816,7 +774,7 @@ func (e *Engine) reconsolidate(fid flow.FID, cs *chainState) (uint64, error) {
 // ProcessPacket's is.
 func (e *Engine) FastProcess(fid flow.FID, pkt *packet.Packet, b *Batch) (*PacketResult, error) {
 	b.begin(1)
-	if err := e.fastPathInto(b.scratchFor(fid), pkt, &b.info[0], &b.res[0], b); err != nil {
+	if err := e.fastPathInto(b.scratchFor(e.class.Flows(), fid), pkt, &b.info[0], &b.res[0], b); err != nil {
 		return nil, err
 	}
 	return b.res[0].clone(), nil
@@ -824,18 +782,18 @@ func (e *Engine) FastProcess(fid flow.FID, pkt *packet.Packet, b *Batch) (*Packe
 
 // fastPathInto applies the consolidated rule, writing into the packet's
 // (zeroed) info and res slots of b — per-worker arrays, so steady-state
-// fast-path packets allocate nothing. fc is the flow's context: a
-// generation-validated hit skips the sharded Global MAT map, and both
-// Event Table checks are made off the rule's guards, so only a flow
-// with a guard that holds takes the table's locked probe. On a rule
-// miss the packet falls back to the slow path, which fills res instead.
+// fast-path packets allocate nothing. fc is the flow's context: the rule
+// is read off the entry its handle already points at, and both Event
+// Table checks are made off the rule's guards, so only a flow with a
+// guard that holds takes the table's locked probe. On a rule miss the
+// packet falls back to the slow path, which fills res instead.
 func (e *Engine) fastPathInto(fc *flowCtx, pkt *packet.Packet, info *FastPathInfo, res *PacketResult, b *Batch) error {
 	m := e.model
 	info.FixedCycles = m.HashFID + m.FastPathBase + m.EventCheck + m.GMATLookup
 
 	// Event pre-check: a previously-satisfied condition updates the rule
 	// before this packet is processed (§III) — or revives a stale one.
-	rule, _ := e.lookupRule(fc)
+	rule := e.global.Live(fc.h)
 	if rule == nil || event.Holds(rule.Guards(), fc.fid) {
 		fired, err := e.fireEvents(fc.fid, info)
 		if err != nil {
@@ -845,7 +803,7 @@ func (e *Engine) fastPathInto(fc *flowCtx, pkt *packet.Packet, info *FastPathInf
 			// The rule was rebuilt; the fresh lookup sees it.
 			info.FixedCycles += m.GMATLookup
 		}
-		rule, _ = e.lookupRule(fc)
+		rule = e.global.Live(fc.h)
 	}
 	if rule == nil {
 		// The rule vanished (torn down or fault-evicted concurrently)
@@ -929,8 +887,8 @@ func (e *Engine) fastPathInto(fc *flowCtx, pkt *packet.Packet, info *FastPathInf
 
 // fireEvents takes the Event Table's locked probe for the flow — the
 // authority a rule's guards only summarize: it removes one-shot
-// firings, applies the updates to the owning Local MATs and
-// reconsolidates, reporting whether anything fired.
+// firings, applies the updates to the owning NFs' spans of the flow's
+// record and reconsolidates, reporting whether anything fired.
 func (e *Engine) fireEvents(fid flow.FID, info *FastPathInfo) (bool, error) {
 	firings := e.events.Check(fid)
 	if len(firings) == 0 {
@@ -942,25 +900,25 @@ func (e *Engine) fireEvents(fid flow.FID, info *FastPathInfo) (bool, error) {
 			// The firings were registered under a retired chain: the
 			// registering NF may no longer exist, and the flow's rule is
 			// from the same epoch, so the caller's lookup misses anyway.
-			// Drop the whole event set — a flow's events all share one
-			// epoch (PrepareRecording wipes them before re-recording) —
-			// and let the slow path re-record under the live chain.
-			e.dropEvents(fid)
+			// Drop the whole record — a flow's events and spans all share
+			// one epoch (PrepareRecording wipes them before re-recording)
+			// — and let the slow path re-record under the live chain.
+			e.PrepareRecording(fid)
 			return false, nil
 		}
 	}
 	for _, f := range firings {
-		local, ok := cs.localByName[f.Event.NF]
-		if !ok {
+		at := cs.position(f.Event.NF)
+		if at < 0 {
 			return false, fmt.Errorf("%w: %q", ErrUnknownEventNF, f.Event.NF)
 		}
-		local.Mutate(fid, func(r *mat.LocalRule) { f.Event.Update(fid, r) })
+		f.Apply(at, len(cs.chain))
 		info.ReconsolidateCycles += e.model.EventFire
 		if e.tel != nil {
 			e.tel.rec.Append(telemetry.EvEventFire, uint32(fid), f.Event.NF)
 		}
 	}
-	// Faults: the event updates are applied to the Local MATs (NF
+	// Faults: the event updates are applied to the record (NF
 	// state has already changed; the updates must not be lost), but
 	// the Global-rule recomputation is dropped or delayed. The rule is
 	// stale-marked so this packet's fresh lookup misses and falls back
@@ -1071,7 +1029,7 @@ func (e *Engine) ExpireIdle(idleFor uint64) int {
 // cause labels the removal in telemetry.
 func (e *Engine) teardown(fid flow.FID, cause string) {
 	cs := e.state()
-	removed := e.dropConsolidated(fid, cs)
+	removed := e.dropConsolidated(fid)
 	// Ladder state dies with the flow: a later reincarnation of the
 	// FID starts clean instead of inheriting this connection's backoff.
 	e.dropDegraded(fid)

@@ -345,7 +345,7 @@ func TestFinTearsDownAllState(t *testing.T) {
 	if _, err := eng.ProcessPacket(dataPkt(t, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if eng.Global().Len() != 1 || eng.Local(0).Len() != 1 {
+	if c := eng.class.Flows().Counts(); c.Rules != 1 || c.Records != 1 {
 		t.Fatal("state not installed")
 	}
 	fin := packet.MustBuild(packet.Spec{
@@ -364,8 +364,8 @@ func TestFinTearsDownAllState(t *testing.T) {
 	if fin.DstIP() != [4]byte{9, 9, 9, 9} {
 		t.Errorf("FIN not transformed: DIP=%v", fin.DstIP())
 	}
-	if eng.Global().Len() != 0 || eng.Local(0).Len() != 0 || eng.Events().Len() != 0 {
-		t.Error("stale rules survive FIN teardown")
+	if c := eng.class.Flows().Counts(); c != (flow.Counts{}) || eng.Events().Len() != 0 {
+		t.Errorf("stale state survives FIN teardown: %+v", c)
 	}
 }
 

@@ -46,22 +46,15 @@ func TestNoStateLeakAcrossFlowLifecycles(t *testing.T) {
 			}
 		}
 	}
-	if n := eng.Global().Len(); n != 0 {
-		t.Errorf("Global MAT leaked %d rules", n)
+	// One table, one check: rules, recordings and events were the flow
+	// entries' words and went with them, and an emptied table holds no
+	// tombstones (the accessors behind speedybox_flow_table_flows,
+	// _dead_slots, _records and _detached_entries).
+	if err := eng.CheckRecords(); err != nil {
+		t.Error(err)
 	}
-	for i := 0; i < eng.ChainLen(); i++ {
-		if n := eng.Local(i).Len(); n != 0 {
-			t.Errorf("Local MAT %d leaked %d rules", i, n)
-		}
-	}
-	if n := eng.Events().Len(); n != 0 {
-		t.Errorf("Event Table leaked %d flows", n)
-	}
-	// The accessors behind speedybox_flow_table_flows and
-	// speedybox_flow_dead_slots: an emptied table holds no tombstones.
-	if flows := eng.class.Flows(); flows.Len() != 0 || flows.DeadSlots() != 0 {
-		t.Errorf("flow table holds %d flows and %d dead slots after every flow ended",
-			flows.Len(), flows.DeadSlots())
+	if c := eng.class.Flows().Counts(); c != (flow.Counts{}) || eng.Events().Len() != 0 {
+		t.Errorf("after every flow ended the flow table holds %+v and the Event Table %d flows", c, eng.Events().Len())
 	}
 	st := eng.Stats()
 	if st.Packets != 200*5 || st.Final != 200 {
@@ -180,13 +173,11 @@ func TestUnfinishedRecordingPublishesNothing(t *testing.T) {
 			if err == nil && (res.Kind != classifier.KindInitial || res.Slow.ConsolidateCycles != 0) {
 				t.Errorf("result %+v %+v: want an initial packet that did not consolidate", res, res.Slow)
 			}
-			for i := 0; i < eng.ChainLen(); i++ {
-				if n := eng.Local(i).Len(); n != 0 {
-					t.Errorf("Local MAT %d holds %d entries", i, n)
-				}
+			if c := eng.class.Flows().Counts(); c.Records != 0 || c.Rules != 0 || eng.Events().Len() != 0 {
+				t.Errorf("%+v, %d flows with events; want no recording, rule or event", c, eng.Events().Len())
 			}
-			if r, e := eng.Global().Len(), eng.Events().Len(); r != 0 || e != 0 {
-				t.Errorf("%d rules, %d flows with events; want none", r, e)
+			if err := eng.CheckRecords(); err != nil {
+				t.Error(err)
 			}
 		})
 	}
@@ -196,21 +187,20 @@ func TestUnfinishedRecordingPublishesNothing(t *testing.T) {
 // NF hands them; a refused item is not recorded (and still costs the
 // attempt), on an engine traversal and on a standalone context alike.
 func TestCtxRejectsMalformedRecording(t *testing.T) {
-	local := mat.NewLocal("x")
-	ctx := NewCtx("x", CtxConfig{FID: 1, Local: local, Recording: true})
+	ctx := NewCtx("x", CtxConfig{FID: 1, Recording: true})
 	if err := ctx.AddHeaderAction(mat.HeaderAction{}); err == nil {
 		t.Error("invalid action accepted")
 	}
 	if err := ctx.AddStateFunc(sfunc.Func{Name: "nil"}); err == nil {
 		t.Error("invalid state function accepted")
 	}
-	if local.Len() != 0 {
-		t.Error("failed adds must not create rules")
+	if _, ok := ctx.Recorded(); ok {
+		t.Error("failed adds must not record")
 	}
 	if err := ctx.AddHeaderAction(mat.Forward()); err != nil {
 		t.Fatal(err)
 	}
-	if r, ok := local.Get(1); !ok || len(r.Actions) != 1 || len(r.Funcs) != 0 {
-		t.Errorf("standalone context did not write through: %+v", r)
+	if r, ok := ctx.Recorded(); !ok || len(r.Actions) != 1 || len(r.Funcs) != 0 {
+		t.Errorf("standalone context did not record: %+v", r)
 	}
 }

@@ -12,14 +12,14 @@ import (
 // moves — what moves is the *engine-side* consolidation state: the
 // flow-table entry, the consolidated Global MAT rule, and the flow's
 // position on the degradation ladder. ExtractFlow packages exactly
-// that; AdoptFlow installs it on the new owner with one Install under
-// the owning shard's lock — the same transactional commit point live
-// consolidation and WAL replay use — so a racing batch worker on the
-// new owner sees either the whole rule or no rule, never a torn one.
+// that; AdoptFlow installs it on the new owner with one Install — the
+// same transactional commit point live consolidation and WAL replay use
+// — so a racing batch worker on the new owner sees either the whole
+// rule or no rule, never a torn one.
 //
 // Like checkpoint/restore, only declarative rules travel. A rule with
 // state-function batches, or a flow with pending Event Table
-// registrations, references closures bound to this engine's Local MATs;
+// registrations, references closures bound to this engine's record;
 // those flows migrate as established flow entries without a rule, so
 // the classifier marks their next packet Initial and one slow-path
 // traversal re-records them against the (shared, still-live) NF state —
@@ -51,7 +51,7 @@ func (e *Engine) FlowLen() int { return e.class.Flows().Len() }
 // ExtractFlow drains one flow out of the engine for migration: it
 // snapshots the flow entry and (when restorable) the live consolidated
 // rule, then removes every trace of the flow from this engine — Global
-// MAT rule, Local MAT entries, event registrations, admission budgets,
+// MAT rule, recording, event registrations, admission budgets,
 // ladder state and the flow-table entry itself. It reports ok=false,
 // removing nothing, when the flow is not tracked.
 //
@@ -69,8 +69,7 @@ func (e *Engine) ExtractFlow(fid flow.FID) (MigratedFlow, bool) {
 	if r, live := e.global.LookupLive(fid); live && r.Epoch == e.global.Epoch() {
 		mf.Rule, _ = wal.ImageOf(r)
 	}
-	e.dropConsolidated(fid, e.state())
-	e.dropDegraded(fid)
+	e.release(fid)
 	e.class.Flows().Remove(fid)
 	return mf, true
 }
@@ -80,20 +79,37 @@ func (e *Engine) ExtractFlow(fid flow.FID) (MigratedFlow, bool) {
 // classifier clock is pulled forward to at least the entry's LastSeen
 // stamp so idle-expiry arithmetic stays monotonic, and the rule — if
 // one traveled — is re-stamped to this engine's live epoch and
-// installed under the shard lock. The epoch re-stamp is what makes the
-// install transactional against this engine's readers: a rule stamped
-// with the old owner's epoch would either never serve (epoch behind)
-// or, worse, serve under an epoch this chain never published.
+// installed. The epoch re-stamp is what makes the install transactional
+// against this engine's readers: a rule stamped with the old owner's
+// epoch would either never serve (epoch behind) or, worse, serve under
+// an epoch this chain never published.
+//
+// FIDs are allocated per instance, so the migrant's may be one a
+// resident flow of this engine holds (and its tuple may be tracked here
+// under another). RestoreEntry evicts such an entry; what it held — its
+// rule and recording, journaled and budgeted as a teardown's are, and
+// its ladder state — is released first, so the migrant inherits nothing
+// and the evicted tuple's next packet starts a new flow.
 func (e *Engine) AdoptFlow(mf MigratedFlow) {
 	e.class.RestoreClock(mf.Entry.LastSeen)
-	e.class.Flows().RestoreEntry(mf.Entry)
-	// The new owner's ladder must not carry a stale deadline for the
-	// FID from an earlier tenancy (migrate-back re-uses FIDs).
-	e.dropDegraded(mf.Entry.FID)
+	flows := e.class.Flows()
+	e.release(mf.Entry.FID)
+	if h, ok := flows.Acquire(mf.Entry.Tuple); ok && h.FID() != mf.Entry.FID {
+		e.release(h.FID())
+	}
+	flows.RestoreEntry(mf.Entry)
 	if mf.Rule == nil || !e.opts.EnableSpeedyBox {
 		return
 	}
 	im := *mf.Rule
 	im.Epoch = e.global.Epoch()
 	e.global.Install(im.Rule())
+}
+
+// release drops what the engine holds for a FID besides its flow entry:
+// consolidated state and ladder position (migrate-back re-uses FIDs, and
+// a deadline from an earlier tenancy must not greet the next).
+func (e *Engine) release(fid flow.FID) {
+	e.dropConsolidated(fid)
+	e.dropDegraded(fid)
 }

@@ -70,18 +70,16 @@ type Ctx struct {
 	// costs for their work.
 	Model *cost.Model
 
-	nf     string
-	ledger *cost.Ledger
-	// local is set on standalone contexts only (NewCtx): they publish
-	// every recorded action straight to it. An engine traversal leaves
-	// it nil and publishes each NF's span of acts and funcs itself, once
-	// the NF has returned.
-	local     *mat.Local
+	nf        string
+	ledger    *cost.Ledger
 	events    *event.Table
 	recording bool
 	// acts and funcs are the recording buffers: everything recorded
-	// through this context so far, in order. The engine's context is
-	// reused across packets, so they keep their storage.
+	// through this context so far, in order. An engine traversal
+	// publishes each NF's span of them to the flow's record once the
+	// chain has run, and reuses the context across packets, so they keep
+	// their storage; a standalone context (NewCtx) shows them through
+	// Recorded.
 	acts  []mat.HeaderAction
 	funcs []sfunc.Func
 	// epoch stamps registered events with the chain epoch the packet
@@ -143,9 +141,7 @@ type CtxConfig struct {
 	Model *cost.Model
 	// Ledger defaults to a fresh ledger when nil.
 	Ledger *cost.Ledger
-	// Local is the NF's Local MAT; required when Recording.
-	Local *mat.Local
-	// Events is the Event Table; required when Recording.
+	// Events is the Event Table; defaults to a fresh one when Recording.
 	Events *event.Table
 	// Recording enables the instrumentation APIs.
 	Recording bool
@@ -159,11 +155,8 @@ func NewCtx(nf string, cfg CtxConfig) *Ctx {
 	if cfg.Ledger == nil {
 		cfg.Ledger = cost.NewLedger()
 	}
-	if cfg.Recording && cfg.Local == nil {
-		cfg.Local = mat.NewLocal(nf)
-	}
 	if cfg.Recording && cfg.Events == nil {
-		cfg.Events = event.NewTable()
+		cfg.Events = event.NewTable(flow.NewTable())
 	}
 	return &Ctx{
 		FID:       cfg.FID,
@@ -171,7 +164,6 @@ func NewCtx(nf string, cfg CtxConfig) *Ctx {
 		Model:     cfg.Model,
 		nf:        nf,
 		ledger:    cfg.Ledger,
-		local:     cfg.Local,
 		events:    cfg.Events,
 		recording: cfg.Recording,
 	}
@@ -199,7 +191,6 @@ func (c *Ctx) AddHeaderAction(a mat.HeaderAction) error {
 		return fmt.Errorf("core: %s: %w", c.nf, err)
 	}
 	c.acts = append(c.acts, a)
-	c.writeThrough()
 	return nil
 }
 
@@ -213,17 +204,14 @@ func (c *Ctx) AddStateFunc(f sfunc.Func) error {
 		return fmt.Errorf("core: %s: %w", c.nf, err)
 	}
 	c.funcs = append(c.funcs, f)
-	c.writeThrough()
 	return nil
 }
 
-// writeThrough keeps a standalone context's Local MAT current after
-// every recorded item, so NF unit tests read it without a traversal to
-// publish for them.
-func (c *Ctx) writeThrough() {
-	if c.local != nil {
-		c.local.Replace(c.FID, &mat.LocalRule{Actions: c.acts, Funcs: c.funcs})
-	}
+// Recorded returns what has been recorded through the context so far —
+// the Local MAT entry an engine would publish for it — and whether that
+// is anything. NF unit tests read a standalone context's recording here.
+func (c *Ctx) Recorded() (*mat.LocalRule, bool) {
+	return &mat.LocalRule{Actions: c.acts, Funcs: c.funcs}, len(c.acts)+len(c.funcs) > 0
 }
 
 // RegisterEvent records an event for this flow (register_event). The

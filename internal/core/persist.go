@@ -17,10 +17,9 @@ import (
 // engine from a checkpoint plus the journal suffix.
 //
 // The transactional commit point is mat.Global.Install: replay applies
-// a record's rule with one Install under the shard lock (bumping the
-// table generation exactly like a live install), so a concurrent batch
-// worker sees either the whole rule or no rule — never a partially
-// applied one. A torn or corrupt journal tail is discarded whole by
+// a record's rule with one Install — one store of the flow entry's rule
+// word, exactly like a live install — so a concurrent batch worker sees
+// either the whole rule or no rule — never a partially applied one. A torn or corrupt journal tail is discarded whole by
 // wal.Decode before any of it can touch the table.
 //
 // Only declarative rules restore executable. State-function batches
@@ -35,8 +34,9 @@ import (
 var ErrNilCheckpoint = errcode.Sentinel("core.checkpoint_missing", "core: restore requires a checkpoint")
 
 // walJournal adapts the Global MAT to the engine's WAL writer. Its
-// callbacks run under the owning table shard's lock, so records land
-// in the log in exactly the order mutations committed.
+// callbacks run inside the flow-table Edit that applied the mutation, so
+// a flow's records land in the log in exactly the order its mutations
+// committed.
 type walJournal struct{ e *Engine }
 
 func (j *walJournal) RuleInstalled(r *mat.GlobalRule, replaced bool) {
@@ -159,10 +159,10 @@ func (e *Engine) LastCheckpoint() time.Time {
 // checkpoint-only restore). Call it on a freshly constructed engine
 // over the same chain layout, before traffic flows.
 //
-// Replay is transactional per record: each surviving journal record is
-// applied with one Install/Remove/MarkStale under the owning shard
-// lock — the same commit point live mutations use — so a concurrent
-// reader observes whole rules only. wal.Decode has already discarded
+// Flow entries are restored first and rules land on them. Replay is
+// transactional per record: each surviving journal record is applied
+// with one Install/Remove/MarkStale — the same commit point live
+// mutations use — so a concurrent reader observes whole rules only. wal.Decode has already discarded
 // any torn tail whole. Non-restorable installs and event registrations
 // demote their flow to re-recording: the restored flow entry is
 // established with no rule, so the classifier marks the next packet
@@ -246,11 +246,10 @@ func (e *Engine) Restore(cp *wal.Checkpoint, walData []byte) error {
 	// older epoch — the restore-time equivalent of SweepEpoch, which is
 	// deliberately not journaled. Orphan rules — replayed for a flow
 	// whose table entry was born after the checkpoint and so died with
-	// the crash — are swept too: FIDs are allocated by tuple hashing
-	// with probing, and a probe over the restored (smaller) occupancy
-	// could hand the orphan's FID to a *different* tuple, which must
-	// not inherit the dead flow's actions. A rule survives restore only
-	// alongside its own flow entry.
+	// the crash — landed on detached entries and are swept too: a rule
+	// survives restore only on its own flow's entry, and a detached
+	// entry left behind would keep its FID from the tuples that hash
+	// there.
 	finalEpoch := e.global.Epoch()
 	var dead []flow.FID
 	e.global.ForEach(func(r *mat.GlobalRule) {
@@ -270,11 +269,7 @@ func (e *Engine) Restore(cp *wal.Checkpoint, walData []byte) error {
 	// post-restore consolidations would stamp rules with the stale
 	// construction-time epoch and LookupLive would never serve them.
 	if cs.epoch != finalEpoch {
-		reuse := make(map[NF]*mat.Local, len(cs.chain))
-		for i, nf := range cs.chain {
-			reuse[nf] = cs.locals[i]
-		}
-		e.cur.Store(newChainState(cs.chain, reuse, finalEpoch))
+		e.cur.Store(&chainState{chain: cs.chain, epoch: finalEpoch})
 	}
 
 	if e.tel != nil {

@@ -6,7 +6,6 @@ import (
 
 	"github.com/fastpathnfv/speedybox/internal/errcode"
 	"github.com/fastpathnfv/speedybox/internal/fault"
-	"github.com/fastpathnfv/speedybox/internal/mat"
 	"github.com/fastpathnfv/speedybox/internal/telemetry"
 )
 
@@ -20,41 +19,23 @@ import (
 // flow simply re-records under the new chain on its next slow-path
 // packet. No packet is dropped and no surviving NF loses state.
 
-// chainState is one immutable chain snapshot: the NF sequence, the
-// per-NF Local MATs, the name index for event firings, and the chain
-// epoch the layout was published under.
+// chainState is one immutable chain snapshot: the NF sequence and the
+// chain epoch the layout was published under, which stamps every rule,
+// recording and event made against it.
 type chainState struct {
-	chain  []NF
-	locals []*mat.Local
-	// localByName indexes locals by NF name for event firings; built
-	// once per snapshot so the fast path never rebuilds a map per
-	// packet.
-	localByName map[string]*mat.Local
-	// epoch stamps every rule and event recorded against this snapshot.
+	chain []NF
 	epoch uint64
 }
 
-// newChainState assembles a snapshot, reusing the Local MATs of
-// surviving NF instances from reuse. The map is keyed by instance
-// identity, not name: a replacement NF sharing the old name still gets
-// a fresh table, since its recorded behaviour owes nothing to its
-// predecessor's.
-func newChainState(chain []NF, reuse map[NF]*mat.Local, epoch uint64) *chainState {
-	cs := &chainState{
-		chain:       chain,
-		locals:      make([]*mat.Local, len(chain)),
-		localByName: make(map[string]*mat.Local, len(chain)),
-		epoch:       epoch,
-	}
-	for i, nf := range chain {
-		if l, ok := reuse[nf]; ok {
-			cs.locals[i] = l
-		} else {
-			cs.locals[i] = mat.NewLocal(nf.Name())
+// position returns the chain position of the named NF, -1 if the chain
+// has none: where an event firing's update lands in the flow's record.
+func (cs *chainState) position(name string) int {
+	for i, nf := range cs.chain {
+		if nf.Name() == name {
+			return i
 		}
-		cs.localByName[nf.Name()] = cs.locals[i]
 	}
-	return cs
+	return -1
 }
 
 // ReconfigOp enumerates chain-plan operations. Enum starts at one so a
@@ -232,9 +213,8 @@ func (p ChainPlan) apply(cur []NF) (next []NF, inserted, removed NF, err error) 
 //  1. the plan is validated against the current chain (typed errors,
 //     epoch untouched on rejection);
 //  2. the chain epoch advances and the new snapshot is published —
-//     from this instant every old-epoch rule is dead to LookupLive and
-//     every worker's cached rule pointer misses (AdvanceEpoch bumps the
-//     table generation);
+//     from this instant every old-epoch rule is dead to every reader
+//     (each checks the epoch of the rule it is about to serve);
 //  3. the old epoch's rules are stale-marked (the existing MarkStale
 //     representation), so in-flight batched workers fall back to the
 //     always-correct slow path and ordinary reclamation cleans up;
@@ -269,19 +249,8 @@ func (e *Engine) Reconfigure(plan ChainPlan) error {
 		return fmt.Errorf("%w: injected %s during %s", ErrReconfigAborted, fault.KindReconfigAbort, plan.Op)
 	}
 
-	// Surviving instances keep their Local MATs; the reuse map is keyed
-	// by instance identity, so a replacement sharing the old name still
-	// gets a fresh table.
-	reuse := make(map[NF]*mat.Local, len(cs.chain))
-	for i, nf := range cs.chain {
-		reuse[nf] = cs.locals[i]
-	}
-	if removed != nil {
-		delete(reuse, removed)
-	}
-
 	newEpoch := e.global.AdvanceEpoch()
-	e.cur.Store(newChainState(next, reuse, newEpoch))
+	e.cur.Store(&chainState{chain: next, epoch: newEpoch})
 
 	start := time.Now()
 	swept := e.global.SweepEpoch(newEpoch)
@@ -291,8 +260,8 @@ func (e *Engine) Reconfigure(plan ChainPlan) error {
 		// The leaving NF drains: every live flow's per-flow state is
 		// released, then the NF's global state. It never processes
 		// another packet — a traversal racing the swap still holds the
-		// old snapshot and completes against the old Local MATs, which
-		// is correct and whose rule install is born under the old epoch.
+		// old snapshot and completes against it, which is correct and
+		// whose recording and rule are born under the old epoch.
 		if closer, ok := removed.(FlowCloser); ok {
 			for _, en := range e.class.Flows().Snapshot() {
 				closer.FlowClosed(en.FID)

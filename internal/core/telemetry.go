@@ -86,14 +86,6 @@ type engineTelemetry struct {
 	flowCacheHits   *telemetry.Counter
 	flowCacheMisses *telemetry.Counter
 
-	// Established fast-shaped packets whose Subsequent/Initial decision
-	// was served from the context's generation-validated rule versus
-	// those that probed the Global MAT. Every table mutation anywhere
-	// bumps the one generation, so under flow churn the miss share is
-	// the price of that global invalidation.
-	ruleCacheHits   *telemetry.Counter
-	ruleCacheMisses *telemetry.Counter
-
 	// Consolidation attempts that did not fold into one rule.
 	unconsolidatable *telemetry.Counter
 
@@ -166,10 +158,6 @@ func newEngineTelemetry(e *Engine, hub *telemetry.Hub, chain string) *engineTele
 			"Fast-shaped packets classified from a worker's flow context without a lock"),
 		flowCacheMisses: reg.Counter(n("speedybox_flow_cache_misses_total"),
 			"Fast-shaped packets that acquired or revalidated the flow handle through the shard lock"),
-		ruleCacheHits: reg.Counter(n("speedybox_rule_cache_hits_total"),
-			"Packets whose rule was served from the flow context's generation-validated pointer"),
-		ruleCacheMisses: reg.Counter(n("speedybox_rule_cache_misses_total"),
-			"Packets whose rule lookup probed the Global MAT (cold, evicted, or invalidated by a table mutation)"),
 		unconsolidatable: reg.Counter(n("speedybox_consolidate_unconsolidatable_total"),
 			"Consolidation attempts whose actions did not fold into one rule"),
 		reconfigRollbacks: reg.Counter(n("speedybox_reconfig_rollbacks_total"),
@@ -216,12 +204,13 @@ func newEngineTelemetry(e *Engine, hub *telemetry.Hub, chain string) *engineTele
 		"Flow table slot arrays published (growth or compaction)", e.class.Flows().Rebuilds)
 	reg.GaugeFunc(n("speedybox_flow_dead_slots"),
 		"Flow table tombstones awaiting compaction", func() float64 { return float64(e.class.Flows().DeadSlots()) })
+	reg.GaugeFunc(n("speedybox_flow_records"),
+		"Flow entries holding a recording", func() float64 { return float64(e.class.Flows().Counts().Records) })
+	reg.GaugeFunc(n("speedybox_flow_detached_entries"),
+		"Flow-table entries no tuple maps to: rules installed under a FID no flow holds",
+		func() float64 { return float64(e.class.Flows().Counts().Detached) })
 	reg.GaugeFunc(n("speedybox_mat_global_rules"),
 		"Installed Global MAT rules", func() float64 { return float64(e.global.Len()) })
-	reg.CounterFunc(n("speedybox_mat_table_rebuilds_total"),
-		"Global MAT slot arrays published (growth or compaction)", e.global.Publishes)
-	reg.GaugeFunc(n("speedybox_mat_dead_slots"),
-		"Global MAT tombstones awaiting compaction", func() float64 { return float64(e.global.DeadSlots()) })
 	reg.GaugeFunc(n("speedybox_event_flows"),
 		"Flows with registered events", func() float64 { return float64(e.events.Len()) })
 	reg.CounterFunc(n("speedybox_event_registered_total"),

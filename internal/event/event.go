@@ -9,11 +9,15 @@
 // state; when a condition fires, the update rewrites the owning NF's
 // Local MAT entry and the flow's rule is reconsolidated, so subsequent
 // packets immediately follow the new logic.
+//
+// The table has no storage of its own. A flow's registrations sit, with
+// what its NFs recorded, on the flow's Record, which hangs off the
+// second word of the flow's entry in the flow table: recording a flow
+// fills one object, re-recording or tearing it down clears one word.
 package event
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -85,29 +89,21 @@ func (e Event) Validate() error {
 type Firing struct {
 	FID   flow.FID
 	Event *Event
+	// rec is the Record the event fired from, where Apply edits.
+	rec *Record
 }
 
-// shardCount is the number of independently locked table shards,
-// indexed by the FID's low bits (power of two), so registrations and
-// the probes of armed flows on different workers rarely share a lock.
-const shardCount = 32
-
-const shardMask = shardCount - 1
-
-type tableShard struct {
-	mu    sync.Mutex
-	byFID map[flow.FID][]*Event
-	// probes counts Probe calls on the shard, under mu.
-	probes uint64
-	_      [40]byte // pad to a 64-byte cache line (best effort)
-}
-
-// Table is the Event Table: per-FID registered events. It is safe for
-// concurrent use and sharded by FID so disjoint flows never contend.
+// Table is the Event Table: per-FID registered events, kept on the flow
+// records of the flow table it was built over. It is safe for concurrent
+// use; disjoint flows share nothing but the counters.
 type Table struct {
-	shards     [shardCount]tableShard
+	flows *flow.Table
+	// armed counts the records holding a registration, kept under their
+	// locks: what Len reports.
+	armed      atomic.Int64
 	fired      atomic.Uint64
 	registered atomic.Uint64
+	probes     atomic.Uint64
 	// journal, when set, observes successful registrations. The engine
 	// hangs two things on it: the flow's installed rule stops trusting
 	// its guard snapshot (see Guards), and the write-ahead log marks the
@@ -117,9 +113,10 @@ type Table struct {
 }
 
 // SetJournal attaches (or, with nil, detaches) a callback invoked
-// after every successful Register with the flow's FID. It runs under
-// the flow's shard lock, so it observes registrations in table order
-// and must not call back into the table.
+// after every successful Register with the flow's FID. It runs inside
+// the flow-table Edit that registered, the one a rule install takes, so
+// it observes a flow's registrations and installs in the order they
+// happened and must not call back into either table.
 func (t *Table) SetJournal(fn func(flow.FID)) {
 	if fn == nil {
 		t.journal.Store(nil)
@@ -128,33 +125,29 @@ func (t *Table) SetJournal(fn func(flow.FID)) {
 	t.journal.Store(&fn)
 }
 
-// NewTable returns an empty Event Table.
-func NewTable() *Table {
-	t := &Table{}
-	for i := range t.shards {
-		t.shards[i].byFID = make(map[flow.FID][]*Event)
-	}
-	return t
-}
-
-func (t *Table) shardFor(fid flow.FID) *tableShard {
-	return &t.shards[uint32(fid)&shardMask]
-}
+// NewTable returns the Event Table over a flow table's entries.
+func NewTable(flows *flow.Table) *Table { return &Table{flows: flows} }
 
 // Register adds an event for a flow (the register_event API, paper
-// Figure 2).
+// Figure 2), on the flow's record — made here if this is the first the
+// flow's recording leaves behind; an FID no flow holds gets a detached
+// entry to carry it.
 func (t *Table) Register(fid flow.FID, e Event) error {
 	if err := e.Validate(); err != nil {
 		return err
 	}
-	s := t.shardFor(fid)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.byFID[fid]) >= MaxPerFlow {
+	ed := t.flows.Edit(fid, true)
+	defer ed.Done()
+	rec := t.recordFor(ed)
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if len(rec.events) >= MaxPerFlow {
 		return fmt.Errorf("%w: %v has %d", ErrTooManyEvents, fid, MaxPerFlow)
 	}
 	ev := e
-	s.byFID[fid] = append(s.byFID[fid], &ev)
+	if rec.events = append(rec.events, &ev); len(rec.events) == 1 {
+		t.armed.Add(1)
+	}
 	t.registered.Add(1)
 	if j := t.journal.Load(); j != nil {
 		(*j)(fid)
@@ -165,7 +158,7 @@ func (t *Table) Register(fid flow.FID, e Event) error {
 // Check probes all events registered for the flow and returns the ones
 // whose conditions hold, removing one-shot firings from the table. The
 // caller applies the updates and reconsolidates. Events fire in
-// registration order. Conditions run under the flow's shard lock here
+// registration order. Conditions run under the flow's record lock here
 // (and under none as rule guards) and must not call back into the
 // Event Table.
 func (t *Table) Check(fid flow.FID) []Firing {
@@ -176,18 +169,20 @@ func (t *Table) Check(fid flow.FID) []Firing {
 // Probe is Check plus a report of whether the flow had any events
 // registered at all.
 func (t *Table) Probe(fid flow.FID) (fired []Firing, registered bool) {
-	s := t.shardFor(fid)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.probes++
-	events := s.byFID[fid]
-	if len(events) == 0 {
+	t.probes.Add(1)
+	rec := t.record(fid)
+	if rec == nil {
 		return nil, false
 	}
-	remaining := events[:0]
-	for _, e := range events {
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if len(rec.events) == 0 {
+		return nil, false
+	}
+	remaining := rec.events[:0]
+	for _, e := range rec.events {
 		if e.Condition(fid) {
-			fired = append(fired, Firing{FID: fid, Event: e})
+			fired = append(fired, Firing{FID: fid, Event: e, rec: rec})
 			t.fired.Add(1)
 			if e.OneShot {
 				continue // drop from table
@@ -195,24 +190,24 @@ func (t *Table) Probe(fid flow.FID) (fired []Firing, registered bool) {
 		}
 		remaining = append(remaining, e)
 	}
-	// remaining shares events' backing array, so when nothing was
-	// dropped the map already holds it: the common probe (no one-shot
-	// fired) does no map write.
-	switch {
-	case len(remaining) == 0:
-		delete(s.byFID, fid)
-	case len(remaining) < len(events):
-		s.byFID[fid] = remaining
+	// remaining shares the backing array, so the common probe (no
+	// one-shot fired) changes nothing.
+	clear(rec.events[len(remaining):])
+	if rec.events = remaining; len(remaining) == 0 {
+		t.armed.Add(-1)
 	}
 	return fired, true
 }
 
 // Pending returns how many events are registered for the flow.
 func (t *Table) Pending(fid flow.FID) int {
-	s := t.shardFor(fid)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.byFID[fid])
+	rec := t.record(fid)
+	if rec == nil {
+		return 0
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	return len(rec.events)
 }
 
 // FiredTotal returns how many firings the table has produced, a
@@ -230,16 +225,7 @@ func (t *Table) RegisteredTotal() uint64 {
 // ProbesTotal returns how many locked probes (Probe, Check) the table
 // has served. The fast path takes one only for a flow whose rule has a
 // guard that holds, or has no live rule.
-func (t *Table) ProbesTotal() uint64 {
-	var n uint64
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		n += s.probes
-		s.mu.Unlock()
-	}
-	return n
-}
+func (t *Table) ProbesTotal() uint64 { return t.probes.Load() }
 
 // AskTable is the guard that always holds. A registration that arrives
 // after a rule's guard snapshot swaps it in, so the flow takes the
@@ -266,13 +252,13 @@ func Holds(g *mat.Guard, fid flow.FID) bool {
 // — which follows every firing — and Register's hook swaps AskTable
 // into the installed rule.
 func (t *Table) Guards(fid flow.FID) *mat.Guard {
-	s := t.shardFor(fid)
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var head *mat.Guard
-	events := s.byFID[fid]
-	for i := len(events) - 1; i >= 0; i-- {
-		head = &mat.Guard{Cond: events[i].Condition, Next: head}
+	if rec := t.record(fid); rec != nil {
+		rec.mu.Lock()
+		defer rec.mu.Unlock()
+		for i := len(rec.events) - 1; i >= 0; i-- {
+			head = &mat.Guard{Cond: rec.events[i].Condition, Next: head}
+		}
 	}
 	return head
 }
@@ -281,14 +267,15 @@ func (t *Table) Guards(fid flow.FID) *mat.Guard {
 // conditions, in order — whether a snapshot Guards returned is still
 // current.
 func (t *Table) Guarded(fid flow.FID, g *mat.Guard) bool {
-	s := t.shardFor(fid)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, e := range s.byFID[fid] {
-		if g == nil || !sameFunc(g.Cond, e.Condition) {
-			return false
+	if rec := t.record(fid); rec != nil {
+		rec.mu.Lock()
+		defer rec.mu.Unlock()
+		for _, e := range rec.events {
+			if g == nil || !sameFunc(g.Cond, e.Condition) {
+				return false
+			}
+			g = g.Next
 		}
-		g = g.Next
 	}
 	return g == nil
 }
@@ -299,22 +286,30 @@ func sameFunc(a, b ConditionFunc) bool {
 	return *(*unsafe.Pointer)(unsafe.Pointer(&a)) == *(*unsafe.Pointer)(unsafe.Pointer(&b))
 }
 
-// Remove drops all events for a flow (FIN/RST teardown).
+// Remove drops the flow's record — its events and what its NFs recorded
+// (FIN/RST teardown, and the clean slate a re-recording starts from). A
+// flow that holds none costs a lock-free probe.
 func (t *Table) Remove(fid flow.FID) {
-	s := t.shardFor(fid)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.byFID, fid)
+	if t.record(fid) == nil {
+		return
+	}
+	ed := t.flows.Edit(fid, false)
+	defer ed.Done()
+	if !ed.Found() {
+		return
+	}
+	if rec := (*Record)(ed.Handle().Rec()); rec != nil {
+		ed.SetRec(nil)
+		rec.mu.Lock()
+		if len(rec.events) > 0 {
+			t.armed.Add(-1)
+		}
+		// A probe that loaded the record before the word was cleared
+		// finds nothing on it.
+		rec.events, rec.locals = nil, nil
+		rec.mu.Unlock()
+	}
 }
 
 // Len returns the number of flows with registered events.
-func (t *Table) Len() int {
-	n := 0
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		n += len(s.byFID)
-		s.mu.Unlock()
-	}
-	return n
-}
+func (t *Table) Len() int { return int(t.armed.Load()) }

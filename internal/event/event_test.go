@@ -15,7 +15,7 @@ func never(flow.FID) bool               { return false }
 func noUpdate(flow.FID, *mat.LocalRule) {}
 
 func TestRegisterValidation(t *testing.T) {
-	tbl := NewTable()
+	tbl := NewTable(flow.NewTable())
 	tests := []struct {
 		name    string
 		event   Event
@@ -36,7 +36,7 @@ func TestRegisterValidation(t *testing.T) {
 }
 
 func TestCheckFiresOnCondition(t *testing.T) {
-	tbl := NewTable()
+	tbl := NewTable(flow.NewTable())
 	armed := false
 	cond := func(flow.FID) bool { return armed }
 	if err := tbl.Register(5, Event{NF: "dos", Condition: cond, Update: noUpdate}); err != nil {
@@ -56,7 +56,7 @@ func TestCheckFiresOnCondition(t *testing.T) {
 }
 
 func TestCheckWrongFID(t *testing.T) {
-	tbl := NewTable()
+	tbl := NewTable(flow.NewTable())
 	if err := tbl.Register(5, Event{NF: "x", Condition: always, Update: noUpdate}); err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestCheckWrongFID(t *testing.T) {
 }
 
 func TestOneShotRemovedAfterFiring(t *testing.T) {
-	tbl := NewTable()
+	tbl := NewTable(flow.NewTable())
 	if err := tbl.Register(1, Event{NF: "maglev", Condition: always, Update: noUpdate, OneShot: true}); err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestOneShotRemovedAfterFiring(t *testing.T) {
 }
 
 func TestRecurringStaysArmed(t *testing.T) {
-	tbl := NewTable()
+	tbl := NewTable(flow.NewTable())
 	if err := tbl.Register(1, Event{NF: "dos", Condition: always, Update: noUpdate}); err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestRecurringStaysArmed(t *testing.T) {
 }
 
 func TestMultipleEventsFireInRegistrationOrder(t *testing.T) {
-	tbl := NewTable()
+	tbl := NewTable(flow.NewTable())
 	for _, nf := range []string{"first", "second", "third"} {
 		if err := tbl.Register(2, Event{NF: nf, Condition: always, Update: noUpdate, OneShot: true}); err != nil {
 			t.Fatal(err)
@@ -132,7 +132,7 @@ func TestMultipleEventsFireInRegistrationOrder(t *testing.T) {
 // dropped (shrunk slice written back), the last one dropped (key
 // deleted). Pending and Len must track the set at every step.
 func TestProbeWriteBack(t *testing.T) {
-	tbl := NewTable()
+	tbl := NewTable(flow.NewTable())
 	const fid = 7
 	armed := map[string]bool{"recurring": true}
 	reg := func(nf string, oneShot bool) {
@@ -194,7 +194,7 @@ func TestProbeWriteBack(t *testing.T) {
 }
 
 func TestProbeQuietFlowDoesNotAllocate(t *testing.T) {
-	tbl := NewTable()
+	tbl := NewTable(flow.NewTable())
 	for _, nf := range []string{"a", "b"} {
 		if err := tbl.Register(3, Event{NF: nf, Condition: never, Update: noUpdate}); err != nil {
 			t.Fatal(err)
@@ -215,10 +215,10 @@ func TestProbeQuietFlowDoesNotAllocate(t *testing.T) {
 func TestUpdateAppliesToLocalRule(t *testing.T) {
 	// End-to-end through the Local MAT: the Maglev failover example
 	// from §V-A — replace modify(DIP, origin) with modify(DIP, new).
-	local := mat.NewLocal("maglev")
 	fid := flow.FID(3)
-	local.Replace(fid, &mat.LocalRule{Actions: []mat.HeaderAction{mat.Modify(packet.FieldDstIP, []byte{10, 0, 0, 1})}})
-	tbl := NewTable()
+	tbl := NewTable(flow.NewTable())
+	tbl.Publish(fid, 0, 1, 0, []mat.Contribution{{NF: "maglev", Rule: &mat.LocalRule{
+		Actions: []mat.HeaderAction{mat.Modify(packet.FieldDstIP, []byte{10, 0, 0, 1})}}}})
 	err := tbl.Register(fid, Event{
 		NF:        "maglev",
 		Condition: always,
@@ -235,16 +235,16 @@ func TestUpdateAppliesToLocalRule(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range tbl.Check(fid) {
-		local.Mutate(f.FID, func(r *mat.LocalRule) { f.Event.Update(f.FID, r) })
+		f.Apply(0, 1)
 	}
-	r, _ := local.Get(fid)
-	if got := r.Actions[0].Value; got[3] != 2 {
+	spans, _ := tbl.Recorded(fid)
+	if got := spans[0].Actions[0].Value; got[3] != 2 {
 		t.Errorf("DIP after event = %v, want .2 backend", got)
 	}
 }
 
 func TestRemove(t *testing.T) {
-	tbl := NewTable()
+	tbl := NewTable(flow.NewTable())
 	if err := tbl.Register(9, Event{NF: "x", Condition: always, Update: noUpdate}); err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestRemove(t *testing.T) {
 }
 
 func TestConcurrentCheckAndRegister(t *testing.T) {
-	tbl := NewTable()
+	tbl := NewTable(flow.NewTable())
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(2)
@@ -295,7 +295,7 @@ func TestConcurrentCheckAndRegister(t *testing.T) {
 // one-shot firing or a removal has overtaken — by the identity of the
 // conditions, not their number.
 func TestGuardsSnapshotRegistrations(t *testing.T) {
-	tbl := NewTable()
+	tbl := NewTable(flow.NewTable())
 	if g := tbl.Guards(9); g != nil || !tbl.Guarded(9, nil) || Holds(g, 9) {
 		t.Fatalf("flow without events: guards %v, want none, current and quiet", g)
 	}
@@ -354,7 +354,7 @@ func TestGuardsSnapshotRegistrations(t *testing.T) {
 // retirement and its WAL record on sees every successful Register, and
 // no refused one.
 func TestJournalRunsPerRegistration(t *testing.T) {
-	tbl := NewTable()
+	tbl := NewTable(flow.NewTable())
 	var seen []flow.FID
 	tbl.SetJournal(func(fid flow.FID) { seen = append(seen, fid) })
 	for _, fid := range []flow.FID{3, 4, 3} {

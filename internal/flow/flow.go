@@ -6,7 +6,11 @@
 // open-addressing slot arrays a shard (by packed 5-tuple, by FID) that
 // writers mutate in place under the shard mutex and readers probe with
 // no lock, handing out Handles through which a flow's state and
-// counters are touched with no lock either (DESIGN §16).
+// counters are touched with no lock either (DESIGN §16). The entry is
+// also the flow's one record: it carries two opaque words — the flow's
+// consolidated rule, cast only by package mat, and its recording, cast
+// only by package event — so the lookup that finds the flow has found
+// its actions too, and tearing the flow down is one unlink.
 package flow
 
 import (
@@ -146,18 +150,46 @@ type Entry struct {
 // tracked is the table's internal representation of one flow,
 // allocated once and never moved, so a Handle survives any rebuild of
 // the slot arrays that index it. The identity fields (fid and the packed
-// 5-tuple hi/lo — packed keeps the struct in the 48-byte size class) are
-// immutable: a lock-free probe confirms its hit on them. The rest are
-// atomics, updated through a Handle with no lock: RSS partitioning gives
-// a flow one writer, so they never contend, and concurrent cross-flow
-// readers (Snapshot, IdleSince) are race-free.
+// 5-tuple hi/lo — packed keeps the struct in the 64-byte size class) are
+// immutable: a lock-free probe confirms its hit on them. The counters
+// and the state are atomics, updated through a Handle with no lock: RSS
+// partitioning gives a flow one writer, so they never contend, and
+// concurrent cross-flow readers (Snapshot, IdleSince) are race-free. The
+// rule and rec words are loaded with no lock and stored only through an
+// Edit, under the shard mutex.
 type tracked struct {
 	hi, lo   uint64
 	packets  atomic.Uint64
 	bytes    atomic.Uint64
 	lastSeen atomic.Uint64
+	rule     unsafe.Pointer // the consolidated rule; nil: none
+	rec      unsafe.Pointer // the recording; nil: none
 	fid      FID
-	state    atomic.Int32
+	// bits is the State in its low stateBits (zero: a detached entry,
+	// which no tuple maps to) and the two flags above them.
+	bits atomic.Uint32
+}
+
+const (
+	stateBits = 2
+	stateMask = 1<<stateBits - 1
+	// staleBit says the rule word must not be served: set and cleared
+	// under the shard mutex, like the word it qualifies.
+	staleBit = 1 << stateBits
+	// claimBit is the recording gate: whoever sets it records the flow.
+	claimBit = staleBit << 1
+)
+
+// setBits stores (bits &^ clear) | set. The word has two kinds of
+// writer — the flow's classifier and whoever edits its record — so every
+// store is a compare-and-swap.
+func (e *tracked) setBits(clear, set uint32) {
+	for {
+		old := e.bits.Load()
+		if e.bits.CompareAndSwap(old, old&^clear|set) {
+			return
+		}
+	}
 }
 
 // snapshot copies the entry into a plain value. Field loads are
@@ -169,7 +201,7 @@ func (e *tracked) snapshot() Entry {
 	return Entry{
 		FID:      e.fid,
 		Tuple:    packet.KeyTuple(e.hi, e.lo),
-		State:    State(e.state.Load()),
+		State:    State(e.bits.Load() & stateMask),
 		Packets:  e.packets.Load(),
 		Bytes:    e.bytes.Load(),
 		LastSeen: e.lastSeen.Load(),
@@ -188,8 +220,46 @@ func (h Handle) FID() FID { return h.e.fid }
 
 // State returns the flow's lifecycle state, SetState stores it: the
 // two halves of the classifier's state machine, the flow's one writer.
-func (h Handle) State() State     { return State(h.e.state.Load()) }
-func (h Handle) SetState(s State) { h.e.state.Store(int32(s)) }
+func (h Handle) State() State     { return State(h.e.bits.Load() & stateMask) }
+func (h Handle) SetState(s State) { h.e.setBits(stateMask, uint32(s)) }
+
+// Rule loads the entry's rule word, stale or not; Rec its recording.
+func (h Handle) Rule() unsafe.Pointer { return atomic.LoadPointer(&h.e.rule) }
+func (h Handle) Rec() unsafe.Pointer  { return atomic.LoadPointer(&h.e.rec) }
+
+// Stale reports whether the rule word is marked not to be served.
+func (h Handle) Stale() bool { return h.e.bits.Load()&staleBit != 0 }
+
+// LiveRule loads the rule word unless it is marked stale; the zero
+// Handle has none. The flag is read first: an install over a stale rule
+// stores the rule before it clears the flag, so a reader that saw the
+// flag clear loads the rule that cleared it, never the stale one it
+// replaced.
+func (h Handle) LiveRule() unsafe.Pointer {
+	if h.e == nil || h.Stale() {
+		return nil
+	}
+	return h.Rule()
+}
+
+// Detached reports an entry no tuple maps to: one that exists only to
+// hold words for a FID no flow holds (see Table.Edit).
+func (h Handle) Detached() bool { return h.e.bits.Load()&stateMask == 0 }
+
+// Claim takes the flow's recording gate, reporting false if it is held;
+// Unclaim gives it back. The gate lives and dies with the entry.
+func (h Handle) Claim() bool {
+	for {
+		old := h.e.bits.Load()
+		if old&claimBit != 0 {
+			return false
+		}
+		if h.e.bits.CompareAndSwap(old, old|claimBit) {
+			return true
+		}
+	}
+}
+func (h Handle) Unclaim() { h.e.setBits(claimBit, 0) }
 
 // Established reports whether the flow is currently established — the
 // shape gate of the batched fast classification.
@@ -235,7 +305,7 @@ const (
 	slotStateMask = 1<<slotStateBits - 1
 )
 
-// slot is mat.ruleSlot's layout: the key word packs a tag with the slot
+// slot is one slot of an index: the key word packs a tag with the slot
 // state, so a probe step is one load that resolves occupancy and, all
 // but surely, key match; the entry is loaded only on a tag match.
 type slot struct {
@@ -245,14 +315,14 @@ type slot struct {
 
 // slotTable is one index of one shard: a power-of-two slot array probed
 // linearly, tagged with a seeded mix of the packed 5-tuple (keyWord) in
-// the tuple index and with the FID (fidWord) in the FID index. It follows
-// mat.ruleTable's publication protocol (DESIGN §16): writers, serialized
-// by the shard mutex, mutate a published array in place under lock-free
-// readers; an entry is stored before its key turns live and a key turns
-// dead before its entry is cleared; a fresh array is built only when
-// live plus dead slots reach 3/4 load. One rule differs: a reader here
-// confirms every hit on the entry's own immutable key, so it is never
-// handed another flow's entry and any flow may re-key a tombstone.
+// the tuple index and with the FID (fidWord) in the FID index. The
+// publication protocol (DESIGN §16): writers, serialized by the shard
+// mutex, mutate a published array in place under lock-free readers; an
+// entry is stored before its key turns live and a key turns dead before
+// its entry is cleared; a fresh array is built only when live plus dead
+// slots reach 3/4 load; and a reader confirms every hit on the entry's
+// own immutable key, so it is never handed another flow's entry and any
+// flow may re-key a tombstone.
 type slotTable struct {
 	slots []slot
 	mask  uint32 // len(slots)-1
@@ -334,9 +404,9 @@ func (t *slotTable) free(word uint64) *slot {
 const minSlots = 8
 
 // rebuild returns an unpublished array holding t's live slots, sized
-// for n flows at no more than half load (mat.ruleTable.rebuild's sizing:
-// a compaction buys a tombstone budget of a quarter of the array or
-// more, growth from 3/4 load exactly doubles).
+// for n flows at no more than half load: a compaction buys a tombstone
+// budget of a quarter of the array or more — at 3/4 it would compact
+// again within a few inserts — and growth from 3/4 load exactly doubles.
 func (t *slotTable) rebuild(n int) *slotTable {
 	size := minSlots
 	for size < 2*n {
@@ -364,13 +434,19 @@ type index struct {
 // tableShardCore is the hot state of one shard: the write-serializing
 // mutex, the two indexes of its entries — both point at the same
 // *tracked, so a tuple lookup is one probe, not tuple→FID→entry — and
-// the flow count. Everything but the two table pointers is the mutex's:
-// an insert or removal pays for its slot stores and no other atomic.
+// what the entries hold, counted. Everything but the two table pointers
+// is the mutex's: an insert or removal pays for its slot stores and no
+// other atomic.
 type tableShardCore struct {
 	mu    sync.Mutex
 	byKey index
 	byFID index
-	count int
+	// count is the flows, in both indexes; detached the entries in byFID
+	// alone.
+	count, detached int
+	// rules, stale and recs count the entries whose rule word is set,
+	// whose rule is stale-marked, and whose rec word is set.
+	rules, stale, recs int
 }
 
 // tableShard pads the core to a full cache-line multiple, sized from
@@ -464,9 +540,9 @@ func (t *Table) put(ix *index, word uint64, e *tracked, n int) {
 	s.key.Store(word)
 }
 
-// link enters e into both of s's indexes.
+// link enters the flow e into both of s's indexes.
 func (t *Table) link(s *tableShard, e *tracked) {
-	t.put(&s.byFID, fidWord(e.fid), e, s.count)
+	t.put(&s.byFID, fidWord(e.fid), e, s.count+s.detached)
 	t.put(&s.byKey, keyWord(e.hi, e.lo), e, s.count)
 	s.count++
 }
@@ -497,17 +573,101 @@ func (t *Table) retire(ix *index) {
 	ix.spare = st
 }
 
-// unlink takes e, whose FID-index slot is fs, out of both of s's
-// indexes, retiring their arrays when that empties the shard.
+// unlink takes e, whose FID-index slot is fs, out of s's indexes,
+// retiring an array its going empties, and then empties its words: what
+// an entry held goes with it, and a Handle that outlives it reads none.
 func (t *Table) unlink(s *tableShard, fs *slot, e *tracked) {
-	if s.count--; s.count == 0 {
+	if (Handle{e}).Detached() {
+		s.detached--
+	} else if s.count--; s.count == 0 {
 		t.retire(&s.byKey)
-		t.retire(&s.byFID)
-		return
+	} else {
+		ks, _ := s.byKey.table.Load().findKey(keyWord(e.hi, e.lo), e.hi, e.lo)
+		s.byKey.bury(ks)
 	}
-	ks, _ := s.byKey.table.Load().findKey(keyWord(e.hi, e.lo), e.hi, e.lo)
-	s.byKey.bury(ks)
-	s.byFID.bury(fs)
+	if s.count+s.detached == 0 {
+		t.retire(&s.byFID)
+	} else {
+		s.byFID.bury(fs)
+	}
+	ed := Edit{t: t, s: s, e: e}
+	ed.SetRule(nil)
+	ed.SetRec(nil)
+}
+
+// Edit is one FID's entry held under its shard's mutex, which is what
+// serializes every store to an entry's words — with each other, with the
+// journal a store is reported to, and with the entry's unlinking. Done
+// must follow.
+type Edit struct {
+	t *Table
+	s *tableShard
+	e *tracked
+}
+
+// Edit locks fid's shard and returns its entry for editing. With create,
+// an FID no entry holds gets a detached one: in the FID index only, so
+// it reserves the FID against InsertKey's probe and no tuple finds it,
+// and gone when Done finds both of its words empty.
+func (t *Table) Edit(fid FID, create bool) Edit {
+	s := t.shardFor(fid)
+	s.mu.Lock()
+	_, e := s.byFID.table.Load().findFID(fid)
+	if e == nil && create {
+		e = &tracked{fid: fid}
+		t.put(&s.byFID, fidWord(fid), e, s.count+s.detached)
+		s.detached++
+	}
+	return Edit{t: t, s: s, e: e}
+}
+
+// Found reports whether the FID has an entry; Handle returns it.
+func (ed Edit) Found() bool    { return ed.e != nil }
+func (ed Edit) Handle() Handle { return Handle{ed.e} }
+
+// setWord stores p in an entry's word and keeps n, the shard's count of
+// entries whose word is set.
+func setWord(word *unsafe.Pointer, p unsafe.Pointer, n *int) {
+	if was := atomic.LoadPointer(word) != nil; was != (p != nil) {
+		if was {
+			*n--
+		} else {
+			*n++
+		}
+	}
+	atomic.StorePointer(word, p)
+}
+
+// SetRule stores the rule word and clears the stale mark — in that
+// order, which LiveRule relies on. Nil removes the rule.
+func (ed Edit) SetRule(p unsafe.Pointer) {
+	setWord(&ed.e.rule, p, &ed.s.rules)
+	if ed.e.bits.Load()&staleBit != 0 {
+		ed.e.setBits(staleBit, 0)
+		ed.s.stale--
+	}
+}
+
+// MarkStale marks the rule word, if set and unmarked, not to be served.
+func (ed Edit) MarkStale() {
+	if e := ed.e; atomic.LoadPointer(&e.rule) != nil && e.bits.Load()&staleBit == 0 {
+		e.setBits(0, staleBit)
+		ed.s.stale++
+	}
+}
+
+// SetRec stores the recording word.
+func (ed Edit) SetRec(p unsafe.Pointer) { setWord(&ed.e.rec, p, &ed.s.recs) }
+
+// Done ends the edit. A detached entry left holding nothing is unlinked;
+// the generation moves, since a Handle may have been acquired on it.
+func (ed Edit) Done() {
+	if h := ed.Handle(); ed.e != nil && h.Detached() && h.Rule() == nil && h.Rec() == nil {
+		fs, _ := ed.s.byFID.table.Load().findFID(ed.e.fid)
+		ed.t.unlink(ed.s, fs, ed.e)
+		ed.t.gen.Add(1)
+	}
+	ed.s.mu.Unlock()
 }
 
 // AcquireKey returns a Handle on the flow tracked under the packed
@@ -522,13 +682,21 @@ func (t *Table) AcquireKey(hi, lo uint64) (Handle, bool) {
 // Acquire is AcquireKey for an unpacked tuple.
 func (t *Table) Acquire(ft packet.FiveTuple) (Handle, bool) { return t.AcquireKey(ft.Key()) }
 
-// LookupFID returns a snapshot of the entry for a FID, if tracked.
-func (t *Table) LookupFID(fid FID) (Entry, bool) {
+// AcquireFID returns a Handle on the FID's entry — a flow's or a
+// detached one — by one lock-free probe of the FID index: the way to an
+// entry's words for whoever holds the FID and not the tuple.
+func (t *Table) AcquireFID(fid FID) (Handle, bool) {
 	_, e := t.shardFor(fid).byFID.table.Load().findFID(fid)
-	if e == nil {
+	return Handle{e}, e != nil
+}
+
+// LookupFID returns a snapshot of the flow tracked under a FID, if any.
+func (t *Table) LookupFID(fid FID) (Entry, bool) {
+	h, ok := t.AcquireFID(fid)
+	if !ok || h.Detached() {
 		return Entry{}, false
 	}
-	return e.snapshot(), true
+	return h.e.snapshot(), true
 }
 
 // InsertKey returns the Handle of the flow tracked under the packed
@@ -554,7 +722,7 @@ func (t *Table) InsertKey(hi, lo uint64) (h Handle, existed bool, err error) {
 	for probes := 0; probes < (MaxFID+1)/ShardCount; probes++ {
 		if _, taken := fids.findFID(fid); taken == nil {
 			e := &tracked{hi: hi, lo: lo, fid: fid}
-			e.state.Store(int32(StateHandshake))
+			e.bits.Store(uint32(StateHandshake))
 			t.link(s, e)
 			return Handle{e}, false, nil
 		}
@@ -580,7 +748,7 @@ func (t *Table) Remove(fid FID) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	fs, e := s.byFID.table.Load().findFID(fid)
-	if e == nil {
+	if e == nil || (Handle{e}).Detached() {
 		return false
 	}
 	t.unlink(s, fs, e)
@@ -588,28 +756,39 @@ func (t *Table) Remove(fid FID) bool {
 	return true
 }
 
-// Len returns the number of tracked flows, DeadSlots the number of
-// tombstones awaiting compaction in both indexes (a shard at a time,
-// under its mutex), Rebuilds the number of slot arrays published so
-// far: it grows with the logarithm of the flow count plus churn over
-// the tombstone budget, not with inserts and removals.
-func (t *Table) Len() int       { n, _ := t.counts(); return n }
-func (t *Table) DeadSlots() int { _, n := t.counts(); return n }
+// Counts is what the table holds, summed a shard at a time under its
+// mutex: tracked flows, detached entries, tombstones awaiting compaction
+// in both indexes, and the entries holding a rule, a stale-marked rule
+// and a recording.
+type Counts struct {
+	Flows, Detached, Dead int
+	Rules, Stale, Records int
+}
 
-func (t *Table) counts() (flows, dead int) {
+func (t *Table) Counts() (c Counts) {
 	for i := range t.shards {
 		s := &t.shards[i]
 		s.mu.Lock()
-		flows += s.count
-		dead += s.byKey.dead + s.byFID.dead
+		c.Flows += s.count
+		c.Detached += s.detached
+		c.Dead += s.byKey.dead + s.byFID.dead
+		c.Rules += s.rules
+		c.Stale += s.stale
+		c.Records += s.recs
 		s.mu.Unlock()
 	}
-	return flows, dead
+	return c
 }
 
+// Len returns the number of tracked flows, DeadSlots the tombstones,
+// Rebuilds the number of slot arrays published so far: it grows with the
+// logarithm of the flow count plus churn over the tombstone budget, not
+// with inserts and removals.
+func (t *Table) Len() int         { return t.Counts().Flows }
+func (t *Table) DeadSlots() int   { return t.Counts().Dead }
 func (t *Table) Rebuilds() uint64 { return t.rebuilds.Load() }
 
-// each calls fn for every tracked entry, a shard at a time under its
+// each calls fn for every tracked flow, a shard at a time under its
 // mutex: writers wait, readers do not, and a shard's view is exact.
 func (t *Table) each(fn func(*tracked)) {
 	for i := range t.shards {
@@ -617,11 +796,27 @@ func (t *Table) each(fn func(*tracked)) {
 		s.mu.Lock()
 		st := s.byFID.table.Load()
 		for j := range st.slots {
-			if st.slots[j].key.Load()&slotStateMask == slotLive {
-				fn(st.slots[j].e.Load())
+			if e := st.slots[j].e.Load(); e != nil && !(Handle{e}).Detached() {
+				fn(e)
 			}
 		}
 		s.mu.Unlock()
+	}
+}
+
+// Each calls fn with a Handle on every entry, flows and detached alike,
+// walking the published FID indexes with no lock held, so fn may call
+// back into the table. Under concurrent writers the view is weakly
+// consistent (an entry linked or unlinked during the walk may or may not
+// be seen); it is exact once writers are quiesced.
+func (t *Table) Each(fn func(Handle)) {
+	for i := range t.shards {
+		st := t.shards[i].byFID.table.Load()
+		for j := range st.slots {
+			if e := st.slots[j].e.Load(); e != nil {
+				fn(Handle{e})
+			}
+		}
 	}
 }
 
@@ -637,12 +832,13 @@ func (t *Table) Snapshot() []Entry {
 // RestoreEntry places a checkpointed entry back at its recorded FID,
 // bypassing Insert's probing (the FID was already allocated when the
 // snapshot was taken, so probe order must not re-run). An existing
-// entry at the FID or tuple is replaced, and cached handles are
-// invalidated.
+// entry at the FID or tuple is replaced — it and whatever its words held
+// are gone; the restored entry starts with empty words — and cached
+// handles are invalidated.
 func (t *Table) RestoreEntry(en Entry) {
 	e := &tracked{fid: en.FID}
 	e.hi, e.lo = en.Tuple.Key()
-	e.state.Store(int32(en.State))
+	e.bits.Store(uint32(en.State))
 	Handle{e}.FoldTouches(en.Packets, en.Bytes, en.LastSeen)
 	s := t.shardFor(e.fid)
 	s.mu.Lock()

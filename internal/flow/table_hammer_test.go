@@ -334,11 +334,12 @@ func TestFlowTableHammer(t *testing.T) {
 	}
 }
 
-// TestTrackedSizeClass pins the flow entry to the 48-byte size class:
-// the packed key beside the counters fits it exactly, a FiveTuple kept
-// beside the key would spill into the 64-byte one for every flow.
+// TestTrackedSizeClass pins the flow entry to the 64-byte size class —
+// one cache line: the packed key, the counters and the two record words
+// fit it exactly, a FiveTuple kept beside the key would spill into the
+// 80-byte one for every flow.
 func TestTrackedSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(tracked{}); n != 48 {
-		t.Errorf("tracked is %d bytes, want 48", n)
+	if n := unsafe.Sizeof(tracked{}); n != 64 {
+		t.Errorf("tracked is %d bytes, want 64", n)
 	}
 }

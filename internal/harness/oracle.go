@@ -12,9 +12,7 @@ import (
 	"github.com/fastpathnfv/speedybox/internal/bess"
 	"github.com/fastpathnfv/speedybox/internal/chainspec"
 	"github.com/fastpathnfv/speedybox/internal/core"
-	"github.com/fastpathnfv/speedybox/internal/event"
 	"github.com/fastpathnfv/speedybox/internal/fault"
-	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/mat"
 	"github.com/fastpathnfv/speedybox/internal/nf/gateway"
 	"github.com/fastpathnfv/speedybox/internal/nf/ipfilter"
@@ -683,30 +681,15 @@ func runSchedule(cfg OracleConfig, row oracleRow, sched int, seed int64, rates m
 			diverge(-1, "snort logs: ref %d entries, fast %d, first difference at entry %d", len(rl), len(fl), j)
 		}
 	}
-	// Every rule a packet could still be served from must know its
-	// flow's events: an unguarded registration is an update the fast
-	// path would sleep through, whether or not this trace got that far.
+	// What the trace left in each engine's flow records must hang
+	// together — a rule a packet could still be served from knows its
+	// flow's events, whether or not this trace got that far.
 	for _, eng := range fast.engines() {
-		if fid, ok := unguardedRule(eng); ok {
-			diverge(-1, "rule of %v: guards are not the flow's %d registered event(s)", fid, eng.Events().Pending(fid))
+		if err := eng.CheckRecords(); err != nil {
+			diverge(-1, "%v", err)
 		}
 	}
 	return nil
-}
-
-// unguardedRule returns the first live rule of the engine whose guard
-// list is neither its flow's Event Table registrations, condition for
-// condition, nor the ask-the-table guard.
-func unguardedRule(eng *core.Engine) (bad flow.FID, found bool) {
-	eng.Global().ForEach(func(r *mat.GlobalRule) {
-		if live, _ := eng.Global().LookupLive(r.FID); found || live != r {
-			return
-		}
-		if g := r.Guards(); g != event.AskTable && !eng.Events().Guarded(r.FID, g) {
-			bad, found = r.FID, true
-		}
-	})
-	return bad, found
 }
 
 // engineSystem is the single-engine adapter: one chain on one engine.

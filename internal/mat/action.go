@@ -1,8 +1,12 @@
-// Package mat implements SpeedyBox's Match-Action Tables: the per-NF
-// Local MAT that records flow behaviour during the initial packet's
-// chain traversal (paper §IV), the Global MAT holding consolidated
+// Package mat implements SpeedyBox's Match-Action Tables: the Local MAT
+// entry that holds what one NF recorded of a flow during the initial
+// packet's chain traversal (paper §IV), the Global MAT of consolidated
 // fast-path rules (§V), and the header-action consolidation algorithm
-// (§V-B).
+// (§V-B). Neither table has storage of its own: a flow's rule is the
+// first word of its entry in the flow table, which only this package
+// casts (Global), and its Local MAT entries are the spans of the record
+// on the second, which package event keeps (DESIGN §16, "the flow
+// record").
 package mat
 
 import (

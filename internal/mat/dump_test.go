@@ -65,7 +65,7 @@ func TestGlobalRuleString(t *testing.T) {
 }
 
 func TestGlobalDumpSortedByFID(t *testing.T) {
-	g := NewGlobal()
+	g := NewGlobal(flow.NewTable())
 	for _, fid := range []uint32{30, 10, 20} {
 		g.Install(&GlobalRule{FID: flowFID(fid)})
 	}
@@ -82,7 +82,7 @@ func TestGlobalDumpSortedByFID(t *testing.T) {
 }
 
 func TestGlobalForEach(t *testing.T) {
-	g := NewGlobal()
+	g := NewGlobal(flow.NewTable())
 	for fid := uint32(0); fid < 5; fid++ {
 		g.Install(&GlobalRule{FID: flowFID(fid), SourceNFs: int(fid)})
 	}
@@ -91,7 +91,7 @@ func TestGlobalForEach(t *testing.T) {
 	if sum != 0+1+2+3+4 {
 		t.Errorf("ForEach visited sum = %d", sum)
 	}
-	empty := NewGlobal()
+	empty := NewGlobal(flow.NewTable())
 	calls := 0
 	empty.ForEach(func(*GlobalRule) { calls++ })
 	if calls != 0 {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -157,173 +156,30 @@ func (r *GlobalRule) String() string {
 	return b.String()
 }
 
-// ShardCount is the number of independently locked Global MAT shards,
-// indexed by the FID's low bits. A power of two keeps the shard index
-// a mask away; sharding lets the multi-queue platform's workers look
-// up rules for disjoint flows without touching a shared lock.
-const ShardCount = 32
-
-const shardMask = ShardCount - 1
-
-// shardBits is log2(ShardCount): the FID bits consumed by shard
-// selection, skipped by the in-shard slot hash.
-const shardBits = 5
-
-// Slot states, the low slotStateBits of a slot's key word, ordered so
-// that "holds an installed rule" is state >= slotLive. A slot moves
-// empty -> live <-> stale -> dead -> live (revived, same FID only).
-const (
-	slotEmpty uint64 = iota // never keyed: probes stop here
-	slotDead                // removed: a tombstone probes walk past
-	slotLive                // installed and servable
-	slotStale               // installed but known to disagree with the Local MATs
-)
-
-const (
-	slotStateBits = 2
-	slotStateMask = 1<<slotStateBits - 1
-)
-
-// ruleSlot is one slot of a shard's open-addressing array. The key
-// word packs the FID with the slot state, so a probe step is one load
-// that resolves occupancy, key match and liveness together; the rule
-// pointer is loaded only on a hit.
-type ruleSlot struct {
-	key  atomic.Uint64 // fid<<slotStateBits | state; 0 while empty
-	rule atomic.Pointer[GlobalRule]
-}
-
-func slotKey(fid flow.FID, state uint64) uint64 { return uint64(fid)<<slotStateBits | state }
-
-// ruleTable is one shard's slot array: power-of-two sized, probed
-// linearly. Writers (serialized by the shard mutex) mutate a published
-// array in place, one or two atomic word stores per mutation; readers
-// probe it without locks. Two rules make that safe. A slot is keyed
-// once: the FID in its key word never changes while the array is
-// published, so a reader that matched the key cannot be handed another
-// flow's rule, and removal leaves a tombstone only the same FID may
-// revive. And whichever store makes a rule servable comes last: the
-// rule pointer is stored before a key turns live, a key turns dead
-// before its rule pointer is dropped (readers treat a nil rule as a
-// miss). A fresh array is built only when live plus dead slots reach
-// 3/4 load.
-type ruleTable struct {
-	slots []ruleSlot
-	mask  uint32 // len(slots)-1
-}
-
-// emptyRuleTable is the shared array of an empty shard: one slot that
-// is never keyed (the first install grows past it), so probes
-// terminate immediately and every shard of every Global can share it.
-var emptyRuleTable = &ruleTable{slots: make([]ruleSlot, 1)}
-
-// hashFID spreads a FID over a shard's slot array. All FIDs of a
-// shard agree on the low shardBits, so the multiplicative hash runs on
-// the distinguishing high bits, with a fold so the table-index low
-// bits of the product are well mixed.
-func hashFID(fid flow.FID) uint32 {
-	h := uint32(fid>>shardBits) * 2654435761 // Knuth's multiplicative constant
-	return h ^ h>>16
-}
-
-// find returns fid's slot and its state, or the empty slot that ends
-// fid's probe chain (where a writer may key it) and slotEmpty. The
-// probe always terminates: writers keep live plus dead slots strictly
-// below capacity, so every chain reaches an empty slot.
-func (t *ruleTable) find(fid flow.FID) (*ruleSlot, uint64) {
-	i := hashFID(fid) & t.mask
-	for {
-		s := &t.slots[i]
-		k := s.key.Load()
-		if k == 0 {
-			return s, slotEmpty
-		}
-		if flow.FID(k>>slotStateBits) == fid {
-			return s, k & slotStateMask
-		}
-		i = (i + 1) & t.mask
-	}
-}
-
-// rebuild returns an unpublished array holding t's installed rules —
-// tombstones are left behind — sized for n rules at no more than half
-// load, minimum 8 slots. Half, not 3/4: a compaction must buy a
-// tombstone budget proportional to the array (at least a quarter of
-// it) or steady churn at a fixed population would compact on every
-// few installs; growth from 3/4 load still exactly doubles.
-func (t *ruleTable) rebuild(n int) *ruleTable {
-	size := 8
-	for size < 2*n {
-		size *= 2
-	}
-	nt := &ruleTable{slots: make([]ruleSlot, size), mask: uint32(size - 1)}
-	for i := range t.slots {
-		k := t.slots[i].key.Load()
-		if k&slotStateMask < slotLive {
-			continue
-		}
-		s, _ := nt.find(flow.FID(k >> slotStateBits))
-		s.rule.Store(t.slots[i].rule.Load())
-		s.key.Store(k)
-	}
-	return nt
-}
-
-// globalShardCore is the hot state of one shard: the write-serializing
-// mutex, the published slot array, and the slot counts (written under
-// the mutex, read lock-free by Len, StaleLen and DeadSlots).
-type globalShardCore struct {
-	mu    sync.Mutex
-	table atomic.Pointer[ruleTable]
-	count atomic.Int64 // installed rules: live plus stale slots
-	stale atomic.Int64 // stale-marked among them
-	dead  atomic.Int64 // tombstones in the published array
-}
-
-// globalShard pads the core to a full cache-line multiple, computed
-// from the real field layout (a hard-coded pad silently stops padding
-// when fields change), so no two shards' hot words share a line.
-type globalShard struct {
-	globalShardCore
-	_ [(cacheLine - unsafe.Sizeof(globalShardCore{})%cacheLine) % cacheLine]byte
-}
-
-// cacheLine is the coherence granule the shard padding targets.
-const cacheLine = 64
-
-// Global is the Global MAT: the table of consolidated fast-path rules
-// keyed by FID (implemented in BESS as a global array reachable from
-// all Local MATs, and in ONVM at the NF manager, §VI-A). It is safe
-// for concurrent use; rules returned by Lookup are immutable once
-// installed — replacement installs a fresh rule pointer.
+// Global is the Global MAT: the consolidated fast-path rules keyed by
+// FID (implemented in BESS as a global array reachable from all Local
+// MATs, and in ONVM at the NF manager, §VI-A). It has no table of its
+// own: a flow's rule is the first word of the flow's entry in the flow
+// table, so the packet that has found its flow has found its rule, and
+// this type is the rule word's meaning — what may be stored in it, when
+// it may be served, who hears of a change. It is safe for concurrent
+// use; rules returned by Lookup are immutable once installed —
+// replacement installs a fresh rule pointer.
 //
-// Reads are lock-free: the data path's LookupLive is one atomic load
-// of the shard's slot array plus a linear probe over contiguous key
-// words — no mutex, no map hashing. Writes are O(1): writers serialize
-// on the shard mutex and mutate the slot in place (see ruleTable), so
-// an install or teardown costs a few word stores however many rules
-// the shard holds. Every writer mutates first and bumps the generation
-// after: a worker cache that validated against the pre-mutation
-// generation is invalidated by the bump, and one that read the
-// post-bump generation can only have probed the already-mutated slot,
-// so a generation-valid cached rule is never staler than the table.
+// Reads are lock-free: LookupLive is one probe of the flow table's FID
+// index, and Live is no probe at all for a caller that holds the flow's
+// Handle. Writes go through flow.Table.Edit — the entry's shard mutex is
+// what serializes one FID's installs, removals, stale marks and their
+// journal callbacks, and a rule's install with its entry's unlinking.
+// Nothing here invalidates anything: a reader loads the word it is
+// about to serve, so a mutation of one flow's rule costs no other flow a
+// thing.
+//
+// A rule for an FID no flow holds (a side rule of the benchmark, a
+// journal replayed past its flow) lives on a detached entry, created by
+// Install and gone with Remove: it reserves the FID, no tuple finds it.
 type Global struct {
-	shards [ShardCount]globalShard
-	// publishes counts slot arrays published: growth, compaction, and
-	// the swap back to emptyRuleTable when a shard empties — the only
-	// writes that cost more than a few word stores.
-	publishes atomic.Uint64
-	// gen counts table mutations that can change what LookupLive
-	// returns (Install, Remove, MarkStale, an epoch sweep that marked
-	// something — bumped under the owning shard's lock, after the slot
-	// stores). Batch workers cache rule pointers keyed by this
-	// generation: a cached rule is served only while Gen() still equals
-	// the generation observed when it was looked up, so any install,
-	// teardown or stale-marking anywhere invalidates every cache at the
-	// cost of one relaxed atomic load per hit. Control-plane mutations
-	// are rare relative to data packets, so the cacheline stays
-	// read-mostly and shared across cores.
-	gen atomic.Uint64
+	flows *flow.Table
 	// epoch is the current chain epoch. Engine.Reconfigure advances it
 	// when the NF chain changes shape; every rule consolidated under an
 	// earlier epoch is then dead (LookupLive misses) and is stale-marked
@@ -335,10 +191,10 @@ type Global struct {
 }
 
 // Journal observes Global MAT mutations for write-ahead logging. The
-// callbacks run under the owning shard's write lock (EpochAdvanced
-// under the engine's reconfigure serialization instead), so the
-// journal sees mutations in exactly the order the table applied them;
-// implementations must not call back into the table. mat defines the
+// callbacks run inside the flow-table Edit that applied the mutation
+// (EpochAdvanced under the engine's reconfigure serialization instead),
+// so the journal sees each FID's mutations in exactly the order they
+// were applied; implementations must not call back into either table. mat defines the
 // interface and core adapts it to the WAL writer, keeping this package
 // free of a wal dependency.
 type Journal interface {
@@ -371,44 +227,12 @@ func (g *Global) journalOf() Journal {
 	return nil
 }
 
-// tableGen hands each Global instance its own 2^32-wide generation
-// band. Per-worker flow contexts validate cached rule pointers by
-// generation value alone, so generations must never coincide across
-// table instances: a long-lived Batch carried across an engine rebuild
-// (crash-restore, tests constructing engine pairs) could otherwise
-// validate a dead table's cached rule — and the closures it holds over
-// dead NF instances.
-var tableGen atomic.Uint64
+// NewGlobal returns the Global MAT over a flow table's entries.
+func NewGlobal(flows *flow.Table) *Global { return &Global{flows: flows} }
 
-// NewGlobal returns an empty Global MAT.
-func NewGlobal() *Global {
-	g := &Global{}
-	g.gen.Store(tableGen.Add(1) << 32)
-	for i := range g.shards {
-		g.shards[i].table.Store(emptyRuleTable)
-	}
-	return g
-}
-
-func (g *Global) shardFor(fid flow.FID) *globalShard {
-	return &g.shards[uint32(fid)&shardMask]
-}
-
-// publish swaps in a shard's fresh, tombstone-free slot array. The
-// caller holds the shard mutex and bumps the generation itself, after
-// its own slot stores.
-func (g *Global) publish(s *globalShard, t *ruleTable) {
-	s.table.Store(t)
-	s.dead.Store(0)
-	g.publishes.Add(1)
-}
-
-// Publishes returns the number of slot arrays published (growth or
-// compaction, plus the hand-back when a shard empties) since the table
-// was created: it grows with the logarithm of the rule count plus
-// churn over the tombstone budget, not with the number of mutations,
-// which are applied in place.
-func (g *Global) Publishes() uint64 { return g.publishes.Load() }
+// Publishes reports the slot arrays the Global MAT has published: none,
+// it has no arrays. The flow table's Rebuilds counts the ones there are.
+func (g *Global) Publishes() uint64 { return 0 }
 
 // Install inserts or replaces the rule for a flow, reporting whether
 // an existing rule was replaced (telemetry distinguishes first-time
@@ -418,59 +242,31 @@ func (g *Global) Publishes() uint64 { return g.publishes.Load() }
 // may still hold (and read) previously installed rules concurrently.
 // A fresh install supersedes any stale mark.
 func (g *Global) Install(r *GlobalRule) (replaced bool) {
-	s := g.shardFor(r.FID)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t := s.table.Load()
-	sl, state := t.find(r.FID)
+	ed := g.flows.Edit(r.FID, true)
 	stored := r
-	switch state {
-	case slotEmpty:
-		// Keying one more slot must not bring live plus dead to 3/4 load.
-		if n := int(s.count.Load()); n+int(s.dead.Load())+1 >= len(t.slots)-len(t.slots)/4 {
-			t = t.rebuild(n + 1)
-			g.publish(s, t)
-			sl, _ = t.find(r.FID)
-		}
-		s.count.Add(1)
-	case slotDead:
-		s.dead.Add(-1)
-		s.count.Add(1)
-	default:
+	if old := (*GlobalRule)(ed.Handle().Rule()); old != nil {
 		versioned := *r
-		versioned.Version = sl.rule.Load().Version + 1
+		versioned.Version = old.Version + 1
 		stored, replaced = &versioned, true
-		if state == slotStale {
-			s.stale.Add(-1)
-		}
 	}
-	sl.rule.Store(stored)
-	if state != slotLive {
-		sl.key.Store(slotKey(r.FID, slotLive))
-	}
-	g.gen.Add(1)
+	ed.SetRule(unsafe.Pointer(stored))
 	if j := g.journalOf(); j != nil {
 		j.RuleInstalled(stored, replaced)
 	}
+	ed.Done()
 	return replaced
 }
-
-// Gen returns the table's mutation generation. A rule obtained from
-// LookupLive stays servable from a cache for exactly as long as Gen()
-// returns the value read before that lookup.
-func (g *Global) Gen() uint64 { return g.gen.Load() }
 
 // Epoch returns the current chain epoch. Rules consolidated under an
 // earlier epoch are never served by LookupLive.
 func (g *Global) Epoch() uint64 { return g.epoch.Load() }
 
 // AdvanceEpoch moves the table to the next chain epoch and returns it.
-// The generation is bumped too, so every worker's cached rule pointer
-// invalidates immediately — a cached pre-reconfiguration rule cannot be
-// served even before SweepEpoch visits its shard.
+// Every read checks the epoch of the rule it is about to serve, so a
+// pre-reconfiguration rule cannot be served even before SweepEpoch
+// reaches it.
 func (g *Global) AdvanceEpoch() uint64 {
 	e := g.epoch.Add(1)
-	g.gen.Add(1)
 	if j := g.journalOf(); j != nil {
 		j.EpochAdvanced(e)
 	}
@@ -479,19 +275,13 @@ func (g *Global) AdvanceEpoch() uint64 {
 
 // RestoreEpoch forces the table's epoch to e (never backwards) without
 // journaling — it exists for Engine.Restore, which replays a journal
-// that already contains the epoch history. The generation is bumped so
-// workers' cached rule pointers invalidate.
+// that already contains the epoch history.
 func (g *Global) RestoreEpoch(e uint64) {
 	for {
-		cur := g.epoch.Load()
-		if cur >= e {
-			break
-		}
-		if g.epoch.CompareAndSwap(cur, e) {
-			break
+		if cur := g.epoch.Load(); cur >= e || g.epoch.CompareAndSwap(cur, e) {
+			return
 		}
 	}
-	g.gen.Add(1)
 }
 
 // SweepEpoch stale-marks every installed rule whose epoch differs from
@@ -500,39 +290,30 @@ func (g *Global) RestoreEpoch(e uint64) {
 // install, FIN teardown, idle expiry) clean the carcasses up; the rules
 // were already dead to LookupLive the moment AdvanceEpoch published the
 // new epoch, so the sweep only makes the staleness visible to StaleLen
-// and Dump and lets IsStale-driven tooling see it. A shard where
-// nothing was marked is left untouched, generation included.
+// and Dump and lets IsStale-driven tooling see it.
 func (g *Global) SweepEpoch(cur uint64) int {
 	n := 0
-	for i := range g.shards {
-		s := &g.shards[i]
-		s.mu.Lock()
-		t := s.table.Load()
-		marked := 0
-		for si := range t.slots {
-			sl := &t.slots[si]
-			k := sl.key.Load()
-			if k&slotStateMask != slotLive || sl.rule.Load().Epoch == cur {
-				continue
+	g.flows.Each(func(h flow.Handle) {
+		if r := (*GlobalRule)(h.LiveRule()); r == nil || r.Epoch == cur {
+			return
+		}
+		ed := g.flows.Edit(h.FID(), false)
+		if h := ed.Handle(); ed.Found() && !h.Stale() {
+			if r := (*GlobalRule)(h.Rule()); r != nil && r.Epoch != cur {
+				ed.MarkStale()
+				n++
 			}
-			sl.key.Store(k&^slotStateMask | slotStale)
-			marked++
 		}
-		if marked > 0 {
-			s.stale.Add(int64(marked))
-			g.gen.Add(1)
-			n += marked
-		}
-		s.mu.Unlock()
-	}
+		ed.Done()
+	})
 	return n
 }
 
-// Lookup fetches the rule for a flow, lock-free off the shard's slot
-// array. The returned rule must be treated as immutable.
+// Lookup fetches the rule for a flow, stale or not, lock-free. The
+// returned rule must be treated as immutable.
 func (g *Global) Lookup(fid flow.FID) (*GlobalRule, bool) {
-	if sl, state := g.shardFor(fid).table.Load().find(fid); state >= slotLive {
-		if r := sl.rule.Load(); r != nil { // nil: a racing Remove got there first
+	if h, ok := g.flows.AcquireFID(fid); ok {
+		if r := (*GlobalRule)(h.Rule()); r != nil {
 			return r, true
 		}
 	}
@@ -540,37 +321,18 @@ func (g *Global) Lookup(fid flow.FID) (*GlobalRule, bool) {
 }
 
 // Remove deletes a flow's rule (FIN/RST teardown, §VI-B). It reports
-// whether a rule existed. The slot becomes a tombstone and drops its
-// rule pointer, so the rule is collectable at once; the tombstone is
-// reclaimed by the next compaction, or right here when the shard
-// empties and goes back to the shared empty array.
+// whether a rule existed.
 func (g *Global) Remove(fid flow.FID) bool {
-	s := g.shardFor(fid)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sl, state := s.table.Load().find(fid)
-	if state < slotLive {
-		// Nothing to remove; bump the generation anyway so the call's
-		// cache-invalidation contract matches the locked-table era
-		// (callers rely on Remove invalidating worker caches).
-		g.gen.Add(1)
-		return false
+	ed := g.flows.Edit(fid, false)
+	removed := ed.Found() && ed.Handle().Rule() != nil
+	if removed {
+		ed.SetRule(nil)
+		if j := g.journalOf(); j != nil {
+			j.RuleRemoved(fid)
+		}
 	}
-	if state == slotStale {
-		s.stale.Add(-1)
-	}
-	if s.count.Add(-1) == 0 {
-		g.publish(s, emptyRuleTable)
-	} else {
-		sl.key.Store(slotKey(fid, slotDead))
-		sl.rule.Store(nil)
-		s.dead.Add(1)
-	}
-	g.gen.Add(1)
-	if j := g.journalOf(); j != nil {
-		j.RuleRemoved(fid)
-	}
-	return true
+	ed.Done()
+	return removed
 }
 
 // MarkStale flags a flow's installed rule as disagreeing with the
@@ -581,89 +343,64 @@ func (g *Global) Remove(fid flow.FID) bool {
 // successful Install clears the mark. It reports whether a rule was
 // present to mark.
 func (g *Global) MarkStale(fid flow.FID) bool {
-	s := g.shardFor(fid)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sl, state := s.table.Load().find(fid)
-	if state == slotLive {
-		sl.key.Store(slotKey(fid, slotStale))
-		s.stale.Add(1)
+	ed := g.flows.Edit(fid, false)
+	present := ed.Found() && ed.Handle().Rule() != nil
+	if present {
+		ed.MarkStale()
+		if j := g.journalOf(); j != nil {
+			j.RuleStaled(fid)
+		}
 	}
-	g.gen.Add(1) // even when nothing changed: the contract of Remove
-	if state < slotLive {
-		return false
-	}
-	if j := g.journalOf(); j != nil {
-		j.RuleStaled(fid)
-	}
-	return true
+	ed.Done()
+	return present
 }
 
 // IsStale reports whether the flow's rule is stale-marked.
 func (g *Global) IsStale(fid flow.FID) bool {
-	_, state := g.shardFor(fid).table.Load().find(fid)
-	return state == slotStale
+	h, ok := g.flows.AcquireFID(fid)
+	return ok && h.Stale()
 }
 
-// LookupLive fetches the rule for a flow only if it is current: a
-// stale-marked rule misses, sending the caller to the always-correct
-// slow path. This is the data path's (and classifier probe's) lookup —
-// one atomic load of the slot array and a lock-free linear probe;
-// plain Lookup keeps returning stale rules for inspection.
+// Live returns the rule on a flow's entry if it may be served: set, not
+// stale-marked, and consolidated under the current chain epoch. It is
+// the data path's read — a caller that holds the flow's Handle pays two
+// loads of an entry it has already touched and no probe.
+func (g *Global) Live(h flow.Handle) *GlobalRule {
+	if r := (*GlobalRule)(h.LiveRule()); r != nil && r.Epoch == g.epoch.Load() {
+		return r
+	}
+	return nil
+}
+
+// LookupLive is Live for a caller that holds the FID and not the
+// Handle: a miss sends it to the always-correct slow path, plain Lookup
+// keeps returning stale rules for inspection.
 func (g *Global) LookupLive(fid flow.FID) (*GlobalRule, bool) {
-	sl, state := g.shardFor(fid).table.Load().find(fid)
-	if state != slotLive {
-		return nil, false
-	}
-	r := sl.rule.Load()
-	if r == nil || r.Epoch != g.epoch.Load() {
-		// Removed under our feet, or consolidated under a retired chain
-		// layout: dead even if the epoch sweep has not marked it yet.
-		return nil, false
-	}
-	return r, true
-}
-
-// counts sums the per-shard slot counts.
-func (g *Global) counts() (rules, stale, dead int) {
-	for i := range g.shards {
-		s := &g.shards[i]
-		rules += int(s.count.Load())
-		stale += int(s.stale.Load())
-		dead += int(s.dead.Load())
-	}
-	return rules, stale, dead
-}
-
-// Len returns the number of installed rules.
-func (g *Global) Len() int { n, _, _ := g.counts(); return n }
-
-// StaleLen returns the number of stale-marked rules.
-func (g *Global) StaleLen() int { _, n, _ := g.counts(); return n }
-
-// DeadSlots returns the number of tombstones awaiting compaction —
-// slots that lengthen probe chains without holding a rule.
-func (g *Global) DeadSlots() int { _, _, n := g.counts(); return n }
-
-// ForEach calls fn for every installed rule. It walks each shard's
-// current slot array without locking, so fn may safely call back into
-// the table; under concurrent writers the view is weakly consistent (a
-// rule installed or removed during the walk may or may not be seen),
-// and exact once writers are quiesced, as checkpoint and restore
-// require. Rules must still be treated as immutable.
-func (g *Global) ForEach(fn func(*GlobalRule)) {
-	for i := range g.shards {
-		t := g.shards[i].table.Load()
-		for si := range t.slots {
-			sl := &t.slots[si]
-			if sl.key.Load()&slotStateMask < slotLive {
-				continue
-			}
-			if r := sl.rule.Load(); r != nil {
-				fn(r)
-			}
+	if h, ok := g.flows.AcquireFID(fid); ok {
+		if r := g.Live(h); r != nil {
+			return r, true
 		}
 	}
+	return nil, false
+}
+
+// Len returns the number of installed rules, StaleLen the stale-marked
+// ones among them.
+func (g *Global) Len() int      { return g.flows.Counts().Rules }
+func (g *Global) StaleLen() int { return g.flows.Counts().Stale }
+
+// ForEach calls fn for every installed rule, walking the flow table with
+// no lock held, so fn may safely call back into the table; under
+// concurrent writers the view is weakly consistent (a rule installed or
+// removed during the walk may or may not be seen), and exact once
+// writers are quiesced, as checkpoint and restore require. Rules must
+// still be treated as immutable.
+func (g *Global) ForEach(fn func(*GlobalRule)) {
+	g.flows.Each(func(h flow.Handle) {
+		if r := (*GlobalRule)(h.Rule()); r != nil {
+			fn(r)
+		}
+	})
 }
 
 // Dump renders every installed rule, sorted by FID, for debugging and

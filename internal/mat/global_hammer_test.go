@@ -9,53 +9,119 @@ import (
 	"time"
 
 	"github.com/fastpathnfv/speedybox/internal/flow"
+	"github.com/fastpathnfv/speedybox/internal/packet"
 )
 
-// TestGlobalRaceHammer drives the lock-free readers against every
-// mutating path at once — Install, Remove, MarkStale, AdvanceEpoch,
-// SweepEpoch, and the growth and compaction that publish a fresh slot
-// array under the readers' feet — and checks what a reader may rely
-// on. Run it under -race to exercise the store order (slot stores
-// before the generation bump; rule before a live key, dead key before
-// a dropped rule).
+// flowAt is the entry the hammers restore at a FID: any tuple will do,
+// as long as no two FIDs share one.
+func flowAt(fid flow.FID) flow.Entry {
+	return flow.Entry{FID: fid, State: flow.StateEstablished, Tuple: packet.FiveTuple{
+		SrcIP: packet.IP4(10, byte(fid>>16), byte(fid>>8), byte(fid)), DstIP: packet.IP4(10, 255, 0, 1),
+		SrcPort: 4000, DstPort: 80, Proto: packet.ProtoUDP}}
+}
+
+// journalModel is a Journal that keeps, per audited FID, what the
+// mutations it was told of add up to: present<<63 | stale<<62 | version.
+// The table calls it inside the Edit that applied the mutation, so each
+// callback must find the model where the previous one on that FID left
+// it — an install replaces exactly when a rule is present and carries
+// exactly its version plus one, a removal or a stale mark finds a rule —
+// and at rest the model must be the table. A version carried from a read
+// made outside the Edit, or a callback made after it, breaks one or the
+// other. It audits the FIDs whose rules only ever leave through Remove,
+// the one way the journal is told of: not those a flow is unlinked from
+// with its rule still on.
+type journalModel struct {
+	words   []atomic.Uint64
+	audited func(flow.FID) bool
+	bad     atomic.Uint64
+}
+
+const (
+	jPresent = 1 << 63
+	jStale   = 1 << 62
+)
+
+func (j *journalModel) RuleInstalled(r *GlobalRule, replaced bool) {
+	if !j.audited(r.FID) {
+		return
+	}
+	w := &j.words[r.FID]
+	old := w.Load()
+	if replaced != (old&jPresent != 0) || (replaced && r.Version != old&^(jPresent|jStale)+1) {
+		j.bad.Add(1)
+	}
+	w.Store(jPresent | r.Version)
+}
+
+func (j *journalModel) RuleRemoved(fid flow.FID) {
+	if j.audited(fid) && j.words[fid].Swap(0)&jPresent == 0 {
+		j.bad.Add(1)
+	}
+}
+
+func (j *journalModel) RuleStaled(fid flow.FID) {
+	if !j.audited(fid) {
+		return
+	}
+	w := &j.words[fid]
+	old := w.Load()
+	if old&jPresent == 0 {
+		j.bad.Add(1)
+	}
+	w.Store(old | jStale)
+}
+
+func (j *journalModel) EpochAdvanced(uint64) {}
+
+// TestGlobalRaceHammer drives the lock-free readers of the rule word
+// against everything that writes it — Install, replace with version
+// carry, Remove, MarkStale, AdvanceEpoch and SweepEpoch — and against
+// the flow table's own writers on the same FIDs: insert, remove and
+// RestoreEntry, which take the word's entry away under the readers'
+// feet. Run it under -race for the store order (rule before the cleared
+// stale flag, buried slots before the emptied words).
 //
-// Two FID ranges. The chaos range is written by everyone at once, so
-// only writer-independent invariants hold there: a hit is a rule for
+// Two FID ranges. The contended range is written by everyone at once,
+// so only writer-independent invariants hold there: a hit is a rule of
 // the probed FID, LookupLive serves no rule of another epoch while the
-// epoch stood still, ForEach yields no nil. The owned range has one
-// writer per FID, cycling Install / replace / MarkStale / reinstall /
-// Remove over more FIDs per shard than a shard's tombstone budget. It
-// brackets every operation in a per-FID seqlock word and tags every
-// rule it installs with the word's version, so a reader can tell what
-// the last completed operation on a FID left, and has two independent
-// witnesses that its lookups raced none:
-//
-//   - the seqlock: the word read before and after the lookups is the
-//     same and not busy;
-//   - the generation, which is the contract core's flow contexts live
-//     by: the word read after the lookups is not busy and Gen() read
-//     before and after them agrees. The operation the word names is complete, so
-//     its bump has happened; the generation did not move, so the bump
-//     came before the first Gen() read; and the slot stores come before
-//     the bump, so the lookups saw them. (Any later operation would
-//     have turned the word busy before it touched the slot.) This is
-//     the witness that fails when a writer bumps before it stores.
-//
-// Under either, a lookup must return exactly what that operation left
-// — a live hit is the very rule it installed, never a stale-marked or
-// removed one — except that the epoch sweep, which may stale-mark an
-// owned rule at any time, can make the table staler than the word says.
+// epoch stood still, ForEach yields no nil. A quarter of its FIDs also
+// have their flow restored and removed under the racing rule writers; on
+// the rest — some flows' FIDs, some no flow's — the journal, which hears
+// every mutation inside the Edit that applied it, must be able to replay
+// them per FID to exactly the state the table is left in (journalModel).
+// The owned range has one writer a
+// FID, cycling insert / Install / replace / MarkStale / reinstall /
+// Remove or unlink. It brackets every operation in a per-FID seqlock
+// word and tags every rule with the word's version, so a reader whose
+// lookups the word did not move under knows what they must return: the
+// very rule the last completed operation left, never a stale-marked,
+// removed or unlinked one — except that the epoch sweep, which may
+// stale-mark an owned rule at any time, can make the table staler than
+// the word says. And the writer itself checks, each time it unlinks an
+// entry that holds a rule, that the Handle it acquired before reads
+// nothing after.
 func TestGlobalRaceHammer(t *testing.T) {
-	g := NewGlobal()
 	const (
-		chaos = 256  // 8 per shard
-		owned = 4096 // 128 per shard, in arrays of 16-32 slots
-		total = chaos + owned
+		contended = 64
+		owned     = 4096
+		total     = contended + owned
 		// Seqlock word: version<<2 | stale<<1 | present; odd version =
 		// an operation is in flight.
 		present = 1
 		stale   = 2
 	)
+	flows := flow.NewTable()
+	g := NewGlobal(flows)
+	// Contended FIDs, by residue: 0 a flow that comes and goes, 1 a flow
+	// that stays, 2 and 3 no flow's.
+	churned := func(fid flow.FID) bool { return fid < contended && fid%4 == 0 }
+	for fid := flow.FID(1); fid < contended; fid += 4 {
+		flows.RestoreEntry(flowAt(fid))
+	}
+	journal := &journalModel{words: make([]atomic.Uint64, contended),
+		audited: func(fid flow.FID) bool { return fid < contended && !churned(fid) }}
+	g.SetJournal(journal)
 	var (
 		stop   atomic.Bool
 		wg     sync.WaitGroup
@@ -63,21 +129,28 @@ func TestGlobalRaceHammer(t *testing.T) {
 		cursor [2]atomic.Uint32 // the owned index each owned writer is operating on
 	)
 
-	// Chaos writers: disjoint FID ranges for Install/Remove so rule
-	// pointers have a single writer, plus one stale-marker over the
-	// whole chaos range and one epoch driver over the whole table.
+	// Contended writers: both race over the whole range, and over the
+	// churned FIDs' flows; a stale-marker and an epoch driver beside them.
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
-			lo, hi := w*chaos/2, (w+1)*chaos/2
 			for !stop.Load() {
-				fid := flow.FID(lo + rng.Intn(hi-lo))
-				if rng.Intn(3) < 2 {
+				fid := flow.FID(rng.Intn(contended))
+				switch rng.Intn(8) {
+				case 0, 1, 2, 3:
 					g.Install(&GlobalRule{FID: fid, Epoch: g.Epoch()})
-				} else {
+				case 4, 5:
 					g.Remove(fid)
+				case 6:
+					if churned(fid) {
+						flows.RestoreEntry(flowAt(fid))
+					}
+				default:
+					if churned(fid) {
+						flows.Remove(fid)
+					}
 				}
 			}
 		}(w)
@@ -87,7 +160,7 @@ func TestGlobalRaceHammer(t *testing.T) {
 		defer wg.Done()
 		rng := rand.New(rand.NewSource(99))
 		for !stop.Load() {
-			g.MarkStale(flow.FID(rng.Intn(chaos)))
+			g.MarkStale(flow.FID(rng.Intn(contended)))
 		}
 	}()
 	wg.Add(1)
@@ -101,10 +174,10 @@ func TestGlobalRaceHammer(t *testing.T) {
 	}()
 
 	// Owned writers: each walks its half of the owned range with a
-	// window of resident rules behind it, so every shard keeps keying
-	// fresh slots and burying old ones — arrays are compacted and
+	// window of resident flows behind it, so every shard keeps keying
+	// fresh slots and burying old ones — both indexes are compacted and
 	// published the whole time readers probe them.
-	var cycles atomic.Uint64
+	var cycles, unlinked, leaked atomic.Uint64
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -118,16 +191,29 @@ func TestGlobalRaceHammer(t *testing.T) {
 				cursor[w].Store(uint32(i))
 				ver := sh.Load()>>2 + 1
 				sh.Store(ver << 2) // odd: busy
-				do(flow.FID(chaos+i), int(ver+1))
+				do(flow.FID(contended+i), int(ver+1))
 				sh.Store((ver+1)<<2 | state)
 			}
 			install := func(fid flow.FID, tag int) {
 				g.Install(&GlobalRule{FID: fid, Epoch: g.Epoch(), SourceNFs: tag})
 			}
+			track := func(fid flow.FID, _ int) { flows.RestoreEntry(flowAt(fid)) }
 			markStale := func(fid flow.FID, _ int) { g.MarkStale(fid) }
 			remove := func(fid flow.FID, _ int) { g.Remove(fid) }
+			// unlink takes the flow away with its rule still on it.
+			unlink := func(fid flow.FID, _ int) {
+				h, _ := flows.AcquireFID(fid)
+				flows.Remove(fid)
+				unlinked.Add(1)
+				if _, ok := g.LookupLive(fid); ok || h.Rule() != nil || g.Live(h) != nil {
+					leaked.Add(1)
+				}
+			}
 			for n := 0; !stop.Load(); n++ {
 				i := w*span + n%span
+				if rng.Intn(4) > 0 {
+					op(i, 0, track) // three in four rules sit on a flow's entry
+				}
 				op(i, present, install)
 				switch rng.Intn(4) {
 				case 0:
@@ -139,7 +225,13 @@ func TestGlobalRaceHammer(t *testing.T) {
 					op(i, present, install) // replace over live
 				}
 				if n >= window {
-					op(w*span+(n-window)%span, 0, remove)
+					old := w*span + (n-window)%span
+					if _, tracked := flows.LookupFID(flow.FID(contended + old)); tracked && rng.Intn(2) == 0 {
+						op(old, 0, unlink)
+					} else {
+						op(old, 0, remove)
+						flows.Remove(flow.FID(contended + old))
+					}
 				}
 				cycles.Add(1)
 			}
@@ -149,33 +241,27 @@ func TestGlobalRaceHammer(t *testing.T) {
 	// Readers. The failure counters are sticky; t.Errorf is not called
 	// from the racing goroutines to keep the hot loops allocation-free.
 	var (
-		badFID, badEpoch, badOwned, badGen, badEach atomic.Uint64
-		hits, ownedLive, seqChecks                  atomic.Uint64
-		genHeld, genOnly, genMoves                  atomic.Uint64
+		badFID, badEpoch, badOwned, badEach atomic.Uint64
+		hits, ownedLive, seqChecks          atomic.Uint64
 	)
 	for r := 0; r < 3; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(1000 + r)))
-			lastGen := g.Gen()
 			for !stop.Load() {
 				fid := flow.FID(rng.Intn(total))
 				if rng.Intn(2) == 0 {
 					// Chase an owned writer: probe the FID it is on now.
-					fid = flow.FID(chaos + cursor[rng.Intn(len(cursor))].Load())
+					fid = flow.FID(contended + cursor[rng.Intn(len(cursor))].Load())
 				}
 				var sh *atomic.Uint64
 				var s1 uint64
-				if fid >= chaos {
-					sh = &shadow[fid-chaos]
+				if fid >= contended {
+					sh = &shadow[fid-contended]
 					s1 = sh.Load()
 				}
-				g1, e1 := g.Gen(), g.Epoch()
-				if g1 != lastGen {
-					genMoves.Add(1)
-					lastGen = g1
-				}
+				e1 := g.Epoch()
 				rule, ok := g.Lookup(fid)
 				live, okLive := g.LookupLive(fid)
 				isStale := g.IsStale(fid)
@@ -188,36 +274,21 @@ func TestGlobalRaceHammer(t *testing.T) {
 				if okLive && (live.FID != fid || (g.Epoch() == e1 && live.Epoch != e1)) {
 					badEpoch.Add(1)
 				}
-				if sh != nil {
-					// Lookups that began inside an operation wait, briefly,
-					// for it to complete: past its generation bump, only
-					// the generation can vouch for them.
-					s2 := sh.Load()
-					for spin := 0; s2>>2&1 != 0 && spin < 256; spin++ {
-						s2 = sh.Load()
+				// Raced or not: a rule no younger than a word that says
+				// stale or absent was stale-marked or removed before the
+				// lookup began, for good — every install is a fresh rule.
+				if okLive && sh != nil && s1>>2&1 == 0 && s1&(present|stale) != present && live.SourceNFs <= int(s1>>2) {
+					badOwned.Add(1)
+				}
+				if sh != nil && sh.Load() == s1 && s1>>2&1 == 0 {
+					wantPresent, wantStale := s1&present != 0, s1&stale != 0
+					if ok != wantPresent || (wantStale && !isStale) || (isStale && !wantPresent) ||
+						(okLive && (!wantPresent || wantStale || live.SourceNFs != int(s1>>2))) {
+						badOwned.Add(1)
 					}
-					bySeq, byGen := s2 == s1, g.Gen() == g1
-					if byGen {
-						genHeld.Add(1)
-					}
-					if s2>>2&1 == 0 && (bySeq || byGen) {
-						wantPresent, wantStale := s2&present != 0, s2&stale != 0
-						if ok != wantPresent || (wantStale && !isStale) || (isStale && !wantPresent) ||
-							(okLive && (!wantPresent || wantStale || live.SourceNFs != int(s2>>2))) {
-							if bySeq {
-								badOwned.Add(1)
-							} else {
-								badGen.Add(1)
-							}
-						}
-						if bySeq {
-							seqChecks.Add(1)
-						} else {
-							genOnly.Add(1)
-						}
-						if okLive {
-							ownedLive.Add(1)
-						}
+					seqChecks.Add(1)
+					if okLive {
+						ownedLive.Add(1)
 					}
 				}
 				if rng.Intn(256) == 0 {
@@ -228,7 +299,7 @@ func TestGlobalRaceHammer(t *testing.T) {
 						}
 						n++
 					})
-					if n > total || g.Len() > total || g.StaleLen() > total || g.DeadSlots() < 0 {
+					if n > total || g.Len() > total || g.StaleLen() > total {
 						badEach.Add(1)
 					}
 				}
@@ -239,43 +310,51 @@ func TestGlobalRaceHammer(t *testing.T) {
 	// Drive for a wall-clock window (not an iteration count): the point
 	// is scheduler interleaving, and a fast machine would finish a counted
 	// loop before the reader goroutines ever run. The window stretches, up
-	// to 2 s, on a host that ran readers and writers mostly in turns: the
-	// generation witness needs lookups that began inside an operation.
-	before := g.Publishes()
+	// to 2 s, on a host (or under a race detector) that got little done.
+	before := flows.Rebuilds()
 	for start := time.Now(); ; {
 		time.Sleep(50 * time.Millisecond)
-		if d := time.Since(start); d >= 2*time.Second || (d >= 250*time.Millisecond && genOnly.Load() >= 64) {
+		if d := time.Since(start); d >= 2*time.Second || (d >= 400*time.Millisecond && cycles.Load() >= 200000) {
 			break
 		}
 	}
 	stop.Store(true)
 	wg.Wait()
 
-	for _, c := range []struct {
-		n    *atomic.Uint64
-		what string
-	}{
-		{&badFID, "lookups returned a rule for the wrong FID"},
-		{&badEpoch, "LookupLive hits were of another epoch while the epoch stood still"},
-		{&badOwned, "unraced lookups disagreed with the last completed operation"},
-		{&badGen, "lookups within an unchanged generation disagreed with the last completed operation"},
-		{&badEach, "ForEach/Len inconsistencies"},
-	} {
-		if n := c.n.Load(); n != 0 {
-			t.Errorf("%d %s", n, c.what)
+	// At rest the journal's replay is the table, audited FID for FID —
+	// but for the sweep, which stale-marks without journaling.
+	mismatched := 0
+	for fid := flow.FID(0); fid < contended; fid++ {
+		w := journal.words[fid].Load()
+		r, ok := g.Lookup(fid)
+		if journal.audited(fid) && (ok != (w&jPresent != 0) ||
+			(ok && (r.Version != w&^(jPresent|jStale) || (w&jStale != 0 && !g.IsStale(fid))))) {
+			mismatched++
 		}
 	}
-	published := g.Publishes() - before
-	t.Logf("%d hits; owned checks: %d by seqlock, %d by generation alone (%d live); generation held across %d probes, moved between %d; %d owned cycles, %d arrays published",
-		hits.Load(), seqChecks.Load(), genOnly.Load(), ownedLive.Load(), genHeld.Load(), genMoves.Load(), cycles.Load(), published)
-	if hits.Load() == 0 || seqChecks.Load() == 0 || ownedLive.Load() == 0 {
+	for _, c := range []struct {
+		n    uint64
+		what string
+	}{
+		{badFID.Load(), "lookups returned a rule for the wrong FID"},
+		{badEpoch.Load(), "LookupLive hits were of another epoch while the epoch stood still"},
+		{badOwned.Load(), "unraced lookups disagreed with the last completed operation"},
+		{badEach.Load(), "ForEach/Len inconsistencies"},
+		{leaked.Load(), "rules were readable after their entry was unlinked"},
+		{journal.bad.Load(), "journal callbacks did not follow from the previous one on their FID"},
+		{uint64(mismatched), "contended FIDs ended in a state the journal's replay does not"},
+	} {
+		if c.n != 0 {
+			t.Errorf("%d %s", c.n, c.what)
+		}
+	}
+	published := flows.Rebuilds() - before
+	t.Logf("%d hits; %d owned checks by seqlock (%d live); %d owned cycles, %d unlinks with the rule on, %d arrays published",
+		hits.Load(), seqChecks.Load(), ownedLive.Load(), cycles.Load(), unlinked.Load(), published)
+	if hits.Load() == 0 || seqChecks.Load() == 0 || ownedLive.Load() == 0 || unlinked.Load() == 0 {
 		t.Error("hammer did not exercise the read side")
 	}
-	if genHeld.Load() == 0 || genMoves.Load() == 0 {
-		t.Errorf("generation held across %d probes and moved between %d: the bracket is vacuous",
-			genHeld.Load(), genMoves.Load())
-	}
-	// Every owned cycle buries a slot; a shard's budget is a few dozen.
+	// Every owned cycle buries a slot or two; a shard's budget is a few dozen.
 	if published < 32 {
 		t.Errorf("%d owned cycles published only %d arrays: compaction was not raced", cycles.Load(), published)
 	}
@@ -288,40 +367,33 @@ type modelRule struct {
 	version uint64
 }
 
-// globalModel pairs a Global with a plain map model. Every operation
-// is applied to both and its result compared; check compares the
-// observables. The generation must move on every mutation — including
-// no-op Remove and MarkStale, which the contract bumps so workers'
-// cached rule pointers revalidate — and never regress.
+// globalModel pairs a Global, and the flow table under it, with a plain
+// map model. Every operation is applied to both and its result compared;
+// check compares the observables.
 type globalModel struct {
-	t       *testing.T
-	g       *Global
-	rules   map[flow.FID]*modelRule
-	stale   int
-	epoch   uint64
-	lastGen uint64
-	seed    int64
-	step    int
+	t     *testing.T
+	flows *flow.Table
+	g     *Global
+	rules map[flow.FID]*modelRule
+	// tracked is the FIDs a flow holds; a rule elsewhere is on a detached
+	// entry.
+	tracked  map[flow.FID]bool
+	detached int
+	stale    int
+	epoch    uint64
+	seed     int64
+	step     int
 }
 
 func newGlobalModel(t *testing.T, seed int64) *globalModel {
-	g := NewGlobal()
-	return &globalModel{t: t, g: g, rules: make(map[flow.FID]*modelRule), lastGen: g.Gen(), seed: seed}
+	flows := flow.NewTable()
+	return &globalModel{t: t, flows: flows, g: NewGlobal(flows), seed: seed,
+		rules: make(map[flow.FID]*modelRule), tracked: make(map[flow.FID]bool)}
 }
 
 func (m *globalModel) fatalf(format string, args ...any) {
 	m.t.Helper()
 	m.t.Fatalf("seed %d step %d: "+format, append([]any{m.seed, m.step}, args...)...)
-}
-
-// bumped checks the generation after an operation.
-func (m *globalModel) bumped(mutated bool) {
-	m.t.Helper()
-	gen := m.g.Gen()
-	if gen < m.lastGen || (mutated && gen == m.lastGen) {
-		m.fatalf("generation %d -> %d (mutated=%v)", m.lastGen, gen, mutated)
-	}
-	m.lastGen = gen
 }
 
 func (m *globalModel) install(r *GlobalRule) {
@@ -332,27 +404,58 @@ func (m *globalModel) install(r *GlobalRule) {
 		m.fatalf("Install(%v) replaced = %v, model %v", r.FID, got, want)
 	}
 	nr := &modelRule{epoch: m.epoch}
-	if want {
+	switch {
+	case want:
 		nr.version = old.version + 1
 		if old.stale {
 			m.stale--
 		}
+	case !m.tracked[r.FID]:
+		m.detached++
 	}
 	m.rules[r.FID] = nr
-	m.bumped(true)
+}
+
+// forget drops the model's rule for a FID.
+func (m *globalModel) forget(fid flow.FID) {
+	if old, ok := m.rules[fid]; ok {
+		if old.stale {
+			m.stale--
+		}
+		if !m.tracked[fid] {
+			m.detached--
+		}
+	}
+	delete(m.rules, fid)
 }
 
 func (m *globalModel) remove(fid flow.FID) {
 	m.t.Helper()
-	old, want := m.rules[fid]
+	_, want := m.rules[fid]
 	if got := m.g.Remove(fid); got != want {
 		m.fatalf("Remove(%v) = %v, model %v", fid, got, want)
 	}
-	if want && old.stale {
-		m.stale--
+	m.forget(fid)
+}
+
+// track puts a flow at the FID: over a flow or a detached entry already
+// there, whose rule goes with it.
+func (m *globalModel) track(fid flow.FID) {
+	m.flows.RestoreEntry(flowAt(fid))
+	m.forget(fid)
+	m.tracked[fid] = true
+}
+
+// untrack removes the FID's flow, and its rule with it.
+func (m *globalModel) untrack(fid flow.FID) {
+	m.t.Helper()
+	if got := m.flows.Remove(fid); got != m.tracked[fid] {
+		m.fatalf("flows.Remove(%v) = %v, model %v", fid, got, m.tracked[fid])
 	}
-	delete(m.rules, fid)
-	m.bumped(true)
+	if m.tracked[fid] {
+		m.forget(fid)
+		delete(m.tracked, fid)
+	}
 }
 
 func (m *globalModel) markStale(fid flow.FID) {
@@ -367,14 +470,9 @@ func (m *globalModel) markStale(fid flow.FID) {
 		r.stale = true
 		m.stale++
 	}
-	m.bumped(true)
 }
 
-func (m *globalModel) advanceEpoch() {
-	m.t.Helper()
-	m.epoch = m.g.AdvanceEpoch()
-	m.bumped(true)
-}
+func (m *globalModel) advanceEpoch() { m.epoch = m.g.AdvanceEpoch() }
 
 // sweep returns how many rules it marked.
 func (m *globalModel) sweep() int {
@@ -390,9 +488,6 @@ func (m *globalModel) sweep() int {
 	if got := m.g.SweepEpoch(m.epoch); got != want {
 		m.fatalf("SweepEpoch = %d, model %d", got, want)
 	}
-	// A sweep that marks nothing touches nothing — caches stay valid,
-	// so no generation bump is required.
-	m.bumped(want > 0)
 	return want
 }
 
@@ -415,16 +510,21 @@ func (m *globalModel) check(probes ...flow.FID) {
 		if _, gotLive := m.g.LookupLive(fid); gotLive != wantLive {
 			m.fatalf("LookupLive(%v) = %v, model %v", fid, gotLive, wantLive)
 		}
+		if _, gotFlow := m.flows.LookupFID(fid); gotFlow != m.tracked[fid] {
+			m.fatalf("LookupFID(%v) = %v, model %v", fid, gotFlow, m.tracked[fid])
+		}
 	}
-	if m.g.Len() != len(m.rules) || m.g.StaleLen() != m.stale {
-		m.fatalf("Len %d StaleLen %d, model %d %d", m.g.Len(), m.g.StaleLen(), len(m.rules), m.stale)
+	c := m.flows.Counts()
+	if c.Rules != len(m.rules) || c.Stale != m.stale || c.Flows != len(m.tracked) || c.Detached != m.detached {
+		m.fatalf("%+v; model %d rules, %d stale, %d flows, %d detached", c, len(m.rules), m.stale, len(m.tracked), m.detached)
 	}
 }
 
 // TestGlobalModelProperty drives a seeded random operation sequence
-// over all 32 shards against the map model, comparing every observable
-// after every step: presence, staleness, liveness, sizes, and
-// generation monotonicity.
+// over all 32 shards against the map model — rule operations on FIDs
+// flows hold and on FIDs they do not, and the flows coming and going
+// under them — comparing every observable after every step: presence,
+// staleness, liveness, versions, and the sizes on both tables.
 func TestGlobalModelProperty(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -432,7 +532,7 @@ func TestGlobalModelProperty(t *testing.T) {
 		const fids = 96
 		for m.step = 0; m.step < 4000; m.step++ {
 			fid := flow.FID(rng.Intn(fids))
-			switch op := rng.Intn(10); {
+			switch op := rng.Intn(13); {
 			case op < 4:
 				m.install(&GlobalRule{FID: fid})
 			case op < 6: // maybe a no-op
@@ -441,33 +541,35 @@ func TestGlobalModelProperty(t *testing.T) {
 				m.markStale(fid)
 			case op < 9:
 				m.advanceEpoch()
-			default:
+			case op < 10:
 				m.sweep()
+			case op < 12: // maybe over a flow, or a detached entry and its rule
+				m.track(fid)
+			default: // maybe a no-op
+				m.untrack(fid)
 			}
 			m.check(fid, flow.FID(rng.Intn(fids)))
 		}
 	}
 }
 
-// TestGlobalModelOneShard is the model test where the in-place table
-// does its work: one shard holding over a thousand rules, installs
-// drawn from 32 768 FIDs so slots keep being keyed and buried. It must
-// see growth, tombstones piling up, a tombstone revived by its own
-// FID, a replace over a stale mark, an in-place epoch sweep and
-// compaction, all op-for-op equal to the map model; every published
-// array is sized to the rules it holds; and the table drains back to
-// the shared empty array.
+// TestGlobalModelOneShard is the model test at size: one shard holding
+// over a thousand rules, half of them on detached entries, with installs
+// drawn from 32 768 FIDs, so the shard's FID index keeps keying slots
+// for detached entries and burying them. It must see the index grow,
+// tombstones pile up and be compacted away, a removed FID come back, a
+// replace over a stale mark and an epoch sweep, all op-for-op equal to
+// the map model; and the table drains back to nothing.
 func TestGlobalModelOneShard(t *testing.T) {
 	const (
 		shard    = 7
-		universe = 1 << (flow.FIDBits - shardBits)
+		universe = (flow.MaxFID + 1) / flow.ShardCount
 		target   = 1280
 		steps    = 60000
 	)
 	rng := rand.New(rand.NewSource(1))
 	m := newGlobalModel(t, 1)
-	s := &m.g.shards[shard]
-	anyFID := func() flow.FID { return flow.FID(rng.Intn(universe))<<shardBits | shard }
+	anyFID := func() flow.FID { return flow.FID(rng.Intn(universe))*flow.ShardCount + shard }
 	// resident mirrors the model's key set for O(1) random picks;
 	// buried is a ring of recently removed FIDs.
 	var resident, buried []flow.FID
@@ -482,6 +584,9 @@ func TestGlobalModelOneShard(t *testing.T) {
 		if _, ok := m.rules[fid]; !ok {
 			where[fid] = len(resident)
 			resident = append(resident, fid)
+			if rng.Intn(2) == 0 && !m.tracked[fid] {
+				m.track(fid)
+			}
 		}
 		m.install(&GlobalRule{FID: fid})
 	}
@@ -493,21 +598,17 @@ func TestGlobalModelOneShard(t *testing.T) {
 			delete(where, fid)
 			buried = append(buried, fid)
 		}
-		m.remove(fid)
-	}
-
-	// sized checks a just-published array against the rules it holds.
-	sized := func() int {
-		slots := len(s.table.Load().slots)
-		if slots > max(8, 4*(len(m.rules)+1)) || m.g.DeadSlots() != 0 {
-			m.fatalf("published %d slots with %d tombstones for %d rules", slots, m.g.DeadSlots(), len(m.rules))
+		if m.tracked[fid] && rng.Intn(2) == 0 {
+			m.untrack(fid) // the rule goes with its entry
+			return
 		}
-		return slots
+		m.remove(fid)
+		m.untrack(fid)
 	}
 
-	var grown, compacted, revived, overStale, swept, maxDead, peak int
+	var revived, overStale, swept, maxDead, peak int
+	rebuilds := m.flows.Rebuilds()
 	for m.step = 0; m.step < steps; m.step++ {
-		pubs, slots := m.g.Publishes(), len(s.table.Load().slots)
 		var fid flow.FID
 		grow := len(m.rules) < target
 		switch op := rng.Intn(100); {
@@ -522,7 +623,7 @@ func TestGlobalModelOneShard(t *testing.T) {
 				continue
 			}
 			fid = buried[rng.Intn(len(buried))]
-			if _, state := s.table.Load().find(fid); state == slotDead {
+			if _, ok := m.rules[fid]; !ok {
 				revived++
 			}
 			install(fid)
@@ -553,86 +654,75 @@ func TestGlobalModelOneShard(t *testing.T) {
 			buried = buried[len(buried)-128:]
 		}
 		m.check(fid, anyFID(), pickResident())
-
 		peak = max(peak, len(m.rules))
-		maxDead = max(maxDead, m.g.DeadSlots())
-		if m.g.Publishes() != pubs {
-			if sized() > slots {
-				grown++
-			} else {
-				compacted++
-			}
-		}
+		maxDead = max(maxDead, m.flows.DeadSlots())
 	}
-	t.Logf("peak %d rules, %d growths, %d compactions, %d revives, %d replaces over stale, %d sweeps, %d max tombstones",
-		peak, grown, compacted, revived, overStale, swept, maxDead)
-	if peak < 1024 || grown < 8 || compacted == 0 || revived == 0 || overStale == 0 || swept == 0 || maxDead < 256 {
+	rebuilds = m.flows.Rebuilds() - rebuilds
+	t.Logf("peak %d rules, %d arrays published, %d revives, %d replaces over stale, %d sweeps, %d max tombstones",
+		peak, rebuilds, revived, overStale, swept, maxDead)
+	if peak < 1024 || rebuilds < 16 || revived == 0 || overStale == 0 || swept == 0 || maxDead < 256 {
 		t.Error("the run did not reach the code it is for")
 	}
 
-	// A burst, then teardown of everything: the array must follow the
-	// population down, and the last Remove hands the array back.
-	for len(m.rules) < 4*target {
-		install(anyFID())
-	}
-	burst := len(s.table.Load().slots)
+	// Teardown of everything: the last Remove hands the arrays back.
 	for len(resident) > 0 {
 		m.step++
 		remove(resident[len(resident)-1])
-		install(anyFID()) // churn, so compaction has a reason to run
-		pubs := m.g.Publishes()
-		remove(resident[len(resident)-1])
-		if m.g.Publishes() != pubs {
-			sized()
-		}
 	}
 	m.check(anyFID())
-	if s.table.Load() != emptyRuleTable || m.g.DeadSlots() != 0 || burst < 8192 {
-		t.Errorf("drained shard: %d slots, %d tombstones (burst reached %d slots)",
-			len(s.table.Load().slots), m.g.DeadSlots(), burst)
+	if c := m.flows.Counts(); c != (flow.Counts{}) {
+		t.Errorf("drained table: %+v", c)
 	}
 }
 
-// TestGlobalChurnAllocation bounds what steady flow churn allocates:
-// beside 1 024 resident rules in one shard, an install+remove pair of a
-// preallocated rule allocates nothing itself, and the compaction it
-// eventually forces amortises to at most 64 bytes a pair — a 16-byte
-// slot array sized at no more than half load, rebuilt at 3/4, costs
-// 16*size bytes per size/4 tombstones at worst.
+// TestGlobalChurnAllocation bounds what steady flow churn allocates
+// beside 1 024 resident rules in one shard. Where it happens — on FIDs
+// flows hold — an install+remove pair of a preallocated rule is two
+// stores into an entry that exists and allocates nothing. Under FIDs no
+// flow holds a pair makes and unlinks a detached entry: its 64 bytes,
+// and next to nothing for the FID index, where the entry re-keys the
+// tombstone its last incarnation left.
 func TestGlobalChurnAllocation(t *testing.T) {
 	const (
 		shard    = 3
 		resident = 1024
 		pairs    = 50000
 	)
-	fidAt := func(i int) flow.FID { return flow.FID(i)<<shardBits | shard }
 	rules := make([]GlobalRule, resident+4096)
+	flows := flow.NewTable()
 	for i := range rules {
-		rules[i].FID = fidAt(i)
+		rules[i].FID = flow.FID(i)*flow.ShardCount + shard
+		if i < resident+2048 {
+			flows.RestoreEntry(flowAt(rules[i].FID))
+		}
 	}
-	g := NewGlobal()
+	g := NewGlobal(flows)
 	for i := 0; i < resident; i++ {
 		g.Install(&rules[i])
 	}
-	churn := rules[resident:]
-	var before, after runtime.MemStats
-	pubs := g.Publishes()
-	runtime.ReadMemStats(&before)
-	for i := 0; i < pairs; i++ {
-		r := &churn[i%len(churn)]
-		g.Install(r)
-		g.Remove(r.FID)
+	for _, tc := range []struct {
+		what  string
+		churn []GlobalRule
+		bound float64
+	}{
+		{"on flows' entries", rules[resident : resident+2048], 1},
+		{"on detached entries", rules[resident+2048:], 96},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < pairs; i++ {
+			r := &tc.churn[i%len(tc.churn)]
+			g.Install(r)
+			g.Remove(r.FID)
+		}
+		runtime.ReadMemStats(&after)
+		perPair := float64(after.TotalAlloc-before.TotalAlloc) / pairs
+		t.Logf("%s: %.1f bytes/pair", tc.what, perPair)
+		if perPair > tc.bound {
+			t.Errorf("%s: install+remove allocates %.1f bytes a pair, want <= %v", tc.what, perPair, tc.bound)
+		}
 	}
-	runtime.ReadMemStats(&after)
-	perPair := float64(after.TotalAlloc-before.TotalAlloc) / pairs
-	t.Logf("%.1f bytes/pair, %d arrays published over %d pairs", perPair, g.Publishes()-pubs, pairs)
-	if perPair > 64 {
-		t.Errorf("install+remove allocates %.1f bytes a pair, want <= 64", perPair)
-	}
-	if g.Publishes() == pubs {
-		t.Error("no compaction in the measured region")
-	}
-	if g.Len() != resident {
-		t.Errorf("Len = %d, want %d", g.Len(), resident)
+	if c := flows.Counts(); c.Rules != resident || c.Detached != 0 {
+		t.Errorf("%+v, want the %d resident rules and nothing detached", c, resident)
 	}
 }

@@ -1,0 +1,135 @@
+package mat_test
+
+import (
+	"testing"
+
+	"github.com/fastpathnfv/speedybox/internal/event"
+	"github.com/fastpathnfv/speedybox/internal/flow"
+	. "github.com/fastpathnfv/speedybox/internal/mat"
+	"github.com/fastpathnfv/speedybox/internal/packet"
+	"github.com/fastpathnfv/speedybox/internal/sfunc"
+)
+
+// The Local MAT tests. An NF's Local MAT entry for a flow is its span of
+// the flow's record, which package event keeps on the flow's entry, so
+// these drive it from outside the package: publish is Table.Publish, the
+// snapshot read Table.Recorded, an event's in-place edit Firing.Apply,
+// deletion Table.Remove.
+
+func noop(name string) sfunc.Func {
+	return sfunc.Func{Name: name, Class: sfunc.ClassIgnore, Run: func(*packet.Packet) (uint64, error) { return 0, nil }}
+}
+
+// publish records rule as the one NF of a one-NF chain.
+func publish(tbl *event.Table, fid flow.FID, rule *LocalRule) {
+	tbl.Publish(fid, 0, 1, 0, []Contribution{{NF: "x", Rule: rule}})
+}
+
+// mutate runs fn on the flow's span the way a firing event does.
+func mutate(t *testing.T, tbl *event.Table, fid flow.FID, fn func(*LocalRule)) {
+	t.Helper()
+	err := tbl.Register(fid, event.Event{NF: "x", OneShot: true,
+		Condition: func(flow.FID) bool { return true },
+		Update:    func(_ flow.FID, r *LocalRule) { fn(r) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range tbl.Check(fid) {
+		f.Apply(0, 1)
+	}
+}
+
+func TestLocalMATRecordingOrder(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
+	fid := flow.FID(1)
+	publish(tbl, fid, &LocalRule{
+		Actions: []HeaderAction{
+			Modify(packet.FieldDstIP, []byte{1, 1, 1, 1}),
+			Modify(packet.FieldDstPort, packet.PutUint16(8080)),
+		},
+		Funcs: []sfunc.Func{noop("first"), noop("second")},
+	})
+	spans, _ := tbl.Recorded(fid)
+	if len(spans) != 1 {
+		t.Fatal("rule missing")
+	}
+	r := spans[0]
+	if len(r.Actions) != 2 || r.Actions[0].Field != packet.FieldDstIP {
+		t.Errorf("actions = %v", r.Actions)
+	}
+	if len(r.Funcs) != 2 || r.Funcs[0].Name != "first" || r.Funcs[1].Name != "second" {
+		t.Errorf("funcs out of order: %v, %v", r.Funcs[0].Name, r.Funcs[1].Name)
+	}
+}
+
+// TestLocalMATReplaceIsExactCopy pins what publication promises: the
+// record keeps its own exactly sized copy, so the publisher may reuse
+// its buffers and a later append to a stored span (an event Update)
+// reallocates instead of growing into storage it does not own — the
+// publisher's, or the next NF's span carved from the same array.
+func TestLocalMATReplaceIsExactCopy(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
+	buf := make([]HeaderAction, 1, 8)
+	buf[0] = Forward()
+	tbl.Publish(1, 0, 2, 0, []Contribution{
+		{NF: "x", Rule: &LocalRule{Actions: buf}},
+		{NF: "y", Rule: &LocalRule{Actions: []HeaderAction{Drop()}}},
+	})
+	buf[0] = Drop()
+	buf = append(buf, Drop())
+	err := tbl.Register(1, event.Event{NF: "x", OneShot: true,
+		Condition: func(flow.FID) bool { return true },
+		Update: func(_ flow.FID, r *LocalRule) {
+			if len(r.Actions) != 1 || cap(r.Actions) != 1 || r.Actions[0].Kind != ActionForward {
+				t.Errorf("stored actions = %v (cap %d), want an exact copy of [forward]", r.Actions, cap(r.Actions))
+			}
+			r.Actions = append(r.Actions, Forward())
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range tbl.Check(1) {
+		f.Apply(0, 2)
+	}
+	if buf[1].Kind != ActionDrop {
+		t.Error("append to the stored span wrote into the publisher's buffer")
+	}
+	if spans, _ := tbl.Recorded(1); len(spans[0].Actions) != 2 || len(spans[1].Actions) != 1 || spans[1].Actions[0].Kind != ActionDrop {
+		t.Errorf("append to one span reached its neighbour: %v", spans)
+	}
+}
+
+func TestLocalMATGetIsSnapshot(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
+	fid := flow.FID(2)
+	publish(tbl, fid, &LocalRule{Actions: []HeaderAction{Forward()}})
+	snap, _ := tbl.Recorded(fid)
+	snap[0].Actions[0] = Drop()
+	if again, _ := tbl.Recorded(fid); again[0].Actions[0].Kind != ActionForward {
+		t.Error("Recorded returned an aliased span; mutation leaked into the record")
+	}
+}
+
+func TestLocalMATLifecycle(t *testing.T) {
+	flows := flow.NewTable()
+	tbl := event.NewTable(flows)
+	fid := flow.FID(3)
+	publish(tbl, fid, &LocalRule{Actions: []HeaderAction{Forward()}})
+	if c := flows.Counts(); c.Records != 1 || c.Detached != 1 {
+		t.Errorf("after a publish under a FID no flow holds: %+v", c)
+	}
+	tbl.Remove(fid)
+	if spans, _ := tbl.Recorded(fid); spans != nil {
+		t.Error("recording survived Remove")
+	}
+	if c := flows.Counts(); c != (flow.Counts{}) {
+		t.Errorf("the detached entry outlived what it held: %+v", c)
+	}
+	// Publish and mutate on a fresh record; a re-publish overwrites.
+	publish(tbl, fid, &LocalRule{Actions: []HeaderAction{Drop()}})
+	publish(tbl, fid, &LocalRule{Actions: []HeaderAction{Forward()}})
+	mutate(t, tbl, fid, func(r *LocalRule) { r.Actions[0] = Drop() })
+	if spans, _ := tbl.Recorded(fid); len(spans[0].Actions) != 1 || spans[0].Actions[0].Kind != ActionDrop {
+		t.Errorf("Apply did not edit the span in place: %v", spans)
+	}
+}

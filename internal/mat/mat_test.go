@@ -86,90 +86,6 @@ func TestActionString(t *testing.T) {
 	}
 }
 
-func TestLocalMATRecordingOrder(t *testing.T) {
-	l := NewLocal("nat")
-	fid := flow.FID(1)
-	l.Replace(fid, &LocalRule{
-		Actions: []HeaderAction{
-			Modify(packet.FieldDstIP, []byte{1, 1, 1, 1}),
-			Modify(packet.FieldDstPort, packet.PutUint16(8080)),
-		},
-		Funcs: []sfunc.Func{noopSF("first"), noopSF("second")},
-	})
-	r, ok := l.Get(fid)
-	if !ok {
-		t.Fatal("rule missing")
-	}
-	if len(r.Actions) != 2 || r.Actions[0].Field != packet.FieldDstIP {
-		t.Errorf("actions = %v", r.Actions)
-	}
-	if len(r.Funcs) != 2 || r.Funcs[0].Name != "first" || r.Funcs[1].Name != "second" {
-		t.Errorf("funcs out of order: %v, %v", r.Funcs[0].Name, r.Funcs[1].Name)
-	}
-	if l.NF() != "nat" {
-		t.Errorf("NF() = %q", l.NF())
-	}
-}
-
-// TestLocalMATReplaceIsExactCopy pins what publication promises: the
-// table keeps its own exactly sized copy, so the publisher may reuse
-// its buffers and a later append to the stored rule (an event Update)
-// reallocates instead of growing into storage it does not own.
-func TestLocalMATReplaceIsExactCopy(t *testing.T) {
-	l := NewLocal("x")
-	buf := make([]HeaderAction, 1, 8)
-	buf[0] = Forward()
-	l.Replace(1, &LocalRule{Actions: buf})
-	buf[0] = Drop()
-	buf = append(buf, Drop())
-	l.Mutate(1, func(r *LocalRule) {
-		if len(r.Actions) != 1 || cap(r.Actions) != 1 || r.Actions[0].Kind != ActionForward {
-			t.Errorf("stored actions = %v (cap %d), want an exact copy of [forward]", r.Actions, cap(r.Actions))
-		}
-		r.Actions = append(r.Actions, Forward())
-	})
-	if buf[1].Kind != ActionDrop {
-		t.Error("append to the stored rule wrote into the publisher's buffer")
-	}
-}
-
-func TestLocalMATGetIsSnapshot(t *testing.T) {
-	l := NewLocal("x")
-	fid := flow.FID(2)
-	l.Replace(fid, &LocalRule{Actions: []HeaderAction{Forward()}})
-	snap, _ := l.Get(fid)
-	snap.Actions[0] = Drop()
-	r, _ := l.Get(fid)
-	if r.Actions[0].Kind != ActionForward {
-		t.Error("Get returned aliased rule; mutation leaked into the table")
-	}
-}
-
-func TestLocalMATLifecycle(t *testing.T) {
-	l := NewLocal("x")
-	fid := flow.FID(3)
-	l.Replace(fid, &LocalRule{Actions: []HeaderAction{Forward()}})
-	if l.Len() != 1 {
-		t.Errorf("Len = %d", l.Len())
-	}
-	l.Reset(fid)
-	if _, ok := l.Get(fid); ok {
-		t.Error("rule survived Reset")
-	}
-	l.Replace(fid, &LocalRule{Actions: []HeaderAction{Drop()}})
-	l.Delete(fid)
-	if l.Len() != 0 {
-		t.Error("rule survived Delete")
-	}
-	// Replace and Mutate on fresh FIDs.
-	l.Replace(fid, &LocalRule{Actions: []HeaderAction{Forward()}})
-	l.Mutate(fid, func(r *LocalRule) { r.Actions[0] = Drop() })
-	r, _ := l.Get(fid)
-	if r.Actions[0].Kind != ActionDrop {
-		t.Error("Mutate did not apply")
-	}
-}
-
 func contribs(nf string, rule *LocalRule, rest ...Contribution) []Contribution {
 	return append([]Contribution{{NF: nf, Rule: rule}}, rest...)
 }
@@ -385,7 +301,7 @@ func TestConsolidateInvalidActionRejected(t *testing.T) {
 }
 
 func TestGlobalMAT(t *testing.T) {
-	g := NewGlobal()
+	g := NewGlobal(flow.NewTable())
 	r1 := &GlobalRule{FID: 1}
 	g.Install(r1)
 	if got, ok := g.Lookup(1); !ok || got != r1 {
@@ -457,7 +373,7 @@ func TestLocalRuleCloneNil(t *testing.T) {
 // that a concurrent reader keeps rendering; under -race the seed code
 // fails here because Install wrote Version through the shared pointer.
 func TestGlobalInstallDoesNotRaceSharedPointer(t *testing.T) {
-	g := NewGlobal()
+	g := NewGlobal(flow.NewTable())
 	shared := &GlobalRule{FID: 42, Modifies: []FieldValue{{Field: packet.FieldDstIP, Value: []byte{1, 2, 3, 4}}}}
 	g.Install(shared)
 	done := make(chan struct{})

@@ -5,6 +5,7 @@ import (
 
 	"github.com/fastpathnfv/speedybox/internal/core"
 	"github.com/fastpathnfv/speedybox/internal/event"
+	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/mat"
 	"github.com/fastpathnfv/speedybox/internal/packet"
 )
@@ -95,13 +96,12 @@ func TestEventFlipsRuleToDrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local := mat.NewLocal("dos")
-	events := event.NewTable()
-	ctx := core.NewCtx("dos", core.CtxConfig{FID: 1, Local: local, Events: events, Recording: true})
+	events := event.NewTable(flow.NewTable())
+	ctx := core.NewCtx("dos", core.CtxConfig{FID: 1, Events: events, Recording: true})
 	if _, err := d.Process(ctx, synPkt(t)); err != nil {
 		t.Fatal(err)
 	}
-	rule, _ := local.Get(1)
+	rule, _ := ctx.Recorded()
 	if len(rule.Funcs) != 1 || rule.Actions[0].Kind != mat.ActionForward {
 		t.Fatalf("recorded rule = %+v", rule)
 	}
@@ -119,8 +119,8 @@ func TestEventFlipsRuleToDrop(t *testing.T) {
 	if len(fired) != 1 {
 		t.Fatalf("fired = %d, want 1 above threshold", len(fired))
 	}
-	local.Mutate(1, func(r *mat.LocalRule) { fired[0].Event.Update(1, r) })
-	updated, _ := local.Get(1)
+	updated, _ := ctx.Recorded()
+	fired[0].Event.Update(1, updated)
 	if updated.Actions[0].Kind != mat.ActionDrop {
 		t.Errorf("rule after event = %v, want drop", updated.Actions[0])
 	}

@@ -101,12 +101,11 @@ func TestRecordingAndConsolidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local := mat.NewLocal("gw")
-	ctx := core.NewCtx("gw", core.CtxConfig{FID: 9, Local: local, Recording: true})
+	ctx := core.NewCtx("gw", core.CtxConfig{FID: 9, Recording: true})
 	if _, err := g.Process(ctx, pkt(t, 5060, 64)); err != nil {
 		t.Fatal(err)
 	}
-	rule, ok := local.Get(9)
+	rule, ok := ctx.Recorded()
 	if !ok || len(rule.Actions) != 3 {
 		t.Fatalf("recorded %d actions, want TTL+DSCP+MAC", len(rule.Actions))
 	}

@@ -178,12 +178,11 @@ func TestRecordingProducesActions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local := mat.NewLocal("fw")
-	ctx := core.NewCtx("fw", core.CtxConfig{FID: 7, Local: local, Recording: true})
+	ctx := core.NewCtx("fw", core.CtxConfig{FID: 7, Recording: true})
 	if _, err := f.Process(ctx, pkt(t, packet.IP4(1, 1, 1, 1), packet.IP4(2, 2, 2, 2), 80)); err != nil {
 		t.Fatal(err)
 	}
-	rule, ok := local.Get(7)
+	rule, ok := ctx.Recorded()
 	if !ok || len(rule.Actions) != 1 || rule.Actions[0].Kind != mat.ActionForward {
 		t.Errorf("recorded rule = %+v", rule)
 	}

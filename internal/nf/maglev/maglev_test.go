@@ -150,8 +150,7 @@ func TestProcessRewritesDestination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local := mat.NewLocal("lb")
-	ctx := core.NewCtx("lb", core.CtxConfig{FID: 1, Local: local, Recording: true})
+	ctx := core.NewCtx("lb", core.CtxConfig{FID: 1, Recording: true})
 	p := pkt(t, 1111)
 	v, err := lb.Process(ctx, p)
 	if err != nil {
@@ -170,7 +169,7 @@ func TestProcessRewritesDestination(t *testing.T) {
 	if !p.VerifyChecksums() {
 		t.Error("checksums stale after rewrite")
 	}
-	rule, _ := local.Get(1)
+	rule, _ := ctx.Recorded()
 	if len(rule.Actions) != 2 {
 		t.Errorf("recorded %d actions, want modify(DIP)+modify(DPort)", len(rule.Actions))
 	}
@@ -208,9 +207,8 @@ func TestFailoverEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local := mat.NewLocal("lb")
-	events := event.NewTable()
-	ctx := core.NewCtx("lb", core.CtxConfig{FID: 7, Local: local, Events: events, Recording: true})
+	events := event.NewTable(flow.NewTable())
+	ctx := core.NewCtx("lb", core.CtxConfig{FID: 7, Events: events, Recording: true})
 	if _, err := lb.Process(ctx, pkt(t, 2222)); err != nil {
 		t.Fatal(err)
 	}
@@ -238,13 +236,13 @@ func TestFailoverEvent(t *testing.T) {
 	if len(fired) != 1 {
 		t.Fatalf("fired = %d, want 1", len(fired))
 	}
-	local.Mutate(7, func(r *mat.LocalRule) { fired[0].Event.Update(7, r) })
+	rule, _ := ctx.Recorded()
+	fired[0].Event.Update(7, rule)
 
 	nb, ok := lb.BackendOf(7)
 	if !ok || nb == orig {
 		t.Fatalf("flow not rerouted: %v -> %v", orig, nb)
 	}
-	rule, _ := local.Get(7)
 	if rule.Actions[0].Kind != mat.ActionModify || rule.Actions[0].Field != packet.FieldDstIP {
 		t.Fatalf("action after update = %+v", rule.Actions[0])
 	}
@@ -264,8 +262,7 @@ func TestAllBackendsDownDropsFlows(t *testing.T) {
 	if err := lb.FailBackend(0); err != nil {
 		t.Fatal(err)
 	}
-	local := mat.NewLocal("lb")
-	ctx := core.NewCtx("lb", core.CtxConfig{FID: 1, Local: local, Recording: true})
+	ctx := core.NewCtx("lb", core.CtxConfig{FID: 1, Recording: true})
 	v, err := lb.Process(ctx, pkt(t, 3333))
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +270,7 @@ func TestAllBackendsDownDropsFlows(t *testing.T) {
 	if v != core.VerdictDrop {
 		t.Errorf("verdict with no backends = %v", v)
 	}
-	rule, _ := local.Get(1)
+	rule, _ := ctx.Recorded()
 	if rule.Actions[0].Kind != mat.ActionDrop {
 		t.Errorf("recorded action = %v", rule.Actions[0])
 	}

@@ -44,8 +44,7 @@ func TestOutboundSNAT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local := mat.NewLocal("nat")
-	ctx := core.NewCtx("nat", core.CtxConfig{FID: 1, Local: local, Recording: true})
+	ctx := core.NewCtx("nat", core.CtxConfig{FID: 1, Recording: true})
 	p := outbound(t, 1234)
 	v, err := n.Process(ctx, p)
 	if err != nil {
@@ -63,7 +62,7 @@ func TestOutboundSNAT(t *testing.T) {
 	if !p.VerifyChecksums() {
 		t.Error("checksums stale")
 	}
-	rule, _ := local.Get(1)
+	rule, _ := ctx.Recorded()
 	if len(rule.Actions) != 2 {
 		t.Errorf("recorded %d actions, want modify(SIP)+modify(SPort)", len(rule.Actions))
 	}
@@ -138,15 +137,15 @@ func TestUnsolicitedInboundDropped(t *testing.T) {
 		SrcIP: packet.IP4(8, 8, 8, 8), DstIP: cfg().ExternalIP,
 		SrcPort: 53, DstPort: 31337, Proto: packet.ProtoUDP,
 	})
-	local := mat.NewLocal("nat")
-	v, err := n.Process(core.NewCtx("nat", core.CtxConfig{FID: 1, Local: local, Recording: true}), in)
+	ctx := core.NewCtx("nat", core.CtxConfig{FID: 1, Recording: true})
+	v, err := n.Process(ctx, in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v != core.VerdictDrop {
 		t.Errorf("unsolicited inbound verdict = %v", v)
 	}
-	rule, _ := local.Get(1)
+	rule, _ := ctx.Recorded()
 	if rule.Actions[0].Kind != mat.ActionDrop {
 		t.Errorf("recorded %v, want drop", rule.Actions[0])
 	}

@@ -68,12 +68,11 @@ func TestRecordedStateFunctionCountsSameCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local := mat.NewLocal("mon")
-	ctx := core.NewCtx("mon", core.CtxConfig{FID: 9, Local: local, Recording: true})
+	ctx := core.NewCtx("mon", core.CtxConfig{FID: 9, Recording: true})
 	if _, err := m.Process(ctx, pkt(t, "init")); err != nil {
 		t.Fatal(err)
 	}
-	rule, ok := local.Get(9)
+	rule, ok := ctx.Recorded()
 	if !ok || len(rule.Funcs) != 1 {
 		t.Fatalf("rule = %+v", rule)
 	}

@@ -156,12 +156,11 @@ func TestRecordedStateFunctionEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local := mat.NewLocal("ids")
-	ctx := core.NewCtx("ids", core.CtxConfig{FID: 5, Local: local, Recording: true})
+	ctx := core.NewCtx("ids", core.CtxConfig{FID: 5, Recording: true})
 	if _, err := s.Process(ctx, pkt(t, 80, "clean first packet")); err != nil {
 		t.Fatal(err)
 	}
-	rule, ok := local.Get(5)
+	rule, ok := ctx.Recorded()
 	if !ok || len(rule.Funcs) != 1 {
 		t.Fatalf("rule = %+v", rule)
 	}

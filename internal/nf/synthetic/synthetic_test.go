@@ -6,7 +6,6 @@ import (
 
 	"github.com/fastpathnfv/speedybox/internal/core"
 	"github.com/fastpathnfv/speedybox/internal/cost"
-	"github.com/fastpathnfv/speedybox/internal/mat"
 	"github.com/fastpathnfv/speedybox/internal/packet"
 	"github.com/fastpathnfv/speedybox/internal/sfunc"
 )
@@ -40,9 +39,8 @@ func TestFixedCycleCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local := mat.NewLocal("s")
 	ledger := cost.NewLedger()
-	ctx := core.NewCtx("s", core.CtxConfig{FID: 1, Local: local, Ledger: ledger, Recording: true})
+	ctx := core.NewCtx("s", core.CtxConfig{FID: 1, Ledger: ledger, Recording: true})
 	if _, err := n.Process(ctx, pkt(t, "x")); err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +48,7 @@ func TestFixedCycleCost(t *testing.T) {
 	if got := ledger.Stage("s"); got != m.Parse+m.Classify+777+m.RecordSF {
 		t.Errorf("charged %d", got)
 	}
-	rule, _ := local.Get(1)
+	rule, _ := ctx.Recorded()
 	c, err := rule.Funcs[0].Run(pkt(t, "anything"))
 	if err != nil {
 		t.Fatal(err)
@@ -65,13 +63,12 @@ func TestSnortEquivalentCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local := mat.NewLocal("s")
-	ctx := core.NewCtx("s", core.CtxConfig{FID: 1, Local: local, Recording: true})
+	ctx := core.NewCtx("s", core.CtxConfig{FID: 1, Recording: true})
 	payload := "0123456789"
 	if _, err := n.Process(ctx, pkt(t, payload)); err != nil {
 		t.Fatal(err)
 	}
-	rule, _ := local.Get(1)
+	rule, _ := ctx.Recorded()
 	c, err := rule.Funcs[0].Run(pkt(t, payload))
 	if err != nil {
 		t.Fatal(err)

@@ -38,8 +38,7 @@ func TestEncapAddsAH(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local := mat.NewLocal("gw")
-	ctx := core.NewCtx("gw", core.CtxConfig{FID: 1, Local: local, Recording: true})
+	ctx := core.NewCtx("gw", core.CtxConfig{FID: 1, Recording: true})
 	p := pkt(t)
 	if _, err := gw.Process(ctx, p); err != nil {
 		t.Fatal(err)
@@ -55,7 +54,7 @@ func TestEncapAddsAH(t *testing.T) {
 	if !p.VerifyChecksums() {
 		t.Error("checksums stale after encap")
 	}
-	rule, _ := local.Get(1)
+	rule, _ := ctx.Recorded()
 	if rule.Actions[0].Kind != mat.ActionEncap {
 		t.Errorf("recorded %v", rule.Actions[0])
 	}
@@ -126,17 +125,17 @@ func TestEncapDecapPairConsolidatesToNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	localE := mat.NewLocal("gw-in")
-	localD := mat.NewLocal("gw-out")
 	p := pkt(t)
-	if _, err := enc.Process(core.NewCtx("gw-in", core.CtxConfig{FID: 1, Local: localE, Recording: true}), p); err != nil {
+	ctxE := core.NewCtx("gw-in", core.CtxConfig{FID: 1, Recording: true})
+	ctxD := core.NewCtx("gw-out", core.CtxConfig{FID: 1, Recording: true})
+	if _, err := enc.Process(ctxE, p); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dec.Process(core.NewCtx("gw-out", core.CtxConfig{FID: 1, Local: localD, Recording: true}), p); err != nil {
+	if _, err := dec.Process(ctxD, p); err != nil {
 		t.Fatal(err)
 	}
-	re, _ := localE.Get(1)
-	rd, _ := localD.Get(1)
+	re, _ := ctxE.Recorded()
+	rd, _ := ctxD.Recorded()
 	rule, err := mat.Consolidate(1, []mat.Contribution{
 		{NF: "gw-in", Rule: re},
 		{NF: "gw-out", Rule: rd},

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"testing"
 
@@ -201,6 +202,50 @@ func TestGroupCommitDurability(t *testing.T) {
 	}
 }
 
+// bigLog appends sample records until the log spans at least segs
+// segments, syncing every seventh record into sink, and returns the
+// writer and the concatenation of the records' own encodings.
+func bigLog(segs int, sink io.Writer) (*Writer, []byte) {
+	w := NewWriter(Options{GroupCommit: 7, Sink: sink})
+	var want []byte
+	for i := 0; w.Size() < segs*segmentSize; i++ {
+		r := Record{Type: RecRuleInstall, FID: flow.FID(i), Epoch: 1, Aux: AuxRestorable, Rule: sampleImage(flow.FID(i))}
+		if i%3 == 0 {
+			r = Record{Type: RecRuleRemove, FID: flow.FID(i), Epoch: 1}
+		}
+		r.Seq = w.Append(r)
+		want = appendRecord(want, &r)
+	}
+	return w, want
+}
+
+// TestSegmentedLogIsTheConcatenation: the writer keeps the log in
+// fixed-size segments, and nobody can tell — the bytes it returns, the
+// lengths it reports and what its sink received are those of the
+// records' encodings laid end to end, with records straddling the
+// segment boundaries and syncs falling on either side of them.
+func TestSegmentedLogIsTheConcatenation(t *testing.T) {
+	var sink bytes.Buffer
+	w, want := bigLog(3, &sink)
+	if len(w.segs) < 4 || len(want)%segmentSize == 0 {
+		t.Fatalf("%d bytes in %d segments: want three full ones and a tail", len(want), len(w.segs))
+	}
+	if !bytes.Equal(w.Bytes(), want) || w.Size() != len(want) {
+		t.Fatalf("log is %d bytes, want the %d of its records' encodings, byte for byte", w.Size(), len(want))
+	}
+	if d := w.DurableLen(); d == 0 || d > len(want) || !bytes.Equal(w.DurableBytes(), want[:d]) || !bytes.Equal(sink.Bytes(), want[:d]) {
+		t.Errorf("durable prefix (%d bytes) or the sink's %d are not the log's prefix", d, sink.Len())
+	}
+	w.Sync()
+	if !bytes.Equal(sink.Bytes(), want) || w.DurableLen() != len(want) {
+		t.Errorf("after Sync the sink holds %d bytes, want all %d", sink.Len(), len(want))
+	}
+	recs, consumed := Decode(w.Bytes())
+	if consumed != len(want) || uint64(len(recs)) != w.Seq() {
+		t.Errorf("decoded %d records over %d bytes, want %d over %d", len(recs), consumed, w.Seq(), len(want))
+	}
+}
+
 func TestNilWriterSafe(t *testing.T) {
 	var w *Writer
 	if seq := w.Append(Record{Type: RecRuleRemove}); seq != 0 {
@@ -288,6 +333,10 @@ func FuzzReplayTornTail(f *testing.F) {
 	mut := append([]byte(nil), data...)
 	mut[9] ^= 0x40
 	f.Add(mut)
+	// A crash that kept the first segment of a longer log and nothing
+	// of the second: the tear falls on the segment boundary.
+	big, _ := bigLog(1, nil)
+	f.Add(big.Bytes()[:segmentSize])
 	f.Fuzz(func(t *testing.T, in []byte) {
 		recs, consumed := Decode(in)
 		if consumed < 0 || consumed > len(in) {

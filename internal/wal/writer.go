@@ -30,18 +30,60 @@ type Options struct {
 	OnSync func(bytes int, d time.Duration)
 }
 
+// segmentSize is the capacity of one log segment. The in-memory log is
+// a list of them, each filled to the brim before the next is started, so
+// an append copies the record and nothing else — one growing slice
+// recopied its whole history every time it outgrew its array — and log
+// offset o is byte o%segmentSize of segment o/segmentSize.
+const segmentSize = 256 << 10
+
 // Writer is the group-commit WAL appender. Appends are serialized by a
-// mutex — every journaled mutation already happens under a Global MAT
-// shard lock or Event Table shard lock, so this is control-plane-only
-// contention and the batched fast path never touches it.
+// mutex — every journaled mutation already happens inside the flow-table
+// Edit that applied it, so this is control-plane-only contention and the
+// batched fast path never touches it.
 type Writer struct {
-	mu      sync.Mutex
-	opts    Options
-	log     []byte
+	mu   sync.Mutex
+	opts Options
+	// segs is the log; size its length in bytes, durable the length of
+	// its synced prefix. rec is the buffer a record is encoded in.
+	segs    [][]byte
+	rec     []byte
+	size    int
 	durable int
 	pending int
 	seq     uint64
 	syncs   uint64
+}
+
+// write appends p to the log.
+func (w *Writer) write(p []byte) {
+	w.size += len(p)
+	for len(p) > 0 {
+		if n := len(w.segs); n == 0 || len(w.segs[n-1]) == segmentSize {
+			w.segs = append(w.segs, make([]byte, 0, segmentSize))
+		}
+		tail := &w.segs[len(w.segs)-1]
+		n := min(len(p), segmentSize-len(*tail))
+		*tail = append(*tail, p[:n]...)
+		p = p[n:]
+	}
+}
+
+// read calls fn on log bytes [from, to), a segment's share at a time.
+func (w *Writer) read(from, to int, fn func([]byte)) {
+	for from < to {
+		seg, off := w.segs[from/segmentSize], from%segmentSize
+		n := min(len(seg)-off, to-from)
+		fn(seg[off : off+n])
+		from += n
+	}
+}
+
+// copyOf returns log bytes [0, to) as one slice.
+func (w *Writer) copyOf(to int) []byte {
+	b := make([]byte, 0, to)
+	w.read(0, to, func(p []byte) { b = append(b, p...) })
+	return b
 }
 
 // NewWriter returns an empty log.
@@ -63,7 +105,8 @@ func (w *Writer) Append(r Record) uint64 {
 	w.mu.Lock()
 	w.seq++
 	r.Seq = w.seq
-	w.log = appendRecord(w.log, &r)
+	w.rec = appendRecord(w.rec[:0], &r)
+	w.write(w.rec)
 	w.pending++
 	if w.pending >= w.opts.GroupCommit {
 		w.syncLocked()
@@ -97,15 +140,15 @@ func (w *Writer) Sync() {
 }
 
 func (w *Writer) syncLocked() {
-	if w.pending == 0 && w.durable == len(w.log) {
+	if w.pending == 0 && w.durable == w.size {
 		return
 	}
 	start := time.Now()
 	if w.opts.Sink != nil {
-		_, _ = w.opts.Sink.Write(w.log[w.durable:])
+		w.read(w.durable, w.size, func(p []byte) { _, _ = w.opts.Sink.Write(p) })
 	}
-	n := len(w.log) - w.durable
-	w.durable = len(w.log)
+	n := w.size - w.durable
+	w.durable = w.size
 	w.pending = 0
 	w.syncs++
 	if w.opts.OnSync != nil {
@@ -122,7 +165,7 @@ func (w *Writer) DurableBytes() []byte {
 		return nil
 	}
 	w.mu.Lock()
-	b := append([]byte(nil), w.log[:w.durable]...)
+	b := w.copyOf(w.durable)
 	w.mu.Unlock()
 	return b
 }
@@ -146,7 +189,7 @@ func (w *Writer) Bytes() []byte {
 		return nil
 	}
 	w.mu.Lock()
-	b := append([]byte(nil), w.log...)
+	b := w.copyOf(w.size)
 	w.mu.Unlock()
 	return b
 }
@@ -179,7 +222,7 @@ func (w *Writer) Size() int {
 		return 0
 	}
 	w.mu.Lock()
-	n := len(w.log)
+	n := w.size
 	w.mu.Unlock()
 	return n
 }

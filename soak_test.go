@@ -50,16 +50,11 @@ func TestSoakChain1AtScale(t *testing.T) {
 			}
 			// All TCP flows FIN'd: every table must be empty again.
 			eng := p.Engine()
-			if n := eng.Global().Len(); n != 0 {
-				t.Errorf("Global MAT leaked %d rules after soak", n)
+			if err := eng.CheckRecords(); err != nil {
+				t.Error(err)
 			}
-			for i := 0; i < eng.ChainLen(); i++ {
-				if n := eng.Local(i).Len(); n != 0 {
-					t.Errorf("Local MAT %d leaked %d rules", i, n)
-				}
-			}
-			if n := eng.Events().Len(); n != 0 {
-				t.Errorf("Event Table leaked %d flows", n)
+			if r, e, f := eng.Global().Len(), eng.Events().Len(), eng.FlowLen(); r != 0 || e != 0 || f != 0 {
+				t.Errorf("after soak: %d rules, %d flows with events, %d flow records leaked", r, e, f)
 			}
 			// Flow-time distribution stays sane at scale.
 			ft := res.FlowTimesMicros()

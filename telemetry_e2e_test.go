@@ -81,6 +81,22 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	if _, ok := metrics["speedybox_flow_dead_slots"]; !ok {
 		t.Error("/metrics missing speedybox_flow_dead_slots")
 	}
+	// Rule, recording and events are words of the flow entries: every
+	// flow that still holds a rule holds the recording it came from, no
+	// entry is detached, and the Global MAT's own array gauges and the
+	// rule-cache counters went with the table and the cache they watched.
+	if rec, rules := metrics["speedybox_flow_records"], metrics["speedybox_mat_global_rules"]; rec != rules {
+		t.Errorf("speedybox_flow_records = %g, speedybox_mat_global_rules = %g: want a recording per rule", rec, rules)
+	}
+	if got, ok := metrics["speedybox_flow_detached_entries"]; !ok || got != 0 {
+		t.Errorf("speedybox_flow_detached_entries = %g (present=%v), want 0", got, ok)
+	}
+	for _, gone := range []string{"speedybox_mat_table_rebuilds_total", "speedybox_mat_dead_slots",
+		"speedybox_rule_cache_hits_total", "speedybox_rule_cache_misses_total"} {
+		if _, ok := metrics[gone]; ok {
+			t.Errorf("/metrics still exports %s", gone)
+		}
+	}
 	// Per-NF slow-path stage histograms exist and saw the initial packets.
 	if got := metrics[`speedybox_nf_stage_cycles_count{nf="fw"}`]; got == 0 {
 		t.Errorf("per-NF stage histogram for fw is empty")
