@@ -16,9 +16,12 @@ import (
 // bundled NF catalog (MazuNAT, Maglev, Monitor, IPFilter), which an
 // in-package test cannot import.
 
-func chain1(t testing.TB) []core.NF {
+func chain1(t testing.TB) []core.NF { return specChain(t, server.DefaultSpecJSON) }
+
+// specChain builds the chain a chainspec document describes.
+func specChain(t testing.TB, json string) []core.NF {
 	t.Helper()
-	spec, err := chainspec.Parse([]byte(server.DefaultSpecJSON))
+	spec, err := chainspec.Parse([]byte(json))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,8 +130,8 @@ func TestSlowPathAllocationBudget(t *testing.T) {
 // TestMaglevFailoverReconsolidates: a failover event rewrites the load
 // balancer's published Local MAT rule in place and the engine rebuilds
 // the flow's Global rule from the four Local MATs. The expected rule
-// and program are the parent commit's (per-action Local MAT writes,
-// clone-then-merge consolidation), byte for byte.
+// and program are pinned byte for byte (program format 2: the three
+// modifies and no checksum opcode).
 func TestMaglevFailoverReconsolidates(t *testing.T) {
 	chain := chain1(t)
 	eng, err := core.NewEngine(chain, core.DefaultOptions())
@@ -171,11 +174,11 @@ func TestMaglevFailoverReconsolidates(t *testing.T) {
 		t.Errorf("rerouted %v -> %v, packet rewritten to %v", orig, nb, second.DstIP())
 	}
 	const (
-		wantBefore = "fid:6c623 -> modify(SIP,SPort,DIP) + 2 SF batch(es) in 1 stage(s) [v0] 01040304c63364010407024e20040404c0a8010a05"
-		wantAfter  = "fid:6c623 -> modify(SIP,SPort,DIP) + 2 SF batch(es) in 1 stage(s) [v1] 01040304c63364010407024e20040404c0a8010b05"
+		wantBefore = "fid:6c623 -> modify(SIP,SPort,DIP) + 2 SF batch(es) in 1 stage(s) [v0] 02040304c63364010407024e20040404c0a8010a"
+		wantAfter  = "fid:6c623 -> modify(SIP,SPort,DIP) + 2 SF batch(es) in 1 stage(s) [v1] 02040304c63364010407024e20040404c0a8010b"
 	)
 	if before != wantBefore || after != wantAfter {
-		t.Errorf("rules differ from the parent commit's:\nbefore %s\nwant   %s\nafter  %s\nwant   %s", before, wantBefore, after, wantAfter)
+		t.Errorf("rules differ from the pinned ones:\nbefore %s\nwant   %s\nafter  %s\nwant   %s", before, wantBefore, after, wantAfter)
 	}
 	// The failover's in-place edit stayed inside the load balancer's own
 	// span of the record: its neighbours' are what they recorded.

@@ -18,6 +18,7 @@ import (
 //     the fast path would sleep through);
 //   - a live rule was not consolidated from a recording of another
 //     chain epoch;
+//   - a live rule is priced: it went in through the engine's install;
 //   - a detached entry holds a rule — the only reason the engine makes
 //     one;
 //   - the Global MAT's and the Event Table's sizes are what the walk
@@ -59,6 +60,9 @@ func (e *Engine) CheckRecords() error {
 		}
 		if g := r.Guards(); g != event.AskTable && !e.events.Guarded(fid, g) {
 			fail("rule of %v: guards are not the flow's %d registered event(s)", fid, pending)
+		}
+		if r.FixedCycles == 0 {
+			fail("rule of %v carries no price", fid)
 		}
 		if spans, epoch := e.events.Recorded(fid); spans != nil && epoch != r.Epoch {
 			fail("rule of %v is of epoch %d, its recording of epoch %d", fid, r.Epoch, epoch)

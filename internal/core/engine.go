@@ -679,7 +679,7 @@ func (e *Engine) consolidate(fid flow.FID, tenant int32, info *SlowPathInfo, cs 
 		}
 		return nil
 	}
-	replaced := e.global.Install(rule)
+	replaced := e.install(rule)
 	// A Register that raced the snapshot either ran before the Install,
 	// and shows here, or after, and its hook found the installed rule.
 	if !e.events.Guarded(fid, rule.Guards()) {
@@ -693,6 +693,43 @@ func (e *Engine) consolidate(fid flow.FID, tenant int32, info *SlowPathInfo, cs 
 		e.maybeStorm(fid, cs)
 	}
 	return nil
+}
+
+// install prices the rule and puts it in the Global MAT, reporting
+// whether it replaced one. What a packet served from the rule is
+// charged is constant per rule under this engine's model and options,
+// so it is worked out here, once, and the fast path reads two words.
+// Every install goes through here: a rule restored from a checkpoint,
+// the journal or another instance carries no price of its own.
+func (e *Engine) install(rule *mat.GlobalRule) bool {
+	m := e.model
+	rule.FixedCycles = m.HashFID + m.FastPathBase + m.EventCheck + m.GMATLookup
+	if !rule.Drop {
+		rule.FixedCycles += m.FastPathPerHA * uint64(rule.SourceNFs)
+	}
+	rule.HeaderCycles = 0
+	switch {
+	case rule.Drop:
+		rule.HeaderCycles = m.DropAction
+	case e.opts.ConsolidateHeaders:
+		rule.HeaderCycles = uint64(len(rule.Modifies))*m.ModifyField +
+			uint64(len(rule.Stack.Decaps))*m.DecapHeader + uint64(len(rule.Stack.Encaps))*m.EncapHeader
+		if _, _, ck := rule.HeaderWork(); ck {
+			rule.HeaderCycles += m.ChecksumUpdate
+		}
+	default:
+		// Ablation: price the header work as if every contributing NF
+		// still parsed the packet and applied its own actions with its
+		// own checksum update (redundancies R1 and R3 back in place).
+		for _, s := range rule.Sources {
+			rule.HeaderCycles += m.Parse + uint64(s.Modifies)*m.ModifyField +
+				uint64(s.Encaps)*m.EncapHeader + uint64(s.Decaps)*m.DecapHeader
+			if s.Modifies+s.Encaps+s.Decaps > 0 {
+				rule.HeaderCycles += m.ChecksumUpdate
+			}
+		}
+	}
+	return e.global.Install(rule)
 }
 
 // eventRegistered is the Event Table's registration hook, run inside the
@@ -789,7 +826,6 @@ func (e *Engine) FastProcess(fid flow.FID, pkt *packet.Packet, b *Batch) (*Packe
 // packet falls back to the slow path, which fills res instead.
 func (e *Engine) fastPathInto(fc *flowCtx, pkt *packet.Packet, info *FastPathInfo, res *PacketResult, b *Batch) error {
 	m := e.model
-	info.FixedCycles = m.HashFID + m.FastPathBase + m.EventCheck + m.GMATLookup
 
 	// Event pre-check: a previously-satisfied condition updates the rule
 	// before this packet is processed (§III) — or revives a stale one.
@@ -813,9 +849,9 @@ func (e *Engine) fastPathInto(fc *flowCtx, pkt *packet.Packet, info *FastPathInf
 		e.countFallback(fc.fid)
 		return e.slowPath(fc.fid, pkt, false, res, b)
 	}
-	if !rule.Drop {
-		info.FixedCycles += m.FastPathPerHA * uint64(rule.SourceNFs)
-	}
+	// The rule carries its price (install).
+	info.FixedCycles += rule.FixedCycles
+	info.HeaderCycles = rule.HeaderCycles
 
 	// State functions execute first, on the packet as it arrived at
 	// the chain: payload-facing functions (the only kind with data
@@ -851,7 +887,6 @@ func (e *Engine) fastPathInto(fc *flowCtx, pkt *packet.Packet, info *FastPathInf
 	if err != nil {
 		return err
 	}
-	info.HeaderCycles = e.headerCost(rule)
 
 	verdict := VerdictForward
 	if !alive {
@@ -966,40 +1001,6 @@ func (e *Engine) fireEvents(fid flow.FID, info *FastPathInfo) (bool, error) {
 	}
 	info.EventsFired += len(firings)
 	return true, nil
-}
-
-// headerCost prices the rule's header work under the active options.
-func (e *Engine) headerCost(rule *mat.GlobalRule) uint64 {
-	m := e.model
-	if rule.Drop {
-		return m.DropAction
-	}
-	if e.opts.ConsolidateHeaders {
-		var c uint64
-		c += uint64(len(rule.Modifies)) * m.ModifyField
-		c += uint64(len(rule.Stack.Decaps)) * m.DecapHeader
-		for range rule.Stack.Encaps {
-			c += m.EncapHeader
-		}
-		if _, _, ck := rule.HeaderWork(); ck {
-			c += m.ChecksumUpdate
-		}
-		return c
-	}
-	// Ablation: price the header work as if every contributing NF
-	// still parsed the packet and applied its own actions with its
-	// own checksum refresh (redundancies R1 and R3 back in place).
-	var c uint64
-	for _, s := range rule.Sources {
-		c += m.Parse
-		c += uint64(s.Modifies) * m.ModifyField
-		c += uint64(s.Encaps) * m.EncapHeader
-		c += uint64(s.Decaps) * m.DecapHeader
-		if s.Modifies+s.Encaps+s.Decaps > 0 {
-			c += m.ChecksumUpdate
-		}
-	}
-	return c
 }
 
 // ExpireIdle tears down every flow that has been idle for more than

@@ -103,7 +103,7 @@ func (e *Engine) AdoptFlow(mf MigratedFlow) {
 	}
 	im := *mf.Rule
 	im.Epoch = e.global.Epoch()
-	e.global.Install(im.Rule())
+	e.install(im.Rule())
 }
 
 // release drops what the engine holds for a FID besides its flow entry:

@@ -206,7 +206,7 @@ func (e *Engine) Restore(cp *wal.Checkpoint, walData []byte) error {
 	e.global.RestoreEpoch(cp.Epoch)
 	if e.opts.EnableSpeedyBox {
 		for i := range cp.Rules {
-			e.global.Install(cp.Rules[i].Rule())
+			e.install(cp.Rules[i].Rule())
 		}
 	}
 
@@ -220,7 +220,7 @@ func (e *Engine) Restore(cp *wal.Checkpoint, walData []byte) error {
 		switch rec.Type {
 		case wal.RecRuleInstall:
 			if rec.Rule != nil && e.opts.EnableSpeedyBox {
-				e.global.Install(rec.Rule.Rule())
+				e.install(rec.Rule.Rule())
 			} else {
 				// The live install carried closures this log cannot
 				// reconstruct; whatever older rule is installed for the

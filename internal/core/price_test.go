@@ -1,0 +1,267 @@
+package core
+
+import (
+	"math/rand"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"github.com/fastpathnfv/speedybox/internal/cost"
+	"github.com/fastpathnfv/speedybox/internal/event"
+	"github.com/fastpathnfv/speedybox/internal/flow"
+	"github.com/fastpathnfv/speedybox/internal/mat"
+	"github.com/fastpathnfv/speedybox/internal/packet"
+	"github.com/fastpathnfv/speedybox/internal/wal"
+)
+
+// referencePrice is what the fast path charged a packet for its rule
+// when it worked the charge out per packet (PR 22 and before), kept
+// here, outside the engine, as the arithmetic an installed rule's
+// stored price must reproduce.
+func referencePrice(m *cost.Model, consolidateHeaders bool, rule *mat.GlobalRule) (fixed, header uint64) {
+	fixed = m.HashFID + m.FastPathBase + m.EventCheck + m.GMATLookup
+	if !rule.Drop {
+		fixed += m.FastPathPerHA * uint64(rule.SourceNFs)
+	}
+	switch {
+	case rule.Drop:
+		header = m.DropAction
+	case consolidateHeaders:
+		header = uint64(len(rule.Modifies))*m.ModifyField +
+			uint64(len(rule.Stack.Decaps))*m.DecapHeader +
+			uint64(len(rule.Stack.Encaps))*m.EncapHeader
+		if len(rule.Modifies)+len(rule.Stack.Decaps)+len(rule.Stack.Encaps) > 0 {
+			header += m.ChecksumUpdate
+		}
+	default:
+		for _, s := range rule.Sources {
+			header += m.Parse + uint64(s.Modifies)*m.ModifyField +
+				uint64(s.Encaps)*m.EncapHeader + uint64(s.Decaps)*m.DecapHeader
+			if s.Modifies+s.Encaps+s.Decaps > 0 {
+				header += m.ChecksumUpdate
+			}
+		}
+	}
+	return fixed, header
+}
+
+// scriptedNF plays back, on whatever packet it is given, the action
+// list at its position of the script the test last set.
+type scriptedNF struct {
+	name   string
+	at     int
+	script *[][]mat.HeaderAction
+}
+
+func (n *scriptedNF) Name() string { return n.name }
+
+func (n *scriptedNF) Process(ctx *Ctx, pkt *packet.Packet) (Verdict, error) {
+	for _, a := range (*n.script)[n.at] {
+		if err := ctx.AddHeaderAction(a); err != nil {
+			return 0, err
+		}
+		if alive, err := a.Apply(pkt); err != nil {
+			return 0, err
+		} else if !alive {
+			return VerdictDrop, nil
+		}
+	}
+	return VerdictForward, nil
+}
+
+// randomScript draws per-NF action lists over the alphabet of mat's
+// FuzzConsolidate decoder (which is private to that package's tests):
+// forwards, modifies of every checksummed field, AH and VLAN encaps,
+// decaps of what is pending — cancelling pairs — and, one script in
+// four, a drop that ends the chain.
+func randomScript(rng *rand.Rand, nNFs int) [][]mat.HeaderAction {
+	fields := []packet.Field{
+		packet.FieldSrcIP, packet.FieldDstIP, packet.FieldSrcPort,
+		packet.FieldDstPort, packet.FieldTTL, packet.FieldDSCP,
+	}
+	script := make([][]mat.HeaderAction, nNFs)
+	var pending []packet.HeaderType
+	dropAt := -1
+	if rng.Intn(4) == 0 {
+		dropAt = rng.Intn(nNFs)
+	}
+	for i := range script {
+		for n := rng.Intn(4); n > 0; n-- {
+			switch op := rng.Intn(5); {
+			case op == 0:
+				script[i] = append(script[i], mat.Forward())
+			case op == 1:
+				f := fields[rng.Intn(len(fields))]
+				v := make([]byte, f.Size())
+				rng.Read(v)
+				script[i] = append(script[i], mat.Modify(f, v))
+			case op == 2:
+				script[i] = append(script[i], mat.Encap(packet.ExtraHeader{Type: packet.HeaderAH, SPI: rng.Uint32()}))
+				pending = append(pending, packet.HeaderAH)
+			case op == 3:
+				script[i] = append(script[i], mat.Encap(packet.ExtraHeader{Type: packet.HeaderVLAN, Tag: uint16(rng.Intn(4096))}))
+				pending = append(pending, packet.HeaderVLAN)
+			case len(pending) > 0:
+				script[i] = append(script[i], mat.Decap(pending[len(pending)-1]))
+				pending = pending[:len(pending)-1]
+			}
+		}
+		if i == dropAt {
+			script[i] = append(script[i], mat.Drop())
+		}
+	}
+	return script
+}
+
+// TestInstalledRulePriced: whatever shape of rule a chain records —
+// modifies, residual and cancelled encaps, drops, under header
+// consolidation and under its ablation — the rule the engine installs
+// carries the price the fast path used to compute per packet, and a
+// packet served from it is charged exactly that.
+func TestInstalledRulePriced(t *testing.T) {
+	for _, consolidate := range []bool{true, false} {
+		var script [][]mat.HeaderAction
+		chain := make([]NF, 3)
+		for i := range chain {
+			chain[i] = &scriptedNF{name: string(rune('a' + i)), at: i, script: &script}
+		}
+		opts := DefaultOptions()
+		opts.ConsolidateHeaders = consolidate
+		eng, err := NewEngine(chain, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(23))
+		var drops, forwards, headerWork int
+		for flowN := 0; flowN < 400; flowN++ {
+			script = randomScript(rng, len(chain))
+			first, err := eng.ProcessPacket(udpPkt(t, uint16(1000+flowN), "first"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rule, ok := eng.Global().LookupLive(first.FID)
+			if !ok {
+				t.Fatalf("flow %d: no rule after the initial packet", flowN)
+			}
+			fixed, header := referencePrice(eng.model, consolidate, rule)
+			if rule.FixedCycles != fixed || rule.HeaderCycles != header {
+				t.Fatalf("consolidate=%v, rule %v: priced (%d, %d), reference (%d, %d)",
+					consolidate, rule, rule.FixedCycles, rule.HeaderCycles, fixed, header)
+			}
+			second, err := eng.ProcessPacket(udpPkt(t, uint16(1000+flowN), "second"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if second.Path != PathFast || second.Fast.FixedCycles != fixed || second.Fast.HeaderCycles != header {
+				t.Fatalf("consolidate=%v, rule %v: packet took %v charged (%d, %d), reference (%d, %d)",
+					consolidate, rule, second.Path, second.Fast.FixedCycles, second.Fast.HeaderCycles, fixed, header)
+			}
+			if rule.Drop {
+				drops++
+			} else {
+				forwards++
+			}
+			if _, _, ck := rule.HeaderWork(); ck {
+				headerWork++
+			}
+		}
+		if drops < 20 || forwards < 20 || headerWork < 20 {
+			t.Errorf("consolidate=%v: %d drop rules, %d forwarding, %d with header work: the scripts cover too little", consolidate, drops, forwards, headerWork)
+		}
+		if err := eng.CheckRecords(); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// rerouteNF rewrites the destination address and registers a one-shot
+// event that, once armed, rewrites it elsewhere.
+type rerouteNF struct {
+	name  string
+	armed atomic.Bool
+}
+
+func (n *rerouteNF) Name() string { return n.name }
+
+func (n *rerouteNF) Process(ctx *Ctx, pkt *packet.Packet) (Verdict, error) {
+	if err := ctx.AddHeaderAction(mat.Modify(packet.FieldDstIP, []byte{192, 168, 1, 10})); err != nil {
+		return 0, err
+	}
+	err := ctx.RegisterEvent(event.Event{
+		Condition: func(flow.FID) bool { return n.armed.Load() },
+		OneShot:   true,
+		Update: func(_ flow.FID, r *mat.LocalRule) {
+			r.Actions = []mat.HeaderAction{mat.Modify(packet.FieldDstIP, []byte{192, 168, 1, 11}), mat.Modify(packet.FieldTTL, []byte{9})}
+		},
+	})
+	return VerdictForward, err
+}
+
+// TestPriceSurvivesRestoreAndReconsolidation: the price is not part of
+// a rule's image, so every path that puts a rule in the table has to
+// work it out — an event-driven reconsolidation (whose rule has more
+// header work than the one it replaces) and a restore from a checkpoint
+// — and a live rule without one fails CheckRecords.
+func TestPriceSurvivesRestoreAndReconsolidation(t *testing.T) {
+	priced := func(eng *Engine, fid flow.FID, when string) *mat.GlobalRule {
+		t.Helper()
+		rule, ok := eng.Global().LookupLive(fid)
+		if !ok {
+			t.Fatalf("%s: no live rule", when)
+		}
+		fixed, header := referencePrice(eng.model, true, rule)
+		if rule.FixedCycles != fixed || rule.HeaderCycles != header {
+			t.Errorf("%s: rule %v priced (%d, %d), reference (%d, %d)", when, rule, rule.FixedCycles, rule.HeaderCycles, fixed, header)
+		}
+		if err := eng.CheckRecords(); err != nil {
+			t.Errorf("%s: %v", when, err)
+		}
+		return rule
+	}
+
+	lb := &rerouteNF{name: "lb"}
+	eng, err := NewEngine([]NF{lb}, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := eng.ProcessPacket(udpPkt(t, 4300, "first"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := priced(eng, first.FID, "after the initial packet").HeaderCycles
+	lb.armed.Store(true)
+	if res, err := eng.ProcessPacket(udpPkt(t, 4300, "second")); err != nil || res.Fast == nil || res.Fast.EventsFired != 1 {
+		t.Fatalf("second packet: %+v, %v; want one event fired on the fast path", res, err)
+	}
+	if after := priced(eng, first.FID, "after the reconsolidation"); after.Version != 1 || after.HeaderCycles <= before {
+		t.Errorf("reconsolidated rule v%d header price %d, was %d: want v1 and a second modify's worth more", after.Version, after.HeaderCycles, before)
+	}
+
+	// Restore: the fakeModifier's rule is restorable (no events).
+	src := walEngine(t, []NF{&fakeModifier{name: "nat", dip: [4]byte{99, 0, 0, 7}}})
+	res, err := src.ProcessPacket(persistPkt(t, 6000, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := src.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := wal.DecodeCheckpoint(cp.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := walEngine(t, []NF{&fakeModifier{name: "nat", dip: [4]byte{99, 0, 0, 7}}})
+	if err := fresh.Restore(decoded, src.WAL().Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	restored := priced(fresh, res.FID, "after the restore")
+
+	// A rule that reaches the table around the engine carries no price.
+	unpriced := *restored
+	unpriced.FixedCycles, unpriced.HeaderCycles = 0, 0
+	fresh.Global().Install(&unpriced)
+	if err := fresh.CheckRecords(); err == nil || !strings.Contains(err.Error(), "carries no price") {
+		t.Errorf("CheckRecords over an unpriced live rule = %v", err)
+	}
+}

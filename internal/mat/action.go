@@ -149,10 +149,9 @@ func (a HeaderAction) Equal(b HeaderAction) bool {
 }
 
 // Apply executes the action on a packet the way an NF on the original
-// path would: modifies are applied immediately and the checksum is
-// left stale for the caller to refresh (per-NF on the original path,
-// once at the end on the consolidated path). Apply returns whether the
-// packet survived (false after a drop).
+// path would: a modify, encap or decap takes effect immediately,
+// checksum patch included. Apply returns whether the packet survived
+// (false after a drop).
 func (a HeaderAction) Apply(pkt *packet.Packet) (bool, error) {
 	switch a.Kind {
 	case ActionForward:

@@ -69,7 +69,7 @@ var ErrNotConsolidatable = errcode.Sentinel("mat.not_consolidatable", "mat: acti
 //   - State functions: batched per NF in chain order and scheduled for
 //     parallel execution per Table I.
 //
-// Trailer fields (checksums) are recomputed once when the rule is
+// Trailer fields (checksums) are patched once when the rule is
 // applied rather than once per NF (§V-B, "we modify these fields at
 // the end of the consolidation").
 //
@@ -193,8 +193,8 @@ scan:
 }
 
 // ApplyNaive executes the raw per-NF action lists on a packet exactly
-// as the original chain would: each NF's modifies are applied and the
-// checksums refreshed immediately (the R3 redundancy), encaps/decaps
+// as the original chain would: each modify is applied and the
+// checksums patched immediately (the R3 redundancy), encaps/decaps
 // take effect in place, and a drop terminates the walk. It is the
 // reference semantics the consolidated rule must match; the
 // equivalence property tests compare the two.
@@ -203,7 +203,6 @@ func ApplyNaive(pkt *packet.Packet, contribs []Contribution) (dropped bool, err 
 		if c.Rule == nil {
 			continue
 		}
-		touched := false
 		for _, a := range c.Rule.Actions {
 			alive, err := a.Apply(pkt)
 			if err != nil {
@@ -211,14 +210,6 @@ func ApplyNaive(pkt *packet.Packet, contribs []Contribution) (dropped bool, err 
 			}
 			if !alive {
 				return true, nil
-			}
-			if a.Kind == ActionModify || a.Kind == ActionEncap || a.Kind == ActionDecap {
-				touched = true
-			}
-		}
-		if touched {
-			if err := pkt.FinalizeChecksums(); err != nil {
-				return false, err
 			}
 		}
 	}

@@ -16,6 +16,43 @@ import (
 // action equivalent to the whole chain, plus the state-function
 // execution plan.
 type GlobalRule struct {
+	// The fields a packet served from the rule reads come first, so they
+	// share the rule's first cache line or two: Epoch (Global.Live), the
+	// guards, the price, the program and the batches.
+
+	// Epoch is the chain epoch the rule was consolidated under. A rule
+	// whose epoch differs from the table's current epoch encodes a
+	// retired chain layout: LookupLive refuses it even before the
+	// post-reconfiguration sweep reaches its shard.
+	Epoch uint64
+	// guards is the flow's registered event conditions as consolidation
+	// found them (nil: none), the one word written after Install: a plain
+	// pointer — Install copies rules by value — behind Guards and SetGuards.
+	guards *Guard
+	// FixedCycles and HeaderCycles are the rule's price in the cycle
+	// model: what every packet it serves is charged for reaching and
+	// holding the rule, and for its header work. Both are constant for
+	// a rule's life, so the engine that installs the rule works them
+	// out once (this package does not know the cost model), and an
+	// installed rule's FixedCycles is never zero.
+	FixedCycles, HeaderCycles uint64
+	// Prog is the compiled action program: the rule's header work
+	// (residual decaps, encaps, merged modifies) flattened into one
+	// opcode+immediate byte stream at consolidation time, executed per
+	// packet by ExecHeader's small loop instead of interpreting the
+	// slices below. Nil means not compiled (hand-built rules);
+	// ExecHeader then falls back to ApplyHeader, the reference
+	// implementation.
+	Prog []byte
+	// Batches are the per-NF state-function batches in chain order.
+	// For dropped flows these are the batches of NFs up to and
+	// including the dropping NF, so internal state (e.g. Monitor
+	// counters upstream of a Firewall) evolves exactly as on the
+	// original path.
+	Batches []sfunc.Batch
+	// Plan is the Table-I parallel schedule over Batches.
+	Plan sfunc.Schedule
+
 	// FID identifies the flow.
 	FID flow.FID
 	// Drop is the consolidated verdict: the packet is dropped at the
@@ -25,14 +62,6 @@ type GlobalRule struct {
 	Modifies []FieldValue
 	// Stack is the residual encap/decap work.
 	Stack StackOps
-	// Batches are the per-NF state-function batches in chain order.
-	// For dropped flows these are the batches of NFs up to and
-	// including the dropping NF, so internal state (e.g. Monitor
-	// counters upstream of a Firewall) evolves exactly as on the
-	// original path.
-	Batches []sfunc.Batch
-	// Plan is the Table-I parallel schedule over Batches.
-	Plan sfunc.Schedule
 	// SourceNFs is how many NFs contributed, which sizes the
 	// fast-path rule metadata (cost model's FastPathPerHA).
 	SourceNFs int
@@ -42,23 +71,6 @@ type GlobalRule struct {
 	Sources []SourceSummary
 	// Version counts reconsolidations triggered by events.
 	Version uint64
-	// Epoch is the chain epoch the rule was consolidated under. A rule
-	// whose epoch differs from the table's current epoch encodes a
-	// retired chain layout: LookupLive refuses it even before the
-	// post-reconfiguration sweep reaches its shard.
-	Epoch uint64
-	// Prog is the compiled action program: the rule's header work
-	// (residual decaps, encaps, merged modifies, checksum refresh)
-	// flattened into one opcode+immediate byte stream at consolidation
-	// time, executed per packet by ExecHeader's small loop instead of
-	// interpreting the three slices above. Nil means not compiled
-	// (hand-built rules, rules decoded from an old WAL); ExecHeader
-	// then falls back to ApplyHeader, the reference implementation.
-	Prog []byte
-	// guards is the flow's registered event conditions as consolidation
-	// found them (nil: none), the one word written after Install: a plain
-	// pointer — Install copies rules by value — behind Guards and SetGuards.
-	guards *Guard
 }
 
 // Guard is a node of a rule's immutable list of event conditions, in
@@ -80,36 +92,28 @@ func (r *GlobalRule) SetGuards(g *Guard) {
 }
 
 // ApplyHeader performs the consolidated header work on a packet:
-// residual decaps, residual encaps, merged modifies, then a single
-// checksum refresh. It returns false when the verdict is drop.
-// State-function execution is separate (the engine runs the Plan).
+// residual decaps, residual encaps, merged modifies, each patching the
+// checksums for what it rewrites. It returns false when the verdict is
+// drop. State-function execution is separate (the engine runs the
+// Plan).
 func (r *GlobalRule) ApplyHeader(pkt *packet.Packet) (alive bool, err error) {
 	if r.Drop {
 		pkt.Drop()
 		return false, nil
 	}
-	touched := false
 	for _, t := range r.Stack.Decaps {
 		if err := pkt.Decap(t); err != nil {
 			return false, fmt.Errorf("mat: global rule %v: %w", r.FID, err)
 		}
-		touched = true
 	}
 	for _, h := range r.Stack.Encaps {
 		if err := pkt.Encap(h); err != nil {
 			return false, fmt.Errorf("mat: global rule %v: %w", r.FID, err)
 		}
-		touched = true
 	}
 	for _, m := range r.Modifies {
 		if err := pkt.Set(m.Field, m.Value); err != nil {
 			return false, fmt.Errorf("mat: global rule %v: %w", r.FID, err)
-		}
-		touched = true
-	}
-	if touched {
-		if err := pkt.FinalizeChecksums(); err != nil {
-			return false, err
 		}
 	}
 	return true, nil

@@ -392,12 +392,12 @@ func TestGlobalInstallDoesNotRaceSharedPointer(t *testing.T) {
 	}
 }
 
-// TestGlobalRuleSizeClass: a GlobalRule sits in Go's 208-byte size
-// class, and every flow holds one — 32 768 of them on the benchmark's
-// wide workload. A field that pushes it into the next class (224) costs
-// every flow 16 bytes; the guard word is the last one that fits.
+// TestGlobalRuleSizeClass: a GlobalRule fills Go's 224-byte size class,
+// and every flow holds one — 32 768 of them on the benchmark's wide
+// workload. The two priced words took it there from 208; the next field
+// costs every flow another 16 bytes (240).
 func TestGlobalRuleSizeClass(t *testing.T) {
-	if size := unsafe.Sizeof(GlobalRule{}); size > 208 {
-		t.Errorf("GlobalRule is %d bytes, beyond the 208-byte size class", size)
+	if size := unsafe.Sizeof(GlobalRule{}); size > 224 {
+		t.Errorf("GlobalRule is %d bytes, beyond the 224-byte size class", size)
 	}
 }

@@ -9,8 +9,8 @@ import (
 
 // Compiled action programs. Interpreting a consolidated rule means
 // walking three slices of structs per packet (Stack.Decaps,
-// Stack.Encaps, Modifies) plus a touched-flag branch for the checksum
-// refresh. A rule's header work is fixed at consolidation time, so it
+// Stack.Encaps, Modifies) and patching the checksums once per field. A
+// rule's header work is fixed at consolidation time, so it
 // compiles once into a flat byte program — opcode, then immediate
 // operands, contiguous in one allocation — and the per-packet executor
 // is a single loop over that byte slice with no pointer chasing and a
@@ -27,8 +27,9 @@ const (
 	// progVersion is the program format tag in prog[0]. Bump it when
 	// the encoding changes; the executor falls back to ApplyHeader on
 	// an unknown version, so stale programs degrade to interpretation
-	// instead of misexecuting.
-	progVersion = 1
+	// instead of misexecuting. 2: no checksum opcode — the executor
+	// owes the checksums what its modifies add up to.
+	progVersion = 2
 )
 
 // Program opcodes. Each is followed by its fixed-size operands.
@@ -42,11 +43,10 @@ const (
 	opEncap
 	// opModify rewrites a header field: operands [1]field [1]width,
 	// then width value bytes. The executor passes the value as a
-	// subslice of the program, so no per-packet copy is made.
+	// subslice of the program, so no per-packet copy is made, and
+	// collects the checksum corrections of all a program's modifies to
+	// patch each checksum once, after the last.
 	opModify
-	// opChecksum refreshes the IPv4 and transport checksums (terminal
-	// when present; compiled iff any prior opcode touched the header).
-	opChecksum
 )
 
 // Compile builds (and attaches) the rule's action program from its
@@ -58,9 +58,8 @@ func (r *GlobalRule) Compile() {
 }
 
 // compileHeader encodes the rule's header work in ApplyHeader's exact
-// order: decaps, encaps, modifies, checksum refresh if anything was
-// touched. Drop rules compile to the lone drop opcode (Consolidate
-// already clears their header work).
+// order: decaps, encaps, modifies. Drop rules compile to the lone drop
+// opcode (Consolidate already clears their header work).
 func compileHeader(r *GlobalRule) []byte {
 	if r.Drop {
 		return []byte{progVersion, opDrop}
@@ -68,10 +67,6 @@ func compileHeader(r *GlobalRule) []byte {
 	n := 1 + 2*len(r.Stack.Decaps) + 12*len(r.Stack.Encaps)
 	for _, m := range r.Modifies {
 		n += 3 + len(m.Value)
-	}
-	touched := len(r.Stack.Decaps) > 0 || len(r.Stack.Encaps) > 0 || len(r.Modifies) > 0
-	if touched {
-		n++
 	}
 	p := make([]byte, 1, n)
 	p[0] = progVersion
@@ -91,9 +86,6 @@ func compileHeader(r *GlobalRule) []byte {
 		p = append(p, opModify, byte(m.Field), byte(len(m.Value)))
 		p = append(p, m.Value...)
 	}
-	if touched {
-		p = append(p, opChecksum)
-	}
 	return p
 }
 
@@ -107,6 +99,7 @@ func (r *GlobalRule) ExecHeader(pkt *packet.Packet) (alive bool, err error) {
 	if len(p) == 0 || p[0] != progVersion {
 		return r.ApplyHeader(pkt)
 	}
+	var owed packet.Sums
 	for i := 1; i < len(p); {
 		switch p[i] {
 		case opDrop:
@@ -131,19 +124,19 @@ func (r *GlobalRule) ExecHeader(pkt *packet.Packet) (alive bool, err error) {
 		case opModify:
 			f := packet.Field(p[i+1])
 			w := int(p[i+2])
-			if err := pkt.Set(f, p[i+3:i+3+w]); err != nil {
+			if err := pkt.SetDeferred(f, p[i+3:i+3+w], &owed); err != nil {
 				return false, fmt.Errorf("mat: global rule %v: %w", r.FID, err)
 			}
 			i += 3 + w
-		case opChecksum:
-			if err := pkt.FinalizeChecksums(); err != nil {
-				return false, err
-			}
-			i++
 		default:
-			// Corrupt program: the interpreted path is always correct.
+			// Corrupt program: the interpreted path is always correct,
+			// once the half-run program's rewrites are paid for.
+			pkt.PatchChecksums(owed)
 			return r.ApplyHeader(pkt)
 		}
+	}
+	if owed != (packet.Sums{}) {
+		pkt.PatchChecksums(owed)
 	}
 	return true, nil
 }

@@ -70,6 +70,12 @@ func FuzzProgramExec(f *testing.F) {
 	f.Add([]byte{2, 2, 1, 5, 42, 42, 0, 13})
 	f.Add([]byte{0, 2, 5, 0, 5, 1, 1})
 	f.Add([]byte{255, 4, 2, 9, 1, 1, 1, 2, 3, 4, 3, 77, 4, 1, 1, 3, 1, 4, 5, 6, 0, 26})
+	// The modify chain again on each packet shape (the bits above the
+	// chain length): UDP with an odd payload, either checksum wrong, and
+	// a UDP checksum of none.
+	for _, shape := range []byte{3, 4, 5, 9, 13} {
+		f.Add([]byte{shape<<2 | 3, 4, 1, 1, 9, 9, 9, 9, 1, 0, 10, 0, 0, 2, 1, 2, 1, 4, 17, 1, 2, 0x4e, 0x20, 1})
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cs := decodeContribs(data)
 		if len(cs) == 0 {
@@ -85,14 +91,37 @@ func FuzzProgramExec(f *testing.F) {
 		if len(rule.Prog) == 0 {
 			t.Fatal("Consolidate emitted a rule without a compiled program")
 		}
-		base, err := packet.Build(packet.Spec{
+		// The first byte also picks the packet, so that the executor's one
+		// patch per checksum meets the reference's patch per field where
+		// they could part: TCP and UDP, an odd payload, a checksum that
+		// arrived wrong, and a UDP checksum of none.
+		spec := packet.Spec{
 			SrcIP: packet.IP4(10, 0, 0, 1), DstIP: packet.IP4(10, 0, 0, 2),
 			SrcPort: 1111, DstPort: 2222, Proto: packet.ProtoTCP,
 			TCPFlags: packet.TCPFlagACK, Seq: 7,
 			Payload: []byte("program-equivalence"),
-		})
+		}
+		shape := data[0] >> 2
+		if shape&1 != 0 {
+			spec.Proto = packet.ProtoUDP
+		}
+		if shape&2 != 0 {
+			spec.Payload = spec.Payload[1:]
+		}
+		base, err := packet.Build(spec)
 		if err != nil {
 			t.Fatal(err)
+		}
+		h, _ := base.Headers()
+		switch shape >> 2 & 3 {
+		case 1:
+			base.Data()[h.PayloadOff] ^= 0x80 // wrong transport checksum
+		case 2:
+			base.Data()[h.IPOff+10] ^= 0x80 // wrong IPv4 header checksum
+		case 3:
+			if spec.Proto == packet.ProtoUDP {
+				base.Data()[h.L4Off+6], base.Data()[h.L4Off+7] = 0, 0
+			}
 		}
 		diffExec(t, rule, base)
 	})
@@ -139,8 +168,9 @@ func TestProgramDrop(t *testing.T) {
 
 // TestProgramFallback checks every degradation path to the interpreted
 // reference: no program at all, an unknown format version, and a
-// corrupt opcode mid-program. All three must produce ApplyHeader's
-// exact output.
+// corrupt opcode, first or mid-program — where the executor has
+// rewritten a field and owes the checksums for it when it bails. All
+// must produce ApplyHeader's exact output.
 func TestProgramFallback(t *testing.T) {
 	mkRule := func() *GlobalRule {
 		return &GlobalRule{
@@ -164,6 +194,10 @@ func TestProgramFallback(t *testing.T) {
 			r.Compile()
 			r.Prog[1] = 0xee // not an opcode: executor must bail to the reference
 		}},
+		{"corrupt-second-opcode", func(r *GlobalRule) {
+			r.Compile()
+			r.Prog[1+3+1] = 0xee // after the TTL modify has run
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rule := mkRule()
@@ -183,5 +217,39 @@ func TestProgramErrorParity(t *testing.T) {
 	p := progTestPacket(t)
 	if _, err := rule.ExecHeader(p); err == nil {
 		t.Fatal("decap of absent header succeeded")
+	}
+}
+
+// TestExecHeaderIgnoresPayload: a rewrite costs its fields, not its
+// payload — stated without a stopwatch. Two frames equal in every
+// header byte, checksum fields included, but not in their payloads
+// leave the executor with identical header bytes (and their payloads
+// as they were), which they could not if it read the segment.
+func TestExecHeaderIgnoresPayload(t *testing.T) {
+	rule := chain1Rule(t)
+	spec := packet.Spec{
+		SrcIP: packet.IP4(10, 0, 0, 1), DstIP: packet.IP4(10, 0, 0, 2),
+		SrcPort: 4000, DstPort: 80, Proto: packet.ProtoUDP,
+	}
+	spec.Payload = bytes.Repeat([]byte{0x00}, 200)
+	a := packet.MustBuild(spec)
+	spec.Payload = bytes.Repeat([]byte{0xa7}, 200)
+	b := packet.MustBuild(spec)
+	h, _ := a.Headers()
+	copy(b.Data()[:h.PayloadOff], a.Data()[:h.PayloadOff])
+	before := bytes.Clone(a.Data()[:h.PayloadOff])
+	for _, p := range []*packet.Packet{a, b} {
+		if alive, err := rule.ExecHeader(p); err != nil || !alive {
+			t.Fatalf("ExecHeader = (%v, %v)", alive, err)
+		}
+	}
+	if !bytes.Equal(a.Data()[:h.PayloadOff], b.Data()[:h.PayloadOff]) {
+		t.Errorf("headers differ by payload:\n % x\n % x", a.Data()[:h.PayloadOff], b.Data()[:h.PayloadOff])
+	}
+	if bytes.Equal(a.Data()[:h.PayloadOff], before) || !a.VerifyChecksums() {
+		t.Error("the rule did not rewrite the header, or left a right checksum wrong")
+	}
+	if b.VerifyChecksums() || b.Data()[h.PayloadOff] != 0xa7 {
+		t.Error("the frame carrying the other payload's checksum came out right, or its payload changed")
 	}
 }

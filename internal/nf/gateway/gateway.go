@@ -165,9 +165,6 @@ func (g *Gateway) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, erro
 	if err := pkt.Set(packet.FieldDstMAC, g.nextHop[:]); err != nil {
 		return 0, err
 	}
-	if err := pkt.FinalizeChecksums(); err != nil {
-		return 0, err
-	}
 	ctx.Charge(3*ctx.Model.ModifyField + ctx.Model.ChecksumUpdate)
 	if !ctx.Recording() {
 		return core.VerdictForward, nil

@@ -410,9 +410,6 @@ func (lb *Maglev) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, erro
 		}
 		ctx.Charge(ctx.Model.ModifyField)
 	}
-	if err := pkt.FinalizeChecksums(); err != nil {
-		return 0, err
-	}
 	ctx.Charge(ctx.Model.ChecksumUpdate)
 	if !ctx.Recording() {
 		return core.VerdictForward, nil

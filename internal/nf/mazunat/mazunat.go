@@ -268,9 +268,6 @@ func (n *NAT) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, error) {
 		if err := pkt.Set(packet.FieldSrcPort, packet.PutUint16(m.OutsidePort)); err != nil {
 			return 0, err
 		}
-		if err := pkt.FinalizeChecksums(); err != nil {
-			return 0, err
-		}
 		ctx.Charge(2*ctx.Model.ModifyField + ctx.Model.ChecksumUpdate)
 		if !ctx.Recording() {
 			break
@@ -299,9 +296,6 @@ func (n *NAT) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, error) {
 			return 0, err
 		}
 		if err := pkt.Set(packet.FieldDstPort, packet.PutUint16(m.InsidePort)); err != nil {
-			return 0, err
-		}
-		if err := pkt.FinalizeChecksums(); err != nil {
 			return 0, err
 		}
 		ctx.Charge(2*ctx.Model.ModifyField + ctx.Model.ChecksumUpdate)

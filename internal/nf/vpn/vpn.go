@@ -121,9 +121,6 @@ func (g *Gateway) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, erro
 		if err := pkt.Encap(hdr); err != nil {
 			return 0, fmt.Errorf("vpn %s: %w", g.name, err)
 		}
-		if err := pkt.FinalizeChecksums(); err != nil {
-			return 0, err
-		}
 		ctx.Charge(ctx.Model.EncapHeader + ctx.Model.ChecksumUpdate)
 		if err := ctx.AddHeaderAction(mat.Encap(hdr)); err != nil {
 			return 0, err
@@ -131,9 +128,6 @@ func (g *Gateway) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, erro
 	case ModeDecap:
 		if err := pkt.Decap(packet.HeaderAH); err != nil {
 			return 0, fmt.Errorf("vpn %s: %w", g.name, err)
-		}
-		if err := pkt.FinalizeChecksums(); err != nil {
-			return 0, err
 		}
 		ctx.Charge(ctx.Model.DecapHeader + ctx.Model.ChecksumUpdate)
 		if err := ctx.AddHeaderAction(mat.Decap(packet.HeaderAH)); err != nil {

@@ -28,8 +28,10 @@ func BenchmarkParse(b *testing.B) {
 	}
 }
 
-// BenchmarkFinalizeChecksums measures the checksum refresh charged per
-// modifying NF on the original path and once on the consolidated path.
+// BenchmarkFinalizeChecksums measures the full recompute of both
+// checksums over a 512-byte payload. It is Build's cost — trace
+// generation's — and no per-packet path's: header rewrites patch by
+// delta (BenchmarkSetField).
 func BenchmarkFinalizeChecksums(b *testing.B) {
 	p := MustBuild(Spec{
 		SrcIP: IP4(10, 0, 0, 1), DstIP: IP4(10, 0, 0, 2),

@@ -56,10 +56,12 @@ func Checksum(data []byte) uint16 {
 }
 
 // FinalizeChecksums recomputes the IPv4 header checksum and the
-// transport checksum after header mutation. The paper performs this
-// once at the end of consolidation rather than once per NF (§V-B),
-// which is where part of the Modify-consolidation saving comes from;
-// callers charge the corresponding cycle cost once.
+// transport checksum from the frame's bytes. It is how Build finishes a
+// synthesized frame, and the reference the tests hold the header
+// mutators to; no per-packet path calls it — Set, DecrementTTL and the
+// AH encap/decap keep the checksums right by delta (PatchChecksums), so
+// a rewrite costs the words it overwrites, not the payload, and a
+// checksum that arrived wrong leaves wrong.
 func (p *Packet) FinalizeChecksums() error {
 	if !p.parsed {
 		return ErrNotParsed
@@ -122,4 +124,52 @@ func (p *Packet) pseudoHeader() (pseudo [12]byte) {
 	pseudo[9] = p.hdr.L4Proto
 	binary.BigEndian.PutUint16(pseudo[10:12], uint16(p.hdr.End-p.hdr.L4Off))
 	return pseudo
+}
+
+// Sums is the checksum correction a run of header rewrites owes: per
+// checksum, the one's-complement sum of ~m + m' over the 16-bit words
+// overwritten (RFC 1624, eqn. 3), not yet folded into the checksum
+// field. The zero value owes nothing. Corrections add, so one Sums may
+// collect any number of SetDeferred calls — in any order, across an
+// encap or decap — before a single PatchChecksums settles it.
+type Sums struct{ ip, l4 uint32 }
+
+// PatchChecksums settles s: HC' = ~(~HC + s) on the IPv4 header
+// checksum and on the TCP or UDP checksum. A checksum that owes
+// nothing is not touched; one that owes something comes out in the
+// form FinalizeChecksums writes — a one's-complement zero reads 0x0000,
+// 0xffff in UDP — because s is then a positive sum and folds into
+// 1..0xffff. The patched value so depends only on the old field and
+// the sum of the corrections, which is why a patch per field, per NF
+// or per consolidated rule all leave the same bytes: those of a full
+// recompute when the checksum was right, and a checksum wrong by the
+// same amount when it was not. A UDP checksum of zero says the sender
+// computed none (RFC 768) and stays zero.
+func (p *Packet) PatchChecksums(s Sums) {
+	if !p.parsed {
+		return
+	}
+	if s.ip != 0 {
+		patchChecksum(p.data[p.hdr.IPOff+10:], s.ip, 0)
+	}
+	if s.l4 != 0 {
+		switch p.hdr.L4Proto {
+		case ProtoTCP:
+			patchChecksum(p.data[p.hdr.L4Off+16:], s.l4, 0)
+		case ProtoUDP:
+			if ck := p.data[p.hdr.L4Off+6:]; ck[0]|ck[1] != 0 {
+				patchChecksum(ck, s.l4, 0xffff)
+			}
+		}
+	}
+}
+
+// patchChecksum applies the non-zero correction d to the checksum at
+// ck[0:2]; zero is what a computed checksum of zero is written as.
+func patchChecksum(ck []byte, d uint32, zero uint16) {
+	hc := foldChecksum(uint32(^binary.BigEndian.Uint16(ck)) + d)
+	if hc == 0 {
+		hc = zero
+	}
+	binary.BigEndian.PutUint16(ck, hc)
 }

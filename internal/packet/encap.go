@@ -47,8 +47,10 @@ type ExtraHeader struct {
 }
 
 // EncapAH inserts an authentication header between the IPv4 header and
-// whatever follows it, updating the IP protocol chain and total
-// length. The packet is re-parsed on success.
+// whatever follows it, updating the IP protocol chain, the total length
+// and, for those two words, the IPv4 header checksum (the transport
+// checksum's pseudo-header names the L4 protocol and segment length,
+// which an AH changes neither of). The packet is re-parsed on success.
 func (p *Packet) EncapAH(spi, seq uint32) error {
 	if !p.parsed {
 		return ErrNotParsed
@@ -64,9 +66,7 @@ func (p *Packet) EncapAH(spi, seq uint32) error {
 	binary.BigEndian.PutUint32(ah[8:12], seq)
 
 	p.data = insertBytes(p.data, insertAt, ah)
-	p.data[ip+9] = ProtoAH
-	totLen := binary.BigEndian.Uint16(p.data[ip+2 : ip+4])
-	binary.BigEndian.PutUint16(p.data[ip+2:ip+4], totLen+AHHeaderLen)
+	p.setIPProtoLen(ProtoAH, AHHeaderLen)
 	return p.Parse()
 }
 
@@ -83,10 +83,20 @@ func (p *Packet) DecapAH() error {
 	ahOff := ip + IPv4HeaderLen
 	inner := p.data[ahOff] // next-header field
 	p.data = removeBytes(p.data, ahOff, AHHeaderLen)
-	p.data[ip+9] = inner
-	totLen := binary.BigEndian.Uint16(p.data[ip+2 : ip+4])
-	binary.BigEndian.PutUint16(p.data[ip+2:ip+4], totLen-AHHeaderLen)
+	p.setIPProtoLen(inner, -AHHeaderLen)
 	return p.Parse()
+}
+
+// setIPProtoLen rewrites the IPv4 protocol, grows the total length by
+// grow bytes and patches the header checksum for the two words.
+func (p *Packet) setIPProtoLen(proto uint8, grow int) {
+	ip := p.data[p.hdr.IPOff:]
+	totLen := binary.BigEndian.Uint16(ip[2:4])
+	// ~m + m' for the length word and for the low half of (TTL, protocol).
+	owed := Sums{ip: 2*0xffff - uint32(totLen) - uint32(ip[9]) + uint32(totLen+uint16(grow)) + uint32(proto)}
+	binary.BigEndian.PutUint16(ip[2:4], totLen+uint16(grow))
+	ip[9] = proto
+	p.PatchChecksums(owed)
 }
 
 // EncapVLAN pushes an 802.1Q tag directly after the MAC addresses.

@@ -53,50 +53,56 @@ func (f Field) String() string {
 	return fieldNames[f]
 }
 
+// A field lives at a fixed offset from the start of one header, and is
+// covered by the checksums that header's bytes feed.
+const (
+	baseL2 = iota // frame start
+	baseIP        // Headers.IPOff
+	baseL4        // Headers.L4Off
+
+	sumIP = 1 << 0 // the IPv4 header checksum covers the field
+	sumL4 = 1 << 1 // the TCP/UDP checksum does (pseudo-header included)
+)
+
+// fieldPlaces is indexed by Field.
+var fieldPlaces = [...]struct{ base, rel, size, sums uint8 }{
+	FieldDstMAC:  {baseL2, 0, 6, 0},
+	FieldSrcMAC:  {baseL2, 6, 6, 0},
+	FieldDSCP:    {baseIP, 1, 1, sumIP},
+	FieldTTL:     {baseIP, 8, 1, sumIP},
+	FieldSrcIP:   {baseIP, 12, 4, sumIP | sumL4},
+	FieldDstIP:   {baseIP, 16, 4, sumIP | sumL4},
+	FieldSrcPort: {baseL4, 0, 2, sumL4},
+	FieldDstPort: {baseL4, 2, 2, sumL4},
+}
+
 // Size returns the field width in bytes, or 0 for an invalid field.
 func (f Field) Size() int {
-	switch f {
-	case FieldSrcMAC, FieldDstMAC:
-		return 6
-	case FieldSrcIP, FieldDstIP:
-		return 4
-	case FieldTTL, FieldDSCP:
-		return 1
-	case FieldSrcPort, FieldDstPort:
-		return 2
-	default:
+	if f < 0 || int(f) >= len(fieldPlaces) {
 		return 0
 	}
+	return int(fieldPlaces[f].size)
 }
 
 // Valid reports whether f is one of the defined fields.
 func (f Field) Valid() bool { return f.Size() != 0 }
 
-// offset returns the field's byte offset within a parsed frame.
+// fieldOffset returns the field's byte offset within a parsed frame.
 func (p *Packet) fieldOffset(f Field) (int, error) {
 	if !p.parsed {
 		return 0, ErrNotParsed
 	}
-	switch f {
-	case FieldDstMAC:
-		return 0, nil
-	case FieldSrcMAC:
-		return 6, nil
-	case FieldDSCP:
-		return p.hdr.IPOff + 1, nil
-	case FieldTTL:
-		return p.hdr.IPOff + 8, nil
-	case FieldSrcIP:
-		return p.hdr.IPOff + 12, nil
-	case FieldDstIP:
-		return p.hdr.IPOff + 16, nil
-	case FieldSrcPort:
-		return p.hdr.L4Off, nil
-	case FieldDstPort:
-		return p.hdr.L4Off + 2, nil
-	default:
+	if !f.Valid() {
 		return 0, fmt.Errorf("packet: invalid field %v", f)
 	}
+	off := int(fieldPlaces[f].rel)
+	switch fieldPlaces[f].base {
+	case baseIP:
+		off += p.hdr.IPOff
+	case baseL4:
+		off += p.hdr.L4Off
+	}
+	return off, nil
 }
 
 // Get reads a header field into a freshly allocated slice.
@@ -110,11 +116,24 @@ func (p *Packet) Get(f Field) ([]byte, error) {
 	return out, nil
 }
 
-// Set overwrites a header field. The value length must equal the field
-// size. Checksums are NOT recomputed; callers batch modifications and
-// call FinalizeChecksums once, matching the paper's consolidation of
-// trailer fields at the end (§V-B).
+// Set overwrites a header field and patches the checksums that cover
+// it by delta, so they stay as right or as wrong as they were
+// (PatchChecksums). The value length must equal the field size.
 func (p *Packet) Set(f Field, value []byte) error {
+	var s Sums
+	if err := p.SetDeferred(f, value, &s); err != nil {
+		return err
+	}
+	p.PatchChecksums(s)
+	return nil
+}
+
+// SetDeferred is Set with the checksum patch left to the caller: the
+// correction is added to s, and the checksums are stale until
+// PatchChecksums(s). A run of rewrites — a consolidated rule's — so
+// patches each checksum once (paper §V-B: trailer fields are modified
+// at the end of the consolidation).
+func (p *Packet) SetDeferred(f Field, value []byte, s *Sums) error {
 	if len(value) != f.Size() {
 		return fmt.Errorf("packet: field %v needs %d bytes, got %d", f, f.Size(), len(value))
 	}
@@ -122,7 +141,32 @@ func (p *Packet) Set(f Field, value []byte) error {
 	if err != nil {
 		return err
 	}
-	copy(p.data[off:off+f.Size()], value)
+	// Each 16-bit word m of the header rewritten to m' owes ~m + m',
+	// which is 0xffff - m + m'.
+	var d uint32
+	switch b := p.data[off : off+len(value)]; len(b) {
+	case 4:
+		old, new := binary.BigEndian.Uint32(b), binary.BigEndian.Uint32(value)
+		binary.BigEndian.PutUint32(b, new)
+		d = 2*0xffff - (old>>16 + old&0xffff) + (new>>16 + new&0xffff)
+	case 2:
+		old, new := binary.BigEndian.Uint16(b), binary.BigEndian.Uint16(value)
+		binary.BigEndian.PutUint16(b, new)
+		d = 0xffff - uint32(old) + uint32(new)
+	case 1:
+		// Half a word: the high byte at an even offset, the low at an odd.
+		shift := 8 * (^fieldPlaces[f].rel & 1)
+		d = 0xffff - uint32(b[0])<<shift + uint32(value[0])<<shift
+		b[0] = value[0]
+	default:
+		copy(b, value)
+	}
+	if fieldPlaces[f].sums&sumIP != 0 {
+		s.ip += d
+	}
+	if fieldPlaces[f].sums&sumL4 != 0 {
+		s.l4 += d
+	}
 	return nil
 }
 
@@ -164,8 +208,8 @@ func (p *Packet) TTL() uint8 {
 	return p.data[p.hdr.IPOff+8]
 }
 
-// DecrementTTL decreases the TTL by one, saturating at zero. It
-// returns the new value.
+// DecrementTTL decreases the TTL by one, saturating at zero, and
+// patches the IPv4 header checksum for it. It returns the new value.
 func (p *Packet) DecrementTTL() (uint8, error) {
 	if !p.parsed {
 		return 0, ErrNotParsed
@@ -173,6 +217,8 @@ func (p *Packet) DecrementTTL() (uint8, error) {
 	off := p.hdr.IPOff + 8
 	if p.data[off] > 0 {
 		p.data[off]--
+		// The (TTL, protocol) word fell by 0x0100.
+		p.PatchChecksums(Sums{ip: 0xffff - 0x0100})
 	}
 	return p.data[off], nil
 }

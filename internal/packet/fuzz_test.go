@@ -1,6 +1,8 @@
 package packet
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -91,5 +93,197 @@ func TestQuickFinalizeAlwaysVerifies(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// checkIncremental is the differential property of the header mutators:
+// data decodes into a checksum-correct frame — TCP or UDP, any payload
+// length, 0-2 VLAN tags, 0-2 AH, padded or not — and a run of Set on
+// any field, DecrementTTL, EncapAH and DecapAH. After every step the
+// frame must equal, byte for byte, a clone of it finished with
+// FinalizeChecksums: patching by delta and summing the segment afresh
+// are the same function of a frame whose checksums were right.
+func checkIncremental(t testing.TB, data []byte) {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	shape := next()
+	spec := Spec{
+		SrcIP: IP4(next(), next(), next(), next()), DstIP: IP4(next(), next(), next(), next()),
+		SrcPort: uint16(next())<<8 | uint16(next()), DstPort: uint16(next())<<8 | uint16(next()),
+		Proto: ProtoTCP, TTL: next(), TCPFlags: TCPFlagACK,
+		Payload: make([]byte, next()),
+	}
+	if shape&1 != 0 {
+		spec.Proto = ProtoUDP
+	}
+	for i := range spec.Payload {
+		spec.Payload[i] = byte(i)*31 + shape
+	}
+	p, err := Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < int(shape>>1)%3; i++ {
+		if err := p.EncapVLAN(uint16(i) + 100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < int(shape>>3)%3; i++ {
+		if err := p.EncapAH(uint32(shape), uint32(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if shape&0x20 != 0 {
+		p = New(append(p.Data(), 0xde, 0xad, 0xbe, 0xef, 0x01)[:p.Len()+1+int(shape>>6)])
+		if err := p.Parse(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(step string) {
+		t.Helper()
+		ref := p.Clone()
+		if err := ref.FinalizeChecksums(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(p.Data(), ref.Data()) {
+			t.Fatalf("after %s:\n patched   % x\n recompute % x", step, p.Data(), ref.Data())
+		}
+	}
+	check("building the frame")
+	for steps := 0; len(data) > 0 && steps < 64; steps++ {
+		op := next() % 12
+		switch {
+		case op < 8:
+			f := Field(op) + FieldSrcMAC
+			v := make([]byte, f.Size())
+			for i := range v {
+				v[i] = next()
+			}
+			if err := p.Set(f, v); err != nil {
+				t.Fatal(err)
+			}
+			check("Set " + f.String())
+		case op == 8:
+			// A word of all ones rewritten to all zeros: m = -0, m' = +0,
+			// a correction of zero.
+			f := Field(next()%6) + FieldSrcIP
+			for _, b := range []byte{0xff, 0x00} {
+				if err := p.Set(f, bytes.Repeat([]byte{b}, f.Size())); err != nil {
+					t.Fatal(err)
+				}
+				check("Set " + f.String() + " to all ones, then zeros")
+			}
+		case op == 9:
+			if _, err := p.DecrementTTL(); err != nil {
+				t.Fatal(err)
+			}
+			check("DecrementTTL")
+		case op == 10:
+			if h, _ := p.Headers(); h.AHCount < 4 {
+				if err := p.EncapAH(uint32(next()), uint32(steps)); err != nil {
+					t.Fatal(err)
+				}
+				check("EncapAH")
+			}
+		default:
+			before := bytes.Clone(p.Data())
+			if err := p.DecapAH(); err != nil && !bytes.Equal(before, p.Data()) {
+				t.Fatalf("failed DecapAH (%v) changed the frame", err)
+			}
+			check("DecapAH")
+		}
+	}
+}
+
+// incrementalSeeds: a TCP frame through every mutator, a padded UDP
+// frame with an odd payload under two VLAN tags and two AH, and both
+// halves of the 1-byte fields' words driven to all ones and back.
+var incrementalSeeds = [][]byte{
+	{0, 10, 0, 0, 1, 10, 0, 0, 2, 4, 87, 0, 80, 64, 19, 2, 198, 51, 100, 1, 6, 0x9c, 0x40, 3, 192, 168, 1, 10, 9, 10, 7, 11, 4, 17, 5, 0xb8},
+	{0x20 | 0x10 | 4 | 1, 10, 0, 0, 1, 10, 0, 0, 2, 4, 87, 0, 80, 1, 33, 9, 9, 3, 1, 2, 3, 4, 11, 7, 0xff, 0xff, 8, 4, 8, 5},
+	{0x41, 255, 255, 255, 255, 0, 0, 0, 0, 255, 255, 0, 0, 255, 0, 8, 0, 8, 1, 8, 2, 8, 3, 8, 4, 8, 5, 4, 255, 5, 255, 4, 0, 5, 0},
+}
+
+// TestQuickIncrementalMatchesFinalize runs the property over the seeds
+// and over random bytes.
+func TestQuickIncrementalMatchesFinalize(t *testing.T) {
+	for _, seed := range incrementalSeeds {
+		checkIncremental(t, seed)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 3000; i++ {
+		data := make([]byte, 14+rng.Intn(80))
+		rng.Read(data)
+		checkIncremental(t, data)
+	}
+}
+
+// FuzzIncrementalChecksum is the same property on fuzzer-chosen bytes.
+func FuzzIncrementalChecksum(f *testing.F) {
+	for _, seed := range incrementalSeeds {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { checkIncremental(t, data) })
+}
+
+// TestPatchedChecksumZeroForms pins the two encodings of a computed
+// checksum of zero, which random frames reach once in 65535 rewrites: a
+// port chosen to bring the segment's sum to zero must leave 0xffff in a
+// UDP header and 0x0000 in a TCP header, as FinalizeChecksums does, and
+// the next rewrite must leave it right again. A UDP checksum of zero
+// means none was computed, and no rewrite computes one.
+func TestPatchedChecksumZeroForms(t *testing.T) {
+	for _, tc := range []struct {
+		proto uint8
+		ckOff int
+		zero  uint16
+	}{{ProtoUDP, 6, 0xffff}, {ProtoTCP, 16, 0x0000}} {
+		p := MustBuild(Spec{
+			SrcIP: IP4(10, 0, 0, 1), DstIP: IP4(10, 0, 0, 2),
+			SrcPort: 4000, DstPort: 80, Proto: tc.proto, Payload: []byte("zero"),
+		})
+		h, _ := p.Headers()
+		ck := p.Data()[h.L4Off+tc.ckOff:]
+		// The words but the checksum sum to ~HC; lowering the port by
+		// that much (mod 0xffff) brings them to zero.
+		sum := uint32(^binary.BigEndian.Uint16(ck))
+		port := (uint32(p.DstPort()) + 0xffff - sum) % 0xffff
+		for _, port := range []uint16{uint16(port), 8080} {
+			if err := p.Set(FieldDstPort, PutUint16(port)); err != nil {
+				t.Fatal(err)
+			}
+			ref := p.Clone()
+			if err := ref.FinalizeChecksums(); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(p.Data(), ref.Data()) || !p.VerifyChecksums() {
+				t.Errorf("proto %d, port %d: checksum % x, recomputed % x", tc.proto, port, ck[:2], ref.Data()[h.L4Off+tc.ckOff:][:2])
+			}
+			if port != 8080 && binary.BigEndian.Uint16(ck) != tc.zero {
+				t.Errorf("proto %d: zero checksum written as % x, want %04x", tc.proto, ck[:2], tc.zero)
+			}
+		}
+	}
+
+	none := MustBuild(Spec{SrcIP: IP4(10, 0, 0, 1), DstIP: IP4(10, 0, 0, 2), SrcPort: 4000, DstPort: 80, Proto: ProtoUDP})
+	h, _ := none.Headers()
+	ck := none.Data()[h.L4Off+6:][:2]
+	ck[0], ck[1] = 0, 0
+	for _, f := range []Field{FieldSrcIP, FieldDstPort} {
+		if err := none.Set(f, []byte{9, 9, 9, 9}[:f.Size()]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ck[0]|ck[1] != 0 {
+		t.Errorf("UDP checksum none rewritten to % x", ck)
+	}
+	if Checksum(none.Data()[h.IPOff:h.IPOff+IPv4HeaderLen]) != 0 {
+		t.Error("IPv4 header checksum wrong after rewriting a frame without a UDP checksum")
 	}
 }
