@@ -76,8 +76,13 @@ func (p *Platform) Engine() *core.Engine { return p.eng }
 // Model implements platform.Platform.
 func (p *Platform) Model() *cost.Model { return p.eng.Model() }
 
-// Close implements platform.Platform; BESS holds no goroutines.
-func (p *Platform) Close() error { return nil }
+// Close implements platform.Platform. BESS holds no goroutines; the
+// engine stops being a home of its NFs' per-flow state, which matters to
+// whoever keeps the NF objects (a cluster retiring an instance).
+func (p *Platform) Close() error {
+	p.eng.Close()
+	return nil
+}
 
 // Reconfigure implements platform.Reconfigurer. BESS runs the chain to
 // completion on one core, so the engine's snapshot swap is the whole

@@ -596,16 +596,9 @@ func (c *Cluster) migrate(fid flow.FID, from, to *instance) error {
 	if !ok {
 		return nil
 	}
-	rec := wal.MigrationRecord{
-		Flow: wal.FlowEntry{
-			FID: mf.Entry.FID, Tuple: mf.Entry.Tuple, State: uint8(mf.Entry.State),
-			Packets: mf.Entry.Packets, Bytes: mf.Entry.Bytes, LastSeen: mf.Entry.LastSeen,
-		},
-		Rule: mf.Rule,
-	}
 	// Round-trip through the wire encoding: the new owner adopts
 	// exactly the bytes a cross-host transfer would deliver.
-	decoded, err := wal.DecodeMigration(wal.EncodeMigration([]wal.MigrationRecord{rec}))
+	decoded, err := wal.DecodeMigration(wal.EncodeMigration([]wal.MigrationRecord{mf}))
 	if err != nil {
 		// The record never left this process, so the flow is restored
 		// onto its old owner untouched.
@@ -616,14 +609,7 @@ func (c *Cluster) migrate(fid flow.FID, from, to *instance) error {
 	if c.TamperMigration != nil {
 		c.TamperMigration(d)
 	}
-	adopted := core.MigratedFlow{
-		Entry: flow.Entry{
-			FID: d.Flow.FID, Tuple: d.Flow.Tuple, State: flow.State(d.Flow.State),
-			Packets: d.Flow.Packets, Bytes: d.Flow.Bytes, LastSeen: d.Flow.LastSeen,
-		},
-		Rule: d.Rule,
-	}
-	to.engine().AdoptFlow(adopted)
+	to.engine().AdoptFlow(*d)
 	if d.Rule != nil {
 		c.ruleMoves.Add(1)
 	} else if mf.Rule == nil {
@@ -671,8 +657,9 @@ func (c *Cluster) Reconfigure(plan core.ChainPlan) error {
 // CrashInstance kills the i-th instance and replaces it with a fresh
 // engine restored from a checkpoint taken at the crash boundary plus
 // its durable WAL suffix (when Durable). The shared chain NFs survive
-// the crash — only the engine-side state is rebuilt — so the
-// checkpoint's NF state blobs are deliberately dropped. The steering
+// the crash, so the checkpoint's blobs of their cross-flow state are
+// deliberately dropped; the flows' own NF state is the engine's, and
+// comes back with the flow entries. The steering
 // table is unchanged: the replacement inherits the crashed instance's
 // name and slot assignments.
 func (c *Cluster) CrashInstance(i int) error {
@@ -718,7 +705,7 @@ func (c *Cluster) CrashInstance(i int) error {
 		_ = plat.Close()
 		return fmt.Errorf("cluster: crash restore %s: %w", in.name, err)
 	}
-	restored.NFState = nil // shared NFs survived; only engine state rebuilds
+	restored.NFState = nil // shared NFs survived with their cross-flow state
 	if err := plat.Engine().Restore(restored, walBytes); err != nil {
 		_ = plat.Close()
 		return fmt.Errorf("cluster: crash restore %s: %w", in.name, err)

@@ -1,14 +1,16 @@
 // Package cluster runs N engine instances behind a consistent-hash
 // flow steerer, with elastic scale-up/scale-down that live-migrates
-// every reassigned flow's engine-side state (flow entry, consolidated
-// rule, ladder reset) to its new owner with zero packet loss and no
-// verdict divergence.
+// every reassigned flow (flow entry, its NFs' per-flow state,
+// consolidated rule, ladder reset) to its new owner with zero packet
+// loss and no verdict divergence.
 //
 // The chain NFs are shared across instances, exactly like a multi-chain
-// topology shares named NFs: NF-internal per-flow state is keyed by FID
-// and stays put, cross-flow NF state (NAT port cursors, DoS counters,
-// LB connection pins) sees every packet once in arrival order, and what
-// migrates is only the consolidation state each engine builds privately.
+// topology shares named NFs: cross-flow NF state (NAT port pool and
+// cursor, backend health, quotas) is one per fleet and sees every packet
+// once in arrival order. Nothing about a single flow lives in an NF: its
+// NAT translation, connection pin, counters and cached decisions are
+// words on its flow record in the owning instance's flow table, and they
+// move with it in the migration record.
 // Steering is by the flow's home FID — the same FNV fold the flow table
 // hashes 5-tuples with — so all tuples sharing a home slot land on one
 // instance and that instance's table disambiguates them by probing,

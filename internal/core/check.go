@@ -20,7 +20,9 @@ import (
 //     chain epoch;
 //   - a live rule is priced: it went in through the engine's install;
 //   - a detached entry holds a rule — the only reason the engine makes
-//     one;
+//     one — and no NF state: state belongs to a tracked flow;
+//   - an NF with state on a flow is in the current chain: a removed NF's
+//     slot left every flow with it;
 //   - the Global MAT's and the Event Table's sizes are what the walk
 //     counts.
 //
@@ -30,6 +32,7 @@ import (
 func (e *Engine) CheckRecords() error {
 	var rules, stale, armed int
 	var err error
+	cs := e.state()
 	fail := func(format string, args ...any) {
 		if err == nil {
 			err = fmt.Errorf("core: flow records: "+format, args...)
@@ -40,6 +43,14 @@ func (e *Engine) CheckRecords() error {
 		pending := e.events.Pending(fid)
 		if pending > 0 {
 			armed++
+		}
+		for _, nf := range event.StateOwners(h) {
+			if h.Detached() {
+				fail("detached entry of %v holds state of NF %q", fid, nf)
+			}
+			if cs.position(nf) < 0 {
+				fail("%v holds state of NF %q, which the chain does not have", fid, nf)
+			}
 		}
 		r, ok := e.global.Lookup(fid)
 		if !ok {

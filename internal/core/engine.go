@@ -199,7 +199,7 @@ func NewEngine(chain []NF, opts Options) (*Engine, error) {
 		events: event.NewTable(flows),
 		class:  classifier.New(flows),
 	}
-	e.cur.Store(&chainState{chain: chain})
+	e.cur.Store(e.newChainState(chain, 0))
 	e.events.SetJournal(e.eventRegistered)
 	e.scalar.New = func() any { return NewBatch(1) }
 	e.initLadder()
@@ -373,18 +373,11 @@ func (e *Engine) Classify(pkt *packet.Packet) (classifier.Result, error) {
 }
 
 // resetReusedFlow tears down the consolidated state of the previous
-// connection on a reused 5-tuple. The flow-table entry itself stays
-// (the classifier has already reset it to the handshake state).
+// connection on a reused 5-tuple, and its NFs' per-flow state: the new
+// connection starts every NF from zero. The flow-table entry itself
+// stays (the classifier has already reset it to the handshake state).
 func (e *Engine) resetReusedFlow(fid flow.FID) {
-	cs := e.state()
-	removed := e.dropConsolidated(fid)
-	// The new connection must not inherit the old one's fault backoff.
-	e.dropDegraded(fid)
-	for _, nf := range cs.chain {
-		if closer, ok := nf.(FlowCloser); ok {
-			closer.FlowClosed(fid)
-		}
-	}
+	removed := e.release(fid)
 	if e.tel != nil {
 		e.tel.flowResets.Inc()
 		e.tel.rec.Append(telemetry.EvFlowReset, uint32(fid), CauseSynReuse)
@@ -409,7 +402,7 @@ func (e *Engine) ProcessNF(i int, fid flow.FID, pkt *packet.Packet, recording bo
 	t := b.slow
 	t.ledger.Reset()
 	ctx := e.beginTraversal(t, fid, pkt, recording, cs)
-	ctx.nf = nf.Name()
+	ctx.nf, ctx.slot = nf.Name(), i
 	v, err := nf.Process(ctx, pkt)
 	if err != nil {
 		return 0, t.ledger.Total(), fmt.Errorf("%w: %s: %w", ErrNFFailed, nf.Name(), err)
@@ -435,6 +428,7 @@ func (e *Engine) beginTraversal(t *traversal, fid flow.FID, pkt *packet.Packet, 
 		ledger:    &t.ledger,
 		events:    e.events,
 		recording: recording,
+		lay:       cs.lay,
 		acts:      ctx.acts[:0],
 		funcs:     ctx.funcs[:0],
 		epoch:     cs.epoch,
@@ -444,16 +438,17 @@ func (e *Engine) beginTraversal(t *traversal, fid flow.FID, pkt *packet.Packet, 
 	return ctx
 }
 
-// PrepareRecording drops the flow's record — what its NFs recorded and
-// the events they registered — and returns its event admission budget,
-// so an initial packet re-records from scratch.
+// PrepareRecording drops the flow's recording — what its NFs recorded
+// and the events they registered — and returns its event admission
+// budget, so an initial packet re-records from scratch. The NFs'
+// per-flow state is untouched.
 func (e *Engine) PrepareRecording(fid flow.FID) {
 	e.events.Remove(fid)
 	e.releaseEventBudget(fid)
 }
 
 // dropConsolidated removes what consolidation built for the flow — the
-// Global rule and the record — and returns both admission budgets,
+// Global rule and the recording — and returns both admission budgets,
 // reporting whether a rule was installed.
 func (e *Engine) dropConsolidated(fid flow.FID) bool {
 	removed := e.global.Remove(fid)
@@ -538,7 +533,7 @@ func (e *Engine) slowPath(fid flow.FID, pkt *packet.Packet, recording bool, res 
 	ctx := e.beginTraversal(t, fid, pkt, recording, cs)
 	abortRecording := false
 	for i, nf := range cs.chain {
-		ctx.nf = nf.Name()
+		ctx.nf, ctx.slot = nf.Name(), i
 		if e.faults != nil && e.faults.Should(fault.KindNFError, fid) {
 			// Fault: the NF "crashes" before touching the packet and
 			// restarts. The restarted NF reprocesses the hop
@@ -773,10 +768,10 @@ func (e *Engine) maybeStorm(fid flow.FID, cs *chainState) {
 
 // evictConsolidated is the eviction-pressure fault: the flow's
 // consolidated state (Global rule, recording, events) is
-// dropped as if the tables ran out of space. Flow tracking and
-// NF-internal per-flow state (NAT bindings, LB pins) survive — a real
-// eviction does not reach into NFs — so the next packet re-records
-// the same behaviour.
+// dropped as if the tables ran out of space. Flow tracking and the NFs'
+// per-flow state (NAT bindings, LB pins) survive — a real eviction
+// does not reach into NFs — so the next packet re-records the same
+// behaviour.
 func (e *Engine) evictConsolidated(fid flow.FID) {
 	removed := e.dropConsolidated(fid)
 	if e.tel != nil {
@@ -1025,20 +1020,11 @@ func (e *Engine) ExpireIdle(idleFor uint64) int {
 	return len(stale)
 }
 
-// teardown removes all state for a finished flow (§VI-B), including
-// NF-internal per-flow state for NFs implementing FlowCloser. The
-// cause labels the removal in telemetry.
+// teardown removes all state for a finished flow (§VI-B): what
+// consolidation built, the ladder position, the NFs' per-flow state and
+// the entry that held it all. The cause labels the removal in telemetry.
 func (e *Engine) teardown(fid flow.FID, cause string) {
-	cs := e.state()
-	removed := e.dropConsolidated(fid)
-	// Ladder state dies with the flow: a later reincarnation of the
-	// FID starts clean instead of inheriting this connection's backoff.
-	e.dropDegraded(fid)
-	for _, nf := range cs.chain {
-		if closer, ok := nf.(FlowCloser); ok {
-			closer.FlowClosed(fid)
-		}
-	}
+	removed := e.release(fid)
 	e.class.Teardown(fid)
 	if removed && e.tel != nil {
 		e.tel.ruleRemoved(uint32(fid), cause)

@@ -8,18 +8,36 @@ import (
 	"github.com/fastpathnfv/speedybox/internal/packet"
 )
 
-// closingNF records FlowClosed invocations.
+// closingNF keeps one word of per-flow state and counts the flows the
+// engine told it have ended (FlowStates.Leave).
 type closingNF struct {
 	fakeModifier
+	flows  FlowStates
 	closed atomic.Uint64
 }
 
-func (c *closingNF) FlowClosed(flow.FID) { c.closed.Add(1) }
+func newClosingNF() *closingNF {
+	c := &closingNF{fakeModifier: fakeModifier{name: "nat", dip: [4]byte{9, 9, 9, 9}}}
+	c.flows.Words = 1
+	c.flows.Leave = func(_ State, ended bool) {
+		if ended {
+			c.closed.Add(1)
+		}
+	}
+	return c
+}
 
-var _ FlowCloser = (*closingNF)(nil)
+func (c *closingNF) FlowStates() *FlowStates { return &c.flows }
+
+func (c *closingNF) Process(ctx *Ctx, pkt *packet.Packet) (Verdict, error) {
+	ctx.FlowState(&c.flows)[0].Add(1)
+	return c.fakeModifier.Process(ctx, pkt)
+}
+
+var _ Stateful = (*closingNF)(nil)
 
 func TestFlowCloserCalledOnFIN(t *testing.T) {
-	nf := &closingNF{fakeModifier: fakeModifier{name: "nat", dip: [4]byte{9, 9, 9, 9}}}
+	nf := newClosingNF()
 	eng, err := NewEngine([]NF{nf}, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -35,18 +53,18 @@ func TestFlowCloserCalledOnFIN(t *testing.T) {
 		t.Fatal(err)
 	}
 	if nf.closed.Load() != 0 {
-		t.Fatal("FlowClosed fired before teardown")
+		t.Fatal("Leave fired before teardown")
 	}
 	if _, err := eng.ProcessPacket(mk(packet.TCPFlagFIN | packet.TCPFlagACK)); err != nil {
 		t.Fatal(err)
 	}
 	if nf.closed.Load() != 1 {
-		t.Errorf("FlowClosed calls = %d, want 1 after FIN", nf.closed.Load())
+		t.Errorf("ended flows = %d, want 1 after FIN", nf.closed.Load())
 	}
 }
 
 func TestFlowCloserCalledOnIdleExpiry(t *testing.T) {
-	nf := &closingNF{fakeModifier: fakeModifier{name: "nat", dip: [4]byte{9, 9, 9, 9}}}
+	nf := newClosingNF()
 	eng, err := NewEngine([]NF{nf}, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -63,12 +81,12 @@ func TestFlowCloserCalledOnIdleExpiry(t *testing.T) {
 		t.Fatalf("expired %d", n)
 	}
 	if nf.closed.Load() != 1 {
-		t.Errorf("FlowClosed calls = %d, want 1 after expiry", nf.closed.Load())
+		t.Errorf("ended flows = %d, want 1 after expiry", nf.closed.Load())
 	}
 }
 
 func TestNonCloserNFsUnaffected(t *testing.T) {
-	// Plain NFs without FlowClosed still tear down cleanly.
+	// NFs that keep no per-flow state still tear down cleanly.
 	mod := &fakeModifier{name: "nat", dip: [4]byte{9, 9, 9, 9}}
 	eng, err := NewEngine([]NF{mod}, DefaultOptions())
 	if err != nil {

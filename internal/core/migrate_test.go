@@ -7,6 +7,7 @@ import (
 	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/mat"
 	"github.com/fastpathnfv/speedybox/internal/packet"
+	"github.com/fastpathnfv/speedybox/internal/wal"
 )
 
 // perFlowNAT rewrites DstIP to an address made from the flow's source
@@ -64,7 +65,7 @@ func TestAdoptOntoTakenFID(t *testing.T) {
 	for flow.HashTuple(tupleOf(migrant))%flow.ShardCount != fid%flow.ShardCount {
 		migrant++
 	}
-	eng.AdoptFlow(MigratedFlow{Entry: flow.Entry{FID: fid, Tuple: tupleOf(migrant), State: flow.StateEstablished}})
+	eng.AdoptFlow(wal.MigrationRecord{Flow: wal.FlowEntry{FID: fid, Tuple: tupleOf(migrant), State: uint8(flow.StateEstablished)}})
 	if err := eng.CheckRecords(); err != nil {
 		t.Error(err)
 	}

@@ -10,6 +10,11 @@
 //	localmat_add_HA(fid, ha, a)  -> Ctx.AddHeaderAction(mat.HeaderAction)
 //	localmat_add_SF(fid, h, t, a)-> Ctx.AddStateFunc(sfunc.Func)
 //	register_event(fid, c, a, u) -> Ctx.RegisterEvent(event.Event)
+//
+// The handler arguments a — the flow's own state the handler h (or the
+// condition c and update u) runs on — are what the Go closure holds:
+// Ctx.FlowState hands the NF its words on the flow's record, and the
+// functions it records close over them (state.go).
 package core
 
 import (
@@ -74,6 +79,12 @@ type Ctx struct {
 	ledger    *cost.Ledger
 	events    *event.Table
 	recording bool
+	// lay is the chain's state layout and slot the NF's position in it
+	// (nil: a standalone context, whose NF brings its own); rec caches the
+	// flow's record across the traversal's FlowState calls.
+	lay  *event.StateLayout
+	slot int
+	rec  *event.Record
 	// acts and funcs are the recording buffers: everything recorded
 	// through this context so far, in order. An engine traversal
 	// publishes each NF's span of them to the flow's record once the
@@ -96,32 +107,16 @@ type Ctx struct {
 	eventDenied bool
 }
 
-// FlowCloser is an optional NF interface: the engine calls FlowClosed
-// when a flow's rules are torn down (TCP FIN/RST, §VI-B, or idle
-// expiry), so NFs can release their own per-flow state — connection
-// pins, per-flow rule assignments, NAT mappings — alongside the MAT
-// entries. NFs whose per-flow state is a reporting artifact (e.g. the
-// Monitor's counters) simply do not implement it.
-type FlowCloser interface {
-	FlowClosed(fid flow.FID)
-}
-
-// Teardowner is an optional NF interface: the engine calls Teardown
-// once when the NF leaves a live chain (Engine.Reconfigure removes or
-// replaces it, or a prepared insertion rolls back), after FlowClosed
-// has run for every tracked flow. The NF releases whatever global
-// state it holds; it will never process another packet.
-type Teardowner interface {
-	Teardown()
-}
-
-// Snapshotter is an optional NF interface for crash-safe state:
+// Snapshotter is an optional NF interface for crash-safe cross-flow
+// state — what the NF shares between flows and so keeps itself (quotas,
+// allocation cursors, backend health, aggregates over ended flows):
 // Engine.Checkpoint calls SnapshotState on every chain NF implementing
 // it and stores the blob by NF name; Engine.Restore hands the blob
-// back via RestoreState on the freshly constructed replacement NF. The
-// encoding is the NF's own business (the bundled NFs use encoding/gob)
-// — the engine only moves opaque bytes. NFs whose state is entirely
-// reconstructible from re-recording simply do not implement it.
+// back via RestoreState on the freshly constructed replacement NF,
+// before the flows' own state arrives (FlowStates.Arrive). Per-flow
+// state is not its business: that travels on the flow records. The
+// encoding is the NF's own (the bundled NFs use encoding/gob) — the
+// engine only moves opaque bytes.
 type Snapshotter interface {
 	// SnapshotState serializes the NF's internal state. It must not
 	// run concurrently with Process (checkpointing happens at packet
@@ -141,7 +136,9 @@ type CtxConfig struct {
 	Model *cost.Model
 	// Ledger defaults to a fresh ledger when nil.
 	Ledger *cost.Ledger
-	// Events is the Event Table; defaults to a fresh one when Recording.
+	// Events is the Event Table, whose flow records also hold the NF's
+	// per-flow state: contexts that are to see one another's state share
+	// one. Defaults to a fresh one.
 	Events *event.Table
 	// Recording enables the instrumentation APIs.
 	Recording bool
@@ -155,7 +152,7 @@ func NewCtx(nf string, cfg CtxConfig) *Ctx {
 	if cfg.Ledger == nil {
 		cfg.Ledger = cost.NewLedger()
 	}
-	if cfg.Recording && cfg.Events == nil {
+	if cfg.Events == nil {
 		cfg.Events = event.NewTable(flow.NewTable())
 	}
 	return &Ctx{

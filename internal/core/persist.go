@@ -23,12 +23,12 @@ import (
 // wal.Decode before any of it can touch the table.
 //
 // Only declarative rules restore executable. State-function batches
-// and event closures reference live NF state and cannot be serialized;
-// their flows come back as established flow-table entries without a
-// rule, so the classifier marks their next packet Initial and one
-// slow-path traversal re-records the closures against the restored NF
-// state — the same always-correct degradation path every other rule
-// loss uses.
+// and event closures are code bound to a flow's state words and cannot
+// be serialized; their flows come back as established flow-table
+// entries with their NFs' per-flow state and without a rule, so the
+// classifier marks their next packet Initial and one slow-path
+// traversal re-records the closures against the restored state — the
+// same always-correct degradation path every other rule loss uses.
 
 // ErrNilCheckpoint reports Restore called without a checkpoint.
 var ErrNilCheckpoint = errcode.Sentinel("core.checkpoint_missing", "core: restore requires a checkpoint")
@@ -84,8 +84,9 @@ func (e *Engine) AttachWAL(w *wal.Writer) {
 func (e *Engine) WAL() *wal.Writer { return e.wal }
 
 // Checkpoint snapshots the engine's restorable state: chain epoch,
-// classifier clock, flow-table occupancy, declarative Global MAT rules
-// and the state blob of every chain NF implementing Snapshotter. The
+// classifier clock, flow-table occupancy with every flow's NF state,
+// declarative Global MAT rules and the cross-flow state blob of every
+// chain NF implementing Snapshotter. The
 // attached WAL (if any) is synced first so the recorded log position
 // is durable alongside everything it anchors. Call at a packet
 // boundary — checkpointing must not race Process, like Reconfigure.
@@ -101,10 +102,7 @@ func (e *Engine) Checkpoint() (*wal.Checkpoint, error) {
 		Clock:  e.class.Now(),
 	}
 	for _, fe := range e.class.Flows().Snapshot() {
-		cp.Flows = append(cp.Flows, wal.FlowEntry{
-			FID: fe.FID, Tuple: fe.Tuple, State: uint8(fe.State),
-			Packets: fe.Packets, Bytes: fe.Bytes, LastSeen: fe.LastSeen,
-		})
+		cp.Flows = append(cp.Flows, wal.ImageOfEntry(fe, e.events.StateImages(fe.FID)))
 	}
 
 	var rules []*mat.GlobalRule
@@ -159,7 +157,9 @@ func (e *Engine) LastCheckpoint() time.Time {
 // checkpoint-only restore). Call it on a freshly constructed engine
 // over the same chain layout, before traffic flows.
 //
-// Flow entries are restored first and rules land on them. Replay is
+// The NFs' cross-flow state is restored first, then the flow entries —
+// each with its NFs' per-flow state, of which the NFs are told
+// (FlowStates.Arrive) — and rules land on them. Replay is
 // transactional per record: each surviving journal record is applied
 // with one Install/Remove/MarkStale — the same commit point live
 // mutations use — so a concurrent reader observes whole rules only. wal.Decode has already discarded
@@ -181,13 +181,6 @@ func (e *Engine) Restore(cp *wal.Checkpoint, walData []byte) error {
 	// Clock first: restored LastSeen stamps must compare against a
 	// clock at least as far along as when they were taken.
 	e.class.RestoreClock(cp.Clock)
-	for _, f := range cp.Flows {
-		e.class.Flows().RestoreEntry(flow.Entry{
-			FID: f.FID, Tuple: f.Tuple, State: flow.State(f.State),
-			Packets: f.Packets, Bytes: f.Bytes, LastSeen: f.LastSeen,
-		})
-	}
-
 	cs := e.state()
 	for _, nf := range cs.chain {
 		blob, ok := cp.NFState[nf.Name()]
@@ -201,6 +194,11 @@ func (e *Engine) Restore(cp *wal.Checkpoint, walData []byte) error {
 		if err := snap.RestoreState(blob); err != nil {
 			return fmt.Errorf("core: restore %s: %w", nf.Name(), err)
 		}
+	}
+	for i := range cp.Flows {
+		f := &cp.Flows[i]
+		e.class.Flows().RestoreEntry(f.Entry())
+		e.events.AdoptState(f.FID, cs.lay, f.NF)
 	}
 
 	e.global.RestoreEpoch(cp.Epoch)
@@ -269,7 +267,7 @@ func (e *Engine) Restore(cp *wal.Checkpoint, walData []byte) error {
 	// post-restore consolidations would stamp rules with the stale
 	// construction-time epoch and LookupLive would never serve them.
 	if cs.epoch != finalEpoch {
-		e.cur.Store(&chainState{chain: cs.chain, epoch: finalEpoch})
+		e.cur.Store(&chainState{chain: cs.chain, lay: cs.lay, epoch: finalEpoch})
 	}
 
 	if e.tel != nil {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/fastpathnfv/speedybox/internal/errcode"
+	"github.com/fastpathnfv/speedybox/internal/event"
 	"github.com/fastpathnfv/speedybox/internal/fault"
 	"github.com/fastpathnfv/speedybox/internal/telemetry"
 )
@@ -19,12 +20,28 @@ import (
 // flow simply re-records under the new chain on its next slow-path
 // packet. No packet is dropped and no surviving NF loses state.
 
-// chainState is one immutable chain snapshot: the NF sequence and the
-// chain epoch the layout was published under, which stamps every rule,
+// chainState is one immutable chain snapshot: the NF sequence, where
+// each NF's per-flow state sits in a flow's state block, and the chain
+// epoch the layout was published under, which stamps every rule,
 // recording and event made against it.
 type chainState struct {
 	chain []NF
+	lay   *event.StateLayout
 	epoch uint64
+}
+
+// newChainState lays out a chain's per-flow NF state and makes the
+// engine's flow table a home of it for every NF that keeps any.
+func (e *Engine) newChainState(chain []NF, epoch uint64) *chainState {
+	slots := make([]event.StateSlot, len(chain))
+	for i, nf := range chain {
+		slots[i].NF = nf.Name()
+		if s, ok := nf.(Stateful); ok {
+			slots[i] = s.FlowStates().Slot(nf.Name())
+			s.FlowStates().Attach(e.events)
+		}
+	}
+	return &chainState{chain: chain, lay: event.NewStateLayout(slots), epoch: epoch}
 }
 
 // position returns the chain position of the named NF, -1 if the chain
@@ -137,9 +154,9 @@ func (p ChainPlan) String() string {
 }
 
 // apply validates the plan against cur and returns the next chain
-// layout plus the inserted and removed instances (either may be nil;
-// replace reports both). cur is never mutated.
-func (p ChainPlan) apply(cur []NF) (next []NF, inserted, removed NF, err error) {
+// layout plus the instance it removes or replaces out, if any. cur is
+// never mutated.
+func (p ChainPlan) apply(cur []NF) (next []NF, removed NF, err error) {
 	names := make(map[string]int, len(cur))
 	for i, nf := range cur {
 		names[nf.Name()] = i
@@ -147,53 +164,53 @@ func (p ChainPlan) apply(cur []NF) (next []NF, inserted, removed NF, err error) 
 	switch p.Op {
 	case OpInsert:
 		if p.NF == nil {
-			return nil, nil, nil, fmt.Errorf("%w: insert without an NF", ErrPlanInvalid)
+			return nil, nil, fmt.Errorf("%w: insert without an NF", ErrPlanInvalid)
 		}
 		if p.Pos < 0 || p.Pos > len(cur) {
-			return nil, nil, nil, fmt.Errorf("%w: insert at %d in a chain of %d", ErrPlanOutOfRange, p.Pos, len(cur))
+			return nil, nil, fmt.Errorf("%w: insert at %d in a chain of %d", ErrPlanOutOfRange, p.Pos, len(cur))
 		}
 		if _, dup := names[p.NF.Name()]; dup {
-			return nil, nil, nil, fmt.Errorf("%w: %q", ErrPlanDuplicateNF, p.NF.Name())
+			return nil, nil, fmt.Errorf("%w: %q", ErrPlanDuplicateNF, p.NF.Name())
 		}
 		next = make([]NF, 0, len(cur)+1)
 		next = append(next, cur[:p.Pos]...)
 		next = append(next, p.NF)
 		next = append(next, cur[p.Pos:]...)
-		return next, p.NF, nil, nil
+		return next, nil, nil
 	case OpRemove:
 		i, ok := names[p.Name]
 		if !ok {
-			return nil, nil, nil, fmt.Errorf("%w: remove %q", ErrPlanUnknownNF, p.Name)
+			return nil, nil, fmt.Errorf("%w: remove %q", ErrPlanUnknownNF, p.Name)
 		}
 		if len(cur) == 1 {
-			return nil, nil, nil, fmt.Errorf("%w: removing %q", ErrPlanEmptyChain, p.Name)
+			return nil, nil, fmt.Errorf("%w: removing %q", ErrPlanEmptyChain, p.Name)
 		}
 		next = make([]NF, 0, len(cur)-1)
 		next = append(next, cur[:i]...)
 		next = append(next, cur[i+1:]...)
-		return next, nil, cur[i], nil
+		return next, cur[i], nil
 	case OpReplace:
 		if p.NF == nil {
-			return nil, nil, nil, fmt.Errorf("%w: replace without an NF", ErrPlanInvalid)
+			return nil, nil, fmt.Errorf("%w: replace without an NF", ErrPlanInvalid)
 		}
 		i, ok := names[p.Name]
 		if !ok {
-			return nil, nil, nil, fmt.Errorf("%w: replace %q", ErrPlanUnknownNF, p.Name)
+			return nil, nil, fmt.Errorf("%w: replace %q", ErrPlanUnknownNF, p.Name)
 		}
 		if j, dup := names[p.NF.Name()]; dup && j != i {
-			return nil, nil, nil, fmt.Errorf("%w: %q", ErrPlanDuplicateNF, p.NF.Name())
+			return nil, nil, fmt.Errorf("%w: %q", ErrPlanDuplicateNF, p.NF.Name())
 		}
 		next = make([]NF, len(cur))
 		copy(next, cur)
 		next[i] = p.NF
-		return next, p.NF, cur[i], nil
+		return next, cur[i], nil
 	case OpReorder:
 		i, ok := names[p.Name]
 		if !ok {
-			return nil, nil, nil, fmt.Errorf("%w: reorder %q", ErrPlanUnknownNF, p.Name)
+			return nil, nil, fmt.Errorf("%w: reorder %q", ErrPlanUnknownNF, p.Name)
 		}
 		if p.Pos < 0 || p.Pos >= len(cur) {
-			return nil, nil, nil, fmt.Errorf("%w: reorder to %d in a chain of %d", ErrPlanOutOfRange, p.Pos, len(cur))
+			return nil, nil, fmt.Errorf("%w: reorder to %d in a chain of %d", ErrPlanOutOfRange, p.Pos, len(cur))
 		}
 		rest := make([]NF, 0, len(cur)-1)
 		rest = append(rest, cur[:i]...)
@@ -202,9 +219,9 @@ func (p ChainPlan) apply(cur []NF) (next []NF, inserted, removed NF, err error) 
 		next = append(next, rest[:p.Pos]...)
 		next = append(next, cur[i])
 		next = append(next, rest[p.Pos:]...)
-		return next, nil, nil, nil
+		return next, nil, nil
 	default:
-		return nil, nil, nil, fmt.Errorf("%w: %s", ErrPlanInvalid, p.Op)
+		return nil, nil, fmt.Errorf("%w: %s", ErrPlanInvalid, p.Op)
 	}
 }
 
@@ -218,10 +235,12 @@ func (p ChainPlan) apply(cur []NF) (next []NF, inserted, removed NF, err error) 
 //  3. the old epoch's rules are stale-marked (the existing MarkStale
 //     representation), so in-flight batched workers fall back to the
 //     always-correct slow path and ordinary reclamation cleans up;
-//  4. a removed or replaced-out NF observes FlowClosed for every
-//     tracked flow, then Teardown; inserted NFs join recording on each
-//     flow's next slow-path packet, repopulating the fast path through
-//     the normal record-and-consolidate cycle.
+//  4. a removed or replaced-out NF's slot is dropped from every flow's
+//     state (the NF is told each flow has ended for it); inserted NFs
+//     join recording on each flow's next slow-path packet — their state
+//     starts at zero, in a second block on flows that already hold one
+//     — repopulating the fast path through the normal
+//     record-and-consolidate cycle.
 //
 // The KindReconfigAbort fault fails the transition after validation
 // but before publication; rollback is clean because nothing was
@@ -231,17 +250,12 @@ func (e *Engine) Reconfigure(plan ChainPlan) error {
 	defer e.reconfigMu.Unlock()
 
 	cs := e.state()
-	next, inserted, removed, err := plan.apply(cs.chain)
+	next, removed, err := plan.apply(cs.chain)
 	if err != nil {
 		return err
 	}
 
 	if e.faults != nil && e.faults.Should(fault.KindReconfigAbort, 0) {
-		// The prepared insertion never joins a chain; give it the same
-		// drain an evicted NF gets so it holds no orphaned state.
-		if td, ok := inserted.(Teardowner); ok {
-			td.Teardown()
-		}
 		if e.tel != nil {
 			e.tel.reconfigRollbacks.Inc()
 			e.tel.rec.Append(telemetry.EvReconfigAbort, 0, plan.Op.String())
@@ -250,25 +264,22 @@ func (e *Engine) Reconfigure(plan ChainPlan) error {
 	}
 
 	newEpoch := e.global.AdvanceEpoch()
-	e.cur.Store(&chainState{chain: next, epoch: newEpoch})
+	e.cur.Store(e.newChainState(next, newEpoch))
 
 	start := time.Now()
 	swept := e.global.SweepEpoch(newEpoch)
 	sweepDur := time.Since(start)
 
 	if removed != nil {
-		// The leaving NF drains: every live flow's per-flow state is
-		// released, then the NF's global state. It never processes
-		// another packet — a traversal racing the swap still holds the
-		// old snapshot and completes against it, which is correct and
-		// whose recording and rule are born under the old epoch.
-		if closer, ok := removed.(FlowCloser); ok {
-			for _, en := range e.class.Flows().Snapshot() {
-				closer.FlowClosed(en.FID)
-			}
-		}
-		if td, ok := removed.(Teardowner); ok {
-			td.Teardown()
+		// The leaving NF drains: its slot leaves every live flow's
+		// state, and with it whatever the NF derived from that state (its
+		// Leave hook). It never processes another packet — a traversal
+		// racing the swap still holds the old snapshot and completes
+		// against it, which is correct and whose recording and rule are
+		// born under the old epoch.
+		if s, ok := removed.(Stateful); ok {
+			e.events.DropNF(s.FlowStates())
+			s.FlowStates().Detach(e.events)
 		}
 	}
 

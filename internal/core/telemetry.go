@@ -205,7 +205,7 @@ func newEngineTelemetry(e *Engine, hub *telemetry.Hub, chain string) *engineTele
 	reg.GaugeFunc(n("speedybox_flow_dead_slots"),
 		"Flow table tombstones awaiting compaction", func() float64 { return float64(e.class.Flows().DeadSlots()) })
 	reg.GaugeFunc(n("speedybox_flow_records"),
-		"Flow entries holding a recording", func() float64 { return float64(e.class.Flows().Counts().Records) })
+		"Flow entries holding a record (NF state, a recording or events)", func() float64 { return float64(e.class.Flows().Counts().Records) })
 	reg.GaugeFunc(n("speedybox_flow_detached_entries"),
 		"Flow-table entries no tuple maps to: rules installed under a FID no flow holds",
 		func() float64 { return float64(e.class.Flows().Counts().Detached) })

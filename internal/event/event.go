@@ -11,9 +11,10 @@
 // packets immediately follow the new logic.
 //
 // The table has no storage of its own. A flow's registrations sit, with
-// what its NFs recorded, on the flow's Record, which hangs off the
-// second word of the flow's entry in the flow table: recording a flow
-// fills one object, re-recording or tearing it down clears one word.
+// what its NFs recorded and the NFs' own per-flow state, on the flow's
+// Record, which hangs off the second word of the flow's entry in the
+// flow table: recording a flow fills one object, tearing it down clears
+// one word.
 package event
 
 import (
@@ -145,6 +146,9 @@ func (t *Table) Register(fid flow.FID, e Event) error {
 		return fmt.Errorf("%w: %v has %d", ErrTooManyEvents, fid, MaxPerFlow)
 	}
 	ev := e
+	if rec.events == nil {
+		rec.events = rec.first[:0]
+	}
 	if rec.events = append(rec.events, &ev); len(rec.events) == 1 {
 		t.armed.Add(1)
 	}
@@ -286,11 +290,20 @@ func sameFunc(a, b ConditionFunc) bool {
 	return *(*unsafe.Pointer)(unsafe.Pointer(&a)) == *(*unsafe.Pointer)(unsafe.Pointer(&b))
 }
 
-// Remove drops the flow's record — its events and what its NFs recorded
-// (FIN/RST teardown, and the clean slate a re-recording starts from). A
-// flow that holds none costs a lock-free probe.
+// Remove drops the flow's recording — its events and what its NFs
+// recorded (the clean slate a re-recording starts from). The flow's NF
+// state is not part of it and stays; a record that holds none goes with
+// the recording. A flow with nothing recorded costs a lock-free probe
+// and its record's uncontended lock.
 func (t *Table) Remove(fid flow.FID) {
-	if t.record(fid) == nil {
+	rec := t.record(fid)
+	if rec == nil {
+		return
+	}
+	rec.mu.Lock()
+	idle := len(rec.events) == 0 && rec.locals == nil && rec.state.lay != nil
+	rec.mu.Unlock()
+	if idle {
 		return
 	}
 	ed := t.flows.Edit(fid, false)
@@ -299,13 +312,16 @@ func (t *Table) Remove(fid flow.FID) {
 		return
 	}
 	if rec := (*Record)(ed.Handle().Rec()); rec != nil {
-		ed.SetRec(nil)
 		rec.mu.Lock()
+		if rec.state.lay == nil {
+			ed.SetRec(nil)
+		}
 		if len(rec.events) > 0 {
 			t.armed.Add(-1)
 		}
 		// A probe that loaded the record before the word was cleared
 		// finds nothing on it.
+		clear(rec.events)
 		rec.events, rec.locals = nil, nil
 		rec.mu.Unlock()
 	}

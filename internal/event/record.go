@@ -9,15 +9,21 @@ import (
 	"github.com/fastpathnfv/speedybox/internal/sfunc"
 )
 
-// Record is everything recording one flow left behind: each NF's Local
-// MAT entry, by chain position, and the events the NFs registered. It is
-// the second word of the flow's entry in the flow table, stored there
-// under a flow.Edit and found from there by one lock-free probe; its own
-// lock orders event updates, consolidations and probes of the one flow
-// and is a leaf — nothing is taken under it but what an NF's condition
-// or update takes.
+// Record is what a flow's NFs keep on it: each NF's per-flow state
+// (state.go), and everything recording the flow left behind — each NF's
+// Local MAT entry, by chain position, and the events the NFs registered.
+// It is the second word of the flow's entry in the flow table, stored
+// there under a flow.Edit and found from there by one lock-free probe;
+// its own lock orders event updates, consolidations, probes and state
+// hand-outs of the one flow and is a leaf — nothing is taken under it but
+// what an NF's condition, update or state hook takes.
 type Record struct {
 	mu sync.Mutex
+	// state is the flow's NF state block, made on an NF's first use under
+	// the chain layout of the moment; later holds the blocks a chain change
+	// added for NFs that joined since.
+	state stateBlock
+	later []stateBlock
 	// epoch is the chain epoch locals was recorded under: positions mean
 	// nothing against another chain layout.
 	epoch uint64
@@ -25,6 +31,9 @@ type Record struct {
 	// that recorded something has non-nil Actions, however short.
 	locals []mat.LocalRule
 	events []*Event
+	// first backs events while the flow has one registration, as most
+	// that have any do.
+	first [1]*Event
 }
 
 // record returns the flow's record, nil if it has none.

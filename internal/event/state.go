@@ -1,0 +1,407 @@
+package event
+
+import (
+	"slices"
+	"sync"
+	"sync/atomic"
+
+	"github.com/fastpathnfv/speedybox/internal/flow"
+)
+
+// State is one NF's per-flow state: the 64-bit words the NF declared,
+// all zero until the NF first writes them. The words sit in a block on
+// the flow's Record and never move while the flow lives on its engine,
+// so what an NF records may close over them — a state function or an
+// event handler runs on the flow's state itself, with no lookup and no
+// lock. They are atomics because a flow has one writer only by RSS's
+// promise, and because an NF's reporting methods read them from
+// goroutines other than the flow's worker.
+type State []atomic.Uint64
+
+// Zero reports whether every word is zero: a slot its NF never used.
+func (s State) Zero() bool {
+	for i := range s {
+		if s[i].Load() != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+func (s State) clear() {
+	for i := range s {
+		s[i].Store(0)
+	}
+}
+
+// StateSlot declares one NF's share of a flow's state block.
+type StateSlot struct {
+	// NF names the owner; Words is how many words it keeps per flow.
+	NF    string
+	Words int
+	// Owner tells NF objects apart across chain layouts: after a chain
+	// change, a flow's older block serves a slot of the new layout only if
+	// both name the NF and carry the same Owner (a replacement NF of the
+	// same name starts from zero, in a block of its own).
+	Owner any
+	// Arrive, if set, is called with a flow's state when it comes to the
+	// NF from elsewhere — a migration record or a checkpoint — and Leave
+	// when it goes: ended tells a flow that is over (torn down, its
+	// 5-tuple reused, the NF removed from the chain) from one migrating
+	// away. They keep what the NF derives from its flows' state (an index,
+	// an aggregate) in step, and run under the record's lock.
+	Arrive func(st State)
+	Leave  func(st State, ended bool)
+
+	off int
+}
+
+// StateLayout places the slots of a chain's NFs, by chain position, in
+// one block of words. It is immutable; every flow whose block is made
+// while the chain stands shares it.
+type StateLayout struct {
+	slots []StateSlot
+	words int
+}
+
+// NewStateLayout lays the slots out in order. An NF that keeps no
+// per-flow state takes a slot of no words.
+func NewStateLayout(slots []StateSlot) *StateLayout {
+	l := &StateLayout{slots: append([]StateSlot(nil), slots...)}
+	for i := range l.slots {
+		l.slots[i].off = l.words
+		l.words += l.slots[i].Words
+	}
+	return l
+}
+
+// stateBlock is one allocation of state words and the layout it was made
+// under.
+type stateBlock struct {
+	lay   *StateLayout
+	words State
+}
+
+func (b *stateBlock) slot(s *StateSlot) State {
+	return b.words[s.off : s.off+s.Words : s.off+s.Words]
+}
+
+// find returns the block's slot of the named NF, if its layout has one
+// of that size — and of that Owner, unless owner is nil.
+func (b *stateBlock) find(nf string, words int, owner any) (State, *StateSlot) {
+	for i := range b.lay.slots {
+		if s := &b.lay.slots[i]; s.NF == nf && s.Words == words && (owner == nil || s.Owner == owner) {
+			return b.slot(s), s
+		}
+	}
+	return nil, nil
+}
+
+// leave tells the slot's NF its flow's state is going and zeroes it.
+func (s *StateSlot) leave(st State, ended bool) {
+	if s.Leave != nil {
+		s.Leave(st, ended)
+	}
+	st.clear()
+}
+
+// nblocks is how many state blocks the record holds and block the i-th,
+// oldest first. The caller holds rec.mu.
+func (rec *Record) nblocks() int {
+	if rec.state.lay == nil {
+		return 0
+	}
+	return 1 + len(rec.later)
+}
+
+func (rec *Record) block(i int) *stateBlock {
+	if i == 0 {
+		return &rec.state
+	}
+	return &rec.later[i-1]
+}
+
+// State returns the words of NF i of lay on the flow's record. The first
+// use of any NF makes the flow's block, sized for the whole chain: one
+// pointer-free allocation a flow. A block is never moved or resized — a
+// chain change leaves the NFs that were in it where they are and gives
+// the flow a second block for the ones that joined — so a slot, once
+// handed out, is the NF's for the flow's life.
+func (rec *Record) State(lay *StateLayout, i int) State {
+	want := &lay.slots[i]
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	for b := 0; b < rec.nblocks(); b++ {
+		if blk := rec.block(b); blk.lay == lay {
+			return blk.slot(want)
+		} else if st, s := blk.find(want.NF, want.Words, want.Owner); s != nil {
+			return st
+		}
+	}
+	fresh := stateBlock{lay: lay, words: make(State, lay.words)}
+	if rec.state.lay == nil {
+		rec.state = fresh
+	} else {
+		rec.later = append(rec.later, fresh)
+	}
+	return fresh.slot(want)
+}
+
+// used calls fn for every slot of the record some NF has written, oldest
+// block first. The caller holds rec.mu.
+func (rec *Record) used(fn func(*StateSlot, State)) {
+	for b := 0; b < rec.nblocks(); b++ {
+		blk := rec.block(b)
+		for i := range blk.lay.slots {
+			if s := &blk.lay.slots[i]; s.Words > 0 {
+				if st := blk.slot(s); !st.Zero() {
+					fn(s, st)
+				}
+			}
+		}
+	}
+}
+
+// StateImage is one NF's per-flow state by value: what a migration
+// record and a checkpoint carry.
+type StateImage struct {
+	NF    string
+	Words []uint64
+}
+
+// images copies out the record's used slots. The caller holds rec.mu.
+func (rec *Record) images() []StateImage {
+	var out []StateImage
+	rec.used(func(s *StateSlot, st State) {
+		im := StateImage{NF: s.NF, Words: make([]uint64, len(st))}
+		for i := range st {
+			im.Words[i] = st[i].Load()
+		}
+		out = append(out, im)
+	})
+	return out
+}
+
+// Record returns the flow's record for its NFs' state, hanging a fresh
+// one off the FID's entry if it has none.
+func (t *Table) Record(fid flow.FID) *Record {
+	if rec := t.record(fid); rec != nil {
+		return rec
+	}
+	ed := t.flows.Edit(fid, true)
+	defer ed.Done()
+	return t.recordFor(ed)
+}
+
+// StateImages copies out the flow's NF state, for a checkpoint.
+func (t *Table) StateImages(fid flow.FID) []StateImage {
+	rec := t.record(fid)
+	if rec == nil {
+		return nil
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	return rec.images()
+}
+
+// DropState ends the flow's NF state — the flow ended (ended: torn down,
+// or its 5-tuple reused) or is migrating away — and returns what it was
+// if it is to travel: each NF with a slot in use is told, and the words
+// are zeroed where they are, so a connection that reuses the entry
+// starts every NF from nothing and allocates nothing. The block itself is
+// freed with the record, by the teardown's unlink.
+func (t *Table) DropState(fid flow.FID, ended bool) []StateImage {
+	rec := t.record(fid)
+	if rec == nil {
+		return nil
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	var out []StateImage
+	if !ended {
+		out = rec.images()
+	}
+	rec.used(func(s *StateSlot, st State) { s.leave(st, ended) })
+	return out
+}
+
+// AdoptState gives a tracked flow the NF state a migration record or a
+// checkpoint carried, under lay: an image lands in the slot of the NF it
+// names, if the chain has one of its size, and that NF is told. The flow
+// must hold no state yet.
+func (t *Table) AdoptState(fid flow.FID, lay *StateLayout, images []StateImage) {
+	if len(images) == 0 {
+		return
+	}
+	ed := t.flows.Edit(fid, false)
+	defer ed.Done()
+	if !ed.Found() || ed.Handle().Detached() {
+		return
+	}
+	rec := t.recordFor(ed)
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	rec.state, rec.later = stateBlock{lay: lay, words: make(State, lay.words)}, nil
+	for _, im := range images {
+		st, s := rec.state.find(im.NF, len(im.Words), nil)
+		if s == nil {
+			continue
+		}
+		for i, w := range im.Words {
+			st[i].Store(w)
+		}
+		if s.Arrive != nil && !st.Zero() {
+			s.Arrive(st)
+		}
+	}
+}
+
+// DropNF clears the slot of the NF declared with the given Owner on every
+// flow, telling the NF each flow has ended for it: the NF is leaving the
+// chain.
+func (t *Table) DropNF(owner any) {
+	t.flows.Each(func(h flow.Handle) {
+		rec := (*Record)(h.Rec())
+		if rec == nil {
+			return
+		}
+		rec.mu.Lock()
+		defer rec.mu.Unlock()
+		rec.used(func(s *StateSlot, st State) {
+			if s.Owner == owner {
+				s.leave(st, true)
+			}
+		})
+	})
+}
+
+// EachState calls fn with every flow's in-use slot of the NF declared
+// with the given Owner. Under concurrent writers the walk is weakly
+// consistent, as flow.Table.Each is.
+func (t *Table) EachState(owner any, fn func(flow.FID, State)) {
+	t.flows.Each(func(h flow.Handle) {
+		if st := stateOf((*Record)(h.Rec()), owner); st != nil {
+			fn(h.FID(), st)
+		}
+	})
+}
+
+// StateOf returns the flow's in-use slot of that NF, nil if it has none.
+func (t *Table) StateOf(fid flow.FID, owner any) State {
+	return stateOf(t.record(fid), owner)
+}
+
+func stateOf(rec *Record, owner any) (out State) {
+	if rec == nil {
+		return nil
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	rec.used(func(s *StateSlot, st State) {
+		if s.Owner == owner && out == nil {
+			out = st
+		}
+	})
+	return out
+}
+
+// StateOwners lists, for CheckRecords, the NFs with an in-use slot on
+// the entry's record.
+func StateOwners(h flow.Handle) (nfs []string) {
+	rec := (*Record)(h.Rec())
+	if rec == nil {
+		return nil
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	rec.used(func(s *StateSlot, _ State) { nfs = append(nfs, s.NF) })
+	return nfs
+}
+
+// FlowStates is an NF's declaration of its per-flow state and its window
+// onto it. NF state comes in three classes (DESIGN §18): per-flow state
+// lives on the flow's record in the engine's flow table — the framework
+// makes it, frees it with the flow, and carries it through migration and
+// checkpoints — and an NF reaches it through core.Ctx.FlowState on the
+// packet path and through Of and Each from its reporting methods;
+// cross-flow shared state and configuration stay in the NF. The zero
+// value declares no state; set Words (and the hooks, if the NF derives
+// anything from its flows' state) before the NF joins a chain.
+type FlowStates struct {
+	// Words is how many 64-bit words the NF keeps per flow.
+	Words int
+	// Arrive and Leave are StateSlot's hooks.
+	Arrive func(st State)
+	Leave  func(st State, ended bool)
+
+	mu sync.Mutex
+	// homes are the tables holding the NF's state: one per engine whose
+	// chain has the NF (instances of a cluster and chains of a topology
+	// share NF objects), or a standalone context's.
+	homes []*Table
+	// solo is the one-slot layout of standalone contexts.
+	solo *StateLayout
+}
+
+// Slot is the NF's entry, under the name it goes by, in a chain's state
+// layout.
+func (v *FlowStates) Slot(nf string) StateSlot {
+	return StateSlot{NF: nf, Words: v.Words, Owner: v, Arrive: v.Arrive, Leave: v.Leave}
+}
+
+// Attach adds a table holding the NF's state — an engine does when the
+// NF joins its chain; Detach takes it away.
+func (v *FlowStates) Attach(t *Table) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if !slices.Contains(v.homes, t) {
+		v.homes = append(v.homes, t)
+	}
+}
+
+func (v *FlowStates) Detach(t *Table) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if i := slices.Index(v.homes, t); i >= 0 {
+		// A fresh array: tables() hands the old one out.
+		v.homes = append(v.homes[:i:i], v.homes[i+1:]...)
+	}
+}
+
+// Standalone attaches the table of a context outside any engine and
+// returns the one-slot layout such contexts keep the NF's state under.
+func (v *FlowStates) Standalone(nf string, t *Table) *StateLayout {
+	v.Attach(t)
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if v.solo == nil {
+		v.solo = NewStateLayout([]StateSlot{v.Slot(nf)})
+	}
+	return v.solo
+}
+
+func (v *FlowStates) tables() []*Table {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.homes[:len(v.homes):len(v.homes)]
+}
+
+// Of returns the NF's state on the flow, nil if the NF holds none for
+// it. FIDs are an engine's own: an NF shared by several engines gets
+// the first one's answer.
+func (v *FlowStates) Of(fid flow.FID) State {
+	for _, t := range v.tables() {
+		if st := t.StateOf(fid, v); st != nil {
+			return st
+		}
+	}
+	return nil
+}
+
+// Each calls fn with the NF's state on every live flow that has any. It
+// is exact between packets and weakly consistent under traffic.
+func (v *FlowStates) Each(fn func(flow.FID, State)) {
+	for _, t := range v.tables() {
+		t.EachState(v, fn)
+	}
+}

@@ -6,10 +6,7 @@
 package dosdefender
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"sync"
 
 	"github.com/fastpathnfv/speedybox/internal/core"
 	"github.com/fastpathnfv/speedybox/internal/event"
@@ -28,14 +25,13 @@ type Config struct {
 	SYNThreshold uint64
 }
 
-// Defender is the DoS prevention NF.
+// Defender is the DoS prevention NF. A flow's SYN counter and block mark
+// are two words of per-flow state on its flow record, which the recorded
+// counting function and the event condition read and write directly.
 type Defender struct {
 	name      string
 	threshold uint64
-
-	mu      sync.Mutex
-	synCnt  map[flow.FID]uint64
-	blocked map[flow.FID]bool
+	flows     core.FlowStates
 }
 
 // New builds a Defender.
@@ -47,110 +43,51 @@ func New(cfg Config) (*Defender, error) {
 	if th == 0 {
 		th = 100
 	}
-	return &Defender{
-		name:      cfg.Name,
-		threshold: th,
-		synCnt:    make(map[flow.FID]uint64),
-		blocked:   make(map[flow.FID]bool),
-	}, nil
+	d := &Defender{name: cfg.Name, threshold: th}
+	d.flows.Words = 2
+	return d, nil
 }
 
-var _ core.NF = (*Defender)(nil)
+var _ core.Stateful = (*Defender)(nil)
 
 // Name implements core.NF.
 func (d *Defender) Name() string { return d.name }
 
-var _ core.FlowCloser = (*Defender)(nil)
+// FlowStates implements core.Stateful.
+func (d *Defender) FlowStates() *core.FlowStates { return &d.flows }
 
-// FlowClosed implements core.FlowCloser: the flow's SYN counter and
-// block mark are released.
-func (d *Defender) FlowClosed(fid flow.FID) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	delete(d.synCnt, fid)
-	delete(d.blocked, fid)
-}
-
-// defenderState is the gob image of the defender's per-flow state.
-// Without it a restored engine brings back the rules but forgets which
-// flows were blocked.
-type defenderState struct {
-	SYNCnt  map[flow.FID]uint64
-	Blocked map[flow.FID]bool
-}
-
-var _ core.Snapshotter = (*Defender)(nil)
-
-// SnapshotState implements core.Snapshotter.
-func (d *Defender) SnapshotState() ([]byte, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(defenderState{d.synCnt, d.blocked}); err != nil {
-		return nil, fmt.Errorf("dosdefender: snapshot: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// RestoreState implements core.Snapshotter, replacing all per-flow
-// state. gob omits empty maps, so a snapshot taken before any traffic
-// restores to empty maps, not nil ones.
-func (d *Defender) RestoreState(data []byte) error {
-	st := defenderState{
-		SYNCnt:  make(map[flow.FID]uint64),
-		Blocked: make(map[flow.FID]bool),
-	}
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("dosdefender: restore: %w", err)
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.synCnt, d.blocked = st.SYNCnt, st.Blocked
-	return nil
-}
-
-// SYNCount returns a flow's SYN counter.
+// SYNCount returns a live flow's SYN counter.
 func (d *Defender) SYNCount(fid flow.FID) uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.synCnt[fid]
+	if st := d.flows.Of(fid); st != nil {
+		return st[0].Load()
+	}
+	return 0
 }
 
-// Blocked reports whether the flow crossed the threshold.
+// Blocked reports whether the live flow crossed the threshold.
 func (d *Defender) Blocked(fid flow.FID) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.blocked[fid]
+	st := d.flows.Of(fid)
+	return st != nil && st[1].Load() != 0
 }
 
 // observe counts a packet's SYN flag and returns whether the flow is
 // (now) over threshold.
-func (d *Defender) observe(fid flow.FID, pkt *packet.Packet) bool {
-	flags, ok := pkt.TCPFlags()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if ok && flags&packet.TCPFlagSYN != 0 {
-		d.synCnt[fid]++
+func (d *Defender) observe(st core.State, pkt *packet.Packet) bool {
+	syns := st[0].Load()
+	if flags, ok := pkt.TCPFlags(); ok && flags&packet.TCPFlagSYN != 0 {
+		syns = st[0].Add(1)
 	}
-	if d.synCnt[fid] > d.threshold {
-		d.blocked[fid] = true
+	if syns > d.threshold {
+		st[1].Store(1)
 	}
-	return d.blocked[fid]
-}
-
-// overThreshold is the event condition (flow_cnt > threshold in
-// Figure 3).
-func (d *Defender) overThreshold(fid flow.FID) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.blocked[fid]
+	return st[1].Load() != 0
 }
 
 // Process implements core.NF.
 func (d *Defender) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, error) {
 	ctx.Charge(ctx.Model.Parse + ctx.Model.Classify)
-	fid := ctx.FID
-	over := d.observe(fid, pkt)
+	st := ctx.FlowState(&d.flows)
+	over := d.observe(st, pkt)
 	ctx.Charge(ctx.Model.CounterUpdate)
 	if over {
 		if err := ctx.AddHeaderAction(mat.Drop()); err != nil {
@@ -173,7 +110,7 @@ func (d *Defender) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, err
 		Name:  "syncount",
 		Class: sfunc.ClassIgnore,
 		Run: func(p *packet.Packet) (uint64, error) {
-			d.observe(fid, p)
+			d.observe(st, p)
 			return counterUpdate, nil
 		},
 	}); err != nil {
@@ -182,7 +119,8 @@ func (d *Defender) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, err
 	// Figure 3's event: when the counter crosses the threshold,
 	// replace the forward action with drop and reconsolidate.
 	if err := ctx.RegisterEvent(event.Event{
-		Condition: d.overThreshold,
+		// flow_cnt > threshold, as observe last left it.
+		Condition: func(flow.FID) bool { return st[1].Load() != 0 },
 		OneShot:   true,
 		Update: func(_ flow.FID, r *mat.LocalRule) {
 			r.Actions = []mat.HeaderAction{mat.Drop()}

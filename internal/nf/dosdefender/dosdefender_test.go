@@ -8,6 +8,7 @@ import (
 	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/mat"
 	"github.com/fastpathnfv/speedybox/internal/packet"
+	"github.com/fastpathnfv/speedybox/internal/wal"
 )
 
 func synPkt(t *testing.T) *packet.Packet {
@@ -41,14 +42,15 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestCountsOnlySYN(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
 	d, err := New(Config{Name: "dos", SYNThreshold: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Process(core.NewCtx("dos", core.CtxConfig{FID: 1}), synPkt(t)); err != nil {
+	if _, err := d.Process(core.NewCtx("dos", core.CtxConfig{FID: 1, Events: tbl}), synPkt(t)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Process(core.NewCtx("dos", core.CtxConfig{FID: 1}), ackPkt(t)); err != nil {
+	if _, err := d.Process(core.NewCtx("dos", core.CtxConfig{FID: 1, Events: tbl}), ackPkt(t)); err != nil {
 		t.Fatal(err)
 	}
 	if got := d.SYNCount(1); got != 1 {
@@ -57,6 +59,7 @@ func TestCountsOnlySYN(t *testing.T) {
 }
 
 func TestThresholdBlocks(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
 	d, err := New(Config{Name: "dos", SYNThreshold: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +67,7 @@ func TestThresholdBlocks(t *testing.T) {
 	// Threshold is strict (cnt > threshold, per Figure 3): the 4th
 	// SYN crosses it.
 	for i := 0; i < 3; i++ {
-		v, err := d.Process(core.NewCtx("dos", core.CtxConfig{FID: 1}), synPkt(t))
+		v, err := d.Process(core.NewCtx("dos", core.CtxConfig{FID: 1, Events: tbl}), synPkt(t))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +75,7 @@ func TestThresholdBlocks(t *testing.T) {
 			t.Fatalf("SYN %d blocked early", i+1)
 		}
 	}
-	v, err := d.Process(core.NewCtx("dos", core.CtxConfig{FID: 1}), synPkt(t))
+	v, err := d.Process(core.NewCtx("dos", core.CtxConfig{FID: 1, Events: tbl}), synPkt(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,49 +129,57 @@ func TestEventFlipsRuleToDrop(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTrip: block state survives a checkpoint, and an
-// empty snapshot restores to usable (non-nil) maps.
+// TestSnapshotRoundTrip: a flow's SYN count and block mark are state on
+// its flow record, so they survive a checkpoint onto a fresh Defender
+// with no Snapshotter of the NF's own.
 func TestSnapshotRoundTrip(t *testing.T) {
-	restored := func(from *Defender) *Defender {
+	boot := func() (*Defender, *core.Engine) {
 		t.Helper()
-		blob, err := from.SnapshotState()
-		if err != nil {
-			t.Fatal(err)
-		}
 		d, err := New(Config{Name: "dos", SYNThreshold: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := d.RestoreState(blob); err != nil {
+		eng, err := core.NewEngine([]core.NF{d}, core.DefaultOptions())
+		if err != nil {
 			t.Fatal(err)
 		}
-		return d
+		return d, eng
 	}
-	fresh, err := New(Config{Name: "dos", SYNThreshold: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := restored(fresh) // empty blob: the next Process must not panic
+	d, eng := boot()
+	var fid flow.FID
 	for i := 0; i < 3; i++ {
-		if _, err := d.Process(core.NewCtx("dos", core.CtxConfig{FID: 1}), synPkt(t)); err != nil {
+		res, err := eng.ProcessPacket(synPkt(t))
+		if err != nil {
 			t.Fatal(err)
 		}
+		fid = res.FID
 	}
-	if !d.Blocked(1) {
+	if !d.Blocked(fid) {
 		t.Fatal("flow not blocked after threshold+1 SYNs")
 	}
-	d = restored(d)
-	if !d.Blocked(1) || d.SYNCount(1) != 3 {
-		t.Errorf("after restore: blocked = %v, SYNs = %d, want true, 3", d.Blocked(1), d.SYNCount(1))
-	}
-	v, err := d.Process(core.NewCtx("dos", core.CtxConfig{FID: 1}), ackPkt(t))
+	cp, err := eng.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v != core.VerdictDrop {
-		t.Errorf("blocked flow forwarded after restore: %v", v)
+	if cp, err = wal.DecodeCheckpoint(cp.Encode()); err != nil {
+		t.Fatal(err)
 	}
-	if err := d.RestoreState([]byte("not gob")); err == nil {
-		t.Error("garbage snapshot accepted")
+	if _, ok := interface{}(d).(core.Snapshotter); ok || len(cp.NFState) != 0 {
+		t.Errorf("the defender keeps no cross-flow state, yet the checkpoint carries %d NF blob(s)", len(cp.NFState))
+	}
+
+	d, eng = boot()
+	if err := eng.Restore(cp, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !d.Blocked(fid) || d.SYNCount(fid) != 3 {
+		t.Errorf("after restore: blocked = %v, SYNs = %d, want true, 3", d.Blocked(fid), d.SYNCount(fid))
+	}
+	pkt := ackPkt(t)
+	if _, err := eng.ProcessPacket(pkt); err != nil {
+		t.Fatal(err)
+	}
+	if !pkt.Dropped() {
+		t.Error("blocked flow forwarded after restore")
 	}
 }

@@ -10,7 +10,6 @@ package gateway
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/fastpathnfv/speedybox/internal/core"
 	"github.com/fastpathnfv/speedybox/internal/flow"
@@ -68,15 +67,15 @@ type Config struct {
 	VideoPorts []uint16
 }
 
-// Gateway is the media gateway NF.
+// Gateway is the media gateway NF. A flow's service class is one word of
+// per-flow state on its flow record (zero: not yet classified); the rest
+// is configuration.
 type Gateway struct {
 	name    string
 	nextHop [6]byte
 	voice   map[uint16]bool
 	video   map[uint16]bool
-
-	mu      sync.Mutex
-	classes map[flow.FID]Class
+	flows   core.FlowStates
 }
 
 // New builds a Gateway.
@@ -92,8 +91,8 @@ func New(cfg Config) (*Gateway, error) {
 		nextHop: cfg.NextHopMAC,
 		voice:   make(map[uint16]bool, len(cfg.VoicePorts)),
 		video:   make(map[uint16]bool, len(cfg.VideoPorts)),
-		classes: make(map[flow.FID]Class),
 	}
+	g.flows.Words = 1
 	for _, p := range cfg.VoicePorts {
 		g.voice[p] = true
 	}
@@ -108,29 +107,23 @@ var _ core.NF = (*Gateway)(nil)
 // Name implements core.NF.
 func (g *Gateway) Name() string { return g.name }
 
-var _ core.FlowCloser = (*Gateway)(nil)
+var _ core.Stateful = (*Gateway)(nil)
 
-// FlowClosed implements core.FlowCloser: the flow's service-class
-// assignment is released.
-func (g *Gateway) FlowClosed(fid flow.FID) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	delete(g.classes, fid)
-}
+// FlowStates implements core.Stateful.
+func (g *Gateway) FlowStates() *core.FlowStates { return &g.flows }
 
-// ClassOf returns the service class assigned to a flow.
+// ClassOf returns the service class assigned to a live flow.
 func (g *Gateway) ClassOf(fid flow.FID) (Class, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	c, ok := g.classes[fid]
-	return c, ok
+	st := g.flows.Of(fid)
+	if st == nil {
+		return 0, false
+	}
+	return Class(st[0].Load()), true
 }
 
 // classify assigns (or reuses) the flow's class.
-func (g *Gateway) classify(fid flow.FID, dport uint16) Class {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if c, ok := g.classes[fid]; ok {
+func (g *Gateway) classify(st core.State, dport uint16) Class {
+	if c := Class(st[0].Load()); c != 0 {
 		return c
 	}
 	c := ClassBestEffort
@@ -140,7 +133,7 @@ func (g *Gateway) classify(fid flow.FID, dport uint16) Class {
 	case g.video[dport]:
 		c = ClassVideo
 	}
-	g.classes[fid] = c
+	st[0].Store(uint64(c))
 	return c
 }
 
@@ -153,7 +146,7 @@ func (g *Gateway) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, erro
 	if err != nil {
 		return 0, fmt.Errorf("gateway %s: %w", g.name, err)
 	}
-	class := g.classify(ctx.FID, ft.DstPort)
+	class := g.classify(ctx.FlowState(&g.flows), ft.DstPort)
 
 	newTTL, err := pkt.DecrementTTL()
 	if err != nil {

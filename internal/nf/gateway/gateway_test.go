@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/fastpathnfv/speedybox/internal/core"
+	"github.com/fastpathnfv/speedybox/internal/event"
 	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/mat"
 	"github.com/fastpathnfv/speedybox/internal/packet"
@@ -38,6 +39,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestClassification(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
 	g, err := New(cfg())
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +57,7 @@ func TestClassification(t *testing.T) {
 	for i, tt := range tests {
 		t.Run(tt.want.String(), func(t *testing.T) {
 			p := pkt(t, tt.dport, 64)
-			ctx := core.NewCtx("gw", core.CtxConfig{FID: flowFID(i + 1)})
+			ctx := core.NewCtx("gw", core.CtxConfig{FID: flowFID(i + 1), Events: tbl})
 			if _, err := g.Process(ctx, p); err != nil {
 				t.Fatal(err)
 			}
@@ -74,12 +76,13 @@ func TestClassification(t *testing.T) {
 }
 
 func TestRewritesMACAndTTL(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
 	g, err := New(cfg())
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := pkt(t, 80, 64)
-	ctx := core.NewCtx("gw", core.CtxConfig{FID: 1})
+	ctx := core.NewCtx("gw", core.CtxConfig{FID: 1, Events: tbl})
 	if _, err := g.Process(ctx, p); err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +100,12 @@ func TestRewritesMACAndTTL(t *testing.T) {
 }
 
 func TestRecordingAndConsolidation(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
 	g, err := New(cfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := core.NewCtx("gw", core.CtxConfig{FID: 9, Recording: true})
+	ctx := core.NewCtx("gw", core.CtxConfig{FID: 9, Events: tbl, Recording: true})
 	if _, err := g.Process(ctx, pkt(t, 5060, 64)); err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +120,7 @@ func TestRecordingAndConsolidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	direct := pkt(t, 5060, 64)
-	dctx := core.NewCtx("gw", core.CtxConfig{FID: 9})
+	dctx := core.NewCtx("gw", core.CtxConfig{FID: 9, Events: tbl})
 	if _, err := g.Process(dctx, direct); err != nil {
 		t.Fatal(err)
 	}
@@ -130,12 +134,13 @@ func TestRecordingAndConsolidation(t *testing.T) {
 }
 
 func TestStableClassPerFlow(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
 	g, err := New(cfg())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		ctx := core.NewCtx("gw", core.CtxConfig{FID: 5})
+		ctx := core.NewCtx("gw", core.CtxConfig{FID: 5, Events: tbl})
 		if _, err := g.Process(ctx, pkt(t, 5060, 64)); err != nil {
 			t.Fatal(err)
 		}

@@ -10,10 +10,9 @@ package ipfilter
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"github.com/fastpathnfv/speedybox/internal/core"
-	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/mat"
 	"github.com/fastpathnfv/speedybox/internal/packet"
 )
@@ -88,19 +87,28 @@ type Config struct {
 	DefaultDeny bool
 }
 
-// Filter is the firewall NF. It keeps an internal per-flow decision
-// cache, as the real IPFilter would: on the original (unconsolidated)
-// path only the first packet of a flow pays the linear ACL scan.
+// Filter is the firewall NF. It keeps a per-flow decision cache, as the
+// real IPFilter would: on the original (unconsolidated) path only the
+// first packet of a flow pays the linear ACL scan. The cached decision is
+// three words of per-flow state on the flow record — the tuple it was
+// made on (packet.FiveTuple.Key's two words) and the verdict — because a
+// decision is only good for the tuple the filter saw: an upstream NF
+// that starts rewriting the flow differently (a load balancer failing
+// over) changes it, and the filter scans again.
 type Filter struct {
 	name        string
 	rules       []Rule
 	defaultDeny bool
+	flows       core.FlowStates
 
-	mu    sync.Mutex
-	cache map[packet.FiveTuple]bool // true = deny
-	byFID map[flow.FID]packet.FiveTuple
-	stats Stats
+	scanned, allowed, denied atomic.Uint64
 }
+
+// Verdict word of a flow's state: decided, and which way.
+const (
+	verdictAllow = 1
+	verdictDeny  = 2
+)
 
 // Stats counts the filter's decisions.
 type Stats struct {
@@ -114,51 +122,37 @@ func New(cfg Config) (*Filter, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("ipfilter: empty name")
 	}
-	return &Filter{
+	f := &Filter{
 		name:        cfg.Name,
 		rules:       append([]Rule(nil), cfg.Rules...),
 		defaultDeny: cfg.DefaultDeny,
-		cache:       make(map[packet.FiveTuple]bool),
-		byFID:       make(map[flow.FID]packet.FiveTuple),
-	}, nil
+	}
+	f.flows.Words = 3
+	return f, nil
 }
 
-var _ core.NF = (*Filter)(nil)
+var _ core.Stateful = (*Filter)(nil)
 
 // Name implements core.NF.
 func (f *Filter) Name() string { return f.name }
 
-var _ core.FlowCloser = (*Filter)(nil)
-
-// FlowClosed implements core.FlowCloser: the flow's cached ACL
-// decision is released.
-func (f *Filter) FlowClosed(fid flow.FID) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if ft, ok := f.byFID[fid]; ok {
-		delete(f.byFID, fid)
-		delete(f.cache, ft)
-	}
-}
+// FlowStates implements core.Stateful.
+func (f *Filter) FlowStates() *core.FlowStates { return &f.flows }
 
 // NumRules returns the ACL length.
 func (f *Filter) NumRules() int { return len(f.rules) }
 
 // Stats returns a snapshot of the decision counters.
 func (f *Filter) Stats() Stats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.stats
+	return Stats{Scanned: f.scanned.Load(), Allowed: f.allowed.Load(), Denied: f.denied.Load()}
 }
 
-// decide runs or reuses the ACL decision for a tuple, indexing it by
-// FID for FlowClosed cleanup. It returns (deny, cacheHit).
-func (f *Filter) decide(fid flow.FID, ft packet.FiveTuple) (bool, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.byFID[fid] = ft
-	if deny, ok := f.cache[ft]; ok {
-		return deny, true
+// decide runs the ACL over a tuple, or reuses the flow's cached decision
+// if it was made on this tuple. It returns (deny, cacheHit).
+func (f *Filter) decide(st core.State, ft packet.FiveTuple) (bool, bool) {
+	hi, lo := ft.Key()
+	if v := st[2].Load(); v != 0 && st[0].Load() == hi && st[1].Load() == lo {
+		return v == verdictDeny, true
 	}
 	deny := f.defaultDeny
 	for _, r := range f.rules {
@@ -167,12 +161,15 @@ func (f *Filter) decide(fid flow.FID, ft packet.FiveTuple) (bool, bool) {
 			break
 		}
 	}
-	f.cache[ft] = deny
-	f.stats.Scanned++
+	st[0].Store(hi)
+	st[1].Store(lo)
+	f.scanned.Add(1)
 	if deny {
-		f.stats.Denied++
+		st[2].Store(verdictDeny)
+		f.denied.Add(1)
 	} else {
-		f.stats.Allowed++
+		st[2].Store(verdictAllow)
+		f.allowed.Add(1)
 	}
 	return deny, false
 }
@@ -184,7 +181,7 @@ func (f *Filter) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, error
 	if err != nil {
 		return 0, fmt.Errorf("ipfilter %s: %w", f.name, err)
 	}
-	deny, hit := f.decide(ctx.FID, ft)
+	deny, hit := f.decide(ctx.FlowState(&f.flows), ft)
 	if hit {
 		ctx.Charge(ctx.Model.FlowCacheHit)
 	} else {

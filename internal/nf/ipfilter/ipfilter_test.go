@@ -5,6 +5,8 @@ import (
 
 	"github.com/fastpathnfv/speedybox/internal/core"
 	"github.com/fastpathnfv/speedybox/internal/cost"
+	"github.com/fastpathnfv/speedybox/internal/event"
+	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/mat"
 	"github.com/fastpathnfv/speedybox/internal/packet"
 )
@@ -78,6 +80,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestProcessAllowAndDeny(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
 	f, err := New(Config{
 		Name: "fw",
 		Rules: []Rule{
@@ -88,7 +91,7 @@ func TestProcessAllowAndDeny(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	allowCtx := core.NewCtx("fw", core.CtxConfig{FID: 1, Recording: true})
+	allowCtx := core.NewCtx("fw", core.CtxConfig{FID: 1, Events: tbl, Recording: true})
 	v, err := f.Process(allowCtx, pkt(t, packet.IP4(10, 0, 0, 1), packet.IP4(20, 0, 0, 1), 80))
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +100,7 @@ func TestProcessAllowAndDeny(t *testing.T) {
 		t.Errorf("benign flow verdict = %v", v)
 	}
 
-	denyCtx := core.NewCtx("fw", core.CtxConfig{FID: 2, Recording: true})
+	denyCtx := core.NewCtx("fw", core.CtxConfig{FID: 2, Events: tbl, Recording: true})
 	v, err = f.Process(denyCtx, pkt(t, packet.IP4(66, 6, 6, 6), packet.IP4(20, 0, 0, 1), 80))
 	if err != nil {
 		t.Fatal(err)
@@ -113,11 +116,12 @@ func TestProcessAllowAndDeny(t *testing.T) {
 }
 
 func TestDefaultDeny(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
 	f, err := New(Config{Name: "fw", DefaultDeny: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := core.NewCtx("fw", core.CtxConfig{FID: 1})
+	ctx := core.NewCtx("fw", core.CtxConfig{FID: 1, Events: tbl})
 	v, err := f.Process(ctx, pkt(t, packet.IP4(1, 1, 1, 1), packet.IP4(2, 2, 2, 2), 80))
 	if err != nil {
 		t.Fatal(err)
@@ -128,6 +132,7 @@ func TestDefaultDeny(t *testing.T) {
 }
 
 func TestFirstMatchWins(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
 	f, err := New(Config{
 		Name: "fw",
 		Rules: []Rule{
@@ -138,7 +143,7 @@ func TestFirstMatchWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := core.NewCtx("fw", core.CtxConfig{FID: 1})
+	ctx := core.NewCtx("fw", core.CtxConfig{FID: 1, Events: tbl})
 	v, err := f.Process(ctx, pkt(t, packet.IP4(9, 9, 9, 9), packet.IP4(20, 0, 0, 1), 80))
 	if err != nil {
 		t.Fatal(err)
@@ -149,6 +154,7 @@ func TestFirstMatchWins(t *testing.T) {
 }
 
 func TestCacheHitChargesLess(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
 	model := cost.DefaultModel()
 	f, err := New(Config{Name: "fw", Rules: PadRules(nil, 100)})
 	if err != nil {
@@ -157,11 +163,11 @@ func TestCacheHitChargesLess(t *testing.T) {
 	p := func() *packet.Packet { return pkt(t, packet.IP4(10, 0, 0, 1), packet.IP4(20, 0, 0, 1), 80) }
 
 	l1 := cost.NewLedger()
-	if _, err := f.Process(core.NewCtx("fw", core.CtxConfig{FID: 1, Model: model, Ledger: l1}), p()); err != nil {
+	if _, err := f.Process(core.NewCtx("fw", core.CtxConfig{FID: 1, Events: tbl, Model: model, Ledger: l1}), p()); err != nil {
 		t.Fatal(err)
 	}
 	l2 := cost.NewLedger()
-	if _, err := f.Process(core.NewCtx("fw", core.CtxConfig{FID: 1, Model: model, Ledger: l2}), p()); err != nil {
+	if _, err := f.Process(core.NewCtx("fw", core.CtxConfig{FID: 1, Events: tbl, Model: model, Ledger: l2}), p()); err != nil {
 		t.Fatal(err)
 	}
 	if l2.Total() >= l1.Total() {
@@ -174,11 +180,12 @@ func TestCacheHitChargesLess(t *testing.T) {
 }
 
 func TestRecordingProducesActions(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
 	f, err := New(Config{Name: "fw"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := core.NewCtx("fw", core.CtxConfig{FID: 7, Recording: true})
+	ctx := core.NewCtx("fw", core.CtxConfig{FID: 7, Events: tbl, Recording: true})
 	if _, err := f.Process(ctx, pkt(t, packet.IP4(1, 1, 1, 1), packet.IP4(2, 2, 2, 2), 80)); err != nil {
 		t.Fatal(err)
 	}
@@ -207,31 +214,75 @@ func TestPadRules(t *testing.T) {
 }
 
 func TestProcessUnparsedPacket(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
 	f, err := New(Config{Name: "fw"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := core.NewCtx("fw", core.CtxConfig{FID: 1})
+	ctx := core.NewCtx("fw", core.CtxConfig{FID: 1, Events: tbl})
 	if _, err := f.Process(ctx, packet.New([]byte{1})); err == nil {
 		t.Error("unparseable packet accepted")
 	}
 }
 
 func TestFlowClosedReleasesCache(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
 	f, err := New(Config{Name: "fw", Rules: PadRules(nil, 10)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := pkt(t, packet.IP4(10, 0, 0, 1), packet.IP4(20, 0, 0, 1), 80)
-	if _, err := f.Process(core.NewCtx("fw", core.CtxConfig{FID: 9}), p); err != nil {
+	for i := 0; i < 2; i++ {
+		if _, err := f.Process(core.NewCtx("fw", core.CtxConfig{FID: 9, Events: tbl}), p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if f.flows.Of(9) == nil || f.Stats().Scanned != 1 {
+		t.Fatalf("decision not cached on the flow's record: %+v", f.Stats())
+	}
+	tbl.DropState(9, true)
+	if f.flows.Of(9) != nil {
+		t.Error("cached decision survived the flow's end")
+	}
+	tbl.DropState(9, true) // idempotent
+	if _, err := f.Process(core.NewCtx("fw", core.CtxConfig{FID: 9, Events: tbl}), p); err != nil {
 		t.Fatal(err)
 	}
-	if len(f.cache) != 1 {
-		t.Fatal("decision not cached")
+	if f.Stats().Scanned != 2 {
+		t.Errorf("a new flow under the FID reused the old one's decision: %+v", f.Stats())
 	}
-	f.FlowClosed(9)
-	if len(f.cache) != 0 || len(f.byFID) != 0 {
-		t.Error("cache survived FlowClosed")
+}
+
+// TestRescanOnNewTuple: a decision is good only for the tuple it was
+// made on. A flow that shows the filter a different tuple — an upstream
+// NF started rewriting it differently — is scanned again, and the new
+// verdict replaces the old.
+func TestRescanOnNewTuple(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
+	f, err := New(Config{Name: "fw", Rules: []Rule{
+		{Dst: Prefix{Addr: packet.IP4(20, 0, 0, 2), Bits: 32}, Deny: true},
+	}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	f.FlowClosed(9) // idempotent
+	send := func(dst [4]byte) core.Verdict {
+		t.Helper()
+		v, err := f.Process(core.NewCtx("fw", core.CtxConfig{FID: 3, Events: tbl}), pkt(t, packet.IP4(10, 0, 0, 1), dst, 80))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	if v := send(packet.IP4(20, 0, 0, 1)); v != core.VerdictForward {
+		t.Fatalf("allowed backend: %v", v)
+	}
+	if v := send(packet.IP4(20, 0, 0, 2)); v != core.VerdictDrop {
+		t.Errorf("after the upstream rewrite changed, the flow kept its old verdict: %v", v)
+	}
+	if v := send(packet.IP4(20, 0, 0, 2)); v != core.VerdictDrop {
+		t.Errorf("second packet to the denied backend: %v", v)
+	}
+	if st := f.Stats(); st.Scanned != 2 || st.Allowed != 1 || st.Denied != 1 {
+		t.Errorf("stats %+v, want one scan a tuple", st)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/fastpathnfv/speedybox/internal/core"
 	"github.com/fastpathnfv/speedybox/internal/packet"
 )
 
@@ -52,12 +53,12 @@ func BenchmarkAssign(b *testing.B) {
 		SrcIP: packet.IP4(10, 0, 0, 1), DstIP: packet.IP4(100, 0, 0, 1),
 		SrcPort: 1234, DstPort: 80, Proto: packet.ProtoTCP,
 	}
+	st := make(core.State, lb.flows.Words)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ft.SrcPort = uint16(i)
-		lb.mu.Lock()
-		lb.assignLocked(0, ft)
-		lb.mu.Unlock()
+		st[0].Store(0) // a new flow: no pin yet
+		lb.assign(st, ft)
 	}
 }
 
@@ -74,14 +75,13 @@ func BenchmarkFailover(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		lb.mu.Lock()
-		idx, _ := lb.assignLocked(1, ft)
-		lb.mu.Unlock()
+		st := make(core.State, lb.flows.Words)
+		idx, _, _ := lb.assign(st, ft)
 		b.StartTimer()
 		if err := lb.FailBackend(idx); err != nil {
 			b.Fatal(err)
 		}
-		if _, ok := lb.reroute(1, ft); !ok {
+		if _, ok := lb.reroute(st, ft); !ok {
 			b.Fatal("no reroute")
 		}
 	}

@@ -48,24 +48,29 @@ type Config struct {
 	RewritePort bool
 }
 
-// Maglev is the load balancer NF.
+// Maglev is the load balancer NF. A flow's connection-tracking pin is
+// one word of per-flow state on its flow record: the backend index plus
+// one, zero while the flow has none. What the balancer keeps itself is
+// what flows share: backend health, the lookup table built from it and
+// the reroute count.
 type Maglev struct {
 	name        string
 	rewritePort bool
 	m           int
-	// failover is the one bound condition every flow's failover event
-	// registers, so a recording allocates no closure for it.
-	failover event.ConditionFunc
+	flows       core.FlowStates
 	// unhealthy counts failed backends (written under mu). While it is
-	// zero no flow can be pinned to one, and the condition answers
-	// without mu or conns.
+	// zero no flow can be pinned to one, and a flow's failover condition
+	// answers without mu.
 	unhealthy atomic.Int32
+	// touch is the connection-tracking state function every flow records:
+	// it holds nothing of the flow, only the model's price of a lookup, so
+	// one closure serves them all.
+	touch atomic.Pointer[touchFunc]
 
 	mu       sync.Mutex
 	backends []Backend
 	healthy  []bool
 	table    []int // M entries, each a backend index (-1 when no healthy backend)
-	conns    map[flow.FID]int
 	rerouted uint64
 }
 
@@ -93,12 +98,11 @@ func New(cfg Config) (*Maglev, error) {
 		m:           m,
 		backends:    append([]Backend(nil), cfg.Backends...),
 		healthy:     make([]bool, len(cfg.Backends)),
-		conns:       make(map[flow.FID]int),
 	}
+	lb.flows.Words = 1
 	for i := range lb.healthy {
 		lb.healthy[i] = true
 	}
-	lb.failover = lb.unhealthyAssigned
 	lb.populateLocked()
 	return lb, nil
 }
@@ -108,25 +112,10 @@ var _ core.NF = (*Maglev)(nil)
 // Name implements core.NF.
 func (lb *Maglev) Name() string { return lb.name }
 
-var _ core.FlowCloser = (*Maglev)(nil)
+var _ core.Stateful = (*Maglev)(nil)
 
-// FlowClosed implements core.FlowCloser: the connection-tracking pin
-// is released.
-func (lb *Maglev) FlowClosed(fid flow.FID) {
-	lb.mu.Lock()
-	defer lb.mu.Unlock()
-	delete(lb.conns, fid)
-}
-
-var _ core.Teardowner = (*Maglev)(nil)
-
-// Teardown implements core.Teardowner: the balancer has left the
-// chain, so every connection-tracking pin is released at once.
-func (lb *Maglev) Teardown() {
-	lb.mu.Lock()
-	defer lb.mu.Unlock()
-	lb.conns = make(map[flow.FID]int)
-}
+// FlowStates implements core.Stateful.
+func (lb *Maglev) FlowStates() *core.FlowStates { return &lb.flows }
 
 func isPrime(n int) bool {
 	if n < 2 {
@@ -236,13 +225,13 @@ func (lb *Maglev) RestoreBackend(i int) error {
 	return nil
 }
 
-// maglevState is the gob image of the balancer's mutable state. The
+// maglevState is the gob image of the balancer's cross-flow state. The
 // lookup table is deterministic given the healthy set (populateLocked
 // reruns the Section 3.4 algorithm over the construction-time backend
-// names), so only health, pins and the reroute counter are saved.
+// names), so only health and the reroute counter are saved; the pins
+// travel on the flow records.
 type maglevState struct {
 	Healthy  []bool
-	Conns    map[flow.FID]int
 	Rerouted uint64
 }
 
@@ -254,11 +243,7 @@ func (lb *Maglev) SnapshotState() ([]byte, error) {
 	defer lb.mu.Unlock()
 	st := maglevState{
 		Healthy:  append([]bool(nil), lb.healthy...),
-		Conns:    make(map[flow.FID]int, len(lb.conns)),
 		Rerouted: lb.rerouted,
-	}
-	for fid, i := range lb.conns {
-		st.Conns[fid] = i
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
@@ -267,9 +252,9 @@ func (lb *Maglev) SnapshotState() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// RestoreState implements core.Snapshotter, replacing backend health,
-// connection pins and the reroute counter, then rebuilding the lookup
-// table from the restored healthy set.
+// RestoreState implements core.Snapshotter, replacing backend health and
+// the reroute counter, then rebuilding the lookup table from the
+// restored healthy set.
 func (lb *Maglev) RestoreState(data []byte) error {
 	var st maglevState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
@@ -289,10 +274,6 @@ func (lb *Maglev) RestoreState(data []byte) error {
 		}
 	}
 	lb.unhealthy.Store(down)
-	lb.conns = st.Conns
-	if lb.conns == nil {
-		lb.conns = make(map[flow.FID]int)
-	}
 	lb.rerouted = st.Rerouted
 	lb.populateLocked()
 	return nil
@@ -312,15 +293,43 @@ func (lb *Maglev) Rerouted() uint64 {
 	return lb.rerouted
 }
 
-// BackendOf returns the backend currently assigned to a flow.
+// BackendOf returns the backend a live flow is pinned to.
 func (lb *Maglev) BackendOf(fid flow.FID) (Backend, bool) {
-	lb.mu.Lock()
-	defer lb.mu.Unlock()
-	i, ok := lb.conns[fid]
-	if !ok || i < 0 {
+	st := lb.flows.Of(fid)
+	if st == nil {
+		return Backend{}, false
+	}
+	i := lb.pin(st)
+	if i < 0 {
 		return Backend{}, false
 	}
 	return lb.backends[i], true
+}
+
+type touchFunc struct {
+	cost uint64
+	run  sfunc.Handler
+}
+
+// conntrack returns the shared connection-tracking touch at the given
+// price.
+func (lb *Maglev) conntrack(cost uint64) sfunc.Handler {
+	if t := lb.touch.Load(); t != nil && t.cost == cost {
+		return t.run
+	}
+	t := &touchFunc{cost: cost, run: func(*packet.Packet) (uint64, error) { return cost, nil }}
+	lb.touch.Store(t)
+	return t.run
+}
+
+// pin reads the flow's pinned backend index, -1 if it has none (or its
+// state, come from a balancer configured otherwise, names no backend of
+// this one). The backend list never changes after New.
+func (lb *Maglev) pin(st core.State) int {
+	if i := int(st[0].Load()) - 1; i < len(lb.backends) {
+		return i
+	}
+	return -1
 }
 
 func (lb *Maglev) hashTuple(ft packet.FiveTuple) uint64 {
@@ -331,37 +340,43 @@ func (lb *Maglev) hashTuple(ft packet.FiveTuple) uint64 {
 	return h.Sum64()
 }
 
-// assignLocked picks (or reuses) the backend for a flow. It returns
-// the backend index or -1 when no healthy backend exists.
-func (lb *Maglev) assignLocked(fid flow.FID, ft packet.FiveTuple) (idx int, isNew bool) {
-	if i, ok := lb.conns[fid]; ok && i >= 0 && lb.healthy[i] {
-		return i, false
+// assign picks (or reuses) the backend for a flow, pinning it in the
+// flow's state. It returns the backend index or -1 when no healthy
+// backend exists.
+func (lb *Maglev) assign(st core.State, ft packet.FiveTuple) (idx int, backend Backend, isNew bool) {
+	lb.mu.Lock()
+	defer lb.mu.Unlock()
+	if i := lb.pin(st); i >= 0 && lb.healthy[i] {
+		return i, lb.backends[i], false
 	}
 	i := lb.table[lb.hashTuple(ft)%uint64(lb.m)]
-	lb.conns[fid] = i
-	return i, true
+	st[0].Store(uint64(i + 1))
+	if i >= 0 {
+		backend = lb.backends[i]
+	}
+	return i, backend, true
 }
 
-// unhealthyAssigned reports whether the flow's pinned backend has
+// pinFailed reports whether the backend the flow is pinned to has
 // failed — the event condition, evaluated per fast-path packet from
 // any worker.
-func (lb *Maglev) unhealthyAssigned(fid flow.FID) bool {
+func (lb *Maglev) pinFailed(st core.State) bool {
 	if lb.unhealthy.Load() == 0 {
 		return false
 	}
+	i := lb.pin(st)
 	lb.mu.Lock()
 	defer lb.mu.Unlock()
-	i, ok := lb.conns[fid]
-	return ok && i >= 0 && !lb.healthy[i]
+	return i >= 0 && !lb.healthy[i]
 }
 
 // reroute re-picks a healthy backend for the flow via the rebuilt
 // table and returns it. It is the event's update half.
-func (lb *Maglev) reroute(fid flow.FID, ft packet.FiveTuple) (Backend, bool) {
+func (lb *Maglev) reroute(st core.State, ft packet.FiveTuple) (Backend, bool) {
 	lb.mu.Lock()
 	defer lb.mu.Unlock()
 	i := lb.table[lb.hashTuple(ft)%uint64(lb.m)]
-	lb.conns[fid] = i
+	st[0].Store(uint64(i + 1))
 	if i < 0 {
 		return Backend{}, false
 	}
@@ -378,15 +393,8 @@ func (lb *Maglev) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, erro
 	if err != nil {
 		return 0, fmt.Errorf("maglev %s: %w", lb.name, err)
 	}
-	fid := ctx.FID
-
-	lb.mu.Lock()
-	idx, isNew := lb.assignLocked(fid, ft)
-	var backend Backend
-	if idx >= 0 {
-		backend = lb.backends[idx]
-	}
-	lb.mu.Unlock()
+	st := ctx.FlowState(&lb.flows)
+	idx, backend, isNew := lb.assign(st, ft)
 
 	ctx.Charge(ctx.Model.ConnTrackLookup)
 	if isNew {
@@ -425,13 +433,10 @@ func (lb *Maglev) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, erro
 	}
 	// Connection-tracking touch as a state function so the fast path
 	// keeps the conn table warm exactly like the original path.
-	connTouch := ctx.Model.ConnTrackLookup
 	if err := ctx.AddStateFunc(sfunc.Func{
 		Name:  "conntrack",
 		Class: sfunc.ClassIgnore,
-		Run: func(*packet.Packet) (uint64, error) {
-			return connTouch, nil
-		},
+		Run:   lb.conntrack(ctx.Model.ConnTrackLookup),
 	}); err != nil {
 		return 0, err
 	}
@@ -440,9 +445,9 @@ func (lb *Maglev) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, erro
 	// replace the modify values with a freshly selected backend's.
 	rewritePort := lb.rewritePort
 	err = ctx.RegisterEvent(event.Event{
-		Condition: lb.failover,
-		Update: func(fid flow.FID, r *mat.LocalRule) {
-			nb, ok := lb.reroute(fid, ft)
+		Condition: func(flow.FID) bool { return lb.pinFailed(st) },
+		Update: func(_ flow.FID, r *mat.LocalRule) {
+			nb, ok := lb.reroute(st, ft)
 			if !ok {
 				r.Actions = []mat.HeaderAction{mat.Drop()}
 				return

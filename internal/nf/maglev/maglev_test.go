@@ -146,11 +146,12 @@ func TestFailRestore(t *testing.T) {
 }
 
 func TestProcessRewritesDestination(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
 	lb, err := New(Config{Name: "lb", Backends: backends(3), TableSize: 101, RewritePort: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := core.NewCtx("lb", core.CtxConfig{FID: 1, Recording: true})
+	ctx := core.NewCtx("lb", core.CtxConfig{FID: 1, Events: tbl, Recording: true})
 	p := pkt(t, 1111)
 	v, err := lb.Process(ctx, p)
 	if err != nil {
@@ -176,19 +177,20 @@ func TestProcessRewritesDestination(t *testing.T) {
 }
 
 func TestConnectionStickiness(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
 	lb, err := New(Config{Name: "lb", Backends: backends(4), TableSize: 101})
 	if err != nil {
 		t.Fatal(err)
 	}
 	first, _ := func() (Backend, bool) {
-		ctx := core.NewCtx("lb", core.CtxConfig{FID: 1})
+		ctx := core.NewCtx("lb", core.CtxConfig{FID: 1, Events: tbl})
 		if _, err := lb.Process(ctx, pkt(t, 1111)); err != nil {
 			t.Fatal(err)
 		}
 		return lb.BackendOf(1)
 	}()
 	for i := 0; i < 5; i++ {
-		ctx := core.NewCtx("lb", core.CtxConfig{FID: 1})
+		ctx := core.NewCtx("lb", core.CtxConfig{FID: 1, Events: tbl})
 		if _, err := lb.Process(ctx, pkt(t, 1111)); err != nil {
 			t.Fatal(err)
 		}
@@ -255,6 +257,7 @@ func TestFailoverEvent(t *testing.T) {
 }
 
 func TestAllBackendsDownDropsFlows(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
 	lb, err := New(Config{Name: "lb", Backends: backends(1), TableSize: 101})
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +265,7 @@ func TestAllBackendsDownDropsFlows(t *testing.T) {
 	if err := lb.FailBackend(0); err != nil {
 		t.Fatal(err)
 	}
-	ctx := core.NewCtx("lb", core.CtxConfig{FID: 1, Recording: true})
+	ctx := core.NewCtx("lb", core.CtxConfig{FID: 1, Events: tbl, Recording: true})
 	v, err := lb.Process(ctx, pkt(t, 3333))
 	if err != nil {
 		t.Fatal(err)
@@ -277,6 +280,7 @@ func TestAllBackendsDownDropsFlows(t *testing.T) {
 }
 
 func TestLookupDistributionAcrossFlows(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
 	lb, err := New(Config{Name: "lb", Backends: backends(4), TableSize: 653})
 	if err != nil {
 		t.Fatal(err)
@@ -284,7 +288,7 @@ func TestLookupDistributionAcrossFlows(t *testing.T) {
 	counts := make(map[[4]byte]int)
 	for i := 0; i < 400; i++ {
 		fid := flow.FID(i + 1)
-		ctx := core.NewCtx("lb", core.CtxConfig{FID: fid})
+		ctx := core.NewCtx("lb", core.CtxConfig{FID: fid, Events: tbl})
 		p := packet.MustBuild(packet.Spec{
 			SrcIP: packet.IP4(10, 0, byte(i>>8), byte(i)), DstIP: packet.IP4(100, 0, 0, 1),
 			SrcPort: uint16(1024 + i), DstPort: 80, Proto: packet.ProtoTCP,
@@ -305,20 +309,21 @@ func TestLookupDistributionAcrossFlows(t *testing.T) {
 }
 
 func TestFlowClosedReleasesConnTrack(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
 	lb, err := New(Config{Name: "lb", Backends: backends(2), TableSize: 101})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := core.NewCtx("lb", core.CtxConfig{FID: 5})
+	ctx := core.NewCtx("lb", core.CtxConfig{FID: 5, Events: tbl})
 	if _, err := lb.Process(ctx, pkt(t, 4444)); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := lb.BackendOf(5); !ok {
 		t.Fatal("no pin")
 	}
-	lb.FlowClosed(5)
+	tbl.DropState(5, true)
 	if _, ok := lb.BackendOf(5); ok {
-		t.Error("conn-track pin survived FlowClosed")
+		t.Error("conn-track pin survived the flow's end")
 	}
 }
 
@@ -375,27 +380,30 @@ func TestFailoverFiresOnNextPacket(t *testing.T) {
 // TestUnhealthyCountFollowsPool: the count the condition's fast answer
 // rests on tracks FailBackend and RestoreBackend (repeats included) and
 // is rebuilt by RestoreState — a snapshot taken with a backend down
-// must not restore into a balancer that believes every flow healthy.
+// must not restore into a balancer that believes every flow healthy
+// (the pin itself is the flow's state, not the balancer's).
 // With the count at zero the condition answers without the mutex; with
 // a backend down it reads the pin under it.
 func TestUnhealthyCountFollowsPool(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
 	lb, err := New(Config{Name: "lb", Backends: backends(3), TableSize: 101})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := core.NewCtx("lb", core.CtxConfig{FID: 7, Recording: true})
+	ctx := core.NewCtx("lb", core.CtxConfig{FID: 7, Events: tbl, Recording: true})
 	if _, err := lb.Process(ctx, pkt(t, 4444)); err != nil {
 		t.Fatal(err)
 	}
 	orig, _ := lb.BackendOf(7)
 	down := backendIndex(t, 3, orig)
+	pin := lb.flows.Of(7)
 	// answers evaluates the condition while the test holds the mutex: it
 	// reports whether the condition came back without it.
 	answers := func() (holds, lockFree bool) {
 		lb.mu.Lock()
 		defer lb.mu.Unlock()
 		done := make(chan bool, 1) // the one answer; never blocks the goroutine
-		go func() { done <- lb.failover(7) }()
+		go func() { done <- lb.pinFailed(pin) }()
 		select {
 		case holds = <-done:
 			return holds, true
@@ -418,7 +426,7 @@ func TestUnhealthyCountFollowsPool(t *testing.T) {
 	if _, lockFree := answers(); lockFree {
 		t.Error("a backend is down: the condition answered without reading the pin under the mutex")
 	}
-	if !lb.failover(7) {
+	if !lb.pinFailed(pin) {
 		t.Error("condition false for a flow pinned to the failed backend")
 	}
 
@@ -433,8 +441,8 @@ func TestUnhealthyCountFollowsPool(t *testing.T) {
 	if err := fresh.RestoreState(snap); err != nil {
 		t.Fatal(err)
 	}
-	if n := fresh.unhealthy.Load(); n != 1 || !fresh.failover(7) {
-		t.Errorf("restored balancer: unhealthy count %d, condition %v; want 1 and true", n, fresh.failover(7))
+	if n := fresh.unhealthy.Load(); n != 1 || !fresh.pinFailed(pin) {
+		t.Errorf("restored balancer: unhealthy count %d, condition %v; want 1 and true", n, fresh.pinFailed(pin))
 	}
 
 	for i := 0; i < 2; i++ {

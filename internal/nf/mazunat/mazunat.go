@@ -46,20 +46,28 @@ type Mapping struct {
 // ErrPortsExhausted reports that no external ports remain.
 var ErrPortsExhausted = errors.New("mazunat: external ports exhausted")
 
-// NAT is the network address translator NF.
+// NAT is the network address translator NF. A flow's translation is
+// three words of per-flow state on its flow record: the outbound tuple it
+// was made for (packet.FiveTuple.Key's two words) and the allocated port
+// with a present bit. What the NAT keeps itself is what flows share: the
+// allocation cursor and the port pool, byPort, which indexes the live
+// translations by external port for the inbound direction — it follows
+// the flows' state as it arrives and leaves.
 type NAT struct {
 	name     string
 	inPrefix [4]byte
 	inBits   int
 	extIP    [4]byte
 	portBase uint16
+	flows    core.FlowStates
 
 	mu       sync.Mutex
 	nextPort uint32
-	byTuple  map[packet.FiveTuple]Mapping
 	byPort   map[uint16]Mapping
-	byFID    map[flow.FID]packet.FiveTuple
 }
+
+// portPresent marks word 2 of a flow's state as holding a port.
+const portPresent = 1 << 16
 
 // New builds a NAT.
 func New(cfg Config) (*NAT, error) {
@@ -73,111 +81,85 @@ func New(cfg Config) (*NAT, error) {
 	if base == 0 {
 		base = 20000
 	}
-	return &NAT{
+	n := &NAT{
 		name:     cfg.Name,
 		inPrefix: cfg.InternalPrefix,
 		inBits:   cfg.InternalBits,
 		extIP:    cfg.ExternalIP,
 		portBase: base,
 		nextPort: uint32(base),
-		byTuple:  make(map[packet.FiveTuple]Mapping),
 		byPort:   make(map[uint16]Mapping),
-		byFID:    make(map[flow.FID]packet.FiveTuple),
-	}, nil
+	}
+	n.flows.Words = 3
+	n.flows.Arrive = n.arrived
+	n.flows.Leave = n.left
+	return n, nil
 }
 
-var _ core.NF = (*NAT)(nil)
+var _ core.Stateful = (*NAT)(nil)
 
 // Name implements core.NF.
 func (n *NAT) Name() string { return n.name }
 
-var _ core.FlowCloser = (*NAT)(nil)
+// FlowStates implements core.Stateful.
+func (n *NAT) FlowStates() *core.FlowStates { return &n.flows }
 
-// FlowClosed implements core.FlowCloser: when the outbound flow closes,
-// its external (IP, port) mapping is released for reuse.
-func (n *NAT) FlowClosed(fid flow.FID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	ft, ok := n.byFID[fid]
-	if !ok {
-		return
+// mappingOf reads a flow's translation off its state.
+func mappingOf(st core.State) (packet.FiveTuple, Mapping, bool) {
+	w := st[2].Load()
+	if w&portPresent == 0 {
+		return packet.FiveTuple{}, Mapping{}, false
 	}
-	delete(n.byFID, fid)
-	if m, ok := n.byTuple[ft]; ok {
-		delete(n.byTuple, ft)
+	ft := packet.KeyTuple(st[0].Load(), st[1].Load())
+	return ft, Mapping{InsideIP: ft.SrcIP, InsidePort: ft.SrcPort, OutsidePort: uint16(w)}, true
+}
+
+// arrived indexes a translation that came with a migrating or restored
+// flow; left releases the external port of a flow that ended or went:
+// the pool holds exactly the live flows' ports.
+func (n *NAT) arrived(st core.State) {
+	if _, m, ok := mappingOf(st); ok {
+		n.mu.Lock()
+		n.byPort[m.OutsidePort] = m
+		n.mu.Unlock()
+	}
+}
+
+func (n *NAT) left(st core.State, _ bool) {
+	if _, m, ok := mappingOf(st); ok {
+		n.mu.Lock()
 		delete(n.byPort, m.OutsidePort)
+		n.mu.Unlock()
 	}
-}
-
-var _ core.Teardowner = (*NAT)(nil)
-
-// Teardown implements core.Teardowner: the NAT has left the chain, so
-// every remaining translation is released at once.
-func (n *NAT) Teardown() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.byTuple = make(map[packet.FiveTuple]Mapping)
-	n.byPort = make(map[uint16]Mapping)
-	n.byFID = make(map[flow.FID]packet.FiveTuple)
-}
-
-// natState is the gob image of the NAT's mutable state.
-type natState struct {
-	NextPort uint32
-	ByTuple  map[packet.FiveTuple]Mapping
-	ByFID    map[flow.FID]packet.FiveTuple
 }
 
 var _ core.Snapshotter = (*NAT)(nil)
 
-// SnapshotState implements core.Snapshotter: the translation tables
-// and the port allocation cursor. byPort is derivable from byTuple and
-// is rebuilt on restore.
+// SnapshotState implements core.Snapshotter: the port allocation cursor.
+// The translations travel on the flow records, and the pool is rebuilt
+// from them as they arrive.
 func (n *NAT) SnapshotState() ([]byte, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	st := natState{
-		NextPort: n.nextPort,
-		ByTuple:  make(map[packet.FiveTuple]Mapping, len(n.byTuple)),
-		ByFID:    make(map[flow.FID]packet.FiveTuple, len(n.byFID)),
-	}
-	for ft, m := range n.byTuple {
-		st.ByTuple[ft] = m
-	}
-	for fid, ft := range n.byFID {
-		st.ByFID[fid] = ft
-	}
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(n.nextPort); err != nil {
 		return nil, fmt.Errorf("mazunat: snapshot: %w", err)
 	}
 	return buf.Bytes(), nil
 }
 
-// RestoreState implements core.Snapshotter, replacing all translations.
+// RestoreState implements core.Snapshotter.
 func (n *NAT) RestoreState(data []byte) error {
-	var st natState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+	var next uint32
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&next); err != nil {
 		return fmt.Errorf("mazunat: restore: %w", err)
+	}
+	if next < uint32(n.portBase) || next > 65535 {
+		next = uint32(n.portBase)
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.nextPort = st.NextPort
-	if n.nextPort < uint32(n.portBase) || n.nextPort > 65535 {
-		n.nextPort = uint32(n.portBase)
-	}
-	n.byTuple = st.ByTuple
-	if n.byTuple == nil {
-		n.byTuple = make(map[packet.FiveTuple]Mapping)
-	}
-	n.byFID = st.ByFID
-	if n.byFID == nil {
-		n.byFID = make(map[flow.FID]packet.FiveTuple)
-	}
-	n.byPort = make(map[uint16]Mapping, len(n.byTuple))
-	for _, m := range n.byTuple {
-		n.byPort[m.OutsidePort] = m
-	}
+	n.nextPort = next
 	return nil
 }
 
@@ -185,14 +167,17 @@ func (n *NAT) RestoreState(data []byte) error {
 func (n *NAT) Mappings() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return len(n.byTuple)
+	return len(n.byPort)
 }
 
-// MappingFor returns the translation for an outbound tuple.
-func (n *NAT) MappingFor(ft packet.FiveTuple) (Mapping, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	m, ok := n.byTuple[ft]
+// MappingFor returns the translation a live flow holds for an outbound
+// tuple.
+func (n *NAT) MappingFor(ft packet.FiveTuple) (m Mapping, ok bool) {
+	n.flows.Each(func(_ flow.FID, st core.State) {
+		if have, hm, used := mappingOf(st); used && have == ft {
+			m, ok = hm, true
+		}
+	})
 	return m, ok
 }
 
@@ -206,15 +191,21 @@ func (n *NAT) isInternal(ip [4]byte) bool {
 	return a>>shift == b>>shift
 }
 
-// translate returns (mapping, isNew, err) for an outbound tuple and
-// indexes the mapping by FID for FlowClosed cleanup.
-func (n *NAT) translate(fid flow.FID, ft packet.FiveTuple) (Mapping, bool, error) {
+// translate returns (mapping, isNew, err) for an outbound tuple: the
+// flow's own if its state holds one made for this tuple, else a freshly
+// allocated port, which the state then holds.
+func (n *NAT) translate(st core.State, ft packet.FiveTuple) (Mapping, bool, error) {
+	if have, m, ok := mappingOf(st); ok {
+		if have == ft {
+			return m, false, nil
+		}
+		// The flow shows a new tuple (an upstream rewrite changed): its
+		// old translation is of no more use.
+		n.left(st, true)
+		st[2].Store(0)
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.byFID[fid] = ft
-	if m, ok := n.byTuple[ft]; ok {
-		return m, false, nil
-	}
 	for tries := 0; tries <= 65535-int(n.portBase); tries++ {
 		port := uint16(n.nextPort)
 		if n.nextPort++; n.nextPort > 65535 {
@@ -224,21 +215,14 @@ func (n *NAT) translate(fid flow.FID, ft packet.FiveTuple) (Mapping, bool, error
 			continue
 		}
 		m := Mapping{InsideIP: ft.SrcIP, InsidePort: ft.SrcPort, OutsidePort: port}
-		n.byTuple[ft] = m
 		n.byPort[port] = m
+		hi, lo := ft.Key()
+		st[0].Store(hi)
+		st[1].Store(lo)
+		st[2].Store(uint64(port) | portPresent)
 		return m, true, nil
 	}
 	return Mapping{}, false, ErrPortsExhausted
-}
-
-// Release frees the mapping of a closed flow.
-func (n *NAT) Release(ft packet.FiveTuple) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if m, ok := n.byTuple[ft]; ok {
-		delete(n.byTuple, ft)
-		delete(n.byPort, m.OutsidePort)
-	}
 }
 
 // Process implements core.NF. MazuNAT sets each flow a modify action
@@ -253,7 +237,7 @@ func (n *NAT) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, error) {
 	switch {
 	case n.isInternal(ft.SrcIP):
 		// Outbound: source NAT.
-		m, isNew, err := n.translate(ctx.FID, ft)
+		m, isNew, err := n.translate(ctx.FlowState(&n.flows), ft)
 		if err != nil {
 			return 0, err
 		}

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"github.com/fastpathnfv/speedybox/internal/core"
+	"github.com/fastpathnfv/speedybox/internal/event"
+	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/mat"
 	"github.com/fastpathnfv/speedybox/internal/packet"
 )
@@ -41,11 +43,12 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestOutboundSNAT(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
 	n, err := New(cfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := core.NewCtx("nat", core.CtxConfig{FID: 1, Recording: true})
+	ctx := core.NewCtx("nat", core.CtxConfig{FID: 1, Events: tbl, Recording: true})
 	p := outbound(t, 1234)
 	v, err := n.Process(ctx, p)
 	if err != nil {
@@ -73,17 +76,18 @@ func TestOutboundSNAT(t *testing.T) {
 }
 
 func TestMappingStablePerFlow(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
 	n, err := New(cfg())
 	if err != nil {
 		t.Fatal(err)
 	}
 	p1 := outbound(t, 1234)
-	if _, err := n.Process(core.NewCtx("nat", core.CtxConfig{FID: 1}), p1); err != nil {
+	if _, err := n.Process(core.NewCtx("nat", core.CtxConfig{FID: 1, Events: tbl}), p1); err != nil {
 		t.Fatal(err)
 	}
 	port1 := p1.SrcPort()
 	p2 := outbound(t, 1234)
-	if _, err := n.Process(core.NewCtx("nat", core.CtxConfig{FID: 1}), p2); err != nil {
+	if _, err := n.Process(core.NewCtx("nat", core.CtxConfig{FID: 1, Events: tbl}), p2); err != nil {
 		t.Fatal(err)
 	}
 	if p2.SrcPort() != port1 {
@@ -91,7 +95,7 @@ func TestMappingStablePerFlow(t *testing.T) {
 	}
 	// A different flow gets a different port.
 	p3 := outbound(t, 5678)
-	if _, err := n.Process(core.NewCtx("nat", core.CtxConfig{FID: 2}), p3); err != nil {
+	if _, err := n.Process(core.NewCtx("nat", core.CtxConfig{FID: 2, Events: tbl}), p3); err != nil {
 		t.Fatal(err)
 	}
 	if p3.SrcPort() == port1 {
@@ -100,12 +104,13 @@ func TestMappingStablePerFlow(t *testing.T) {
 }
 
 func TestInboundDNAT(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
 	n, err := New(cfg())
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := outbound(t, 1234)
-	if _, err := n.Process(core.NewCtx("nat", core.CtxConfig{FID: 1}), out); err != nil {
+	if _, err := n.Process(core.NewCtx("nat", core.CtxConfig{FID: 1, Events: tbl}), out); err != nil {
 		t.Fatal(err)
 	}
 	extPort := out.SrcPort()
@@ -114,7 +119,7 @@ func TestInboundDNAT(t *testing.T) {
 		SrcIP: packet.IP4(93, 184, 216, 34), DstIP: cfg().ExternalIP,
 		SrcPort: 443, DstPort: extPort, Proto: packet.ProtoTCP, Payload: []byte("reply"),
 	})
-	v, err := n.Process(core.NewCtx("nat", core.CtxConfig{FID: 2}), in)
+	v, err := n.Process(core.NewCtx("nat", core.CtxConfig{FID: 2, Events: tbl}), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,6 +135,7 @@ func TestInboundDNAT(t *testing.T) {
 }
 
 func TestUnsolicitedInboundDropped(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
 	n, err := New(cfg())
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +144,7 @@ func TestUnsolicitedInboundDropped(t *testing.T) {
 		SrcIP: packet.IP4(8, 8, 8, 8), DstIP: cfg().ExternalIP,
 		SrcPort: 53, DstPort: 31337, Proto: packet.ProtoUDP,
 	})
-	ctx := core.NewCtx("nat", core.CtxConfig{FID: 1, Recording: true})
+	ctx := core.NewCtx("nat", core.CtxConfig{FID: 1, Events: tbl, Recording: true})
 	v, err := n.Process(ctx, in)
 	if err != nil {
 		t.Fatal(err)
@@ -153,6 +159,7 @@ func TestUnsolicitedInboundDropped(t *testing.T) {
 }
 
 func TestTransitTrafficForwards(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
 	n, err := New(cfg())
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +169,7 @@ func TestTransitTrafficForwards(t *testing.T) {
 		SrcPort: 1, DstPort: 2, Proto: packet.ProtoTCP,
 	})
 	before := append([]byte(nil), p.Data()...)
-	v, err := n.Process(core.NewCtx("nat", core.CtxConfig{FID: 1}), p)
+	v, err := n.Process(core.NewCtx("nat", core.CtxConfig{FID: 1, Events: tbl}), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,28 +182,30 @@ func TestTransitTrafficForwards(t *testing.T) {
 }
 
 func TestRelease(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
 	n, err := New(cfg())
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := outbound(t, 1234)
 	ft, _ := p.FiveTuple()
-	if _, err := n.Process(core.NewCtx("nat", core.CtxConfig{FID: 1}), p); err != nil {
+	if _, err := n.Process(core.NewCtx("nat", core.CtxConfig{FID: 1, Events: tbl}), p); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := n.MappingFor(ft); !ok {
 		t.Fatal("mapping missing")
 	}
-	n.Release(ft)
+	tbl.DropState(1, false) // the flow migrates away: its port leaves the pool too
 	if _, ok := n.MappingFor(ft); ok {
-		t.Error("mapping survived Release")
+		t.Error("mapping survived the flow's leaving")
 	}
 	if n.Mappings() != 0 {
-		t.Error("mapping count nonzero after Release")
+		t.Error("mapping count nonzero after the flow left")
 	}
 }
 
 func TestPortExhaustion(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
 	c := cfg()
 	c.PortBase = 65534 // only ports 65534, 65535 available
 	n, err := New(c)
@@ -204,36 +213,37 @@ func TestPortExhaustion(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := n.Process(core.NewCtx("nat", core.CtxConfig{FID: 0}), outbound(t, uint16(1000+i))); err != nil {
+		if _, err := n.Process(core.NewCtx("nat", core.CtxConfig{FID: flow.FID(i), Events: tbl}), outbound(t, uint16(1000+i))); err != nil {
 			t.Fatalf("flow %d: %v", i, err)
 		}
 	}
-	_, err = n.Process(core.NewCtx("nat", core.CtxConfig{FID: 0}), outbound(t, 3000))
+	_, err = n.Process(core.NewCtx("nat", core.CtxConfig{FID: 2, Events: tbl}), outbound(t, 3000))
 	if !errors.Is(err, ErrPortsExhausted) {
 		t.Errorf("err = %v, want ErrPortsExhausted", err)
 	}
 }
 
 func TestFlowClosedReleasesMapping(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
 	n, err := New(cfg())
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := outbound(t, 1234)
-	ctx := core.NewCtx("nat", core.CtxConfig{FID: 42})
+	ctx := core.NewCtx("nat", core.CtxConfig{FID: 42, Events: tbl})
 	if _, err := n.Process(ctx, p); err != nil {
 		t.Fatal(err)
 	}
 	if n.Mappings() != 1 {
 		t.Fatal("mapping missing")
 	}
-	n.FlowClosed(42)
+	tbl.DropState(42, true)
 	if n.Mappings() != 0 {
-		t.Error("mapping survived FlowClosed")
+		t.Error("mapping survived the flow's end")
 	}
-	// Idempotent on unknown flows.
-	n.FlowClosed(42)
-	n.FlowClosed(999)
+	// Idempotent, and a no-op on unknown flows.
+	tbl.DropState(42, true)
+	tbl.DropState(999, true)
 }
 
 // BenchmarkProcess measures a NAT slow-path packet — an established
@@ -243,6 +253,7 @@ func TestFlowClosedReleasesMapping(t *testing.T) {
 // six bytes they change and read nothing of the segment. Each iteration
 // puts the frame's headers back; the payload never changes.
 func BenchmarkProcess(b *testing.B) {
+	tbl := event.NewTable(flow.NewTable())
 	for _, n := range []int{16, 200, 1400} {
 		b.Run(fmt.Sprintf("payload=%d", n), func(b *testing.B) {
 			nat, err := New(cfg())
@@ -255,7 +266,7 @@ func BenchmarkProcess(b *testing.B) {
 			})
 			h, _ := p.Headers()
 			headers := append([]byte(nil), p.Data()[:h.PayloadOff]...)
-			ctx := core.NewCtx("nat", core.CtxConfig{FID: 1})
+			ctx := core.NewCtx("nat", core.CtxConfig{FID: 1, Events: tbl})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

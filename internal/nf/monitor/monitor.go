@@ -9,7 +9,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"github.com/fastpathnfv/speedybox/internal/core"
 	"github.com/fastpathnfv/speedybox/internal/flow"
@@ -18,20 +18,24 @@ import (
 	"github.com/fastpathnfv/speedybox/internal/sfunc"
 )
 
-// Counters is one flow's statistics.
+// Counters is one flow's statistics, or a sum of them.
 type Counters struct {
 	Packets uint64
 	Bytes   uint64
 }
 
-// Monitor is the NF. Counters are keyed by FID: the monitor trusts the
-// SpeedyBox classifier's flow identity, which is stable across header
-// rewrites.
+// Monitor is the NF. A flow's counters are two words of per-flow state
+// on its flow record — packets, then bytes — which the recorded state
+// function adds to directly; they are read from other goroutines
+// (Totals, Flow), so both sides use the words' atomic operations. The
+// monitor trusts the SpeedyBox classifier's flow identity, which is
+// stable across header rewrites.
 type Monitor struct {
-	name string
-
-	mu       sync.Mutex
-	counters map[flow.FID]*Counters
+	name  string
+	flows core.FlowStates
+	// closedPackets and closedBytes sum the counters of flows that have
+	// ended: the one thing the monitor keeps itself.
+	closedPackets, closedBytes atomic.Uint64
 }
 
 // New builds a Monitor.
@@ -39,99 +43,101 @@ func New(name string) (*Monitor, error) {
 	if name == "" {
 		return nil, fmt.Errorf("monitor: empty name")
 	}
-	return &Monitor{name: name, counters: make(map[flow.FID]*Counters)}, nil
+	m := &Monitor{name: name}
+	m.flows.Words = 2
+	m.flows.Leave = m.left
+	return m, nil
 }
 
-var _ core.NF = (*Monitor)(nil)
+var _ core.Stateful = (*Monitor)(nil)
 
 // Name implements core.NF.
 func (m *Monitor) Name() string { return m.name }
 
-// Flow returns a snapshot of one flow's counters.
+// FlowStates implements core.Stateful.
+func (m *Monitor) FlowStates() *core.FlowStates { return &m.flows }
+
+func counters(st core.State) Counters {
+	return Counters{Packets: st[0].Load(), Bytes: st[1].Load()}
+}
+
+// left folds an ended flow into the closed aggregate, so Totals goes on
+// counting it.
+func (m *Monitor) left(st core.State, ended bool) {
+	if ended {
+		c := counters(st)
+		m.closedPackets.Add(c.Packets)
+		m.closedBytes.Add(c.Bytes)
+	}
+}
+
+// Flow returns a snapshot of one live flow's counters.
 func (m *Monitor) Flow(fid flow.FID) (Counters, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c, ok := m.counters[fid]
-	if !ok {
+	st := m.flows.Of(fid)
+	if st == nil {
 		return Counters{}, false
 	}
-	return *c, true
+	return counters(st), true
 }
 
-// Flows returns the number of tracked flows.
+// Flows returns the number of live flows the monitor has counted.
 func (m *Monitor) Flows() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.counters)
+	n := 0
+	m.flows.Each(func(flow.FID, core.State) { n++ })
+	return n
 }
 
-// Totals sums counters over all flows.
+// Totals sums counters over all flows, live and ended. It is exact
+// between packets; under traffic a flow ending mid-sum may be counted
+// twice or not at all.
 func (m *Monitor) Totals() Counters {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var t Counters
-	for _, c := range m.counters {
+	t := Counters{Packets: m.closedPackets.Load(), Bytes: m.closedBytes.Load()}
+	m.flows.Each(func(_ flow.FID, st core.State) {
+		c := counters(st)
 		t.Packets += c.Packets
 		t.Bytes += c.Bytes
-	}
+	})
 	return t
 }
 
 var _ core.Snapshotter = (*Monitor)(nil)
 
-// SnapshotState implements core.Snapshotter: the per-flow counters,
-// gob-encoded by value.
+// SnapshotState implements core.Snapshotter: the ended flows' aggregate.
+// Live flows' counters travel on their flow records.
 func (m *Monitor) SnapshotState() ([]byte, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	flat := make(map[flow.FID]Counters, len(m.counters))
-	for fid, c := range m.counters {
-		flat[fid] = *c
-	}
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(flat); err != nil {
+	closed := Counters{Packets: m.closedPackets.Load(), Bytes: m.closedBytes.Load()}
+	if err := gob.NewEncoder(&buf).Encode(closed); err != nil {
 		return nil, fmt.Errorf("monitor: snapshot: %w", err)
 	}
 	return buf.Bytes(), nil
 }
 
-// RestoreState implements core.Snapshotter, replacing all counters.
+// RestoreState implements core.Snapshotter.
 func (m *Monitor) RestoreState(data []byte) error {
-	var flat map[flow.FID]Counters
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&flat); err != nil {
+	var closed Counters
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&closed); err != nil {
 		return fmt.Errorf("monitor: restore: %w", err)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.counters = make(map[flow.FID]*Counters, len(flat))
-	for fid, c := range flat {
-		cc := c
-		m.counters[fid] = &cc
-	}
+	m.closedPackets.Store(closed.Packets)
+	m.closedBytes.Store(closed.Bytes)
 	return nil
 }
 
-func (m *Monitor) count(fid flow.FID, nbytes int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c, ok := m.counters[fid]
-	if !ok {
-		c = &Counters{}
-		m.counters[fid] = c
-	}
-	c.Packets++
-	c.Bytes += uint64(nbytes)
+func count(st core.State, nbytes int) {
+	st[0].Add(1)
+	st[1].Add(uint64(nbytes))
 }
 
 // Process implements core.NF. On the initial packet it records a
 // forward action and registers its counting handler as a
-// payload-ignoring state function; the handler closure is exactly what
-// the fast path invokes afterwards, so slow- and fast-path packets hit
-// the same counter.
+// payload-ignoring state function bound to the flow's counters — the
+// very words the slow path just counted into, so slow- and fast-path
+// packets hit the same counter.
 func (m *Monitor) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, error) {
 	ctx.Charge(ctx.Model.Parse + ctx.Model.Classify)
-	fid := ctx.FID
-	m.count(fid, pkt.Len())
+	st := ctx.FlowState(&m.flows)
+	count(st, pkt.Len())
 	ctx.Charge(ctx.Model.CounterUpdate)
 	if !ctx.Recording() {
 		return core.VerdictForward, nil
@@ -145,7 +151,7 @@ func (m *Monitor) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, erro
 		Name:  "count",
 		Class: sfunc.ClassIgnore,
 		Run: func(p *packet.Packet) (uint64, error) {
-			m.count(fid, p.Len())
+			count(st, p.Len())
 			return counterUpdate, nil
 		},
 	})

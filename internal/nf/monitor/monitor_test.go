@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"github.com/fastpathnfv/speedybox/internal/core"
+	"github.com/fastpathnfv/speedybox/internal/event"
+	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/mat"
 	"github.com/fastpathnfv/speedybox/internal/packet"
 	"github.com/fastpathnfv/speedybox/internal/sfunc"
@@ -25,17 +27,18 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestCountsPerFlow(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
 	m, err := New("mon")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		ctx := core.NewCtx("mon", core.CtxConfig{FID: 1})
+		ctx := core.NewCtx("mon", core.CtxConfig{FID: 1, Events: tbl})
 		if _, err := m.Process(ctx, pkt(t, "abc")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ctx := core.NewCtx("mon", core.CtxConfig{FID: 2})
+	ctx := core.NewCtx("mon", core.CtxConfig{FID: 2, Events: tbl})
 	if _, err := m.Process(ctx, pkt(t, "other-flow")); err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +67,12 @@ func TestCountsPerFlow(t *testing.T) {
 }
 
 func TestRecordedStateFunctionCountsSameCounter(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
 	m, err := New("mon")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := core.NewCtx("mon", core.CtxConfig{FID: 9, Recording: true})
+	ctx := core.NewCtx("mon", core.CtxConfig{FID: 9, Events: tbl, Recording: true})
 	if _, err := m.Process(ctx, pkt(t, "init")); err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,6 @@ type Limiter struct {
 	mu      sync.Mutex
 	counts  map[[4]byte]uint64
 	blocked map[[4]byte]bool
-	sources map[flow.FID][4]byte // flow -> shared-state key
 }
 
 // New builds a Limiter.
@@ -60,7 +59,6 @@ func New(cfg Config) (*Limiter, error) {
 		quota:   quota,
 		counts:  make(map[[4]byte]uint64),
 		blocked: make(map[[4]byte]bool),
-		sources: make(map[flow.FID][4]byte),
 	}, nil
 }
 
@@ -69,24 +67,14 @@ var _ core.NF = (*Limiter)(nil)
 // Name implements core.NF.
 func (l *Limiter) Name() string { return l.name }
 
-var _ core.FlowCloser = (*Limiter)(nil)
-
-// FlowClosed implements core.FlowCloser: the flow-to-source binding is
-// released; the shared per-source counters persist (quota state
-// outlives individual flows by design).
-func (l *Limiter) FlowClosed(fid flow.FID) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	delete(l.sources, fid)
-}
-
 // limiterState is the gob image of the limiter: the cross-flow quota
-// state and the per-flow bindings to it. Without it a restored engine
-// brings back the rules but forgets which sources were blocked.
+// state, all the limiter keeps — a flow's binding to its source is the
+// address its recorded function and condition close over. Without it a
+// restored engine brings back the rules but forgets which sources were
+// blocked.
 type limiterState struct {
 	Counts  map[[4]byte]uint64
 	Blocked map[[4]byte]bool
-	Sources map[flow.FID][4]byte
 }
 
 var _ core.Snapshotter = (*Limiter)(nil)
@@ -96,7 +84,7 @@ func (l *Limiter) SnapshotState() ([]byte, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(limiterState{l.counts, l.blocked, l.sources}); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(limiterState{l.counts, l.blocked}); err != nil {
 		return nil, fmt.Errorf("ratelimiter: snapshot: %w", err)
 	}
 	return buf.Bytes(), nil
@@ -109,14 +97,13 @@ func (l *Limiter) RestoreState(data []byte) error {
 	st := limiterState{
 		Counts:  make(map[[4]byte]uint64),
 		Blocked: make(map[[4]byte]bool),
-		Sources: make(map[flow.FID][4]byte),
 	}
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return fmt.Errorf("ratelimiter: restore: %w", err)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.counts, l.blocked, l.sources = st.Counts, st.Blocked, st.Sources
+	l.counts, l.blocked = st.Counts, st.Blocked
 	return nil
 }
 
@@ -136,10 +123,9 @@ func (l *Limiter) Blocked(src [4]byte) bool {
 
 // observe charges one packet against the source's shared quota and
 // returns whether the source is (now) blocked.
-func (l *Limiter) observe(fid flow.FID, src [4]byte) bool {
+func (l *Limiter) observe(src [4]byte) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.sources[fid] = src
 	l.counts[src]++
 	if l.counts[src] > l.quota {
 		l.blocked[src] = true
@@ -153,11 +139,10 @@ func (l *Limiter) observe(fid flow.FID, src [4]byte) bool {
 // the counter, so the condition answers "would this packet exceed the
 // quota" — the packet that takes the source to quota+1 is the first
 // dropped, exactly as observe decides in the chain.
-func (l *Limiter) sourceBlocked(fid flow.FID) bool {
+func (l *Limiter) sourceBlocked(src [4]byte) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	src, ok := l.sources[fid]
-	return ok && (l.blocked[src] || l.counts[src] >= l.quota)
+	return l.blocked[src] || l.counts[src] >= l.quota
 }
 
 // Process implements core.NF.
@@ -167,8 +152,7 @@ func (l *Limiter) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, erro
 	if err != nil {
 		return 0, fmt.Errorf("ratelimiter %s: %w", l.name, err)
 	}
-	fid := ctx.FID
-	over := l.observe(fid, ft.SrcIP)
+	over := l.observe(ft.SrcIP)
 	ctx.Charge(ctx.Model.CounterUpdate)
 	if over {
 		if err := ctx.AddHeaderAction(mat.Drop()); err != nil {
@@ -192,7 +176,7 @@ func (l *Limiter) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, erro
 		Name:  "quota",
 		Class: sfunc.ClassIgnore,
 		Run: func(*packet.Packet) (uint64, error) {
-			l.observe(fid, src)
+			l.observe(src)
 			return counterUpdate, nil
 		},
 	}); err != nil {
@@ -201,7 +185,7 @@ func (l *Limiter) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, erro
 	// The shared-condition event: it fires for this flow as soon as
 	// ANY flow of the same source exhausts the quota.
 	if err := ctx.RegisterEvent(event.Event{
-		Condition: l.sourceBlocked,
+		Condition: func(flow.FID) bool { return l.sourceBlocked(src) },
 		OneShot:   true,
 		Update: func(_ flow.FID, r *mat.LocalRule) {
 			r.Actions = []mat.HeaderAction{mat.Drop()}

@@ -5,6 +5,7 @@ import (
 
 	"github.com/fastpathnfv/speedybox/internal/bess"
 	"github.com/fastpathnfv/speedybox/internal/core"
+	"github.com/fastpathnfv/speedybox/internal/event"
 	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/packet"
 )
@@ -32,6 +33,7 @@ func mkPkt(t *testing.T, src [4]byte, sport uint16, seq int) *packet.Packet {
 }
 
 func TestSharedQuotaAcrossFlows(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
 	l, err := New(Config{Name: "rl", Quota: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +44,7 @@ func TestSharedQuotaAcrossFlows(t *testing.T) {
 	verdicts := make([]core.Verdict, 0, 6)
 	for i := 0; i < 3; i++ {
 		for f := 0; f < 2; f++ {
-			ctx := core.NewCtx("rl", core.CtxConfig{FID: flowFID(f + 1)})
+			ctx := core.NewCtx("rl", core.CtxConfig{FID: flowFID(f + 1), Events: tbl})
 			v, err := l.Process(ctx, mkPkt(t, src, uint16(1000+f), i))
 			if err != nil {
 				t.Fatal(err)
@@ -63,7 +65,7 @@ func TestSharedQuotaAcrossFlows(t *testing.T) {
 	}
 	// A different source is untouched.
 	other := packet.IP4(7, 7, 7, 7)
-	ctx := core.NewCtx("rl", core.CtxConfig{FID: 99})
+	ctx := core.NewCtx("rl", core.CtxConfig{FID: 99, Events: tbl})
 	if v, err := l.Process(ctx, mkPkt(t, other, 2000, 0)); err != nil || v != core.VerdictForward {
 		t.Errorf("other source: %v, %v", v, err)
 	}
@@ -134,10 +136,11 @@ func TestSharedEventBlocksSiblingFlows(t *testing.T) {
 // TestSnapshotRoundTrip: block state survives a checkpoint, and an
 // empty snapshot restores to usable (non-nil) maps.
 func TestSnapshotRoundTrip(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
 	src := packet.IP4(66, 6, 6, 6)
 	process := func(l *Limiter) core.Verdict {
 		t.Helper()
-		v, err := l.Process(core.NewCtx("rl", core.CtxConfig{FID: 1}), mkPkt(t, src, 1000, 0))
+		v, err := l.Process(core.NewCtx("rl", core.CtxConfig{FID: 1, Events: tbl}), mkPkt(t, src, 1000, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,8 +176,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if !l.Blocked(src) || l.Count(src) != 3 {
 		t.Errorf("after restore: blocked = %v, count = %d, want true, 3", l.Blocked(src), l.Count(src))
 	}
-	if !l.sourceBlocked(1) {
-		t.Error("flow-to-source binding lost in restore")
+	if !l.sourceBlocked(src) {
+		t.Error("restored limiter: the condition of a flow from the blocked source does not hold")
 	}
 	if v := process(l); v != core.VerdictDrop {
 		t.Errorf("blocked source forwarded after restore: %v", v)

@@ -3,6 +3,7 @@ package snort
 import (
 	"testing"
 
+	"github.com/fastpathnfv/speedybox/internal/core"
 	"github.com/fastpathnfv/speedybox/internal/packet"
 )
 
@@ -23,12 +24,13 @@ func BenchmarkInspectContent(b *testing.B) {
 		b.Fatal(err)
 	}
 	ft := packet.FiveTuple{SrcIP: packet.IP4(1, 1, 1, 1), DstIP: packet.IP4(2, 2, 2, 2), SrcPort: 1, DstPort: 80, Proto: packet.ProtoTCP}
-	idxs := s.assign(1, ft)
+	st := make(core.State, s.flows.Words)
+	s.assign(st, ft)
 	payload := benchPayload(256, "nothing-here")
 	b.SetBytes(int64(len(payload)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.inspect(1, idxs, payload)
+		s.inspect(1, st, payload)
 	}
 }
 
@@ -44,12 +46,13 @@ func BenchmarkInspectRegexMatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	ft := packet.FiveTuple{SrcIP: packet.IP4(1, 1, 1, 1), DstIP: packet.IP4(2, 2, 2, 2), SrcPort: 1, DstPort: 80, Proto: packet.ProtoTCP}
-	idxs := s.assign(1, ft)
+	st := make(core.State, s.flows.Words)
+	s.assign(st, ft)
 	payload := benchPayload(256, "SELECT secret FROM users")
 	b.SetBytes(int64(len(payload)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.inspect(1, idxs, payload)
+		s.inspect(1, st, payload)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/fastpathnfv/speedybox/internal/core"
 	"github.com/fastpathnfv/speedybox/internal/packet"
 )
 
@@ -125,9 +126,10 @@ log tcp any any -> any 80 (pcre:"/GET \/admin/"; msg:"admin"; sid:1005;)
 		})
 	}
 	ft := packet.FiveTuple{SrcIP: packet.IP4(1, 1, 1, 1), DstIP: packet.IP4(2, 2, 2, 2), SrcPort: 9, DstPort: 80, Proto: packet.ProtoTCP}
-	idxs := s.assign(1, ft)
-	s.inspect(1, idxs, mk("ATTACK inside").Payload())
-	s.inspect(1, idxs, mk("GET /admin HTTP/1.1").Payload())
+	st := make(core.State, s.flows.Words)
+	s.assign(st, ft)
+	s.inspect(1, st, mk("ATTACK inside").Payload())
+	s.inspect(1, st, mk("GET /admin HTTP/1.1").Payload())
 	logs := s.Logs()
 	if len(logs) != 2 || logs[0].RuleID != 1001 || logs[1].RuleID != 1005 {
 		t.Errorf("logs = %+v", logs)

@@ -13,8 +13,10 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math/bits"
 	"regexp"
 	"sync"
+	"sync/atomic"
 
 	"github.com/fastpathnfv/speedybox/internal/core"
 	"github.com/fastpathnfv/speedybox/internal/flow"
@@ -103,16 +105,25 @@ type LogEntry struct {
 	Msg    string
 }
 
-// Snort is the IDS NF.
+// Snort is the IDS NF. A flow's rule assignment is per-flow state on its
+// flow record: word 0 holds the assigned and flagged-malicious bits, the
+// words after it one bit a rule — the subset whose headers match the
+// flow, which the recorded inspection function walks. What Snort keeps
+// itself is the log, which flows share.
 type Snort struct {
 	name  string
 	rules []Rule
+	flows core.FlowStates
 
-	mu        sync.Mutex
-	flowRules map[flow.FID][]int // rule indices assigned per flow
-	logs      []LogEntry
-	flagged   map[flow.FID]bool
+	mu   sync.Mutex
+	logs []LogEntry
 }
+
+// Bits of word 0 of a flow's state.
+const (
+	flowAssigned = 1 << iota
+	flowFlagged
+)
 
 // New builds a Snort instance over the rule list.
 func New(name string, rules []Rule) (*Snort, error) {
@@ -124,29 +135,18 @@ func New(name string, rules []Rule) (*Snort, error) {
 			return nil, fmt.Errorf("snort: rule %d has invalid type %d", i, int(r.Type))
 		}
 	}
-	return &Snort{
-		name:      name,
-		rules:     append([]Rule(nil), rules...),
-		flowRules: make(map[flow.FID][]int),
-		flagged:   make(map[flow.FID]bool),
-	}, nil
+	s := &Snort{name: name, rules: append([]Rule(nil), rules...)}
+	s.flows.Words = 1 + (len(rules)+63)/64
+	return s, nil
 }
 
-var _ core.NF = (*Snort)(nil)
+var _ core.Stateful = (*Snort)(nil)
 
 // Name implements core.NF.
 func (s *Snort) Name() string { return s.name }
 
-var _ core.FlowCloser = (*Snort)(nil)
-
-// FlowClosed implements core.FlowCloser: the per-flow rule assignment
-// is released; logs and malicious-flow flags are reporting artifacts
-// and are retained.
-func (s *Snort) FlowClosed(fid flow.FID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.flowRules, fid)
-}
+// FlowStates implements core.Stateful.
+func (s *Snort) FlowStates() *core.FlowStates { return &s.flows }
 
 // Logs returns a copy of the IDS log.
 func (s *Snort) Logs() []LogEntry {
@@ -155,108 +155,86 @@ func (s *Snort) Logs() []LogEntry {
 	return append([]LogEntry(nil), s.logs...)
 }
 
-// Flagged reports whether the flow was flagged malicious.
+// Flagged reports whether the live flow was flagged malicious.
 func (s *Snort) Flagged(fid flow.FID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.flagged[fid]
-}
-
-// snortState is the gob image of Snort's mutable state. Rule indices
-// stay valid across a restore because the rule list is construction
-// config, not runtime state: the restored instance is built over the
-// same list.
-type snortState struct {
-	FlowRules map[flow.FID][]int
-	Logs      []LogEntry
-	Flagged   map[flow.FID]bool
+	st := s.flows.Of(fid)
+	return st != nil && st[0].Load()&flowFlagged != 0
 }
 
 var _ core.Snapshotter = (*Snort)(nil)
 
-// SnapshotState implements core.Snapshotter: per-flow rule
-// assignments, the IDS log and the malicious-flow flags.
+// SnapshotState implements core.Snapshotter: the IDS log. The per-flow
+// rule assignments travel on the flow records; their rule indices stay
+// valid because the rule list is construction config — the restored
+// instance is built over the same list.
 func (s *Snort) SnapshotState() ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := snortState{
-		FlowRules: make(map[flow.FID][]int, len(s.flowRules)),
-		Logs:      append([]LogEntry(nil), s.logs...),
-		Flagged:   make(map[flow.FID]bool, len(s.flagged)),
-	}
-	for fid, idxs := range s.flowRules {
-		st.FlowRules[fid] = append([]int(nil), idxs...)
-	}
-	for fid, v := range s.flagged {
-		st.Flagged[fid] = v
-	}
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(s.Logs()); err != nil {
 		return nil, fmt.Errorf("snort: snapshot: %w", err)
 	}
 	return buf.Bytes(), nil
 }
 
-// RestoreState implements core.Snapshotter, replacing all mutable
-// state.
+// RestoreState implements core.Snapshotter, replacing the log.
 func (s *Snort) RestoreState(data []byte) error {
-	var st snortState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+	var logs []LogEntry
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&logs); err != nil {
 		return fmt.Errorf("snort: restore: %w", err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.flowRules = st.FlowRules
-	if s.flowRules == nil {
-		s.flowRules = make(map[flow.FID][]int)
-	}
-	s.logs = st.Logs
-	s.flagged = st.Flagged
-	if s.flagged == nil {
-		s.flagged = make(map[flow.FID]bool)
-	}
+	s.logs = logs
 	return nil
 }
 
-// assign selects the rule subset whose headers match the flow,
-// caching per flow — the per-flow "rule matching function".
-func (s *Snort) assign(fid flow.FID, ft packet.FiveTuple) []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if idxs, ok := s.flowRules[fid]; ok {
-		return idxs
+// assign selects the rule subset whose headers match the flow, once per
+// flow — the per-flow "rule matching function".
+func (s *Snort) assign(st core.State, ft packet.FiveTuple) {
+	if st[0].Load()&flowAssigned != 0 {
+		return
 	}
-	var idxs []int
 	for i, r := range s.rules {
 		if r.headerMatches(ft) {
-			idxs = append(idxs, i)
+			setBits(&st[1+i/64], 1<<(i%64))
 		}
 	}
-	s.flowRules[fid] = idxs
-	return idxs
+	setBits(&st[0], flowAssigned)
+}
+
+// setBits ors b into w (atomic.Uint64.Or, which go 1.22 lacks).
+func setBits(w *atomic.Uint64, b uint64) {
+	for {
+		old := w.Load()
+		if old&b == b || w.CompareAndSwap(old, old|b) {
+			return
+		}
+	}
 }
 
 // inspect runs the flow's assigned rules over a payload. The first
 // matching rule decides the outcome (Snort's first-match semantics);
 // Pass suppresses, Alert/Log record.
-func (s *Snort) inspect(fid flow.FID, idxs []int, payload []byte) {
-	for _, i := range idxs {
-		r := s.rules[i]
-		if !r.payloadMatches(payload) {
-			continue
+func (s *Snort) inspect(fid flow.FID, st core.State, payload []byte) {
+	for w := range st[1:] {
+		for set := st[1+w].Load(); set != 0; set &= set - 1 {
+			i := w*64 + bits.TrailingZeros64(set)
+			if i >= len(s.rules) {
+				return // state from a Snort with a longer rule list
+			}
+			r := &s.rules[i]
+			if !r.payloadMatches(payload) {
+				continue
+			}
+			if r.Type != TypePass { // explicitly permitted traffic: no log
+				s.mu.Lock()
+				s.logs = append(s.logs, LogEntry{FID: fid, RuleID: r.ID, Type: r.Type, Msg: r.Msg})
+				s.mu.Unlock()
+			}
+			if r.Type == TypeAlert {
+				setBits(&st[0], flowFlagged)
+			}
+			return
 		}
-		s.mu.Lock()
-		switch r.Type {
-		case TypePass:
-			// Explicitly permitted traffic: no log.
-		case TypeAlert:
-			s.logs = append(s.logs, LogEntry{FID: fid, RuleID: r.ID, Type: r.Type, Msg: r.Msg})
-			s.flagged[fid] = true
-		case TypeLog:
-			s.logs = append(s.logs, LogEntry{FID: fid, RuleID: r.ID, Type: r.Type, Msg: r.Msg})
-		}
-		s.mu.Unlock()
-		return
 	}
 }
 
@@ -270,10 +248,10 @@ func (s *Snort) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, error)
 	if err != nil {
 		return 0, fmt.Errorf("snort %s: %w", s.name, err)
 	}
-	fid := ctx.FID
-	idxs := s.assign(fid, ft)
+	fid, st := ctx.FID, ctx.FlowState(&s.flows)
+	s.assign(st, ft)
 	payload := pkt.Payload()
-	s.inspect(fid, idxs, payload)
+	s.inspect(fid, st, payload)
 	ctx.Charge(ctx.Model.InspectCost(len(payload)))
 	if !ctx.Recording() {
 		return core.VerdictForward, nil
@@ -288,7 +266,7 @@ func (s *Snort) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, error)
 		Class: sfunc.ClassRead,
 		Run: func(p *packet.Packet) (uint64, error) {
 			pl := p.Payload()
-			s.inspect(fid, idxs, pl)
+			s.inspect(fid, st, pl)
 			return model.InspectCost(len(pl)), nil
 		},
 	})

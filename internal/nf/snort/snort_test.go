@@ -1,10 +1,12 @@
 package snort
 
 import (
+	"math/bits"
 	"regexp"
 	"testing"
 
 	"github.com/fastpathnfv/speedybox/internal/core"
+	"github.com/fastpathnfv/speedybox/internal/event"
 	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/mat"
 	"github.com/fastpathnfv/speedybox/internal/packet"
@@ -41,6 +43,7 @@ func TestRuleTypeString(t *testing.T) {
 // flows matching Pass, Alert and Log rules cover the conditional
 // branches.
 func TestAllThreeRuleTypes(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
 	s, err := New("ids", []Rule{
 		{ID: 1, Type: TypePass, Content: []byte("BENIGN")},
 		{ID: 2, Type: TypeAlert, Content: []byte("EVIL"), Msg: "bad"},
@@ -62,7 +65,7 @@ func TestAllThreeRuleTypes(t *testing.T) {
 	}
 	total := 0
 	for _, c := range cases {
-		ctx := core.NewCtx("ids", core.CtxConfig{FID: flowFID(c.fid)})
+		ctx := core.NewCtx("ids", core.CtxConfig{FID: flowFID(c.fid), Events: tbl})
 		if _, err := s.Process(ctx, pkt(t, 80, c.payload)); err != nil {
 			t.Fatal(err)
 		}
@@ -84,20 +87,21 @@ func TestAllThreeRuleTypes(t *testing.T) {
 }
 
 func TestRegexRules(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
 	s, err := New("ids", []Rule{
 		{ID: 10, Type: TypeAlert, Pattern: regexp.MustCompile(`(?i)select\s.+\sfrom`), Msg: "sqli"},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := core.NewCtx("ids", core.CtxConfig{FID: 1})
+	ctx := core.NewCtx("ids", core.CtxConfig{FID: 1, Events: tbl})
 	if _, err := s.Process(ctx, pkt(t, 80, "q=SELECT secret FROM users")); err != nil {
 		t.Fatal(err)
 	}
 	if len(s.Logs()) != 1 {
 		t.Fatal("regex rule did not match")
 	}
-	ctx2 := core.NewCtx("ids", core.CtxConfig{FID: 2})
+	ctx2 := core.NewCtx("ids", core.CtxConfig{FID: 2, Events: tbl})
 	if _, err := s.Process(ctx2, pkt(t, 80, "SELECTED FROMAGE")); err != nil {
 		t.Fatal(err)
 	}
@@ -107,6 +111,7 @@ func TestRegexRules(t *testing.T) {
 }
 
 func TestHeaderFiltersScopeRules(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
 	s, err := New("ids", []Rule{
 		{ID: 1, Type: TypeAlert, DstPort: 443, Content: []byte("X"), Msg: "tls only"},
 	})
@@ -115,14 +120,14 @@ func TestHeaderFiltersScopeRules(t *testing.T) {
 	}
 	// Flow to port 80: rule's header filter excludes it, so even a
 	// payload match must not fire.
-	ctx := core.NewCtx("ids", core.CtxConfig{FID: 1})
+	ctx := core.NewCtx("ids", core.CtxConfig{FID: 1, Events: tbl})
 	if _, err := s.Process(ctx, pkt(t, 80, "X marks the spot")); err != nil {
 		t.Fatal(err)
 	}
 	if len(s.Logs()) != 0 {
 		t.Error("rule fired outside its header scope")
 	}
-	ctx2 := core.NewCtx("ids", core.CtxConfig{FID: 2})
+	ctx2 := core.NewCtx("ids", core.CtxConfig{FID: 2, Events: tbl})
 	if _, err := s.Process(ctx2, pkt(t, 443, "X marks the spot")); err != nil {
 		t.Fatal(err)
 	}
@@ -132,6 +137,7 @@ func TestHeaderFiltersScopeRules(t *testing.T) {
 }
 
 func TestFirstMatchWins(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
 	// Pass before Alert suppresses the alert (Snort semantics).
 	s, err := New("ids", []Rule{
 		{ID: 1, Type: TypePass, Content: []byte("EVIL-BUT-ALLOWED")},
@@ -140,7 +146,7 @@ func TestFirstMatchWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := core.NewCtx("ids", core.CtxConfig{FID: 1})
+	ctx := core.NewCtx("ids", core.CtxConfig{FID: 1, Events: tbl})
 	if _, err := s.Process(ctx, pkt(t, 80, "EVIL-BUT-ALLOWED traffic")); err != nil {
 		t.Fatal(err)
 	}
@@ -150,13 +156,14 @@ func TestFirstMatchWins(t *testing.T) {
 }
 
 func TestRecordedStateFunctionEquivalence(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
 	// The recorded handler must produce the same logs as the direct
 	// path — the core of §VII-C1.
 	s, err := New("ids", DefaultRules())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := core.NewCtx("ids", core.CtxConfig{FID: 5, Recording: true})
+	ctx := core.NewCtx("ids", core.CtxConfig{FID: 5, Events: tbl, Recording: true})
 	if _, err := s.Process(ctx, pkt(t, 80, "clean first packet")); err != nil {
 		t.Fatal(err)
 	}
@@ -189,14 +196,17 @@ func TestPerFlowRuleAssignmentIsCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	ft := packet.FiveTuple{SrcIP: packet.IP4(1, 1, 1, 1), DstIP: packet.IP4(2, 2, 2, 2), SrcPort: 9, DstPort: 80, Proto: packet.ProtoTCP}
-	a := s.assign(1, ft)
-	b := s.assign(1, ft)
-	if len(a) != len(b) {
+	st := make(core.State, s.flows.Words)
+	s.assign(st, ft)
+	first := st[1].Load()
+	// A second call keeps the assignment it finds, whatever the tuple.
+	s.assign(st, packet.FiveTuple{Proto: packet.ProtoUDP})
+	if st[1].Load() != first {
 		t.Error("assignment not stable")
 	}
 	// DefaultRules all have empty header filters, so all match.
-	if len(a) != len(DefaultRules()) {
-		t.Errorf("assigned %d rules, want %d", len(a), len(DefaultRules()))
+	if n := bits.OnesCount64(first); n != len(DefaultRules()) {
+		t.Errorf("assigned %d rules, want %d", n, len(DefaultRules()))
 	}
 }
 

@@ -10,10 +10,9 @@ package vpn
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"github.com/fastpathnfv/speedybox/internal/core"
-	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/mat"
 	"github.com/fastpathnfv/speedybox/internal/packet"
 )
@@ -54,15 +53,20 @@ type Config struct {
 // Gateway is the VPN NF. In encap mode each flow gets a stable SPI;
 // the AH sequence number is fixed per flow — a consolidation-friendly
 // simplification of AH anti-replay counters, documented in DESIGN.md.
+//
+// A flow's SPI is one word of per-flow state on its flow record (the SPI
+// with a present bit above it); the allocation counter is what flows
+// share.
 type Gateway struct {
 	name    string
 	mode    Mode
 	spiBase uint32
-
-	mu   sync.Mutex
-	spis map[flow.FID]uint32
-	next uint32
+	flows   core.FlowStates
+	next    atomic.Uint32
 }
+
+// spiPresent marks a flow's state word as holding an SPI.
+const spiPresent = 1 << 32
 
 // New builds a Gateway.
 func New(cfg Config) (*Gateway, error) {
@@ -72,12 +76,11 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.Mode != ModeEncap && cfg.Mode != ModeDecap {
 		return nil, fmt.Errorf("vpn: invalid mode %d", int(cfg.Mode))
 	}
-	return &Gateway{
-		name:    cfg.Name,
-		mode:    cfg.Mode,
-		spiBase: cfg.SPIBase,
-		spis:    make(map[flow.FID]uint32),
-	}, nil
+	g := &Gateway{name: cfg.Name, mode: cfg.Mode, spiBase: cfg.SPIBase}
+	if g.mode == ModeEncap {
+		g.flows.Words = 1
+	}
+	return g, nil
 }
 
 var _ core.NF = (*Gateway)(nil)
@@ -85,29 +88,21 @@ var _ core.NF = (*Gateway)(nil)
 // Name implements core.NF.
 func (g *Gateway) Name() string { return g.name }
 
-var _ core.FlowCloser = (*Gateway)(nil)
+var _ core.Stateful = (*Gateway)(nil)
 
-// FlowClosed implements core.FlowCloser: the flow's SPI assignment is
-// released.
-func (g *Gateway) FlowClosed(fid flow.FID) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	delete(g.spis, fid)
-}
+// FlowStates implements core.Stateful.
+func (g *Gateway) FlowStates() *core.FlowStates { return &g.flows }
 
 // Mode returns the gateway direction.
 func (g *Gateway) Mode() Mode { return g.mode }
 
 // spiFor allocates or returns the flow's SPI.
-func (g *Gateway) spiFor(fid flow.FID) uint32 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if spi, ok := g.spis[fid]; ok {
-		return spi
+func (g *Gateway) spiFor(st core.State) uint32 {
+	if w := st[0].Load(); w&spiPresent != 0 {
+		return uint32(w)
 	}
-	g.next++
-	spi := g.spiBase + g.next
-	g.spis[fid] = spi
+	spi := g.spiBase + g.next.Add(1)
+	st[0].Store(uint64(spi) | spiPresent)
 	return spi
 }
 
@@ -116,7 +111,7 @@ func (g *Gateway) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, erro
 	ctx.Charge(ctx.Model.Parse + ctx.Model.Classify)
 	switch g.mode {
 	case ModeEncap:
-		spi := g.spiFor(ctx.FID)
+		spi := g.spiFor(ctx.FlowState(&g.flows))
 		hdr := packet.ExtraHeader{Type: packet.HeaderAH, SPI: spi}
 		if err := pkt.Encap(hdr); err != nil {
 			return 0, fmt.Errorf("vpn %s: %w", g.name, err)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/fastpathnfv/speedybox/internal/core"
+	"github.com/fastpathnfv/speedybox/internal/event"
 	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/mat"
 	"github.com/fastpathnfv/speedybox/internal/packet"
@@ -34,11 +35,12 @@ func TestModeString(t *testing.T) {
 }
 
 func TestEncapAddsAH(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
 	gw, err := New(Config{Name: "gw", Mode: ModeEncap, SPIBase: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := core.NewCtx("gw", core.CtxConfig{FID: 1, Recording: true})
+	ctx := core.NewCtx("gw", core.CtxConfig{FID: 1, Events: tbl, Recording: true})
 	p := pkt(t)
 	if _, err := gw.Process(ctx, p); err != nil {
 		t.Fatal(err)
@@ -61,13 +63,14 @@ func TestEncapAddsAH(t *testing.T) {
 }
 
 func TestSPIStablePerFlow(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
 	gw, err := New(Config{Name: "gw", Mode: ModeEncap})
 	if err != nil {
 		t.Fatal(err)
 	}
 	getSPI := func(fid uint32) uint32 {
 		p := pkt(t)
-		ctx := core.NewCtx("gw", core.CtxConfig{FID: flowFID(fid)})
+		ctx := core.NewCtx("gw", core.CtxConfig{FID: flowFID(fid), Events: tbl})
 		if _, err := gw.Process(ctx, p); err != nil {
 			t.Fatal(err)
 		}
@@ -83,6 +86,7 @@ func TestSPIStablePerFlow(t *testing.T) {
 }
 
 func TestDecapRemovesAH(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
 	gw, err := New(Config{Name: "gw", Mode: ModeDecap})
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +99,7 @@ func TestDecapRemovesAH(t *testing.T) {
 	if err := p.FinalizeChecksums(); err != nil {
 		t.Fatal(err)
 	}
-	ctx := core.NewCtx("gw", core.CtxConfig{FID: 1})
+	ctx := core.NewCtx("gw", core.CtxConfig{FID: 1, Events: tbl})
 	if _, err := gw.Process(ctx, p); err != nil {
 		t.Fatal(err)
 	}
@@ -105,17 +109,19 @@ func TestDecapRemovesAH(t *testing.T) {
 }
 
 func TestDecapWithoutAHErrors(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
 	gw, err := New(Config{Name: "gw", Mode: ModeDecap})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := core.NewCtx("gw", core.CtxConfig{FID: 1})
+	ctx := core.NewCtx("gw", core.CtxConfig{FID: 1, Events: tbl})
 	if _, err := gw.Process(ctx, pkt(t)); err == nil {
 		t.Error("decap of AH-less packet succeeded")
 	}
 }
 
 func TestEncapDecapPairConsolidatesToNothing(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
 	// The §V-B elimination, end to end through two gateway NFs.
 	enc, err := New(Config{Name: "gw-in", Mode: ModeEncap})
 	if err != nil {
@@ -126,8 +132,8 @@ func TestEncapDecapPairConsolidatesToNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := pkt(t)
-	ctxE := core.NewCtx("gw-in", core.CtxConfig{FID: 1, Recording: true})
-	ctxD := core.NewCtx("gw-out", core.CtxConfig{FID: 1, Recording: true})
+	ctxE := core.NewCtx("gw-in", core.CtxConfig{FID: 1, Events: tbl, Recording: true})
+	ctxD := core.NewCtx("gw-out", core.CtxConfig{FID: 1, Events: tbl, Recording: true})
 	if _, err := enc.Process(ctxE, p); err != nil {
 		t.Fatal(err)
 	}

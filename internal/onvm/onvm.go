@@ -366,6 +366,7 @@ func (p *Platform) Close() error {
 	p.nfWg.Wait()
 	p.mgrRing.Close()
 	p.wg.Wait()
+	p.eng.Close()
 	return nil
 }
 

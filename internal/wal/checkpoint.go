@@ -6,14 +6,15 @@ import (
 	"sort"
 
 	"github.com/fastpathnfv/speedybox/internal/errcode"
+	"github.com/fastpathnfv/speedybox/internal/event"
 	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/packet"
 )
 
 // Checkpoint is a consistent snapshot of the engine's restorable
 // state: the declarative Global MAT rules at a recorded epoch, the
-// flow-table occupancy, the classifier's logical clock and each
-// Snapshotter NF's serialized state. WALSeq records the log position
+// flow-table occupancy with each flow's NF state, the classifier's
+// logical clock and each Snapshotter NF's serialized cross-flow state. WALSeq records the log position
 // the snapshot reflects; Engine.Restore replays only the journal
 // suffix past it.
 type Checkpoint struct {
@@ -38,7 +39,9 @@ type Checkpoint struct {
 	NFState map[string][]byte
 }
 
-// FlowEntry is the serializable projection of a flow.Entry.
+// FlowEntry is the serializable projection of a flow's entry: the
+// flow.Entry and the per-flow state of its NFs, which lives on the
+// entry's record.
 type FlowEntry struct {
 	FID      flow.FID
 	Tuple    packet.FiveTuple
@@ -46,13 +49,83 @@ type FlowEntry struct {
 	Packets  uint64
 	Bytes    uint64
 	LastSeen uint64
+	// NF is the flow's NF state, an image a slot in use.
+	NF []event.StateImage
+}
+
+// ImageOfEntry projects a flow-table entry and its NFs' state; Entry is
+// the flow.Entry half back.
+func ImageOfEntry(e flow.Entry, nf []event.StateImage) FlowEntry {
+	return FlowEntry{FID: e.FID, Tuple: e.Tuple, State: uint8(e.State),
+		Packets: e.Packets, Bytes: e.Bytes, LastSeen: e.LastSeen, NF: nf}
+}
+
+func (f *FlowEntry) Entry() flow.Entry {
+	return flow.Entry{FID: f.FID, Tuple: f.Tuple, State: flow.State(f.State),
+		Packets: f.Packets, Bytes: f.Bytes, LastSeen: f.LastSeen}
+}
+
+// appendFlowEntry encodes a flow entry as checkpoints and migration
+// records carry it. The NF state is a count, then per NF its name, a
+// word count and the words.
+func appendFlowEntry(body []byte, f *FlowEntry) []byte {
+	body = binary.LittleEndian.AppendUint32(body, uint32(f.FID))
+	body = append(body, f.Tuple.SrcIP[:]...)
+	body = append(body, f.Tuple.DstIP[:]...)
+	body = appendUint16(body, f.Tuple.SrcPort)
+	body = appendUint16(body, f.Tuple.DstPort)
+	body = append(body, f.Tuple.Proto, f.State)
+	body = binary.LittleEndian.AppendUint64(body, f.Packets)
+	body = binary.LittleEndian.AppendUint64(body, f.Bytes)
+	body = binary.LittleEndian.AppendUint64(body, f.LastSeen)
+	body = appendUint16(body, uint16(len(f.NF)))
+	for _, im := range f.NF {
+		body = appendString(body, im.NF)
+		body = appendUint16(body, uint16(len(im.Words)))
+		for _, w := range im.Words {
+			body = binary.LittleEndian.AppendUint64(body, w)
+		}
+	}
+	return body
+}
+
+// flowEntry decodes what appendFlowEntry wrote. Every count is checked
+// against the bytes that remain before anything is sized by it.
+func (r *byteReader) flowEntry() (f FlowEntry) {
+	f.FID = flow.FID(r.u32())
+	for j := 0; j < 4; j++ {
+		f.Tuple.SrcIP[j] = r.u8()
+	}
+	for j := 0; j < 4; j++ {
+		f.Tuple.DstIP[j] = r.u8()
+	}
+	f.Tuple.SrcPort = r.u16()
+	f.Tuple.DstPort = r.u16()
+	f.Tuple.Proto = r.u8()
+	f.State = r.u8()
+	f.Packets = r.u64()
+	f.Bytes = r.u64()
+	f.LastSeen = r.u64()
+	for n := int(r.u16()); n > 0 && r.ok; n-- {
+		im := event.StateImage{NF: r.str()}
+		words := int(r.u16())
+		if r.ok = r.ok && len(r.b) >= 8*words; !r.ok {
+			break
+		}
+		im.Words = make([]uint64, words)
+		for i := range im.Words {
+			im.Words[i] = r.u64()
+		}
+		f.NF = append(f.NF, im)
+	}
+	return f
 }
 
 // Checkpoint wire format: magic, version, CRC over the body, then the
 // body with the same primitive encoding as WAL record bodies.
 const (
 	checkpointMagic   = 0x53424350 // "SBCP"
-	checkpointVersion = 1
+	checkpointVersion = 2          // 2: flow entries carry NF state
 )
 
 // ErrBadCheckpoint reports a checkpoint blob that failed structural or
@@ -69,16 +142,8 @@ func (c *Checkpoint) Encode() []byte {
 	body = binary.LittleEndian.AppendUint64(body, c.WALSeq)
 	body = binary.LittleEndian.AppendUint64(body, c.Clock)
 	body = binary.LittleEndian.AppendUint32(body, uint32(len(c.Flows)))
-	for _, f := range c.Flows {
-		body = binary.LittleEndian.AppendUint32(body, uint32(f.FID))
-		body = append(body, f.Tuple.SrcIP[:]...)
-		body = append(body, f.Tuple.DstIP[:]...)
-		body = appendUint16(body, f.Tuple.SrcPort)
-		body = appendUint16(body, f.Tuple.DstPort)
-		body = append(body, f.Tuple.Proto, f.State)
-		body = binary.LittleEndian.AppendUint64(body, f.Packets)
-		body = binary.LittleEndian.AppendUint64(body, f.Bytes)
-		body = binary.LittleEndian.AppendUint64(body, f.LastSeen)
+	for i := range c.Flows {
+		body = appendFlowEntry(body, &c.Flows[i])
 	}
 	body = binary.LittleEndian.AppendUint32(body, uint32(len(c.Rules)))
 	for i := range c.Rules {
@@ -127,22 +192,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	c.Clock = rd.u64()
 	nf := int(rd.u32())
 	for i := 0; i < nf && rd.ok; i++ {
-		var f FlowEntry
-		f.FID = flow.FID(rd.u32())
-		for j := 0; j < 4; j++ {
-			f.Tuple.SrcIP[j] = rd.u8()
-		}
-		for j := 0; j < 4; j++ {
-			f.Tuple.DstIP[j] = rd.u8()
-		}
-		f.Tuple.SrcPort = rd.u16()
-		f.Tuple.DstPort = rd.u16()
-		f.Tuple.Proto = rd.u8()
-		f.State = rd.u8()
-		f.Packets = rd.u64()
-		f.Bytes = rd.u64()
-		f.LastSeen = rd.u64()
-		c.Flows = append(c.Flows, f)
+		c.Flows = append(c.Flows, rd.flowEntry())
 	}
 	nr := int(rd.u32())
 	for i := 0; i < nr && rd.ok; i++ {

@@ -5,18 +5,18 @@ import (
 	"hash/crc32"
 
 	"github.com/fastpathnfv/speedybox/internal/errcode"
-	"github.com/fastpathnfv/speedybox/internal/flow"
 )
 
-// MigrationRecord is the wire form of one flow's engine-side state in
-// transit between cluster instances: the flow-table entry plus the
-// restorable consolidated rule, encoded with the same primitives as
-// checkpoints. Event registrations and state-function batches are
-// closures bound to the old owner's Local MATs and deliberately do not
-// travel — a record with a nil Rule tells the new owner to re-record
-// the flow on its next packet (the always-correct demotion path), and
-// the degradation-ladder reset is implicit: ladder deadlines are ticks
-// of the old owner's logical clock, so the record simply omits them.
+// MigrationRecord is the wire form of one flow in transit between
+// cluster instances: the flow-table entry with its NFs' per-flow state,
+// plus the restorable consolidated rule, encoded as checkpoints encode
+// them. Event registrations and state-function batches are closures
+// bound to the old owner's record and deliberately do not travel — a
+// record with a nil Rule tells the new owner to re-record the flow on
+// its next packet (the always-correct demotion path) against the NF
+// state that did travel, and the degradation-ladder reset is implicit:
+// ladder deadlines are ticks of the old owner's logical clock, so the
+// record simply omits them.
 type MigrationRecord struct {
 	Flow FlowEntry
 	// Rule is the restorable consolidated rule, nil when the flow must
@@ -28,7 +28,7 @@ type MigrationRecord struct {
 // body with the checkpoint primitive encoding.
 const (
 	migrationMagic   = 0x53424d52 // "SBMR"
-	migrationVersion = 1
+	migrationVersion = 2          // 2: flow entries carry NF state
 )
 
 // ErrBadMigration reports a migration blob that failed structural or
@@ -44,15 +44,7 @@ func EncodeMigration(recs []MigrationRecord) []byte {
 	body = binary.LittleEndian.AppendUint32(body, uint32(len(recs)))
 	for i := range recs {
 		r := &recs[i]
-		body = binary.LittleEndian.AppendUint32(body, uint32(r.Flow.FID))
-		body = append(body, r.Flow.Tuple.SrcIP[:]...)
-		body = append(body, r.Flow.Tuple.DstIP[:]...)
-		body = appendUint16(body, r.Flow.Tuple.SrcPort)
-		body = appendUint16(body, r.Flow.Tuple.DstPort)
-		body = append(body, r.Flow.Tuple.Proto, r.Flow.State)
-		body = binary.LittleEndian.AppendUint64(body, r.Flow.Packets)
-		body = binary.LittleEndian.AppendUint64(body, r.Flow.Bytes)
-		body = binary.LittleEndian.AppendUint64(body, r.Flow.LastSeen)
+		body = appendFlowEntry(body, &r.Flow)
 		if r.Rule != nil {
 			body = append(body, 1)
 			body = appendRuleImage(body, r.Rule)
@@ -86,23 +78,9 @@ func DecodeMigration(data []byte) ([]MigrationRecord, error) {
 	}
 	rd := &byteReader{b: body, ok: true}
 	n := int(rd.u32())
-	recs := make([]MigrationRecord, 0, n)
+	var recs []MigrationRecord
 	for i := 0; i < n && rd.ok; i++ {
-		var r MigrationRecord
-		r.Flow.FID = flow.FID(rd.u32())
-		for j := 0; j < 4; j++ {
-			r.Flow.Tuple.SrcIP[j] = rd.u8()
-		}
-		for j := 0; j < 4; j++ {
-			r.Flow.Tuple.DstIP[j] = rd.u8()
-		}
-		r.Flow.Tuple.SrcPort = rd.u16()
-		r.Flow.Tuple.DstPort = rd.u16()
-		r.Flow.Tuple.Proto = rd.u8()
-		r.Flow.State = rd.u8()
-		r.Flow.Packets = rd.u64()
-		r.Flow.Bytes = rd.u64()
-		r.Flow.LastSeen = rd.u64()
+		r := MigrationRecord{Flow: rd.flowEntry()}
 		if rd.u8() != 0 {
 			im, rest, ok := decodeRuleImage(rd.b)
 			if !ok {

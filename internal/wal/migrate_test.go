@@ -2,9 +2,12 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"reflect"
 	"testing"
 
+	"github.com/fastpathnfv/speedybox/internal/event"
 	"github.com/fastpathnfv/speedybox/internal/packet"
 )
 
@@ -14,7 +17,13 @@ func sampleMigration() []MigrationRecord {
 			Flow: FlowEntry{FID: 4, Tuple: packet.FiveTuple{
 				SrcIP: [4]byte{10, 0, 0, 1}, DstIP: [4]byte{10, 0, 0, 2},
 				SrcPort: 6000, DstPort: 80, Proto: 6,
-			}, State: 2, Packets: 12, Bytes: 900, LastSeen: 8999},
+			}, State: 2, Packets: 12, Bytes: 900, LastSeen: 8999,
+				// The flow's NF state: a NAT translation, a pin, counters.
+				NF: []event.StateImage{
+					{NF: "mazunat", Words: []uint64{0x0a0000010a000002, 0x1770005006, 0x14e20}},
+					{NF: "maglev", Words: []uint64{2}},
+					{NF: "monitor", Words: []uint64{12, 900}},
+				}},
 			Rule: sampleImage(4),
 		},
 		{
@@ -76,8 +85,20 @@ func TestMigrationCorruptionFailsLoudly(t *testing.T) {
 	}
 }
 
-// FuzzDecodeMigration: arbitrary bytes must never panic or yield a
-// record batch that re-encodes differently than a clean round trip.
+// sealMigration frames a body as EncodeMigration does, checksum and all:
+// what a hostile sender, not line noise, would present.
+func sealMigration(body []byte) []byte {
+	out := binary.LittleEndian.AppendUint32(nil, migrationMagic)
+	out = appendUint16(out, migrationVersion)
+	out = appendUint16(out, 0)
+	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
+	return append(out, body...)
+}
+
+// FuzzDecodeMigration: arbitrary bytes must never panic, never make the
+// decoder allocate more than the input could describe, never yield
+// anything alongside an error, and never yield a record batch that
+// re-encodes differently than a clean round trip.
 func FuzzDecodeMigration(f *testing.F) {
 	data := EncodeMigration(sampleMigration())
 	f.Add(data)
@@ -86,10 +107,33 @@ func FuzzDecodeMigration(f *testing.F) {
 	mut := append([]byte(nil), data...)
 	mut[14] ^= 0x20
 	f.Add(mut)
+	// State-bearing seeds with a valid checksum over a lying body: a
+	// record count, an NF count and a word count far past the bytes that
+	// follow, and a state image cut mid-word.
+	body := data[12:]
+	f.Add(sealMigration(append([]byte{0xff, 0xff, 0xff, 0xff}, body[4:]...)))
+	entry := len(appendFlowEntry(nil, &FlowEntry{}))
+	nfCount := 4 + entry - 2 // the first record's NF count
+	for _, lie := range [][]byte{{0xff, 0xff}, {0x01, 0x00, 0x01, 0x00, 'x', 0xff, 0xff}} {
+		f.Add(sealMigration(append(append([]byte(nil), body[:nfCount]...), lie...)))
+	}
+	f.Add(sealMigration(body[:nfCount+2+2+len("mazunat")+2+11]))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		recs, err := DecodeMigration(in)
 		if err != nil {
+			if recs != nil {
+				t.Fatalf("a rejected blob yielded %d record(s)", len(recs))
+			}
 			return
+		}
+		words := 0
+		for _, r := range recs {
+			for _, im := range r.Flow.NF {
+				words += len(im.Words)
+			}
+		}
+		if len(recs) > len(in) || 8*words > len(in) {
+			t.Fatalf("%d bytes decoded to %d records holding %d state words", len(in), len(recs), words)
 		}
 		if got, rerr := DecodeMigration(EncodeMigration(recs)); rerr != nil || !reflect.DeepEqual(got, recs) {
 			t.Fatalf("accepted batch does not round-trip: %v", rerr)

@@ -71,12 +71,16 @@ type (
 	Engine = core.Engine
 	// PacketResult is the engine's per-packet accounting.
 	PacketResult = core.PacketResult
-	// FlowCloser is the optional NF interface for releasing
-	// NF-internal per-flow state on flow teardown.
-	FlowCloser = core.FlowCloser
-	// Teardowner is the optional NF interface for releasing all
-	// NF-internal state when the NF leaves a live chain.
-	Teardowner = core.Teardowner
+	// FlowStates declares an NF's per-flow state — words on the flow
+	// record the engine owns, frees with the flow and carries through
+	// migration and checkpoints — and is the NF's view of it; an NF
+	// that keeps any implements Stateful and reaches it through
+	// Ctx.FlowState.
+	FlowStates = core.FlowStates
+	// Stateful is the optional NF interface declaring per-flow state.
+	Stateful = core.Stateful
+	// FlowState is one NF's words on one flow's record.
+	FlowState = core.State
 	// Stats aggregates engine counters over a run.
 	Stats = core.Stats
 )
