@@ -598,7 +598,9 @@ func BenchmarkChain1SlowPathBatch(b *testing.B) {
 // TCP connection through ProcessBatch — SYN, ACK, the data packet that
 // records, consolidates and installs the rule, three on the fast path,
 // and the FIN that tears everything down. allocs/op is what a flow
-// costs to set up and remove (parent commit: ~80; the gate is 40).
+// costs to set up and remove: 12, the CI gate — the entry, its record
+// and NF state block, one recording, one rule, one event registration
+// and the NFs' own closures and values (DESIGN §16, "The set-up path").
 func BenchmarkChain1FlowLifecycle(b *testing.B) {
 	const perConn = 7
 	p := chain1BESS(b)

@@ -56,6 +56,9 @@ func (k Kind) String() string {
 type Result struct {
 	// FID is the flow identifier, also written into pkt.Meta.
 	FID flow.FID
+	// Handle is the flow's entry, as the classification found or made it:
+	// what the packet's set-up writes through, with no second probe.
+	Handle flow.Handle
 	// Kind is the routing decision.
 	Kind Kind
 	// NewFlow reports that this packet created the flow-table entry.
@@ -111,7 +114,7 @@ func (c *Classifier) Classify(pkt *packet.Packet, hasRule func(flow.Handle) bool
 	pkt.Meta.FID = uint32(fid)
 	pkt.Meta.HasFID = true
 
-	res := Result{FID: fid, NewFlow: !existed}
+	res := Result{FID: fid, Handle: h, NewFlow: !existed}
 
 	flags, isTCP := pkt.TCPFlags()
 	final := isTCP && flags&(packet.TCPFlagFIN|packet.TCPFlagRST) != 0
@@ -193,7 +196,7 @@ func (c *Classifier) ClassifyData(pkt *packet.Packet) (Result, bool) {
 	}
 	pkt.Meta.FID = uint32(h.FID())
 	pkt.Meta.HasFID = true
-	return Result{FID: h.FID()}, true
+	return Result{FID: h.FID(), Handle: h}, true
 }
 
 // Teardown removes the flow from the flow table after FIN/RST

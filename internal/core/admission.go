@@ -48,15 +48,14 @@ type Admission interface {
 	ReleaseEvents(tenant int32, n int)
 }
 
-// admitRule charges the flow's first install to the tenant its events
-// are charged to, if they are, else to tenant. A flow holding its rule's
-// budget is charged nothing, and neither is one with a rule on its
-// entry: a restored or migrated rule went in uncharged, and refusing its
-// rebuild would leave it served outdated. A flow no entry tracks is not
-// charged.
-func (e *Engine) admitRule(fid flow.FID, tenant int32) bool {
+// admitRule charges the first install of the flow under edit to the
+// tenant its events are charged to, if any, else to tenant. A flow
+// holding its rule's budget is charged nothing, and neither is one with
+// a rule on its entry: a restored or migrated rule went in uncharged, and
+// refusing its rebuild would leave it served outdated.
+func (e *Engine) admitRule(ed flow.Edit, tenant int32) bool {
 	ok := true
-	e.events.Stand(fid, true, func(h flow.Handle, s *event.Standing) {
+	e.events.Stand(ed, true, func(h flow.Handle, s *event.Standing) {
 		if s.Rule || h.Rule() != nil {
 			return
 		}
@@ -74,7 +73,9 @@ func (e *Engine) admitRule(fid flow.FID, tenant int32) bool {
 // packet's tenant.
 func (c *Ctx) admitEvent() bool {
 	ok := true
-	c.events.Stand(c.FID, true, func(_ flow.Handle, s *event.Standing) {
+	ed := c.flows.EditHandle(c.h)
+	defer ed.Done()
+	c.events.Stand(ed, true, func(_ flow.Handle, s *event.Standing) {
 		if ok = c.admit.AdmitEvent(c.tenant); ok {
 			s.Tenant = c.tenant
 			s.Events++
@@ -83,14 +84,14 @@ func (c *Ctx) admitEvent() bool {
 	return ok
 }
 
-// refund gives back what the flow holds of its rule's budget (rule) and
-// of its events' (events). It is a no-op without an admission policy,
-// under which a flow never holds any.
-func (e *Engine) refund(fid flow.FID, rule, events bool) {
+// refund gives back what the flow under edit holds of its rule's budget
+// (rule) and of its events' (events). It is a no-op without an admission
+// policy, under which a flow never holds any.
+func (e *Engine) refund(ed flow.Edit, rule, events bool) {
 	if e.admission == nil {
 		return
 	}
-	e.events.Stand(fid, false, func(_ flow.Handle, s *event.Standing) {
+	e.events.Stand(ed, false, func(_ flow.Handle, s *event.Standing) {
 		if rule && s.Rule {
 			e.admission.ReleaseRule(s.Tenant)
 			s.Rule = false

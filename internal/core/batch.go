@@ -40,7 +40,7 @@ const flowCacheWays = 4
 // warmed on one engine never validates against another's.
 type flowCtx struct {
 	// kHi/kLo are the packed flow key (packet.FlowKey) the probe
-	// compares; a context reached by FID alone (Batch.scratchFor) leaves
+	// compares; a context built from a handle (Batch.classified) leaves
 	// them zero.
 	kHi, kLo uint64
 	h        flow.Handle
@@ -137,8 +137,8 @@ func (s *statsShard) fold(d *statsDelta) {
 // and are valid only until the next call on the same Batch.
 type Batch struct {
 	// flows is the keyed context cache, clock its round-robin victim
-	// pointer. scratch serves packets that arrive with a FID and no
-	// cached tuple (see scratchFor).
+	// pointer. scratch serves packets whose flow a full classification
+	// found (see classified).
 	flows   [flowCacheWays]flowCtx
 	clock   uint8
 	scratch flowCtx
@@ -293,18 +293,11 @@ func (b *Batch) flowCtxFor(flows *flow.Table, kHi, kLo uint64) (*flowCtx, bool) 
 	return fc, true
 }
 
-// scratchFor returns the context for a packet that arrives with only a
-// FID: a FIN/RST (or any packet) classified by the full Classify, and
-// every packet on the ONVM manager core, whose RX core classified it.
-// It is one entry, rebuilt by a probe of the FID index when the FID or
-// the table generation changes (an insertion moves no generation, so a
-// miss is not remembered), so a run of one flow's packets keeps its
-// handle.
-func (b *Batch) scratchFor(flows *flow.Table, fid flow.FID) *flowCtx {
-	if gen := flows.Gen(); !b.scratch.used || b.scratch.fid != fid || b.scratch.gen != gen {
-		h, ok := flows.AcquireFID(fid)
-		b.scratch = flowCtx{h: h, gen: gen, used: ok, fid: fid}
-	}
+// classified returns the context of a packet whose flow a full
+// classification found — run through Classify, or on the ONVM manager
+// core — built from the handle it returned, with no probe.
+func (b *Batch) classified(h flow.Handle) *flowCtx {
+	b.scratch = flowCtx{h: h, used: true, fid: h.FID()}
 	return &b.scratch
 }
 
@@ -374,23 +367,15 @@ func (e *Engine) flushStats(b *Batch) {
 
 // ProcessBatch classifies and processes a vector of packets in arrival
 // order — the engine's one data path; ProcessPacket is a vector of one.
-// A vector amortizes per-packet dispatch: a fast-shaped packet finds its
-// flow context with one keyed probe, its classification and rule are
-// loads off the entry that context holds, and its event checks are
-// guards on that rule; fast-path results are written into preallocated
-// storage, and counters and the fast-path latency histogram are folded
-// into a few updates per vector.
-//
-// The vector size never changes what a packet observes — the
-// differential oracle holds vectors of 1 and of 32 bit-identical.
-// Arrival order is preserved across the whole vector (no grouping or
-// sorting): NFs keep cross-flow state (rate limiters, DoS counters),
-// so reordering could change verdicts. Returned results — the
-// PacketResult, its Fast or Slow info and Slow.PerNF — point into the
-// Batch and are valid until its next use, when they are overwritten: a
-// caller that keeps one across calls copies it first (ProcessPacket
-// does). Processing stops at the first failing packet, whose
-// predecessors stay accounted.
+// A fast-shaped packet finds its flow context with one keyed probe, its
+// classification and rule are loads off that context's entry, its event
+// checks guards on the rule; results go to preallocated storage and
+// counters fold a few updates a vector. The vector size never changes
+// what a packet observes (the oracle holds vectors of 1 and 32
+// bit-identical), and arrival order is kept: NFs keep cross-flow state,
+// so reordering could change verdicts. Returned results point into the
+// Batch and are valid until its next use. Processing stops at the first
+// failing packet, whose predecessors stay accounted.
 func (e *Engine) ProcessBatch(pkts []*packet.Packet, b *Batch) ([]*PacketResult, error) {
 	b.begin(len(pkts))
 	out := b.out
@@ -443,7 +428,7 @@ func (e *Engine) process(pkt *packet.Packet, info *FastPathInfo, res *PacketResu
 			return err
 		}
 		fid, kind = cls.FID, cls.Kind
-		fc = b.scratchFor(e.class.Flows(), fid)
+		fc = b.classified(cls.Handle)
 	}
 
 	// Fault: flow-table eviction pressure — the MAT "ran out of space"
@@ -454,7 +439,7 @@ func (e *Engine) process(pkt *packet.Packet, info *FastPathInfo, res *PacketResu
 	// back to the slow path, it does not re-record as Initial.
 	if e.faults != nil && e.opts.EnableSpeedyBox &&
 		e.faults.Should(fault.KindEvictPressure, fid) {
-		e.evictConsolidated(fid)
+		e.evictConsolidated(fc.h)
 	}
 
 	var err error
@@ -465,23 +450,23 @@ func (e *Engine) process(pkt *packet.Packet, info *FastPathInfo, res *PacketResu
 		if e.global.Live(fc.h) != nil {
 			err = e.fastPathInto(fc, pkt, info, res, b)
 		} else {
-			err = e.slowPath(fid, pkt, false, res, b)
+			err = e.slowPath(fc.h, pkt, false, res, b)
 		}
 		if err == nil {
-			e.teardown(fid, CauseFinTeardown)
+			e.teardown(e.class.Flows().EditHandle(fc.h), CauseFinTeardown)
 			res.TornDown = true
 		}
 	case classifier.KindInitial:
 		// The slow path drives the original chain, which may observe
 		// flow entries: fold pending bookkeeping first.
 		b.flushFlows()
-		recording := e.TryBeginRecording(fid)
-		err = e.slowPath(fid, pkt, recording, res, b)
+		recording := e.TryBeginRecording(fc.h)
+		err = e.slowPath(fc.h, pkt, recording, res, b)
 		if recording {
-			e.EndRecording(fid)
+			e.EndRecording(fc.h)
 		}
 	default: // KindHandshake
-		err = e.slowPath(fid, pkt, false, res, b)
+		err = e.slowPath(fc.h, pkt, false, res, b)
 	}
 	if err != nil {
 		return err

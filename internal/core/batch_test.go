@@ -277,7 +277,7 @@ func TestProcessBatchStaleRuleMidBatch(t *testing.T) {
 type neighbourRegistrar struct {
 	name    string
 	events  *event.Table
-	target  flow.FID
+	target  flow.Handle
 	trigger uint16
 }
 
@@ -317,7 +317,7 @@ func TestProcessBatchRegisterMidBatch(t *testing.T) {
 	if r := eng.global.Live(fc.h); r == nil || r.Guards() != nil {
 		t.Fatal("warm flow has no guard-free rule")
 	}
-	nf.target = fc.fid
+	nf.target = fc.h
 	rs, err := eng.ProcessBatch([]*packet.Packet{
 		udpPkt(t, 8451, "verdict still valid"),
 		udpPkt(t, 8452, "neighbour registers"),
@@ -554,9 +554,11 @@ func TestRekeyClearsContext(t *testing.T) {
 
 // TestOneBatchTwoEngines: the cluster carries a worker's Batch across
 // engine instances. Contexts warmed on engine A — keyed ones and the
-// FID-keyed scratch — hold A's handle, rule and verdict under the same
-// tuples and FIDs engine B uses; every stamp is from A's generation
-// bands, so B's packets must record on B and execute B's rules.
+// scratch one a full classification builds — hold A's handle, rule and
+// verdict under the same tuples and FIDs engine B uses; every stamp is
+// from A's generation bands, and the scratch context is rebuilt from B's
+// own classification, so B's packets must record on B and execute B's
+// rules.
 func TestOneBatchTwoEngines(t *testing.T) {
 	mk := func(dip byte) *Engine {
 		eng, err := NewEngine([]NF{
@@ -615,7 +617,7 @@ func TestOneBatchTwoEngines(t *testing.T) {
 }
 
 // TestWarmPathAllocatesNothing: a warm 32-packet vector over cached
-// flows allocates nothing, and neither does the FID-keyed scratch
+// flows allocates nothing, and neither does the handle-built scratch
 // context FastProcess runs on — FastProcess itself allocates exactly the
 // result copy it hands to its asynchronous caller.
 func TestWarmPathAllocatesNothing(t *testing.T) {
@@ -639,12 +641,12 @@ func TestWarmPathAllocatesNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(50, run); n != 0 {
 		t.Errorf("warm 32-packet vector: %v allocs, want 0", n)
 	}
-	fid := b.flows[0].fid
+	h := b.flows[0].h
 	var info FastPathInfo
 	var res PacketResult
 	scratch := func() {
 		info, res = FastPathInfo{}, PacketResult{}
-		if err := eng.fastPathInto(b.scratchFor(eng.class.Flows(), fid), vec[0], &info, &res, b); err != nil {
+		if err := eng.fastPathInto(b.classified(h), vec[0], &info, &res, b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -652,7 +654,7 @@ func TestWarmPathAllocatesNothing(t *testing.T) {
 		t.Errorf("scratch context: %v allocs, path %v, want 0 on the fast path", n, res.Path)
 	}
 	if n := testing.AllocsPerRun(50, func() {
-		if _, err := eng.FastProcess(fid, vec[0], b); err != nil {
+		if _, err := eng.FastProcess(h, vec[0], b); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 1 {

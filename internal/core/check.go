@@ -8,8 +8,7 @@ import (
 )
 
 // CheckRecords walks the flow table once and checks what every flow
-// record must satisfy between packets — what was five tables' worth of
-// cross-checks when rule, recording and events each had their own:
+// record must satisfy between packets:
 //
 //   - a rule sits on the entry of its own FID;
 //   - a rule a packet could be served from knows its flow's events: its
@@ -39,17 +38,20 @@ func (e *Engine) CheckRecords() error {
 			err = fmt.Errorf("core: flow records: "+format, args...)
 		}
 	}
-	e.class.Flows().Each(func(h flow.Handle) {
+	flows := e.class.Flows()
+	flows.Each(func(h flow.Handle) {
 		fid := h.FID()
 		pending := e.events.Pending(fid)
 		if pending > 0 {
 			armed++
 		}
-		e.events.Stand(fid, false, func(h flow.Handle, s *event.Standing) {
+		ed := flows.EditHandle(h)
+		e.events.Stand(ed, false, func(h flow.Handle, s *event.Standing) {
 			if h.Detached() && !s.Zero() {
 				fail("detached entry of %v stands on the ladder or holds a budget", fid)
 			}
 		})
+		ed.Done()
 		for _, nf := range event.StateOwners(h) {
 			if h.Detached() {
 				fail("detached entry of %v holds state of NF %q", fid, nf)
@@ -58,15 +60,15 @@ func (e *Engine) CheckRecords() error {
 				fail("%v holds state of NF %q, which the chain does not have", fid, nf)
 			}
 		}
-		r, ok := e.global.Lookup(fid)
-		if !ok {
+		r := e.global.Rule(h)
+		if r == nil {
 			if h.Detached() {
 				fail("detached entry of %v holds no rule", fid)
 			}
 			return
 		}
 		rules++
-		if e.global.IsStale(fid) {
+		if h.Stale() {
 			stale++
 		}
 		if r.FID != fid {
@@ -75,7 +77,7 @@ func (e *Engine) CheckRecords() error {
 		if e.global.Live(h) != r {
 			return
 		}
-		if g := r.Guards(); g != event.AskTable && !e.events.Guarded(fid, g) {
+		if g := r.Guards(); g != event.AskTable && !event.GuardsCurrent(h, g) {
 			fail("rule of %v: guards are not the flow's %d registered event(s)", fid, pending)
 		}
 		if r.FixedCycles == 0 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"github.com/fastpathnfv/speedybox/internal/event"
+	"github.com/fastpathnfv/speedybox/internal/fault"
 	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/telemetry"
 )
@@ -25,14 +26,16 @@ const (
 	degradeMaxFails    = 8
 )
 
-// degrade moves the flow onto (or up) the ladder. escalate counts a
-// failed install or a lost recomputation: consecutive failures double
-// the retry deadline up to the cap. Without it the flow waits for the
-// very next initial packet: a delayed (not lost) recomputation, which
-// the control plane is expected to catch up on immediately.
-func (e *Engine) degrade(fid flow.FID, cause string, escalate bool) {
+// degrade moves the flow under edit onto (or up) the ladder. escalate
+// counts a failed install or a lost recomputation: consecutive failures
+// double the retry deadline up to the cap. Without it the flow waits for
+// the very next initial packet (a delayed, not lost, recomputation).
+func (e *Engine) degrade(ed flow.Edit, cause string, escalate bool) {
+	if !ed.Found() {
+		return
+	}
 	now := e.class.Now()
-	e.events.Stand(fid, true, func(_ flow.Handle, s *event.Standing) {
+	e.events.Stand(ed, true, func(_ flow.Handle, s *event.Standing) {
 		backoff := uint64(1)
 		if escalate {
 			s.Fails = min(s.Fails+1, degradeMaxFails)
@@ -41,28 +44,42 @@ func (e *Engine) degrade(fid flow.FID, cause string, escalate bool) {
 		s.RetryAt.Store(now + backoff)
 	})
 	if e.tel != nil {
-		e.tel.rec.Append(telemetry.EvDegrade, uint32(fid), cause)
+		e.tel.rec.Append(telemetry.EvDegrade, uint32(ed.Handle().FID()), cause)
 	}
 }
 
-// clearDegraded takes the flow off the ladder after a successful rule
-// install, counting the recovery. A flow not on it costs a lock-free
-// probe and a load.
-func (e *Engine) clearDegraded(fid flow.FID) {
-	if h, ok := e.class.Flows().AcquireFID(fid); !ok || event.RetryAt(h) == 0 {
+// markStale is a fault of kind leaving the rule of the flow under edit
+// at odds with its recording: the rule is stale-marked, the flow degraded.
+func (e *Engine) markStale(ed flow.Edit, kind fault.Kind, cause string, escalate bool) {
+	stale := e.global.MarkStaleAt(ed)
+	e.degrade(ed, cause, escalate)
+	if e.tel != nil && ed.Found() {
+		fid := uint32(ed.Handle().FID())
+		e.tel.rec.Append(telemetry.EvFaultInject, fid, kind.String())
+		if stale {
+			e.tel.rec.Append(telemetry.EvRuleStale, fid, cause)
+		}
+	}
+}
+
+// clearDegraded takes the flow under edit off the ladder after a
+// successful rule install, counting the recovery.
+func (e *Engine) clearDegraded(ed flow.Edit) {
+	h := ed.Handle()
+	if event.RetryAt(h) == 0 {
 		return
 	}
 	recovered := false
-	e.events.Stand(fid, false, func(_ flow.Handle, s *event.Standing) {
+	e.events.Stand(ed, false, func(_ flow.Handle, s *event.Standing) {
 		recovered = s.RetryAt.Swap(0) != 0
 		s.Fails = 0
 	})
 	if !recovered {
 		return
 	}
-	e.statsFor(fid).faultRecoveries.Add(1)
+	e.statsFor(h.FID()).faultRecoveries.Add(1)
 	if e.tel != nil {
-		e.tel.rec.Append(telemetry.EvRecover, uint32(fid), "")
+		e.tel.rec.Append(telemetry.EvRecover, uint32(h.FID()), "")
 	}
 }
 

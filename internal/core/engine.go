@@ -111,22 +111,17 @@ type statsShard struct {
 const cacheLine = 64
 
 // Engine wires a service chain to the SpeedyBox machinery. It is safe
-// for concurrent use: the pipelined ONVM platform classifies,
-// processes and consolidates from different goroutines, and the
-// multi-queue platform calls ProcessBatch from one worker per RSS
-// queue, each on its own Batch. A flow's state — tracking, rule,
-// recording, events, recording claim — is its one entry in the flow
-// table — the ladder and the admission budget held included — which is
-// sharded by FID as the counters are, so workers handling disjoint flows
-// do not contend.
+// for concurrent use: the pipelined ONVM platform classifies, processes
+// and consolidates from different goroutines, and the multi-queue
+// platform calls ProcessBatch from one worker per RSS queue, each on its
+// own Batch. A flow's state is its one entry in the flow table, sharded
+// by FID as the counters are, so workers of disjoint flows do not contend.
 type Engine struct {
 	model *cost.Model
 	opts  Options
-	// cur is the live chain snapshot: the NF sequence and the chain
-	// epoch, immutable once published.
-	// Reconfigure swaps in a fresh snapshot atomically; data-path code
-	// loads the pointer once per packet (or per batch element) and works
-	// against that consistent view for the whole traversal.
+	// cur is the live chain snapshot, immutable once published:
+	// Reconfigure swaps in a fresh one, and a traversal loads it once and
+	// works against that view throughout.
 	cur atomic.Pointer[chainState]
 	// reconfigMu serializes Reconfigure: plan validation, epoch advance,
 	// snapshot publication and the stale sweep form one critical section.
@@ -137,34 +132,25 @@ type Engine struct {
 
 	stats [statsShardCount]statsShard
 
-	// faults is the optional injector (Options.Faults); nil means no
-	// injection. All injection sites guard on the nil check.
-	faults *fault.Injector
-	// admission is the optional tenant-isolation policy
-	// (Options.Admission); nil admits everything. Consulted only at
-	// control-plane sites (consolidation, event registration,
-	// teardown), never per fast-path packet.
+	// faults (Options.Faults) and admission (Options.Admission) are nil
+	// when off; admission is consulted at control-plane sites only.
+	faults    *fault.Injector
 	admission Admission
 
 	// tel is the pre-resolved telemetry metric set, nil when
-	// Options.Telemetry is unset. Hot paths guard every use with a
-	// single nil check.
+	// Options.Telemetry is unset.
 	tel *engineTelemetry
 
 	// wal is the attached write-ahead log (persist.go), nil when
-	// durability is off. Journaling happens inside the Global MAT and
-	// Event Table via their journal hooks, never on the per-packet
-	// data path.
+	// durability is off; the tables' journal hooks feed it.
 	wal *wal.Writer
 
-	// lastCheckpoint is the unix-nanosecond stamp of the most recent
-	// successful Checkpoint (0 = never), read at scrape time by the
-	// speedybox_checkpoint_age_seconds gauge and by daemon status.
+	// lastCheckpoint is the unix-nanosecond stamp of the last successful
+	// Checkpoint (0 = never).
 	lastCheckpoint atomic.Int64
 
-	// scalar pools the one-packet Batches behind ProcessPacket. The pool
-	// is per engine: a Batch's flow handles and cached rules validate
-	// against this engine's table generations only.
+	// scalar pools ProcessPacket's one-packet Batches, per engine: a
+	// Batch's handles validate against this engine's table only.
 	scalar sync.Pool
 }
 
@@ -212,37 +198,27 @@ func (e *Engine) statsFor(fid flow.FID) *statsShard {
 
 // TryBeginRecording is the recording gate every initial packet passes,
 // on the run-to-completion ladder and at the ONVM RX thread alike: a
-// flow on the degradation ladder may only retry recording once its
-// backoff deadline has passed (until then its packets are counted as
-// degraded and stay on the slow path without burning consolidation
-// work), and when several initial packets of one flow are in flight
-// concurrently only the first claims the gate, a bit of the flow's entry
-// — a second recorder would publish over the first's recording. The
-// losers traverse the chain without recording, which is always correct.
-// Both are read off the flow's handle: its record's ladder deadline, then
-// the claim bit. A true return must be paired with EndRecording. The
+// flow on the degradation ladder retries recording only once its backoff
+// deadline has passed (its packets are counted as degraded until then),
+// and of several in-flight initial packets of one flow only the first
+// claims the gate, a bit of the flow's entry — a second recorder would
+// publish over the first's recording; the losers traverse the chain
+// without recording. Both are read off h, the entry the classification
+// returned. A true return must be paired with EndRecording. The
 // baseline engine never records.
-func (e *Engine) TryBeginRecording(fid flow.FID) bool {
-	if !e.opts.EnableSpeedyBox {
-		return false
-	}
-	h, ok := e.class.Flows().AcquireFID(fid)
-	if !ok {
+func (e *Engine) TryBeginRecording(h flow.Handle) bool {
+	if !e.opts.EnableSpeedyBox || h.Gone() {
 		return false
 	}
 	if e.class.Now() < event.RetryAt(h) {
-		e.countDegradedPacket(fid)
+		e.countDegradedPacket(h.FID())
 		return false
 	}
 	return h.Claim()
 }
 
 // EndRecording releases the flow's recording gate.
-func (e *Engine) EndRecording(fid flow.FID) {
-	if h, ok := e.class.Flows().AcquireFID(fid); ok {
-		h.Unclaim()
-	}
-}
+func (e *Engine) EndRecording(h flow.Handle) { h.Unclaim() }
 
 // Model returns the engine's cost model.
 func (e *Engine) Model() *cost.Model { return e.model }
@@ -250,9 +226,7 @@ func (e *Engine) Model() *cost.Model { return e.model }
 // Options returns the engine's configuration.
 func (e *Engine) Options() Options { return e.opts }
 
-// state returns the live chain snapshot. Callers traversing the chain
-// load it once and use the same snapshot throughout, so a concurrent
-// Reconfigure never shears a traversal.
+// state returns the live chain snapshot.
 func (e *Engine) state() *chainState { return e.cur.Load() }
 
 // ChainLen returns the number of NFs in the live chain.
@@ -278,8 +252,7 @@ func (e *Engine) Global() *mat.Global { return e.global }
 func (e *Engine) Events() *event.Table { return e.events }
 
 // Telemetry returns the hub this engine reports into, nil when
-// telemetry is disabled. Platform wrappers use it to register their
-// own metrics alongside the engine's.
+// telemetry is disabled.
 func (e *Engine) Telemetry() *telemetry.Hub {
 	if e.tel == nil {
 		return nil
@@ -288,11 +261,8 @@ func (e *Engine) Telemetry() *telemetry.Hub {
 }
 
 // Stats returns a snapshot of the engine counters, folded across the
-// counter shards. Counters are updated with atomics, so a snapshot
-// taken while packets are in flight is internally consistent per
-// counter but not across counters (Packets may momentarily exceed the
-// sum of the kind counters, never the reverse by more than the number
-// of in-flight packets).
+// counter shards: consistent per counter, not across counters, while
+// packets are in flight.
 func (e *Engine) Stats() Stats {
 	var s Stats
 	for i := range e.stats {
@@ -316,57 +286,51 @@ func (e *Engine) Stats() Stats {
 	return s
 }
 
-// Faults returns the engine's fault injector, nil when injection is
-// disabled (tests and CLI reporting).
+// Faults returns the engine's fault injector, nil when disabled.
 func (e *Engine) Faults() *fault.Injector { return e.faults }
 
 // Classify runs the Packet Classifier on one packet, deciding which
-// path it takes. Exposed so pipelined platforms can run classification
-// on a dedicated RX core. When the packet is a SYN restarting an
-// already-tracked flow (5-tuple reuse without FIN/RST), the previous
-// connection's consolidated rule, recording, events and
-// NF-internal per-flow state are torn down here, before the new
-// connection's packets can be routed — otherwise its established
-// packets would classify as subsequent and execute the old
-// connection's recorded actions.
+// path it takes; pipelined platforms run it on a dedicated RX core. A
+// SYN restarting a tracked flow (5-tuple reuse without FIN/RST) tears
+// the previous connection's rule, recording, events and NF state down
+// here, or its established packets would run the old connection's
+// recorded actions.
 func (e *Engine) Classify(pkt *packet.Packet) (classifier.Result, error) {
 	res, err := e.class.Classify(pkt, e.serves)
 	if err == nil && res.Reused {
-		e.resetReusedFlow(res.FID)
+		e.resetReusedFlow(res.Handle)
 	}
 	return res, err
 }
 
 // serves is the classifier's rule question, asked of the handle it has
-// just found the flow by: a live rule — not a stale-marked one, whose
-// flow must re-record — makes the packet subsequent. The baseline engine
-// serves none.
+// just found the flow by: a live rule makes the packet subsequent. The
+// baseline engine serves none.
 func (e *Engine) serves(h flow.Handle) bool {
 	return e.opts.EnableSpeedyBox && e.global.Live(h) != nil
 }
 
-// resetReusedFlow tears down the consolidated state of the previous
-// connection on a reused 5-tuple, and its NFs' per-flow state: the new
-// connection starts every NF from zero. The flow-table entry itself
-// stays (the classifier has already reset it to the handshake state).
-func (e *Engine) resetReusedFlow(fid flow.FID) {
-	removed := e.release(fid)
+// resetReusedFlow ends the previous connection on a reused 5-tuple —
+// consolidated state and NF state — keeping the entry, which the
+// classifier has reset to the handshake state.
+func (e *Engine) resetReusedFlow(h flow.Handle) {
+	ed := e.class.Flows().EditHandle(h)
+	removed := e.release(ed)
+	ed.Done()
 	if e.tel != nil {
 		e.tel.flowResets.Inc()
-		e.tel.rec.Append(telemetry.EvFlowReset, uint32(fid), CauseSynReuse)
+		e.tel.rec.Append(telemetry.EvFlowReset, uint32(h.FID()), CauseSynReuse)
 		if removed {
-			e.tel.ruleRemoved(uint32(fid), CauseSynReuse)
+			e.tel.ruleRemoved(uint32(h.FID()), CauseSynReuse)
 		}
 	}
 }
 
-// ProcessNF runs the i-th NF on a slow-path packet, returning the
-// verdict and the work cycles the NF charged. Pipelined platforms call
-// it from per-NF goroutines, each on its own Batch (only the traversal
-// scratch is used); PrepareRecording must have run first for recording
-// packets. What the NF recorded is published to its position of the
-// flow's recording when it returns without error.
-func (e *Engine) ProcessNF(i int, fid flow.FID, pkt *packet.Packet, recording bool, b *Batch) (Verdict, uint64, error) {
+// ProcessNF runs the i-th NF on a slow-path packet of h's flow, for a
+// pipelined platform's per-NF goroutine on its own Batch, returning the
+// verdict and the NF's work cycles. PrepareRecording must have run first
+// for a recording packet, whose NF's span is published here.
+func (e *Engine) ProcessNF(i int, h flow.Handle, pkt *packet.Packet, recording bool, b *Batch) (Verdict, uint64, error) {
 	cs := e.state()
 	if i < 0 || i >= len(cs.chain) {
 		return 0, 0, fmt.Errorf("%w: %d", ErrNFIndex, i)
@@ -374,7 +338,7 @@ func (e *Engine) ProcessNF(i int, fid flow.FID, pkt *packet.Packet, recording bo
 	nf := cs.chain[i]
 	t := b.slow
 	t.ledger.Reset()
-	ctx := e.beginTraversal(t, fid, pkt, recording, cs)
+	ctx := e.beginTraversal(t, h, pkt, recording, cs)
 	ctx.nf, ctx.slot = nf.Name(), i
 	v, err := nf.Process(ctx, pkt)
 	if err != nil {
@@ -383,7 +347,9 @@ func (e *Engine) ProcessNF(i int, fid flow.FID, pkt *packet.Packet, recording bo
 	if len(ctx.acts) > 0 || len(ctx.funcs) > 0 {
 		t.rules = append(t.rules[:0], mat.LocalRule{Actions: ctx.acts, Funcs: ctx.funcs})
 		t.contribs = append(t.contribs[:0], mat.Contribution{Rule: &t.rules[0]})
-		e.events.Publish(fid, cs.epoch, len(cs.chain), i, t.contribs)
+		ed := e.class.Flows().EditHandle(h)
+		e.events.Publish(ed, cs.epoch, len(cs.chain), i, t.contribs)
+		ed.Done()
 	}
 	return v, t.ledger.Total(), nil
 }
@@ -391,13 +357,15 @@ func (e *Engine) ProcessNF(i int, fid flow.FID, pkt *packet.Packet, recording bo
 // beginTraversal readies t's instrumentation context for one packet's
 // walk over the chain snapshot: empty recording buffers, a fresh ledger
 // span. The caller points ctx.nf at each NF in turn.
-func (e *Engine) beginTraversal(t *traversal, fid flow.FID, pkt *packet.Packet, recording bool, cs *chainState) *Ctx {
+func (e *Engine) beginTraversal(t *traversal, h flow.Handle, pkt *packet.Packet, recording bool, cs *chainState) *Ctx {
 	t.ledger.Begin()
 	ctx := &t.ctx
 	*ctx = Ctx{
-		FID:       fid,
+		FID:       h.FID(),
 		Initial:   recording,
 		Model:     e.model,
+		h:         h,
+		flows:     e.class.Flows(),
 		ledger:    &t.ledger,
 		events:    e.events,
 		recording: recording,
@@ -411,40 +379,48 @@ func (e *Engine) beginTraversal(t *traversal, fid flow.FID, pkt *packet.Packet, 
 	return ctx
 }
 
-// PrepareRecording drops the flow's recording — what its NFs recorded
-// and the events they registered — and refunds the events' admission
-// budget, so an initial packet re-records from scratch. The NFs'
-// per-flow state and the flow's place on the ladder are untouched.
-func (e *Engine) PrepareRecording(fid flow.FID) {
-	e.refund(fid, false, true)
-	e.events.Remove(fid)
+// PrepareRecording drops the recording of h's flow — its spans and
+// events, refunding the events' budget — so an initial packet re-records
+// from scratch; NF state and the ladder place are untouched.
+func (e *Engine) PrepareRecording(h flow.Handle) {
+	if event.Unrecorded(h) {
+		return
+	}
+	ed := e.class.Flows().EditHandle(h)
+	e.dropRecording(ed)
+	ed.Done()
 }
 
-// dropConsolidated removes what consolidation built for the flow — the
-// Global rule and the recording — and refunds both admission budgets,
-// reporting whether a rule was installed.
-func (e *Engine) dropConsolidated(fid flow.FID) bool {
-	removed := e.global.Remove(fid)
-	e.refund(fid, true, true)
-	e.events.Remove(fid)
+// dropRecording is PrepareRecording on the flow under edit.
+func (e *Engine) dropRecording(ed flow.Edit) {
+	e.refund(ed, false, true)
+	e.events.Remove(ed)
+}
+
+// dropConsolidated removes the rule and the recording of the flow under
+// edit, refunding both budgets, and reports whether a rule was there.
+func (e *Engine) dropConsolidated(ed flow.Edit) bool {
+	removed := e.global.RemoveAt(ed)
+	e.refund(ed, true, false)
+	e.dropRecording(ed)
 	return removed
 }
 
-// ConsolidateFlow snapshots the Local MATs and installs the Global MAT
-// rule, returning the consolidation work cycles. A
-// mat.ErrNotConsolidatable error means the flow stays on the slow
-// path; the caller decides whether that is fatal.
-func (e *Engine) ConsolidateFlow(fid flow.FID) (uint64, error) {
-	return e.reconsolidate(fid, e.state())
+// ConsolidateFlow folds the recording of h's flow into its Global MAT
+// rule and installs it, returning the work cycles; on
+// mat.ErrNotConsolidatable the flow stays on the slow path.
+func (e *Engine) ConsolidateFlow(h flow.Handle) (uint64, error) {
+	return e.reconsolidate(h, e.state())
 }
 
 // TeardownFlow removes all state for a finished flow (FIN/RST
 // cleanup, §VI-B).
-func (e *Engine) TeardownFlow(fid flow.FID) { e.teardown(fid, CauseFinTeardown) }
+func (e *Engine) TeardownFlow(fid flow.FID) {
+	e.teardown(e.class.Flows().Edit(fid, false), CauseFinTeardown)
+}
 
 // Account folds a finished packet's result into the engine counters,
-// for platforms that assemble results themselves (the ONVM pipeline)
-// and so account once per packet outside ProcessBatch.
+// for platforms that assemble results themselves (the ONVM pipeline).
 func (e *Engine) Account(res *PacketResult) {
 	var d statsDelta
 	d.add(res)
@@ -454,11 +430,9 @@ func (e *Engine) Account(res *PacketResult) {
 	}
 }
 
-// ProcessPacket classifies and processes one packet, returning the
-// full accounting. The packet is mutated (or dropped) in place. It is
-// ProcessBatch over a vector of one on a pooled Batch: the counters and
-// the flow's bookkeeping are folded before it returns, and the result is
-// caller-owned — a deep copy out of the Batch's storage.
+// ProcessPacket classifies and processes one packet, mutating (or
+// dropping) it in place: ProcessBatch over a vector of one on a pooled
+// Batch, with the result deep-copied out for the caller.
 func (e *Engine) ProcessPacket(pkt *packet.Packet) (*PacketResult, error) {
 	b := e.scalar.Get().(*Batch)
 	defer e.scalar.Put(b)
@@ -472,24 +446,23 @@ func (e *Engine) ProcessPacket(pkt *packet.Packet) (*PacketResult, error) {
 
 // slowPath runs the packet through the original service chain,
 // recording behaviour when requested, and writes the account into res,
-// the packet's slot in b. It runs on b's traversal scratch: a packet
-// that records nothing allocates nothing here. What the NFs record is
-// gathered in the scratch and published to the flow's record only once
-// the whole chain has run — a traversal cut short by an NF error, an
-// injected NF crash or a refused event leaves no recording behind.
-func (e *Engine) slowPath(fid flow.FID, pkt *packet.Packet, recording bool, res *PacketResult, b *Batch) error {
+// the packet's slot in b. It runs on b's traversal scratch; what the NFs
+// record is published only once the whole chain has run, so a traversal
+// cut short (an NF error, an injected crash, a refused event) leaves no
+// recording behind.
+func (e *Engine) slowPath(h flow.Handle, pkt *packet.Packet, recording bool, res *PacketResult, b *Batch) error {
 	cs := e.state()
+	fid := h.FID()
 	t := b.slow
 	info := t.nextInfo()
 	if e.opts.EnableSpeedyBox {
-		// The SpeedyBox classifier hashed the 5-tuple and attached
-		// metadata; the baseline has no such stage.
+		// The baseline has no classifier stage.
 		info.ClassifierCycles = e.model.HashFID
 	}
 	if recording {
 		// Re-recording an initial packet (e.g. several packets raced
 		// in before consolidation) starts from a clean record.
-		e.PrepareRecording(fid)
+		e.PrepareRecording(h)
 		if cap(t.rules) < len(cs.chain) {
 			t.rules = make([]mat.LocalRule, len(cs.chain))
 			t.contribs = make([]mat.Contribution, len(cs.chain))
@@ -501,20 +474,15 @@ func (e *Engine) slowPath(fid flow.FID, pkt *packet.Packet, recording bool, res 
 	}
 
 	verdict := VerdictForward
-	// One Ctx serves the whole traversal; only the NF name is repointed
-	// between hops.
-	ctx := e.beginTraversal(t, fid, pkt, recording, cs)
+	ctx := e.beginTraversal(t, h, pkt, recording, cs)
 	abortRecording := false
 	for i, nf := range cs.chain {
 		ctx.nf, ctx.slot = nf.Name(), i
 		if e.faults != nil && e.faults.Should(fault.KindNFError, fid) {
-			// Fault: the NF "crashes" before touching the packet and
-			// restarts. The restarted NF reprocesses the hop
-			// identically (its per-flow state was never lost, only the
-			// in-flight attempt), but a recording in progress is
-			// abandoned: a restarted NF's Local MAT contribution is
-			// untrustworthy, so the flow is degraded and re-records
-			// after backoff.
+			// Fault: the NF crashes before touching the packet and
+			// restarts, reprocessing the hop identically (its per-flow
+			// state survives); a recording in progress is untrustworthy,
+			// so it is abandoned and the flow re-records after backoff.
 			info.FaultRestarts++
 			abortRecording = true
 			if e.tel != nil {
@@ -547,28 +515,24 @@ func (e *Engine) slowPath(fid flow.FID, pkt *packet.Packet, recording bool, res 
 
 	*res = PacketResult{Path: PathSlow, Verdict: verdict, Slow: info}
 	if recording && abortRecording {
-		// Drop the recording (its events are all that left the scratch)
-		// and park the flow on the ladder; a later initial packet
-		// re-records from scratch.
-		e.PrepareRecording(fid)
-		e.degrade(fid, CauseNFError, true)
+		// Drop the recording (its events left the scratch) and park the
+		// flow on the ladder.
+		ed := e.class.Flows().EditHandle(h)
+		e.dropRecording(ed)
+		e.degrade(ed, CauseNFError, true)
+		ed.Done()
 		recording = false
 	}
 	if recording && ctx.eventDenied {
-		// An event registration ran into the tenant's cap: serving a
-		// consolidated rule without the event would skip the NF's
-		// update, so abandon the recording (releasing whatever events
-		// were admitted) and keep the flow on the slow path. Unlike a
-		// fault this is not degradation-laddered — the flow simply
-		// retries on its next initial packet, succeeding as soon as
-		// the tenant's other flows release budget.
-		e.PrepareRecording(fid)
+		// An event registration ran into the tenant's cap: a rule without
+		// the event would skip the NF's update, so the recording goes and
+		// the flow retries on its next initial packet (not laddered).
+		e.PrepareRecording(h)
 		e.statsFor(fid).eventCapDenied.Add(1)
 		recording = false
 	}
 	if recording {
-		e.events.Publish(fid, cs.epoch, len(cs.chain), 0, t.contribs)
-		if err := e.consolidate(fid, ctx.tenant, info, cs, t.contribs, false); err != nil {
+		if err := e.consolidate(h, ctx.tenant, info, cs, t.contribs, false); err != nil {
 			if !errors.Is(err, mat.ErrNotConsolidatable) {
 				return err
 			}
@@ -580,30 +544,38 @@ func (e *Engine) slowPath(fid flow.FID, pkt *packet.Packet, recording bool, res 
 	return nil
 }
 
-// consolidate builds the flow's Global MAT rule from its per-NF
-// contributions under the given chain snapshot and installs it,
-// charging the consolidation cost into info. The installed rule carries
-// the snapshot's epoch: if a reconfiguration raced this traversal, the
-// rule is born under the retired epoch and LookupLive never serves it.
-// tenant is who a first install is charged to (admitRule). contribs
-// names the chain's NFs and, fromRecord unset, points at what each
-// recorded; with fromRecord the spans are the flow's record's, read in
-// place. Either way the rule copies what it keeps.
-func (e *Engine) consolidate(fid flow.FID, tenant int32, info *SlowPathInfo, cs *chainState, contribs []mat.Contribution, fromRecord bool) error {
-	if e.admission != nil && !e.admitRule(fid, tenant) {
-		// Refused: the flow stays on the (always correct) slow path with
-		// nothing installed, marked or degraded, and retries on its next
-		// initial packet.
+// consolidate builds the Global MAT rule of h's flow from its per-NF
+// contributions under the chain snapshot and installs it, charging the
+// work into info; the rule carries the snapshot's epoch, so one racing a
+// reconfiguration is never served. tenant is who a first install is
+// charged to. contribs names the chain's NFs and, fromRecord unset,
+// points at what each recorded, published first; with fromRecord the
+// record's spans are read in place. Publication, admission, the guard
+// snapshot, the install and the ladder's clearing are one edit of the
+// entry: no registration lands between snapshot and install, and a flow
+// torn down under the traversal is charged and given nothing.
+func (e *Engine) consolidate(h flow.Handle, tenant int32, info *SlowPathInfo, cs *chainState, contribs []mat.Contribution, fromRecord bool) error {
+	fid, fresh := h.FID(), false
+	ed := e.class.Flows().EditHandle(h)
+	defer func() {
+		ed.Done()
+		if fresh {
+			e.maybeStorm(h, cs) // it registers: after the edit
+		}
+	}()
+	if !ed.Found() {
+		return nil
+	}
+	if !fromRecord {
+		e.events.Publish(ed, cs.epoch, len(cs.chain), 0, contribs)
+	}
+	if e.admission != nil && !e.admitRule(ed, tenant) {
+		// Refused: nothing installed, marked or degraded; the flow retries
+		// on its next initial packet.
 		e.statsFor(fid).ruleQuotaDenied.Add(1)
 		return nil
 	}
-	var rule *mat.GlobalRule
-	var err error
-	if fromRecord {
-		rule, err = e.events.Consolidate(fid, cs.epoch, contribs)
-	} else {
-		rule, err = mat.Consolidate(fid, contribs)
-	}
+	rule, err := e.events.Consolidate(ed, cs.epoch, contribs, fromRecord)
 	contributed := 0
 	for _, c := range contribs {
 		if c.Rule != nil {
@@ -617,49 +589,35 @@ func (e *Engine) consolidate(fid flow.FID, tenant int32, info *SlowPathInfo, cs 
 		return err
 	}
 	rule.Epoch = cs.epoch
-	rule.SetGuards(e.events.Guards(fid))
 	// The merge work was done whether or not the install below lands.
 	info.ConsolidateCycles = e.model.ConsolidateBase + e.model.ConsolidatePerNF*uint64(contributed)
 	if e.faults != nil && e.faults.Should(fault.KindInstallFail, fid) {
-		// Fault: the consolidated rule never reaches the Global MAT.
-		// Any previously installed version now disagrees with the
-		// recording and must stop being served; the flow degrades to
-		// the slow path and retries the install after backoff. The
-		// packet itself was processed by the full chain and is
-		// correct.
-		stale := e.global.MarkStale(fid)
-		e.degrade(fid, CauseInstallFault, true)
-		if e.tel != nil {
-			e.tel.rec.Append(telemetry.EvFaultInject, uint32(fid), fault.KindInstallFail.String())
-			if stale {
-				e.tel.rec.Append(telemetry.EvRuleStale, uint32(fid), CauseInstallFault)
-			}
-		}
+		// Fault: the rule never reaches the Global MAT, and a previously
+		// installed version, which disagrees with the recording, must
+		// stop being served; the flow retries after backoff.
+		e.markStale(ed, fault.KindInstallFail, CauseInstallFault, true)
 		return nil
 	}
-	replaced := e.install(rule)
-	// A Register that raced the snapshot either ran before the Install,
-	// and shows here, or after, and its hook found the installed rule.
-	if !e.events.Guarded(fid, rule.Guards()) {
-		e.eventRegistered(fid)
-	}
+	e.price(rule)
+	replaced := e.global.InstallAt(ed, rule)
 	if e.tel != nil {
 		e.tel.ruleInstalled(uint32(fid), replaced)
 	}
-	e.clearDegraded(fid)
-	if !replaced {
-		e.maybeStorm(fid, cs)
-	}
+	e.clearDegraded(ed)
+	fresh = !replaced
 	return nil
 }
 
-// install prices the rule and puts it in the Global MAT, reporting
-// whether it replaced one. What a packet served from the rule is
-// charged is constant per rule under this engine's model and options,
-// so it is worked out here, once, and the fast path reads two words.
-// Every install goes through here: a rule restored from a checkpoint,
-// the journal or another instance carries no price of its own.
+// install prices and installs a rule from a checkpoint, the journal or
+// another instance.
 func (e *Engine) install(rule *mat.GlobalRule) bool {
+	e.price(rule)
+	return e.global.Install(rule)
+}
+
+// price works out what a packet served from the rule is charged, once,
+// before every install: the fast path reads it as two words.
+func (e *Engine) price(rule *mat.GlobalRule) {
 	m := e.model
 	rule.FixedCycles = m.HashFID + m.FastPathBase + m.EventCheck + m.GMATLookup
 	if !rule.Drop {
@@ -687,34 +645,31 @@ func (e *Engine) install(rule *mat.GlobalRule) bool {
 			}
 		}
 	}
-	return e.global.Install(rule)
 }
 
 // eventRegistered is the Event Table's registration hook, run inside the
-// registering Edit of the flow's entry: the installed rule's guards no
-// longer list every condition, so the flow's very next packet asks the
-// table.
-func (e *Engine) eventRegistered(fid flow.FID) {
-	if r, ok := e.global.Lookup(fid); ok {
+// registering Edit: the installed rule's guards no longer list every
+// condition, so the flow's very next packet asks the table.
+func (e *Engine) eventRegistered(h flow.Handle) {
+	if r := e.global.Rule(h); r != nil {
 		r.SetGuards(event.AskTable)
 	}
 	// The log (a nil writer ignores it) learns the rule is not restorable.
-	e.wal.Append(wal.Record{Type: wal.RecEventRegister, FID: fid, Epoch: e.global.Epoch()})
+	e.wal.Append(wal.Record{Type: wal.RecEventRegister, FID: h.FID(), Epoch: e.global.Epoch()})
 }
 
-// maybeStorm is the event-storm fault: a burst of always-true no-op
-// events registered against a freshly consolidated flow, forcing a
-// reconsolidation on every fast-path packet until teardown. The no-op
-// updates keep the rule semantically unchanged (the oracle proves it),
-// but churn version counters, replacement metrics and the event
-// tables — exactly the load a misbehaving condition handler creates.
-func (e *Engine) maybeStorm(fid flow.FID, cs *chainState) {
+// maybeStorm is the event-storm fault: always-true no-op events
+// registered against a freshly consolidated flow force a reconsolidation
+// on every fast-path packet until teardown — the load a misbehaving
+// condition handler creates, leaving the rule unchanged.
+func (e *Engine) maybeStorm(h flow.Handle, cs *chainState) {
+	fid := h.FID()
 	if e.faults == nil || !e.faults.Should(fault.KindEventStorm, fid) {
 		return
 	}
 	nf := cs.chain[0].Name()
 	for i := 0; i < 3; i++ {
-		err := e.events.Register(fid, event.Event{
+		err := e.events.Register(h, event.Event{
 			NF:        nf,
 			Condition: func(flow.FID) bool { return true },
 			Update:    func(flow.FID, *mat.LocalRule) {},
@@ -729,14 +684,15 @@ func (e *Engine) maybeStorm(fid flow.FID, cs *chainState) {
 	}
 }
 
-// evictConsolidated is the eviction-pressure fault: the flow's
-// consolidated state (Global rule, recording, events) is
-// dropped as if the tables ran out of space. Flow tracking and the NFs'
-// per-flow state (NAT bindings, LB pins) survive — a real eviction
-// does not reach into NFs — so the next packet re-records the same
-// behaviour.
-func (e *Engine) evictConsolidated(fid flow.FID) {
-	removed := e.dropConsolidated(fid)
+// evictConsolidated is the eviction-pressure fault: the flow's rule,
+// recording and events go as if the tables ran out of space; its entry
+// and NF state survive, as a real eviction leaves them, so the next
+// packet re-records the same behaviour.
+func (e *Engine) evictConsolidated(h flow.Handle) {
+	fid := h.FID()
+	ed := e.class.Flows().EditHandle(h)
+	removed := e.dropConsolidated(ed)
+	ed.Done()
 	if e.tel != nil {
 		e.tel.rec.Append(telemetry.EvFaultInject, uint32(fid), fault.KindEvictPressure.String())
 		e.tel.rec.Append(telemetry.EvFlowEvict, uint32(fid), CauseFaultEvict)
@@ -749,7 +705,7 @@ func (e *Engine) evictConsolidated(fid flow.FID) {
 // reconsolidate rebuilds the flow's rule from its record against the
 // given chain snapshot — after event updates, the snapshot the firings
 // were validated under.
-func (e *Engine) reconsolidate(fid flow.FID, cs *chainState) (uint64, error) {
+func (e *Engine) reconsolidate(h flow.Handle, cs *chainState) (uint64, error) {
 	contribs := make([]mat.Contribution, len(cs.chain))
 	for i, nf := range cs.chain {
 		contribs[i].NF = nf.Name()
@@ -757,21 +713,20 @@ func (e *Engine) reconsolidate(fid flow.FID, cs *chainState) (uint64, error) {
 	// A rebuild carries no packet: it is charged as untagged, unless the
 	// flow's events name its tenant.
 	var info SlowPathInfo
-	if err := e.consolidate(fid, 0, &info, cs, contribs, true); err != nil {
+	if err := e.consolidate(h, 0, &info, cs, contribs, true); err != nil {
 		return 0, err
 	}
 	return info.ConsolidateCycles, nil
 }
 
-// FastProcess runs the consolidated fast path for a subsequent packet,
-// exposed for platforms that dispatch fast-path packets from their own
-// cores (the ONVM manager) and account the result themselves. b is the
-// calling core's Batch: the packet runs as its vector of one, on its
-// FID-keyed scratch context, and the result is a caller-owned copy, as
-// ProcessPacket's is.
-func (e *Engine) FastProcess(fid flow.FID, pkt *packet.Packet, b *Batch) (*PacketResult, error) {
+// FastProcess runs the consolidated fast path for a subsequent packet of
+// h's flow, exposed for platforms that dispatch fast-path packets from
+// their own cores (the ONVM manager) and account the result themselves.
+// b is the calling core's Batch: the packet runs as its vector of one,
+// and the result is a caller-owned copy, as ProcessPacket's is.
+func (e *Engine) FastProcess(h flow.Handle, pkt *packet.Packet, b *Batch) (*PacketResult, error) {
 	b.begin(1)
-	if err := e.fastPathInto(b.scratchFor(e.class.Flows(), fid), pkt, &b.info[0], &b.res[0], b); err != nil {
+	if err := e.fastPathInto(b.classified(h), pkt, &b.info[0], &b.res[0], b); err != nil {
 		return nil, err
 	}
 	return b.res[0].clone(), nil
@@ -791,7 +746,7 @@ func (e *Engine) fastPathInto(fc *flowCtx, pkt *packet.Packet, info *FastPathInf
 	// before this packet is processed (§III) — or revives a stale one.
 	rule := e.global.Live(fc.h)
 	if rule == nil || event.Holds(rule.Guards(), fc.fid) {
-		fired, err := e.fireEvents(fc.fid, info)
+		fired, err := e.fireEvents(fc.h, info)
 		if err != nil {
 			return err
 		}
@@ -807,7 +762,7 @@ func (e *Engine) fastPathInto(fc *flowCtx, pkt *packet.Packet, info *FastPathInf
 		// back to the original chain, which is always correct; the
 		// flow re-records via the degradation ladder.
 		e.countFallback(fc.fid)
-		return e.slowPath(fc.fid, pkt, false, res, b)
+		return e.slowPath(fc.h, pkt, false, res, b)
 	}
 	// The rule carries its price (install).
 	info.FixedCycles += rule.FixedCycles
@@ -856,7 +811,7 @@ func (e *Engine) fastPathInto(fc *flowCtx, pkt *packet.Packet, info *FastPathInf
 	// Post-execution event check: state updates from this packet may
 	// arm a condition that changes processing for the next packet.
 	if event.Holds(rule.Guards(), fc.fid) {
-		if _, err := e.fireEvents(fc.fid, info); err != nil {
+		if _, err := e.fireEvents(fc.h, info); err != nil {
 			return err
 		}
 	}
@@ -880,11 +835,12 @@ func (e *Engine) fastPathInto(fc *flowCtx, pkt *packet.Packet, info *FastPathInf
 	return nil
 }
 
-// fireEvents takes the Event Table's locked probe for the flow — the
+// fireEvents takes the Event Table's locked probe for h's flow — the
 // authority a rule's guards only summarize: it removes one-shot
 // firings, applies the updates to the owning NFs' spans of the flow's
 // record and reconsolidates, reporting whether anything fired.
-func (e *Engine) fireEvents(fid flow.FID, info *FastPathInfo) (bool, error) {
+func (e *Engine) fireEvents(h flow.Handle, info *FastPathInfo) (bool, error) {
+	fid := h.FID()
 	firings := e.events.Check(fid)
 	if len(firings) == 0 {
 		return false, nil
@@ -898,7 +854,7 @@ func (e *Engine) fireEvents(fid flow.FID, info *FastPathInfo) (bool, error) {
 			// Drop the whole record — a flow's events and spans all share
 			// one epoch (PrepareRecording wipes them before re-recording)
 			// — and let the slow path re-record under the live chain.
-			e.PrepareRecording(fid)
+			e.PrepareRecording(h)
 			return false, nil
 		}
 	}
@@ -913,49 +869,32 @@ func (e *Engine) fireEvents(fid flow.FID, info *FastPathInfo) (bool, error) {
 			e.tel.rec.Append(telemetry.EvEventFire, uint32(fid), f.Event.NF)
 		}
 	}
-	// Faults: the event updates are applied to the record (NF
-	// state has already changed; the updates must not be lost), but
-	// the Global-rule recomputation is dropped or delayed. The rule is
-	// stale-marked so this packet's fresh lookup misses and falls back
-	// to the slow path, which runs the NFs' new logic directly.
-	if e.faults != nil {
-		if e.faults.Should(fault.KindRecomputeDrop, fid) {
-			stale := e.global.MarkStale(fid)
-			e.degrade(fid, CauseRecomputeDrop, true)
-			if e.tel != nil {
-				e.tel.rec.Append(telemetry.EvFaultInject, uint32(fid), fault.KindRecomputeDrop.String())
-				if stale {
-					e.tel.rec.Append(telemetry.EvRuleStale, uint32(fid), CauseRecomputeDrop)
-				}
-			}
-			info.EventsFired += len(firings)
-			return true, nil
-		}
-		if e.faults.Should(fault.KindRecomputeDelay, fid) {
-			stale := e.global.MarkStale(fid)
-			e.degrade(fid, CauseRecomputeDelay, false)
-			if e.tel != nil {
-				e.tel.rec.Append(telemetry.EvFaultInject, uint32(fid), fault.KindRecomputeDelay.String())
-				if stale {
-					e.tel.rec.Append(telemetry.EvRuleStale, uint32(fid), CauseRecomputeDelay)
-				}
-			}
+	// Faults: the updates stay applied to the record (NF state has
+	// changed), but the recomputation is dropped or delayed; the rule is
+	// stale-marked, so this packet falls back to the slow path.
+	for _, f := range recomputeFaults {
+		if e.faults != nil && e.faults.Should(f.kind, fid) {
+			ed := e.class.Flows().EditHandle(h)
+			e.markStale(ed, f.kind, f.cause, f.escalate)
+			ed.Done()
 			info.EventsFired += len(firings)
 			return true, nil
 		}
 	}
-	cycles, err := e.reconsolidate(fid, cs)
+	cycles, err := e.reconsolidate(h, cs)
 	switch {
 	case err == nil:
 		info.ReconsolidateCycles += cycles
 	case errors.Is(err, mat.ErrNotConsolidatable):
 		// The updated actions no longer fold into one rule: evict the
-		// stale rule so this and future packets take the (always
-		// correct) slow path instead of executing outdated actions.
-		if e.global.Remove(fid) && e.tel != nil {
+		// outdated one, so the flow takes the slow path.
+		ed := e.class.Flows().EditHandle(h)
+		removed := e.global.RemoveAt(ed)
+		e.refund(ed, true, false)
+		ed.Done()
+		if removed && e.tel != nil {
 			e.tel.ruleRemoved(uint32(fid), CauseEventUnconsolidatable)
 		}
-		e.refund(fid, true, false)
 	default:
 		return false, err
 	}
@@ -963,35 +902,45 @@ func (e *Engine) fireEvents(fid flow.FID, info *FastPathInfo) (bool, error) {
 	return true, nil
 }
 
-// ExpireIdle tears down every flow that has been idle for more than
-// idleFor classified packets (a logical-clock age), returning how many
-// flows were expired. The paper's cleanup runs only on TCP FIN/RST
-// (§VI-B), which never fires for UDP or abandoned flows; this
-// extension bounds the MAT footprint for such traffic. Expired flows
-// are not harmed: their next packet simply re-records as an initial
-// packet.
+// recomputeFaults are the faults that drop (escalating the ladder) or
+// delay a reconsolidation, in the order they are consulted.
+var recomputeFaults = [...]struct {
+	kind     fault.Kind
+	cause    string
+	escalate bool
+}{{fault.KindRecomputeDrop, CauseRecomputeDrop, true}, {fault.KindRecomputeDelay, CauseRecomputeDelay, false}}
+
+// ExpireIdle tears down every flow idle for more than idleFor
+// classified packets (a logical-clock age), returning how many. The
+// paper cleans up on TCP FIN/RST only (§VI-B), which never fires for UDP
+// or abandoned flows; an expired flow's next packet re-records.
 func (e *Engine) ExpireIdle(idleFor uint64) int {
 	now := e.class.Now()
 	if now <= idleFor {
 		return 0
 	}
-	stale := e.class.Flows().IdleSince(now - idleFor)
-	for _, fid := range stale {
-		e.teardown(fid, CauseIdleExpiry)
+	flows := e.class.Flows()
+	stale := flows.IdleSince(now - idleFor)
+	for _, h := range stale {
+		e.teardown(flows.EditHandle(h), CauseIdleExpiry)
 		if e.tel != nil {
-			e.tel.rec.Append(telemetry.EvFlowEvict, uint32(fid), CauseIdleExpiry)
+			e.tel.rec.Append(telemetry.EvFlowEvict, uint32(h.FID()), CauseIdleExpiry)
 		}
 	}
 	return len(stale)
 }
 
-// teardown removes all state for a finished flow (§VI-B): what
-// consolidation built, the ladder position, the NFs' per-flow state and
-// the entry that held it all. The cause labels the removal in telemetry.
-func (e *Engine) teardown(fid flow.FID, cause string) {
-	removed := e.release(fid)
-	e.class.Teardown(fid)
+// teardown removes all state of a finished flow (§VI-B), the entry
+// included, in the edit it is given and ends: budgets are refunded in
+// the edit that unlinks the entry, which a charge must find linked, so
+// none outlives the flow. cause labels the removal.
+func (e *Engine) teardown(ed flow.Edit, cause string) {
+	removed := e.release(ed)
 	if removed && e.tel != nil {
-		e.tel.ruleRemoved(uint32(fid), cause)
+		e.tel.ruleRemoved(uint32(ed.Handle().FID()), cause)
 	}
+	if ed.Found() && !ed.Handle().Detached() {
+		ed.Unlink()
+	}
+	ed.Done()
 }

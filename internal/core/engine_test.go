@@ -49,12 +49,15 @@ func (f *fakeCounter) Process(ctx *Ctx, pkt *packet.Packet) (Verdict, error) {
 	ctx.Charge(ctx.Model.Parse + ctx.Model.Classify)
 	f.count.Add(1)
 	ctx.Charge(ctx.Model.CounterUpdate)
+	// The context is the traversal's, reused by the worker's next packet:
+	// what the function needs of it is copied out, never read through it.
+	cycles := ctx.Model.CounterUpdate
 	err := ctx.AddStateFunc(sfunc.Func{
 		Name:  "count",
 		Class: sfunc.ClassIgnore,
 		Run: func(*packet.Packet) (uint64, error) {
 			f.count.Add(1)
-			return ctx.Model.CounterUpdate, nil
+			return cycles, nil
 		},
 	})
 	if err != nil {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/fastpathnfv/speedybox/internal/classifier"
@@ -90,4 +92,120 @@ func TestExpireIdleOnEmptyEngine(t *testing.T) {
 	if n := eng.ExpireIdle(0); n != 0 {
 		t.Errorf("expired %d on empty engine", n)
 	}
+}
+
+// heldCounter is an admission policy that admits everything and counts
+// what each tenant holds, so a test can see a budget a flow took with it.
+type heldCounter struct {
+	mu            sync.Mutex
+	rules, events map[int32]int
+}
+
+func newHeldCounter() *heldCounter {
+	return &heldCounter{rules: map[int32]int{}, events: map[int32]int{}}
+}
+
+func (c *heldCounter) AdmitRule(tenant int32) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.rules[tenant]++
+	return true
+}
+
+func (c *heldCounter) ReleaseRule(tenant int32) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.rules[tenant]--
+}
+
+func (c *heldCounter) AdmitEvent(tenant int32) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.events[tenant]++
+	return true
+}
+
+func (c *heldCounter) ReleaseEvents(tenant int32, n int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.events[tenant] -= n
+}
+
+// TestSetUpRacesExpiry hammers flow set-ups — recording, event
+// registrations and rule installs, each charged to the packet's tenant —
+// against ExpireIdle tearing the same flows down. Whatever the
+// interleaving, a budget is either refunded by the teardown that unlinks
+// the flow or never charged, because a charge goes through the flow's
+// handle and needs its entry linked: once every flow is gone, every
+// tenant holds nothing. Run under -race.
+func TestSetUpRacesExpiry(t *testing.T) {
+	held := newHeldCounter()
+	opts := DefaultOptions()
+	opts.Admission = held
+	eng, err := NewEngine([]NF{&fakeModifier{name: "nat", dip: [4]byte{9, 9, 9, 9}}, &fakeEventNF{name: "lb"}}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Workers set flows up until the expirer has torn enough of them
+	// down under them (or a round cap is reached).
+	const workers, flows, maxRounds, enough = 2, 64, 5000, 2000
+	var (
+		wg   sync.WaitGroup
+		stop atomic.Bool
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			b := NewBatch(8)
+			vec := make([]*packet.Packet, 8)
+			for r := 0; r < maxRounds && !stop.Load(); r++ {
+				for f := 0; f < flows; f += len(vec) {
+					for i := range vec {
+						port := uint16(20000 + w*flows + f + i)
+						vec[i] = udpPkt(t, port, "set-up")
+						vec[i].Meta.Tenant = int32(1 + port%3)
+					}
+					if _, err := eng.ProcessBatch(vec, b); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	finished := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(finished)
+	}()
+	expired := 0
+	for running := true; running; {
+		select {
+		case <-finished:
+			running = false
+		default:
+		}
+		if expired += eng.ExpireIdle(2); expired >= enough {
+			stop.Store(true)
+		}
+	}
+	for _, en := range eng.FlowEntries() {
+		eng.TeardownFlow(en.FID)
+	}
+	if expired == 0 {
+		t.Fatal("nothing expired: the hammer raced nothing")
+	}
+	for tenant, n := range held.rules {
+		if n != 0 || held.events[tenant] != 0 {
+			t.Errorf("tenant %d holds %d rule(s) and %d event(s) with no flow left", tenant, n, held.events[tenant])
+		}
+	}
+	if err := eng.CheckRecords(); err != nil {
+		t.Error(err)
+	}
+	if n := eng.Global().Len(); n != 0 {
+		t.Errorf("%d rules outlived their flows", n)
+	}
+	t.Logf("%d flows expired under set-up", expired)
 }

@@ -22,6 +22,16 @@ func guardCount(g *mat.Guard) int {
 	return n
 }
 
+// handleOf returns a Handle on the FID's entry, which must exist.
+func handleOf(t *testing.T, eng *Engine, fid flow.FID) flow.Handle {
+	t.Helper()
+	h, ok := eng.class.Flows().AcquireFID(fid)
+	if !ok {
+		t.Fatalf("no entry holds %v", fid)
+	}
+	return h
+}
+
 // wantGuards asserts the flow's live rule carries exactly the flow's n
 // registered conditions as its guards — a snapshot, not AskTable — and
 // returns the rule.
@@ -31,10 +41,10 @@ func wantGuards(t *testing.T, eng *Engine, fid flow.FID, n int, when string) *ma
 	if !ok {
 		t.Fatalf("%s: no live rule for %v", when, fid)
 	}
-	g := rule.Guards()
-	if g == event.AskTable || guardCount(g) != n || eng.Events().Pending(fid) != n || !eng.Events().Guarded(fid, g) {
+	g, h := rule.Guards(), handleOf(t, eng, fid)
+	if g == event.AskTable || guardCount(g) != n || eng.Events().Pending(fid) != n || !event.GuardsCurrent(h, g) {
 		t.Fatalf("%s: rule carries %d guard(s) (ask-the-table: %v), the table %d registration(s), current: %v; want %d of each, the same",
-			when, guardCount(g), g == event.AskTable, eng.Events().Pending(fid), eng.Events().Guarded(fid, g), n)
+			when, guardCount(g), g == event.AskTable, eng.Events().Pending(fid), event.GuardsCurrent(h, g), n)
 	}
 	return rule
 }
@@ -94,7 +104,7 @@ func TestGuardsFollowRegistrations(t *testing.T) {
 		t.Fatalf("packet over a stale rule: path %v kind %v, want a slow-path re-record", r.Path, r.Kind)
 	}
 	rerecorded := wantGuards(t, eng, fid, 1, "after the re-record")
-	if rerecorded == fired || eng.Events().Guarded(fid, fired.Guards()) {
+	if rerecorded == fired || event.GuardsCurrent(handleOf(t, eng, fid), fired.Guards()) {
 		t.Error("the re-recorded rule is the stale one, or guards what it guarded")
 	}
 
@@ -104,7 +114,7 @@ func TestGuardsFollowRegistrations(t *testing.T) {
 	eng.Global().MarkStale(fid)
 	nf.armed.Store(true)
 	before = probes()
-	res, err := eng.FastProcess(fid, udpPkt(t, 8601, "revive"), b)
+	res, err := eng.FastProcess(handleOf(t, eng, fid), udpPkt(t, 8601, "revive"), b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +131,11 @@ func TestGuardsFollowRegistrations(t *testing.T) {
 		do  func()
 	}{
 		{"stale", func() { eng.Global().MarkStale(fid) }},
-		{"evicted", func() { eng.evictConsolidated(fid) }},
+		{"evicted", func() { eng.evictConsolidated(handleOf(t, eng, fid)) }},
 	} {
 		lose.do()
 		before, fallbacks := probes(), eng.Stats().SlowPathFallbacks
-		res, err := eng.FastProcess(fid, udpPkt(t, 8601, lose.how), b)
+		res, err := eng.FastProcess(handleOf(t, eng, fid), udpPkt(t, 8601, lose.how), b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,16 +181,15 @@ func TestGuardsAfterEventStorm(t *testing.T) {
 	wantGuards(t, eng, fid, 3, "after the storm's first firing")
 }
 
-// TestGuardRaceHammer: one goroutine registers events against a FID
-// while another keeps reconsolidating it. A registration that lands
-// between a consolidation's guard snapshot and its Install is in
-// neither the snapshot nor — its hook having found the old rule — the
-// new rule, which is what the re-check after Install is for; one that
-// lands after the Install must find the new rule through the hook.
-// Either way, once ConsolidateFlow has returned, the rule it left
-// serving either guards every registered condition or asks the table.
-// Run under -race: the guard word is written by the registrar and read
-// by the consolidator.
+// TestGuardRaceHammer: one goroutine registers events against a flow
+// while another keeps reconsolidating it. A consolidation's guard
+// snapshot and its install are one edit of the flow's entry, which a
+// registration also takes: one that lands before is in the snapshot, one
+// that lands after finds the new rule through its hook and swaps
+// AskTable in. Either way, once ConsolidateFlow has returned, the rule
+// it left serving either guards every registered condition or asks the
+// table. Run under -race: the guard word is written by the registrar
+// and read by the consolidator.
 func TestGuardRaceHammer(t *testing.T) {
 	eng, err := NewEngine([]NF{&fakeModifier{name: "nat", dip: [4]byte{9, 9, 9, 9}}}, DefaultOptions())
 	if err != nil {
@@ -190,6 +199,7 @@ func TestGuardRaceHammer(t *testing.T) {
 	const fids = 300
 	var asked, snapshotted int
 	for fid := flow.FID(1); fid <= fids; fid++ {
+		h := eng.Events().Entry(fid)
 		var (
 			wg   sync.WaitGroup
 			done atomic.Bool
@@ -199,7 +209,7 @@ func TestGuardRaceHammer(t *testing.T) {
 			defer wg.Done()
 			defer done.Store(true)
 			for i := 0; i < event.MaxPerFlow; i++ {
-				err := eng.Events().Register(fid, event.Event{
+				err := eng.Events().Register(h, event.Event{
 					NF: "nat", Condition: never, Update: func(flow.FID, *mat.LocalRule) {},
 				})
 				if err != nil {
@@ -210,7 +220,7 @@ func TestGuardRaceHammer(t *testing.T) {
 		}()
 		for last := false; !last; {
 			last = done.Load() // one more round after the last registration
-			if _, err := eng.ConsolidateFlow(fid); err != nil {
+			if _, err := eng.ConsolidateFlow(h); err != nil {
 				t.Fatal(err)
 			}
 			rule, ok := eng.Global().LookupLive(fid)
@@ -218,8 +228,9 @@ func TestGuardRaceHammer(t *testing.T) {
 				t.Fatalf("%v: no live rule after ConsolidateFlow", fid)
 			}
 			// If the comparison races a registration, the registration's
-			// hook has swapped AskTable in by the time Guarded can see it.
-			if g := rule.Guards(); !eng.Events().Guarded(fid, g) && rule.Guards() != event.AskTable {
+			// hook has swapped AskTable in by the time GuardsCurrent can
+			// see it.
+			if g := rule.Guards(); !event.GuardsCurrent(h, g) && rule.Guards() != event.AskTable {
 				t.Fatalf("%v: the served rule guards %d condition(s) of %d registered and does not ask the table",
 					fid, guardCount(g), eng.Events().Pending(fid))
 			}

@@ -116,13 +116,14 @@ func TestProcessNFBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := NewBatch(1)
-	if _, _, err := eng.ProcessNF(-1, 1, dataPkt(t, 0), false, b); err == nil {
+	h := eng.Events().Entry(1)
+	if _, _, err := eng.ProcessNF(-1, h, dataPkt(t, 0), false, b); err == nil {
 		t.Error("negative index accepted")
 	}
-	if _, _, err := eng.ProcessNF(1, 1, dataPkt(t, 0), false, b); err == nil {
+	if _, _, err := eng.ProcessNF(1, h, dataPkt(t, 0), false, b); err == nil {
 		t.Error("out-of-range index accepted")
 	}
-	v, cycles, err := eng.ProcessNF(0, 1, dataPkt(t, 0), false, b)
+	v, cycles, err := eng.ProcessNF(0, h, dataPkt(t, 0), false, b)
 	if err != nil || v != VerdictForward || cycles == 0 {
 		t.Errorf("ProcessNF = (%v, %d, %v)", v, cycles, err)
 	}

@@ -6,30 +6,14 @@ import (
 )
 
 // Live flow migration between engine instances (cluster scale-out).
-//
-// What a flow is on an engine is its flow-table entry and what hangs off
-// it: the consolidated Global MAT rule, the recording, and its NFs'
-// per-flow state. ExtractFlow packages the entry, the rule (when it can
-// travel) and the NF state — by value, an image a slot in use — as the
-// migration record that goes on the wire (wal.MigrationRecord: its Rule
-// is nil when the flow must re-record on the new owner — no live rule, a
-// stale or closure-bearing one, or pending event registrations), and
-// AdoptFlow puts them on the new owner: the state lands in the slots of
-// the same-named NFs of that engine's chain, whether or not the two
-// engines share NF objects, and the rule goes in with one Install — the
-// same transactional commit point live consolidation and WAL replay use
-// — so a racing batch worker on the new owner sees either the whole
-// rule or no rule, never a torn one.
-//
-// Like checkpoint/restore, only declarative rules travel. A rule with
-// state-function batches, or a flow with pending Event Table
-// registrations, references closures bound to the old owner's record;
-// those flows migrate as established flow entries without a rule, so
-// the classifier marks their next packet Initial and one slow-path
-// traversal re-records them against the NF state that came along — the
-// always-correct degradation path. Ladder state deliberately does not
-// travel: the backoff deadlines are ticks of the *old* owner's logical
-// clock and are meaningless on the new one.
+// ExtractFlow packages a flow's entry, its NF state (by value) and its
+// rule as a wal.MigrationRecord; AdoptFlow puts them on the new owner —
+// the state in the slots of the same-named NFs, the rule with one
+// Install, so a racing worker there sees the whole rule or none. As for
+// checkpoint/restore only declarative rules travel: batches and events
+// are closures bound to the old owner's record, so such a flow arrives
+// without a rule and re-records on its next packet. Ladder state does
+// not travel: its deadlines are ticks of the old owner's clock.
 
 // FlowEntries returns a snapshot of every tracked flow, sorted by FID.
 // Cluster rebalancing walks it to decide which flows a new steering
@@ -52,16 +36,18 @@ func (e *Engine) FlowLen() int { return e.class.Flows().Len() }
 // The caller must hold the instance at a packet boundary (no Process
 // or ProcessBatch in flight), exactly like Checkpoint.
 func (e *Engine) ExtractFlow(fid flow.FID) (wal.MigrationRecord, bool) {
+	ed := e.class.Flows().Edit(fid, false)
+	defer ed.Done()
 	entry, ok := e.class.Flows().LookupFID(fid)
 	if !ok {
 		return wal.MigrationRecord{}, false
 	}
-	mf := wal.MigrationRecord{Flow: wal.ImageOfEntry(entry, e.events.DropState(fid, false))}
-	if r, live := e.global.LookupLive(fid); live && r.Epoch == e.global.Epoch() {
+	mf := wal.MigrationRecord{Flow: wal.ImageOfEntry(entry, e.events.DropState(ed, false))}
+	if r := e.global.Live(ed.Handle()); r != nil {
 		mf.Rule, _ = wal.ImageOf(r)
 	}
-	e.release(fid)
-	e.class.Flows().Remove(fid)
+	e.release(ed)
+	ed.Unlink()
 	return mf, true
 }
 
@@ -83,9 +69,13 @@ func (e *Engine) ExtractFlow(fid flow.FID) (wal.MigrationRecord, bool) {
 func (e *Engine) AdoptFlow(mf wal.MigrationRecord) {
 	e.class.RestoreClock(mf.Flow.LastSeen)
 	flows := e.class.Flows()
-	e.release(mf.Flow.FID)
+	ed := flows.Edit(mf.Flow.FID, false)
+	e.release(ed)
+	ed.Done()
 	if h, ok := flows.Acquire(mf.Flow.Tuple); ok && h.FID() != mf.Flow.FID {
-		e.release(h.FID())
+		ed := flows.EditHandle(h)
+		e.release(ed)
+		ed.Done()
 	}
 	flows.RestoreEntry(mf.Flow.Entry())
 	e.events.AdoptState(mf.Flow.FID, e.state().lay, mf.Flow.NF)
@@ -97,12 +87,12 @@ func (e *Engine) AdoptFlow(mf wal.MigrationRecord) {
 	e.install(im.Rule())
 }
 
-// release ends the flow the FID's entry carries, leaving the entry: its
-// NFs' per-flow state and its place on the ladder go (each NF told the
-// flow is over; a later holder of the entry starts clean instead of
+// release ends the flow the entry under edit carries, leaving the entry:
+// its NFs' per-flow state and its place on the ladder go (each NF told
+// the flow is over; a later holder of the entry starts clean instead of
 // inheriting this one's backoff), then what consolidation built and the
 // budget it held. It reports whether a rule was installed.
-func (e *Engine) release(fid flow.FID) bool {
-	e.events.DropState(fid, true)
-	return e.dropConsolidated(fid)
+func (e *Engine) release(ed flow.Edit) bool {
+	e.events.DropState(ed, true)
+	return e.dropConsolidated(ed)
 }

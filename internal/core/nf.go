@@ -75,7 +75,11 @@ type Ctx struct {
 	// costs for their work.
 	Model *cost.Model
 
-	nf        string
+	nf string
+	// h is the packet's flow entry, in flows: what the context writes to
+	// the flow's record through.
+	h         flow.Handle
+	flows     *flow.Table
 	ledger    *cost.Ledger
 	events    *event.Table
 	recording bool
@@ -85,23 +89,18 @@ type Ctx struct {
 	lay  *event.StateLayout
 	slot int
 	rec  *event.Record
-	// acts and funcs are the recording buffers: everything recorded
-	// through this context so far, in order. An engine traversal
-	// publishes each NF's span of them to the flow's record once the
-	// chain has run, and reuses the context across packets, so they keep
-	// their storage; a standalone context (NewCtx) shows them through
-	// Recorded.
+	// acts and funcs are the recording buffers, everything recorded
+	// through this context in order: an engine traversal publishes each
+	// NF's span once the chain has run, and reuses their storage.
 	acts  []mat.HeaderAction
 	funcs []sfunc.Func
 	// epoch stamps registered events with the chain epoch the packet
 	// is traversing, so firings recorded under a retired chain are
 	// discarded instead of mutating post-reconfiguration rules.
 	epoch uint64
-	// admit is the engine's admission policy (nil = admit all) and
-	// tenant the packet's tenant tag; RegisterEvent charges the flow's
-	// registrations to them. eventDenied records that one was refused, which
-	// poisons the recording — the engine abandons consolidation for
-	// this traversal (see Engine.slowPath).
+	// admit is the engine's admission policy (nil = admit all), which
+	// RegisterEvent charges to the packet's tenant; eventDenied records a
+	// refusal, which abandons the traversal's recording (Engine.slowPath).
 	admit       Admission
 	tenant      int32
 	eventDenied bool
@@ -160,6 +159,7 @@ func NewCtx(nf string, cfg CtxConfig) *Ctx {
 		Initial:   cfg.Recording,
 		Model:     cfg.Model,
 		nf:        nf,
+		h:         cfg.Events.Entry(cfg.FID),
 		ledger:    cfg.Ledger,
 		events:    cfg.Events,
 		recording: cfg.Recording,
@@ -224,7 +224,7 @@ func (c *Ctx) RegisterEvent(e event.Event) error {
 	}
 	e.NF = c.nf
 	e.Epoch = c.epoch
-	if err := c.events.Register(c.FID, e); err != nil {
+	if err := c.events.Register(c.h, e); err != nil {
 		return fmt.Errorf("core: %s: %w", c.nf, err)
 	}
 	return nil

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"github.com/fastpathnfv/speedybox/internal/errcode"
@@ -103,18 +102,13 @@ func (e *Engine) Checkpoint() (*wal.Checkpoint, error) {
 	}
 	for _, fe := range e.class.Flows().Snapshot() {
 		cp.Flows = append(cp.Flows, wal.ImageOfEntry(fe, e.events.StateImages(fe.FID)))
-	}
-
-	var rules []*mat.GlobalRule
-	e.global.ForEach(func(r *mat.GlobalRule) { rules = append(rules, r) })
-	sort.Slice(rules, func(i, j int) bool { return rules[i].FID < rules[j].FID })
-	for _, r := range rules {
-		if r.Epoch != cp.Epoch || e.global.IsStale(r.FID) {
-			continue // dead or distrusted; the flow re-records anyway
-		}
-		// A closure-bearing rule is restorable only by re-recording.
-		if im, ok := wal.ImageOf(r); ok {
-			cp.Rules = append(cp.Rules, *im)
+		// Only a live rule on its own flow's entry restores (a stale or
+		// old-epoch one is re-recorded anyway), and only a declarative
+		// one: a closure-bearing rule is restorable only by re-recording.
+		if r, ok := e.global.LookupLive(fe.FID); ok {
+			if im, ok := wal.ImageOf(r); ok {
+				cp.Rules = append(cp.Rules, *im)
+			}
 		}
 	}
 
@@ -249,19 +243,11 @@ func (e *Engine) Restore(cp *wal.Checkpoint, walData []byte) error {
 	// entry left behind would keep its FID from the tuples that hash
 	// there.
 	finalEpoch := e.global.Epoch()
-	var dead []flow.FID
-	e.global.ForEach(func(r *mat.GlobalRule) {
-		if r.Epoch != finalEpoch {
-			dead = append(dead, r.FID)
-			return
-		}
-		if _, ok := e.class.Flows().LookupFID(r.FID); !ok {
-			dead = append(dead, r.FID)
+	e.class.Flows().Each(func(h flow.Handle) {
+		if r := e.global.Rule(h); r != nil && (r.Epoch != finalEpoch || h.Detached()) {
+			e.global.Remove(h.FID())
 		}
 	})
-	for _, fid := range dead {
-		e.global.Remove(fid)
-	}
 
 	// Republish the chain snapshot under the restored epoch; otherwise
 	// post-restore consolidations would stamp rules with the stale

@@ -219,7 +219,9 @@ func TestLadderResetAcrossRestore(t *testing.T) {
 	}
 	fid := r1.FID
 	for i := 0; i < 4; i++ {
-		eng.degrade(fid, "test", true)
+		ed := eng.class.Flows().Edit(fid, false)
+		eng.degrade(ed, "test", true)
+		ed.Done()
 	}
 	if !parked(eng, fid) {
 		t.Fatal("flow not parked on the ladder")
@@ -325,7 +327,7 @@ func TestEventRegisterReplayDemotes(t *testing.T) {
 	}
 
 	// Post-checkpoint registration: the closure dies with the process.
-	err = eng.Events().Register(r1.FID, event.Event{
+	err = eng.Events().Register(handleOf(t, eng, r1.FID), event.Event{
 		NF:        "nat",
 		Condition: func(flow.FID) bool { return false },
 		Update:    func(flow.FID, *mat.LocalRule) {},

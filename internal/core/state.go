@@ -22,7 +22,7 @@ type Stateful interface {
 // flow may close over them.
 func (c *Ctx) FlowState(v *FlowStates) State {
 	if c.rec == nil {
-		c.rec = c.events.Record(c.FID)
+		c.rec = c.events.Record(c.h)
 	}
 	if c.lay == nil {
 		return c.rec.State(v.Standalone(c.nf, c.events), 0)

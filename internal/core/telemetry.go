@@ -65,24 +65,17 @@ type engineTelemetry struct {
 	// get histograms while concurrent workers keep reading the old map.
 	nfStage atomic.Pointer[map[string]*telemetry.Histogram]
 
-	// Global MAT churn.
+	// Global MAT churn; removals by cause.
 	installs     *telemetry.Counter
 	replacements *telemetry.Counter
-	removeFin    *telemetry.Counter
-	removeIdle   *telemetry.Counter
-	removeReuse  *telemetry.Counter
-	removeEvent  *telemetry.Counter
-	removeFault  *telemetry.Counter
+	removals     map[string]*telemetry.Counter
 
 	// Flow lifecycle.
 	flowResets *telemetry.Counter
 
-	// Fast-shaped packets whose keyed probe found a flow context with a
-	// valid handle versus those that took the shard read lock (cold,
-	// evicted, or revalidating after a flow removal). Implementation
-	// telemetry, deliberately kept out of core.Stats — Stats is the
-	// oracle-compared behavioral surface and hit rates legitimately
-	// differ between scalar and batched execution.
+	// Fast-shaped packets whose keyed probe found a valid flow context
+	// versus those that probed the table; kept out of Stats, the
+	// oracle-compared surface, as rates differ with the vector size.
 	flowCacheHits   *telemetry.Counter
 	flowCacheMisses *telemetry.Counter
 
@@ -142,16 +135,7 @@ func newEngineTelemetry(e *Engine, hub *telemetry.Hub, chain string) *engineTele
 			"Global MAT first-time rule installations"),
 		replacements: reg.Counter(n("speedybox_mat_replacements_total"),
 			"Global MAT rule replacements (event-driven reconsolidations)"),
-		removeFin: reg.Counter(n(`speedybox_mat_removals_total{reason="fin-teardown"}`),
-			"Global MAT rule removals by reason"),
-		removeIdle: reg.Counter(n(`speedybox_mat_removals_total{reason="idle-expiry"}`),
-			"Global MAT rule removals by reason"),
-		removeReuse: reg.Counter(n(`speedybox_mat_removals_total{reason="syn-reuse"}`),
-			"Global MAT rule removals by reason"),
-		removeEvent: reg.Counter(n(`speedybox_mat_removals_total{reason="event-unconsolidatable"}`),
-			"Global MAT rule removals by reason"),
-		removeFault: reg.Counter(n(`speedybox_mat_removals_total{reason="fault-evict"}`),
-			"Global MAT rule removals by reason"),
+		removals: make(map[string]*telemetry.Counter),
 		flowResets: reg.Counter(n("speedybox_flow_resets_total"),
 			"Flows reset by a SYN reusing a tracked 5-tuple"),
 		flowCacheHits: reg.Counter(n("speedybox_flow_cache_hits_total"),
@@ -176,6 +160,10 @@ func newEngineTelemetry(e *Engine, hub *telemetry.Hub, chain string) *engineTele
 			"Wall-clock nanoseconds per restore (checkpoint load plus journal replay)"),
 		walFsync: reg.Histogram(n("speedybox_wal_fsync_nanos"),
 			"Wall-clock nanoseconds per WAL group commit"),
+	}
+	for _, c := range []string{CauseFinTeardown, CauseIdleExpiry, CauseSynReuse, CauseEventUnconsolidatable, CauseFaultEvict} {
+		t.removals[c] = reg.Counter(n(fmt.Sprintf("speedybox_mat_removals_total{reason=%q}", c)),
+			"Global MAT rule removals by reason")
 	}
 	for _, op := range []ReconfigOp{OpInsert, OpRemove, OpReplace, OpReorder} {
 		t.reconfigs[op-1] = reg.Counter(n(fmt.Sprintf("speedybox_reconfigs_total{kind=%q}", op)),
@@ -331,17 +319,6 @@ func (t *engineTelemetry) ruleInstalled(fid uint32, replaced bool) {
 
 // ruleRemoved journals a Global MAT removal with its cause.
 func (t *engineTelemetry) ruleRemoved(fid uint32, cause string) {
-	switch cause {
-	case CauseFinTeardown:
-		t.removeFin.Inc()
-	case CauseIdleExpiry:
-		t.removeIdle.Inc()
-	case CauseSynReuse:
-		t.removeReuse.Inc()
-	case CauseEventUnconsolidatable:
-		t.removeEvent.Inc()
-	case CauseFaultEvict:
-		t.removeFault.Inc()
-	}
+	t.removals[cause].Inc()
 	t.rec.Append(telemetry.EvRuleRemove, fid, cause)
 }

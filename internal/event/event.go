@@ -107,18 +107,19 @@ type Table struct {
 	probes     atomic.Uint64
 	// journal, when set, observes successful registrations. The engine
 	// hangs two things on it: the flow's installed rule stops trusting
-	// its guard snapshot (see Guards), and the write-ahead log marks the
-	// rule non-restorable — event closures cannot be serialized, so
+	// its guard snapshot (see Consolidate), and the write-ahead log marks
+	// the rule non-restorable — event closures cannot be serialized, so
 	// after a crash the flow re-records instead.
-	journal atomic.Pointer[func(flow.FID)]
+	journal atomic.Pointer[func(flow.Handle)]
 }
 
 // SetJournal attaches (or, with nil, detaches) a callback invoked
-// after every successful Register with the flow's FID. It runs inside
+// after every successful Register with the flow's entry. It runs inside
 // the flow-table Edit that registered, the one a rule install takes, so
 // it observes a flow's registrations and installs in the order they
-// happened and must not call back into either table.
-func (t *Table) SetJournal(fn func(flow.FID)) {
+// happened — the rule it finds on the entry is the one installed last —
+// and must not call back into either table.
+func (t *Table) SetJournal(fn func(flow.Handle)) {
 	if fn == nil {
 		t.journal.Store(nil)
 		return
@@ -130,20 +131,23 @@ func (t *Table) SetJournal(fn func(flow.FID)) {
 func NewTable(flows *flow.Table) *Table { return &Table{flows: flows} }
 
 // Register adds an event for a flow (the register_event API, paper
-// Figure 2), on the flow's record — made here if this is the first the
-// flow's recording leaves behind; an FID no flow holds gets a detached
-// entry to carry it.
-func (t *Table) Register(fid flow.FID, e Event) error {
+// Figure 2), on the record of the entry h is on — made here if this is
+// the first the flow's recording leaves behind. A flow the table has let
+// go of registers nothing: there is no rule of it left to guard.
+func (t *Table) Register(h flow.Handle, e Event) error {
 	if err := e.Validate(); err != nil {
 		return err
 	}
-	ed := t.flows.Edit(fid, true)
+	ed := t.flows.EditHandle(h)
 	defer ed.Done()
+	if !ed.Found() {
+		return nil
+	}
 	rec := t.recordFor(ed)
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
 	if len(rec.events) >= MaxPerFlow {
-		return fmt.Errorf("%w: %v has %d", ErrTooManyEvents, fid, MaxPerFlow)
+		return fmt.Errorf("%w: %v has %d", ErrTooManyEvents, h.FID(), MaxPerFlow)
 	}
 	ev := e
 	if rec.events == nil {
@@ -154,7 +158,7 @@ func (t *Table) Register(fid flow.FID, e Event) error {
 	}
 	t.registered.Add(1)
 	if j := t.journal.Load(); j != nil {
-		(*j)(fid)
+		(*j)(h)
 	}
 	return nil
 }
@@ -232,8 +236,8 @@ func (t *Table) RegisteredTotal() uint64 {
 func (t *Table) ProbesTotal() uint64 { return t.probes.Load() }
 
 // AskTable is the guard that always holds. A registration that arrives
-// after a rule's guard snapshot swaps it in, so the flow takes the
-// locked probe on every packet until a consolidation snapshots afresh.
+// after a rule is installed swaps it in, so the flow takes the locked
+// probe on every packet until a consolidation snapshots afresh.
 var AskTable = &mat.Guard{Cond: func(flow.FID) bool { return true }}
 
 // Holds reports whether any guard of the list holds for the flow. It is
@@ -249,29 +253,12 @@ func Holds(g *mat.Guard, fid flow.FID) bool {
 	return false
 }
 
-// Guards snapshots the flow's registered conditions, in registration
-// order, as the guard list its consolidated rule carries (nil when the
-// flow has none). The snapshot goes out of date the moment the flow's
-// registrations change; the engine re-snapshots on every consolidation
-// — which follows every firing — and Register's hook swaps AskTable
-// into the installed rule.
-func (t *Table) Guards(fid flow.FID) *mat.Guard {
-	var head *mat.Guard
-	if rec := t.record(fid); rec != nil {
-		rec.mu.Lock()
-		defer rec.mu.Unlock()
-		for i := len(rec.events) - 1; i >= 0; i-- {
-			head = &mat.Guard{Cond: rec.events[i].Condition, Next: head}
-		}
-	}
-	return head
-}
-
-// Guarded reports whether g is exactly the flow's registered
-// conditions, in order — whether a snapshot Guards returned is still
-// current.
-func (t *Table) Guarded(fid flow.FID, g *mat.Guard) bool {
-	if rec := t.record(fid); rec != nil {
+// GuardsCurrent reports whether g is exactly the registered conditions
+// of the flow h is on, in order — whether the guard snapshot a
+// consolidation gave its rule (Consolidate) is still current.
+// CheckRecords asks it of every live rule.
+func GuardsCurrent(h flow.Handle, g *mat.Guard) bool {
+	if rec := (*Record)(h.Rec()); rec != nil {
 		rec.mu.Lock()
 		defer rec.mu.Unlock()
 		for _, e := range rec.events {
@@ -290,24 +277,25 @@ func sameFunc(a, b ConditionFunc) bool {
 	return *(*unsafe.Pointer)(unsafe.Pointer(&a)) == *(*unsafe.Pointer)(unsafe.Pointer(&b))
 }
 
-// Remove drops the flow's recording — its events and what its NFs
-// recorded (the clean slate a re-recording starts from). The flow's NF
-// state and standing are not part of it and stay; a record that holds
-// neither goes with the recording. A flow with nothing recorded costs a
-// lock-free probe and its record's uncontended lock.
-func (t *Table) Remove(fid flow.FID) {
-	rec := t.record(fid)
+// Unrecorded reports whether the flow h is on holds nothing Remove and
+// a refund of its events' budget would take: no record, or one that
+// holds NF state or a ladder place and nothing else. A flow's first
+// recording costs its record's uncontended lock here, and no edit.
+func Unrecorded(h flow.Handle) bool {
+	rec := (*Record)(h.Rec())
 	if rec == nil {
-		return
+		return true
 	}
 	rec.mu.Lock()
-	idle := len(rec.events) == 0 && rec.locals == nil && rec.kept()
-	rec.mu.Unlock()
-	if idle {
-		return
-	}
-	ed := t.flows.Edit(fid, false)
-	defer ed.Done()
+	defer rec.mu.Unlock()
+	return len(rec.events) == 0 && rec.locals == nil && rec.own.Events == 0 && rec.kept()
+}
+
+// Remove drops the recording of the flow under edit — its events and
+// what its NFs recorded (the clean slate a re-recording starts from).
+// The flow's NF state and standing are not part of it and stay; a record
+// that holds neither goes with the recording.
+func (t *Table) Remove(ed flow.Edit) {
 	if !ed.Found() {
 		return
 	}

@@ -15,6 +15,33 @@ func always(flow.FID) bool              { return true }
 func never(flow.FID) bool               { return false }
 func noUpdate(flow.FID, *mat.LocalRule) {}
 
+// remove drops the FID's recording, in an edit of its entry.
+func remove(tbl *Table, fid flow.FID) {
+	ed := tbl.flows.Edit(fid, false)
+	tbl.Remove(ed)
+	ed.Done()
+}
+
+// stand is Table.Stand in an edit of the FID's entry.
+func stand(tbl *Table, fid flow.FID, create bool, fn func(flow.Handle, *Standing)) {
+	ed := tbl.flows.Edit(fid, false)
+	tbl.Stand(ed, create, fn)
+	ed.Done()
+}
+
+// guards is the guard list a consolidation of the flow h is on gives its
+// rule.
+func guards(t *testing.T, tbl *Table, h flow.Handle) *mat.Guard {
+	t.Helper()
+	ed := tbl.flows.EditHandle(h)
+	defer ed.Done()
+	r, err := tbl.Consolidate(ed, 0, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.Guards()
+}
+
 func TestRegisterValidation(t *testing.T) {
 	tbl := NewTable(flow.NewTable())
 	tests := []struct {
@@ -29,7 +56,7 @@ func TestRegisterValidation(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if err := tbl.Register(1, tt.event); (err != nil) != tt.wantErr {
+			if err := tbl.Register(tbl.Entry(1), tt.event); (err != nil) != tt.wantErr {
 				t.Errorf("Register = %v, wantErr %v", err, tt.wantErr)
 			}
 		})
@@ -40,7 +67,7 @@ func TestCheckFiresOnCondition(t *testing.T) {
 	tbl := NewTable(flow.NewTable())
 	armed := false
 	cond := func(flow.FID) bool { return armed }
-	if err := tbl.Register(5, Event{NF: "dos", Condition: cond, Update: noUpdate}); err != nil {
+	if err := tbl.Register(tbl.Entry(5), Event{NF: "dos", Condition: cond, Update: noUpdate}); err != nil {
 		t.Fatal(err)
 	}
 	if fired := tbl.Check(5); len(fired) != 0 {
@@ -58,7 +85,7 @@ func TestCheckFiresOnCondition(t *testing.T) {
 
 func TestCheckWrongFID(t *testing.T) {
 	tbl := NewTable(flow.NewTable())
-	if err := tbl.Register(5, Event{NF: "x", Condition: always, Update: noUpdate}); err != nil {
+	if err := tbl.Register(tbl.Entry(5), Event{NF: "x", Condition: always, Update: noUpdate}); err != nil {
 		t.Fatal(err)
 	}
 	if fired := tbl.Check(6); len(fired) != 0 {
@@ -68,7 +95,7 @@ func TestCheckWrongFID(t *testing.T) {
 
 func TestOneShotRemovedAfterFiring(t *testing.T) {
 	tbl := NewTable(flow.NewTable())
-	if err := tbl.Register(1, Event{NF: "maglev", Condition: always, Update: noUpdate, OneShot: true}); err != nil {
+	if err := tbl.Register(tbl.Entry(1), Event{NF: "maglev", Condition: always, Update: noUpdate, OneShot: true}); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(tbl.Check(1)); got != 1 {
@@ -87,7 +114,7 @@ func TestOneShotRemovedAfterFiring(t *testing.T) {
 
 func TestRecurringStaysArmed(t *testing.T) {
 	tbl := NewTable(flow.NewTable())
-	if err := tbl.Register(1, Event{NF: "dos", Condition: always, Update: noUpdate}); err != nil {
+	if err := tbl.Register(tbl.Entry(1), Event{NF: "dos", Condition: always, Update: noUpdate}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -106,12 +133,12 @@ func TestRecurringStaysArmed(t *testing.T) {
 func TestMultipleEventsFireInRegistrationOrder(t *testing.T) {
 	tbl := NewTable(flow.NewTable())
 	for _, nf := range []string{"first", "second", "third"} {
-		if err := tbl.Register(2, Event{NF: nf, Condition: always, Update: noUpdate, OneShot: true}); err != nil {
+		if err := tbl.Register(tbl.Entry(2), Event{NF: nf, Condition: always, Update: noUpdate, OneShot: true}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// One never-firing event interleaved.
-	if err := tbl.Register(2, Event{NF: "sleeper", Condition: never, Update: noUpdate}); err != nil {
+	if err := tbl.Register(tbl.Entry(2), Event{NF: "sleeper", Condition: never, Update: noUpdate}); err != nil {
 		t.Fatal(err)
 	}
 	fired := tbl.Check(2)
@@ -139,7 +166,7 @@ func TestProbeWriteBack(t *testing.T) {
 	reg := func(nf string, oneShot bool) {
 		t.Helper()
 		cond := func(flow.FID) bool { return armed[nf] }
-		if err := tbl.Register(fid, Event{NF: nf, Condition: cond, Update: noUpdate, OneShot: oneShot}); err != nil {
+		if err := tbl.Register(tbl.Entry(fid), Event{NF: nf, Condition: cond, Update: noUpdate, OneShot: oneShot}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -179,7 +206,7 @@ func TestProbeWriteBack(t *testing.T) {
 	}
 
 	// Only one-shots left: the last one to fire deletes the key.
-	tbl.Remove(fid)
+	remove(tbl, fid)
 	reg("shot1", true)
 	reg("shot2", true)
 	armed["shot2"] = true
@@ -197,7 +224,7 @@ func TestProbeWriteBack(t *testing.T) {
 func TestProbeQuietFlowDoesNotAllocate(t *testing.T) {
 	tbl := NewTable(flow.NewTable())
 	for _, nf := range []string{"a", "b"} {
-		if err := tbl.Register(3, Event{NF: nf, Condition: never, Update: noUpdate}); err != nil {
+		if err := tbl.Register(tbl.Entry(3), Event{NF: nf, Condition: never, Update: noUpdate}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -218,9 +245,11 @@ func TestUpdateAppliesToLocalRule(t *testing.T) {
 	// from §V-A — replace modify(DIP, origin) with modify(DIP, new).
 	fid := flow.FID(3)
 	tbl := NewTable(flow.NewTable())
-	tbl.Publish(fid, 0, 1, 0, []mat.Contribution{{NF: "maglev", Rule: &mat.LocalRule{
+	ed := tbl.flows.Edit(fid, true)
+	tbl.Publish(ed, 0, 1, 0, []mat.Contribution{{NF: "maglev", Rule: &mat.LocalRule{
 		Actions: []mat.HeaderAction{mat.Modify(packet.FieldDstIP, []byte{10, 0, 0, 1})}}}})
-	err := tbl.Register(fid, Event{
+	ed.Done()
+	err := tbl.Register(tbl.Entry(fid), Event{
 		NF:        "maglev",
 		Condition: always,
 		OneShot:   true,
@@ -246,10 +275,10 @@ func TestUpdateAppliesToLocalRule(t *testing.T) {
 
 func TestRemove(t *testing.T) {
 	tbl := NewTable(flow.NewTable())
-	if err := tbl.Register(9, Event{NF: "x", Condition: always, Update: noUpdate}); err != nil {
+	if err := tbl.Register(tbl.Entry(9), Event{NF: "x", Condition: always, Update: noUpdate}); err != nil {
 		t.Fatal(err)
 	}
-	tbl.Remove(9)
+	remove(tbl, 9)
 	if len(tbl.Check(9)) != 0 {
 		t.Error("removed event fired")
 	}
@@ -267,7 +296,7 @@ func TestConcurrentCheckAndRegister(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				fid := flow.FID(g*100 + i)
-				if err := tbl.Register(fid, Event{NF: "x", Condition: always, Update: noUpdate, OneShot: true}); err != nil {
+				if err := tbl.Register(tbl.Entry(fid), Event{NF: "x", Condition: always, Update: noUpdate, OneShot: true}); err != nil {
 					t.Errorf("Register: %v", err)
 					return
 				}
@@ -290,31 +319,32 @@ func TestConcurrentCheckAndRegister(t *testing.T) {
 	}
 }
 
-// TestGuardsSnapshotRegistrations: Guards lists the flow's conditions
-// in registration order, Holds evaluates the list without the table,
-// and Guarded tells a current snapshot from one a registration, a
-// one-shot firing or a removal has overtaken — by the identity of the
-// conditions, not their number.
+// TestGuardsSnapshotRegistrations: a consolidation's rule guards the
+// flow's conditions in registration order, Holds evaluates the list
+// without the table, and GuardsCurrent tells a current snapshot from one
+// a registration, a one-shot firing or a removal has overtaken — by the
+// identity of the conditions, not their number.
 func TestGuardsSnapshotRegistrations(t *testing.T) {
 	tbl := NewTable(flow.NewTable())
-	if g := tbl.Guards(9); g != nil || !tbl.Guarded(9, nil) || Holds(g, 9) {
+	h := tbl.Entry(9)
+	if g := guards(t, tbl, h); g != nil || !GuardsCurrent(h, nil) || Holds(g, 9) {
 		t.Fatalf("flow without events: guards %v, want none, current and quiet", g)
 	}
 	armed := false
 	first := func(flow.FID) bool { return armed }
 	second := func(fid flow.FID) bool { return fid == 0 }
 	for _, c := range []ConditionFunc{first, second} {
-		if err := tbl.Register(9, Event{NF: "lb", Condition: c, Update: noUpdate, OneShot: true}); err != nil {
+		if err := tbl.Register(h, Event{NF: "lb", Condition: c, Update: noUpdate, OneShot: true}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	g := tbl.Guards(9)
+	g := guards(t, tbl, h)
 	if g == nil || g.Next == nil || g.Next.Next != nil || !sameFunc(g.Cond, first) || !sameFunc(g.Next.Cond, second) {
 		t.Fatalf("guards %+v, want the two conditions in registration order", g)
 	}
 	probes := tbl.ProbesTotal()
-	if !tbl.Guarded(9, g) || tbl.Guarded(9, g.Next) || tbl.Guarded(9, nil) || tbl.Guarded(9, AskTable) {
-		t.Error("Guarded does not tell the current snapshot from a partial, empty or ask-the-table one")
+	if !GuardsCurrent(h, g) || GuardsCurrent(h, g.Next) || GuardsCurrent(h, nil) || GuardsCurrent(h, AskTable) {
+		t.Error("GuardsCurrent does not tell the current snapshot from a partial, empty or ask-the-table one")
 	}
 	if Holds(g, 9) {
 		t.Error("guards hold with both conditions false")
@@ -335,18 +365,19 @@ func TestGuardsSnapshotRegistrations(t *testing.T) {
 	if tbl.ProbesTotal() != probes+1 {
 		t.Errorf("ProbesTotal = %d after one probe, want %d", tbl.ProbesTotal(), probes+1)
 	}
-	if tbl.Guarded(9, g) {
+	if GuardsCurrent(h, g) {
 		t.Error("snapshot still current after a one-shot left the table")
 	}
-	if g = tbl.Guards(9); g == nil || g.Next != nil || !sameFunc(g.Cond, second) || !tbl.Guarded(9, g) {
+	if g = guards(t, tbl, h); g == nil || g.Next != nil || !sameFunc(g.Cond, second) || !GuardsCurrent(h, g) {
 		t.Fatalf("guards after the firing %+v, want the second condition alone", g)
 	}
 	// Same number of conditions, another closure: not the same guards.
-	tbl.Remove(9)
-	if err := tbl.Register(9, Event{NF: "lb", Condition: never, Update: noUpdate}); err != nil {
+	remove(tbl, 9)
+	h = tbl.Entry(9)
+	if err := tbl.Register(h, Event{NF: "lb", Condition: never, Update: noUpdate}); err != nil {
 		t.Fatal(err)
 	}
-	if tbl.Guarded(9, g) {
+	if GuardsCurrent(h, g) {
 		t.Error("snapshot current against a different condition")
 	}
 }
@@ -357,20 +388,20 @@ func TestGuardsSnapshotRegistrations(t *testing.T) {
 func TestJournalRunsPerRegistration(t *testing.T) {
 	tbl := NewTable(flow.NewTable())
 	var seen []flow.FID
-	tbl.SetJournal(func(fid flow.FID) { seen = append(seen, fid) })
+	tbl.SetJournal(func(h flow.Handle) { seen = append(seen, h.FID()) })
 	for _, fid := range []flow.FID{3, 4, 3} {
-		if err := tbl.Register(fid, Event{NF: "x", Condition: never, Update: noUpdate}); err != nil {
+		if err := tbl.Register(tbl.Entry(fid), Event{NF: "x", Condition: never, Update: noUpdate}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := tbl.Register(5, Event{NF: "x", Update: noUpdate}); err == nil {
+	if err := tbl.Register(tbl.Entry(5), Event{NF: "x", Update: noUpdate}); err == nil {
 		t.Fatal("nil condition accepted")
 	}
 	if !slices.Equal(seen, []flow.FID{3, 4, 3}) {
 		t.Errorf("journal saw %v, want [3 4 3]", seen)
 	}
 	tbl.SetJournal(nil)
-	if err := tbl.Register(6, Event{NF: "x", Condition: never, Update: noUpdate}); err != nil {
+	if err := tbl.Register(tbl.Entry(6), Event{NF: "x", Condition: never, Update: noUpdate}); err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != 3 {
@@ -399,22 +430,22 @@ func TestStandingOutlivesRecording(t *testing.T) {
 		t.Fatal(err)
 	}
 	fid := en.FID
-	if err := tbl.Register(fid, Event{NF: "x", Condition: never, Update: noUpdate}); err != nil {
+	if err := tbl.Register(tbl.Entry(fid), Event{NF: "x", Condition: never, Update: noUpdate}); err != nil {
 		t.Fatal(err)
 	}
-	tbl.Stand(fid, true, func(_ flow.Handle, s *Standing) { s.RetryAt.Store(9) })
-	tbl.Remove(fid)
+	stand(tbl, fid, true, func(_ flow.Handle, s *Standing) { s.RetryAt.Store(9) })
+	remove(tbl, fid)
 	h, _ := flows.AcquireFID(fid)
 	if RetryAt(h) != 9 || flows.Counts().Records != 1 || tbl.Pending(fid) != 0 {
 		t.Fatalf("after the recording's removal: deadline %d, %+v, %d events", RetryAt(h), flows.Counts(), tbl.Pending(fid))
 	}
-	tbl.Stand(fid, false, func(_ flow.Handle, s *Standing) { s.RetryAt.Store(0) })
-	tbl.Remove(fid)
+	stand(tbl, fid, false, func(_ flow.Handle, s *Standing) { s.RetryAt.Store(0) })
+	remove(tbl, fid)
 	if c := flows.Counts(); c.Records != 0 {
 		t.Errorf("a record with neither a recording nor a standing stayed: %+v", c)
 	}
 	called := false
-	tbl.Stand(fid+1, true, func(flow.Handle, *Standing) { called = true })
+	stand(tbl, fid+1, true, func(flow.Handle, *Standing) { called = true })
 	if called || flows.Counts().Detached != 0 {
 		t.Error("an FID no flow holds was given a standing")
 	}

@@ -63,15 +63,14 @@ func (s *Standing) Zero() bool { return s.RetryAt.Load() == 0 && !s.Rule && s.Ev
 // caller holds rec.mu.
 func (rec *Record) kept() bool { return rec.state.lay != nil || !rec.own.Zero() }
 
-// Stand calls fn with the flow's entry and the standing on its record,
-// under the record's lock inside an Edit of the entry, so a flow's ladder
-// moves, charges and refunds are serialized with each other and with the
-// record's coming and going. With create, fn runs only for a tracked
-// flow, which gets a record if it has none; without, for any entry with
-// a record — one without stands nowhere.
-func (t *Table) Stand(fid flow.FID, create bool, fn func(flow.Handle, *Standing)) {
-	ed := t.flows.Edit(fid, false)
-	defer ed.Done()
+// Stand calls fn with the entry under edit and the standing on its
+// record, under the record's lock, so a flow's ladder moves, charges and
+// refunds are serialized with each other and with the record's coming
+// and going — and, the edit being of a linked entry, with the flow's
+// teardown: nothing is charged to a flow after its refund. With create,
+// fn runs only for a tracked flow, which gets a record if it has none;
+// without, for any entry with a record — one without stands nowhere.
+func (t *Table) Stand(ed flow.Edit, create bool, fn func(flow.Handle, *Standing)) {
 	h := ed.Handle()
 	if !ed.Found() || (create && h.Detached()) || (!create && h.Rec() == nil) {
 		return
@@ -111,45 +110,86 @@ func (t *Table) recordFor(ed flow.Edit) *Record {
 }
 
 // Publish stores what NFs at..at+len(spans) of an n-NF chain recorded
-// for the flow under the given chain epoch (localmat_add_HA and
-// localmat_add_SF, paper Figure 2, gathered per traversal): the
+// for the flow under edit under the given chain epoch (localmat_add_HA
+// and localmat_add_SF, paper Figure 2, gathered per traversal): the
 // recording's one write. It fills the record the traversal's first
-// Register made, if one did. The record keeps exactly sized copies —
-// every span of the call carved from one actions array and one
-// functions array — so the caller may reuse its storage, and an event
-// update that later appends to a span reallocates rather than growing
-// into its neighbour. A nil Rule is an NF that recorded nothing.
-func (t *Table) Publish(fid flow.FID, epoch uint64, n, at int, spans []mat.Contribution) {
+// Register made, if one did. The record keeps exactly sized copies, so
+// the caller may reuse its storage, and an event update that later
+// appends to a span reallocates rather than growing into its neighbour:
+// one allocation for a short chain's (a spanBlock), and for a span that
+// only forwards none — every such span is one shared, read-only array,
+// which Apply copies before an update edits it. A nil Rule is an NF
+// that recorded nothing.
+func (t *Table) Publish(ed flow.Edit, epoch uint64, n, at int, spans []mat.Contribution) {
+	if !ed.Found() {
+		return
+	}
 	nActs, nFuncs := 0, 0
 	for _, c := range spans {
 		if c.Rule != nil {
-			nActs += len(c.Rule.Actions)
+			if !forwardOnly(c.Rule.Actions) {
+				nActs += len(c.Rule.Actions)
+			}
 			nFuncs += len(c.Rule.Funcs)
 		}
 	}
-	acts, funcs := make([]mat.HeaderAction, 0, nActs), make([]sfunc.Func, 0, nFuncs)
-
-	ed := t.flows.Edit(fid, true)
-	defer ed.Done()
 	rec := t.recordFor(ed)
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	if rec.epoch != epoch || len(rec.locals) != n {
-		rec.epoch, rec.locals = epoch, make([]mat.LocalRule, n)
+	fresh := rec.epoch != epoch || len(rec.locals) != n
+	var acts []mat.HeaderAction
+	var funcs []sfunc.Func
+	var room spanBlock // the sizes of a block, never allocated
+	if fresh && (nActs > 0 || nFuncs > 0) &&
+		n <= len(room.locals) && nActs <= len(room.acts) && nFuncs <= len(room.funcs) {
+		b := new(spanBlock)
+		rec.locals, acts, funcs = b.locals[:n:n], b.acts[:0:nActs], b.funcs[:0:nFuncs]
+	} else {
+		if fresh {
+			rec.locals = make([]mat.LocalRule, n)
+		}
+		acts, funcs = make([]mat.HeaderAction, 0, nActs), make([]sfunc.Func, 0, nFuncs)
 	}
+	rec.epoch = epoch
 	for i, c := range spans {
 		if c.Rule == nil {
 			continue
 		}
-		a, f := len(acts), len(funcs)
-		acts, funcs = append(acts, c.Rule.Actions...), append(funcs, c.Rule.Funcs...)
-		rec.locals[at+i] = mat.LocalRule{Actions: acts[a:len(acts):len(acts)], Funcs: funcs[f:len(funcs):len(funcs)]}
+		span := &rec.locals[at+i]
+		if forwardOnly(c.Rule.Actions) {
+			span.Actions = forwardSpan
+		} else {
+			a := len(acts)
+			acts = append(acts, c.Rule.Actions...)
+			span.Actions = acts[a:len(acts):len(acts)]
+		}
+		f := len(funcs)
+		funcs = append(funcs, c.Rule.Funcs...)
+		span.Funcs = funcs[f:len(funcs):len(funcs)]
 	}
+}
+
+// spanBlock is the storage Publish carves a short chain's recording from
+// in one allocation: Chain1's, say — four spans, three actions that are
+// not a lone forward, two state functions.
+type spanBlock struct {
+	locals [4]mat.LocalRule
+	acts   [4]mat.HeaderAction
+	funcs  [2]sfunc.Func
+}
+
+// forwardSpan is the actions of every span that only forwards.
+var forwardSpan = []mat.HeaderAction{mat.Forward()}
+
+// forwardOnly reports a span whose actions are a lone forward.
+func forwardOnly(acts []mat.HeaderAction) bool {
+	return len(acts) == 1 && acts[0].Equal(forwardSpan[0])
 }
 
 // Apply runs the firing's update on its NF's span — position at of an
 // n-NF chain — of the record it fired from, in place under the record's
-// lock. An NF that recorded nothing gets an empty span to edit.
+// lock. An NF that recorded nothing gets an empty span to edit, and one
+// whose span is the shared forward a copy of it.
 func (f Firing) Apply(at, n int) {
 	rec := f.rec
 	rec.mu.Lock()
@@ -158,30 +198,47 @@ func (f Firing) Apply(at, n int) {
 		rec.locals = make([]mat.LocalRule, n)
 	}
 	span := &rec.locals[at]
-	if span.Actions == nil {
+	switch {
+	case span.Actions == nil:
 		span.Actions = []mat.HeaderAction{}
+	case len(span.Actions) == 1 && &span.Actions[0] == &forwardSpan[0]:
+		span.Actions = []mat.HeaderAction{mat.Forward()}
 	}
 	f.Event.Update(f.FID, span)
 }
 
-// Consolidate folds the flow's recording into its Global MAT rule:
-// contribs names the chain's NFs, in order, and each one's Rule is
-// pointed at the span the NF recorded — read in place, under the
-// record's lock; mat.Consolidate copies what the rule keeps. A flow with
-// no recording under this chain epoch contributes nothing.
-func (t *Table) Consolidate(fid flow.FID, epoch uint64, contribs []mat.Contribution) (*mat.GlobalRule, error) {
-	if rec := t.record(fid); rec != nil {
-		rec.mu.Lock()
-		defer rec.mu.Unlock()
-		if rec.epoch == epoch && len(rec.locals) == len(contribs) {
-			for i := range contribs {
-				if span := &rec.locals[i]; span.Actions != nil {
-					contribs[i].Rule = span
-				}
+// Consolidate builds the Global MAT rule of the flow under edit, which
+// must be found: contribs names the chain's NFs, in order, and with
+// fromRecord each one's Rule is pointed at the span the NF recorded —
+// read in place, under the record's lock; mat.Consolidate copies what
+// the rule keeps. A flow with no recording under this chain epoch
+// contributes nothing. The rule carries the flow's registered
+// conditions as its guards, snapshotted under the same lock; a
+// registration takes an edit of the entry, so the snapshot stays current
+// until the caller's edit ends — a rule installed inside it needs no
+// re-check, and one a later registration finds gets event.AskTable from
+// the journal hook.
+func (t *Table) Consolidate(ed flow.Edit, epoch uint64, contribs []mat.Contribution, fromRecord bool) (*mat.GlobalRule, error) {
+	fid := ed.Handle().FID()
+	rec := (*Record)(ed.Handle().Rec())
+	if rec == nil {
+		return mat.Consolidate(fid, contribs)
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if fromRecord && rec.epoch == epoch && len(rec.locals) == len(contribs) {
+		for i := range contribs {
+			if span := &rec.locals[i]; span.Actions != nil {
+				contribs[i].Rule = span
 			}
 		}
 	}
-	return mat.Consolidate(fid, contribs)
+	var buf [4]func(flow.FID) bool
+	conds := buf[:0]
+	for _, e := range rec.events {
+		conds = append(conds, e.Condition)
+	}
+	return mat.Consolidate(fid, contribs, conds...)
 }
 
 // Recorded returns a deep copy of the flow's recording, by chain

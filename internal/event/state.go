@@ -167,15 +167,30 @@ func (rec *Record) images() []StateImage {
 	return out
 }
 
-// Record returns the flow's record for its NFs' state, hanging a fresh
-// one off the FID's entry if it has none.
-func (t *Table) Record(fid flow.FID) *Record {
-	if rec := t.record(fid); rec != nil {
+// Record returns the record of the flow h is on, for its NFs' state,
+// hanging a fresh one off the entry if it has none. A flow the table has
+// let go of gets a record nothing keeps: what its NFs write there goes
+// with the packet.
+func (t *Table) Record(h flow.Handle) *Record {
+	if rec := (*Record)(h.Rec()); rec != nil {
 		return rec
 	}
+	ed := t.flows.EditHandle(h)
+	defer ed.Done()
+	if !ed.Found() {
+		return &Record{}
+	}
+	return t.recordFor(ed)
+}
+
+// Entry returns a Handle on the FID's entry for a context outside any
+// engine, which has a FID and no classifier: the flow's, or — for an FID
+// no flow holds — a detached one, kept by the record hung on it.
+func (t *Table) Entry(fid flow.FID) flow.Handle {
 	ed := t.flows.Edit(fid, true)
 	defer ed.Done()
-	return t.recordFor(ed)
+	t.recordFor(ed)
+	return ed.Handle()
 }
 
 // StateImages copies out the flow's NF state, for a checkpoint.
@@ -189,18 +204,18 @@ func (t *Table) StateImages(fid flow.FID) []StateImage {
 	return rec.images()
 }
 
-// DropState ends the flow's NF state and its place on the degradation
-// ladder — the flow ended (ended: torn down, or its 5-tuple reused) or is
-// migrating away — and returns the state if it is to travel: each NF
-// with a slot in use is told, and the words are zeroed where they are, so
-// a connection that reuses the entry starts every NF from nothing, with
-// no backoff, and allocates nothing. The block itself is freed with the
-// record, by the teardown's unlink.
-func (t *Table) DropState(fid flow.FID, ended bool) []StateImage {
-	rec := t.record(fid)
-	if rec == nil {
+// DropState ends the NF state and the place on the degradation ladder of
+// the flow under edit — the flow ended (ended: torn down, or its 5-tuple
+// reused) or is migrating away — and returns the state if it is to
+// travel: each NF with a slot in use is told, and the words are zeroed
+// where they are, so a connection that reuses the entry starts every NF
+// from nothing, with no backoff, and allocates nothing. The block itself
+// is freed with the record, by the teardown's unlink.
+func (t *Table) DropState(ed flow.Edit, ended bool) []StateImage {
+	if !ed.Found() || ed.Handle().Rec() == nil {
 		return nil
 	}
+	rec := (*Record)(ed.Handle().Rec())
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
 	rec.own.RetryAt.Store(0)

@@ -166,7 +166,7 @@ type tracked struct {
 	rec      unsafe.Pointer // the recording; nil: none
 	fid      FID
 	// bits is the State in its low stateBits (zero: a detached entry,
-	// which no tuple maps to) and the two flags above them.
+	// which no tuple maps to) and the three flags above them.
 	bits atomic.Uint32
 }
 
@@ -178,6 +178,8 @@ const (
 	staleBit = 1 << stateBits
 	// claimBit is the recording gate: whoever sets it records the flow.
 	claimBit = staleBit << 1
+	// goneBit says the entry is unlinked (Gone).
+	goneBit = claimBit << 1
 )
 
 // setBits stores (bits &^ clear) | set. The word has two kinds of
@@ -245,6 +247,9 @@ func (h Handle) LiveRule() unsafe.Pointer {
 // Detached reports an entry no tuple maps to: one that exists only to
 // hold words for a FID no flow holds (see Table.Edit).
 func (h Handle) Detached() bool { return h.e.bits.Load()&stateMask == 0 }
+
+// Gone reports an entry the table has unlinked; its words stay empty.
+func (h Handle) Gone() bool { return h.e.bits.Load()&goneBit != 0 }
 
 // Claim takes the flow's recording gate, reporting false if it is held;
 // Unclaim gives it back. The gate lives and dies with the entry.
@@ -593,6 +598,7 @@ func (t *Table) unlink(s *tableShard, fs *slot, e *tracked) {
 	ed := Edit{t: t, s: s, e: e}
 	ed.SetRule(nil)
 	ed.SetRec(nil)
+	e.setBits(0, goneBit)
 }
 
 // Edit is one FID's entry held under its shard's mutex, which is what
@@ -621,9 +627,28 @@ func (t *Table) Edit(fid FID, create bool) Edit {
 	return Edit{t: t, s: s, e: e}
 }
 
+// EditHandle is Edit for a caller that holds the entry's Handle: no
+// probe, only the shard mutex. A Gone entry is not Found, so a write
+// through a handle never lands on an unlinked entry.
+func (t *Table) EditHandle(h Handle) Edit {
+	s := t.shardFor(h.e.fid)
+	s.mu.Lock()
+	if h.Gone() {
+		return Edit{t: t, s: s}
+	}
+	return Edit{t: t, s: s, e: h.e}
+}
+
 // Found reports whether the FID has an entry; Handle returns it.
 func (ed Edit) Found() bool    { return ed.e != nil }
 func (ed Edit) Handle() Handle { return Handle{ed.e} }
+
+// Unlink takes the entry out of the table, emptying its words.
+func (ed Edit) Unlink() {
+	fs, _ := ed.s.byFID.table.Load().findFID(ed.e.fid)
+	ed.t.unlink(ed.s, fs, ed.e)
+	ed.t.gen.Add(1)
+}
 
 // setWord stores p in an entry's word and keeps n, the shard's count of
 // entries whose word is set.
@@ -662,10 +687,8 @@ func (ed Edit) SetRec(p unsafe.Pointer) { setWord(&ed.e.rec, p, &ed.s.recs) }
 // Done ends the edit. A detached entry left holding nothing is unlinked;
 // the generation moves, since a Handle may have been acquired on it.
 func (ed Edit) Done() {
-	if h := ed.Handle(); ed.e != nil && h.Detached() && h.Rule() == nil && h.Rec() == nil {
-		fs, _ := ed.s.byFID.table.Load().findFID(ed.e.fid)
-		ed.t.unlink(ed.s, fs, ed.e)
-		ed.t.gen.Add(1)
+	if h := ed.Handle(); ed.e != nil && h.Detached() && !h.Gone() && h.Rule() == nil && h.Rec() == nil {
+		ed.Unlink()
 	}
 	ed.s.mu.Unlock()
 }
@@ -744,16 +767,13 @@ func (t *Table) Insert(ft packet.FiveTuple) (Entry, error) {
 
 // Remove deletes a flow by FID. It reports whether the flow existed.
 func (t *Table) Remove(fid FID) bool {
-	s := t.shardFor(fid)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fs, e := s.byFID.table.Load().findFID(fid)
-	if e == nil || (Handle{e}).Detached() {
-		return false
+	ed := t.Edit(fid, false)
+	defer ed.Done()
+	ok := ed.Found() && !ed.Handle().Detached()
+	if ok {
+		ed.Unlink()
 	}
-	t.unlink(s, fs, e)
-	t.gen.Add(1)
-	return true
+	return ok
 }
 
 // Counts is what the table holds, summed a shard at a time under its
@@ -854,13 +874,13 @@ func (t *Table) RestoreEntry(en Entry) {
 	t.gen.Add(1)
 }
 
-// IdleSince returns the FIDs of flows whose LastSeen is strictly
+// IdleSince returns Handles on the flows whose LastSeen is strictly
 // below the cutoff, for idle-rule garbage collection.
-func (t *Table) IdleSince(cutoff uint64) []FID {
-	var out []FID
+func (t *Table) IdleSince(cutoff uint64) []Handle {
+	var out []Handle
 	t.each(func(e *tracked) {
 		if e.lastSeen.Load() < cutoff {
-			out = append(out, e.fid)
+			out = append(out, Handle{e})
 		}
 	})
 	return out

@@ -39,12 +39,13 @@ func (s StackOps) Empty() bool { return len(s.Decaps) == 0 && len(s.Encaps) == 0
 
 // SourceSummary counts one contributing NF's recorded header work, so
 // the engine can price what the same work would cost without
-// consolidation (the SF-only ablation of Figure 7).
+// consolidation (the SF-only ablation of Figure 7). The counts are 16
+// bits wide, as the write-ahead log carries them.
 type SourceSummary struct {
 	NF       string
-	Modifies int
-	Encaps   int
-	Decaps   int
+	Modifies uint16
+	Encaps   uint16
+	Decaps   uint16
 	Dropped  bool
 }
 
@@ -73,14 +74,15 @@ var ErrNotConsolidatable = errcode.Sentinel("mat.not_consolidatable", "mat: acti
 // applied rather than once per NF (§V-B, "we modify these fields at
 // the end of the consolidation").
 //
-// The rule is built in exactly sized storage: a first scan finds where a
-// drop ends the chain and counts what the rule holds, so its sources,
-// batches, functions and merged values are each one allocation, carved
-// with capacity-limited slices.
-func Consolidate(fid flow.FID, contribs []Contribution) (*GlobalRule, error) {
+// guards, the flow's registered event conditions in registration order,
+// become the rule's guard list. A first scan finds where a drop ends the
+// chain and counts what the rule holds, which is carved, with
+// capacity-limited slices, from one block allocated with the rule; a
+// count past the block's room gets an array of its own.
+func Consolidate(fid flow.FID, contribs []Contribution, guards ...func(flow.FID) bool) (*GlobalRule, error) {
 	// NFs after a recorded drop never see the packet on the original
 	// path: the dropping contribution is the last one folded.
-	end, nSources, nBatches, nFuncs := len(contribs), 0, 0, 0
+	end, nSources, nBatches, nFuncs, nHeader := len(contribs), 0, 0, 0, 0
 scan:
 	for i, c := range contribs {
 		if c.Rule == nil {
@@ -96,16 +98,29 @@ scan:
 				end = i + 1
 				break scan
 			}
+			if a.Kind != ActionForward {
+				nHeader++
+			}
 		}
 	}
-	rule := &GlobalRule{FID: fid, SourceNFs: len(contribs)}
-	if nSources > 0 {
-		rule.Sources = make([]SourceSummary, 0, nSources)
+	var (
+		rule  *GlobalRule
+		funcs []sfunc.Func
+		full  *fullBlock
+	)
+	if nBatches == 0 && nHeader == 0 && len(guards) == 0 {
+		b := new(ruleBlock)
+		rule = &b.GlobalRule
+		rule.Sources = room(b.sources[:], nSources)
+	} else {
+		full = new(fullBlock)
+		rule = &full.GlobalRule
+		rule.Sources = room(full.sources[:], nSources)
+		rule.Batches = room(full.batches[:], nBatches)
+		funcs = room(full.funcs[:], nFuncs)
+		rule.SetGuards(linkGuards(room(full.guards[:], len(guards)), guards))
 	}
-	if nBatches > 0 {
-		rule.Batches = make([]sfunc.Batch, 0, nBatches)
-	}
-	funcs := make([]sfunc.Func, 0, nFuncs)
+	rule.FID, rule.SourceNFs = fid, len(contribs)
 
 	// Merged modifies, in first-touch order; the values alias the
 	// contributions until the rule's own copy is made below. A chain
@@ -169,27 +184,65 @@ scan:
 		}
 		rule.Sources = append(rule.Sources, summary)
 	}
-	if rule.Drop {
+	switch {
+	case rule.Drop:
 		// Dropped flows do no header work on the fast path.
 		rule.Stack = StackOps{}
-	} else {
+		rule.Prog = dropProg
+	case len(mods) == 0 && len(rule.Stack.Decaps) == 0 && len(stack) == 0:
+		rule.Prog = forwardProg
+	default:
 		rule.Stack.Encaps = stack
-		if len(mods) > 0 {
-			size := 0
-			for _, m := range mods {
-				size += len(m.Value)
-			}
-			vals := make([]byte, 0, size)
-			rule.Modifies = make([]FieldValue, len(mods))
-			for i, m := range mods {
-				vals = append(vals, m.Value...)
-				rule.Modifies[i] = FieldValue{Field: m.Field, Value: vals[len(vals)-len(m.Value) : len(vals) : len(vals)]}
-			}
+		// Modifies reads its values in the program's operands.
+		rule.Modifies = append(room(full.mods[:], len(mods)), mods...)
+		size, at := programSize(rule)
+		rule.Prog = appendProgram(room(full.prog[:], size), rule)
+		for i := range rule.Modifies {
+			m := &rule.Modifies[i]
+			at += 3
+			m.Value = rule.Prog[at : at+len(m.Value) : at+len(m.Value)]
+			at += len(m.Value)
 		}
 	}
-	rule.Plan = sfunc.Plan(rule.Batches)
-	rule.Compile()
+	if full != nil {
+		rule.Plan = sfunc.PlanIn(full.plan[:], rule.Batches)
+	}
 	return rule, nil
+}
+
+// ruleBlock is a rule and the room its slices are carved from. fullBlock
+// has room for Chain1's rule — two batches of one function, three
+// modifies, one guard, their plan and program — in 640 bytes.
+type ruleBlock struct {
+	GlobalRule
+	sources [4]SourceSummary
+}
+
+type fullBlock struct {
+	ruleBlock
+	batches [2]sfunc.Batch
+	funcs   [2]sfunc.Func
+	mods    [3]FieldValue
+	guards  [1]Guard
+	plan    [4]uint32 // a plan of two batches
+	prog    [48]byte
+}
+
+// room is empty storage for n elements: buf's, or an exact fresh array.
+func room[T any](buf []T, n int) []T {
+	if n > len(buf) {
+		return make([]T, 0, n)
+	}
+	return buf[:0:n]
+}
+
+// linkGuards chains conds, in order, into nodes carved from buf.
+func linkGuards(buf []Guard, conds []func(flow.FID) bool) (head *Guard) {
+	nodes := buf[:len(conds)]
+	for i := len(nodes) - 1; i >= 0; i-- {
+		nodes[i], head = Guard{Cond: conds[i], Next: head}, &nodes[i]
+	}
+	return head
 }
 
 // ApplyNaive executes the raw per-NF action lists on a packet exactly

@@ -45,10 +45,14 @@ func TestGlobalRuleString(t *testing.T) {
 		},
 		{
 			"batches and version",
-			&GlobalRule{FID: 5, Version: 3, Batches: []sfunc.Batch{
-				{NF: "a", Funcs: []sfunc.Func{{Name: "f", Class: sfunc.ClassRead,
-					Run: func(*packet.Packet) (uint64, error) { return 0, nil }}}},
-			}, Plan: sfunc.Schedule{Stages: [][]int{{0}}}},
+			func() *GlobalRule {
+				r := &GlobalRule{FID: 5, Version: 3, Batches: []sfunc.Batch{
+					{NF: "a", Funcs: []sfunc.Func{{Name: "f", Class: sfunc.ClassRead,
+						Run: func(*packet.Packet) (uint64, error) { return 0, nil }}}},
+				}}
+				r.Plan = sfunc.Plan(r.Batches)
+				return r
+			}(),
 			[]string{"1 SF batch(es) in 1 stage(s)", "[v3]"},
 		},
 	}

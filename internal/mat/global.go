@@ -154,30 +154,23 @@ func (r *GlobalRule) String() string {
 		}
 	}
 	if n := len(r.Batches); n > 0 {
-		fmt.Fprintf(&b, " + %d SF batch(es) in %d stage(s)", n, len(r.Plan.Stages))
+		fmt.Fprintf(&b, " + %d SF batch(es) in %d stage(s)", n, r.Plan.Len())
 	}
 	fmt.Fprintf(&b, " [v%d]", r.Version)
 	return b.String()
 }
 
 // Global is the Global MAT: the consolidated fast-path rules keyed by
-// FID (implemented in BESS as a global array reachable from all Local
-// MATs, and in ONVM at the NF manager, §VI-A). It has no table of its
-// own: a flow's rule is the first word of the flow's entry in the flow
-// table, so the packet that has found its flow has found its rule, and
-// this type is the rule word's meaning — what may be stored in it, when
-// it may be served, who hears of a change. It is safe for concurrent
-// use; rules returned by Lookup are immutable once installed —
-// replacement installs a fresh rule pointer.
-//
-// Reads are lock-free: LookupLive is one probe of the flow table's FID
-// index, and Live is no probe at all for a caller that holds the flow's
-// Handle. Writes go through flow.Table.Edit — the entry's shard mutex is
-// what serializes one FID's installs, removals, stale marks and their
-// journal callbacks, and a rule's install with its entry's unlinking.
-// Nothing here invalidates anything: a reader loads the word it is
-// about to serve, so a mutation of one flow's rule costs no other flow a
-// thing.
+// FID (in BESS a global array reachable from all Local MATs, in ONVM at
+// the NF manager, §VI-A). It has no table of its own: a flow's rule is
+// the first word of its entry in the flow table, so the packet that has
+// found its flow has found its rule, and this type is the word's meaning
+// — what may be stored in it, when it may be served, who hears of a
+// change. Installed rules are immutable; replacement installs a fresh
+// pointer. Reads are lock-free (Live needs no probe at all for a caller
+// holding the flow's Handle); writes hold a flow.Edit, whose shard mutex
+// serializes one FID's installs, removals, stale marks and journal
+// callbacks with its entry's unlinking, and invalidates nothing else.
 //
 // A rule for an FID no flow holds (a side rule of the benchmark, a
 // journal replayed past its flow) lives on a detached entry, created by
@@ -194,13 +187,11 @@ type Global struct {
 	journal atomic.Pointer[Journal]
 }
 
-// Journal observes Global MAT mutations for write-ahead logging. The
-// callbacks run inside the flow-table Edit that applied the mutation
-// (EpochAdvanced under the engine's reconfigure serialization instead),
-// so the journal sees each FID's mutations in exactly the order they
-// were applied; implementations must not call back into either table. mat defines the
-// interface and core adapts it to the WAL writer, keeping this package
-// free of a wal dependency.
+// Journal observes Global MAT mutations for write-ahead logging (core
+// adapts it to the WAL writer). The callbacks run inside the flow-table
+// Edit that applied the mutation (EpochAdvanced under the engine's
+// reconfigure serialization), so the journal sees each FID's mutations
+// in the order they applied; they must not call back into either table.
 type Journal interface {
 	// RuleInstalled reports an Install: r is the stored rule (the
 	// version-carried copy when replacing).
@@ -239,14 +230,18 @@ func NewGlobal(flows *flow.Table) *Global { return &Global{flows: flows} }
 func (g *Global) Publishes() uint64 { return 0 }
 
 // Install inserts or replaces the rule for a flow, reporting whether
-// an existing rule was replaced (telemetry distinguishes first-time
-// installs from event-driven reconsolidations). When replacing, the
-// version counter carries over and increments — on a private copy of
-// the rule, never by writing through the caller's pointer: platforms
-// may still hold (and read) previously installed rules concurrently.
-// A fresh install supersedes any stale mark.
+// one was replaced. A replacement carries the version over, incremented,
+// on a private copy of the rule — platforms may still read previously
+// installed rules — and any install clears a stale mark.
 func (g *Global) Install(r *GlobalRule) (replaced bool) {
 	ed := g.flows.Edit(r.FID, true)
+	defer ed.Done()
+	return g.InstallAt(ed, r)
+}
+
+// InstallAt is Install on r's flow's entry, which the edit must have
+// found.
+func (g *Global) InstallAt(ed flow.Edit, r *GlobalRule) (replaced bool) {
 	stored := r
 	if old := (*GlobalRule)(ed.Handle().Rule()); old != nil {
 		versioned := *r
@@ -257,7 +252,6 @@ func (g *Global) Install(r *GlobalRule) (replaced bool) {
 	if j := g.journalOf(); j != nil {
 		j.RuleInstalled(stored, replaced)
 	}
-	ed.Done()
 	return replaced
 }
 
@@ -328,14 +322,19 @@ func (g *Global) Lookup(fid flow.FID) (*GlobalRule, bool) {
 // whether a rule existed.
 func (g *Global) Remove(fid flow.FID) bool {
 	ed := g.flows.Edit(fid, false)
+	defer ed.Done()
+	return g.RemoveAt(ed)
+}
+
+// RemoveAt is Remove on the entry under edit, found or not.
+func (g *Global) RemoveAt(ed flow.Edit) bool {
 	removed := ed.Found() && ed.Handle().Rule() != nil
 	if removed {
 		ed.SetRule(nil)
 		if j := g.journalOf(); j != nil {
-			j.RuleRemoved(fid)
+			j.RuleRemoved(ed.Handle().FID())
 		}
 	}
-	ed.Done()
 	return removed
 }
 
@@ -348,14 +347,19 @@ func (g *Global) Remove(fid flow.FID) bool {
 // present to mark.
 func (g *Global) MarkStale(fid flow.FID) bool {
 	ed := g.flows.Edit(fid, false)
+	defer ed.Done()
+	return g.MarkStaleAt(ed)
+}
+
+// MarkStaleAt is MarkStale on the entry under edit, found or not.
+func (g *Global) MarkStaleAt(ed flow.Edit) bool {
 	present := ed.Found() && ed.Handle().Rule() != nil
 	if present {
 		ed.MarkStale()
 		if j := g.journalOf(); j != nil {
-			j.RuleStaled(fid)
+			j.RuleStaled(ed.Handle().FID())
 		}
 	}
-	ed.Done()
 	return present
 }
 
@@ -375,6 +379,9 @@ func (g *Global) Live(h flow.Handle) *GlobalRule {
 	}
 	return nil
 }
+
+// Rule returns the rule on a flow's entry, stale or not.
+func (g *Global) Rule(h flow.Handle) *GlobalRule { return (*GlobalRule)(h.Rule()) }
 
 // LookupLive is Live for a caller that holds the FID and not the
 // Handle: a miss sends it to the always-correct slow path, plain Lookup

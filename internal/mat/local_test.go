@@ -20,15 +20,29 @@ func noop(name string) sfunc.Func {
 	return sfunc.Func{Name: name, Class: sfunc.ClassIgnore, Run: func(*packet.Packet) (uint64, error) { return 0, nil }}
 }
 
+// newTable returns an Event Table over a flow table of its own.
+func newTable() (*flow.Table, *event.Table) {
+	flows := flow.NewTable()
+	return flows, event.NewTable(flows)
+}
+
+// publishAll records spans for an n-NF chain under the FID, as a detached
+// entry's if no flow holds it.
+func publishAll(flows *flow.Table, tbl *event.Table, fid flow.FID, n int, spans []Contribution) {
+	ed := flows.Edit(fid, true)
+	tbl.Publish(ed, 0, n, 0, spans)
+	ed.Done()
+}
+
 // publish records rule as the one NF of a one-NF chain.
-func publish(tbl *event.Table, fid flow.FID, rule *LocalRule) {
-	tbl.Publish(fid, 0, 1, 0, []Contribution{{NF: "x", Rule: rule}})
+func publish(flows *flow.Table, tbl *event.Table, fid flow.FID, rule *LocalRule) {
+	publishAll(flows, tbl, fid, 1, []Contribution{{NF: "x", Rule: rule}})
 }
 
 // mutate runs fn on the flow's span the way a firing event does.
 func mutate(t *testing.T, tbl *event.Table, fid flow.FID, fn func(*LocalRule)) {
 	t.Helper()
-	err := tbl.Register(fid, event.Event{NF: "x", OneShot: true,
+	err := tbl.Register(tbl.Entry(fid), event.Event{NF: "x", OneShot: true,
 		Condition: func(flow.FID) bool { return true },
 		Update:    func(_ flow.FID, r *LocalRule) { fn(r) }})
 	if err != nil {
@@ -40,9 +54,9 @@ func mutate(t *testing.T, tbl *event.Table, fid flow.FID, fn func(*LocalRule)) {
 }
 
 func TestLocalMATRecordingOrder(t *testing.T) {
-	tbl := event.NewTable(flow.NewTable())
+	flows, tbl := newTable()
 	fid := flow.FID(1)
-	publish(tbl, fid, &LocalRule{
+	publish(flows, tbl, fid, &LocalRule{
 		Actions: []HeaderAction{
 			Modify(packet.FieldDstIP, []byte{1, 1, 1, 1}),
 			Modify(packet.FieldDstPort, packet.PutUint16(8080)),
@@ -68,16 +82,16 @@ func TestLocalMATRecordingOrder(t *testing.T) {
 // reallocates instead of growing into storage it does not own — the
 // publisher's, or the next NF's span carved from the same array.
 func TestLocalMATReplaceIsExactCopy(t *testing.T) {
-	tbl := event.NewTable(flow.NewTable())
+	flows, tbl := newTable()
 	buf := make([]HeaderAction, 1, 8)
 	buf[0] = Forward()
-	tbl.Publish(1, 0, 2, 0, []Contribution{
+	publishAll(flows, tbl, 1, 2, []Contribution{
 		{NF: "x", Rule: &LocalRule{Actions: buf}},
 		{NF: "y", Rule: &LocalRule{Actions: []HeaderAction{Drop()}}},
 	})
 	buf[0] = Drop()
 	buf = append(buf, Drop())
-	err := tbl.Register(1, event.Event{NF: "x", OneShot: true,
+	err := tbl.Register(tbl.Entry(1), event.Event{NF: "x", OneShot: true,
 		Condition: func(flow.FID) bool { return true },
 		Update: func(_ flow.FID, r *LocalRule) {
 			if len(r.Actions) != 1 || cap(r.Actions) != 1 || r.Actions[0].Kind != ActionForward {
@@ -100,9 +114,9 @@ func TestLocalMATReplaceIsExactCopy(t *testing.T) {
 }
 
 func TestLocalMATGetIsSnapshot(t *testing.T) {
-	tbl := event.NewTable(flow.NewTable())
+	flows, tbl := newTable()
 	fid := flow.FID(2)
-	publish(tbl, fid, &LocalRule{Actions: []HeaderAction{Forward()}})
+	publish(flows, tbl, fid, &LocalRule{Actions: []HeaderAction{Forward()}})
 	snap, _ := tbl.Recorded(fid)
 	snap[0].Actions[0] = Drop()
 	if again, _ := tbl.Recorded(fid); again[0].Actions[0].Kind != ActionForward {
@@ -111,14 +125,15 @@ func TestLocalMATGetIsSnapshot(t *testing.T) {
 }
 
 func TestLocalMATLifecycle(t *testing.T) {
-	flows := flow.NewTable()
-	tbl := event.NewTable(flows)
+	flows, tbl := newTable()
 	fid := flow.FID(3)
-	publish(tbl, fid, &LocalRule{Actions: []HeaderAction{Forward()}})
+	publish(flows, tbl, fid, &LocalRule{Actions: []HeaderAction{Forward()}})
 	if c := flows.Counts(); c.Records != 1 || c.Detached != 1 {
 		t.Errorf("after a publish under a FID no flow holds: %+v", c)
 	}
-	tbl.Remove(fid)
+	ed := flows.Edit(fid, false)
+	tbl.Remove(ed)
+	ed.Done()
 	if spans, _ := tbl.Recorded(fid); spans != nil {
 		t.Error("recording survived Remove")
 	}
@@ -126,8 +141,8 @@ func TestLocalMATLifecycle(t *testing.T) {
 		t.Errorf("the detached entry outlived what it held: %+v", c)
 	}
 	// Publish and mutate on a fresh record; a re-publish overwrites.
-	publish(tbl, fid, &LocalRule{Actions: []HeaderAction{Drop()}})
-	publish(tbl, fid, &LocalRule{Actions: []HeaderAction{Forward()}})
+	publish(flows, tbl, fid, &LocalRule{Actions: []HeaderAction{Drop()}})
+	publish(flows, tbl, fid, &LocalRule{Actions: []HeaderAction{Forward()}})
 	mutate(t, tbl, fid, func(r *LocalRule) { r.Actions[0] = Drop() })
 	if spans, _ := tbl.Recorded(fid); len(spans[0].Actions) != 1 || spans[0].Actions[0].Kind != ActionDrop {
 		t.Errorf("Apply did not edit the span in place: %v", spans)

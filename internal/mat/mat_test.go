@@ -401,3 +401,68 @@ func TestGlobalRuleSizeClass(t *testing.T) {
 		t.Errorf("GlobalRule is %d bytes, beyond the 224-byte size class", size)
 	}
 }
+
+// TestConsolidateIsOneAllocation: a short chain's rule — sources,
+// batches, functions, modifies, guards, plan and program — is one block,
+// a forward-only one the smaller block, each within its size class; the
+// merged values are the program's operands; a rule past the block's
+// room still consolidates, into storage of its own.
+func TestConsolidateIsOneAllocation(t *testing.T) {
+	if lean, full := unsafe.Sizeof(ruleBlock{}), unsafe.Sizeof(fullBlock{}); lean > 320 || full > 640 {
+		t.Errorf("blocks are %d and %d bytes, beyond the 320- and 640-byte size classes", lean, full)
+	}
+	fn := func(name string) sfunc.Func {
+		return sfunc.Func{Name: name, Class: sfunc.ClassIgnore, Run: func(*packet.Packet) (uint64, error) { return 1, nil }}
+	}
+	chain1 := []Contribution{
+		{NF: "mazunat", Rule: &LocalRule{Actions: []HeaderAction{
+			Modify(packet.FieldSrcIP, []byte{198, 51, 100, 1}),
+			Modify(packet.FieldSrcPort, packet.PutUint16(20000)),
+		}}},
+		{NF: "maglev", Rule: &LocalRule{Actions: []HeaderAction{Modify(packet.FieldDstIP, []byte{192, 168, 1, 10})}, Funcs: []sfunc.Func{fn("conntrack")}}},
+		{NF: "monitor", Rule: &LocalRule{Actions: []HeaderAction{Forward()}, Funcs: []sfunc.Func{fn("count")}}},
+		{NF: "ipfilter", Rule: &LocalRule{Actions: []HeaderAction{Forward()}}},
+	}
+	failover := func(flow.FID) bool { return false }
+	forwards := []Contribution{
+		{NF: "fw1", Rule: &LocalRule{Actions: []HeaderAction{Forward()}}},
+		{NF: "fw2", Rule: &LocalRule{Actions: []HeaderAction{Forward()}}},
+		{NF: "fw3", Rule: &LocalRule{Actions: []HeaderAction{Forward()}}},
+	}
+	for name, consolidate := range map[string]func() (*GlobalRule, error){
+		"chain1":   func() (*GlobalRule, error) { return Consolidate(1, chain1, failover) },
+		"forwards": func() (*GlobalRule, error) { return Consolidate(1, forwards) },
+	} {
+		var rule *GlobalRule
+		if n := testing.AllocsPerRun(20, func() {
+			var err error
+			if rule, err = consolidate(); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 1 {
+			t.Errorf("%s: %v allocations a rule, want 1", name, n)
+		}
+		for _, m := range rule.Modifies {
+			if at := &m.Value[0]; uintptr(unsafe.Pointer(at)) < uintptr(unsafe.Pointer(&rule.Prog[0])) ||
+				uintptr(unsafe.Pointer(at)) >= uintptr(unsafe.Pointer(&rule.Prog[0]))+uintptr(len(rule.Prog)) {
+				t.Errorf("%s: the %v value is not the program's operand", name, m.Field)
+			}
+		}
+	}
+	rule, err := Consolidate(1, chain1, failover)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rule.Sources) != 4 || len(rule.Batches) != 2 || rule.Plan.String() != "[0 1]" || len(rule.Modifies) != 3 ||
+		rule.Guards() == nil || rule.Guards().Next != nil {
+		t.Errorf("Chain1 rule %v: sources %d, plan %v, modifies %d", rule, len(rule.Sources), rule.Plan, len(rule.Modifies))
+	}
+	long := append(append([]Contribution(nil), chain1...), chain1...)
+	for i := range long[4:] {
+		long[4+i].NF += "-again"
+	}
+	if rule, err := Consolidate(1, long, failover, failover); err != nil || len(rule.Sources) != 8 || len(rule.Batches) != 4 ||
+		rule.Plan.String() != "[0 1 2 3]" || len(rule.Modifies) != 3 || rule.Guards().Next == nil {
+		t.Errorf("a chain past the block: %v, %v", rule, err)
+	}
+}

@@ -7,18 +7,14 @@ import (
 	"github.com/fastpathnfv/speedybox/internal/packet"
 )
 
-// Compiled action programs. Interpreting a consolidated rule means
-// walking three slices of structs per packet (Stack.Decaps,
-// Stack.Encaps, Modifies) and patching the checksums once per field. A
-// rule's header work is fixed at consolidation time, so it
-// compiles once into a flat byte program — opcode, then immediate
-// operands, contiguous in one allocation — and the per-packet executor
-// is a single loop over that byte slice with no pointer chasing and a
-// branch pattern the predictor learns after one packet. ApplyHeader
-// remains the reference implementation: the executor must be
-// byte-identical to it (the program differential fuzzer enforces
-// this), and rules without a program (hand-built tests, rules decoded
-// from an old WAL) transparently fall back to it.
+// Compiled action programs. A rule's header work is fixed at
+// consolidation time, so it compiles once into a flat byte program —
+// opcode, then immediate operands — and the per-packet executor is one
+// loop over it, with no pointer chasing, where interpreting the rule
+// walks three slices and patches the checksums once per field.
+// ApplyHeader remains the reference implementation: the executor must
+// be byte-identical to it (FuzzProgramExec), and rules without a
+// program (hand-built tests, old WAL encodings) fall back to it.
 //
 // Layout: prog[0] is the format version; the opcodes follow. A
 // forward-only rule compiles to just the version byte, so the hot
@@ -49,27 +45,43 @@ const (
 	opModify
 )
 
+// The programs Consolidate shares among rules without header work and
+// among drop rules: a built program is never written.
+var (
+	forwardProg = []byte{progVersion}
+	dropProg    = []byte{progVersion, opDrop}
+)
+
 // Compile builds (and attaches) the rule's action program from its
-// consolidated header work. Consolidate calls it on every rule it
-// emits; restore paths call it on rules decoded from a WAL or
-// checkpoint, whose encodings predate the program.
+// consolidated header work: restore paths call it on rules decoded from
+// a WAL or checkpoint, whose encodings predate the program.
 func (r *GlobalRule) Compile() {
-	r.Prog = compileHeader(r)
+	size, _ := programSize(r)
+	r.Prog = appendProgram(make([]byte, 0, size), r)
 }
 
-// compileHeader encodes the rule's header work in ApplyHeader's exact
-// order: decaps, encaps, modifies. Drop rules compile to the lone drop
-// opcode (Consolidate already clears their header work).
-func compileHeader(r *GlobalRule) []byte {
+// programSize is the length of the rule's program; modsAt is where its
+// first modify opcode sits.
+func programSize(r *GlobalRule) (size, modsAt int) {
 	if r.Drop {
-		return []byte{progVersion, opDrop}
+		return len(dropProg), len(dropProg)
 	}
-	n := 1 + 2*len(r.Stack.Decaps) + 12*len(r.Stack.Encaps)
+	modsAt = 1 + 2*len(r.Stack.Decaps) + 12*len(r.Stack.Encaps)
+	size = modsAt
 	for _, m := range r.Modifies {
-		n += 3 + len(m.Value)
+		size += 3 + len(m.Value)
 	}
-	p := make([]byte, 1, n)
-	p[0] = progVersion
+	return size, modsAt
+}
+
+// appendProgram encodes the rule's header work onto p in ApplyHeader's
+// exact order: decaps, encaps, modifies. Drop rules compile to the lone
+// drop opcode (Consolidate already clears their header work).
+func appendProgram(p []byte, r *GlobalRule) []byte {
+	if r.Drop {
+		return append(p, dropProg...)
+	}
+	p = append(p, progVersion)
 	for _, t := range r.Stack.Decaps {
 		p = append(p, opDecap, byte(t))
 	}

@@ -9,6 +9,7 @@
 package ipfilter
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 
@@ -68,13 +69,70 @@ type Rule struct {
 	Deny bool
 }
 
-// Matches reports whether the rule matches the tuple.
+// Matches reports whether the rule matches the tuple. It is the
+// reference the filter's compiled scan must agree with.
 func (r Rule) Matches(ft packet.FiveTuple) bool {
 	if r.Proto != 0 && r.Proto != ft.Proto {
 		return false
 	}
 	return r.Src.Matches(ft.SrcIP) && r.Dst.Matches(ft.DstIP) &&
 		r.SrcPort.Matches(ft.SrcPort) && r.DstPort.Matches(ft.DstPort)
+}
+
+// entry is a Rule compiled for the scan: each field a masked compare or
+// a bound check on words taken out of the tuple once per scan, where
+// Rule.Matches rebuilds both addresses for every rule. A prefix of no
+// bits has mask 0, one past 32 bits is 32; a (0,0) port range is
+// [0,65535]; proto 0 has mask 0.
+type entry struct {
+	src, srcMask, dst, dstMask uint32
+	sLo, sHi, dLo, dHi         uint16
+	proto, protoMask           uint8
+	deny                       bool
+}
+
+// compile builds the rule's scan entry.
+func compile(r Rule) entry {
+	srcMask, dstMask := prefixMask(r.Src.Bits), prefixMask(r.Dst.Bits)
+	e := entry{
+		srcMask: srcMask, src: binary.BigEndian.Uint32(r.Src.Addr[:]) & srcMask,
+		dstMask: dstMask, dst: binary.BigEndian.Uint32(r.Dst.Addr[:]) & dstMask,
+		proto: r.Proto, deny: r.Deny,
+	}
+	e.sLo, e.sHi = portBounds(r.SrcPort)
+	e.dLo, e.dHi = portBounds(r.DstPort)
+	if r.Proto != 0 {
+		e.protoMask = 0xff
+	}
+	return e
+}
+
+// prefixMask is the network mask of a prefix length, clamped to [0, 32].
+func prefixMask(bits int) uint32 {
+	switch {
+	case bits <= 0:
+		return 0
+	case bits >= 32:
+		return ^uint32(0)
+	}
+	return ^uint32(0) << (32 - bits)
+}
+
+// portBounds is the interval a PortRange matches.
+func portBounds(r PortRange) (lo, hi uint16) {
+	if r.Lo == 0 && r.Hi == 0 {
+		return 0, 0xffff
+	}
+	return r.Lo, r.Hi
+}
+
+// matches reports whether the entry matches a tuple whose addresses are
+// src and dst.
+func (e *entry) matches(src, dst uint32, ft *packet.FiveTuple) bool {
+	return src&e.srcMask == e.src && dst&e.dstMask == e.dst &&
+		ft.Proto&e.protoMask == e.proto &&
+		ft.SrcPort >= e.sLo && ft.SrcPort <= e.sHi &&
+		ft.DstPort >= e.dLo && ft.DstPort <= e.dHi
 }
 
 // Config configures a Filter.
@@ -89,7 +147,9 @@ type Config struct {
 
 // Filter is the firewall NF. It keeps a per-flow decision cache, as the
 // real IPFilter would: on the original (unconsolidated) path only the
-// first packet of a flow pays the linear ACL scan. The cached decision is
+// first packet of a flow pays the linear ACL scan — over the ACL compiled
+// when the filter is built, each rule pre-masked, still entry by entry
+// in order and still charged Model.ACLScanCost of its length. The cached decision is
 // three words of per-flow state on the flow record — the tuple it was
 // made on (packet.FiveTuple.Key's two words) and the verdict — because a
 // decision is only good for the tuple the filter saw: an upstream NF
@@ -97,7 +157,7 @@ type Config struct {
 // over) changes it, and the filter scans again.
 type Filter struct {
 	name        string
-	rules       []Rule
+	acl         []entry
 	defaultDeny bool
 	flows       core.FlowStates
 
@@ -124,8 +184,11 @@ func New(cfg Config) (*Filter, error) {
 	}
 	f := &Filter{
 		name:        cfg.Name,
-		rules:       append([]Rule(nil), cfg.Rules...),
+		acl:         make([]entry, len(cfg.Rules)),
 		defaultDeny: cfg.DefaultDeny,
+	}
+	for i, r := range cfg.Rules {
+		f.acl[i] = compile(r)
 	}
 	f.flows.Words = 3
 	return f, nil
@@ -140,7 +203,7 @@ func (f *Filter) Name() string { return f.name }
 func (f *Filter) FlowStates() *core.FlowStates { return &f.flows }
 
 // NumRules returns the ACL length.
-func (f *Filter) NumRules() int { return len(f.rules) }
+func (f *Filter) NumRules() int { return len(f.acl) }
 
 // Stats returns a snapshot of the decision counters.
 func (f *Filter) Stats() Stats {
@@ -154,13 +217,7 @@ func (f *Filter) decide(st core.State, ft packet.FiveTuple) (bool, bool) {
 	if v := st[2].Load(); v != 0 && st[0].Load() == hi && st[1].Load() == lo {
 		return v == verdictDeny, true
 	}
-	deny := f.defaultDeny
-	for _, r := range f.rules {
-		if r.Matches(ft) {
-			deny = r.Deny
-			break
-		}
-	}
+	deny := f.scan(&ft)
 	st[0].Store(hi)
 	st[1].Store(lo)
 	f.scanned.Add(1)
@@ -174,6 +231,18 @@ func (f *Filter) decide(st core.State, ft packet.FiveTuple) (bool, bool) {
 	return deny, false
 }
 
+// scan runs the ACL over a tuple, first match winning, and reports
+// whether the verdict is deny.
+func (f *Filter) scan(ft *packet.FiveTuple) bool {
+	src, dst := binary.BigEndian.Uint32(ft.SrcIP[:]), binary.BigEndian.Uint32(ft.DstIP[:])
+	for i := range f.acl {
+		if e := &f.acl[i]; e.matches(src, dst, ft) {
+			return e.deny
+		}
+	}
+	return f.defaultDeny
+}
+
 // Process implements core.NF.
 func (f *Filter) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, error) {
 	ctx.Charge(ctx.Model.Parse + ctx.Model.Classify)
@@ -185,7 +254,7 @@ func (f *Filter) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, error
 	if hit {
 		ctx.Charge(ctx.Model.FlowCacheHit)
 	} else {
-		ctx.Charge(ctx.Model.ACLScanCost(len(f.rules)))
+		ctx.Charge(ctx.Model.ACLScanCost(len(f.acl)))
 	}
 	if deny {
 		if err := ctx.AddHeaderAction(mat.Drop()); err != nil {

@@ -226,7 +226,8 @@ func TestProcessUnparsedPacket(t *testing.T) {
 }
 
 func TestFlowClosedReleasesCache(t *testing.T) {
-	tbl := event.NewTable(flow.NewTable())
+	flows := flow.NewTable()
+	tbl := event.NewTable(flows)
 	f, err := New(Config{Name: "fw", Rules: PadRules(nil, 10)})
 	if err != nil {
 		t.Fatal(err)
@@ -240,11 +241,15 @@ func TestFlowClosedReleasesCache(t *testing.T) {
 	if f.flows.Of(9) == nil || f.Stats().Scanned != 1 {
 		t.Fatalf("decision not cached on the flow's record: %+v", f.Stats())
 	}
-	tbl.DropState(9, true)
+	ed := flows.Edit(9, false)
+	tbl.DropState(ed, true)
+	ed.Done()
 	if f.flows.Of(9) != nil {
 		t.Error("cached decision survived the flow's end")
 	}
-	tbl.DropState(9, true) // idempotent
+	ed = flows.Edit(9, false) // idempotent
+	tbl.DropState(ed, true)
+	ed.Done()
 	if _, err := f.Process(core.NewCtx("fw", core.CtxConfig{FID: 9, Events: tbl}), p); err != nil {
 		t.Fatal(err)
 	}

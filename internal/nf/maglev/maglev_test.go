@@ -309,7 +309,8 @@ func TestLookupDistributionAcrossFlows(t *testing.T) {
 }
 
 func TestFlowClosedReleasesConnTrack(t *testing.T) {
-	tbl := event.NewTable(flow.NewTable())
+	flows := flow.NewTable()
+	tbl := event.NewTable(flows)
 	lb, err := New(Config{Name: "lb", Backends: backends(2), TableSize: 101})
 	if err != nil {
 		t.Fatal(err)
@@ -321,7 +322,9 @@ func TestFlowClosedReleasesConnTrack(t *testing.T) {
 	if _, ok := lb.BackendOf(5); !ok {
 		t.Fatal("no pin")
 	}
-	tbl.DropState(5, true)
+	ed := flows.Edit(5, false)
+	tbl.DropState(ed, true)
+	ed.Done()
 	if _, ok := lb.BackendOf(5); ok {
 		t.Error("conn-track pin survived the flow's end")
 	}

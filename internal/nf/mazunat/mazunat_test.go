@@ -182,7 +182,8 @@ func TestTransitTrafficForwards(t *testing.T) {
 }
 
 func TestRelease(t *testing.T) {
-	tbl := event.NewTable(flow.NewTable())
+	flows := flow.NewTable()
+	tbl := event.NewTable(flows)
 	n, err := New(cfg())
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +196,9 @@ func TestRelease(t *testing.T) {
 	if _, ok := n.MappingFor(ft); !ok {
 		t.Fatal("mapping missing")
 	}
-	tbl.DropState(1, false) // the flow migrates away: its port leaves the pool too
+	ed := flows.Edit(1, false) // the flow migrates away: its port leaves the pool too
+	tbl.DropState(ed, false)
+	ed.Done()
 	if _, ok := n.MappingFor(ft); ok {
 		t.Error("mapping survived the flow's leaving")
 	}
@@ -224,7 +227,8 @@ func TestPortExhaustion(t *testing.T) {
 }
 
 func TestFlowClosedReleasesMapping(t *testing.T) {
-	tbl := event.NewTable(flow.NewTable())
+	flows := flow.NewTable()
+	tbl := event.NewTable(flows)
 	n, err := New(cfg())
 	if err != nil {
 		t.Fatal(err)
@@ -237,13 +241,19 @@ func TestFlowClosedReleasesMapping(t *testing.T) {
 	if n.Mappings() != 1 {
 		t.Fatal("mapping missing")
 	}
-	tbl.DropState(42, true)
+	ed := flows.Edit(42, false)
+	tbl.DropState(ed, true)
+	ed.Done()
 	if n.Mappings() != 0 {
 		t.Error("mapping survived the flow's end")
 	}
 	// Idempotent, and a no-op on unknown flows.
-	tbl.DropState(42, true)
-	tbl.DropState(999, true)
+	ed = flows.Edit(42, false)
+	tbl.DropState(ed, true)
+	ed.Done()
+	ed = flows.Edit(999, false)
+	tbl.DropState(ed, true)
+	ed.Done()
 }
 
 // BenchmarkProcess measures a NAT slow-path packet — an established

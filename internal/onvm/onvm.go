@@ -27,7 +27,6 @@ import (
 	"github.com/fastpathnfv/speedybox/internal/core"
 	"github.com/fastpathnfv/speedybox/internal/cost"
 	"github.com/fastpathnfv/speedybox/internal/errcode"
-	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/mat"
 	"github.com/fastpathnfv/speedybox/internal/packet"
 	"github.com/fastpathnfv/speedybox/internal/platform"
@@ -96,7 +95,7 @@ type job struct {
 // recording slot if this job held it, then signals completion.
 func (j *job) finish() {
 	if j.recording && j.engine != nil {
-		j.engine.EndRecording(j.cls.FID)
+		j.engine.EndRecording(j.cls.Handle)
 	}
 	if j.inflight != nil {
 		j.inflight.Add(-1)
@@ -247,7 +246,7 @@ func (p *Platform) nfLoop(i int, rings []*ring.Ring[*job]) {
 		next, mgr = next[:0], mgr[:0]
 		for _, j := range buf[:n] {
 			if j.err == nil && j.verdict != core.VerdictDrop {
-				v, cycles, err := p.eng.ProcessNF(i, j.cls.FID, j.pkt, j.recording, b)
+				v, cycles, err := p.eng.ProcessNF(i, j.cls.Handle, j.pkt, j.recording, b)
 				j.perNF = append(j.perNF, cost.StageCost{Name: fmt.Sprintf("nf%d", i), Cycles: cycles})
 				switch {
 				case err != nil:
@@ -297,8 +296,9 @@ func (p *Platform) enqueueBatch(r *ring.Ring[*job], jobs []*job) {
 }
 
 // managerLoop is the NF manager core: it consolidates freshly recorded
-// flows and executes the Global MAT fast path on the core's own Batch
-// (its FID-keyed flow context: the RX core classified). Like the NF
+// flows and executes the Global MAT fast path on the core's own Batch,
+// through the flow handle the RX core's classification put in the job.
+// Like the NF
 // cores it drains its ring in bursts; each job's result is allocated
 // per job because it must outlive the burst (jobs complete
 // asynchronously).
@@ -314,7 +314,7 @@ func (p *Platform) managerLoop() {
 		for _, j := range buf[:n] {
 			if j.recording && j.fastRes == nil && j.err == nil && j.cls.Kind != classifier.KindSubsequent {
 				// Consolidation request from the last NF.
-				cycles, err := p.eng.ConsolidateFlow(j.cls.FID)
+				cycles, err := p.eng.ConsolidateFlow(j.cls.Handle)
 				switch {
 				case err == nil:
 					j.consolidate = cycles
@@ -328,7 +328,7 @@ func (p *Platform) managerLoop() {
 				continue
 			}
 			// Fast-path packet.
-			res, err := p.eng.FastProcess(j.cls.FID, j.pkt, b)
+			res, err := p.eng.FastProcess(j.cls.Handle, j.pkt, b)
 			if err != nil {
 				j.err = err
 			} else {
@@ -461,7 +461,7 @@ func (p *Platform) inject(pkt *packet.Packet) (*job, error) {
 
 	fastEligible := opts.EnableSpeedyBox &&
 		(cls.Kind == classifier.KindSubsequent ||
-			(cls.Kind == classifier.KindFinal && p.hasRule(cls.FID)))
+			(cls.Kind == classifier.KindFinal && p.eng.Global().Live(cls.Handle) != nil))
 	if fastEligible {
 		if err := p.mgrRing.Enqueue(j); err != nil {
 			p.inflight.Add(-1)
@@ -474,14 +474,14 @@ func (p *Platform) inject(pkt *packet.Packet) (*job, error) {
 		// degradation backoff does not retry, and only one in-flight
 		// packet may record for a flow; the others traverse the chain
 		// without recording, which is always correct.
-		j.recording = p.eng.TryBeginRecording(cls.FID)
+		j.recording = p.eng.TryBeginRecording(cls.Handle)
 	}
 	if j.recording {
-		p.eng.PrepareRecording(cls.FID)
+		p.eng.PrepareRecording(cls.Handle)
 	}
 	if err := p.nfRings[0].Enqueue(j); err != nil {
 		if j.recording {
-			p.eng.EndRecording(cls.FID)
+			p.eng.EndRecording(cls.Handle)
 		}
 		p.inflight.Add(-1)
 		return nil, err
@@ -578,11 +578,6 @@ func (p *Platform) pipeline(pkts []*packet.Packet, ms []platform.Measurement) ([
 		firstErr = collectErr
 	}
 	return ms, firstErr
-}
-
-func (p *Platform) hasRule(fid flow.FID) bool {
-	_, ok := p.eng.Global().LookupLive(fid)
-	return ok
 }
 
 // assembleResult builds the core.PacketResult from the pipeline job.

@@ -11,9 +11,11 @@ import (
 // sequence of stages, each holding the indices of batches that Table I
 // allows to run concurrently. Stages execute in order; the batches of
 // a stage are charged as parallel and executed inline (see Execute).
+// The zero Schedule runs nothing.
 type Schedule struct {
-	// Stages holds batch indices grouped by parallelizable stage.
-	Stages [][]int
+	// plan is the stages flattened into one slice, each as its length
+	// followed by its batch indices: [2 0 1 1 2] is [0 1] then [2].
+	plan []uint32
 }
 
 // Plan computes a schedule for the batches in chain order, greedily
@@ -21,55 +23,88 @@ type Schedule struct {
 // in the stage satisfies Table I. Chain order is preserved across
 // stages, which keeps the NF logic equivalent: a batch never starts
 // before a non-parallelizable predecessor finishes.
-func Plan(batches []Batch) Schedule {
-	var s Schedule
-	var cur []int
-	classes := make([]PayloadClass, len(batches))
-	for i, b := range batches {
-		classes[i] = b.Class()
+func Plan(batches []Batch) Schedule { return PlanIn(nil, batches) }
+
+// PlanIn is Plan building the schedule in buf's storage when it holds
+// planSize(len(batches)) entries, and in one allocation otherwise.
+func PlanIn(buf []uint32, batches []Batch) Schedule {
+	if cap(buf) < planSize(len(batches)) {
+		buf = make([]uint32, 0, planSize(len(batches)))
 	}
-	flush := func() {
-		if len(cur) > 0 {
-			s.Stages = append(s.Stages, cur)
-			cur = nil
-		}
-	}
+	p := buf[:0]
+	open := -1 // where the open stage's length word is
 	for i, b := range batches {
 		if b.Empty() {
 			continue
 		}
-		compatible := true
-		for _, j := range cur {
-			if !Parallelizable(classes[j], classes[i]) {
-				compatible = false
-				break
+		if open >= 0 {
+			c := b.Class()
+			for _, j := range p[open+1:] {
+				if !Parallelizable(batches[j].Class(), c) {
+					open = -1
+					break
+				}
 			}
 		}
-		if !compatible {
-			flush()
+		if open < 0 {
+			open = len(p)
+			p = append(p, 0)
 		}
-		cur = append(cur, i)
+		p[open]++
+		p = append(p, uint32(i))
 	}
-	flush()
-	return s
+	return Schedule{plan: p[:len(p):len(p)]}
+}
+
+// planSize is the most entries a schedule of n batches takes: each
+// batch its index, each stage — at most one a batch — its length.
+func planSize(n int) int { return 2 * n }
+
+// each calls fn with every stage's batch indices, in order.
+func (s Schedule) each(fn func(stage []uint32)) {
+	for p := s.plan; len(p) > 0; {
+		n := 1 + int(p[0])
+		fn(p[1:n])
+		p = p[n:]
+	}
+}
+
+// Len returns the number of stages.
+func (s Schedule) Len() int {
+	n := 0
+	s.each(func([]uint32) { n++ })
+	return n
 }
 
 // ParallelStages returns how many stages contain more than one batch.
 func (s Schedule) ParallelStages() int {
 	n := 0
-	for _, st := range s.Stages {
+	s.each(func(st []uint32) {
 		if len(st) > 1 {
 			n++
 		}
-	}
+	})
 	return n
+}
+
+// Stages returns the batch indices of each stage, in a fresh copy.
+func (s Schedule) Stages() [][]int {
+	var out [][]int
+	s.each(func(st []uint32) {
+		stage := make([]int, len(st))
+		for i, j := range st {
+			stage[i] = int(j)
+		}
+		out = append(out, stage)
+	})
+	return out
 }
 
 // String renders the plan, e.g. "[0 1] [2]".
 func (s Schedule) String() string {
-	parts := make([]string, len(s.Stages))
-	for i, st := range s.Stages {
-		parts[i] = fmt.Sprint(st)
+	var parts []string
+	for _, st := range s.Stages() {
+		parts = append(parts, fmt.Sprint(st))
 	}
 	return strings.Join(parts, " ")
 }
@@ -115,7 +150,10 @@ func (r *ExecResult) addStage(critical, total uint64) {
 // is the first in chain order.
 func (s Schedule) Execute(batches []Batch, pkt *packet.Packet, forkJoin uint64) (ExecResult, error) {
 	var res ExecResult
-	for _, stage := range s.Stages {
+	for p := s.plan; len(p) > 0; {
+		n := 1 + int(p[0])
+		stage := p[1:n]
+		p = p[n:]
 		var critical, total uint64
 		var firstErr error
 		for _, i := range stage {

@@ -140,7 +140,7 @@ func TestPlanPreservesOrder(t *testing.T) {
 			batches[i] = Batch{NF: "nf", Funcs: []Func{costed("f", PayloadClass(r%3)+1, 1)}}
 		}
 		var last = -1
-		for _, stage := range Plan(batches).Stages {
+		for _, stage := range Plan(batches).Stages() {
 			for _, idx := range stage {
 				if idx <= last {
 					return false
@@ -161,7 +161,7 @@ func TestPlanStagesPairwiseCompatible(t *testing.T) {
 		for i, r := range raw {
 			batches[i] = Batch{NF: "nf", Funcs: []Func{costed("f", PayloadClass(r%3)+1, 1)}}
 		}
-		for _, stage := range Plan(batches).Stages {
+		for _, stage := range Plan(batches).Stages() {
 			for i := 0; i < len(stage); i++ {
 				for j := i + 1; j < len(stage); j++ {
 					if !Parallelizable(batches[stage[i]].Class(), batches[stage[j]].Class()) {
@@ -235,7 +235,7 @@ func TestExecuteRunsStageInChainOrderInline(t *testing.T) {
 	var order []int
 	batches := orderedBatches(4, ClassRead, &order, nil)
 	plan := Plan(batches)
-	if len(plan.Stages) != 1 {
+	if plan.Len() != 1 {
 		t.Fatalf("plan = %v, want one stage of four", plan)
 	}
 	res, err := plan.Execute(batches, testPacket(t), 100)
@@ -259,7 +259,7 @@ func TestExecuteParallelStageFirstErrorInChainOrder(t *testing.T) {
 	batches := orderedBatches(5, ClassRead, &order, map[int]error{1: errB, 3: errD})
 	batches[4].Funcs[0].Class = ClassWrite
 	plan := Plan(batches)
-	if len(plan.Stages) != 2 {
+	if plan.Len() != 2 {
 		t.Fatalf("plan = %v, want two stages", plan)
 	}
 	for i := 0; i < 20; i++ {
@@ -285,7 +285,7 @@ func TestExecuteDoesNotAllocate(t *testing.T) {
 	}
 	plan := Plan(batches)
 	pkt := testPacket(t)
-	if plan.ParallelStages() != 1 || len(plan.Stages) != 2 {
+	if plan.ParallelStages() != 1 || plan.Len() != 2 {
 		t.Fatalf("plan = %v, want one parallel and one single stage", plan)
 	}
 	if n := testing.AllocsPerRun(100, func() {

@@ -303,9 +303,9 @@ func appendRuleImage(buf []byte, im *RuleImage) []byte {
 	buf = appendUint16(buf, uint16(len(im.Sources)))
 	for _, s := range im.Sources {
 		buf = appendString(buf, s.NF)
-		buf = appendUint16(buf, uint16(s.Modifies))
-		buf = appendUint16(buf, uint16(s.Encaps))
-		buf = appendUint16(buf, uint16(s.Decaps))
+		buf = appendUint16(buf, s.Modifies)
+		buf = appendUint16(buf, s.Encaps)
+		buf = appendUint16(buf, s.Decaps)
 		dropByte := byte(0)
 		if s.Dropped {
 			dropByte = 1
@@ -404,9 +404,9 @@ func decodeRuleImage(body []byte) (*RuleImage, []byte, bool) {
 	ns := int(rd.u16())
 	for i := 0; i < ns && rd.ok; i++ {
 		s := mat.SourceSummary{NF: rd.str()}
-		s.Modifies = int(rd.u16())
-		s.Encaps = int(rd.u16())
-		s.Decaps = int(rd.u16())
+		s.Modifies = rd.u16()
+		s.Encaps = rd.u16()
+		s.Decaps = rd.u16()
 		s.Dropped = rd.u8() != 0
 		im.Sources = append(im.Sources, s)
 	}
