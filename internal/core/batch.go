@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sync/atomic"
 
 	"github.com/fastpathnfv/speedybox/internal/classifier"
@@ -147,6 +148,13 @@ type Batch struct {
 	info []FastPathInfo
 	out  []*PacketResult
 
+	// stage holds the stage pass's record of each packet of the vector,
+	// probes its one staged lookup, heads its dedup index (1 + the latest
+	// packet of each bucket).
+	stage  []staged
+	probes []flow.KeyProbe
+	heads  [dedupBuckets]int32
+
 	// delta holds the vector's counter increments, folded by flushStats
 	// into the engine's counter shard this Batch was dealt: the shards are
 	// only ever summed, so which one takes a packet is free to be the
@@ -214,11 +222,13 @@ func NewBatch(n int) *Batch {
 		n = DefaultBatchSize
 	}
 	return &Batch{
-		res:   make([]PacketResult, n),
-		info:  make([]FastPathInfo, n),
-		out:   make([]*PacketResult, 0, n),
-		shard: batchSeq.Add(1) & (statsShardCount - 1),
-		slow:  &traversal{},
+		res:    make([]PacketResult, n),
+		info:   make([]FastPathInfo, n),
+		out:    make([]*PacketResult, 0, n),
+		stage:  make([]staged, n),
+		probes: make([]flow.KeyProbe, n),
+		shard:  batchSeq.Add(1) & (statsShardCount - 1),
+		slow:   &traversal{},
 	}
 }
 
@@ -229,6 +239,8 @@ func (b *Batch) begin(n int) {
 	if cap(b.res) < n {
 		b.res = make([]PacketResult, n)
 		b.info = make([]FastPathInfo, n)
+		b.stage = make([]staged, n)
+		b.probes = make([]flow.KeyProbe, n)
 	}
 	b.res = b.res[:n]
 	b.info = b.info[:n]
@@ -249,32 +261,138 @@ func (b *Batch) flushFlows() {
 	}
 }
 
-// flowCtxFor resolves a packet's flow key to its context — the packet's
-// one keyed probe. A context whose handle is still valid is a hit;
-// otherwise the handle is acquired by the flow table's lock-free probe,
-// on the key words just compared, and the context is rebuilt from
-// nothing — a re-acquired tuple may be a new connection under a new
-// FID. The table generation is read before the
-// acquire, so a racing removal can only leave the context conservatively
-// stale. It reports ok=false when the flow is not tracked — the caller
-// falls back to full classification.
-func (b *Batch) flowCtxFor(flows *flow.Table, kHi, kLo uint64) (*flowCtx, bool) {
+// staged is what the stage pass learned about one packet of a vector
+// before the ladder runs: its fast shape, its flow key, and where its
+// flow was found — a context way, the previous packet of the vector with
+// the same key, or a slot of the vector's one staged lookup.
+type staged struct {
+	kHi, kLo uint64
+	// way is the context holding the key when the vector was staged; it
+	// is set only on the key's first packet in the vector.
+	way *flowCtx
+	// prev is the vector's previous packet with the key.
+	prev *staged
+	// fc is where the ladder left the key: the context this packet
+	// resolved to, or nil when no context holds the key.
+	fc *flowCtx
+	// h is the handle of a context that held the key under the current
+	// generation when the vector was staged (the zero Handle: none).
+	h flow.Handle
+	// probe is 1 + the key's slot in Batch.probes; 0: not looked up.
+	probe int32
+	// chain is 1 + the previous packet in the key's dedup bucket.
+	chain  int32
+	shaped bool
+}
+
+// dedupBuckets is the size of the stage's key-to-packet index.
+const dedupBuckets = 64
+
+// dedupBucket spreads a flow key over the stage's dedup buckets.
+func dedupBucket(kHi, kLo uint64) uint32 {
+	return uint32((kHi ^ bits.RotateLeft64(kLo, 29)) * 0x9e3779b97f4a7c15 >> (64 - 6))
+}
+
+// stage runs the fast-shape gate once for every packet of the vector —
+// parse, SYN/FIN/RST, flow key — and finds each fast-shaped packet's
+// flow: in the context that holds it, in the vector's previous packet
+// with the same key, or by one staged lookup (flow.Table.AcquireKeys)
+// over the keys no context holds under the current generation. A small
+// hash index links a key's packets. The ladder consumes the result
+// (flowCtxFor) in arrival order. Nothing here mutates a context, an
+// entry or the clock.
+func (e *Engine) stage(pkts []*packet.Packet, b *Batch) {
+	flows := e.class.Flows()
 	gen := flows.Gen()
-	var fc *flowCtx
-	for i := range b.flows {
-		c := &b.flows[i]
-		if !c.used || c.kHi != kHi || c.kLo != kLo {
+	clear(b.heads[:])
+	n := 0
+	for i, pkt := range pkts {
+		st := &b.stage[i]
+		st.shaped = false
+		if !pkt.Parsed() && pkt.Parse() != nil {
+			continue // full Classify reproduces the error
+		}
+		if flags, isTCP := pkt.TCPFlags(); isTCP &&
+			flags&(packet.TCPFlagSYN|packet.TCPFlagFIN|packet.TCPFlagRST) != 0 {
 			continue
 		}
-		if c.gen == gen {
-			b.flowHits++
-			return c, true
+		kHi, kLo, ok := pkt.FlowKey()
+		if !ok {
+			continue
 		}
-		fc = c
-		break
+		*st = staged{kHi: kHi, kLo: kLo, shaped: true}
+		head := &b.heads[dedupBucket(kHi, kLo)]
+		for j := *head; j != 0; j = b.stage[j-1].chain {
+			if p := &b.stage[j-1]; p.kHi == kHi && p.kLo == kLo {
+				st.prev, st.h, st.probe = p, p.h, p.probe
+				break
+			}
+		}
+		st.chain, *head = *head, int32(i+1)
+		if st.prev != nil {
+			continue
+		}
+		for w := range b.flows {
+			if c := &b.flows[w]; c.used && c.kHi == kHi && c.kLo == kLo {
+				st.way = c
+				break
+			}
+		}
+		if st.way != nil && st.way.gen == gen {
+			st.h = st.way.h
+			continue
+		}
+		b.probes[n].Hi, b.probes[n].Lo = kHi, kLo
+		n++
+		st.probe = int32(n)
+	}
+	flows.AcquireKeys(b.probes[:n])
+}
+
+// flowCtxFor resolves a staged packet to its flow context. A context
+// still holding the key under the current generation is a hit; otherwise
+// the handle is the one staged — the staged lookup's, or that of the
+// context that held the key when the vector was staged — served while
+// its entry is not Gone (read after the generation: the entry is the
+// key's as of that load, DESIGN §16), else AcquireKey's: the entry has
+// since been unlinked, or the lookup found nothing and an earlier
+// fast-shaped packet of the vector was classified onto the key (inserts
+// do not move the generation). The context is rebuilt from nothing — a
+// re-acquired tuple may be a new connection under a new FID. It reports
+// ok=false when the flow is not tracked — the caller falls back to full
+// classification.
+func (b *Batch) flowCtxFor(flows *flow.Table, st *staged) (*flowCtx, bool) {
+	gen := flows.Gen()
+	fc := st.way
+	if st.prev != nil {
+		fc = st.prev.fc
+	}
+	// Only the key's packets bring it into a context, so a context that
+	// lost the key since has no other holding it.
+	if fc != nil && (!fc.used || fc.kHi != st.kHi || fc.kLo != st.kLo) {
+		fc = nil
+	}
+	if fc != nil && fc.gen == gen {
+		b.flowHits++
+		st.fc = fc
+		return fc, true
 	}
 	b.flowMisses++
-	h, ok := flows.AcquireKey(kHi, kLo)
+	h, ok := st.h, st.h != flow.Handle{}
+	if st.probe != 0 {
+		h, ok = b.probes[st.probe-1].Handle()
+	}
+	switch {
+	case ok && !h.Gone():
+	case !ok && st.probe != 0 && st.prev == nil:
+		// Untracked when staged, and the key's first fast-shaped packet
+		// of the vector: full Classify, which the caller falls back to,
+		// decides as the fast path would for a flow tracked since (by a
+		// SYN earlier in the vector, or by another worker).
+	default:
+		h, ok = flows.AcquireKey(st.kHi, st.kLo)
+	}
+	st.fc = nil
 	if fc == nil {
 		if !ok {
 			return nil, false
@@ -285,11 +403,12 @@ func (b *Batch) flowCtxFor(flows *flow.Table, kHi, kLo uint64) (*flowCtx, bool) 
 	// Pending deltas belong to the entry the context held: fold them
 	// through the old handle before it is overwritten.
 	fc.flush()
-	*fc = flowCtx{kHi: kHi, kLo: kLo, h: h, gen: gen, used: ok}
+	*fc = flowCtx{kHi: st.kHi, kLo: st.kLo, h: h, gen: gen, used: ok}
 	if !ok {
 		return nil, false
 	}
 	fc.fid = h.FID()
+	st.fc = fc
 	return fc, true
 }
 
@@ -367,8 +486,9 @@ func (e *Engine) flushStats(b *Batch) {
 
 // ProcessBatch classifies and processes a vector of packets in arrival
 // order — the engine's one data path; ProcessPacket is a vector of one.
-// A fast-shaped packet finds its flow context with one keyed probe, its
-// classification and rule are loads off that context's entry, its event
+// A stage pass finds every fast-shaped packet's flow first, with one
+// staged lookup for the vector's misses; then, packet by packet, its
+// classification and rule are loads off its context's entry, its event
 // checks guards on the rule; results go to preallocated storage and
 // counters fold a few updates a vector. The vector size never changes
 // what a packet observes (the oracle holds vectors of 1 and 32
@@ -378,9 +498,12 @@ func (e *Engine) flushStats(b *Batch) {
 // failing packet, whose predecessors stay accounted.
 func (e *Engine) ProcessBatch(pkts []*packet.Packet, b *Batch) ([]*PacketResult, error) {
 	b.begin(len(pkts))
+	if e.opts.EnableSpeedyBox {
+		e.stage(pkts, b)
+	}
 	out := b.out
 	for i, pkt := range pkts {
-		if err := e.process(pkt, &b.info[i], &b.res[i], b); err != nil {
+		if err := e.process(pkt, &b.stage[i], &b.info[i], &b.res[i], b); err != nil {
 			e.flushStats(b)
 			return nil, err
 		}
@@ -392,28 +515,30 @@ func (e *Engine) ProcessBatch(pkts []*packet.Packet, b *Batch) ([]*PacketResult,
 }
 
 // process is the per-packet decision ladder: classify, eviction fault,
-// one arm per packet kind, account. info and res are the packet's
-// (zeroed) slots in b's result storage; a slow-path packet leaves info
-// unused and draws its SlowPathInfo from b's traversal scratch.
-func (e *Engine) process(pkt *packet.Packet, info *FastPathInfo, res *PacketResult, b *Batch) error {
+// one arm per packet kind, account. st is the packet's stage record,
+// info and res its (zeroed) slots in b's result storage; a slow-path
+// packet leaves info unused and draws its SlowPathInfo from b's
+// traversal scratch.
+func (e *Engine) process(pkt *packet.Packet, st *staged, info *FastPathInfo, res *PacketResult, b *Batch) error {
 	var (
 		fid  flow.FID
 		kind classifier.Kind
 		fc   *flowCtx
+		rule *mat.GlobalRule
 	)
 	// The keyed flow contexts belong to SpeedyBox. The baseline engine —
 	// every oracle's reference — classifies through the full Classify
 	// alone, independent of the code it polices.
 	fastShaped := false
-	if e.opts.EnableSpeedyBox {
-		fc, fastShaped = e.classifyFast(pkt, b)
+	if e.opts.EnableSpeedyBox && st.shaped {
+		fc, fastShaped = e.classifyFast(st, pkt, b)
 	}
 	if fastShaped {
 		// Established data packet: Subsequent with a live rule, else the
 		// flow's initial packet (or a re-record after eviction or
 		// staleness) — the decision Classify asks Engine.serves.
 		fid, kind = fc.fid, classifier.KindInitial
-		if e.global.Live(fc.h) != nil {
+		if rule = e.global.Live(fc.h); rule != nil {
 			kind = classifier.KindSubsequent
 		} else {
 			pkt.Meta.Initial = true
@@ -440,15 +565,16 @@ func (e *Engine) process(pkt *packet.Packet, info *FastPathInfo, res *PacketResu
 	if e.faults != nil && e.opts.EnableSpeedyBox &&
 		e.faults.Should(fault.KindEvictPressure, fid) {
 		e.evictConsolidated(fc.h)
+		rule = e.global.Live(fc.h)
 	}
 
 	var err error
 	switch kind {
 	case classifier.KindSubsequent:
-		err = e.fastPathInto(fc, pkt, info, res, b)
+		err = e.fastPathInto(fc, rule, pkt, info, res, b)
 	case classifier.KindFinal:
-		if e.global.Live(fc.h) != nil {
-			err = e.fastPathInto(fc, pkt, info, res, b)
+		if rule = e.global.Live(fc.h); rule != nil {
+			err = e.fastPathInto(fc, rule, pkt, info, res, b)
 		} else {
 			err = e.slowPath(fc.h, pkt, false, res, b)
 		}
@@ -478,8 +604,8 @@ func (e *Engine) process(pkt *packet.Packet, info *FastPathInfo, res *PacketResu
 }
 
 // classifyFast classifies one fast-shaped packet — a plain data packet
-// (no SYN/FIN/RST) of an established, tracked flow — through the
-// Batch's flow contexts, returning the packet's: a key compare, a
+// (no SYN/FIN/RST) of an established, tracked flow, as the stage pass
+// found it — through the Batch's flow contexts: a key compare, a
 // generation load and a state load replace Classify's hashes and
 // flow-table probe. Per-flow bookkeeping folds into the context (flushed
 // at batch boundaries and before any access through the table); the
@@ -487,24 +613,11 @@ func (e *Engine) process(pkt *packet.Packet, info *FastPathInfo, res *PacketResu
 // clock-deadline reads during processing (the degradation ladder's
 // backoff arithmetic) observe the same values at every vector size.
 //
-// For every other packet shape it reports ok=false without mutating
-// the flow table or consuming a clock tick, and the caller routes the
-// packet through the full Classify state machine.
-func (e *Engine) classifyFast(pkt *packet.Packet, b *Batch) (*flowCtx, bool) {
-	if !pkt.Parsed() {
-		if err := pkt.Parse(); err != nil {
-			return nil, false // full Classify reproduces the error
-		}
-	}
-	if flags, isTCP := pkt.TCPFlags(); isTCP &&
-		flags&(packet.TCPFlagSYN|packet.TCPFlagFIN|packet.TCPFlagRST) != 0 {
-		return nil, false
-	}
-	kHi, kLo, ok := pkt.FlowKey()
-	if !ok {
-		return nil, false
-	}
-	fc, ok := b.flowCtxFor(e.class.Flows(), kHi, kLo)
+// For an untracked or not-yet-established flow it reports ok=false
+// without mutating the flow table or consuming a clock tick, and the
+// caller routes the packet through the full Classify state machine.
+func (e *Engine) classifyFast(st *staged, pkt *packet.Packet, b *Batch) (*flowCtx, bool) {
+	fc, ok := b.flowCtxFor(e.class.Flows(), st)
 	if !ok || !fc.h.Established() {
 		return nil, false
 	}

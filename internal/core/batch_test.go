@@ -452,6 +452,17 @@ func TestRuleCacheGenerationValidation(t *testing.T) {
 	lookup(false, "after AdvanceEpoch")
 }
 
+// classifyOne stages a vector of one packet and classifies it through
+// b's flow contexts, leaving its bookkeeping unflushed.
+func classifyOne(eng *Engine, b *Batch, pkt *packet.Packet) (*flowCtx, bool) {
+	b.begin(1)
+	eng.stage([]*packet.Packet{pkt}, b)
+	if !b.stage[0].shaped {
+		return nil, false
+	}
+	return eng.classifyFast(&b.stage[0], pkt, b)
+}
+
 // TestRuleCacheEviction: four contexts holding four flows; a fifth flow
 // takes exactly one of them, and the evicted flow's pending bookkeeping
 // reaches its flow entry before the context is overwritten.
@@ -464,14 +475,14 @@ func TestRuleCacheEviction(t *testing.T) {
 	}
 	// One unflushed packet per cached flow, then a tracked fifth flow.
 	for i := range fids {
-		if _, ok := eng.classifyFast(udpPkt(t, uint16(8801+i), "pending"), b); !ok {
+		if _, ok := classifyOne(eng, b, udpPkt(t, uint16(8801+i), "pending")); !ok {
 			t.Fatalf("flow %d not served from its context", i)
 		}
 	}
 	if _, err := eng.ProcessPacket(udpPkt(t, 8805, "fifth")); err != nil {
 		t.Fatal(err)
 	}
-	fifth, ok := eng.classifyFast(udpPkt(t, 8805, "fifth"), b)
+	fifth, ok := classifyOne(eng, b, udpPkt(t, 8805, "fifth"))
 	if !ok {
 		t.Fatal("fifth flow not fast-shaped")
 	}
@@ -646,7 +657,7 @@ func TestWarmPathAllocatesNothing(t *testing.T) {
 	var res PacketResult
 	scratch := func() {
 		info, res = FastPathInfo{}, PacketResult{}
-		if err := eng.fastPathInto(b.classified(h), vec[0], &info, &res, b); err != nil {
+		if err := eng.fastPathInto(b.classified(h), eng.global.Live(h), vec[0], &info, &res, b); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -726,7 +726,7 @@ func (e *Engine) reconsolidate(h flow.Handle, cs *chainState) (uint64, error) {
 // and the result is a caller-owned copy, as ProcessPacket's is.
 func (e *Engine) FastProcess(h flow.Handle, pkt *packet.Packet, b *Batch) (*PacketResult, error) {
 	b.begin(1)
-	if err := e.fastPathInto(b.classified(h), pkt, &b.info[0], &b.res[0], b); err != nil {
+	if err := e.fastPathInto(b.classified(h), e.global.Live(h), pkt, &b.info[0], &b.res[0], b); err != nil {
 		return nil, err
 	}
 	return b.res[0].clone(), nil
@@ -734,17 +734,17 @@ func (e *Engine) FastProcess(h flow.Handle, pkt *packet.Packet, b *Batch) (*Pack
 
 // fastPathInto applies the consolidated rule, writing into the packet's
 // (zeroed) info and res slots of b — per-worker arrays, so steady-state
-// fast-path packets allocate nothing. fc is the flow's context: the rule
-// is read off the entry its handle already points at, and both Event
-// Table checks are made off the rule's guards, so only a flow with a
-// guard that holds takes the table's locked probe. On a rule miss the
-// packet falls back to the slow path, which fills res instead.
-func (e *Engine) fastPathInto(fc *flowCtx, pkt *packet.Packet, info *FastPathInfo, res *PacketResult, b *Batch) error {
+// fast-path packets allocate nothing. fc is the flow's context and rule
+// the live rule the caller read off the entry its handle points at (nil:
+// none); both Event Table checks are made off the rule's guards, so only
+// a flow with a guard that holds takes the table's locked probe. On a
+// rule miss the packet falls back to the slow path, which fills res
+// instead.
+func (e *Engine) fastPathInto(fc *flowCtx, rule *mat.GlobalRule, pkt *packet.Packet, info *FastPathInfo, res *PacketResult, b *Batch) error {
 	m := e.model
 
 	// Event pre-check: a previously-satisfied condition updates the rule
 	// before this packet is processed (§III) — or revives a stale one.
-	rule := e.global.Live(fc.h)
 	if rule == nil || event.Holds(rule.Guards(), fc.fid) {
 		fired, err := e.fireEvents(fc.h, info)
 		if err != nil {

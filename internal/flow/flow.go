@@ -702,6 +702,63 @@ func (t *Table) AcquireKey(hi, lo uint64) (Handle, bool) {
 	return Handle{e}, e != nil
 }
 
+// KeyProbe is one key of a staged lookup (AcquireKeys): the caller sets
+// Hi and Lo, the lookup leaves the result behind. Probes are the caller's
+// scratch — batch workers share a Table — and need no reset between
+// lookups.
+type KeyProbe struct {
+	Hi, Lo uint64
+	word   uint64
+	k      uint64
+	s      *slot
+	e      *tracked
+	shard  uint32
+}
+
+// Handle returns the flow the lookup found for the probe's key.
+func (p *KeyProbe) Handle() (Handle, bool) { return Handle{p.e}, p.e != nil }
+
+// AcquireKeys is AcquireKey over a vector of keys, in stages that each
+// loop over every key: hash, home slot, home slot word, entry on a tag
+// match, confirmation on the entry's key. A stage's loads do not depend
+// on one another, so the cache misses of a vector overlap instead of
+// queueing behind each key's probe. A home slot that neither confirms
+// nor ends the chain (a tag collision, a tombstone, another flow's slot)
+// takes findKey's full probe. The result is AcquireKey's for every key;
+// the Gen contract is the same.
+func (t *Table) AcquireKeys(ps []KeyProbe) {
+	for i := range ps {
+		p := &ps[i]
+		p.shard = uint32(HashKey(p.Hi, p.Lo)) & shardMask
+		p.word = keyWord(p.Hi, p.Lo)
+	}
+	for i := range ps {
+		p := &ps[i]
+		st := t.shards[p.shard].byKey.table.Load()
+		p.s = &st.slots[st.home(p.word)]
+	}
+	for i := range ps {
+		ps[i].k = ps[i].s.key.Load()
+	}
+	for i := range ps {
+		p := &ps[i]
+		p.e = nil
+		if p.k == p.word {
+			p.e = p.s.e.Load()
+		}
+	}
+	for i := range ps {
+		p := &ps[i]
+		if e := p.e; e != nil && e.hi == p.Hi && e.lo == p.Lo {
+			continue
+		}
+		p.e = nil
+		if p.k != slotEmpty {
+			_, p.e = t.shards[p.shard].byKey.table.Load().findKey(p.word, p.Hi, p.Lo)
+		}
+	}
+}
+
 // Acquire is AcquireKey for an unpacked tuple.
 func (t *Table) Acquire(ft packet.FiveTuple) (Handle, bool) { return t.AcquireKey(ft.Key()) }
 

@@ -11,6 +11,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"github.com/fastpathnfv/speedybox/internal/core"
@@ -50,7 +51,7 @@ var ErrPortsExhausted = errors.New("mazunat: external ports exhausted")
 // three words of per-flow state on its flow record: the outbound tuple it
 // was made for (packet.FiveTuple.Key's two words) and the allocated port
 // with a present bit. What the NAT keeps itself is what flows share: the
-// allocation cursor and the port pool, byPort, which indexes the live
+// allocation cursor and the port pool, which indexes the live
 // translations by external port for the inbound direction — it follows
 // the flows' state as it arrives and leaves.
 type NAT struct {
@@ -63,7 +64,64 @@ type NAT struct {
 
 	mu       sync.Mutex
 	nextPort uint32
-	byPort   map[uint16]Mapping
+	pool     *portPool
+}
+
+// portPool is the live translations by external port: an occupancy
+// bitmap an allocation scans a word at a time from the cursor, and the
+// translation held at each occupied port, in pages of a bitmap word's 64
+// ports allocated when a port of theirs is first taken.
+type portPool struct {
+	used    [65536 / 64]uint64
+	mapping [65536 / 64]*[64]Mapping
+	live    int
+}
+
+// take enters m at its port, replacing what the port held.
+func (p *portPool) take(m Mapping) {
+	w, bit := m.OutsidePort>>6, uint64(1)<<(m.OutsidePort&63)
+	if p.used[w]&bit == 0 {
+		p.used[w] |= bit
+		p.live++
+	}
+	if p.mapping[w] == nil {
+		p.mapping[w] = new([64]Mapping)
+	}
+	p.mapping[w][m.OutsidePort&63] = m
+}
+
+// free releases a port.
+func (p *portPool) free(port uint16) {
+	w, bit := port>>6, uint64(1)<<(port&63)
+	if p.used[w]&bit != 0 {
+		p.used[w] &^= bit
+		p.live--
+	}
+}
+
+// lookup returns the translation at an occupied port.
+func (p *portPool) lookup(port uint16) (Mapping, bool) {
+	if p.used[port>>6]&(1<<(port&63)) == 0 {
+		return Mapping{}, false
+	}
+	return p.mapping[port>>6][port&63], true
+}
+
+// firstFree returns the lowest unoccupied port in [lo, hi].
+func (p *portPool) firstFree(lo, hi uint32) (uint32, bool) {
+	for w := lo >> 6; w <= hi>>6; w++ {
+		free := ^p.used[w]
+		if w == lo>>6 {
+			free &= ^uint64(0) << (lo & 63)
+		}
+		if w == hi>>6 {
+			free &= ^uint64(0) >> (63 - hi&63)
+		}
+		if free != 0 {
+			return w<<6 | uint32(bits.TrailingZeros64(free)), true
+		}
+	}
+	return 0, false
 }
 
 // portPresent marks word 2 of a flow's state as holding a port.
@@ -88,7 +146,7 @@ func New(cfg Config) (*NAT, error) {
 		extIP:    cfg.ExternalIP,
 		portBase: base,
 		nextPort: uint32(base),
-		byPort:   make(map[uint16]Mapping),
+		pool:     &portPool{},
 	}
 	n.flows.Words = 3
 	n.flows.Arrive = n.arrived
@@ -120,7 +178,7 @@ func mappingOf(st core.State) (packet.FiveTuple, Mapping, bool) {
 func (n *NAT) arrived(st core.State) {
 	if _, m, ok := mappingOf(st); ok {
 		n.mu.Lock()
-		n.byPort[m.OutsidePort] = m
+		n.pool.take(m)
 		n.mu.Unlock()
 	}
 }
@@ -128,7 +186,7 @@ func (n *NAT) arrived(st core.State) {
 func (n *NAT) left(st core.State, _ bool) {
 	if _, m, ok := mappingOf(st); ok {
 		n.mu.Lock()
-		delete(n.byPort, m.OutsidePort)
+		n.pool.free(m.OutsidePort)
 		n.mu.Unlock()
 	}
 }
@@ -167,7 +225,7 @@ func (n *NAT) RestoreState(data []byte) error {
 func (n *NAT) Mappings() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return len(n.byPort)
+	return n.pool.live
 }
 
 // MappingFor returns the translation a live flow holds for an outbound
@@ -206,23 +264,25 @@ func (n *NAT) translate(st core.State, ft packet.FiveTuple) (Mapping, bool, erro
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for tries := 0; tries <= 65535-int(n.portBase); tries++ {
-		port := uint16(n.nextPort)
-		if n.nextPort++; n.nextPort > 65535 {
-			n.nextPort = uint32(n.portBase)
-		}
-		if _, taken := n.byPort[port]; taken {
-			continue
-		}
-		m := Mapping{InsideIP: ft.SrcIP, InsidePort: ft.SrcPort, OutsidePort: port}
-		n.byPort[port] = m
-		hi, lo := ft.Key()
-		st[0].Store(hi)
-		st[1].Store(lo)
-		st[2].Store(uint64(port) | portPresent)
-		return m, true, nil
+	// The first free port at or after the cursor, wrapping from 65535 to
+	// the base; the cursor moves past it.
+	port, ok := n.pool.firstFree(n.nextPort, 65535)
+	if !ok && n.nextPort > uint32(n.portBase) {
+		port, ok = n.pool.firstFree(uint32(n.portBase), n.nextPort-1)
 	}
-	return Mapping{}, false, ErrPortsExhausted
+	if !ok {
+		return Mapping{}, false, ErrPortsExhausted
+	}
+	if n.nextPort = port + 1; n.nextPort > 65535 {
+		n.nextPort = uint32(n.portBase)
+	}
+	m := Mapping{InsideIP: ft.SrcIP, InsidePort: ft.SrcPort, OutsidePort: uint16(port)}
+	n.pool.take(m)
+	hi, lo := ft.Key()
+	st[0].Store(hi)
+	st[1].Store(lo)
+	st[2].Store(uint64(port) | portPresent)
+	return m, true, nil
 }
 
 // Process implements core.NF. MazuNAT sets each flow a modify action
@@ -265,7 +325,7 @@ func (n *NAT) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, error) {
 	case ft.DstIP == n.extIP:
 		// Inbound: reverse translation if a mapping exists.
 		n.mu.Lock()
-		m, ok := n.byPort[ft.DstPort]
+		m, ok := n.pool.lookup(ft.DstPort)
 		n.mu.Unlock()
 		ctx.Charge(ctx.Model.ConnTrackLookup)
 		if !ok {

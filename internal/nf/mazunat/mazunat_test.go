@@ -288,3 +288,74 @@ func BenchmarkProcess(b *testing.B) {
 		})
 	}
 }
+
+// TestPoolEqualsLiveMappings drives TCP connections through an engine
+// whose chain is the NAT — set-ups, teardowns by FIN and tuples coming
+// back — and after every round holds the port pool to the flows'
+// state: a port is occupied exactly when a live flow holds it, and the
+// translation at the port is that flow's.
+func TestPoolEqualsLiveMappings(t *testing.T) {
+	n, err := New(cfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := core.NewEngine([]core.NF{n}, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkt := func(sport uint16, flags uint8) *packet.Packet {
+		return packet.MustBuild(packet.Spec{
+			SrcIP: packet.IP4(10, 0, byte(sport>>8), byte(sport)), DstIP: packet.IP4(93, 184, 216, 34),
+			SrcPort: sport, DstPort: 443, Proto: packet.ProtoTCP, TCPFlags: flags, Payload: []byte("x"),
+		})
+	}
+	check := func(round int) {
+		t.Helper()
+		held := map[uint16]Mapping{}
+		n.flows.Each(func(fid flow.FID, st core.State) {
+			if _, m, ok := mappingOf(st); ok {
+				if _, dup := held[m.OutsidePort]; dup {
+					t.Fatalf("round %d: port %d held by two flows", round, m.OutsidePort)
+				}
+				held[m.OutsidePort] = m
+			}
+		})
+		if n.Mappings() != len(held) {
+			t.Fatalf("round %d: pool counts %d ports, the flows hold %d", round, n.Mappings(), len(held))
+		}
+		for port := 0; port < 65536; port++ {
+			got, ok := n.pool.lookup(uint16(port))
+			want, live := held[uint16(port)]
+			if ok != live || got != want {
+				t.Fatalf("round %d: port %d: pool (%+v, %v), flows (%+v, %v)", round, port, got, ok, want, live)
+			}
+		}
+	}
+	const conns = 600
+	open := map[uint16]bool{}
+	for round := 0; round < 8; round++ {
+		var vec []*packet.Packet
+		for i := uint16(0); i < conns; i++ {
+			sport := 1000 + i
+			switch {
+			case (int(i)+round)%3 == 0 && open[sport]:
+				vec = append(vec, pkt(sport, packet.TCPFlagFIN|packet.TCPFlagACK))
+				delete(open, sport)
+			case !open[sport] && (int(i)*7+round)%5 != 0:
+				vec = append(vec, pkt(sport, packet.TCPFlagSYN), pkt(sport, packet.TCPFlagACK),
+					pkt(sport, packet.TCPFlagACK))
+				open[sport] = true
+			}
+		}
+		b := core.NewBatch(32)
+		for off := 0; off < len(vec); off += 32 {
+			if _, err := eng.ProcessBatch(vec[off:min(off+32, len(vec))], b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(round)
+		if n.Mappings() != len(open) {
+			t.Fatalf("round %d: %d mappings for %d open connections", round, n.Mappings(), len(open))
+		}
+	}
+}
