@@ -130,8 +130,9 @@ func TestSlowPathAllocationBudget(t *testing.T) {
 // TestMaglevFailoverReconsolidates: a failover event rewrites the load
 // balancer's published Local MAT rule in place and the engine rebuilds
 // the flow's Global rule from the four Local MATs. The expected rule
-// and program are pinned byte for byte (program format 2: the three
-// modifies and no checksum opcode).
+// and program are pinned byte for byte (program format 3: the length,
+// what the new values add to the IPv4 and transport checksums, then the
+// three modifies, each with its field's place).
 func TestMaglevFailoverReconsolidates(t *testing.T) {
 	chain := chain1(t)
 	eng, err := core.NewEngine(chain, core.DefaultOptions())
@@ -174,8 +175,8 @@ func TestMaglevFailoverReconsolidates(t *testing.T) {
 		t.Errorf("rerouted %v -> %v, packet rewritten to %v", orig, nb, second.DstIP())
 	}
 	const (
-		wantBefore = "fid:6c623 -> modify(SIP,SPort,DIP) + 2 SF batch(es) in 1 stage(s) [v0] 02040304c63364010407024e20040404c0a8010a"
-		wantAfter  = "fid:6c623 -> modify(SIP,SPort,DIP) + 2 SF batch(es) in 1 stage(s) [v1] 02040304c63364010407024e20040404c0a8010b"
+		wantBefore = "fid:6c623 -> modify(SIP,SPort,DIP) + 2 SF batch(es) in 1 stage(s) [v0] 032400e2eb0500013a070004010c0403c633640104020002024e200401100403c0a8010a"
+		wantAfter  = "fid:6c623 -> modify(SIP,SPort,DIP) + 2 SF batch(es) in 1 stage(s) [v1] 032400e3eb0500023a070004010c0403c633640104020002024e200401100403c0a8010b"
 	)
 	if before != wantBefore || after != wantAfter {
 		t.Errorf("rules differ from the pinned ones:\nbefore %s\nwant   %s\nafter  %s\nwant   %s", before, wantBefore, after, wantAfter)

@@ -110,12 +110,12 @@ func (a HeaderAction) Validate() error {
 		}
 		return nil
 	case ActionEncap:
-		if a.Header.Type != packet.HeaderAH && a.Header.Type != packet.HeaderVLAN {
+		if !knownHeader(a.Header.Type) {
 			return fmt.Errorf("mat: encap with unknown header type %d", int(a.Header.Type))
 		}
 		return nil
 	case ActionDecap:
-		if a.HeaderType != packet.HeaderAH && a.HeaderType != packet.HeaderVLAN {
+		if !knownHeader(a.HeaderType) {
 			return fmt.Errorf("mat: decap with unknown header type %d", int(a.HeaderType))
 		}
 		return nil

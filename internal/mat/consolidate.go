@@ -196,10 +196,10 @@ scan:
 		// Modifies reads its values in the program's operands.
 		rule.Modifies = append(room(full.mods[:], len(mods)), mods...)
 		size, at := programSize(rule)
-		rule.Prog = appendProgram(room(full.prog[:], size), rule)
+		rule.Prog = compile(room(full.prog[:], size), rule)
 		for i := range rule.Modifies {
 			m := &rule.Modifies[i]
-			at += 3
+			at += modOperands
 			m.Value = rule.Prog[at : at+len(m.Value) : at+len(m.Value)]
 			at += len(m.Value)
 		}

@@ -43,6 +43,7 @@ func decodeContribs(data []byte) []Contribution {
 		packet.FieldSrcIP, packet.FieldDstIP,
 		packet.FieldSrcPort, packet.FieldDstPort,
 		packet.FieldTTL, packet.FieldDSCP,
+		packet.FieldSrcMAC, packet.FieldDstMAC,
 	}
 	var pending []packet.HeaderType
 	cs := make([]Contribution, 0, nNFs)

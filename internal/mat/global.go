@@ -38,11 +38,12 @@ type GlobalRule struct {
 	FixedCycles, HeaderCycles uint64
 	// Prog is the compiled action program: the rule's header work
 	// (residual decaps, encaps, merged modifies) flattened into one
-	// opcode+immediate byte stream at consolidation time, executed per
-	// packet by ExecHeader's small loop instead of interpreting the
-	// slices below. Nil means not compiled (hand-built rules);
-	// ExecHeader then falls back to ApplyHeader, the reference
-	// implementation.
+	// opcode+immediate byte stream at consolidation time, each modify
+	// resolved to where its field lives, executed per packet by
+	// ExecHeader's small loop instead of interpreting the slices below.
+	// Nil means not compiled (hand-built rules, or header work no
+	// program may carry); ExecHeader then falls back to ApplyHeader, the
+	// reference implementation.
 	Prog []byte
 	// Batches are the per-NF state-function batches in chain order.
 	// For dropped flows these are the batches of NFs up to and
@@ -97,26 +98,39 @@ func (r *GlobalRule) SetGuards(g *Guard) {
 // drop. State-function execution is separate (the engine runs the
 // Plan).
 func (r *GlobalRule) ApplyHeader(pkt *packet.Packet) (alive bool, err error) {
+	return r.applyHeader(pkt, 0)
+}
+
+// applyHeader is ApplyHeader less its first done operations, which a
+// compiled program that could run no further has performed.
+func (r *GlobalRule) applyHeader(pkt *packet.Packet, done int) (alive bool, err error) {
 	if r.Drop {
 		pkt.Drop()
 		return false, nil
 	}
-	for _, t := range r.Stack.Decaps {
+	for _, t := range past(r.Stack.Decaps, &done) {
 		if err := pkt.Decap(t); err != nil {
 			return false, fmt.Errorf("mat: global rule %v: %w", r.FID, err)
 		}
 	}
-	for _, h := range r.Stack.Encaps {
+	for _, h := range past(r.Stack.Encaps, &done) {
 		if err := pkt.Encap(h); err != nil {
 			return false, fmt.Errorf("mat: global rule %v: %w", r.FID, err)
 		}
 	}
-	for _, m := range r.Modifies {
+	for _, m := range past(r.Modifies, &done) {
 		if err := pkt.Set(m.Field, m.Value); err != nil {
 			return false, fmt.Errorf("mat: global rule %v: %w", r.FID, err)
 		}
 	}
 	return true, nil
+}
+
+// past is s less its first *done elements, which it counts off *done.
+func past[T any](s []T, done *int) []T {
+	n := min(*done, len(s))
+	*done -= n
+	return s[n:]
 }
 
 // HeaderWork summarizes the rule's header effort for the cost model:

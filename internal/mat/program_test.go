@@ -62,7 +62,10 @@ func diffExec(t *testing.T, rule *GlobalRule, base *packet.Packet) {
 // rule with ApplyHeader, which remains the reference implementation.
 // The corpus decoder is shared with FuzzConsolidate, so the program
 // executor is exercised over exactly the rule shapes consolidation can
-// produce (including decap-of-absent-header runtime errors).
+// produce (including decap-of-absent-header runtime errors), on frames
+// whose headers sit where a program resolved at compile time could get
+// wrong: behind one or two 802.1Q tags, or an AH header a decap pops
+// before the modifies run.
 func FuzzProgramExec(f *testing.F) {
 	f.Add([]byte{0, 1, 0})
 	f.Add([]byte{3, 4, 1, 1, 9, 9, 9, 9, 1, 0, 10, 0, 0, 2, 1})
@@ -76,6 +79,16 @@ func FuzzProgramExec(f *testing.F) {
 	for _, shape := range []byte{3, 4, 5, 9, 13} {
 		f.Add([]byte{shape<<2 | 3, 4, 1, 1, 9, 9, 9, 9, 1, 0, 10, 0, 0, 2, 1, 2, 1, 4, 17, 1, 2, 0x4e, 0x20, 1})
 	}
+	// Frames with headers to move (shape bits 4-5): two tags and no decap;
+	// one tag popped, then the addresses and ports rewritten; two tags,
+	// one popped, then the TTL and a MAC; a tag and an AH, the AH popped,
+	// then a port, a MAC and the DSCP; both popped, on UDP without a
+	// checksum.
+	f.Add([]byte{2 << 4 << 2, 2, 1, 1, 192, 168, 1, 10, 1, 3, 0x1f, 0x90, 1})
+	f.Add([]byte{1 << 4 << 2, 3, 5, 1, 1, 0, 9, 9, 9, 9, 1, 3, 0x1f, 0x90, 1})
+	f.Add([]byte{(2<<4 | 1) << 2, 3, 5, 1, 1, 4, 17, 1, 7, 1, 2, 3, 4, 5, 6, 1})
+	f.Add([]byte{3 << 4 << 2, 4, 5, 0, 1, 2, 0x4e, 0x20, 1, 6, 6, 5, 4, 3, 2, 1, 1, 5, 0xb8, 1})
+	f.Add([]byte{(3<<4|3<<2|1)<<2 | 1, 2, 5, 1, 5, 0, 1, 2, 1, 1, 10, 1, 2, 3, 1, 4, 99, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cs := decodeContribs(data)
 		if len(cs) == 0 {
@@ -94,7 +107,9 @@ func FuzzProgramExec(f *testing.F) {
 		// The first byte also picks the packet, so that the executor's one
 		// patch per checksum meets the reference's patch per field where
 		// they could part: TCP and UDP, an odd payload, a checksum that
-		// arrived wrong, and a UDP checksum of none.
+		// arrived wrong, a UDP checksum of none; and so that its fields
+		// sit behind no tag, one or two (IPv4 at 14, 18 or 22), or a tag
+		// and an AH header.
 		spec := packet.Spec{
 			SrcIP: packet.IP4(10, 0, 0, 1), DstIP: packet.IP4(10, 0, 0, 2),
 			SrcPort: 1111, DstPort: 2222, Proto: packet.ProtoTCP,
@@ -111,6 +126,20 @@ func FuzzProgramExec(f *testing.F) {
 		base, err := packet.Build(spec)
 		if err != nil {
 			t.Fatal(err)
+		}
+		frame, tags := shape>>4, shape>>4 // frame 3: one tag and an AH
+		if frame == 3 {
+			tags = 1
+		}
+		for tag := byte(0); tag < tags; tag++ {
+			if err := base.EncapVLAN(100 + uint16(tag)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if frame == 3 {
+			if err := base.EncapAH(0x5eed, 1); err != nil {
+				t.Fatal(err)
+			}
 		}
 		h, _ := base.Headers()
 		switch shape >> 2 & 3 {
@@ -167,42 +196,56 @@ func TestProgramDrop(t *testing.T) {
 }
 
 // TestProgramFallback checks every degradation path to the interpreted
-// reference: no program at all, an unknown format version, and a
-// corrupt opcode, first or mid-program — where the executor has
-// rewritten a field and owes the checksums for it when it bails. All
-// must produce ApplyHeader's exact output.
+// reference: no program at all, an unknown format version, a program cut
+// short, and a corrupt opcode or operand, first or mid-program — where
+// the executor has rewritten a field and owes the checksums for it when
+// it bails, or has popped a header the reference must not pop again. All
+// must produce ApplyHeader's exact output, and none may panic.
 func TestProgramFallback(t *testing.T) {
-	mkRule := func() *GlobalRule {
-		return &GlobalRule{
-			FID: 9,
-			Modifies: []FieldValue{
-				{Field: packet.FieldTTL, Value: []byte{17}},
-				{Field: packet.FieldDstPort, Value: []byte{0x1f, 0x90}},
-			},
-		}
-	}
+	// The TTL modify sits at mod, its value at mod+modOperands; the
+	// destination port's modify at next. A decap (two bytes) moves both.
+	const mod, next = progOps, progOps + modOperands + 1
 	for _, tc := range []struct {
-		name string
-		prog func(r *GlobalRule)
+		name  string
+		decap bool // the rule first pops a VLAN tag the packet carries
+		prog  func(p []byte) []byte
 	}{
-		{"nil-program", func(r *GlobalRule) { r.Prog = nil }},
-		{"unknown-version", func(r *GlobalRule) {
-			r.Compile()
-			r.Prog[0] = progVersion + 1
-		}},
-		{"corrupt-opcode", func(r *GlobalRule) {
-			r.Compile()
-			r.Prog[1] = 0xee // not an opcode: executor must bail to the reference
-		}},
-		{"corrupt-second-opcode", func(r *GlobalRule) {
-			r.Compile()
-			r.Prog[1+3+1] = 0xee // after the TTL modify has run
-		}},
+		{"nil-program", false, func([]byte) []byte { return nil }},
+		{"unknown-version", false, func(p []byte) []byte { p[0] = progVersion + 1; return p }},
+		// Not an opcode: the executor must bail to the reference.
+		{"corrupt-opcode", false, func(p []byte) []byte { p[mod] = 0xee; return p }},
+		{"corrupt-second-opcode", false, func(p []byte) []byte { p[next] = 0xee; return p }},
+		{"corrupt-width", false, func(p []byte) []byte { p[mod+3] = 200; return p }},
+		{"unknown-width", false, func(p []byte) []byte { p[mod+3] = 3; return p }},
+		{"corrupt-second-width", false, func(p []byte) []byte { p[next+3] = 0; return p }},
+		{"corrupt-selector", false, func(p []byte) []byte { p[mod+1] = 127; return p }},
+		{"corrupt-second-selector", false, func(p []byte) []byte { p[next+1] = 127; return p }},
+		{"corrupt-offset", false, func(p []byte) []byte { p[mod+2] = 250; return p }},
+		{"truncated", false, func(p []byte) []byte { return p[:len(p)-1] }},
+		{"truncated-at-an-opcode", false, func(p []byte) []byte { return p[:next] }},
+		{"truncated-header", false, func(p []byte) []byte { return p[:progSums] }},
+		{"corrupt-decap-type", true, func(p []byte) []byte { p[progOps+1] = 9; return p }},
+		{"corrupt-opcode-after-decap", true, func(p []byte) []byte { p[next+2] = 0xee; return p }},
+		{"corrupt-width-after-decap", true, func(p []byte) []byte { p[next+2+3] = 200; return p }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rule := mkRule()
-			tc.prog(rule)
-			diffExec(t, rule, progTestPacket(t))
+			rule := &GlobalRule{
+				FID: 9,
+				Modifies: []FieldValue{
+					{Field: packet.FieldTTL, Value: []byte{17}},
+					{Field: packet.FieldDstPort, Value: []byte{0x1f, 0x90}},
+				},
+			}
+			base := progTestPacket(t)
+			if tc.decap {
+				rule.Stack.Decaps = []packet.HeaderType{packet.HeaderVLAN}
+				if err := base.EncapVLAN(7); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rule.Compile()
+			rule.Prog = tc.prog(rule.Prog)
+			diffExec(t, rule, base)
 		})
 	}
 }
@@ -217,6 +260,36 @@ func TestProgramErrorParity(t *testing.T) {
 	p := progTestPacket(t)
 	if _, err := rule.ExecHeader(p); err == nil {
 		t.Fatal("decap of absent header succeeded")
+	}
+}
+
+// TestExecHeaderAllocatesNothing: the executor writes the packet's bytes
+// in place and reads the values out of the program, so a rule that only
+// rewrites fields — Chain1's — allocates nothing, on TCP and UDP, with
+// or without tags in front of the headers. (A decap or encap re-frames
+// the packet and is not covered.)
+func TestExecHeaderAllocatesNothing(t *testing.T) {
+	rule := chain1Rule(t)
+	for _, tc := range []struct {
+		proto uint8
+		tags  int
+	}{{packet.ProtoUDP, 0}, {packet.ProtoTCP, 0}, {packet.ProtoUDP, 2}} {
+		p := packet.MustBuild(packet.Spec{
+			SrcIP: packet.IP4(10, 0, 0, 1), DstIP: packet.IP4(10, 0, 0, 2),
+			SrcPort: 4000, DstPort: 80, Proto: tc.proto, Payload: make([]byte, 200),
+		})
+		for i := 0; i < tc.tags; i++ {
+			if err := p.EncapVLAN(uint16(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if alive, err := rule.ExecHeader(p); err != nil || !alive {
+				t.Fatalf("ExecHeader = (%v, %v)", alive, err)
+			}
+		}); n != 0 {
+			t.Errorf("proto %d, %d tags: %v allocations a packet, want 0", tc.proto, tc.tags, n)
+		}
 	}
 }
 

@@ -42,10 +42,12 @@ func onesComplementSum(sum uint32, data []byte) uint32 {
 	return uint32(acc)
 }
 
+// foldChecksum folds the carries of sum back in twice, which leaves any
+// 32-bit sum within 16 bits (the first fold leaves at most 0x1fffe),
+// and complements it.
 func foldChecksum(sum uint32) uint16 {
-	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + (sum >> 16)
-	}
+	sum = sum&0xffff + sum>>16
+	sum = sum&0xffff + sum>>16
 	return ^uint16(sum)
 }
 
@@ -132,7 +134,7 @@ func (p *Packet) pseudoHeader() (pseudo [12]byte) {
 // field. The zero value owes nothing. Corrections add, so one Sums may
 // collect any number of SetDeferred calls — in any order, across an
 // encap or decap — before a single PatchChecksums settles it.
-type Sums struct{ ip, l4 uint32 }
+type Sums struct{ IP, L4 uint32 }
 
 // PatchChecksums settles s: HC' = ~(~HC + s) on the IPv4 header
 // checksum and on the TCP or UDP checksum. A checksum that owes
@@ -149,16 +151,16 @@ func (p *Packet) PatchChecksums(s Sums) {
 	if !p.parsed {
 		return
 	}
-	if s.ip != 0 {
-		patchChecksum(p.data[p.hdr.IPOff+10:], s.ip, 0)
+	if s.IP != 0 {
+		patchChecksum(p.data[p.hdr.IPOff+10:p.hdr.IPOff+12], s.IP, 0)
 	}
-	if s.l4 != 0 {
+	if s.L4 != 0 {
 		switch p.hdr.L4Proto {
 		case ProtoTCP:
-			patchChecksum(p.data[p.hdr.L4Off+16:], s.l4, 0)
+			patchChecksum(p.data[p.hdr.L4Off+16:p.hdr.L4Off+18], s.L4, 0)
 		case ProtoUDP:
-			if ck := p.data[p.hdr.L4Off+6:]; ck[0]|ck[1] != 0 {
-				patchChecksum(ck, s.l4, 0xffff)
+			if ck := p.data[p.hdr.L4Off+6 : p.hdr.L4Off+8]; ck[0]|ck[1] != 0 {
+				patchChecksum(ck, s.L4, 0xffff)
 			}
 		}
 	}

@@ -93,7 +93,7 @@ func (p *Packet) setIPProtoLen(proto uint8, grow int) {
 	ip := p.data[p.hdr.IPOff:]
 	totLen := binary.BigEndian.Uint16(ip[2:4])
 	// ~m + m' for the length word and for the low half of (TTL, protocol).
-	owed := Sums{ip: 2*0xffff - uint32(totLen) - uint32(ip[9]) + uint32(totLen+uint16(grow)) + uint32(proto)}
+	owed := Sums{IP: 2*0xffff - uint32(totLen) - uint32(ip[9]) + uint32(totLen+uint16(grow)) + uint32(proto)}
 	binary.BigEndian.PutUint16(ip[2:4], totLen+uint16(grow))
 	ip[9] = proto
 	p.PatchChecksums(owed)

@@ -56,50 +56,84 @@ func (f Field) String() string {
 // A field lives at a fixed offset from the start of one header, and is
 // covered by the checksums that header's bytes feed.
 const (
-	baseL2 = iota // frame start
-	baseIP        // Headers.IPOff
-	baseL4        // Headers.L4Off
+	BaseL2 = iota // frame start
+	BaseIP        // Headers.IPOff
+	BaseL4        // Headers.L4Off
 
-	sumIP = 1 << 0 // the IPv4 header checksum covers the field
-	sumL4 = 1 << 1 // the TCP/UDP checksum does (pseudo-header included)
+	SumIP = 1 << 0 // the IPv4 header checksum covers the field
+	SumL4 = 1 << 1 // the TCP/UDP checksum does (pseudo-header included)
 )
 
+// Place is where a field lives: the header it sits in (BaseL2, BaseIP or
+// BaseL4), its byte offset within that header, its width, and the
+// checksums that cover it (SumIP, SumL4). A field's place does not depend
+// on the packet, so a rewrite can be resolved once and run on any frame
+// against the header offsets Bases reads off it.
+type Place struct{ Base, Rel, Size, Sums uint8 }
+
 // fieldPlaces is indexed by Field.
-var fieldPlaces = [...]struct{ base, rel, size, sums uint8 }{
-	FieldDstMAC:  {baseL2, 0, 6, 0},
-	FieldSrcMAC:  {baseL2, 6, 6, 0},
-	FieldDSCP:    {baseIP, 1, 1, sumIP},
-	FieldTTL:     {baseIP, 8, 1, sumIP},
-	FieldSrcIP:   {baseIP, 12, 4, sumIP | sumL4},
-	FieldDstIP:   {baseIP, 16, 4, sumIP | sumL4},
-	FieldSrcPort: {baseL4, 0, 2, sumL4},
-	FieldDstPort: {baseL4, 2, 2, sumL4},
+var fieldPlaces = [...]Place{
+	FieldDstMAC:  {BaseL2, 0, 6, 0},
+	FieldSrcMAC:  {BaseL2, 6, 6, 0},
+	FieldDSCP:    {BaseIP, 1, 1, SumIP},
+	FieldTTL:     {BaseIP, 8, 1, SumIP},
+	FieldSrcIP:   {BaseIP, 12, 4, SumIP | SumL4},
+	FieldDstIP:   {BaseIP, 16, 4, SumIP | SumL4},
+	FieldSrcPort: {BaseL4, 0, 2, SumL4},
+	FieldDstPort: {BaseL4, 2, 2, SumL4},
+}
+
+// Place resolves the field to where it lives; ok is false for an invalid
+// field.
+func (f Field) Place() (pl Place, ok bool) {
+	if f < 0 || int(f) >= len(fieldPlaces) {
+		return Place{}, false
+	}
+	return fieldPlaces[f], fieldPlaces[f].Size != 0
 }
 
 // Size returns the field width in bytes, or 0 for an invalid field.
 func (f Field) Size() int {
-	if f < 0 || int(f) >= len(fieldPlaces) {
-		return 0
-	}
-	return int(fieldPlaces[f].size)
+	pl, _ := f.Place()
+	return int(pl.Size)
 }
 
 // Valid reports whether f is one of the defined fields.
 func (f Field) Valid() bool { return f.Size() != 0 }
+
+// spans is how much of each header a parsed frame is guaranteed to hold:
+// the Ethernet header, the IPv4 header, and the eight bytes a TCP and a
+// UDP header both start with.
+var spans = [...]int{BaseL2: EthHeaderLen, BaseIP: IPv4HeaderLen, BaseL4: UDPHeaderLen}
+
+// Within reports whether the place names a known header and lies inside
+// the part of it Parse guarantees, so that on any parsed frame its bytes
+// are in bounds. Every field's place is.
+func (pl Place) Within() bool {
+	return int(pl.Base) < len(spans) && int(pl.Rel)+int(pl.Size) <= spans[pl.Base]
+}
+
+// Bases returns where in the frame the headers a Place names start: the
+// IPv4 header (BaseIP) and the transport header (BaseL4); BaseL2 is the
+// frame start. ok is false for an unparsed packet.
+func (p *Packet) Bases() (ip, l4 int, ok bool) {
+	return p.hdr.IPOff, p.hdr.L4Off, p.parsed
+}
 
 // fieldOffset returns the field's byte offset within a parsed frame.
 func (p *Packet) fieldOffset(f Field) (int, error) {
 	if !p.parsed {
 		return 0, ErrNotParsed
 	}
-	if !f.Valid() {
+	pl, ok := f.Place()
+	if !ok {
 		return 0, fmt.Errorf("packet: invalid field %v", f)
 	}
-	off := int(fieldPlaces[f].rel)
-	switch fieldPlaces[f].base {
-	case baseIP:
+	off := int(pl.Rel)
+	switch pl.Base {
+	case BaseIP:
 		off += p.hdr.IPOff
-	case baseL4:
+	case BaseL4:
 		off += p.hdr.L4Off
 	}
 	return off, nil
@@ -155,17 +189,17 @@ func (p *Packet) SetDeferred(f Field, value []byte, s *Sums) error {
 		d = 0xffff - uint32(old) + uint32(new)
 	case 1:
 		// Half a word: the high byte at an even offset, the low at an odd.
-		shift := 8 * (^fieldPlaces[f].rel & 1)
+		shift := 8 * (^fieldPlaces[f].Rel & 1)
 		d = 0xffff - uint32(b[0])<<shift + uint32(value[0])<<shift
 		b[0] = value[0]
 	default:
 		copy(b, value)
 	}
-	if fieldPlaces[f].sums&sumIP != 0 {
-		s.ip += d
+	if fieldPlaces[f].Sums&SumIP != 0 {
+		s.IP += d
 	}
-	if fieldPlaces[f].sums&sumL4 != 0 {
-		s.l4 += d
+	if fieldPlaces[f].Sums&SumL4 != 0 {
+		s.L4 += d
 	}
 	return nil
 }
@@ -218,7 +252,7 @@ func (p *Packet) DecrementTTL() (uint8, error) {
 	if p.data[off] > 0 {
 		p.data[off]--
 		// The (TTL, protocol) word fell by 0x0100.
-		p.PatchChecksums(Sums{ip: 0xffff - 0x0100})
+		p.PatchChecksums(Sums{IP: 0xffff - 0x0100})
 	}
 	return p.data[off], nil
 }

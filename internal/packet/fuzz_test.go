@@ -35,6 +35,69 @@ func TestQuickParseNeverPanics(t *testing.T) {
 	}
 }
 
+// FuzzParse holds Parse to what its callers rely on, for any bytes: it
+// never panics, and a frame it accepts has its headers in order and in
+// bounds — the Ethernet header and tags, then the IPv4 header and any AH
+// headers, then a TCP header of at least 20 bytes or a UDP header of 8,
+// all inside the datagram, which is inside the frame — so that every
+// field's place is in bounds, as a compiled rewrite assumes; and its
+// packed flow key unpacks to its five-tuple.
+func FuzzParse(f *testing.F) {
+	tcp := MustBuild(Spec{SrcIP: IP4(10, 0, 0, 1), DstIP: IP4(10, 0, 0, 2), SrcPort: 1234, DstPort: 80, Payload: []byte("seed")})
+	udp := MustBuild(Spec{SrcIP: IP4(10, 0, 0, 1), DstIP: IP4(10, 0, 0, 2), SrcPort: 53, DstPort: 5353, Proto: ProtoUDP})
+	tunnelled := udp.Clone()
+	for _, step := range []func() error{
+		func() error { return tunnelled.EncapVLAN(7) },
+		func() error { return tunnelled.EncapVLAN(8) },
+		func() error { return tunnelled.EncapAH(9, 1) },
+	} {
+		if err := step(); err != nil {
+			f.Fatal(err)
+		}
+	}
+	for _, frame := range [][]byte{
+		tcp.Data(), udp.Data(), tunnelled.Data(),
+		append(bytes.Clone(tcp.Data()), 0xde, 0xad), // padded
+		tcp.Data()[:40], tunnelled.Data()[:50], // cut short
+	} {
+		f.Add(bytes.Clone(frame))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p := New(data)
+		if p.Parse() != nil {
+			return
+		}
+		h, ok := p.Headers()
+		if !ok {
+			t.Fatal("accepted frame reads as unparsed")
+		}
+		l4 := UDPHeaderLen
+		if h.L4Proto == ProtoTCP {
+			l4 = TCPHeaderLen
+		}
+		if h.IPOff != EthHeaderLen+VLANTagLen*h.VLANs || h.L4Off != h.IPOff+IPv4HeaderLen+AHHeaderLen*h.AHCount ||
+			h.L4Off+l4 > h.PayloadOff || h.PayloadOff > h.End || h.End > len(data) {
+			t.Fatalf("headers out of order or bounds in a %d-byte frame: %+v", len(data), h)
+		}
+		if h.L4Proto == ProtoTCP && int(data[h.L4Off+12]>>4)*4 != h.PayloadOff-h.L4Off {
+			t.Fatalf("TCP data offset %d, payload at %d of the segment", data[h.L4Off+12]>>4*4, h.PayloadOff-h.L4Off)
+		}
+		ip, l4off, _ := p.Bases()
+		for field := FieldSrcMAC; field <= FieldDstPort; field++ {
+			pl, _ := field.Place()
+			at := [...]int{BaseL2: 0, BaseIP: ip, BaseL4: l4off}[pl.Base] + int(pl.Rel)
+			if !pl.Within() || at+int(pl.Size) > h.End {
+				t.Fatalf("%v at %d+%d, past the datagram's end %d", field, at, pl.Size, h.End)
+			}
+		}
+		hi, lo, ok := p.FlowKey()
+		ft, err := p.FiveTuple()
+		if !ok || err != nil || KeyTuple(hi, lo) != ft {
+			t.Fatalf("flow key (%x, %x, %v) unpacks to %v, five-tuple %v (%v)", hi, lo, ok, KeyTuple(hi, lo), ft, err)
+		}
+	})
+}
+
 // TestQuickParseMutatedValidFrames takes valid frames and flips random
 // bytes: parsing must stay panic-free and any successful parse must
 // stay self-consistent.
