@@ -3,9 +3,49 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// TestGoldenOutputs pins every experiment's text output at seed 1 to the
+// bytes in testdata. A change that moves a number must regenerate the
+// file it touches, with the built binary:
+//
+//	go run ./cmd/speedybench -exp fig4 -seed 1 > cmd/speedybench/testdata/fig4.golden
+//
+// Only per-packet (batch 1) runs and BESS-only batched runs are pinned:
+// an ONVM row at -batch 32 varies run to run (onvm.ProcessBatch).
+func TestGoldenOutputs(t *testing.T) {
+	cases := map[string][]string{
+		"fig9a-cdf":      {"-exp", "fig9a", "-seed", "1", "-cdf"},
+		"oracle":         {"-exp", "oracle", "-oracle-schedules", "20"},
+		"oracle-batch32": {"-exp", "oracle", "-oracle-schedules", "20", "-batch", "32"},
+		"oracle-topo":    {"-exp", "oracle", "-oracle-schedules", "20", "-oracle-topo"},
+		"oracle-cluster": {"-exp", "oracle", "-oracle-schedules", "20", "-oracle-cluster"},
+	}
+	for _, exp := range []string{"fig4", "table3", "fig5", "fig6", "fig7", "fig8", "fig9a", "fig9b",
+		"equiv", "vpnx", "crossover", "mq", "reconfig", "restart"} {
+		cases[exp] = []string{"-exp", exp, "-seed", "1"}
+	}
+	for name, args := range cases {
+		t.Run(name, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			if err := run(args, &got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("speedybench %s differs from testdata/%s.golden:\n--- got\n%s--- want\n%s",
+					strings.Join(args, " "), name, got.Bytes(), want)
+			}
+		})
+	}
+}
 
 func TestRunSingleExperiment(t *testing.T) {
 	var buf bytes.Buffer

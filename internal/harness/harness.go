@@ -1,7 +1,7 @@
-// Package harness implements the evaluation harness: one experiment
-// driver per table and figure of the paper's §VII, each regenerating
-// the corresponding rows or series from synthetic traces on the BESS
-// and OpenNetVM platform models.
+// Package harness implements the evaluation harness: the paper's §VII
+// tables and figures are rows of one experiment table (table.go), each
+// regenerating its rows or series from a synthetic trace on the BESS and
+// OpenNetVM platform models.
 //
 // Absolute numbers come from the calibrated cycle model
 // (internal/cost) and are not expected to equal the paper's testbed
@@ -12,13 +12,13 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/fastpathnfv/speedybox/internal/classifier"
 	"github.com/fastpathnfv/speedybox/internal/core"
 	"github.com/fastpathnfv/speedybox/internal/cost"
 	"github.com/fastpathnfv/speedybox/internal/flow"
-	"github.com/fastpathnfv/speedybox/internal/nf/ipfilter"
 	"github.com/fastpathnfv/speedybox/internal/packet"
 	"github.com/fastpathnfv/speedybox/internal/platform"
 	"github.com/fastpathnfv/speedybox/internal/stats"
@@ -43,8 +43,7 @@ type Config struct {
 	Batch int
 }
 
-// options attaches the harness-wide telemetry hub (if any) to one
-// variant's engine options.
+// options attaches the telemetry hub, if any, to a variant's options.
 func (c Config) options(base core.Options) core.Options {
 	base.Telemetry = c.Telemetry
 	return base
@@ -66,8 +65,7 @@ func (c Config) withDefaults(defaultFlows int) Config {
 type Partitioned struct {
 	InitWork []float64 // cycles
 	SubWork  []float64
-	InitLat  []float64 // cycles
-	SubLat   []float64
+	SubLat   []float64 // cycles
 	SubBott  []float64 // bottleneck cycles (throughput)
 	// PerNFSub accumulates per-NF slow-path work of subsequent
 	// packets (Table III's per-NF columns); only populated on the
@@ -75,8 +73,6 @@ type Partitioned struct {
 	PerNFSub map[string][]float64
 	// FlowCycles is each flow's total processing latency.
 	FlowCycles map[flow.FID]uint64
-	Drops      int
-	Packets    int
 	Stats      core.Stats
 	model      *cost.Model
 }
@@ -93,40 +89,29 @@ func runPartitioned(p platform.Platform, pkts []*packet.Packet, batch int) (*Par
 		model:      p.Model(),
 	}
 	seen := make(map[flow.FID]bool)
-	fold := func(m *platform.Measurement) {
-		out.Packets++
-		res := m.Result
-		if res.Verdict == core.VerdictDrop {
-			out.Drops++
-		}
-		out.FlowCycles[res.FID] += m.LatencyCycles
-
-		switch res.Kind {
-		case classifier.KindHandshake, classifier.KindFinal:
-			return
-		}
-		if !seen[res.FID] {
-			seen[res.FID] = true
-			out.InitWork = append(out.InitWork, float64(m.WorkCycles))
-			out.InitLat = append(out.InitLat, float64(m.LatencyCycles))
-			return
-		}
-		out.SubWork = append(out.SubWork, float64(m.WorkCycles))
-		out.SubLat = append(out.SubLat, float64(m.LatencyCycles))
-		out.SubBott = append(out.SubBott, float64(m.BottleneckCycles))
-		if res.Slow != nil {
-			for _, s := range res.Slow.PerNF {
-				out.PerNFSub[s.Name] = append(out.PerNFSub[s.Name], float64(s.Cycles))
-			}
-		}
-	}
 	batch = max(batch, 1)
 	b := platform.NewBatch(batch)
 	err := platform.Drain(pkts, batch, nil,
 		func(_ int, run []*packet.Packet) ([]platform.Measurement, error) { return p.ProcessBatch(run, b) },
 		func(_ int, ms []platform.Measurement) error {
-			for i := range ms {
-				fold(&ms[i])
+			for _, m := range ms {
+				res := m.Result
+				out.FlowCycles[res.FID] += m.LatencyCycles
+				switch {
+				case res.Kind == classifier.KindHandshake || res.Kind == classifier.KindFinal:
+				case !seen[res.FID]:
+					seen[res.FID] = true
+					out.InitWork = append(out.InitWork, float64(m.WorkCycles))
+				default:
+					out.SubWork = append(out.SubWork, float64(m.WorkCycles))
+					out.SubLat = append(out.SubLat, float64(m.LatencyCycles))
+					out.SubBott = append(out.SubBott, float64(m.BottleneckCycles))
+					if res.Slow != nil {
+						for _, s := range res.Slow.PerNF {
+							out.PerNFSub[s.Name] = append(out.PerNFSub[s.Name], float64(s.Cycles))
+						}
+					}
+				}
 			}
 			return nil
 		})
@@ -154,12 +139,13 @@ func (p *Partitioned) SubRateMpps() float64 {
 	return p.model.RateMpps(mean(p.SubBott))
 }
 
-// FlowTimesMicros returns per-flow processing times in µs.
+// FlowTimesMicros returns per-flow processing times in µs, ascending.
 func (p *Partitioned) FlowTimesMicros() []float64 {
 	out := make([]float64, 0, len(p.FlowCycles))
 	for _, c := range p.FlowCycles {
 		out = append(out, p.model.CyclesToMicros(c))
 	}
+	slices.Sort(out)
 	return out
 }
 
@@ -172,25 +158,6 @@ func mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// filterChain builds n IPFilter NFs with all-forward ACLs ("The ACL
-// rules of the IPFilters are carefully modified to avoid packet
-// drops", §VII-B2), each with a 100-rule blacklist to scan on new
-// flows.
-func filterChain(n int) ([]core.NF, error) {
-	chain := make([]core.NF, n)
-	for i := 0; i < n; i++ {
-		f, err := ipfilter.New(ipfilter.Config{
-			Name:  fmt.Sprintf("ipfilter%d", i+1),
-			Rules: ipfilter.PadRules(nil, 100),
-		})
-		if err != nil {
-			return nil, err
-		}
-		chain[i] = f
-	}
-	return chain, nil
 }
 
 // pct formats a reduction percentage.
@@ -224,6 +191,23 @@ func (t *tableWriter) String() string {
 		t.sb.WriteString("\n")
 	}
 	return t.sb.String()
+}
+
+// passFail renders an acceptance bar's outcome.
+func passFail(ok bool) string {
+	if ok {
+		return "PASS"
+	}
+	return "FAIL"
+}
+
+// counts renders integer cells.
+func counts(vs ...any) []string {
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		out[i] = fmt.Sprint(v)
+	}
+	return out
 }
 
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }

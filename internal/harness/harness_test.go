@@ -1,8 +1,11 @@
 package harness
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"github.com/fastpathnfv/speedybox/internal/telemetry"
 )
 
 // The harness tests assert the reproduced *shapes* of the paper's
@@ -230,6 +233,57 @@ func TestFig9Shape(t *testing.T) {
 				t.Errorf("chain %d %s p50 = %.1fµs, outside plausible range", chain, row.Platform, row.Original.P50)
 			}
 		}
+	}
+}
+
+// TestFig9FlowTimesReproducible: equal seeds give equal flow-time
+// series, element for element, so fig9's -json output is reproducible.
+func TestFig9FlowTimesReproducible(t *testing.T) {
+	a, err := RunFig9(cfg(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := RunFig9(cfg(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range a.Rows {
+		for _, s := range [][2]Fig9Series{{a.Rows[i].Original, b.Rows[i].Original}, {a.Rows[i].SBox, b.Rows[i].SBox}} {
+			if !slices.Equal(s[0].FlowTimes, s[1].FlowTimes) {
+				t.Errorf("%s: flow times differ between identical runs", s[0].Variant)
+			}
+		}
+	}
+}
+
+// TestTelemetryReachesEveryVariant: Config.Telemetry is attached to every
+// engine a row builds, Fig. 7's ablation variants included, so the hub's
+// install counter sums every variant's consolidations.
+func TestTelemetryReachesEveryVariant(t *testing.T) {
+	c := cfg()
+	c.Telemetry = telemetry.NewHub()
+	if _, err := RunFig7(c); err != nil {
+		t.Fatal(err)
+	}
+	var want, ablations uint64
+	probe := fig7
+	probe.collect = func(_ *Fig7Result, pt point) {
+		for i, run := range pt.runs {
+			want += run.Stats.Consolidations
+			if i >= 2 {
+				ablations += run.Stats.Consolidations
+			}
+		}
+	}
+	if _, err := probe.run(cfg()); err != nil {
+		t.Fatal(err)
+	}
+	if ablations == 0 {
+		t.Fatal("the ablation variants installed no rules: the check is vacuous")
+	}
+	if got := c.Telemetry.Registry.Counter("speedybox_mat_installs_total", "").Value(); got != want {
+		t.Errorf("speedybox_mat_installs_total = %d, want %d (every variant's consolidations, %d of them the ablations')",
+			got, want, ablations)
 	}
 }
 

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"github.com/fastpathnfv/speedybox/internal/bess"
 	"github.com/fastpathnfv/speedybox/internal/core"
 	"github.com/fastpathnfv/speedybox/internal/platform"
 	"github.com/fastpathnfv/speedybox/internal/trace"
@@ -47,22 +48,19 @@ type MultiQueueResult struct {
 // RunMultiQueue executes the worker sweep on a 3-IPFilter chain.
 func RunMultiQueue(cfg Config) (*MultiQueueResult, error) {
 	cfg = cfg.withDefaults(256)
-	res := &MultiQueueResult{Flows: cfg.Flows}
+	tr, err := trace.Generate(trace.Config{Seed: cfg.Seed, Flows: cfg.Flows,
+		MeanPackets: 64, UDPFraction: 1.0, Interleave: true})
+	if err != nil {
+		return nil, err
+	}
+	res := &MultiQueueResult{Flows: cfg.Flows, Packets: tr.Len()}
 	var baseRate float64
 	for _, workers := range []int{1, 2, 4, 8} {
-		// Fresh trace per run: platforms consume the packet buffers.
-		tr, err := trace.Generate(trace.Config{
-			Seed: cfg.Seed, Flows: cfg.Flows,
-			MeanPackets: 64, UDPFraction: 1.0,
-			Interleave: true,
-		})
+		chain, err := filterChain(3)
 		if err != nil {
 			return nil, err
 		}
-		pkts := tr.Packets()
-		res.Packets = len(pkts)
-
-		p, err := buildPlatform(PlatformBESS, func() ([]core.NF, error) { return filterChain(3) }, cfg.options(core.DefaultOptions()))
+		p, err := bess.New(bess.Config{Chain: chain, Options: cfg.options(core.DefaultOptions())})
 		if err != nil {
 			return nil, err
 		}
@@ -71,7 +69,7 @@ func RunMultiQueue(cfg Config) (*MultiQueueResult, error) {
 			return nil, err
 		}
 		mq.SetBatchSize(cfg.Batch)
-		out, err := mq.Run(pkts)
+		out, err := mq.Run(tr.Packets())
 		if err != nil {
 			return nil, err
 		}
@@ -81,16 +79,11 @@ func RunMultiQueue(cfg Config) (*MultiQueueResult, error) {
 		for _, c := range out.Bottlenecks {
 			total += c
 		}
-		// The deepest queue bounds the multi-core run; scale the total
-		// occupancy by its share of the partition to get the modeled
-		// critical path (the same parallelism model AggregateRateMpps
-		// uses).
+		// The deepest queue's share of the total (AggregateRateMpps's
+		// parallelism model).
 		sum, deepest := 0, 0
 		for _, d := range out.QueueDepths {
-			sum += d
-			if d > deepest {
-				deepest = d
-			}
+			sum, deepest = sum+d, max(deepest, d)
 		}
 		critical := total
 		if sum > 0 {

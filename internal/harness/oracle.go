@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
@@ -10,7 +9,6 @@ import (
 	"sort"
 
 	"github.com/fastpathnfv/speedybox/internal/bess"
-	"github.com/fastpathnfv/speedybox/internal/chainspec"
 	"github.com/fastpathnfv/speedybox/internal/core"
 	"github.com/fastpathnfv/speedybox/internal/fault"
 	"github.com/fastpathnfv/speedybox/internal/mat"
@@ -18,7 +16,6 @@ import (
 	"github.com/fastpathnfv/speedybox/internal/nf/ipfilter"
 	"github.com/fastpathnfv/speedybox/internal/nf/maglev"
 	"github.com/fastpathnfv/speedybox/internal/nf/monitor"
-	"github.com/fastpathnfv/speedybox/internal/nf/snort"
 	"github.com/fastpathnfv/speedybox/internal/packet"
 	"github.com/fastpathnfv/speedybox/internal/platform"
 	"github.com/fastpathnfv/speedybox/internal/trace"
@@ -27,19 +24,15 @@ import (
 
 // The differential equivalence oracle generalizes the paper's three
 // hand-written §VII-C case studies into a property checked under
-// thousands of randomized fault schedules: every trace runs twice —
-// through a pure slow-path reference (the unmodified chain, which is
-// correct by definition) and through full SpeedyBox with a seeded fault
-// injector attacking its control plane — and every packet must leave
-// both with the identical chain, verdict, drop state and rewritten
-// bytes, with identical NF-observable side effects (Monitor counters,
-// Snort logs) at the end of the trace.
-//
-// There is one schedule driver, runSchedule, over a pluggable system
-// under test (the system interface: one engine, a multi-chain topology,
-// a scaling cluster) and a table of what runs on it (oracleRows).
-// DESIGN.md §10 describes the event list, the clip rule, the comparator
-// and the adapters.
+// thousands of randomized fault schedules: every trace runs through a
+// pure slow-path reference (the unmodified chain, correct by definition)
+// and through full SpeedyBox with a seeded fault injector attacking its
+// control plane, and the comparator (equivalence.go) holds the two to
+// chain-output equivalence. There is one schedule driver, runSchedule,
+// over a pluggable system under test (one engine, a multi-chain
+// topology, a scaling cluster) and a table of what runs on it
+// (oracleRows). DESIGN.md §10 describes the event list, the clip rule,
+// the comparator and the adapters.
 
 // OracleConfig configures a differential-oracle run.
 type OracleConfig struct {
@@ -51,74 +44,61 @@ type OracleConfig struct {
 	Schedules int
 	// Flows is the per-schedule trace size (default 24).
 	Flows int
-	// Chain picks the service chain: 1 or 2 (§VII-B3), 3 (the stateless
-	// header-transform chain) or 4 (the catalog chain: VPN pair,
-	// synthetic, RateLimiter, DoS defender, Monitor); 0 alternates 1 and
-	// 2 per schedule (1, 2 and 3 under Cluster). Topo runs its fixed
-	// topology and takes no Chain.
+	// Chain picks the service chain: 1 or 2 (§VII-B3), 3 (stateless) or 4
+	// (the catalog chain); 0 alternates 1 and 2 per schedule (1, 2 and 3
+	// under Cluster). Topo runs its fixed topology and takes no Chain.
 	Chain int
 	// Batch is the vector size the system under test is driven in
-	// (Batch <= 1 is a vector of one, through the same code). The
-	// reference always takes vectors of one — its correctness is
-	// definitional — so a batched run proves the vector size is not
+	// (<= 1: a vector of one, through the same code). The reference always
+	// takes vectors of one, so a batched run proves the vector size is not
 	// observable under the same fault schedules.
 	Batch int
 	// Rates overrides the per-kind injection rates; nil selects a
 	// uniform moderate-chaos default across every fault kind.
 	Rates map[fault.Kind]float64
-	// TamperRule, when set, corrupts the flow's consolidated rule
-	// after each fast-engine vector. Test-only: it exists to prove the
-	// oracle has teeth — a deliberately broken consolidation must be
-	// caught as a divergence. Single-engine system only.
+	// TamperRule, when set, corrupts the flow's consolidated rule after
+	// each fast-engine vector. Test-only teeth: a deliberately broken
+	// consolidation must be caught. Single-engine system only.
 	TamperRule func(*mat.GlobalRule)
 	// Reconfigs is how many live chain reconfigurations to apply per
-	// schedule, at deterministic mid-trace offsets derived from the
-	// schedule seed. Each plan (insert a gateway — a semantically
-	// visible MAC rewrite —, insert a pass-all filter, remove a
-	// previous insertion, reorder) is applied to the system under test
-	// and to the reference at the same packet index; a fault-aborted
-	// plan is skipped on both, which is exactly the rollback contract
-	// under test. 0 disables reconfiguration.
+	// schedule, at mid-trace offsets derived from the schedule seed. Each
+	// plan (insert a gateway or a pass-all filter, remove an insertion,
+	// reorder) is applied to both systems at the same packet index; a
+	// fault-aborted plan is skipped on both, which is exactly the rollback
+	// contract under test.
 	Reconfigs int
 	// TamperReconfig, when set, runs after each successful fast-engine
 	// reconfiguration with a copy of the rules installed before it.
-	// Test-only teeth: re-installing those pre-reconfiguration rules
-	// under the new epoch models a broken invalidation and must be
-	// caught as a divergence. Single-engine system only.
+	// Test-only teeth: re-installing them under the new epoch models a
+	// broken invalidation. Single-engine system only.
 	TamperReconfig func(eng *core.Engine, pre []*mat.GlobalRule)
-	// Topo puts a multi-chain topology under test: a fixed three-chain,
-	// three-tenant topology (shared monitor, per-chain policies, tight
-	// tenant quotas) against the same topology on baseline options.
-	// Reconfigurations target one chain per schedule, rotating; a crash
-	// kills the whole topology. Does not compose with Cluster.
+	// Topo puts a fixed three-chain, three-tenant topology under test
+	// (shared monitor, tight tenant quotas) against itself on baseline
+	// options. Reconfigurations target one chain per schedule, rotating; a
+	// crash kills the whole topology. Does not compose with Cluster.
 	Topo bool
 	// TamperRoute, when set with Topo, overrides the fast topology's
-	// classifier (receiving each packet and the honest chain index).
-	// Test-only teeth: routing a flow down the wrong chain must be
-	// caught as a divergence.
+	// classifier (given each packet and the honest chain index). Test-only
+	// teeth: a flow routed down the wrong chain must be caught.
 	TamperRoute func(pkt *packet.Packet, chain int) int
-	// Cluster puts a multi-instance cluster under test: a fleet that
-	// scales 1→2→4→3 at seeded mid-trace packet indices, live-migrating
-	// every reassigned flow at each step, against a static single
-	// engine. Reconfigurations apply cluster-wide at a common packet
-	// boundary; a crash kills one instance, round-robin, and restores it
-	// from checkpoint+WAL. Injected fault.KindMigrationAbort decisions
-	// roll whole rebalances back, which must also be verdict-invisible.
+	// Cluster puts a fleet under test that scales 1→2→4→3 at seeded
+	// packet indices, live-migrating every reassigned flow, against a
+	// static single engine. Reconfigurations apply cluster-wide; a crash
+	// kills one instance, round-robin, and restores it from checkpoint+WAL.
+	// Injected fault.KindMigrationAbort decisions roll whole rebalances
+	// back, which must also be verdict-invisible.
 	Cluster bool
 	// TamperMigration, when set with Cluster, corrupts each decoded
-	// migration record before the new owner adopts it. Test-only
-	// teeth: a migration that delivers the wrong rule must be caught
-	// as a divergence.
+	// migration record before the new owner adopts it. Test-only teeth: a
+	// migration that delivers the wrong rule must be caught.
 	TamperMigration func(*wal.MigrationRecord)
 	// Crashes > 0 kills and restores the system under test at up to that
-	// many (capped at 4) seeded packet indices per schedule: a
-	// crash-consistent checkpoint is taken at the kill point, the engine
-	// and every NF instance are discarded, a fresh chain is rebuilt
-	// (replaying any surviving reconfigurations), and Engine.Restore
-	// rehydrates it from the encoded checkpoint plus the durable WAL
-	// prefix — exactly what a process restart would find on disk. The
-	// reference runs uninterrupted, so any state the restore loses or
-	// invents shows up as a divergence.
+	// many (at most 4) seeded packet indices per schedule: the engine and
+	// its NFs are discarded at a crash-consistent checkpoint, a fresh
+	// chain is rebuilt (replaying surviving reconfigurations), and
+	// Engine.Restore rehydrates it from the encoded checkpoint plus the
+	// durable WAL prefix, exactly what a restart would find on disk. The
+	// reference runs uninterrupted, so any state lost or invented diverges.
 	Crashes int
 }
 
@@ -204,17 +184,9 @@ func (r *OracleResult) Format() string {
 	t := &tableWriter{}
 	t.title("Differential fast/slow-path equivalence oracle (randomized fault schedules)")
 	t.row("schedules", "packets", "faults injected", "fallbacks", "degraded pkts", "recoveries", "reconfigs", "aborted", "crashes", "migrations", "mig aborts", "divergences", "result")
-	status := "PASS"
-	if !r.Passed() {
-		status = "FAIL"
-	}
-	t.row(fmt.Sprintf("%d", r.Schedules), fmt.Sprintf("%d", r.Packets),
-		fmt.Sprintf("%d", r.Injected), fmt.Sprintf("%d", r.Fallbacks),
-		fmt.Sprintf("%d", r.Degraded), fmt.Sprintf("%d", r.Recoveries),
-		fmt.Sprintf("%d", r.Reconfigs), fmt.Sprintf("%d", r.ReconfigAborts),
-		fmt.Sprintf("%d", r.CrashRestores),
-		fmt.Sprintf("%d", r.Migrations), fmt.Sprintf("%d", r.MigrationAborts),
-		fmt.Sprintf("%d", len(r.Divergences)), status)
+	t.row(append(counts(r.Schedules, r.Packets, r.Injected, r.Fallbacks, r.Degraded, r.Recoveries,
+		r.Reconfigs, r.ReconfigAborts, r.CrashRestores, r.Migrations, r.MigrationAborts,
+		len(r.Divergences)), passFail(r.Passed()))...)
 	out := t.String()
 	for _, d := range r.Divergences {
 		out += fmt.Sprintf("  divergence: schedule %d (seed %d) packet %d: %s\n",
@@ -262,11 +234,10 @@ func RunOracle(cfg OracleConfig) (*OracleResult, error) {
 }
 
 // oracleRow is one thing the oracle can put under test: how to generate
-// a schedule's trace and how to build a system over it. The driver
-// builds every row twice — on baseline options with a zero config (the
-// reference) and on SpeedyBox options with the run's config and fault
-// injector (the system under test); sched is the schedule index, for
-// rows that rotate something across schedules.
+// a schedule's trace and build a system over it. The driver builds every
+// row twice: on baseline options with a zero config (the reference), and
+// on SpeedyBox options with the run's config and fault injector; sched
+// is the schedule index, for rows that rotate something across them.
 type oracleRow struct {
 	trace func(seed int64, flows int) ([]*packet.Packet, error)
 	build func(cfg OracleConfig, sched int, opts core.Options) (system, error)
@@ -277,38 +248,11 @@ type oracleRow struct {
 // chain is a new row.
 var oracleRows = [...]oracleRow{
 	0: {trace: topoTrace, build: newTopoSystem},
-	1: chainRow(Chain1),
-	2: chainRow(Chain2),
+	1: chainRow(chain1.Build),
+	2: chainRow(chain2.Build),
 	3: chainRow(statelessChain.Build),
 	4: chainRow(catalogChain.Build),
 }
-
-// statelessChain is a pure header-transform chain (IPFilter ->
-// Gateway): no NF registers per-flow state functions, so every
-// consolidated rule is a batch-free header program — exactly the rules
-// that travel whole inside a migration record instead of demoting to
-// re-record. The cluster rotation cycles it in alongside the paper's
-// two chains so rule-carrying migration is exercised (and tamperable)
-// as well as the demotion path the monitor-bearing chains force.
-var statelessChain = &chainspec.Spec{NFs: []chainspec.NFSpec{
-	{Type: "ipfilter", Name: "ipfilter", ACLSize: 100},
-	{Type: "gateway", Name: "gateway", NextHopMAC: "02:00:00:00:00:fe"},
-}}
-
-// catalogChain runs the catalog NFs no paper chain holds: an encap/decap
-// pair that cancels in consolidation around a payload-reading NF, the
-// cross-flow shared-state limiter (§IV-A2; the quota is low enough to
-// trip inside a 24-flow trace), the per-flow SYN counter, and a monitor
-// behind them all, which must count exactly the packets the two
-// droppers let through.
-var catalogChain = &chainspec.Spec{NFs: []chainspec.NFSpec{
-	{Type: "vpn-encap"},
-	{Type: "synthetic", Cycles: 300},
-	{Type: "vpn-decap"},
-	{Type: "ratelimiter", Quota: 40},
-	{Type: "dos"},
-	{Type: "monitor"},
-}}
 
 // chainRow is the row of a single service chain: one engine, or, under
 // OracleConfig.Cluster, a scaling fleet of them.
@@ -343,11 +287,10 @@ func oracleTrace(seed int64, flows int, dstPort uint16) ([]*packet.Packet, error
 // system is what the schedule driver needs of a packet processor, the
 // reference and the system under test alike.
 type system interface {
-	// run feeds pkts through the system in arrival order, in vectors of
-	// at most batch (platform.Drain), and hands fold each vector's
-	// measurements while they are valid, with the vector's offset in
-	// pkts and the index of the chain that ran it (0 outside
-	// topologies).
+	// run feeds pkts through the system in vectors of at most batch
+	// (platform.Drain) and hands fold each vector's measurements while
+	// they are valid, with the vector's offset in pkts and the index of
+	// the chain that ran it (0 outside topologies).
 	run(pkts []*packet.Packet, batch int, fold func(off, chain int, ms []platform.Measurement)) error
 	// events returns the environmental events the system schedules for
 	// itself on a trace of n packets (the cluster's scale walk).
@@ -367,31 +310,6 @@ type system interface {
 	// finish folds the system's counters into res and releases it; the
 	// driver calls it on the system under test only.
 	finish(res *OracleResult)
-}
-
-// oracleChain is one system's reconfigurable chain with its observable
-// NFs picked out.
-type oracleChain struct {
-	names []string
-	lb    *maglev.Maglev
-	mon   *monitor.Monitor
-	ids   *snort.Snort
-}
-
-func observeChain(nfs []core.NF) *oracleChain {
-	oc := &oracleChain{}
-	for _, nf := range nfs {
-		oc.names = append(oc.names, nf.Name())
-		switch v := nf.(type) {
-		case *maglev.Maglev:
-			oc.lb = v
-		case *monitor.Monitor:
-			oc.mon = v
-		case *snort.Snort:
-			oc.ids = v
-		}
-	}
-	return oc
 }
 
 // oracleEvent is one scheduled environmental transition: apply runs
@@ -424,15 +342,13 @@ func midTraceOffsets(rng *rand.Rand, n, pkts int) []int {
 	return offsets
 }
 
-// buildReconfigEvents derives n deterministic chain changes from the
-// schedule seed, at sorted offsets inside the middle 80% of the trace.
-// Operations cycle through inserting a gateway (a semantically visible
-// MAC rewrite), inserting a pass-all filter, removing the oldest
-// surviving insertion (or inserting an extra monitor when none
-// remains), and reordering a random NF. Plan positions track the chain
-// as if every plan lands; when an earlier plan is fault-aborted a later
-// one may be rejected by validation — on both systems identically,
-// which the schedule driver treats as a shared no-op.
+// buildReconfigEvents derives n chain changes from the schedule seed, at
+// sorted offsets inside the middle 80% of the trace. Operations cycle
+// through inserting a gateway (a visible MAC rewrite), inserting a
+// pass-all filter, removing the oldest surviving insertion (or inserting
+// a monitor when none remains), and reordering a random NF. Positions
+// track the chain as if every plan lands; after a fault-aborted plan a
+// later one may fail validation, on both systems alike: a shared no-op.
 func buildReconfigEvents(seed int64, n, pkts int, chain []string) []reconfigEvent {
 	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
 	names := slices.Clone(chain)
@@ -512,12 +428,6 @@ func flap(lb *maglev.Maglev, f fault.Flap) error {
 	return lb.FailBackend(f.Backend)
 }
 
-// outcome is what the comparator holds of one packet beyond its bytes.
-type outcome struct {
-	chain   int
-	verdict core.Verdict
-}
-
 // runSchedule is the one schedule driver: it replays one trace through
 // the row's reference and its system under test, applying every event
 // to both at the same packet index, and is the only place a divergence
@@ -547,11 +457,12 @@ func runSchedule(cfg OracleConfig, row oracleRow, sched int, seed int64, rates m
 		res.Injected += inj.InjectedTotal()
 	}()
 
-	diverge := func(pkt int, format string, args ...any) {
-		res.Divergences = append(res.Divergences, OracleDivergence{
-			Schedule: sched, Seed: seed, Packet: pkt,
-			Detail: fmt.Sprintf(format, args...),
-		})
+	diverge := func(pkt int, detail string) {
+		if detail != "" {
+			res.Divergences = append(res.Divergences, OracleDivergence{
+				Schedule: sched, Seed: seed, Packet: pkt, Detail: detail,
+			})
+		}
 	}
 
 	// The event list. Same-index order is scale, crash, flap, reconfig
@@ -573,9 +484,8 @@ func runSchedule(cfg OracleConfig, row oracleRow, sched int, seed int64, rates m
 	}
 	if ref.chain().lb != nil {
 		// Backend flaps are pool changes, not SpeedyBox faults: both
-		// Maglev instances see the identical schedule, and the
-		// reference's assignment logic re-picks for unhealthy pins
-		// exactly as the fast engine's events reroute.
+		// Maglevs see the same schedule, and the reference re-picks for
+		// unhealthy pins exactly as the fast engine's events reroute.
 		for _, f := range inj.FlapPlan(n, 3) {
 			events = append(events, oracleEvent{f.At, func() error {
 				return errors.Join(flap(ref.chain().lb, f), flap(fast.chain().lb, f))
@@ -589,10 +499,9 @@ func runSchedule(cfg OracleConfig, row oracleRow, sched int, seed int64, rates m
 				return err
 			}
 			if ferr := fast.reconfigure(plan); ferr != nil {
-				// An aborted (or, after an earlier abort, validation-
-				// rejected) plan left the system untouched — that is the
-				// rollback contract — so the reference skips it too and
-				// the two stay in lockstep.
+				// An aborted (or, after an earlier abort, rejected) plan
+				// left the system untouched, the rollback contract, so the
+				// reference skips it too.
 				if errors.Is(ferr, core.ErrReconfigAborted) {
 					res.ReconfigAborts++
 				}
@@ -611,24 +520,6 @@ func runSchedule(cfg OracleConfig, row oracleRow, sched int, seed int64, rates m
 	}
 	sort.SliceStable(events, func(a, b int) bool { return events[a].at < events[b].at })
 
-	// compare is the comparator: one reference packet against its twin.
-	compare := func(k int, want, got outcome) bool {
-		rp, fp := refPkts[k], fastPkts[k]
-		switch {
-		case want.chain != got.chain:
-			diverge(k, "route: ref chain %d, fast chain %d", want.chain, got.chain)
-		case want.verdict != got.verdict:
-			diverge(k, "verdict: ref %v, fast %v", want.verdict, got.verdict)
-		case rp.Dropped() != fp.Dropped():
-			diverge(k, "dropped: ref %v, fast %v", rp.Dropped(), fp.Dropped())
-		case !rp.Dropped() && !bytes.Equal(rp.Data(), fp.Data()):
-			diverge(k, "rewritten bytes differ (%d vs %d bytes)", len(rp.Data()), len(fp.Data()))
-		default:
-			return true
-		}
-		return false
-	}
-
 	batch := max(cfg.Batch, 1)
 	want := make([]outcome, batch)
 	agree := true
@@ -638,9 +529,8 @@ func runSchedule(cfg OracleConfig, row oracleRow, sched int, seed int64, rates m
 				return fmt.Errorf("packet %d: %w", i, err)
 			}
 		}
-		// One vector, clipped at the next event: events are
-		// environmental transitions and must interleave with the packet
-		// stream identically on both sides.
+		// One vector, clipped at the next event: events must interleave
+		// with the packet stream identically on both sides.
 		end := min(i+batch, n)
 		if next < len(events) && events[next].at < end {
 			end = events[next].at
@@ -656,7 +546,10 @@ func runSchedule(cfg OracleConfig, row oracleRow, sched int, seed int64, rates m
 		err = fast.run(fastPkts[i:end], batch, func(off, chain int, ms []platform.Measurement) {
 			for j := 0; j < len(ms) && agree; j++ {
 				res.Packets++
-				agree = compare(i+off+j, want[off+j], outcome{chain, ms[j].Result.Verdict})
+				k := i + off + j
+				d := packetDiff(refPkts[k], fastPkts[k], want[off+j], outcome{chain, ms[j].Result.Verdict})
+				diverge(k, d)
+				agree = d == ""
 			}
 		})
 		if err != nil {
@@ -667,26 +560,14 @@ func runSchedule(cfg OracleConfig, row oracleRow, sched int, seed int64, rates m
 
 	// End-of-trace NF-observable state: the consolidated fast path
 	// must have driven every state function exactly as the chain did.
-	rc, fc := ref.chain(), fast.chain()
-	if rc.mon != nil && rc.mon.Totals() != fc.mon.Totals() {
-		diverge(-1, "monitor counters: ref %+v, fast %+v", rc.mon.Totals(), fc.mon.Totals())
-	}
-	if rc.ids != nil {
-		rl, fl := rc.ids.Logs(), fc.ids.Logs()
-		j := 0
-		for j < len(rl) && j < len(fl) && rl[j].RuleID == fl[j].RuleID && rl[j].Type == fl[j].Type {
-			j++
-		}
-		if j < len(rl) || j < len(fl) {
-			diverge(-1, "snort logs: ref %d entries, fast %d, first difference at entry %d", len(rl), len(fl), j)
-		}
-	}
+	counters, logs := stateDiff(ref.chain(), fast.chain())
+	diverge(-1, counters)
+	diverge(-1, logs)
 	// What the trace left in each engine's flow records must hang
-	// together — a rule a packet could still be served from knows its
-	// flow's events, whether or not this trace got that far.
+	// together, whether or not this trace exercised it.
 	for _, eng := range fast.engines() {
 		if err := eng.CheckRecords(); err != nil {
-			diverge(-1, "%v", err)
+			diverge(-1, err.Error())
 		}
 	}
 	return nil
@@ -751,9 +632,8 @@ func (s *engineSystem) run(pkts []*packet.Packet, batch int, fold func(off, chai
 				if r, ok := global.Lookup(m.Result.FID); ok {
 					broken := *r
 					s.cfg.TamperRule(&broken)
-					// Recompile so the tamper reaches the compiled
-					// action program the data path executes — exactly
-					// as a genuinely broken Consolidate would.
+					// Recompile so the tamper reaches the action program
+					// the data path executes, as a broken Consolidate would.
 					broken.Compile()
 					global.Install(&broken)
 				}
