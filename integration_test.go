@@ -173,7 +173,7 @@ func TestRandomChainsCrossVariantEquivalence(t *testing.T) {
 }
 
 // TestIdleExpiryUnderTraffic drives idle-rule GC through the public
-// engine surface while traffic is flowing.
+// engine surface while traffic is flowing: sweep, traffic, sweep.
 func TestIdleExpiryUnderTraffic(t *testing.T) {
 	mon, err := speedybox.NewMonitor("mon")
 	if err != nil {
@@ -208,6 +208,16 @@ func TestIdleExpiryUnderTraffic(t *testing.T) {
 	}
 	if got := p.Engine().Global().Len(); got != 31 {
 		t.Fatalf("rules before expiry = %d", got)
+	}
+	// The idle flows' epoch ends here; the busy flow's packets stamp the
+	// next one.
+	if n := p.Engine().ExpireIdle(35); n != 0 {
+		t.Fatalf("the first sweep expired %d flows", n)
+	}
+	for i := 0; i < 40; i++ {
+		if _, err := p.Process(mk(9999)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	expired := p.Engine().ExpireIdle(35)
 	if expired != 30 {

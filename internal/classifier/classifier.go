@@ -7,7 +7,6 @@ package classifier
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/packet"
@@ -74,12 +73,10 @@ type Result struct {
 }
 
 // Classifier assigns FIDs and tracks flow lifecycle. It is safe for
-// concurrent use (its state lives in the flow table).
+// concurrent use (its state lives in the flow table). It keeps no clock:
+// the engine counts the packets it classifies.
 type Classifier struct {
 	flows *flow.Table
-	// seq is the logical clock: one tick per classified packet. Flow
-	// entries stamp it into LastSeen so idle flows can be expired.
-	seq atomic.Uint64
 }
 
 // New returns a classifier over the given flow table.
@@ -120,9 +117,10 @@ func (c *Classifier) Classify(pkt *packet.Packet, hasRule func(flow.Handle) bool
 	final := isTCP && flags&(packet.TCPFlagFIN|packet.TCPFlagRST) != 0
 
 	// The state machine reads the flow's state through the handle and
-	// stores the result back through it: RSS partitioning makes this
-	// classifier call the flow's only writer, so the read-modify-write
-	// needs no lock held across it.
+	// stores the result back through it, with the current seen epoch
+	// (flow.Table.Sweep): RSS partitioning makes this classifier call the
+	// flow's only writer, so the read-modify-write needs no lock held
+	// across it.
 	state, next := h.State(), flow.StateEstablished
 	switch {
 	case final:
@@ -145,8 +143,7 @@ func (c *Classifier) Classify(pkt *packet.Packet, hasRule func(flow.Handle) bool
 		// Established already, or data before the handshake completed
 		// (or we joined the connection mid-stream): promote.
 	}
-	h.SetState(next)
-	h.FoldTouches(1, uint64(pkt.Len()), c.seq.Add(1))
+	h.SetState(next, c.flows.Seen())
 
 	if res.Kind != 0 {
 		return res, nil // already decided (handshake-completing ACK)
@@ -166,19 +163,19 @@ func (c *Classifier) Classify(pkt *packet.Packet, hasRule func(flow.Handle) bool
 	return res, nil
 }
 
-// ClassifyData is the batched fast classification. It handles the
+// ClassifyData is the fast classification of one packet. It handles the
 // common case — a plain data packet (no SYN/FIN/RST) of an
 // established, already-tracked flow — with one lock-free flow-table
-// probe, assigning the FID and applying the per-packet bookkeeping
-// through the flow's handle. The Kind in the returned Result
-// is left undecided (zero): the caller resolves Subsequent versus
-// Initial itself, as core does against its flow context's rule, in
-// place of Classify's hasRule probe.
+// probe, assigning the FID and passing the flow's shape gate
+// (flow.Handle.Touch), which writes nothing but a seen stamp a sweep
+// asks for. The Kind in the returned Result is left undecided (zero):
+// the caller resolves Subsequent versus Initial itself, as core does
+// against its flow context's rule, in place of Classify's hasRule probe.
 //
 // For every other packet shape — unparseable, handshake, teardown,
 // untracked or not-yet-established flow — it reports ok=false without
-// mutating the flow table or consuming a logical-clock tick, and the
-// caller routes the packet through the full Classify state machine.
+// mutating the flow table, and the caller routes the packet through the
+// full Classify state machine.
 func (c *Classifier) ClassifyData(pkt *packet.Packet) (Result, bool) {
 	if !pkt.Parsed() {
 		if err := pkt.Parse(); err != nil {
@@ -191,7 +188,7 @@ func (c *Classifier) ClassifyData(pkt *packet.Packet) (Result, bool) {
 	}
 	hi, lo, _ := pkt.FlowKey() // parsed: always ok
 	h, ok := c.flows.AcquireKey(hi, lo)
-	if !ok || !h.TouchEstablished(uint64(pkt.Len()), &c.seq) {
+	if !ok || !h.Touch(c.flows.Seen()) {
 		return Result{}, false
 	}
 	pkt.Meta.FID = uint32(h.FID())
@@ -203,31 +200,4 @@ func (c *Classifier) ClassifyData(pkt *packet.Packet) (Result, bool) {
 // processing; the engine also deletes the MAT rules.
 func (c *Classifier) Teardown(fid flow.FID) bool {
 	return c.flows.Remove(fid)
-}
-
-// Now returns the logical clock: the number of packets classified so
-// far.
-func (c *Classifier) Now() uint64 { return c.seq.Load() }
-
-// SeqClock exposes the logical clock itself. The batched data path
-// ticks it directly for cache-classified packets, bypassing the full
-// state machine while producing the exact per-packet values scalar
-// classification would. Ticks must stay one-per-packet in arrival
-// order: degradation-ladder deadlines are expressed in these ticks, so
-// a clock that runs ahead of processing would skew backoff decisions
-// relative to the scalar reference.
-func (c *Classifier) SeqClock() *atomic.Uint64 { return &c.seq }
-
-// RestoreClock forces the logical clock forward to at least v. A
-// restored engine resumes the checkpointed clock so LastSeen stamps in
-// restored flow entries stay comparable to post-restore ticks — a
-// clock restarting at zero would make every restored flow look
-// maximally idle and ExpireIdle would reap it instantly.
-func (c *Classifier) RestoreClock(v uint64) {
-	for {
-		cur := c.seq.Load()
-		if cur >= v || c.seq.CompareAndSwap(cur, v) {
-			return
-		}
-	}
 }

@@ -192,22 +192,28 @@ func TestClassifyNilHasRule(t *testing.T) {
 	}
 }
 
-func TestFlowCountersUpdated(t *testing.T) {
-	c := New(flow.NewTable())
-	p1 := tcpPkt(t, packet.TCPFlagACK, "abc")
-	r, err := c.Classify(p1, neverRule)
+// TestClassifyStampsSeenEpoch: a classified packet stamps its flow with
+// the current seen epoch, so a sweep measures the flow's idleness from
+// its latest packet, not its first.
+func TestClassifyStampsSeenEpoch(t *testing.T) {
+	tbl := flow.NewTable()
+	c := New(tbl)
+	r, err := c.Classify(tcpPkt(t, packet.TCPFlagACK, "abc"), neverRule)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if idle := tbl.Sweep(10, 5); len(idle) != 0 {
+		t.Fatalf("a sweep reaped a flow whose epoch has just ended")
 	}
 	if _, err := c.Classify(tcpPkt(t, packet.TCPFlagACK, "defg"), neverRule); err != nil {
 		t.Fatal(err)
 	}
-	e, _ := c.Flows().LookupFID(r.FID)
-	if e.Packets != 2 {
-		t.Errorf("Packets = %d, want 2", e.Packets)
+	// Unstamped, the flow's epoch would have ended at tick 10.
+	if idle := tbl.Sweep(20, 5); len(idle) != 0 {
+		t.Fatalf("the sweep at 20 reaped a flow with a packet after the sweep at 10")
 	}
-	if e.Bytes == 0 {
-		t.Error("Bytes not accumulated")
+	if idle := tbl.Sweep(30, 5); len(idle) != 1 || idle[0].FID() != r.FID {
+		t.Fatalf("the sweep at 30 reaped %d flows, want the one idle since tick 20", len(idle))
 	}
 }
 

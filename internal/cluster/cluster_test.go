@@ -316,8 +316,7 @@ func TestMigrationAbortRollsBack(t *testing.T) {
 		t.Fatalf("flow count changed: %d -> %d", len(flowsBefore), len(after))
 	}
 	for i := range after {
-		if after[i].FID != flowsBefore[i].FID || after[i].Tuple != flowsBefore[i].Tuple ||
-			after[i].State != flowsBefore[i].State || after[i].Packets != flowsBefore[i].Packets {
+		if after[i] != flowsBefore[i] {
 			t.Fatalf("flow %d changed across aborted rebalance: %+v -> %+v", i, flowsBefore[i], after[i])
 		}
 	}

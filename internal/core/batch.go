@@ -25,20 +25,15 @@ const DefaultBatchSize = 32
 const flowCacheWays = 4
 
 // flowCtx is what one worker knows about one flow, found by the
-// packet's single keyed probe: the flow-table handle and the
-// bookkeeping deltas folded into the flow entry at flush. The handle is
-// the way to everything else — state, consolidated rule, event guards
-// sit on the entry it points at — so the steady-state packet is a key
-// compare, a generation load, a few loads off one entry and plain
-// integer adds — no lock, no map, no per-packet atomic read-modify-write
-// (the paper's DPDK prototype keeps the analogous last-rule pointer in
-// each lcore's local storage). It must not be shared between goroutines.
-// Correctness does not depend on it: the handle is revalidated against
-// the flow table's generation, which only a flow's removal or
-// replacement moves, and the rule is loaded off the entry every time, so
-// an Install, Remove, MarkStale or Register costs no other flow's
-// context anything. Generations are banded per table instance: a context
-// warmed on one engine never validates against another's.
+// packet's single keyed probe: the flow-table handle, the way to the
+// flow's state, rule and event guards on its entry. The steady-state
+// packet is a key compare, a generation load and a few loads off one
+// entry — no lock, no map, no store to anything shared (the paper's DPDK
+// prototype keeps the analogous last-rule pointer in each lcore's local
+// storage). It must not be shared between goroutines. Correctness does
+// not depend on it: the handle is revalidated against the flow table's
+// generation, which only a flow's removal or replacement moves (banded
+// per table instance), and the rule is loaded off the entry every time.
 type flowCtx struct {
 	// kHi/kLo are the packed flow key (packet.FlowKey) the probe
 	// compares; a context built from a handle (Batch.classified) leaves
@@ -48,25 +43,7 @@ type flowCtx struct {
 	// gen is the flow table's generation read before h was acquired.
 	gen uint64
 	// used says h is a tracked entry's handle.
-	used  bool
-	dirty bool
-	// Folded established-data bookkeeping: packet and byte counts,
-	// and the logical-clock tick of the flow's most recent packet.
-	dPkts    uint64
-	dBytes   uint64
-	lastTick uint64
-
-	// fid is h's flow. It changes only when the whole context is rebuilt.
-	fid flow.FID
-}
-
-// flush folds the context's pending bookkeeping into the flow entry.
-func (fc *flowCtx) flush() {
-	if !fc.dirty {
-		return
-	}
-	fc.h.FoldTouches(fc.dPkts, fc.dBytes, fc.lastTick)
-	fc.dPkts, fc.dBytes, fc.dirty = 0, 0, false
+	used bool
 }
 
 // statsDelta accumulates a vector's counter increments in plain
@@ -162,6 +139,11 @@ type Batch struct {
 	delta statsDelta
 	shard uint32
 
+	// ticks counts classified packets not yet on the clock (publish);
+	// seen is the table's seen stamp as the stage pass loaded it.
+	ticks uint64
+	seen  uint32
+
 	// flowHits/flowMisses count keyed probes that found a valid handle
 	// versus those that probed the flow table, once per fast-shaped
 	// packet; they fold into the hub at flush.
@@ -251,16 +233,6 @@ func (b *Batch) begin(n int) {
 	b.slow.ledger.Reset()
 }
 
-// flushFlows folds every flow context's pending bookkeeping into the
-// flow table. It must run before any code that reads or rewrites a
-// flow entry through the table itself (full classification, the slow
-// path, teardown) and at end of batch.
-func (b *Batch) flushFlows() {
-	for i := range b.flows {
-		b.flows[i].flush()
-	}
-}
-
 // staged is what the stage pass learned about one packet of a vector
 // before the ladder runs: its fast shape, its flow key, and where its
 // flow was found — a context way, the previous packet of the vector with
@@ -304,6 +276,7 @@ func dedupBucket(kHi, kLo uint64) uint32 {
 func (e *Engine) stage(pkts []*packet.Packet, b *Batch) {
 	flows := e.class.Flows()
 	gen := flows.Gen()
+	b.seen = flows.Seen()
 	clear(b.heads[:])
 	n := 0
 	for i, pkt := range pkts {
@@ -400,14 +373,10 @@ func (b *Batch) flowCtxFor(flows *flow.Table, st *staged) (*flowCtx, bool) {
 		fc = &b.flows[b.clock&(flowCacheWays-1)]
 		b.clock++
 	}
-	// Pending deltas belong to the entry the context held: fold them
-	// through the old handle before it is overwritten.
-	fc.flush()
 	*fc = flowCtx{kHi: st.kHi, kLo: st.kLo, h: h, gen: gen, used: ok}
 	if !ok {
 		return nil, false
 	}
-	fc.fid = h.FID()
 	st.fc = fc
 	return fc, true
 }
@@ -416,7 +385,7 @@ func (b *Batch) flowCtxFor(flows *flow.Table, st *staged) (*flowCtx, bool) {
 // classification found — run through Classify, or on the ONVM manager
 // core — built from the handle it returned, with no probe.
 func (b *Batch) classified(h flow.Handle) *flowCtx {
-	b.scratch = flowCtx{h: h, used: true, fid: h.FID()}
+	b.scratch = flowCtx{h: h, used: true}
 	return &b.scratch
 }
 
@@ -464,10 +433,21 @@ func foldCount(c *telemetry.Counter, n *uint64) {
 	}
 }
 
-// flushStats folds the batch-local counter deltas into the shared
-// sharded counters, after folding pending flow bookkeeping.
+// publish adds the vector's counted ticks to the clock: at its end, and
+// before the recording gate or the ladder reads the clock for a packet,
+// which so reads its own tick — a vector of one's — never a later
+// packet's (§11, "Interleaved ticks").
+func (e *Engine) publish(b *Batch) {
+	if b.ticks != 0 {
+		e.clock.Add(b.ticks)
+		b.ticks = 0
+	}
+}
+
+// flushStats publishes the vector's ticks and folds the batch-local
+// counter deltas into the shared sharded counters.
 func (e *Engine) flushStats(b *Batch) {
-	b.flushFlows()
+	e.publish(b)
 	b.flushTel(e)
 	// Cache hit rates are implementation telemetry, not behavior: they
 	// go to the hub, never into the oracle-compared Stats. Without a hub
@@ -489,8 +469,8 @@ func (e *Engine) flushStats(b *Batch) {
 // A stage pass finds every fast-shaped packet's flow first, with one
 // staged lookup for the vector's misses; then, packet by packet, its
 // classification and rule are loads off its context's entry, its event
-// checks guards on the rule; results go to preallocated storage and
-// counters fold a few updates a vector. The vector size never changes
+// checks guards on the rule; results go to preallocated storage, and the
+// clock and counters take a few updates a vector. The vector size never changes
 // what a packet observes (the oracle holds vectors of 1 and 32
 // bit-identical), and arrival order is kept: NFs keep cross-flow state,
 // so reordering could change verdicts. Returned results point into the
@@ -537,7 +517,7 @@ func (e *Engine) process(pkt *packet.Packet, st *staged, info *FastPathInfo, res
 		// Established data packet: Subsequent with a live rule, else the
 		// flow's initial packet (or a re-record after eviction or
 		// staleness) — the decision Classify asks Engine.serves.
-		fid, kind = fc.fid, classifier.KindInitial
+		fid, kind = fc.h.FID(), classifier.KindInitial
 		if rule = e.global.Live(fc.h); rule != nil {
 			kind = classifier.KindSubsequent
 		} else {
@@ -545,16 +525,15 @@ func (e *Engine) process(pkt *packet.Packet, st *staged, info *FastPathInfo, res
 		}
 	} else {
 		// Unparseable, handshake, FIN/RST, untracked or not-yet-
-		// established flow: the full state machine reads and rewrites
-		// flow entries, so pending folded bookkeeping lands first.
-		b.flushFlows()
-		cls, err := e.Classify(pkt)
+		// established flow: the full state machine.
+		cls, err := e.classify(pkt)
 		if err != nil {
 			return err
 		}
 		fid, kind = cls.FID, cls.Kind
 		fc = b.classified(cls.Handle)
 	}
+	b.ticks++
 
 	// Fault: flow-table eviction pressure — the MAT "ran out of space"
 	// for this flow. Consolidated state is evicted (the next packet
@@ -583,9 +562,8 @@ func (e *Engine) process(pkt *packet.Packet, st *staged, info *FastPathInfo, res
 			res.TornDown = true
 		}
 	case classifier.KindInitial:
-		// The slow path drives the original chain, which may observe
-		// flow entries: fold pending bookkeeping first.
-		b.flushFlows()
+		// The recording gate and the ladder read the clock.
+		e.publish(b)
 		recording := e.TryBeginRecording(fc.h)
 		err = e.slowPath(fc.h, pkt, recording, res, b)
 		if recording {
@@ -606,26 +584,16 @@ func (e *Engine) process(pkt *packet.Packet, st *staged, info *FastPathInfo, res
 // classifyFast classifies one fast-shaped packet — a plain data packet
 // (no SYN/FIN/RST) of an established, tracked flow, as the stage pass
 // found it — through the Batch's flow contexts: a key compare, a
-// generation load and a state load replace Classify's hashes and
-// flow-table probe. Per-flow bookkeeping folds into the context (flushed
-// at batch boundaries and before any access through the table); the
-// logical clock ticks once per packet, exactly as Classify does, so
-// clock-deadline reads during processing (the degradation ladder's
-// backoff arithmetic) observe the same values at every vector size.
-//
-// For an untracked or not-yet-established flow it reports ok=false
-// without mutating the flow table or consuming a clock tick, and the
-// caller routes the packet through the full Classify state machine.
+// generation load and a load of the state word replace Classify's hashes
+// and probe, and nothing shared is written but a seen stamp a sweep asks
+// for (flow.Handle.Touch). An untracked or not-yet-established flow
+// reports ok=false, mutating nothing, for the full Classify.
 func (e *Engine) classifyFast(st *staged, pkt *packet.Packet, b *Batch) (*flowCtx, bool) {
 	fc, ok := b.flowCtxFor(e.class.Flows(), st)
-	if !ok || !fc.h.Established() {
+	if !ok || !fc.h.Touch(b.seen) {
 		return nil, false
 	}
-	fc.dPkts++
-	fc.dBytes += uint64(pkt.Len())
-	fc.lastTick = e.class.SeqClock().Add(1)
-	fc.dirty = true
-	pkt.Meta.FID = uint32(fc.fid)
+	pkt.Meta.FID = uint32(fc.h.FID())
 	pkt.Meta.HasFID = true
 	return fc, true
 }

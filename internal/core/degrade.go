@@ -12,9 +12,9 @@ import (
 // the slow-path chain — which is always correct — while rule
 // reinstallation is retried with bounded exponential backoff, so a
 // persistently failing control plane cannot burn consolidation work on
-// every packet. Deadlines are logical-clock ticks (classifier.Now():
-// one tick per classified packet), keeping the ladder deterministic
-// for the differential oracle. A flow's place on the ladder is part of
+// every packet. Deadlines are logical-clock ticks (Engine.clock: one
+// tick per classified packet), keeping the ladder deterministic for the
+// differential oracle. A flow's place on the ladder is part of
 // its standing on its flow record (event.Standing): it goes with the
 // entry, and the recording gate reads it off the handle.
 
@@ -34,7 +34,7 @@ func (e *Engine) degrade(ed flow.Edit, cause string, escalate bool) {
 	if !ed.Found() {
 		return
 	}
-	now := e.class.Now()
+	now := e.clock.Load()
 	e.events.Stand(ed, true, func(_ flow.Handle, s *event.Standing) {
 		backoff := uint64(1)
 		if escalate {

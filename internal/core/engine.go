@@ -130,6 +130,11 @@ type Engine struct {
 	events     *event.Table
 	class      *classifier.Classifier
 
+	// clock is the logical clock, one tick per classified packet: the unit
+	// of the ladder's deadlines (§10). ProcessBatch publishes a vector's
+	// ticks together (Engine.publish).
+	clock atomic.Uint64
+
 	stats [statsShardCount]statsShard
 
 	// faults (Options.Faults) and admission (Options.Admission) are nil
@@ -210,7 +215,7 @@ func (e *Engine) TryBeginRecording(h flow.Handle) bool {
 	if !e.opts.EnableSpeedyBox || h.Gone() {
 		return false
 	}
-	if e.class.Now() < event.RetryAt(h) {
+	if e.clock.Load() < event.RetryAt(h) {
 		e.countDegradedPacket(h.FID())
 		return false
 	}
@@ -289,13 +294,22 @@ func (e *Engine) Stats() Stats {
 // Faults returns the engine's fault injector, nil when disabled.
 func (e *Engine) Faults() *fault.Injector { return e.faults }
 
-// Classify runs the Packet Classifier on one packet, deciding which
-// path it takes; pipelined platforms run it on a dedicated RX core. A
+// Classify runs the Packet Classifier on one packet and ticks the clock,
+// for a platform that classifies on a core of its own (ONVM's RX core).
+func (e *Engine) Classify(pkt *packet.Packet) (classifier.Result, error) {
+	res, err := e.classify(pkt)
+	if err == nil {
+		e.clock.Add(1)
+	}
+	return res, err
+}
+
+// classify is Classify without the tick, which ProcessBatch counts. A
 // SYN restarting a tracked flow (5-tuple reuse without FIN/RST) tears
 // the previous connection's rule, recording, events and NF state down
 // here, or its established packets would run the old connection's
 // recorded actions.
-func (e *Engine) Classify(pkt *packet.Packet) (classifier.Result, error) {
+func (e *Engine) classify(pkt *packet.Packet) (classifier.Result, error) {
 	res, err := e.class.Classify(pkt, e.serves)
 	if err == nil && res.Reused {
 		e.resetReusedFlow(res.Handle)
@@ -745,7 +759,9 @@ func (e *Engine) fastPathInto(fc *flowCtx, rule *mat.GlobalRule, pkt *packet.Pac
 
 	// Event pre-check: a previously-satisfied condition updates the rule
 	// before this packet is processed (§III) — or revives a stale one.
-	if rule == nil || event.Holds(rule.Guards(), fc.fid) {
+	// A firing's faults read the clock.
+	if rule == nil || event.Holds(rule.Guards(), fc.h.FID()) {
+		e.publish(b)
 		fired, err := e.fireEvents(fc.h, info)
 		if err != nil {
 			return err
@@ -761,7 +777,7 @@ func (e *Engine) fastPathInto(fc *flowCtx, rule *mat.GlobalRule, pkt *packet.Pac
 		// or went stale (failed install, lost recomputation). Fall
 		// back to the original chain, which is always correct; the
 		// flow re-records via the degradation ladder.
-		e.countFallback(fc.fid)
+		e.countFallback(fc.h.FID())
 		return e.slowPath(fc.h, pkt, false, res, b)
 	}
 	// The rule carries its price (install).
@@ -810,7 +826,8 @@ func (e *Engine) fastPathInto(fc *flowCtx, rule *mat.GlobalRule, pkt *packet.Pac
 
 	// Post-execution event check: state updates from this packet may
 	// arm a condition that changes processing for the next packet.
-	if event.Holds(rule.Guards(), fc.fid) {
+	if event.Holds(rule.Guards(), fc.h.FID()) {
+		e.publish(b)
 		if _, err := e.fireEvents(fc.h, info); err != nil {
 			return err
 		}
@@ -910,24 +927,22 @@ var recomputeFaults = [...]struct {
 	escalate bool
 }{{fault.KindRecomputeDrop, CauseRecomputeDrop, true}, {fault.KindRecomputeDelay, CauseRecomputeDelay, false}}
 
-// ExpireIdle tears down every flow idle for more than idleFor
-// classified packets (a logical-clock age), returning how many. The
-// paper cleans up on TCP FIN/RST only (§VI-B), which never fires for UDP
-// or abandoned flows; an expired flow's next packet re-records.
+// ExpireIdle sweeps the flow table (flow.Table.Sweep) and tears down
+// the flows idle for idleFor clock ticks, returning how many: never one
+// with a packet in the last idleFor ticks, always one idle for longer
+// than idleFor plus the gap between two sweeps. The paper cleans up on
+// TCP FIN/RST only (§VI-B), which never fires for UDP or abandoned flows;
+// an expired flow's next packet re-records.
 func (e *Engine) ExpireIdle(idleFor uint64) int {
-	now := e.class.Now()
-	if now <= idleFor {
-		return 0
-	}
 	flows := e.class.Flows()
-	stale := flows.IdleSince(now - idleFor)
-	for _, h := range stale {
+	idle := flows.Sweep(e.clock.Load(), idleFor)
+	for _, h := range idle {
 		e.teardown(flows.EditHandle(h), CauseIdleExpiry)
 		if e.tel != nil {
 			e.tel.rec.Append(telemetry.EvFlowEvict, uint32(h.FID()), CauseIdleExpiry)
 		}
 	}
-	return len(stale)
+	return len(idle)
 }
 
 // teardown removes all state of a finished flow (§VI-B), the entry

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/fastpathnfv/speedybox/internal/classifier"
+	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/packet"
 )
 
@@ -17,6 +18,11 @@ func udpPkt(t *testing.T, sport uint16, payload string) *packet.Packet {
 		Payload: []byte(payload),
 	})
 }
+
+// ExpireIdle is a sweep: it reaps the flows whose seen epoch ended
+// idleFor ticks ago and opens a new epoch. The scenarios below are sweep,
+// traffic, sweep: the first sweep ends the epoch the set-up packets
+// stamped, the second measures idleness from there.
 
 func TestExpireIdleRemovesStaleUDPFlows(t *testing.T) {
 	mod := &fakeModifier{name: "nat", dip: [4]byte{9, 9, 9, 9}}
@@ -33,13 +39,17 @@ func TestExpireIdleRemovesStaleUDPFlows(t *testing.T) {
 	if eng.Global().Len() != 1 {
 		t.Fatalf("rules = %d", eng.Global().Len())
 	}
+	// Flow A's epoch ends here, at tick 2: nothing is idle yet.
+	if n := eng.ExpireIdle(10); n != 0 {
+		t.Fatalf("the first sweep expired %d flows, want 0", n)
+	}
 	// Flow B keeps the clock ticking: 20 packets.
 	for i := 0; i < 20; i++ {
 		if _, err := eng.ProcessPacket(udpPkt(t, 2222, "b")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Expire anything idle for more than 10 packets: only flow A.
+	// Expire anything idle for 10 ticks: only flow A.
 	if n := eng.ExpireIdle(10); n != 1 {
 		t.Fatalf("expired %d flows, want 1", n)
 	}
@@ -68,16 +78,17 @@ func TestExpireIdleKeepsActiveFlows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
-		if _, err := eng.ProcessPacket(udpPkt(t, 1111, "x")); err != nil {
-			t.Fatal(err)
+	for sweep := 0; sweep < 3; sweep++ {
+		for i := 0; i < 15; i++ {
+			if _, err := eng.ProcessPacket(udpPkt(t, 1111, "x")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := eng.ExpireIdle(10); n != 0 {
+			t.Errorf("sweep %d expired %d active flows", sweep, n)
 		}
 	}
-	if n := eng.ExpireIdle(10); n != 0 {
-		t.Errorf("expired %d active flows", n)
-	}
-	// A zero window never expires anything either (now <= idleFor
-	// guard).
+	// A window longer than the clock has run expires nothing either.
 	if n := eng.ExpireIdle(1000); n != 0 {
 		t.Errorf("oversized window expired %d flows", n)
 	}
@@ -89,8 +100,65 @@ func TestExpireIdleOnEmptyEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := eng.ExpireIdle(0); n != 0 {
-		t.Errorf("expired %d on empty engine", n)
+	for sweep := 0; sweep < 2; sweep++ {
+		if n := eng.ExpireIdle(0); n != 0 {
+			t.Errorf("expired %d on empty engine", n)
+		}
+	}
+}
+
+// TestExpireIdleAcrossBatchContexts: four flows served from one Batch's
+// flow contexts — where a flow's packets are served vector after vector
+// without its context being rebuilt — across six sweeps, while another
+// worker's flow moves the clock. A flow is never expired while it sends,
+// and each is expired by the second sweep after its last packet: the
+// stamp is renewed in every epoch, not only when a context is rebuilt.
+func TestExpireIdleAcrossBatchContexts(t *testing.T) {
+	eng := newBatchTestEngine(t, DefaultOptions())
+	b := NewBatch(4)
+	const flows, idleFor = 4, 10
+	fids := make([]flow.FID, flows)
+	for round := 0; round < flows+2; round++ {
+		// Flow k sends in rounds 0 to k+1.
+		for v := 0; v < 3; v++ {
+			var vec []*packet.Packet
+			for k := max(round-1, 0); k < flows; k++ {
+				vec = append(vec, udpPkt(t, uint16(9601+k), "served"))
+			}
+			rs, err := eng.ProcessBatch(vec, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range rs {
+				fids[max(round-1, 0)+i] = r.FID
+			}
+		}
+		for k := max(round-1, 0); k < flows; k++ {
+			held := false
+			for w := range b.flows {
+				held = held || b.flows[w].used && b.flows[w].h.FID() == fids[k]
+			}
+			if !held {
+				t.Fatalf("round %d: flow %d has no context", round, k)
+			}
+		}
+		for i := 0; i < 2*idleFor; i++ {
+			if _, err := eng.ProcessPacket(udpPkt(t, 9700, "clock")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n := eng.ExpireIdle(idleFor)
+		for k := 0; k < flows; k++ {
+			_, tracked := eng.class.Flows().LookupFID(fids[k])
+			// Flow k's last packet was in round k+1; the sweep after that
+			// round ended its epoch, the next one expires it.
+			if want := round < k+2; tracked != want {
+				t.Fatalf("after sweep %d: flow %d tracked=%v, want %v", round, k, tracked, want)
+			}
+		}
+		if want := min(max(round-1, 0), 1); n != want {
+			t.Fatalf("sweep %d expired %d flows, want %d", round, n, want)
+		}
 	}
 }
 

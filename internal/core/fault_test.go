@@ -497,8 +497,12 @@ func TestIdleExpiryClearsDegradedState(t *testing.T) {
 	if eng.DegradedFlows() != 1 {
 		t.Fatalf("DegradedFlows = %d, want 1", eng.DegradedFlows())
 	}
-	// Another flow keeps the clock moving while the degraded flow
-	// idles; the fault clears first so the mover itself never degrades.
+	// Sweep, traffic, sweep: the first sweep ends the degraded flow's
+	// epoch; another flow keeps the clock moving while it idles, the fault
+	// cleared first so the mover itself never degrades.
+	if n := eng.ExpireIdle(5); n != 0 {
+		t.Fatalf("the first sweep tore down %d flows", n)
+	}
 	inj.SetRate(fault.KindInstallFail, 0)
 	establish(t, eng, port+1)
 	for i := 0; i < 10; i++ {

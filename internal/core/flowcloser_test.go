@@ -72,6 +72,10 @@ func TestFlowCloserCalledOnIdleExpiry(t *testing.T) {
 	if _, err := eng.ProcessPacket(udpPkt(t, 1111, "x")); err != nil {
 		t.Fatal(err)
 	}
+	// Sweep, traffic, sweep: the first ends the flow's epoch.
+	if n := eng.ExpireIdle(10); n != 0 {
+		t.Fatalf("the first sweep expired %d", n)
+	}
 	for i := 0; i < 20; i++ {
 		if _, err := eng.ProcessPacket(udpPkt(t, 2222, "keepalive")); err != nil {
 			t.Fatal(err)

@@ -52,14 +52,14 @@ func (e *Engine) ExtractFlow(fid flow.FID) (wal.MigrationRecord, bool) {
 }
 
 // AdoptFlow installs a migrated flow on this engine: the flow entry is
-// restored at its recorded FID (invalidating any cached handles), the
-// classifier clock is pulled forward to at least the entry's LastSeen
-// stamp so idle-expiry arithmetic stays monotonic, the NF state is put
-// on the entry's record, and the rule — if one traveled — is re-stamped
-// to this engine's live epoch and installed. The epoch re-stamp is what
-// makes the install transactional against this engine's readers: a rule
-// stamped with the old owner's epoch would either never serve (epoch
-// behind) or, worse, serve under an epoch this chain never published.
+// restored at its recorded FID (invalidating any cached handles) under
+// this engine's seen epoch — idle expiry counts from the adoption — the
+// NF state is put on the entry's record, and the rule — if one traveled
+// — is re-stamped to this engine's live epoch and installed. The epoch
+// re-stamp makes the install transactional against this engine's
+// readers: a rule stamped with the old owner's epoch would either never
+// serve (epoch behind) or, worse, serve under an epoch this chain never
+// published.
 //
 // FIDs are allocated per instance, so the migrant's may be one a
 // resident flow of this engine holds (and its tuple may be tracked here
@@ -67,7 +67,6 @@ func (e *Engine) ExtractFlow(fid flow.FID) (wal.MigrationRecord, bool) {
 // ended first, as a teardown ends one, so the migrant inherits nothing
 // and the evicted tuple's next packet starts a new flow.
 func (e *Engine) AdoptFlow(mf wal.MigrationRecord) {
-	e.class.RestoreClock(mf.Flow.LastSeen)
 	flows := e.class.Flows()
 	ed := flows.Edit(mf.Flow.FID, false)
 	e.release(ed)

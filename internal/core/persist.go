@@ -83,7 +83,7 @@ func (e *Engine) AttachWAL(w *wal.Writer) {
 func (e *Engine) WAL() *wal.Writer { return e.wal }
 
 // Checkpoint snapshots the engine's restorable state: chain epoch,
-// classifier clock, flow-table occupancy with every flow's NF state,
+// logical clock, flow-table occupancy with every flow's NF state,
 // declarative Global MAT rules and the cross-flow state blob of every
 // chain NF implementing Snapshotter. The
 // attached WAL (if any) is synced first so the recorded log position
@@ -98,7 +98,7 @@ func (e *Engine) Checkpoint() (*wal.Checkpoint, error) {
 	cp := &wal.Checkpoint{
 		Epoch:  e.global.Epoch(),
 		WALSeq: e.wal.Seq(),
-		Clock:  e.class.Now(),
+		Clock:  e.clock.Load(),
 	}
 	for _, fe := range e.class.Flows().Snapshot() {
 		cp.Flows = append(cp.Flows, wal.ImageOfEntry(fe, e.events.StateImages(fe.FID)))
@@ -172,9 +172,7 @@ func (e *Engine) Restore(cp *wal.Checkpoint, walData []byte) error {
 	defer e.reconfigMu.Unlock()
 	start := time.Now()
 
-	// Clock first: restored LastSeen stamps must compare against a
-	// clock at least as far along as when they were taken.
-	e.class.RestoreClock(cp.Clock)
+	e.clock.Store(max(e.clock.Load(), cp.Clock)) // it never goes back
 	cs := e.state()
 	for _, nf := range cs.chain {
 		blob, ok := cp.NFState[nf.Name()]

@@ -241,9 +241,8 @@ func TestLadderResetAcrossRestore(t *testing.T) {
 	if parked(fresh, fid) {
 		t.Error("restored flow still serving the dead process's backoff")
 	}
-	// The logical clock, by contrast, must survive (idle-expiry ages
-	// stay monotonic).
-	if got := fresh.class.Now(); got < cp.Clock {
+	// The logical clock, by contrast, resumes: it never goes back.
+	if got := fresh.clock.Load(); got < cp.Clock {
 		t.Errorf("restored clock %d behind checkpoint clock %d", got, cp.Clock)
 	}
 }
@@ -251,7 +250,7 @@ func TestLadderResetAcrossRestore(t *testing.T) {
 // parked reports whether the ladder holds the flow off recording.
 func parked(e *Engine, fid flow.FID) bool {
 	h, ok := e.class.Flows().AcquireFID(fid)
-	return ok && e.class.Now() < event.RetryAt(h)
+	return ok && e.clock.Load() < event.RetryAt(h)
 }
 
 // TestNonRestorableInstallDemotes: a rule carrying state-function

@@ -5,8 +5,8 @@
 // table is the paper's "hash the 5-tuple, find the FID": two
 // open-addressing slot arrays a shard (by packed 5-tuple, by FID) that
 // writers mutate in place under the shard mutex and readers probe with
-// no lock, handing out Handles through which a flow's state and
-// counters are touched with no lock either (DESIGN §16). The entry is
+// no lock, handing out Handles through which a flow's state is read and
+// written with no lock either (DESIGN §16). The entry is
 // also the flow's one record: it carries two opaque words — the flow's
 // consolidated rule, cast only by package mat, and its recording, cast
 // only by package event — so the lookup that finds the flow has found
@@ -133,41 +133,35 @@ func (s State) String() string {
 
 // Entry is the tracked state of one flow as a plain value snapshot.
 // LookupFID, Insert and Snapshot return it by value: callers always see
-// a self-consistent copy, and no mutable table state escapes.
+// a self-consistent copy, and no mutable table state escapes. It counts
+// nothing (Monitor counts flows that want it), and its seen epoch, which
+// only Table.Sweep reads, is stamped afresh wherever it is restored.
 type Entry struct {
-	FID     FID
-	Tuple   packet.FiveTuple
-	State   State
-	Packets uint64
-	Bytes   uint64
-	// LastSeen is the logical timestamp (classifier packet sequence
-	// number) of the flow's most recent packet, used by idle-flow
-	// rule expiry — the paper cleans up on FIN/RST (§VI-B), which
-	// never fires for UDP or abandoned flows.
-	LastSeen uint64
+	FID   FID
+	Tuple packet.FiveTuple
+	State State
 }
 
 // tracked is the table's internal representation of one flow,
 // allocated once and never moved, so a Handle survives any rebuild of
 // the slot arrays that index it. The identity fields (fid and the packed
-// 5-tuple hi/lo — packed keeps the struct in the 64-byte size class) are
-// immutable: a lock-free probe confirms its hit on them. The counters
-// and the state are atomics, updated through a Handle with no lock: RSS
-// partitioning gives a flow one writer, so they never contend, and
-// concurrent cross-flow readers (Snapshot, IdleSince) are race-free. The
-// rule and rec words are loaded with no lock and stored only through an
-// Edit, under the shard mutex.
+// 5-tuple hi/lo) are immutable: a lock-free probe confirms its hit on
+// them. The state word is read and written through a Handle with no
+// lock; the rule and rec words are loaded with no lock and stored only
+// through an Edit, under the shard mutex. A fast-path packet stores
+// nothing but the seen stamp a sweep asks of each flow (Handle.Touch).
 type tracked struct {
-	hi, lo   uint64
-	packets  atomic.Uint64
-	bytes    atomic.Uint64
-	lastSeen atomic.Uint64
-	rule     unsafe.Pointer // the consolidated rule; nil: none
-	rec      unsafe.Pointer // the recording; nil: none
-	fid      FID
+	hi, lo uint64
+	rule   unsafe.Pointer // the consolidated rule; nil: none
+	rec    unsafe.Pointer // the recording; nil: none
+	fid    FID
 	// bits is the State in its low stateBits (zero: a detached entry,
-	// which no tuple maps to) and the three flags above them.
+	// which no tuple maps to), the three flags above them and the seen
+	// epoch above those.
 	bits atomic.Uint32
+	// The pad keeps the 64-byte size class, one cache line: in the 48-byte
+	// class two entries in three straddle two (TestTrackedSizeClass).
+	_ [24]byte
 }
 
 const (
@@ -180,6 +174,11 @@ const (
 	claimBit = staleBit << 1
 	// goneBit says the entry is unlinked (Gone).
 	goneBit = claimBit << 1
+	// The seen epoch (Table.Sweep) fills the bits above the flags:
+	// seenMask in place, epochMask shifted down.
+	seenShift        = 5
+	seenMask  uint32 = 1<<32 - 1<<seenShift
+	epochMask        = seenMask >> seenShift
 )
 
 // setBits stores (bits &^ clear) | set. The word has two kinds of
@@ -194,36 +193,26 @@ func (e *tracked) setBits(clear, set uint32) {
 	}
 }
 
-// snapshot copies the entry into a plain value. Field loads are
-// individually atomic; cross-field consistency is guaranteed for the
-// flow's single writer and best-effort for concurrent observers
-// (exactly the guarantee checkpoint and expiry scans need — they run
-// against quiesced or conservatively-read tables).
+// snapshot copies the entry into a plain value.
 func (e *tracked) snapshot() Entry {
-	return Entry{
-		FID:      e.fid,
-		Tuple:    packet.KeyTuple(e.hi, e.lo),
-		State:    State(e.bits.Load() & stateMask),
-		Packets:  e.packets.Load(),
-		Bytes:    e.bytes.Load(),
-		LastSeen: e.lastSeen.Load(),
-	}
+	return Entry{FID: e.fid, Tuple: packet.KeyTuple(e.hi, e.lo), State: State(e.bits.Load() & stateMask)}
 }
 
 // Handle is a stable, lock-free reference to a tracked flow. Batch
 // workers cache handles keyed by 5-tuple and revalidate them against
-// the table generation (Gen), so the steady-state per-packet touch is
-// a few uncontended atomic operations — no lock, no probe, no hashing.
+// the table generation (Gen), so the steady-state per-packet look at a
+// flow is a few loads — no lock, no probe, no hashing, no store.
 // The zero Handle is invalid.
 type Handle struct{ e *tracked }
 
 // FID returns the flow's identifier.
 func (h Handle) FID() FID { return h.e.fid }
 
-// State returns the flow's lifecycle state, SetState stores it: the
-// two halves of the classifier's state machine, the flow's one writer.
-func (h Handle) State() State     { return State(h.e.bits.Load() & stateMask) }
-func (h Handle) SetState(s State) { h.e.setBits(stateMask, uint32(s)) }
+// State returns the flow's lifecycle state, SetState stores it with
+// the stamp Table.Seen returns: the two halves of the classifier's state
+// machine, the flow's one writer.
+func (h Handle) State() State                  { return State(h.e.bits.Load() & stateMask) }
+func (h Handle) SetState(s State, seen uint32) { h.e.setBits(stateMask|seenMask, uint32(s)|seen) }
 
 // Rule loads the entry's rule word, stale or not; Rec its recording.
 func (h Handle) Rule() unsafe.Pointer { return atomic.LoadPointer(&h.e.rule) }
@@ -266,33 +255,17 @@ func (h Handle) Claim() bool {
 }
 func (h Handle) Unclaim() { h.e.setBits(claimBit, 0) }
 
-// Established reports whether the flow is currently established — the
-// shape gate of the batched fast classification.
-func (h Handle) Established() bool { return h.State() == StateEstablished }
-
-// TouchEstablished applies the established-data-packet bookkeeping
-// through the handle: if the flow is established it counts the packet
-// and bytes and stamps LastSeen from a fresh clock tick, returning
-// true. Any other state returns false with flow and clock untouched.
-func (h Handle) TouchEstablished(bytes uint64, clock *atomic.Uint64) bool {
-	if !h.Established() {
-		return false
+// Touch is the fast path's shape gate: it reports whether the flow is
+// established and stamps it with seen (Table.Seen) if a sweep has moved
+// the epoch since — one load a packet, one compare-and-swap a flow a
+// sweep, however many of its packets a worker's context serves.
+func (h Handle) Touch(seen uint32) bool {
+	b := h.e.bits.Load()
+	established := b&stateMask == uint32(StateEstablished)
+	if established && b&seenMask != seen {
+		h.e.setBits(seenMask, seen)
 	}
-	h.FoldTouches(1, bytes, clock.Add(1))
-	return true
-}
-
-// FoldTouches folds accumulated bookkeeping for the flow in three
-// atomic operations: pkts packets, bytes bytes, and the logical
-// timestamp of the last of them. The counts are read-modify-writes:
-// one writer per flow is RSS's promise, not the engine's, and
-// concurrent ProcessPacket calls on one flow must not lose packets.
-// lastSeen must be monotonic with respect to the caller's earlier stores.
-func (h Handle) FoldTouches(pkts, bytes, lastSeen uint64) {
-	e := h.e
-	e.packets.Add(pkts)
-	e.bytes.Add(bytes)
-	e.lastSeen.Store(lastSeen)
+	return established
 }
 
 // ErrTableFull reports FID space exhaustion.
@@ -481,9 +454,12 @@ type Table struct {
 	// change what an existing tuple's handle refers to), and neither
 	// does a rebuild (entries do not move).
 	gen atomic.Uint64
+	// seen is the current seen epoch's stamp (Seen).
+	seen atomic.Uint32
 	// rebuilds counts slot arrays published: growth, compaction, and the
 	// hand-back to emptySlots when a shard empties.
 	rebuilds atomic.Uint64
+	sweep    sweeper
 }
 
 // tableGen hands every table a distinct 2^32-wide generation band, so
@@ -510,6 +486,9 @@ func NewTable() *Table {
 // racing removal can only make the cached handle conservatively
 // stale).
 func (t *Table) Gen() uint64 { return t.gen.Load() }
+
+// Seen returns the current seen epoch's stamp, for Touch and SetState.
+func (t *Table) Seen() uint32 { return t.seen.Load() }
 
 // shardFor returns the shard owning a FID (equivalently: the shard
 // owning every probe slot of the tuple hashing to that FID).
@@ -910,13 +889,12 @@ func (t *Table) Snapshot() []Entry {
 // bypassing Insert's probing (the FID was already allocated when the
 // snapshot was taken, so probe order must not re-run). An existing
 // entry at the FID or tuple is replaced — it and whatever its words held
-// are gone; the restored entry starts with empty words — and cached
-// handles are invalidated.
+// are gone; the restored entry starts with empty words, stamped with the
+// current seen epoch — and cached handles are invalidated.
 func (t *Table) RestoreEntry(en Entry) {
 	e := &tracked{fid: en.FID}
 	e.hi, e.lo = en.Tuple.Key()
-	e.bits.Store(uint32(en.State))
-	Handle{e}.FoldTouches(en.Packets, en.Bytes, en.LastSeen)
+	e.bits.Store(uint32(en.State) | t.seen.Load())
 	s := t.shardFor(e.fid)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -931,14 +909,52 @@ func (t *Table) RestoreEntry(en Entry) {
 	t.gen.Add(1)
 }
 
-// IdleSince returns Handles on the flows whose LastSeen is strictly
-// below the cutoff, for idle-rule garbage collection.
-func (t *Table) IdleSince(cutoff uint64) []Handle {
-	var out []Handle
+// seenEpochs bounds the seen epochs a table tells apart: the current one
+// and the ended ones its flows still carry.
+const seenEpochs = 64
+
+// sweeper is Sweep's state: the current seen epoch (counted from the
+// table's creation; its low bits are the stamp), the oldest one a kept
+// flow carries, and the tick each of those started at.
+type sweeper struct {
+	mu            sync.Mutex
+	epoch, oldest uint64
+	starts        [seenEpochs]uint64
+}
+
+// Sweep ends the current seen epoch at tick now, opens the next, and
+// returns the flows whose stamped epoch ended idleFor ticks or more
+// before now. An epoch ends at or after its flows' packets, so a flow
+// with a packet in the last idleFor ticks is never returned, and one idle
+// for longer than idleFor plus the gap between two sweeps is (while kept
+// flows hold seenEpochs-1 ended epochs, the current one runs on, and the
+// gap is its length). A stamp resolves to the latest epoch it can be, so
+// its wrap only ever makes a flow look younger.
+func (t *Table) Sweep(now, idleFor uint64) []Handle {
+	sw := &t.sweep
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	now = max(now, sw.starts[sw.epoch%seenEpochs]) // callers race to the lock
+	if sw.epoch-sw.oldest < seenEpochs-1 {
+		sw.epoch++
+		sw.starts[sw.epoch%seenEpochs] = now
+		t.seen.Store(uint32(sw.epoch) << seenShift)
+	}
+	// The previous epoch stays resolvable: a vector that loaded its stamp
+	// before the store may still write it.
+	cur, oldest := uint32(sw.epoch), sw.epoch-1
+	var idle []Handle
 	t.each(func(e *tracked) {
-		if e.lastSeen.Load() < cutoff {
-			out = append(out, Handle{e})
+		age := uint64((cur - e.bits.Load()>>seenShift) & epochMask)
+		f := sw.epoch - min(age, sw.epoch-sw.oldest)
+		switch {
+		case age == 0:
+		case now-sw.starts[(f+1)%seenEpochs] >= idleFor:
+			idle = append(idle, Handle{e})
+		default:
+			oldest = min(oldest, f)
 		}
 	})
-	return out
+	sw.oldest = oldest
+	return idle
 }

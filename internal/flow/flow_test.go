@@ -165,26 +165,26 @@ func TestTableReturnsCopies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Packets = 999
 	e.State = StateClosed
-	if got, _ := tbl.Lookup(tuple(1)); got.Packets != 0 || got.State != StateHandshake {
+	if got, _ := tbl.Lookup(tuple(1)); got.State != StateHandshake {
 		t.Errorf("mutating the Insert snapshot leaked into the table: %+v", got)
 	}
 	snap, _ := tbl.LookupFID(e.FID)
 	h, _ := tbl.Acquire(tuple(1))
-	h.FoldTouches(7, 0, 0)
-	if snap.Packets != 0 {
-		t.Error("a touch through the handle mutated a previously returned snapshot")
+	h.SetState(StateEstablished, tbl.Seen())
+	if snap.State != StateHandshake {
+		t.Error("a write through the handle mutated a previously returned snapshot")
 	}
-	if got, _ := tbl.LookupFID(e.FID); got.Packets != 7 {
-		t.Errorf("touch lost: %+v", got)
+	if got, _ := tbl.LookupFID(e.FID); got.State != StateEstablished {
+		t.Errorf("write lost: %+v", got)
 	}
 }
 
 // TestTableSnapshotRace drives concurrent Lookup readers against a
-// writer touching the flow through its handle; under -race this fails
-// on the seed code, where lookups returned live pointers into the
-// table.
+// writer updating the flow's state word through its handle — the
+// classifier's state machine and the fast path's seen stamp across
+// sweeps; under -race this fails on the seed code, where lookups
+// returned live pointers into the table.
 func TestTableSnapshotRace(t *testing.T) {
 	tbl := NewTable()
 	e, err := tbl.Insert(tuple(1))
@@ -197,7 +197,7 @@ func TestTableSnapshotRace(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var sink uint64
+			var sink State
 			for {
 				select {
 				case <-stop:
@@ -206,14 +206,20 @@ func TestTableSnapshotRace(t *testing.T) {
 				default:
 				}
 				if got, ok := tbl.LookupFID(e.FID); ok {
-					sink += got.Packets + got.Bytes + got.LastSeen
+					sink += got.State
 				}
 			}
 		}()
 	}
 	h, _ := tbl.Acquire(tuple(1))
 	for i := 0; i < 5000; i++ {
-		h.FoldTouches(1, 64, uint64(i))
+		h.SetState(StateEstablished, tbl.Seen())
+		if !h.Touch(tbl.Seen()) {
+			t.Fatal("an established flow failed the shape gate")
+		}
+		if i%100 == 0 {
+			tbl.Sweep(uint64(i), 1<<40)
+		}
 	}
 	close(stop)
 	wg.Wait()
@@ -226,10 +232,12 @@ func TestTableUpdate(t *testing.T) {
 	if !ok || h.FID() != e.FID {
 		t.Fatal("Acquire missed the tracked flow")
 	}
-	h.SetState(StateEstablished)
-	h.FoldTouches(10, 640, 3)
+	if h.Touch(tbl.Seen()) {
+		t.Error("a handshake-state flow passed the fast path's shape gate")
+	}
+	h.SetState(StateEstablished, tbl.Seen())
 	got, _ := tbl.LookupFID(e.FID)
-	if got.State != StateEstablished || got.Packets != 10 || got.Bytes != 640 || got.LastSeen != 3 {
+	if got.State != StateEstablished || !h.Touch(tbl.Seen()) {
 		t.Errorf("entry after update = %+v", got)
 	}
 	if _, ok := tbl.Acquire(tuple(2)); ok {
@@ -256,7 +264,7 @@ func TestTableConcurrent(t *testing.T) {
 					t.Error("concurrent Acquire missed own insert")
 					return
 				}
-				h.FoldTouches(1, 0, 0)
+				h.SetState(StateEstablished, tbl.Seen())
 			}
 		}(g)
 	}

@@ -95,30 +95,161 @@ func TestQuickNoFIDCollisions(t *testing.T) {
 	}
 }
 
-// TestQuickIdleSincePartition: IdleSince splits flows exactly at the
-// cutoff.
-func TestQuickIdleSincePartition(t *testing.T) {
-	f := func(stamps []uint16, cutoff uint16) bool {
+// TestQuickSweepPartition holds Sweep to its model on random schedules
+// of packets, clock advances and sweeps: a flow is reaped exactly when
+// the sweep that ended the seen epoch of its last packet lies at least
+// idleFor ticks back — the first sweep after that packet, while no more
+// than seenEpochs-1 ended epochs are held.
+func TestQuickSweepPartition(t *testing.T) {
+	const flows = 16
+	f := func(ops []uint16, idleFor uint8) bool {
 		tbl := NewTable()
-		want := 0
-		for i, s := range stamps {
-			ft := packet.FiveTuple{
-				SrcIP: packet.IP4(10, 0, byte(i>>8), byte(i)), DstIP: packet.IP4(1, 1, 1, 1),
-				SrcPort: uint16(i), DstPort: 80, Proto: packet.ProtoTCP,
-			}
-			h, _, err := tbl.InsertKey(ft.Key())
-			if err != nil {
-				return false
-			}
-			h.FoldTouches(0, 0, uint64(s))
-			if uint64(s) < uint64(cutoff) {
-				want++
+		hs := make([]Handle, flows)
+		// ended[k] is the tick the epoch of flow k's last packet ended at,
+		// -1 while that epoch is the current one, which the next sweep ends.
+		ended := make([]int64, flows)
+		live := make([]bool, flows)
+		var now uint64
+		sweeps := 0
+		for _, op := range ops {
+			k := int(op>>4) % flows
+			switch {
+			case op&0xf < 8: // a packet of flow k, set up if untracked
+				if !live[k] {
+					ft := packet.FiveTuple{SrcIP: packet.IP4(10, 0, 0, byte(k)), DstIP: packet.IP4(1, 1, 1, 1),
+						SrcPort: uint16(k), DstPort: 80, Proto: packet.ProtoUDP}
+					h, _, err := tbl.InsertKey(ft.Key())
+					if err != nil {
+						return false
+					}
+					h.SetState(StateEstablished, tbl.Seen())
+					hs[k], live[k] = h, true
+				} else if !hs[k].Touch(tbl.Seen()) {
+					return false
+				}
+				ended[k] = -1
+			case op&0xf < 12:
+				now += uint64(op >> 8)
+			case sweeps < seenEpochs-2:
+				sweeps++
+				want := map[FID]bool{}
+				for i := range hs {
+					if live[i] && ended[i] < 0 {
+						ended[i] = int64(now)
+					}
+					if live[i] && now-uint64(ended[i]) >= uint64(idleFor) {
+						want[hs[i].FID()] = true
+					}
+				}
+				got := tbl.Sweep(now, uint64(idleFor))
+				if len(got) != len(want) {
+					return false
+				}
+				for _, h := range got {
+					if !want[h.FID()] || !tbl.Remove(h.FID()) {
+						return false
+					}
+				}
+				for i := range hs {
+					live[i] = live[i] && !want[hs[i].FID()]
+				}
 			}
 		}
-		return len(tbl.IdleSince(uint64(cutoff))) == want
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSweepAcrossStampWrap runs sweeps across the wrap of the stamp's
+// bits: a flow with a packet every epoch is never reaped, an idle one is
+// reaped once idleFor ticks past the end of its epoch, and a flow set up
+// on the far side of the wrap is told from one left on the near side.
+func TestSweepAcrossStampWrap(t *testing.T) {
+	tbl := NewTable()
+	sw := &tbl.sweep
+	sw.epoch, sw.oldest = uint64(epochMask)-2, uint64(epochMask)-2
+	tbl.seen.Store(uint32(sw.epoch) << seenShift)
+	add := func(port uint16) Handle {
+		ft := packet.FiveTuple{SrcIP: packet.IP4(10, 0, 0, 1), DstIP: packet.IP4(1, 1, 1, 1),
+			SrcPort: port, DstPort: 80, Proto: packet.ProtoUDP}
+		h, _, err := tbl.InsertKey(ft.Key())
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.SetState(StateEstablished, tbl.Seen())
+		return h
+	}
+	busy, idle := add(1), add(2)
+	var late Handle
+	for i := uint64(1); i <= 8; i++ {
+		now := 10 * i
+		got := tbl.Sweep(now, 25)
+		for _, h := range got {
+			if h == busy || h == late {
+				t.Fatalf("sweep %d (epoch %d) reaped a flow seen in the last 10 ticks", i, sw.epoch)
+			}
+			tbl.Remove(h.FID())
+		}
+		// idle's epoch ended at the first sweep (tick 10): reaped at 40.
+		if reaped := len(got) == 1 && got[0] == idle; reaped != (now == 40) {
+			t.Fatalf("sweep at tick %d returned %d flow(s); idle reaped=%v", now, len(got), reaped)
+		}
+		if !busy.Touch(tbl.Seen()) {
+			t.Fatal("busy flow failed the shape gate")
+		}
+		if i == 4 {
+			late = add(3) // after the wrap: its stamp is a small number
+		} else if late != (Handle{}) && i < 7 {
+			late.Touch(tbl.Seen())
+		}
+	}
+	if sw.epoch <= uint64(epochMask) || uint32(sw.epoch)&epochMask >= 8 {
+		t.Fatalf("epoch %d did not wrap the stamp", sw.epoch)
+	}
+}
+
+// TestSweepWindowFull: once seenEpochs-1 ended epochs are held by kept
+// flows, a sweep lets the current epoch run on — it never forgets an
+// epoch a flow carries, so no flow with a recent packet is reaped — and
+// epochs open again once the old flows are reaped.
+func TestSweepWindowFull(t *testing.T) {
+	tbl := NewTable()
+	var hs []Handle
+	const idleFor = 1000
+	for i := 0; i < 2*seenEpochs; i++ {
+		ft := packet.FiveTuple{SrcIP: packet.IP4(10, 0, 0, 1), DstIP: packet.IP4(1, 1, 1, 1),
+			SrcPort: uint16(i), DstPort: 80, Proto: packet.ProtoUDP}
+		h, _, err := tbl.InsertKey(ft.Key())
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.SetState(StateEstablished, tbl.Seen())
+		hs = append(hs, h)
+		if got := tbl.Sweep(uint64(i), idleFor); len(got) != 0 {
+			t.Fatalf("sweep %d reaped %d flow(s) seen within %d ticks", i, len(got), i+1)
+		}
+	}
+	if e := tbl.sweep.epoch; e != seenEpochs-1 {
+		t.Fatalf("epoch %d after %d sweeps, want it held at %d", e, 2*seenEpochs, seenEpochs-1)
+	}
+	// Every flow set up once the window filled carries the last epoch,
+	// which has not ended: only the ones before it go, each once its epoch
+	// ended idleFor ticks ago.
+	got := tbl.Sweep(idleFor+seenEpochs, idleFor)
+	if len(got) != seenEpochs-1 {
+		t.Fatalf("reaped %d flows, want the %d of the ended epochs", len(got), seenEpochs-1)
+	}
+	for _, h := range got {
+		if h.FID() == hs[len(hs)-1].FID() {
+			t.Fatal("reaped a flow of the current epoch")
+		}
+		tbl.Remove(h.FID())
+	}
+	tbl.Sweep(idleFor+seenEpochs, idleFor)
+	if e := tbl.sweep.epoch; e <= seenEpochs-1 {
+		t.Errorf("no epoch opened once the window emptied (epoch %d)", e)
 	}
 }
 

@@ -335,9 +335,9 @@ func TestFlowTableHammer(t *testing.T) {
 }
 
 // TestTrackedSizeClass pins the flow entry to the 64-byte size class —
-// one cache line: the packed key, the counters and the two record words
-// fit it exactly, a FiveTuple kept beside the key would spill into the
-// 80-byte one for every flow.
+// one cache line: the packed key, the two record words and the state
+// word take 40 bytes, and the pad keeps the entry out of the 48-byte
+// class, where two entries in three would straddle two cache lines.
 func TestTrackedSizeClass(t *testing.T) {
 	if n := unsafe.Sizeof(tracked{}); n != 64 {
 		t.Errorf("tracked is %d bytes, want 64", n)

@@ -23,14 +23,13 @@ type Checkpoint struct {
 	// WALSeq is the last WAL record sequence reflected in the
 	// snapshot (zero when no WAL was attached).
 	WALSeq uint64
-	// Clock is the classifier's logical clock, preserved so
-	// idle-expiry ages and degradation retry horizons stay monotonic
-	// across a restore.
+	// Clock is the engine's logical clock, which a restore resumes so it
+	// never goes back.
 	Clock uint64
-	// Flows is the flow-table occupancy: FID assignments and per-flow
-	// counters. Restored flows are already established, so their first
-	// post-restore packet classifies as Initial when the rule did not
-	// survive — one slow-path pass re-records the closures.
+	// Flows is the flow-table occupancy: FID assignments, lifecycle
+	// states and NF state. Restored flows are already established, so
+	// their first post-restore packet classifies as Initial when the rule
+	// did not survive — one slow-path pass re-records the closures.
 	Flows []FlowEntry
 	// Rules are the declarative Global MAT rules (no state-function
 	// batches, no pending events) that restore directly executable.
@@ -41,14 +40,12 @@ type Checkpoint struct {
 
 // FlowEntry is the serializable projection of a flow's entry: the
 // flow.Entry and the per-flow state of its NFs, which lives on the
-// entry's record.
+// entry's record. The entry's seen epoch does not travel: its epochs are
+// the old table's, and a restored entry is stamped afresh.
 type FlowEntry struct {
-	FID      flow.FID
-	Tuple    packet.FiveTuple
-	State    uint8
-	Packets  uint64
-	Bytes    uint64
-	LastSeen uint64
+	FID   flow.FID
+	Tuple packet.FiveTuple
+	State uint8
 	// NF is the flow's NF state, an image a slot in use.
 	NF []event.StateImage
 }
@@ -56,13 +53,11 @@ type FlowEntry struct {
 // ImageOfEntry projects a flow-table entry and its NFs' state; Entry is
 // the flow.Entry half back.
 func ImageOfEntry(e flow.Entry, nf []event.StateImage) FlowEntry {
-	return FlowEntry{FID: e.FID, Tuple: e.Tuple, State: uint8(e.State),
-		Packets: e.Packets, Bytes: e.Bytes, LastSeen: e.LastSeen, NF: nf}
+	return FlowEntry{FID: e.FID, Tuple: e.Tuple, State: uint8(e.State), NF: nf}
 }
 
 func (f *FlowEntry) Entry() flow.Entry {
-	return flow.Entry{FID: f.FID, Tuple: f.Tuple, State: flow.State(f.State),
-		Packets: f.Packets, Bytes: f.Bytes, LastSeen: f.LastSeen}
+	return flow.Entry{FID: f.FID, Tuple: f.Tuple, State: flow.State(f.State)}
 }
 
 // appendFlowEntry encodes a flow entry as checkpoints and migration
@@ -75,9 +70,6 @@ func appendFlowEntry(body []byte, f *FlowEntry) []byte {
 	body = appendUint16(body, f.Tuple.SrcPort)
 	body = appendUint16(body, f.Tuple.DstPort)
 	body = append(body, f.Tuple.Proto, f.State)
-	body = binary.LittleEndian.AppendUint64(body, f.Packets)
-	body = binary.LittleEndian.AppendUint64(body, f.Bytes)
-	body = binary.LittleEndian.AppendUint64(body, f.LastSeen)
 	body = appendUint16(body, uint16(len(f.NF)))
 	for _, im := range f.NF {
 		body = appendString(body, im.NF)
@@ -103,9 +95,6 @@ func (r *byteReader) flowEntry() (f FlowEntry) {
 	f.Tuple.DstPort = r.u16()
 	f.Tuple.Proto = r.u8()
 	f.State = r.u8()
-	f.Packets = r.u64()
-	f.Bytes = r.u64()
-	f.LastSeen = r.u64()
 	for n := int(r.u16()); n > 0 && r.ok; n-- {
 		im := event.StateImage{NF: r.str()}
 		words := int(r.u16())
@@ -121,12 +110,37 @@ func (r *byteReader) flowEntry() (f FlowEntry) {
 	return f
 }
 
-// Checkpoint wire format: magic, version, CRC over the body, then the
-// body with the same primitive encoding as WAL record bodies.
+// Checkpoint wire format: sealed (seal) with its own magic and format,
+// the body with the same primitive encoding as WAL record bodies.
 const (
-	checkpointMagic   = 0x53424350 // "SBCP"
-	checkpointVersion = 2          // 2: flow entries carry NF state
+	checkpointMagic = 0x53424350 // "SBCP"
+	// checkpointFormat 2: flow entries carry NF state; 3: and no packet
+	// or byte counters or last-seen tick.
+	checkpointFormat = 3
 )
+
+// seal frames a body as checkpoints and migration batches travel:
+// magic, format, a reserved zero word, the body's CRC-32, the body.
+func seal(magic uint32, format uint16, body []byte) []byte {
+	out := make([]byte, 0, len(body)+12)
+	out = binary.LittleEndian.AppendUint32(out, magic)
+	out = appendUint16(out, format)
+	out = appendUint16(out, 0)
+	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
+	return append(out, body...)
+}
+
+// unseal returns the body of what seal framed, ok=false unless the
+// magic, the format, the reserved word and the checksum all hold: a blob
+// of another format is refused whole.
+func unseal(data []byte, magic uint32, format uint16) ([]byte, bool) {
+	if len(data) < 12 || binary.LittleEndian.Uint32(data) != magic ||
+		binary.LittleEndian.Uint16(data[4:]) != format || binary.LittleEndian.Uint16(data[6:]) != 0 {
+		return nil, false
+	}
+	body := data[12:]
+	return body, crc32.ChecksumIEEE(body) == binary.LittleEndian.Uint32(data[8:])
+}
 
 // ErrBadCheckpoint reports a checkpoint blob that failed structural or
 // checksum validation. Unlike a torn WAL tail — which is expected
@@ -161,28 +175,16 @@ func (c *Checkpoint) Encode() []byte {
 		body = binary.LittleEndian.AppendUint32(body, uint32(len(blob)))
 		body = append(body, blob...)
 	}
-
-	out := make([]byte, 0, len(body)+12)
-	out = binary.LittleEndian.AppendUint32(out, checkpointMagic)
-	out = appendUint16(out, checkpointVersion)
-	out = appendUint16(out, 0) // reserved
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
-	return append(out, body...)
+	return seal(checkpointMagic, checkpointFormat, body)
 }
 
-// DecodeCheckpoint parses an encoded checkpoint.
+// DecodeCheckpoint parses an encoded checkpoint. It accepts only what
+// Encode writes — NF state blobs in strictly ascending name order, flags
+// of 0 or 1 — so an accepted blob re-encodes to itself, and sizes nothing
+// by a count before the bytes it counts are there.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
-	if len(data) < 12 {
-		return nil, ErrBadCheckpoint
-	}
-	if binary.LittleEndian.Uint32(data) != checkpointMagic {
-		return nil, ErrBadCheckpoint
-	}
-	if binary.LittleEndian.Uint16(data[4:]) != checkpointVersion {
-		return nil, ErrBadCheckpoint
-	}
-	body := data[12:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(data[8:]) {
+	body, ok := unseal(data, checkpointMagic, checkpointFormat)
+	if !ok {
 		return nil, ErrBadCheckpoint
 	}
 	rd := &byteReader{b: body, ok: true}
@@ -204,16 +206,16 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		c.Rules = append(c.Rules, *im)
 	}
 	ns := int(rd.u32())
-	if rd.ok && ns > 0 {
-		c.NFState = make(map[string][]byte, ns)
-	}
-	for i := 0; i < ns && rd.ok; i++ {
+	for i, last := 0, ""; i < ns && rd.ok; i++ {
 		name := rd.str()
 		blobLen := int(rd.u32())
-		if !rd.ok || len(rd.b) < blobLen {
+		if !rd.ok || len(rd.b) < blobLen || (i > 0 && name <= last) {
 			return nil, ErrBadCheckpoint
 		}
-		c.NFState[name] = append([]byte(nil), rd.b[:blobLen]...)
+		if c.NFState == nil {
+			c.NFState = make(map[string][]byte)
+		}
+		c.NFState[name], last = append([]byte(nil), rd.b[:blobLen]...), name
 		rd.b = rd.b[blobLen:]
 	}
 	if !rd.ok || len(rd.b) != 0 {

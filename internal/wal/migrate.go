@@ -2,7 +2,6 @@ package wal
 
 import (
 	"encoding/binary"
-	"hash/crc32"
 
 	"github.com/fastpathnfv/speedybox/internal/errcode"
 )
@@ -24,11 +23,13 @@ type MigrationRecord struct {
 	Rule *RuleImage
 }
 
-// Migration wire format: magic, version, CRC over the body, then the
-// body with the checkpoint primitive encoding.
+// Migration wire format: sealed (seal) with its own magic and format,
+// the body with the checkpoint primitive encoding.
 const (
-	migrationMagic   = 0x53424d52 // "SBMR"
-	migrationVersion = 2          // 2: flow entries carry NF state
+	migrationMagic = 0x53424d52 // "SBMR"
+	// migrationFormat 2: flow entries carry NF state; 3: and no packet or
+	// byte counters or last-seen tick.
+	migrationFormat = 3
 )
 
 // ErrBadMigration reports a migration blob that failed structural or
@@ -52,28 +53,14 @@ func EncodeMigration(recs []MigrationRecord) []byte {
 			body = append(body, 0)
 		}
 	}
-	out := make([]byte, 0, len(body)+12)
-	out = binary.LittleEndian.AppendUint32(out, migrationMagic)
-	out = appendUint16(out, migrationVersion)
-	out = appendUint16(out, 0) // reserved
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
-	return append(out, body...)
+	return seal(migrationMagic, migrationFormat, body)
 }
 
 // DecodeMigration parses an encoded migration batch. Validation is
 // all-or-nothing: any structural damage rejects the whole blob.
 func DecodeMigration(data []byte) ([]MigrationRecord, error) {
-	if len(data) < 12 {
-		return nil, ErrBadMigration
-	}
-	if binary.LittleEndian.Uint32(data) != migrationMagic {
-		return nil, ErrBadMigration
-	}
-	if binary.LittleEndian.Uint16(data[4:]) != migrationVersion {
-		return nil, ErrBadMigration
-	}
-	body := data[12:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(data[8:]) {
+	body, ok := unseal(data, migrationMagic, migrationFormat)
+	if !ok {
 		return nil, ErrBadMigration
 	}
 	rd := &byteReader{b: body, ok: true}
@@ -81,7 +68,7 @@ func DecodeMigration(data []byte) ([]MigrationRecord, error) {
 	var recs []MigrationRecord
 	for i := 0; i < n && rd.ok; i++ {
 		r := MigrationRecord{Flow: rd.flowEntry()}
-		if rd.u8() != 0 {
+		if rd.flag() {
 			im, rest, ok := decodeRuleImage(rd.b)
 			if !ok {
 				return nil, ErrBadMigration

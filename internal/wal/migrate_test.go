@@ -2,8 +2,7 @@ package wal
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/crc32"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -17,7 +16,7 @@ func sampleMigration() []MigrationRecord {
 			Flow: FlowEntry{FID: 4, Tuple: packet.FiveTuple{
 				SrcIP: [4]byte{10, 0, 0, 1}, DstIP: [4]byte{10, 0, 0, 2},
 				SrcPort: 6000, DstPort: 80, Proto: 6,
-			}, State: 2, Packets: 12, Bytes: 900, LastSeen: 8999,
+			}, State: 2,
 				// The flow's NF state: a NAT translation, a pin, counters.
 				NF: []event.StateImage{
 					{NF: "mazunat", Words: []uint64{0x0a0000010a000002, 0x1770005006, 0x14e20}},
@@ -32,7 +31,7 @@ func sampleMigration() []MigrationRecord {
 			Flow: FlowEntry{FID: 9, Tuple: packet.FiveTuple{
 				SrcIP: [4]byte{10, 0, 1, 1}, DstIP: [4]byte{10, 0, 1, 2},
 				SrcPort: 5353, DstPort: 53, Proto: 17,
-			}, State: 1, Packets: 2, Bytes: 128, LastSeen: 8800},
+			}, State: 1},
 		},
 	}
 }
@@ -71,9 +70,6 @@ func TestMigrationCorruptionFailsLoudly(t *testing.T) {
 		}
 	}
 	for i := range data {
-		if i == 6 || i == 7 {
-			continue // reserved header bytes, not validated
-		}
 		mut := append([]byte(nil), data...)
 		mut[i] ^= 0xff
 		if _, err := DecodeMigration(mut); err == nil {
@@ -83,17 +79,16 @@ func TestMigrationCorruptionFailsLoudly(t *testing.T) {
 	if _, err := DecodeMigration(append(append([]byte(nil), data...), 0)); err == nil {
 		t.Error("trailing garbage accepted")
 	}
+	// A format-2 batch — its entries carried packet and byte counters and
+	// a last-seen tick — is refused whole, checksum and all intact.
+	if _, err := DecodeMigration(seal(migrationMagic, 2, data[12:])); !errors.Is(err, ErrBadMigration) {
+		t.Errorf("a format-2 batch decoded: %v", err)
+	}
 }
 
 // sealMigration frames a body as EncodeMigration does, checksum and all:
 // what a hostile sender, not line noise, would present.
-func sealMigration(body []byte) []byte {
-	out := binary.LittleEndian.AppendUint32(nil, migrationMagic)
-	out = appendUint16(out, migrationVersion)
-	out = appendUint16(out, 0)
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
-	return append(out, body...)
-}
+func sealMigration(body []byte) []byte { return seal(migrationMagic, migrationFormat, body) }
 
 // FuzzDecodeMigration: arbitrary bytes must never panic, never make the
 // decoder allocate more than the input could describe, never yield

@@ -335,6 +335,13 @@ func (r *byteReader) u8() byte {
 	return v
 }
 
+// flag reads a byte written as 0 or 1; any other value is corrupt.
+func (r *byteReader) flag() bool {
+	v := r.u8()
+	r.ok = r.ok && v <= 1
+	return v == 1
+}
+
 func (r *byteReader) u16() uint16 {
 	if !r.ok || len(r.b) < 2 {
 		r.ok = false
@@ -382,7 +389,7 @@ func decodeRuleImage(body []byte) (*RuleImage, []byte, bool) {
 	rd := &byteReader{b: body, ok: true}
 	im := &RuleImage{}
 	im.FID = flow.FID(rd.u32())
-	im.Drop = rd.u8() != 0
+	im.Drop = rd.flag()
 	nm := int(rd.u16())
 	for i := 0; i < nm && rd.ok; i++ {
 		f := packet.Field(rd.u16())
@@ -407,7 +414,7 @@ func decodeRuleImage(body []byte) (*RuleImage, []byte, bool) {
 		s.Modifies = rd.u16()
 		s.Encaps = rd.u16()
 		s.Decaps = rd.u16()
-		s.Dropped = rd.u8() != 0
+		s.Dropped = rd.flag()
 		im.Sources = append(im.Sources, s)
 	}
 	im.Version = rd.u64()

@@ -2,10 +2,13 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"github.com/fastpathnfv/speedybox/internal/event"
 	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/mat"
 	"github.com/fastpathnfv/speedybox/internal/packet"
@@ -267,11 +270,11 @@ func sampleCheckpoint() *Checkpoint {
 			{FID: 4, Tuple: packet.FiveTuple{
 				SrcIP: [4]byte{10, 0, 0, 1}, DstIP: [4]byte{10, 0, 0, 2},
 				SrcPort: 6000, DstPort: 80, Proto: 6,
-			}, State: 2, Packets: 12, Bytes: 900, LastSeen: 8999},
+			}, State: 2, NF: []event.StateImage{{NF: "monitor", Words: []uint64{12, 900}}}},
 			{FID: 9, Tuple: packet.FiveTuple{
 				SrcIP: [4]byte{10, 0, 1, 1}, DstIP: [4]byte{10, 0, 1, 2},
 				SrcPort: 5353, DstPort: 53, Proto: 17,
-			}, State: 2, Packets: 2, Bytes: 128, LastSeen: 8800},
+			}, State: 2},
 		},
 		Rules:   []RuleImage{*sampleImage(4), *sampleImage(9)},
 		NFState: map[string][]byte{"monitor": {1, 2, 3}, "maglev": nil, "dos": {0xff}},
@@ -306,9 +309,6 @@ func TestCheckpointCorruptionFailsLoudly(t *testing.T) {
 		}
 	}
 	for i := range data {
-		if i == 6 || i == 7 {
-			continue // reserved header bytes, not validated
-		}
 		mut := append([]byte(nil), data...)
 		mut[i] ^= 0xff
 		if _, err := DecodeCheckpoint(mut); err == nil {
@@ -318,6 +318,65 @@ func TestCheckpointCorruptionFailsLoudly(t *testing.T) {
 	if _, err := DecodeCheckpoint(append(append([]byte(nil), data...), 0)); err == nil {
 		t.Error("trailing garbage accepted")
 	}
+	// A format-2 checkpoint — its entries carried packet and byte counters
+	// and a last-seen tick — is refused whole, checksum and all intact.
+	if _, err := DecodeCheckpoint(seal(checkpointMagic, 2, data[12:])); !errors.Is(err, ErrBadCheckpoint) {
+		t.Errorf("a format-2 checkpoint decoded: %v", err)
+	}
+}
+
+// FuzzDecodeCheckpoint: arbitrary bytes, and sealed bodies whose counts
+// lie, must never panic and never make the decoder allocate more than the
+// input could describe (its heap allocation is measured, not inferred),
+// and every blob it accepts must re-encode to itself byte for byte.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	data := sampleCheckpoint().Encode()
+	body := data[12:]
+	sealed := func(parts ...[]byte) []byte {
+		return seal(checkpointMagic, checkpointFormat, bytes.Join(parts, nil))
+	}
+	f.Add(data)
+	f.Add(data[:len(data)-2])
+	f.Add([]byte{})
+	const flowCount = 24 // epoch, WAL position, clock
+	entry := len(appendFlowEntry(nil, &FlowEntry{}))
+	nfCount := flowCount + 4 + entry - 2 // the first flow's NF image count
+	words := nfCount + 2 + 2 + len("monitor")
+	noState := sampleCheckpoint()
+	noState.NFState = nil
+	stateCount := len(noState.Encode()) - 12 - 4
+	lie := []byte{0xff, 0xff, 0xff, 0xff}
+	f.Add(sealed(body[:flowCount], lie, body[flowCount+4:]))
+	f.Add(sealed(body[:nfCount], lie[:2], body[nfCount+2:]))
+	f.Add(sealed(body[:words], lie[:2], body[words+2:]))
+	f.Add(sealed(body[:stateCount], lie))
+	f.Add(sealed(body[:stateCount], []byte{1, 0, 0, 0, 1, 0, 'x'}, lie))
+	f.Add(sealed(body[:stateCount], []byte{0, 0, 1, 0, 1, 0, 'x', 0, 0, 0, 0})) // 65 536 blobs; one follows
+	// Two blobs out of name order, and a rule's drop flag of 2: both
+	// decode to something that encodes otherwise.
+	f.Add(sealed(body[:stateCount], []byte{2, 0, 0, 0, 1, 0, 'b', 0, 0, 0, 0, 1, 0, 'a', 0, 0, 0, 0}))
+	ruleCount := stateCount - len(appendRuleImage(nil, sampleImage(9))) - len(appendRuleImage(nil, sampleImage(4))) - 4
+	bad := append([]byte(nil), body...)
+	bad[ruleCount+4+4] = 2 // past the count and the first rule's FID
+	f.Add(sealed(bad))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		cp, err := DecodeCheckpoint(in)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4096+64*uint64(len(in)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(in), grew)
+		}
+		if err != nil {
+			if cp != nil {
+				t.Fatal("a rejected blob yielded a checkpoint")
+			}
+			return
+		}
+		if out := cp.Encode(); !bytes.Equal(out, in) {
+			t.Fatalf("an accepted blob of %d bytes re-encodes to %d other bytes", len(in), len(out))
+		}
+	})
 }
 
 // FuzzReplayTornTail feeds arbitrary bytes to the log decoder: whatever
