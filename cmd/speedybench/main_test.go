@@ -15,33 +15,41 @@ import (
 //
 //	go run ./cmd/speedybench -exp fig4 -seed 1 > cmd/speedybench/testdata/fig4.golden
 //
-// Only per-packet (batch 1) runs and BESS-only batched runs are pinned:
-// an ONVM row at -batch 32 varies run to run (onvm.ProcessBatch).
+// The vector size changes no number: fig5, fig6, fig8 and table3 (the
+// experiments with ONVM rows) at -batch 32 are held to their batch-1
+// files.
 func TestGoldenOutputs(t *testing.T) {
-	cases := map[string][]string{
-		"fig9a-cdf":      {"-exp", "fig9a", "-seed", "1", "-cdf"},
-		"oracle":         {"-exp", "oracle", "-oracle-schedules", "20"},
-		"oracle-batch32": {"-exp", "oracle", "-oracle-schedules", "20", "-batch", "32"},
-		"oracle-topo":    {"-exp", "oracle", "-oracle-schedules", "20", "-oracle-topo"},
-		"oracle-cluster": {"-exp", "oracle", "-oracle-schedules", "20", "-oracle-cluster"},
+	type golden struct {
+		file string
+		args []string
+	}
+	cases := map[string]golden{
+		"fig9a-cdf":      {"fig9a-cdf", []string{"-exp", "fig9a", "-seed", "1", "-cdf"}},
+		"oracle":         {"oracle", []string{"-exp", "oracle", "-oracle-schedules", "20"}},
+		"oracle-batch32": {"oracle-batch32", []string{"-exp", "oracle", "-oracle-schedules", "20", "-batch", "32"}},
+		"oracle-topo":    {"oracle-topo", []string{"-exp", "oracle", "-oracle-schedules", "20", "-oracle-topo"}},
+		"oracle-cluster": {"oracle-cluster", []string{"-exp", "oracle", "-oracle-schedules", "20", "-oracle-cluster"}},
 	}
 	for _, exp := range []string{"fig4", "table3", "fig5", "fig6", "fig7", "fig8", "fig9a", "fig9b",
 		"equiv", "vpnx", "crossover", "mq", "reconfig", "restart"} {
-		cases[exp] = []string{"-exp", exp, "-seed", "1"}
+		cases[exp] = golden{exp, []string{"-exp", exp, "-seed", "1"}}
 	}
-	for name, args := range cases {
+	for _, exp := range []string{"fig5", "fig6", "fig8", "table3"} {
+		cases[exp+"-batch32"] = golden{exp, []string{"-exp", exp, "-seed", "1", "-batch", "32"}}
+	}
+	for name, c := range cases {
 		t.Run(name, func(t *testing.T) {
-			want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+			want, err := os.ReadFile(filepath.Join("testdata", c.file+".golden"))
 			if err != nil {
 				t.Fatal(err)
 			}
 			var got bytes.Buffer
-			if err := run(args, &got); err != nil {
+			if err := run(c.args, &got); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got.Bytes(), want) {
 				t.Errorf("speedybench %s differs from testdata/%s.golden:\n--- got\n%s--- want\n%s",
-					strings.Join(args, " "), name, got.Bytes(), want)
+					strings.Join(c.args, " "), c.file, got.Bytes(), want)
 			}
 		})
 	}

@@ -381,9 +381,8 @@ func (b *Batch) flowCtxFor(flows *flow.Table, st *staged) (*flowCtx, bool) {
 	return fc, true
 }
 
-// classified returns the context of a packet whose flow a full
-// classification found — run through Classify, or on the ONVM manager
-// core — built from the handle it returned, with no probe.
+// classified returns the context of a packet whose flow the full
+// Classify found, built from the handle it returned, with no probe.
 func (b *Batch) classified(h flow.Handle) *flowCtx {
 	b.scratch = flowCtx{h: h, used: true}
 	return &b.scratch
@@ -564,10 +563,10 @@ func (e *Engine) process(pkt *packet.Packet, st *staged, info *FastPathInfo, res
 	case classifier.KindInitial:
 		// The recording gate and the ladder read the clock.
 		e.publish(b)
-		recording := e.TryBeginRecording(fc.h)
+		recording := e.tryBeginRecording(fc.h)
 		err = e.slowPath(fc.h, pkt, recording, res, b)
 		if recording {
-			e.EndRecording(fc.h)
+			fc.h.Unclaim()
 		}
 	default: // KindHandshake
 		err = e.slowPath(fc.h, pkt, false, res, b)

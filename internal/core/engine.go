@@ -76,8 +76,6 @@ var (
 	ErrNFFailed = errcode.Sentinel("core.nf_failed", "core: NF processing failed")
 	// ErrBadModel reports an engine built over an invalid cost model.
 	ErrBadModel = errcode.Sentinel("core.bad_cost_model", "core: invalid cost model")
-	// ErrNFIndex reports a ProcessNF index outside the live chain.
-	ErrNFIndex = errcode.Sentinel("core.nf_index_out_of_range", "core: NF index out of range")
 	// ErrUnknownEventNF reports an event firing from an NF absent from
 	// the live chain snapshot.
 	ErrUnknownEventNF = errcode.Sentinel("core.event_unknown_nf", "core: event from unknown NF")
@@ -111,11 +109,11 @@ type statsShard struct {
 const cacheLine = 64
 
 // Engine wires a service chain to the SpeedyBox machinery. It is safe
-// for concurrent use: the pipelined ONVM platform classifies, processes
-// and consolidates from different goroutines, and the multi-queue
-// platform calls ProcessBatch from one worker per RSS queue, each on its
-// own Batch. A flow's state is its one entry in the flow table, sharded
-// by FID as the counters are, so workers of disjoint flows do not contend.
+// for concurrent use: the multi-queue platform calls ProcessBatch from
+// one worker per RSS queue, each on its own Batch, while the control
+// plane reconfigures, checkpoints and expires flows. A flow's state is
+// its one entry in the flow table, sharded by FID as the counters are,
+// so workers of disjoint flows do not contend.
 type Engine struct {
 	model *cost.Model
 	opts  Options
@@ -201,17 +199,16 @@ func (e *Engine) statsFor(fid flow.FID) *statsShard {
 	return &e.stats[uint32(fid)&(statsShardCount-1)]
 }
 
-// TryBeginRecording is the recording gate every initial packet passes,
-// on the run-to-completion ladder and at the ONVM RX thread alike: a
+// tryBeginRecording is the recording gate every initial packet passes: a
 // flow on the degradation ladder retries recording only once its backoff
 // deadline has passed (its packets are counted as degraded until then),
 // and of several in-flight initial packets of one flow only the first
 // claims the gate, a bit of the flow's entry — a second recorder would
 // publish over the first's recording; the losers traverse the chain
 // without recording. Both are read off h, the entry the classification
-// returned. A true return must be paired with EndRecording. The
+// returned. A true return must be paired with h.Unclaim. The
 // baseline engine never records.
-func (e *Engine) TryBeginRecording(h flow.Handle) bool {
+func (e *Engine) tryBeginRecording(h flow.Handle) bool {
 	if !e.opts.EnableSpeedyBox || h.Gone() {
 		return false
 	}
@@ -221,9 +218,6 @@ func (e *Engine) TryBeginRecording(h flow.Handle) bool {
 	}
 	return h.Claim()
 }
-
-// EndRecording releases the flow's recording gate.
-func (e *Engine) EndRecording(h flow.Handle) { h.Unclaim() }
 
 // Model returns the engine's cost model.
 func (e *Engine) Model() *cost.Model { return e.model }
@@ -294,21 +288,11 @@ func (e *Engine) Stats() Stats {
 // Faults returns the engine's fault injector, nil when disabled.
 func (e *Engine) Faults() *fault.Injector { return e.faults }
 
-// Classify runs the Packet Classifier on one packet and ticks the clock,
-// for a platform that classifies on a core of its own (ONVM's RX core).
-func (e *Engine) Classify(pkt *packet.Packet) (classifier.Result, error) {
-	res, err := e.classify(pkt)
-	if err == nil {
-		e.clock.Add(1)
-	}
-	return res, err
-}
-
-// classify is Classify without the tick, which ProcessBatch counts. A
-// SYN restarting a tracked flow (5-tuple reuse without FIN/RST) tears
-// the previous connection's rule, recording, events and NF state down
-// here, or its established packets would run the old connection's
-// recorded actions.
+// classify runs the Packet Classifier on one packet; the clock tick is
+// ProcessBatch's to count (Engine.publish). A SYN restarting a tracked
+// flow (5-tuple reuse without FIN/RST) tears the previous connection's
+// rule, recording, events and NF state down here, or its established
+// packets would run the old connection's recorded actions.
 func (e *Engine) classify(pkt *packet.Packet) (classifier.Result, error) {
 	res, err := e.class.Classify(pkt, e.serves)
 	if err == nil && res.Reused {
@@ -340,34 +324,6 @@ func (e *Engine) resetReusedFlow(h flow.Handle) {
 	}
 }
 
-// ProcessNF runs the i-th NF on a slow-path packet of h's flow, for a
-// pipelined platform's per-NF goroutine on its own Batch, returning the
-// verdict and the NF's work cycles. PrepareRecording must have run first
-// for a recording packet, whose NF's span is published here.
-func (e *Engine) ProcessNF(i int, h flow.Handle, pkt *packet.Packet, recording bool, b *Batch) (Verdict, uint64, error) {
-	cs := e.state()
-	if i < 0 || i >= len(cs.chain) {
-		return 0, 0, fmt.Errorf("%w: %d", ErrNFIndex, i)
-	}
-	nf := cs.chain[i]
-	t := b.slow
-	t.ledger.Reset()
-	ctx := e.beginTraversal(t, h, pkt, recording, cs)
-	ctx.nf, ctx.slot = nf.Name(), i
-	v, err := nf.Process(ctx, pkt)
-	if err != nil {
-		return 0, t.ledger.Total(), fmt.Errorf("%w: %s: %w", ErrNFFailed, nf.Name(), err)
-	}
-	if len(ctx.acts) > 0 || len(ctx.funcs) > 0 {
-		t.rules = append(t.rules[:0], mat.LocalRule{Actions: ctx.acts, Funcs: ctx.funcs})
-		t.contribs = append(t.contribs[:0], mat.Contribution{Rule: &t.rules[0]})
-		ed := e.class.Flows().EditHandle(h)
-		e.events.Publish(ed, cs.epoch, len(cs.chain), i, t.contribs)
-		ed.Done()
-	}
-	return v, t.ledger.Total(), nil
-}
-
 // beginTraversal readies t's instrumentation context for one packet's
 // walk over the chain snapshot: empty recording buffers, a fresh ledger
 // span. The caller points ctx.nf at each NF in turn.
@@ -393,10 +349,10 @@ func (e *Engine) beginTraversal(t *traversal, h flow.Handle, pkt *packet.Packet,
 	return ctx
 }
 
-// PrepareRecording drops the recording of h's flow — its spans and
+// prepareRecording drops the recording of h's flow — its spans and
 // events, refunding the events' budget — so an initial packet re-records
 // from scratch; NF state and the ladder place are untouched.
-func (e *Engine) PrepareRecording(h flow.Handle) {
+func (e *Engine) prepareRecording(h flow.Handle) {
 	if event.Unrecorded(h) {
 		return
 	}
@@ -405,7 +361,7 @@ func (e *Engine) PrepareRecording(h flow.Handle) {
 	ed.Done()
 }
 
-// dropRecording is PrepareRecording on the flow under edit.
+// dropRecording is prepareRecording on the flow under edit.
 func (e *Engine) dropRecording(ed flow.Edit) {
 	e.refund(ed, false, true)
 	e.events.Remove(ed)
@@ -420,28 +376,10 @@ func (e *Engine) dropConsolidated(ed flow.Edit) bool {
 	return removed
 }
 
-// ConsolidateFlow folds the recording of h's flow into its Global MAT
-// rule and installs it, returning the work cycles; on
-// mat.ErrNotConsolidatable the flow stays on the slow path.
-func (e *Engine) ConsolidateFlow(h flow.Handle) (uint64, error) {
-	return e.reconsolidate(h, e.state())
-}
-
 // TeardownFlow removes all state for a finished flow (FIN/RST
 // cleanup, §VI-B).
 func (e *Engine) TeardownFlow(fid flow.FID) {
 	e.teardown(e.class.Flows().Edit(fid, false), CauseFinTeardown)
-}
-
-// Account folds a finished packet's result into the engine counters,
-// for platforms that assemble results themselves (the ONVM pipeline).
-func (e *Engine) Account(res *PacketResult) {
-	var d statsDelta
-	d.add(res)
-	e.statsFor(res.FID).fold(&d)
-	if e.tel != nil {
-		e.tel.accountPacket(res)
-	}
 }
 
 // ProcessPacket classifies and processes one packet, mutating (or
@@ -476,7 +414,7 @@ func (e *Engine) slowPath(h flow.Handle, pkt *packet.Packet, recording bool, res
 	if recording {
 		// Re-recording an initial packet (e.g. several packets raced
 		// in before consolidation) starts from a clean record.
-		e.PrepareRecording(h)
+		e.prepareRecording(h)
 		if cap(t.rules) < len(cs.chain) {
 			t.rules = make([]mat.LocalRule, len(cs.chain))
 			t.contribs = make([]mat.Contribution, len(cs.chain))
@@ -541,7 +479,7 @@ func (e *Engine) slowPath(h flow.Handle, pkt *packet.Packet, recording bool, res
 		// An event registration ran into the tenant's cap: a rule without
 		// the event would skip the NF's update, so the recording goes and
 		// the flow retries on its next initial packet (not laddered).
-		e.PrepareRecording(h)
+		e.prepareRecording(h)
 		e.statsFor(fid).eventCapDenied.Add(1)
 		recording = false
 	}
@@ -733,19 +671,6 @@ func (e *Engine) reconsolidate(h flow.Handle, cs *chainState) (uint64, error) {
 	return info.ConsolidateCycles, nil
 }
 
-// FastProcess runs the consolidated fast path for a subsequent packet of
-// h's flow, exposed for platforms that dispatch fast-path packets from
-// their own cores (the ONVM manager) and account the result themselves.
-// b is the calling core's Batch: the packet runs as its vector of one,
-// and the result is a caller-owned copy, as ProcessPacket's is.
-func (e *Engine) FastProcess(h flow.Handle, pkt *packet.Packet, b *Batch) (*PacketResult, error) {
-	b.begin(1)
-	if err := e.fastPathInto(b.classified(h), e.global.Live(h), pkt, &b.info[0], &b.res[0], b); err != nil {
-		return nil, err
-	}
-	return b.res[0].clone(), nil
-}
-
 // fastPathInto applies the consolidated rule, writing into the packet's
 // (zeroed) info and res slots of b — per-worker arrays, so steady-state
 // fast-path packets allocate nothing. fc is the flow's context and rule
@@ -869,9 +794,9 @@ func (e *Engine) fireEvents(h flow.Handle, info *FastPathInfo) (bool, error) {
 			// registering NF may no longer exist, and the flow's rule is
 			// from the same epoch, so the caller's lookup misses anyway.
 			// Drop the whole record — a flow's events and spans all share
-			// one epoch (PrepareRecording wipes them before re-recording)
+			// one epoch (prepareRecording wipes them before re-recording)
 			// — and let the slow path re-record under the live chain.
-			e.PrepareRecording(h)
+			e.prepareRecording(h)
 			return false, nil
 		}
 	}

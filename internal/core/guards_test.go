@@ -32,6 +32,19 @@ func handleOf(t *testing.T, eng *Engine, fid flow.FID) flow.Handle {
 	return h
 }
 
+// fastProcess runs the consolidated fast path of h's flow on one packet,
+// as the ladder's Subsequent arm does, on a context built from h: the
+// live rule is read off the entry, none (stale or evicted) takes the
+// Event Table's probe first.
+func fastProcess(t *testing.T, eng *Engine, h flow.Handle, pkt *packet.Packet, b *Batch) *PacketResult {
+	t.Helper()
+	b.begin(1)
+	if err := eng.fastPathInto(b.classified(h), eng.global.Live(h), pkt, &b.info[0], &b.res[0], b); err != nil {
+		t.Fatal(err)
+	}
+	return &b.res[0]
+}
+
 // wantGuards asserts the flow's live rule carries exactly the flow's n
 // registered conditions as its guards — a snapshot, not AskTable — and
 // returns the rule.
@@ -114,10 +127,7 @@ func TestGuardsFollowRegistrations(t *testing.T) {
 	eng.Global().MarkStale(fid)
 	nf.armed.Store(true)
 	before = probes()
-	res, err := eng.FastProcess(handleOf(t, eng, fid), udpPkt(t, 8601, "revive"), b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := fastProcess(t, eng, handleOf(t, eng, fid), udpPkt(t, 8601, "revive"), b)
 	if res.Path != PathFast || res.Fast.EventsFired != 1 || res.Verdict != VerdictDrop || probes()-before != 1 {
 		t.Errorf("stale rule, armed event: path %v, %d fired, verdict %v, %d probes; want a fast-path drop after one firing and one probe",
 			res.Path, res.Fast.EventsFired, res.Verdict, probes()-before)
@@ -135,10 +145,7 @@ func TestGuardsFollowRegistrations(t *testing.T) {
 	} {
 		lose.do()
 		before, fallbacks := probes(), eng.Stats().SlowPathFallbacks
-		res, err := eng.FastProcess(handleOf(t, eng, fid), udpPkt(t, 8601, lose.how), b)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := fastProcess(t, eng, handleOf(t, eng, fid), udpPkt(t, 8601, lose.how), b)
 		if res.Path != PathSlow || probes()-before != 1 || eng.Stats().SlowPathFallbacks != fallbacks+1 {
 			t.Errorf("%s rule: path %v, %d probes, %d fallbacks; want one probe, then one slow-path fallback",
 				lose.how, res.Path, probes()-before, eng.Stats().SlowPathFallbacks-fallbacks)
@@ -186,7 +193,7 @@ func TestGuardsAfterEventStorm(t *testing.T) {
 // snapshot and its install are one edit of the flow's entry, which a
 // registration also takes: one that lands before is in the snapshot, one
 // that lands after finds the new rule through its hook and swaps
-// AskTable in. Either way, once ConsolidateFlow has returned, the rule
+// AskTable in. Either way, once a reconsolidation has returned, the rule
 // it left serving either guards every registered condition or asks the
 // table. Run under -race: the guard word is written by the registrar
 // and read by the consolidator.
@@ -220,12 +227,12 @@ func TestGuardRaceHammer(t *testing.T) {
 		}()
 		for last := false; !last; {
 			last = done.Load() // one more round after the last registration
-			if _, err := eng.ConsolidateFlow(h); err != nil {
+			if _, err := eng.reconsolidate(h, eng.state()); err != nil {
 				t.Fatal(err)
 			}
 			rule, ok := eng.Global().LookupLive(fid)
 			if !ok {
-				t.Fatalf("%v: no live rule after ConsolidateFlow", fid)
+				t.Fatalf("%v: no live rule after reconsolidating", fid)
 			}
 			// If the comparison races a registration, the registration's
 			// hook has swapped AskTable in by the time GuardsCurrent can

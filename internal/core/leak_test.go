@@ -108,27 +108,6 @@ func TestConcurrentDistinctFlows(t *testing.T) {
 	}
 }
 
-// TestProcessNFBounds covers the exported stage API's error handling.
-func TestProcessNFBounds(t *testing.T) {
-	mod := &fakeModifier{name: "nat", dip: [4]byte{1, 1, 1, 1}}
-	eng, err := NewEngine([]NF{mod}, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := NewBatch(1)
-	h := eng.Events().Entry(1)
-	if _, _, err := eng.ProcessNF(-1, h, dataPkt(t, 0), false, b); err == nil {
-		t.Error("negative index accepted")
-	}
-	if _, _, err := eng.ProcessNF(1, h, dataPkt(t, 0), false, b); err == nil {
-		t.Error("out-of-range index accepted")
-	}
-	v, cycles, err := eng.ProcessNF(0, h, dataPkt(t, 0), false, b)
-	if err != nil || v != VerdictForward || cycles == 0 {
-		t.Errorf("ProcessNF = (%v, %d, %v)", v, cycles, err)
-	}
-}
-
 // noEvents is an admission policy with an event cap of zero.
 type noEvents struct{}
 

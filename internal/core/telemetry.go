@@ -296,12 +296,11 @@ func (t *engineTelemetry) accountPacket(res *PacketResult) {
 // workers mid-accountPacket keep a consistent view.
 func (t *engineTelemetry) rebuildStages(chain []NF) {
 	reg := t.hub.Registry
-	m := make(map[string]*telemetry.Histogram, 2*len(chain))
-	for i, nf := range chain {
+	m := make(map[string]*telemetry.Histogram, len(chain))
+	for _, nf := range chain {
 		h := reg.Histogram(chainLabeled(fmt.Sprintf("speedybox_nf_stage_cycles{nf=%q}", nf.Name()), t.chain),
 			"Per-NF slow-path stage work cycles")
 		m[nf.Name()] = h
-		m[fmt.Sprintf("nf%d", i)] = h
 	}
 	t.nfStage.Store(&m)
 }

@@ -91,7 +91,7 @@ func TestProcessAfterCloseFails(t *testing.T) {
 // close path must also be safe right after).
 func TestCloseWithInflightTraffic(t *testing.T) {
 	flaky := &flakyNF{name: "nf"}
-	p, err := New(Config{Chain: []core.NF{flaky}, Options: core.BaselineOptions(), RingCapacity: 2})
+	p, err := New(Config{Chain: []core.NF{flaky}, Options: core.BaselineOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}

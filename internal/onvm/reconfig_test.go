@@ -3,6 +3,7 @@ package onvm
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -26,10 +27,10 @@ func TestReconfigureAfterCloseTypedError(t *testing.T) {
 	}
 }
 
-// TestRingGaugeSurvivesShrink scrapes the per-ring depth gauges after a
-// shrinking reconfiguration: the gauge for the retired stage must read
-// zero, never index past the spliced (shorter) ring slice.
-func TestRingGaugeSurvivesShrink(t *testing.T) {
+// TestShrinkThenGrowUnderTraffic removes an NF from a chain carrying
+// traffic and inserts one back: every packet before, between and after
+// is processed, and the telemetry registry still scrapes.
+func TestShrinkThenGrowUnderTraffic(t *testing.T) {
 	hub := telemetry.NewHub()
 	opts := core.DefaultOptions()
 	opts.Telemetry = hub
@@ -39,25 +40,26 @@ func TestRingGaugeSurvivesShrink(t *testing.T) {
 	}
 	defer p.Close()
 
-	tr := smallTrace(t)
-	if _, err := platform.Run(p, tr.Packets()); err != nil {
-		t.Fatal(err)
+	traffic := func(when string) {
+		t.Helper()
+		tr := smallTrace(t)
+		res, err := platform.RunBatch(p, tr.Packets(), 32, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		if res.Packets != tr.Len() {
+			t.Fatalf("%s: processed %d of %d", when, res.Packets, tr.Len())
+		}
 	}
+	traffic("before the shrink")
 	if err := p.Reconfigure(core.ChainPlan{Op: core.OpRemove, Name: "fw2"}); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.ringDepth(2); got != 0 {
-		t.Errorf("ringDepth(2) after shrink = %v, want 0", got)
-	}
+	traffic("after the shrink")
 	var buf bytes.Buffer
 	if err := hub.Registry.WritePrometheus(&buf); err != nil {
 		t.Fatalf("scrape after shrink: %v", err)
 	}
-	if !bytes.Contains(buf.Bytes(), []byte(`speedybox_onvm_ring_depth{ring="nf2"}`)) {
-		t.Error("nf2 depth gauge missing from scrape after shrink")
-	}
-
-	// Growing back must not double-register the surviving gauges.
 	nf, err := ipfilter.New(ipfilter.Config{Name: "fw2b", Rules: ipfilter.PadRules(nil, 100)})
 	if err != nil {
 		t.Fatal(err)
@@ -65,9 +67,42 @@ func TestRingGaugeSurvivesShrink(t *testing.T) {
 	if err := p.Reconfigure(core.ChainPlan{Op: core.OpInsert, Pos: 2, NF: nf}); err != nil {
 		t.Fatal(err)
 	}
+	traffic("after the regrow")
 	buf.Reset()
 	if err := hub.Registry.WritePrometheus(&buf); err != nil {
 		t.Fatalf("scrape after regrow: %v", err)
+	}
+	if got := p.Engine().ChainNames(); !reflect.DeepEqual(got, []string{"fw0", "fw1", "fw2b"}) || p.Engine().Epoch() != 2 {
+		t.Errorf("chain %v at epoch %d, want [fw0 fw1 fw2b] at 2", got, p.Engine().Epoch())
+	}
+}
+
+// TestInsertPastCoreBudget: an insert into a chain already at the core
+// budget (5 NFs on the paper's 14 cores) is refused with
+// ErrChainTooLong before the engine commits anything — the epoch and
+// the chain stay as they were — while a same-length replace goes
+// through.
+func TestInsertPastCoreBudget(t *testing.T) {
+	p, err := New(Config{Chain: filterChain(t, 5), Options: core.DefaultOptions()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	eng := p.Engine()
+	names, epoch := eng.ChainNames(), eng.Epoch()
+	nf, err := ipfilter.New(ipfilter.Config{Name: "fw5", Rules: ipfilter.PadRules(nil, 10)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = p.Reconfigure(core.ChainPlan{Op: core.OpInsert, Pos: 5, NF: nf})
+	if !errors.Is(err, ErrChainTooLong) {
+		t.Fatalf("insert into a 5-NF chain: err = %v, want ErrChainTooLong", err)
+	}
+	if got := eng.ChainNames(); !reflect.DeepEqual(got, names) || eng.Epoch() != epoch {
+		t.Errorf("after the refused insert: chain %v at epoch %d, want %v at %d", got, eng.Epoch(), names, epoch)
+	}
+	if err := p.Reconfigure(core.ChainPlan{Op: core.OpReplace, Name: "fw4", NF: nf}); err != nil {
+		t.Fatalf("replace at the budget: %v", err)
 	}
 }
 

@@ -51,7 +51,8 @@ type Platform interface {
 	Engine() *core.Engine
 	// Model exposes the cost model.
 	Model() *cost.Model
-	// Close releases platform resources (pipeline goroutines).
+	// Close releases platform resources: the engine stops being a home
+	// of its NFs' per-flow state.
 	Close() error
 }
 

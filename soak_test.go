@@ -66,33 +66,41 @@ func TestSoakChain1AtScale(t *testing.T) {
 	}
 }
 
-// TestSoakPipelinedFreeRunning pushes the same scale through the
-// free-running ONVM pipeline.
-func TestSoakPipelinedFreeRunning(t *testing.T) {
+// TestSoakONVMBatched pushes the same scale through ONVM in 32-packet
+// vectors: every packet accounted, and the tables empty once the flows
+// end.
+func TestSoakONVMBatched(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")
 	}
 	tr, err := speedybox.GenerateTrace(speedybox.TraceConfig{
 		Seed: 77, Flows: 1000, Interleave: true,
+		UDPFraction: 0.0001, // all TCP: every flow tears down via FIN
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := speedybox.NewONVMPipeline(chain1(t), speedybox.DefaultOptions())
+	p, err := speedybox.NewONVM(chain1(t), speedybox.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	ms, err := p.RunPipelined(tr.Packets())
+	res, err := speedybox.RunBatch(p, tr.Packets(), 32, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ms) != tr.Len() {
-		t.Fatalf("measured %d of %d", len(ms), tr.Len())
+	if res.Packets != tr.Len() {
+		t.Fatalf("measured %d of %d", res.Packets, tr.Len())
 	}
-	st := p.Engine().Stats()
-	if st.Packets != uint64(tr.Len()) {
-		t.Errorf("accounted %d of %d", st.Packets, tr.Len())
+	if st := p.Engine().Stats(); st.Packets != uint64(tr.Len()) || st.FastPath == 0 {
+		t.Errorf("accounted %d of %d, %d on the fast path", st.Packets, tr.Len(), st.FastPath)
+	}
+	eng := p.Engine()
+	if err := eng.CheckRecords(); err != nil {
+		t.Error(err)
+	}
+	if r, e, f := eng.Global().Len(), eng.Events().Len(), eng.FlowLen(); r != 0 || e != 0 || f != 0 {
+		t.Errorf("after soak: %d rules, %d flows with events, %d flow records leaked", r, e, f)
 	}
 }
 

@@ -195,7 +195,7 @@ var (
 	ErrBadCheckpoint = wal.ErrBadCheckpoint
 	// ErrNilCheckpoint reports Restore called without a checkpoint.
 	ErrNilCheckpoint = core.ErrNilCheckpoint
-	// ErrPlatformClosed reports an ONVM operation after Close.
+	// ErrPlatformClosed reports an ONVM platform used after Close.
 	ErrPlatformClosed = onvm.ErrPlatformClosed
 )
 
@@ -407,22 +407,12 @@ func NewBESS(chain []NF, opts Options) (Platform, error) {
 	return bess.New(bess.Config{Chain: chain, Options: opts})
 }
 
-// ONVM is the concrete OpenNetVM platform. Beyond the Platform
-// interface it offers RunPipelined, a free-running mode with multiple
-// packets genuinely in flight across the NF-core goroutines.
-type ONVM = onvm.Platform
-
-// NewONVM builds an OpenNetVM-style pipelined platform: one dedicated
-// core (goroutine) per NF connected by shared-memory rings, with the
-// Global MAT hosted at the NF manager. Chains are limited to 5 NFs by
-// the modeled 14-core budget (paper §VII-B2).
+// NewONVM builds an OpenNetVM-style platform (paper §VI-A): the model of
+// one dedicated core per NF connected by shared-memory rings, with the
+// classifier and the Global MAT at the NF manager. Packets run the same
+// engine as on BESS; the platform prices them on that topology. Chains
+// are limited to 5 NFs by the modeled 14-core budget (paper §VII-B2).
 func NewONVM(chain []NF, opts Options) (Platform, error) {
-	return onvm.New(onvm.Config{Chain: chain, Options: opts})
-}
-
-// NewONVMPipeline is NewONVM returning the concrete type, for callers
-// that want the free-running RunPipelined mode.
-func NewONVMPipeline(chain []NF, opts Options) (*ONVM, error) {
 	return onvm.New(onvm.Config{Chain: chain, Options: opts})
 }
 
