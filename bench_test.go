@@ -194,7 +194,7 @@ func benchChain(b *testing.B) []speedybox.NF {
 // construction stays outside the timed loop. The untimed first call
 // records and consolidates the flow, so with SpeedyBox on every timed
 // packet is fast path; the baseline has only the one path.
-func benchPerPacket(b *testing.B, p speedybox.Platform) {
+func benchPerPacket(b *testing.B, p *speedybox.Platform) {
 	defer p.Close()
 	pkt, err := speedybox.BuildPacket(speedybox.PacketSpec{
 		SrcIP: [4]byte{10, 0, 0, 1}, DstIP: [4]byte{20, 0, 0, 1},
@@ -506,7 +506,7 @@ func BenchmarkChain1FastPathBatch(b *testing.B) {
 
 // chain1BESS builds the paper's Chain1 (the daemon's boot chain) on the
 // BESS model with full SpeedyBox.
-func chain1BESS(b *testing.B) speedybox.Platform {
+func chain1BESS(b *testing.B) *speedybox.Platform {
 	b.Helper()
 	spec, err := chainspec.Parse([]byte(server.DefaultSpecJSON))
 	if err != nil {
@@ -555,7 +555,7 @@ func chain1Lifecycles(conns int, data bool) (frames, pkts []*speedybox.Packet) {
 // reloading the descriptors from frames with the timer stopped. b.N
 // counts units of perOp packets; the last pass is run whole (a cut
 // connection would leave its flow behind), so small b.N overshoot.
-func benchChain1Replay(b *testing.B, p speedybox.Platform, frames, pkts []*speedybox.Packet, perOp int) {
+func benchChain1Replay(b *testing.B, p *speedybox.Platform, frames, pkts []*speedybox.Packet, perOp int) {
 	const vec = 32
 	bat := speedybox.NewBatch(vec)
 	pass := func() {

@@ -199,7 +199,7 @@ func run(args []string) error {
 			}
 			continue
 		}
-		var p speedybox.Platform
+		var p *speedybox.Platform
 		switch *platformName {
 		case "bess":
 			p, err = speedybox.NewBESS(chain, opts)

@@ -55,7 +55,7 @@ func run() error {
 				return err
 			}
 			chain := []speedybox.NF{ids, mon}
-			var p speedybox.Platform
+			var p *speedybox.Platform
 			if platformKind == "BESS" {
 				p, err = speedybox.NewBESS(chain, mode.opts)
 			} else {

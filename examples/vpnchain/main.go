@@ -112,7 +112,7 @@ func run() error {
 	return nil
 }
 
-func sampleRules(p speedybox.Platform, n int) string {
+func sampleRules(p *speedybox.Platform, n int) string {
 	dump := p.Engine().Global().Dump()
 	out := ""
 	for i, line := range bytes.Split([]byte(dump), []byte("\n")) {

@@ -82,7 +82,7 @@ type runOutput struct {
 	outs  [][]byte
 }
 
-func runThrough(t *testing.T, p speedybox.Platform, pkts []*speedybox.Packet) runOutput {
+func runThrough(t *testing.T, p *speedybox.Platform, pkts []*speedybox.Packet) runOutput {
 	t.Helper()
 	defer p.Close()
 	out := runOutput{}
@@ -128,23 +128,23 @@ func TestRandomChainsCrossVariantEquivalence(t *testing.T) {
 
 			variants := []struct {
 				name  string
-				build func() (speedybox.Platform, error)
+				build func() (*speedybox.Platform, error)
 			}{
-				{"bess-baseline", func() (speedybox.Platform, error) {
+				{"bess-baseline", func() (*speedybox.Platform, error) {
 					return speedybox.NewBESS(mkChain(), speedybox.BaselineOptions())
 				}},
-				{"bess-sbox", func() (speedybox.Platform, error) {
+				{"bess-sbox", func() (*speedybox.Platform, error) {
 					return speedybox.NewBESS(mkChain(), speedybox.DefaultOptions())
 				}},
-				{"bess-ha-only", func() (speedybox.Platform, error) {
+				{"bess-ha-only", func() (*speedybox.Platform, error) {
 					return speedybox.NewBESS(mkChain(), speedybox.Options{
 						EnableSpeedyBox: true, ConsolidateHeaders: true, ParallelSF: false,
 					})
 				}},
-				{"onvm-baseline", func() (speedybox.Platform, error) {
+				{"onvm-baseline", func() (*speedybox.Platform, error) {
 					return speedybox.NewONVM(mkChain(), speedybox.BaselineOptions())
 				}},
-				{"onvm-sbox", func() (speedybox.Platform, error) {
+				{"onvm-sbox", func() (*speedybox.Platform, error) {
 					return speedybox.NewONVM(mkChain(), speedybox.DefaultOptions())
 				}},
 			}

@@ -155,12 +155,13 @@ func New(cfg Config) (*Cluster, error) {
 	c := &Cluster{cfg: cfg, tableSize: cfg.TableSize}
 	insts := make([]*instance, cfg.Instances)
 	for i := range insts {
-		in, err := c.newInstance()
+		in, err := c.newInstance(fmt.Sprintf("i%d", i), nil)
 		if err != nil {
 			return nil, err
 		}
 		insts[i] = in
 	}
+	c.nextID = len(insts)
 	c.cur.Store(&view{insts: insts, table: populate(names(insts), c.tableSize)})
 	if cfg.Hub != nil {
 		reg := cfg.Hub.Registry
@@ -186,11 +187,12 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// newInstance constructs one engine instance over the shared chain and
-// replays every applied reconfiguration so it joins at the fleet's
-// chain composition and epoch. Caller holds c.mu (or is New).
-func (c *Cluster) newInstance() (*instance, error) {
-	name := fmt.Sprintf("i%d", c.nextID)
+// newInstance builds the named instance: a platform over the shared
+// chain, every applied reconfiguration replayed so it joins at the
+// fleet's chain composition and epoch, then restore, when non-nil, and
+// only then the instance's WAL, so replayed installs are not journaled.
+// Caller holds c.mu (or is New).
+func (c *Cluster) newInstance(name string, restore func(*core.Engine) error) (*instance, error) {
 	opts := c.cfg.Options
 	if c.cfg.Hub != nil {
 		opts.Telemetry = c.cfg.Hub
@@ -204,34 +206,37 @@ func (c *Cluster) newInstance() (*instance, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: instance %s: %w", name, err)
 	}
-	if err := c.replayPlans(plat); err != nil {
-		_ = plat.Close()
-		return nil, fmt.Errorf("cluster: instance %s: %w", name, err)
-	}
 	in := &instance{name: name, plat: plat}
+	if len(c.plans) > 0 {
+		err = c.replay([]*instance{in}, c.plans)
+	}
+	if err == nil && restore != nil {
+		err = restore(plat.Engine())
+	}
+	if err != nil {
+		_ = plat.Close()
+		return nil, err
+	}
 	if c.cfg.Durable {
 		in.walW = wal.NewWriter(wal.Options{})
 		plat.Engine().AttachWAL(in.walW)
 	}
-	c.nextID++
 	return in, nil
 }
 
-// replayPlans applies the recorded reconfigurations to a fresh
-// instance with the abort injector suppressed: the fleet already
-// committed these plans, so a late joiner must not be able to refuse
-// them.
-func (c *Cluster) replayPlans(plat *bess.Platform) error {
-	if len(c.plans) == 0 {
-		return nil
-	}
+// replay applies plans the fleet already committed to insts with the
+// reconfiguration-abort injector suppressed: an instance must not be
+// able to refuse them.
+func (c *Cluster) replay(insts []*instance, plans []core.ChainPlan) error {
 	inj := c.cfg.Options.Faults
 	saved := inj.Rate(fault.KindReconfigAbort)
 	inj.SetRate(fault.KindReconfigAbort, 0)
 	defer inj.SetRate(fault.KindReconfigAbort, saved)
-	for _, plan := range c.plans {
-		if err := plat.Reconfigure(plan); err != nil {
-			return err
+	for _, in := range insts {
+		for _, plan := range plans {
+			if err := in.plat.Reconfigure(plan); err != nil {
+				return fmt.Errorf("cluster: instance %s diverged on committed plan: %w", in.name, err)
+			}
 		}
 	}
 	return nil
@@ -375,12 +380,13 @@ func (c *Cluster) Stats() core.Stats {
 	return s
 }
 
-// bankRetired folds a departing instance's counters into the retired
-// bank before its engine is discarded.
-func (c *Cluster) bankRetired(st core.Stats) {
+// retire folds a departing instance's counters into the retired bank
+// and closes its platform.
+func (c *Cluster) retire(in *instance) error {
 	c.retiredMu.Lock()
-	c.retired.Add(st)
+	c.retired.Add(in.engine().Stats())
 	c.retiredMu.Unlock()
+	return in.plat.Close()
 }
 
 // InstanceStatus is one instance's status-rollup row.
@@ -424,10 +430,11 @@ func (c *Cluster) addLocked() (string, error) {
 	if len(old.insts)+1 >= c.tableSize {
 		return "", fmt.Errorf("%w: %d instances would reach table size %d", ErrBadScale, len(old.insts)+1, c.tableSize)
 	}
-	in, err := c.newInstance()
+	in, err := c.newInstance(fmt.Sprintf("i%d", c.nextID), nil)
 	if err != nil {
 		return "", err
 	}
+	c.nextID++
 	newInsts := append(append([]*instance(nil), old.insts...), in)
 	if err := c.rebalance(old, newInsts); err != nil {
 		_ = in.plat.Close()
@@ -468,8 +475,7 @@ func (c *Cluster) removeLocked(old *view, idx int) error {
 	if err := c.rebalance(old, newInsts); err != nil {
 		return err
 	}
-	c.bankRetired(removed.engine().Stats())
-	return removed.plat.Close()
+	return c.retire(removed)
 }
 
 // ScaleTo adds or removes instances one rebalance at a time until the
@@ -639,16 +645,9 @@ func (c *Cluster) Reconfigure(plan core.ChainPlan) error {
 		return err
 	}
 	if len(v.insts) > 1 {
-		inj := c.cfg.Options.Faults
-		saved := inj.Rate(fault.KindReconfigAbort)
-		inj.SetRate(fault.KindReconfigAbort, 0)
-		for _, in := range v.insts[1:] {
-			if err := in.plat.Reconfigure(plan); err != nil {
-				inj.SetRate(fault.KindReconfigAbort, saved)
-				return fmt.Errorf("cluster: instance %s diverged on committed plan: %w", in.name, err)
-			}
+		if err := c.replay(v.insts[1:], []core.ChainPlan{plan}); err != nil {
+			return err
 		}
-		inj.SetRate(fault.KindReconfigAbort, saved)
 	}
 	c.plans = append(c.plans, plan)
 	return nil
@@ -683,43 +682,19 @@ func (c *Cluster) CrashInstance(i int) error {
 		walBytes = append([]byte(nil), in.walW.DurableBytes()...)
 	}
 
-	opts := c.cfg.Options
-	if c.cfg.Hub != nil {
-		opts.Telemetry = c.cfg.Hub
-		if opts.ChainLabel == "" {
-			opts.ChainLabel = in.name
-		} else {
-			opts.ChainLabel += "." + in.name
-		}
-	}
-	plat, err := bess.New(bess.Config{Chain: c.cfg.Chain, Options: opts})
-	if err != nil {
-		return fmt.Errorf("cluster: crash rebuild %s: %w", in.name, err)
-	}
-	if err := c.replayPlans(plat); err != nil {
-		_ = plat.Close()
-		return fmt.Errorf("cluster: crash rebuild %s: %w", in.name, err)
-	}
 	restored, err := wal.DecodeCheckpoint(blob)
 	if err != nil {
-		_ = plat.Close()
 		return fmt.Errorf("cluster: crash restore %s: %w", in.name, err)
 	}
 	restored.NFState = nil // shared NFs survived with their cross-flow state
-	if err := plat.Engine().Restore(restored, walBytes); err != nil {
-		_ = plat.Close()
+	fresh, err := c.newInstance(in.name, func(e *core.Engine) error { return e.Restore(restored, walBytes) })
+	if err != nil {
 		return fmt.Errorf("cluster: crash restore %s: %w", in.name, err)
-	}
-	fresh := &instance{name: in.name, plat: plat}
-	if c.cfg.Durable {
-		fresh.walW = wal.NewWriter(wal.Options{})
-		plat.Engine().AttachWAL(fresh.walW)
 	}
 	insts := append([]*instance(nil), v.insts...)
 	insts[i] = fresh
 	c.cur.Store(&view{insts: insts, table: v.table})
-	c.bankRetired(in.engine().Stats())
-	return in.plat.Close()
+	return c.retire(in)
 }
 
 // AdviseInstances is the autoscaling hint: given the current instance
@@ -764,15 +739,12 @@ func clamp(v, lo, hi int) int {
 	return v
 }
 
-// Close releases every live instance.
+// Close releases every live instance (closing a platform cannot fail).
 func (c *Cluster) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var first error
 	for _, in := range c.cur.Load().insts {
-		if err := in.plat.Close(); err != nil && first == nil {
-			first = err
-		}
+		_ = in.plat.Close()
 	}
-	return first
+	return nil
 }

@@ -58,11 +58,9 @@ type engineTelemetry struct {
 	slowLat      *telemetry.Histogram
 	handshakeLat *telemetry.Histogram
 
-	// Per-NF slow-path stage work, indexed by ledger stage name (both
-	// the NF's own name and the pipelined platform's positional
-	// "nf<i>" alias map to the same histogram). Held behind an atomic
-	// pointer and rebuilt copy-on-write by Reconfigure, so inserted NFs
-	// get histograms while concurrent workers keep reading the old map.
+	// Per-NF slow-path stage work, indexed by NF name. Held behind an
+	// atomic pointer and rebuilt copy-on-write by Reconfigure, so inserted
+	// NFs get histograms while concurrent workers keep reading the old map.
 	nfStage atomic.Pointer[map[string]*telemetry.Histogram]
 
 	// Global MAT churn; removals by cause.

@@ -82,7 +82,7 @@ type Partitioned struct {
 // per-packet measurements. Handshake and FIN packets are excluded from
 // the init/sub buckets (the paper's microbenchmarks measure data
 // packets) but still contribute to flow processing time.
-func runPartitioned(p platform.Platform, pkts []*packet.Packet, batch int) (*Partitioned, error) {
+func runPartitioned(p *platform.Platform, pkts []*packet.Packet, batch int) (*Partitioned, error) {
 	out := &Partitioned{
 		PerNFSub:   make(map[string][]float64),
 		FlowCycles: make(map[flow.FID]uint64),

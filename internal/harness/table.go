@@ -46,7 +46,7 @@ type point struct {
 	platform string
 	n        int
 	runs     []*Partitioned
-	plats    []platform.Platform
+	plats    []*platform.Platform
 }
 
 // platformModel is one execution platform of the evaluation; maxLen is
@@ -54,20 +54,20 @@ type point struct {
 type platformModel struct {
 	name   string
 	maxLen int
-	build  func(chain []core.NF, opts core.Options) (platform.Platform, error)
+	build  func(chain []core.NF, opts core.Options) (*platform.Platform, error)
 }
 
 var (
 	// BESS runs every NF in one process, so any chain length.
 	bessModel = platformModel{name: "BESS", maxLen: math.MaxInt,
-		build: func(chain []core.NF, opts core.Options) (platform.Platform, error) {
+		build: func(chain []core.NF, opts core.Options) (*platform.Platform, error) {
 			return bess.New(bess.Config{Chain: chain, Options: opts})
 		}}
 	// OpenNetVM gives every NF its own core, so its chains stop at the
 	// testbed's core budget (§VII-B2).
 	onvmModel = platformModel{name: "OpenNetVM",
 		maxLen: onvm.MaxChainLen(cost.DefaultModel().ONVMCoreBudget),
-		build: func(chain []core.NF, opts core.Options) (platform.Platform, error) {
+		build: func(chain []core.NF, opts core.Options) (*platform.Platform, error) {
 			return onvm.New(onvm.Config{Chain: chain, Options: opts})
 		}}
 	bothPlatforms = []platformModel{bessModel, onvmModel}

@@ -78,19 +78,6 @@ func TestNames(t *testing.T) {
 	}
 }
 
-func TestCloseIdempotent(t *testing.T) {
-	p, err := New(Config{Chain: filterChain(t, 2), Options: core.BaselineOptions()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPipelineRunOnTrace(t *testing.T) {
 	p, err := New(Config{Chain: filterChain(t, 3), Options: core.DefaultOptions()})
 	if err != nil {
@@ -145,7 +132,7 @@ func TestCrossPlatformOutputEquivalence(t *testing.T) {
 
 // platformRun is one platform's side of crossPlatformRun.
 type platformRun struct {
-	p   platform.Platform
+	p   *platform.Platform
 	inj *fault.Injector
 	ids *snort.Snort
 	mon *monitor.Monitor

@@ -7,23 +7,59 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/fastpathnfv/speedybox/internal/bess"
 	"github.com/fastpathnfv/speedybox/internal/core"
 	"github.com/fastpathnfv/speedybox/internal/nf/ipfilter"
+	"github.com/fastpathnfv/speedybox/internal/packet"
 	"github.com/fastpathnfv/speedybox/internal/platform"
 	"github.com/fastpathnfv/speedybox/internal/telemetry"
 )
 
-func TestReconfigureAfterCloseTypedError(t *testing.T) {
-	p, err := New(Config{Chain: filterChain(t, 2), Options: core.DefaultOptions()})
-	if err != nil {
-		t.Fatal(err)
+// TestClosedPlatformRefusesWork: after Close, a BESS and an ONVM
+// platform alike refuse Process, ProcessBatch and Reconfigure with
+// platform.ErrClosed, and a second Close is a no-op.
+func TestClosedPlatformRefusesWork(t *testing.T) {
+	models := []struct {
+		name  string
+		build func(Config) (*platform.Platform, error)
+	}{
+		{"bess", func(c Config) (*platform.Platform, error) { return bess.New(bess.Config(c)) }},
+		{"onvm", New},
 	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
+	calls := []struct {
+		name string
+		call func(*testing.T, *platform.Platform) error
+	}{
+		{"Process", func(t *testing.T, p *platform.Platform) error {
+			_, err := p.Process(udpPkt(t, 9001))
+			return err
+		}},
+		{"ProcessBatch", func(t *testing.T, p *platform.Platform) error {
+			_, err := p.ProcessBatch([]*packet.Packet{udpPkt(t, 9001)}, platform.NewBatch(1))
+			return err
+		}},
+		{"Reconfigure", func(_ *testing.T, p *platform.Platform) error {
+			return p.Reconfigure(core.ChainPlan{Op: core.OpRemove, Name: "fw1"})
+		}},
 	}
-	err = p.Reconfigure(core.ChainPlan{Op: core.OpRemove, Name: "fw1"})
-	if !errors.Is(err, ErrPlatformClosed) {
-		t.Errorf("Reconfigure after Close: err = %v, want ErrPlatformClosed", err)
+	for _, m := range models {
+		for _, c := range calls {
+			t.Run(m.name+"/"+c.name, func(t *testing.T) {
+				p, err := m.build(Config{Chain: filterChain(t, 2), Options: core.DefaultOptions()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := p.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if err := p.Close(); err != nil {
+					t.Fatalf("second Close: %v", err)
+				}
+				if err := c.call(t, p); !errors.Is(err, platform.ErrClosed) {
+					t.Errorf("%s after Close: err = %v, want platform.ErrClosed", c.name, err)
+				}
+			})
+		}
 	}
 }
 

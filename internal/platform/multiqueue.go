@@ -15,7 +15,7 @@ import (
 // per-flow ordering — the same guarantee hardware RSS gives — while
 // disjoint flows proceed in parallel on the engine's FID-sharded state.
 type MultiQueue struct {
-	p       Platform
+	p       *Platform
 	workers int
 	batch   int
 
@@ -36,7 +36,7 @@ type MultiQueue struct {
 // fair-share draining in a multi-chain topology.
 type ChainClass struct {
 	// Platform processes the class's packets (one chain's engine).
-	Platform Platform
+	Platform *Platform
 	// Weight is the class's relative share, >= 1: per scheduling round
 	// a class may process up to Weight×quantum packets before yielding
 	// to the next class (quantum = the batch size, min 1). A tenant
@@ -46,7 +46,7 @@ type ChainClass struct {
 }
 
 // NewMultiQueue wraps the platform with a workers-way RSS dispatcher.
-func NewMultiQueue(p Platform, workers int) (*MultiQueue, error) {
+func NewMultiQueue(p *Platform, workers int) (*MultiQueue, error) {
 	if p == nil {
 		return nil, fmt.Errorf("platform: multiqueue: nil platform")
 	}
@@ -82,7 +82,7 @@ func (m *MultiQueue) SetBatchSize(n int) { m.batch = max(n, 1) }
 func (m *MultiQueue) BatchSize() int { return m.batch }
 
 // Platform returns the wrapped platform.
-func (m *MultiQueue) Platform() Platform { return m.p }
+func (m *MultiQueue) Platform() *Platform { return m.p }
 
 // SetClasses switches the dispatcher to multi-chain fair-share mode:
 // route maps each packet to a class index (out-of-range falls back to

@@ -14,45 +14,16 @@ import (
 	"github.com/fastpathnfv/speedybox/internal/trace"
 )
 
-// engPlatform drives a real engine with a trivial latency formula, so
-// multi-queue runs exercise the full classify/record/consolidate path.
-type engPlatform struct {
-	eng *core.Engine
-}
+// trivial prices a packet at its work plus 100 cycles, so multi-queue
+// runs over a real engine exercise the full classify/record/consolidate
+// path.
+type trivial struct{}
 
-func (p *engPlatform) Name() string         { return "eng" }
-func (p *engPlatform) Engine() *core.Engine { return p.eng }
-func (p *engPlatform) Model() *cost.Model   { return p.eng.Model() }
-func (p *engPlatform) Close() error         { return nil }
-
-func (p *engPlatform) Process(pkt *packet.Packet) (Measurement, error) {
-	res, err := p.eng.ProcessPacket(pkt)
-	if err != nil {
-		return Measurement{}, err
+func (trivial) Price(_ *cost.Model, ms []Measurement) {
+	for i := range ms {
+		ms[i].LatencyCycles = ms[i].WorkCycles + 100
+		ms[i].BottleneckCycles = ms[i].WorkCycles + 100
 	}
-	return Measurement{
-		Result:           res,
-		WorkCycles:       res.WorkCycles,
-		LatencyCycles:    res.WorkCycles + 100,
-		BottleneckCycles: res.WorkCycles + 100,
-	}, nil
-}
-
-func (p *engPlatform) ProcessBatch(pkts []*packet.Packet, b *Batch) ([]Measurement, error) {
-	results, err := p.eng.ProcessBatch(pkts, b.Core)
-	if err != nil {
-		return nil, err
-	}
-	ms := b.Measurements(len(results))
-	for i, res := range results {
-		ms[i] = Measurement{
-			Result:           res,
-			WorkCycles:       res.WorkCycles,
-			LatencyCycles:    res.WorkCycles + 100,
-			BottleneckCycles: res.WorkCycles + 100,
-		}
-	}
-	return ms, nil
 }
 
 // dropNF deterministically drops one quarter of the flows by FID, so
@@ -94,13 +65,17 @@ func testTrace(t *testing.T) []*packet.Packet {
 	return tr.Packets()
 }
 
-func newEngPlatform(t *testing.T, chain []core.NF, opts core.Options) *engPlatform {
+func newEngPlatform(t *testing.T, chain []core.NF, opts core.Options) *Platform {
 	t.Helper()
 	eng, err := core.NewEngine(chain, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &engPlatform{eng: eng}
+	p, err := New(eng, "eng", "eng", trivial{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func TestNewMultiQueueValidation(t *testing.T) {
@@ -115,7 +90,7 @@ func TestNewMultiQueueValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mq.Workers() != 4 || mq.Platform() != Platform(p) {
+	if mq.Workers() != 4 || mq.Platform() != p {
 		t.Errorf("Workers=%d Platform=%v", mq.Workers(), mq.Platform())
 	}
 }
@@ -214,9 +189,7 @@ func TestMultiQueuePreservesFlowOrder(t *testing.T) {
 }
 
 func TestMultiQueuePropagatesError(t *testing.T) {
-	p := newFake(t, nil)
-	p.err = errors.New("boom")
-	mq, err := NewMultiQueue(p, 2)
+	mq, err := NewMultiQueue(newFake(t, failNF{}, nil), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

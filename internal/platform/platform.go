@@ -1,20 +1,27 @@
-// Package platform defines the execution-platform abstraction shared
-// by the BESS and OpenNetVM models: per-packet measurements combining
-// the engine's work accounting with platform-specific latency and
-// throughput formulas, plus a trace runner that aggregates run-level
-// statistics (per-packet latency, per-flow processing time, rate).
+// Package platform is the execution platform of the BESS and OpenNetVM
+// models: one wrapper over the engine that prices its results with a
+// topology's latency and throughput formula (a Pricing), plus a trace
+// runner that aggregates run-level statistics (per-packet latency,
+// per-flow processing time, rate).
 package platform
 
 import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"github.com/fastpathnfv/speedybox/internal/core"
 	"github.com/fastpathnfv/speedybox/internal/cost"
+	"github.com/fastpathnfv/speedybox/internal/errcode"
 	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/packet"
+	"github.com/fastpathnfv/speedybox/internal/telemetry"
 )
+
+// ErrClosed reports a platform used after Close (test with errors.Is):
+// an orderly shutdown race, not a real failure.
+var ErrClosed = errcode.Sentinel("platform.closed", "platform: closed")
 
 // Measurement is one packet's platform-level account.
 type Measurement struct {
@@ -33,41 +40,121 @@ type Measurement struct {
 	BottleneckCycles uint64
 }
 
-// Platform is an NFV execution platform hosting one service chain.
-type Platform interface {
-	// Name returns the platform name ("BESS" or "OpenNetVM"),
-	// suffixed with " w/ SBox" when SpeedyBox is enabled.
-	Name() string
-	// Process runs one packet through the chain.
-	Process(pkt *packet.Packet) (Measurement, error)
-	// ProcessBatch runs a vector of packets through the chain in
-	// arrival order, using the caller-owned Batch scratch (one per
-	// worker goroutine). Returned measurements point into the Batch and
-	// are valid until its next use. Semantics match calling Process per
-	// packet; platforms amortize dispatch, lookups and allocations
-	// across the vector.
-	ProcessBatch(pkts []*packet.Packet, b *Batch) ([]Measurement, error)
-	// Engine exposes the underlying SpeedyBox engine.
-	Engine() *core.Engine
-	// Model exposes the cost model.
-	Model() *cost.Model
-	// Close releases platform resources: the engine stops being a home
-	// of its NFs' per-flow state.
-	Close() error
+// Pricing is one topology's cost formula (paper §VI-A): Price fills in
+// a vector's latency, bottleneck and work under the cost model, given
+// each measurement's Result and the engine's WorkCycles.
+type Pricing interface {
+	Price(model *cost.Model, ms []Measurement)
 }
 
-// Reconfigurer is the optional live-reconfiguration capability: a
-// platform implementing it applies a chain plan without stopping the
-// pipeline (no packet dropped, surviving NF state preserved). Callers
-// type-assert:
-//
-//	if r, ok := p.(platform.Reconfigurer); ok { err = r.Reconfigure(plan) }
-//
-// Both the BESS and the ONVM model implement it; the interface stays
-// separate from Platform so third-party platforms without a live path
-// remain valid.
-type Reconfigurer interface {
-	Reconfigure(plan core.ChainPlan) error
+// Platform is an NFV execution platform hosting one service chain: the
+// engine's decision ladder, its results priced on one topology. BESS
+// and OpenNetVM differ only in their Pricing and chain-length budget.
+type Platform struct {
+	eng    *core.Engine
+	name   string
+	price  Pricing
+	budget func(nfs int) error  // refuses a chain too long; nil: no limit
+	lat    *telemetry.Histogram // modeled latency; nil without a hub
+	mu     sync.Mutex           // makes Reconfigure's budget check and insert one step
+	closed atomic.Bool
+}
+
+// New wraps eng as the platform DisplayName(base, ...) names, pricing
+// its results with price; label tags its latency histogram. A non-nil
+// budget is checked now (a refusal closes eng) and on every insert.
+func New(eng *core.Engine, base, label string, price Pricing, budget func(nfs int) error) (*Platform, error) {
+	if budget != nil {
+		if err := budget(eng.ChainLen()); err != nil {
+			eng.Close()
+			return nil, err
+		}
+	}
+	p := &Platform{eng: eng, name: DisplayName(base, eng.Options().EnableSpeedyBox), price: price, budget: budget}
+	if hub := eng.Telemetry(); hub != nil {
+		p.lat = hub.Registry.Histogram(`speedybox_platform_latency_cycles{platform="`+label+`"}`,
+			"Per-packet end-to-end latency (modeled cycles) on the platform topology")
+	}
+	return p, nil
+}
+
+// Name returns the display name, e.g. "BESS" or "OpenNetVM w/ SBox".
+func (p *Platform) Name() string { return p.name }
+
+// Engine exposes the underlying SpeedyBox engine.
+func (p *Platform) Engine() *core.Engine { return p.eng }
+
+// Model exposes the cost model.
+func (p *Platform) Model() *cost.Model { return p.eng.Model() }
+
+// Close makes the engine stop being a home of its NFs' per-flow state;
+// every later call returns ErrClosed, and a second Close does nothing.
+func (p *Platform) Close() error {
+	if !p.closed.Swap(true) {
+		p.eng.Close()
+	}
+	return nil
+}
+
+// Reconfigure applies a chain plan without stopping traffic: an insert
+// must fit the budget, and the engine's snapshot swap does the rest
+// (vectors in flight miss their cached rules and take the slow path).
+func (p *Platform) Reconfigure(plan core.ChainPlan) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed.Load() {
+		return ErrClosed
+	}
+	if plan.Op == core.OpInsert && p.budget != nil {
+		if err := p.budget(p.eng.ChainLen() + 1); err != nil {
+			return err
+		}
+	}
+	return p.eng.Reconfigure(plan)
+}
+
+// Process runs one packet through the chain.
+func (p *Platform) Process(pkt *packet.Packet) (Measurement, error) {
+	if p.closed.Load() {
+		return Measurement{}, ErrClosed
+	}
+	res, err := p.eng.ProcessPacket(pkt)
+	if err != nil {
+		return Measurement{}, err
+	}
+	ms := []Measurement{{Result: res, WorkCycles: res.WorkCycles}}
+	p.priceVector(ms)
+	return ms[0], nil
+}
+
+// ProcessBatch is Process over a vector, in arrival order, on the
+// caller's Batch (one per worker goroutine); the measurements point
+// into the Batch and are valid until its next use.
+func (p *Platform) ProcessBatch(pkts []*packet.Packet, b *Batch) ([]Measurement, error) {
+	if p.closed.Load() {
+		return nil, ErrClosed
+	}
+	results, err := p.eng.ProcessBatch(pkts, b.Core)
+	if err != nil {
+		return nil, err
+	}
+	ms := b.meas[:0]
+	for _, res := range results {
+		ms = append(ms, Measurement{Result: res, WorkCycles: res.WorkCycles})
+	}
+	b.meas = ms
+	p.priceVector(ms)
+	return ms, nil
+}
+
+// priceVector prices one vector and records its latencies.
+func (p *Platform) priceVector(ms []Measurement) {
+	p.price.Price(p.eng.Model(), ms)
+	if p.lat != nil {
+		for i := range ms {
+			p.lat.Record(ms[i].LatencyCycles, uint32(ms[i].Result.FID))
+		}
+	}
 }
 
 // Batch is per-worker scratch for ProcessBatch: the engine-level batch
@@ -86,16 +173,6 @@ func NewBatch(n int) *Batch {
 		n = core.DefaultBatchSize
 	}
 	return &Batch{Core: core.NewBatch(n), meas: make([]Measurement, n)}
-}
-
-// Measurements returns the reusable measurement buffer resized to n
-// (for platform implementations).
-func (b *Batch) Measurements(n int) []Measurement {
-	if cap(b.meas) < n {
-		b.meas = make([]Measurement, n)
-	}
-	b.meas = b.meas[:n]
-	return b.meas
 }
 
 // DisplayName composes the conventional platform label.
@@ -268,7 +345,7 @@ func Drain(pkts []*packet.Packet, batch int, route func(*packet.Packet) int,
 // Run feeds every packet of the trace through the platform in order,
 // one packet per vector, and aggregates the measurements. Packet
 // buffers are consumed (the platform mutates or drops them).
-func Run(p Platform, pkts []*packet.Packet) (*RunResult, error) {
+func Run(p *Platform, pkts []*packet.Packet) (*RunResult, error) {
 	return RunBatch(p, pkts, 1, nil)
 }
 
@@ -277,7 +354,7 @@ func Run(p Platform, pkts []*packet.Packet) (*RunResult, error) {
 // arrival order. When pool is non-nil, every packet is returned to it
 // after its measurement is folded in, so pooled trace replay recycles
 // descriptors.
-func RunBatch(p Platform, pkts []*packet.Packet, batchSize int, pool *packet.Pool) (*RunResult, error) {
+func RunBatch(p *Platform, pkts []*packet.Packet, batchSize int, pool *packet.Pool) (*RunResult, error) {
 	b := NewBatch(batchSize)
 	res := NewRunResult(p.Model())
 	err := Drain(pkts, batchSize, nil,

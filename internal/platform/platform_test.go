@@ -12,40 +12,18 @@ import (
 	"github.com/fastpathnfv/speedybox/internal/packet"
 )
 
-// fakePlatform returns scripted measurements.
-type fakePlatform struct {
-	eng      *core.Engine
-	model    *cost.Model
+// scripted prices each packet with the next of its measurements, in
+// order, whatever the engine decided.
+type scripted struct {
 	measures []Measurement
 	next     int
-	err      error
-	closed   bool
 }
 
-func (f *fakePlatform) Name() string         { return "fake" }
-func (f *fakePlatform) Engine() *core.Engine { return f.eng }
-func (f *fakePlatform) Model() *cost.Model   { return f.model }
-func (f *fakePlatform) Close() error         { f.closed = true; return nil }
-
-func (f *fakePlatform) Process(pkt *packet.Packet) (Measurement, error) {
-	if f.err != nil {
-		return Measurement{}, f.err
+func (s *scripted) Price(_ *cost.Model, ms []Measurement) {
+	for i := range ms {
+		ms[i] = s.measures[s.next%len(s.measures)]
+		s.next++
 	}
-	m := f.measures[f.next%len(f.measures)]
-	f.next++
-	return m, nil
-}
-
-func (f *fakePlatform) ProcessBatch(pkts []*packet.Packet, b *Batch) ([]Measurement, error) {
-	ms := b.Measurements(len(pkts))[:0]
-	for _, pkt := range pkts {
-		m, err := f.Process(pkt)
-		if err != nil {
-			return nil, err
-		}
-		ms = append(ms, m)
-	}
-	return ms, nil
 }
 
 type noopNF struct{}
@@ -55,13 +33,27 @@ func (noopNF) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, error) {
 	return core.VerdictForward, nil
 }
 
-func newFake(t *testing.T, measures []Measurement) *fakePlatform {
+// failNF fails every packet, so the engine returns an error.
+type failNF struct{}
+
+func (failNF) Name() string { return "fail" }
+func (failNF) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, error) {
+	return 0, errors.New("boom")
+}
+
+// newFake returns a platform over a real one-NF baseline engine whose
+// pricing is scripted.
+func newFake(t *testing.T, nf core.NF, measures []Measurement) *Platform {
 	t.Helper()
-	eng, err := core.NewEngine([]core.NF{noopNF{}}, core.BaselineOptions())
+	eng, err := core.NewEngine([]core.NF{nf}, core.BaselineOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &fakePlatform{eng: eng, model: cost.DefaultModel(), measures: measures}
+	p, err := New(eng, "fake", "fake", &scripted{measures: measures}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func pkt(t *testing.T) *packet.Packet {
@@ -85,7 +77,7 @@ func TestRunAggregation(t *testing.T) {
 		{Result: res(1, core.VerdictForward), WorkCycles: 200, LatencyCycles: 4000, BottleneckCycles: 4000},
 		{Result: res(2, core.VerdictDrop), WorkCycles: 300, LatencyCycles: 6000, BottleneckCycles: 4000},
 	}
-	p := newFake(t, measures)
+	p := newFake(t, noopNF{}, measures)
 	out, err := Run(p, []*packet.Packet{pkt(t), pkt(t), pkt(t)})
 	if err != nil {
 		t.Fatal(err)
@@ -115,15 +107,14 @@ func TestRunAggregation(t *testing.T) {
 }
 
 func TestRunPropagatesError(t *testing.T) {
-	p := newFake(t, nil)
-	p.err = errors.New("boom")
+	p := newFake(t, failNF{}, nil)
 	if _, err := Run(p, []*packet.Packet{pkt(t)}); err == nil {
 		t.Error("Run swallowed the platform error")
 	}
 }
 
 func TestRunEmptyTrace(t *testing.T) {
-	p := newFake(t, []Measurement{{Result: res(1, core.VerdictForward)}})
+	p := newFake(t, noopNF{}, []Measurement{{Result: res(1, core.VerdictForward)}})
 	out, err := Run(p, nil)
 	if err != nil {
 		t.Fatal(err)

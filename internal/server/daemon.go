@@ -172,7 +172,7 @@ func (c Config) withDefaults() Config {
 type Daemon struct {
 	cfg  Config
 	hub  *telemetry.Hub
-	plat platform.Platform    // nil in cluster mode
+	plat *platform.Platform   // nil in cluster mode
 	mq   *platform.MultiQueue // nil in cluster mode
 	// cl and clRun are set in cluster mode (Config.Instances > 1): the
 	// engine fleet and the pump adapter driving it.
@@ -240,25 +240,23 @@ func New(cfg Config) (*Daemon, error) {
 		// /v1/status reports zeros rather than panicking.
 		d.walW = wal.NewWriter(wal.Options{})
 	} else {
-		var plat platform.Platform
 		switch spec.Platform {
 		case "onvm":
-			plat, err = onvm.New(onvm.Config{Chain: chain, Options: opts})
+			d.plat, err = onvm.New(onvm.Config{Chain: chain, Options: opts})
 		default:
-			plat, err = bess.New(bess.Config{Chain: chain, Options: opts})
+			d.plat, err = bess.New(bess.Config{Chain: chain, Options: opts})
 		}
 		if err != nil {
 			return nil, err
 		}
-		d.plat = plat
-		eng := plat.Engine()
+		eng := d.plat.Engine()
 
 		// Restore precedes WAL attachment: replayed installs must not be
 		// re-journaled into the fresh log, whose first records should be
 		// post-boot mutations anchored by the next checkpoint.
 		if cfg.RestoreFrom != "" {
 			if err := d.restoreFromFiles(cfg.RestoreFrom, cfg.RestoreWAL); err != nil {
-				plat.Close()
+				d.plat.Close()
 				return nil, err
 			}
 		}
@@ -267,7 +265,7 @@ func New(cfg Config) (*Daemon, error) {
 		if cfg.WALPath != "" {
 			f, err := os.Create(cfg.WALPath)
 			if err != nil {
-				plat.Close()
+				d.plat.Close()
 				return nil, fmt.Errorf("%w: %w", ErrCheckpointIO, err)
 			}
 			d.walF = f
@@ -276,10 +274,10 @@ func New(cfg Config) (*Daemon, error) {
 		d.walW = wal.NewWriter(walOpts)
 		eng.AttachWAL(d.walW)
 
-		d.mq, err = platform.NewMultiQueue(plat, cfg.Workers)
+		d.mq, err = platform.NewMultiQueue(d.plat, cfg.Workers)
 		if err != nil {
 			d.closeFiles()
-			plat.Close()
+			d.plat.Close()
 			return nil, err
 		}
 		d.mq.SetBatchSize(cfg.BatchSize)
@@ -333,7 +331,7 @@ func (d *Daemon) Engine() *core.Engine {
 
 // Platform exposes the daemon's execution platform (nil in cluster
 // mode; use Cluster).
-func (d *Daemon) Platform() platform.Platform { return d.plat }
+func (d *Daemon) Platform() *platform.Platform { return d.plat }
 
 // Cluster exposes the engine fleet (nil when not clustered).
 func (d *Daemon) Cluster() *cluster.Cluster { return d.cl }

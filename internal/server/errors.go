@@ -25,9 +25,6 @@ var (
 	ErrNotFound = errcode.Sentinel("server.not_found", "server: not found")
 	// ErrBodyTooLarge reports a request body over the admission limit.
 	ErrBodyTooLarge = errcode.Sentinel("server.body_too_large", "server: request body too large")
-	// ErrNotReconfigurable reports a platform without the live
-	// reconfiguration capability behind POST /v1/plan.
-	ErrNotReconfigurable = errcode.Sentinel("server.not_reconfigurable", "server: platform does not support live reconfiguration")
 	// ErrCheckpointIO reports a checkpoint or WAL file that could not be
 	// read or written.
 	ErrCheckpointIO = errcode.Sentinel("server.checkpoint_io", "server: checkpoint file I/O failed")
@@ -49,7 +46,6 @@ var httpByCode = map[errcode.Code]int{
 	"server.method_not_allowed": http.StatusMethodNotAllowed,
 	"server.not_found":          http.StatusNotFound,
 	"server.body_too_large":     http.StatusRequestEntityTooLarge,
-	"server.not_reconfigurable": http.StatusNotImplemented,
 	"server.stopped":            http.StatusConflict,
 	"server.not_clustered":      http.StatusConflict,
 	"server.cluster_mode":       http.StatusConflict,

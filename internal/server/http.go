@@ -12,7 +12,6 @@ import (
 
 	"github.com/fastpathnfv/speedybox/internal/chainspec"
 	"github.com/fastpathnfv/speedybox/internal/errcode"
-	"github.com/fastpathnfv/speedybox/internal/platform"
 	"github.com/fastpathnfv/speedybox/internal/telemetry"
 	"github.com/fastpathnfv/speedybox/internal/wal"
 )
@@ -114,19 +113,11 @@ func (d *Daemon) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if d.cl != nil {
 		// Cluster mode: the plan commits fleet-wide at a common packet
 		// boundary or not at all.
-		if err := d.cl.Reconfigure(compiled); err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, planResponse{Epoch: eng.Epoch(), Chain: eng.ChainNames()})
-		return
+		err = d.cl.Reconfigure(compiled)
+	} else {
+		err = d.plat.Reconfigure(compiled)
 	}
-	rec, ok := d.plat.(platform.Reconfigurer)
-	if !ok {
-		writeError(w, fmt.Errorf("%w: %s", ErrNotReconfigurable, d.plat.Name()))
-		return
-	}
-	if err := rec.Reconfigure(compiled); err != nil {
+	if err != nil {
 		writeError(w, err)
 		return
 	}

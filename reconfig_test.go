@@ -56,10 +56,6 @@ func TestConcurrentReconfigure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	rec, ok := p.(speedybox.Reconfigurer)
-	if !ok {
-		t.Fatal("BESS platform does not implement Reconfigurer")
-	}
 	srv, err := speedybox.NewTelemetryServer("127.0.0.1:0", hub)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +112,7 @@ func TestConcurrentReconfigure(t *testing.T) {
 					NF: hammerFilter(t, "hammer"),
 				}
 			}
-			switch err := rec.Reconfigure(plan); {
+			switch err := p.Reconfigure(plan); {
 			case err == nil:
 				inserted = !inserted
 				applied.Add(1)
@@ -129,17 +125,17 @@ func TestConcurrentReconfigure(t *testing.T) {
 			// Invalid plans must be rejected with their typed errors and
 			// must not consume an epoch or perturb the chain.
 			before := p.Engine().Epoch()
-			if err := rec.Reconfigure(speedybox.ChainPlan{
+			if err := p.Reconfigure(speedybox.ChainPlan{
 				Op: speedybox.OpInsert, Pos: 99, NF: hammerFilter(t, fmt.Sprintf("oob%d", i)),
 			}); !errors.Is(err, speedybox.ErrPlanOutOfRange) {
 				t.Errorf("out-of-range insert: got %v, want ErrPlanOutOfRange", err)
 			}
-			if err := rec.Reconfigure(speedybox.ChainPlan{
+			if err := p.Reconfigure(speedybox.ChainPlan{
 				Op: speedybox.OpRemove, Name: "no-such-nf",
 			}); !errors.Is(err, speedybox.ErrPlanUnknownNF) {
 				t.Errorf("unknown remove: got %v, want ErrPlanUnknownNF", err)
 			}
-			if err := rec.Reconfigure(speedybox.ChainPlan{
+			if err := p.Reconfigure(speedybox.ChainPlan{
 				Op: speedybox.OpInsert, Pos: 0, NF: hammerFilter(t, "nat"),
 			}); !errors.Is(err, speedybox.ErrPlanDuplicateNF) {
 				t.Errorf("duplicate insert: got %v, want ErrPlanDuplicateNF", err)
@@ -238,7 +234,6 @@ func TestStaleEpochRuleCacheMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	rec := p.(speedybox.Reconfigurer)
 	eng := p.Engine()
 
 	const nflows = 32
@@ -274,7 +269,7 @@ func TestStaleEpochRuleCacheMiss(t *testing.T) {
 		t.Fatalf("warm batch hit fast path %d/%d times", got, nflows)
 	}
 
-	if err := rec.Reconfigure(speedybox.ChainPlan{
+	if err := p.Reconfigure(speedybox.ChainPlan{
 		Op: speedybox.OpInsert, Pos: eng.ChainLen(), NF: hammerFilter(t, "late-filter"),
 	}); err != nil {
 		t.Fatal(err)

@@ -26,7 +26,7 @@ func TestSoakChain1AtScale(t *testing.T) {
 
 	for _, mk := range []struct {
 		name  string
-		build func([]speedybox.NF, speedybox.Options) (speedybox.Platform, error)
+		build func([]speedybox.NF, speedybox.Options) (*speedybox.Platform, error)
 	}{
 		{"BESS", speedybox.NewBESS},
 		{"ONVM", speedybox.NewONVM},
@@ -277,10 +277,6 @@ func TestSoakPeriodicReconfigure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	rec, ok := p.(speedybox.Reconfigurer)
-	if !ok {
-		t.Fatal("BESS platform does not implement Reconfigurer")
-	}
 	eng := p.Engine()
 
 	pkts := tr.Packets()
@@ -308,7 +304,7 @@ func TestSoakPeriodicReconfigure(t *testing.T) {
 				}
 				plan = speedybox.ChainPlan{Op: speedybox.OpInsert, Pos: eng.ChainLen(), NF: nf}
 			}
-			if err := rec.Reconfigure(plan); err != nil {
+			if err := p.Reconfigure(plan); err != nil {
 				t.Fatalf("window %d reconfigure: %v", w, err)
 			}
 			inserted = !inserted

@@ -12,12 +12,12 @@
 // changes (backend failures, threshold crossings).
 //
 // This package is the public facade over the implementation in
-// internal/: the NF integration API, the two execution-platform
-// models (BESS-style run-to-completion and OpenNetVM-style pipelined),
-// the synthetic datacenter trace generator, and the stock network
-// functions from the paper's evaluation (Snort, Maglev, IPFilter,
-// Monitor, MazuNAT) plus extras (VPN gateway, DoS defender, synthetic
-// NF).
+// internal/: the NF integration API, the execution platform with its
+// two pricing formulas (BESS run-to-completion and the OpenNetVM
+// core-per-NF topology), the synthetic datacenter trace generator, and
+// the stock network functions from the paper's evaluation (Snort,
+// Maglev, IPFilter, Monitor, MazuNAT) plus extras (VPN gateway, DoS
+// defender, synthetic NF).
 //
 // # Quickstart
 //
@@ -87,16 +87,13 @@ type (
 
 // Live chain reconfiguration (DESIGN.md §12): a ChainPlan describes one
 // insert/remove/replace/reorder, Engine.Reconfigure applies it with
-// epoch-based rule invalidation, and platforms implementing
-// Reconfigurer apply it without stopping the pipeline.
+// epoch-based rule invalidation, and Platform.Reconfigure applies it
+// without stopping traffic.
 type (
 	// ChainPlan is one live chain change.
 	ChainPlan = core.ChainPlan
 	// ReconfigOp selects the plan operation.
 	ReconfigOp = core.ReconfigOp
-	// Reconfigurer is the optional platform capability for live chain
-	// changes; both NewBESS and NewONVM platforms implement it.
-	Reconfigurer = platform.Reconfigurer
 )
 
 // Chain-plan operations.
@@ -195,8 +192,8 @@ var (
 	ErrBadCheckpoint = wal.ErrBadCheckpoint
 	// ErrNilCheckpoint reports Restore called without a checkpoint.
 	ErrNilCheckpoint = core.ErrNilCheckpoint
-	// ErrPlatformClosed reports an ONVM platform used after Close.
-	ErrPlatformClosed = onvm.ErrPlatformClosed
+	// ErrPlatformClosed reports a platform used after Close.
+	ErrPlatformClosed = platform.ErrClosed
 )
 
 // Packet and flow types.
@@ -269,7 +266,8 @@ var (
 
 // Platform types.
 type (
-	// Platform is an execution platform hosting a chain.
+	// Platform is an execution platform hosting a chain: the engine,
+	// its results priced on the BESS or the OpenNetVM topology.
 	Platform = platform.Platform
 	// Measurement is one packet's platform-level account.
 	Measurement = platform.Measurement
@@ -403,7 +401,7 @@ func DefaultModel() *CostModel { return cost.DefaultModel() }
 // NewBESS builds a BESS-style run-to-completion platform: the whole
 // chain executes in one process on one core (paper §VI-A). There is no
 // chain-length limit.
-func NewBESS(chain []NF, opts Options) (Platform, error) {
+func NewBESS(chain []NF, opts Options) (*Platform, error) {
 	return bess.New(bess.Config{Chain: chain, Options: opts})
 }
 
@@ -412,14 +410,14 @@ func NewBESS(chain []NF, opts Options) (Platform, error) {
 // classifier and the Global MAT at the NF manager. Packets run the same
 // engine as on BESS; the platform prices them on that topology. Chains
 // are limited to 5 NFs by the modeled 14-core budget (paper §VII-B2).
-func NewONVM(chain []NF, opts Options) (Platform, error) {
+func NewONVM(chain []NF, opts Options) (*Platform, error) {
 	return onvm.New(onvm.Config{Chain: chain, Options: opts})
 }
 
 // Run feeds every packet of a trace through the platform, one packet
 // per vector, and aggregates measurements: it is RunBatch with a batch
 // size of 1.
-func Run(p Platform, pkts []*Packet) (*RunResult, error) {
+func Run(p *Platform, pkts []*Packet) (*RunResult, error) {
 	return platform.Run(p, pkts)
 }
 
@@ -429,7 +427,7 @@ func Run(p Platform, pkts []*Packet) (*RunResult, error) {
 // allocations and counter updates across each vector while preserving
 // arrival order. The vector size changes performance, never results. A non-nil pool receives every packet back
 // after measurement, so pooled trace replay recycles descriptors.
-func RunBatch(p Platform, pkts []*Packet, batchSize int, pool *PacketPool) (*RunResult, error) {
+func RunBatch(p *Platform, pkts []*Packet, batchSize int, pool *PacketPool) (*RunResult, error) {
 	return platform.RunBatch(p, pkts, batchSize, pool)
 }
 
@@ -448,7 +446,7 @@ func NewPacketPool() *PacketPool { return packet.NewPool() }
 // state. Workers drain their queues through ProcessBatch in vectors of
 // one until SetBatchSize picks a larger vector; Run returns the
 // aggregate of every completed packet even alongside an error.
-func NewMultiQueue(p Platform, workers int) (*MultiQueue, error) {
+func NewMultiQueue(p *Platform, workers int) (*MultiQueue, error) {
 	return platform.NewMultiQueue(p, workers)
 }
 

@@ -47,7 +47,7 @@ func chain1(t *testing.T) []speedybox.NF {
 func TestPublicAPIEndToEnd(t *testing.T) {
 	for _, mk := range []struct {
 		name  string
-		build func([]speedybox.NF, speedybox.Options) (speedybox.Platform, error)
+		build func([]speedybox.NF, speedybox.Options) (*speedybox.Platform, error)
 	}{
 		{"BESS", speedybox.NewBESS},
 		{"ONVM", speedybox.NewONVM},
