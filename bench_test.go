@@ -686,8 +686,8 @@ func BenchmarkEngineParallel(b *testing.B) {
 // BenchmarkTopoFastPathBatch measures the multi-chain topology fast
 // path: packets are classified per packet (policy match + tenant
 // stamp) and drained through their chain's engine in 32-packet
-// same-chain vectors, the way Topology.RunBatch and the fair-share
-// MultiQueue feed chains. b.N counts packets; the benchgate asserts
+// same-chain vectors on one Batch, the way Topology.ProcessRuns feeds
+// chains under both runners. b.N counts packets; the benchgate asserts
 // the steady state stays at <=1 alloc/packet, so adding the topology
 // layer must not cost the single-chain zero-alloc property.
 func BenchmarkTopoFastPathBatch(b *testing.B) {
@@ -751,10 +751,7 @@ func BenchmarkTopoFastPathBatch(b *testing.B) {
 		vecs = append(vecs, chainVec{chain: chain, pkts: pkts[off:end]})
 		off = end
 	}
-	bats := make([]*speedybox.Batch, tp.NumChains())
-	for i := range bats {
-		bats[i] = speedybox.NewBatch(vec)
-	}
+	bat := speedybox.NewBatch(vec)
 	b.ReportAllocs()
 	b.ResetTimer()
 	i := 0
@@ -765,7 +762,7 @@ func BenchmarkTopoFastPathBatch(b *testing.B) {
 		for _, pkt := range v.pkts {
 			tp.Route(pkt)
 		}
-		if _, err := tp.Chain(v.chain).Platform.ProcessBatch(v.pkts, bats[v.chain]); err != nil {
+		if _, err := tp.Chain(v.chain).Platform.ProcessBatch(v.pkts, bat); err != nil {
 			b.Fatal(err)
 		}
 		n += len(v.pkts)

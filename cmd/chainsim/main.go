@@ -362,8 +362,9 @@ func topoTrace(spec *speedybox.TopologySpec, cfg topoRunConfig) ([]*speedybox.Pa
 }
 
 // runTopo is the -topo mode: build the multi-chain topology, push the
-// merged adversarial trace through it (fair-share multi-queue when
-// -workers > 1), and report per-chain and per-tenant accounting.
+// merged adversarial trace through it (the multi-queue runner, each of
+// the -workers queues drained in arrival order), and report per-chain
+// and per-tenant accounting.
 func runTopo(cfg topoRunConfig) error {
 	data, err := os.ReadFile(cfg.path)
 	if err != nil {
@@ -411,10 +412,11 @@ func runTopo(cfg topoRunConfig) error {
 	if err != nil {
 		return err
 	}
-	mq, err := tp.NewMultiQueue(cfg.workers, cfg.batch)
+	mq, err := speedybox.NewMultiQueue(tp, cfg.workers)
 	if err != nil {
 		return err
 	}
+	mq.SetBatchSize(cfg.batch)
 	res, err := mq.Run(pkts)
 	if err != nil {
 		return err
@@ -436,8 +438,8 @@ func runTopo(cfg topoRunConfig) error {
 	for i := 0; i < tp.NumChains(); i++ {
 		c := tp.Chain(i)
 		st := tp.Engine(i).Stats()
-		fmt.Printf("  chain %-10s weight=%d packets=%d fastpath=%d slowpath=%d events=%d degraded=%d\n",
-			c.Name, c.Weight, st.Packets, st.FastPath, st.SlowPath, st.EventsFired, st.DegradedPackets)
+		fmt.Printf("  chain %-10s packets=%d fastpath=%d slowpath=%d events=%d degraded=%d\n",
+			c.Name, st.Packets, st.FastPath, st.SlowPath, st.EventsFired, st.DegradedPackets)
 	}
 	adm := tp.Admission()
 	for _, ten := range spec.Tenants {

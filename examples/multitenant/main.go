@@ -127,8 +127,8 @@ func run() error {
 	for i := 0; i < sbox.NumChains(); i++ {
 		c := sbox.Chain(i)
 		st := sbox.Engine(i).Stats()
-		fmt.Printf("  %-5s weight=%d packets=%d fastpath=%d events=%d degraded=%d\n",
-			c.Name, c.Weight, st.Packets, st.FastPath, st.EventsFired, st.DegradedPackets)
+		fmt.Printf("  %-5s packets=%d fastpath=%d events=%d degraded=%d\n",
+			c.Name, st.Packets, st.FastPath, st.EventsFired, st.DegradedPackets)
 	}
 	adm := sbox.Admission()
 	fmt.Println("per-tenant admission (w/ SBox):")

@@ -259,6 +259,9 @@ func (c *Cluster) Names() []string { return names(c.cur.Load().insts) }
 // Model returns the shared cost model.
 func (c *Cluster) Model() *cost.Model { return c.cur.Load().insts[0].plat.Model() }
 
+// Telemetry returns the cluster's hub (nil when configured without one).
+func (c *Cluster) Telemetry() *telemetry.Hub { return c.cfg.Hub }
+
 // Engine returns the i-th live instance's engine (tests, status).
 func (c *Cluster) Engine(i int) *core.Engine {
 	v := c.cur.Load()
@@ -332,40 +335,23 @@ func (c *Cluster) ProcessRuns(pkts []*packet.Packet, batchSize int, b *platform.
 		}, fold)
 }
 
-// RunBatch runs a trace through the cluster serially, folding
-// measurements into one aggregate exactly as platform.RunBatch does.
-func (c *Cluster) RunBatch(pkts []*packet.Packet, batchSize int, b *platform.Batch) (*platform.RunResult, error) {
-	if b == nil {
-		b = platform.NewBatch(batchSize)
-	}
-	res := platform.NewRunResult(c.Model())
-	err := c.ProcessRuns(pkts, batchSize, b, func(_ int, ms []platform.Measurement) error {
-		res.Fold(ms)
-		return nil
-	})
+// RunBatch is platform.RunBatch over the cluster. The serial runner
+// draws its own Batch; b is not used.
+func (c *Cluster) RunBatch(pkts []*packet.Packet, batchSize int, _ *platform.Batch) (*platform.RunResult, error) {
+	return platform.RunBatch(c, pkts, batchSize, nil)
+}
+
+// Run is a workers-way platform.MultiQueue over the cluster in vectors
+// of batchSize (<= 1 is a vector of one). Its RSS partition is by home
+// FID, which is stable across rebalances, so a flow always has a single
+// writer.
+func (c *Cluster) Run(pkts []*packet.Packet, workers, batchSize int) (*platform.RunResult, error) {
+	mq, err := platform.NewMultiQueue(c, max(workers, 1))
 	if err != nil {
 		return nil, err
 	}
-	res.Stats = c.Stats()
-	return res, nil
-}
-
-// Run partitions the trace across workers by home FID — the RSS
-// partitioning MultiQueue uses (platform.RunWorkers), which is stable
-// across rebalances so a flow always has a single writer — and drives
-// each partition through ProcessRuns concurrently. Like MultiQueue.Run
-// it returns the aggregate of every completed packet, worker queue
-// depths included, alongside the first worker error.
-func (c *Cluster) Run(pkts []*packet.Packet, workers, batchSize int) (*platform.RunResult, error) {
-	res, err := platform.RunWorkers(pkts, max(workers, 1), c.Model(),
-		func(_ int, q []*packet.Packet, part *platform.RunResult) error {
-			return c.ProcessRuns(q, batchSize, platform.NewBatch(batchSize), func(_ int, ms []platform.Measurement) error {
-				part.Fold(ms)
-				return nil
-			})
-		})
-	res.Stats = c.Stats()
-	return res, err
+	mq.SetBatchSize(batchSize)
+	return mq.Run(pkts)
 }
 
 // Stats folds every live instance's engine counters plus the banked

@@ -33,7 +33,7 @@ func topoOracleSpec() *topo.Spec {
 	return &topo.Spec{
 		Name: "oracle",
 		Chains: []topo.ChainSpec{
-			{Name: "web", Weight: 2, NFs: []chainspec.NFSpec{
+			{Name: "web", NFs: []chainspec.NFSpec{
 				{Type: "ipfilter", ACLSize: 100},
 				{Type: "monitor", Name: "mon"},
 				{Type: "snort", Name: "ids"},

@@ -90,8 +90,8 @@ func TestNewMultiQueueValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mq.Workers() != 4 || mq.Platform() != p {
-		t.Errorf("Workers=%d Platform=%v", mq.Workers(), mq.Platform())
+	if mq.Workers() != 4 || mq.BatchSize() != 1 {
+		t.Errorf("Workers=%d BatchSize=%d, want 4 and 1", mq.Workers(), mq.BatchSize())
 	}
 }
 
@@ -321,99 +321,6 @@ func TestMultiQueueBatchedMatchesSerial(t *testing.T) {
 		}
 		if mqWork != serWork {
 			t.Errorf("batch=%d: work cycles %d, serial %d", batch, mqWork, serWork)
-		}
-	}
-}
-
-func TestMultiQueueSetClassesValidation(t *testing.T) {
-	p := newEngPlatform(t, []core.NF{noopNF{}}, core.DefaultOptions())
-	mq, err := NewMultiQueue(p, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	route := func(*packet.Packet) int { return 0 }
-	if err := mq.SetClasses([]ChainClass{{Platform: p, Weight: 1}}, nil); err == nil {
-		t.Error("nil route accepted")
-	}
-	if err := mq.SetClasses([]ChainClass{{Platform: nil, Weight: 1}}, route); err == nil {
-		t.Error("nil class platform accepted")
-	}
-	if err := mq.SetClasses([]ChainClass{{Platform: p, Weight: 0}}, route); err == nil {
-		t.Error("zero weight accepted")
-	}
-	if err := mq.SetClasses([]ChainClass{{Platform: p, Weight: 1}}, route); err != nil {
-		t.Errorf("valid classes rejected: %v", err)
-	}
-	if err := mq.SetClasses(nil, nil); err != nil {
-		t.Errorf("reset rejected: %v", err)
-	}
-}
-
-// TestMultiQueueClassesMatchesSerial checks the fair-share dispatcher
-// against per-class serial runs: weighted-round-robin scheduling may
-// reorder packets across classes, but each class platform must end up
-// with exactly the accounting of a serial run over its own packets,
-// regardless of weights or batch size.
-func TestMultiQueueClassesMatchesSerial(t *testing.T) {
-	routeOf := func(pkt *packet.Packet) int {
-		ft, err := pkt.FiveTuple()
-		if err != nil {
-			return 0
-		}
-		return int(ft.SrcPort % 2)
-	}
-
-	// Serial reference: split the trace by class, run each through its
-	// own platform.
-	refA := newEngPlatform(t, []core.NF{dropNF{}}, core.DefaultOptions())
-	refB := newEngPlatform(t, []core.NF{dropNF{}}, core.DefaultOptions())
-	var byClass [2][]*packet.Packet
-	for _, pkt := range testTrace(t) {
-		byClass[routeOf(pkt)] = append(byClass[routeOf(pkt)], pkt)
-	}
-	resA, err := Run(refA, byClass[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	resB, err := Run(refB, byClass[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantStats := resA.Stats
-	wantStats.Add(resB.Stats)
-
-	for _, tc := range []struct{ weightA, weightB, batch int }{
-		{1, 1, 0}, {1, 3, 0}, {2, 1, 8},
-	} {
-		pA := newEngPlatform(t, []core.NF{dropNF{}}, core.DefaultOptions())
-		pB := newEngPlatform(t, []core.NF{dropNF{}}, core.DefaultOptions())
-		mq, err := NewMultiQueue(pA, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mq.SetBatchSize(tc.batch)
-		err = mq.SetClasses([]ChainClass{
-			{Platform: pA, Weight: tc.weightA},
-			{Platform: pB, Weight: tc.weightB},
-		}, routeOf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := mq.Run(testTrace(t))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if par.Packets != resA.Packets+resB.Packets || par.Drops != resA.Drops+resB.Drops {
-			t.Errorf("weights %d:%d batch %d: packets=%d drops=%d, serial %d/%d",
-				tc.weightA, tc.weightB, tc.batch, par.Packets, par.Drops,
-				resA.Packets+resB.Packets, resA.Drops+resB.Drops)
-		}
-		if par.Stats != wantStats {
-			t.Errorf("weights %d:%d batch %d: stats diverged:\nmq:     %+v\nserial: %+v",
-				tc.weightA, tc.weightB, tc.batch, par.Stats, wantStats)
-		}
-		if gotA, gotB := pA.Engine().Stats(), pB.Engine().Stats(); gotA != resA.Stats || gotB != resB.Stats {
-			t.Errorf("weights %d:%d batch %d: per-class stats diverged", tc.weightA, tc.weightB, tc.batch)
 		}
 	}
 }

@@ -1,8 +1,8 @@
 // Package platform is the execution platform of the BESS and OpenNetVM
 // models: one wrapper over the engine that prices its results with a
-// topology's latency and throughput formula (a Pricing), plus a trace
-// runner that aggregates run-level statistics (per-packet latency,
-// per-flow processing time, rate).
+// topology's latency and throughput formula (a Pricing), plus the serial
+// and parallel runners (RunBatch, MultiQueue) that drive any Fleet and
+// aggregate run-level statistics (latency, flow time, rate).
 package platform
 
 import (
@@ -342,37 +342,62 @@ func Drain(pkts []*packet.Packet, batch int, route func(*packet.Packet) int,
 	return nil
 }
 
-// Run feeds every packet of the trace through the platform in order,
-// one packet per vector, and aggregates the measurements. Packet
-// buffers are consumed (the platform mutates or drops them).
-func Run(p *Platform, pkts []*packet.Packet) (*RunResult, error) {
-	return RunBatch(p, pkts, 1, nil)
+// Fleet is what a run drives: one platform, a topology of chains, or a
+// cluster of instances. ProcessRuns drains pkts in arrival order through
+// Drain in vectors of at most batch packets on the caller's Batch,
+// routing each run to the member that owns it (how is the fleet's own
+// business), and passes each run's measurements to fold while they are
+// still valid; Stats sums the members' engine counters.
+type Fleet interface {
+	ProcessRuns(pkts []*packet.Packet, batch int, b *Batch, fold func(off int, ms []Measurement) error) error
+	Stats() core.Stats
+	Model() *cost.Model
+	Telemetry() *telemetry.Hub
 }
 
-// RunBatch is Run over batchSize-packet vectors (0 picks
-// core.DefaultBatchSize): packets are fed through ProcessBatch in
+// ProcessRuns is Drain over the one engine: no route, every run goes
+// through ProcessBatch on b.
+func (p *Platform) ProcessRuns(pkts []*packet.Packet, batch int, b *Batch, fold func(off int, ms []Measurement) error) error {
+	err := Drain(pkts, batch, nil,
+		func(_ int, run []*packet.Packet) ([]Measurement, error) { return p.ProcessBatch(run, b) }, fold)
+	if err != nil {
+		return fmt.Errorf("platform %s: %w", p.Name(), err)
+	}
+	return nil
+}
+
+// Stats returns the engine's counters.
+func (p *Platform) Stats() core.Stats { return p.eng.Stats() }
+
+// Telemetry returns the engine's hub (nil without one).
+func (p *Platform) Telemetry() *telemetry.Hub { return p.eng.Telemetry() }
+
+// Run feeds every packet of the trace through the fleet in order, one
+// packet per vector, and aggregates the measurements. Packet buffers
+// are consumed (the platform mutates or drops them).
+func Run(f Fleet, pkts []*packet.Packet) (*RunResult, error) {
+	return RunBatch(f, pkts, 1, nil)
+}
+
+// RunBatch is the serial runner: Run over batchSize-packet vectors (0
+// picks core.DefaultBatchSize), fed through the fleet's ProcessRuns in
 // arrival order. When pool is non-nil, every packet is returned to it
 // after its measurement is folded in, so pooled trace replay recycles
-// descriptors.
-func RunBatch(p *Platform, pkts []*packet.Packet, batchSize int, pool *packet.Pool) (*RunResult, error) {
-	b := NewBatch(batchSize)
-	res := NewRunResult(p.Model())
-	err := Drain(pkts, batchSize, nil,
-		func(_ int, run []*packet.Packet) ([]Measurement, error) { return p.ProcessBatch(run, b) },
-		func(off int, ms []Measurement) error {
-			res.Fold(ms)
-			if pool != nil {
-				for _, pkt := range pkts[off : off+len(ms)] {
-					pool.Put(pkt)
-				}
+// descriptors. On an error the result still aggregates every packet
+// that completed, alongside the error.
+func RunBatch(f Fleet, pkts []*packet.Packet, batchSize int, pool *packet.Pool) (*RunResult, error) {
+	res := NewRunResult(f.Model())
+	err := f.ProcessRuns(pkts, batchSize, NewBatch(batchSize), func(off int, ms []Measurement) error {
+		res.Fold(ms)
+		if pool != nil {
+			for _, pkt := range pkts[off : off+len(ms)] {
+				pool.Put(pkt)
 			}
-			return nil
-		})
-	if err != nil {
-		return nil, fmt.Errorf("platform %s: %w", p.Name(), err)
-	}
-	res.Stats = p.Engine().Stats()
-	return res, nil
+		}
+		return nil
+	})
+	res.Stats = f.Stats()
+	return res, err
 }
 
 // Partition splits pkts into per-worker queues by each flow's home FID,
@@ -408,42 +433,4 @@ func Partition(pkts []*packet.Packet, workers int) [][]*packet.Packet {
 		queues[w] = append(queues[w], pkt)
 	}
 	return queues
-}
-
-// RunWorkers is the parallel run shell: it partitions pkts across
-// workers (Partition), drains every queue concurrently — drain folds
-// worker w's measurements into its private partial result — and merges
-// the partials after all workers join, so workers never share a counter
-// or map during the run. It returns the aggregate of every completed
-// packet, with QueueDepths set, plus the first worker error by worker
-// index; the caller fills in Stats.
-func RunWorkers(pkts []*packet.Packet, workers int, model *cost.Model,
-	drain func(w int, queue []*packet.Packet, part *RunResult) error) (*RunResult, error) {
-	queues := Partition(pkts, workers)
-	parts := make([]RunResult, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := range queues {
-		parts[w] = *NewRunResult(model)
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			errs[w] = drain(w, queues[w], &parts[w])
-		}(w)
-	}
-	wg.Wait()
-
-	total := &parts[0] // worker 0's partial becomes the aggregate
-	total.QueueDepths = make([]int, workers)
-	var first error
-	for w := range parts {
-		total.QueueDepths[w] = len(queues[w])
-		if w > 0 {
-			total.Merge(&parts[w])
-		}
-		if first == nil {
-			first = errs[w]
-		}
-	}
-	return total, first
 }

@@ -4,11 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sync/atomic"
 
 	"github.com/fastpathnfv/speedybox/internal/cluster"
-	"github.com/fastpathnfv/speedybox/internal/packet"
-	"github.com/fastpathnfv/speedybox/internal/platform"
 )
 
 // Autoscale advice thresholds over the mean per-worker queue depth of
@@ -19,32 +16,6 @@ const (
 	scaleDownDepth = 64
 	scaleUpDepth   = 1024
 )
-
-// clusterRunner adapts the cluster's worker-partitioned Run to the
-// pump's trafficRunner shape and remembers the last window's per-worker
-// queue depths — the signal behind the autoscaling suggestion.
-type clusterRunner struct {
-	cl      *cluster.Cluster
-	workers int
-	batch   int
-	depths  atomic.Pointer[[]int]
-}
-
-func (cr *clusterRunner) Run(pkts []*packet.Packet) (*platform.RunResult, error) {
-	res, err := cr.cl.Run(pkts, cr.workers, cr.batch)
-	depths := res.QueueDepths // its own variable: the window's result must not stay reachable
-	cr.depths.Store(&depths)
-	return res, err
-}
-
-// lastDepths returns the most recent window's per-worker queue depths
-// (nil before the first window).
-func (cr *clusterRunner) lastDepths() []int {
-	if p := cr.depths.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
 
 // clusterScaleRequest asks the fleet to resize to a target instance
 // count; the rebalances run live against flowing traffic.
@@ -117,10 +88,15 @@ type statusCluster struct {
 	SuggestedInstances int                      `json:"suggested_instances"`
 }
 
-// clusterStatus assembles the cluster section (nil when not clustered).
-func (d *Daemon) clusterStatus() *statusCluster {
+// clusterStatus assembles the cluster section (nil when not clustered);
+// the autoscaling suggestion reads the workers' queue-depth gauges.
+func (d *Daemon) clusterStatus(workers []statusWorker) *statusCluster {
 	if d.cl == nil {
 		return nil
+	}
+	depths := make([]int, len(workers))
+	for i, w := range workers {
+		depths[i] = int(w.QueueDepth)
 	}
 	return &statusCluster{
 		Instances:       d.cl.Instances(),
@@ -129,6 +105,6 @@ func (d *Daemon) clusterStatus() *statusCluster {
 		MigrationAborts: d.cl.Aborts(),
 		SuggestedInstances: cluster.AdviseInstances(
 			d.cl.Len(), 1, d.cfg.MaxInstances,
-			d.clRun.lastDepths(), scaleDownDepth, scaleUpDepth),
+			depths, scaleDownDepth, scaleUpDepth),
 	}
 }

@@ -11,7 +11,8 @@ import (
 // live scaling: a fleet of 2 serves pump traffic, POST /v1/cluster/scale
 // grows it to 4 and shrinks it to 3 while packets flow, and the
 // /v1/status deltas show zero drops across every rebalance plus a
-// fast-path hit rate that recovers after the migrations.
+// fast-path hit rate that recovers after the migrations, and the
+// multi-queue workers driving the fleet report the packets they drained.
 func TestClusterScaleUnderTraffic(t *testing.T) {
 	d := testDaemon(t, Config{
 		Instances: 2,
@@ -75,6 +76,13 @@ func TestClusterScaleUnderTraffic(t *testing.T) {
 	}
 	if s5.Cluster.SuggestedInstances < 1 {
 		t.Fatalf("autoscale suggestion %d", s5.Cluster.SuggestedInstances)
+	}
+	var drained uint64
+	for _, w := range s5.Workers {
+		drained += w.Packets
+	}
+	if len(s5.Workers) != 4 || drained == 0 {
+		t.Fatalf("workers %+v: want 4 workers that drained packets", s5.Workers)
 	}
 }
 

@@ -172,14 +172,13 @@ func (c Config) withDefaults() Config {
 type Daemon struct {
 	cfg  Config
 	hub  *telemetry.Hub
-	plat *platform.Platform   // nil in cluster mode
-	mq   *platform.MultiQueue // nil in cluster mode
-	// cl and clRun are set in cluster mode (Config.Instances > 1): the
-	// engine fleet and the pump adapter driving it.
-	cl    *cluster.Cluster
-	clRun *clusterRunner
-	walW  *wal.Writer
-	walF  *os.File // WALPath sink, nil for in-memory logs
+	plat *platform.Platform // nil in cluster mode
+	// cl is the engine fleet in cluster mode (Config.Instances > 1).
+	cl *cluster.Cluster
+	// mq drives plat or cl: the pump's sink in both modes.
+	mq   *platform.MultiQueue
+	walW *wal.Writer
+	walF *os.File // WALPath sink, nil for in-memory logs
 
 	// adminMu serializes every admin mutation (plan, checkpoint,
 	// restore, drain, undrain, shutdown). The data path never takes it;
@@ -218,7 +217,7 @@ func New(cfg Config) (*Daemon, error) {
 	opts.Telemetry = hub
 
 	d := &Daemon{cfg: cfg, hub: hub, started: time.Now()}
-	var sink trafficRunner
+	var fleet platform.Fleet
 	if cfg.Instances > 1 {
 		if spec.Platform == "onvm" {
 			return nil, fmt.Errorf("%w: cluster mode requires the bess platform", cluster.ErrBadConfig)
@@ -233,8 +232,7 @@ func New(cfg Config) (*Daemon, error) {
 		if err != nil {
 			return nil, err
 		}
-		d.clRun = &clusterRunner{cl: d.cl, workers: cfg.Workers, batch: cfg.BatchSize}
-		sink = d.clRun
+		fleet = d.cl
 		// Durability in cluster mode is per-instance and internal to the
 		// cluster; the daemon's own WAL writer stays unattached so
 		// /v1/status reports zeros rather than panicking.
@@ -273,19 +271,18 @@ func New(cfg Config) (*Daemon, error) {
 		}
 		d.walW = wal.NewWriter(walOpts)
 		eng.AttachWAL(d.walW)
-
-		d.mq, err = platform.NewMultiQueue(d.plat, cfg.Workers)
-		if err != nil {
-			d.closeFiles()
-			d.plat.Close()
-			return nil, err
-		}
-		d.mq.SetBatchSize(cfg.BatchSize)
-		sink = d.mq
+		fleet = d.plat
 	}
 
+	d.mq, err = platform.NewMultiQueue(fleet, cfg.Workers)
+	if err != nil {
+		d.closeFiles()
+		d.closePlatform()
+		return nil, err
+	}
+	d.mq.SetBatchSize(cfg.BatchSize)
 	if !cfg.Pump.Disable {
-		d.pump, err = newPump(sink, cfg.Pump)
+		d.pump, err = newPump(d.mq, cfg.Pump)
 		if err != nil {
 			d.closeFiles()
 			d.closePlatform()

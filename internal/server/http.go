@@ -440,7 +440,16 @@ func (d *Daemon) handleStatus(w http.ResponseWriter, r *http.Request) {
 	eng := d.Engine()
 	st := eng.Stats()
 	degraded := eng.DegradedFlows()
-	clStatus := d.clusterStatus()
+	snap := d.hub.Registry.Snapshot()
+	var workers []statusWorker
+	for i := 0; i < d.mq.Workers(); i++ {
+		workers = append(workers, statusWorker{
+			Worker:     i,
+			QueueDepth: snap.Gauges[fmt.Sprintf(`speedybox_mq_queue_depth{worker="%d"}`, i)],
+			Packets:    snap.Counters[fmt.Sprintf(`speedybox_mq_worker_packets_total{worker="%d"}`, i)],
+		})
+	}
+	clStatus := d.clusterStatus(workers)
 	if clStatus != nil {
 		st = d.cl.Stats()
 		degraded = 0
@@ -455,6 +464,7 @@ func (d *Daemon) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Epoch:         eng.Epoch(),
 		Chain:         eng.ChainNames(),
 		DegradedFlows: degraded,
+		Workers:       workers,
 		Cluster:       clStatus,
 		Stats: statusStats{
 			Packets:           st.Packets,
@@ -478,22 +488,6 @@ func (d *Daemon) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if last := eng.LastCheckpoint(); !last.IsZero() {
 		resp.Checkpoint.AgeSeconds = time.Since(last).Seconds()
 		resp.Checkpoint.LastUnix = last.Unix()
-	}
-	if d.mq != nil {
-		snap := d.hub.Registry.Snapshot()
-		for i := 0; i < d.mq.Workers(); i++ {
-			resp.Workers = append(resp.Workers, statusWorker{
-				Worker:     i,
-				QueueDepth: snap.Gauges[fmt.Sprintf(`speedybox_mq_queue_depth{worker="%d"}`, i)],
-				Packets:    snap.Counters[fmt.Sprintf(`speedybox_mq_worker_packets_total{worker="%d"}`, i)],
-			})
-		}
-	} else {
-		// Cluster mode: the steerer partitions per window; report the
-		// last window's per-worker queue depths.
-		for i, depth := range d.clRun.lastDepths() {
-			resp.Workers = append(resp.Workers, statusWorker{Worker: i, QueueDepth: float64(depth)})
-		}
 	}
 	if p := d.pump; p != nil {
 		resp.Pump = statusPump{

@@ -5,20 +5,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/fastpathnfv/speedybox/internal/packet"
 	"github.com/fastpathnfv/speedybox/internal/platform"
 	"github.com/fastpathnfv/speedybox/internal/trace"
 )
-
-// trafficRunner is the pump's sink: one window of packets in, one
-// aggregated result out — never nil; on an error it still counts the
-// window's completed packets — returning only after every packet has
-// fully drained. The multi-queue dispatcher satisfies it in
-// single-instance mode; the cluster steerer's adapter satisfies it in
-// cluster mode.
-type trafficRunner interface {
-	Run(pkts []*packet.Packet) (*platform.RunResult, error)
-}
 
 // PumpConfig controls the daemon's built-in traffic source: a
 // deterministic synthesized trace replayed window after window through
@@ -50,15 +39,18 @@ func (c PumpConfig) withDefaults() PumpConfig {
 }
 
 // pump replays a fixed trace in windows through the multi-queue
-// dispatcher. Between windows it observes a gate: pause() blocks until
-// the current window has fully drained — every worker joined inside
+// dispatcher over the daemon's platform or cluster. MultiQueue.Run
+// returns only after every packet has drained, with a result that
+// counts the window's completed packets even alongside an error.
+// Between windows the pump observes a gate: pause() blocks until the
+// current window has fully drained — every worker joined inside
 // MultiQueue.Run — which is exactly the packet-boundary quiesce
 // Engine.Checkpoint and Engine.Restore require. The same trace replays
 // every window (Packets materializes fresh buffers), so flow state
 // reaches a deterministic steady rhythm: established flows ride the
 // fast path until their FIN, then a SYN reuse re-records them.
 type pump struct {
-	sink trafficRunner
+	sink *platform.MultiQueue
 	tr   *trace.Trace
 	cfg  PumpConfig
 
@@ -76,7 +68,7 @@ type pump struct {
 	done chan struct{}
 }
 
-func newPump(sink trafficRunner, cfg PumpConfig) (*pump, error) {
+func newPump(sink *platform.MultiQueue, cfg PumpConfig) (*pump, error) {
 	cfg = cfg.withDefaults()
 	tr, err := trace.Generate(trace.Config{
 		Seed:       cfg.Seed,

@@ -10,9 +10,8 @@ import (
 
 // topoChainSummary is one chain of a staged topology.
 type topoChainSummary struct {
-	Name   string `json:"name"`
-	Weight int    `json:"weight"`
-	NFs    int    `json:"nfs"`
+	Name string `json:"name"`
+	NFs  int    `json:"nfs"`
 }
 
 // topoResponse describes the staged topology. POST returns it after
@@ -90,13 +89,7 @@ func topoSummary(spec *topo.Spec) topoResponse {
 		Tenants:  len(spec.Tenants),
 	}
 	for _, c := range spec.Chains {
-		weight := c.Weight
-		if weight == 0 {
-			weight = 1
-		}
-		resp.Chains = append(resp.Chains, topoChainSummary{
-			Name: c.Name, Weight: weight, NFs: len(c.NFs),
-		})
+		resp.Chains = append(resp.Chains, topoChainSummary{Name: c.Name, NFs: len(c.NFs)})
 	}
 	return resp
 }

@@ -12,7 +12,7 @@ import (
 const testTopoJSON = `{
   "name": "edge",
   "chains": [
-    {"name": "web", "weight": 2, "nfs": [
+    {"name": "web", "nfs": [
       {"type": "snort"}, {"type": "monitor", "name": "mon"}]},
     {"name": "bulk", "nfs": [
       {"type": "ratelimiter", "quota": 1000000}, {"type": "monitor", "name": "mon"}]}
@@ -48,9 +48,6 @@ func TestTopoStageAndGet(t *testing.T) {
 	}
 	if len(posted.Chains) != 2 || posted.Policies != 2 || posted.Tenants != 2 {
 		t.Fatalf("POST summary = %+v", posted)
-	}
-	if posted.Chains[0].Weight != 2 || posted.Chains[1].Weight != 1 {
-		t.Fatalf("weights not normalized: %+v", posted.Chains)
 	}
 
 	var got topoResponse

@@ -127,10 +127,8 @@ func TestAdmissionHoldsPerChain(t *testing.T) {
 	}
 	pa, pb := mk(ta), mk(tb)
 	third := mk(tuple(tb.SrcPort+1, 2000))
-	for _, p := range []*packet.Packet{pa, pb, third} {
-		if _, _, err := tp.Process(p); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := tp.RunBatch([]*packet.Packet{pa, pb, third}, 1); err != nil {
+		t.Fatal(err)
 	}
 	if fa, fb := pa.Meta.FID, pb.Meta.FID; fa != fb {
 		t.Fatalf("flows of chains a and b got FIDs %d and %d, want one", fa, fb)
@@ -168,7 +166,7 @@ func TestAdmissionHoldsUnderConcurrency(t *testing.T) {
 						SrcPort: 4000, DstPort: uint16(1000 + 1000*(f%2)), Proto: packet.ProtoUDP,
 						Payload: []byte("payload"),
 					})
-					if _, _, err := tp.Process(p); err != nil {
+					if _, err := tp.RunBatch([]*packet.Packet{p}, 1); err != nil {
 						t.Error(err)
 						return
 					}

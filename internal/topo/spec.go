@@ -42,7 +42,7 @@ var (
 //	{
 //	  "name": "edge",
 //	  "chains": [
-//	    {"name": "web", "weight": 2, "nfs": [
+//	    {"name": "web", "nfs": [
 //	        {"type": "monitor", "name": "shared-mon"},
 //	        {"type": "ipfilter", "acl_size": 100}]},
 //	    {"name": "voip", "nfs": [
@@ -81,8 +81,6 @@ type ChainSpec struct {
 	// Name labels the chain; it becomes the ChainLabel on the chain
 	// engine's metrics and the routing target of policies.
 	Name string `json:"name"`
-	// Weight is the chain's fair-share scheduling weight (default 1).
-	Weight int `json:"weight,omitempty"`
 	// NFs is the chain in order, in chainspec notation.
 	NFs []chainspec.NFSpec `json:"nfs"`
 }
@@ -148,9 +146,6 @@ func (s *Spec) Validate() error {
 		chains[c.Name] = true
 		if len(c.NFs) == 0 {
 			return fmt.Errorf("%w: chain %q has no NFs", ErrSpecInvalid, c.Name)
-		}
-		if c.Weight < 0 {
-			return fmt.Errorf("%w: chain %q has negative weight", ErrSpecInvalid, c.Name)
 		}
 	}
 	for i, p := range s.Policies {

@@ -6,6 +6,7 @@ import (
 	"github.com/fastpathnfv/speedybox/internal/bess"
 	"github.com/fastpathnfv/speedybox/internal/chainspec"
 	"github.com/fastpathnfv/speedybox/internal/core"
+	"github.com/fastpathnfv/speedybox/internal/cost"
 	"github.com/fastpathnfv/speedybox/internal/packet"
 	"github.com/fastpathnfv/speedybox/internal/platform"
 	"github.com/fastpathnfv/speedybox/internal/telemetry"
@@ -16,10 +17,8 @@ import (
 type Chain struct {
 	// Name is the chain's spec name (also its metric ChainLabel).
 	Name string
-	// Weight is the fair-share scheduling weight.
-	Weight int
 	// Platform hosts the chain's engine (the BESS model — a topology
-	// is a scheduling construct, and the single-core run-to-completion
+	// is a routing construct, and the single-core run-to-completion
 	// model composes cleanly across chains).
 	Platform *platform.Platform
 }
@@ -85,8 +84,9 @@ type BuildConfig struct {
 
 // Topology is a built multi-chain deployment: per-chain engines, the
 // shared-NF registry, the flow classifier and the tenant admission
-// policy, ready to process packets directly or through a fair-share
-// MultiQueue.
+// policy. It is a platform.Fleet whose route is the classifier, so the
+// serial RunBatch and the parallel MultiQueue drive it as they drive
+// one platform.
 type Topology struct {
 	name      string
 	spec      *Spec
@@ -95,6 +95,7 @@ type Topology struct {
 	shared    map[string]core.NF
 	policies  []compiled
 	admission *TenantAdmission
+	hub       *telemetry.Hub
 
 	// TamperRoute is a test-only hook: when set, it overrides the
 	// classifier's chain decision (receiving the packet and the honest
@@ -117,6 +118,7 @@ func Build(spec *Spec, cfg BuildConfig) (*Topology, error) {
 		byName:    make(map[string]int, len(spec.Chains)),
 		shared:    make(map[string]core.NF),
 		admission: NewTenantAdmission(spec.Tenants),
+		hub:       cfg.Hub,
 	}
 	for ci, cs := range spec.Chains {
 		chain := make([]core.NF, 0, len(cs.NFs))
@@ -146,12 +148,8 @@ func Build(spec *Spec, cfg BuildConfig) (*Topology, error) {
 		if err != nil {
 			return nil, fmt.Errorf("topo: chain %q: %w", cs.Name, err)
 		}
-		weight := cs.Weight
-		if weight == 0 {
-			weight = 1
-		}
 		t.byName[cs.Name] = ci
-		t.chains = append(t.chains, Chain{Name: cs.Name, Weight: weight, Platform: p})
+		t.chains = append(t.chains, Chain{Name: cs.Name, Platform: p})
 	}
 	for _, ps := range spec.Policies {
 		c := compiled{chain: t.byName[ps.Chain], tenant: ps.Tenant,
@@ -246,8 +244,7 @@ func (t *Topology) classify(pkt *packet.Packet) (int, int32) {
 }
 
 // Route classifies the packet, stamps its tenant tag into the packet
-// metadata, and returns the chain index. It is the route function for
-// MultiQueue fair-share mode and the first half of Process.
+// metadata, and returns the chain index: the topology's Drain route.
 func (t *Topology) Route(pkt *packet.Packet) int {
 	chain, tenant := t.classify(pkt)
 	pkt.Meta.Tenant = tenant
@@ -257,70 +254,46 @@ func (t *Topology) Route(pkt *packet.Packet) int {
 	return chain
 }
 
-// Process routes one packet to its chain and runs it through that
-// chain's engine, returning the engine result and the chain index.
-func (t *Topology) Process(pkt *packet.Packet) (*core.PacketResult, int, error) {
-	chain := t.Route(pkt)
-	res, err := t.Engine(chain).ProcessPacket(pkt)
-	return res, chain, err
-}
-
-// Classes returns the chains as fair-share scheduling classes for
-// platform.MultiQueue.SetClasses.
-func (t *Topology) Classes() []platform.ChainClass {
-	out := make([]platform.ChainClass, len(t.chains))
-	for i, c := range t.chains {
-		out[i] = platform.ChainClass{Platform: c.Platform, Weight: c.Weight}
-	}
-	return out
-}
-
-// NewMultiQueue builds a fair-share multi-queue dispatcher over the
-// topology: flow-hash partitioning across workers, weighted-round-
-// robin chain scheduling within each worker, in vectors of batch
-// packets (batch <= 1 is a vector of one).
-func (t *Topology) NewMultiQueue(workers, batch int) (*platform.MultiQueue, error) {
-	mq, err := platform.NewMultiQueue(t.chains[0].Platform, workers)
-	if err != nil {
-		return nil, err
-	}
-	mq.SetBatchSize(batch)
-	if err := mq.SetClasses(t.Classes(), t.Route); err != nil {
-		return nil, err
-	}
-	return mq, nil
-}
-
-// RunBatch feeds the packets through the topology in arrival order
-// (platform.Drain), splitting the stream into maximal same-chain runs
-// and draining each through its chain platform in batchSize vectors
-// (0 picks the default vector size).
-// Measurements fold into one aggregate exactly as platform.RunBatch's.
-func (t *Topology) RunBatch(pkts []*packet.Packet, batchSize int) (*platform.RunResult, error) {
-	batches := make([]*platform.Batch, len(t.chains))
-	res := platform.NewRunResult(t.chains[0].Platform.Model())
-	err := platform.Drain(pkts, batchSize, t.Route,
+// ProcessRuns feeds pkts through the topology in arrival order
+// (platform.Drain with Route), splitting the stream into maximal
+// same-chain runs of at most batch packets and draining each through
+// its chain platform's ProcessBatch on b. One Batch serves every chain:
+// its flow contexts validate by generation and generations are banded
+// per table, so a handle cached against one chain's engine never
+// validates against another's.
+func (t *Topology) ProcessRuns(pkts []*packet.Packet, batch int, b *platform.Batch, fold func(off int, ms []platform.Measurement) error) error {
+	err := platform.Drain(pkts, batch, t.Route,
 		func(chain int, run []*packet.Packet) ([]platform.Measurement, error) {
-			if batches[chain] == nil {
-				batches[chain] = platform.NewBatch(batchSize)
-			}
-			ms, err := t.chains[chain].Platform.ProcessBatch(run, batches[chain])
+			ms, err := t.chains[chain].Platform.ProcessBatch(run, b)
 			if err != nil {
 				return nil, fmt.Errorf("chain %q: %w", t.chains[chain].Name, err)
 			}
 			return ms, nil
-		},
-		func(_ int, ms []platform.Measurement) error {
-			res.Fold(ms)
-			return nil
-		})
+		}, fold)
 	if err != nil {
-		return nil, fmt.Errorf("topo: %w", err)
+		return fmt.Errorf("topo: %w", err)
 	}
+	return nil
+}
+
+// Stats sums every chain engine's counters.
+func (t *Topology) Stats() core.Stats {
+	var s core.Stats
 	for i := range t.chains {
-		res.Stats.Add(t.Engine(i).Stats())
+		s.Add(t.Engine(i).Stats())
 	}
-	return res, nil
+	return s
+}
+
+// Model returns the cost model the chains share.
+func (t *Topology) Model() *cost.Model { return t.chains[0].Platform.Model() }
+
+// Telemetry returns the shared hub (nil when built without one).
+func (t *Topology) Telemetry() *telemetry.Hub { return t.hub }
+
+// RunBatch is platform.RunBatch over the topology.
+func (t *Topology) RunBatch(pkts []*packet.Packet, batchSize int) (*platform.RunResult, error) {
+	return platform.RunBatch(t, pkts, batchSize, nil)
 }
 
 // CheckpointAll snapshots every chain engine at a common packet

@@ -8,8 +8,10 @@ import (
 
 	"github.com/fastpathnfv/speedybox/internal/chainspec"
 	"github.com/fastpathnfv/speedybox/internal/core"
+	"github.com/fastpathnfv/speedybox/internal/fault"
 	"github.com/fastpathnfv/speedybox/internal/nf/monitor"
 	"github.com/fastpathnfv/speedybox/internal/packet"
+	"github.com/fastpathnfv/speedybox/internal/platform"
 	"github.com/fastpathnfv/speedybox/internal/trace"
 )
 
@@ -27,7 +29,6 @@ func TestValidate(t *testing.T) {
 		{"unnamed chain", Spec{Chains: []ChainSpec{chain("")}}, ErrSpecInvalid},
 		{"duplicate chain", Spec{Chains: []ChainSpec{chain("a"), chain("a")}}, ErrDuplicateChain},
 		{"empty chain", Spec{Chains: []ChainSpec{{Name: "a"}}}, ErrSpecInvalid},
-		{"negative weight", Spec{Chains: []ChainSpec{{Name: "a", Weight: -1, NFs: []chainspec.NFSpec{mon}}}}, ErrSpecInvalid},
 		{"policy unknown chain", Spec{Chains: []ChainSpec{chain("a")},
 			Policies: []PolicySpec{{Chain: "b"}}}, ErrPolicyUnknownChain},
 		{"policy negative tenant", Spec{Chains: []ChainSpec{chain("a")},
@@ -58,7 +59,7 @@ func TestParse(t *testing.T) {
 	doc := []byte(`{
 		"name": "edge",
 		"chains": [
-			{"name": "web", "weight": 2, "nfs": [
+			{"name": "web", "nfs": [
 				{"type": "monitor", "name": "shared-mon"},
 				{"type": "ipfilter", "acl_size": 100}]},
 			{"name": "voip", "nfs": [
@@ -78,15 +79,18 @@ func TestParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Name != "edge" || len(spec.Chains) != 2 || spec.Chains[0].Weight != 2 ||
+	if spec.Name != "edge" || len(spec.Chains) != 2 ||
 		len(spec.Policies) != 2 || len(spec.Tenants) != 2 {
 		t.Errorf("parsed spec off: %+v", spec)
 	}
-	if _, err := Parse([]byte(`{"chains": `)); !errors.Is(err, ErrSpecInvalid) {
-		t.Errorf("truncated JSON: err = %v", err)
-	}
-	if _, err := Parse([]byte(`{"chains": [], "bogus": 1}`)); !errors.Is(err, ErrSpecInvalid) {
-		t.Errorf("unknown field: err = %v", err)
+	for name, doc := range map[string]string{
+		"truncated JSON": `{"chains": `,
+		"unknown field":  `{"chains": [], "bogus": 1}`,
+		"chain weight":   `{"chains": [{"name": "web", "weight": 2, "nfs": [{"type": "monitor"}]}]}`,
+	} {
+		if _, err := Parse([]byte(doc)); !errors.Is(err, ErrSpecInvalid) {
+			t.Errorf("%s: err = %v, want %v", name, err, ErrSpecInvalid)
+		}
 	}
 }
 
@@ -195,11 +199,10 @@ func TestSharedNFAcrossChains(t *testing.T) {
 	pkts := mergedTrace(t, 3, 12, 1000, 2000)
 	chains := make(map[int]int)
 	for _, pkt := range pkts {
-		_, chain, err := topo.Process(pkt)
-		if err != nil {
+		chains[topo.Route(pkt)]++
+		if _, err := topo.RunBatch([]*packet.Packet{pkt}, 1); err != nil {
 			t.Fatal(err)
 		}
-		chains[chain]++
 	}
 	if chains[0] == 0 || chains[1] == 0 {
 		t.Fatalf("traffic did not split across chains: %v", chains)
@@ -243,16 +246,16 @@ func lockstep(t *testing.T, limited, free *Topology, probe func()) {
 	lim := mergedTrace(t, 11, 24, 1000, 2000)
 	ref := mergedTrace(t, 11, 24, 1000, 2000)
 	for i := range lim {
-		lres, _, err := limited.Process(lim[i])
+		lres, err := limited.RunBatch(lim[i:i+1], 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rres, _, err := free.Process(ref[i])
+		rres, err := free.RunBatch(ref[i:i+1], 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if lres.Verdict != rres.Verdict {
-			t.Fatalf("packet %d: verdict %v under quotas, %v without", i, lres.Verdict, rres.Verdict)
+		if lres.Drops != rres.Drops {
+			t.Fatalf("packet %d: %d drops under quotas, %d without", i, lres.Drops, rres.Drops)
 		}
 		if !lim[i].Dropped() && !bytes.Equal(lim[i].Data(), ref[i].Data()) {
 			t.Fatalf("packet %d: bytes differ under quotas", i)
@@ -342,7 +345,7 @@ func twoChainSpec() *Spec {
 				{Type: "ratelimiter", Quota: 1 << 30},
 				{Type: "monitor", Name: "mon"},
 			}},
-			{Name: "b", Weight: 2, NFs: []chainspec.NFSpec{
+			{Name: "b", NFs: []chainspec.NFSpec{
 				{Type: "monitor", Name: "mon"},
 			}},
 		},
@@ -353,22 +356,20 @@ func twoChainSpec() *Spec {
 	}
 }
 
-// TestRunBatchMatchesProcess drives the chain-boundary run splitter
-// over the same stream as per-packet Process and compares the per-chain
-// engine accounting.
-func TestRunBatchMatchesProcess(t *testing.T) {
+// TestRunBatchMatchesPerPacket drives the chain-boundary run splitter
+// in vectors of 16 over the same stream as per-packet RunBatch calls
+// and compares the per-chain engine accounting.
+func TestRunBatchMatchesPerPacket(t *testing.T) {
 	serial := build(t, twoChainSpec())
 	batch := build(t, twoChainSpec())
 	drops := 0
 	pktsA := mergedTrace(t, 5, 20, 1000, 2000)
-	for _, pkt := range pktsA {
-		res, _, err := serial.Process(pkt)
+	for i := range pktsA {
+		res, err := serial.RunBatch(pktsA[i:i+1], 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Verdict == core.VerdictDrop {
-			drops++
-		}
+		drops += res.Drops
 	}
 	pktsB := mergedTrace(t, 5, 20, 1000, 2000)
 	res, err := batch.RunBatch(pktsB, 16)
@@ -386,10 +387,23 @@ func TestRunBatchMatchesProcess(t *testing.T) {
 	}
 }
 
-// TestMultiQueueFairShare runs the topology through the weighted
-// fair-share dispatcher and compares the aggregate accounting with the
-// serial batch runner: scheduling order may differ, accounting may not.
-func TestMultiQueueFairShare(t *testing.T) {
+// newMultiQueue is a workers-way MultiQueue over the topology in
+// vectors of batch.
+func newMultiQueue(t *testing.T, tp *Topology, workers, batch int) *platform.MultiQueue {
+	t.Helper()
+	mq, err := platform.NewMultiQueue(tp, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mq.SetBatchSize(batch)
+	return mq
+}
+
+// TestMultiQueueMatchesSerial runs the topology through the parallel
+// runner and compares it with the serial one: flows interleave
+// differently across workers, but every chain engine must end up with
+// exactly the accounting of the serial run, at every vector size.
+func TestMultiQueueMatchesSerial(t *testing.T) {
 	serial := build(t, twoChainSpec())
 	sres, err := serial.RunBatch(mergedTrace(t, 9, 20, 1000, 2000), 16)
 	if err != nil {
@@ -397,11 +411,7 @@ func TestMultiQueueFairShare(t *testing.T) {
 	}
 	for _, batch := range []int{0, 8} {
 		par := build(t, twoChainSpec())
-		mq, err := par.NewMultiQueue(4, batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pres, err := mq.Run(mergedTrace(t, 9, 20, 1000, 2000))
+		pres, err := newMultiQueue(t, par, 4, batch).Run(mergedTrace(t, 9, 20, 1000, 2000))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -409,8 +419,10 @@ func TestMultiQueueFairShare(t *testing.T) {
 			t.Errorf("batch=%d: packets=%d drops=%d, serial %d/%d",
 				batch, pres.Packets, pres.Drops, sres.Packets, sres.Drops)
 		}
-		if pres.Stats != sres.Stats {
-			t.Errorf("batch=%d: stats diverged:\nmq:     %+v\nserial: %+v", batch, pres.Stats, sres.Stats)
+		for i := 0; i < serial.NumChains(); i++ {
+			if s, p := serial.Engine(i).Stats(), par.Engine(i).Stats(); s != p {
+				t.Errorf("batch=%d: chain %d stats diverged:\nmq:     %+v\nserial: %+v", batch, i, p, s)
+			}
 		}
 		if len(pres.QueueDepths) != 4 {
 			t.Errorf("batch=%d: QueueDepths = %v, want 4 workers", batch, pres.QueueDepths)
@@ -418,9 +430,81 @@ func TestMultiQueueFairShare(t *testing.T) {
 	}
 }
 
+// TestOneWorkerMultiQueueIsRunBatch: a one-worker MultiQueue drains the
+// topology in arrival order, exactly as RunBatch does, so under equal
+// fault schedules every chain and every tenant ends up with the same
+// counters — an order change across chains would move the faults.
+func TestOneWorkerMultiQueueIsRunBatch(t *testing.T) {
+	spec := func() *Spec {
+		s := twoChainSpec()
+		s.Tenants = []TenantSpec{{ID: 1, RuleQuota: 6, EventCap: 8}, {ID: 2, RuleQuota: 4}}
+		return s
+	}
+	faulted := func() *Topology {
+		opts := core.DefaultOptions()
+		opts.Faults = fault.New(fault.Config{Seed: 7, Rates: fault.UniformRates(0.05)})
+		tp, err := Build(spec(), BuildConfig{Options: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { tp.Close() })
+		return tp
+	}
+	for _, batch := range []int{1, 32} {
+		serial, par := faulted(), faulted()
+		sres, err := serial.RunBatch(mergedTrace(t, 13, 30, 1000, 2000), batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sres.Stats.SlowPathFallbacks == 0 || serial.Admission().RuleDenials(1)+serial.Admission().RuleDenials(2) == 0 {
+			t.Fatalf("batch=%d: no fault fallbacks or quota denials: %+v", batch, sres.Stats)
+		}
+		pres, err := newMultiQueue(t, par, 1, batch).Run(mergedTrace(t, 13, 30, 1000, 2000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pres.Packets != sres.Packets || pres.Drops != sres.Drops {
+			t.Errorf("batch=%d: packets=%d drops=%d, serial %d/%d", batch, pres.Packets, pres.Drops, sres.Packets, sres.Drops)
+		}
+		for i := 0; i < serial.NumChains(); i++ {
+			if s, p := serial.Engine(i).Stats(), par.Engine(i).Stats(); s != p {
+				t.Errorf("batch=%d: chain %d stats diverged:\nmq:     %+v\nserial: %+v", batch, i, p, s)
+			}
+		}
+		sa, pa := serial.Admission(), par.Admission()
+		for _, id := range []int32{1, 2} {
+			s := [4]uint64{sa.RulesHeld(id), sa.EventsHeld(id), sa.RuleDenials(id), sa.EventDenials(id)}
+			p := [4]uint64{pa.RulesHeld(id), pa.EventsHeld(id), pa.RuleDenials(id), pa.EventDenials(id)}
+			if s != p {
+				t.Errorf("batch=%d: tenant %d rules/events held and denied %v, serial %v", batch, id, p, s)
+			}
+		}
+	}
+}
+
+// TestClosedTopologyRefusesWork: after Close, both runners return
+// platform.ErrClosed instead of processing packets.
+func TestClosedTopologyRefusesWork(t *testing.T) {
+	tp := build(t, twoChainSpec())
+	if err := tp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tp.RunBatch(mergedTrace(t, 3, 4, 1000, 2000), 1); !errors.Is(err, platform.ErrClosed) {
+		t.Errorf("RunBatch after Close: err = %v, want %v", err, platform.ErrClosed)
+	}
+	if _, err := newMultiQueue(t, tp, 2, 8).Run(mergedTrace(t, 3, 4, 1000, 2000)); !errors.Is(err, platform.ErrClosed) {
+		t.Errorf("MultiQueue.Run after Close: err = %v, want %v", err, platform.ErrClosed)
+	}
+	for i := 0; i < tp.NumChains(); i++ {
+		if n := tp.Engine(i).Stats().Packets; n != 0 {
+			t.Errorf("chain %d processed %d packets after Close", i, n)
+		}
+	}
+}
+
 // TestRouteParsesOnDemand: a descriptor that has not been parsed yet is
 // routed by its tuple like its parsed twin — through RunBatch and the
-// fair-share dispatcher alike — while a frame Parse rejects goes to
+// MultiQueue alike — while a frame Parse rejects goes to
 // chain 0 untagged, whose platform reports the parse error.
 func TestRouteParsesOnDemand(t *testing.T) {
 	unparsed := func(pkts []*packet.Packet) []*packet.Packet {
@@ -455,15 +539,11 @@ func TestRouteParsesOnDemand(t *testing.T) {
 	}
 
 	par := build(t, twoChainSpec())
-	mq, err := par.NewMultiQueue(2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mq.Run(unparsed(mergedTrace(t, 11, 20, 1000, 2000))); err != nil {
+	if _, err := newMultiQueue(t, par, 2, 8).Run(unparsed(mergedTrace(t, 11, 20, 1000, 2000))); err != nil {
 		t.Fatal(err)
 	}
 	if got := perChain(par); !slices.Equal(got, want) {
-		t.Errorf("fair-share per-chain packets: unparsed %v, parsed %v", got, want)
+		t.Errorf("MultiQueue per-chain packets: unparsed %v, parsed %v", got, want)
 	}
 
 	bad := packet.New([]byte{0xde, 0xad})

@@ -117,7 +117,7 @@ func TestSoakAdversarialMultiChain(t *testing.T) {
 	spec := &speedybox.TopologySpec{
 		Name: "adversarial",
 		Chains: []speedybox.TopologyChainSpec{
-			{Name: "web", Weight: 2, NFs: []speedybox.NFSpec{
+			{Name: "web", NFs: []speedybox.NFSpec{
 				{Type: "snort"},
 				{Type: "monitor", Name: "mon"},
 			}},

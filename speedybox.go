@@ -273,8 +273,11 @@ type (
 	Measurement = platform.Measurement
 	// RunResult aggregates a trace run.
 	RunResult = platform.RunResult
+	// Fleet is what a run drives: a Platform, a Topology or a Cluster,
+	// each draining packets in arrival order through its own routing.
+	Fleet = platform.Fleet
 	// MultiQueue is an RSS-style runner: flows are hash-partitioned
-	// across worker goroutines that drive the platform concurrently.
+	// across worker goroutines that drive the fleet concurrently.
 	MultiQueue = platform.MultiQueue
 	// Batch is per-worker scratch for the batched data path (rule
 	// cache, pooled result and measurement storage).
@@ -324,9 +327,6 @@ type (
 	// NFSpec is the declarative NF notation used by chain and topology
 	// specs.
 	NFSpec = chainspec.NFSpec
-	// ChainClass pairs a chain's platform with a fair-share weight for
-	// MultiQueue.SetClasses.
-	ChainClass = platform.ChainClass
 )
 
 // Engine clustering (DESIGN.md §17): a Cluster runs N engine instances
@@ -414,21 +414,23 @@ func NewONVM(chain []NF, opts Options) (*Platform, error) {
 	return onvm.New(onvm.Config{Chain: chain, Options: opts})
 }
 
-// Run feeds every packet of a trace through the platform, one packet
-// per vector, and aggregates measurements: it is RunBatch with a batch
+// Run feeds every packet of a trace through the fleet, one packet per
+// vector, and aggregates measurements: it is RunBatch with a batch
 // size of 1.
-func Run(p *Platform, pkts []*Packet) (*RunResult, error) {
-	return platform.Run(p, pkts)
+func Run(f Fleet, pkts []*Packet) (*RunResult, error) {
+	return platform.Run(f, pkts)
 }
 
-// RunBatch feeds a trace through the platform in batchSize-packet
-// vectors (0 picks the canonical 32; 1 is a vector of one): the
-// platform's ProcessBatch amortizes classification, rule lookups,
-// allocations and counter updates across each vector while preserving
-// arrival order. The vector size changes performance, never results. A non-nil pool receives every packet back
-// after measurement, so pooled trace replay recycles descriptors.
-func RunBatch(p *Platform, pkts []*Packet, batchSize int, pool *PacketPool) (*RunResult, error) {
-	return platform.RunBatch(p, pkts, batchSize, pool)
+// RunBatch feeds a trace through the fleet — a Platform, a Topology or
+// a Cluster — in batchSize-packet vectors (0 picks the canonical 32; 1
+// is a vector of one): ProcessBatch amortizes classification, rule
+// lookups, allocations and counter updates across each vector while
+// preserving arrival order. The vector size changes performance, never
+// results. A non-nil pool receives every packet back after
+// measurement, so pooled trace replay recycles descriptors. On an
+// error the result still aggregates every completed packet.
+func RunBatch(f Fleet, pkts []*Packet, batchSize int, pool *PacketPool) (*RunResult, error) {
+	return platform.RunBatch(f, pkts, batchSize, pool)
 }
 
 // NewBatch returns per-worker batch scratch for Platform.ProcessBatch
@@ -439,15 +441,16 @@ func NewBatch(n int) *Batch { return platform.NewBatch(n) }
 // recycled packets and Put returns them.
 func NewPacketPool() *PacketPool { return packet.NewPool() }
 
-// NewMultiQueue wraps a platform with a workers-way RSS dispatcher:
-// MultiQueue.Run hash-partitions flows across the workers (parsing
-// descriptors on demand), preserving per-flow packet order while
-// disjoint flows are processed in parallel on the engine's FID-sharded
-// state. Workers drain their queues through ProcessBatch in vectors of
-// one until SetBatchSize picks a larger vector; Run returns the
-// aggregate of every completed packet even alongside an error.
-func NewMultiQueue(p *Platform, workers int) (*MultiQueue, error) {
-	return platform.NewMultiQueue(p, workers)
+// NewMultiQueue wraps a fleet — a Platform, a Topology or a Cluster —
+// with a workers-way RSS dispatcher: MultiQueue.Run hash-partitions
+// flows across the workers (parsing descriptors on demand), preserving
+// per-flow packet order while disjoint flows are processed in parallel
+// on the engines' FID-sharded state. Each worker drains its queue in
+// arrival order through the fleet's routing, in vectors of one until
+// SetBatchSize picks a larger vector; Run returns the aggregate of
+// every completed packet even alongside an error.
+func NewMultiQueue(f Fleet, workers int) (*MultiQueue, error) {
+	return platform.NewMultiQueue(f, workers)
 }
 
 // Telemetry types. A Telemetry hub collects sharded metrics, latency
