@@ -16,10 +16,9 @@ import (
 //
 //	{"version": 1, "op": "remove", "name": "mon-b"}
 //
-// Compile validates the plan against the engine's current chain and
-// instantiates the new NF (if any), producing a core.ChainPlan for
-// Engine.Reconfigure. Validation errors reuse core's typed sentinels
-// so callers can errors.Is against them.
+// Compile instantiates the new NF (if any), producing a core.ChainPlan
+// for Engine.Reconfigure, which validates it against the live chain
+// and rejects it with core's typed plan sentinels.
 type ChainPlan struct {
 	// Version is the plan schema version; 0 and 1 both mean v1.
 	Version int `json:"version,omitempty"`
@@ -67,65 +66,24 @@ func (p *ChainPlan) op() (core.ReconfigOp, error) {
 	}
 }
 
-// Compile validates the plan against the current chain's NF names (in
-// order, e.g. core.Engine.ChainNames()) and instantiates the new NF
-// when the operation needs one. The same validations Engine.Reconfigure
-// performs run here first, against the caller-supplied view, so a bad
-// plan is rejected before an NF is built; the engine revalidates under
-// its own lock, since the chain may have changed in between.
-func (p *ChainPlan) Compile(current []string) (core.ChainPlan, error) {
+// Compile maps the plan onto a core.ChainPlan, instantiating the new
+// NF (named by its type when unnamed) for insert and replace. It
+// validates nothing against the chain: Engine.Reconfigure does, under
+// its own lock, against the chain it is about to change.
+func (p *ChainPlan) Compile() (core.ChainPlan, error) {
 	op, err := p.op()
 	if err != nil {
 		return core.ChainPlan{}, err
 	}
-	names := make(map[string]int, len(current))
-	for i, n := range current {
-		names[n] = i
-	}
 	out := core.ChainPlan{Op: op, Name: p.Name, Pos: p.Pos}
-	switch op {
-	case core.OpInsert:
-		if p.NF == nil {
-			return core.ChainPlan{}, fmt.Errorf("%w: insert without an nf", core.ErrPlanInvalid)
-		}
-		if p.Pos < 0 || p.Pos > len(current) {
-			return core.ChainPlan{}, fmt.Errorf("%w: insert at %d in a chain of %d", core.ErrPlanOutOfRange, p.Pos, len(current))
-		}
-	case core.OpRemove:
-		if _, ok := names[p.Name]; !ok {
-			return core.ChainPlan{}, fmt.Errorf("%w: remove %q", core.ErrPlanUnknownNF, p.Name)
-		}
-		if len(current) == 1 {
-			return core.ChainPlan{}, fmt.Errorf("%w: removing %q", core.ErrPlanEmptyChain, p.Name)
-		}
-	case core.OpReplace:
-		if p.NF == nil {
-			return core.ChainPlan{}, fmt.Errorf("%w: replace without an nf", core.ErrPlanInvalid)
-		}
-		if _, ok := names[p.Name]; !ok {
-			return core.ChainPlan{}, fmt.Errorf("%w: replace %q", core.ErrPlanUnknownNF, p.Name)
-		}
-	case core.OpReorder:
-		if _, ok := names[p.Name]; !ok {
-			return core.ChainPlan{}, fmt.Errorf("%w: reorder %q", core.ErrPlanUnknownNF, p.Name)
-		}
-		if p.Pos < 0 || p.Pos >= len(current) {
-			return core.ChainPlan{}, fmt.Errorf("%w: reorder to %d in a chain of %d", core.ErrPlanOutOfRange, p.Pos, len(current))
-		}
-	}
 	if p.NF != nil && (op == core.OpInsert || op == core.OpReplace) {
 		name := p.NF.Name
 		if name == "" {
 			name = p.NF.Type
 		}
-		if i, dup := names[name]; dup && !(op == core.OpReplace && current[i] == p.Name) {
-			return core.ChainPlan{}, fmt.Errorf("%w: %q", core.ErrPlanDuplicateNF, name)
-		}
-		nf, err := p.NF.build(name)
-		if err != nil {
+		if out.NF, err = p.NF.Instantiate(name); err != nil {
 			return core.ChainPlan{}, fmt.Errorf("chainspec: plan nf (%s): %w", p.NF.Type, err)
 		}
-		out.NF = nf
 	}
 	return out, nil
 }

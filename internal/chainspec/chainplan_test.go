@@ -58,8 +58,28 @@ func TestParsePlanErrors(t *testing.T) {
 	}
 }
 
+// engineOf builds an engine over monitors with the given names.
+func engineOf(t *testing.T, names []string) *core.Engine {
+	t.Helper()
+	chain := make([]core.NF, len(names))
+	for i, name := range names {
+		nf, err := NFSpec{Type: "monitor"}.Instantiate(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain[i] = nf
+	}
+	eng, err := core.NewEngine(chain, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
 // TestCompilePlanErrors is the validation table: every rejection class
-// must map to its typed sentinel so control planes can errors.Is.
+// must map to its typed sentinel so control planes can errors.Is. A
+// row's plan is compiled, then applied to an engine over the row's
+// chain: Compile builds the NF, the engine validates.
 func TestCompilePlanErrors(t *testing.T) {
 	chain := []string{"nat", "lb", "mon", "fw"}
 	mon := &NFSpec{Type: "monitor", Name: "probe"}
@@ -83,9 +103,12 @@ func TestCompilePlanErrors(t *testing.T) {
 		{"unbuildable nf", ChainPlan{Op: "insert", Pos: 0, NF: &NFSpec{Type: "warp-drive"}}, chain, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := tc.plan.Compile(tc.current)
+			compiled, err := tc.plan.Compile()
 			if err == nil {
-				t.Fatal("plan compiled")
+				err = engineOf(t, tc.current).Reconfigure(compiled)
+			}
+			if err == nil {
+				t.Fatal("plan applied")
 			}
 			if tc.sentinel != nil && !errors.Is(err, tc.sentinel) {
 				t.Errorf("error %v, want %v", err, tc.sentinel)
@@ -97,11 +120,11 @@ func TestCompilePlanErrors(t *testing.T) {
 // TestCompilePlanSuccess checks the accepted shapes, including the two
 // subtle ones: replacing an NF with a same-named successor (not a
 // duplicate — it's the same slot) and defaulting the NF name to its
-// type.
+// type. Each compiled plan applies to an engine over nat, lb, mon.
 func TestCompilePlanSuccess(t *testing.T) {
-	chain := []string{"nat", "lb", "mon"}
+	eng := engineOf(t, []string{"nat", "lb", "mon"})
 
-	out, err := (&ChainPlan{Op: "insert", Pos: 3, NF: &NFSpec{Type: "monitor"}}).Compile(chain)
+	out, err := (&ChainPlan{Op: "insert", Pos: 3, NF: &NFSpec{Type: "monitor"}}).Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,26 +132,39 @@ func TestCompilePlanSuccess(t *testing.T) {
 		t.Errorf("insert compiled to %+v (nf %v)", out, out.NF)
 	}
 
-	out, err = (&ChainPlan{Op: "replace", Name: "mon", NF: &NFSpec{Type: "monitor", Name: "mon"}}).Compile(chain)
+	if err := eng.Reconfigure(out); err != nil {
+		t.Fatal(err)
+	}
+
+	out, err = (&ChainPlan{Op: "replace", Name: "mon", NF: &NFSpec{Type: "monitor", Name: "mon"}}).Compile()
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Reconfigure(out); err != nil {
 		t.Fatalf("same-name replace rejected: %v", err)
 	}
 	if out.Op != core.OpReplace || out.NF == nil || out.NF.Name() != "mon" {
 		t.Errorf("replace compiled to %+v", out)
 	}
 
-	out, err = (&ChainPlan{Op: "remove", Name: "lb"}).Compile(chain)
+	out, err = (&ChainPlan{Op: "remove", Name: "lb"}).Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Op != core.OpRemove || out.Name != "lb" || out.NF != nil {
 		t.Errorf("remove compiled to %+v", out)
 	}
+	if err := eng.Reconfigure(out); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(eng.ChainNames(), ","); got != "nat,mon,monitor" {
+		t.Errorf("chain after the plans = %s", got)
+	}
 }
 
-// TestReconfigureRejectionLeavesEpoch drives compiled-but-stale plans
-// into a live engine: the engine revalidates under its own lock, the
-// rejection carries the same typed sentinel, and — the property the
+// TestReconfigureRejectionLeavesEpoch drives a compiled but invalid
+// plan into a live engine: the engine validates under its own lock,
+// the rejection carries the typed sentinel, and — the property the
 // fast path depends on — a rejected plan consumes no epoch, so no rule
 // is invalidated by a plan that changed nothing.
 func TestReconfigureRejectionLeavesEpoch(t *testing.T) {
@@ -145,11 +181,10 @@ func TestReconfigureRejectionLeavesEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A plan compiled against a stale view: valid then, invalid now.
-	staleView := append(eng.ChainNames(), "departed")
-	plan, err := (&ChainPlan{Op: "remove", Name: "departed"}).Compile(staleView)
+	// Compile does not look at the chain; the engine rejects the plan.
+	plan, err := (&ChainPlan{Op: "remove", Name: "departed"}).Compile()
 	if err != nil {
-		t.Fatalf("plan valid against its view but rejected: %v", err)
+		t.Fatalf("compile rejected a well-formed plan: %v", err)
 	}
 	before := eng.Epoch()
 	if err := eng.Reconfigure(plan); !errors.Is(err, core.ErrPlanUnknownNF) {
@@ -161,7 +196,7 @@ func TestReconfigureRejectionLeavesEpoch(t *testing.T) {
 
 	// And a valid compiled plan round-trips through the engine.
 	good, err := (&ChainPlan{Op: "insert", Pos: eng.ChainLen(),
-		NF: &NFSpec{Type: "monitor", Name: "probe"}}).Compile(eng.ChainNames())
+		NF: &NFSpec{Type: "monitor", Name: "probe"}}).Compile()
 	if err != nil {
 		t.Fatal(err)
 	}

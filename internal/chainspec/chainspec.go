@@ -122,7 +122,7 @@ func (s *Spec) Build() ([]core.NF, error) {
 		if name == "" {
 			name = fmt.Sprintf("%s%d", n.Type, i+1)
 		}
-		nf, err := n.build(name)
+		nf, err := n.Instantiate(name)
 		if err != nil {
 			return nil, fmt.Errorf("chainspec: nf %d (%s): %w", i, n.Type, err)
 		}
@@ -135,29 +135,19 @@ func (s *Spec) Build() ([]core.NF, error) {
 // Multi-chain topologies (internal/topo) use it to construct shared NF
 // instances once and wire them into several chains by name.
 func (n NFSpec) Instantiate(name string) (core.NF, error) {
-	return n.build(name)
-}
-
-// ParseCIDR parses "a.b.c.d/n" into a prefix and mask length, shared
-// with topology policy rules that match flows by source prefix.
-func ParseCIDR(s string) ([4]byte, int, error) {
-	return parseCIDR(s)
-}
-
-func (n NFSpec) build(name string) (core.NF, error) {
 	switch n.Type {
 	case "ipfilter":
 		size := n.ACLSize
 		if size == 0 {
 			size = 100
 		}
-		return ipfilter.New(ipfilter.Config{
+		return nfConfig(ipfilter.New(ipfilter.Config{
 			Name:        name,
 			Rules:       ipfilter.PadRules(nil, size),
 			DefaultDeny: n.DefaultDeny,
-		})
+		}))
 	case "monitor":
-		return monitor.New(name)
+		return nfConfig(monitor.New(name))
 	case "snort":
 		rules := snort.DefaultRules()
 		if n.Rules != "" {
@@ -167,7 +157,7 @@ func (n NFSpec) build(name string) (core.NF, error) {
 				return nil, fmt.Errorf("%w: %w", ErrNFConfig, err)
 			}
 		}
-		return snort.New(name, rules)
+		return nfConfig(snort.New(name, rules))
 	case "maglev":
 		if len(n.Backends) == 0 {
 			return nil, fmt.Errorf("%w: maglev needs backends", ErrNFConfig)
@@ -180,9 +170,9 @@ func (n NFSpec) build(name string) (core.NF, error) {
 			}
 			backends[i] = maglev.Backend{Name: b.Name, IP: ip, Port: b.Port}
 		}
-		return maglev.New(maglev.Config{Name: name, Backends: backends, TableSize: n.TableSize})
+		return nfConfig(maglev.New(maglev.Config{Name: name, Backends: backends, TableSize: n.TableSize}))
 	case "mazunat":
-		prefix, bits, err := parseCIDR(n.InternalPrefix)
+		prefix, bits, err := ParseCIDR(n.InternalPrefix)
 		if err != nil {
 			return nil, fmt.Errorf("internal_prefix: %w", err)
 		}
@@ -190,26 +180,26 @@ func (n NFSpec) build(name string) (core.NF, error) {
 		if err != nil {
 			return nil, fmt.Errorf("external_ip: %w", err)
 		}
-		return mazunat.New(mazunat.Config{
+		return nfConfig(mazunat.New(mazunat.Config{
 			Name: name, InternalPrefix: prefix, InternalBits: bits, ExternalIP: ext,
-		})
+		}))
 	case "vpn-encap":
-		return vpn.New(vpn.Config{Name: name, Mode: vpn.ModeEncap})
+		return nfConfig(vpn.New(vpn.Config{Name: name, Mode: vpn.ModeEncap}))
 	case "vpn-decap":
-		return vpn.New(vpn.Config{Name: name, Mode: vpn.ModeDecap})
+		return nfConfig(vpn.New(vpn.Config{Name: name, Mode: vpn.ModeDecap}))
 	case "dos":
-		return dosdefender.New(dosdefender.Config{Name: name, SYNThreshold: n.SYNThreshold})
+		return nfConfig(dosdefender.New(dosdefender.Config{Name: name, SYNThreshold: n.SYNThreshold}))
 	case "ratelimiter":
-		return ratelimiter.New(ratelimiter.Config{Name: name, Quota: n.Quota})
+		return nfConfig(ratelimiter.New(ratelimiter.Config{Name: name, Quota: n.Quota}))
 	case "gateway":
 		mac, err := parseMAC(n.NextHopMAC)
 		if err != nil {
 			return nil, fmt.Errorf("next_hop_mac: %w", err)
 		}
-		return gateway.New(gateway.Config{
+		return nfConfig(gateway.New(gateway.Config{
 			Name: name, NextHopMAC: mac,
 			VoicePorts: n.VoicePorts, VideoPorts: n.VideoPorts,
-		})
+		}))
 	case "synthetic":
 		class := sfunc.ClassRead
 		switch n.Class {
@@ -221,10 +211,19 @@ func (n NFSpec) build(name string) (core.NF, error) {
 		default:
 			return nil, fmt.Errorf("%w: unknown class %q", ErrNFConfig, n.Class)
 		}
-		return synthetic.New(synthetic.Config{Name: name, Cycles: n.Cycles, Class: class})
+		return nfConfig(synthetic.New(synthetic.Config{Name: name, Cycles: n.Cycles, Class: class}))
 	default:
 		return nil, fmt.Errorf("%w %q", ErrUnknownNFType, n.Type)
 	}
+}
+
+// nfConfig passes on a constructed NF, or its constructor's error as
+// an invalid NF configuration: the constructors' errors carry no code.
+func nfConfig[T core.NF](nf T, err error) (core.NF, error) {
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrNFConfig, err)
+	}
+	return nf, nil
 }
 
 // parseIPv4 parses dotted-quad notation.
@@ -244,8 +243,9 @@ func parseIPv4(s string) ([4]byte, error) {
 	return out, nil
 }
 
-// parseCIDR parses "a.b.c.d/n".
-func parseCIDR(s string) ([4]byte, int, error) {
+// ParseCIDR parses "a.b.c.d/n" into a prefix and mask length, shared
+// with topology policy rules that match flows by source prefix.
+func ParseCIDR(s string) ([4]byte, int, error) {
 	addr, bitsStr, ok := strings.Cut(s, "/")
 	if !ok {
 		return [4]byte{}, 0, fmt.Errorf("%w: bad CIDR %q", ErrBadAddress, s)

@@ -180,8 +180,8 @@ func TestParseHelpers(t *testing.T) {
 	if _, err := parseIPv4("1.2.3"); err == nil {
 		t.Error("short IP accepted")
 	}
-	if ip, bits, err := parseCIDR("172.16.0.0/12"); err != nil || bits != 12 || ip != [4]byte{172, 16, 0, 0} {
-		t.Errorf("parseCIDR = %v/%d, %v", ip, bits, err)
+	if ip, bits, err := ParseCIDR("172.16.0.0/12"); err != nil || bits != 12 || ip != [4]byte{172, 16, 0, 0} {
+		t.Errorf("ParseCIDR = %v/%d, %v", ip, bits, err)
 	}
 	if mac, err := parseMAC("02:ff:00:11:22:33"); err != nil || mac != [6]byte{0x02, 0xff, 0x00, 0x11, 0x22, 0x33} {
 		t.Errorf("parseMAC = %v, %v", mac, err)

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 
@@ -37,44 +36,23 @@ type clusterScaleResponse struct {
 // the operation's contract — packets racing a rebalance buffer at the
 // instances' drain gates and re-route, so the resize drops nothing.
 func (d *Daemon) handleClusterScale(w http.ResponseWriter, r *http.Request) {
-	if !post(w, r) {
-		return
-	}
-	body, err := readBody(w, r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
 	var req clusterScaleRequest
-	if len(body) > 0 {
-		if err := json.Unmarshal(body, &req); err != nil {
-			writeError(w, fmt.Errorf("%w: %w", ErrBadRequest, err))
-			return
+	d.admin(w, r, &req, func() (any, error) {
+		if req.Instances == 0 {
+			return nil, fmt.Errorf("%w: scale needs a target instance count", ErrBadRequest)
 		}
-	}
-	if req.Instances == 0 {
-		writeError(w, fmt.Errorf("%w: scale needs a target instance count", ErrBadRequest))
-		return
-	}
-	d.adminMu.Lock()
-	defer d.adminMu.Unlock()
-	if err := d.guard(); err != nil {
-		writeError(w, err)
-		return
-	}
-	if d.cl == nil {
-		writeError(w, fmt.Errorf("%w: start with -instances > 1", ErrNotClustered))
-		return
-	}
-	if err := d.cl.ScaleTo(req.Instances); err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, clusterScaleResponse{
-		Instances:  d.cl.Instances(),
-		Migrations: d.cl.Migrations(),
-		Rebalances: d.cl.Rebalances(),
-		Aborts:     d.cl.Aborts(),
+		if d.cl == nil {
+			return nil, fmt.Errorf("%w: start with -instances > 1", ErrNotClustered)
+		}
+		if err := d.cl.ScaleTo(req.Instances); err != nil {
+			return nil, err
+		}
+		return clusterScaleResponse{
+			Instances:  d.cl.Instances(),
+			Migrations: d.cl.Migrations(),
+			Rebalances: d.cl.Rebalances(),
+			Aborts:     d.cl.Aborts(),
+		}, nil
 	})
 }
 

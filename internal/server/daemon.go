@@ -177,8 +177,8 @@ type Daemon struct {
 	cl *cluster.Cluster
 	// mq drives plat or cl: the pump's sink in both modes.
 	mq   *platform.MultiQueue
-	walW *wal.Writer
-	walF *os.File // WALPath sink, nil for in-memory logs
+	walW *wal.Writer // nil in cluster mode, whose durability is per instance
+	walF *os.File    // WALPath sink, nil for in-memory logs
 
 	// adminMu serializes every admin mutation (plan, checkpoint,
 	// restore, drain, undrain, shutdown). The data path never takes it;
@@ -233,10 +233,6 @@ func New(cfg Config) (*Daemon, error) {
 			return nil, err
 		}
 		fleet = d.cl
-		// Durability in cluster mode is per-instance and internal to the
-		// cluster; the daemon's own WAL writer stays unattached so
-		// /v1/status reports zeros rather than panicking.
-		d.walW = wal.NewWriter(wal.Options{})
 	} else {
 		switch spec.Platform {
 		case "onvm":
@@ -253,7 +249,11 @@ func New(cfg Config) (*Daemon, error) {
 		// re-journaled into the fresh log, whose first records should be
 		// post-boot mutations anchored by the next checkpoint.
 		if cfg.RestoreFrom != "" {
-			if err := d.restoreFromFiles(cfg.RestoreFrom, cfg.RestoreWAL); err != nil {
+			cpData, walData, err := readFiles(cfg.RestoreFrom, cfg.RestoreWAL)
+			if err == nil {
+				_, err = d.restore(cpData, walData)
+			}
+			if err != nil {
 				d.plat.Close()
 				return nil, err
 			}
@@ -396,7 +396,7 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 
 	var firstErr error
 	if d.cfg.CheckpointPath != "" {
-		if _, _, err := d.saveCheckpoint(d.cfg.CheckpointPath); err != nil {
+		if _, _, err := d.checkpoint(d.cfg.CheckpointPath); err != nil {
 			firstErr = err
 		}
 	}
@@ -414,40 +414,44 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 	return firstErr
 }
 
-// saveCheckpoint quiesces nothing itself — callers hold adminMu and
-// have gated the pump — then snapshots the engine and writes the
-// encoded checkpoint to path.
-func (d *Daemon) saveCheckpoint(path string) (*wal.Checkpoint, int, error) {
+// checkpoint snapshots the engine and encodes it once, writing the
+// bytes to path when one is set. It quiesces nothing itself: callers
+// hold adminMu and have gated or stopped the pump.
+func (d *Daemon) checkpoint(path string) (*wal.Checkpoint, []byte, error) {
 	cp, err := d.plat.Engine().Checkpoint()
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 	data := cp.Encode()
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return nil, 0, fmt.Errorf("%w: %w", ErrCheckpointIO, err)
-	}
-	return cp, len(data), nil
-}
-
-// restoreFromFiles loads a checkpoint file (and optional journal file)
-// into the fresh engine at boot.
-func (d *Daemon) restoreFromFiles(cpPath, walPath string) error {
-	data, err := os.ReadFile(cpPath)
-	if err != nil {
-		return fmt.Errorf("%w: %w", ErrCheckpointIO, err)
-	}
-	cp, err := wal.DecodeCheckpoint(data)
-	if err != nil {
-		return err
-	}
-	var walData []byte
-	if walPath != "" {
-		walData, err = os.ReadFile(walPath)
-		if err != nil {
-			return fmt.Errorf("%w: %w", ErrCheckpointIO, err)
+	if path != "" {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			return nil, nil, fmt.Errorf("%w: %w", ErrCheckpointIO, err)
 		}
 	}
-	return d.plat.Engine().Restore(cp, walData)
+	return cp, data, nil
+}
+
+// restore decodes a checkpoint and loads it, with the journal's
+// records past it, into the engine, which must be fresh.
+func (d *Daemon) restore(cpData, walData []byte) (*wal.Checkpoint, error) {
+	cp, err := wal.DecodeCheckpoint(cpData)
+	if err != nil {
+		return nil, err
+	}
+	return cp, d.plat.Engine().Restore(cp, walData)
+}
+
+// readFiles reads a checkpoint file and, when walPath is set, a
+// journal file.
+func readFiles(cpPath, walPath string) (cpData, walData []byte, err error) {
+	cpData, err = os.ReadFile(cpPath)
+	if err == nil && walPath != "" {
+		walData, err = os.ReadFile(walPath)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: %w", ErrCheckpointIO, err)
+	}
+	return cpData, walData, nil
 }
 
 func (d *Daemon) closeFiles() error {

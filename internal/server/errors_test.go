@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"net/http"
 	"testing"
 
@@ -38,6 +39,10 @@ func TestAPIErrorCodes(t *testing.T) {
 			errcode.CodeOf(chainspec.ErrUnknownNFType), http.StatusBadRequest},
 		{"unsupported plan version", http.MethodPost, "/v1/plan", `{"version":9,"op":"remove","name":"x"}`,
 			errcode.CodeOf(chainspec.ErrUnsupportedVersion), http.StatusBadRequest},
+		{"NF its constructor rejects", http.MethodPost, "/v1/plan",
+			`{"op":"insert","pos":0,"nf":{"type":"maglev","name":"lb-b","table_size":9,
+			  "backends":[{"name":"b","ip":"192.168.1.10","port":80}]}}`,
+			errcode.CodeOf(chainspec.ErrNFConfig), http.StatusBadRequest},
 		{"restore while serving", http.MethodPost, "/v1/restore",
 			`{"checkpoint":"AAAA"}`,
 			errcode.CodeOf(ErrBadState), http.StatusConflict},
@@ -93,6 +98,53 @@ func TestRestoreErrorCodesWhileDrained(t *testing.T) {
 		[]byte(`{"checkpoint_path":"/nonexistent/p.ckpt"}`))
 	if want := errcode.CodeOf(ErrCheckpointIO); code != want {
 		t.Fatalf("missing file code = %q, want %q", code, want)
+	}
+}
+
+// TestRestoreRefusesServedEngine holds restore to Engine.Restore's
+// precondition, a fresh engine: a daemon that has served traffic is
+// refused even when drained, and so is a second restore, so neither
+// merges a checkpoint into the flows the engine already tracks.
+func TestRestoreRefusesServedEngine(t *testing.T) {
+	a := testDaemon(t, Config{Pump: PumpConfig{Flows: 40}})
+	if err := a.Start(); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	waitWindows(t, a, 2)
+	var st stateResponse
+	if code := apiJSON(t, http.MethodPost, a.URL()+"/v1/drain", nil, &st); code != http.StatusOK {
+		t.Fatalf("drain: HTTP %d", code)
+	}
+	var cp checkpointResponse
+	if code := apiJSON(t, http.MethodPost, a.URL()+"/v1/checkpoint",
+		[]byte(`{"inline":true}`), &cp); code != http.StatusOK {
+		t.Fatalf("checkpoint: HTTP %d", code)
+	}
+	body, _ := json.Marshal(restoreRequest{Checkpoint: cp.Checkpoint, WAL: cp.WAL})
+
+	flows := a.Engine().FlowLen()
+	code, status := apiErrCode(t, http.MethodPost, a.URL()+"/v1/restore", body)
+	if want := errcode.CodeOf(ErrBadState); code != want || status != http.StatusConflict {
+		t.Fatalf("restore into a served engine: %q (HTTP %d), want %q", code, status, want)
+	}
+	if got := a.Engine().FlowLen(); got != flows {
+		t.Fatalf("refused restore changed the flow count: %d -> %d", flows, got)
+	}
+
+	b := testDaemon(t, Config{Pump: PumpConfig{Disable: true}})
+	var rr restoreResponse
+	if code := apiJSON(t, http.MethodPost, b.URL()+"/v1/restore", body, &rr); code != http.StatusOK {
+		t.Fatalf("restore into a fresh engine: HTTP %d", code)
+	}
+	if rr.Flows == 0 {
+		t.Fatalf("restore brought back no flows: %+v", rr)
+	}
+	code, _ = apiErrCode(t, http.MethodPost, b.URL()+"/v1/restore", body)
+	if want := errcode.CodeOf(ErrBadState); code != want {
+		t.Fatalf("second restore: %q, want %q", code, want)
+	}
+	if got := b.Engine().FlowLen(); got != rr.Flows {
+		t.Fatalf("second restore merged: %d flows, want %d", got, rr.Flows)
 	}
 }
 

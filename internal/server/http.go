@@ -7,13 +7,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"time"
 
 	"github.com/fastpathnfv/speedybox/internal/chainspec"
 	"github.com/fastpathnfv/speedybox/internal/errcode"
 	"github.com/fastpathnfv/speedybox/internal/telemetry"
-	"github.com/fastpathnfv/speedybox/internal/wal"
 )
 
 // maxBodyBytes bounds admin request bodies. Plans are a few hundred
@@ -57,12 +55,42 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	return body, nil
 }
 
-func post(w http.ResponseWriter, r *http.Request) bool {
+// admin is every /v1 mutation's one request path: POST only; when req
+// is non-nil the capped body is decoded into it (a *[]byte takes it
+// raw; an empty body decodes nothing); then, under adminMu and once
+// guard passes, fn runs and its result or error is rendered.
+func (d *Daemon) admin(w http.ResponseWriter, r *http.Request, req any, fn func() (any, error)) {
 	if r.Method != http.MethodPost {
 		writeError(w, fmt.Errorf("%w: %s %s", ErrMethodNotAllowed, r.Method, r.URL.Path))
-		return false
+		return
 	}
-	return true
+	if req != nil {
+		body, err := readBody(w, r)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		if raw, ok := req.(*[]byte); ok {
+			*raw = body
+		} else if len(body) > 0 {
+			if err := json.Unmarshal(body, req); err != nil {
+				writeError(w, fmt.Errorf("%w: %w", ErrBadRequest, err))
+				return
+			}
+		}
+	}
+	d.adminMu.Lock()
+	defer d.adminMu.Unlock()
+	err := d.guard()
+	var resp any
+	if err == nil {
+		resp, err = fn()
+	}
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	writeJSON(w, resp)
 }
 
 func get(w http.ResponseWriter, r *http.Request) bool {
@@ -83,45 +111,31 @@ type planResponse struct {
 // chain via the platform's live-reconfiguration path. Traffic keeps
 // flowing: the engine's epoch machinery invalidates consolidated rules
 // and in-flight batch workers fall back to the slow path, so no pump
-// quiesce is needed or taken.
+// quiesce is needed or taken. The engine validates the plan.
 func (d *Daemon) handlePlan(w http.ResponseWriter, r *http.Request) {
-	if !post(w, r) {
-		return
-	}
-	body, err := readBody(w, r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	d.adminMu.Lock()
-	defer d.adminMu.Unlock()
-	if err := d.guard(); err != nil {
-		writeError(w, err)
-		return
-	}
-	plan, err := chainspec.ParsePlan(body)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	eng := d.Engine()
-	compiled, err := plan.Compile(eng.ChainNames())
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if d.cl != nil {
-		// Cluster mode: the plan commits fleet-wide at a common packet
-		// boundary or not at all.
-		err = d.cl.Reconfigure(compiled)
-	} else {
-		err = d.plat.Reconfigure(compiled)
-	}
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, planResponse{Epoch: eng.Epoch(), Chain: eng.ChainNames()})
+	var body []byte
+	d.admin(w, r, &body, func() (any, error) {
+		plan, err := chainspec.ParsePlan(body)
+		if err != nil {
+			return nil, err
+		}
+		compiled, err := plan.Compile()
+		if err != nil {
+			return nil, err
+		}
+		if d.cl != nil {
+			// Cluster mode: the plan commits fleet-wide at a common
+			// packet boundary or not at all.
+			err = d.cl.Reconfigure(compiled)
+		} else {
+			err = d.plat.Reconfigure(compiled)
+		}
+		if err != nil {
+			return nil, err
+		}
+		eng := d.Engine()
+		return planResponse{Epoch: eng.Epoch(), Chain: eng.ChainNames()}, nil
+	})
 }
 
 // checkpointRequest selects the checkpoint destination: a file path
@@ -148,67 +162,37 @@ type checkpointResponse struct {
 // daemon is serving, the pump is gated for the duration — the window in
 // flight drains, the snapshot is taken, the gate reopens.
 func (d *Daemon) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	if !post(w, r) {
-		return
-	}
-	body, err := readBody(w, r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
 	var req checkpointRequest
-	if len(body) > 0 {
-		if err := json.Unmarshal(body, &req); err != nil {
-			writeError(w, fmt.Errorf("%w: %w", ErrBadRequest, err))
-			return
+	d.admin(w, r, &req, func() (any, error) {
+		if d.cl != nil {
+			return nil, fmt.Errorf("%w: per-instance checkpoints are internal to the cluster", ErrClusterMode)
 		}
-	}
-	d.adminMu.Lock()
-	defer d.adminMu.Unlock()
-	if err := d.guard(); err != nil {
-		writeError(w, err)
-		return
-	}
-	if d.cl != nil {
-		writeError(w, fmt.Errorf("%w: per-instance checkpoints are internal to the cluster", ErrClusterMode))
-		return
-	}
-
-	if d.pump != nil && State(d.state.Load()) == Serving {
-		d.pump.pause()
-		defer d.pump.resume()
-	}
-
-	eng := d.plat.Engine()
-	var cp *wal.Checkpoint
-	path := req.Path
-	if path == "" {
-		path = d.cfg.CheckpointPath
-	}
-	if path != "" {
-		cp, _, err = d.saveCheckpoint(path)
-	} else {
-		cp, err = eng.Checkpoint()
-		// No destination anywhere: the bytes must travel inline or the
-		// snapshot would be unreachable.
-		req.Inline = true
-	}
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	data := cp.Encode()
-	resp := checkpointResponse{
-		Epoch:  cp.Epoch,
-		WALSeq: cp.WALSeq,
-		Bytes:  len(data),
-		Path:   path,
-	}
-	if req.Inline {
-		resp.Checkpoint = base64.StdEncoding.EncodeToString(data)
-		resp.WAL = base64.StdEncoding.EncodeToString(d.walW.DurableBytes())
-	}
-	writeJSON(w, resp)
+		if d.pump != nil && d.State() == Serving {
+			d.pump.pause()
+			defer d.pump.resume()
+		}
+		path := req.Path
+		if path == "" {
+			path = d.cfg.CheckpointPath
+		}
+		cp, data, err := d.checkpoint(path)
+		if err != nil {
+			return nil, err
+		}
+		resp := checkpointResponse{
+			Epoch:  cp.Epoch,
+			WALSeq: cp.WALSeq,
+			Bytes:  len(data),
+			Path:   path,
+		}
+		// With no destination anywhere the bytes must travel inline, or
+		// the snapshot would be unreachable.
+		if req.Inline || path == "" {
+			resp.Checkpoint = base64.StdEncoding.EncodeToString(data)
+			resp.WAL = base64.StdEncoding.EncodeToString(d.walW.DurableBytes())
+		}
+		return resp, nil
+	})
 }
 
 // restoreRequest carries the snapshot to load: inline base64 fields
@@ -228,87 +212,51 @@ type restoreResponse struct {
 }
 
 // handleRestore loads a checkpoint (plus optional journal suffix) into
-// the engine. Only legal while no traffic is flowing — Starting or
-// Draining — mirroring Engine.Restore's fresh-engine precondition.
+// the engine. Engine.Restore's precondition is a fresh engine, so the
+// daemon must carry no traffic (Starting or Draining) and its engine
+// must never have classified a packet or tracked a flow: a restore
+// into a served engine would merge two flow tables.
 func (d *Daemon) handleRestore(w http.ResponseWriter, r *http.Request) {
-	if !post(w, r) {
-		return
-	}
-	body, err := readBody(w, r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
 	var req restoreRequest
-	if len(body) > 0 {
-		if err := json.Unmarshal(body, &req); err != nil {
-			writeError(w, fmt.Errorf("%w: %w", ErrBadRequest, err))
-			return
+	d.admin(w, r, &req, func() (any, error) {
+		if d.cl != nil {
+			return nil, fmt.Errorf("%w: crash-restore is internal to the cluster", ErrClusterMode)
 		}
-	}
-	d.adminMu.Lock()
-	defer d.adminMu.Unlock()
-	if err := d.guard(); err != nil {
-		writeError(w, err)
-		return
-	}
-	if d.cl != nil {
-		writeError(w, fmt.Errorf("%w: crash-restore is internal to the cluster", ErrClusterMode))
-		return
-	}
-	if st := State(d.state.Load()); st != Starting && st != Draining {
-		writeError(w, fmt.Errorf("%w: restore while %s (drain first)", ErrBadState, st))
-		return
-	}
-
-	var cpData, walData []byte
-	switch {
-	case req.Checkpoint != "":
-		cpData, err = base64.StdEncoding.DecodeString(req.Checkpoint)
-		if err != nil {
-			writeError(w, fmt.Errorf("%w: checkpoint: %w", ErrBadRequest, err))
-			return
+		if st := d.State(); st != Starting && st != Draining {
+			return nil, fmt.Errorf("%w: restore while %s (drain first)", ErrBadState, st)
 		}
-		if req.WAL != "" {
-			walData, err = base64.StdEncoding.DecodeString(req.WAL)
-			if err != nil {
-				writeError(w, fmt.Errorf("%w: wal: %w", ErrBadRequest, err))
-				return
+		eng := d.plat.Engine()
+		if pkts, flows := eng.Stats().Packets, eng.FlowLen(); pkts > 0 || flows > 0 {
+			return nil, fmt.Errorf("%w: restore into an engine that has classified %d packets and tracks %d flows (restore needs a fresh engine)",
+				ErrBadState, pkts, flows)
+		}
+		var cpData, walData []byte
+		var err error
+		switch {
+		case req.Checkpoint != "":
+			if cpData, err = base64.StdEncoding.DecodeString(req.Checkpoint); err != nil {
+				return nil, fmt.Errorf("%w: checkpoint: %w", ErrBadRequest, err)
 			}
-		}
-	case req.CheckpointPath != "":
-		cpData, err = readRestoreFile(req.CheckpointPath)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		if req.WALPath != "" {
-			walData, err = readRestoreFile(req.WALPath)
-			if err != nil {
-				writeError(w, err)
-				return
+			if walData, err = base64.StdEncoding.DecodeString(req.WAL); err != nil {
+				return nil, fmt.Errorf("%w: wal: %w", ErrBadRequest, err)
 			}
+		case req.CheckpointPath != "":
+			if cpData, walData, err = readFiles(req.CheckpointPath, req.WALPath); err != nil {
+				return nil, err
+			}
+		default:
+			return nil, fmt.Errorf("%w: restore needs a checkpoint or checkpoint_path", ErrBadRequest)
 		}
-	default:
-		writeError(w, fmt.Errorf("%w: restore needs a checkpoint or checkpoint_path", ErrBadRequest))
-		return
-	}
-
-	cp, err := wal.DecodeCheckpoint(cpData)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	eng := d.plat.Engine()
-	if err := eng.Restore(cp, walData); err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, restoreResponse{
-		Epoch: eng.Epoch(),
-		Flows: len(cp.Flows),
-		Rules: len(cp.Rules),
-		Chain: eng.ChainNames(),
+		cp, err := d.restore(cpData, walData)
+		if err != nil {
+			return nil, err
+		}
+		return restoreResponse{
+			Epoch: eng.Epoch(),
+			Flows: len(cp.Flows),
+			Rules: len(cp.Rules),
+			Chain: eng.ChainNames(),
+		}, nil
 	})
 }
 
@@ -319,55 +267,39 @@ type stateResponse struct {
 // handleDrain gates the pump at a packet boundary and enters Draining.
 // Idempotent from Draining.
 func (d *Daemon) handleDrain(w http.ResponseWriter, r *http.Request) {
-	if !post(w, r) {
-		return
-	}
-	d.adminMu.Lock()
-	defer d.adminMu.Unlock()
-	if err := d.guard(); err != nil {
-		writeError(w, err)
-		return
-	}
-	switch State(d.state.Load()) {
-	case Serving:
-		if d.pump != nil {
-			d.pump.pause()
+	d.admin(w, r, nil, func() (any, error) {
+		switch d.State() {
+		case Serving:
+			if d.pump != nil {
+				d.pump.pause()
+			}
+			d.state.Store(int32(Draining))
+		case Draining:
+			// already drained
+		default:
+			return nil, fmt.Errorf("%w: drain while %s", ErrBadState, d.State())
 		}
-		d.state.Store(int32(Draining))
-	case Draining:
-		// already drained
-	default:
-		writeError(w, fmt.Errorf("%w: drain while %s", ErrBadState, d.State()))
-		return
-	}
-	writeJSON(w, stateResponse{State: d.State().String()})
+		return stateResponse{State: d.State().String()}, nil
+	})
 }
 
 // handleUndrain reopens the pump gate and returns to Serving.
 // Idempotent from Serving.
 func (d *Daemon) handleUndrain(w http.ResponseWriter, r *http.Request) {
-	if !post(w, r) {
-		return
-	}
-	d.adminMu.Lock()
-	defer d.adminMu.Unlock()
-	if err := d.guard(); err != nil {
-		writeError(w, err)
-		return
-	}
-	switch State(d.state.Load()) {
-	case Draining:
-		d.state.Store(int32(Serving))
-		if d.pump != nil {
-			d.pump.resume()
+	d.admin(w, r, nil, func() (any, error) {
+		switch d.State() {
+		case Draining:
+			d.state.Store(int32(Serving))
+			if d.pump != nil {
+				d.pump.resume()
+			}
+		case Serving:
+			// already serving
+		default:
+			return nil, fmt.Errorf("%w: undrain while %s", ErrBadState, d.State())
 		}
-	case Serving:
-		// already serving
-	default:
-		writeError(w, fmt.Errorf("%w: undrain while %s", ErrBadState, d.State()))
-		return
-	}
-	writeJSON(w, stateResponse{State: d.State().String()})
+		return stateResponse{State: d.State().String()}, nil
+	})
 }
 
 type statusStats struct {
@@ -515,13 +447,4 @@ func (d *Daemon) handleErrors(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, errorsResponse{Codes: errcode.All()})
-}
-
-// readRestoreFile wraps file reads in the checkpoint-IO error family.
-func readRestoreFile(path string) ([]byte, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrCheckpointIO, err)
-	}
-	return data, nil
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"net/http"
 
 	"github.com/fastpathnfv/speedybox/internal/core"
@@ -36,45 +35,31 @@ type topoResponse struct {
 // cmd/chainsim -topo and the library's BuildTopology consume the same
 // document for execution.
 func (d *Daemon) handleTopo(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
+	if r.Method == http.MethodGet {
 		d.adminMu.Lock()
 		spec := d.stagedTopo
 		d.adminMu.Unlock()
 		writeJSON(w, topoSummary(spec))
-	case http.MethodPost:
-		body, err := readBody(w, r)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		d.adminMu.Lock()
-		defer d.adminMu.Unlock()
-		if err := d.guard(); err != nil {
-			writeError(w, err)
-			return
-		}
+		return
+	}
+	var body []byte
+	d.admin(w, r, &body, func() (any, error) {
 		spec, err := topo.Parse(body)
 		if err != nil {
-			writeError(w, err)
-			return
+			return nil, err
 		}
 		// Dry-run build: instantiates every NF so spec-level validity
 		// extends to NF construction, then discards the topology.
 		tp, err := topo.Build(spec, topo.BuildConfig{Options: core.BaselineOptions()})
 		if err != nil {
-			writeError(w, err)
-			return
+			return nil, err
 		}
 		if err := tp.Close(); err != nil {
-			writeError(w, err)
-			return
+			return nil, err
 		}
 		d.stagedTopo = spec
-		writeJSON(w, topoSummary(spec))
-	default:
-		writeError(w, fmt.Errorf("%w: %s %s", ErrMethodNotAllowed, r.Method, r.URL.Path))
-	}
+		return topoSummary(spec), nil
+	})
 }
 
 // topoSummary renders the staged-topology view of a spec (nil = none).

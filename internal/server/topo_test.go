@@ -101,6 +101,13 @@ func TestTopoErrorCodes(t *testing.T) {
 		{"unknown NF type via dry-run build",
 			`{"chains":[{"name":"a","nfs":[{"type":"teleporter"}]}]}`,
 			errcode.CodeOf(chainspec.ErrUnknownNFType)},
+		{"NF its constructor rejects via dry-run build",
+			`{"chains":[{"name":"a","nfs":[{"type":"maglev","table_size":4,
+			  "backends":[{"name":"b","ip":"192.168.1.10","port":80}]}]}]}`,
+			errcode.CodeOf(chainspec.ErrNFConfig)},
+		{"one NF named twice in a chain",
+			`{"chains":[{"name":"a","nfs":[{"type":"monitor","name":"m"},{"type":"monitor","name":"m"}]}]}`,
+			errcode.CodeOf(topo.ErrSpecInvalid)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -85,6 +85,16 @@ type ChainSpec struct {
 	NFs []chainspec.NFSpec `json:"nfs"`
 }
 
+// nfName is the instance name of the chain's i-th NF: its own name,
+// which chains share, or a private name qualified by the chain so
+// identical anonymous NFs in different chains never collide.
+func (c ChainSpec) nfName(i int) string {
+	if n := c.NFs[i].Name; n != "" {
+		return n
+	}
+	return fmt.Sprintf("%s.%s%d", c.Name, c.NFs[i].Type, i+1)
+}
+
 // PolicySpec is one classification rule. Every present field must
 // match; absent fields match anything. Rules are evaluated in order
 // and the first match assigns the flow's chain and tenant.
@@ -146,6 +156,14 @@ func (s *Spec) Validate() error {
 		chains[c.Name] = true
 		if len(c.NFs) == 0 {
 			return fmt.Errorf("%w: chain %q has no NFs", ErrSpecInvalid, c.Name)
+		}
+		names := make(map[string]bool, len(c.NFs))
+		for ni := range c.NFs {
+			name := c.nfName(ni)
+			if names[name] {
+				return fmt.Errorf("%w: chain %q names NF %q twice", ErrSpecInvalid, c.Name, name)
+			}
+			names[name] = true
 		}
 	}
 	for i, p := range s.Policies {

@@ -123,12 +123,7 @@ func Build(spec *Spec, cfg BuildConfig) (*Topology, error) {
 	for ci, cs := range spec.Chains {
 		chain := make([]core.NF, 0, len(cs.NFs))
 		for ni, ns := range cs.NFs {
-			name := ns.Name
-			if name == "" {
-				// Private instance: qualify by chain so identical
-				// anonymous NFs in different chains never collide.
-				name = fmt.Sprintf("%s.%s%d", cs.Name, ns.Type, ni+1)
-			}
+			name := cs.nfName(ni)
 			inst := t.shared[name]
 			if inst == nil {
 				var err error

@@ -29,6 +29,12 @@ func TestValidate(t *testing.T) {
 		{"unnamed chain", Spec{Chains: []ChainSpec{chain("")}}, ErrSpecInvalid},
 		{"duplicate chain", Spec{Chains: []ChainSpec{chain("a"), chain("a")}}, ErrDuplicateChain},
 		{"empty chain", Spec{Chains: []ChainSpec{{Name: "a"}}}, ErrSpecInvalid},
+		{"NF named twice in a chain", Spec{Chains: []ChainSpec{
+			{Name: "a", NFs: []chainspec.NFSpec{{Type: "monitor", Name: "m"}, {Type: "monitor", Name: "m"}}},
+		}}, ErrSpecInvalid},
+		{"NF named as a private instance", Spec{Chains: []ChainSpec{
+			{Name: "a", NFs: []chainspec.NFSpec{mon, {Type: "monitor", Name: "a.monitor1"}}},
+		}}, ErrSpecInvalid},
 		{"policy unknown chain", Spec{Chains: []ChainSpec{chain("a")},
 			Policies: []PolicySpec{{Chain: "b"}}}, ErrPolicyUnknownChain},
 		{"policy negative tenant", Spec{Chains: []ChainSpec{chain("a")},
