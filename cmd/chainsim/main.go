@@ -17,13 +17,14 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	speedybox "github.com/fastpathnfv/speedybox"
 	"github.com/fastpathnfv/speedybox/internal/chainspec"
-	"github.com/fastpathnfv/speedybox/internal/packet"
 	"github.com/fastpathnfv/speedybox/internal/stats"
 	"github.com/fastpathnfv/speedybox/internal/trace"
 )
@@ -37,7 +38,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("chainsim", flag.ContinueOnError)
-	chainSpec := fs.String("chain", "ipfilter,snort,monitor", "comma-separated NFs: nat, maglev, monitor, ipfilter, ipfilter-deny, snort, vpn-encap, vpn-decap, dos, gateway, ratelimiter, synthetic")
+	chainNames := fs.String("chain", "ipfilter,snort,monitor", "comma-separated NFs, each a shorthand for one chainspec entry: nat, maglev, monitor, ipfilter, ipfilter-deny, snort, vpn-encap, vpn-decap, dos, gateway, ratelimiter, synthetic")
 	platformName := fs.String("platform", "bess", "platform model: bess or onvm")
 	compare := fs.Bool("compare", true, "run both baseline and SpeedyBox and compare")
 	sbox := fs.Bool("sbox", true, "enable SpeedyBox (when -compare=false)")
@@ -60,53 +61,59 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *workers < 1 {
-		return fmt.Errorf("-workers must be >= 1 (got %d)", *workers)
-	}
-	if *instances < 1 {
-		return fmt.Errorf("-instances must be >= 1 (got %d)", *instances)
-	}
-	if *topoPath != "" {
-		return runTopo(topoRunConfig{
-			path: *topoPath, sbox: *sbox, seed: *seed, flows: *flows,
-			workers: *workers, batch: *batch,
-			synFlood: *synFlood, eventStorm: *eventStorm,
-			faultRate: *faultRate, faultSeed: *faultSeed,
-			telemetryAddr: *telemetryAddr, telemetryLinger: *telemetryLinger,
-		})
+	for _, c := range []struct {
+		flag     string
+		val, min int
+	}{{"workers", *workers, 1}, {"instances", *instances, 1}, {"flows", *flows, 0}, {"batch", *batch, 0}} {
+		if c.val < c.min {
+			return fmt.Errorf("-%s must be >= %d (got %d)", c.flag, c.min, c.val)
+		}
 	}
 
-	var spec *chainspec.Spec
-	if *configPath != "" {
-		data, err := os.ReadFile(*configPath)
+	// Each variant builds its own fleet (a topology, a cluster or a
+	// platform) and runs its own copy of the trace: a topology runs one
+	// variant, a chain the baseline beside SpeedyBox when comparing.
+	variants := []bool{*sbox}
+	var (
+		build func(opts speedybox.Options, hub *speedybox.Telemetry) (*fleet, error)
+		pkts  []*speedybox.Packet
+	)
+	if *topoPath != "" {
+		data, err := os.ReadFile(*topoPath)
 		if err != nil {
 			return err
 		}
-		spec, err = chainspec.Parse(data)
+		spec, err := speedybox.ParseTopology(data)
+		if err != nil {
+			return err
+		}
+		if pkts, err = topoTrace(spec, *seed, *flows, *synFlood, *eventStorm); err != nil {
+			return err
+		}
+		build = func(opts speedybox.Options, hub *speedybox.Telemetry) (*fleet, error) {
+			return topoFleet(spec, opts, hub)
+		}
+	} else {
+		spec, err := chainSpec(*configPath, *chainNames, *snortRules)
 		if err != nil {
 			return err
 		}
 		if spec.Platform != "" {
 			*platformName = spec.Platform
 		}
-	}
-
-	rules := speedybox.DefaultSnortRules()
-	if *snortRules != "" {
-		text, err := os.ReadFile(*snortRules)
+		if *instances > 1 && *platformName != "bess" {
+			return fmt.Errorf("-instances > 1 requires -platform bess (got %q)", *platformName)
+		}
+		pkts, err = packetSource(*pcapPath, *seed, *flows, *synFlood, *eventStorm)
 		if err != nil {
 			return err
 		}
-		rules, err = speedybox.ParseSnortRules(string(text))
-		if err != nil {
-			return err
+		if *compare {
+			variants = []bool{false, true}
 		}
-	}
-
-	names := strings.Split(*chainSpec, ",")
-	pktsFor, err := packetSource(*pcapPath, *seed, *flows, *synFlood, *eventStorm)
-	if err != nil {
-		return err
+		build = func(opts speedybox.Options, hub *speedybox.Telemetry) (*fleet, error) {
+			return chainFleet(spec, *platformName, *instances, opts, hub)
+		}
 	}
 
 	// One hub for the whole invocation, attached to the SpeedyBox
@@ -129,18 +136,15 @@ func run(args []string) error {
 		}
 	}
 
-	variants := []bool{*sbox}
-	if *compare {
-		variants = []bool{false, true}
-	}
 	var results []*speedybox.RunResult
 	for _, enabled := range variants {
 		opts := speedybox.BaselineOptions()
 		if enabled {
 			opts = speedybox.DefaultOptions()
 		}
-		if enabled || !*compare {
-			opts.Telemetry = hub
+		varHub := hub
+		if !enabled && len(variants) > 1 {
+			varHub = nil
 		}
 		// Faults target the SpeedyBox control plane; the baseline
 		// variant has none to attack, so it runs clean as the
@@ -154,87 +158,40 @@ func run(args []string) error {
 			})
 			opts.Faults = inj
 		}
-		var (
-			chain []speedybox.NF
-			err   error
-		)
-		if spec != nil {
-			chain, err = spec.Build()
-		} else {
-			chain, err = buildChain(names, rules)
-		}
+		f, err := build(opts, varHub)
 		if err != nil {
 			return err
 		}
-		if *instances > 1 {
-			if *platformName != "bess" {
-				return fmt.Errorf("-instances > 1 requires -platform bess (got %q)", *platformName)
-			}
-			cl, err := speedybox.NewCluster(speedybox.ClusterConfig{
-				Chain: chain, Options: opts, Instances: *instances, Hub: hub,
-			})
-			if err != nil {
-				return err
-			}
-			res, err := cl.Run(pktsFor(), *workers, max(*batch, 1))
-			if err != nil {
-				_ = cl.Close()
-				return err
-			}
-			rollup := cl.Instances()
-			if cerr := cl.Close(); cerr != nil {
-				return cerr
-			}
-			results = append(results, res)
-			report(fmt.Sprintf("%s x%d", *platformName, *instances), enabled, *workers, res)
-			for _, ist := range rollup {
-				fmt.Printf("  instance %-4s flows=%d epoch=%d packets=%d fastpath=%d slowpath=%d degraded=%d\n",
-					ist.Name, ist.Flows, ist.Epoch, ist.Stats.Packets,
-					ist.Stats.FastPath, ist.Stats.SlowPath, ist.Stats.DegradedPackets)
-			}
-			if inj != nil {
-				fmt.Printf("%-16s %s\n", "", inj.Summary())
-				fmt.Printf("%-16s fallbacks=%d degraded=%d recoveries=%d\n", "",
-					res.Stats.SlowPathFallbacks, res.Stats.DegradedPackets, res.Stats.FaultRecoveries)
-			}
-			continue
+		copies := make([]*speedybox.Packet, len(pkts))
+		for i, p := range pkts {
+			copies[i] = p.Clone()
 		}
-		var p *speedybox.Platform
-		switch *platformName {
-		case "bess":
-			p, err = speedybox.NewBESS(chain, opts)
-		case "onvm":
-			p, err = speedybox.NewONVM(chain, opts)
-		default:
-			return fmt.Errorf("unknown platform %q", *platformName)
+		var res *speedybox.RunResult
+		mq, err := speedybox.NewMultiQueue(f, *workers)
+		if err == nil {
+			mq.SetBatchSize(*batch)
+			res, err = mq.Run(copies)
 		}
 		if err != nil {
+			_ = f.Close()
 			return err
 		}
-		mq, err := speedybox.NewMultiQueue(p, *workers)
-		if err != nil {
-			_ = p.Close()
-			return err
-		}
-		mq.SetBatchSize(*batch)
-		res, err := mq.Run(pktsFor())
-		if err == nil && enabled && *dumpRules {
+		if p, ok := f.Fleet.(*speedybox.Platform); ok && enabled && *dumpRules {
 			fmt.Printf("\nGlobal MAT (%d rules):\n%s\n", p.Engine().Global().Len(), p.Engine().Global().Dump())
 		}
-		cerr := p.Close()
-		if err != nil {
-			return err
+		report(f, enabled, *workers, res)
+		if f.rows != nil {
+			f.rows()
 		}
-		if cerr != nil {
-			return cerr
-		}
-		results = append(results, res)
-		report(*platformName, enabled, *workers, res)
 		if inj != nil {
 			fmt.Printf("%-16s %s\n", "", inj.Summary())
 			fmt.Printf("%-16s fallbacks=%d degraded=%d recoveries=%d\n", "",
 				res.Stats.SlowPathFallbacks, res.Stats.DegradedPackets, res.Stats.FaultRecoveries)
 		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		results = append(results, res)
 	}
 	if len(results) == 2 {
 		fmt.Printf("\nSpeedyBox vs baseline: latency %+.1f%%  rate %+.1f%%  p50 flow time %+.1f%%\n",
@@ -246,6 +203,146 @@ func run(args []string) error {
 	return nil
 }
 
+// fleet is one variant's platform, cluster or topology, and what
+// chainsim prints about it beyond the lines every fleet reports.
+type fleet struct {
+	speedybox.Fleet
+	io.Closer
+	label  string // "bess", "bess x4", "topo edge-pop"
+	counts string // leading fields of the packet line
+	rows   func() // per-instance, per-chain and per-tenant rows, or nil
+}
+
+// aliases are the -chain names, each shorthand for one chainspec
+// entry: a -chain run is built as a -config document would be.
+var aliases = map[string]chainspec.NFSpec{
+	"nat": {Type: "mazunat", InternalPrefix: "10.0.0.0/8", ExternalIP: "198.51.100.1"},
+	"maglev": {Type: "maglev", Backends: []chainspec.BackendSpec{
+		{Name: "a", IP: "192.168.1.10", Port: 8080},
+		{Name: "b", IP: "192.168.1.11", Port: 8080},
+		{Name: "c", IP: "192.168.1.12", Port: 8080},
+	}},
+	"monitor":       {Type: "monitor"},
+	"ipfilter":      {Type: "ipfilter"},
+	"ipfilter-deny": {Type: "ipfilter", DefaultDeny: true},
+	"snort":         {Type: "snort"},
+	"vpn-encap":     {Type: "vpn-encap"},
+	"vpn-decap":     {Type: "vpn-decap"},
+	"dos":           {Type: "dos", SYNThreshold: 100},
+	"gateway": {Type: "gateway", NextHopMAC: "02:00:00:00:00:42",
+		VoicePorts: []uint16{5060}, VideoPorts: []uint16{8801}},
+	"ratelimiter": {Type: "ratelimiter", Quota: 1000},
+	"synthetic":   {Type: "synthetic"},
+}
+
+// chainSpec returns the -config document, or the -chain names with
+// the -snort-rules file's text for their snort entries.
+func chainSpec(configPath, names, snortRulesPath string) (*chainspec.Spec, error) {
+	if configPath != "" {
+		data, err := os.ReadFile(configPath)
+		if err != nil {
+			return nil, err
+		}
+		return chainspec.Parse(data)
+	}
+	var rules string
+	if snortRulesPath != "" {
+		text, err := os.ReadFile(snortRulesPath)
+		if err != nil {
+			return nil, err
+		}
+		// The trailing newline keeps an empty file an empty rule set:
+		// an empty "rules" field selects snort's default rules.
+		rules = string(text) + "\n"
+	}
+	return chainOf(strings.Split(names, ","), rules)
+}
+
+// chainOf maps -chain names to chainspec entries, the i-th named
+// <name><i+1>; a snort entry carries rules (empty: the defaults).
+func chainOf(names []string, rules string) (*chainspec.Spec, error) {
+	if len(names) == 0 {
+		return nil, chainspec.ErrEmptyChain
+	}
+	spec := &chainspec.Spec{}
+	for i, raw := range names {
+		name := strings.TrimSpace(raw)
+		nf, ok := aliases[name]
+		if !ok {
+			return nil, fmt.Errorf("unknown NF %q", name)
+		}
+		nf.Name = fmt.Sprintf("%s%d", name, i+1)
+		if nf.Type == "snort" {
+			nf.Rules = rules
+		}
+		spec.NFs = append(spec.NFs, nf)
+	}
+	return spec, nil
+}
+
+// chainFleet builds the chain afresh on the named platform, or on a
+// cluster of that many bess engines.
+func chainFleet(spec *chainspec.Spec, platformName string, instances int, opts speedybox.Options, hub *speedybox.Telemetry) (*fleet, error) {
+	chain, err := spec.Build()
+	if err != nil {
+		return nil, err
+	}
+	opts.Telemetry = hub
+	if instances > 1 {
+		cl, err := speedybox.NewCluster(speedybox.ClusterConfig{
+			Chain: chain, Options: opts, Instances: instances, Hub: hub,
+		})
+		if err != nil {
+			return nil, err
+		}
+		rows := func() {
+			for _, ist := range cl.Instances() {
+				fmt.Printf("  instance %-4s flows=%d epoch=%d packets=%d fastpath=%d slowpath=%d degraded=%d\n",
+					ist.Name, ist.Flows, ist.Epoch, ist.Stats.Packets,
+					ist.Stats.FastPath, ist.Stats.SlowPath, ist.Stats.DegradedPackets)
+			}
+		}
+		return &fleet{Fleet: cl, Closer: cl, label: fmt.Sprintf("%s x%d", platformName, instances), rows: rows}, nil
+	}
+	var p *speedybox.Platform
+	switch platformName {
+	case "bess":
+		p, err = speedybox.NewBESS(chain, opts)
+	case "onvm":
+		p, err = speedybox.NewONVM(chain, opts)
+	default:
+		return nil, fmt.Errorf("unknown platform %q", platformName)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &fleet{Fleet: p, Closer: p, label: platformName}, nil
+}
+
+// topoFleet builds the multi-chain topology, reporting per-chain and
+// per-tenant accounting.
+func topoFleet(spec *speedybox.TopologySpec, opts speedybox.Options, hub *speedybox.Telemetry) (*fleet, error) {
+	tp, err := speedybox.BuildTopology(spec, speedybox.TopologyBuildConfig{Options: opts, Hub: hub})
+	if err != nil {
+		return nil, err
+	}
+	rows := func() {
+		for i := 0; i < tp.NumChains(); i++ {
+			st := tp.Engine(i).Stats()
+			fmt.Printf("  chain %-10s packets=%d fastpath=%d slowpath=%d events=%d degraded=%d\n",
+				tp.Chain(i).Name, st.Packets, st.FastPath, st.SlowPath, st.EventsFired, st.DegradedPackets)
+		}
+		adm := tp.Admission()
+		for _, ten := range spec.Tenants {
+			fmt.Printf("  tenant %-4d rules=%d events=%d rule-denied=%d event-denied=%d\n",
+				ten.ID, adm.RulesHeld(ten.ID), adm.EventsHeld(ten.ID),
+				adm.RuleDenials(ten.ID), adm.EventDenials(ten.ID))
+		}
+	}
+	return &fleet{Fleet: tp, Closer: tp, label: "topo " + spec.Name,
+		counts: fmt.Sprintf("chains=%d ", tp.NumChains()), rows: rows}, nil
+}
+
 func change(a, b float64) float64 {
 	if a == 0 {
 		return 0
@@ -253,27 +350,16 @@ func change(a, b float64) float64 {
 	return (b - a) / a * 100
 }
 
-// packetSource returns a function producing a fresh packet sequence
-// per call (each variant consumes its own copies). A nonzero synFlood
-// or eventStorm switches to the adversarial generator.
-func packetSource(pcapPath string, seed int64, flows, synFlood int, eventStorm float64) (func() []*speedybox.Packet, error) {
+// packetSource reads the pcap, or synthesizes the trace. A nonzero
+// synFlood or eventStorm switches to the adversarial generator.
+func packetSource(pcapPath string, seed int64, flows, synFlood int, eventStorm float64) ([]*speedybox.Packet, error) {
 	if pcapPath != "" {
 		f, err := os.Open(pcapPath)
 		if err != nil {
 			return nil, err
 		}
 		defer func() { _ = f.Close() }()
-		pkts, err := trace.ReadPcap(f)
-		if err != nil {
-			return nil, err
-		}
-		return func() []*packet.Packet {
-			out := make([]*packet.Packet, len(pkts))
-			for i, p := range pkts {
-				out[i] = p.Clone()
-			}
-			return out
-		}, nil
+		return trace.ReadPcap(f)
 	}
 	cfg := trace.Config{Seed: seed, Flows: flows, Interleave: true}
 	if synFlood > 0 || eventStorm > 0 {
@@ -283,29 +369,13 @@ func packetSource(pcapPath string, seed int64, flows, synFlood int, eventStorm f
 		if err != nil {
 			return nil, err
 		}
-		return tr.Packets, nil
+		return tr.Packets(), nil
 	}
 	tr, err := trace.Generate(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return tr.Packets, nil
-}
-
-// topoRunConfig carries the -topo mode settings.
-type topoRunConfig struct {
-	path            string
-	sbox            bool
-	seed            int64
-	flows           int
-	workers         int
-	batch           int
-	synFlood        int
-	eventStorm      float64
-	faultRate       float64
-	faultSeed       int64
-	telemetryAddr   string
-	telemetryLinger time.Duration
+	return tr.Packets(), nil
 }
 
 // topoTrace synthesizes the topology's traffic: one adversarial
@@ -313,221 +383,54 @@ type topoRunConfig struct {
 // round-robin so the services overlap in time. The SYN flood and event
 // storm ride the first port's sub-trace. Policies without a port match
 // (CIDR-only rules) share the default-port sub-trace.
-func topoTrace(spec *speedybox.TopologySpec, cfg topoRunConfig) ([]*speedybox.Packet, error) {
+func topoTrace(spec *speedybox.TopologySpec, seed int64, flows, synFlood int, eventStorm float64) ([]*speedybox.Packet, error) {
 	var ports []uint16
-	seen := map[uint16]bool{}
 	for _, p := range spec.Policies {
-		if p.DstPortMin != 0 && !seen[p.DstPortMin] {
+		if p.DstPortMin != 0 && !slices.Contains(ports, p.DstPortMin) {
 			ports = append(ports, p.DstPortMin)
-			seen[p.DstPortMin] = true
 		}
 	}
 	if len(ports) == 0 {
 		ports = []uint16{0} // generator default port
 	}
-	per := cfg.flows / len(ports)
-	if per < 1 {
-		per = 1
-	}
+	per := max(flows/len(ports), 1)
 	var streams [][]*speedybox.Packet
+	total := 0
 	for i, port := range ports {
-		acfg := speedybox.AdversarialTraceConfig{
+		tr, err := speedybox.GenerateAdversarialTrace(speedybox.AdversarialTraceConfig{
 			Config: speedybox.TraceConfig{
-				Seed: cfg.seed + int64(i), Flows: per, DstPort: port, Interleave: true,
+				Seed: seed + int64(i), Flows: per, DstPort: port, Interleave: true,
 			},
-		}
-		if i == 0 {
-			acfg.SYNFloodFlows = cfg.synFlood
-			acfg.EventStormFraction = cfg.eventStorm
-		}
-		tr, err := speedybox.GenerateAdversarialTrace(acfg)
+			SYNFloodFlows: synFlood, EventStormFraction: eventStorm,
+		})
 		if err != nil {
 			return nil, err
 		}
 		streams = append(streams, tr.Packets())
+		total += tr.Len()
+		synFlood, eventStorm = 0, 0 // the first port's sub-trace carries them
 	}
-	var out []*speedybox.Packet
-	for k := 0; ; k++ {
-		emitted := false
+	out := make([]*speedybox.Packet, 0, total)
+	for k := 0; len(out) < total; k++ {
 		for _, s := range streams {
 			if k < len(s) {
 				out = append(out, s[k])
-				emitted = true
 			}
 		}
-		if !emitted {
-			return out, nil
-		}
 	}
+	return out, nil
 }
 
-// runTopo is the -topo mode: build the multi-chain topology, push the
-// merged adversarial trace through it (the multi-queue runner, each of
-// the -workers queues drained in arrival order), and report per-chain
-// and per-tenant accounting.
-func runTopo(cfg topoRunConfig) error {
-	data, err := os.ReadFile(cfg.path)
-	if err != nil {
-		return err
-	}
-	spec, err := speedybox.ParseTopology(data)
-	if err != nil {
-		return err
-	}
-
-	opts := speedybox.BaselineOptions()
-	if cfg.sbox {
-		opts = speedybox.DefaultOptions()
-	}
-	var inj *speedybox.FaultInjector
-	if cfg.sbox && cfg.faultRate > 0 {
-		inj = speedybox.NewFaultInjector(speedybox.FaultConfig{
-			Seed: cfg.faultSeed, Rates: speedybox.UniformFaultRates(cfg.faultRate),
-		})
-		opts.Faults = inj
-	}
-	bc := speedybox.TopologyBuildConfig{Options: opts}
-	if cfg.telemetryAddr != "" {
-		bc.Hub = speedybox.NewTelemetry()
-		srv, err := speedybox.NewTelemetryServer(cfg.telemetryAddr, bc.Hub)
-		if err != nil {
-			return err
-		}
-		defer func() { _ = srv.Close() }()
-		fmt.Printf("telemetry: %s/metrics  %s/statusz\n", srv.URL(), srv.URL())
-		if cfg.telemetryLinger > 0 {
-			defer func() {
-				fmt.Printf("telemetry: lingering %v for scrapes (ctrl-C to stop)\n", cfg.telemetryLinger)
-				time.Sleep(cfg.telemetryLinger)
-			}()
-		}
-	}
-	tp, err := speedybox.BuildTopology(spec, bc)
-	if err != nil {
-		return err
-	}
-	defer func() { _ = tp.Close() }()
-
-	pkts, err := topoTrace(spec, cfg)
-	if err != nil {
-		return err
-	}
-	mq, err := speedybox.NewMultiQueue(tp, cfg.workers)
-	if err != nil {
-		return err
-	}
-	mq.SetBatchSize(cfg.batch)
-	res, err := mq.Run(pkts)
-	if err != nil {
-		return err
-	}
-
-	label := fmt.Sprintf("topo %s", spec.Name)
-	if cfg.sbox {
-		label += " w/ SBox"
-	}
-	ft := res.FlowTimesMicros()
-	fmt.Printf("%-16s chains=%d packets=%d drops=%d fastpath=%d events=%d\n",
-		label, tp.NumChains(), res.Packets, res.Drops, res.Stats.FastPath, res.Stats.EventsFired)
-	fmt.Printf("%-16s rate=%.3f Mpps  latency(mean)=%.3f µs  flow p50=%.1f µs  p90=%.1f µs\n",
-		"", res.RateMpps(), res.MeanLatencyMicros(),
-		stats.Percentile(ft, 50), stats.Percentile(ft, 90))
-	if cfg.workers > 1 {
-		fmt.Printf("%-16s aggregate(%d queues)=%.3f Mpps\n", "", cfg.workers, res.AggregateRateMpps())
-	}
-	for i := 0; i < tp.NumChains(); i++ {
-		c := tp.Chain(i)
-		st := tp.Engine(i).Stats()
-		fmt.Printf("  chain %-10s packets=%d fastpath=%d slowpath=%d events=%d degraded=%d\n",
-			c.Name, st.Packets, st.FastPath, st.SlowPath, st.EventsFired, st.DegradedPackets)
-	}
-	adm := tp.Admission()
-	for _, ten := range spec.Tenants {
-		fmt.Printf("  tenant %-4d rules=%d events=%d rule-denied=%d event-denied=%d\n",
-			ten.ID, adm.RulesHeld(ten.ID), adm.EventsHeld(ten.ID),
-			adm.RuleDenials(ten.ID), adm.EventDenials(ten.ID))
-	}
-	if inj != nil {
-		fmt.Printf("%-16s %s\n", "", inj.Summary())
-		fmt.Printf("%-16s fallbacks=%d degraded=%d recoveries=%d\n", "",
-			res.Stats.SlowPathFallbacks, res.Stats.DegradedPackets, res.Stats.FaultRecoveries)
-	}
-	return nil
-}
-
-func buildChain(names []string, snortRules []speedybox.SnortRule) ([]speedybox.NF, error) {
-	chain := make([]speedybox.NF, 0, len(names))
-	for i, raw := range names {
-		name := strings.TrimSpace(raw)
-		inst := fmt.Sprintf("%s%d", name, i+1)
-		var (
-			nf  speedybox.NF
-			err error
-		)
-		switch name {
-		case "nat":
-			nf, err = speedybox.NewMazuNAT(speedybox.MazuNATConfig{
-				Name: inst, InternalPrefix: [4]byte{10, 0, 0, 0}, InternalBits: 8,
-				ExternalIP: [4]byte{198, 51, 100, 1},
-			})
-		case "maglev":
-			nf, err = speedybox.NewMaglev(speedybox.MaglevConfig{
-				Name: inst,
-				Backends: []speedybox.MaglevBackend{
-					{Name: "a", IP: [4]byte{192, 168, 1, 10}, Port: 8080},
-					{Name: "b", IP: [4]byte{192, 168, 1, 11}, Port: 8080},
-					{Name: "c", IP: [4]byte{192, 168, 1, 12}, Port: 8080},
-				},
-			})
-		case "monitor":
-			nf, err = speedybox.NewMonitor(inst)
-		case "ipfilter":
-			nf, err = speedybox.NewIPFilter(speedybox.IPFilterConfig{
-				Name: inst, Rules: speedybox.PadIPFilterRules(nil, 100),
-			})
-		case "ipfilter-deny":
-			nf, err = speedybox.NewIPFilter(speedybox.IPFilterConfig{
-				Name: inst, Rules: speedybox.PadIPFilterRules(nil, 100), DefaultDeny: true,
-			})
-		case "snort":
-			nf, err = speedybox.NewSnort(inst, snortRules)
-		case "vpn-encap":
-			nf, err = speedybox.NewVPNGateway(speedybox.VPNConfig{Name: inst, Mode: speedybox.VPNEncap})
-		case "vpn-decap":
-			nf, err = speedybox.NewVPNGateway(speedybox.VPNConfig{Name: inst, Mode: speedybox.VPNDecap})
-		case "dos":
-			nf, err = speedybox.NewDoSDefender(speedybox.DoSDefenderConfig{Name: inst, SYNThreshold: 100})
-		case "gateway":
-			nf, err = speedybox.NewMediaGateway(speedybox.MediaGatewayConfig{
-				Name: inst, NextHopMAC: [6]byte{0x02, 0, 0, 0, 0, 0x42},
-				VoicePorts: []uint16{5060}, VideoPorts: []uint16{8801},
-			})
-		case "ratelimiter":
-			nf, err = speedybox.NewRateLimiter(speedybox.RateLimiterConfig{Name: inst, Quota: 1000})
-		case "synthetic":
-			nf, err = speedybox.NewSyntheticNF(speedybox.SyntheticConfig{Name: inst})
-		default:
-			return nil, fmt.Errorf("unknown NF %q", name)
-		}
-		if err != nil {
-			return nil, err
-		}
-		chain = append(chain, nf)
-	}
-	if len(chain) == 0 {
-		return nil, fmt.Errorf("empty chain")
-	}
-	return chain, nil
-}
-
-func report(platformName string, sbox bool, workers int, res *speedybox.RunResult) {
-	label := platformName
+// report prints the lines every fleet shares: packets and verdicts,
+// rate and latency, and the aggregate rate across queues.
+func report(f *fleet, sbox bool, workers int, res *speedybox.RunResult) {
+	label := f.label
 	if sbox {
 		label += " w/ SBox"
 	}
 	ft := res.FlowTimesMicros()
-	fmt.Printf("%-16s packets=%d drops=%d fastpath=%d events=%d\n",
-		label, res.Packets, res.Drops, res.Stats.FastPath, res.Stats.EventsFired)
+	fmt.Printf("%-16s %spackets=%d drops=%d fastpath=%d events=%d\n",
+		label, f.counts, res.Packets, res.Drops, res.Stats.FastPath, res.Stats.EventsFired)
 	fmt.Printf("%-16s rate=%.3f Mpps  latency(mean)=%.3f µs  flow p50=%.1f µs  p90=%.1f µs\n",
 		"", res.RateMpps(), res.MeanLatencyMicros(),
 		stats.Percentile(ft, 50), stats.Percentile(ft, 90))

@@ -1,12 +1,25 @@
 package main
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	speedybox "github.com/fastpathnfv/speedybox"
 )
+
+// buildChain builds -chain names as run does: through their chainspec
+// entries and Spec.Build.
+func buildChain(names []string, snortRules string) ([]speedybox.NF, error) {
+	spec, err := chainOf(names, snortRules)
+	if err != nil {
+		return nil, err
+	}
+	return spec.Build()
+}
 
 func TestBuildChainAllNames(t *testing.T) {
 	names := []string{
@@ -15,7 +28,7 @@ func TestBuildChainAllNames(t *testing.T) {
 	}
 	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
-			chain, err := buildChain([]string{name}, speedybox.DefaultSnortRules())
+			chain, err := buildChain([]string{name}, "")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -27,7 +40,7 @@ func TestBuildChainAllNames(t *testing.T) {
 }
 
 func TestBuildChainMultipleWithSpaces(t *testing.T) {
-	chain, err := buildChain([]string{" nat", "monitor ", "ipfilter"}, speedybox.DefaultSnortRules())
+	chain, err := buildChain([]string{" nat", "monitor ", "ipfilter"}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +58,7 @@ func TestBuildChainMultipleWithSpaces(t *testing.T) {
 }
 
 func TestBuildChainSameNFTwice(t *testing.T) {
-	chain, err := buildChain([]string{"ipfilter", "ipfilter"}, speedybox.DefaultSnortRules())
+	chain, err := buildChain([]string{"ipfilter", "ipfilter"}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,10 +68,10 @@ func TestBuildChainSameNFTwice(t *testing.T) {
 }
 
 func TestBuildChainErrors(t *testing.T) {
-	if _, err := buildChain([]string{"teleporter"}, nil); err == nil {
+	if _, err := buildChain([]string{"teleporter"}, ""); err == nil {
 		t.Error("unknown NF accepted")
 	}
-	if _, err := buildChain(nil, nil); err == nil {
+	if _, err := buildChain(nil, ""); err == nil {
 		t.Error("empty chain accepted")
 	}
 }
@@ -72,6 +85,18 @@ func TestRunEndToEnd(t *testing.T) {
 func TestRunSingleVariant(t *testing.T) {
 	if err := run([]string{"-chain", "monitor", "-flows", "5", "-compare=false", "-platform", "onvm"}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestRunRejectsNegativeSizes(t *testing.T) {
+	for _, args := range [][]string{
+		{"-chain", "monitor", "-flows", "-5"},
+		{"-chain", "monitor", "-flows", "5", "-batch", "-1"},
+		{"-topo", filepath.Join("..", "..", "examples", "multitenant", "topo.json"), "-flows", "-5"},
+	} {
+		if err := run(args); err == nil {
+			t.Errorf("chainsim %v accepted", args)
+		}
 	}
 }
 
@@ -145,4 +170,62 @@ func TestRunFaultInjectionSingleVariant(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestOutputGolden pins chainsim's stdout byte for byte: the trace,
+// the chain and the cycle model are deterministic, so a refactor that
+// changes a printed number or line changed behaviour. Topology runs
+// at -workers > 1 interleave their chains' shared NFs in scheduler
+// order and are not pinned. A deliberate change regenerates the file
+// it moves from this directory, with the binary:
+//
+//	go run . -chain nat,maglev,monitor,ipfilter -flows 50 > testdata/chain1.golden
+func TestOutputGolden(t *testing.T) {
+	cases := map[string]string{
+		"chain1":        "-chain nat,maglev,monitor,ipfilter -flows 50",
+		"onvm-batch32":  "-chain ipfilter,snort,monitor -platform onvm -flows 50 -batch 32",
+		"faults":        "-chain nat,monitor,ipfilter -flows 200 -fault-rate 0.1 -fault-seed 7",
+		"config":        "-config testdata/chain.json -flows 20",
+		"snort-rules":   "-chain snort,monitor -snort-rules testdata/sample.rules -dump-rules -flows 10",
+		"every-nf":      "-chain vpn-encap,monitor,vpn-decap,dos,gateway,ratelimiter,synthetic,ipfilter-deny -flows 30 -workers 2 -batch 8",
+		"cluster":       "-chain nat,monitor,ipfilter -flows 200 -instances 4 -workers 4",
+		"topo-synflood": "-topo ../../examples/multitenant/topo.json -synflood 400 -fault-rate 0.01 -fault-seed 7 -workers 1",
+	}
+	for name, args := range cases {
+		t.Run(name, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := captureStdout(func() error { return run(strings.Fields(args)) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("chainsim %s differs from testdata/%s.golden:\n--- got\n%s--- want\n%s", args, name, got, want)
+			}
+		})
+	}
+}
+
+// captureStdout runs fn with os.Stdout redirected into a pipe and
+// returns what it printed.
+func captureStdout(fn func() error) ([]byte, error) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		return nil, err
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	done := make(chan []byte)
+	go func() {
+		out, _ := io.ReadAll(r)
+		done <- out
+	}()
+	runErr := fn()
+	os.Stdout = saved
+	_ = w.Close()
+	out := <-done
+	_ = r.Close()
+	return out, runErr
 }

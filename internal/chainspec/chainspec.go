@@ -47,6 +47,17 @@ type Spec struct {
 	NFs []NFSpec `json:"nfs"`
 }
 
+// Bounds on the NF sizes an entry asks for, each the size of a table
+// its NF allocates: one spec (an admin request body) must not ask for
+// hundreds of megabytes.
+const (
+	// maxACLSize bounds an ipfilter's acl_size, its ACL length.
+	maxACLSize = 1 << 16
+	// maxTableSize bounds a maglev's table_size at the Maglev paper's
+	// lookup-table size M.
+	maxTableSize = 65537
+)
+
 // BackendSpec is one Maglev backend.
 type BackendSpec struct {
 	Name string `json:"name"`
@@ -63,7 +74,7 @@ type NFSpec struct {
 	// Name overrides the auto-generated instance name.
 	Name string `json:"name,omitempty"`
 
-	// ipfilter
+	// ipfilter: the ACL length, in [0, 65536]; 0 selects 100.
 	ACLSize     int  `json:"acl_size,omitempty"`
 	DefaultDeny bool `json:"default_deny,omitempty"`
 
@@ -71,7 +82,8 @@ type NFSpec struct {
 	// rule set.
 	Rules string `json:"rules,omitempty"`
 
-	// maglev
+	// maglev: the table size is a prime above the backend count and
+	// at most 65537; 0 selects maglev's default.
 	Backends  []BackendSpec `json:"backends,omitempty"`
 	TableSize int           `json:"table_size,omitempty"`
 
@@ -137,6 +149,9 @@ func (s *Spec) Build() ([]core.NF, error) {
 func (n NFSpec) Instantiate(name string) (core.NF, error) {
 	switch n.Type {
 	case "ipfilter":
+		if n.ACLSize < 0 || n.ACLSize > maxACLSize {
+			return nil, fmt.Errorf("%w: acl_size %d outside [0, %d]", ErrNFConfig, n.ACLSize, maxACLSize)
+		}
 		size := n.ACLSize
 		if size == 0 {
 			size = 100
@@ -161,6 +176,9 @@ func (n NFSpec) Instantiate(name string) (core.NF, error) {
 	case "maglev":
 		if len(n.Backends) == 0 {
 			return nil, fmt.Errorf("%w: maglev needs backends", ErrNFConfig)
+		}
+		if n.TableSize > maxTableSize {
+			return nil, fmt.Errorf("%w: table_size %d above %d", ErrNFConfig, n.TableSize, maxTableSize)
 		}
 		backends := make([]maglev.Backend, len(n.Backends))
 		for i, b := range n.Backends {

@@ -27,7 +27,8 @@ var (
 	// does not speak.
 	ErrUnsupportedVersion = errcode.Sentinel("chainspec.unsupported_version", "chainspec: unsupported plan version")
 	// ErrNFConfig reports an NF spec whose type-specific configuration
-	// is invalid (missing backends, unknown class, bad rules) or that
+	// is invalid (missing backends, unknown class, bad rules, an
+	// acl_size outside [0, 65536] or a table_size above 65537) or that
 	// the NF's constructor rejects (a Maglev table size that is not a
 	// prime above the backend count).
 	ErrNFConfig = errcode.Sentinel("chainspec.nf_config_invalid", "chainspec: invalid NF configuration")

@@ -26,7 +26,7 @@ var (
 	ErrUnknownInstance = errcode.Sentinel("cluster.unknown_instance", "cluster: no such instance")
 	// ErrLastInstance reports an attempt to remove the only instance.
 	ErrLastInstance = errcode.Sentinel("cluster.last_instance", "cluster: cannot remove the last instance")
-	// ErrBadScale reports a scale target outside [1, TableSize).
+	// ErrBadScale reports a scale target outside [1, DefaultTableSize-1).
 	ErrBadScale = errcode.Sentinel("cluster.scale_invalid", "cluster: invalid instance count")
 	// ErrMigrationAborted reports a rebalance that hit an injected
 	// migration abort and rolled back completely: the steering table,
@@ -44,11 +44,9 @@ type Config struct {
 	// faults, admission). Faults, when set, also drives migration
 	// aborts (fault.KindMigrationAbort).
 	Options core.Options
-	// Instances is the initial instance count (default 1).
+	// Instances is the initial instance count (default 1), fewer than
+	// the steering table's DefaultTableSize slots.
 	Instances int
-	// TableSize is the steering table size, a prime exceeding any
-	// instance count the cluster will reach (default 653).
-	TableSize int
 	// Hub, when set, receives cluster gauges/counters plus each
 	// instance engine's metrics under a {chain="<instance>"} label.
 	Hub *telemetry.Hub
@@ -106,8 +104,7 @@ func (v *view) owner(home flow.FID) *instance {
 // Cluster is N engine instances behind a consistent-hash flow steerer
 // with live flow-state migration on scale-up/scale-down.
 type Cluster struct {
-	cfg       Config
-	tableSize int
+	cfg Config
 
 	// mu serializes control-plane operations (scale, reconfigure,
 	// crash-restore); the data path never takes it.
@@ -143,16 +140,10 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Instances == 0 {
 		cfg.Instances = 1
 	}
-	if cfg.Instances < 1 {
-		return nil, fmt.Errorf("%w: %d instances", ErrBadConfig, cfg.Instances)
+	if cfg.Instances < 1 || cfg.Instances >= DefaultTableSize {
+		return nil, fmt.Errorf("%w: %d instances, want [1, %d)", ErrBadConfig, cfg.Instances, DefaultTableSize)
 	}
-	if cfg.TableSize == 0 {
-		cfg.TableSize = DefaultTableSize
-	}
-	if !isPrime(cfg.TableSize) || cfg.TableSize <= cfg.Instances {
-		return nil, fmt.Errorf("%w: table size %d must be a prime exceeding the instance count", ErrBadConfig, cfg.TableSize)
-	}
-	c := &Cluster{cfg: cfg, tableSize: cfg.TableSize}
+	c := &Cluster{cfg: cfg}
 	insts := make([]*instance, cfg.Instances)
 	for i := range insts {
 		in, err := c.newInstance(fmt.Sprintf("i%d", i), nil)
@@ -162,7 +153,7 @@ func New(cfg Config) (*Cluster, error) {
 		insts[i] = in
 	}
 	c.nextID = len(insts)
-	c.cur.Store(&view{insts: insts, table: populate(names(insts), c.tableSize)})
+	c.cur.Store(&view{insts: insts, table: populate(names(insts), DefaultTableSize)})
 	if cfg.Hub != nil {
 		reg := cfg.Hub.Registry
 		reg.GaugeFunc("speedybox_cluster_instances",
@@ -413,8 +404,8 @@ func (c *Cluster) AddInstance() (string, error) {
 
 func (c *Cluster) addLocked() (string, error) {
 	old := c.cur.Load()
-	if len(old.insts)+1 >= c.tableSize {
-		return "", fmt.Errorf("%w: %d instances would reach table size %d", ErrBadScale, len(old.insts)+1, c.tableSize)
+	if len(old.insts)+1 >= DefaultTableSize {
+		return "", fmt.Errorf("%w: %d instances would reach table size %d", ErrBadScale, len(old.insts)+1, DefaultTableSize)
 	}
 	in, err := c.newInstance(fmt.Sprintf("i%d", c.nextID), nil)
 	if err != nil {
@@ -471,7 +462,7 @@ func (c *Cluster) removeLocked(old *view, idx int) error {
 func (c *Cluster) ScaleTo(n int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if n < 1 || n+1 >= c.tableSize {
+	if n < 1 || n+1 >= DefaultTableSize {
 		return fmt.Errorf("%w: %d", ErrBadScale, n)
 	}
 	for {
@@ -514,7 +505,7 @@ type move struct {
 // order — and leaves the old view published, no orphan state on any
 // new owner, and every epoch untouched.
 func (c *Cluster) rebalance(old *view, newInsts []*instance) error {
-	nv := &view{insts: newInsts, table: populate(names(newInsts), c.tableSize)}
+	nv := &view{insts: newInsts, table: populate(names(newInsts), DefaultTableSize)}
 
 	// Write-lock the union of old and new instance sets, in a stable
 	// order. Workers only ever hold one read lock at a time, so any

@@ -130,11 +130,8 @@ func establish(t *testing.T, cl *Cluster, ref *core.Engine, n int) {
 
 func TestClusterConfigValidation(t *testing.T) {
 	chain := testChain(t, false)
-	if _, err := New(Config{Chain: chain, TableSize: 10}); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("composite table size: %v", err)
-	}
-	if _, err := New(Config{Chain: chain, TableSize: 3, Instances: 3}); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("table smaller than fleet: %v", err)
+	if _, err := New(Config{Chain: chain, Instances: DefaultTableSize}); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("table no larger than fleet: %v", err)
 	}
 }
 

@@ -23,8 +23,8 @@ import (
 	"github.com/fastpathnfv/speedybox/internal/nf/maglev"
 )
 
-// DefaultTableSize is the default steering-table size — the same small
-// prime the Maglev NF defaults to (the real Maglev paper uses 65537; a
+// DefaultTableSize is the steering-table size — the same small prime
+// the Maglev NF defaults to (the real Maglev paper uses 65537; a
 // smaller prime keeps rebalance cost and test time down while still
 // spreading slots near-uniformly).
 const DefaultTableSize = 653
@@ -81,19 +81,6 @@ func populate(names []string, size int) []int32 {
 		}
 	}
 	return table
-}
-
-// isPrime reports whether n is prime (steering-table size validation).
-func isPrime(n int) bool {
-	if n < 2 {
-		return false
-	}
-	for d := 2; d*d <= n; d++ {
-		if n%d == 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // slotOf maps a home FID to its steering slot.

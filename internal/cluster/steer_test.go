@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math/big"
 	"testing"
 
 	"github.com/fastpathnfv/speedybox/internal/flow"
@@ -73,11 +74,12 @@ func TestPopulateMinimalDisruption(t *testing.T) {
 	}
 }
 
-func TestIsPrime(t *testing.T) {
-	for n, want := range map[int]bool{1: false, 2: true, 3: true, 4: false, 653: true, 651: false} {
-		if got := isPrime(n); got != want {
-			t.Errorf("isPrime(%d) = %v, want %v", n, got, want)
-		}
+// TestTableSizeIsPrime holds the steering table to a prime size: the
+// Maglev permutation's skip must be coprime with it to reach every
+// slot.
+func TestTableSizeIsPrime(t *testing.T) {
+	if !big.NewInt(DefaultTableSize).ProbablyPrime(0) {
+		t.Errorf("DefaultTableSize %d is not prime", DefaultTableSize)
 	}
 }
 

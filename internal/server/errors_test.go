@@ -43,6 +43,16 @@ func TestAPIErrorCodes(t *testing.T) {
 			`{"op":"insert","pos":0,"nf":{"type":"maglev","name":"lb-b","table_size":9,
 			  "backends":[{"name":"b","ip":"192.168.1.10","port":80}]}}`,
 			errcode.CodeOf(chainspec.ErrNFConfig), http.StatusBadRequest},
+		{"negative ACL size", http.MethodPost, "/v1/plan",
+			`{"op":"insert","pos":0,"nf":{"type":"ipfilter","name":"fw-neg","acl_size":-1}}`,
+			errcode.CodeOf(chainspec.ErrNFConfig), http.StatusBadRequest},
+		{"ACL size above 65536", http.MethodPost, "/v1/plan",
+			`{"op":"insert","pos":0,"nf":{"type":"ipfilter","name":"fw-big","acl_size":70000}}`,
+			errcode.CodeOf(chainspec.ErrNFConfig), http.StatusBadRequest},
+		{"prime maglev table above 65537", http.MethodPost, "/v1/plan",
+			`{"op":"insert","pos":0,"nf":{"type":"maglev","name":"lb-big","table_size":65539,
+			  "backends":[{"name":"b","ip":"192.168.1.10","port":80}]}}`,
+			errcode.CodeOf(chainspec.ErrNFConfig), http.StatusBadRequest},
 		{"restore while serving", http.MethodPost, "/v1/restore",
 			`{"checkpoint":"AAAA"}`,
 			errcode.CodeOf(ErrBadState), http.StatusConflict},

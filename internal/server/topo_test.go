@@ -105,6 +105,9 @@ func TestTopoErrorCodes(t *testing.T) {
 			`{"chains":[{"name":"a","nfs":[{"type":"maglev","table_size":4,
 			  "backends":[{"name":"b","ip":"192.168.1.10","port":80}]}]}]}`,
 			errcode.CodeOf(chainspec.ErrNFConfig)},
+		{"ACL size above 65536 via dry-run build",
+			`{"chains":[{"name":"a","nfs":[{"type":"ipfilter","acl_size":70000}]}]}`,
+			errcode.CodeOf(chainspec.ErrNFConfig)},
 		{"one NF named twice in a chain",
 			`{"chains":[{"name":"a","nfs":[{"type":"monitor","name":"m"},{"type":"monitor","name":"m"}]}]}`,
 			errcode.CodeOf(topo.ErrSpecInvalid)},
