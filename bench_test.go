@@ -249,9 +249,9 @@ func BenchmarkSlowPathPerPacket(b *testing.B) {
 	benchPerPacket(b, p)
 }
 
-// BenchmarkONVMPipelinePerPacket measures a packet through the real
-// goroutine pipeline.
-func BenchmarkONVMPipelinePerPacket(b *testing.B) {
+// BenchmarkONVMPerPacket measures one packet through the ONVM model:
+// the engine's ladder, priced by ONVM's per-hop formula.
+func BenchmarkONVMPerPacket(b *testing.B) {
 	p, err := speedybox.NewONVM(benchChain(b), speedybox.DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
@@ -262,19 +262,31 @@ func BenchmarkONVMPipelinePerPacket(b *testing.B) {
 // mqChain is the multi-queue benchmark chain: three IPFilters with
 // forward-only ACLs, so fast-path packets touch no shared NF state and
 // the measurement isolates the engine's sharded data path.
-func mqChain(b *testing.B) []speedybox.NF {
-	b.Helper()
+func mqChain(tb testing.TB) []speedybox.NF {
+	tb.Helper()
 	chain := make([]speedybox.NF, 3)
 	for i := range chain {
 		f, err := speedybox.NewIPFilter(speedybox.IPFilterConfig{
 			Name: fmt.Sprintf("fw%d", i+1), Rules: speedybox.PadIPFilterRules(nil, 100),
 		})
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		chain[i] = f
 	}
 	return chain
+}
+
+// mqBESS builds mqChain on the BESS model with full SpeedyBox, closed
+// when tb ends.
+func mqBESS(tb testing.TB) *speedybox.Platform {
+	tb.Helper()
+	p, err := speedybox.NewBESS(mqChain(tb), speedybox.DefaultOptions())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { p.Close() })
+	return p
 }
 
 // mqTrace builds a subsequent-packet-dominated UDP trace: 256 flows of
@@ -300,12 +312,7 @@ func mqTrace(b *testing.B) []*speedybox.Packet {
 func BenchmarkMultiQueue(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			p, err := speedybox.NewBESS(mqChain(b), speedybox.DefaultOptions())
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer p.Close()
-			mq, err := speedybox.NewMultiQueue(p, workers)
+			mq, err := speedybox.NewMultiQueue(mqBESS(b), workers)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -342,14 +349,14 @@ func BenchmarkMultiQueue(b *testing.B) {
 // shape the per-worker 4-way flow-context cache is sized for. Forward-only
 // IPFilters never rewrite the packets, so the same descriptors replay
 // indefinitely.
-func fastTrace(b *testing.B) []*speedybox.Packet {
-	b.Helper()
+func fastTrace(tb testing.TB) []*speedybox.Packet {
+	tb.Helper()
 	tr, err := speedybox.GenerateTrace(speedybox.TraceConfig{
 		Seed: 1, Flows: 4, MeanPackets: 512, SigmaPackets: 0.01,
 		UDPFraction: 1.0, Interleave: true,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return tr.Packets()
 }
@@ -362,11 +369,7 @@ func fastTrace(b *testing.B) []*speedybox.Packet {
 // measurement isolates classification, rule lookup and accounting).
 // b.N counts packets, so ns/op and allocs/op read per packet.
 func BenchmarkFastPath(b *testing.B) {
-	p, err := speedybox.NewBESS(mqChain(b), speedybox.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer p.Close()
+	p := mqBESS(b)
 	pkts := fastTrace(b)
 	// Prime: record and consolidate every flow; timed replays then run
 	// pure fast path.
@@ -383,148 +386,184 @@ func BenchmarkFastPath(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "pkts-Mpps")
 }
 
-// BenchmarkFastPathBatch is the batched half: the identical trace in
-// 32-packet vectors through ProcessBatch with one per-worker Batch.
-// b.N still counts packets (the loop advances by vector length), so the
-// figures compare directly with BenchmarkFastPath; the acceptance bar
-// is >=2x packets/sec and amortized allocs < 1/packet.
-func BenchmarkFastPathBatch(b *testing.B) {
-	p, err := speedybox.NewBESS(mqChain(b), speedybox.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer p.Close()
-	pkts := fastTrace(b)
-	if _, err := speedybox.Run(p, pkts); err != nil {
-		b.Fatal(err)
-	}
-	const vec = 32
-	vecs := make([][]*speedybox.Packet, 0, len(pkts)/vec)
-	for off := 0; off+vec <= len(pkts); off += vec {
-		vecs = append(vecs, pkts[off:off+vec])
-	}
-	bat := speedybox.NewBatch(vec)
+// ---- Allocation gates ----
+//
+// The paper's fast path does no per-packet bookkeeping beyond the
+// consolidated rule; in Go that is an allocation count. Each gated path
+// is a gate: a fixture that builds and primes the path and returns one
+// step (a pass over its input) and the units the step drives — packets,
+// or TCP connections for the flow lifecycle. The path's benchmark times
+// the steps; TestAllocationGates counts a step's allocations and holds
+// them to the path's bound per unit.
+
+// A gate is an allocation-gated path's fixture.
+type gate func(testing.TB) (step func(), units int)
+
+// vec is the gated paths' vector size.
+const vec = 32
+
+// benchGate times g's steps after one warm step. b.N counts units, so
+// allocs/op reads per unit; pktsPerUnit scales the packet rate.
+func benchGate(b *testing.B, g gate, pktsPerUnit int) {
+	step, units := g(b)
+	step()
 	b.ReportAllocs()
 	b.ResetTimer()
-	i := 0
-	for n := 0; n < b.N; {
-		v := vecs[i%len(vecs)]
-		i++
-		if _, err := p.ProcessBatch(v, bat); err != nil {
-			b.Fatal(err)
-		}
-		n += len(v)
+	for n := 0; n < b.N; n += units {
+		step()
 	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "pkts-Mpps")
+	b.ReportMetric(float64(b.N*pktsPerUnit)/b.Elapsed().Seconds()/1e6, "pkts-Mpps")
 }
+
+// TestAllocationGates counts each gated path's allocations a step,
+// after AllocsPerRun's warm-up step, and fails above the path's bound
+// per unit. The counts are the same under the race detector: no gated
+// path goes through a sync.Pool.
+func TestAllocationGates(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		gate  gate
+		bound int // allocations per unit
+	}{
+		{"FastPathBatch", fastPathBatch, 0},
+		{"FastPathBatchWAL", fastPathBatchWAL, 0},
+		{"TopoFastPathBatch", topoFastPathBatch, 0},
+		{"ClusterFastPathBatch", clusterFastPathBatch, 0},
+		{"Chain1FastPathBatch", chain1FastPathBatch, 0},
+		{"Chain1SlowPathBatch", chain1SlowPathBatch, 0},
+		{"Chain1FlowLifecycle", chain1FlowLifecycle, 12},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			step, units := tc.gate(t)
+			n := testing.AllocsPerRun(10, step)
+			t.Logf("%v allocs a step of %d units", n, units)
+			if n > float64(tc.bound*units) {
+				t.Errorf("%.2f allocs a unit, want <= %d", n/float64(units), tc.bound)
+			}
+		})
+	}
+}
+
+// fastPathVectors primes p with fastTrace and returns a pass over the
+// trace's whole 32-packet vectors through ProcessBatch on one Batch.
+func fastPathVectors(tb testing.TB, p *speedybox.Platform) (func(), int) {
+	pkts := fastTrace(tb)
+	if _, err := speedybox.Run(p, pkts); err != nil {
+		tb.Fatal(err)
+	}
+	pkts = pkts[:len(pkts)/vec*vec]
+	bat := speedybox.NewBatch(vec)
+	return func() {
+		for off := 0; off < len(pkts); off += vec {
+			if _, err := p.ProcessBatch(pkts[off:off+vec], bat); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}, len(pkts)
+}
+
+// BenchmarkFastPathBatch is the batched half: the identical trace in
+// 32-packet vectors through ProcessBatch with one per-worker Batch.
+// b.N still counts packets, so the figures compare directly with
+// BenchmarkFastPath; the acceptance bar is >=2x packets/sec. Gated at 0
+// allocs/packet.
+func BenchmarkFastPathBatch(b *testing.B) { benchGate(b, fastPathBatch, 1) }
+
+func fastPathBatch(tb testing.TB) (func(), int) { return fastPathVectors(tb, mqBESS(tb)) }
 
 // BenchmarkFastPathBatchWAL is BenchmarkFastPathBatch with a WAL
 // attached before warmup: every install journals, then the steady-state
 // batched fast path runs with durability on. The journal only sees
-// control-plane mutations, so per-packet cost and allocations must stay
-// at the non-WAL level (the benchgate asserts <=1 alloc/packet).
-func BenchmarkFastPathBatchWAL(b *testing.B) {
-	p, err := speedybox.NewBESS(mqChain(b), speedybox.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer p.Close()
+// control-plane mutations, so the path stays gated at 0 allocs/packet.
+func BenchmarkFastPathBatchWAL(b *testing.B) { benchGate(b, fastPathBatchWAL, 1) }
+
+func fastPathBatchWAL(tb testing.TB) (func(), int) {
+	p := mqBESS(tb)
 	p.Engine().AttachWAL(speedybox.NewWAL(speedybox.WALOptions{}))
-	pkts := fastTrace(b)
-	if _, err := speedybox.Run(p, pkts); err != nil {
-		b.Fatal(err)
-	}
+	step, units := fastPathVectors(tb, p)
 	if p.Engine().WAL().Seq() == 0 {
-		b.Fatal("warmup journaled nothing")
+		tb.Fatal("warmup journaled nothing")
 	}
-	const vec = 32
-	vecs := make([][]*speedybox.Packet, 0, len(pkts)/vec)
-	for off := 0; off+vec <= len(pkts); off += vec {
-		vecs = append(vecs, pkts[off:off+vec])
+	return step, units
+}
+
+// chain1BESS builds the paper's Chain1 (the daemon's boot chain) on the
+// BESS model with full SpeedyBox, closed when tb ends.
+func chain1BESS(tb testing.TB) *speedybox.Platform {
+	tb.Helper()
+	spec, err := chainspec.Parse([]byte(server.DefaultSpecJSON))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	chain, err := spec.Build()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p, err := speedybox.NewBESS(chain, speedybox.DefaultOptions())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { p.Close() })
+	return p
+}
+
+// chain1Replay returns a pass over pkts in 32-packet vectors on one
+// Batch. The NAT and the load balancer rewrite the packets, so a pass
+// first reloads the descriptors from the pristine frames, with the
+// timer stopped when tb is a benchmark; parsing is inside the timed
+// region, as on a real rx path.
+func chain1Replay(tb testing.TB, p *speedybox.Platform, frames, pkts []*speedybox.Packet) func() {
+	stop, start := func() {}, func() {}
+	if b, ok := tb.(*testing.B); ok {
+		stop, start = b.StopTimer, b.StartTimer
 	}
 	bat := speedybox.NewBatch(vec)
-	b.ReportAllocs()
-	b.ResetTimer()
-	i := 0
-	for n := 0; n < b.N; {
-		v := vecs[i%len(vecs)]
-		i++
-		if _, err := p.ProcessBatch(v, bat); err != nil {
-			b.Fatal(err)
+	return func() {
+		stop()
+		for i, pkt := range pkts {
+			pkt.SetFrame(frames[i].Data())
 		}
-		n += len(v)
+		start()
+		for off := 0; off < len(pkts); off += vec {
+			if _, err := p.ProcessBatch(pkts[off:min(off+vec, len(pkts))], bat); err != nil {
+				tb.Fatal(err)
+			}
+		}
 	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "pkts-Mpps")
 }
 
 // BenchmarkChain1FastPathBatch is the batched fast path on the paper's
 // Chain1 (the daemon's boot chain: MazuNAT, Maglev, Monitor, IPFilter)
 // — unlike the 3-IPFilter benchmarks around it, every packet here has
 // header rewrites to apply, state functions to execute and events to
-// probe. The NAT and the load balancer rewrite the packets, so each
-// pass first reloads its descriptors from the pristine frames with the
-// timer stopped; parsing is inside the timed region, as on a real rx
-// path. b.N counts packets; the gate is 0 allocs/packet.
-func BenchmarkChain1FastPathBatch(b *testing.B) {
-	p := chain1BESS(b)
-	defer p.Close()
+// probe, all on the calling core. b.N counts packets; gated at 0
+// allocs/packet.
+func BenchmarkChain1FastPathBatch(b *testing.B) { benchGate(b, chain1FastPathBatch, 1) }
+
+func chain1FastPathBatch(tb testing.TB) (func(), int) {
+	p := chain1BESS(tb)
 	tr, err := speedybox.GenerateTrace(speedybox.TraceConfig{
 		Seed: 1, Flows: 256, MeanPackets: 8, UDPFraction: 1.0, Interleave: true,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	frames, pkts := tr.Packets(), tr.Packets()
 	// Prime: record and consolidate every flow (UDP flows never tear
-	// down), so the timed passes run pure fast path.
+	// down), so every later pass runs pure fast path.
 	if _, err := speedybox.Run(p, pkts); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	const vec = 32
-	bat := speedybox.NewBatch(vec)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; {
-		b.StopTimer()
-		for i, pkt := range pkts {
-			pkt.SetFrame(frames[i].Data())
+	tb.Cleanup(func() {
+		if st := p.Engine().Stats(); st.FastPath+uint64(len(pkts)) < st.Packets {
+			tb.Errorf("passes left the fast path: %d of %d packets fast", st.FastPath, st.Packets)
 		}
-		b.StartTimer()
-		for off := 0; off < len(pkts) && n < b.N; off += vec {
-			v := pkts[off:min(off+vec, len(pkts))]
-			if _, err := p.ProcessBatch(v, bat); err != nil {
-				b.Fatal(err)
-			}
-			n += len(v)
-		}
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "pkts-Mpps")
-	if st := p.Engine().Stats(); st.FastPath+uint64(len(pkts)) < st.Packets {
-		b.Fatalf("timed passes left the fast path: %d of %d packets fast", st.FastPath, st.Packets)
-	}
+	})
+	return chain1Replay(tb, p, frames, pkts), len(pkts)
 }
 
-// chain1BESS builds the paper's Chain1 (the daemon's boot chain) on the
-// BESS model with full SpeedyBox.
-func chain1BESS(b *testing.B) *speedybox.Platform {
-	b.Helper()
-	spec, err := chainspec.Parse([]byte(server.DefaultSpecJSON))
-	if err != nil {
-		b.Fatal(err)
-	}
-	chain, err := spec.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := speedybox.NewBESS(chain, speedybox.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	return p
-}
-
-// chain1Lifecycles builds the slow-path benchmarks' input: conns short
-// TCP connections (SYN, handshake ACK, 4 data packets, FIN; with data
+// chain1Lifecycles builds the slow-path gates' input: conns short TCP
+// connections (SYN, handshake ACK, 4 data packets, FIN; with data
 // false, only the SYN and the ACK), one after the other, as pristine
 // frames and the descriptors replayed from them.
 func chain1Lifecycles(conns int, data bool) (frames, pkts []*speedybox.Packet) {
@@ -551,67 +590,192 @@ func chain1Lifecycles(conns int, data bool) (frames, pkts []*speedybox.Packet) {
 	return frames, pkts
 }
 
-// benchChain1Replay times passes over pkts in 32-packet vectors,
-// reloading the descriptors from frames with the timer stopped. b.N
-// counts units of perOp packets; the last pass is run whole (a cut
-// connection would leave its flow behind), so small b.N overshoot.
-func benchChain1Replay(b *testing.B, p *speedybox.Platform, frames, pkts []*speedybox.Packet, perOp int) {
-	const vec = 32
-	bat := speedybox.NewBatch(vec)
-	pass := func() {
-		b.StopTimer()
-		for i, pkt := range pkts {
-			pkt.SetFrame(frames[i].Data())
-		}
-		b.StartTimer()
-		for off := 0; off < len(pkts); off += vec {
-			if _, err := p.ProcessBatch(pkts[off:min(off+vec, len(pkts))], bat); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	// Warm the Batch, the NFs' tables and the flow table's free lists.
-	pass()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n += len(pkts) / perOp {
-		pass()
-	}
-	b.ReportMetric(float64(b.N*perOp)/b.Elapsed().Seconds()/1e6, "pkts-Mpps")
-}
-
 // BenchmarkChain1SlowPathBatch is the slow path that records nothing:
 // vectors of TCP handshake packets (SYN, ACK) walk all four Chain1 NFs
-// on the worker's traversal scratch. b.N counts packets; the gate is 0
+// on the worker's traversal scratch. b.N counts packets; gated at 0
 // allocs/packet, in the engine and in the NFs.
-func BenchmarkChain1SlowPathBatch(b *testing.B) {
-	p := chain1BESS(b)
-	defer p.Close()
-	frames, pkts := chain1Lifecycles(512, false)
-	benchChain1Replay(b, p, frames, pkts, 1)
-	if st := p.Engine().Stats(); st.Handshake != st.Packets {
-		b.Fatalf("%d of %d packets were not handshake packets", st.Packets-st.Handshake, st.Packets)
+func BenchmarkChain1SlowPathBatch(b *testing.B) { benchGate(b, chain1SlowPathBatch, 1) }
+
+func chain1SlowPathBatch(tb testing.TB) (func(), int) {
+	const conns = 512
+	p := chain1BESS(tb)
+	frames, pkts := chain1Lifecycles(conns, false)
+	pass := chain1Replay(tb, p, frames, pkts)
+	// Every SYN takes a fresh NAT port at the cursor, and the NAT pages
+	// in its port map 64 ports at a time: until the cursor has wrapped,
+	// a pass allocates the pages of its 512 new ports. 65536/512 passes
+	// wrap it from any port base.
+	for i := 0; i < 65536/conns; i++ {
+		pass()
 	}
+	tb.Cleanup(func() {
+		if st := p.Engine().Stats(); st.Handshake != st.Packets {
+			tb.Errorf("%d of %d packets were not handshake packets", st.Packets-st.Handshake, st.Packets)
+		}
+	})
+	return pass, len(pkts)
 }
 
 // BenchmarkChain1FlowLifecycle is flow set-up end to end: per op one
 // TCP connection through ProcessBatch — SYN, ACK, the data packet that
 // records, consolidates and installs the rule, three on the fast path,
 // and the FIN that tears everything down. allocs/op is what a flow
-// costs to set up and remove: 12, the CI gate — the entry, its record
-// and NF state block, one recording, one rule, one event registration
-// and the NFs' own closures and values (DESIGN §16, "The set-up path").
-func BenchmarkChain1FlowLifecycle(b *testing.B) {
-	const perConn = 7
-	p := chain1BESS(b)
-	defer p.Close()
-	frames, pkts := chain1Lifecycles(32, true)
-	benchChain1Replay(b, p, frames, pkts, perConn)
-	st := p.Engine().Stats()
-	if st.Consolidations*perConn != st.Packets || p.Engine().Global().Len() != 0 {
-		b.Fatalf("stats %+v, %d rules left: want one consolidation per connection and every rule removed",
-			st, p.Engine().Global().Len())
+// costs to set up and remove, gated at 12: the entry, its record and
+// NF state block, one recording, one rule, one event registration and
+// the NFs' own closures and values (DESIGN §16, "The set-up path").
+func BenchmarkChain1FlowLifecycle(b *testing.B) { benchGate(b, chain1FlowLifecycle, 7) }
+
+func chain1FlowLifecycle(tb testing.TB) (func(), int) {
+	// Until MazuNAT's port cursor wraps, every other pass also pages in
+	// 64 ports of its port map: 1/64 of an object a connection, below
+	// AllocsPerRun's integer average over ten passes and amortized away
+	// in a long benchmark run. Wrapping the cursor first, as the slow
+	// path's fixture does, would cost 2048 passes here.
+	const conns, perConn = 32, 7
+	p := chain1BESS(tb)
+	frames, pkts := chain1Lifecycles(conns, true)
+	tb.Cleanup(func() {
+		st := p.Engine().Stats()
+		if st.Consolidations*perConn != st.Packets || p.Engine().Global().Len() != 0 {
+			tb.Errorf("stats %+v, %d rules left: want one consolidation per connection and every rule removed",
+				st, p.Engine().Global().Len())
+		}
+	})
+	return chain1Replay(tb, p, frames, pkts), conns
+}
+
+// BenchmarkTopoFastPathBatch measures the multi-chain topology fast
+// path: packets are classified per packet (policy match + tenant
+// stamp) and drained through their chain's engine in 32-packet
+// same-chain vectors on one Batch, the way Topology.ProcessRuns feeds
+// chains under both runners. b.N counts packets; gated at 0
+// allocs/packet, so the topology layer costs nothing of the
+// single-chain zero-alloc property.
+func BenchmarkTopoFastPathBatch(b *testing.B) { benchGate(b, topoFastPathBatch, 1) }
+
+func topoFastPathBatch(tb testing.TB) (func(), int) {
+	spec := &speedybox.TopologySpec{
+		Name: "bench",
+		Chains: []speedybox.TopologyChainSpec{
+			{Name: "a", NFs: []speedybox.NFSpec{
+				{Type: "ipfilter", ACLSize: 100},
+				{Type: "ipfilter", ACLSize: 100},
+				{Type: "ipfilter", ACLSize: 100},
+			}},
+			{Name: "b", NFs: []speedybox.NFSpec{
+				{Type: "ipfilter", ACLSize: 100},
+				{Type: "ipfilter", ACLSize: 100},
+				{Type: "ipfilter", ACLSize: 100},
+			}},
+		},
+		Policies: []speedybox.TopologyPolicySpec{
+			{Chain: "a", Tenant: 1, DstPortMin: 80},
+			{Chain: "b", Tenant: 2, DstPortMin: 9000},
+		},
+		Tenants: []speedybox.TenantSpec{{ID: 1}, {ID: 2}},
 	}
+	tp, err := speedybox.BuildTopology(spec, speedybox.TopologyBuildConfig{
+		Options: speedybox.DefaultOptions(),
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { tp.Close() })
+
+	// Two interleaved UDP services, one per chain.
+	var pkts []*speedybox.Packet
+	for i, port := range []uint16{80, 9000} {
+		tr, err := speedybox.GenerateTrace(speedybox.TraceConfig{
+			Seed: int64(i + 1), Flows: 4, MeanPackets: 512, SigmaPackets: 0.01,
+			UDPFraction: 1.0, DstPort: port, Interleave: true,
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		pkts = append(pkts, tr.Packets()...)
+	}
+	// Prime: record and consolidate every flow through the topology.
+	if _, err := tp.RunBatch(pkts, vec); err != nil {
+		tb.Fatal(err)
+	}
+	// Pre-split into maximal same-chain vectors, as RunBatch does.
+	type chainVec struct {
+		chain int
+		pkts  []*speedybox.Packet
+	}
+	var vecs []chainVec
+	for off := 0; off < len(pkts); {
+		chain := tp.Route(pkts[off])
+		end := off + 1
+		for end < len(pkts) && end-off < vec && tp.Route(pkts[end]) == chain {
+			end++
+		}
+		vecs = append(vecs, chainVec{chain: chain, pkts: pkts[off:end]})
+		off = end
+	}
+	bat := speedybox.NewBatch(vec)
+	return func() {
+		for _, v := range vecs {
+			// Classify per packet in the timed region — the dispatcher does.
+			for _, pkt := range v.pkts {
+				tp.Route(pkt)
+			}
+			if _, err := tp.Chain(v.chain).Platform.ProcessBatch(v.pkts, bat); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}, len(pkts)
+}
+
+// BenchmarkClusterFastPathBatch measures the clustered fast path in
+// steady state: a 2-instance fleet behind the consistent-hash steerer,
+// fed 32-packet vectors that ProcessRuns splits into same-instance
+// runs. Steering (route + view recheck + instance RLock) is in the
+// timed region — that is the cluster's per-packet overhead versus
+// BenchmarkFastPathBatch. Gated at 0 allocs/packet: one
+// generation-banded Batch serves every instance, so the migration
+// machinery must cost nothing when no rebalance is in flight.
+func BenchmarkClusterFastPathBatch(b *testing.B) { benchGate(b, clusterFastPathBatch, 1) }
+
+func clusterFastPathBatch(tb testing.TB) (func(), int) {
+	cl, err := speedybox.NewCluster(speedybox.ClusterConfig{
+		Chain: mqChain(tb), Options: speedybox.DefaultOptions(), Instances: 2,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { cl.Close() })
+	tr, err := speedybox.GenerateTrace(speedybox.TraceConfig{
+		Seed: 1, Flows: 8, MeanPackets: 256, SigmaPackets: 0.01,
+		UDPFraction: 1.0, Interleave: true,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pkts := tr.Packets()
+	// Prime: record and consolidate every flow on its home instance;
+	// later passes run pure fast path.
+	if _, err := cl.RunBatch(pkts, vec, nil); err != nil {
+		tb.Fatal(err)
+	}
+	spread := 0
+	for _, in := range cl.Instances() {
+		if in.Flows > 0 {
+			spread++
+		}
+	}
+	if spread < 2 {
+		tb.Fatalf("trace landed on %d instance(s); steering not exercised", spread)
+	}
+	pkts = pkts[:len(pkts)/vec*vec]
+	bat := speedybox.NewBatch(vec)
+	return func() {
+		for off := 0; off < len(pkts); off += vec {
+			if err := cl.ProcessRuns(pkts[off:off+vec], vec, bat, nil); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}, len(pkts)
 }
 
 // BenchmarkPooledReplay measures a whole-trace replay cycle with pooled
@@ -619,11 +783,7 @@ func BenchmarkChain1FlowLifecycle(b *testing.B) {
 // every descriptor via RunBatch. Steady state allocates no packet
 // descriptors — remaining allocs/op are the run's aggregation slices.
 func BenchmarkPooledReplay(b *testing.B) {
-	p, err := speedybox.NewBESS(mqChain(b), speedybox.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer p.Close()
+	p := mqBESS(b)
 	tr, err := speedybox.GenerateTrace(speedybox.TraceConfig{
 		Seed: 1, Flows: 4, MeanPackets: 512, SigmaPackets: 0.01,
 		UDPFraction: 1.0, Interleave: true,
@@ -651,11 +811,7 @@ func BenchmarkPooledReplay(b *testing.B) {
 // flow — the per-packet figure under concurrency, comparable with
 // BenchmarkFastPathPerPacket's serial figure.
 func BenchmarkEngineParallel(b *testing.B) {
-	p, err := speedybox.NewBESS(mqChain(b), speedybox.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer p.Close()
+	p := mqBESS(b)
 	var nextPort atomic.Uint32
 	nextPort.Store(20000)
 	b.RunParallel(func(pb *testing.PB) {
@@ -681,151 +837,6 @@ func BenchmarkEngineParallel(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkTopoFastPathBatch measures the multi-chain topology fast
-// path: packets are classified per packet (policy match + tenant
-// stamp) and drained through their chain's engine in 32-packet
-// same-chain vectors on one Batch, the way Topology.ProcessRuns feeds
-// chains under both runners. b.N counts packets; the benchgate asserts
-// the steady state stays at <=1 alloc/packet, so adding the topology
-// layer must not cost the single-chain zero-alloc property.
-func BenchmarkTopoFastPathBatch(b *testing.B) {
-	spec := &speedybox.TopologySpec{
-		Name: "bench",
-		Chains: []speedybox.TopologyChainSpec{
-			{Name: "a", NFs: []speedybox.NFSpec{
-				{Type: "ipfilter", ACLSize: 100},
-				{Type: "ipfilter", ACLSize: 100},
-				{Type: "ipfilter", ACLSize: 100},
-			}},
-			{Name: "b", NFs: []speedybox.NFSpec{
-				{Type: "ipfilter", ACLSize: 100},
-				{Type: "ipfilter", ACLSize: 100},
-				{Type: "ipfilter", ACLSize: 100},
-			}},
-		},
-		Policies: []speedybox.TopologyPolicySpec{
-			{Chain: "a", Tenant: 1, DstPortMin: 80},
-			{Chain: "b", Tenant: 2, DstPortMin: 9000},
-		},
-		Tenants: []speedybox.TenantSpec{{ID: 1}, {ID: 2}},
-	}
-	tp, err := speedybox.BuildTopology(spec, speedybox.TopologyBuildConfig{
-		Options: speedybox.DefaultOptions(),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer tp.Close()
-
-	// Two interleaved UDP services, one per chain.
-	var pkts []*speedybox.Packet
-	for i, port := range []uint16{80, 9000} {
-		tr, err := speedybox.GenerateTrace(speedybox.TraceConfig{
-			Seed: int64(i + 1), Flows: 4, MeanPackets: 512, SigmaPackets: 0.01,
-			UDPFraction: 1.0, DstPort: port, Interleave: true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		pkts = append(pkts, tr.Packets()...)
-	}
-	// Prime: record and consolidate every flow through the topology.
-	if _, err := tp.RunBatch(pkts, 32); err != nil {
-		b.Fatal(err)
-	}
-	// Pre-split into maximal same-chain vectors, as RunBatch does.
-	const vec = 32
-	type chainVec struct {
-		chain int
-		pkts  []*speedybox.Packet
-	}
-	var vecs []chainVec
-	for off := 0; off < len(pkts); {
-		chain := tp.Route(pkts[off])
-		end := off + 1
-		for end < len(pkts) && end-off < vec && tp.Route(pkts[end]) == chain {
-			end++
-		}
-		vecs = append(vecs, chainVec{chain: chain, pkts: pkts[off:end]})
-		off = end
-	}
-	bat := speedybox.NewBatch(vec)
-	b.ReportAllocs()
-	b.ResetTimer()
-	i := 0
-	for n := 0; n < b.N; {
-		v := vecs[i%len(vecs)]
-		i++
-		// Classify per packet in the timed region — the dispatcher does.
-		for _, pkt := range v.pkts {
-			tp.Route(pkt)
-		}
-		if _, err := tp.Chain(v.chain).Platform.ProcessBatch(v.pkts, bat); err != nil {
-			b.Fatal(err)
-		}
-		n += len(v.pkts)
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "pkts-Mpps")
-}
-
-// BenchmarkClusterFastPathBatch measures the clustered fast path in
-// steady state: a 2-instance fleet behind the consistent-hash steerer,
-// fed 32-packet vectors that ProcessRuns splits into same-instance
-// runs. Steering (route + view recheck + instance RLock) is in the
-// timed region — that is the cluster's per-packet overhead versus
-// BenchmarkFastPathBatch. Gated at 0 allocs/packet in CI: one
-// generation-banded Batch serves every instance, so the migration
-// machinery must cost nothing when no rebalance is in flight.
-func BenchmarkClusterFastPathBatch(b *testing.B) {
-	cl, err := speedybox.NewCluster(speedybox.ClusterConfig{
-		Chain: mqChain(b), Options: speedybox.DefaultOptions(), Instances: 2,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cl.Close()
-	tr, err := speedybox.GenerateTrace(speedybox.TraceConfig{
-		Seed: 1, Flows: 8, MeanPackets: 256, SigmaPackets: 0.01,
-		UDPFraction: 1.0, Interleave: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	pkts := tr.Packets()
-	// Prime: record and consolidate every flow on its home instance;
-	// timed replays then run pure fast path.
-	if _, err := cl.RunBatch(pkts, 32, nil); err != nil {
-		b.Fatal(err)
-	}
-	spread := 0
-	for _, in := range cl.Instances() {
-		if in.Flows > 0 {
-			spread++
-		}
-	}
-	if spread < 2 {
-		b.Fatalf("trace landed on %d instance(s); steering not exercised", spread)
-	}
-	const vec = 32
-	vecs := make([][]*speedybox.Packet, 0, len(pkts)/vec)
-	for off := 0; off+vec <= len(pkts); off += vec {
-		vecs = append(vecs, pkts[off:off+vec])
-	}
-	bat := speedybox.NewBatch(vec)
-	b.ReportAllocs()
-	b.ResetTimer()
-	i := 0
-	for n := 0; n < b.N; {
-		v := vecs[i%len(vecs)]
-		i++
-		if err := cl.ProcessRuns(v, vec, bat, nil); err != nil {
-			b.Fatal(err)
-		}
-		n += len(v)
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "pkts-Mpps")
 }
 
 // BenchmarkTraceGeneration measures synthetic trace synthesis.

@@ -392,64 +392,41 @@ func (c *Cluster) Instances() []InstanceStatus {
 	return out
 }
 
-// AddInstance brings up one new instance and migrates every flow the
+// addLocked brings up one new instance and migrates every flow the
 // new steering table reassigns to it. On an injected migration abort
 // the whole operation rolls back: moved flows return to their owners,
-// the new instance is discarded, the old view stays published.
-func (c *Cluster) AddInstance() (string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.addLocked()
-}
-
-func (c *Cluster) addLocked() (string, error) {
+// the new instance is discarded, the old view stays published. Caller
+// holds c.mu.
+func (c *Cluster) addLocked() error {
 	old := c.cur.Load()
 	if len(old.insts)+1 >= DefaultTableSize {
-		return "", fmt.Errorf("%w: %d instances would reach table size %d", ErrBadScale, len(old.insts)+1, DefaultTableSize)
+		return fmt.Errorf("%w: %d instances would reach table size %d", ErrBadScale, len(old.insts)+1, DefaultTableSize)
 	}
 	in, err := c.newInstance(fmt.Sprintf("i%d", c.nextID), nil)
 	if err != nil {
-		return "", err
+		return err
 	}
 	c.nextID++
 	newInsts := append(append([]*instance(nil), old.insts...), in)
 	if err := c.rebalance(old, newInsts); err != nil {
 		_ = in.plat.Close()
-		return "", err
+		return err
 	}
-	return in.name, nil
+	return nil
 }
 
-// RemoveInstance drains the named instance — every one of its flows
+// removeLocked drains the newest instance — every one of its flows
 // migrates to the owner the shrunken steering table assigns — and
 // retires it. On an injected abort the instance stays, fully owning
-// every flow it had.
-func (c *Cluster) RemoveInstance(name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// every flow it had. Caller holds c.mu.
+func (c *Cluster) removeLocked() error {
 	old := c.cur.Load()
-	idx := -1
-	for i, in := range old.insts {
-		if in.name == name {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return fmt.Errorf("%w: %q", ErrUnknownInstance, name)
-	}
-	return c.removeLocked(old, idx)
-}
-
-func (c *Cluster) removeLocked(old *view, idx int) error {
 	if len(old.insts) == 1 {
 		return ErrLastInstance
 	}
-	removed := old.insts[idx]
-	newInsts := make([]*instance, 0, len(old.insts)-1)
-	newInsts = append(newInsts, old.insts[:idx]...)
-	newInsts = append(newInsts, old.insts[idx+1:]...)
-	if err := c.rebalance(old, newInsts); err != nil {
+	last := len(old.insts) - 1
+	removed := old.insts[last]
+	if err := c.rebalance(old, append([]*instance(nil), old.insts[:last]...)); err != nil {
 		return err
 	}
 	return c.retire(removed)
@@ -469,12 +446,11 @@ func (c *Cluster) ScaleTo(n int) error {
 		cur := len(c.cur.Load().insts)
 		switch {
 		case cur < n:
-			if _, err := c.addLocked(); err != nil {
+			if err := c.addLocked(); err != nil {
 				return err
 			}
 		case cur > n:
-			old := c.cur.Load()
-			if err := c.removeLocked(old, len(old.insts)-1); err != nil {
+			if err := c.removeLocked(); err != nil {
 				return err
 			}
 		default:

@@ -135,6 +135,100 @@ func TestClusterConfigValidation(t *testing.T) {
 	}
 }
 
+// TestScaleToRejectsOutOfRange: a target outside [1, DefaultTableSize-1)
+// is refused before any instance starts or drains.
+func TestScaleToRejectsOutOfRange(t *testing.T) {
+	cl := newTestCluster(t, 2, false, nil)
+	for _, n := range []int{0, -1, DefaultTableSize - 1} {
+		if err := cl.ScaleTo(n); !errors.Is(err, ErrBadScale) {
+			t.Errorf("ScaleTo(%d): err = %v, want %v", n, err, ErrBadScale)
+		}
+	}
+	if cl.Len() != 2 || cl.Rebalances() != 0 {
+		t.Errorf("after refused scales: %d instances, %d rebalances; want 2, 0", cl.Len(), cl.Rebalances())
+	}
+}
+
+// TestScaleToDrainsNewestFirst: ScaleTo moves one instance a rebalance,
+// names new instances by a counter that never reuses a retired name,
+// drains the newest first, keeps every flow across the moves, and does
+// nothing at the current size.
+func TestScaleToDrainsNewestFirst(t *testing.T) {
+	cl := newTestCluster(t, 1, false, nil)
+	ref := newRefEngine(t, false)
+	const flows = 40
+	establish(t, cl, ref, flows)
+	total := func() int {
+		n := 0
+		for i := 0; i < cl.Len(); i++ {
+			n += cl.Engine(i).FlowLen()
+		}
+		return n
+	}
+	before := total()
+	if before != flows {
+		t.Fatalf("%d flows after set-up, want %d", before, flows)
+	}
+	for _, step := range []struct {
+		n          int
+		names      string
+		rebalances uint64
+	}{
+		{3, "[i0 i1 i2]", 2},
+		{3, "[i0 i1 i2]", 2},
+		{2, "[i0 i1]", 3},
+		{3, "[i0 i1 i3]", 4},
+		{1, "[i0]", 6},
+	} {
+		if err := cl.ScaleTo(step.n); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(cl.Names()); got != step.names || cl.Rebalances() != step.rebalances {
+			t.Fatalf("ScaleTo(%d): names %s after %d rebalances, want %s after %d",
+				step.n, got, cl.Rebalances(), step.names, step.rebalances)
+		}
+		if got := total(); got != before {
+			t.Fatalf("ScaleTo(%d): %d flows across the fleet, want %d", step.n, got, before)
+		}
+	}
+	for f := 0; f < flows; f++ {
+		f := f
+		compare(t, cl, ref, func() *packet.Packet { return data(f, 4) }, "after scaling")
+	}
+}
+
+// TestCrashInstanceKeepsItsPlace: a crashed instance is replaced under
+// its own name and steering slot, holding the flows it held; an index
+// naming no instance is refused.
+func TestCrashInstanceKeepsItsPlace(t *testing.T) {
+	cl := newTestCluster(t, 3, false, nil)
+	ref := newRefEngine(t, false)
+	const flows = 30
+	establish(t, cl, ref, flows)
+	for _, i := range []int{-1, 3} {
+		if err := cl.CrashInstance(i); !errors.Is(err, ErrUnknownInstance) {
+			t.Errorf("CrashInstance(%d): err = %v, want %v", i, err, ErrUnknownInstance)
+		}
+	}
+	names, held := fmt.Sprint(cl.Names()), cl.Engine(1).FlowLen()
+	if held == 0 {
+		t.Fatal("instance 1 holds no flow")
+	}
+	if err := cl.CrashInstance(1); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(cl.Names()); got != names {
+		t.Errorf("names after crash %s, want %s", got, names)
+	}
+	if got := cl.Engine(1).FlowLen(); got != held {
+		t.Errorf("replacement holds %d flows, the crashed instance %d", got, held)
+	}
+	for f := 0; f < flows; f++ {
+		f := f
+		compare(t, cl, ref, func() *packet.Packet { return data(f, 4) }, "after crash")
+	}
+}
+
 // TestMigrateMidHandshake scales out while flows are mid-handshake
 // (SYN seen, ACK not yet): the half-open flows must migrate as flow
 // entries and complete their handshake on the new owner with verdicts
@@ -147,7 +241,7 @@ func TestMigrateMidHandshake(t *testing.T) {
 		f := f
 		compare(t, cl, ref, func() *packet.Packet { return pkt(f, packet.TCPFlagSYN, 1, "") }, "syn")
 	}
-	if _, err := cl.AddInstance(); err != nil {
+	if err := cl.ScaleTo(cl.Len() + 1); err != nil {
 		t.Fatal(err)
 	}
 	if got := cl.Migrations(); got == 0 {
@@ -174,7 +268,7 @@ func TestFINRacesMigration(t *testing.T) {
 		f := f
 		compare(t, cl, ref, func() *packet.Packet { return pkt(f, packet.TCPFlagFIN|packet.TCPFlagACK, 9, "") }, "fin before cutover")
 	}
-	if _, err := cl.AddInstance(); err != nil {
+	if err := cl.ScaleTo(cl.Len() + 1); err != nil {
 		t.Fatal(err)
 	}
 	for f := 1; f < flows; f += 2 {
@@ -209,7 +303,7 @@ func TestStaleRuleAtMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := cl.Migrations()
-	if _, err := cl.AddInstance(); err != nil {
+	if err := cl.ScaleTo(cl.Len() + 1); err != nil {
 		t.Fatal(err)
 	}
 	if cl.Migrations() == before {
@@ -234,7 +328,7 @@ func TestSYNReuseAfterMigration(t *testing.T) {
 		f := f
 		compare(t, cl, ref, func() *packet.Packet { return pkt(f, packet.TCPFlagFIN|packet.TCPFlagACK, 9, "") }, "fin")
 	}
-	if _, err := cl.AddInstance(); err != nil {
+	if err := cl.ScaleTo(cl.Len() + 1); err != nil {
 		t.Fatal(err)
 	}
 	for f := 0; f < flows; f++ {
@@ -255,15 +349,14 @@ func TestMigrateBack(t *testing.T) {
 	establish(t, cl, ref, flows)
 	total := cl.Engine(0).FlowLen()
 
-	name, err := cl.AddInstance()
-	if err != nil {
+	if err := cl.ScaleTo(2); err != nil {
 		t.Fatal(err)
 	}
 	movedOut := cl.Migrations()
 	if movedOut == 0 {
 		t.Fatal("scale-out moved nothing")
 	}
-	if err := cl.RemoveInstance(name); err != nil {
+	if err := cl.ScaleTo(1); err != nil {
 		t.Fatal(err)
 	}
 	if cl.Migrations() != movedOut*2 {
@@ -294,7 +387,7 @@ func TestMigrationAbortRollsBack(t *testing.T) {
 	epochBefore := cl.Engine(0).Epoch()
 
 	inj.SetRate(fault.KindMigrationAbort, 1)
-	if _, err := cl.AddInstance(); !errors.Is(err, ErrMigrationAborted) {
+	if err := cl.ScaleTo(2); !errors.Is(err, ErrMigrationAborted) {
 		t.Fatalf("expected ErrMigrationAborted, got %v", err)
 	}
 	inj.SetRate(fault.KindMigrationAbort, 0)
@@ -347,12 +440,12 @@ func TestMigrationAbortOrphanSweep(t *testing.T) {
 	inj.SetRate(fault.KindMigrationAbort, 0.2)
 	var aborted bool
 	for try := 0; try < 20 && !aborted; try++ {
-		_, err := cl.AddInstance()
+		err := cl.ScaleTo(3)
 		switch {
 		case errors.Is(err, ErrMigrationAborted):
 			aborted = true
 		case err == nil:
-			if rerr := cl.RemoveInstance(cl.Names()[cl.Len()-1]); rerr != nil && !errors.Is(rerr, ErrMigrationAborted) {
+			if rerr := cl.ScaleTo(2); rerr != nil && !errors.Is(rerr, ErrMigrationAborted) {
 				t.Fatal(rerr)
 			}
 		default:
@@ -576,13 +669,12 @@ func TestClusterReconfigureFleetWide(t *testing.T) {
 			t.Errorf("instance %d epoch %d, want %d", i, got, epoch)
 		}
 	}
-	name, err := cl.AddInstance()
-	if err != nil {
+	if err := cl.ScaleTo(cl.Len() + 1); err != nil {
 		t.Fatal(err)
 	}
 	joined := cl.Len() - 1
 	if got := cl.Engine(joined).ChainNames(); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("late joiner %s chain %v, want %v", name, got, want)
+		t.Errorf("late joiner %s chain %v, want %v", cl.Names()[joined], got, want)
 	}
 	for f := 0; f < flows; f++ {
 		f := f
@@ -646,7 +738,7 @@ func TestMigrationRecordRoundTripInCluster(t *testing.T) {
 			sawRule = true
 		}
 	}
-	if _, err := cl.AddInstance(); err != nil {
+	if err := cl.ScaleTo(cl.Len() + 1); err != nil {
 		t.Fatal(err)
 	}
 	if !sawRule {
@@ -656,10 +748,10 @@ func TestMigrationRecordRoundTripInCluster(t *testing.T) {
 
 // TestMigrantEvictsResident: FIDs are allocated per instance, so a flow
 // can arrive at its new owner under a FID a resident flow holds there.
-// Three flows make it happen: two share a home FID on instance 0, so the
+// Three flows make it happen: two share a home FID on instance 1, so the
 // second was probed onto the next FID of the shard, which is the home of
-// the third, resident on instance 1. Draining instance 0 lands the
-// probed flow on the resident's FID. With a monitor in the chain no rule
+// the third, resident on instance 0. Scaling in drains instance 1, the
+// newest, and lands the probed flow on the resident's FID. With a monitor in the chain no rule
 // travels, so the migrant must re-record — not ride the rule the evicted
 // resident left — and the resident comes back as a new flow under a
 // fresh FID; neither diverges from the reference chain.
@@ -676,13 +768,13 @@ func TestMigrantEvictsResident(t *testing.T) {
 		ft, _ := udp(i).FiveTuple()
 		return flow.HashTuple(ft)
 	}
-	// first[h] is the first tuple homed at h on instance 0, resident[h]
-	// the first homed at h on instance 1.
+	// first[h] is the first tuple homed at h on instance 1, resident[h]
+	// the first homed at h on instance 0.
 	first, resident := map[flow.FID]int{}, map[flow.FID]int{}
 	var pair, probed, taken = -1, -1, -1
 	for i := 0; probed < 0 && i < 1<<20; i++ {
 		h := home(i)
-		if v.owner(h) == v.insts[1] {
+		if v.owner(h) == v.insts[0] {
 			if _, ok := resident[h]; !ok {
 				resident[h] = i
 			}
@@ -717,10 +809,10 @@ func TestMigrantEvictsResident(t *testing.T) {
 		send(i, "set-up")
 	}
 	if a, b := send(probed, "before").FID, send(taken, "before").FID; a != fid || b != fid {
-		t.Fatalf("probed flow holds %v on instance 0, resident %v on instance 1; want both on %v", a, b, fid)
+		t.Fatalf("probed flow holds %v on instance 1, resident %v on instance 0; want both on %v", a, b, fid)
 	}
 
-	if err := cl.RemoveInstance(v.insts[0].name); err != nil {
+	if err := cl.ScaleTo(1); err != nil {
 		t.Fatal(err)
 	}
 	eng := cl.Engine(0)

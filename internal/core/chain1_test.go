@@ -104,12 +104,11 @@ func TestSlowPathAllocationBudget(t *testing.T) {
 	})
 	t.Run("recording", func(t *testing.T) {
 		// One flow set up and torn down per run: the recording packet
-		// pays for the flow entry, the NFs' per-flow state and closures,
-		// the flow's record (four spans in three arrays), the
-		// consolidated rule and its events — 25 objects when this budget
-		// was set (33 with a Local MAT object per NF, 57 before the
-		// traversal scratch).
-		const budget = 28
+		// pays for the flow entry, its record and NF state block, the
+		// recording, the consolidated rule, its event registration and
+		// the NFs' own closures and values — the 12 objects a connection
+		// costs in the root package's Chain1FlowLifecycle gate.
+		const budget = 12
 		eng := chain1Engine(t, core.DefaultOptions())
 		vec := []*packet.Packet{chain1Pkt(7200, packet.ProtoUDP, 0, "first")}
 		replay := replayer(t, eng, vec)

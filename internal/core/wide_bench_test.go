@@ -18,17 +18,17 @@ func (f *forwarder) Process(ctx *Ctx, pkt *packet.Packet) (Verdict, error) {
 	return VerdictForward, ctx.AddHeaderAction(mat.Forward())
 }
 
-// BenchmarkWideBatch is the repository benchmark's wide shape without
-// its module: 32 768 established UDP flows through three forwarders, one
-// packet of each per pass, in 32-packet vectors, so every packet misses
-// the worker's flow contexts and most CPU caches and its cost is the flow
-// lookup, the rule and the entry's bookkeeping. b.N counts packets: the
-// allocation gate reads allocations per packet.
-func BenchmarkWideBatch(b *testing.B) {
+// wideBatch is the repository benchmark's wide shape without its
+// module: 32 768 established UDP flows through three forwarders. It
+// returns a pass of one packet of each flow in 32-packet vectors, so
+// every packet misses the worker's flow contexts and most CPU caches
+// and its cost is the flow lookup, the rule and the entry's
+// bookkeeping; and the packets a pass drives.
+func wideBatch(tb testing.TB) (step func(), n int) {
 	const flows, vec = 32768, DefaultBatchSize
 	eng, err := NewEngine([]NF{&forwarder{"fw1"}, &forwarder{"fw2"}, &forwarder{"fw3"}}, DefaultOptions())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	pkts := make([]*packet.Packet, flows)
 	for i := range pkts {
@@ -41,26 +41,40 @@ func BenchmarkWideBatch(b *testing.B) {
 	pass := func() {
 		for off := 0; off < flows; off += vec {
 			if _, err := eng.ProcessBatch(pkts[off:off+vec], bat); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 	}
 	pass() // set-up: every flow records and installs its rule
 	if st := eng.Stats(); st.Consolidations != flows {
-		b.Fatalf("set-up consolidated %d flows, want %d", st.Consolidations, flows)
+		tb.Fatalf("set-up consolidated %d flows, want %d", st.Consolidations, flows)
 	}
+	tb.Cleanup(func() {
+		if st := eng.Stats(); st.FastPath+flows < st.Packets {
+			tb.Errorf("%d fast-path packets of %d after set-up", st.FastPath, st.Packets-flows)
+		}
+	})
+	return pass, flows
+}
+
+// BenchmarkWideBatch times wideBatch's passes. b.N counts packets, so
+// allocs/op reads allocations per packet; TestWideBatchAllocatesNothing
+// holds them at 0.
+func BenchmarkWideBatch(b *testing.B) {
+	step, n := wideBatch(b)
 	b.ReportAllocs()
 	b.ResetTimer()
-	for n, off := 0, 0; n < b.N; n += vec {
-		if _, err := eng.ProcessBatch(pkts[off:off+vec], bat); err != nil {
-			b.Fatal(err)
-		}
-		if off += vec; off == flows {
-			off = 0
-		}
+	for i := 0; i < b.N; i += n {
+		step()
 	}
-	b.StopTimer()
-	if st := eng.Stats(); st.FastPath < uint64(b.N) {
-		b.Fatalf("%d fast-path packets over %d timed ones", st.FastPath, b.N)
+}
+
+// TestWideBatchAllocatesNothing: the wide pass's staged lookups run on
+// the Batch's scratch, so a warm pass of 32 768 packets allocates
+// nothing.
+func TestWideBatchAllocatesNothing(t *testing.T) {
+	step, n := wideBatch(t)
+	if allocs := testing.AllocsPerRun(3, step); allocs != 0 {
+		t.Errorf("%v allocs a pass of %d packets, want 0", allocs, n)
 	}
 }

@@ -2,7 +2,6 @@ package cost
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -101,13 +100,4 @@ func (l *Ledger) String() string {
 type StageCost struct {
 	Name   string
 	Cycles uint64
-}
-
-// SortedStages returns the stages sorted by descending cost, for
-// reporting.
-func SortedStages(stages []StageCost) []StageCost {
-	out := make([]StageCost, len(stages))
-	copy(out, stages)
-	sort.Slice(out, func(i, j int) bool { return out[i].Cycles > out[j].Cycles })
-	return out
 }

@@ -22,10 +22,7 @@
 //     internal/onvm.
 package cost
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Model holds every calibrated cycle constant. The zero value is not
 // usable; obtain a Model from DefaultModel and adjust fields as needed.
@@ -249,11 +246,6 @@ func (m *Model) InspectCost(n int) uint64 {
 // ACLScanCost returns the cost of linearly scanning rules ACL entries.
 func (m *Model) ACLScanCost(rules int) uint64 {
 	return m.ACLPerRule * uint64(rules)
-}
-
-// CyclesToDuration converts cycles on the virtual clock to wall time.
-func (m *Model) CyclesToDuration(cycles uint64) time.Duration {
-	return time.Duration(float64(cycles) / m.FreqHz * float64(time.Second))
 }
 
 // CyclesToMicros converts cycles to microseconds (the latency unit the

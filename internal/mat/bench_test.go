@@ -182,34 +182,62 @@ func BenchmarkGlobalLookup(b *testing.B) {
 	}
 }
 
-// BenchmarkGlobalInstallRemove measures one flow set-up plus teardown
-// (an op is the pair): the write side of the rule word. resident=32768
-// is the realistic case and the CI gate — the cycled FIDs are flows'
-// own, beside 32 768 flows that keep their rules, so a pair is two
-// edits of an entry that exists and allocates nothing. detached is the
-// corner the benchmark's side-rule rung times: FIDs no flow holds, so
-// every pair makes and unlinks a detached entry — one 64-byte entry a
-// pair, and the FID index's tombstones and compactions with it.
-func BenchmarkGlobalInstallRemove(b *testing.B) {
+// globalChurn returns one flow set-up plus teardown: an install+remove
+// pair of a preallocated rule, cycling through 32 768 FIDs, beside
+// 32 768 flows that keep their rules. With detached false the cycled
+// FIDs are flows' own — the realistic case — so a pair is two edits of
+// an entry that exists and allocates nothing. With detached true they
+// are FIDs no flow holds, the corner the benchmark's side-rule rung
+// times: every pair makes and unlinks a detached entry — one 64-byte
+// entry a pair, and the FID index's tombstones and compactions with it.
+func globalChurn(detached bool) func() {
 	const churn = 1 << 15
 	fids := hashedFIDs(churn + 32768)
+	tracked := fids
+	if detached {
+		tracked = fids[churn:]
+	}
+	g := residentGlobal(trackedFlows(tracked), fids[churn:])
+	var rule GlobalRule // free for reuse once removed
+	i := 0
+	return func() {
+		rule.FID = fids[i&(churn-1)]
+		i++
+		g.Install(&rule)
+		g.Remove(rule.FID)
+	}
+}
+
+// BenchmarkGlobalInstallRemove measures globalChurn's pairs: the write
+// side of the rule word. An op is a pair.
+func BenchmarkGlobalInstallRemove(b *testing.B) {
 	for _, tc := range []struct {
-		name  string
-		flows *flow.Table
-	}{
-		{"resident=32768", trackedFlows(fids)},
-		{"detached", trackedFlows(fids[churn:])},
-	} {
+		name     string
+		detached bool
+	}{{"resident=32768", false}, {"detached", true}} {
 		b.Run(tc.name, func(b *testing.B) {
-			g := residentGlobal(tc.flows, fids[churn:])
-			var rule GlobalRule // free for reuse once removed
+			pair := globalChurn(tc.detached)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rule.FID = fids[i&(churn-1)]
-				g.Install(&rule)
-				g.Remove(rule.FID)
+				pair()
 			}
 		})
+	}
+}
+
+// TestGlobalInstallRemoveAllocatesNothing: beside 32 768 resident
+// rules, a set-up and teardown on a flow's own FID allocates nothing —
+// a copied rule, an entry or a slot array per mutation fails it.
+// The count is exact: one run is a cycle through every churned FID.
+func TestGlobalInstallRemoveAllocatesNothing(t *testing.T) {
+	pair := globalChurn(false)
+	cycle := func() {
+		for i := 0; i < 1<<15; i++ {
+			pair()
+		}
+	}
+	if n := testing.AllocsPerRun(1, cycle); n != 0 {
+		t.Errorf("%v allocs over 32 768 install+remove pairs, want 0", n)
 	}
 }

@@ -168,25 +168,48 @@ func FuzzACLScan(f *testing.F) {
 	})
 }
 
-// BenchmarkACLScan is the decision of a flow the filter has not seen —
-// the per-flow cache missed on purpose — over an ACL padded to n
-// never-matching rules, the scan Chain1's filter makes once a
-// connection. It allocates nothing.
-func BenchmarkACLScan(b *testing.B) {
+// aclScan returns the decision of a flow the filter has not seen — the
+// per-flow cache missed on purpose — over an ACL padded to n
+// never-matching rules: the scan Chain1's filter makes once a
+// connection.
+func aclScan(tb testing.TB, n int) func() {
 	ft := packet.FiveTuple{SrcIP: packet.IP4(10, 0, 0, 1), DstIP: packet.IP4(20, 0, 0, 1), SrcPort: 40000, DstPort: 80, Proto: packet.ProtoTCP}
-	for _, n := range []int{10, 100, 1000} {
+	f, err := New(Config{Name: "fw", Rules: PadRules(nil, n)})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	st := make(core.State, f.flows.Words)
+	return func() {
+		st[2].Store(0) // forget the decision: every call scans
+		if deny, hit := f.decide(st, ft); deny || hit {
+			tb.Fatalf("decide = deny %v, hit %v; want a scanned allow", deny, hit)
+		}
+	}
+}
+
+var aclSizes = []int{10, 100, 1000}
+
+// BenchmarkACLScan times aclScan at each ACL size.
+func BenchmarkACLScan(b *testing.B) {
+	for _, n := range aclSizes {
 		b.Run(fmt.Sprintf("rules=%d", n), func(b *testing.B) {
-			f, err := New(Config{Name: "fw", Rules: PadRules(nil, n)})
-			if err != nil {
-				b.Fatal(err)
-			}
-			st := make(core.State, f.flows.Words)
+			scan := aclScan(b, n)
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				st[2].Store(0) // forget the decision: every call scans
-				if deny, hit := f.decide(st, ft); deny || hit {
-					b.Fatalf("decide = deny %v, hit %v; want a scanned allow", deny, hit)
-				}
+				scan()
+			}
+		})
+	}
+}
+
+// TestACLScanAllocatesNothing: a scan of the compiled ACL allocates
+// nothing, at any size.
+func TestACLScanAllocatesNothing(t *testing.T) {
+	for _, n := range aclSizes {
+		t.Run(fmt.Sprintf("rules=%d", n), func(t *testing.T) {
+			if allocs := testing.AllocsPerRun(100, aclScan(t, n)); allocs != 0 {
+				t.Errorf("%v allocs a scan, want 0", allocs)
 			}
 		})
 	}

@@ -1,6 +1,8 @@
 package mazunat
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"testing"
@@ -357,5 +359,61 @@ func TestPoolEqualsLiveMappings(t *testing.T) {
 		if n.Mappings() != len(open) {
 			t.Fatalf("round %d: %d mappings for %d open connections", round, n.Mappings(), len(open))
 		}
+	}
+}
+
+// TestSnapshotCarriesPortCursor: a restored NAT allocates the port the
+// snapshotted one would have allocated next; a cursor outside
+// [PortBase, 65535] restarts at PortBase, and garbage is refused.
+func TestSnapshotCarriesPortCursor(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
+	translate := func(n *NAT, fid flow.FID, sport uint16) uint16 {
+		t.Helper()
+		p := outbound(t, sport)
+		if _, err := n.Process(core.NewCtx("nat", core.CtxConfig{FID: fid, Events: tbl}), p); err != nil {
+			t.Fatal(err)
+		}
+		return p.SrcPort()
+	}
+	orig, err := New(cfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		translate(orig, flow.FID(i), uint16(1000+i))
+	}
+	blob, err := orig.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := translate(orig, 5, 2000)
+
+	restored, err := New(cfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.RestoreState(blob); err != nil {
+		t.Fatal(err)
+	}
+	if got := translate(restored, 5, 2000); got != want || got == cfg().PortBase {
+		t.Errorf("restored NAT allocated %d, the original %d", got, want)
+	}
+
+	var low bytes.Buffer
+	if err := gob.NewEncoder(&low).Encode(uint32(cfg().PortBase - 1)); err != nil {
+		t.Fatal(err)
+	}
+	reset, err := New(cfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reset.RestoreState(low.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if got := translate(reset, 6, 3000); got != cfg().PortBase {
+		t.Errorf("cursor below PortBase allocated %d, want %d", got, cfg().PortBase)
+	}
+	if err := reset.RestoreState([]byte("not gob")); err == nil {
+		t.Error("garbage snapshot restored")
 	}
 }

@@ -97,3 +97,42 @@ func TestRecordedStateFunctionCountsSameCounter(t *testing.T) {
 		t.Errorf("action = %v", rule.Actions[0])
 	}
 }
+
+// TestSnapshotCarriesEndedFlows: the snapshot holds the ended flows'
+// aggregate — live flows travel on their records — and a restored
+// monitor's Totals start from it.
+func TestSnapshotCarriesEndedFlows(t *testing.T) {
+	flows := flow.NewTable()
+	tbl := event.NewTable(flows)
+	m, err := New("mon")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for fid := flow.FID(1); fid <= 2; fid++ {
+		ctx := core.NewCtx("mon", core.CtxConfig{FID: fid, Events: tbl})
+		if _, err := m.Process(ctx, pkt(t, "abc")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ended, _ := m.Flow(1)
+	ed := flows.Edit(1, false)
+	tbl.DropState(ed, true)
+	ed.Done()
+	blob, err := m.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := New("mon")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.RestoreState(blob); err != nil {
+		t.Fatal(err)
+	}
+	if got := fresh.Totals(); got != ended {
+		t.Errorf("restored Totals = %+v, want the ended flow's %+v", got, ended)
+	}
+	if err := fresh.RestoreState([]byte("not gob")); err == nil {
+		t.Error("garbage snapshot restored")
+	}
+}

@@ -211,3 +211,46 @@ func TestPerFlowRuleAssignmentIsCached(t *testing.T) {
 }
 
 func flowFID(n uint32) flow.FID { return flow.FID(n) }
+
+// TestSnapshotCarriesLog: the snapshot is the IDS log; restoring it
+// replaces a fresh instance's log entry for entry.
+func TestSnapshotCarriesLog(t *testing.T) {
+	tbl := event.NewTable(flow.NewTable())
+	rules := []Rule{
+		{ID: 2, Type: TypeAlert, Content: []byte("EVIL"), Msg: "bad"},
+		{ID: 3, Type: TypeLog, Content: []byte("WATCH"), Msg: "observed"},
+	}
+	s, err := New("ids", rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, payload := range []string{"EVIL one", "WATCH two", "quiet"} {
+		ctx := core.NewCtx("ids", core.CtxConfig{FID: flowFID(uint32(i + 1)), Events: tbl})
+		if _, err := s.Process(ctx, pkt(t, 80, payload)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blob, err := s.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := New("ids", rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.RestoreState(blob); err != nil {
+		t.Fatal(err)
+	}
+	want, got := s.Logs(), fresh.Logs()
+	if len(want) != 2 || len(got) != len(want) {
+		t.Fatalf("restored %d log entries, original %d (want 2)", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("entry %d: restored %+v, original %+v", i, got[i], want[i])
+		}
+	}
+	if err := fresh.RestoreState([]byte("not gob")); err == nil {
+		t.Error("garbage snapshot restored")
+	}
+}

@@ -270,6 +270,3 @@ func PutUint32(v uint32) []byte {
 	binary.BigEndian.PutUint32(b, v)
 	return b
 }
-
-// IPBytes converts a [4]byte address to a slice for use with Set.
-func IPBytes(ip [4]byte) []byte { return []byte{ip[0], ip[1], ip[2], ip[3]} }

@@ -465,3 +465,39 @@ func TestQuickEncapDecapIdentity(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestAddressAccessors: a parsed packet reads its addresses and ports
+// off the frame; an unparsed one reads zeros rather than guessing at
+// offsets.
+func TestAddressAccessors(t *testing.T) {
+	spec := sampleSpec()
+	p := MustBuild(spec)
+	if p.SrcIP() != spec.SrcIP || p.DstIP() != spec.DstIP || p.SrcPort() != spec.SrcPort || p.DstPort() != spec.DstPort {
+		t.Errorf("parsed: %v:%d -> %v:%d, want %v:%d -> %v:%d",
+			p.SrcIP(), p.SrcPort(), p.DstIP(), p.DstPort(), spec.SrcIP, spec.SrcPort, spec.DstIP, spec.DstPort)
+	}
+	raw := New(append([]byte(nil), p.Data()...))
+	if raw.Parsed() {
+		t.Fatal("New parsed its frame")
+	}
+	if raw.SrcIP() != ([4]byte{}) || raw.DstIP() != ([4]byte{}) || raw.SrcPort() != 0 || raw.DstPort() != 0 {
+		t.Errorf("unparsed: %v:%d -> %v:%d, want zeros", raw.SrcIP(), raw.SrcPort(), raw.DstIP(), raw.DstPort())
+	}
+	if got := PutUint32(0x0a000001); !bytes.Equal(got, []byte{10, 0, 0, 1}) {
+		t.Errorf("PutUint32 = %v", got)
+	}
+}
+
+func TestPacketString(t *testing.T) {
+	p := MustBuild(sampleSpec())
+	if got, want := p.String(), "packet(65B, 10.0.0.1:40000->10.0.0.2:80/6)"; got != want {
+		t.Errorf("parsed: %q, want %q", got, want)
+	}
+	if got, want := New(p.Data()[:10]).String(), "packet(unparsed, 10B)"; got != want {
+		t.Errorf("unparsed: %q, want %q", got, want)
+	}
+	p.Drop()
+	if got, want := p.String(), "packet(dropped)"; got != want {
+		t.Errorf("dropped: %q, want %q", got, want)
+	}
+}

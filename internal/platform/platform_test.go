@@ -132,3 +132,85 @@ func TestDisplayName(t *testing.T) {
 		t.Error("sbox name wrong")
 	}
 }
+
+// TestAggregateRateMpps: the multi-queue rate is the per-core rate
+// times total packets over the deepest queue; a serial run, or one
+// whose queues drained nothing, reads the per-core rate.
+func TestAggregateRateMpps(t *testing.T) {
+	r := NewRunResult(cost.DefaultModel())
+	r.Fold([]Measurement{
+		{Result: res(1, core.VerdictForward), BottleneckCycles: 4000},
+		{Result: res(2, core.VerdictForward), BottleneckCycles: 4000},
+	})
+	for _, tc := range []struct {
+		depths []int
+		want   float64
+	}{
+		{nil, 0.5},
+		{[]int{0, 0}, 0.5},
+		{[]int{2, 2}, 1.0},
+		{[]int{3, 1}, 0.5 * 4 / 3},
+	} {
+		r.QueueDepths = tc.depths
+		if got := r.AggregateRateMpps(); math.Abs(got-tc.want) > 1e-9 {
+			t.Errorf("queues %v: AggregateRateMpps = %g, want %g", tc.depths, got, tc.want)
+		}
+	}
+}
+
+// TestBudgetBoundsTheChain: a chain over the budget is refused at New,
+// and an insert that would exceed it is refused without touching the
+// chain.
+func TestBudgetBoundsTheChain(t *testing.T) {
+	errLong := errors.New("chain too long")
+	budget := func(nfs int) error {
+		if nfs > 1 {
+			return errLong
+		}
+		return nil
+	}
+	two, err := core.NewEngine([]core.NF{noopNF{}, failNF{}}, core.BaselineOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(two, "fake", "fake", &scripted{}, budget); !errors.Is(err, errLong) {
+		t.Errorf("New over budget: err = %v, want %v", err, errLong)
+	}
+	one, err := core.NewEngine([]core.NF{noopNF{}}, core.BaselineOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := New(one, "fake", "fake", &scripted{}, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Reconfigure(core.ChainPlan{Op: core.OpInsert, Pos: 1, NF: failNF{}}); !errors.Is(err, errLong) {
+		t.Errorf("insert over budget: err = %v, want %v", err, errLong)
+	}
+	if n := p.Engine().ChainLen(); n != 1 {
+		t.Errorf("chain length %d after a refused insert, want 1", n)
+	}
+}
+
+// TestCloseRefusesWork: after Close every entry point returns ErrClosed
+// and the engine sees no packet; a second Close does nothing.
+func TestCloseRefusesWork(t *testing.T) {
+	p := newFake(t, noopNF{}, []Measurement{{Result: res(1, core.VerdictForward)}})
+	for i := 0; i < 2; i++ {
+		if err := p.Close(); err != nil {
+			t.Fatalf("Close #%d: %v", i+1, err)
+		}
+	}
+	if _, err := p.Process(pkt(t)); !errors.Is(err, ErrClosed) {
+		t.Errorf("Process: err = %v, want %v", err, ErrClosed)
+	}
+	if _, err := p.ProcessBatch([]*packet.Packet{pkt(t)}, NewBatch(1)); !errors.Is(err, ErrClosed) {
+		t.Errorf("ProcessBatch: err = %v, want %v", err, ErrClosed)
+	}
+	if err := p.Reconfigure(core.ChainPlan{Op: core.OpInsert, Pos: 0, NF: failNF{}}); !errors.Is(err, ErrClosed) {
+		t.Errorf("Reconfigure: err = %v, want %v", err, ErrClosed)
+	}
+	if n := p.Engine().Stats().Packets; n != 0 {
+		t.Errorf("engine processed %d packets after Close", n)
+	}
+}

@@ -161,3 +161,35 @@ func TestSummarizeLargeOffset(t *testing.T) {
 		t.Errorf("Mean = %v, want %v", s.Mean, 1e9+2)
 	}
 }
+
+func TestSummarizeP999(t *testing.T) {
+	samples := make([]float64, 10000)
+	for i := range samples {
+		samples[i] = float64(i + 1)
+	}
+	s := Summarize(samples)
+	if s.P999 < 9990 || s.P999 > 10000 {
+		t.Fatalf("P999 = %g, want ~9991", s.P999)
+	}
+}
+
+// TestSummarizeSubUnitSamples: samples below one keep their precision —
+// no bucketing rounds them to zero.
+func TestSummarizeSubUnitSamples(t *testing.T) {
+	s := Summarize([]float64{0.5, 0.1, 0.3, 0.2, 0.4})
+	if s.Min != 0.1 || s.Max != 0.5 || !almostEqual(s.Mean, 0.3) || !almostEqual(s.P50, 0.3) {
+		t.Errorf("summary = %+v, want min 0.1, max 0.5, mean and P50 0.3", s)
+	}
+	if !almostEqual(s.StdDev, math.Sqrt(0.02)) {
+		t.Errorf("StdDev = %g, want %g", s.StdDev, math.Sqrt(0.02))
+	}
+}
+
+func TestCDFEmpty(t *testing.T) {
+	if pts := CDF(nil); pts != nil {
+		t.Errorf("CDF(nil) = %v, want nil", pts)
+	}
+	if got := CDFAt(nil, 1); !math.IsNaN(got) {
+		t.Errorf("CDFAt(nil, 1) = %g, want NaN", got)
+	}
+}

@@ -203,14 +203,6 @@ func (t *Topology) NumChains() int { return len(t.chains) }
 // Chain returns the i-th built chain.
 func (t *Topology) Chain(i int) *Chain { return &t.chains[i] }
 
-// ChainIndex resolves a chain name to its index, -1 when unknown.
-func (t *Topology) ChainIndex(name string) int {
-	if i, ok := t.byName[name]; ok {
-		return i
-	}
-	return -1
-}
-
 // Engine returns the i-th chain's engine.
 func (t *Topology) Engine(i int) *core.Engine { return t.chains[i].Platform.Engine() }
 

@@ -122,9 +122,6 @@ func TestClassifier(t *testing.T) {
 			{Chain: "b", Tenant: 8, DstPortMin: 2000, DstPortMax: 2010},
 		},
 	})
-	if topo.ChainIndex("b") != 1 || topo.ChainIndex("nope") != -1 {
-		t.Fatalf("ChainIndex: b=%d nope=%d", topo.ChainIndex("b"), topo.ChainIndex("nope"))
-	}
 	pkt := func(src [4]byte, dport uint16, proto uint8) *packet.Packet {
 		return packet.MustBuild(packet.Spec{
 			SrcIP: src, DstIP: packet.IP4(192, 0, 2, 1),
@@ -558,5 +555,69 @@ func TestRouteParsesOnDemand(t *testing.T) {
 	}
 	if _, err := par.RunBatch([]*packet.Packet{bad}, 1); !errors.Is(err, packet.ErrTruncated) {
 		t.Errorf("malformed frame: err = %v, want ErrTruncated from chain 0", err)
+	}
+}
+
+// TestCheckpointAllRestoreAll: a topology built fresh from the same spec
+// and restored from CheckpointAll's snapshots holds every chain's flows
+// and rules, and its fast path takes up the rest of the trace exactly
+// where the original's does; a snapshot list of the wrong length is
+// refused. The chains are header transforms sharing a gateway: no NF
+// registers a state function, so every rule comes back whole.
+func TestCheckpointAllRestoreAll(t *testing.T) {
+	spec := func() *Spec {
+		gw := chainspec.NFSpec{Type: "gateway", Name: "gw", NextHopMAC: "02:00:00:00:00:fe"}
+		return &Spec{
+			Name: "headers",
+			Chains: []ChainSpec{
+				{Name: "a", NFs: []chainspec.NFSpec{{Type: "ipfilter", ACLSize: 20}, gw}},
+				{Name: "b", NFs: []chainspec.NFSpec{gw}},
+			},
+			Policies: []PolicySpec{
+				{Chain: "a", Tenant: 1, DstPortMin: 1000},
+				{Chain: "b", Tenant: 2, DstPortMin: 2000},
+			},
+		}
+	}
+	orig, restored := build(t, spec()), build(t, spec())
+	a, b := mergedTrace(t, 21, 12, 1000, 2000), mergedTrace(t, 21, 12, 1000, 2000)
+	half := len(a) / 2
+	if _, err := orig.RunBatch(a[:half], 8); err != nil {
+		t.Fatal(err)
+	}
+	cps, err := orig.CheckpointAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.RestoreAll(cps[:1]); err == nil {
+		t.Error("RestoreAll took one checkpoint for two chains")
+	}
+	if err := restored.RestoreAll(cps); err != nil {
+		t.Fatal(err)
+	}
+	before := make([]core.Stats, orig.NumChains())
+	for i := range before {
+		o, r := orig.Engine(i), restored.Engine(i)
+		if o.FlowLen() != r.FlowLen() || o.Global().Len() != r.Global().Len() {
+			t.Errorf("chain %d: restored %d flows, %d rules; original %d, %d",
+				i, r.FlowLen(), r.Global().Len(), o.FlowLen(), o.Global().Len())
+		}
+		if o.Global().Len() == 0 {
+			t.Errorf("chain %d holds no rule at the checkpoint", i)
+		}
+		before[i] = o.Stats()
+	}
+	if _, err := orig.RunBatch(a[half:], 8); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := restored.RunBatch(b[half:], 8); err != nil {
+		t.Fatal(err)
+	}
+	for i := range before {
+		o, r := orig.Engine(i).Stats(), restored.Engine(i).Stats()
+		if o.FastPath-before[i].FastPath != r.FastPath || o.Packets-before[i].Packets != r.Packets {
+			t.Errorf("chain %d after restore: %d of %d packets fast, original %d of %d",
+				i, r.FastPath, r.Packets, o.FastPath-before[i].FastPath, o.Packets-before[i].Packets)
+		}
 	}
 }

@@ -417,3 +417,19 @@ func FuzzReplayTornTail(f *testing.F) {
 		}
 	})
 }
+
+func TestRecordTypeString(t *testing.T) {
+	for rt, want := range map[RecordType]string{
+		RecRuleInstall:   "rule-install",
+		RecRuleRemove:    "rule-remove",
+		RecRuleStale:     "rule-stale",
+		RecEpochAdvance:  "epoch-advance",
+		RecEventRegister: "event-register",
+		RecordType(0):    "RecordType(0)",
+		RecordType(99):   "RecordType(99)",
+	} {
+		if got := rt.String(); got != want {
+			t.Errorf("RecordType(%d).String() = %q, want %q", int(rt), got, want)
+		}
+	}
+}
