@@ -16,21 +16,28 @@ type costedNF struct {
 	name     string
 	cycles   uint64
 	sfCycles uint64
+	flows    core.FlowStates
 }
 
 func (c *costedNF) Name() string { return c.name }
+
+// FlowStates declares the state function, which costs sfCycles.
+func (c *costedNF) FlowStates() *core.FlowStates {
+	if c.flows.Funcs == nil {
+		c.flows.Funcs = []sfunc.Func{{Name: "sf", Class: sfunc.ClassRead, Run: c.sf}}
+	}
+	return &c.flows
+}
+
+func (c *costedNF) sf(sfunc.Args, *packet.Packet) (uint64, error) { return c.sfCycles, nil }
 
 func (c *costedNF) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, error) {
 	ctx.Charge(c.cycles)
 	if err := ctx.AddHeaderAction(mat.Forward()); err != nil {
 		return 0, err
 	}
-	sf := c.sfCycles
-	if sf > 0 {
-		if err := ctx.AddStateFunc(sfunc.Func{
-			Name: "sf", Class: sfunc.ClassRead,
-			Run: func(*packet.Packet) (uint64, error) { return sf, nil },
-		}); err != nil {
+	if c.sfCycles > 0 {
+		if err := ctx.AddStateFunc(0); err != nil {
 			return 0, err
 		}
 	}

@@ -124,7 +124,7 @@ type Cluster struct {
 	retired   core.Stats
 
 	migrations atomic.Uint64 // flows moved between instances
-	ruleMoves  atomic.Uint64 // restorable rules that traveled with them
+	ruleMoves  atomic.Uint64 // live rules that traveled with them
 	demotions  atomic.Uint64 // migrated flows demoted to re-recording
 	aborts     atomic.Uint64 // rebalances rolled back by an injected abort
 	rebalances atomic.Uint64 // completed rebalances

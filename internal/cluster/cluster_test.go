@@ -5,10 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"github.com/fastpathnfv/speedybox/internal/chainspec"
 	"github.com/fastpathnfv/speedybox/internal/classifier"
 	"github.com/fastpathnfv/speedybox/internal/core"
 	"github.com/fastpathnfv/speedybox/internal/fault"
@@ -23,10 +26,10 @@ import (
 )
 
 // testChain builds a header-transform chain (IPFilter -> Gateway) and
-// optionally a Monitor. Without the monitor no NF registers state
-// functions, so consolidated rules are batch-free and travel whole in
-// migration records; with it every rule is closure-bearing and
-// migration demotes to re-record.
+// optionally a Monitor. Without the monitor no NF records state
+// functions, so consolidated rules are batch-free; with it every rule
+// carries the monitor's batch by reference. Either way a live rule
+// travels in its migration record.
 func testChain(t *testing.T, withMonitor bool) []core.NF {
 	t.Helper()
 	fw, err := ipfilter.New(ipfilter.Config{Name: "ipfilter", Rules: ipfilter.PadRules(nil, 50)})
@@ -746,15 +749,101 @@ func TestMigrationRecordRoundTripInCluster(t *testing.T) {
 	}
 }
 
+// chain1NFs builds the paper's Chain1 (MazuNAT, Maglev, Monitor,
+// IPFilter): every rule carries two state functions and a failover
+// guard.
+func chain1NFs(t *testing.T) []core.NF {
+	t.Helper()
+	spec, err := chainspec.Parse([]byte(`{"nfs": [
+		{"type": "mazunat", "name": "mazunat", "internal_prefix": "10.0.0.0/8", "external_ip": "198.51.100.1"},
+		{"type": "maglev", "name": "maglev", "backends": [
+			{"name": "backend-a", "ip": "192.168.1.10", "port": 8080},
+			{"name": "backend-b", "ip": "192.168.1.11", "port": 8080}]},
+		{"type": "monitor", "name": "monitor"},
+		{"type": "ipfilter", "name": "ipfilter"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return chain
+}
+
+// counterOf reads an unlabelled counter off the hub's exposition.
+func counterOf(t *testing.T, hub *telemetry.Hub, name string) uint64 {
+	t.Helper()
+	var out bytes.Buffer
+	if err := hub.Registry.WritePrometheus(&out); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(out.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("no %s in the exposition", name)
+	return 0
+}
+
+// TestChain1RebalanceShipsEveryRule: a rebalance without a chain change
+// ships every migrating flow's live rule — Chain1's state functions and
+// failover guard included — and demotes none; the moved flows ride their
+// rules on the new owners without re-recording, matching the reference.
+func TestChain1RebalanceShipsEveryRule(t *testing.T) {
+	hub := telemetry.NewHub()
+	cl, err := New(Config{Chain: chain1NFs(t), Options: core.DefaultOptions(), Hub: hub})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	ref, err := core.NewEngine(chain1NFs(t), core.BaselineOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const flows = 24
+	establish(t, cl, ref, flows)
+	if err := cl.ScaleTo(3); err != nil {
+		t.Fatal(err)
+	}
+	moved := cl.Migrations()
+	if moved == 0 {
+		t.Fatal("no flows migrated")
+	}
+	if rules, demoted := counterOf(t, hub, "speedybox_cluster_migration_rules_total"),
+		counterOf(t, hub, "speedybox_cluster_migration_demotions_total"); rules != moved || demoted != 0 {
+		t.Errorf("%d flows moved, %d rules shipped, %d demoted; want every rule shipped, none demoted", moved, rules, demoted)
+	}
+	initial := cl.Stats().Initial
+	for f := 0; f < flows; f++ {
+		f := f
+		compare(t, cl, ref, func() *packet.Packet { return data(f, 4) }, "after the rebalance")
+	}
+	if got := cl.Stats().Initial - initial; got != 0 {
+		t.Errorf("%d flows re-recorded after the rebalance, want 0", got)
+	}
+	for i := 0; i < cl.Len(); i++ {
+		if err := cl.Engine(i).CheckRecords(); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
 // TestMigrantEvictsResident: FIDs are allocated per instance, so a flow
 // can arrive at its new owner under a FID a resident flow holds there.
 // Three flows make it happen: two share a home FID on instance 1, so the
 // second was probed onto the next FID of the shard, which is the home of
 // the third, resident on instance 0. Scaling in drains instance 1, the
-// newest, and lands the probed flow on the resident's FID. With a monitor in the chain no rule
-// travels, so the migrant must re-record — not ride the rule the evicted
-// resident left — and the resident comes back as a new flow under a
-// fresh FID; neither diverges from the reference chain.
+// newest, and lands the probed flow on the resident's FID. The migrant's
+// rule, monitor batch and all, travels with it, so it rides its own rule —
+// not the one the evicted resident left — and the resident comes back as
+// a new flow under a fresh FID; neither diverges from the reference
+// chain.
 func TestMigrantEvictsResident(t *testing.T) {
 	cl := newTestCluster(t, 2, true, nil)
 	ref := newRefEngine(t, true)
@@ -819,13 +908,13 @@ func TestMigrantEvictsResident(t *testing.T) {
 	if err := eng.CheckRecords(); err != nil {
 		t.Error(err)
 	}
-	// compare's packet re-records, send's own rides the new rule.
+	// compare's packet and send's own ride the rule that traveled.
 	if res := send(probed, "migrant"); res.FID != fid || res.Kind != classifier.KindSubsequent || res.Path != core.PathFast {
-		t.Errorf("migrant after re-recording: %v %v on the %v path, want its own rule under %v", res.FID, res.Kind, res.Path, fid)
+		t.Errorf("migrant: %v %v on the %v path, want its own rule under %v", res.FID, res.Kind, res.Path, fid)
 	}
 	before := eng.Stats().Initial
-	if before != 2 {
-		t.Errorf("new owner saw %d initial packets, want the resident's and then the migrant's re-record", before)
+	if before != 1 {
+		t.Errorf("new owner saw %d initial packets, want the resident's alone", before)
 	}
 	if res := send(taken, "evicted resident"); res.FID == fid || res.Kind != classifier.KindSubsequent || res.Path != core.PathFast {
 		t.Errorf("evicted resident: %v %v on the %v path, want a new flow's rule under another FID than %v", res.FID, res.Kind, res.Path, fid)

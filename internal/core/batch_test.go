@@ -286,14 +286,13 @@ func (f *neighbourRegistrar) Name() string { return f.name }
 func (f *neighbourRegistrar) Process(ctx *Ctx, pkt *packet.Packet) (Verdict, error) {
 	ctx.Charge(ctx.Model.Parse + ctx.Model.Classify)
 	if pkt.SrcPort() == f.trigger {
-		err := f.events.Register(f.target, event.Event{
-			NF:        f.name,
-			Condition: func(flow.FID) bool { return true },
-			Update: func(_ flow.FID, r *mat.LocalRule) {
+		err := f.events.Register(f.target, event.Registration{Event: &event.Event{
+			Condition: func(State) bool { return true },
+			Update: func(_ State, r *mat.LocalRule) {
 				r.Actions = []mat.HeaderAction{mat.Drop()}
 			},
 			OneShot: true,
-		})
+		}})
 		if err != nil {
 			return 0, err
 		}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -8,8 +9,10 @@ import (
 	"github.com/fastpathnfv/speedybox/internal/core"
 	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/nf/maglev"
+	"github.com/fastpathnfv/speedybox/internal/nf/monitor"
 	"github.com/fastpathnfv/speedybox/internal/packet"
 	"github.com/fastpathnfv/speedybox/internal/server"
+	"github.com/fastpathnfv/speedybox/internal/wal"
 )
 
 // These tests drive the engine with the paper's Chain1 built from the
@@ -105,10 +108,10 @@ func TestSlowPathAllocationBudget(t *testing.T) {
 	t.Run("recording", func(t *testing.T) {
 		// One flow set up and torn down per run: the recording packet
 		// pays for the flow entry, its record and NF state block, the
-		// recording, the consolidated rule, its event registration and
-		// the NFs' own closures and values — the 12 objects a connection
-		// costs in the root package's Chain1FlowLifecycle gate.
-		const budget = 12
+		// recording with its event registration, the consolidated rule
+		// and the header-action values the NFs record — the 8 objects a
+		// connection costs in the root package's Chain1FlowLifecycle gate.
+		const budget = 8
 		eng := chain1Engine(t, core.DefaultOptions())
 		vec := []*packet.Packet{chain1Pkt(7200, packet.ProtoUDP, 0, "first")}
 		replay := replayer(t, eng, vec)
@@ -117,7 +120,9 @@ func TestSlowPathAllocationBudget(t *testing.T) {
 			eng.TeardownFlow(flow.FID(vec[0].Meta.FID))
 		}
 		run()
-		if n := testing.AllocsPerRun(20, run); n > budget {
+		n := testing.AllocsPerRun(20, run)
+		t.Logf("record, consolidate, install, tear down: %v allocs", n)
+		if n > budget {
 			t.Errorf("record, consolidate, install, tear down: %v allocs, budget %d", n, budget)
 		}
 		if st := eng.Stats(); st.Consolidations != st.Packets {
@@ -278,4 +283,172 @@ func TestQuietFlowsNeverProbe(t *testing.T) {
 		t.Errorf("%d flows rerouted, want %d", got, pinned)
 	}
 	quiet("one backend failed, its flows rerouted")
+}
+
+// chain1Of returns the chain's load balancer and monitor.
+func chain1Of(chain []core.NF) (lb *maglev.Maglev, mon *monitor.Monitor) {
+	for _, nf := range chain {
+		switch nf := nf.(type) {
+		case *maglev.Maglev:
+			lb = nf
+		case *monitor.Monitor:
+			mon = nf
+		}
+	}
+	return lb, mon
+}
+
+// TestChain1RestoreBringsBackEveryRule: every Chain1 rule — two state
+// functions and a failover guard each — comes back from a checkpoint
+// plus the journal suffix, bound to the restored flows' state. A twin
+// engine sees the traffic the restored state reflects, none of what the
+// crash lost; from the restore on, both see the same packets, and the
+// restored engine serves every flow's next packet from its rule with the
+// twin's verdict and bytes. When a backend fails after the restore, the
+// flows pinned to it re-record — their recording did not travel — and
+// still match the twin, which reroutes them in place.
+func TestChain1RestoreBringsBackEveryRule(t *testing.T) {
+	const flows = 16
+	liveChain, twinChain := chain1(t), chain1(t)
+	live, err := core.NewEngine(liveChain, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	live.AttachWAL(wal.NewWriter(wal.Options{GroupCommit: 1}))
+	twin, err := core.NewEngine(twinChain, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := func(eng *core.Engine, f int, payload string) (*core.PacketResult, *packet.Packet) {
+		t.Helper()
+		p := chain1Pkt(uint16(7500+f), packet.ProtoUDP, 0, payload)
+		res, err := eng.ProcessPacket(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, p
+	}
+	for round := 0; round < 3; round++ {
+		for f := 0; f < flows; f++ {
+			send(live, f, "before the checkpoint")
+			send(twin, f, "before the checkpoint")
+		}
+	}
+	cp, err := live.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp, err = wal.DecodeCheckpoint(cp.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	if len(cp.Rules) != flows {
+		t.Fatalf("checkpoint holds %d rules, want all %d", len(cp.Rules), flows)
+	}
+	// After the checkpoint, on the live engine only: half the flows
+	// re-record over a stale rule — the journal suffix carries their new
+	// installs — and every flow passes a packet whose NF state the crash
+	// loses.
+	for f := 0; f < flows; f++ {
+		res, _ := send(live, f, "after the checkpoint")
+		if f%2 == 0 {
+			live.Global().MarkStale(res.FID)
+			send(live, f, "re-record")
+		}
+	}
+	if live.WAL().Seq() <= cp.WALSeq {
+		t.Fatal("nothing journaled after the checkpoint")
+	}
+	atCrash := live.Global().Len()
+
+	freshChain := chain1(t)
+	fresh, err := core.NewEngine(freshChain, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Restore(cp, live.WAL().Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if n := fresh.Global().Len(); n != atCrash || n != flows {
+		t.Fatalf("restored %d rules, %d were live at the crash, want all %d", n, atCrash, flows)
+	}
+	if err := fresh.CheckRecords(); err != nil {
+		t.Fatal(err)
+	}
+
+	// both sends one packet of each flow to the restored engine and the
+	// twin and holds them to the same verdict and bytes.
+	both := func(payload string, check func(f int, res *core.PacketResult)) {
+		t.Helper()
+		for f := 0; f < flows; f++ {
+			fr, fp := send(fresh, f, payload)
+			tr, tp := send(twin, f, payload)
+			if fr.Verdict != tr.Verdict || !bytes.Equal(fp.Data(), tp.Data()) {
+				t.Fatalf("%s: flow %d: verdict %v, twin %v; bytes equal %v", payload, f, fr.Verdict, tr.Verdict, bytes.Equal(fp.Data(), tp.Data()))
+			}
+			check(f, fr)
+		}
+	}
+	both("after the restore", func(f int, res *core.PacketResult) {
+		if res.Path != core.PathFast {
+			t.Errorf("flow %d's first packet after the restore took the %v path, want its restored rule", f, res.Path)
+		}
+	})
+	_, freshMon := chain1Of(freshChain)
+	_, twinMon := chain1Of(twinChain)
+	if got, want := freshMon.Totals(), twinMon.Totals(); got != want {
+		t.Errorf("monitor totals %+v, twin %+v", got, want)
+	}
+
+	// A backend fails on both: the flows pinned to it re-record on the
+	// restored engine.
+	freshLB, _ := chain1Of(freshChain)
+	twinLB, _ := chain1Of(twinChain)
+	fids := fidsOf(t, fresh)
+	victim, _ := freshLB.BackendOf(fids[0])
+	pinned := 0
+	for _, fid := range fids {
+		be, _ := freshLB.BackendOf(fid)
+		if tbe, _ := twinLB.BackendOf(fid); tbe != be {
+			t.Fatalf("%v is pinned to %v, on the twin to %v", fid, be, tbe)
+		}
+		if be == victim {
+			pinned++
+		}
+	}
+	if pinned == 0 || pinned == flows {
+		t.Fatalf("%d of %d flows on the failed backend: nothing to compare", pinned, flows)
+	}
+	// The default spec's backends are 192.168.1.10, .11 and .12, in order.
+	for _, lb := range []*maglev.Maglev{freshLB, twinLB} {
+		if err := lb.FailBackend(int(victim.IP[3]) - 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	initial := fresh.Stats().Initial
+	both("after the failure", func(int, *core.PacketResult) {})
+	both("re-recorded", func(int, *core.PacketResult) {})
+	if got := fresh.Stats().Initial - initial; got != uint64(pinned) {
+		t.Errorf("%d flows re-recorded after the failure, want the %d pinned to the failed backend", got, pinned)
+	}
+	both("steady", func(f int, res *core.PacketResult) {
+		if res.Path != core.PathFast {
+			t.Errorf("flow %d after the failover took the %v path", f, res.Path)
+		}
+	})
+	if got, want := freshMon.Totals(), twinMon.Totals(); got != want {
+		t.Errorf("after the failover: monitor totals %+v, twin %+v", got, want)
+	}
+	if err := fresh.CheckRecords(); err != nil {
+		t.Error(err)
+	}
+}
+
+// fidsOf lists the FIDs the engine's flows hold, in order.
+func fidsOf(t *testing.T, eng *core.Engine) []flow.FID {
+	t.Helper()
+	var out []flow.FID
+	for _, e := range eng.FlowEntries() {
+		out = append(out, e.FID)
+	}
+	return out
 }

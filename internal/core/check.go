@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/fastpathnfv/speedybox/internal/event"
 	"github.com/fastpathnfv/speedybox/internal/flow"
@@ -12,9 +13,8 @@ import (
 //
 //   - a rule sits on the entry of its own FID;
 //   - a rule a packet could be served from knows its flow's events: its
-//     guards are the record's registrations, condition for condition, or
-//     the ask-the-table guard (an unguarded registration is an update
-//     the fast path would sleep through);
+//     guards are the record's registrations, one for one (an unguarded
+//     registration is an update the fast path would sleep through);
 //   - a live rule was not consolidated from a recording of another
 //     chain epoch;
 //   - a live rule is priced: it went in through the engine's install;
@@ -56,7 +56,7 @@ func (e *Engine) CheckRecords() error {
 			if h.Detached() {
 				fail("detached entry of %v holds state of NF %q", fid, nf)
 			}
-			if cs.position(nf) < 0 {
+			if !slices.ContainsFunc(cs.chain, func(n NF) bool { return n.Name() == nf }) {
 				fail("%v holds state of NF %q, which the chain does not have", fid, nf)
 			}
 		}
@@ -77,7 +77,7 @@ func (e *Engine) CheckRecords() error {
 		if e.global.Live(h) != r {
 			return
 		}
-		if g := r.Guards(); g != event.AskTable && !event.GuardsCurrent(h, g) {
+		if !event.GuardsCurrent(h, r.Guards()) {
 			fail("rule of %v: guards are not the flow's %d registered event(s)", fid, pending)
 		}
 		if r.FixedCycles == 0 {

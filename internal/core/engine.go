@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -76,9 +77,6 @@ var (
 	ErrNFFailed = errcode.Sentinel("core.nf_failed", "core: NF processing failed")
 	// ErrBadModel reports an engine built over an invalid cost model.
 	ErrBadModel = errcode.Sentinel("core.bad_cost_model", "core: invalid cost model")
-	// ErrUnknownEventNF reports an event firing from an NF absent from
-	// the live chain snapshot.
-	ErrUnknownEventNF = errcode.Sentinel("core.event_unknown_nf", "core: event from unknown NF")
 )
 
 // statsShardCount is the number of counter shards (power of two). A
@@ -342,7 +340,7 @@ func (e *Engine) beginTraversal(t *traversal, h flow.Handle, pkt *packet.Packet,
 		lay:       cs.lay,
 		acts:      ctx.acts[:0],
 		funcs:     ctx.funcs[:0],
-		epoch:     cs.epoch,
+		regs:      ctx.regs[:0],
 		admit:     e.admission,
 		tenant:    pkt.Meta.Tenant,
 	}
@@ -420,16 +418,14 @@ func (e *Engine) slowPath(h flow.Handle, pkt *packet.Packet, recording bool, res
 			t.contribs = make([]mat.Contribution, len(cs.chain))
 		}
 		t.rules, t.contribs = t.rules[:len(cs.chain)], t.contribs[:len(cs.chain)]
-		for i, nf := range cs.chain {
-			t.contribs[i] = mat.Contribution{NF: nf.Name()}
-		}
+		copy(t.contribs, cs.contribs)
 	}
 
 	verdict := VerdictForward
 	ctx := e.beginTraversal(t, h, pkt, recording, cs)
 	abortRecording := false
 	for i, nf := range cs.chain {
-		ctx.nf, ctx.slot = nf.Name(), i
+		ctx.nf, ctx.slot, ctx.decl = nf.Name(), i, cs.lay.Declared(i)
 		if e.faults != nil && e.faults.Should(fault.KindNFError, fid) {
 			// Fault: the NF crashes before touching the packet and
 			// restarts, reprocessing the hop identically (its per-flow
@@ -467,8 +463,7 @@ func (e *Engine) slowPath(h flow.Handle, pkt *packet.Packet, recording bool, res
 
 	*res = PacketResult{Path: PathSlow, Verdict: verdict, Slow: info}
 	if recording && abortRecording {
-		// Drop the recording (its events left the scratch) and park the
-		// flow on the ladder.
+		// Drop the recording and park the flow on the ladder.
 		ed := e.class.Flows().EditHandle(h)
 		e.dropRecording(ed)
 		e.degrade(ed, CauseNFError, true)
@@ -484,7 +479,7 @@ func (e *Engine) slowPath(h flow.Handle, pkt *packet.Packet, recording bool, res
 		recording = false
 	}
 	if recording {
-		if err := e.consolidate(h, ctx.tenant, info, cs, t.contribs, false); err != nil {
+		if err := e.consolidate(h, ctx.tenant, info, cs, t.contribs, ctx.regs, false); err != nil {
 			if !errors.Is(err, mat.ErrNotConsolidatable) {
 				return err
 			}
@@ -500,13 +495,14 @@ func (e *Engine) slowPath(h flow.Handle, pkt *packet.Packet, recording bool, res
 // contributions under the chain snapshot and installs it, charging the
 // work into info; the rule carries the snapshot's epoch, so one racing a
 // reconfiguration is never served. tenant is who a first install is
-// charged to. contribs names the chain's NFs and, fromRecord unset,
-// points at what each recorded, published first; with fromRecord the
+// charged to. contribs presents the chain's NFs (chainState.contribs)
+// and, fromRecord unset, points at what each recorded, published first
+// with regs, the events the traversal registered; with fromRecord the
 // record's spans are read in place. Publication, admission, the guard
 // snapshot, the install and the ladder's clearing are one edit of the
 // entry: no registration lands between snapshot and install, and a flow
 // torn down under the traversal is charged and given nothing.
-func (e *Engine) consolidate(h flow.Handle, tenant int32, info *SlowPathInfo, cs *chainState, contribs []mat.Contribution, fromRecord bool) error {
+func (e *Engine) consolidate(h flow.Handle, tenant int32, info *SlowPathInfo, cs *chainState, contribs []mat.Contribution, regs []event.Registration, fromRecord bool) error {
 	fid, fresh := h.FID(), false
 	ed := e.class.Flows().EditHandle(h)
 	defer func() {
@@ -519,7 +515,9 @@ func (e *Engine) consolidate(h flow.Handle, tenant int32, info *SlowPathInfo, cs
 		return nil
 	}
 	if !fromRecord {
-		e.events.Publish(ed, cs.epoch, len(cs.chain), 0, contribs)
+		if err := e.events.Publish(ed, cs.epoch, len(cs.chain), 0, contribs, regs); err != nil {
+			return err
+		}
 	}
 	if e.admission != nil && !e.admitRule(ed, tenant) {
 		// Refused: nothing installed, marked or degraded; the flow retries
@@ -527,7 +525,7 @@ func (e *Engine) consolidate(h flow.Handle, tenant int32, info *SlowPathInfo, cs
 		e.statsFor(fid).ruleQuotaDenied.Add(1)
 		return nil
 	}
-	rule, err := e.events.Consolidate(ed, cs.epoch, contribs, fromRecord)
+	rule, err := e.events.Consolidate(ed, cs.lay, cs.epoch, contribs, fromRecord)
 	contributed := 0
 	for _, c := range contribs {
 		if c.Rule != nil {
@@ -558,13 +556,6 @@ func (e *Engine) consolidate(h flow.Handle, tenant int32, info *SlowPathInfo, cs
 	e.clearDegraded(ed)
 	fresh = !replaced
 	return nil
-}
-
-// install prices and installs a rule from a checkpoint, the journal or
-// another instance.
-func (e *Engine) install(rule *mat.GlobalRule) bool {
-	e.price(rule)
-	return e.global.Install(rule)
 }
 
 // price works out what a packet served from the rule is charged, once,
@@ -600,14 +591,12 @@ func (e *Engine) price(rule *mat.GlobalRule) {
 }
 
 // eventRegistered is the Event Table's registration hook, run inside the
-// registering Edit: the installed rule's guards no longer list every
-// condition, so the flow's very next packet asks the table.
-func (e *Engine) eventRegistered(h flow.Handle) {
+// registering Edit: the installed rule guards the flow's registrations,
+// the new one included, from its very next packet on.
+func (e *Engine) eventRegistered(h flow.Handle, g *mat.Guard) {
 	if r := e.global.Rule(h); r != nil {
-		r.SetGuards(event.AskTable)
+		r.SetGuards(g)
 	}
-	// The log (a nil writer ignores it) learns the rule is not restorable.
-	e.wal.Append(wal.Record{Type: wal.RecEventRegister, FID: h.FID(), Epoch: e.global.Epoch()})
 }
 
 // maybeStorm is the event-storm fault: always-true no-op events
@@ -619,14 +608,8 @@ func (e *Engine) maybeStorm(h flow.Handle, cs *chainState) {
 	if e.faults == nil || !e.faults.Should(fault.KindEventStorm, fid) {
 		return
 	}
-	nf := cs.chain[0].Name()
 	for i := 0; i < 3; i++ {
-		err := e.events.Register(h, event.Event{
-			NF:        nf,
-			Condition: func(flow.FID) bool { return true },
-			Update:    func(flow.FID, *mat.LocalRule) {},
-			Epoch:     cs.epoch,
-		})
+		err := e.events.Register(h, event.Registration{Ref: mat.Ref{Index: event.EngineOwned}, Event: &event.Storm})
 		if err != nil {
 			break // the per-flow cap bounds the storm
 		}
@@ -641,16 +624,21 @@ func (e *Engine) maybeStorm(h flow.Handle, cs *chainState) {
 // and NF state survive, as a real eviction leaves them, so the next
 // packet re-records the same behaviour.
 func (e *Engine) evictConsolidated(h flow.Handle) {
-	fid := h.FID()
+	if e.tel != nil {
+		e.tel.rec.Append(telemetry.EvFaultInject, uint32(h.FID()), fault.KindEvictPressure.String())
+		e.tel.rec.Append(telemetry.EvFlowEvict, uint32(h.FID()), CauseFaultEvict)
+	}
+	e.evict(h, CauseFaultEvict)
+}
+
+// evict drops the rule and the recording of h's flow, refunding both,
+// and reports a removed rule under cause.
+func (e *Engine) evict(h flow.Handle, cause string) {
 	ed := e.class.Flows().EditHandle(h)
 	removed := e.dropConsolidated(ed)
 	ed.Done()
-	if e.tel != nil {
-		e.tel.rec.Append(telemetry.EvFaultInject, uint32(fid), fault.KindEvictPressure.String())
-		e.tel.rec.Append(telemetry.EvFlowEvict, uint32(fid), CauseFaultEvict)
-		if removed {
-			e.tel.ruleRemoved(uint32(fid), CauseFaultEvict)
-		}
+	if removed && e.tel != nil {
+		e.tel.ruleRemoved(uint32(h.FID()), cause)
 	}
 }
 
@@ -658,14 +646,11 @@ func (e *Engine) evictConsolidated(h flow.Handle) {
 // given chain snapshot — after event updates, the snapshot the firings
 // were validated under.
 func (e *Engine) reconsolidate(h flow.Handle, cs *chainState) (uint64, error) {
-	contribs := make([]mat.Contribution, len(cs.chain))
-	for i, nf := range cs.chain {
-		contribs[i].NF = nf.Name()
-	}
+	contribs := slices.Clone(cs.contribs)
 	// A rebuild carries no packet: it is charged as untagged, unless the
 	// flow's events name its tenant.
 	var info SlowPathInfo
-	if err := e.consolidate(h, 0, &info, cs, contribs, true); err != nil {
+	if err := e.consolidate(h, 0, &info, cs, contribs, nil, true); err != nil {
 		return 0, err
 	}
 	return info.ConsolidateCycles, nil
@@ -685,7 +670,7 @@ func (e *Engine) fastPathInto(fc *flowCtx, rule *mat.GlobalRule, pkt *packet.Pac
 	// Event pre-check: a previously-satisfied condition updates the rule
 	// before this packet is processed (§III) — or revives a stale one.
 	// A firing's faults read the clock.
-	if rule == nil || event.Holds(rule.Guards(), fc.h.FID()) {
+	if rule == nil || event.Holds(rule.Guards()) {
 		e.publish(b)
 		fired, err := e.fireEvents(fc.h, info)
 		if err != nil {
@@ -751,7 +736,7 @@ func (e *Engine) fastPathInto(fc *flowCtx, rule *mat.GlobalRule, pkt *packet.Pac
 
 	// Post-execution event check: state updates from this packet may
 	// arm a condition that changes processing for the next packet.
-	if event.Holds(rule.Guards(), fc.h.FID()) {
+	if event.Holds(rule.Guards()) {
 		e.publish(b)
 		if _, err := e.fireEvents(fc.h, info); err != nil {
 			return err
@@ -789,26 +774,17 @@ func (e *Engine) fireEvents(h flow.Handle, info *FastPathInfo) (bool, error) {
 	}
 	cs := e.state()
 	for _, f := range firings {
-		if f.Event.Epoch != cs.epoch {
-			// The firings were registered under a retired chain: the
-			// registering NF may no longer exist, and the flow's rule is
-			// from the same epoch, so the caller's lookup misses anyway.
-			// Drop the whole record — a flow's events and spans all share
-			// one epoch (prepareRecording wipes them before re-recording)
-			// — and let the slow path re-record under the live chain.
-			e.prepareRecording(h)
+		if !f.Apply(cs.epoch, len(cs.chain)) {
+			// The flow's recording is of a retired chain, or did not come
+			// back with its rule from a restore or a migration: there is
+			// nothing to apply the updates to. Recording and rule go, and
+			// the flow re-records.
+			e.evict(h, CauseEventUnrecorded)
 			return false, nil
 		}
-	}
-	for _, f := range firings {
-		at := cs.position(f.Event.NF)
-		if at < 0 {
-			return false, fmt.Errorf("%w: %q", ErrUnknownEventNF, f.Event.NF)
-		}
-		f.Apply(at, len(cs.chain))
 		info.ReconsolidateCycles += e.model.EventFire
 		if e.tel != nil {
-			e.tel.rec.Append(telemetry.EvEventFire, uint32(fid), f.Event.NF)
+			e.tel.rec.Append(telemetry.EvEventFire, uint32(fid), cs.chain[f.At].Name())
 		}
 	}
 	// Faults: the updates stay applied to the record (NF state has
@@ -828,15 +804,9 @@ func (e *Engine) fireEvents(h flow.Handle, info *FastPathInfo) (bool, error) {
 	case err == nil:
 		info.ReconsolidateCycles += cycles
 	case errors.Is(err, mat.ErrNotConsolidatable):
-		// The updated actions no longer fold into one rule: evict the
-		// outdated one, so the flow takes the slow path.
-		ed := e.class.Flows().EditHandle(h)
-		removed := e.global.RemoveAt(ed)
-		e.refund(ed, true, false)
-		ed.Done()
-		if removed && e.tel != nil {
-			e.tel.ruleRemoved(uint32(fid), CauseEventUnconsolidatable)
-		}
+		// The updated actions no longer fold into one rule: the flow
+		// re-records.
+		e.evict(h, CauseEventUnconsolidatable)
 	default:
 		return false, err
 	}

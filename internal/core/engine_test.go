@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -37,30 +38,39 @@ func (f *fakeModifier) Process(ctx *Ctx, pkt *packet.Packet) (Verdict, error) {
 	return VerdictForward, nil
 }
 
+// declared is a test NF's declaration, made on the engine's first ask:
+// the state functions and events its Process records by index.
+type declared struct {
+	once  sync.Once
+	flows FlowStates
+}
+
+func (d *declared) declare(funcs []sfunc.Func, events ...event.Event) *FlowStates {
+	d.once.Do(func() { d.flows.Funcs, d.flows.Events = funcs, events })
+	return &d.flows
+}
+
 // fakeCounter counts packets per flow via a state function.
 type fakeCounter struct {
+	declared
 	name  string
 	count atomic.Uint64
 }
 
 func (f *fakeCounter) Name() string { return f.name }
 
+func (f *fakeCounter) FlowStates() *FlowStates {
+	return f.declare([]sfunc.Func{{Name: "count", Class: sfunc.ClassIgnore, Run: func(a sfunc.Args, _ *packet.Packet) (uint64, error) {
+		f.count.Add(1)
+		return a.Model.CounterUpdate, nil
+	}}})
+}
+
 func (f *fakeCounter) Process(ctx *Ctx, pkt *packet.Packet) (Verdict, error) {
 	ctx.Charge(ctx.Model.Parse + ctx.Model.Classify)
 	f.count.Add(1)
 	ctx.Charge(ctx.Model.CounterUpdate)
-	// The context is the traversal's, reused by the worker's next packet:
-	// what the function needs of it is copied out, never read through it.
-	cycles := ctx.Model.CounterUpdate
-	err := ctx.AddStateFunc(sfunc.Func{
-		Name:  "count",
-		Class: sfunc.ClassIgnore,
-		Run: func(*packet.Packet) (uint64, error) {
-			f.count.Add(1)
-			return cycles, nil
-		},
-	})
-	if err != nil {
+	if err := ctx.AddStateFunc(0); err != nil {
 		return 0, err
 	}
 	return VerdictForward, nil
@@ -80,27 +90,32 @@ func (f *fakeDropper) Process(ctx *Ctx, pkt *packet.Packet) (Verdict, error) {
 }
 
 // fakeEventNF forwards but registers an event that flips its rule to
-// drop once armed.
+// drop once armed; a silent one records no action, only the event.
 type fakeEventNF struct {
-	name  string
-	armed atomic.Bool
+	declared
+	name   string
+	silent bool
+	armed  atomic.Bool
 }
 
 func (f *fakeEventNF) Name() string { return f.name }
 
+func (f *fakeEventNF) FlowStates() *FlowStates {
+	return f.declare(nil, event.Event{
+		Condition: func(State) bool { return f.armed.Load() },
+		Update:    func(_ State, r *mat.LocalRule) { r.Actions = []mat.HeaderAction{mat.Drop()} },
+		OneShot:   true,
+	})
+}
+
 func (f *fakeEventNF) Process(ctx *Ctx, pkt *packet.Packet) (Verdict, error) {
 	ctx.Charge(ctx.Model.Parse + ctx.Model.Classify)
-	if err := ctx.AddHeaderAction(mat.Forward()); err != nil {
-		return 0, err
+	if !f.silent {
+		if err := ctx.AddHeaderAction(mat.Forward()); err != nil {
+			return 0, err
+		}
 	}
-	err := ctx.RegisterEvent(event.Event{
-		Condition: func(flow.FID) bool { return f.armed.Load() },
-		Update: func(_ flow.FID, r *mat.LocalRule) {
-			r.Actions = []mat.HeaderAction{mat.Drop()}
-		},
-		OneShot: true,
-	})
-	if err != nil {
+	if err := ctx.RegisterEvent(0); err != nil {
 		return 0, err
 	}
 	return VerdictForward, nil

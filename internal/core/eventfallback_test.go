@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/fastpathnfv/speedybox/internal/event"
-	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/mat"
 	"github.com/fastpathnfv/speedybox/internal/packet"
 )
@@ -14,28 +13,32 @@ import (
 // actions into a sequence that cannot be consolidated (a decap with no
 // matching pending encap type after an encap of a different type).
 type poisonEventNF struct {
+	declared
 	name  string
 	armed atomic.Bool
 }
 
 func (p *poisonEventNF) Name() string { return p.name }
 
-func (p *poisonEventNF) Process(ctx *Ctx, pkt *packet.Packet) (Verdict, error) {
-	ctx.Charge(100)
-	if err := ctx.AddHeaderAction(mat.Forward()); err != nil {
-		return 0, err
-	}
-	err := ctx.RegisterEvent(event.Event{
-		Condition: func(flow.FID) bool { return p.armed.Load() },
+func (p *poisonEventNF) FlowStates() *FlowStates {
+	return p.declare(nil, event.Event{
+		Condition: func(State) bool { return p.armed.Load() },
 		OneShot:   true,
-		Update: func(_ flow.FID, r *mat.LocalRule) {
+		Update: func(_ State, r *mat.LocalRule) {
 			r.Actions = []mat.HeaderAction{
 				mat.Encap(packet.ExtraHeader{Type: packet.HeaderAH, SPI: 1}),
 				mat.Decap(packet.HeaderVLAN), // mismatched: not consolidatable
 			}
 		},
 	})
-	if err != nil {
+}
+
+func (p *poisonEventNF) Process(ctx *Ctx, pkt *packet.Packet) (Verdict, error) {
+	ctx.Charge(100)
+	if err := ctx.AddHeaderAction(mat.Forward()); err != nil {
+		return 0, err
+	}
+	if err := ctx.RegisterEvent(0); err != nil {
 		return 0, err
 	}
 	return VerdictForward, nil

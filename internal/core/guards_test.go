@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -46,8 +47,7 @@ func fastProcess(t *testing.T, eng *Engine, h flow.Handle, pkt *packet.Packet, b
 }
 
 // wantGuards asserts the flow's live rule carries exactly the flow's n
-// registered conditions as its guards — a snapshot, not AskTable — and
-// returns the rule.
+// registrations as its guards and returns the rule.
 func wantGuards(t *testing.T, eng *Engine, fid flow.FID, n int, when string) *mat.GlobalRule {
 	t.Helper()
 	rule, ok := eng.Global().LookupLive(fid)
@@ -55,9 +55,9 @@ func wantGuards(t *testing.T, eng *Engine, fid flow.FID, n int, when string) *ma
 		t.Fatalf("%s: no live rule for %v", when, fid)
 	}
 	g, h := rule.Guards(), handleOf(t, eng, fid)
-	if g == event.AskTable || guardCount(g) != n || eng.Events().Pending(fid) != n || !event.GuardsCurrent(h, g) {
-		t.Fatalf("%s: rule carries %d guard(s) (ask-the-table: %v), the table %d registration(s), current: %v; want %d of each, the same",
-			when, guardCount(g), g == event.AskTable, eng.Events().Pending(fid), event.GuardsCurrent(h, g), n)
+	if guardCount(g) != n || eng.Events().Pending(fid) != n || !event.GuardsCurrent(h, g) {
+		t.Fatalf("%s: rule carries %d guard(s), the table %d registration(s), current: %v; want %d of each, the same",
+			when, guardCount(g), eng.Events().Pending(fid), event.GuardsCurrent(h, g), n)
 	}
 	return rule
 }
@@ -154,9 +154,9 @@ func TestGuardsFollowRegistrations(t *testing.T) {
 }
 
 // TestGuardsAfterEventStorm: the storm registers its events after the
-// rule is installed, so the registration hook must swap AskTable into
-// the installed rule; the next packet then probes, the (recurring)
-// storm events fire, and the reconsolidated rule guards all of them.
+// rule is installed, so the registration hook must give the installed
+// rule fresh guards; the next packet then probes, the (recurring) storm
+// events fire, and the reconsolidated rule guards all of them.
 func TestGuardsAfterEventStorm(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Faults = fault.New(fault.Config{Seed: 7, Rates: map[fault.Kind]float64{fault.KindEventStorm: 1}})
@@ -174,8 +174,9 @@ func TestGuardsAfterEventStorm(t *testing.T) {
 	if !ok || eng.Events().Pending(fid) != 3 {
 		t.Fatalf("after the recording: live rule %v, %d storm events; want a rule and 3", ok, eng.Events().Pending(fid))
 	}
-	if rule.Guards() != event.AskTable {
-		t.Fatalf("rule installed before the storm carries %d guard(s), want AskTable", guardCount(rule.Guards()))
+	wantGuards(t, eng, fid, 3, "after the storm registered")
+	if !event.Holds(rule.Guards()) {
+		t.Fatal("the storm's guards do not hold")
 	}
 	rs, err = eng.ProcessBatch([]*packet.Packet{udpPkt(t, 8602, "storm")}, b)
 	if err != nil {
@@ -192,19 +193,19 @@ func TestGuardsAfterEventStorm(t *testing.T) {
 // while another keeps reconsolidating it. A consolidation's guard
 // snapshot and its install are one edit of the flow's entry, which a
 // registration also takes: one that lands before is in the snapshot, one
-// that lands after finds the new rule through its hook and swaps
-// AskTable in. Either way, once a reconsolidation has returned, the rule
-// it left serving either guards every registered condition or asks the
-// table. Run under -race: the guard word is written by the registrar
-// and read by the consolidator.
+// that lands after finds the new rule through its hook and gives it
+// fresh guards. Either way, once a reconsolidation has returned, the
+// rule it left serving guards every registration that has landed. Run
+// under -race: the guard word is written by the registrar and read by
+// the consolidator.
 func TestGuardRaceHammer(t *testing.T) {
 	eng, err := NewEngine([]NF{&fakeModifier{name: "nat", dip: [4]byte{9, 9, 9, 9}}}, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	never := func(flow.FID) bool { return false }
+	never := &event.Event{Condition: func(State) bool { return false }, Update: func(State, *mat.LocalRule) {}}
 	const fids = 300
-	var asked, snapshotted int
+	var raced, snapshotted int
 	for fid := flow.FID(1); fid <= fids; fid++ {
 		h := eng.Events().Entry(fid)
 		var (
@@ -216,9 +217,7 @@ func TestGuardRaceHammer(t *testing.T) {
 			defer wg.Done()
 			defer done.Store(true)
 			for i := 0; i < event.MaxPerFlow; i++ {
-				err := eng.Events().Register(h, event.Event{
-					NF: "nat", Condition: never, Update: func(flow.FID, *mat.LocalRule) {},
-				})
+				err := eng.Events().Register(h, event.Registration{Ref: mat.Ref{Index: uint16(i)}, Event: never})
 				if err != nil {
 					t.Error(err)
 					return
@@ -234,21 +233,24 @@ func TestGuardRaceHammer(t *testing.T) {
 			if !ok {
 				t.Fatalf("%v: no live rule after reconsolidating", fid)
 			}
-			// If the comparison races a registration, the registration's
-			// hook has swapped AskTable in by the time GuardsCurrent can
-			// see it.
-			if g := rule.Guards(); !event.GuardsCurrent(h, g) && rule.Guards() != event.AskTable {
-				t.Fatalf("%v: the served rule guards %d condition(s) of %d registered and does not ask the table",
-					fid, guardCount(g), eng.Events().Pending(fid))
-			}
-			if rule.Guards() == event.AskTable {
-				asked++
-			} else {
+			// A registration landing between the guard load and the
+			// comparison has given the rule fresh guards by the time the
+			// comparison is made again; the registrations are finite.
+			if event.GuardsCurrent(h, rule.Guards()) {
 				snapshotted++
+				continue
+			}
+			raced++
+			for tries := 0; !event.GuardsCurrent(h, rule.Guards()); tries++ {
+				if tries > 1000 {
+					t.Fatalf("%v: the served rule guards %d registration(s) of %d",
+						fid, guardCount(rule.Guards()), eng.Events().Pending(fid))
+				}
+				runtime.Gosched()
 			}
 		}
 		wg.Wait()
 		wantGuards(t, eng, fid, event.MaxPerFlow, "after the last registration")
 	}
-	t.Logf("%d consolidations left a snapshot serving, %d an ask-the-table rule", snapshotted, asked)
+	t.Logf("%d consolidations left current guards, %d raced a registration", snapshotted, raced)
 }

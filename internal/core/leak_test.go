@@ -11,7 +11,6 @@ import (
 	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/mat"
 	"github.com/fastpathnfv/speedybox/internal/packet"
-	"github.com/fastpathnfv/speedybox/internal/sfunc"
 )
 
 // TestNoStateLeakAcrossFlowLifecycles runs many full TCP lifecycles
@@ -172,8 +171,11 @@ func TestCtxRejectsMalformedRecording(t *testing.T) {
 	if err := ctx.AddHeaderAction(mat.HeaderAction{}); err == nil {
 		t.Error("invalid action accepted")
 	}
-	if err := ctx.AddStateFunc(sfunc.Func{Name: "nil"}); err == nil {
-		t.Error("invalid state function accepted")
+	if err := ctx.AddStateFunc(0); err == nil {
+		t.Error("undeclared state function accepted")
+	}
+	if err := ctx.RegisterEvent(0); err == nil {
+		t.Error("undeclared event accepted")
 	}
 	if _, ok := ctx.Recorded(); ok {
 		t.Error("failed adds must not record")

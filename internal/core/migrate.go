@@ -7,13 +7,12 @@ import (
 
 // Live flow migration between engine instances (cluster scale-out).
 // ExtractFlow packages a flow's entry, its NF state (by value) and its
-// rule as a wal.MigrationRecord; AdoptFlow puts them on the new owner —
-// the state in the slots of the same-named NFs, the rule with one
-// Install, so a racing worker there sees the whole rule or none. As for
-// checkpoint/restore only declarative rules travel: batches and events
-// are closures bound to the old owner's record, so such a flow arrives
-// without a rule and re-records on its next packet. Ladder state does
-// not travel: its deadlines are ticks of the old owner's clock.
+// live rule as a wal.MigrationRecord; AdoptFlow puts them on the new
+// owner — the state in the slots of the same-named NFs, the rule bound
+// to it with one Install, so a racing worker there sees the whole rule
+// or none. The recording and the ladder place do not travel: an event
+// firing on the new owner re-records the flow, and ladder deadlines are
+// ticks of the old owner's clock.
 
 // FlowEntries returns a snapshot of every tracked flow, sorted by FID.
 // Cluster rebalancing walks it to decide which flows a new steering
@@ -25,8 +24,8 @@ func (e *Engine) FlowEntries() []flow.Entry { return e.class.Flows().Snapshot() 
 func (e *Engine) FlowLen() int { return e.class.Flows().Len() }
 
 // ExtractFlow drains one flow out of the engine for migration: it
-// snapshots the flow entry, (when restorable) the live consolidated
-// rule and the NFs' per-flow state, then removes every trace of the
+// snapshots the flow entry, the live consolidated rule and the NFs'
+// per-flow state, then removes every trace of the
 // flow from this engine — Global MAT rule, recording, event
 // registrations, admission budgets, ladder state and the flow-table
 // entry itself. Each NF with state on the flow is told it is leaving,
@@ -44,7 +43,7 @@ func (e *Engine) ExtractFlow(fid flow.FID) (wal.MigrationRecord, bool) {
 	}
 	mf := wal.MigrationRecord{Flow: wal.ImageOfEntry(entry, e.events.DropState(ed, false))}
 	if r := e.global.Live(ed.Handle()); r != nil {
-		mf.Rule, _ = wal.ImageOf(r)
+		mf.Rule = wal.Image(r)
 	}
 	e.release(ed)
 	ed.Unlink()
@@ -55,7 +54,7 @@ func (e *Engine) ExtractFlow(fid flow.FID) (wal.MigrationRecord, bool) {
 // restored at its recorded FID (invalidating any cached handles) under
 // this engine's seen epoch — idle expiry counts from the adoption — the
 // NF state is put on the entry's record, and the rule — if one traveled
-// — is re-stamped to this engine's live epoch and installed. The epoch
+// — is re-stamped to this engine's live epoch and adopted. The epoch
 // re-stamp makes the install transactional against this engine's
 // readers: a rule stamped with the old owner's epoch would either never
 // serve (epoch behind) or, worse, serve under an epoch this chain never
@@ -78,12 +77,11 @@ func (e *Engine) AdoptFlow(mf wal.MigrationRecord) {
 	}
 	flows.RestoreEntry(mf.Flow.Entry())
 	e.events.AdoptState(mf.Flow.FID, e.state().lay, mf.Flow.NF)
-	if mf.Rule == nil || !e.opts.EnableSpeedyBox {
-		return
+	if mf.Rule != nil {
+		im := *mf.Rule
+		im.Epoch = e.global.Epoch()
+		e.adopt(&im)
 	}
-	im := *mf.Rule
-	im.Epoch = e.global.Epoch()
-	e.install(im.Rule())
 }
 
 // release ends the flow the entry under edit carries, leaving the entry:

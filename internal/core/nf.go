@@ -8,13 +8,12 @@
 //
 //	nf_extract_fid(pkt)          -> Ctx.FID (assigned by the classifier)
 //	localmat_add_HA(fid, ha, a)  -> Ctx.AddHeaderAction(mat.HeaderAction)
-//	localmat_add_SF(fid, h, t, a)-> Ctx.AddStateFunc(sfunc.Func)
-//	register_event(fid, c, a, u) -> Ctx.RegisterEvent(event.Event)
+//	localmat_add_SF(fid, h, t, a)-> Ctx.AddStateFunc(i)
+//	register_event(fid, c, a, u) -> Ctx.RegisterEvent(i)
 //
-// The handler arguments a — the flow's own state the handler h (or the
-// condition c and update u) runs on — are what the Go closure holds:
-// Ctx.FlowState hands the NF its words on the flow's record, and the
-// functions it records close over them (state.go).
+// The handler h (or condition c and update u) is declared once, by
+// index, on the NF's FlowStates; the argument a is the flow's state
+// words on its record (state.go): what a flow records is data.
 package core
 
 import (
@@ -25,7 +24,6 @@ import (
 	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/mat"
 	"github.com/fastpathnfv/speedybox/internal/packet"
-	"github.com/fastpathnfv/speedybox/internal/sfunc"
 )
 
 // Verdict is an NF's per-packet decision on the slow path.
@@ -84,20 +82,20 @@ type Ctx struct {
 	events    *event.Table
 	recording bool
 	// lay is the chain's state layout and slot the NF's position in it
-	// (nil: a standalone context, whose NF brings its own); rec caches the
-	// flow's record across the traversal's FlowState calls.
+	// (nil: a standalone context, which keeps its NF's state in a layout
+	// of one slot); decl is the NF's declaration, what AddStateFunc and
+	// RegisterEvent record from; rec caches the flow's record across the
+	// traversal's FlowState calls.
 	lay  *event.StateLayout
 	slot int
+	decl *FlowStates
 	rec  *event.Record
-	// acts and funcs are the recording buffers, everything recorded
-	// through this context in order: an engine traversal publishes each
-	// NF's span once the chain has run, and reuses their storage.
+	// acts, funcs and regs are the recording buffers, everything recorded
+	// through this context in order: an engine traversal publishes them
+	// once the chain has run, and reuses their storage.
 	acts  []mat.HeaderAction
-	funcs []sfunc.Func
-	// epoch stamps registered events with the chain epoch the packet
-	// is traversing, so firings recorded under a retired chain are
-	// discarded instead of mutating post-reconfiguration rules.
-	epoch uint64
+	funcs []uint8
+	regs  []event.Registration
 	// admit is the engine's admission policy (nil = admit all), which
 	// RegisterEvent charges to the packet's tenant; eventDenied records a
 	// refusal, which abandons the traversal's recording (Engine.slowPath).
@@ -141,6 +139,9 @@ type CtxConfig struct {
 	Events *event.Table
 	// Recording enables the instrumentation APIs.
 	Recording bool
+	// Flows is the NF's declaration, which AddStateFunc and RegisterEvent
+	// record from; nil for an NF that declares none.
+	Flows *FlowStates
 }
 
 // NewCtx builds a context for the named NF.
@@ -163,6 +164,7 @@ func NewCtx(nf string, cfg CtxConfig) *Ctx {
 		ledger:    cfg.Ledger,
 		events:    cfg.Events,
 		recording: cfg.Recording,
+		decl:      cfg.Flows,
 	}
 }
 
@@ -191,17 +193,27 @@ func (c *Ctx) AddHeaderAction(a mat.HeaderAction) error {
 	return nil
 }
 
-// AddStateFunc records a state-function handler (localmat_add_SF).
-func (c *Ctx) AddStateFunc(f sfunc.Func) error {
+// declared checks that the calling NF declares state function (event,
+// with event set) i.
+func (c *Ctx) declared(i int, event bool) error {
+	if err := c.decl.Declares(i, event); err != nil {
+		return fmt.Errorf("core: %s %w", c.nf, err)
+	}
+	return nil
+}
+
+// AddStateFunc records the NF's declared state function i for the flow
+// (localmat_add_SF): the flow's rule runs it on the NF's state words.
+func (c *Ctx) AddStateFunc(i int) error {
 	if !c.recording {
 		return nil
 	}
 	c.Charge(c.Model.RecordSF)
-	if err := f.Validate(); err != nil {
-		return fmt.Errorf("core: %s: %w", c.nf, err)
+	err := c.declared(i, false)
+	if err == nil {
+		c.funcs = append(c.funcs, uint8(i))
 	}
-	c.funcs = append(c.funcs, f)
-	return nil
+	return err
 }
 
 // Recorded returns what has been recorded through the context so far —
@@ -211,20 +223,27 @@ func (c *Ctx) Recorded() (*mat.LocalRule, bool) {
 	return &mat.LocalRule{Actions: c.acts, Funcs: c.funcs}, len(c.acts)+len(c.funcs) > 0
 }
 
-// RegisterEvent records an event for this flow (register_event). The
-// event's NF field is filled in from the context.
-func (c *Ctx) RegisterEvent(e event.Event) error {
+// RegisterEvent registers the NF's declared event i for the flow
+// (register_event). An engine's traversal publishes its registrations
+// with what its NFs recorded, once the chain has run (event.Table.Publish);
+// a standalone context, which has no traversal to end, registers at once.
+// Either way the Event Table holds a flow to event.MaxPerFlow.
+func (c *Ctx) RegisterEvent(i int) error {
 	if !c.recording {
 		return nil
 	}
 	c.Charge(c.Model.RecordEvent)
+	if err := c.declared(i, true); err != nil {
+		return err
+	}
 	if c.admit != nil && !c.admitEvent() {
 		c.eventDenied = true
 		return nil
 	}
-	e.NF = c.nf
-	e.Epoch = c.epoch
-	if err := c.events.Register(c.h, e); err != nil {
+	r := event.Registration{Ref: mat.Ref{At: uint16(c.slot), Index: uint16(i)}, Event: &c.decl.Events[i], State: c.FlowState(c.decl)}
+	if c.lay != nil {
+		c.regs = append(c.regs, r)
+	} else if err := c.events.Register(c.h, r); err != nil {
 		return fmt.Errorf("core: %s: %w", c.nf, err)
 	}
 	return nil

@@ -10,24 +10,21 @@ import (
 	"github.com/fastpathnfv/speedybox/internal/wal"
 )
 
-// Crash-safe state: the engine journals every Global MAT mutation and
-// Event Table registration into an attached wal.Writer, snapshots its
-// restorable state into wal.Checkpoints, and Restore rebuilds a fresh
-// engine from a checkpoint plus the journal suffix.
+// Crash-safe state: the engine journals every Global MAT mutation into
+// an attached wal.Writer, snapshots its restorable state into
+// wal.Checkpoints, and Restore rebuilds a fresh engine from a checkpoint
+// plus the journal suffix.
 //
 // The transactional commit point is mat.Global.Install: replay applies
-// a record's rule with one Install — one store of the flow entry's rule
-// word, exactly like a live install — so a concurrent batch worker sees
-// either the whole rule or no rule — never a partially applied one. A torn or corrupt journal tail is discarded whole by
-// wal.Decode before any of it can touch the table.
+// a record's rule with one Install, exactly like a live install, so a
+// concurrent batch worker sees the whole rule or none. wal.Decode
+// discards a torn or corrupt journal tail whole.
 //
-// Only declarative rules restore executable. State-function batches
-// and event closures are code bound to a flow's state words and cannot
-// be serialized; their flows come back as established flow-table
-// entries with their NFs' per-flow state and without a rule, so the
-// classifier marks their next packet Initial and one slow-path
-// traversal re-records the closures against the restored state — the
-// same always-correct degradation path every other rule loss uses.
+// Every live rule restores: its state functions and guards are
+// references to what the chain's NFs declared (mat.Ref), which restore
+// binds to the flow's restored state. The flow's recording, the per-NF
+// spans an event update edits, does not come back: an event firing on a
+// restored flow re-records it (Engine.fireEvents).
 
 // ErrNilCheckpoint reports Restore called without a checkpoint.
 var ErrNilCheckpoint = errcode.Sentinel("core.checkpoint_missing", "core: restore requires a checkpoint")
@@ -39,16 +36,7 @@ var ErrNilCheckpoint = errcode.Sentinel("core.checkpoint_missing", "core: restor
 type walJournal struct{ e *Engine }
 
 func (j *walJournal) RuleInstalled(r *mat.GlobalRule, replaced bool) {
-	rec := wal.Record{Type: wal.RecRuleInstall, FID: r.FID, Epoch: r.Epoch}
-	if replaced {
-		rec.Aux |= wal.AuxReplaced
-	}
-	// Restorable = declarative header work only and no event guards.
-	if im, ok := wal.ImageOf(r); ok {
-		rec.Aux |= wal.AuxRestorable
-		rec.Rule = im
-	}
-	j.e.wal.Append(rec)
+	j.e.wal.AppendInstall(r, replaced)
 }
 
 func (j *walJournal) RuleRemoved(fid flow.FID) {
@@ -63,12 +51,12 @@ func (j *walJournal) EpochAdvanced(epoch uint64) {
 	j.e.wal.Append(wal.Record{Type: wal.RecEpochAdvance, Epoch: epoch})
 }
 
-// AttachWAL journals all future Global MAT mutations and Event Table
-// registrations into w (nil detaches). Attach before traffic flows:
-// the journal captures mutations from attachment onward, and a
-// checkpoint anchors the prefix it never saw.
+// AttachWAL journals all future Global MAT mutations into w (nil
+// detaches). Attach before traffic flows: the journal captures
+// mutations from attachment onward, and a checkpoint anchors the prefix
+// it never saw.
 func (e *Engine) AttachWAL(w *wal.Writer) {
-	e.wal = w // where eventRegistered journals registrations
+	e.wal = w
 	if w == nil {
 		e.global.SetJournal(nil)
 		return
@@ -83,9 +71,9 @@ func (e *Engine) AttachWAL(w *wal.Writer) {
 func (e *Engine) WAL() *wal.Writer { return e.wal }
 
 // Checkpoint snapshots the engine's restorable state: chain epoch,
-// logical clock, flow-table occupancy with every flow's NF state,
-// declarative Global MAT rules and the cross-flow state blob of every
-// chain NF implementing Snapshotter. The
+// logical clock, flow-table occupancy with every flow's NF state, the
+// live Global MAT rules and the cross-flow state blob of every chain NF
+// implementing Snapshotter. The
 // attached WAL (if any) is synced first so the recorded log position
 // is durable alongside everything it anchors. Call at a packet
 // boundary — checkpointing must not race Process, like Reconfigure.
@@ -102,12 +90,11 @@ func (e *Engine) Checkpoint() (*wal.Checkpoint, error) {
 	}
 	for _, fe := range e.class.Flows().Snapshot() {
 		cp.Flows = append(cp.Flows, wal.ImageOfEntry(fe, e.events.StateImages(fe.FID)))
-		// Only a live rule on its own flow's entry restores (a stale or
-		// old-epoch one is re-recorded anyway), and only a declarative
-		// one: a closure-bearing rule is restorable only by re-recording.
-		if r, ok := e.global.LookupLive(fe.FID); ok {
-			if im, ok := wal.ImageOf(r); ok {
-				cp.Rules = append(cp.Rules, *im)
+		// Only a live rule on its own flow's entry restores: a stale or
+		// old-epoch one is re-recorded anyway.
+		if h, ok := e.class.Flows().AcquireFID(fe.FID); ok {
+			if r := e.global.Live(h); r != nil {
+				cp.Rules = append(cp.Rules, *wal.Image(r))
 			}
 		}
 	}
@@ -153,17 +140,11 @@ func (e *Engine) LastCheckpoint() time.Time {
 //
 // The NFs' cross-flow state is restored first, then the flow entries —
 // each with its NFs' per-flow state, of which the NFs are told
-// (FlowStates.Arrive) — and rules land on them. Replay is
-// transactional per record: each surviving journal record is applied
-// with one Install/Remove/MarkStale — the same commit point live
-// mutations use — so a concurrent reader observes whole rules only. wal.Decode has already discarded
-// any torn tail whole. Non-restorable installs and event registrations
-// demote their flow to re-recording: the restored flow entry is
-// established with no rule, so the classifier marks the next packet
-// Initial and the slow path reconstructs the closures. Degradation
-// ladder backoff deliberately does not survive a restore: the faults
-// that parked a flow died with the old process, so restored flows
-// retry recording immediately.
+// (FlowStates.Arrive) — and rules land on them (adopt). Each surviving
+// journal record is applied with one Install/Remove/MarkStale, the
+// commit points live mutations use. Ladder backoff and the event-storm
+// fault's registrations do not survive a restore: the faults died with
+// the old process.
 func (e *Engine) Restore(cp *wal.Checkpoint, walData []byte) error {
 	if cp == nil {
 		return ErrNilCheckpoint
@@ -194,10 +175,8 @@ func (e *Engine) Restore(cp *wal.Checkpoint, walData []byte) error {
 	}
 
 	e.global.RestoreEpoch(cp.Epoch)
-	if e.opts.EnableSpeedyBox {
-		for i := range cp.Rules {
-			e.install(cp.Rules[i].Rule())
-		}
+	for i := range cp.Rules {
+		e.adopt(&cp.Rules[i])
 	}
 
 	recs, _ := wal.Decode(walData)
@@ -209,13 +188,11 @@ func (e *Engine) Restore(cp *wal.Checkpoint, walData []byte) error {
 		replayed++
 		switch rec.Type {
 		case wal.RecRuleInstall:
-			if rec.Rule != nil && e.opts.EnableSpeedyBox {
-				e.install(rec.Rule.Rule())
+			if rec.Rule != nil {
+				e.adopt(rec.Rule)
 			} else {
-				// The live install carried closures this log cannot
-				// reconstruct; whatever older rule is installed for the
-				// flow is superseded, so drop it and let the flow
-				// re-record.
+				// An install logged without its image still superseded
+				// the flow's older rule: the flow re-records.
 				e.global.Remove(rec.FID)
 			}
 		case wal.RecRuleRemove:
@@ -224,25 +201,15 @@ func (e *Engine) Restore(cp *wal.Checkpoint, walData []byte) error {
 			e.global.MarkStale(rec.FID)
 		case wal.RecEpochAdvance:
 			e.global.RestoreEpoch(rec.Epoch)
-		case wal.RecEventRegister:
-			// The flow gained an event closure after its rule was
-			// journaled; serving the rule without the event would skip
-			// the update, so demote the flow to re-recording.
-			e.global.Remove(rec.FID)
 		}
 	}
 
 	// Replayed epoch advances kill every rule consolidated under an
 	// older epoch — the restore-time equivalent of SweepEpoch, which is
-	// deliberately not journaled. Orphan rules — replayed for a flow
-	// whose table entry was born after the checkpoint and so died with
-	// the crash — landed on detached entries and are swept too: a rule
-	// survives restore only on its own flow's entry, and a detached
-	// entry left behind would keep its FID from the tuples that hash
-	// there.
+	// deliberately not journaled.
 	finalEpoch := e.global.Epoch()
 	e.class.Flows().Each(func(h flow.Handle) {
-		if r := e.global.Rule(h); r != nil && (r.Epoch != finalEpoch || h.Detached()) {
+		if r := e.global.Rule(h); r != nil && r.Epoch != finalEpoch {
 			e.global.Remove(h.FID())
 		}
 	})
@@ -251,7 +218,7 @@ func (e *Engine) Restore(cp *wal.Checkpoint, walData []byte) error {
 	// post-restore consolidations would stamp rules with the stale
 	// construction-time epoch and LookupLive would never serve them.
 	if cs.epoch != finalEpoch {
-		e.cur.Store(&chainState{chain: cs.chain, lay: cs.lay, epoch: finalEpoch})
+		e.cur.Store(&chainState{chain: cs.chain, lay: cs.lay, contribs: cs.contribs, epoch: finalEpoch})
 	}
 
 	if e.tel != nil {
@@ -260,4 +227,23 @@ func (e *Engine) Restore(cp *wal.Checkpoint, walData []byte) error {
 		e.tel.restoreNanos.Record(uint64(time.Since(start).Nanoseconds()), 0)
 	}
 	return nil
+}
+
+// adopt installs an image's rule, bound to the live chain and the flow's
+// state (event.Table.Rebind), on its flow if SpeedyBox is on and the flow
+// is tracked. An image naming what the chain lacks is dropped with the
+// flow's older rule, which it superseded: the flow re-records.
+func (e *Engine) adopt(im *wal.RuleImage) {
+	ed := e.class.Flows().Edit(im.FID, false)
+	defer ed.Done()
+	if !e.opts.EnableSpeedyBox || !ed.Found() || ed.Handle().Detached() {
+		return
+	}
+	rule, cs := im.Rule(), e.state()
+	if !e.events.Rebind(ed, cs.lay, cs.contribs, rule, im.Funcs, im.Guards) {
+		e.global.RemoveAt(ed)
+		return
+	}
+	e.price(rule)
+	e.global.InstallAt(ed, rule)
 }

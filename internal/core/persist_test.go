@@ -253,67 +253,165 @@ func parked(e *Engine, fid flow.FID) bool {
 	return ok && e.clock.Load() < event.RetryAt(h)
 }
 
-// TestNonRestorableInstallDemotes: a rule carrying state-function
-// batches cannot be serialized; after restore its flow must come back
-// as an established entry with no rule, re-record on one slow-path
-// pass and then resume the fast path.
-func TestNonRestorableInstallDemotes(t *testing.T) {
-	ctr := &fakeCounter{name: "dos"}
-	eng := walEngine(t, []NF{ctr})
-	for i := 1; i <= 2; i++ {
-		if _, err := eng.ProcessPacket(persistPkt(t, 6000, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if eng.Global().Len() != 1 {
-		t.Fatal("no rule installed")
-	}
-	cp, err := eng.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cp.Rules) != 0 {
-		t.Fatalf("closure-bearing rule leaked into the checkpoint (%d rules)", len(cp.Rules))
-	}
-	if len(cp.Flows) != 1 {
-		t.Fatalf("flow entry missing from checkpoint")
-	}
+// refChain is a chain whose rules carry references: the counter's state
+// function at position 1 and the event NF's guard at position 2.
+func refChain() []NF {
+	return []NF{&fakeModifier{name: "nat", dip: [4]byte{99, 0, 0, 1}}, &fakeCounter{name: "mon"}, &fakeEventNF{name: "lb"}}
+}
 
-	fresh := walEngine(t, []NF{&fakeCounter{name: "dos"}})
-	if err := fresh.Restore(cp, eng.WAL().Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if n := fresh.Global().Len(); n != 0 {
-		t.Fatalf("non-restorable rule resurrected (%d rules)", n)
-	}
+// hostileImages tampers a rule image into one that names what refChain
+// lacks: another chain's shape, a position past the chain, an NF that
+// declares nothing or an undeclared index, for its state function and
+// for its guard.
+var hostileImages = []struct {
+	name   string
+	tamper func(im *wal.RuleImage)
+}{
+	{"image of a longer chain", func(im *wal.RuleImage) { im.SourceNFs = 4 }},
+	{"contributor the chain lacks", func(im *wal.RuleImage) { im.Sources[1].NF = "elsewhere" }},
+	{"function past the chain", func(im *wal.RuleImage) { im.Funcs[0].At = 7 }},
+	{"function of an NF declaring none", func(im *wal.RuleImage) { im.Funcs[0].At = 0 }},
+	{"undeclared function", func(im *wal.RuleImage) { im.Funcs[0].Index = 3 }},
+	{"guard past the chain", func(im *wal.RuleImage) { im.Guards[0].At = 9 }},
+	{"guard of an NF declaring no event", func(im *wal.RuleImage) { im.Guards[0].At = 1 }},
+	{"undeclared event", func(im *wal.RuleImage) { im.Guards[0].Index = 1 }},
+}
 
-	r3, err := fresh.ProcessPacket(persistPkt(t, 6000, 3))
-	if err != nil {
-		t.Fatal(err)
+// wantReRecords checks that the flow on port holds no rule on eng and
+// that its next packet re-records, the one after that taking the fast
+// path, with the engine's records clean throughout.
+func wantReRecords(t *testing.T, eng *Engine, port uint16, when string) {
+	t.Helper()
+	if n := eng.Global().Len(); n != 0 {
+		t.Errorf("%s: %d rules installed, want the image dropped", when, n)
 	}
-	if r3.Kind != classifier.KindInitial || r3.Path != PathSlow {
-		t.Errorf("demoted flow: kind=%v path=%v, want initial/slow re-record", r3.Kind, r3.Path)
+	if err := eng.CheckRecords(); err != nil {
+		t.Errorf("%s: %v", when, err)
 	}
-	if fresh.Global().Len() != 1 {
-		t.Fatal("re-record did not reinstall the rule")
+	if r, err := eng.ProcessPacket(udpPkt(t, port, "re-record")); err != nil || r.Kind != classifier.KindInitial || r.Path != PathSlow {
+		t.Fatalf("%s: next packet %+v (err %v), want an initial slow-path re-record", when, r, err)
 	}
-	r4, err := fresh.ProcessPacket(persistPkt(t, 6000, 4))
-	if err != nil {
-		t.Fatal(err)
+	if r, err := eng.ProcessPacket(udpPkt(t, port, "fast")); err != nil || r.Path != PathFast {
+		t.Fatalf("%s: packet after the re-record %+v (err %v), want the fast path", when, r, err)
 	}
-	if r4.Path != PathFast {
-		t.Error("flow did not resume the fast path after re-recording")
+	if err := eng.CheckRecords(); err != nil {
+		t.Errorf("%s: after the re-record: %v", when, err)
 	}
 }
 
-// TestEventRegisterReplayDemotes: an event registered after the
-// checkpoint journals a RecEventRegister; replay must drop the flow's
-// checkpointed rule — serving it without the closure would skip the
-// update the event encodes.
-func TestEventRegisterReplayDemotes(t *testing.T) {
-	mod := &fakeModifier{name: "nat", dip: [4]byte{99, 0, 0, 1}}
-	eng := walEngine(t, []NF{mod})
-	r1, err := eng.ProcessPacket(persistPkt(t, 6000, 1))
+// TestRestoreDropsHostileImages: a checkpointed rule whose state
+// function or guard names a position or a declared index the restoring
+// chain lacks is dropped — never bound to the wrong handler, never a
+// panic — and its flow re-records. The untampered image restores.
+func TestRestoreDropsHostileImages(t *testing.T) {
+	eng := walEngine(t, refChain())
+	if _, err := eng.ProcessPacket(udpPkt(t, 6100, "record")); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := eng.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cp.Rules) != 1 || len(cp.Rules[0].Funcs) != 1 || len(cp.Rules[0].Guards) != 1 {
+		t.Fatalf("checkpoint rules %+v, want one with a function and a guard", cp.Rules)
+	}
+	fresh := walEngine(t, refChain())
+	if err := fresh.Restore(cp, eng.WAL().Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := fresh.ProcessPacket(udpPkt(t, 6100, "restored")); err != nil || r.Path != PathFast || fresh.Global().Len() != 1 {
+		t.Fatalf("untampered image: %+v (err %v), %d rules; want its rule serving", r, err, fresh.Global().Len())
+	}
+	for _, tc := range hostileImages {
+		bad, err := wal.DecodeCheckpoint(cp.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.tamper(&bad.Rules[0])
+		fresh := walEngine(t, refChain())
+		// The journal's install of the same rule is hostile too.
+		log := wal.NewWriter(wal.Options{})
+		log.Append(wal.Record{Type: wal.RecRuleInstall, FID: bad.Rules[0].FID, Epoch: bad.Epoch, Aux: wal.AuxRestorable, Rule: &bad.Rules[0]})
+		if err := fresh.Restore(bad, log.Bytes()); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		wantReRecords(t, fresh, 6100, tc.name)
+	}
+}
+
+// TestImagelessInstallSupersedes: an install the log holds without its
+// image replaced the flow's older rule all the same, so the replay
+// takes the older rule away, and the flow re-records.
+func TestImagelessInstallSupersedes(t *testing.T) {
+	eng := walEngine(t, refChain())
+	if _, err := eng.ProcessPacket(udpPkt(t, 6150, "record")); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := eng.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.WAL().Append(wal.Record{Type: wal.RecRuleInstall, FID: cp.Rules[0].FID, Epoch: cp.Epoch, Aux: wal.AuxReplaced})
+	fresh := walEngine(t, refChain())
+	if err := fresh.Restore(cp, eng.WAL().Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	wantReRecords(t, fresh, 6150, "imageless install")
+}
+
+// TestAdoptFlowDropsHostileImages is TestRestoreDropsHostileImages for a
+// migration record: the flow arrives with its state, without the rule
+// its image cannot bind, and re-records on its new owner.
+func TestAdoptFlowDropsHostileImages(t *testing.T) {
+	for _, tc := range append(hostileImages, struct {
+		name   string
+		tamper func(im *wal.RuleImage)
+	}{"untampered", nil}) {
+		from, err := NewEngine(refChain(), DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := from.ProcessPacket(udpPkt(t, 6200, "record"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mf, ok := from.ExtractFlow(r.FID)
+		if !ok || mf.Rule == nil {
+			t.Fatalf("%s: extracted %+v (ok %v), want the flow with its rule", tc.name, mf, ok)
+		}
+		to, err := NewEngine(refChain(), DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.tamper == nil {
+			to.AdoptFlow(mf)
+			if r, err := to.ProcessPacket(udpPkt(t, 6200, "moved")); err != nil || r.Path != PathFast {
+				t.Fatalf("untampered record: %+v (err %v), want its rule serving", r, err)
+			}
+			if err := to.CheckRecords(); err != nil {
+				t.Error(err)
+			}
+			continue
+		}
+		tc.tamper(mf.Rule)
+		to.AdoptFlow(mf)
+		wantReRecords(t, to, 6200, tc.name)
+	}
+}
+
+// TestEventOnlyNFGuardTravels: an NF that registers an event and
+// records nothing contributes no source to its flow's rule, yet the rule
+// guards its event. A checkpoint and a migration bring the rule back
+// with that guard, bound to the NF's declaration, and the event still
+// fires: the flow re-records, and the update drops its packets.
+func TestEventOnlyNFGuardTravels(t *testing.T) {
+	chain := func() (*fakeEventNF, []NF) {
+		lb := &fakeEventNF{name: "lb", silent: true}
+		return lb, []NF{&fakeModifier{name: "nat", dip: [4]byte{99, 0, 0, 1}}, &fakeCounter{name: "mon"}, lb}
+	}
+	_, nfs := chain()
+	eng := walEngine(t, nfs)
+	r, err := eng.ProcessPacket(udpPkt(t, 6300, "record"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,34 +419,61 @@ func TestEventRegisterReplayDemotes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cp.Rules) != 1 {
-		t.Fatalf("checkpoint holds %d rules, want 1", len(cp.Rules))
+	if len(cp.Rules) != 1 || len(cp.Rules[0].Sources) != 2 || len(cp.Rules[0].Guards) != 1 || cp.Rules[0].Guards[0].At != 2 {
+		t.Fatalf("checkpoint rules %+v, want one of two sources guarded by the silent NF", cp.Rules)
 	}
-
-	// Post-checkpoint registration: the closure dies with the process.
-	err = eng.Events().Register(handleOf(t, eng, r1.FID), event.Event{
-		NF:        "nat",
-		Condition: func(flow.FID) bool { return false },
-		Update:    func(flow.FID, *mat.LocalRule) {},
-	})
-	if err != nil {
-		t.Fatal(err)
+	restored := func() (*Engine, *fakeEventNF) {
+		lb, nfs := chain()
+		fresh := walEngine(t, nfs)
+		if err := fresh.Restore(cp, eng.WAL().Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		return fresh, lb
 	}
-
-	fresh := walEngine(t, []NF{&fakeModifier{name: "nat", dip: [4]byte{99, 0, 0, 1}}})
-	if err := fresh.Restore(cp, eng.WAL().Bytes()); err != nil {
-		t.Fatal(err)
+	moved := func() (*Engine, *fakeEventNF) {
+		mf, ok := eng.ExtractFlow(r.FID)
+		if !ok || mf.Rule == nil {
+			t.Fatalf("extracted %+v (ok %v), want the flow with its rule", mf, ok)
+		}
+		lb, nfs := chain()
+		to, err := NewEngine(nfs, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		to.AdoptFlow(mf)
+		return to, lb
 	}
-	if n := fresh.Global().Len(); n != 0 {
-		t.Fatalf("rule with a lost event closure still installed (%d rules)", n)
-	}
-	// The flow re-records and recovers.
-	r2, err := fresh.ProcessPacket(persistPkt(t, 6000, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Kind != classifier.KindInitial || r2.Path != PathSlow {
-		t.Errorf("demoted flow: kind=%v path=%v, want initial/slow", r2.Kind, r2.Path)
+	// The restore replays eng's log, which the migration then extends.
+	for _, arrive := range []struct {
+		name string
+		to   func() (*Engine, *fakeEventNF)
+	}{{"restore", restored}, {"migration", moved}} {
+		name := arrive.name
+		to, lb := arrive.to()
+		if n := to.Global().Len(); n != 1 || to.Events().Pending(r.FID) != 1 {
+			t.Fatalf("%s: %d rules, %d events, want the rule and its event back", name, n, to.Events().Pending(r.FID))
+		}
+		if res, err := to.ProcessPacket(udpPkt(t, 6300, "back")); err != nil || res.Path != PathFast {
+			t.Fatalf("%s: %+v (err %v), want the rule serving", name, res, err)
+		}
+		if err := to.CheckRecords(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		// The firing finds no recording to update: it takes the rule, and
+		// the flow re-records.
+		lb.armed.Store(true)
+		if res, err := to.ProcessPacket(udpPkt(t, 6300, "fires")); err != nil || res.Path != PathSlow {
+			t.Fatalf("%s: armed event: %+v (err %v), want the slow path", name, res, err)
+		}
+		if res, err := to.ProcessPacket(udpPkt(t, 6300, "re-record")); err != nil || res.Kind != classifier.KindInitial || res.Path != PathSlow {
+			t.Fatalf("%s: after the firing: %+v (err %v), want a re-record", name, res, err)
+		}
+		if res, err := to.ProcessPacket(udpPkt(t, 6300, "dropped")); err != nil || res.Path != PathFast || res.Verdict != VerdictDrop {
+			t.Fatalf("%s: after the re-record: %+v (err %v), want the drop rule serving", name, res, err)
+		}
+		if err := to.CheckRecords(); err != nil {
+			t.Errorf("%s: after the re-record: %v", name, err)
+		}
 	}
 }
 

@@ -177,24 +177,28 @@ func TestInstalledRulePriced(t *testing.T) {
 // rerouteNF rewrites the destination address and registers a one-shot
 // event that, once armed, rewrites it elsewhere.
 type rerouteNF struct {
+	declared
 	name  string
 	armed atomic.Bool
 }
 
 func (n *rerouteNF) Name() string { return n.name }
 
+func (n *rerouteNF) FlowStates() *FlowStates {
+	return n.declare(nil, event.Event{
+		Condition: func(State) bool { return n.armed.Load() },
+		OneShot:   true,
+		Update: func(_ State, r *mat.LocalRule) {
+			r.Actions = []mat.HeaderAction{mat.Modify(packet.FieldDstIP, []byte{192, 168, 1, 11}), mat.Modify(packet.FieldTTL, []byte{9})}
+		},
+	})
+}
+
 func (n *rerouteNF) Process(ctx *Ctx, pkt *packet.Packet) (Verdict, error) {
 	if err := ctx.AddHeaderAction(mat.Modify(packet.FieldDstIP, []byte{192, 168, 1, 10})); err != nil {
 		return 0, err
 	}
-	err := ctx.RegisterEvent(event.Event{
-		Condition: func(flow.FID) bool { return n.armed.Load() },
-		OneShot:   true,
-		Update: func(_ flow.FID, r *mat.LocalRule) {
-			r.Actions = []mat.HeaderAction{mat.Modify(packet.FieldDstIP, []byte{192, 168, 1, 11}), mat.Modify(packet.FieldTTL, []byte{9})}
-		},
-	})
-	return VerdictForward, err
+	return VerdictForward, ctx.RegisterEvent(0)
 }
 
 // TestPriceSurvivesRestoreAndReconsolidation: the price is not part of

@@ -7,6 +7,8 @@ import (
 	"github.com/fastpathnfv/speedybox/internal/errcode"
 	"github.com/fastpathnfv/speedybox/internal/event"
 	"github.com/fastpathnfv/speedybox/internal/fault"
+	"github.com/fastpathnfv/speedybox/internal/mat"
+	"github.com/fastpathnfv/speedybox/internal/sfunc"
 	"github.com/fastpathnfv/speedybox/internal/telemetry"
 )
 
@@ -27,32 +29,26 @@ import (
 type chainState struct {
 	chain []NF
 	lay   *event.StateLayout
-	epoch uint64
+	// contribs presents the chain to a consolidation: each NF's name and
+	// Site, no rule.
+	contribs []mat.Contribution
+	epoch    uint64
 }
 
 // newChainState lays out a chain's per-flow NF state and makes the
 // engine's flow table a home of it for every NF that keeps any.
 func (e *Engine) newChainState(chain []NF, epoch uint64) *chainState {
 	slots := make([]event.StateSlot, len(chain))
+	contribs := make([]mat.Contribution, len(chain))
 	for i, nf := range chain {
-		slots[i].NF = nf.Name()
+		slots[i].NF, contribs[i].NF = nf.Name(), nf.Name()
 		if s, ok := nf.(Stateful); ok {
 			slots[i] = s.FlowStates().Slot(nf.Name())
+			contribs[i].Site = &sfunc.Site{NF: nf.Name(), At: i, Funcs: s.FlowStates().Funcs, Model: e.model}
 			s.FlowStates().Attach(e.events)
 		}
 	}
-	return &chainState{chain: chain, lay: event.NewStateLayout(slots), epoch: epoch}
-}
-
-// position returns the chain position of the named NF, -1 if the chain
-// has none: where an event firing's update lands in the flow's record.
-func (cs *chainState) position(name string) int {
-	for i, nf := range cs.chain {
-		if nf.Name() == name {
-			return i
-		}
-	}
-	return -1
+	return &chainState{chain: chain, lay: event.NewStateLayout(slots), contribs: contribs, epoch: epoch}
 }
 
 // ReconfigOp enumerates chain-plan operations. Enum starts at one so a

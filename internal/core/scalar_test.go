@@ -7,7 +7,6 @@ import (
 
 	"github.com/fastpathnfv/speedybox/internal/event"
 	"github.com/fastpathnfv/speedybox/internal/fault"
-	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/mat"
 	"github.com/fastpathnfv/speedybox/internal/packet"
 )
@@ -274,16 +273,19 @@ func mixedLives(t *testing.T) []*packet.Packet {
 // holds: every fast-path packet of its flows fires it and recomputes.
 type firingNF struct{}
 
-func (firingNF) Name() string { return "lb" }
+var firingDecl = FlowStates{Events: []event.Event{{
+	Condition: func(State) bool { return true },
+	Update:    func(State, *mat.LocalRule) {},
+}}}
+
+func (firingNF) Name() string            { return "lb" }
+func (firingNF) FlowStates() *FlowStates { return &firingDecl }
 func (firingNF) Process(ctx *Ctx, _ *packet.Packet) (Verdict, error) {
 	ctx.Charge(ctx.Model.Parse)
 	if err := ctx.AddHeaderAction(mat.Forward()); err != nil {
 		return 0, err
 	}
-	return VerdictForward, ctx.RegisterEvent(event.Event{
-		Condition: func(flow.FID) bool { return true },
-		Update:    func(flow.FID, *mat.LocalRule) {},
-	})
+	return VerdictForward, ctx.RegisterEvent(0)
 }
 
 // TestFaultBackoffClockParityMixed is TestFaultBackoffClockParity over

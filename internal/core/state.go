@@ -18,9 +18,12 @@ type Stateful interface {
 
 // FlowState returns the calling NF's state on the packet's flow: the
 // words v declares, zero on the flow's first use, and the same words on
-// every later packet until the flow ends. What the NF records for the
-// flow may close over them.
+// every later packet until the flow ends, what the functions and events
+// it records run on.
 func (c *Ctx) FlowState(v *FlowStates) State {
+	if v.Words == 0 {
+		return nil
+	}
 	if c.rec == nil {
 		c.rec = c.events.Record(c.h)
 	}

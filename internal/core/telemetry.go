@@ -24,6 +24,9 @@ const (
 	// CauseEventUnconsolidatable is an event update whose result no
 	// longer folds into one rule, evicting the stale rule.
 	CauseEventUnconsolidatable = "event-unconsolidatable"
+	// CauseEventUnrecorded is an event firing on a flow whose rule came
+	// back (restore, migration) without its recording to update.
+	CauseEventUnrecorded = "event-unrecorded"
 	// CauseInstallFault is an injected Global MAT install failure; any
 	// previous rule version is stale-marked.
 	CauseInstallFault = "install-fault"
@@ -159,7 +162,7 @@ func newEngineTelemetry(e *Engine, hub *telemetry.Hub, chain string) *engineTele
 		walFsync: reg.Histogram(n("speedybox_wal_fsync_nanos"),
 			"Wall-clock nanoseconds per WAL group commit"),
 	}
-	for _, c := range []string{CauseFinTeardown, CauseIdleExpiry, CauseSynReuse, CauseEventUnconsolidatable, CauseFaultEvict} {
+	for _, c := range []string{CauseFinTeardown, CauseIdleExpiry, CauseSynReuse, CauseEventUnconsolidatable, CauseEventUnrecorded, CauseFaultEvict} {
 		t.removals[c] = reg.Counter(n(fmt.Sprintf("speedybox_mat_removals_total{reason=%q}", c)),
 			"Global MAT rule removals by reason")
 	}

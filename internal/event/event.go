@@ -20,7 +20,6 @@ package event
 import (
 	"fmt"
 	"sync/atomic"
-	"unsafe"
 
 	"github.com/fastpathnfv/speedybox/internal/errcode"
 	"github.com/fastpathnfv/speedybox/internal/flow"
@@ -36,60 +35,76 @@ const MaxPerFlow = 64
 // ErrTooManyEvents reports a registration rejected by the per-flow cap.
 var ErrTooManyEvents = errcode.Sentinel("event.registration_cap", "event: per-flow registration cap reached")
 
-// ConditionFunc reports whether the event's condition currently holds
-// for the flow. It corresponds to the paper's condition_handler: "a
-// general callback handler that can be implemented with user-defined
-// functions" (§III).
-type ConditionFunc func(fid flow.FID) bool
-
-// UpdateFunc rewrites the owning NF's Local MAT rule for the flow when
-// the event fires. It corresponds to the update_action /
-// update_function_handler arguments of register_event.
-type UpdateFunc func(fid flow.FID, rule *mat.LocalRule)
-
-// Event is one registered (condition → update) pair.
+// Event is one declared (condition → update) pair (the paper's
+// register_event(fid, c, a, u)). An NF declares its events once
+// (FlowStates.Events) and registers them for a flow by index: what the
+// flow's record and rule carry is a Registration, data binding the
+// declaration to the flow's state words, never a closure of its own.
 type Event struct {
-	// NF names the registering network function; the update applies
-	// to that NF's Local MAT.
-	NF string
-	// Condition is probed by the Event Table under the flow's shard
-	// lock, and by the fast path as a guard on the flow's consolidated
-	// rule under no lock at all, from any worker: it must be safe for
-	// concurrent use and free of side effects.
-	Condition ConditionFunc
-	// Update edits the NF's Local MAT rule for the flow.
-	Update UpdateFunc
-	// OneShot events are deregistered after firing once (e.g. a
-	// Maglev reroute to the new backend). Recurring events stay
-	// armed (e.g. a DoS counter that could cross further thresholds).
+	// Condition reports whether the event's condition holds over the
+	// registering NF's state words on the flow — the paper's
+	// condition_handler. It is probed by the Event Table under the flow's
+	// record lock, and by the fast path as a guard on the flow's
+	// consolidated rule under no lock at all, from any worker: it must be
+	// safe for concurrent use and free of side effects.
+	Condition func(st State) bool
+	// Update edits the NF's Local MAT rule for the flow when the event
+	// fires (update_action / update_function_handler), over the same
+	// state words.
+	Update func(st State, r *mat.LocalRule)
+	// OneShot events are deregistered after firing once (e.g. a DoS
+	// block). Recurring events stay armed (e.g. a Maglev backend that
+	// could fail again).
 	OneShot bool
-	// Epoch is the chain epoch under which the event was registered
-	// (stamped by core.Ctx.RegisterEvent). Firings whose epoch differs
-	// from the current chain's are discarded wholesale: the flow's rule
-	// is from the same retired epoch, so the packet re-records on the
-	// slow path and the replacement registrations carry the new epoch.
-	Epoch uint64
 }
 
 // Validate reports whether the event is well-formed.
-func (e Event) Validate() error {
-	if e.NF == "" {
-		return fmt.Errorf("event: empty NF name")
-	}
-	if e.Condition == nil {
-		return fmt.Errorf("event: %s registered nil condition", e.NF)
-	}
-	if e.Update == nil {
-		return fmt.Errorf("event: %s registered nil update", e.NF)
+func (e *Event) Validate() error {
+	if e == nil || e.Condition == nil || e.Update == nil {
+		return fmt.Errorf("event: registration without a condition and an update")
 	}
 	return nil
+}
+
+// EngineOwned is the declared index of a registration no NF declared:
+// the engine's own (the event-storm fault). It guards and fires like any
+// other, and is never imaged: it does not survive a restore or a move.
+const EngineOwned = 1<<16 - 1
+
+// Storm is the event-storm fault's event, which the engine registers
+// under EngineOwned: it always fires and changes nothing.
+var Storm = Event{Condition: func(State) bool { return true }, Update: func(State, *mat.LocalRule) {}}
+
+// Registration is one event registered for a flow: the chain position
+// of the registering NF and the event's index among its declarations,
+// the declaration itself, and the NF's state words on the flow it runs
+// on.
+type Registration struct {
+	mat.Ref
+	Event *Event
+	State State
+}
+
+// guard is the registration as a rule's guard.
+func (r *Registration) guard() mat.Guard {
+	return mat.Guard{Ref: r.Ref, Cond: r.Event.Condition, State: r.State}
+}
+
+// Guards links the registrations, in order, into a rule's guard list.
+func Guards(regs []Registration) (head *mat.Guard) {
+	nodes := make([]mat.Guard, len(regs))
+	for i := len(regs) - 1; i >= 0; i-- {
+		nodes[i] = regs[i].guard()
+		nodes[i].Next, head = head, &nodes[i]
+	}
+	return head
 }
 
 // Firing describes one triggered event, returned to the engine so it
 // can apply the update and reconsolidate.
 type Firing struct {
-	FID   flow.FID
-	Event *Event
+	FID flow.FID
+	Registration
 	// rec is the Record the event fired from, where Apply edits.
 	rec *Record
 }
@@ -105,12 +120,10 @@ type Table struct {
 	fired      atomic.Uint64
 	registered atomic.Uint64
 	probes     atomic.Uint64
-	// journal, when set, observes successful registrations. The engine
-	// hangs two things on it: the flow's installed rule stops trusting
-	// its guard snapshot (see Consolidate), and the write-ahead log marks
-	// the rule non-restorable — event closures cannot be serialized, so
-	// after a crash the flow re-records instead.
-	journal atomic.Pointer[func(flow.Handle)]
+	// journal, when set, observes registrations Register makes, with the
+	// flow's registrations as a fresh guard list: the engine's hook gives
+	// it to the flow's installed rule (see Consolidate).
+	journal atomic.Pointer[func(flow.Handle, *mat.Guard)]
 }
 
 // SetJournal attaches (or, with nil, detaches) a callback invoked
@@ -119,7 +132,7 @@ type Table struct {
 // it observes a flow's registrations and installs in the order they
 // happened — the rule it finds on the entry is the one installed last —
 // and must not call back into either table.
-func (t *Table) SetJournal(fn func(flow.Handle)) {
+func (t *Table) SetJournal(fn func(flow.Handle, *mat.Guard)) {
 	if fn == nil {
 		t.journal.Store(nil)
 		return
@@ -131,11 +144,13 @@ func (t *Table) SetJournal(fn func(flow.Handle)) {
 func NewTable(flows *flow.Table) *Table { return &Table{flows: flows} }
 
 // Register adds an event for a flow (the register_event API, paper
-// Figure 2), on the record of the entry h is on — made here if this is
-// the first the flow's recording leaves behind. A flow the table has let
-// go of registers nothing: there is no rule of it left to guard.
-func (t *Table) Register(h flow.Handle, e Event) error {
-	if err := e.Validate(); err != nil {
+// Figure 2) on the record of the entry h is on — made here if this is
+// the first the flow's recording leaves behind — where an engine's
+// traversal publishes the ones its NFs registered together with its
+// spans (Publish). A flow the table has let go of registers nothing:
+// there is no rule of it left to guard.
+func (t *Table) Register(h flow.Handle, r Registration) error {
+	if err := r.Event.Validate(); err != nil {
 		return err
 	}
 	ed := t.flows.EditHandle(h)
@@ -146,19 +161,24 @@ func (t *Table) Register(h flow.Handle, e Event) error {
 	rec := t.recordFor(ed)
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	if len(rec.events) >= MaxPerFlow {
-		return fmt.Errorf("%w: %v has %d", ErrTooManyEvents, h.FID(), MaxPerFlow)
+	if err := rec.room(h.FID(), 1); err != nil {
+		return err
 	}
-	ev := e
-	if rec.events == nil {
-		rec.events = rec.first[:0]
-	}
-	if rec.events = append(rec.events, &ev); len(rec.events) == 1 {
+	if rec.events = append(rec.events, r); len(rec.events) == 1 {
 		t.armed.Add(1)
 	}
 	t.registered.Add(1)
 	if j := t.journal.Load(); j != nil {
-		(*j)(h)
+		(*j)(h, Guards(rec.events))
+	}
+	return nil
+}
+
+// room reports an error unless the flow's record has room for n more
+// registrations under MaxPerFlow. The caller holds rec.mu.
+func (rec *Record) room(fid flow.FID, n int) error {
+	if len(rec.events)+n > MaxPerFlow {
+		return fmt.Errorf("%w: %v has %d", ErrTooManyEvents, fid, MaxPerFlow)
 	}
 	return nil
 }
@@ -188,15 +208,15 @@ func (t *Table) Probe(fid flow.FID) (fired []Firing, registered bool) {
 		return nil, false
 	}
 	remaining := rec.events[:0]
-	for _, e := range rec.events {
-		if e.Condition(fid) {
-			fired = append(fired, Firing{FID: fid, Event: e, rec: rec})
+	for _, r := range rec.events {
+		if r.Event.Condition(r.State) {
+			fired = append(fired, Firing{FID: fid, Registration: r, rec: rec})
 			t.fired.Add(1)
-			if e.OneShot {
+			if r.Event.OneShot {
 				continue // drop from table
 			}
 		}
-		remaining = append(remaining, e)
+		remaining = append(remaining, r)
 	}
 	// remaining shares the backing array, so the common probe (no
 	// one-shot fired) changes nothing.
@@ -235,46 +255,35 @@ func (t *Table) RegisteredTotal() uint64 {
 // guard that holds, or has no live rule.
 func (t *Table) ProbesTotal() uint64 { return t.probes.Load() }
 
-// AskTable is the guard that always holds. A registration that arrives
-// after a rule is installed swaps it in, so the flow takes the locked
-// probe on every packet until a consolidation snapshots afresh.
-var AskTable = &mat.Guard{Cond: func(flow.FID) bool { return true }}
-
-// Holds reports whether any guard of the list holds for the flow. It is
-// how the fast path makes both of its Event Table checks: off the rule
-// it already holds, with no lock and no table access, coming to Probe
-// only when the answer is yes.
-func Holds(g *mat.Guard, fid flow.FID) bool {
+// Holds reports whether any guard of the list holds. It is how the fast
+// path makes both of its Event Table checks: off the rule it already
+// holds, with no lock and no table access, coming to Probe only when the
+// answer is yes.
+func Holds(g *mat.Guard) bool {
 	for ; g != nil; g = g.Next {
-		if g.Cond(fid) {
+		if g.Cond(g.State) {
 			return true
 		}
 	}
 	return false
 }
 
-// GuardsCurrent reports whether g is exactly the registered conditions
-// of the flow h is on, in order — whether the guard snapshot a
-// consolidation gave its rule (Consolidate) is still current.
+// GuardsCurrent reports whether g names exactly the registrations of the
+// flow h is on, in order — whether the guard snapshot a consolidation
+// gave its rule (Consolidate), or a restore rebound, is still current.
 // CheckRecords asks it of every live rule.
 func GuardsCurrent(h flow.Handle, g *mat.Guard) bool {
 	if rec := (*Record)(h.Rec()); rec != nil {
 		rec.mu.Lock()
 		defer rec.mu.Unlock()
-		for _, e := range rec.events {
-			if g == nil || !sameFunc(g.Cond, e.Condition) {
+		for _, r := range rec.events {
+			if g == nil || g.Ref != r.Ref {
 				return false
 			}
 			g = g.Next
 		}
 	}
 	return g == nil
-}
-
-// sameFunc reports whether a and b are one function value. A func
-// value is a pointer to its closure, which every copy shares.
-func sameFunc(a, b ConditionFunc) bool {
-	return *(*unsafe.Pointer)(unsafe.Pointer(&a)) == *(*unsafe.Pointer)(unsafe.Pointer(&b))
 }
 
 // Unrecorded reports whether the flow h is on holds nothing Remove and

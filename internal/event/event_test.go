@@ -1,6 +1,7 @@
 package event
 
 import (
+	"errors"
 	"slices"
 	"sync"
 	"testing"
@@ -11,9 +12,18 @@ import (
 	"github.com/fastpathnfv/speedybox/internal/packet"
 )
 
-func always(flow.FID) bool              { return true }
-func never(flow.FID) bool               { return false }
-func noUpdate(flow.FID, *mat.LocalRule) {}
+func always(State) bool              { return true }
+func never(State) bool               { return false }
+func noUpdate(State, *mat.LocalRule) {}
+
+// names are the registering NFs of these tests, by declared index.
+var names = []string{"x", "maglev", "dos", "first", "second", "third", "sleeper", "recurring", "shot1", "shot2", "lb", "a", "b"}
+
+// ref names an event by its NF's name: the index of the name.
+func ref(nf string) mat.Ref { return mat.Ref{Index: uint16(slices.Index(names, nf))} }
+
+// nameOf is the NF name ref names.
+func nameOf(r mat.Ref) string { return names[r.Index] }
 
 // remove drops the FID's recording, in an edit of its entry.
 func remove(tbl *Table, fid flow.FID) {
@@ -35,7 +45,7 @@ func guards(t *testing.T, tbl *Table, h flow.Handle) *mat.Guard {
 	t.Helper()
 	ed := tbl.flows.EditHandle(h)
 	defer ed.Done()
-	r, err := tbl.Consolidate(ed, 0, nil, false)
+	r, err := tbl.Consolidate(ed, NewStateLayout(nil), 0, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,13 +56,13 @@ func TestRegisterValidation(t *testing.T) {
 	tbl := NewTable(flow.NewTable())
 	tests := []struct {
 		name    string
-		event   Event
+		event   Registration
 		wantErr bool
 	}{
-		{"valid", Event{NF: "maglev", Condition: always, Update: noUpdate}, false},
-		{"no nf", Event{Condition: always, Update: noUpdate}, true},
-		{"nil condition", Event{NF: "x", Update: noUpdate}, true},
-		{"nil update", Event{NF: "x", Condition: always}, true},
+		{"valid", Registration{Ref: ref("maglev"), Event: &Event{Condition: always, Update: noUpdate}}, false},
+		{"no event", Registration{Ref: ref("maglev")}, true},
+		{"nil condition", Registration{Ref: ref("x"), Event: &Event{Update: noUpdate}}, true},
+		{"nil update", Registration{Ref: ref("x"), Event: &Event{Condition: always}}, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -66,8 +76,8 @@ func TestRegisterValidation(t *testing.T) {
 func TestCheckFiresOnCondition(t *testing.T) {
 	tbl := NewTable(flow.NewTable())
 	armed := false
-	cond := func(flow.FID) bool { return armed }
-	if err := tbl.Register(tbl.Entry(5), Event{NF: "dos", Condition: cond, Update: noUpdate}); err != nil {
+	cond := func(State) bool { return armed }
+	if err := tbl.Register(tbl.Entry(5), Registration{Ref: ref("dos"), Event: &Event{Condition: cond, Update: noUpdate}}); err != nil {
 		t.Fatal(err)
 	}
 	if fired := tbl.Check(5); len(fired) != 0 {
@@ -75,7 +85,7 @@ func TestCheckFiresOnCondition(t *testing.T) {
 	}
 	armed = true
 	fired := tbl.Check(5)
-	if len(fired) != 1 || fired[0].Event.NF != "dos" || fired[0].FID != 5 {
+	if len(fired) != 1 || nameOf(fired[0].Ref) != "dos" || fired[0].FID != 5 {
 		t.Errorf("fired = %+v", fired)
 	}
 	if tbl.FiredTotal() != 1 {
@@ -85,7 +95,7 @@ func TestCheckFiresOnCondition(t *testing.T) {
 
 func TestCheckWrongFID(t *testing.T) {
 	tbl := NewTable(flow.NewTable())
-	if err := tbl.Register(tbl.Entry(5), Event{NF: "x", Condition: always, Update: noUpdate}); err != nil {
+	if err := tbl.Register(tbl.Entry(5), Registration{Ref: ref("x"), Event: &Event{Condition: always, Update: noUpdate}}); err != nil {
 		t.Fatal(err)
 	}
 	if fired := tbl.Check(6); len(fired) != 0 {
@@ -95,7 +105,7 @@ func TestCheckWrongFID(t *testing.T) {
 
 func TestOneShotRemovedAfterFiring(t *testing.T) {
 	tbl := NewTable(flow.NewTable())
-	if err := tbl.Register(tbl.Entry(1), Event{NF: "maglev", Condition: always, Update: noUpdate, OneShot: true}); err != nil {
+	if err := tbl.Register(tbl.Entry(1), Registration{Ref: ref("maglev"), Event: &Event{Condition: always, Update: noUpdate, OneShot: true}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(tbl.Check(1)); got != 1 {
@@ -114,7 +124,7 @@ func TestOneShotRemovedAfterFiring(t *testing.T) {
 
 func TestRecurringStaysArmed(t *testing.T) {
 	tbl := NewTable(flow.NewTable())
-	if err := tbl.Register(tbl.Entry(1), Event{NF: "dos", Condition: always, Update: noUpdate}); err != nil {
+	if err := tbl.Register(tbl.Entry(1), Registration{Ref: ref("dos"), Event: &Event{Condition: always, Update: noUpdate}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -133,12 +143,12 @@ func TestRecurringStaysArmed(t *testing.T) {
 func TestMultipleEventsFireInRegistrationOrder(t *testing.T) {
 	tbl := NewTable(flow.NewTable())
 	for _, nf := range []string{"first", "second", "third"} {
-		if err := tbl.Register(tbl.Entry(2), Event{NF: nf, Condition: always, Update: noUpdate, OneShot: true}); err != nil {
+		if err := tbl.Register(tbl.Entry(2), Registration{Ref: ref(nf), Event: &Event{Condition: always, Update: noUpdate, OneShot: true}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// One never-firing event interleaved.
-	if err := tbl.Register(tbl.Entry(2), Event{NF: "sleeper", Condition: never, Update: noUpdate}); err != nil {
+	if err := tbl.Register(tbl.Entry(2), Registration{Ref: ref("sleeper"), Event: &Event{Condition: never, Update: noUpdate}}); err != nil {
 		t.Fatal(err)
 	}
 	fired := tbl.Check(2)
@@ -146,8 +156,8 @@ func TestMultipleEventsFireInRegistrationOrder(t *testing.T) {
 		t.Fatalf("fired %d, want 3", len(fired))
 	}
 	for i, want := range []string{"first", "second", "third"} {
-		if fired[i].Event.NF != want {
-			t.Errorf("fired[%d] = %s, want %s", i, fired[i].Event.NF, want)
+		if nameOf(fired[i].Ref) != want {
+			t.Errorf("fired[%d] = %s, want %s", i, nameOf(fired[i].Ref), want)
 		}
 	}
 	if tbl.Pending(2) != 1 {
@@ -165,8 +175,8 @@ func TestProbeWriteBack(t *testing.T) {
 	armed := map[string]bool{"recurring": true}
 	reg := func(nf string, oneShot bool) {
 		t.Helper()
-		cond := func(flow.FID) bool { return armed[nf] }
-		if err := tbl.Register(tbl.Entry(fid), Event{NF: nf, Condition: cond, Update: noUpdate, OneShot: oneShot}); err != nil {
+		cond := func(State) bool { return armed[nf] }
+		if err := tbl.Register(tbl.Entry(fid), Registration{Ref: ref(nf), Event: &Event{Condition: cond, Update: noUpdate, OneShot: oneShot}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -195,7 +205,7 @@ func TestProbeWriteBack(t *testing.T) {
 		}
 		var got []string
 		for _, f := range fired {
-			got = append(got, f.Event.NF)
+			got = append(got, nameOf(f.Ref))
 		}
 		if !slices.Equal(got, st.wantFired) {
 			t.Errorf("%s: fired %v, want %v", st.name, got, st.wantFired)
@@ -224,7 +234,7 @@ func TestProbeWriteBack(t *testing.T) {
 func TestProbeQuietFlowDoesNotAllocate(t *testing.T) {
 	tbl := NewTable(flow.NewTable())
 	for _, nf := range []string{"a", "b"} {
-		if err := tbl.Register(tbl.Entry(3), Event{NF: nf, Condition: never, Update: noUpdate}); err != nil {
+		if err := tbl.Register(tbl.Entry(3), Registration{Ref: ref(nf), Event: &Event{Condition: never, Update: noUpdate}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -247,25 +257,29 @@ func TestUpdateAppliesToLocalRule(t *testing.T) {
 	tbl := NewTable(flow.NewTable())
 	ed := tbl.flows.Edit(fid, true)
 	tbl.Publish(ed, 0, 1, 0, []mat.Contribution{{NF: "maglev", Rule: &mat.LocalRule{
-		Actions: []mat.HeaderAction{mat.Modify(packet.FieldDstIP, []byte{10, 0, 0, 1})}}}})
+		Actions: []mat.HeaderAction{mat.Modify(packet.FieldDstIP, []byte{10, 0, 0, 1})}}}}, nil)
 	ed.Done()
-	err := tbl.Register(tbl.Entry(fid), Event{
-		NF:        "maglev",
+	err := tbl.Register(tbl.Entry(fid), Registration{Ref: ref("maglev"), Event: &Event{
 		Condition: always,
 		OneShot:   true,
-		Update: func(_ flow.FID, r *mat.LocalRule) {
+		Update: func(_ State, r *mat.LocalRule) {
 			for i, a := range r.Actions {
 				if a.Kind == mat.ActionModify && a.Field == packet.FieldDstIP {
 					r.Actions[i] = mat.Modify(packet.FieldDstIP, []byte{10, 0, 0, 2})
 				}
 			}
 		},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range tbl.Check(fid) {
-		f.Apply(0, 1)
+		if f.Apply(1, 1) || f.Apply(0, 2) {
+			t.Fatal("an update applied to a recording of another chain")
+		}
+		if !f.Apply(0, 1) {
+			t.Fatal("the firing finds no recording to edit")
+		}
 	}
 	spans, _ := tbl.Recorded(fid)
 	if got := spans[0].Actions[0].Value; got[3] != 2 {
@@ -273,9 +287,42 @@ func TestUpdateAppliesToLocalRule(t *testing.T) {
 	}
 }
 
+// TestRegistrationCap: a flow holds at most MaxPerFlow events, counting
+// those it holds, whether they come one by one (Register) or with a
+// traversal's recording (Publish); a publication past the cap publishes
+// nothing.
+func TestRegistrationCap(t *testing.T) {
+	fid := flow.FID(4)
+	tbl := NewTable(flow.NewTable())
+	r := Registration{Ref: ref("x"), Event: &Event{Condition: never, Update: noUpdate}}
+	for i := 0; i < MaxPerFlow-1; i++ {
+		if err := tbl.Register(tbl.Entry(fid), r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	span := []mat.Contribution{{NF: "x", Rule: &mat.LocalRule{Actions: []mat.HeaderAction{mat.Drop()}}}}
+	publish := func(regs ...Registration) error {
+		ed := tbl.flows.Edit(fid, false)
+		defer ed.Done()
+		return tbl.Publish(ed, 0, 1, 0, span, regs)
+	}
+	if err := publish(r, r); !errors.Is(err, ErrTooManyEvents) {
+		t.Errorf("publishing two past %d held: %v, want ErrTooManyEvents", MaxPerFlow-1, err)
+	}
+	if spans, _ := tbl.Recorded(fid); spans != nil || tbl.Pending(fid) != MaxPerFlow-1 {
+		t.Errorf("a refused publication left spans %v, %d events", spans, tbl.Pending(fid))
+	}
+	if err := publish(r); err != nil || tbl.Pending(fid) != MaxPerFlow {
+		t.Errorf("publishing the last one: %v, %d events", err, tbl.Pending(fid))
+	}
+	if err := tbl.Register(tbl.Entry(fid), r); !errors.Is(err, ErrTooManyEvents) {
+		t.Errorf("registering past the cap: %v, want ErrTooManyEvents", err)
+	}
+}
+
 func TestRemove(t *testing.T) {
 	tbl := NewTable(flow.NewTable())
-	if err := tbl.Register(tbl.Entry(9), Event{NF: "x", Condition: always, Update: noUpdate}); err != nil {
+	if err := tbl.Register(tbl.Entry(9), Registration{Ref: ref("x"), Event: &Event{Condition: always, Update: noUpdate}}); err != nil {
 		t.Fatal(err)
 	}
 	remove(tbl, 9)
@@ -296,7 +343,7 @@ func TestConcurrentCheckAndRegister(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				fid := flow.FID(g*100 + i)
-				if err := tbl.Register(tbl.Entry(fid), Event{NF: "x", Condition: always, Update: noUpdate, OneShot: true}); err != nil {
+				if err := tbl.Register(tbl.Entry(fid), Registration{Ref: ref("x"), Event: &Event{Condition: always, Update: noUpdate, OneShot: true}}); err != nil {
 					t.Errorf("Register: %v", err)
 					return
 				}
@@ -320,38 +367,38 @@ func TestConcurrentCheckAndRegister(t *testing.T) {
 }
 
 // TestGuardsSnapshotRegistrations: a consolidation's rule guards the
-// flow's conditions in registration order, Holds evaluates the list
+// flow's registrations in registration order, Holds evaluates the list
 // without the table, and GuardsCurrent tells a current snapshot from one
 // a registration, a one-shot firing or a removal has overtaken — by the
-// identity of the conditions, not their number.
+// references of the registrations, not their number.
 func TestGuardsSnapshotRegistrations(t *testing.T) {
 	tbl := NewTable(flow.NewTable())
 	h := tbl.Entry(9)
-	if g := guards(t, tbl, h); g != nil || !GuardsCurrent(h, nil) || Holds(g, 9) {
+	if g := guards(t, tbl, h); g != nil || !GuardsCurrent(h, nil) || Holds(g) {
 		t.Fatalf("flow without events: guards %v, want none, current and quiet", g)
 	}
 	armed := false
-	first := func(flow.FID) bool { return armed }
-	second := func(fid flow.FID) bool { return fid == 0 }
-	for _, c := range []ConditionFunc{first, second} {
-		if err := tbl.Register(h, Event{NF: "lb", Condition: c, Update: noUpdate, OneShot: true}); err != nil {
+	first := func(State) bool { return armed }
+	second := func(st State) bool { return st != nil }
+	for i, c := range []func(State) bool{first, second} {
+		if err := tbl.Register(h, Registration{Ref: mat.Ref{Index: uint16(i)}, Event: &Event{Condition: c, Update: noUpdate, OneShot: true}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	g := guards(t, tbl, h)
-	if g == nil || g.Next == nil || g.Next.Next != nil || !sameFunc(g.Cond, first) || !sameFunc(g.Next.Cond, second) {
-		t.Fatalf("guards %+v, want the two conditions in registration order", g)
+	if g == nil || g.Next == nil || g.Next.Next != nil || g.Index != 0 || g.Next.Index != 1 {
+		t.Fatalf("guards %+v, want the two registrations in registration order", g)
 	}
 	probes := tbl.ProbesTotal()
-	if !GuardsCurrent(h, g) || GuardsCurrent(h, g.Next) || GuardsCurrent(h, nil) || GuardsCurrent(h, AskTable) {
-		t.Error("GuardsCurrent does not tell the current snapshot from a partial, empty or ask-the-table one")
+	if !GuardsCurrent(h, g) || GuardsCurrent(h, g.Next) || GuardsCurrent(h, nil) {
+		t.Error("GuardsCurrent does not tell the current snapshot from a partial or empty one")
 	}
-	if Holds(g, 9) {
+	if Holds(g) {
 		t.Error("guards hold with both conditions false")
 	}
 	armed = true
-	if !Holds(g, 9) || !Holds(AskTable, 9) || Holds(nil, 9) {
-		t.Error("Holds: want the armed list and AskTable to hold, the empty list not to")
+	if !Holds(g) || Holds(nil) {
+		t.Error("Holds: want the armed list to hold, the empty list not to")
 	}
 	if tbl.ProbesTotal() != probes {
 		t.Error("snapshotting, comparing or evaluating guards counted as a probe")
@@ -368,40 +415,48 @@ func TestGuardsSnapshotRegistrations(t *testing.T) {
 	if GuardsCurrent(h, g) {
 		t.Error("snapshot still current after a one-shot left the table")
 	}
-	if g = guards(t, tbl, h); g == nil || g.Next != nil || !sameFunc(g.Cond, second) || !GuardsCurrent(h, g) {
-		t.Fatalf("guards after the firing %+v, want the second condition alone", g)
+	if g = guards(t, tbl, h); g == nil || g.Next != nil || g.Index != 1 || !GuardsCurrent(h, g) {
+		t.Fatalf("guards after the firing %+v, want the second registration alone", g)
 	}
-	// Same number of conditions, another closure: not the same guards.
+	// Same number of registrations, another declared event: not the same
+	// guards.
 	remove(tbl, 9)
 	h = tbl.Entry(9)
-	if err := tbl.Register(h, Event{NF: "lb", Condition: never, Update: noUpdate}); err != nil {
+	if err := tbl.Register(h, Registration{Ref: mat.Ref{Index: 2}, Event: &Event{Condition: never, Update: noUpdate}}); err != nil {
 		t.Fatal(err)
 	}
 	if GuardsCurrent(h, g) {
-		t.Error("snapshot current against a different condition")
+		t.Error("snapshot current against a different registration")
 	}
 }
 
 // TestJournalRunsPerRegistration: the hook the engine hangs its guard
-// retirement and its WAL record on sees every successful Register, and
-// no refused one.
+// retirement on sees every successful Register, and no refused one.
 func TestJournalRunsPerRegistration(t *testing.T) {
 	tbl := NewTable(flow.NewTable())
 	var seen []flow.FID
-	tbl.SetJournal(func(h flow.Handle) { seen = append(seen, h.FID()) })
+	var lens []int
+	tbl.SetJournal(func(h flow.Handle, g *mat.Guard) {
+		seen = append(seen, h.FID())
+		n := 0
+		for ; g != nil; g = g.Next {
+			n++
+		}
+		lens = append(lens, n)
+	})
 	for _, fid := range []flow.FID{3, 4, 3} {
-		if err := tbl.Register(tbl.Entry(fid), Event{NF: "x", Condition: never, Update: noUpdate}); err != nil {
+		if err := tbl.Register(tbl.Entry(fid), Registration{Ref: ref("x"), Event: &Event{Condition: never, Update: noUpdate}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := tbl.Register(tbl.Entry(5), Event{NF: "x", Update: noUpdate}); err == nil {
+	if err := tbl.Register(tbl.Entry(5), Registration{Ref: ref("x"), Event: &Event{Update: noUpdate}}); err == nil {
 		t.Fatal("nil condition accepted")
 	}
-	if !slices.Equal(seen, []flow.FID{3, 4, 3}) {
-		t.Errorf("journal saw %v, want [3 4 3]", seen)
+	if !slices.Equal(seen, []flow.FID{3, 4, 3}) || !slices.Equal(lens, []int{1, 1, 2}) {
+		t.Errorf("journal saw %v with %v guards, want [3 4 3] with [1 1 2]", seen, lens)
 	}
 	tbl.SetJournal(nil)
-	if err := tbl.Register(tbl.Entry(6), Event{NF: "x", Condition: never, Update: noUpdate}); err != nil {
+	if err := tbl.Register(tbl.Entry(6), Registration{Ref: ref("x"), Event: &Event{Condition: never, Update: noUpdate}}); err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != 3 {
@@ -411,10 +466,10 @@ func TestJournalRunsPerRegistration(t *testing.T) {
 
 // TestRecordSizeClass pins the flow record to the 128-byte size class:
 // the NF state block, the recording, the events and the engine's
-// standing fill it exactly; one more word costs every record 144.
+// standing fit it with a word to spare; two more cost every record 144.
 func TestRecordSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(Record{}); n != 128 {
-		t.Errorf("Record is %d bytes, want 128", n)
+	if n := unsafe.Sizeof(Record{}); n != 120 {
+		t.Errorf("Record is %d bytes, want 120", n)
 	}
 }
 
@@ -430,7 +485,7 @@ func TestStandingOutlivesRecording(t *testing.T) {
 		t.Fatal(err)
 	}
 	fid := en.FID
-	if err := tbl.Register(tbl.Entry(fid), Event{NF: "x", Condition: never, Update: noUpdate}); err != nil {
+	if err := tbl.Register(tbl.Entry(fid), Registration{Ref: ref("x"), Event: &Event{Condition: never, Update: noUpdate}}); err != nil {
 		t.Fatal(err)
 	}
 	stand(tbl, fid, true, func(_ flow.Handle, s *Standing) { s.RetryAt.Store(9) })

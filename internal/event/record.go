@@ -7,7 +7,6 @@ import (
 
 	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/mat"
-	"github.com/fastpathnfv/speedybox/internal/sfunc"
 )
 
 // Record is what a flow's NFs keep on it: each NF's per-flow state
@@ -32,11 +31,9 @@ type Record struct {
 	// locals holds the chain's spans; nil until the first Publish. An NF
 	// that recorded something has non-nil Actions, however short.
 	locals []mat.LocalRule
-	events []*Event
-	// first backs events while the flow has one registration, as most
-	// that have any do.
-	first [1]*Event
-	own   Standing
+	// events are the flow's registrations, in registration order.
+	events []Registration
+	own    Standing
 }
 
 // Standing is what the engine keeps on a flow's record for itself: the
@@ -110,19 +107,19 @@ func (t *Table) recordFor(ed flow.Edit) *Record {
 }
 
 // Publish stores what NFs at..at+len(spans) of an n-NF chain recorded
-// for the flow under edit under the given chain epoch (localmat_add_HA
-// and localmat_add_SF, paper Figure 2, gathered per traversal): the
-// recording's one write. It fills the record the traversal's first
-// Register made, if one did. The record keeps exactly sized copies, so
-// the caller may reuse its storage, and an event update that later
-// appends to a span reallocates rather than growing into its neighbour:
-// one allocation for a short chain's (a spanBlock), and for a span that
-// only forwards none — every such span is one shared, read-only array,
-// which Apply copies before an update edits it. A nil Rule is an NF
-// that recorded nothing.
-func (t *Table) Publish(ed flow.Edit, epoch uint64, n, at int, spans []mat.Contribution) {
+// for the flow under edit under the given chain epoch, and the events
+// they registered (localmat_add_HA, localmat_add_SF and register_event,
+// paper Figure 2, gathered per traversal): the recording's one write.
+// The record keeps exactly sized copies, so the caller may reuse its
+// storage, and an event update that later appends to a span reallocates
+// rather than growing into its neighbour: one allocation for a short
+// chain's (a spanBlock), and for a span that only forwards none — every
+// such span is one shared, read-only array, which Apply copies before
+// an update edits it. A nil Rule is an NF that recorded nothing. A
+// flow's registrations past MaxPerFlow publish nothing, and are an error.
+func (t *Table) Publish(ed flow.Edit, epoch uint64, n, at int, spans []mat.Contribution, regs []Registration) error {
 	if !ed.Found() {
-		return
+		return nil
 	}
 	nActs, nFuncs := 0, 0
 	for _, c := range spans {
@@ -136,21 +133,36 @@ func (t *Table) Publish(ed flow.Edit, epoch uint64, n, at int, spans []mat.Contr
 	rec := t.recordFor(ed)
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
+	if err := rec.room(ed.Handle().FID(), len(regs)); err != nil {
+		return err
+	}
 	fresh := rec.epoch != epoch || len(rec.locals) != n
 	var acts []mat.HeaderAction
-	var funcs []sfunc.Func
+	var funcs []uint8
+	var events []Registration
 	var room spanBlock // the sizes of a block, never allocated
-	if fresh && (nActs > 0 || nFuncs > 0) &&
-		n <= len(room.locals) && nActs <= len(room.acts) && nFuncs <= len(room.funcs) {
+	if fresh && (nActs > 0 || nFuncs > 0 || len(regs) > 0) && n <= len(room.locals) &&
+		nActs <= len(room.acts) && nFuncs <= len(room.funcs) && len(regs) <= len(room.events) {
 		b := new(spanBlock)
-		rec.locals, acts, funcs = b.locals[:n:n], b.acts[:0:nActs], b.funcs[:0:nFuncs]
+		rec.locals, acts, funcs, events = b.locals[:n:n], b.acts[:0:nActs], b.funcs[:0:nFuncs], b.events[:0:len(regs)]
 	} else {
 		if fresh {
 			rec.locals = make([]mat.LocalRule, n)
 		}
-		acts, funcs = make([]mat.HeaderAction, 0, nActs), make([]sfunc.Func, 0, nFuncs)
+		acts, funcs = make([]mat.HeaderAction, 0, nActs), make([]uint8, 0, nFuncs)
+		if len(regs) > 0 {
+			events = make([]Registration, 0, len(regs))
+		}
 	}
 	rec.epoch = epoch
+	if len(regs) > 0 {
+		if len(rec.events) == 0 {
+			rec.events = events
+			t.armed.Add(1)
+		}
+		rec.events = append(rec.events, regs...)
+		t.registered.Add(uint64(len(regs)))
+	}
 	for i, c := range spans {
 		if c.Rule == nil {
 			continue
@@ -167,15 +179,17 @@ func (t *Table) Publish(ed flow.Edit, epoch uint64, n, at int, spans []mat.Contr
 		funcs = append(funcs, c.Rule.Funcs...)
 		span.Funcs = funcs[f:len(funcs):len(funcs)]
 	}
+	return nil
 }
 
 // spanBlock is the storage Publish carves a short chain's recording from
 // in one allocation: Chain1's, say — four spans, three actions that are
-// not a lone forward, two state functions.
+// not a lone forward, two state functions, one event.
 type spanBlock struct {
 	locals [4]mat.LocalRule
 	acts   [4]mat.HeaderAction
-	funcs  [2]sfunc.Func
+	funcs  [2]uint8
+	events [1]Registration
 }
 
 // forwardSpan is the actions of every span that only forwards.
@@ -186,39 +200,45 @@ func forwardOnly(acts []mat.HeaderAction) bool {
 	return len(acts) == 1 && acts[0].Equal(forwardSpan[0])
 }
 
-// Apply runs the firing's update on its NF's span — position at of an
-// n-NF chain — of the record it fired from, in place under the record's
-// lock. An NF that recorded nothing gets an empty span to edit, and one
-// whose span is the shared forward a copy of it.
-func (f Firing) Apply(at, n int) {
+// Apply runs the firing's update on its NF's span of the record it fired
+// from, in place under the record's lock, if the record holds a
+// recording of an n-NF chain made under epoch, and reports whether it
+// did. A flow recorded under a retired chain holds another recording,
+// and one whose rule came back without its recording (a restore, a
+// migration) none: the update is never applied to spans that are not
+// the flow's. An NF that recorded nothing gets an empty span to edit,
+// and one whose span is the shared forward a copy of it.
+func (f Firing) Apply(epoch uint64, n int) bool {
 	rec := f.rec
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	if len(rec.locals) != n {
-		rec.locals = make([]mat.LocalRule, n)
+	if rec.epoch != epoch || len(rec.locals) != n || int(f.At) >= n {
+		return false
 	}
-	span := &rec.locals[at]
+	span := &rec.locals[f.At]
 	switch {
 	case span.Actions == nil:
 		span.Actions = []mat.HeaderAction{}
 	case len(span.Actions) == 1 && &span.Actions[0] == &forwardSpan[0]:
 		span.Actions = []mat.HeaderAction{mat.Forward()}
 	}
-	f.Event.Update(f.FID, span)
+	f.Event.Update(f.State, span)
+	return true
 }
 
 // Consolidate builds the Global MAT rule of the flow under edit, which
-// must be found: contribs names the chain's NFs, in order, and with
-// fromRecord each one's Rule is pointed at the span the NF recorded —
-// read in place, under the record's lock; mat.Consolidate copies what
-// the rule keeps. A flow with no recording under this chain epoch
+// must be found: contribs names the chain's NFs, in the order of lay,
+// and with fromRecord each one's Rule is pointed at the span the NF
+// recorded — read in place, under the record's lock; mat.Consolidate
+// copies what the rule keeps. Each NF that recorded state functions is
+// given its words on the flow to run them on. A flow with no recording under this chain epoch
 // contributes nothing. The rule carries the flow's registered
 // conditions as its guards, snapshotted under the same lock; a
 // registration takes an edit of the entry, so the snapshot stays current
 // until the caller's edit ends — a rule installed inside it needs no
-// re-check, and one a later registration finds gets event.AskTable from
+// re-check, and one a later registration finds gets fresh guards from
 // the journal hook.
-func (t *Table) Consolidate(ed flow.Edit, epoch uint64, contribs []mat.Contribution, fromRecord bool) (*mat.GlobalRule, error) {
+func (t *Table) Consolidate(ed flow.Edit, lay *StateLayout, epoch uint64, contribs []mat.Contribution, fromRecord bool) (*mat.GlobalRule, error) {
 	fid := ed.Handle().FID()
 	rec := (*Record)(ed.Handle().Rec())
 	if rec == nil {
@@ -233,12 +253,17 @@ func (t *Table) Consolidate(ed flow.Edit, epoch uint64, contribs []mat.Contribut
 			}
 		}
 	}
-	var buf [4]func(flow.FID) bool
-	conds := buf[:0]
-	for _, e := range rec.events {
-		conds = append(conds, e.Condition)
+	for i := range contribs {
+		if r := contribs[i].Rule; r != nil && len(r.Funcs) > 0 {
+			contribs[i].State = rec.slotState(lay, i)
+		}
 	}
-	return mat.Consolidate(fid, contribs, conds...)
+	var buf [4]mat.Guard
+	guards := buf[:0]
+	for i := range rec.events {
+		guards = append(guards, rec.events[i].guard())
+	}
+	return mat.Consolidate(fid, contribs, guards...)
 }
 
 // Recorded returns a deep copy of the flow's recording, by chain

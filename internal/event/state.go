@@ -1,34 +1,24 @@
 package event
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"github.com/fastpathnfv/speedybox/internal/flow"
+	"github.com/fastpathnfv/speedybox/internal/sfunc"
 )
 
 // State is one NF's per-flow state: the 64-bit words the NF declared,
 // all zero until the NF first writes them. The words sit in a block on
 // the flow's Record and never move while the flow lives on its engine,
-// so what an NF records may close over them — a state function or an
-// event handler runs on the flow's state itself, with no lookup and no
-// lock. They are atomics because a flow has one writer only by RSS's
-// promise, and because an NF's reporting methods read them from
-// goroutines other than the flow's worker.
-type State []atomic.Uint64
+// so what an NF records binds them — a state function or an event
+// handler runs on the flow's state itself, with no lookup and no lock.
+type State = sfunc.State
 
-// Zero reports whether every word is zero: a slot its NF never used.
-func (s State) Zero() bool {
-	for i := range s {
-		if s[i].Load() != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func (s State) clear() {
+func clearState(s State) {
 	for i := range s {
 		s[i].Store(0)
 	}
@@ -42,8 +32,9 @@ type StateSlot struct {
 	// Owner tells NF objects apart across chain layouts: after a chain
 	// change, a flow's older block serves a slot of the new layout only if
 	// both name the NF and carry the same Owner (a replacement NF of the
-	// same name starts from zero, in a block of its own).
-	Owner any
+	// same name starts from zero, in a block of its own). It is the NF's
+	// declaration, nil for an NF that declares nothing.
+	Owner *FlowStates
 	// Arrive, if set, is called with a flow's state when it comes to the
 	// NF from elsewhere — a migration record or a checkpoint — and Leave
 	// when it goes: ended tells a flow that is over (torn down, its
@@ -89,7 +80,7 @@ func (b *stateBlock) slot(s *StateSlot) State {
 
 // find returns the block's slot of the named NF, if its layout has one
 // of that size — and of that Owner, unless owner is nil.
-func (b *stateBlock) find(nf string, words int, owner any) (State, *StateSlot) {
+func (b *stateBlock) find(nf string, words int, owner *FlowStates) (State, *StateSlot) {
 	for i := range b.lay.slots {
 		if s := &b.lay.slots[i]; s.NF == nf && s.Words == words && (owner == nil || s.Owner == owner) {
 			return b.slot(s), s
@@ -103,19 +94,30 @@ func (s *StateSlot) leave(st State, ended bool) {
 	if s.Leave != nil {
 		s.Leave(st, ended)
 	}
-	st.clear()
+	clearState(st)
 }
 
-// State returns the words of NF i of lay on the flow's record. The first
-// use of any NF makes the flow's block, sized for the whole chain: one
-// pointer-free allocation a flow. A block is never moved or resized — a
-// chain change leaves the NFs that were in it where they are and gives
-// the flow a second block for the ones that joined — so a slot, once
-// handed out, is the NF's for the flow's life.
+// State returns the words of NF i of lay on the flow's record, nil if
+// the NF keeps none. The first use of any NF makes the flow's block,
+// sized for the whole chain: one pointer-free allocation a flow. A block
+// is never moved or resized — a chain change leaves the NFs that were in
+// it where they are and gives the flow a second block for the ones that
+// joined — so a slot, once handed out, is the NF's for the flow's life.
 func (rec *Record) State(lay *StateLayout, i int) State {
-	want := &lay.slots[i]
+	if lay.slots[i].Words == 0 {
+		return nil
+	}
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
+	return rec.slotState(lay, i)
+}
+
+// slotState is State for a caller holding rec.mu.
+func (rec *Record) slotState(lay *StateLayout, i int) State {
+	want := &lay.slots[i]
+	if want.Words == 0 {
+		return nil
+	}
 	last := &rec.state
 	for blk := &rec.state; blk != nil && blk.lay != nil; last, blk = blk, blk.next {
 		if blk.lay == lay {
@@ -262,7 +264,7 @@ func (t *Table) AdoptState(fid flow.FID, lay *StateLayout, images []StateImage) 
 // DropNF clears the slot of the NF declared with the given Owner on every
 // flow, telling the NF each flow has ended for it: the NF is leaving the
 // chain.
-func (t *Table) DropNF(owner any) {
+func (t *Table) DropNF(owner *FlowStates) {
 	t.flows.Each(func(h flow.Handle) {
 		rec := (*Record)(h.Rec())
 		if rec == nil {
@@ -281,7 +283,7 @@ func (t *Table) DropNF(owner any) {
 // EachState calls fn with every flow's in-use slot of the NF declared
 // with the given Owner. Under concurrent writers the walk is weakly
 // consistent, as flow.Table.Each is.
-func (t *Table) EachState(owner any, fn func(flow.FID, State)) {
+func (t *Table) EachState(owner *FlowStates, fn func(flow.FID, State)) {
 	t.flows.Each(func(h flow.Handle) {
 		if st := stateOf((*Record)(h.Rec()), owner); st != nil {
 			fn(h.FID(), st)
@@ -290,11 +292,11 @@ func (t *Table) EachState(owner any, fn func(flow.FID, State)) {
 }
 
 // StateOf returns the flow's in-use slot of that NF, nil if it has none.
-func (t *Table) StateOf(fid flow.FID, owner any) State {
+func (t *Table) StateOf(fid flow.FID, owner *FlowStates) State {
 	return stateOf(t.record(fid), owner)
 }
 
-func stateOf(rec *Record, owner any) (out State) {
+func stateOf(rec *Record, owner *FlowStates) (out State) {
 	if rec == nil {
 		return nil
 	}
@@ -321,18 +323,27 @@ func StateOwners(h flow.Handle) (nfs []string) {
 	return nfs
 }
 
-// FlowStates is an NF's declaration of its per-flow state and its window
-// onto it. NF state comes in three classes (DESIGN §18): per-flow state
+// FlowStates is an NF's declaration of its per-flow state, of the state
+// functions and events it records over that state, and its window onto
+// it. NF state comes in three classes (DESIGN §18): per-flow state
 // lives on the flow's record in the engine's flow table — the framework
 // makes it, frees it with the flow, and carries it through migration and
 // checkpoints — and an NF reaches it through core.Ctx.FlowState on the
 // packet path and through Of and Each from its reporting methods;
 // cross-flow shared state and configuration stay in the NF. The zero
-// value declares no state; set Words (and the hooks, if the NF derives
-// anything from its flows' state) before the NF joins a chain.
+// value declares nothing; set Words, Funcs and Events (and the hooks, if
+// the NF derives anything from its flows' state) before the NF joins a
+// chain, and never change them after.
 type FlowStates struct {
 	// Words is how many 64-bit words the NF keeps per flow.
 	Words int
+	// Funcs are the state functions the NF records for a flow, by index
+	// (core.Ctx.AddStateFunc), Events the events it registers
+	// (core.Ctx.RegisterEvent). Each runs on the flow's words, so what a
+	// flow's rule carries is an index and the words: it restores and
+	// migrates as data.
+	Funcs  []sfunc.Func
+	Events []Event
 	// Arrive and Leave are StateSlot's hooks.
 	Arrive func(st State)
 	Leave  func(st State, ended bool)
@@ -345,6 +356,26 @@ type FlowStates struct {
 	// solo is the one-slot layout of standalone contexts.
 	solo *StateLayout
 }
+
+// Declares reports an error unless v declares a well-formed state
+// function i or, with event set, a well-formed event i.
+func (v *FlowStates) Declares(i int, event bool) error {
+	switch {
+	case v == nil:
+		return errors.New("declares no state functions or events")
+	case event && i >= 0 && i < len(v.Events) && i < EngineOwned:
+		return v.Events[i].Validate()
+	case !event && i >= 0 && i < len(v.Funcs) && i <= math.MaxUint8:
+		return v.Funcs[i].Validate()
+	case event:
+		return fmt.Errorf("declares no event %d", i)
+	}
+	return fmt.Errorf("declares no state function %d", i)
+}
+
+// Declared returns the declaration of NF i of the layout, nil if the NF
+// declares nothing.
+func (l *StateLayout) Declared(i int) *FlowStates { return l.slots[i].Owner }
 
 // Slot is the NF's entry, under the name it goes by, in a chain's state
 // layout.

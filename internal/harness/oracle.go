@@ -215,9 +215,8 @@ func RunOracle(cfg OracleConfig) (*OracleResult, error) {
 		case cfg.Topo:
 			row = 0
 		case row == 0 && cfg.Cluster:
-			// Cycle in the stateless chain so rule-carrying migration
-			// runs alongside the demotion path the monitor-bearing
-			// chains force.
+			// Cycle in the stateless chain so header-only rules migrate
+			// alongside the monitor-bearing chains' referencing ones.
 			row = 1 + s%3
 		case row == 0:
 			row = 1 + s%2

@@ -21,8 +21,8 @@ import (
 //     re-records under the new chain, so the rate dips, then recovers as
 //     record-and-consolidate repopulates the Global MAT. The bar: zero
 //     drops and a final window at 90% of the pre-change baseline or more.
-//   - restart kills a 3-IPFilter engine (declarative consolidations only,
-//     so every rule is restorable) that journals to a WAL and checkpoints
+//   - restart kills a 3-IPFilter engine (header-only rules, so no event
+//     fires on a restored flow) that journals to a WAL and checkpoints
 //     periodically, and continues on a fresh one: restored from the last
 //     checkpoint plus the durable WAL prefix, and, as the control, cold.
 //     The restored engine resumes consolidated forwarding almost at once

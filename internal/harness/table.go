@@ -161,10 +161,10 @@ var (
 	}}
 	// statelessChain is a pure header-transform chain: no NF registers
 	// per-flow state functions, so every consolidated rule is a batch-free
-	// header program, the kind that travels whole inside a migration
-	// record instead of demoting to re-record. The cluster oracle cycles
-	// it in beside the paper's two chains so rule-carrying migration is
-	// exercised (and tamperable) as well as the demotion path.
+	// header program. The cluster oracle cycles it in beside the paper's
+	// two chains, whose rules travel with state-function and guard
+	// references, so migration of both kinds is exercised (and
+	// tamperable).
 	statelessChain = &chainspec.Spec{NFs: []chainspec.NFSpec{
 		{Type: "ipfilter", Name: "ipfilter", ACLSize: 100},
 		{Type: "gateway", Name: "gateway", NextHopMAC: "02:00:00:00:00:fe"},

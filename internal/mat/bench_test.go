@@ -12,18 +12,20 @@ import (
 func benchContribs(nNFs int) []Contribution {
 	cs := make([]Contribution, nNFs)
 	for i := range cs {
+		nf := fmt.Sprintf("nf%d", i)
 		cs[i] = Contribution{
-			NF: fmt.Sprintf("nf%d", i),
+			NF: nf,
 			Rule: &LocalRule{
 				Actions: []HeaderAction{
 					Modify(packet.FieldDstIP, []byte{byte(i), 1, 2, 3}),
 					Modify(packet.FieldDstPort, packet.PutUint16(uint16(8000+i))),
 				},
-				Funcs: []sfunc.Func{{
-					Name: "sf", Class: sfunc.ClassIgnore,
-					Run: func(*packet.Packet) (uint64, error) { return 10, nil },
-				}},
+				Funcs: []uint8{0},
 			},
+			Site: &sfunc.Site{NF: nf, Funcs: []sfunc.Func{{
+				Name: "sf", Class: sfunc.ClassIgnore,
+				Run: func(sfunc.Args, *packet.Packet) (uint64, error) { return 10, nil },
+			}}},
 		}
 	}
 	return cs

@@ -14,8 +14,13 @@ import (
 type Contribution struct {
 	// NF names the contributing network function.
 	NF string
-	// Rule is the snapshot of the NF's Local MAT entry for the flow.
-	Rule *LocalRule
+	// Rule is the snapshot of the NF's Local MAT entry for the flow,
+	// Site the NF's place in the chain, whose declared state functions
+	// Rule.Funcs index, and State the NF's words on the flow, which they
+	// run on.
+	Rule  *LocalRule
+	Site  *sfunc.Site
+	State sfunc.State
 }
 
 // FieldValue is one merged modify: the final value a field takes after
@@ -74,12 +79,12 @@ var ErrNotConsolidatable = errcode.Sentinel("mat.not_consolidatable", "mat: acti
 // applied rather than once per NF (§V-B, "we modify these fields at
 // the end of the consolidation").
 //
-// guards, the flow's registered event conditions in registration order,
-// become the rule's guard list. A first scan finds where a drop ends the
-// chain and counts what the rule holds, which is carved, with
-// capacity-limited slices, from one block allocated with the rule; a
-// count past the block's room gets an array of its own.
-func Consolidate(fid flow.FID, contribs []Contribution, guards ...func(flow.FID) bool) (*GlobalRule, error) {
+// guards, the flow's registrations in order, become the rule's guard
+// list. A first scan finds where a drop ends the chain and counts what
+// the rule holds, which is carved, with capacity-limited slices, from
+// one block allocated with the rule; a count past the block's room gets
+// an array of its own.
+func Consolidate(fid flow.FID, contribs []Contribution, guards ...Guard) (*GlobalRule, error) {
 	// NFs after a recorded drop never see the packet on the original
 	// path: the dropping contribution is the last one folded.
 	end, nSources, nBatches, nFuncs, nHeader := len(contribs), 0, 0, 0, 0
@@ -90,6 +95,9 @@ scan:
 		}
 		nSources++
 		if n := len(c.Rule.Funcs); n > 0 {
+			if c.Site == nil {
+				return nil, fmt.Errorf("consolidating %v: %s records state functions it does not declare", fid, c.NF)
+			}
 			nBatches++
 			nFuncs += n
 		}
@@ -105,7 +113,7 @@ scan:
 	}
 	var (
 		rule  *GlobalRule
-		funcs []sfunc.Func
+		funcs []uint8
 		full  *fullBlock
 	)
 	if nBatches == 0 && nHeader == 0 && len(guards) == 0 {
@@ -136,7 +144,7 @@ scan:
 		summary := SourceSummary{NF: c.NF}
 		if n := len(c.Rule.Funcs); n > 0 {
 			funcs = append(funcs, c.Rule.Funcs...)
-			rule.Batches = append(rule.Batches, sfunc.Batch{NF: c.NF, Funcs: funcs[len(funcs)-n : len(funcs) : len(funcs)]})
+			rule.Batches = append(rule.Batches, sfunc.NewBatch(c.Site, funcs[len(funcs)-n:len(funcs):len(funcs)], fid, c.State))
 		}
 	actions:
 		for _, a := range c.Rule.Actions {
@@ -221,7 +229,7 @@ type ruleBlock struct {
 type fullBlock struct {
 	ruleBlock
 	batches [2]sfunc.Batch
-	funcs   [2]sfunc.Func
+	funcs   [2]uint8
 	mods    [3]FieldValue
 	guards  [1]Guard
 	plan    [4]uint32 // a plan of two batches
@@ -236,11 +244,12 @@ func room[T any](buf []T, n int) []T {
 	return buf[:0:n]
 }
 
-// linkGuards chains conds, in order, into nodes carved from buf.
-func linkGuards(buf []Guard, conds []func(flow.FID) bool) (head *Guard) {
-	nodes := buf[:len(conds)]
+// linkGuards chains copies of guards, in order, into nodes from buf.
+func linkGuards(buf []Guard, guards []Guard) (head *Guard) {
+	nodes := buf[:len(guards)]
 	for i := len(nodes) - 1; i >= 0; i-- {
-		nodes[i], head = Guard{Cond: conds[i], Next: head}, &nodes[i]
+		nodes[i] = guards[i]
+		nodes[i].Next, head = head, &nodes[i]
 	}
 	return head
 }

@@ -47,8 +47,8 @@ func TestGlobalRuleString(t *testing.T) {
 			"batches and version",
 			func() *GlobalRule {
 				r := &GlobalRule{FID: 5, Version: 3, Batches: []sfunc.Batch{
-					{NF: "a", Funcs: []sfunc.Func{{Name: "f", Class: sfunc.ClassRead,
-						Run: func(*packet.Packet) (uint64, error) { return 0, nil }}}},
+					{Site: &sfunc.Site{NF: "a", Funcs: []sfunc.Func{{Name: "f", Class: sfunc.ClassRead,
+						Run: func(sfunc.Args, *packet.Packet) (uint64, error) { return 0, nil }}}}, Calls: []uint8{0}},
 				}}
 				r.Plan = sfunc.Plan(r.Batches)
 				return r

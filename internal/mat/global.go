@@ -74,12 +74,18 @@ type GlobalRule struct {
 	Version uint64
 }
 
-// Guard is a node of a rule's immutable list of event conditions, in
-// registration order. Package event builds, evaluates and compares the
-// lists; a rule only carries one.
+// Ref names a declared handler a rule calls: its NF's chain position and
+// its index among the NF's declared state functions or events.
+type Ref struct{ At, Index uint16 }
+
+// Guard is a node of a rule's immutable list of event registrations, in
+// registration order: the declared condition and the state words it
+// runs on. Package event builds, evaluates and compares the lists.
 type Guard struct {
-	Cond func(flow.FID) bool
-	Next *Guard
+	Ref
+	Cond  func(sfunc.State) bool
+	State sfunc.State
+	Next  *Guard
 }
 
 // Guards loads the rule's guard list.

@@ -1,7 +1,5 @@
 package mat
 
-import "github.com/fastpathnfv/speedybox/internal/sfunc"
-
 // LocalRule is one NF's recorded per-flow behaviour — its Local MAT
 // entry: the ordered header actions and the ordered state-function queue
 // ("We use a queue data structure to maintain the sequence", paper
@@ -11,8 +9,9 @@ import "github.com/fastpathnfv/speedybox/internal/sfunc"
 type LocalRule struct {
 	// Actions are the header actions in recording order.
 	Actions []HeaderAction
-	// Funcs are the state functions in recording order.
-	Funcs []sfunc.Func
+	// Funcs index the NF's declared state functions (Contribution.Funcs)
+	// in recording order.
+	Funcs []uint8
 }
 
 // Clone deep-copies the rule into exactly sized storage, so consolidation
@@ -24,7 +23,7 @@ func (r *LocalRule) Clone() *LocalRule {
 	}
 	out := &LocalRule{
 		Actions: make([]HeaderAction, len(r.Actions)),
-		Funcs:   make([]sfunc.Func, len(r.Funcs)),
+		Funcs:   make([]uint8, len(r.Funcs)),
 	}
 	copy(out.Actions, r.Actions)
 	copy(out.Funcs, r.Funcs)

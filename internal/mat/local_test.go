@@ -16,10 +16,6 @@ import (
 // snapshot read Table.Recorded, an event's in-place edit Firing.Apply,
 // deletion Table.Remove.
 
-func noop(name string) sfunc.Func {
-	return sfunc.Func{Name: name, Class: sfunc.ClassIgnore, Run: func(*packet.Packet) (uint64, error) { return 0, nil }}
-}
-
 // newTable returns an Event Table over a flow table of its own.
 func newTable() (*flow.Table, *event.Table) {
 	flows := flow.NewTable()
@@ -30,7 +26,7 @@ func newTable() (*flow.Table, *event.Table) {
 // entry's if no flow holds it.
 func publishAll(flows *flow.Table, tbl *event.Table, fid flow.FID, n int, spans []Contribution) {
 	ed := flows.Edit(fid, true)
-	tbl.Publish(ed, 0, n, 0, spans)
+	tbl.Publish(ed, 0, n, 0, spans, nil)
 	ed.Done()
 }
 
@@ -42,14 +38,16 @@ func publish(flows *flow.Table, tbl *event.Table, fid flow.FID, rule *LocalRule)
 // mutate runs fn on the flow's span the way a firing event does.
 func mutate(t *testing.T, tbl *event.Table, fid flow.FID, fn func(*LocalRule)) {
 	t.Helper()
-	err := tbl.Register(tbl.Entry(fid), event.Event{NF: "x", OneShot: true,
-		Condition: func(flow.FID) bool { return true },
-		Update:    func(_ flow.FID, r *LocalRule) { fn(r) }})
+	err := tbl.Register(tbl.Entry(fid), event.Registration{Event: &event.Event{OneShot: true,
+		Condition: func(sfunc.State) bool { return true },
+		Update:    func(_ sfunc.State, r *LocalRule) { fn(r) }}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range tbl.Check(fid) {
-		f.Apply(0, 1)
+		if !f.Apply(0, 1) {
+			t.Fatal("the firing found no recording to edit")
+		}
 	}
 }
 
@@ -61,7 +59,7 @@ func TestLocalMATRecordingOrder(t *testing.T) {
 			Modify(packet.FieldDstIP, []byte{1, 1, 1, 1}),
 			Modify(packet.FieldDstPort, packet.PutUint16(8080)),
 		},
-		Funcs: []sfunc.Func{noop("first"), noop("second")},
+		Funcs: []uint8{1, 0},
 	})
 	spans, _ := tbl.Recorded(fid)
 	if len(spans) != 1 {
@@ -71,8 +69,8 @@ func TestLocalMATRecordingOrder(t *testing.T) {
 	if len(r.Actions) != 2 || r.Actions[0].Field != packet.FieldDstIP {
 		t.Errorf("actions = %v", r.Actions)
 	}
-	if len(r.Funcs) != 2 || r.Funcs[0].Name != "first" || r.Funcs[1].Name != "second" {
-		t.Errorf("funcs out of order: %v, %v", r.Funcs[0].Name, r.Funcs[1].Name)
+	if len(r.Funcs) != 2 || r.Funcs[0] != 1 || r.Funcs[1] != 0 {
+		t.Errorf("funcs out of order: %v", r.Funcs)
 	}
 }
 
@@ -91,19 +89,21 @@ func TestLocalMATReplaceIsExactCopy(t *testing.T) {
 	})
 	buf[0] = Drop()
 	buf = append(buf, Drop())
-	err := tbl.Register(tbl.Entry(1), event.Event{NF: "x", OneShot: true,
-		Condition: func(flow.FID) bool { return true },
-		Update: func(_ flow.FID, r *LocalRule) {
+	err := tbl.Register(tbl.Entry(1), event.Registration{Event: &event.Event{OneShot: true,
+		Condition: func(sfunc.State) bool { return true },
+		Update: func(_ sfunc.State, r *LocalRule) {
 			if len(r.Actions) != 1 || cap(r.Actions) != 1 || r.Actions[0].Kind != ActionForward {
 				t.Errorf("stored actions = %v (cap %d), want an exact copy of [forward]", r.Actions, cap(r.Actions))
 			}
 			r.Actions = append(r.Actions, Forward())
-		}})
+		}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range tbl.Check(1) {
-		f.Apply(0, 2)
+		if !f.Apply(0, 2) {
+			t.Fatal("the firing found no recording to edit")
+		}
 	}
 	if buf[1].Kind != ActionDrop {
 		t.Error("append to the stored span wrote into the publisher's buffer")

@@ -22,8 +22,11 @@ func testPkt(t *testing.T) *packet.Packet {
 
 func noopSF(name string) sfunc.Func {
 	return sfunc.Func{Name: name, Class: sfunc.ClassIgnore,
-		Run: func(*packet.Packet) (uint64, error) { return 10, nil }}
+		Run: func(sfunc.Args, *packet.Packet) (uint64, error) { return 10, nil }}
 }
+
+// site is the named NF's Site, declaring funcs.
+func site(nf string, funcs ...sfunc.Func) *sfunc.Site { return &sfunc.Site{NF: nf, Funcs: funcs} }
 
 func TestActionKindEnum(t *testing.T) {
 	if ActionKind(0).Valid() {
@@ -95,7 +98,7 @@ func TestConsolidateDropDominance(t *testing.T) {
 	// header work (Table III early drop).
 	cs := []Contribution{
 		{NF: "nat", Rule: &LocalRule{Actions: []HeaderAction{Modify(packet.FieldDstIP, []byte{1, 2, 3, 4})}}},
-		{NF: "monitor", Rule: &LocalRule{Funcs: []sfunc.Func{noopSF("count")}}},
+		{NF: "monitor", Rule: &LocalRule{Funcs: []uint8{0}}, Site: site("monitor", noopSF("count"))},
 		{NF: "fw", Rule: &LocalRule{Actions: []HeaderAction{Drop()}}},
 	}
 	r, err := Consolidate(7, cs)
@@ -119,9 +122,9 @@ func TestConsolidateDropStopsDownstreamBatches(t *testing.T) {
 	cs := []Contribution{
 		{NF: "fw", Rule: &LocalRule{
 			Actions: []HeaderAction{Drop()},
-			Funcs:   []sfunc.Func{noopSF("fw-count")},
-		}},
-		{NF: "snort", Rule: &LocalRule{Funcs: []sfunc.Func{noopSF("inspect")}}},
+			Funcs:   []uint8{0},
+		}, Site: site("fw", noopSF("fw-count"))},
+		{NF: "snort", Rule: &LocalRule{Funcs: []uint8{0}}, Site: site("snort", noopSF("inspect"))},
 	}
 	r, err := Consolidate(8, cs)
 	if err != nil {
@@ -411,19 +414,19 @@ func TestConsolidateIsOneAllocation(t *testing.T) {
 	if lean, full := unsafe.Sizeof(ruleBlock{}), unsafe.Sizeof(fullBlock{}); lean > 320 || full > 640 {
 		t.Errorf("blocks are %d and %d bytes, beyond the 320- and 640-byte size classes", lean, full)
 	}
-	fn := func(name string) sfunc.Func {
-		return sfunc.Func{Name: name, Class: sfunc.ClassIgnore, Run: func(*packet.Packet) (uint64, error) { return 1, nil }}
+	fn := func(name string) []sfunc.Func {
+		return []sfunc.Func{{Name: name, Class: sfunc.ClassIgnore, Run: func(sfunc.Args, *packet.Packet) (uint64, error) { return 1, nil }}}
 	}
 	chain1 := []Contribution{
 		{NF: "mazunat", Rule: &LocalRule{Actions: []HeaderAction{
 			Modify(packet.FieldSrcIP, []byte{198, 51, 100, 1}),
 			Modify(packet.FieldSrcPort, packet.PutUint16(20000)),
 		}}},
-		{NF: "maglev", Rule: &LocalRule{Actions: []HeaderAction{Modify(packet.FieldDstIP, []byte{192, 168, 1, 10})}, Funcs: []sfunc.Func{fn("conntrack")}}},
-		{NF: "monitor", Rule: &LocalRule{Actions: []HeaderAction{Forward()}, Funcs: []sfunc.Func{fn("count")}}},
+		{NF: "maglev", Rule: &LocalRule{Actions: []HeaderAction{Modify(packet.FieldDstIP, []byte{192, 168, 1, 10})}, Funcs: []uint8{0}}, Site: site("maglev", fn("conntrack")...)},
+		{NF: "monitor", Rule: &LocalRule{Actions: []HeaderAction{Forward()}, Funcs: []uint8{0}}, Site: site("monitor", fn("count")...)},
 		{NF: "ipfilter", Rule: &LocalRule{Actions: []HeaderAction{Forward()}}},
 	}
-	failover := func(flow.FID) bool { return false }
+	failover := Guard{Ref: Ref{At: 1}, Cond: func(sfunc.State) bool { return false }}
 	forwards := []Contribution{
 		{NF: "fw1", Rule: &LocalRule{Actions: []HeaderAction{Forward()}}},
 		{NF: "fw2", Rule: &LocalRule{Actions: []HeaderAction{Forward()}}},

@@ -26,8 +26,8 @@ type Config struct {
 }
 
 // Defender is the DoS prevention NF. A flow's SYN counter and block mark
-// are two words of per-flow state on its flow record, which the recorded
-// counting function and the event condition read and write directly.
+// are two words of per-flow state on its flow record, which the declared
+// counting function and event condition read and write directly.
 type Defender struct {
 	name      string
 	threshold uint64
@@ -45,6 +45,12 @@ func New(cfg Config) (*Defender, error) {
 	}
 	d := &Defender{name: cfg.Name, threshold: th}
 	d.flows.Words = 2
+	// The SYN counting handler inspects TCP flags only, so it ignores the
+	// payload (parallel-compatible with anything).
+	d.flows.Funcs = []sfunc.Func{{Name: "syncount", Class: sfunc.ClassIgnore, Run: d.count}}
+	// Figure 3's event: when the counter crosses the threshold, replace
+	// the forward action with drop and reconsolidate.
+	d.flows.Events = []event.Event{{Condition: blocked, Update: drop, OneShot: true}}
 	return d, nil
 }
 
@@ -83,6 +89,19 @@ func (d *Defender) observe(st core.State, pkt *packet.Packet) bool {
 	return st[1].Load() != 0
 }
 
+// count is the declared SYN counting state function.
+func (d *Defender) count(a sfunc.Args, p *packet.Packet) (uint64, error) {
+	d.observe(a.State, p)
+	return a.Model.CounterUpdate, nil
+}
+
+// blocked is the event's condition: flow_cnt > threshold, as observe last
+// left it.
+func blocked(st core.State) bool { return st[1].Load() != 0 }
+
+// drop is the event's update.
+func drop(_ core.State, r *mat.LocalRule) { r.Actions = []mat.HeaderAction{mat.Drop()} }
+
 // Process implements core.NF.
 func (d *Defender) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, error) {
 	ctx.Charge(ctx.Model.Parse + ctx.Model.Classify)
@@ -103,29 +122,10 @@ func (d *Defender) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, err
 	if err := ctx.AddHeaderAction(mat.Forward()); err != nil {
 		return 0, err
 	}
-	counterUpdate := ctx.Model.CounterUpdate
-	// The SYN counting handler: inspects TCP flags only, so it
-	// ignores the payload (parallel-compatible with anything).
-	if err := ctx.AddStateFunc(sfunc.Func{
-		Name:  "syncount",
-		Class: sfunc.ClassIgnore,
-		Run: func(p *packet.Packet) (uint64, error) {
-			d.observe(st, p)
-			return counterUpdate, nil
-		},
-	}); err != nil {
+	if err := ctx.AddStateFunc(0); err != nil {
 		return 0, err
 	}
-	// Figure 3's event: when the counter crosses the threshold,
-	// replace the forward action with drop and reconsolidate.
-	if err := ctx.RegisterEvent(event.Event{
-		// flow_cnt > threshold, as observe last left it.
-		Condition: func(flow.FID) bool { return st[1].Load() != 0 },
-		OneShot:   true,
-		Update: func(_ flow.FID, r *mat.LocalRule) {
-			r.Actions = []mat.HeaderAction{mat.Drop()}
-		},
-	}); err != nil {
+	if err := ctx.RegisterEvent(0); err != nil {
 		return 0, err
 	}
 	return core.VerdictForward, nil

@@ -8,6 +8,7 @@ import (
 	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/mat"
 	"github.com/fastpathnfv/speedybox/internal/packet"
+	"github.com/fastpathnfv/speedybox/internal/sfunc"
 	"github.com/fastpathnfv/speedybox/internal/wal"
 )
 
@@ -100,7 +101,7 @@ func TestEventFlipsRuleToDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	events := event.NewTable(flow.NewTable())
-	ctx := core.NewCtx("dos", core.CtxConfig{FID: 1, Events: events, Recording: true})
+	ctx := core.NewCtx("dos", core.CtxConfig{FID: 1, Events: events, Recording: true, Flows: d.FlowStates()})
 	if _, err := d.Process(ctx, synPkt(t)); err != nil {
 		t.Fatal(err)
 	}
@@ -109,13 +110,14 @@ func TestEventFlipsRuleToDrop(t *testing.T) {
 		t.Fatalf("recorded rule = %+v", rule)
 	}
 	// Fast-path SYNs via the recorded handler.
-	if _, err := rule.Funcs[0].Run(synPkt(t)); err != nil {
+	batch := recorded(ctx, &d.flows)
+	if _, err := batch.RunSequential(synPkt(t)); err != nil {
 		t.Fatal(err)
 	}
 	if fired := events.Check(1); len(fired) != 0 {
 		t.Fatal("event fired below threshold")
 	}
-	if _, err := rule.Funcs[0].Run(synPkt(t)); err != nil {
+	if _, err := batch.RunSequential(synPkt(t)); err != nil {
 		t.Fatal(err)
 	}
 	fired := events.Check(1)
@@ -123,7 +125,7 @@ func TestEventFlipsRuleToDrop(t *testing.T) {
 		t.Fatalf("fired = %d, want 1 above threshold", len(fired))
 	}
 	updated, _ := ctx.Recorded()
-	fired[0].Event.Update(1, updated)
+	fired[0].Event.Update(fired[0].State, updated)
 	if updated.Actions[0].Kind != mat.ActionDrop {
 		t.Errorf("rule after event = %v, want drop", updated.Actions[0])
 	}
@@ -182,4 +184,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if !pkt.Dropped() {
 		t.Error("blocked flow forwarded after restore")
 	}
+}
+
+// recorded is what a consolidation makes of the state functions ctx
+// recorded for the NF declaring v: the batch a rule runs.
+func recorded(ctx *core.Ctx, v *core.FlowStates) sfunc.Batch {
+	rule, _ := ctx.Recorded()
+	return sfunc.NewBatch(&sfunc.Site{Funcs: v.Funcs, Model: ctx.Model}, rule.Funcs, ctx.FID, ctx.FlowState(v))
 }

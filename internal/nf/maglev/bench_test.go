@@ -81,7 +81,7 @@ func BenchmarkFailover(b *testing.B) {
 		if err := lb.FailBackend(idx); err != nil {
 			b.Fatal(err)
 		}
-		if _, ok := lb.reroute(st, ft); !ok {
+		if _, ok := lb.reroute(st); !ok {
 			b.Fatal("no reroute")
 		}
 	}

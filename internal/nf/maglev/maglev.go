@@ -48,11 +48,12 @@ type Config struct {
 	RewritePort bool
 }
 
-// Maglev is the load balancer NF. A flow's connection-tracking pin is
-// one word of per-flow state on its flow record: the backend index plus
-// one, zero while the flow has none. What the balancer keeps itself is
-// what flows share: backend health, the lookup table built from it and
-// the reroute count.
+// Maglev is the load balancer NF. A flow's connection tracking is two
+// words of per-flow state on its flow record: the pin — the backend
+// index plus one, zero while the flow has none — and the hash of the
+// flow's 5-tuple it was picked by, which a failover re-picks by. What
+// the balancer keeps itself is what flows share: backend health, the
+// lookup table built from it and the reroute count.
 type Maglev struct {
 	name        string
 	rewritePort bool
@@ -62,10 +63,6 @@ type Maglev struct {
 	// zero no flow can be pinned to one, and a flow's failover condition
 	// answers without mu.
 	unhealthy atomic.Int32
-	// touch is the connection-tracking state function every flow records:
-	// it holds nothing of the flow, only the model's price of a lookup, so
-	// one closure serves them all.
-	touch atomic.Pointer[touchFunc]
 
 	mu       sync.Mutex
 	backends []Backend
@@ -99,7 +96,13 @@ func New(cfg Config) (*Maglev, error) {
 		backends:    append([]Backend(nil), cfg.Backends...),
 		healthy:     make([]bool, len(cfg.Backends)),
 	}
-	lb.flows.Words = 1
+	lb.flows.Words = 2
+	// Connection tracking is a state function, so the fast path keeps the
+	// conn table warm exactly like the original path.
+	lb.flows.Funcs = []sfunc.Func{{Name: "conntrack", Class: sfunc.ClassIgnore, Run: conntrack}}
+	// The failover event (§V-A): when the flow's backend fails, replace
+	// the modify values with a freshly selected backend's.
+	lb.flows.Events = []event.Event{{Condition: lb.pinFailed, Update: lb.failover}}
 	for i := range lb.healthy {
 		lb.healthy[i] = true
 	}
@@ -306,20 +309,9 @@ func (lb *Maglev) BackendOf(fid flow.FID) (Backend, bool) {
 	return lb.backends[i], true
 }
 
-type touchFunc struct {
-	cost uint64
-	run  sfunc.Handler
-}
-
-// conntrack returns the shared connection-tracking touch at the given
-// price.
-func (lb *Maglev) conntrack(cost uint64) sfunc.Handler {
-	if t := lb.touch.Load(); t != nil && t.cost == cost {
-		return t.run
-	}
-	t := &touchFunc{cost: cost, run: func(*packet.Packet) (uint64, error) { return cost, nil }}
-	lb.touch.Store(t)
-	return t.run
+// conntrack is the declared connection-tracking touch: a lookup's price.
+func conntrack(a sfunc.Args, _ *packet.Packet) (uint64, error) {
+	return a.Model.ConnTrackLookup, nil
 }
 
 // pin reads the flow's pinned backend index, -1 if it has none (or its
@@ -340,17 +332,19 @@ func (lb *Maglev) hashTuple(ft packet.FiveTuple) uint64 {
 	return h.Sum64()
 }
 
-// assign picks (or reuses) the backend for a flow, pinning it in the
-// flow's state. It returns the backend index or -1 when no healthy
-// backend exists.
+// assign picks (or reuses) the backend for a flow, pinning it and the
+// tuple hash in the flow's state. It returns the backend index or -1
+// when no healthy backend exists.
 func (lb *Maglev) assign(st core.State, ft packet.FiveTuple) (idx int, backend Backend, isNew bool) {
 	lb.mu.Lock()
 	defer lb.mu.Unlock()
 	if i := lb.pin(st); i >= 0 && lb.healthy[i] {
 		return i, lb.backends[i], false
 	}
-	i := lb.table[lb.hashTuple(ft)%uint64(lb.m)]
+	h := lb.hashTuple(ft)
+	i := lb.table[h%uint64(lb.m)]
 	st[0].Store(uint64(i + 1))
+	st[1].Store(h)
 	if i >= 0 {
 		backend = lb.backends[i]
 	}
@@ -371,11 +365,11 @@ func (lb *Maglev) pinFailed(st core.State) bool {
 }
 
 // reroute re-picks a healthy backend for the flow via the rebuilt
-// table and returns it. It is the event's update half.
-func (lb *Maglev) reroute(st core.State, ft packet.FiveTuple) (Backend, bool) {
+// table, by the tuple hash it was first picked by, and returns it.
+func (lb *Maglev) reroute(st core.State) (Backend, bool) {
 	lb.mu.Lock()
 	defer lb.mu.Unlock()
-	i := lb.table[lb.hashTuple(ft)%uint64(lb.m)]
+	i := lb.table[st[1].Load()%uint64(lb.m)]
 	st[0].Store(uint64(i + 1))
 	if i < 0 {
 		return Backend{}, false
@@ -384,9 +378,33 @@ func (lb *Maglev) reroute(st core.State, ft packet.FiveTuple) (Backend, bool) {
 	return lb.backends[i], true
 }
 
+// failover is the event's update: it reroutes the flow and rewrites the
+// modify values of its recorded span for the new backend, or sheds the
+// flow when no backend is healthy.
+func (lb *Maglev) failover(st core.State, r *mat.LocalRule) {
+	nb, ok := lb.reroute(st)
+	if !ok {
+		r.Actions = []mat.HeaderAction{mat.Drop()}
+		return
+	}
+	for i, a := range r.Actions {
+		if a.Kind != mat.ActionModify {
+			continue
+		}
+		switch a.Field {
+		case packet.FieldDstIP:
+			r.Actions[i] = mat.Modify(packet.FieldDstIP, nb.IP[:])
+		case packet.FieldDstPort:
+			if lb.rewritePort {
+				r.Actions[i] = mat.Modify(packet.FieldDstPort, packet.PutUint16(nb.Port))
+			}
+		}
+	}
+}
+
 // Process implements core.NF: assign a backend, rewrite the
-// destination, record modify actions, register the failover event and
-// a connection-tracking state function.
+// destination, record modify actions, the connection-tracking state
+// function and the failover event.
 func (lb *Maglev) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, error) {
 	ctx.Charge(ctx.Model.Parse + ctx.Model.Classify)
 	ft, err := pkt.FiveTuple()
@@ -431,43 +449,10 @@ func (lb *Maglev) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, erro
 			return 0, err
 		}
 	}
-	// Connection-tracking touch as a state function so the fast path
-	// keeps the conn table warm exactly like the original path.
-	if err := ctx.AddStateFunc(sfunc.Func{
-		Name:  "conntrack",
-		Class: sfunc.ClassIgnore,
-		Run:   lb.conntrack(ctx.Model.ConnTrackLookup),
-	}); err != nil {
+	if err := ctx.AddStateFunc(0); err != nil {
 		return 0, err
 	}
-
-	// The failover event (§V-A): when the assigned backend fails,
-	// replace the modify values with a freshly selected backend's.
-	rewritePort := lb.rewritePort
-	err = ctx.RegisterEvent(event.Event{
-		Condition: func(flow.FID) bool { return lb.pinFailed(st) },
-		Update: func(_ flow.FID, r *mat.LocalRule) {
-			nb, ok := lb.reroute(st, ft)
-			if !ok {
-				r.Actions = []mat.HeaderAction{mat.Drop()}
-				return
-			}
-			for i, a := range r.Actions {
-				if a.Kind != mat.ActionModify {
-					continue
-				}
-				switch a.Field {
-				case packet.FieldDstIP:
-					r.Actions[i] = mat.Modify(packet.FieldDstIP, nb.IP[:])
-				case packet.FieldDstPort:
-					if rewritePort {
-						r.Actions[i] = mat.Modify(packet.FieldDstPort, packet.PutUint16(nb.Port))
-					}
-				}
-			}
-		},
-	})
-	if err != nil {
+	if err := ctx.RegisterEvent(0); err != nil {
 		return 0, err
 	}
 	return core.VerdictForward, nil

@@ -151,7 +151,7 @@ func TestProcessRewritesDestination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := core.NewCtx("lb", core.CtxConfig{FID: 1, Events: tbl, Recording: true})
+	ctx := core.NewCtx("lb", core.CtxConfig{FID: 1, Events: tbl, Recording: true, Flows: lb.FlowStates()})
 	p := pkt(t, 1111)
 	v, err := lb.Process(ctx, p)
 	if err != nil {
@@ -210,7 +210,7 @@ func TestFailoverEvent(t *testing.T) {
 		t.Fatal(err)
 	}
 	events := event.NewTable(flow.NewTable())
-	ctx := core.NewCtx("lb", core.CtxConfig{FID: 7, Events: events, Recording: true})
+	ctx := core.NewCtx("lb", core.CtxConfig{FID: 7, Events: events, Recording: true, Flows: lb.FlowStates()})
 	if _, err := lb.Process(ctx, pkt(t, 2222)); err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestFailoverEvent(t *testing.T) {
 		t.Fatalf("fired = %d, want 1", len(fired))
 	}
 	rule, _ := ctx.Recorded()
-	fired[0].Event.Update(7, rule)
+	fired[0].Event.Update(fired[0].State, rule)
 
 	nb, ok := lb.BackendOf(7)
 	if !ok || nb == orig {
@@ -265,7 +265,7 @@ func TestAllBackendsDownDropsFlows(t *testing.T) {
 	if err := lb.FailBackend(0); err != nil {
 		t.Fatal(err)
 	}
-	ctx := core.NewCtx("lb", core.CtxConfig{FID: 1, Events: tbl, Recording: true})
+	ctx := core.NewCtx("lb", core.CtxConfig{FID: 1, Events: tbl, Recording: true, Flows: lb.FlowStates()})
 	v, err := lb.Process(ctx, pkt(t, 3333))
 	if err != nil {
 		t.Fatal(err)
@@ -393,7 +393,7 @@ func TestUnhealthyCountFollowsPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := core.NewCtx("lb", core.CtxConfig{FID: 7, Events: tbl, Recording: true})
+	ctx := core.NewCtx("lb", core.CtxConfig{FID: 7, Events: tbl, Recording: true, Flows: lb.FlowStates()})
 	if _, err := lb.Process(ctx, pkt(t, 4444)); err != nil {
 		t.Fatal(err)
 	}

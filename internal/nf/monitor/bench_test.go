@@ -29,19 +29,18 @@ func BenchmarkStateFuncPerFlow(b *testing.B) {
 				SrcIP: packet.IP4(10, 0, 0, 1), DstIP: packet.IP4(10, 0, 0, 2),
 				SrcPort: 1, DstPort: 2, Proto: packet.ProtoUDP, Payload: make([]byte, 64),
 			})
-			funcs := make([]sfunc.Func, flows)
+			funcs := make([]sfunc.Batch, flows)
 			for f := range funcs {
-				ctx := core.NewCtx("mon", core.CtxConfig{FID: flow.FID(f + 1), Events: tbl, Recording: true})
+				ctx := core.NewCtx("mon", core.CtxConfig{FID: flow.FID(f + 1), Events: tbl, Recording: true, Flows: m.FlowStates()})
 				if _, err := m.Process(ctx, p); err != nil {
 					b.Fatal(err)
 				}
-				rule, _ := ctx.Recorded()
-				funcs[f] = rule.Funcs[0]
+				funcs[f] = recorded(ctx, &m.flows)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := funcs[i%flows].Run(p); err != nil {
+				if _, err := funcs[i%flows].RunSequential(p); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -45,6 +45,7 @@ func New(name string) (*Monitor, error) {
 	}
 	m := &Monitor{name: name}
 	m.flows.Words = 2
+	m.flows.Funcs = []sfunc.Func{{Name: "count", Class: sfunc.ClassIgnore, Run: countFunc}}
 	m.flows.Leave = m.left
 	return m, nil
 }
@@ -129,11 +130,16 @@ func count(st core.State, nbytes int) {
 	st[1].Add(uint64(nbytes))
 }
 
+// countFunc is the declared counting state function.
+func countFunc(a sfunc.Args, p *packet.Packet) (uint64, error) {
+	count(a.State, p.Len())
+	return a.Model.CounterUpdate, nil
+}
+
 // Process implements core.NF. On the initial packet it records a
-// forward action and registers its counting handler as a
-// payload-ignoring state function bound to the flow's counters — the
-// very words the slow path just counted into, so slow- and fast-path
-// packets hit the same counter.
+// forward action and its counting handler as a payload-ignoring state
+// function over the flow's counters — the very words the slow path just
+// counted into, so slow- and fast-path packets hit the same counter.
 func (m *Monitor) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, error) {
 	ctx.Charge(ctx.Model.Parse + ctx.Model.Classify)
 	st := ctx.FlowState(&m.flows)
@@ -146,16 +152,7 @@ func (m *Monitor) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, erro
 	if err := ctx.AddHeaderAction(mat.Forward()); err != nil {
 		return 0, err
 	}
-	counterUpdate := ctx.Model.CounterUpdate
-	err := ctx.AddStateFunc(sfunc.Func{
-		Name:  "count",
-		Class: sfunc.ClassIgnore,
-		Run: func(p *packet.Packet) (uint64, error) {
-			count(st, p.Len())
-			return counterUpdate, nil
-		},
-	})
-	if err != nil {
+	if err := ctx.AddStateFunc(0); err != nil {
 		return 0, err
 	}
 	return core.VerdictForward, nil

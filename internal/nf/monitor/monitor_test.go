@@ -72,7 +72,7 @@ func TestRecordedStateFunctionCountsSameCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := core.NewCtx("mon", core.CtxConfig{FID: 9, Events: tbl, Recording: true})
+	ctx := core.NewCtx("mon", core.CtxConfig{FID: 9, Events: tbl, Recording: true, Flows: m.FlowStates()})
 	if _, err := m.Process(ctx, pkt(t, "init")); err != nil {
 		t.Fatal(err)
 	}
@@ -80,12 +80,13 @@ func TestRecordedStateFunctionCountsSameCounter(t *testing.T) {
 	if !ok || len(rule.Funcs) != 1 {
 		t.Fatalf("rule = %+v", rule)
 	}
-	if rule.Funcs[0].Class != sfunc.ClassIgnore {
-		t.Errorf("class = %v, want ignore (Table I compatibility)", rule.Funcs[0].Class)
+	batch := recorded(ctx, &m.flows)
+	if batch.Class() != sfunc.ClassIgnore {
+		t.Errorf("class = %v, want ignore (Table I compatibility)", batch.Class())
 	}
 	// Invoking the recorded handler (as the fast path would)
 	// increments the same counter.
-	if _, err := rule.Funcs[0].Run(pkt(t, "fastpath")); err != nil {
+	if _, err := batch.RunSequential(pkt(t, "fastpath")); err != nil {
 		t.Fatal(err)
 	}
 	c, _ := m.Flow(9)
@@ -135,4 +136,11 @@ func TestSnapshotCarriesEndedFlows(t *testing.T) {
 	if err := fresh.RestoreState([]byte("not gob")); err == nil {
 		t.Error("garbage snapshot restored")
 	}
+}
+
+// recorded is what a consolidation makes of the state functions ctx
+// recorded for the NF declaring v: the batch a rule runs.
+func recorded(ctx *core.Ctx, v *core.FlowStates) sfunc.Batch {
+	rule, _ := ctx.Recorded()
+	return sfunc.NewBatch(&sfunc.Site{Funcs: v.Funcs, Model: ctx.Model}, rule.Funcs, ctx.FID, ctx.FlowState(v))
 }

@@ -9,18 +9,19 @@
 // counter, and registers an event whose condition reads the same
 // shared state — so when one flow exhausts the source's quota, the
 // Event Table flips *every* flow of that source to drop as their next
-// packets arrive.
+// packets arrive. A flow's one word of per-flow state is its source
+// address, which both run on.
 package ratelimiter
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"sync"
 
 	"github.com/fastpathnfv/speedybox/internal/core"
 	"github.com/fastpathnfv/speedybox/internal/event"
-	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/mat"
 	"github.com/fastpathnfv/speedybox/internal/packet"
 	"github.com/fastpathnfv/speedybox/internal/sfunc"
@@ -39,6 +40,7 @@ type Config struct {
 type Limiter struct {
 	name  string
 	quota uint64
+	flows core.FlowStates
 
 	mu      sync.Mutex
 	counts  map[[4]byte]uint64
@@ -54,24 +56,40 @@ func New(cfg Config) (*Limiter, error) {
 	if quota == 0 {
 		quota = 1000
 	}
-	return &Limiter{
+	l := &Limiter{
 		name:    cfg.Name,
 		quota:   quota,
 		counts:  make(map[[4]byte]uint64),
 		blocked: make(map[[4]byte]bool),
-	}, nil
+	}
+	l.flows.Words = 1
+	// The shared state function: every flow of the source records the
+	// same counting handler against the same counter.
+	l.flows.Funcs = []sfunc.Func{{Name: "quota", Class: sfunc.ClassIgnore, Run: l.charge}}
+	// The shared-condition event: it fires for a flow as soon as ANY
+	// flow of the same source exhausts the quota.
+	l.flows.Events = []event.Event{{Condition: l.sourceBlocked, Update: drop, OneShot: true}}
+	return l, nil
 }
 
-var _ core.NF = (*Limiter)(nil)
+var _ core.Stateful = (*Limiter)(nil)
 
 // Name implements core.NF.
 func (l *Limiter) Name() string { return l.name }
 
+// FlowStates implements core.Stateful.
+func (l *Limiter) FlowStates() *core.FlowStates { return &l.flows }
+
+// source is the flow's source address, its one state word.
+func source(st core.State) (src [4]byte) {
+	binary.BigEndian.PutUint32(src[:], uint32(st[0].Load()))
+	return src
+}
+
 // limiterState is the gob image of the limiter: the cross-flow quota
-// state, all the limiter keeps — a flow's binding to its source is the
-// address its recorded function and condition close over. Without it a
-// restored engine brings back the rules but forgets which sources were
-// blocked.
+// state — a flow's binding to its source is its state word. Without it
+// a restored engine brings back the rules but forgets which sources
+// were blocked.
 type limiterState struct {
 	Counts  map[[4]byte]uint64
 	Blocked map[[4]byte]bool
@@ -133,17 +151,27 @@ func (l *Limiter) observe(src [4]byte) bool {
 	return l.blocked[src]
 }
 
+// charge is the declared state function: observe on the flow's source.
+func (l *Limiter) charge(a sfunc.Args, _ *packet.Packet) (uint64, error) {
+	l.observe(source(a.State))
+	return a.Model.CounterUpdate, nil
+}
+
 // sourceBlocked is the shared event condition: it reads the state of
 // the flow's *source*, which every flow from that source updates. The
 // fast path probes events before the packet's state function charges
 // the counter, so the condition answers "would this packet exceed the
 // quota" — the packet that takes the source to quota+1 is the first
 // dropped, exactly as observe decides in the chain.
-func (l *Limiter) sourceBlocked(src [4]byte) bool {
+func (l *Limiter) sourceBlocked(st core.State) bool {
+	src := source(st)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.blocked[src] || l.counts[src] >= l.quota
 }
+
+// drop is the event's update.
+func drop(_ core.State, r *mat.LocalRule) { r.Actions = []mat.HeaderAction{mat.Drop()} }
 
 // Process implements core.NF.
 func (l *Limiter) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, error) {
@@ -168,29 +196,11 @@ func (l *Limiter) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, erro
 	if err := ctx.AddHeaderAction(mat.Forward()); err != nil {
 		return 0, err
 	}
-	// The shared state function: every flow of the source records the
-	// same counting handler against the same counter.
-	src := ft.SrcIP
-	counterUpdate := ctx.Model.CounterUpdate
-	if err := ctx.AddStateFunc(sfunc.Func{
-		Name:  "quota",
-		Class: sfunc.ClassIgnore,
-		Run: func(*packet.Packet) (uint64, error) {
-			l.observe(src)
-			return counterUpdate, nil
-		},
-	}); err != nil {
+	ctx.FlowState(&l.flows)[0].Store(uint64(binary.BigEndian.Uint32(ft.SrcIP[:])))
+	if err := ctx.AddStateFunc(0); err != nil {
 		return 0, err
 	}
-	// The shared-condition event: it fires for this flow as soon as
-	// ANY flow of the same source exhausts the quota.
-	if err := ctx.RegisterEvent(event.Event{
-		Condition: func(flow.FID) bool { return l.sourceBlocked(src) },
-		OneShot:   true,
-		Update: func(_ flow.FID, r *mat.LocalRule) {
-			r.Actions = []mat.HeaderAction{mat.Drop()}
-		},
-	}); err != nil {
+	if err := ctx.RegisterEvent(0); err != nil {
 		return 0, err
 	}
 	return core.VerdictForward, nil

@@ -1,6 +1,7 @@
 package ratelimiter
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"github.com/fastpathnfv/speedybox/internal/bess"
@@ -176,7 +177,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if !l.Blocked(src) || l.Count(src) != 3 {
 		t.Errorf("after restore: blocked = %v, count = %d, want true, 3", l.Blocked(src), l.Count(src))
 	}
-	if !l.sourceBlocked(src) {
+	st := make(core.State, 1)
+	st[0].Store(uint64(binary.BigEndian.Uint32(src[:])))
+	if !l.sourceBlocked(st) {
 		t.Error("restored limiter: the condition of a flow from the blocked source does not hold")
 	}
 	if v := process(l); v != core.VerdictDrop {

@@ -137,6 +137,7 @@ func New(name string, rules []Rule) (*Snort, error) {
 	}
 	s := &Snort{name: name, rules: append([]Rule(nil), rules...)}
 	s.flows.Words = 1 + (len(rules)+63)/64
+	s.flows.Funcs = []sfunc.Func{{Name: "inspect", Class: sfunc.ClassRead, Run: s.inspectFunc}}
 	return s, nil
 }
 
@@ -238,6 +239,13 @@ func (s *Snort) inspect(fid flow.FID, st core.State, payload []byte) {
 	}
 }
 
+// inspectFunc is the declared inspection state function.
+func (s *Snort) inspectFunc(a sfunc.Args, p *packet.Packet) (uint64, error) {
+	pl := p.Payload()
+	s.inspect(a.FID, a.State, pl)
+	return a.Model.InspectCost(len(pl)), nil
+}
+
 // Process implements core.NF. Snort does not modify packets, so the
 // header action is forward (§VI-C); the inspection handler is recorded
 // as a payload-reading state function. The paper's 27-line Snort
@@ -260,17 +268,7 @@ func (s *Snort) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, error)
 	if err := ctx.AddHeaderAction(mat.Forward()); err != nil {
 		return 0, err
 	}
-	model := ctx.Model
-	err = ctx.AddStateFunc(sfunc.Func{
-		Name:  "inspect",
-		Class: sfunc.ClassRead,
-		Run: func(p *packet.Packet) (uint64, error) {
-			pl := p.Payload()
-			s.inspect(fid, st, pl)
-			return model.InspectCost(len(pl)), nil
-		},
-	})
-	if err != nil {
+	if err := ctx.AddStateFunc(0); err != nil {
 		return 0, err
 	}
 	return core.VerdictForward, nil

@@ -163,7 +163,7 @@ func TestRecordedStateFunctionEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := core.NewCtx("ids", core.CtxConfig{FID: 5, Events: tbl, Recording: true})
+	ctx := core.NewCtx("ids", core.CtxConfig{FID: 5, Events: tbl, Recording: true, Flows: s.FlowStates()})
 	if _, err := s.Process(ctx, pkt(t, 80, "clean first packet")); err != nil {
 		t.Fatal(err)
 	}
@@ -171,14 +171,15 @@ func TestRecordedStateFunctionEquivalence(t *testing.T) {
 	if !ok || len(rule.Funcs) != 1 {
 		t.Fatalf("rule = %+v", rule)
 	}
-	if rule.Funcs[0].Class != sfunc.ClassRead {
-		t.Errorf("class = %v, want read", rule.Funcs[0].Class)
+	batch := recorded(ctx, &s.flows)
+	if batch.Class() != sfunc.ClassRead {
+		t.Errorf("class = %v, want read", batch.Class())
 	}
 	if rule.Actions[0].Kind != mat.ActionForward {
 		t.Errorf("snort header action = %v, want forward", rule.Actions[0])
 	}
 	// Fast-path invocation on a malicious subsequent packet.
-	if _, err := rule.Funcs[0].Run(pkt(t, 80, "ATTACK payload")); err != nil {
+	if _, err := batch.RunSequential(pkt(t, 80, "ATTACK payload")); err != nil {
 		t.Fatal(err)
 	}
 	logs := s.Logs()
@@ -253,4 +254,11 @@ func TestSnapshotCarriesLog(t *testing.T) {
 	if err := fresh.RestoreState([]byte("not gob")); err == nil {
 		t.Error("garbage snapshot restored")
 	}
+}
+
+// recorded is what a consolidation makes of the state functions ctx
+// recorded for the NF declaring v: the batch a rule runs.
+func recorded(ctx *core.Ctx, v *core.FlowStates) sfunc.Batch {
+	rule, _ := ctx.Recorded()
+	return sfunc.NewBatch(&sfunc.Site{Funcs: v.Funcs, Model: ctx.Model}, rule.Funcs, ctx.FID, ctx.FlowState(v))
 }

@@ -30,12 +30,14 @@ type Config struct {
 	TouchPayload bool
 }
 
-// NF is the synthetic network function.
+// NF is the synthetic network function. It keeps no per-flow state; its
+// FlowStates declares its one state function.
 type NF struct {
 	name         string
 	class        sfunc.PayloadClass
 	cycles       uint64
 	touchPayload bool
+	flows        core.FlowStates
 	invocations  atomic.Uint64
 }
 
@@ -51,18 +53,23 @@ func New(cfg Config) (*NF, error) {
 	if !class.Valid() {
 		return nil, fmt.Errorf("synthetic: invalid class %d", int(class))
 	}
-	return &NF{
+	n := &NF{
 		name:         cfg.Name,
 		class:        class,
 		cycles:       cfg.Cycles,
 		touchPayload: cfg.TouchPayload,
-	}, nil
+	}
+	n.flows.Funcs = []sfunc.Func{{Name: "synthetic", Class: class, Run: n.fn}}
+	return n, nil
 }
 
-var _ core.NF = (*NF)(nil)
+var _ core.Stateful = (*NF)(nil)
 
 // Name implements core.NF.
 func (n *NF) Name() string { return n.name }
+
+// FlowStates implements core.Stateful.
+func (n *NF) FlowStates() *core.FlowStates { return &n.flows }
 
 // Invocations returns how many times the state function ran (slow or
 // fast path).
@@ -92,6 +99,9 @@ func (n *NF) run(model interface{ InspectCost(int) uint64 }, pkt *packet.Packet)
 	return model.InspectCost(len(payload)), nil
 }
 
+// fn is the declared state function.
+func (n *NF) fn(a sfunc.Args, p *packet.Packet) (uint64, error) { return n.run(a.Model, p) }
+
 // Process implements core.NF: no header action (forward by default),
 // one recorded state function.
 func (n *NF) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, error) {
@@ -104,14 +114,7 @@ func (n *NF) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, error) {
 	if !ctx.Recording() {
 		return core.VerdictForward, nil
 	}
-	model := ctx.Model
-	if err := ctx.AddStateFunc(sfunc.Func{
-		Name:  "synthetic",
-		Class: n.class,
-		Run: func(p *packet.Packet) (uint64, error) {
-			return n.run(model, p)
-		},
-	}); err != nil {
+	if err := ctx.AddStateFunc(0); err != nil {
 		return 0, err
 	}
 	return core.VerdictForward, nil

@@ -40,7 +40,7 @@ func TestFixedCycleCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	ledger := cost.NewLedger()
-	ctx := core.NewCtx("s", core.CtxConfig{FID: 1, Ledger: ledger, Recording: true})
+	ctx := core.NewCtx("s", core.CtxConfig{FID: 1, Ledger: ledger, Recording: true, Flows: n.FlowStates()})
 	if _, err := n.Process(ctx, pkt(t, "x")); err != nil {
 		t.Fatal(err)
 	}
@@ -48,8 +48,8 @@ func TestFixedCycleCost(t *testing.T) {
 	if got := ledger.Stage("s"); got != m.Parse+m.Classify+777+m.RecordSF {
 		t.Errorf("charged %d", got)
 	}
-	rule, _ := ctx.Recorded()
-	c, err := rule.Funcs[0].Run(pkt(t, "anything"))
+	batch := recorded(ctx, &n.flows)
+	c, err := batch.RunSequential(pkt(t, "anything"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,13 +63,13 @@ func TestSnortEquivalentCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := core.NewCtx("s", core.CtxConfig{FID: 1, Recording: true})
+	ctx := core.NewCtx("s", core.CtxConfig{FID: 1, Recording: true, Flows: n.FlowStates()})
 	payload := "0123456789"
 	if _, err := n.Process(ctx, pkt(t, payload)); err != nil {
 		t.Fatal(err)
 	}
-	rule, _ := ctx.Recorded()
-	c, err := rule.Funcs[0].Run(pkt(t, payload))
+	batch := recorded(ctx, &n.flows)
+	c, err := batch.RunSequential(pkt(t, payload))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,4 +124,11 @@ func TestReadClassLeavesPayload(t *testing.T) {
 	if !bytes.Equal(p.Payload(), before) {
 		t.Error("read-class NF mutated payload")
 	}
+}
+
+// recorded is what a consolidation makes of the state functions ctx
+// recorded for the NF declaring v: the batch a rule runs.
+func recorded(ctx *core.Ctx, v *core.FlowStates) sfunc.Batch {
+	rule, _ := ctx.Recorded()
+	return sfunc.NewBatch(&sfunc.Site{Funcs: v.Funcs, Model: ctx.Model}, rule.Funcs, ctx.FID, ctx.FlowState(v))
 }

@@ -13,11 +13,11 @@ import (
 func benchBatches(n int, work int) []Batch {
 	batches := make([]Batch, n)
 	for i := range batches {
-		batches[i] = Batch{
+		batches[i] = Batch{Site: &Site{
 			NF: fmt.Sprintf("nf%d", i),
 			Funcs: []Func{{
 				Name: "scan", Class: ClassRead,
-				Run: func(p *packet.Packet) (uint64, error) {
+				Run: func(_ Args, p *packet.Packet) (uint64, error) {
 					var sum byte
 					payload := p.Payload()
 					for w := 0; w < work; w++ {
@@ -28,7 +28,7 @@ func benchBatches(n int, work int) []Batch {
 					_ = sum
 					return uint64(len(payload)), nil
 				},
-			}},
+			}}}, Calls: seq(1),
 		}
 	}
 	return batches

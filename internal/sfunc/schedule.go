@@ -33,7 +33,8 @@ func PlanIn(buf []uint32, batches []Batch) Schedule {
 	}
 	p := buf[:0]
 	open := -1 // where the open stage's length word is
-	for i, b := range batches {
+	for i := range batches {
+		b := &batches[i]
 		if b.Empty() {
 			continue
 		}
@@ -182,7 +183,8 @@ func (s Schedule) Execute(batches []Batch, pkt *packet.Packet, forkJoin uint64) 
 // own, for the original-path and ablation (HA-only) modes.
 func ExecuteSequential(batches []Batch, pkt *packet.Packet) (ExecResult, error) {
 	var res ExecResult
-	for _, b := range batches {
+	for i := range batches {
+		b := &batches[i]
 		if b.Empty() {
 			continue
 		}

@@ -20,8 +20,17 @@ func testPacket(t *testing.T) *packet.Packet {
 	})
 }
 
+// seq is the calls of the first n declared functions, in order.
+func seq(n int) []uint8 {
+	calls := make([]uint8, n)
+	for i := range calls {
+		calls[i] = uint8(i)
+	}
+	return calls
+}
+
 func costed(name string, class PayloadClass, cycles uint64) Func {
-	return Func{Name: name, Class: class, Run: func(*packet.Packet) (uint64, error) {
+	return Func{Name: name, Class: class, Run: func(Args, *packet.Packet) (uint64, error) {
 		return cycles, nil
 	}}
 }
@@ -54,9 +63,10 @@ func TestBatchClassPriority(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			b := Batch{NF: "x"}
+			b := Batch{Site: &Site{NF: "x"}}
 			for i, c := range tt.classes {
 				b.Funcs = append(b.Funcs, costed("f", c, uint64(i)))
+				b.Calls = append(b.Calls, uint8(i))
 			}
 			if got := b.Class(); got != tt.want {
 				t.Errorf("Class() = %v, want %v", got, tt.want)
@@ -104,7 +114,7 @@ func TestPlanGrouping(t *testing.T) {
 	mk := func(classes ...PayloadClass) []Batch {
 		bs := make([]Batch, len(classes))
 		for i, c := range classes {
-			bs[i] = Batch{NF: "nf", Funcs: []Func{costed("f", c, 1)}}
+			bs[i] = Batch{Site: &Site{NF: "nf", Funcs: []Func{costed("f", c, 1)}}, Calls: seq(1)}
 		}
 		return bs
 	}
@@ -120,7 +130,7 @@ func TestPlanGrouping(t *testing.T) {
 		{"write pairs with ignore", mk(ClassWrite, ClassIgnore), "[0 1]"},
 		{"ignore between writes fuses once", mk(ClassWrite, ClassIgnore, ClassWrite), "[0 1] [2]"},
 		{"snort then monitor (read, ignore)", mk(ClassRead, ClassIgnore), "[0 1]"},
-		{"empty batches skipped", []Batch{{NF: "a"}, {NF: "b", Funcs: []Func{costed("f", ClassRead, 1)}}, {NF: "c"}}, "[1]"},
+		{"empty batches skipped", []Batch{{Site: &Site{NF: "a"}}, {Site: &Site{NF: "b", Funcs: []Func{costed("f", ClassRead, 1)}}, Calls: seq(1)}, {Site: &Site{NF: "c"}}}, "[1]"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -137,7 +147,7 @@ func TestPlanPreservesOrder(t *testing.T) {
 	f := func(raw []uint8) bool {
 		batches := make([]Batch, len(raw))
 		for i, r := range raw {
-			batches[i] = Batch{NF: "nf", Funcs: []Func{costed("f", PayloadClass(r%3)+1, 1)}}
+			batches[i] = Batch{Site: &Site{NF: "nf", Funcs: []Func{costed("f", PayloadClass(r%3)+1, 1)}}, Calls: seq(1)}
 		}
 		var last = -1
 		for _, stage := range Plan(batches).Stages() {
@@ -159,7 +169,7 @@ func TestPlanStagesPairwiseCompatible(t *testing.T) {
 	f := func(raw []uint8) bool {
 		batches := make([]Batch, len(raw))
 		for i, r := range raw {
-			batches[i] = Batch{NF: "nf", Funcs: []Func{costed("f", PayloadClass(r%3)+1, 1)}}
+			batches[i] = Batch{Site: &Site{NF: "nf", Funcs: []Func{costed("f", PayloadClass(r%3)+1, 1)}}, Calls: seq(1)}
 		}
 		for _, stage := range Plan(batches).Stages() {
 			for i := 0; i < len(stage); i++ {
@@ -181,8 +191,8 @@ func TestExecuteCriticalPath(t *testing.T) {
 	// Two parallel read batches: critical path is max + forkJoin,
 	// total is sum + forkJoin.
 	batches := []Batch{
-		{NF: "a", Funcs: []Func{costed("fa", ClassRead, 300)}},
-		{NF: "b", Funcs: []Func{costed("fb", ClassRead, 500)}},
+		{Site: &Site{NF: "a", Funcs: []Func{costed("fa", ClassRead, 300)}}, Calls: seq(1)},
+		{Site: &Site{NF: "b", Funcs: []Func{costed("fb", ClassRead, 500)}}, Calls: seq(1)},
 	}
 	plan := Plan(batches)
 	if plan.ParallelStages() != 1 {
@@ -202,8 +212,8 @@ func TestExecuteCriticalPath(t *testing.T) {
 
 func TestExecuteSequentialStage(t *testing.T) {
 	// A single-batch stage pays no fork/join.
-	batches := []Batch{{NF: "a", Funcs: []Func{costed("fa", ClassWrite, 300)}},
-		{NF: "b", Funcs: []Func{costed("fb", ClassWrite, 500)}}}
+	batches := []Batch{{Site: &Site{NF: "a", Funcs: []Func{costed("fa", ClassWrite, 300)}}, Calls: seq(1)},
+		{Site: &Site{NF: "b", Funcs: []Func{costed("fb", ClassWrite, 500)}}, Calls: seq(1)}}
 	res, err := Plan(batches).Execute(batches, testPacket(t), 100)
 	if err != nil {
 		t.Fatal(err)
@@ -220,11 +230,11 @@ func orderedBatches(n int, class PayloadClass, order *[]int, fail map[int]error)
 	batches := make([]Batch, n)
 	for i := range batches {
 		i := i
-		batches[i] = Batch{NF: fmt.Sprintf("nf%d", i), Funcs: []Func{{Name: "f", Class: class,
-			Run: func(*packet.Packet) (uint64, error) {
+		batches[i] = Batch{Site: &Site{NF: fmt.Sprintf("nf%d", i), Funcs: []Func{{Name: "f", Class: class,
+			Run: func(Args, *packet.Packet) (uint64, error) {
 				*order = append(*order, i)
 				return 10, fail[i]
-			}}}}
+			}}}}, Calls: seq(1)}
 	}
 	return batches
 }
@@ -279,9 +289,9 @@ func TestExecuteParallelStageFirstErrorInChainOrder(t *testing.T) {
 
 func TestExecuteDoesNotAllocate(t *testing.T) {
 	batches := []Batch{
-		{NF: "a", Funcs: []Func{costed("fa", ClassRead, 300)}},
-		{NF: "b", Funcs: []Func{costed("fb", ClassRead, 500)}},
-		{NF: "c", Funcs: []Func{costed("fc", ClassWrite, 7)}},
+		{Site: &Site{NF: "a", Funcs: []Func{costed("fa", ClassRead, 300)}}, Calls: seq(1)},
+		{Site: &Site{NF: "b", Funcs: []Func{costed("fb", ClassRead, 500)}}, Calls: seq(1)},
+		{Site: &Site{NF: "c", Funcs: []Func{costed("fc", ClassWrite, 7)}}, Calls: seq(1)},
 	}
 	plan := Plan(batches)
 	pkt := testPacket(t)
@@ -308,13 +318,13 @@ func TestExecuteErrorFailFast(t *testing.T) {
 	boom := errors.New("boom")
 	var ran atomic.Int32
 	batches := []Batch{
-		{NF: "a", Funcs: []Func{{Name: "fail", Class: ClassWrite, Run: func(*packet.Packet) (uint64, error) {
+		{Site: &Site{NF: "a", Funcs: []Func{{Name: "fail", Class: ClassWrite, Run: func(Args, *packet.Packet) (uint64, error) {
 			return 10, boom
-		}}}},
-		{NF: "b", Funcs: []Func{{Name: "later", Class: ClassWrite, Run: func(*packet.Packet) (uint64, error) {
+		}}}}, Calls: seq(1)},
+		{Site: &Site{NF: "b", Funcs: []Func{{Name: "later", Class: ClassWrite, Run: func(Args, *packet.Packet) (uint64, error) {
 			ran.Add(1)
 			return 10, nil
-		}}}},
+		}}}}, Calls: seq(1)},
 	}
 	_, err := Plan(batches).Execute(batches, testPacket(t), 0)
 	if !errors.Is(err, boom) {
@@ -331,12 +341,12 @@ func TestExecuteErrorFailFast(t *testing.T) {
 func TestBatchRunSequentialOrder(t *testing.T) {
 	var order []string
 	mk := func(name string) Func {
-		return Func{Name: name, Class: ClassIgnore, Run: func(*packet.Packet) (uint64, error) {
+		return Func{Name: name, Class: ClassIgnore, Run: func(Args, *packet.Packet) (uint64, error) {
 			order = append(order, name)
 			return 5, nil
 		}}
 	}
-	b := Batch{NF: "nf", Funcs: []Func{mk("first"), mk("second"), mk("third")}}
+	b := Batch{Site: &Site{NF: "nf", Funcs: []Func{mk("first"), mk("second"), mk("third")}}, Calls: seq(3)}
 	cycles, err := b.RunSequential(testPacket(t))
 	if err != nil {
 		t.Fatal(err)
@@ -351,9 +361,9 @@ func TestBatchRunSequentialOrder(t *testing.T) {
 
 func TestExecuteSequentialHelper(t *testing.T) {
 	batches := []Batch{
-		{NF: "a", Funcs: []Func{costed("fa", ClassRead, 300)}},
-		{NF: "b"},
-		{NF: "c", Funcs: []Func{costed("fc", ClassRead, 500)}},
+		{Site: &Site{NF: "a", Funcs: []Func{costed("fa", ClassRead, 300)}}, Calls: seq(1)},
+		{Site: &Site{NF: "b"}},
+		{Site: &Site{NF: "c", Funcs: []Func{costed("fc", ClassRead, 500)}}, Calls: seq(1)},
 	}
 	res, err := ExecuteSequential(batches, testPacket(t))
 	if err != nil {
@@ -368,13 +378,13 @@ func TestExecuteSequentialHelper(t *testing.T) {
 }
 
 func TestFuncValidate(t *testing.T) {
-	if err := (Func{Name: "ok", Class: ClassRead, Run: func(*packet.Packet) (uint64, error) { return 0, nil }}).Validate(); err != nil {
+	if err := (Func{Name: "ok", Class: ClassRead, Run: func(Args, *packet.Packet) (uint64, error) { return 0, nil }}).Validate(); err != nil {
 		t.Errorf("valid func rejected: %v", err)
 	}
 	if err := (Func{Name: "nil", Class: ClassRead}).Validate(); err == nil {
 		t.Error("nil handler accepted")
 	}
-	if err := (Func{Name: "badclass", Class: 0, Run: func(*packet.Packet) (uint64, error) { return 0, nil }}).Validate(); err == nil {
+	if err := (Func{Name: "badclass", Class: 0, Run: func(Args, *packet.Packet) (uint64, error) { return 0, nil }}).Validate(); err == nil {
 		t.Error("invalid class accepted")
 	}
 }
@@ -389,15 +399,15 @@ func TestQuickParallelReadersPreservePayload(t *testing.T) {
 		nBatches := int(n%4) + 2
 		batches := make([]Batch, nBatches)
 		for i := range batches {
-			batches[i] = Batch{NF: "r", Funcs: []Func{{Name: "scan", Class: ClassRead,
-				Run: func(p *packet.Packet) (uint64, error) {
+			batches[i] = Batch{Site: &Site{NF: "r", Funcs: []Func{{Name: "scan", Class: ClassRead,
+				Run: func(_ Args, p *packet.Packet) (uint64, error) {
 					var sum byte
 					for _, b := range p.Payload() {
 						sum += b
 					}
 					_ = sum
 					return uint64(len(p.Payload())), nil
-				}}}}
+				}}}}, Calls: seq(1)}
 		}
 		spec := packet.Spec{SrcIP: packet.IP4(1, 1, 1, 1), DstIP: packet.IP4(2, 2, 2, 2),
 			SrcPort: 1, DstPort: 2, Proto: packet.ProtoTCP, Payload: payload}

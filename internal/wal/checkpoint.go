@@ -12,7 +12,7 @@ import (
 )
 
 // Checkpoint is a consistent snapshot of the engine's restorable
-// state: the declarative Global MAT rules at a recorded epoch, the
+// state: the live Global MAT rules at a recorded epoch, the
 // flow-table occupancy with each flow's NF state, the classifier's
 // logical clock and each Snapshotter NF's serialized cross-flow state. WALSeq records the log position
 // the snapshot reflects; Engine.Restore replays only the journal
@@ -28,11 +28,11 @@ type Checkpoint struct {
 	Clock uint64
 	// Flows is the flow-table occupancy: FID assignments, lifecycle
 	// states and NF state. Restored flows are already established, so
-	// their first post-restore packet classifies as Initial when the rule
-	// did not survive — one slow-path pass re-records the closures.
+	// a flow whose rule did not come back (one its image names what the
+	// chain lacks) re-records on its next packet.
 	Flows []FlowEntry
-	// Rules are the declarative Global MAT rules (no state-function
-	// batches, no pending events) that restore directly executable.
+	// Rules are the live Global MAT rules, each bound on restore to the
+	// chain and to its flow's restored state.
 	Rules []RuleImage
 	// NFState maps NF name to its Snapshotter blob.
 	NFState map[string][]byte
@@ -115,8 +115,9 @@ func (r *byteReader) flowEntry() (f FlowEntry) {
 const (
 	checkpointMagic = 0x53424350 // "SBCP"
 	// checkpointFormat 2: flow entries carry NF state; 3: and no packet
-	// or byte counters or last-seen tick.
-	checkpointFormat = 3
+	// or byte counters or last-seen tick; 4: rule images carry their
+	// state-function and guard references.
+	checkpointFormat = 4
 )
 
 // seal frames a body as checkpoints and migration batches travel:

@@ -8,18 +8,17 @@ import (
 
 // MigrationRecord is the wire form of one flow in transit between
 // cluster instances: the flow-table entry with its NFs' per-flow state,
-// plus the restorable consolidated rule, encoded as checkpoints encode
-// them. Event registrations and state-function batches are closures
-// bound to the old owner's record and deliberately do not travel — a
-// record with a nil Rule tells the new owner to re-record the flow on
-// its next packet (the always-correct demotion path) against the NF
-// state that did travel, and the degradation-ladder reset is implicit:
-// ladder deadlines are ticks of the old owner's logical clock, so the
-// record simply omits them.
+// plus its live consolidated rule, encoded as checkpoints encode them.
+// The new owner binds the rule's state functions and guards to its
+// chain and the state that traveled, and re-registers the flow's events
+// from the guards. The degradation-ladder reset is implicit: ladder
+// deadlines are ticks of the old owner's logical clock, so the record
+// simply omits them.
 type MigrationRecord struct {
 	Flow FlowEntry
-	// Rule is the restorable consolidated rule, nil when the flow must
-	// re-record on the new owner.
+	// Rule is the consolidated rule, nil when the flow had no live one
+	// (a stale or old-epoch rule does not travel): it re-records on the
+	// new owner.
 	Rule *RuleImage
 }
 
@@ -28,8 +27,9 @@ type MigrationRecord struct {
 const (
 	migrationMagic = 0x53424d52 // "SBMR"
 	// migrationFormat 2: flow entries carry NF state; 3: and no packet or
-	// byte counters or last-seen tick.
-	migrationFormat = 3
+	// byte counters or last-seen tick; 4: rule images carry their
+	// state-function and guard references.
+	migrationFormat = 4
 )
 
 // ErrBadMigration reports a migration blob that failed structural or

@@ -20,13 +20,13 @@ func sampleMigration() []MigrationRecord {
 				// The flow's NF state: a NAT translation, a pin, counters.
 				NF: []event.StateImage{
 					{NF: "mazunat", Words: []uint64{0x0a0000010a000002, 0x1770005006, 0x14e20}},
-					{NF: "maglev", Words: []uint64{2}},
+					{NF: "maglev", Words: []uint64{2, 0x9e3779b97f4a7c15}},
 					{NF: "monitor", Words: []uint64{12, 900}},
 				}},
 			Rule: sampleImage(4),
 		},
 		{
-			// A demoted flow: entry only, no rule — the new owner
+			// A flow without a live rule: entry only — the new owner
 			// re-records it on its next packet.
 			Flow: FlowEntry{FID: 9, Tuple: packet.FiveTuple{
 				SrcIP: [4]byte{10, 0, 1, 1}, DstIP: [4]byte{10, 0, 1, 2},
@@ -113,6 +113,9 @@ func FuzzDecodeMigration(f *testing.F) {
 		f.Add(sealMigration(append(append([]byte(nil), body[:nfCount]...), lie...)))
 	}
 	f.Add(sealMigration(body[:nfCount+2+2+len("mazunat")+2+11]))
+	// A rule whose guard count lies, at the end of the first record.
+	first := 4 + len(appendFlowEntry(nil, &sampleMigration()[0].Flow)) + 1 + len(appendRuleImage(nil, sampleMigration()[0].Rule))
+	f.Add(sealMigration(append(append([]byte(nil), body[:first-2-4]...), 0xff, 0xff)))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		recs, err := DecodeMigration(in)
 		if err != nil {

@@ -2,25 +2,23 @@
 // SpeedyBox state (ROADMAP item 2, following the transactional-NFV
 // direction of TransNFV). Every Global MAT mutation that can change
 // what the fast path serves — install, remove, stale-mark, epoch
-// advance — plus every Event Table registration is journaled as a
-// length-prefixed, CRC-checksummed binary record. A checkpoint
+// advance — is journaled as a length-prefixed, CRC-checksummed binary
+// record. A checkpoint
 // (snapshot of the restorable tables at a recorded log position) plus
 // the journal suffix reconstructs the engine after a crash:
 // core.Engine.Restore replays the suffix transactionally, discarding a
 // torn or half-written record whole, so a restored engine never serves
 // a partially installed rule.
 //
-// Only *declarative* rules are restorable: a GlobalRule whose effect is
-// pure header data (drop / modify / encap / decap). State-function
-// batches and event registrations are Go closures over live NF state
-// and cannot be serialized; their flows are journaled as non-restorable
-// installs, and on restore the flow simply re-records through one
-// slow-path packet — the always-correct degradation every other rule
-// loss already uses.
+// Every rule is data, so every rule is restorable: its header work, and
+// its state-function batches and event guards as references to what the
+// chain's NFs declared (mat.Ref). A restore binds the references to the
+// receiving chain and to the flow's restored state, and re-registers
+// the flow's events from the guards.
 //
-// The package depends only on flow, mat and packet (for the rule
-// image); the engine adapts its tables to the Writer, never the
-// reverse.
+// The package depends only on event, flow, mat and packet (for the rule
+// and flow images); the engine adapts its tables to the Writer, never
+// the reverse.
 package wal
 
 import (
@@ -28,6 +26,7 @@ import (
 	"fmt"
 	"hash/crc32"
 
+	"github.com/fastpathnfv/speedybox/internal/event"
 	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/mat"
 	"github.com/fastpathnfv/speedybox/internal/packet"
@@ -40,8 +39,8 @@ type RecordType uint8
 // invalid.
 const (
 	// RecRuleInstall is a Global MAT install or replacement. Aux bit 0
-	// reports whether the record carries a restorable rule image; aux
-	// bit 1 reports a replacement of an existing rule.
+	// reports whether the record carries a rule image (the engine's
+	// always do); aux bit 1 reports a replacement of an existing rule.
 	RecRuleInstall RecordType = iota + 1
 	// RecRuleRemove is a Global MAT rule removal.
 	RecRuleRemove
@@ -53,10 +52,6 @@ const (
 	// restored rule consolidated under an older one, reproducing the
 	// post-reconfiguration sweep.
 	RecEpochAdvance
-	// RecEventRegister is an Event Table registration. Event closures
-	// cannot be serialized, so replay marks the flow non-restorable:
-	// its rule (if any) is dropped and the flow re-records.
-	RecEventRegister
 )
 
 // Aux bits of RecRuleInstall.
@@ -78,8 +73,6 @@ func (t RecordType) String() string {
 		return "rule-stale"
 	case RecEpochAdvance:
 		return "epoch-advance"
-	case RecEventRegister:
-		return "event-register"
 	default:
 		return fmt.Sprintf("RecordType(%d)", int(t))
 	}
@@ -100,13 +93,13 @@ type Record struct {
 	Epoch uint64
 	// Aux carries type-specific flags (Aux* bits).
 	Aux uint64
-	// Rule is the restorable rule image, non-nil only for
-	// RecRuleInstall records with AuxRestorable set.
+	// Rule is the rule image, non-nil only for RecRuleInstall records
+	// with AuxRestorable set.
 	Rule *RuleImage
 }
 
-// RuleImage is the serializable projection of a declarative
-// mat.GlobalRule: header data only, no state-function closures.
+// RuleImage is the serializable projection of a mat.GlobalRule: its
+// header data, and its state functions and event guards by reference.
 type RuleImage struct {
 	FID       flow.FID
 	Drop      bool
@@ -117,35 +110,73 @@ type RuleImage struct {
 	Sources   []mat.SourceSummary
 	Version   uint64
 	Epoch     uint64
+	// Funcs are the rule's state functions, batch by batch in chain
+	// order, each by its NF's chain position and declared index: the
+	// consecutive ones of one position are that NF's batch. Guards are
+	// the rule's event guards in order, but for the engine's own
+	// (event.EngineOwned), which do not survive a restore or a move.
+	Funcs  []mat.Ref
+	Guards []mat.Ref
 }
 
-// ImageOf projects a GlobalRule into its serializable image. It
-// reports ok=false for rules carrying state-function batches or event
-// guards — those reference live closures and are journaled as
-// non-restorable. The guards are the flow's registrations as the rule's
-// consolidation found them (events register during the slow-path
-// traversal, before it), and a registration after that both swaps in
-// event.AskTable and journals a RecEventRegister record, which demotes
-// the flow during replay.
-func ImageOf(r *mat.GlobalRule) (*RuleImage, bool) {
-	if len(r.Batches) > 0 || r.Guards() != nil {
-		return nil, false
-	}
-	im := &RuleImage{
-		FID:       r.FID,
-		Drop:      r.Drop,
-		SourceNFs: r.SourceNFs,
-		Version:   r.Version,
-		Epoch:     r.Epoch,
-	}
-	im.Modifies = append(im.Modifies, r.Modifies...)
-	im.Decaps = append(im.Decaps, r.Stack.Decaps...)
-	im.Encaps = append(im.Encaps, r.Stack.Encaps...)
-	im.Sources = append(im.Sources, r.Sources...)
-	return im, true
+// ImageOf is Image with the second result older callers take; it is
+// always true.
+func ImageOf(r *mat.GlobalRule) (*RuleImage, bool) { return Image(r), true }
+
+// Image projects a GlobalRule into its serializable image. The guards
+// are the flow's registrations: a consolidation snapshots them, and a
+// registration after it gives the rule a fresh list.
+func Image(r *mat.GlobalRule) *RuleImage {
+	im := project(r, nil)
+	return &im
 }
 
-// Rule materializes the image back into an installable GlobalRule.
+// project is r's image, sharing r's header slices — an installed rule
+// never changes them — and appending its references to refs' storage.
+func project(r *mat.GlobalRule, refs []mat.Ref) RuleImage {
+	im := RuleImage{
+		FID: r.FID, Drop: r.Drop, Modifies: r.Modifies, Decaps: r.Stack.Decaps, Encaps: r.Stack.Encaps,
+		SourceNFs: r.SourceNFs, Sources: r.Sources, Version: r.Version, Epoch: r.Epoch,
+	}
+	for _, b := range r.Batches {
+		for _, c := range b.Calls {
+			refs = append(refs, mat.Ref{At: uint16(b.At), Index: uint16(c)})
+		}
+	}
+	n := len(refs)
+	for g := r.Guards(); g != nil; g = g.Next {
+		if g.Index != event.EngineOwned {
+			refs = append(refs, g.Ref)
+		}
+	}
+	im.Funcs, im.Guards = refs[:n:n], refs[n:]
+	if n == 0 {
+		im.Funcs = nil
+	}
+	if len(im.Guards) == 0 {
+		im.Guards = nil
+	}
+	return im
+}
+
+// AppendInstall journals the install of r — a replacement, if replaced —
+// with its image, which it builds in place rather than on the heap: the
+// record's bytes are the install's one cost.
+func (w *Writer) AppendInstall(r *mat.GlobalRule, replaced bool) uint64 {
+	if w == nil {
+		return 0
+	}
+	var buf [8]mat.Ref
+	im := project(r, buf[:0])
+	rec := Record{Type: RecRuleInstall, FID: r.FID, Epoch: r.Epoch, Aux: AuxRestorable, Rule: &im}
+	if replaced {
+		rec.Aux |= AuxReplaced
+	}
+	return w.Append(rec)
+}
+
+// Rule materializes the image's header data back into a GlobalRule; the
+// caller binds its Funcs and Guards to a chain and a flow.
 func (im *RuleImage) Rule() *mat.GlobalRule {
 	r := &mat.GlobalRule{
 		FID:       im.FID,
@@ -242,7 +273,7 @@ func decodePayload(p []byte) (Record, bool) {
 	r.FID = flow.FID(binary.LittleEndian.Uint32(p[9:]))
 	r.Epoch = binary.LittleEndian.Uint64(p[13:])
 	r.Aux = binary.LittleEndian.Uint64(p[21:])
-	if r.Type < RecRuleInstall || r.Type > RecEventRegister {
+	if r.Type < RecRuleInstall || r.Type > RecEpochAdvance {
 		return Record{}, false
 	}
 	body := p[payloadHeaderLen:]
@@ -314,7 +345,33 @@ func appendRuleImage(buf []byte, im *RuleImage) []byte {
 	}
 	buf = binary.LittleEndian.AppendUint64(buf, im.Version)
 	buf = binary.LittleEndian.AppendUint64(buf, im.Epoch)
+	buf = appendRefs(buf, im.Funcs)
+	return appendRefs(buf, im.Guards)
+}
+
+// appendRefs encodes a count, then each reference's position and index.
+func appendRefs(buf []byte, refs []mat.Ref) []byte {
+	buf = appendUint16(buf, uint16(len(refs)))
+	for _, r := range refs {
+		buf = appendUint16(buf, r.At)
+		buf = appendUint16(buf, r.Index)
+	}
 	return buf
+}
+
+// refs decodes what appendRefs wrote, checking the count against the
+// bytes that remain before anything is sized by it.
+func (r *byteReader) refs() []mat.Ref {
+	n := int(r.u16())
+	if !r.ok || len(r.b) < 4*n {
+		r.ok = false
+		return nil
+	}
+	var out []mat.Ref
+	for i := 0; i < n; i++ {
+		out = append(out, mat.Ref{At: r.u16(), Index: r.u16()})
+	}
+	return out
 }
 
 // byteReader cursors over an encoded body; ok latches false on the
@@ -419,6 +476,8 @@ func decodeRuleImage(body []byte) (*RuleImage, []byte, bool) {
 	}
 	im.Version = rd.u64()
 	im.Epoch = rd.u64()
+	im.Funcs = rd.refs()
+	im.Guards = rd.refs()
 	if !rd.ok {
 		return nil, nil, false
 	}

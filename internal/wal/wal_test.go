@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/mat"
 	"github.com/fastpathnfv/speedybox/internal/packet"
+	"github.com/fastpathnfv/speedybox/internal/sfunc"
 )
 
 // sampleImage builds a rule image exercising every body field.
@@ -36,6 +38,8 @@ func sampleImage(fid flow.FID) *RuleImage {
 		},
 		Version: 5,
 		Epoch:   2,
+		Funcs:   []mat.Ref{{At: 1, Index: 0}, {At: 1, Index: 2}, {At: 2, Index: 0}},
+		Guards:  []mat.Ref{{At: 1, Index: 0}},
 	}
 }
 
@@ -45,7 +49,6 @@ func sampleLog() (*Writer, []Record) {
 	w := NewWriter(Options{GroupCommit: 1})
 	recs := []Record{
 		{Type: RecRuleInstall, FID: 4, Epoch: 1, Aux: AuxRestorable, Rule: sampleImage(4)},
-		{Type: RecEventRegister, FID: 4, Epoch: 1},
 		{Type: RecRuleInstall, FID: 9, Epoch: 1, Aux: AuxReplaced},
 		{Type: RecRuleStale, FID: 9, Epoch: 1},
 		{Type: RecEpochAdvance, Epoch: 2},
@@ -81,12 +84,35 @@ func TestRecordRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, want)
 	}
-	im, ok := ImageOf(got[0].Rule.Rule())
-	if !ok {
-		t.Fatal("materialized rule not restorable")
-	}
+	// Rule materializes the header data; the references are the
+	// binder's, which rebuilds the batches and guards they name.
+	im := Image(got[0].Rule.Rule())
+	im.Funcs, im.Guards = want[0].Rule.Funcs, want[0].Rule.Guards
 	if !reflect.DeepEqual(im, want[0].Rule) {
 		t.Errorf("image -> rule -> image drifted:\n got %+v\nwant %+v", im, want[0].Rule)
+	}
+}
+
+// TestImageCarriesReferences: an image names each state function a
+// rule's batches call, batch by batch, and each guard, by chain position
+// and declared index — all but the engine's own guards, which do not
+// survive a restore or a move.
+func TestImageCarriesReferences(t *testing.T) {
+	r := &mat.GlobalRule{FID: 3, Batches: []sfunc.Batch{
+		{Site: &sfunc.Site{NF: "lb", At: 1}, Calls: []uint8{0, 2}},
+		{Site: &sfunc.Site{NF: "mon", At: 3}, Calls: []uint8{1}},
+	}}
+	r.SetGuards(&mat.Guard{Ref: mat.Ref{At: 1, Index: 4}, Next: &mat.Guard{Ref: mat.Ref{Index: event.EngineOwned},
+		Next: &mat.Guard{Ref: mat.Ref{At: 3, Index: 0}}}})
+	im, ok := ImageOf(r)
+	wantFuncs := []mat.Ref{{At: 1, Index: 0}, {At: 1, Index: 2}, {At: 3, Index: 1}}
+	wantGuards := []mat.Ref{{At: 1, Index: 4}, {At: 3, Index: 0}}
+	if !ok || !reflect.DeepEqual(im.Funcs, wantFuncs) || !reflect.DeepEqual(im.Guards, wantGuards) {
+		t.Errorf("image references: funcs %v guards %v (ok %v), want %v and %v", im.Funcs, im.Guards, ok, wantFuncs, wantGuards)
+	}
+	got, rest, ok := decodeRuleImage(appendRuleImage(nil, im))
+	if !ok || len(rest) != 0 || !reflect.DeepEqual(got, im) {
+		t.Errorf("references do not round-trip: %+v", got)
 	}
 }
 
@@ -359,6 +385,13 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	bad := append([]byte(nil), body...)
 	bad[ruleCount+4+4] = 2 // past the count and the first rule's FID
 	f.Add(sealed(bad))
+	// The first rule's guard count, then its function count, far past the
+	// bytes that follow; and a reference cut in half.
+	guardCount := ruleCount + 4 + len(appendRuleImage(nil, sampleImage(4))) - 2 - 4
+	funcCount := guardCount - 4*len(sampleImage(4).Funcs) - 2
+	f.Add(sealed(body[:guardCount], lie[:2], body[guardCount+2:]))
+	f.Add(sealed(body[:funcCount], lie[:2], body[funcCount+2:]))
+	f.Add(sealed(body[:funcCount+2+2]))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -392,6 +425,9 @@ func FuzzReplayTornTail(f *testing.F) {
 	mut := append([]byte(nil), data...)
 	mut[9] ^= 0x40
 	f.Add(mut)
+	// An install whose image is cut inside its references.
+	first := frameHeaderLen + int(binary.LittleEndian.Uint32(data))
+	f.Add(data[:first-3])
 	// A crash that kept the first segment of a longer log and nothing
 	// of the second: the tear falls on the segment boundary.
 	big, _ := bigLog(1, nil)
@@ -407,7 +443,7 @@ func FuzzReplayTornTail(f *testing.F) {
 				t.Fatalf("sequence regression survived: %d after %d", r.Seq, last)
 			}
 			last = r.Seq
-			if r.Type < RecRuleInstall || r.Type > RecEventRegister {
+			if r.Type < RecRuleInstall || r.Type > RecEpochAdvance {
 				t.Fatalf("invalid record type %d decoded", r.Type)
 			}
 		}
@@ -420,13 +456,13 @@ func FuzzReplayTornTail(f *testing.F) {
 
 func TestRecordTypeString(t *testing.T) {
 	for rt, want := range map[RecordType]string{
-		RecRuleInstall:   "rule-install",
-		RecRuleRemove:    "rule-remove",
-		RecRuleStale:     "rule-stale",
-		RecEpochAdvance:  "epoch-advance",
-		RecEventRegister: "event-register",
-		RecordType(0):    "RecordType(0)",
-		RecordType(99):   "RecordType(99)",
+		RecRuleInstall:  "rule-install",
+		RecRuleRemove:   "rule-remove",
+		RecRuleStale:    "rule-stale",
+		RecEpochAdvance: "epoch-advance",
+		RecordType(5):   "RecordType(5)",
+		RecordType(0):   "RecordType(0)",
+		RecordType(99):  "RecordType(99)",
 	} {
 		if got := rt.String(); got != want {
 			t.Errorf("RecordType(%d).String() = %q, want %q", int(rt), got, want)

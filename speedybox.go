@@ -159,7 +159,7 @@ var (
 )
 
 // Durability (DESIGN.md §13): an attached WAL journals every Global
-// MAT mutation and Event Table registration; Engine.Checkpoint
+// MAT mutation; Engine.Checkpoint
 // snapshots the restorable state at a recorded log position and
 // Engine.Restore rebuilds a fresh engine from a checkpoint plus the
 // journal suffix, replaying transactionally so a torn tail is
@@ -232,12 +232,16 @@ const (
 type (
 	// HeaderAction is one of the five standardized header actions.
 	HeaderAction = mat.HeaderAction
-	// StateFunc is a recorded state-function handler with its payload
-	// class.
+	// StateFunc is a declared state function: name, payload class and a
+	// handler over the flow's StateArgs and the packet.
 	StateFunc = sfunc.Func
+	// StateArgs is what a state function runs on: the flow, its NF's
+	// state words and the cost model.
+	StateArgs = sfunc.Args
 	// PayloadClass describes payload interaction (Table I).
 	PayloadClass = sfunc.PayloadClass
-	// Event is an Event Table (condition -> update) registration.
+	// Event is a declared Event Table (condition -> update) pair over an
+	// NF's state words; NFs register it for a flow by index.
 	Event = event.Event
 	// GlobalRule is a consolidated fast-path rule.
 	GlobalRule = mat.GlobalRule
