@@ -500,10 +500,12 @@ func (e *Engine) ProcessBatch(pkts []*packet.Packet, b *Batch) ([]*PacketResult,
 // traversal scratch.
 func (e *Engine) process(pkt *packet.Packet, st *staged, info *FastPathInfo, res *PacketResult, b *Batch) error {
 	var (
-		fid  flow.FID
-		kind classifier.Kind
-		fc   *flowCtx
-		rule *mat.GlobalRule
+		fid           flow.FID
+		kind          classifier.Kind
+		fc            *flowCtx
+		rule          *mat.GlobalRule
+		fixed, header uint64
+		plain         bool
 	)
 	// The keyed flow contexts belong to SpeedyBox. The baseline engine —
 	// every oracle's reference — classifies through the full Classify
@@ -513,11 +515,14 @@ func (e *Engine) process(pkt *packet.Packet, st *staged, info *FastPathInfo, res
 		fc, fastShaped = e.classifyFast(st, pkt, b)
 	}
 	if fastShaped {
-		// Established data packet: Subsequent with a live rule, else the
-		// flow's initial packet (or a re-record after eviction or
-		// staleness) — the decision Classify asks Engine.serves.
+		// Established data packet: Subsequent with a live rule (or its
+		// summary), else the flow's initial packet (or a re-record after
+		// eviction or staleness) — the decision Classify asks Engine.serves.
 		fid, kind = fc.h.FID(), classifier.KindInitial
-		if rule = e.global.Live(fc.h); rule != nil {
+		if fixed, header, plain = fc.h.Plain(e.global.Epoch()); !plain {
+			rule = e.global.Live(fc.h)
+		}
+		if rule != nil || plain {
 			kind = classifier.KindSubsequent
 		} else {
 			pkt.Meta.Initial = true
@@ -543,14 +548,16 @@ func (e *Engine) process(pkt *packet.Packet, st *staged, info *FastPathInfo, res
 	if e.faults != nil && e.opts.EnableSpeedyBox &&
 		e.faults.Should(fault.KindEvictPressure, fid) {
 		e.evictConsolidated(fc.h)
-		rule = e.global.Live(fc.h)
+		rule, plain = e.global.Live(fc.h), false // the summary went with the rule
 	}
 
 	var err error
-	switch kind {
-	case classifier.KindSubsequent:
+	switch {
+	case kind == classifier.KindSubsequent && plain:
+		e.served(info, res, fixed, header, VerdictForward)
+	case kind == classifier.KindSubsequent:
 		err = e.fastPathInto(fc, rule, pkt, info, res, b)
-	case classifier.KindFinal:
+	case kind == classifier.KindFinal:
 		if rule = e.global.Live(fc.h); rule != nil {
 			err = e.fastPathInto(fc, rule, pkt, info, res, b)
 		} else {
@@ -560,7 +567,7 @@ func (e *Engine) process(pkt *packet.Packet, st *staged, info *FastPathInfo, res
 			e.teardown(e.class.Flows().EditHandle(fc.h), CauseFinTeardown)
 			res.TornDown = true
 		}
-	case classifier.KindInitial:
+	case kind == classifier.KindInitial:
 		// The recording gate and the ladder read the clock.
 		e.publish(b)
 		recording := e.tryBeginRecording(fc.h)

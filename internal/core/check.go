@@ -18,6 +18,8 @@ import (
 //   - a live rule was not consolidated from a recording of another
 //     chain epoch;
 //   - a live rule is priced: it went in through the engine's install;
+//   - an entry's summary (flow.Handle.Plain) is of its rule, plain, at
+//     its price, and a live rule is summarized if and only if it is plain;
 //   - a detached entry holds a rule — the only reason the engine makes
 //     one — and no NF state, ladder place or budget: those belong to a
 //     tracked flow;
@@ -73,6 +75,11 @@ func (e *Engine) CheckRecords() error {
 		}
 		if r.FID != fid {
 			fail("entry of %v holds the rule of %v", fid, r.FID)
+		}
+		fixed, header, summarized := h.Plain(r.Epoch)
+		if summarized && (!r.Plain() || fixed != r.FixedCycles || header != r.HeaderCycles) ||
+			e.global.Live(h) == r && summarized != r.Plain() {
+			fail("entry of %v: summary %v (%d, %d) of rule %v, plain %v", fid, summarized, fixed, header, r, r.Plain())
 		}
 		if e.global.Live(h) != r {
 			return

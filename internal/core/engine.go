@@ -592,10 +592,12 @@ func (e *Engine) price(rule *mat.GlobalRule) {
 
 // eventRegistered is the Event Table's registration hook, run inside the
 // registering Edit: the installed rule guards the flow's registrations,
-// the new one included, from its very next packet on.
-func (e *Engine) eventRegistered(h flow.Handle, g *mat.Guard) {
-	if r := e.global.Rule(h); r != nil {
+// the new one included, from its very next packet on, which so is served
+// from the rule and not from a plain summary of it.
+func (e *Engine) eventRegistered(ed flow.Edit, g *mat.Guard) {
+	if r := e.global.Rule(ed.Handle()); r != nil {
 		r.SetGuards(g)
+		ed.ClearPlain()
 	}
 }
 
@@ -690,10 +692,6 @@ func (e *Engine) fastPathInto(fc *flowCtx, rule *mat.GlobalRule, pkt *packet.Pac
 		e.countFallback(fc.h.FID())
 		return e.slowPath(fc.h, pkt, false, res, b)
 	}
-	// The rule carries its price (install).
-	info.FixedCycles += rule.FixedCycles
-	info.HeaderCycles = rule.HeaderCycles
-
 	// State functions execute first, on the packet as it arrived at
 	// the chain: payload-facing functions (the only kind with data
 	// dependencies, per Table I) see the same bytes as on the original
@@ -743,6 +741,14 @@ func (e *Engine) fastPathInto(fc *flowCtx, rule *mat.GlobalRule, pkt *packet.Pac
 		}
 	}
 
+	e.served(info, res, rule.FixedCycles, rule.HeaderCycles, verdict)
+	return nil
+}
+
+// served fills a fast-path result at a rule's or a summary's price.
+func (e *Engine) served(info *FastPathInfo, res *PacketResult, fixed, header uint64, verdict Verdict) {
+	info.FixedCycles += fixed
+	info.HeaderCycles = header
 	res.Path = PathFast
 	res.Verdict = verdict
 	res.Fast = info
@@ -759,7 +765,6 @@ func (e *Engine) fastPathInto(fc *flowCtx, rule *mat.GlobalRule, pkt *packet.Pac
 	}
 	res.WorkCycles = info.FixedCycles + info.HeaderCycles + sfCycles +
 		info.ReconsolidateCycles
-	return nil
 }
 
 // fireEvents takes the Event Table's locked probe for h's flow — the

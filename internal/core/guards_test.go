@@ -155,12 +155,19 @@ func TestGuardsFollowRegistrations(t *testing.T) {
 
 // TestGuardsAfterEventStorm: the storm registers its events after the
 // rule is installed, so the registration hook must give the installed
-// rule fresh guards; the next packet then probes, the (recurring) storm
-// events fire, and the reconsolidated rule guards all of them.
+// rule fresh guards — and, for a forward-only rule, take the plain
+// summary off its entry; the next packet then probes, the (recurring)
+// storm events fire, and the reconsolidated rule guards all of them.
 func TestGuardsAfterEventStorm(t *testing.T) {
+	for _, nf := range []NF{&fakeModifier{name: "nat", dip: [4]byte{9, 9, 9, 9}}, &forwarder{"fw"}} {
+		t.Run(nf.Name(), func(t *testing.T) { guardsAfterEventStorm(t, nf) })
+	}
+}
+
+func guardsAfterEventStorm(t *testing.T, nf NF) {
 	opts := DefaultOptions()
 	opts.Faults = fault.New(fault.Config{Seed: 7, Rates: map[fault.Kind]float64{fault.KindEventStorm: 1}})
-	eng, err := NewEngine([]NF{&fakeModifier{name: "nat", dip: [4]byte{9, 9, 9, 9}}}, opts)
+	eng, err := NewEngine([]NF{nf}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,6 +184,9 @@ func TestGuardsAfterEventStorm(t *testing.T) {
 	wantGuards(t, eng, fid, 3, "after the storm registered")
 	if !event.Holds(rule.Guards()) {
 		t.Fatal("the storm's guards do not hold")
+	}
+	if err := eng.CheckRecords(); err != nil {
+		t.Fatal(err)
 	}
 	rs, err = eng.ProcessBatch([]*packet.Packet{udpPkt(t, 8602, "storm")}, b)
 	if err != nil {

@@ -17,13 +17,15 @@ import (
 // the flow with no registrations, when r is of another chain — not as
 // long as lay, or its contributing NFs not in it in order — or a
 // reference names a position lay lacks, a state function of an NF that
-// did not contribute, or an index the NF did not declare.
+// did not contribute, or an index the NF did not declare. The flow's
+// registrations change, so the entry's summary of a plain rule goes.
 func (t *Table) Rebind(ed flow.Edit, lay *StateLayout, chain []mat.Contribution, r *mat.GlobalRule, funcs, guards []mat.Ref) bool {
 	rec := (*Record)(ed.Handle().Rec())
 	if rec == nil && len(funcs)+len(guards) > 0 {
 		rec = t.recordFor(ed)
 	}
 	regs, ok := rec.bind(lay, chain, r, funcs, guards)
+	ed.ClearPlain()
 	if rec != nil {
 		rec.mu.Lock()
 		defer rec.mu.Unlock()

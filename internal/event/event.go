@@ -123,16 +123,16 @@ type Table struct {
 	// journal, when set, observes registrations Register makes, with the
 	// flow's registrations as a fresh guard list: the engine's hook gives
 	// it to the flow's installed rule (see Consolidate).
-	journal atomic.Pointer[func(flow.Handle, *mat.Guard)]
+	journal atomic.Pointer[func(flow.Edit, *mat.Guard)]
 }
 
 // SetJournal attaches (or, with nil, detaches) a callback invoked
-// after every successful Register with the flow's entry. It runs inside
-// the flow-table Edit that registered, the one a rule install takes, so
-// it observes a flow's registrations and installs in the order they
+// after every successful Register with the flow-table Edit that
+// registered, which it runs inside: the one a rule install takes, so it
+// observes a flow's registrations and installs in the order they
 // happened — the rule it finds on the entry is the one installed last —
 // and must not call back into either table.
-func (t *Table) SetJournal(fn func(flow.Handle, *mat.Guard)) {
+func (t *Table) SetJournal(fn func(flow.Edit, *mat.Guard)) {
 	if fn == nil {
 		t.journal.Store(nil)
 		return
@@ -169,7 +169,7 @@ func (t *Table) Register(h flow.Handle, r Registration) error {
 	}
 	t.registered.Add(1)
 	if j := t.journal.Load(); j != nil {
-		(*j)(h, Guards(rec.events))
+		(*j)(ed, Guards(rec.events))
 	}
 	return nil
 }

@@ -436,8 +436,8 @@ func TestJournalRunsPerRegistration(t *testing.T) {
 	tbl := NewTable(flow.NewTable())
 	var seen []flow.FID
 	var lens []int
-	tbl.SetJournal(func(h flow.Handle, g *mat.Guard) {
-		seen = append(seen, h.FID())
+	tbl.SetJournal(func(ed flow.Edit, g *mat.Guard) {
+		seen = append(seen, ed.Handle().FID())
 		n := 0
 		for ; g != nil; g = g.Next {
 			n++

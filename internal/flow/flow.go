@@ -147,8 +147,8 @@ type Entry struct {
 // the slot arrays that index it. The identity fields (fid and the packed
 // 5-tuple hi/lo) are immutable: a lock-free probe confirms its hit on
 // them. The state word is read and written through a Handle with no
-// lock; the rule and rec words are loaded with no lock and stored only
-// through an Edit, under the shard mutex. A fast-path packet stores
+// lock; the rule, rec and summary words are loaded with no lock and stored
+// only through an Edit, under the shard mutex. A fast-path packet stores
 // nothing but the seen stamp a sweep asks of each flow (Handle.Touch).
 type tracked struct {
 	hi, lo uint64
@@ -159,9 +159,11 @@ type tracked struct {
 	// which no tuple maps to), the three flags above them and the seen
 	// epoch above those.
 	bits atomic.Uint32
+	// plain is a plain rule's epoch + 1 (0: none), price FixedCycles<<32|HeaderCycles.
+	plain, price atomic.Uint64
 	// The pad keeps the 64-byte size class, one cache line: in the 48-byte
 	// class two entries in three straddle two (TestTrackedSizeClass).
-	_ [24]byte
+	_ [8]byte
 }
 
 const (
@@ -231,6 +233,16 @@ func (h Handle) LiveRule() unsafe.Pointer {
 		return nil
 	}
 	return h.Rule()
+}
+
+// Plain reads the price of a live plain rule of epoch: the stale flag, as
+// LiveRule does, then a seqlock over the one price word — epoch, price, epoch.
+func (h Handle) Plain(epoch uint64) (fixed, header uint64, ok bool) {
+	stale, tag, price := h.Stale(), h.e.plain.Load(), h.e.price.Load()
+	if stale || tag != epoch+1 || h.e.plain.Load() != tag {
+		return 0, 0, false
+	}
+	return price >> 32, uint64(uint32(price)), true
 }
 
 // Detached reports an entry no tuple maps to: one that exists only to
@@ -642,9 +654,10 @@ func setWord(word *unsafe.Pointer, p unsafe.Pointer, n *int) {
 	atomic.StorePointer(word, p)
 }
 
-// SetRule stores the rule word and clears the stale mark — in that
-// order, which LiveRule relies on. Nil removes the rule.
+// SetRule clears the summary, stores the rule word, clears the stale mark
+// — in that order, which LiveRule and Plain rely on. Nil removes the rule.
 func (ed Edit) SetRule(p unsafe.Pointer) {
+	ed.ClearPlain()
 	setWord(&ed.e.rule, p, &ed.s.rules)
 	if ed.e.bits.Load()&staleBit != 0 {
 		ed.e.setBits(staleBit, 0)
@@ -659,6 +672,14 @@ func (ed Edit) MarkStale() {
 		ed.s.stale++
 	}
 }
+
+// SetPlain summarizes the plain rule SetRule stored, of epoch and price (each
+// half below 1<<32), the epoch last; ClearPlain removes the summary.
+func (ed Edit) SetPlain(epoch, fixed, header uint64) {
+	ed.e.price.Store(fixed<<32 | header)
+	ed.e.plain.Store(epoch + 1)
+}
+func (ed Edit) ClearPlain() { ed.e.plain.Store(0) }
 
 // SetRec stores the recording word.
 func (ed Edit) SetRec(p unsafe.Pointer) { setWord(&ed.e.rec, p, &ed.s.recs) }

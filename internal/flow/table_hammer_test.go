@@ -336,10 +336,24 @@ func TestFlowTableHammer(t *testing.T) {
 
 // TestTrackedSizeClass pins the flow entry to the 64-byte size class —
 // one cache line: the packed key, the two record words and the state
-// word take 40 bytes, and the pad keeps the entry out of the 48-byte
-// class, where two entries in three would straddle two cache lines.
+// word take 40 bytes, the plain rule's summary 16 more, and the pad keeps
+// the entry out of the 48-byte class, where two entries in three would
+// straddle two cache lines. The summary must lie inside the line: a
+// packet served from it loads nothing but the entry.
 func TestTrackedSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(tracked{}); n != 64 {
+	var e tracked
+	if n := unsafe.Sizeof(e); n != 64 {
 		t.Errorf("tracked is %d bytes, want 64", n)
+	}
+	for _, w := range []struct {
+		name     string
+		off, len uintptr
+	}{
+		{"plain", unsafe.Offsetof(e.plain), unsafe.Sizeof(e.plain)},
+		{"price", unsafe.Offsetof(e.price), unsafe.Sizeof(e.price)},
+	} {
+		if w.off+w.len > 64 {
+			t.Errorf("summary word %s at bytes %d-%d, outside the entry's line", w.name, w.off, w.off+w.len)
+		}
 	}
 }

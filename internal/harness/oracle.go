@@ -44,9 +44,9 @@ type OracleConfig struct {
 	Schedules int
 	// Flows is the per-schedule trace size (default 24).
 	Flows int
-	// Chain picks the service chain: 1 or 2 (§VII-B3), 3 (stateless) or 4
-	// (the catalog chain); 0 alternates 1 and 2 per schedule (1, 2 and 3
-	// under Cluster). Topo runs its fixed topology and takes no Chain.
+	// Chain picks the service chain: 1 or 2 (§VII-B3), 3 (stateless), 4
+	// (catalog) or 5 (three filters); 0 alternates 1 and 2 per schedule (1,
+	// 2 and 3 under Cluster). Topo runs its fixed topology and takes no Chain.
 	Chain int
 	// Batch is the vector size the system under test is driven in
 	// (<= 1: a vector of one, through the same code). The reference always
@@ -251,6 +251,7 @@ var oracleRows = [...]oracleRow{
 	2: chainRow(chain2.Build),
 	3: chainRow(statelessChain.Build),
 	4: chainRow(catalogChain.Build),
+	5: chainRow(filtersChain.Build),
 }
 
 // chainRow is the row of a single service chain: one engine, or, under

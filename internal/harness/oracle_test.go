@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -322,6 +323,57 @@ func TestOracleRefusesWhatItCannotHonour(t *testing.T) {
 		cfg.Schedules = 1
 		if res, err := RunOracle(cfg); err == nil {
 			t.Errorf("%s: accepted:\n%s", name, res.Format())
+		}
+	}
+}
+
+// TestOracleFiltersChainUnderEveryFault runs the three forward-only
+// filters, whose every rule is plain and served from its flow entry's
+// summary, under each fault kind alone, at vectors of 1 and 32, against
+// the baseline engine. A storm registers its events after a plain
+// install, so the next packet must see the guard; an eviction, a stale
+// mark and a crash restore must each leave no summary behind to serve;
+// every schedule ends with CheckRecords. The kinds a chain with no event,
+// no Maglev or a single engine cannot inject run with what injects them:
+// a storm's firings, reconfigurations, crashes, the cluster.
+func TestOracleFiltersChainUnderEveryFault(t *testing.T) {
+	schedules := 40
+	if testing.Short() {
+		schedules = 10
+	}
+	for _, k := range fault.Kinds() {
+		for _, batch := range []int{1, 32} {
+			t.Run(fmt.Sprintf("%v/batch%d", k, batch), func(t *testing.T) {
+				cfg := OracleConfig{Seed: 1, Schedules: schedules, Chain: 5, Batch: batch, Rates: map[fault.Kind]float64{k: 0.3}}
+				switch k {
+				case fault.KindRecomputeDelay, fault.KindRecomputeDrop:
+					cfg.Rates[fault.KindEventStorm] = 0.3
+				case fault.KindReconfigAbort:
+					cfg.Reconfigs = 2
+				case fault.KindCrashRestore:
+					cfg.Crashes = 2
+				case fault.KindMigrationAbort:
+					cfg.Cluster = true
+				}
+				res, err := RunOracle(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.Passed() {
+					t.Fatalf("filters-chain oracle under %v failed:\n%s", k, res.Format())
+				}
+				switch k {
+				case fault.KindBackendFlap: // no Maglev to flap
+				case fault.KindCrashRestore:
+					if res.CrashRestores == 0 {
+						t.Error("no crash restored: the run was vacuous")
+					}
+				default:
+					if res.Injected == 0 {
+						t.Errorf("%v never injected: the run was vacuous", k)
+					}
+				}
+			})
 		}
 	}
 }

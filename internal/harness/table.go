@@ -169,6 +169,10 @@ var (
 		{Type: "ipfilter", Name: "ipfilter", ACLSize: 100},
 		{Type: "gateway", Name: "gateway", NextHopMAC: "02:00:00:00:00:fe"},
 	}}
+	// filtersChain is the benchmark's hot and wide chain: three
+	// forward-only filters, so every rule is plain and the fast path
+	// serves each flow from its entry's summary.
+	filtersChain = &chainspec.Spec{NFs: []chainspec.NFSpec{{Type: "ipfilter"}, {Type: "ipfilter"}, {Type: "ipfilter"}}}
 	// catalogChain runs the catalog NFs no paper chain holds: an
 	// encap/decap pair that cancels in consolidation around a
 	// payload-reading NF, the cross-flow shared-state limiter (§IV-A2; its

@@ -98,6 +98,12 @@ func (r *GlobalRule) SetGuards(g *Guard) {
 	atomic.StorePointer((*unsafe.Pointer)(unsafe.Pointer(&r.guards)), unsafe.Pointer(g))
 }
 
+// Plain reports a priced forward with no header work, function or guard.
+func (r *GlobalRule) Plain() bool {
+	return !r.Drop && string(r.Prog) == string(forwardProg) && len(r.Batches) == 0 && r.Guards() == nil &&
+		r.FixedCycles != 0 && max(r.FixedCycles, r.HeaderCycles) < 1<<32
+}
+
 // ApplyHeader performs the consolidated header work on a packet:
 // residual decaps, residual encaps, merged modifies, each patching the
 // checksums for what it rewrites. It returns false when the verdict is
@@ -259,8 +265,8 @@ func (g *Global) Install(r *GlobalRule) (replaced bool) {
 	return g.InstallAt(ed, r)
 }
 
-// InstallAt is Install on r's flow's entry, which the edit must have
-// found.
+// InstallAt is Install on r's flow's entry, which the edit must have found:
+// a plain rule of the current epoch leaves its summary there.
 func (g *Global) InstallAt(ed flow.Edit, r *GlobalRule) (replaced bool) {
 	stored := r
 	if old := (*GlobalRule)(ed.Handle().Rule()); old != nil {
@@ -269,6 +275,9 @@ func (g *Global) InstallAt(ed flow.Edit, r *GlobalRule) (replaced bool) {
 		stored, replaced = &versioned, true
 	}
 	ed.SetRule(unsafe.Pointer(stored))
+	if stored.Plain() && stored.Epoch == g.epoch.Load() {
+		ed.SetPlain(stored.Epoch, stored.FixedCycles, stored.HeaderCycles)
+	}
 	if j := g.journalOf(); j != nil {
 		j.RuleInstalled(stored, replaced)
 	}

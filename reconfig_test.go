@@ -228,8 +228,18 @@ func TestConcurrentReconfigure(t *testing.T) {
 // generation bump makes cached pointers to retired-epoch rules
 // unusable), the affected flows must re-record, and the very next
 // batch must be fully fast again.
-func TestStaleEpochRuleCacheMiss(t *testing.T) {
-	p, err := speedybox.NewBESS(chain1(t), speedybox.DefaultOptions())
+func TestStaleEpochRuleCacheMiss(t *testing.T) { staleEpochMiss(t, chain1(t)) }
+
+// TestStaleEpochSummaryMiss is TestStaleEpochRuleCacheMiss on three
+// forward-only filters, whose rules are plain: their packets are served
+// from the summaries on the flow entries, and no summary of the retired
+// epoch may serve one after the reconfiguration.
+func TestStaleEpochSummaryMiss(t *testing.T) {
+	staleEpochMiss(t, []speedybox.NF{hammerFilter(t, "fw1"), hammerFilter(t, "fw2"), hammerFilter(t, "fw3")})
+}
+
+func staleEpochMiss(t *testing.T, nfs []speedybox.NF) {
+	p, err := speedybox.NewBESS(nfs, speedybox.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,5 +299,8 @@ func TestStaleEpochRuleCacheMiss(t *testing.T) {
 	s4 := run(4)
 	if got := s4.FastPath - s3.FastPath; got != nflows {
 		t.Errorf("post-recovery batch hit fast path %d/%d times", got, nflows)
+	}
+	if err := eng.CheckRecords(); err != nil {
+		t.Error(err)
 	}
 }
