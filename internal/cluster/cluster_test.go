@@ -18,6 +18,7 @@ import (
 	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/nf/gateway"
 	"github.com/fastpathnfv/speedybox/internal/nf/ipfilter"
+	"github.com/fastpathnfv/speedybox/internal/nf/maglev"
 	"github.com/fastpathnfv/speedybox/internal/nf/monitor"
 	"github.com/fastpathnfv/speedybox/internal/packet"
 	"github.com/fastpathnfv/speedybox/internal/telemetry"
@@ -924,5 +925,105 @@ func TestMigrantEvictsResident(t *testing.T) {
 	}
 	if err := eng.CheckRecords(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMigratedFlowFailsOverInPlace: a Chain1 flow a rebalance moved to
+// another instance brought the recording its rule was built from, so
+// when its Maglev backend fails, its next packet fires the failover on
+// the new owner and is served rerouted from the updated rule on the fast
+// path: no slow-path packet, no removal for want of a recording.
+func TestMigratedFlowFailsOverInPlace(t *testing.T) {
+	hub := telemetry.NewHub()
+	chain := chain1NFs(t)
+	cl, err := New(Config{Chain: chain, Options: core.DefaultOptions(), Hub: hub})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	ref, err := core.NewEngine(chain1NFs(t), core.BaselineOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const flows = 24
+	establish(t, cl, ref, flows)
+	owner := func(f int) (string, flow.FID) {
+		ft, _ := data(f, 0).FiveTuple()
+		for i, name := range cl.Names() {
+			for _, e := range cl.Engine(i).FlowEntries() {
+				if e.Tuple == ft {
+					return name, e.FID
+				}
+			}
+		}
+		t.Fatalf("flow %d is on no instance", f)
+		return "", 0
+	}
+	var before [flows]string
+	for f := range before {
+		before[f], _ = owner(f)
+	}
+	if err := cl.ScaleTo(3); err != nil {
+		t.Fatal(err)
+	}
+	moved := -1
+	for f := range before {
+		if now, _ := owner(f); now != before[f] {
+			moved = f
+			break
+		}
+	}
+	if moved < 0 {
+		t.Fatal("no flow migrated")
+	}
+	var lb *maglev.Maglev
+	for _, nf := range chain {
+		if m, ok := nf.(*maglev.Maglev); ok {
+			lb = m
+		}
+	}
+	_, fid := owner(moved)
+	orig, ok := lb.BackendOf(fid)
+	if !ok {
+		t.Fatalf("migrated flow %d (%v) is pinned to no backend", moved, fid)
+	}
+	// chain1NFs's backends are 192.168.1.10 and .11, in order.
+	if err := lb.FailBackend(int(orig.IP[3]) - 10); err != nil {
+		t.Fatal(err)
+	}
+	slow := cl.Stats().SlowPath
+	p := data(moved, 5)
+	m, err := cl.Process(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nb, _ := lb.BackendOf(fid)
+	if m.Result.Path != core.PathFast || m.Result.Fast.EventsFired != 1 || nb == orig || p.DstIP() != nb.IP {
+		t.Errorf("after the failure: path %v, backend %v -> %v, packet to %v; want the fast path, rerouted in place",
+			m.Result.Path, orig, nb, p.DstIP())
+	}
+	if got := cl.Stats().SlowPath - slow; got != 0 {
+		t.Errorf("%d slow-path packets, want none", got)
+	}
+	var out bytes.Buffer
+	if err := hub.Registry.WritePrometheus(&out); err != nil {
+		t.Fatal(err)
+	}
+	series := 0
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.HasPrefix(line, `speedybox_mat_removals_total{reason="event-unrecorded"`) {
+			series++
+			if !strings.HasSuffix(line, " 0") {
+				t.Errorf("a rule removed for want of a recording: %s", line)
+			}
+		}
+	}
+	if series == 0 {
+		t.Error("no event-unrecorded removal series in the exposition")
+	}
+	for i := 0; i < cl.Len(); i++ {
+		if err := cl.Engine(i).CheckRecords(); err != nil {
+			t.Error(err)
+		}
 	}
 }

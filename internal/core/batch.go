@@ -174,10 +174,9 @@ type traversal struct {
 	// ctx is the one instrumentation context, repointed per NF; its
 	// recording buffers collect the whole chain's actions and functions.
 	ctx Ctx
-	// rules[i] is NF i's span of the recording buffers and contribs[i]
-	// presents it to the consolidation (a nil Rule: recorded nothing).
-	rules    []mat.LocalRule
-	contribs []mat.Contribution
+	// spans[i] is NF i's span of the recording buffers (the zero
+	// LocalRule: recorded nothing).
+	spans []mat.LocalRule
 }
 
 // nextInfo returns a fresh SlowPathInfo for the vector's next slow

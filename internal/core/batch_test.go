@@ -698,8 +698,8 @@ func TestFlowChurnMutatesGlobalMATInPlace(t *testing.T) {
 		t.Errorf("%d connections published %d flow-table arrays (want at most %d) and %d Global MAT ones (want none)",
 			conns, got, 4*flow.ShardCount, g.Publishes())
 	}
-	if c := flows.Counts(); c.Dead > 2*conns || c.Records != resident || c.Detached != 0 {
-		t.Errorf("%+v: want at most two tombstones per torn-down connection (%d), a recording per resident flow and nothing detached", c, 2*conns)
+	if c := flows.Counts(); c.Dead > 2*conns || c.Records != 0 || c.Detached != 0 {
+		t.Errorf("%+v: want at most two tombstones per torn-down connection (%d), no record — the resident flows' recordings are their rules' — and nothing detached", c, 2*conns)
 	}
 	if err := eng.CheckRecords(); err != nil {
 		t.Error(err)

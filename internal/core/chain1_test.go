@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/fastpathnfv/speedybox/internal/chainspec"
@@ -12,6 +13,7 @@ import (
 	"github.com/fastpathnfv/speedybox/internal/nf/monitor"
 	"github.com/fastpathnfv/speedybox/internal/packet"
 	"github.com/fastpathnfv/speedybox/internal/server"
+	"github.com/fastpathnfv/speedybox/internal/telemetry"
 	"github.com/fastpathnfv/speedybox/internal/wal"
 )
 
@@ -158,7 +160,7 @@ func TestMaglevFailoverReconsolidates(t *testing.T) {
 	if !ok {
 		t.Fatal("no rule after the initial packet")
 	}
-	before := fmt.Sprintf("%v %x", rule, rule.Prog)
+	before, old := fmt.Sprintf("%v %x", rule, rule.Prog), rule
 	// The default spec's backends are 192.168.1.10, .11 and .12, in order.
 	orig, _ := lb.BackendOf(fid)
 	if err := lb.FailBackend(int(orig.IP[3]) - 10); err != nil {
@@ -185,16 +187,19 @@ func TestMaglevFailoverReconsolidates(t *testing.T) {
 	if before != wantBefore || after != wantAfter {
 		t.Errorf("rules differ from the pinned ones:\nbefore %s\nwant   %s\nafter  %s\nwant   %s", before, wantBefore, after, wantAfter)
 	}
-	// The failover's in-place edit stayed inside the load balancer's own
-	// span of the record: its neighbours' are what they recorded.
-	spans, _ := eng.Events().Recorded(fid)
+	// The failover edited the load balancer's span of a copy of the
+	// recording: the new rule's other spans are what their NFs recorded,
+	// and the old rule still holds the recording it was built from.
 	for i, want := range []string{"[modify(SIP) modify(SPort)]", "", "[forward]", "[forward]"} {
 		if i == 1 {
 			continue
 		}
-		if got := fmt.Sprint(spans[i].Actions); got != want {
+		if got := fmt.Sprint(rule.Spans[i].Actions); got != want {
 			t.Errorf("Local MAT %d after the failover: %s, want %s", i, got, want)
 		}
+	}
+	if got := old.Spans[1].Actions[0].Value; !bytes.Equal(got, orig.IP[:]) || bytes.Equal(rule.Spans[1].Actions[0].Value, got) {
+		t.Errorf("the load balancer's span: %v before the failover, %v after; want %v, then the new backend", got, rule.Spans[1].Actions[0].Value, orig.IP)
 	}
 }
 
@@ -305,8 +310,8 @@ func chain1Of(chain []core.NF) (lb *maglev.Maglev, mon *monitor.Monitor) {
 // crash lost; from the restore on, both see the same packets, and the
 // restored engine serves every flow's next packet from its rule with the
 // twin's verdict and bytes. When a backend fails after the restore, the
-// flows pinned to it re-record — their recording did not travel — and
-// still match the twin, which reroutes them in place.
+// flows pinned to it are rerouted in place, their recording having come
+// back with their rules, and match the twin, which does the same.
 func TestChain1RestoreBringsBackEveryRule(t *testing.T) {
 	const flows = 16
 	liveChain, twinChain := chain1(t), chain1(t)
@@ -399,8 +404,8 @@ func TestChain1RestoreBringsBackEveryRule(t *testing.T) {
 		t.Errorf("monitor totals %+v, twin %+v", got, want)
 	}
 
-	// A backend fails on both: the flows pinned to it re-record on the
-	// restored engine.
+	// A backend fails on both: the flows pinned to it fail over in place
+	// on the restored engine too.
 	freshLB, _ := chain1Of(freshChain)
 	twinLB, _ := chain1Of(twinChain)
 	fids := fidsOf(t, fresh)
@@ -424,11 +429,12 @@ func TestChain1RestoreBringsBackEveryRule(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	initial := fresh.Stats().Initial
+	initial, fired := fresh.Stats().Initial, fresh.Stats().EventsFired
 	both("after the failure", func(int, *core.PacketResult) {})
-	both("re-recorded", func(int, *core.PacketResult) {})
-	if got := fresh.Stats().Initial - initial; got != uint64(pinned) {
-		t.Errorf("%d flows re-recorded after the failure, want the %d pinned to the failed backend", got, pinned)
+	both("rerouted", func(int, *core.PacketResult) {})
+	if st := fresh.Stats(); st.Initial != initial || st.EventsFired-fired != uint64(pinned) {
+		t.Errorf("after the failure: %d flows re-recorded, %d failovers fired; want none and one for each of the %d pinned to the failed backend",
+			st.Initial-initial, st.EventsFired-fired, pinned)
 	}
 	both("steady", func(f int, res *core.PacketResult) {
 		if res.Path != core.PathFast {
@@ -451,4 +457,94 @@ func fidsOf(t *testing.T, eng *core.Engine) []flow.FID {
 		out = append(out, e.FID)
 	}
 	return out
+}
+
+// TestRestoredFlowFailsOverInPlace: a Chain1 flow restored from a
+// checkpoint plus the journal suffix — its rule's image replayed from
+// the log — brought its recording back with its rule, so when its
+// Maglev backend fails, its next packet fires the failover and is served
+// rerouted from the updated rule on the fast path: no slow-path packet,
+// no removal for want of a recording.
+func TestRestoredFlowFailsOverInPlace(t *testing.T) {
+	live := chain1Engine(t, core.DefaultOptions())
+	live.AttachWAL(wal.NewWriter(wal.Options{GroupCommit: 1}))
+	const port = 7600
+	first, err := live.ProcessPacket(chain1Pkt(port, packet.ProtoUDP, 0, "first"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := live.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The rule the restore brings back is the one the log holds: the flow
+	// re-records after the checkpoint.
+	live.Global().MarkStale(first.FID)
+	if _, err := live.ProcessPacket(chain1Pkt(port, packet.ProtoUDP, 0, "re-record")); err != nil {
+		t.Fatal(err)
+	}
+	if cp, err = wal.DecodeCheckpoint(cp.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	chain := chain1(t)
+	hub := telemetry.NewHub()
+	opts := core.DefaultOptions()
+	opts.Telemetry = hub
+	fresh, err := core.NewEngine(chain, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Restore(cp, live.WAL().Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	lb, _ := chain1Of(chain)
+	orig, _ := lb.BackendOf(first.FID)
+	// The default spec's backends are 192.168.1.10, .11 and .12, in order.
+	if err := lb.FailBackend(int(orig.IP[3]) - 10); err != nil {
+		t.Fatal(err)
+	}
+	p := chain1Pkt(port, packet.ProtoUDP, 0, "after the failure")
+	res, err := fresh.ProcessPacket(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nb, _ := lb.BackendOf(first.FID)
+	if res.Path != core.PathFast || res.Fast.EventsFired != 1 || nb == orig || p.DstIP() != nb.IP {
+		t.Errorf("after the failure: path %v, backend %v -> %v, packet to %v; want the fast path, rerouted in place",
+			res.Path, orig, nb, p.DstIP())
+	}
+	if st := fresh.Stats(); st.SlowPath != 0 {
+		t.Errorf("%d slow-path packets, want none", st.SlowPath)
+	}
+	if n := metricSum(t, hub, `speedybox_mat_removals_total{reason="event-unrecorded"`); n != 0 {
+		t.Errorf("%d rules removed for want of a recording, want 0", n)
+	}
+	if err := fresh.CheckRecords(); err != nil {
+		t.Error(err)
+	}
+}
+
+// metricSum adds up every series of the hub's exposition whose name and
+// labels start with prefix, failing the test if there is none.
+func metricSum(t *testing.T, hub *telemetry.Hub, prefix string) uint64 {
+	t.Helper()
+	var out bytes.Buffer
+	if err := hub.Registry.WritePrometheus(&out); err != nil {
+		t.Fatal(err)
+	}
+	sum, seen := uint64(0), false
+	for _, line := range strings.Split(out.String(), "\n") {
+		if !strings.HasPrefix(line, prefix) {
+			continue
+		}
+		var v uint64
+		if _, err := fmt.Sscan(line[strings.LastIndexByte(line, ' ')+1:], &v); err != nil {
+			t.Fatal(err)
+		}
+		sum, seen = sum+v, true
+	}
+	if !seen {
+		t.Fatalf("no %s series in the exposition", prefix)
+	}
+	return sum
 }

@@ -6,6 +6,8 @@ import (
 
 	"github.com/fastpathnfv/speedybox/internal/event"
 	"github.com/fastpathnfv/speedybox/internal/flow"
+	"github.com/fastpathnfv/speedybox/internal/mat"
+	"github.com/fastpathnfv/speedybox/internal/sfunc"
 )
 
 // CheckRecords walks the flow table once and checks what every flow
@@ -15,9 +17,9 @@ import (
 //   - a rule a packet could be served from knows its flow's events: its
 //     guards are the record's registrations, one for one (an unguarded
 //     registration is an update the fast path would sleep through);
-//   - a live rule was not consolidated from a recording of another
-//     chain epoch;
-//   - a live rule is priced: it went in through the engine's install;
+//   - a live rule is priced, and its recording, which restores, moves
+//     and updates build from, builds it again (Engine.build): program,
+//     verdict, batches, guards and price;
 //   - an entry's summary (flow.Handle.Plain) is of its rule, plain, at
 //     its price, and a live rule is summarized if and only if it is plain;
 //   - a detached entry holds a rule — the only reason the engine makes
@@ -90,12 +92,28 @@ func (e *Engine) CheckRecords() error {
 		if r.FixedCycles == 0 {
 			fail("rule of %v carries no price", fid)
 		}
-		if spans, epoch := e.events.Recorded(fid); spans != nil && epoch != r.Epoch {
-			fail("rule of %v is of epoch %d, its recording of epoch %d", fid, r.Epoch, epoch)
+		ed = flows.EditHandle(h)
+		built, err := e.build(ed, cs, r.Epoch, r.Spans)
+		ed.Done()
+		if err != nil {
+			fail("rule of %v: its recording does not build: %v", fid, err)
+		} else if !sameRule(r, built) {
+			fail("rule of %v is %v %x, its recording builds %v %x", fid, r, r.Prog, built, built.Prog)
 		}
 	})
 	if n, s, a := e.global.Len(), e.global.StaleLen(), e.events.Len(); n != rules || s != stale || a != armed {
 		fail("walk counted %d rules, %d stale, %d flows with events; the tables say %d, %d, %d", rules, stale, armed, n, s, a)
 	}
 	return err
+}
+
+// sameRule reports whether r is built, the rule its recording builds:
+// the same program, verdict, batches, guards and price.
+func sameRule(r, built *mat.GlobalRule) bool {
+	g, bg := r.Guards(), built.Guards()
+	for ; g != nil && bg != nil && g.Ref == bg.Ref; g, bg = g.Next, bg.Next {
+	}
+	return g == nil && bg == nil && string(r.Prog) == string(built.Prog) && r.Drop == built.Drop &&
+		r.FixedCycles == built.FixedCycles && r.HeaderCycles == built.HeaderCycles &&
+		slices.EqualFunc(r.Batches, built.Batches, func(a, b sfunc.Batch) bool { return a.At == b.At && slices.Equal(a.Calls, b.Calls) })
 }

@@ -230,14 +230,7 @@ func (e *Engine) state() *chainState { return e.cur.Load() }
 func (e *Engine) ChainLen() int { return len(e.state().chain) }
 
 // ChainNames returns the live chain's NF names in order.
-func (e *Engine) ChainNames() []string {
-	cs := e.state()
-	out := make([]string, len(cs.chain))
-	for i, nf := range cs.chain {
-		out[i] = nf.Name()
-	}
-	return out
-}
+func (e *Engine) ChainNames() []string { return wal.NamesOf(e.state().contribs) }
 
 // Epoch returns the current chain epoch (bumped by Reconfigure).
 func (e *Engine) Epoch() uint64 { return e.global.Epoch() }
@@ -413,12 +406,11 @@ func (e *Engine) slowPath(h flow.Handle, pkt *packet.Packet, recording bool, res
 		// Re-recording an initial packet (e.g. several packets raced
 		// in before consolidation) starts from a clean record.
 		e.prepareRecording(h)
-		if cap(t.rules) < len(cs.chain) {
-			t.rules = make([]mat.LocalRule, len(cs.chain))
-			t.contribs = make([]mat.Contribution, len(cs.chain))
+		if cap(t.spans) < len(cs.chain) {
+			t.spans = make([]mat.LocalRule, len(cs.chain))
 		}
-		t.rules, t.contribs = t.rules[:len(cs.chain)], t.contribs[:len(cs.chain)]
-		copy(t.contribs, cs.contribs)
+		t.spans = t.spans[:len(cs.chain)]
+		clear(t.spans)
 	}
 
 	verdict := VerdictForward
@@ -444,11 +436,10 @@ func (e *Engine) slowPath(h flow.Handle, pkt *packet.Packet, recording bool, res
 		}
 		if len(ctx.acts) > nActs || len(ctx.funcs) > nFuncs {
 			// Capacity-limited: a span never grows into the next NF's.
-			t.rules[i] = mat.LocalRule{
+			t.spans[i] = mat.LocalRule{
 				Actions: ctx.acts[nActs:len(ctx.acts):len(ctx.acts)],
 				Funcs:   ctx.funcs[nFuncs:len(ctx.funcs):len(ctx.funcs)],
 			}
-			t.contribs[i].Rule = &t.rules[i]
 		}
 		if v == VerdictDrop {
 			verdict = VerdictDrop
@@ -479,66 +470,61 @@ func (e *Engine) slowPath(h flow.Handle, pkt *packet.Packet, recording bool, res
 		recording = false
 	}
 	if recording {
-		if err := e.consolidate(h, ctx.tenant, info, cs, t.contribs, ctx.regs, false); err != nil {
-			if !errors.Is(err, mat.ErrNotConsolidatable) {
-				return err
-			}
-			// No rule is installed: the flow stays on the (always
-			// correct) slow path, just without acceleration.
+		ed := e.class.Flows().EditHandle(h)
+		fresh, err := e.consolidate(ed, ctx.tenant, info, cs, t.spans, ctx.regs)
+		ed.Done()
+		if fresh {
+			e.maybeStorm(h, cs) // it registers: after the edit
+		}
+		// Not consolidatable: no rule is installed, and the flow stays on
+		// the (always correct) slow path, just without acceleration.
+		if err != nil && !errors.Is(err, mat.ErrNotConsolidatable) {
+			return err
 		}
 	}
 	res.WorkCycles = info.ClassifierCycles + res.NFWork() + info.ConsolidateCycles
 	return nil
 }
 
-// consolidate builds the Global MAT rule of h's flow from its per-NF
-// contributions under the chain snapshot and installs it, charging the
-// work into info; the rule carries the snapshot's epoch, so one racing a
-// reconfiguration is never served. tenant is who a first install is
-// charged to. contribs presents the chain's NFs (chainState.contribs)
-// and, fromRecord unset, points at what each recorded, published first
-// with regs, the events the traversal registered; with fromRecord the
-// record's spans are read in place. Publication, admission, the guard
-// snapshot, the install and the ladder's clearing are one edit of the
-// entry: no registration lands between snapshot and install, and a flow
-// torn down under the traversal is charged and given nothing.
-func (e *Engine) consolidate(h flow.Handle, tenant int32, info *SlowPathInfo, cs *chainState, contribs []mat.Contribution, regs []event.Registration, fromRecord bool) error {
-	fid, fresh := h.FID(), false
-	ed := e.class.Flows().EditHandle(h)
-	defer func() {
-		ed.Done()
-		if fresh {
-			e.maybeStorm(h, cs) // it registers: after the edit
-		}
-	}()
+// consolidate publishes spans — a traversal's recording or an event
+// update's edited copy of the rule's — with regs, the events the
+// traversal registered, on the flow under edit, builds its Global MAT
+// rule from them under the chain snapshot and installs it, charging the
+// work into info and reporting whether the flow had no rule before.
+// tenant is who a first install is charged to. The rule carries the
+// snapshot's epoch, so one racing a reconfiguration is never served.
+// Publication, admission, the guard snapshot, the install and the
+// ladder's clearing are one edit of the entry: no registration lands
+// between snapshot and install, and a flow torn down under the traversal
+// is charged and given nothing.
+func (e *Engine) consolidate(ed flow.Edit, tenant int32, info *SlowPathInfo, cs *chainState, spans []mat.LocalRule, regs []event.Registration) (bool, error) {
 	if !ed.Found() {
-		return nil
+		return false, nil
 	}
-	if !fromRecord {
-		if err := e.events.Publish(ed, cs.epoch, len(cs.chain), 0, contribs, regs); err != nil {
-			return err
-		}
+	fid := ed.Handle().FID()
+	spans, err := e.events.Publish(ed, spans, regs)
+	if err != nil {
+		return false, err
 	}
 	if e.admission != nil && !e.admitRule(ed, tenant) {
 		// Refused: nothing installed, marked or degraded; the flow retries
 		// on its next initial packet.
 		e.statsFor(fid).ruleQuotaDenied.Add(1)
-		return nil
+		return false, nil
 	}
-	rule, err := e.events.Consolidate(ed, cs.lay, cs.epoch, contribs, fromRecord)
-	contributed := 0
-	for _, c := range contribs {
-		if c.Rule != nil {
-			contributed++
-		}
-	}
+	rule, err := e.build(ed, cs, cs.epoch, spans)
 	if err != nil {
 		if e.tel != nil && errors.Is(err, mat.ErrNotConsolidatable) {
 			e.tel.unconsolidatable.Inc()
 		}
-		return err
+		return false, err
 	}
-	rule.Epoch = cs.epoch
+	contributed := 0
+	for _, sp := range spans {
+		if sp.Actions != nil {
+			contributed++
+		}
+	}
 	// The merge work was done whether or not the install below lands.
 	info.ConsolidateCycles = e.model.ConsolidateBase + e.model.ConsolidatePerNF*uint64(contributed)
 	if e.faults != nil && e.faults.Should(fault.KindInstallFail, fid) {
@@ -546,16 +532,27 @@ func (e *Engine) consolidate(h flow.Handle, tenant int32, info *SlowPathInfo, cs
 		// installed version, which disagrees with the recording, must
 		// stop being served; the flow retries after backoff.
 		e.markStale(ed, fault.KindInstallFail, CauseInstallFault, true)
-		return nil
+		return false, nil
 	}
-	e.price(rule)
 	replaced := e.global.InstallAt(ed, rule)
 	if e.tel != nil {
 		e.tel.ruleInstalled(uint32(fid), replaced)
 	}
 	e.clearDegraded(ed)
-	fresh = !replaced
-	return nil
+	return !replaced, nil
+}
+
+// build is the one way a rule is made, from a recording (spans) over the
+// flow under edit's state and registrations (event.Table.Consolidate),
+// stamped with epoch and priced for the caller's Global.InstallAt.
+func (e *Engine) build(ed flow.Edit, cs *chainState, epoch uint64, spans []mat.LocalRule) (*mat.GlobalRule, error) {
+	rule, err := e.events.Consolidate(ed, cs.lay, cs.contribs, spans)
+	if err != nil {
+		return nil, err
+	}
+	rule.Epoch = epoch
+	e.price(rule)
+	return rule, nil
 }
 
 // price works out what a packet served from the rule is charged, once,
@@ -564,7 +561,7 @@ func (e *Engine) price(rule *mat.GlobalRule) {
 	m := e.model
 	rule.FixedCycles = m.HashFID + m.FastPathBase + m.EventCheck + m.GMATLookup
 	if !rule.Drop {
-		rule.FixedCycles += m.FastPathPerHA * uint64(rule.SourceNFs)
+		rule.FixedCycles += m.FastPathPerHA * uint64(len(rule.Spans))
 	}
 	rule.HeaderCycles = 0
 	switch {
@@ -577,15 +574,22 @@ func (e *Engine) price(rule *mat.GlobalRule) {
 			rule.HeaderCycles += m.ChecksumUpdate
 		}
 	default:
-		// Ablation: price the header work as if every contributing NF
+		// Ablation: price the header work as if every NF that recorded
 		// still parsed the packet and applied its own actions with its
 		// own checksum update (redundancies R1 and R3 back in place).
-		for _, s := range rule.Sources {
-			rule.HeaderCycles += m.Parse + uint64(s.Modifies)*m.ModifyField +
-				uint64(s.Encaps)*m.EncapHeader + uint64(s.Decaps)*m.DecapHeader
-			if s.Modifies+s.Encaps+s.Decaps > 0 {
-				rule.HeaderCycles += m.ChecksumUpdate
+		each := [...]uint64{mat.ActionModify: m.ModifyField, mat.ActionEncap: m.EncapHeader, mat.ActionDecap: m.DecapHeader}
+		for _, sp := range rule.Spans {
+			if sp.Actions != nil {
+				rule.HeaderCycles += m.Parse
 			}
+			checksum := uint64(0)
+			for _, a := range sp.Actions {
+				if a.Kind >= mat.ActionModify && a.Kind <= mat.ActionDecap {
+					rule.HeaderCycles += each[a.Kind]
+					checksum = m.ChecksumUpdate
+				}
+			}
+			rule.HeaderCycles += checksum
 		}
 	}
 }
@@ -630,32 +634,17 @@ func (e *Engine) evictConsolidated(h flow.Handle) {
 		e.tel.rec.Append(telemetry.EvFaultInject, uint32(h.FID()), fault.KindEvictPressure.String())
 		e.tel.rec.Append(telemetry.EvFlowEvict, uint32(h.FID()), CauseFaultEvict)
 	}
-	e.evict(h, CauseFaultEvict)
-}
-
-// evict drops the rule and the recording of h's flow, refunding both,
-// and reports a removed rule under cause.
-func (e *Engine) evict(h flow.Handle, cause string) {
 	ed := e.class.Flows().EditHandle(h)
-	removed := e.dropConsolidated(ed)
+	e.drop(ed, CauseFaultEvict)
 	ed.Done()
-	if removed && e.tel != nil {
-		e.tel.ruleRemoved(uint32(h.FID()), cause)
-	}
 }
 
-// reconsolidate rebuilds the flow's rule from its record against the
-// given chain snapshot — after event updates, the snapshot the firings
-// were validated under.
-func (e *Engine) reconsolidate(h flow.Handle, cs *chainState) (uint64, error) {
-	contribs := slices.Clone(cs.contribs)
-	// A rebuild carries no packet: it is charged as untagged, unless the
-	// flow's events name its tenant.
-	var info SlowPathInfo
-	if err := e.consolidate(h, 0, &info, cs, contribs, nil, true); err != nil {
-		return 0, err
+// drop drops the rule and the recording of the flow under edit, refunding
+// both, and reports a removed rule under cause.
+func (e *Engine) drop(ed flow.Edit, cause string) {
+	if e.dropConsolidated(ed) && e.tel != nil {
+		e.tel.ruleRemoved(uint32(ed.Handle().FID()), cause)
 	}
-	return info.ConsolidateCycles, nil
 }
 
 // fastPathInto applies the consolidated rule, writing into the packet's
@@ -769,8 +758,11 @@ func (e *Engine) served(info *FastPathInfo, res *PacketResult, fixed, header uin
 
 // fireEvents takes the Event Table's locked probe for h's flow — the
 // authority a rule's guards only summarize: it removes one-shot
-// firings, applies the updates to the owning NFs' spans of the flow's
-// record and reconsolidates, reporting whether anything fired.
+// firings, applies each update to its NF's span of a copy of the
+// recording the flow's rule was built from and consolidates the copy
+// into the flow's next rule, reporting whether anything fired. The read
+// of the rule, the updates and the install are one edit of the entry, so
+// a firing on another worker builds on this one's rule, never beside it.
 func (e *Engine) fireEvents(h flow.Handle, info *FastPathInfo) (bool, error) {
 	fid := h.FID()
 	firings := e.events.Check(fid)
@@ -778,44 +770,50 @@ func (e *Engine) fireEvents(h flow.Handle, info *FastPathInfo) (bool, error) {
 		return false, nil
 	}
 	cs := e.state()
+	ed := e.class.Flows().EditHandle(h)
+	defer ed.Done()
+	var r *mat.GlobalRule
+	if ed.Found() {
+		r = e.global.Rule(ed.Handle())
+	}
+	if r == nil || r.Epoch != cs.epoch || len(r.Spans) != len(cs.chain) {
+		// No rule of this chain to update: the flow re-records.
+		e.drop(ed, CauseEventUnrecorded)
+		return false, nil
+	}
+	spans := slices.Clone(r.Spans)
 	for _, f := range firings {
-		if !f.Apply(cs.epoch, len(cs.chain)) {
-			// The flow's recording is of a retired chain, or did not come
-			// back with its rule from a restore or a migration: there is
-			// nothing to apply the updates to. Recording and rule go, and
-			// the flow re-records.
-			e.evict(h, CauseEventUnrecorded)
-			return false, nil
-		}
+		// The update edits a span of its own: the rule's are immutable.
+		spans[f.At] = *spans[f.At].Clone()
+		f.Event.Update(f.State, &spans[f.At])
 		info.ReconsolidateCycles += e.model.EventFire
 		if e.tel != nil {
 			e.tel.rec.Append(telemetry.EvEventFire, uint32(fid), cs.chain[f.At].Name())
 		}
 	}
-	// Faults: the updates stay applied to the record (NF state has
-	// changed), but the recomputation is dropped or delayed; the rule is
-	// stale-marked, so this packet falls back to the slow path.
+	info.EventsFired += len(firings)
+	// Faults: the recomputation is dropped or delayed — NF state has
+	// changed, the edited copy is lost — and the rule is stale-marked, so
+	// this packet falls back to the slow path.
 	for _, f := range recomputeFaults {
 		if e.faults != nil && e.faults.Should(f.kind, fid) {
-			ed := e.class.Flows().EditHandle(h)
 			e.markStale(ed, f.kind, f.cause, f.escalate)
-			ed.Done()
-			info.EventsFired += len(firings)
 			return true, nil
 		}
 	}
-	cycles, err := e.reconsolidate(h, cs)
-	switch {
+	// A rebuild carries no packet: it is charged as untagged, unless the
+	// flow's events name its tenant. It replaces r: no first install.
+	var built SlowPathInfo
+	switch _, err := e.consolidate(ed, 0, &built, cs, spans, nil); {
 	case err == nil:
-		info.ReconsolidateCycles += cycles
+		info.ReconsolidateCycles += built.ConsolidateCycles
 	case errors.Is(err, mat.ErrNotConsolidatable):
 		// The updated actions no longer fold into one rule: the flow
 		// re-records.
-		e.evict(h, CauseEventUnconsolidatable)
+		e.drop(ed, CauseEventUnconsolidatable)
 	default:
 		return false, err
 	}
-	info.EventsFired += len(firings)
 	return true, nil
 }
 

@@ -56,8 +56,8 @@ func TestExpireIdleRemovesStaleUDPFlows(t *testing.T) {
 	if eng.Global().Len() != 1 {
 		t.Errorf("rules after expiry = %d, want flow B's only", eng.Global().Len())
 	}
-	if n := eng.class.Flows().Counts().Records; n != 1 {
-		t.Errorf("recordings after expiry = %d", n)
+	if n := eng.FlowLen(); n != 1 {
+		t.Errorf("flows after expiry = %d, want flow B's only", n)
 	}
 	// Flow A's next packet is treated as initial again and works.
 	res, err := eng.ProcessPacket(udpPkt(t, 1111, "back"))

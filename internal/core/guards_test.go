@@ -236,7 +236,7 @@ func TestGuardRaceHammer(t *testing.T) {
 		}()
 		for last := false; !last; {
 			last = done.Load() // one more round after the last registration
-			if _, err := eng.reconsolidate(h, eng.state()); err != nil {
+			if err := rebuild(eng, h); err != nil {
 				t.Fatal(err)
 			}
 			rule, ok := eng.Global().LookupLive(fid)
@@ -263,4 +263,19 @@ func TestGuardRaceHammer(t *testing.T) {
 		wantGuards(t, eng, fid, event.MaxPerFlow, "after the last registration")
 	}
 	t.Logf("%d consolidations left current guards, %d raced a registration", snapshotted, raced)
+}
+
+// rebuild consolidates the rule of h's flow again from the recording it
+// was built from — a chain's worth of empty spans if it has none — and
+// installs it, as an event update does.
+func rebuild(e *Engine, h flow.Handle) error {
+	cs := e.state()
+	spans := make([]mat.LocalRule, len(cs.chain))
+	if r := e.global.Rule(h); r != nil {
+		spans = r.Spans
+	}
+	ed := e.class.Flows().EditHandle(h)
+	defer ed.Done()
+	_, err := e.consolidate(ed, 0, &SlowPathInfo{}, cs, spans, nil)
+	return err
 }

@@ -7,12 +7,13 @@ import (
 
 // Live flow migration between engine instances (cluster scale-out).
 // ExtractFlow packages a flow's entry, its NF state (by value) and its
-// live rule as a wal.MigrationRecord; AdoptFlow puts them on the new
-// owner — the state in the slots of the same-named NFs, the rule bound
-// to it with one Install, so a racing worker there sees the whole rule
-// or none. The recording and the ladder place do not travel: an event
-// firing on the new owner re-records the flow, and ladder deadlines are
-// ticks of the old owner's clock.
+// live rule — the recording it was built from, and its guards — as a
+// wal.MigrationRecord; AdoptFlow puts them on the new owner — the state
+// in the slots of the same-named NFs, the rule built from its recording
+// over that state and installed with one Install, so a racing worker
+// there sees the whole rule or none, and an event firing there updates
+// it in place. The ladder place does not travel: its deadlines are ticks
+// of the old owner's clock.
 
 // FlowEntries returns a snapshot of every tracked flow, sorted by FID.
 // Cluster rebalancing walks it to decide which flows a new steering
@@ -43,7 +44,7 @@ func (e *Engine) ExtractFlow(fid flow.FID) (wal.MigrationRecord, bool) {
 	}
 	mf := wal.MigrationRecord{Flow: wal.ImageOfEntry(entry, e.events.DropState(ed, false))}
 	if r := e.global.Live(ed.Handle()); r != nil {
-		mf.Rule = wal.Image(r)
+		mf.Rule = wal.Image(r, wal.NamesOf(e.state().contribs))
 	}
 	e.release(ed)
 	ed.Unlink()

@@ -20,11 +20,10 @@ import (
 // concurrent batch worker sees the whole rule or none. wal.Decode
 // discards a torn or corrupt journal tail whole.
 //
-// Every live rule restores: its state functions and guards are
-// references to what the chain's NFs declared (mat.Ref), which restore
-// binds to the flow's restored state. The flow's recording, the per-NF
-// spans an event update edits, does not come back: an event firing on a
-// restored flow re-records it (Engine.fireEvents).
+// Every live rule restores: its image is its recording (mat.GlobalRule.Spans)
+// and its guards (mat.Ref), and restore builds the rule from it as a live
+// install does (Engine.build), so an event firing on a restored flow
+// updates its rule in place, as on a flow that never left.
 
 // ErrNilCheckpoint reports Restore called without a checkpoint.
 var ErrNilCheckpoint = errcode.Sentinel("core.checkpoint_missing", "core: restore requires a checkpoint")
@@ -36,7 +35,7 @@ var ErrNilCheckpoint = errcode.Sentinel("core.checkpoint_missing", "core: restor
 type walJournal struct{ e *Engine }
 
 func (j *walJournal) RuleInstalled(r *mat.GlobalRule, replaced bool) {
-	j.e.wal.AppendInstall(r, replaced)
+	j.e.wal.AppendInstall(r, j.e.state().contribs, replaced)
 }
 
 func (j *walJournal) RuleRemoved(fid flow.FID) {
@@ -83,6 +82,8 @@ func (e *Engine) Checkpoint() (*wal.Checkpoint, error) {
 	start := time.Now()
 
 	e.wal.Sync()
+	cs := e.state()
+	names := wal.NamesOf(cs.contribs)
 	cp := &wal.Checkpoint{
 		Epoch:  e.global.Epoch(),
 		WALSeq: e.wal.Seq(),
@@ -94,12 +95,11 @@ func (e *Engine) Checkpoint() (*wal.Checkpoint, error) {
 		// old-epoch one is re-recorded anyway.
 		if h, ok := e.class.Flows().AcquireFID(fe.FID); ok {
 			if r := e.global.Live(h); r != nil {
-				cp.Rules = append(cp.Rules, *wal.Image(r))
+				cp.Rules = append(cp.Rules, *wal.Image(r, names))
 			}
 		}
 	}
 
-	cs := e.state()
 	for _, nf := range cs.chain {
 		snap, ok := nf.(Snapshotter)
 		if !ok {
@@ -140,11 +140,11 @@ func (e *Engine) LastCheckpoint() time.Time {
 //
 // The NFs' cross-flow state is restored first, then the flow entries —
 // each with its NFs' per-flow state, of which the NFs are told
-// (FlowStates.Arrive) — and rules land on them (adopt). Each surviving
-// journal record is applied with one Install/Remove/MarkStale, the
-// commit points live mutations use. Ladder backoff and the event-storm
-// fault's registrations do not survive a restore: the faults died with
-// the old process.
+// (FlowStates.Arrive) — and rules land on them (adopt), taking the
+// images' spans over. Each surviving journal record is applied with one
+// Install/Remove/MarkStale, the commit points live mutations use. Ladder
+// backoff and the event-storm fault's registrations do not survive a
+// restore: the faults died with the old process.
 func (e *Engine) Restore(cp *wal.Checkpoint, walData []byte) error {
 	if cp == nil {
 		return ErrNilCheckpoint
@@ -218,7 +218,9 @@ func (e *Engine) Restore(cp *wal.Checkpoint, walData []byte) error {
 	// post-restore consolidations would stamp rules with the stale
 	// construction-time epoch and LookupLive would never serve them.
 	if cs.epoch != finalEpoch {
-		e.cur.Store(&chainState{chain: cs.chain, lay: cs.lay, contribs: cs.contribs, epoch: finalEpoch})
+		next := *cs
+		next.epoch = finalEpoch
+		e.cur.Store(&next)
 	}
 
 	if e.tel != nil {
@@ -229,21 +231,25 @@ func (e *Engine) Restore(cp *wal.Checkpoint, walData []byte) error {
 	return nil
 }
 
-// adopt installs an image's rule, bound to the live chain and the flow's
-// state (event.Table.Rebind), on its flow if SpeedyBox is on and the flow
-// is tracked. An image naming what the chain lacks is dropped with the
-// flow's older rule, which it superseded: the flow re-records.
+// adopt installs the rule an image's recording builds, guarded by the
+// events its guards name (event.Table.Rebind), on its tracked flow. An
+// image the chain cannot build is dropped with the flow's older rule,
+// which it superseded, and its events: the flow re-records.
 func (e *Engine) adopt(im *wal.RuleImage) {
 	ed := e.class.Flows().Edit(im.FID, false)
 	defer ed.Done()
 	if !e.opts.EnableSpeedyBox || !ed.Found() || ed.Handle().Detached() {
 		return
 	}
-	rule, cs := im.Rule(), e.state()
-	if !e.events.Rebind(ed, cs.lay, cs.contribs, rule, im.Funcs, im.Guards) {
-		e.global.RemoveAt(ed)
+	cs := e.state()
+	var rule *mat.GlobalRule
+	if im.Of(cs.contribs) && e.events.Rebind(ed, cs.lay, im.Guards) {
+		rule, _ = e.build(ed, cs, im.Epoch, im.Spans)
+	}
+	if rule == nil {
+		e.dropConsolidated(ed)
 		return
 	}
-	e.price(rule)
+	rule.Version = im.Version
 	e.global.InstallAt(ed, rule)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -259,22 +260,44 @@ func refChain() []NF {
 	return []NF{&fakeModifier{name: "nat", dip: [4]byte{99, 0, 0, 1}}, &fakeCounter{name: "mon"}, &fakeEventNF{name: "lb"}}
 }
 
-// hostileImages tampers a rule image into one that names what refChain
-// lacks: another chain's shape, a position past the chain, an NF that
-// declares nothing or an undeclared index, for its state function and
-// for its guard.
+// hostileImages tampers a rule image of refChain — the NAT's modify, the
+// counter's state function, the event NF's forward and guard — into one
+// the chain cannot take back: another chain's shape, a state function
+// past the chain, of an NF that declares none or an undeclared index, a
+// guard past the chain, of an NF declaring no event or an undeclared
+// index, an action of no kind, a decap its pending encap does not match
+// and a modify of the wrong width.
 var hostileImages = []struct {
 	name   string
 	tamper func(im *wal.RuleImage)
 }{
-	{"image of a longer chain", func(im *wal.RuleImage) { im.SourceNFs = 4 }},
-	{"contributor the chain lacks", func(im *wal.RuleImage) { im.Sources[1].NF = "elsewhere" }},
-	{"function past the chain", func(im *wal.RuleImage) { im.Funcs[0].At = 7 }},
-	{"function of an NF declaring none", func(im *wal.RuleImage) { im.Funcs[0].At = 0 }},
-	{"undeclared function", func(im *wal.RuleImage) { im.Funcs[0].Index = 3 }},
+	{"image of a longer chain", func(im *wal.RuleImage) {
+		im.NFs, im.Spans = append(im.NFs, "extra"), append(im.Spans, mat.LocalRule{})
+	}},
+	{"contributor the chain lacks", func(im *wal.RuleImage) { im.NFs[1] = "elsewhere" }},
+	{"function past the chain", func(im *wal.RuleImage) {
+		im.NFs, im.Spans = append(im.NFs, "mon"), append(im.Spans, im.Spans[1])
+	}},
+	{"function of an NF declaring none", func(im *wal.RuleImage) { im.Spans[0].Funcs, im.Spans[1] = []uint8{0}, mat.LocalRule{} }},
+	{"undeclared function", func(im *wal.RuleImage) { im.Spans[1].Funcs = []uint8{3} }},
 	{"guard past the chain", func(im *wal.RuleImage) { im.Guards[0].At = 9 }},
 	{"guard of an NF declaring no event", func(im *wal.RuleImage) { im.Guards[0].At = 1 }},
 	{"undeclared event", func(im *wal.RuleImage) { im.Guards[0].Index = 1 }},
+	{"action of no kind", func(im *wal.RuleImage) { im.Spans[0].Actions = []mat.HeaderAction{{Kind: 99}} }},
+	{"decap of no pending encap", func(im *wal.RuleImage) {
+		im.Spans[0].Actions = []mat.HeaderAction{mat.Encap(packet.ExtraHeader{Type: packet.HeaderAH, SPI: 1})}
+		im.Spans[2].Actions = []mat.HeaderAction{mat.Decap(packet.HeaderVLAN)}
+	}},
+	{"modify of the wrong width", func(im *wal.RuleImage) {
+		im.Spans[0].Actions = []mat.HeaderAction{{Kind: mat.ActionModify, Field: packet.FieldDstIP, Value: []byte{99, 0}}}
+	}},
+}
+
+// tamperOwn applies a hostile tamper to an image of its own: one taken
+// from a live rule shares the rule's spans and its chain's names.
+func tamperOwn(im *wal.RuleImage, tamper func(*wal.RuleImage)) {
+	im.NFs, im.Spans, im.Guards = slices.Clone(im.NFs), slices.Clone(im.Spans), slices.Clone(im.Guards)
+	tamper(im)
 }
 
 // wantReRecords checks that the flow on port holds no rule on eng and
@@ -299,10 +322,12 @@ func wantReRecords(t *testing.T, eng *Engine, port uint16, when string) {
 	}
 }
 
-// TestRestoreDropsHostileImages: a checkpointed rule whose state
-// function or guard names a position or a declared index the restoring
-// chain lacks is dropped — never bound to the wrong handler, never a
-// panic — and its flow re-records. The untampered image restores.
+// TestRestoreDropsHostileImages: a checkpointed rule whose recording the
+// restoring chain cannot build — another chain's, a state function or a
+// guard naming a position or a declared index the chain lacks, an action
+// the consolidation refuses — is dropped — never bound to the wrong
+// handler, never a panic — and its flow re-records. The untampered image
+// restores.
 func TestRestoreDropsHostileImages(t *testing.T) {
 	eng := walEngine(t, refChain())
 	if _, err := eng.ProcessPacket(udpPkt(t, 6100, "record")); err != nil {
@@ -312,7 +337,7 @@ func TestRestoreDropsHostileImages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cp.Rules) != 1 || len(cp.Rules[0].Funcs) != 1 || len(cp.Rules[0].Guards) != 1 {
+	if len(cp.Rules) != 1 || len(cp.Rules[0].Spans) != 3 || len(cp.Rules[0].Spans[1].Funcs) != 1 || len(cp.Rules[0].Guards) != 1 {
 		t.Fatalf("checkpoint rules %+v, want one with a function and a guard", cp.Rules)
 	}
 	fresh := walEngine(t, refChain())
@@ -393,17 +418,18 @@ func TestAdoptFlowDropsHostileImages(t *testing.T) {
 			}
 			continue
 		}
-		tc.tamper(mf.Rule)
+		tamperOwn(mf.Rule, tc.tamper)
 		to.AdoptFlow(mf)
 		wantReRecords(t, to, 6200, tc.name)
 	}
 }
 
 // TestEventOnlyNFGuardTravels: an NF that registers an event and
-// records nothing contributes no source to its flow's rule, yet the rule
+// records nothing has an empty span in its flow's rule, yet the rule
 // guards its event. A checkpoint and a migration bring the rule back
 // with that guard, bound to the NF's declaration, and the event still
-// fires: the flow re-records, and the update drops its packets.
+// fires: the update turns the NF's span into a drop in place, and the
+// packet that fired it and every later one is dropped on the fast path.
 func TestEventOnlyNFGuardTravels(t *testing.T) {
 	chain := func() (*fakeEventNF, []NF) {
 		lb := &fakeEventNF{name: "lb", silent: true}
@@ -419,8 +445,8 @@ func TestEventOnlyNFGuardTravels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cp.Rules) != 1 || len(cp.Rules[0].Sources) != 2 || len(cp.Rules[0].Guards) != 1 || cp.Rules[0].Guards[0].At != 2 {
-		t.Fatalf("checkpoint rules %+v, want one of two sources guarded by the silent NF", cp.Rules)
+	if len(cp.Rules) != 1 || cp.Rules[0].Spans[2].Actions != nil || len(cp.Rules[0].Guards) != 1 || cp.Rules[0].Guards[0].At != 2 {
+		t.Fatalf("checkpoint rules %+v, want one the silent NF recorded nothing of, guarded by it", cp.Rules)
 	}
 	restored := func() (*Engine, *fakeEventNF) {
 		lb, nfs := chain()
@@ -459,20 +485,20 @@ func TestEventOnlyNFGuardTravels(t *testing.T) {
 		if err := to.CheckRecords(); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
-		// The firing finds no recording to update: it takes the rule, and
-		// the flow re-records.
+		// The firing updates the rule the recording came back with.
 		lb.armed.Store(true)
-		if res, err := to.ProcessPacket(udpPkt(t, 6300, "fires")); err != nil || res.Path != PathSlow {
-			t.Fatalf("%s: armed event: %+v (err %v), want the slow path", name, res, err)
-		}
-		if res, err := to.ProcessPacket(udpPkt(t, 6300, "re-record")); err != nil || res.Kind != classifier.KindInitial || res.Path != PathSlow {
-			t.Fatalf("%s: after the firing: %+v (err %v), want a re-record", name, res, err)
+		if res, err := to.ProcessPacket(udpPkt(t, 6300, "fires")); err != nil || res.Path != PathFast ||
+			res.Verdict != VerdictDrop || res.Fast.EventsFired != 1 {
+			t.Fatalf("%s: armed event: %+v (err %v), want it fired on the fast path, dropping", name, res, err)
 		}
 		if res, err := to.ProcessPacket(udpPkt(t, 6300, "dropped")); err != nil || res.Path != PathFast || res.Verdict != VerdictDrop {
-			t.Fatalf("%s: after the re-record: %+v (err %v), want the drop rule serving", name, res, err)
+			t.Fatalf("%s: after the firing: %+v (err %v), want the drop rule serving", name, res, err)
+		}
+		if st := to.Stats(); st.Initial != 0 || st.SlowPath != 0 {
+			t.Errorf("%s: %d initial, %d slow-path packets; want the flow never to re-record", name, st.Initial, st.SlowPath)
 		}
 		if err := to.CheckRecords(); err != nil {
-			t.Errorf("%s: after the re-record: %v", name, err)
+			t.Errorf("%s: after the firing: %v", name, err)
 		}
 	}
 }

@@ -21,7 +21,7 @@ import (
 func referencePrice(m *cost.Model, consolidateHeaders bool, rule *mat.GlobalRule) (fixed, header uint64) {
 	fixed = m.HashFID + m.FastPathBase + m.EventCheck + m.GMATLookup
 	if !rule.Drop {
-		fixed += m.FastPathPerHA * uint64(rule.SourceNFs)
+		fixed += m.FastPathPerHA * uint64(len(rule.Spans))
 	}
 	switch {
 	case rule.Drop:
@@ -34,10 +34,23 @@ func referencePrice(m *cost.Model, consolidateHeaders bool, rule *mat.GlobalRule
 			header += m.ChecksumUpdate
 		}
 	default:
-		for _, s := range rule.Sources {
-			header += m.Parse + uint64(s.Modifies)*m.ModifyField +
-				uint64(s.Encaps)*m.EncapHeader + uint64(s.Decaps)*m.DecapHeader
-			if s.Modifies+s.Encaps+s.Decaps > 0 {
+		for _, sp := range rule.Spans {
+			if sp.Actions == nil {
+				continue
+			}
+			var mods, encaps, decaps uint64
+			for _, a := range sp.Actions {
+				switch a.Kind {
+				case mat.ActionModify:
+					mods++
+				case mat.ActionEncap:
+					encaps++
+				case mat.ActionDecap:
+					decaps++
+				}
+			}
+			header += m.Parse + mods*m.ModifyField + encaps*m.EncapHeader + decaps*m.DecapHeader
+			if mods+encaps+decaps > 0 {
 				header += m.ChecksumUpdate
 			}
 		}

@@ -29,8 +29,8 @@ import (
 type chainState struct {
 	chain []NF
 	lay   *event.StateLayout
-	// contribs presents the chain to a consolidation: each NF's name and
-	// Site, no rule.
+	// contribs presents the chain to a consolidation (each NF's name and
+	// Site) and to a rule image, which names its positions.
 	contribs []mat.Contribution
 	epoch    uint64
 }

@@ -24,8 +24,9 @@ const (
 	// CauseEventUnconsolidatable is an event update whose result no
 	// longer folds into one rule, evicting the stale rule.
 	CauseEventUnconsolidatable = "event-unconsolidatable"
-	// CauseEventUnrecorded is an event firing on a flow whose rule came
-	// back (restore, migration) without its recording to update.
+	// CauseEventUnrecorded is an event firing on a flow whose rule was
+	// built under a chain epoch retired under the firing (or is gone):
+	// there is no recording of the live chain to update.
 	CauseEventUnrecorded = "event-unrecorded"
 	// CauseInstallFault is an injected Global MAT install failure; any
 	// previous rule version is stale-marked.
@@ -194,7 +195,7 @@ func newEngineTelemetry(e *Engine, hub *telemetry.Hub, chain string) *engineTele
 	reg.GaugeFunc(n("speedybox_flow_dead_slots"),
 		"Flow table tombstones awaiting compaction", func() float64 { return float64(e.class.Flows().DeadSlots()) })
 	reg.GaugeFunc(n("speedybox_flow_records"),
-		"Flow entries holding a record (NF state, a recording, events or a standing)", func() float64 { return float64(e.class.Flows().Counts().Records) })
+		"Flow entries holding a record (NF state, events or a standing)", func() float64 { return float64(e.class.Flows().Counts().Records) })
 	reg.GaugeFunc(n("speedybox_flow_detached_entries"),
 		"Flow-table entries no tuple maps to: rules installed under a FID no flow holds",
 		func() float64 { return float64(e.class.Flows().Counts().Detached) })

@@ -7,14 +7,15 @@
 // the register_event API. The Global MAT probes the table before
 // applying a cached rule and again after state-function batches update
 // state; when a condition fires, the update rewrites the owning NF's
-// Local MAT entry and the flow's rule is reconsolidated, so subsequent
-// packets immediately follow the new logic.
+// Local MAT entry in a copy of the recording the flow's rule was built
+// from, and the copy is consolidated into the flow's next rule, so
+// subsequent packets immediately follow the new logic.
 //
 // The table has no storage of its own. A flow's registrations sit, with
-// what its NFs recorded and the NFs' own per-flow state, on the flow's
-// Record, which hangs off the second word of the flow's entry in the
-// flow table: recording a flow fills one object, tearing it down clears
-// one word.
+// the NFs' own per-flow state, on the flow's Record, which hangs off the
+// second word of the flow's entry in the flow table, beside the rule
+// that holds what its NFs recorded: tearing a flow down clears two
+// words.
 package event
 
 import (
@@ -50,7 +51,9 @@ type Event struct {
 	Condition func(st State) bool
 	// Update edits the NF's Local MAT rule for the flow when the event
 	// fires (update_action / update_function_handler), over the same
-	// state words.
+	// state words: its span of a copy of the flow's rule's recording,
+	// under the flow's edit (the flow shard's mutex) and no record lock,
+	// so it must not call back into the flow or Event Table.
 	Update func(st State, r *mat.LocalRule)
 	// OneShot events are deregistered after firing once (e.g. a DoS
 	// block). Recurring events stay armed (e.g. a Maglev backend that
@@ -101,12 +104,11 @@ func Guards(regs []Registration) (head *mat.Guard) {
 }
 
 // Firing describes one triggered event, returned to the engine so it
-// can apply the update and reconsolidate.
+// can apply the update to a copy of the flow's rule's spans and
+// consolidate the copy.
 type Firing struct {
 	FID flow.FID
 	Registration
-	// rec is the Record the event fired from, where Apply edits.
-	rec *Record
 }
 
 // Table is the Event Table: per-FID registered events, kept on the flow
@@ -146,8 +148,8 @@ func NewTable(flows *flow.Table) *Table { return &Table{flows: flows} }
 // Register adds an event for a flow (the register_event API, paper
 // Figure 2) on the record of the entry h is on — made here if this is
 // the first the flow's recording leaves behind — where an engine's
-// traversal publishes the ones its NFs registered together with its
-// spans (Publish). A flow the table has let go of registers nothing:
+// traversal publishes the ones its NFs registered once the chain has run
+// (Publish). A flow the table has let go of registers nothing:
 // there is no rule of it left to guard.
 func (t *Table) Register(h flow.Handle, r Registration) error {
 	if err := r.Event.Validate(); err != nil {
@@ -210,7 +212,7 @@ func (t *Table) Probe(fid flow.FID) (fired []Firing, registered bool) {
 	remaining := rec.events[:0]
 	for _, r := range rec.events {
 		if r.Event.Condition(r.State) {
-			fired = append(fired, Firing{FID: fid, Registration: r, rec: rec})
+			fired = append(fired, Firing{FID: fid, Registration: r})
 			t.fired.Add(1)
 			if r.Event.OneShot {
 				continue // drop from table
@@ -288,7 +290,7 @@ func GuardsCurrent(h flow.Handle, g *mat.Guard) bool {
 
 // Unrecorded reports whether the flow h is on holds nothing Remove and
 // a refund of its events' budget would take: no record, or one that
-// holds NF state or a ladder place and nothing else. A flow's first
+// holds NF state or a ladder place and no events. A flow's first
 // recording costs its record's uncontended lock here, and no edit.
 func Unrecorded(h flow.Handle) bool {
 	rec := (*Record)(h.Rec())
@@ -297,11 +299,12 @@ func Unrecorded(h flow.Handle) bool {
 	}
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	return len(rec.events) == 0 && rec.locals == nil && rec.own.Events == 0 && rec.kept()
+	return len(rec.events) == 0 && rec.own.Events == 0 && rec.kept()
 }
 
-// Remove drops the recording of the flow under edit — its events and
-// what its NFs recorded (the clean slate a re-recording starts from).
+// Remove drops the recording of the flow under edit — its events (the
+// clean slate a re-recording starts from; what its NFs recorded went
+// with its rule).
 // The flow's NF state and standing are not part of it and stay; a record
 // that holds neither goes with the recording.
 func (t *Table) Remove(ed flow.Edit) {
@@ -319,7 +322,7 @@ func (t *Table) Remove(ed flow.Edit) {
 		// A probe that loaded the record before the word was cleared
 		// finds nothing on it.
 		clear(rec.events)
-		rec.events, rec.locals = nil, nil
+		rec.events = nil
 		rec.mu.Unlock()
 	}
 }

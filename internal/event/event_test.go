@@ -45,7 +45,7 @@ func guards(t *testing.T, tbl *Table, h flow.Handle) *mat.Guard {
 	t.Helper()
 	ed := tbl.flows.EditHandle(h)
 	defer ed.Done()
-	r, err := tbl.Consolidate(ed, NewStateLayout(nil), 0, nil, false)
+	r, err := tbl.Consolidate(ed, NewStateLayout(nil), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,14 +252,29 @@ func TestProbeQuietFlowDoesNotAllocate(t *testing.T) {
 
 func TestUpdateAppliesToLocalRule(t *testing.T) {
 	// End-to-end through the Local MAT: the Maglev failover example
-	// from §V-A — replace modify(DIP, origin) with modify(DIP, new).
+	// from §V-A — replace modify(DIP, origin) with modify(DIP, new) in a
+	// copy of the rule's recording, and build the next rule from it.
 	fid := flow.FID(3)
 	tbl := NewTable(flow.NewTable())
+	lay, chain := NewStateLayout([]StateSlot{{NF: "maglev"}}), []mat.Contribution{{NF: "maglev"}}
+	consolidate := func(spans []mat.LocalRule) *mat.GlobalRule {
+		t.Helper()
+		ed := tbl.flows.Edit(fid, true)
+		defer ed.Done()
+		r, err := tbl.Consolidate(ed, lay, chain, spans)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
 	ed := tbl.flows.Edit(fid, true)
-	tbl.Publish(ed, 0, 1, 0, []mat.Contribution{{NF: "maglev", Rule: &mat.LocalRule{
-		Actions: []mat.HeaderAction{mat.Modify(packet.FieldDstIP, []byte{10, 0, 0, 1})}}}}, nil)
+	spans, err := tbl.Publish(ed, []mat.LocalRule{{Actions: []mat.HeaderAction{mat.Modify(packet.FieldDstIP, []byte{10, 0, 0, 1})}}}, nil)
 	ed.Done()
-	err := tbl.Register(tbl.Entry(fid), Registration{Ref: ref("maglev"), Event: &Event{
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := consolidate(spans)
+	err = tbl.Register(tbl.Entry(fid), Registration{Ref: ref("maglev"), Event: &Event{
 		Condition: always,
 		OneShot:   true,
 		Update: func(_ State, r *mat.LocalRule) {
@@ -273,17 +288,17 @@ func TestUpdateAppliesToLocalRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	edited := slices.Clone(old.Spans)
 	for _, f := range tbl.Check(fid) {
-		if f.Apply(1, 1) || f.Apply(0, 2) {
-			t.Fatal("an update applied to a recording of another chain")
-		}
-		if !f.Apply(0, 1) {
-			t.Fatal("the firing finds no recording to edit")
-		}
+		edited[f.At] = *edited[f.At].Clone()
+		f.Event.Update(f.State, &edited[f.At])
 	}
-	spans, _ := tbl.Recorded(fid)
-	if got := spans[0].Actions[0].Value; got[3] != 2 {
+	next := consolidate(edited)
+	if got := next.Modifies[0].Value; got[3] != 2 {
 		t.Errorf("DIP after event = %v, want .2 backend", got)
+	}
+	if got := old.Spans[0].Actions[0].Value; got[3] != 1 || old.Modifies[0].Value[3] != 1 {
+		t.Errorf("the update reached the old rule: its DIP is %v", got)
 	}
 }
 
@@ -300,19 +315,16 @@ func TestRegistrationCap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	span := []mat.Contribution{{NF: "x", Rule: &mat.LocalRule{Actions: []mat.HeaderAction{mat.Drop()}}}}
-	publish := func(regs ...Registration) error {
+	span := []mat.LocalRule{{Actions: []mat.HeaderAction{mat.Drop()}}}
+	publish := func(regs ...Registration) ([]mat.LocalRule, error) {
 		ed := tbl.flows.Edit(fid, false)
 		defer ed.Done()
-		return tbl.Publish(ed, 0, 1, 0, span, regs)
+		return tbl.Publish(ed, span, regs)
 	}
-	if err := publish(r, r); !errors.Is(err, ErrTooManyEvents) {
-		t.Errorf("publishing two past %d held: %v, want ErrTooManyEvents", MaxPerFlow-1, err)
+	if spans, err := publish(r, r); !errors.Is(err, ErrTooManyEvents) || spans != nil || tbl.Pending(fid) != MaxPerFlow-1 {
+		t.Errorf("publishing two past %d held: spans %v, %v, %d events; want nothing and ErrTooManyEvents", MaxPerFlow-1, spans, err, tbl.Pending(fid))
 	}
-	if spans, _ := tbl.Recorded(fid); spans != nil || tbl.Pending(fid) != MaxPerFlow-1 {
-		t.Errorf("a refused publication left spans %v, %d events", spans, tbl.Pending(fid))
-	}
-	if err := publish(r); err != nil || tbl.Pending(fid) != MaxPerFlow {
+	if _, err := publish(r); err != nil || tbl.Pending(fid) != MaxPerFlow {
 		t.Errorf("publishing the last one: %v, %d events", err, tbl.Pending(fid))
 	}
 	if err := tbl.Register(tbl.Entry(fid), r); !errors.Is(err, ErrTooManyEvents) {
@@ -464,12 +476,13 @@ func TestJournalRunsPerRegistration(t *testing.T) {
 	}
 }
 
-// TestRecordSizeClass pins the flow record to the 128-byte size class:
-// the NF state block, the recording, the events and the engine's
-// standing fit it with a word to spare; two more cost every record 144.
+// TestRecordSizeClass pins the flow record to the 96-byte size class:
+// the NF state block, the events and the engine's standing fit it with a
+// word to spare, the recording being the rule's; two more cost every
+// record 112.
 func TestRecordSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(Record{}); n != 120 {
-		t.Errorf("Record is %d bytes, want 120", n)
+	if n := unsafe.Sizeof(Record{}); n != 88 {
+		t.Errorf("Record is %d bytes, want 88", n)
 	}
 }
 

@@ -1,6 +1,7 @@
 package event
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -10,27 +11,21 @@ import (
 )
 
 // Record is what a flow's NFs keep on it: each NF's per-flow state
-// (state.go), and everything recording the flow left behind — each NF's
-// Local MAT entry, by chain position, and the events the NFs registered —
-// and what the engine keeps on it, its Standing. It is the second word of
+// (state.go) and the events they registered, and what the engine keeps
+// on it, its Standing. What the NFs recorded is not here: it is the
+// flow's rule's (mat.GlobalRule.Spans). The record is the second word of
 // the flow's entry in the flow table, stored there under a flow.Edit and
-// found from there by one lock-free probe; its own lock orders event
-// updates, consolidations, probes, state hand-outs and standing changes
-// of the one flow and is a leaf — nothing is taken under it but what an
-// NF's condition, update or state hook takes, and the admission policy's
-// lock. It fills a 128-byte size class (TestRecordSizeClass).
+// found from there by one lock-free probe; its own lock orders
+// consolidations, probes, state hand-outs and standing changes of the
+// one flow and is a leaf — nothing is taken under it but what an NF's
+// condition or state hook takes, and the admission policy's lock. It
+// fills a 96-byte size class (TestRecordSizeClass).
 type Record struct {
 	mu sync.Mutex
 	// state is the flow's NF state block, made on an NF's first use under
 	// the chain layout of the moment, heading the list of the blocks a
 	// chain change added for NFs that joined since.
 	state stateBlock
-	// epoch is the chain epoch locals was recorded under: positions mean
-	// nothing against another chain layout.
-	epoch uint64
-	// locals holds the chain's spans; nil until the first Publish. An NF
-	// that recorded something has non-nil Actions, however short.
-	locals []mat.LocalRule
 	// events are the flow's registrations, in registration order.
 	events []Registration
 	own    Standing
@@ -106,56 +101,54 @@ func (t *Table) recordFor(ed flow.Edit) *Record {
 	return rec
 }
 
-// Publish stores what NFs at..at+len(spans) of an n-NF chain recorded
-// for the flow under edit under the given chain epoch, and the events
-// they registered (localmat_add_HA, localmat_add_SF and register_event,
-// paper Figure 2, gathered per traversal): the recording's one write.
-// The record keeps exactly sized copies, so the caller may reuse its
-// storage, and an event update that later appends to a span reallocates
-// rather than growing into its neighbour: one allocation for a short
-// chain's (a spanBlock), and for a span that only forwards none — every
-// such span is one shared, read-only array, which Apply copies before
-// an update edits it. A nil Rule is an NF that recorded nothing. A
-// flow's registrations past MaxPerFlow publish nothing, and are an error.
-func (t *Table) Publish(ed flow.Edit, epoch uint64, n, at int, spans []mat.Contribution, regs []Registration) error {
+// Publish stores on the record of the flow under edit the events a
+// traversal's NFs registered (register_event, paper Figure 2, gathered
+// per traversal), and returns what they recorded (localmat_add_HA and
+// localmat_add_SF) — spans, by chain position, in the traversal's
+// scratch, an NF that recorded nothing the zero LocalRule — copied into
+// exactly sized storage for the flow's rule to own (mat.GlobalRule.Spans),
+// in which an NF that recorded anything has non-nil Actions. The copy is
+// one allocation for a short chain's recording and its events (a
+// spanBlock), and a span that only forwards takes none: every such span
+// is one shared, read-only array. A flow's registrations past MaxPerFlow
+// publish nothing, and are an error.
+func (t *Table) Publish(ed flow.Edit, spans []mat.LocalRule, regs []Registration) ([]mat.LocalRule, error) {
 	if !ed.Found() {
-		return nil
+		return nil, nil
 	}
 	nActs, nFuncs := 0, 0
-	for _, c := range spans {
-		if c.Rule != nil {
-			if !forwardOnly(c.Rule.Actions) {
-				nActs += len(c.Rule.Actions)
-			}
-			nFuncs += len(c.Rule.Funcs)
+	for _, sp := range spans {
+		if !forwardOnly(sp.Actions) {
+			nActs += len(sp.Actions)
+		}
+		nFuncs += len(sp.Funcs)
+	}
+	var rec *Record
+	if len(regs) > 0 {
+		rec = t.recordFor(ed)
+		rec.mu.Lock()
+		defer rec.mu.Unlock()
+		if err := rec.room(ed.Handle().FID(), len(regs)); err != nil {
+			return nil, err
 		}
 	}
-	rec := t.recordFor(ed)
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	if err := rec.room(ed.Handle().FID(), len(regs)); err != nil {
-		return err
-	}
-	fresh := rec.epoch != epoch || len(rec.locals) != n
+	n := len(spans)
+	var out []mat.LocalRule
 	var acts []mat.HeaderAction
 	var funcs []uint8
 	var events []Registration
 	var room spanBlock // the sizes of a block, never allocated
-	if fresh && (nActs > 0 || nFuncs > 0 || len(regs) > 0) && n <= len(room.locals) &&
+	if (nActs > 0 || nFuncs > 0 || len(regs) > 0) && n <= len(room.spans) &&
 		nActs <= len(room.acts) && nFuncs <= len(room.funcs) && len(regs) <= len(room.events) {
 		b := new(spanBlock)
-		rec.locals, acts, funcs, events = b.locals[:n:n], b.acts[:0:nActs], b.funcs[:0:nFuncs], b.events[:0:len(regs)]
+		out, acts, funcs, events = b.spans[:n:n], b.acts[:0:nActs], b.funcs[:0:nFuncs], b.events[:0:len(regs)]
 	} else {
-		if fresh {
-			rec.locals = make([]mat.LocalRule, n)
-		}
-		acts, funcs = make([]mat.HeaderAction, 0, nActs), make([]uint8, 0, nFuncs)
+		out, acts, funcs = make([]mat.LocalRule, n), make([]mat.HeaderAction, 0, nActs), make([]uint8, 0, nFuncs)
 		if len(regs) > 0 {
 			events = make([]Registration, 0, len(regs))
 		}
 	}
-	rec.epoch = epoch
-	if len(regs) > 0 {
+	if rec != nil {
 		if len(rec.events) == 0 {
 			rec.events = events
 			t.armed.Add(1)
@@ -163,30 +156,30 @@ func (t *Table) Publish(ed flow.Edit, epoch uint64, n, at int, spans []mat.Contr
 		rec.events = append(rec.events, regs...)
 		t.registered.Add(uint64(len(regs)))
 	}
-	for i, c := range spans {
-		if c.Rule == nil {
+	for i, sp := range spans {
+		if len(sp.Actions)+len(sp.Funcs) == 0 {
 			continue
 		}
-		span := &rec.locals[at+i]
-		if forwardOnly(c.Rule.Actions) {
+		span := &out[i]
+		if forwardOnly(sp.Actions) {
 			span.Actions = forwardSpan
 		} else {
 			a := len(acts)
-			acts = append(acts, c.Rule.Actions...)
+			acts = append(acts, sp.Actions...)
 			span.Actions = acts[a:len(acts):len(acts)]
 		}
 		f := len(funcs)
-		funcs = append(funcs, c.Rule.Funcs...)
+		funcs = append(funcs, sp.Funcs...)
 		span.Funcs = funcs[f:len(funcs):len(funcs)]
 	}
-	return nil
+	return out, nil
 }
 
-// spanBlock is the storage Publish carves a short chain's recording from
-// in one allocation: Chain1's, say — four spans, three actions that are
-// not a lone forward, two state functions, one event.
+// spanBlock is the storage Publish carves a short chain's recording and
+// its events from in one allocation: Chain1's, say — four spans, three
+// actions that are not a lone forward, two state functions, one event.
 type spanBlock struct {
-	locals [4]mat.LocalRule
+	spans  [4]mat.LocalRule
 	acts   [4]mat.HeaderAction
 	funcs  [2]uint8
 	events [1]Registration
@@ -200,88 +193,54 @@ func forwardOnly(acts []mat.HeaderAction) bool {
 	return len(acts) == 1 && acts[0].Equal(forwardSpan[0])
 }
 
-// Apply runs the firing's update on its NF's span of the record it fired
-// from, in place under the record's lock, if the record holds a
-// recording of an n-NF chain made under epoch, and reports whether it
-// did. A flow recorded under a retired chain holds another recording,
-// and one whose rule came back without its recording (a restore, a
-// migration) none: the update is never applied to spans that are not
-// the flow's. An NF that recorded nothing gets an empty span to edit,
-// and one whose span is the shared forward a copy of it.
-func (f Firing) Apply(epoch uint64, n int) bool {
-	rec := f.rec
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	if rec.epoch != epoch || len(rec.locals) != n || int(f.At) >= n {
-		return false
-	}
-	span := &rec.locals[f.At]
-	switch {
-	case span.Actions == nil:
-		span.Actions = []mat.HeaderAction{}
-	case len(span.Actions) == 1 && &span.Actions[0] == &forwardSpan[0]:
-		span.Actions = []mat.HeaderAction{mat.Forward()}
-	}
-	f.Event.Update(f.State, span)
-	return true
-}
-
 // Consolidate builds the Global MAT rule of the flow under edit, which
-// must be found: contribs names the chain's NFs, in the order of lay,
-// and with fromRecord each one's Rule is pointed at the span the NF
-// recorded — read in place, under the record's lock; mat.Consolidate
-// copies what the rule keeps. Each NF that recorded state functions is
-// given its words on the flow to run them on. A flow with no recording under this chain epoch
-// contributes nothing. The rule carries the flow's registered
-// conditions as its guards, snapshotted under the same lock; a
-// registration takes an edit of the entry, so the snapshot stays current
-// until the caller's edit ends — a rule installed inside it needs no
-// re-check, and one a later registration finds gets fresh guards from
+// must be found, from spans, the flow's recording by chain position under
+// the chain chain presents (each NF's name and Site, no rule, in the order
+// of lay): the one way a rule is built, from a traversal's recording
+// (Publish), from an event update's edited copy of a rule's or from an
+// image. The rule takes spans over as its Spans: the caller must not
+// change them after. Each NF that recorded state functions is given its
+// words on the flow to run them on. The rule carries the flow's
+// registered conditions as its guards, snapshotted under the record's
+// lock; a registration takes an edit of the entry, so the snapshot stays
+// current until the caller's edit ends — a rule installed inside it needs
+// no re-check, and one a later registration finds gets fresh guards from
 // the journal hook.
-func (t *Table) Consolidate(ed flow.Edit, lay *StateLayout, epoch uint64, contribs []mat.Contribution, fromRecord bool) (*mat.GlobalRule, error) {
+func (t *Table) Consolidate(ed flow.Edit, lay *StateLayout, chain []mat.Contribution, spans []mat.LocalRule) (*mat.GlobalRule, error) {
 	fid := ed.Handle().FID()
-	rec := (*Record)(ed.Handle().Rec())
-	if rec == nil {
-		return mat.Consolidate(fid, contribs)
+	if len(spans) != len(chain) {
+		return nil, fmt.Errorf("consolidating %v: %d spans for a chain of %d", fid, len(spans), len(chain))
 	}
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	if fromRecord && rec.epoch == epoch && len(rec.locals) == len(contribs) {
+	var buf [8]mat.Contribution
+	contribs := append(buf[:0], chain...)
+	rec := (*Record)(ed.Handle().Rec())
+	for i := range contribs {
+		if spans[i].Actions == nil {
+			continue
+		}
+		contribs[i].Rule = &spans[i]
+		if len(spans[i].Funcs) > 0 && lay.slots[i].Words > 0 && rec == nil {
+			rec = t.recordFor(ed)
+		}
+	}
+	var gbuf [4]mat.Guard
+	guards := gbuf[:0]
+	if rec != nil {
+		rec.mu.Lock()
+		defer rec.mu.Unlock()
 		for i := range contribs {
-			if span := &rec.locals[i]; span.Actions != nil {
-				contribs[i].Rule = span
+			if r := contribs[i].Rule; r != nil && len(r.Funcs) > 0 {
+				contribs[i].State = rec.slotState(lay, i)
 			}
 		}
-	}
-	for i := range contribs {
-		if r := contribs[i].Rule; r != nil && len(r.Funcs) > 0 {
-			contribs[i].State = rec.slotState(lay, i)
+		for i := range rec.events {
+			guards = append(guards, rec.events[i].guard())
 		}
 	}
-	var buf [4]mat.Guard
-	guards := buf[:0]
-	for i := range rec.events {
-		guards = append(guards, rec.events[i].guard())
+	rule, err := mat.Consolidate(fid, contribs, guards...)
+	if err != nil {
+		return nil, err
 	}
-	return mat.Consolidate(fid, contribs, guards...)
-}
-
-// Recorded returns a deep copy of the flow's recording, by chain
-// position, and the chain epoch it was made under; nil if the flow holds
-// none. A position whose NF recorded nothing is the zero LocalRule.
-func (t *Table) Recorded(fid flow.FID) (spans []mat.LocalRule, epoch uint64) {
-	rec := t.record(fid)
-	if rec == nil {
-		return nil, 0
-	}
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	for i := range rec.locals {
-		if span := &rec.locals[i]; span.Actions != nil {
-			spans = append(spans, *span.Clone())
-		} else {
-			spans = append(spans, mat.LocalRule{})
-		}
-	}
-	return spans, rec.epoch
+	rule.Spans = spans
+	return rule, nil
 }

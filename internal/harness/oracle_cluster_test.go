@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/fastpathnfv/speedybox/internal/fault"
+	"github.com/fastpathnfv/speedybox/internal/mat"
 	"github.com/fastpathnfv/speedybox/internal/wal"
 )
 
@@ -116,9 +117,9 @@ func TestOracleClusterAbortRollback(t *testing.T) {
 
 // TestOracleClusterCatchesTamperedMigration proves the cluster oracle
 // has teeth: corrupting the rule inside a decoded migration record
-// (flipping its verdict before the new owner adopts it) must surface
-// as a divergence. The stateless chain is forced so migrations carry
-// rules instead of demoting to re-record.
+// (making its first NF's recording a drop before the new owner builds
+// the rule from it) must surface as a divergence. The stateless chain is
+// forced so migrations carry rules instead of demoting to re-record.
 func TestOracleClusterCatchesTamperedMigration(t *testing.T) {
 	withRule := 0
 	res, err := RunOracle(OracleConfig{
@@ -127,7 +128,7 @@ func TestOracleClusterCatchesTamperedMigration(t *testing.T) {
 		TamperMigration: func(r *wal.MigrationRecord) {
 			if r.Rule != nil {
 				withRule++
-				r.Rule.Drop = !r.Rule.Drop
+				r.Rule.Spans[0].Actions = []mat.HeaderAction{mat.Drop()}
 			}
 		},
 	})

@@ -4,9 +4,9 @@
 // fast-path rules (§V), and the header-action consolidation algorithm
 // (§V-B). Neither table has storage of its own: a flow's rule is the
 // first word of its entry in the flow table, which only this package
-// casts (Global), and its Local MAT entries are the spans of the record
-// on the second, which package event keeps (DESIGN §16, "the flow
-// record").
+// casts (Global), and its Local MAT entries are the spans of the
+// recording the rule was built from and holds (GlobalRule.Spans; DESIGN
+// §16, "the flow record").
 package mat
 
 import (

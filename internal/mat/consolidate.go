@@ -42,18 +42,6 @@ type StackOps struct {
 // Empty reports whether no stack work remains.
 func (s StackOps) Empty() bool { return len(s.Decaps) == 0 && len(s.Encaps) == 0 }
 
-// SourceSummary counts one contributing NF's recorded header work, so
-// the engine can price what the same work would cost without
-// consolidation (the SF-only ablation of Figure 7). The counts are 16
-// bits wide, as the write-ahead log carries them.
-type SourceSummary struct {
-	NF       string
-	Modifies uint16
-	Encaps   uint16
-	Decaps   uint16
-	Dropped  bool
-}
-
 // ErrNotConsolidatable reports an action sequence the algorithm cannot
 // fold into a single rule (e.g. a decap whose type does not match the
 // most recent pending encap). Callers fall back to the original slow
@@ -83,20 +71,21 @@ var ErrNotConsolidatable = errcode.Sentinel("mat.not_consolidatable", "mat: acti
 // list. A first scan finds where a drop ends the chain and counts what
 // the rule holds, which is carved, with capacity-limited slices, from
 // one block allocated with the rule; a count past the block's room gets
-// an array of its own.
+// an array of its own. The rule's Spans are its caller's to set.
 func Consolidate(fid flow.FID, contribs []Contribution, guards ...Guard) (*GlobalRule, error) {
 	// NFs after a recorded drop never see the packet on the original
 	// path: the dropping contribution is the last one folded.
-	end, nSources, nBatches, nFuncs, nHeader := len(contribs), 0, 0, 0, 0
+	end, nBatches, nFuncs, nHeader := len(contribs), 0, 0, 0
 scan:
 	for i, c := range contribs {
 		if c.Rule == nil {
 			continue
 		}
-		nSources++
 		if n := len(c.Rule.Funcs); n > 0 {
-			if c.Site == nil {
-				return nil, fmt.Errorf("consolidating %v: %s records state functions it does not declare", fid, c.NF)
+			for _, f := range c.Rule.Funcs {
+				if c.Site == nil || int(f) >= len(c.Site.Funcs) {
+					return nil, fmt.Errorf("consolidating %v: %s records a state function %d it does not declare", fid, c.NF, f)
+				}
 			}
 			nBatches++
 			nFuncs += n
@@ -117,18 +106,15 @@ scan:
 		full  *fullBlock
 	)
 	if nBatches == 0 && nHeader == 0 && len(guards) == 0 {
-		b := new(ruleBlock)
-		rule = &b.GlobalRule
-		rule.Sources = room(b.sources[:], nSources)
+		rule = new(GlobalRule)
 	} else {
 		full = new(fullBlock)
 		rule = &full.GlobalRule
-		rule.Sources = room(full.sources[:], nSources)
 		rule.Batches = room(full.batches[:], nBatches)
 		funcs = room(full.funcs[:], nFuncs)
 		rule.SetGuards(linkGuards(room(full.guards[:], len(guards)), guards))
 	}
-	rule.FID, rule.SourceNFs = fid, len(contribs)
+	rule.FID = fid
 
 	// Merged modifies, in first-touch order; the values alias the
 	// contributions until the rule's own copy is made below. A chain
@@ -141,7 +127,6 @@ scan:
 		if c.Rule == nil {
 			continue
 		}
-		summary := SourceSummary{NF: c.NF}
 		if n := len(c.Rule.Funcs); n > 0 {
 			funcs = append(funcs, c.Rule.Funcs...)
 			rule.Batches = append(rule.Batches, sfunc.NewBatch(c.Site, funcs[len(funcs)-n:len(funcs):len(funcs)], fid, c.State))
@@ -156,10 +141,8 @@ scan:
 				// Default action; nothing to fold.
 			case ActionDrop:
 				rule.Drop = true
-				summary.Dropped = true
 				break actions
 			case ActionModify:
-				summary.Modifies++
 				i := 0
 				for i < len(mods) && mods[i].Field != a.Field {
 					i++
@@ -170,10 +153,8 @@ scan:
 				// Same field modified again: the latter wins.
 				mods[i].Value = a.Value
 			case ActionEncap:
-				summary.Encaps++
 				stack = append(stack, a.Header)
 			case ActionDecap:
-				summary.Decaps++
 				if len(stack) > 0 {
 					top := stack[len(stack)-1]
 					if top.Type != a.HeaderType {
@@ -190,7 +171,6 @@ scan:
 				return nil, fmt.Errorf("consolidating %v: invalid action kind %d", fid, int(a.Kind))
 			}
 		}
-		rule.Sources = append(rule.Sources, summary)
 	}
 	switch {
 	case rule.Drop:
@@ -218,16 +198,12 @@ scan:
 	return rule, nil
 }
 
-// ruleBlock is a rule and the room its slices are carved from. fullBlock
-// has room for Chain1's rule — two batches of one function, three
-// modifies, one guard, their plan and program — in 640 bytes.
-type ruleBlock struct {
-	GlobalRule
-	sources [4]SourceSummary
-}
-
+// fullBlock is a rule and the room its slices are carved from, for
+// Chain1's — two batches of one function, three modifies, one guard,
+// their plan and program — in 576 bytes. A rule with none of them is a
+// GlobalRule alone.
 type fullBlock struct {
-	ruleBlock
+	GlobalRule
 	batches [2]sfunc.Batch
 	funcs   [2]uint8
 	mods    [3]FieldValue

@@ -88,10 +88,10 @@ func TestGlobalDumpSortedByFID(t *testing.T) {
 func TestGlobalForEach(t *testing.T) {
 	g := NewGlobal(flow.NewTable())
 	for fid := uint32(0); fid < 5; fid++ {
-		g.Install(&GlobalRule{FID: flowFID(fid), SourceNFs: int(fid)})
+		g.Install(&GlobalRule{FID: flowFID(fid), FixedCycles: uint64(fid)})
 	}
-	sum := 0
-	g.ForEach(func(r *GlobalRule) { sum += r.SourceNFs })
+	sum := uint64(0)
+	g.ForEach(func(r *GlobalRule) { sum += r.FixedCycles })
 	if sum != 0+1+2+3+4 {
 		t.Errorf("ForEach visited sum = %d", sum)
 	}

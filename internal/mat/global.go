@@ -63,13 +63,12 @@ type GlobalRule struct {
 	Modifies []FieldValue
 	// Stack is the residual encap/decap work.
 	Stack StackOps
-	// SourceNFs is how many NFs contributed, which sizes the
-	// fast-path rule metadata (cost model's FastPathPerHA).
-	SourceNFs int
-	// Sources summarizes each contributing NF's header work, used by
-	// the cost model to price the un-consolidated baseline in the
-	// header-consolidation ablation (Figure 7).
-	Sources []SourceSummary
+	// Spans is the recording the rule was built from: each NF's Local MAT
+	// entry by chain position (non-nil Actions if the NF recorded
+	// anything). The rule owns it and never changes it, so a restore, a
+	// migration or an event update (on a copy) builds from it, and the
+	// ablation of Figure 7 prices the un-consolidated header work by it.
+	Spans []LocalRule
 	// Version counts reconsolidations triggered by events.
 	Version uint64
 }

@@ -195,7 +195,7 @@ func TestGlobalRaceHammer(t *testing.T) {
 				sh.Store((ver+1)<<2 | state)
 			}
 			install := func(fid flow.FID, tag int) {
-				g.Install(&GlobalRule{FID: fid, Epoch: g.Epoch(), SourceNFs: tag})
+				g.Install(&GlobalRule{FID: fid, Epoch: g.Epoch(), FixedCycles: uint64(tag)})
 			}
 			track := func(fid flow.FID, _ int) { flows.RestoreEntry(flowAt(fid)) }
 			markStale := func(fid flow.FID, _ int) { g.MarkStale(fid) }
@@ -277,13 +277,13 @@ func TestGlobalRaceHammer(t *testing.T) {
 				// Raced or not: a rule no younger than a word that says
 				// stale or absent was stale-marked or removed before the
 				// lookup began, for good — every install is a fresh rule.
-				if okLive && sh != nil && s1>>2&1 == 0 && s1&(present|stale) != present && live.SourceNFs <= int(s1>>2) {
+				if okLive && sh != nil && s1>>2&1 == 0 && s1&(present|stale) != present && live.FixedCycles <= s1>>2 {
 					badOwned.Add(1)
 				}
 				if sh != nil && sh.Load() == s1 && s1>>2&1 == 0 {
 					wantPresent, wantStale := s1&present != 0, s1&stale != 0
 					if ok != wantPresent || (wantStale && !isStale) || (isStale && !wantPresent) ||
-						(okLive && (!wantPresent || wantStale || live.SourceNFs != int(s1>>2))) {
+						(okLive && (!wantPresent || wantStale || live.FixedCycles != s1>>2)) {
 						badOwned.Add(1)
 					}
 					seqChecks.Add(1)

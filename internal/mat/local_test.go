@@ -11,10 +11,10 @@ import (
 )
 
 // The Local MAT tests. An NF's Local MAT entry for a flow is its span of
-// the flow's record, which package event keeps on the flow's entry, so
-// these drive it from outside the package: publish is Table.Publish, the
-// snapshot read Table.Recorded, an event's in-place edit Firing.Apply,
-// deletion Table.Remove.
+// the recording the flow's rule was built from (GlobalRule.Spans), which
+// package event copies out of a traversal's scratch (Table.Publish) and
+// builds the rule from (Table.Consolidate), so these drive it from
+// outside the package.
 
 // newTable returns an Event Table over a flow table of its own.
 func newTable() (*flow.Table, *event.Table) {
@@ -22,46 +22,28 @@ func newTable() (*flow.Table, *event.Table) {
 	return flows, event.NewTable(flows)
 }
 
-// publishAll records spans for an n-NF chain under the FID, as a detached
-// entry's if no flow holds it.
-func publishAll(flows *flow.Table, tbl *event.Table, fid flow.FID, n int, spans []Contribution) {
-	ed := flows.Edit(fid, true)
-	tbl.Publish(ed, 0, n, 0, spans, nil)
-	ed.Done()
-}
-
-// publish records rule as the one NF of a one-NF chain.
-func publish(flows *flow.Table, tbl *event.Table, fid flow.FID, rule *LocalRule) {
-	publishAll(flows, tbl, fid, 1, []Contribution{{NF: "x", Rule: rule}})
-}
-
-// mutate runs fn on the flow's span the way a firing event does.
-func mutate(t *testing.T, tbl *event.Table, fid flow.FID, fn func(*LocalRule)) {
+// publish copies spans as a traversal's recording for the FID, as a
+// detached entry's if no flow holds it, registering regs.
+func publish(t *testing.T, flows *flow.Table, tbl *event.Table, fid flow.FID, spans []LocalRule, regs ...event.Registration) []LocalRule {
 	t.Helper()
-	err := tbl.Register(tbl.Entry(fid), event.Registration{Event: &event.Event{OneShot: true,
-		Condition: func(sfunc.State) bool { return true },
-		Update:    func(_ sfunc.State, r *LocalRule) { fn(r) }}})
+	ed := flows.Edit(fid, true)
+	defer ed.Done()
+	out, err := tbl.Publish(ed, spans, regs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range tbl.Check(fid) {
-		if !f.Apply(0, 1) {
-			t.Fatal("the firing found no recording to edit")
-		}
-	}
+	return out
 }
 
 func TestLocalMATRecordingOrder(t *testing.T) {
 	flows, tbl := newTable()
-	fid := flow.FID(1)
-	publish(flows, tbl, fid, &LocalRule{
+	spans := publish(t, flows, tbl, 1, []LocalRule{{
 		Actions: []HeaderAction{
 			Modify(packet.FieldDstIP, []byte{1, 1, 1, 1}),
 			Modify(packet.FieldDstPort, packet.PutUint16(8080)),
 		},
 		Funcs: []uint8{1, 0},
-	})
-	spans, _ := tbl.Recorded(fid)
+	}})
 	if len(spans) != 1 {
 		t.Fatal("rule missing")
 	}
@@ -75,76 +57,65 @@ func TestLocalMATRecordingOrder(t *testing.T) {
 }
 
 // TestLocalMATReplaceIsExactCopy pins what publication promises: the
-// record keeps its own exactly sized copy, so the publisher may reuse
-// its buffers and a later append to a stored span (an event Update)
-// reallocates instead of growing into storage it does not own — the
-// publisher's, or the next NF's span carved from the same array.
+// rule gets its own exactly sized copy, so the publisher may reuse its
+// buffers and an append to a copied span (an event Update on a copy of
+// it) reallocates instead of growing into storage it does not own — the
+// publisher's, or the next NF's span carved from the same array. An NF
+// that recorded nothing stays the zero span; one that recorded only
+// state functions gets non-nil actions.
 func TestLocalMATReplaceIsExactCopy(t *testing.T) {
 	flows, tbl := newTable()
 	buf := make([]HeaderAction, 1, 8)
-	buf[0] = Forward()
-	publishAll(flows, tbl, 1, 2, []Contribution{
-		{NF: "x", Rule: &LocalRule{Actions: buf}},
-		{NF: "y", Rule: &LocalRule{Actions: []HeaderAction{Drop()}}},
+	buf[0] = Modify(packet.FieldDSCP, []byte{1})
+	spans := publish(t, flows, tbl, 1, []LocalRule{
+		{Actions: buf},
+		{Actions: []HeaderAction{Drop()}},
+		{},
+		{Funcs: []uint8{0}},
 	})
 	buf[0] = Drop()
 	buf = append(buf, Drop())
-	err := tbl.Register(tbl.Entry(1), event.Registration{Event: &event.Event{OneShot: true,
-		Condition: func(sfunc.State) bool { return true },
-		Update: func(_ sfunc.State, r *LocalRule) {
-			if len(r.Actions) != 1 || cap(r.Actions) != 1 || r.Actions[0].Kind != ActionForward {
-				t.Errorf("stored actions = %v (cap %d), want an exact copy of [forward]", r.Actions, cap(r.Actions))
-			}
-			r.Actions = append(r.Actions, Forward())
-		}}})
-	if err != nil {
-		t.Fatal(err)
+	if r := spans[0]; len(r.Actions) != 1 || cap(r.Actions) != 1 || r.Actions[0].Kind != ActionModify {
+		t.Errorf("copied actions = %v (cap %d), want an exact copy of [modify]", r.Actions, cap(r.Actions))
 	}
-	for _, f := range tbl.Check(1) {
-		if !f.Apply(0, 2) {
-			t.Fatal("the firing found no recording to edit")
-		}
-	}
+	spans[0].Actions = append(spans[0].Actions, Forward())
 	if buf[1].Kind != ActionDrop {
-		t.Error("append to the stored span wrote into the publisher's buffer")
+		t.Error("append to the copied span wrote into the publisher's buffer")
 	}
-	if spans, _ := tbl.Recorded(1); len(spans[0].Actions) != 2 || len(spans[1].Actions) != 1 || spans[1].Actions[0].Kind != ActionDrop {
+	if len(spans[1].Actions) != 1 || spans[1].Actions[0].Kind != ActionDrop {
 		t.Errorf("append to one span reached its neighbour: %v", spans)
 	}
-}
-
-func TestLocalMATGetIsSnapshot(t *testing.T) {
-	flows, tbl := newTable()
-	fid := flow.FID(2)
-	publish(flows, tbl, fid, &LocalRule{Actions: []HeaderAction{Forward()}})
-	snap, _ := tbl.Recorded(fid)
-	snap[0].Actions[0] = Drop()
-	if again, _ := tbl.Recorded(fid); again[0].Actions[0].Kind != ActionForward {
-		t.Error("Recorded returned an aliased span; mutation leaked into the record")
+	if spans[2].Actions != nil || spans[3].Actions == nil || len(spans[3].Funcs) != 1 {
+		t.Errorf("spans %v: want the silent NF's zero and the counter's non-nil", spans)
 	}
 }
 
-func TestLocalMATLifecycle(t *testing.T) {
+// TestLocalMATIsTheRules: the flow's record keeps the events a
+// traversal registered and nothing of what it recorded, which the rule
+// built from it holds; without events a publication hangs nothing off
+// the flow's entry, and Remove takes the events away with the record.
+func TestLocalMATIsTheRules(t *testing.T) {
 	flows, tbl := newTable()
-	fid := flow.FID(3)
-	publish(flows, tbl, fid, &LocalRule{Actions: []HeaderAction{Forward()}})
-	if c := flows.Counts(); c.Records != 1 || c.Detached != 1 {
-		t.Errorf("after a publish under a FID no flow holds: %+v", c)
+	chain := []Contribution{{NF: "x"}}
+	spans := publish(t, flows, tbl, 3, []LocalRule{{Actions: []HeaderAction{Forward()}}})
+	if c := flows.Counts(); c.Records != 0 {
+		t.Errorf("a publication without events kept a record: %+v", c)
 	}
-	ed := flows.Edit(fid, false)
+	ed := flows.Edit(3, true)
+	rule, err := tbl.Consolidate(ed, event.NewStateLayout([]event.StateSlot{{NF: "x"}}), chain, spans)
+	ed.Done()
+	if err != nil || len(rule.Spans) != 1 || &rule.Spans[0] != &spans[0] {
+		t.Fatalf("rule %v (err %v): want it to hold the published spans", rule, err)
+	}
+	never := event.Event{Condition: func(sfunc.State) bool { return false }, Update: func(sfunc.State, *LocalRule) {}}
+	publish(t, flows, tbl, 4, []LocalRule{{Actions: []HeaderAction{Drop()}}}, event.Registration{Event: &never})
+	if c := flows.Counts(); c.Records != 1 || tbl.Pending(4) != 1 {
+		t.Errorf("after a publication with an event: %+v, %d pending", c, tbl.Pending(4))
+	}
+	ed = flows.Edit(4, false)
 	tbl.Remove(ed)
 	ed.Done()
-	if spans, _ := tbl.Recorded(fid); spans != nil {
-		t.Error("recording survived Remove")
-	}
-	if c := flows.Counts(); c != (flow.Counts{}) {
-		t.Errorf("the detached entry outlived what it held: %+v", c)
-	}
-	// Publish and mutate on a fresh record; a re-publish overwrites.
-	publish(flows, tbl, fid, &LocalRule{Actions: []HeaderAction{Drop()}})
-	publish(flows, tbl, fid, &LocalRule{Actions: []HeaderAction{Forward()}})
-	mutate(t, tbl, fid, func(r *LocalRule) { r.Actions[0] = Drop() })
-	if spans, _ := tbl.Recorded(fid); len(spans[0].Actions) != 1 || spans[0].Actions[0].Kind != ActionDrop {
-		t.Errorf("Apply did not edit the span in place: %v", spans)
+	if c := flows.Counts(); c.Records != 0 || tbl.Pending(4) != 0 {
+		t.Errorf("the record outlived its events: %+v", c)
 	}
 }

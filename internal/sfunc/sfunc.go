@@ -161,9 +161,8 @@ type Batch struct {
 	// recording order.
 	Calls []uint8
 	// FID is the flow. state and words are its State as a pointer and a
-	// length: a slice's capacity word, in every batch of every rule, is
-	// what keeps Chain1's rule one allocation of 640 bytes
-	// (mat.Consolidate).
+	// length: a slice's capacity word would cost every batch of every
+	// rule 16 bytes (mat.Consolidate carves Chain1's two into its block).
 	FID   flow.FID
 	words uint32
 	state *atomic.Uint64

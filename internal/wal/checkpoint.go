@@ -31,8 +31,9 @@ type Checkpoint struct {
 	// a flow whose rule did not come back (one its image names what the
 	// chain lacks) re-records on its next packet.
 	Flows []FlowEntry
-	// Rules are the live Global MAT rules, each bound on restore to the
-	// chain and to its flow's restored state.
+	// Rules are the live Global MAT rules, each built again on restore
+	// from its recording, under the chain and over its flow's restored
+	// state.
 	Rules []RuleImage
 	// NFState maps NF name to its Snapshotter blob.
 	NFState map[string][]byte
@@ -116,8 +117,9 @@ const (
 	checkpointMagic = 0x53424350 // "SBCP"
 	// checkpointFormat 2: flow entries carry NF state; 3: and no packet
 	// or byte counters or last-seen tick; 4: rule images carry their
-	// state-function and guard references.
-	checkpointFormat = 4
+	// state-function and guard references; 5: a rule image is the rule's
+	// recording (imageFormat).
+	checkpointFormat = imageFormat
 )
 
 // seal frames a body as checkpoints and migration batches travel:

@@ -9,9 +9,10 @@ import (
 // MigrationRecord is the wire form of one flow in transit between
 // cluster instances: the flow-table entry with its NFs' per-flow state,
 // plus its live consolidated rule, encoded as checkpoints encode them.
-// The new owner binds the rule's state functions and guards to its
-// chain and the state that traveled, and re-registers the flow's events
-// from the guards. The degradation-ladder reset is implicit: ladder
+// The new owner re-registers the flow's events from the rule's guards and
+// builds the rule again from its recording, over the state that
+// traveled, so an event firing there updates it in place. The
+// degradation-ladder reset is implicit: ladder
 // deadlines are ticks of the old owner's logical clock, so the record
 // simply omits them.
 type MigrationRecord struct {
@@ -28,8 +29,9 @@ const (
 	migrationMagic = 0x53424d52 // "SBMR"
 	// migrationFormat 2: flow entries carry NF state; 3: and no packet or
 	// byte counters or last-seen tick; 4: rule images carry their
-	// state-function and guard references.
-	migrationFormat = 4
+	// state-function and guard references; 5: a rule image is the rule's
+	// recording (imageFormat).
+	migrationFormat = imageFormat
 )
 
 // ErrBadMigration reports a migration blob that failed structural or

@@ -80,9 +80,12 @@ func TestMigrationCorruptionFailsLoudly(t *testing.T) {
 		t.Error("trailing garbage accepted")
 	}
 	// A format-2 batch — its entries carried packet and byte counters and
-	// a last-seen tick — is refused whole, checksum and all intact.
-	if _, err := DecodeMigration(seal(migrationMagic, 2, data[12:])); !errors.Is(err, ErrBadMigration) {
-		t.Errorf("a format-2 batch decoded: %v", err)
+	// a last-seen tick — and a format-4 one — its rules were merged images
+	// — are refused whole, checksum and all intact.
+	for _, format := range []uint16{2, 4} {
+		if _, err := DecodeMigration(seal(migrationMagic, format, data[12:])); !errors.Is(err, ErrBadMigration) {
+			t.Errorf("a format-%d batch decoded: %v", format, err)
+		}
 	}
 }
 
@@ -113,9 +116,12 @@ func FuzzDecodeMigration(f *testing.F) {
 		f.Add(sealMigration(append(append([]byte(nil), body[:nfCount]...), lie...)))
 	}
 	f.Add(sealMigration(body[:nfCount+2+2+len("mazunat")+2+11]))
-	// A rule whose guard count lies, at the end of the first record.
-	first := 4 + len(appendFlowEntry(nil, &sampleMigration()[0].Flow)) + 1 + len(appendRuleImage(nil, sampleMigration()[0].Rule))
+	// A rule whose guard count lies, at the end of the first record, and
+	// one whose span count does.
+	rule := 4 + len(appendFlowEntry(nil, &sampleMigration()[0].Flow)) + 1
+	first := rule + len(appendRuleImage(nil, sampleMigration()[0].Rule))
 	f.Add(sealMigration(append(append([]byte(nil), body[:first-2-4]...), 0xff, 0xff)))
+	f.Add(sealMigration(append(append(append([]byte(nil), body[:rule+20]...), 0xff, 0xff), body[rule+22:]...)))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		recs, err := DecodeMigration(in)
 		if err != nil {

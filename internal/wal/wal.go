@@ -10,11 +10,12 @@
 // torn or half-written record whole, so a restored engine never serves
 // a partially installed rule.
 //
-// Every rule is data, so every rule is restorable: its header work, and
-// its state-function batches and event guards as references to what the
-// chain's NFs declared (mat.Ref). A restore binds the references to the
-// receiving chain and to the flow's restored state, and re-registers
-// the flow's events from the guards.
+// Every rule is data, so every rule is restorable: its image is the
+// recording it was built from — each NF's actions and declared state
+// functions by chain position — and its event guards as references to
+// what the chain's NFs declared (mat.Ref). A restore re-registers the
+// flow's events from the guards and builds the rule from the recording
+// as a live install does, over the flow's restored state.
 //
 // The package depends only on event, flow, mat and packet (for the rule
 // and flow images); the engine adapts its tables to the Writer, never
@@ -25,6 +26,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"github.com/fastpathnfv/speedybox/internal/event"
 	"github.com/fastpathnfv/speedybox/internal/flow"
@@ -98,102 +100,90 @@ type Record struct {
 	Rule *RuleImage
 }
 
-// RuleImage is the serializable projection of a mat.GlobalRule: its
-// header data, and its state functions and event guards by reference.
+// RuleImage is the serializable projection of a mat.GlobalRule: the
+// recording it was built from, each span with its chain position's NF
+// name, and its event guards by reference. A restore builds the rule
+// again from it exactly as a live install does (core's Engine.build): the
+// merged header work, the program and the state-function batches are
+// derived, never carried.
 type RuleImage struct {
-	FID       flow.FID
-	Drop      bool
-	Modifies  []mat.FieldValue
-	Decaps    []packet.HeaderType
-	Encaps    []packet.ExtraHeader
-	SourceNFs int
-	Sources   []mat.SourceSummary
-	Version   uint64
-	Epoch     uint64
-	// Funcs are the rule's state functions, batch by batch in chain
-	// order, each by its NF's chain position and declared index: the
-	// consecutive ones of one position are that NF's batch. Guards are
-	// the rule's event guards in order, but for the engine's own
+	FID     flow.FID
+	Epoch   uint64
+	Version uint64
+	// NFs names the NF at each chain position of Spans, so an image of
+	// another chain is refused; Spans is the rule's recording
+	// (mat.GlobalRule.Spans).
+	NFs   []string
+	Spans []mat.LocalRule
+	// Guards are the rule's event guards in order, each by its NF's
+	// chain position and declared index, but for the engine's own
 	// (event.EngineOwned), which do not survive a restore or a move.
-	Funcs  []mat.Ref
 	Guards []mat.Ref
 }
 
 // ImageOf is Image with the second result older callers take; it is
-// always true.
-func ImageOf(r *mat.GlobalRule) (*RuleImage, bool) { return Image(r), true }
+// always true. Without nfs, every position is named "": an image to
+// measure or log, not one a restore accepts.
+func ImageOf(r *mat.GlobalRule, nfs ...string) (*RuleImage, bool) { return Image(r, nfs), true }
 
-// Image projects a GlobalRule into its serializable image. The guards
-// are the flow's registrations: a consolidation snapshots them, and a
-// registration after it gives the rule a fresh list.
-func Image(r *mat.GlobalRule) *RuleImage {
-	im := project(r, nil)
+// Image projects a GlobalRule into its serializable image, naming its
+// chain positions nfs (the chain's, shared by every image of it). The
+// guards are the flow's registrations: a consolidation snapshots them,
+// and a registration after it gives the rule a fresh list.
+func Image(r *mat.GlobalRule, nfs []string) *RuleImage {
+	im := project(r, nfs, nil)
 	return &im
 }
 
-// project is r's image, sharing r's header slices — an installed rule
-// never changes them — and appending its references to refs' storage.
-func project(r *mat.GlobalRule, refs []mat.Ref) RuleImage {
-	im := RuleImage{
-		FID: r.FID, Drop: r.Drop, Modifies: r.Modifies, Decaps: r.Stack.Decaps, Encaps: r.Stack.Encaps,
-		SourceNFs: r.SourceNFs, Sources: r.Sources, Version: r.Version, Epoch: r.Epoch,
-	}
-	for _, b := range r.Batches {
-		for _, c := range b.Calls {
-			refs = append(refs, mat.Ref{At: uint16(b.At), Index: uint16(c)})
-		}
-	}
-	n := len(refs)
+// project is r's image, sharing r's spans — an installed rule never
+// changes them — and appending its guard references to refs' storage.
+func project(r *mat.GlobalRule, nfs []string, refs []mat.Ref) RuleImage {
+	im := RuleImage{FID: r.FID, Epoch: r.Epoch, Version: r.Version, NFs: nfs, Spans: r.Spans}
 	for g := r.Guards(); g != nil; g = g.Next {
 		if g.Index != event.EngineOwned {
 			refs = append(refs, g.Ref)
 		}
 	}
-	im.Funcs, im.Guards = refs[:n:n], refs[n:]
-	if n == 0 {
-		im.Funcs = nil
-	}
-	if len(im.Guards) == 0 {
-		im.Guards = nil
+	if len(refs) > 0 {
+		im.Guards = refs
 	}
 	return im
 }
 
+// NamesOf returns the NF names of chain's positions in order, the names
+// an image of a rule that chain built carries.
+func NamesOf(chain []mat.Contribution) []string {
+	return appendNames(make([]string, 0, len(chain)), chain)
+}
+
+func appendNames(nfs []string, chain []mat.Contribution) []string {
+	for _, c := range chain {
+		nfs = append(nfs, c.NF)
+	}
+	return nfs
+}
+
+// Of reports whether the image names chain's positions, in order.
+func (im *RuleImage) Of(chain []mat.Contribution) bool {
+	return slices.EqualFunc(im.NFs, chain, func(nf string, c mat.Contribution) bool { return nf == c.NF })
+}
+
 // AppendInstall journals the install of r — a replacement, if replaced —
-// with its image, which it builds in place rather than on the heap: the
-// record's bytes are the install's one cost.
-func (w *Writer) AppendInstall(r *mat.GlobalRule, replaced bool) uint64 {
+// with its image, naming its positions after chain's contributions, which
+// it builds in place rather than on the heap: the record's bytes are the
+// install's one cost.
+func (w *Writer) AppendInstall(r *mat.GlobalRule, chain []mat.Contribution, replaced bool) uint64 {
 	if w == nil {
 		return 0
 	}
-	var buf [8]mat.Ref
-	im := project(r, buf[:0])
+	var buf [4]mat.Ref
+	var names [8]string
+	im := project(r, appendNames(names[:0], chain), buf[:0])
 	rec := Record{Type: RecRuleInstall, FID: r.FID, Epoch: r.Epoch, Aux: AuxRestorable, Rule: &im}
 	if replaced {
 		rec.Aux |= AuxReplaced
 	}
 	return w.Append(rec)
-}
-
-// Rule materializes the image's header data back into a GlobalRule; the
-// caller binds its Funcs and Guards to a chain and a flow.
-func (im *RuleImage) Rule() *mat.GlobalRule {
-	r := &mat.GlobalRule{
-		FID:       im.FID,
-		Drop:      im.Drop,
-		SourceNFs: im.SourceNFs,
-		Version:   im.Version,
-		Epoch:     im.Epoch,
-	}
-	r.Modifies = append(r.Modifies, im.Modifies...)
-	r.Stack.Decaps = append(r.Stack.Decaps, im.Decaps...)
-	r.Stack.Encaps = append(r.Stack.Encaps, im.Encaps...)
-	r.Sources = append(r.Sources, im.Sources...)
-	// The image predates (or deliberately omits) the compiled action
-	// program; rebuild it so restored rules run the compiled fast path
-	// instead of falling back to interpretation forever.
-	r.Compile()
-	return r
 }
 
 // Wire format of one record:
@@ -204,13 +194,18 @@ func (im *RuleImage) Rule() *mat.GlobalRule {
 // The length prefix frames the record; the checksum covers the whole
 // payload, so a record is either decoded whole or discarded whole. The
 // body is empty except for restorable RecRuleInstall records, which
-// carry the encoded RuleImage.
+// carry the image format and the encoded RuleImage.
 const (
 	frameHeaderLen   = 8  // length + crc
 	payloadHeaderLen = 29 // seq + type + fid + epoch + aux
 	// maxPayload bounds a single record so a corrupt length prefix
 	// cannot make replay allocate unbounded memory.
 	maxPayload = 1 << 20
+	// imageFormat tags a logged image as checkpoints and migration
+	// batches are sealed with their formats; an image of another format
+	// is corrupt. 5: an image is the rule's recording, not its merged
+	// header work.
+	imageFormat = 5
 )
 
 // appendRecord encodes the record onto buf.
@@ -224,6 +219,7 @@ func appendRecord(buf []byte, r *Record) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, r.Epoch)
 	buf = binary.LittleEndian.AppendUint64(buf, r.Aux)
 	if r.Rule != nil {
+		buf = append(buf, imageFormat)
 		buf = appendRuleImage(buf, r.Rule)
 	}
 	payload := buf[p:]
@@ -278,7 +274,10 @@ func decodePayload(p []byte) (Record, bool) {
 	}
 	body := p[payloadHeaderLen:]
 	if r.Type == RecRuleInstall && r.Aux&AuxRestorable != 0 {
-		im, rest, ok := decodeRuleImage(body)
+		if len(body) == 0 || body[0] != imageFormat {
+			return Record{}, false
+		}
+		im, rest, ok := decodeRuleImage(body[1:])
 		if !ok || len(rest) != 0 {
 			return Record{}, false
 		}
@@ -307,46 +306,87 @@ func appendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
+// appendRuleImage encodes an image: its header words, then each span —
+// its NF's name, whether the NF recorded anything and, if it did, its
+// actions and its state functions — then its guard references. A
+// position Image was given no name for is named "".
 func appendRuleImage(buf []byte, im *RuleImage) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(im.FID))
-	flagByte := byte(0)
-	if im.Drop {
-		flagByte = 1
-	}
-	buf = append(buf, flagByte)
-	buf = appendUint16(buf, uint16(len(im.Modifies)))
-	for _, m := range im.Modifies {
-		buf = appendUint16(buf, uint16(m.Field))
-		buf = appendBytes(buf, m.Value)
-	}
-	buf = appendUint16(buf, uint16(len(im.Decaps)))
-	for _, d := range im.Decaps {
-		buf = appendUint16(buf, uint16(d))
-	}
-	buf = appendUint16(buf, uint16(len(im.Encaps)))
-	for _, h := range im.Encaps {
-		buf = appendUint16(buf, uint16(h.Type))
-		buf = binary.LittleEndian.AppendUint32(buf, h.SPI)
-		buf = binary.LittleEndian.AppendUint32(buf, h.Seq)
-		buf = appendUint16(buf, h.Tag)
-	}
-	buf = appendUint16(buf, uint16(im.SourceNFs))
-	buf = appendUint16(buf, uint16(len(im.Sources)))
-	for _, s := range im.Sources {
-		buf = appendString(buf, s.NF)
-		buf = appendUint16(buf, s.Modifies)
-		buf = appendUint16(buf, s.Encaps)
-		buf = appendUint16(buf, s.Decaps)
-		dropByte := byte(0)
-		if s.Dropped {
-			dropByte = 1
-		}
-		buf = append(buf, dropByte)
-	}
 	buf = binary.LittleEndian.AppendUint64(buf, im.Version)
 	buf = binary.LittleEndian.AppendUint64(buf, im.Epoch)
-	buf = appendRefs(buf, im.Funcs)
+	buf = appendUint16(buf, uint16(len(im.Spans)))
+	for i, sp := range im.Spans {
+		nf := ""
+		if i < len(im.NFs) {
+			nf = im.NFs[i]
+		}
+		buf = appendString(buf, nf)
+		if sp.Actions == nil {
+			buf = append(buf, 0)
+			continue
+		}
+		buf = append(buf, 1)
+		buf = appendUint16(buf, uint16(len(sp.Actions)))
+		for _, a := range sp.Actions {
+			buf = appendAction(buf, a)
+		}
+		buf = appendBytes(buf, sp.Funcs)
+	}
 	return appendRefs(buf, im.Guards)
+}
+
+// appendAction encodes a header action as its kind, the length of its
+// operands — one byte: a modify's value is a header field's, at most six
+// — and the operands its kind has: a modify's field and value, an encap's
+// header, a decap's header type. Every action is at least two bytes, so
+// a count of them is checked against the bytes behind it before
+// anything is sized by it.
+func appendAction(buf []byte, a mat.HeaderAction) []byte {
+	buf = append(buf, byte(a.Kind), 0)
+	at := len(buf)
+	switch a.Kind {
+	case mat.ActionModify:
+		buf = appendUint16(buf, uint16(a.Field))
+		buf = append(buf, a.Value...)
+	case mat.ActionEncap:
+		buf = appendUint16(buf, uint16(a.Header.Type))
+		buf = binary.LittleEndian.AppendUint32(buf, a.Header.SPI)
+		buf = binary.LittleEndian.AppendUint32(buf, a.Header.Seq)
+		buf = appendUint16(buf, a.Header.Tag)
+	case mat.ActionDecap:
+		buf = appendUint16(buf, uint16(a.HeaderType))
+	}
+	buf[at-1] = byte(len(buf) - at)
+	return buf
+}
+
+// action decodes what appendAction wrote. An operand length its kind
+// does not have, or a kind with no encoding, is corrupt.
+func (r *byteReader) action() (a mat.HeaderAction) {
+	a.Kind = mat.ActionKind(r.u8())
+	n := int(r.u8())
+	if !r.ok || len(r.b) < n {
+		r.ok = false
+		return a
+	}
+	op := &byteReader{b: r.b[:n], ok: true}
+	r.b = r.b[n:]
+	switch a.Kind {
+	case mat.ActionForward, mat.ActionDrop:
+	case mat.ActionModify:
+		a.Field = packet.Field(op.u16())
+		if op.ok {
+			a.Value, op.b = append([]byte(nil), op.b...), nil
+		}
+	case mat.ActionEncap:
+		a.Header = packet.ExtraHeader{Type: packet.HeaderType(op.u16()), SPI: op.u32(), Seq: op.u32(), Tag: op.u16()}
+	case mat.ActionDecap:
+		a.HeaderType = packet.HeaderType(op.u16())
+	default:
+		op.ok = false
+	}
+	r.ok = op.ok && len(op.b) == 0
+	return a
 }
 
 // appendRefs encodes a count, then each reference's position and index.
@@ -446,37 +486,31 @@ func decodeRuleImage(body []byte) (*RuleImage, []byte, bool) {
 	rd := &byteReader{b: body, ok: true}
 	im := &RuleImage{}
 	im.FID = flow.FID(rd.u32())
-	im.Drop = rd.flag()
-	nm := int(rd.u16())
-	for i := 0; i < nm && rd.ok; i++ {
-		f := packet.Field(rd.u16())
-		im.Modifies = append(im.Modifies, mat.FieldValue{Field: f, Value: rd.bytes()})
-	}
-	nd := int(rd.u16())
-	for i := 0; i < nd && rd.ok; i++ {
-		im.Decaps = append(im.Decaps, packet.HeaderType(rd.u16()))
-	}
-	ne := int(rd.u16())
-	for i := 0; i < ne && rd.ok; i++ {
-		h := packet.ExtraHeader{Type: packet.HeaderType(rd.u16())}
-		h.SPI = rd.u32()
-		h.Seq = rd.u32()
-		h.Tag = rd.u16()
-		im.Encaps = append(im.Encaps, h)
-	}
-	im.SourceNFs = int(rd.u16())
-	ns := int(rd.u16())
-	for i := 0; i < ns && rd.ok; i++ {
-		s := mat.SourceSummary{NF: rd.str()}
-		s.Modifies = rd.u16()
-		s.Encaps = rd.u16()
-		s.Decaps = rd.u16()
-		s.Dropped = rd.flag()
-		im.Sources = append(im.Sources, s)
-	}
 	im.Version = rd.u64()
 	im.Epoch = rd.u64()
-	im.Funcs = rd.refs()
+	// A span is at least a name's length and a flag: three bytes.
+	if n := int(rd.u16()); !rd.ok || len(rd.b) < 3*n {
+		rd.ok = false
+	} else if n > 0 {
+		im.NFs, im.Spans = make([]string, n), make([]mat.LocalRule, n)
+	}
+	for i := range im.Spans {
+		im.NFs[i] = rd.str()
+		if !rd.flag() {
+			continue
+		}
+		na := int(rd.u16())
+		if !rd.ok || len(rd.b) < 2*na {
+			rd.ok = false
+			break
+		}
+		sp := &im.Spans[i]
+		sp.Actions = make([]mat.HeaderAction, na)
+		for j := range sp.Actions {
+			sp.Actions[j] = rd.action()
+		}
+		sp.Funcs = rd.bytes()
+	}
 	im.Guards = rd.refs()
 	if !rd.ok {
 		return nil, nil, false

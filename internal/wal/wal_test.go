@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"reflect"
 	"runtime"
@@ -13,33 +14,32 @@ import (
 	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/mat"
 	"github.com/fastpathnfv/speedybox/internal/packet"
-	"github.com/fastpathnfv/speedybox/internal/sfunc"
 )
 
-// sampleImage builds a rule image exercising every body field.
+// sampleImage builds a rule image exercising every body field: a span
+// of every action kind, one of state functions alone, one of an NF that
+// recorded nothing, and a guard.
 func sampleImage(fid flow.FID) *RuleImage {
 	return &RuleImage{
-		FID:  fid,
-		Drop: false,
-		Modifies: []mat.FieldValue{
-			{Field: packet.FieldDstIP, Value: []byte{10, 0, 0, 9}},
-			{Field: packet.FieldDstPort, Value: []byte{0x1f, 0x90}},
-		},
-		Decaps: []packet.HeaderType{packet.HeaderVLAN},
-		Encaps: []packet.ExtraHeader{
-			{Type: packet.HeaderAH, SPI: 7, Seq: 3},
-			{Type: packet.HeaderVLAN, Tag: 100},
-		},
-		SourceNFs: 3,
-		Sources: []mat.SourceSummary{
-			{NF: "nat", Modifies: 2},
-			{NF: "vpn", Encaps: 1, Decaps: 1},
-			{NF: "fw", Dropped: true},
-		},
+		FID:     fid,
 		Version: 5,
 		Epoch:   2,
-		Funcs:   []mat.Ref{{At: 1, Index: 0}, {At: 1, Index: 2}, {At: 2, Index: 0}},
-		Guards:  []mat.Ref{{At: 1, Index: 0}},
+		NFs:     []string{"nat", "vpn", "mon", "lb", "fw"},
+		Spans: []mat.LocalRule{
+			{Actions: []mat.HeaderAction{
+				mat.Modify(packet.FieldDstIP, []byte{10, 0, 0, 9}),
+				mat.Modify(packet.FieldDstPort, []byte{0x1f, 0x90}),
+			}},
+			{Actions: []mat.HeaderAction{
+				mat.Decap(packet.HeaderVLAN),
+				mat.Encap(packet.ExtraHeader{Type: packet.HeaderAH, SPI: 7, Seq: 3}),
+				mat.Encap(packet.ExtraHeader{Type: packet.HeaderVLAN, Tag: 100}),
+			}},
+			{Actions: []mat.HeaderAction{}, Funcs: []uint8{0, 2}},
+			{},
+			{Actions: []mat.HeaderAction{mat.Forward(), mat.Drop()}, Funcs: []uint8{1}},
+		},
+		Guards: []mat.Ref{{At: 3, Index: 0}},
 	}
 }
 
@@ -84,35 +84,64 @@ func TestRecordRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, want)
 	}
-	// Rule materializes the header data; the references are the
-	// binder's, which rebuilds the batches and guards they name.
-	im := Image(got[0].Rule.Rule())
-	im.Funcs, im.Guards = want[0].Rule.Funcs, want[0].Rule.Guards
-	if !reflect.DeepEqual(im, want[0].Rule) {
-		t.Errorf("image -> rule -> image drifted:\n got %+v\nwant %+v", im, want[0].Rule)
-	}
 }
 
-// TestImageCarriesReferences: an image names each state function a
-// rule's batches call, batch by batch, and each guard, by chain position
-// and declared index — all but the engine's own guards, which do not
-// survive a restore or a move.
-func TestImageCarriesReferences(t *testing.T) {
-	r := &mat.GlobalRule{FID: 3, Batches: []sfunc.Batch{
-		{Site: &sfunc.Site{NF: "lb", At: 1}, Calls: []uint8{0, 2}},
-		{Site: &sfunc.Site{NF: "mon", At: 3}, Calls: []uint8{1}},
-	}}
+// TestImageIsTheRecording: an image is the rule's recording, shared with
+// the rule, its chain's names and its guards by chain position and
+// declared index — all but the engine's own guards, which do not survive
+// a restore or a move — and nothing of what consolidation derived.
+func TestImageIsTheRecording(t *testing.T) {
+	r := &mat.GlobalRule{FID: 3, Epoch: 2, Version: 7, Spans: sampleImage(3).Spans, Drop: true, Prog: []byte{3, 1}}
 	r.SetGuards(&mat.Guard{Ref: mat.Ref{At: 1, Index: 4}, Next: &mat.Guard{Ref: mat.Ref{Index: event.EngineOwned},
 		Next: &mat.Guard{Ref: mat.Ref{At: 3, Index: 0}}}})
-	im, ok := ImageOf(r)
-	wantFuncs := []mat.Ref{{At: 1, Index: 0}, {At: 1, Index: 2}, {At: 3, Index: 1}}
-	wantGuards := []mat.Ref{{At: 1, Index: 4}, {At: 3, Index: 0}}
-	if !ok || !reflect.DeepEqual(im.Funcs, wantFuncs) || !reflect.DeepEqual(im.Guards, wantGuards) {
-		t.Errorf("image references: funcs %v guards %v (ok %v), want %v and %v", im.Funcs, im.Guards, ok, wantFuncs, wantGuards)
+	nfs := sampleImage(3).NFs
+	im, ok := ImageOf(r, nfs...)
+	want := &RuleImage{FID: 3, Epoch: 2, Version: 7, NFs: nfs, Spans: r.Spans, Guards: []mat.Ref{{At: 1, Index: 4}, {At: 3, Index: 0}}}
+	if !ok || !reflect.DeepEqual(im, want) || &im.Spans[0] != &r.Spans[0] {
+		t.Errorf("image %+v (ok %v), want %+v sharing the rule's spans", im, ok, want)
 	}
 	got, rest, ok := decodeRuleImage(appendRuleImage(nil, im))
 	if !ok || len(rest) != 0 || !reflect.DeepEqual(got, im) {
-		t.Errorf("references do not round-trip: %+v", got)
+		t.Errorf("image does not round-trip: %+v", got)
+	}
+	// Unnamed positions encode as "": an image to measure, which no
+	// chain's restore accepts.
+	anon, _ := ImageOf(r)
+	if got, _, ok := decodeRuleImage(appendRuleImage(nil, anon)); !ok || len(got.NFs) != len(r.Spans) || got.NFs[0] != "" {
+		t.Errorf("an unnamed image decodes to names %q", got.NFs)
+	}
+}
+
+// TestImageDecodesOnlyWhatEncodes: an action's operands are exactly its
+// kind's, a kind no encoding has is corrupt, and so is a logged image of
+// another format; a well-formed action of the wrong width is not the
+// decoder's to refuse (the consolidation refuses it).
+func TestImageDecodesOnlyWhatEncodes(t *testing.T) {
+	one := func(a mat.HeaderAction) []byte {
+		return appendRuleImage(nil, &RuleImage{NFs: []string{"x"}, Spans: []mat.LocalRule{{Actions: []mat.HeaderAction{a}}}})
+	}
+	narrow := one(mat.HeaderAction{Kind: mat.ActionModify, Field: packet.FieldDstIP, Value: []byte{1}})
+	if im, _, ok := decodeRuleImage(narrow); !ok || len(im.Spans[0].Actions[0].Value) != 1 {
+		t.Errorf("a modify of the wrong width did not decode as written: %+v", im)
+	}
+	kind := 20 + 2 + 2 + 1 + 1 + 2 // header, span count, name, flag, action count
+	for name, b := range map[string][]byte{
+		"unknown kind":       one(mat.HeaderAction{Kind: 99}),
+		"forward with bytes": append(append(one(mat.Forward())[:kind+1:kind+1], 1, 0), 0, 0),
+		"short encap":        append(append(one(mat.Encap(packet.ExtraHeader{Type: packet.HeaderAH}))[:kind+1:kind+1], 11), one(mat.Encap(packet.ExtraHeader{Type: packet.HeaderAH}))[kind+2:kind+2+11]...),
+	} {
+		if _, _, ok := decodeRuleImage(b); ok {
+			t.Errorf("%s: decoded", name)
+		}
+	}
+	w := NewWriter(Options{})
+	w.Append(Record{Type: RecRuleInstall, FID: 4, Aux: AuxRestorable, Rule: sampleImage(4)})
+	log := w.Bytes()
+	payload := log[frameHeaderLen:]
+	payload[payloadHeaderLen] = 4
+	binary.LittleEndian.PutUint32(log[4:], crc32.ChecksumIEEE(payload))
+	if recs, _ := Decode(log); len(recs) != 0 {
+		t.Errorf("an image of format 4 decoded: %+v", recs)
 	}
 }
 
@@ -345,9 +374,12 @@ func TestCheckpointCorruptionFailsLoudly(t *testing.T) {
 		t.Error("trailing garbage accepted")
 	}
 	// A format-2 checkpoint — its entries carried packet and byte counters
-	// and a last-seen tick — is refused whole, checksum and all intact.
-	if _, err := DecodeCheckpoint(seal(checkpointMagic, 2, data[12:])); !errors.Is(err, ErrBadCheckpoint) {
-		t.Errorf("a format-2 checkpoint decoded: %v", err)
+	// and a last-seen tick — and a format-4 one — its rules were merged
+	// images — are refused whole, checksum and all intact.
+	for _, format := range []uint16{2, 4} {
+		if _, err := DecodeCheckpoint(seal(checkpointMagic, format, data[12:])); !errors.Is(err, ErrBadCheckpoint) {
+			t.Errorf("a format-%d checkpoint decoded: %v", format, err)
+		}
 	}
 }
 
@@ -378,20 +410,23 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Add(sealed(body[:stateCount], lie))
 	f.Add(sealed(body[:stateCount], []byte{1, 0, 0, 0, 1, 0, 'x'}, lie))
 	f.Add(sealed(body[:stateCount], []byte{0, 0, 1, 0, 1, 0, 'x', 0, 0, 0, 0})) // 65 536 blobs; one follows
-	// Two blobs out of name order, and a rule's drop flag of 2: both
+	// Two blobs out of name order, and a span's recorded flag of 2: both
 	// decode to something that encodes otherwise.
 	f.Add(sealed(body[:stateCount], []byte{2, 0, 0, 0, 1, 0, 'b', 0, 0, 0, 0, 1, 0, 'a', 0, 0, 0, 0}))
-	ruleCount := stateCount - len(appendRuleImage(nil, sampleImage(9))) - len(appendRuleImage(nil, sampleImage(4))) - 4
+	first, last := sampleImage(4), sampleImage(9)
+	ruleCount := stateCount - len(appendRuleImage(nil, last)) - len(appendRuleImage(nil, first)) - 4
+	spanCount := ruleCount + 4 + 20 // past the rule count and the first rule's FID, version, epoch
 	bad := append([]byte(nil), body...)
-	bad[ruleCount+4+4] = 2 // past the count and the first rule's FID
+	bad[spanCount+2+2+len(first.NFs[0])] = 2
 	f.Add(sealed(bad))
-	// The first rule's guard count, then its function count, far past the
-	// bytes that follow; and a reference cut in half.
-	guardCount := ruleCount + 4 + len(appendRuleImage(nil, sampleImage(4))) - 2 - 4
-	funcCount := guardCount - 4*len(sampleImage(4).Funcs) - 2
+	// The first rule's span count, guard count and last span's function
+	// count far past the bytes that follow; and a reference cut in half.
+	guardCount := ruleCount + 4 + len(appendRuleImage(nil, first)) - 4*len(first.Guards) - 2
+	funcCount := guardCount - len(first.Spans[len(first.Spans)-1].Funcs) - 2
+	f.Add(sealed(body[:spanCount], lie[:2], body[spanCount+2:]))
 	f.Add(sealed(body[:guardCount], lie[:2], body[guardCount+2:]))
 	f.Add(sealed(body[:funcCount], lie[:2], body[funcCount+2:]))
-	f.Add(sealed(body[:funcCount+2+2]))
+	f.Add(sealed(body[:guardCount+2+2]))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -428,6 +463,16 @@ func FuzzReplayTornTail(f *testing.F) {
 	// An install whose image is cut inside its references.
 	first := frameHeaderLen + int(binary.LittleEndian.Uint32(data))
 	f.Add(data[:first-3])
+	// Its checksum intact over an image of format 4, and over a span
+	// count far past the bytes that follow.
+	resealed := func(at int, b ...byte) []byte {
+		out := append([]byte(nil), data...)
+		copy(out[frameHeaderLen+at:], b)
+		binary.LittleEndian.PutUint32(out[4:], crc32.ChecksumIEEE(out[frameHeaderLen:first]))
+		return out
+	}
+	f.Add(resealed(payloadHeaderLen, 4))
+	f.Add(resealed(payloadHeaderLen+1+20, 0xff, 0xff))
 	// A crash that kept the first segment of a longer log and nothing
 	// of the second: the tear falls on the segment boundary.
 	big, _ := bigLog(1, nil)
