@@ -431,7 +431,7 @@ func TestAllocationGates(t *testing.T) {
 		{"ClusterFastPathBatch", clusterFastPathBatch, 0},
 		{"Chain1FastPathBatch", chain1FastPathBatch, 0},
 		{"Chain1SlowPathBatch", chain1SlowPathBatch, 0},
-		{"Chain1FlowLifecycle", chain1FlowLifecycle, 8},
+		{"Chain1FlowLifecycle", chain1FlowLifecycle, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			step, units := tc.gate(t)
@@ -620,10 +620,10 @@ func chain1SlowPathBatch(tb testing.TB) (func(), int) {
 // TCP connection through ProcessBatch — SYN, ACK, the data packet that
 // records, consolidates and installs the rule, three on the fast path,
 // and the FIN that tears everything down. allocs/op is what a flow
-// costs to set up and remove, gated at 8: the entry, its record and
-// NF state block, one recording (its event registration included), one
-// rule, and the three header-action values NAT and Maglev record
-// (DESIGN §16, "The set-up path").
+// costs to set up and remove, gated at 3: the entry, its record with the
+// NFs' state words, and the set-up block — the rule, the recording it
+// is built from with the values NAT and Maglev record, and the event
+// registration (DESIGN §16, "The set-up path").
 func BenchmarkChain1FlowLifecycle(b *testing.B) { benchGate(b, chain1FlowLifecycle, 7) }
 
 func chain1FlowLifecycle(tb testing.TB) (func(), int) {

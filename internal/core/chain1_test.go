@@ -107,31 +107,53 @@ func TestSlowPathAllocationBudget(t *testing.T) {
 			t.Errorf("32 baseline packets: %v allocs, want 0", n)
 		}
 	})
-	t.Run("recording", func(t *testing.T) {
-		// One flow set up and torn down per run: the recording packet
-		// pays for the flow entry, its record and NF state block, the
-		// recording with its event registration, the consolidated rule
-		// and the header-action values the NFs record — the 8 objects a
+	// One flow set up and torn down per run: the recording packet pays
+	// for the flow entry, its record with the NFs' state words, and what
+	// its rule needs besides.
+	for _, tc := range []struct {
+		name string
+		json string
+		// budget is the run's allocations; the comment says what they are.
+		budget int
+	}{
+		// Chain1: the set-up block — the rule, the recording with its
+		// modify values and its event registration — the 3 objects a
 		// connection costs in the root package's Chain1FlowLifecycle gate.
-		const budget = 8
-		eng := chain1Engine(t, core.DefaultOptions())
-		vec := []*packet.Packet{chain1Pkt(7200, packet.ProtoUDP, 0, "first")}
-		replay := replayer(t, eng, vec)
-		run := func() {
-			replay()
-			eng.TeardownFlow(flow.FID(vec[0].Meta.FID))
-		}
-		run()
-		n := testing.AllocsPerRun(20, run)
-		t.Logf("record, consolidate, install, tear down: %v allocs", n)
-		if n > budget {
-			t.Errorf("record, consolidate, install, tear down: %v allocs, budget %d", n, budget)
-		}
-		if st := eng.Stats(); st.Consolidations != st.Packets {
-			t.Errorf("stats %+v: want every packet to record and consolidate", st)
-		}
-	})
+		{"recording", server.DefaultSpecJSON, 3},
+		// Three IPFilters, each recording a lone forward: a bare rule,
+		// built from the chain's shared plain recording.
+		{"plain", filtersSpec, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := core.NewEngine(specChain(t, tc.json), core.DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			vec := []*packet.Packet{chain1Pkt(7200, packet.ProtoUDP, 0, "first")}
+			replay := replayer(t, eng, vec)
+			run := func() {
+				replay()
+				eng.TeardownFlow(flow.FID(vec[0].Meta.FID))
+			}
+			run()
+			n := testing.AllocsPerRun(20, run)
+			t.Logf("record, consolidate, install, tear down: %v allocs", n)
+			if n > float64(tc.budget) {
+				t.Errorf("record, consolidate, install, tear down: %v allocs, budget %d", n, tc.budget)
+			}
+			if st := eng.Stats(); st.Consolidations != st.Packets {
+				t.Errorf("stats %+v: want every packet to record and consolidate", st)
+			}
+		})
+	}
 }
+
+// filtersSpec is three forward-only 100-rule IPFilters, each keeping
+// per-flow state: every flow's rule is plain.
+const filtersSpec = `{"name": "filters", "nfs": [
+  {"type": "ipfilter", "name": "fw1", "acl_size": 100},
+  {"type": "ipfilter", "name": "fw2", "acl_size": 100},
+  {"type": "ipfilter", "name": "fw3", "acl_size": 100}]}`
 
 // TestMaglevFailoverReconsolidates: a failover event rewrites the load
 // balancer's published Local MAT rule in place and the engine rebuilds

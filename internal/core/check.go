@@ -93,7 +93,7 @@ func (e *Engine) CheckRecords() error {
 			fail("rule of %v carries no price", fid)
 		}
 		ed = flows.EditHandle(h)
-		built, err := e.build(ed, cs, r.Epoch, r.Spans)
+		built, err := e.build(ed, cs, r.Epoch, event.Recording{Spans: r.Spans}, nil)
 		ed.Done()
 		if err != nil {
 			fail("rule of %v: its recording does not build: %v", fid, err)

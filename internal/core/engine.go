@@ -331,23 +331,24 @@ func (e *Engine) beginTraversal(t *traversal, h flow.Handle, pkt *packet.Packet,
 		events:    e.events,
 		recording: recording,
 		lay:       cs.lay,
-		acts:      ctx.acts[:0],
-		funcs:     ctx.funcs[:0],
-		regs:      ctx.regs[:0],
+		states:    ctx.states[:0],
 		admit:     e.admission,
 		tenant:    pkt.Meta.Tenant,
 	}
 	return ctx
 }
 
-// prepareRecording drops the recording of h's flow — its spans and
-// events, refunding the events' budget — so an initial packet re-records
-// from scratch; NF state and the ladder place are untouched.
-func (e *Engine) prepareRecording(h flow.Handle) {
-	if event.Unrecorded(h) {
+// prepareRecording drops the recording of the flow ctx's traversal is
+// on — its spans and events, refunding the events' budget — so an
+// initial packet re-records from scratch; NF state and the ladder place
+// are untouched. The one lock of the flow's record that finds out
+// resolves the NFs' words for the traversal too.
+func (e *Engine) prepareRecording(ctx *Ctx) {
+	var unrecorded bool
+	if ctx.states, unrecorded = e.events.Resolve(ctx.h, ctx.lay, ctx.states); unrecorded {
 		return
 	}
-	ed := e.class.Flows().EditHandle(h)
+	ed := e.class.Flows().EditHandle(ctx.h)
 	e.dropRecording(ed)
 	ed.Done()
 }
@@ -402,19 +403,18 @@ func (e *Engine) slowPath(h flow.Handle, pkt *packet.Packet, recording bool, res
 		// The baseline has no classifier stage.
 		info.ClassifierCycles = e.model.HashFID
 	}
+	verdict := VerdictForward
+	ctx := e.beginTraversal(t, h, pkt, recording, cs)
 	if recording {
 		// Re-recording an initial packet (e.g. several packets raced
 		// in before consolidation) starts from a clean record.
-		e.prepareRecording(h)
+		e.prepareRecording(ctx)
 		if cap(t.spans) < len(cs.chain) {
 			t.spans = make([]mat.LocalRule, len(cs.chain))
 		}
 		t.spans = t.spans[:len(cs.chain)]
 		clear(t.spans)
 	}
-
-	verdict := VerdictForward
-	ctx := e.beginTraversal(t, h, pkt, recording, cs)
 	abortRecording := false
 	for i, nf := range cs.chain {
 		ctx.nf, ctx.slot, ctx.decl = nf.Name(), i, cs.lay.Declared(i)
@@ -430,16 +430,13 @@ func (e *Engine) slowPath(h flow.Handle, pkt *packet.Packet, recording bool, res
 			}
 		}
 		nActs, nFuncs := len(ctx.acts), len(ctx.funcs)
+		ctx.mark, ctx.fwd = nActs, false
 		v, err := nf.Process(ctx, pkt)
 		if err != nil {
 			return fmt.Errorf("%w: %s: %w", ErrNFFailed, nf.Name(), err)
 		}
-		if len(ctx.acts) > nActs || len(ctx.funcs) > nFuncs {
-			// Capacity-limited: a span never grows into the next NF's.
-			t.spans[i] = mat.LocalRule{
-				Actions: ctx.acts[nActs:len(ctx.acts):len(ctx.acts)],
-				Funcs:   ctx.funcs[nFuncs:len(ctx.funcs):len(ctx.funcs)],
-			}
+		if len(ctx.acts) > nActs || len(ctx.funcs) > nFuncs || ctx.fwd {
+			t.spans[i] = ctx.span(nActs, nFuncs)
 		}
 		if v == VerdictDrop {
 			verdict = VerdictDrop
@@ -465,13 +462,13 @@ func (e *Engine) slowPath(h flow.Handle, pkt *packet.Packet, recording bool, res
 		// An event registration ran into the tenant's cap: a rule without
 		// the event would skip the NF's update, so the recording goes and
 		// the flow retries on its next initial packet (not laddered).
-		e.prepareRecording(h)
+		e.prepareRecording(ctx)
 		e.statsFor(fid).eventCapDenied.Add(1)
 		recording = false
 	}
 	if recording {
 		ed := e.class.Flows().EditHandle(h)
-		fresh, err := e.consolidate(ed, ctx.tenant, info, cs, t.spans, ctx.regs)
+		fresh, err := e.consolidate(ed, ctx.tenant, info, cs, cs.recording(ctx, t.spans), ctx.blk)
 		ed.Done()
 		if fresh {
 			e.maybeStorm(h, cs) // it registers: after the edit
@@ -486,24 +483,27 @@ func (e *Engine) slowPath(h flow.Handle, pkt *packet.Packet, recording bool, res
 	return nil
 }
 
-// consolidate publishes spans — a traversal's recording or an event
-// update's edited copy of the rule's — with regs, the events the
-// traversal registered, on the flow under edit, builds its Global MAT
-// rule from them under the chain snapshot and installs it, charging the
-// work into info and reporting whether the flow had no rule before.
-// tenant is who a first install is charged to. The rule carries the
-// snapshot's epoch, so one racing a reconfiguration is never served.
-// Publication, admission, the guard snapshot, the install and the
-// ladder's clearing are one edit of the entry: no registration lands
-// between snapshot and install, and a flow torn down under the traversal
-// is charged and given nothing.
-func (e *Engine) consolidate(ed flow.Edit, tenant int32, info *SlowPathInfo, cs *chainState, spans []mat.LocalRule, regs []event.Registration) (bool, error) {
+// consolidate builds the flow under edit's Global MAT rule from rec — a
+// traversal's recording, published on the flow with the events it
+// registered, or an event update's edited copy of the rule's — under the
+// chain snapshot and installs it, charging the work into info and
+// reporting whether the flow had no rule before. tenant is who a first
+// install is charged to. The rule carries the snapshot's epoch, so one
+// racing a reconfiguration is never served. Publication, the guard
+// snapshot, admission, the install and the ladder's clearing are one
+// edit of the entry: no registration lands between snapshot and
+// install, and a flow torn down under the traversal is charged and given
+// nothing.
+func (e *Engine) consolidate(ed flow.Edit, tenant int32, info *SlowPathInfo, cs *chainState, rec event.Recording, blk *setupBlock) (bool, error) {
 	if !ed.Found() {
 		return false, nil
 	}
 	fid := ed.Handle().FID()
-	spans, err := e.events.Publish(ed, spans, regs)
+	rule, err := e.build(ed, cs, cs.epoch, rec, blk)
 	if err != nil {
+		if e.tel != nil && errors.Is(err, mat.ErrNotConsolidatable) {
+			e.tel.unconsolidatable.Inc()
+		}
 		return false, err
 	}
 	if e.admission != nil && !e.admitRule(ed, tenant) {
@@ -512,15 +512,8 @@ func (e *Engine) consolidate(ed flow.Edit, tenant int32, info *SlowPathInfo, cs 
 		e.statsFor(fid).ruleQuotaDenied.Add(1)
 		return false, nil
 	}
-	rule, err := e.build(ed, cs, cs.epoch, spans)
-	if err != nil {
-		if e.tel != nil && errors.Is(err, mat.ErrNotConsolidatable) {
-			e.tel.unconsolidatable.Inc()
-		}
-		return false, err
-	}
 	contributed := 0
-	for _, sp := range spans {
+	for _, sp := range rule.Spans {
 		if sp.Actions != nil {
 			contributed++
 		}
@@ -542,17 +535,57 @@ func (e *Engine) consolidate(ed flow.Edit, tenant int32, info *SlowPathInfo, cs 
 	return !replaced, nil
 }
 
-// build is the one way a rule is made, from a recording (spans) over the
-// flow under edit's state and registrations (event.Table.Consolidate),
-// stamped with epoch and priced for the caller's Global.InstallAt.
-func (e *Engine) build(ed flow.Edit, cs *chainState, epoch uint64, spans []mat.LocalRule) (*mat.GlobalRule, error) {
-	rule, err := e.events.Consolidate(ed, cs.lay, cs.contribs, spans)
+// build is the one way a rule is made — live install, event update,
+// restore, log replay, AdoptFlow — from a recording over the flow under
+// edit's state and registrations (event.Table.Consolidate), stamped with
+// epoch and priced for the caller's Global.InstallAt. A traversal's rule
+// is built in blk, the set-up block its recording is in, if it has one
+// (Ctx.own); any other rule is allocated as mat.In allocates it.
+func (e *Engine) build(ed flow.Edit, cs *chainState, epoch uint64, rec event.Recording, blk *setupBlock) (*mat.GlobalRule, error) {
+	var rule *mat.GlobalRule
+	var made *mat.Room
+	if blk != nil {
+		rule, made = &blk.rule, &blk.made
+	}
+	rule, err := e.events.Consolidate(ed, cs.lay, cs.contribs, rec, rule, made)
 	if err != nil {
 		return nil, err
 	}
 	rule.Epoch = epoch
 	e.price(rule)
 	return rule, nil
+}
+
+// recording is what the traversal on ctx recorded, spans by chain
+// position, as a rule is built from it. Spans go into the traversal's
+// set-up block if it has one. Without one, every NF recorded a lone
+// forward or nothing: all lone forwards are the chain's shared plain
+// recording, and any other mix gets a copy of its own.
+func (cs *chainState) recording(ctx *Ctx, spans []mat.LocalRule) event.Recording {
+	switch {
+	case ctx.blk != nil:
+		spans = ctx.blk.rec.Spans(spans)
+	case event.Forwarding(spans):
+		spans = cs.plain
+	default:
+		spans = slices.Clone(spans)
+	}
+	return event.Recording{Spans: spans, Regs: ctx.regs}
+}
+
+// setupBlock is a flow's set-up in one allocation: its rule, at offset 0
+// so a packet served from it reads the lines a GlobalRule alone would,
+// the room the rule's slices are carved from, and the room the recording
+// traversal recorded into (Ctx.own) — the recording the rule is built
+// from and the events it registered, which the flow's record holds.
+// Sized for Chain1 (TestSetupBlockSizeClass). A firing builds its flow a
+// new rule of its own (mat.In), and the record keeps the block's events
+// until the flow re-records: a flow holds at most one dead rule's worth
+// of a block.
+type setupBlock struct {
+	rule mat.GlobalRule
+	made mat.Room
+	rec  event.Room
 }
 
 // price works out what a packet served from the rule is charged, once,
@@ -804,7 +837,7 @@ func (e *Engine) fireEvents(h flow.Handle, info *FastPathInfo) (bool, error) {
 	// A rebuild carries no packet: it is charged as untagged, unless the
 	// flow's events name its tenant. It replaces r: no first install.
 	var built SlowPathInfo
-	switch _, err := e.consolidate(ed, 0, &built, cs, spans, nil); {
+	switch _, err := e.consolidate(ed, 0, &built, cs, event.Recording{Spans: spans}, nil); {
 	case err == nil:
 		info.ReconsolidateCycles += built.ConsolidateCycles
 	case errors.Is(err, mat.ErrNotConsolidatable):

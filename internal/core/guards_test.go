@@ -276,6 +276,6 @@ func rebuild(e *Engine, h flow.Handle) error {
 	}
 	ed := e.class.Flows().EditHandle(h)
 	defer ed.Done()
-	_, err := e.consolidate(ed, 0, &SlowPathInfo{}, cs, spans, nil)
+	_, err := e.consolidate(ed, 0, &SlowPathInfo{}, cs, event.Recording{Spans: spans}, nil)
 	return err
 }

@@ -85,12 +85,15 @@ func (e *Engine) AdoptFlow(mf wal.MigrationRecord) {
 	}
 }
 
-// release ends the flow the entry under edit carries, leaving the entry:
-// its NFs' per-flow state and its place on the ladder go (each NF told
-// the flow is over; a later holder of the entry starts clean instead of
-// inheriting this one's backoff), then what consolidation built and the
-// budget it held. It reports whether a rule was installed.
+// release ends the flow the entry under edit carries: what
+// consolidation built and the budget it held go, then, in one lock of
+// the flow's record (event.Table.End), its NFs' per-flow state, its
+// place on the ladder (each NF told the flow is over; a later holder of
+// the entry starts clean instead of inheriting this one's backoff) and
+// its events. It reports whether a rule was installed.
 func (e *Engine) release(ed flow.Edit) bool {
-	e.events.DropState(ed, true)
-	return e.dropConsolidated(ed)
+	removed := e.global.RemoveAt(ed)
+	e.refund(ed, true, true)
+	e.events.End(ed)
+	return removed
 }

@@ -7,7 +7,8 @@
 // The paper's C APIs map to this package as follows:
 //
 //	nf_extract_fid(pkt)          -> Ctx.FID (assigned by the classifier)
-//	localmat_add_HA(fid, ha, a)  -> Ctx.AddHeaderAction(mat.HeaderAction)
+//	localmat_add_HA(fid, ha, a)  -> Ctx.AddHeaderAction(mat.HeaderAction),
+//	                                Ctx.AddModify(field, value)
 //	localmat_add_SF(fid, h, t, a)-> Ctx.AddStateFunc(i)
 //	register_event(fid, c, a, u) -> Ctx.RegisterEvent(i)
 //
@@ -83,19 +84,31 @@ type Ctx struct {
 	recording bool
 	// lay is the chain's state layout and slot the NF's position in it
 	// (nil: a standalone context, which keeps its NF's state in a layout
-	// of one slot); decl is the NF's declaration, what AddStateFunc and
-	// RegisterEvent record from; rec caches the flow's record across the
-	// traversal's FlowState calls.
-	lay  *event.StateLayout
-	slot int
-	decl *FlowStates
-	rec  *event.Record
+	// of one slot, on rec); decl is the NF's declaration, what
+	// AddStateFunc and RegisterEvent record from. states are every NF's
+	// words on the flow by chain position, resolved by the traversal's
+	// first FlowState (empty until then) in storage traversals reuse.
+	lay    *event.StateLayout
+	slot   int
+	decl   *FlowStates
+	rec    *event.Record
+	states []State
 	// acts, funcs and regs are the recording buffers, everything recorded
-	// through this context in order: an engine traversal publishes them
-	// once the chain has run, and reuses their storage.
+	// through this context in order, and vals the values of its modifies
+	// (AddModify). An engine traversal records into blk, the set-up block
+	// its recording and the rule built from it share, made on the first
+	// record that takes storage (own): until then the buffers are empty.
+	// It publishes them once the chain has run. mark is where the current
+	// NF's actions start, and fwd says it has recorded a forward, which
+	// takes no storage unless the NF records another action (a lone
+	// forward's span is event.LoneForward).
 	acts  []mat.HeaderAction
 	funcs []uint8
 	regs  []event.Registration
+	vals  []byte
+	blk   *setupBlock
+	mark  int
+	fwd   bool
 	// admit is the engine's admission policy (nil = admit all), which
 	// RegisterEvent charges to the packet's tenant; eventDenied records a
 	// refusal, which abandons the traversal's recording (Engine.slowPath).
@@ -189,8 +202,59 @@ func (c *Ctx) AddHeaderAction(a mat.HeaderAction) error {
 	if err := a.Validate(); err != nil {
 		return fmt.Errorf("core: %s: %w", c.nf, err)
 	}
+	if c.lay != nil {
+		// An NF's first action, a forward, is held back (fwd): if it
+		// stays the NF's only one, its span is the shared lone forward.
+		if a.Kind == mat.ActionForward && !c.fwd && len(c.acts) == c.mark && a.Equal(mat.Forward()) {
+			c.fwd = true
+			return nil
+		}
+		c.own()
+		if c.fwd {
+			c.acts, c.fwd = append(c.acts, mat.Forward()), false
+		}
+	}
 	c.acts = append(c.acts, a)
 	return nil
+}
+
+// own gives an engine traversal's recording its set-up block, on the
+// first record that takes storage: a recording of lone forwards takes
+// none, and its rule is built without one.
+func (c *Ctx) own() {
+	if c.blk == nil && c.lay != nil {
+		c.blk = new(setupBlock)
+		c.acts, c.funcs, c.vals, c.regs = c.blk.rec.Buffers()
+	}
+}
+
+// span is the Local MAT entry of the NF that recorded from the
+// recording buffers' positions nActs and nFuncs on: capacity-limited, so
+// it never grows into the next NF's, and with non-nil actions.
+func (c *Ctx) span(nActs, nFuncs int) mat.LocalRule {
+	r := mat.LocalRule{Actions: c.acts[nActs:len(c.acts):len(c.acts)], Funcs: c.funcs[nFuncs:len(c.funcs):len(c.funcs)]}
+	switch {
+	case c.fwd:
+		r.Actions = event.LoneForward()
+	case r.Actions == nil:
+		r.Actions = []mat.HeaderAction{}
+	}
+	return r
+}
+
+// AddModify records a modify of field f to value (localmat_add_HA, as
+// AddHeaderAction(mat.Modify(f, value)) does) without a copy of its own:
+// the value goes into the traversal's recording buffer, so the caller may
+// reuse its storage, and with the recording into the flow's set-up
+// block.
+func (c *Ctx) AddModify(f packet.Field, value []byte) error {
+	if !c.recording {
+		return nil
+	}
+	c.own()
+	n := len(c.vals)
+	c.vals = append(c.vals, value...)
+	return c.AddHeaderAction(mat.HeaderAction{Kind: mat.ActionModify, Field: f, Value: c.vals[n:len(c.vals):len(c.vals)]})
 }
 
 // declared checks that the calling NF declares state function (event,
@@ -211,6 +275,7 @@ func (c *Ctx) AddStateFunc(i int) error {
 	c.Charge(c.Model.RecordSF)
 	err := c.declared(i, false)
 	if err == nil {
+		c.own()
 		c.funcs = append(c.funcs, uint8(i))
 	}
 	return err
@@ -225,7 +290,8 @@ func (c *Ctx) Recorded() (*mat.LocalRule, bool) {
 
 // RegisterEvent registers the NF's declared event i for the flow
 // (register_event). An engine's traversal publishes its registrations
-// with what its NFs recorded, once the chain has run (event.Table.Publish);
+// with what its NFs recorded, once the chain has run
+// (event.Table.Consolidate);
 // a standalone context, which has no traversal to end, registers at once.
 // Either way the Event Table holds a flow to event.MaxPerFlow.
 func (c *Ctx) RegisterEvent(i int) error {
@@ -242,6 +308,7 @@ func (c *Ctx) RegisterEvent(i int) error {
 	}
 	r := event.Registration{Ref: mat.Ref{At: uint16(c.slot), Index: uint16(i)}, Event: &c.decl.Events[i], State: c.FlowState(c.decl)}
 	if c.lay != nil {
+		c.own()
 		c.regs = append(c.regs, r)
 	} else if err := c.events.Register(c.h, r); err != nil {
 		return fmt.Errorf("core: %s: %w", c.nf, err)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/fastpathnfv/speedybox/internal/errcode"
+	"github.com/fastpathnfv/speedybox/internal/event"
 	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/mat"
 	"github.com/fastpathnfv/speedybox/internal/wal"
@@ -244,7 +245,7 @@ func (e *Engine) adopt(im *wal.RuleImage) {
 	cs := e.state()
 	var rule *mat.GlobalRule
 	if im.Of(cs.contribs) && e.events.Rebind(ed, cs.lay, im.Guards) {
-		rule, _ = e.build(ed, cs, im.Epoch, im.Spans)
+		rule, _ = e.build(ed, cs, im.Epoch, event.Recording{Spans: im.Spans}, nil)
 	}
 	if rule == nil {
 		e.dropConsolidated(ed)

@@ -32,7 +32,10 @@ type chainState struct {
 	// contribs presents the chain to a consolidation (each NF's name and
 	// Site) and to a rule image, which names its positions.
 	contribs []mat.Contribution
-	epoch    uint64
+	// plain is the recording of every flow whose NFs each recorded a lone
+	// forward, shared by their rules (event.Forwards).
+	plain []mat.LocalRule
+	epoch uint64
 }
 
 // newChainState lays out a chain's per-flow NF state and makes the
@@ -48,7 +51,7 @@ func (e *Engine) newChainState(chain []NF, epoch uint64) *chainState {
 			s.FlowStates().Attach(e.events)
 		}
 	}
-	return &chainState{chain: chain, lay: event.NewStateLayout(slots), contribs: contribs, epoch: epoch}
+	return &chainState{chain: chain, lay: event.NewStateLayout(slots), contribs: contribs, plain: event.Forwards(len(chain)), epoch: epoch}
 }
 
 // ReconfigOp enumerates chain-plan operations. Enum starts at one so a

@@ -19,18 +19,23 @@ type Stateful interface {
 // FlowState returns the calling NF's state on the packet's flow: the
 // words v declares, zero on the flow's first use, and the same words on
 // every later packet until the flow ends, what the functions and events
-// it records run on.
+// it records run on. In an engine's traversal the first call resolves
+// every NF's words on the flow in one lock of its record
+// (event.Table.Resolve), and the NFs after it read them off the context.
 func (c *Ctx) FlowState(v *FlowStates) State {
 	if v.Words == 0 {
 		return nil
 	}
-	if c.rec == nil {
-		c.rec = c.events.Record(c.h)
-	}
 	if c.lay == nil {
+		if c.rec == nil {
+			c.rec = c.events.Record(c.h, nil)
+		}
 		return c.rec.State(v.Standalone(c.nf, c.events), 0)
 	}
-	return c.rec.State(c.lay, c.slot)
+	if len(c.states) == 0 {
+		c.states, _ = c.events.Resolve(c.h, c.lay, c.states)
+	}
+	return c.states[c.slot]
 }
 
 // Close ends the engine's part in its NFs' per-flow views: a platform

@@ -16,7 +16,7 @@ import (
 func (t *Table) Rebind(ed flow.Edit, lay *StateLayout, guards []mat.Ref) bool {
 	rec := (*Record)(ed.Handle().Rec())
 	if rec == nil && len(guards) > 0 {
-		rec = t.recordFor(ed)
+		rec = t.recordFor(ed, lay)
 	}
 	regs, ok := rec.bind(lay, guards)
 	ed.ClearPlain()

@@ -149,7 +149,7 @@ func NewTable(flows *flow.Table) *Table { return &Table{flows: flows} }
 // Figure 2) on the record of the entry h is on — made here if this is
 // the first the flow's recording leaves behind — where an engine's
 // traversal publishes the ones its NFs registered once the chain has run
-// (Publish). A flow the table has let go of registers nothing:
+// (Consolidate). A flow the table has let go of registers nothing:
 // there is no rule of it left to guard.
 func (t *Table) Register(h flow.Handle, r Registration) error {
 	if err := r.Event.Validate(); err != nil {
@@ -160,7 +160,7 @@ func (t *Table) Register(h flow.Handle, r Registration) error {
 	if !ed.Found() {
 		return nil
 	}
-	rec := t.recordFor(ed)
+	rec := t.recordFor(ed, nil)
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
 	if err := rec.room(h.FID(), 1); err != nil {
@@ -291,7 +291,8 @@ func GuardsCurrent(h flow.Handle, g *mat.Guard) bool {
 // Unrecorded reports whether the flow h is on holds nothing Remove and
 // a refund of its events' budget would take: no record, or one that
 // holds NF state or a ladder place and no events. A flow's first
-// recording costs its record's uncontended lock here, and no edit.
+// recording costs its record's uncontended lock here, and no edit; a
+// traversal that resolves its NFs' state takes it there (Resolve).
 func Unrecorded(h flow.Handle) bool {
 	rec := (*Record)(h.Rec())
 	if rec == nil {
@@ -299,6 +300,11 @@ func Unrecorded(h flow.Handle) bool {
 	}
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
+	return rec.unrecorded()
+}
+
+// unrecorded is Unrecorded for a caller holding rec.mu.
+func (rec *Record) unrecorded() bool {
 	return len(rec.events) == 0 && rec.own.Events == 0 && rec.kept()
 }
 
@@ -313,18 +319,39 @@ func (t *Table) Remove(ed flow.Edit) {
 	}
 	if rec := (*Record)(ed.Handle().Rec()); rec != nil {
 		rec.mu.Lock()
-		if !rec.kept() {
-			ed.SetRec(nil)
-		}
-		if len(rec.events) > 0 {
-			t.armed.Add(-1)
-		}
-		// A probe that loaded the record before the word was cleared
-		// finds nothing on it.
-		clear(rec.events)
-		rec.events = nil
+		t.dropEvents(ed, rec)
 		rec.mu.Unlock()
 	}
+}
+
+// End is the end of the flow under edit's connection (torn down, or its
+// 5-tuple reused) on its record, in one lock of it: DropState, ended,
+// then Remove.
+func (t *Table) End(ed flow.Edit) {
+	if !ed.Found() {
+		return
+	}
+	if rec := (*Record)(ed.Handle().Rec()); rec != nil {
+		rec.mu.Lock()
+		rec.end(true)
+		t.dropEvents(ed, rec)
+		rec.mu.Unlock()
+	}
+}
+
+// dropEvents is Remove on the record of the entry under edit, whose lock
+// the caller holds.
+func (t *Table) dropEvents(ed flow.Edit, rec *Record) {
+	if !rec.kept() {
+		ed.SetRec(nil)
+	}
+	if len(rec.events) > 0 {
+		t.armed.Add(-1)
+	}
+	// A probe that loaded the record before the word was cleared
+	// finds nothing on it.
+	clear(rec.events)
+	rec.events = nil
 }
 
 // Len returns the number of flows with registered events.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 
@@ -45,7 +46,7 @@ func guards(t *testing.T, tbl *Table, h flow.Handle) *mat.Guard {
 	t.Helper()
 	ed := tbl.flows.EditHandle(h)
 	defer ed.Done()
-	r, err := tbl.Consolidate(ed, NewStateLayout(nil), nil, nil)
+	r, err := tbl.Consolidate(ed, NewStateLayout(nil), nil, Recording{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,24 +258,18 @@ func TestUpdateAppliesToLocalRule(t *testing.T) {
 	fid := flow.FID(3)
 	tbl := NewTable(flow.NewTable())
 	lay, chain := NewStateLayout([]StateSlot{{NF: "maglev"}}), []mat.Contribution{{NF: "maglev"}}
-	consolidate := func(spans []mat.LocalRule) *mat.GlobalRule {
+	consolidate := func(rec Recording) *mat.GlobalRule {
 		t.Helper()
 		ed := tbl.flows.Edit(fid, true)
 		defer ed.Done()
-		r, err := tbl.Consolidate(ed, lay, chain, spans)
+		r, err := tbl.Consolidate(ed, lay, chain, rec, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return r
 	}
-	ed := tbl.flows.Edit(fid, true)
-	spans, err := tbl.Publish(ed, []mat.LocalRule{{Actions: []mat.HeaderAction{mat.Modify(packet.FieldDstIP, []byte{10, 0, 0, 1})}}}, nil)
-	ed.Done()
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := consolidate(spans)
-	err = tbl.Register(tbl.Entry(fid), Registration{Ref: ref("maglev"), Event: &Event{
+	old := consolidate(Recording{Spans: []mat.LocalRule{{Actions: []mat.HeaderAction{mat.Modify(packet.FieldDstIP, []byte{10, 0, 0, 1})}}}})
+	err := tbl.Register(tbl.Entry(fid), Registration{Ref: ref("maglev"), Event: &Event{
 		Condition: always,
 		OneShot:   true,
 		Update: func(_ State, r *mat.LocalRule) {
@@ -293,7 +288,7 @@ func TestUpdateAppliesToLocalRule(t *testing.T) {
 		edited[f.At] = *edited[f.At].Clone()
 		f.Event.Update(f.State, &edited[f.At])
 	}
-	next := consolidate(edited)
+	next := consolidate(Recording{Spans: edited})
 	if got := next.Modifies[0].Value; got[3] != 2 {
 		t.Errorf("DIP after event = %v, want .2 backend", got)
 	}
@@ -304,8 +299,8 @@ func TestUpdateAppliesToLocalRule(t *testing.T) {
 
 // TestRegistrationCap: a flow holds at most MaxPerFlow events, counting
 // those it holds, whether they come one by one (Register) or with a
-// traversal's recording (Publish); a publication past the cap publishes
-// nothing.
+// traversal's recording (Consolidate); a publication past the cap
+// publishes nothing and builds no rule.
 func TestRegistrationCap(t *testing.T) {
 	fid := flow.FID(4)
 	tbl := NewTable(flow.NewTable())
@@ -316,13 +311,14 @@ func TestRegistrationCap(t *testing.T) {
 		}
 	}
 	span := []mat.LocalRule{{Actions: []mat.HeaderAction{mat.Drop()}}}
-	publish := func(regs ...Registration) ([]mat.LocalRule, error) {
+	lay, chain := NewStateLayout([]StateSlot{{NF: "x"}}), []mat.Contribution{{NF: "x"}}
+	publish := func(regs ...Registration) (*mat.GlobalRule, error) {
 		ed := tbl.flows.Edit(fid, false)
 		defer ed.Done()
-		return tbl.Publish(ed, span, regs)
+		return tbl.Consolidate(ed, lay, chain, Recording{Spans: span, Regs: regs}, nil, nil)
 	}
-	if spans, err := publish(r, r); !errors.Is(err, ErrTooManyEvents) || spans != nil || tbl.Pending(fid) != MaxPerFlow-1 {
-		t.Errorf("publishing two past %d held: spans %v, %v, %d events; want nothing and ErrTooManyEvents", MaxPerFlow-1, spans, err, tbl.Pending(fid))
+	if rule, err := publish(r, r); !errors.Is(err, ErrTooManyEvents) || rule != nil || tbl.Pending(fid) != MaxPerFlow-1 {
+		t.Errorf("publishing two past %d held: rule %v, %v, %d events; want nothing and ErrTooManyEvents", MaxPerFlow-1, rule, err, tbl.Pending(fid))
 	}
 	if _, err := publish(r); err != nil || tbl.Pending(fid) != MaxPerFlow {
 		t.Errorf("publishing the last one: %v, %d events", err, tbl.Pending(fid))
@@ -476,13 +472,37 @@ func TestJournalRunsPerRegistration(t *testing.T) {
 	}
 }
 
-// TestRecordSizeClass pins the flow record to the 96-byte size class:
-// the NF state block, the events and the engine's standing fit it with a
-// word to spare, the recording being the rule's; two more cost every
-// record 112.
+// TestRecordSizeClass pins the flow record, which carries the first
+// state block's words of a Chain1 or three-IPFilter layout in the same
+// allocation: the 88-byte Record (the block's header, the events and the
+// engine's standing, the recording being the rule's) and an odd number
+// of words fill a size class. A field more on Record costs every flow 16
+// bytes. Chain1's ten words take the 176-byte record, three IPFilters'
+// nine the 160-byte one, and the words follow the record in its
+// allocation; any other layout's words are an array of their own.
 func TestRecordSizeClass(t *testing.T) {
 	if n := unsafe.Sizeof(Record{}); n != 88 {
 		t.Errorf("Record is %d bytes, want 88", n)
+	}
+	for _, tc := range []struct {
+		words int
+		size  uintptr
+	}{
+		{9, unsafe.Sizeof(recordWith[[9]atomic.Uint64]{})},
+		{11, unsafe.Sizeof(recordWith[[11]atomic.Uint64]{})},
+	} {
+		if tc.size != 88+8*uintptr(tc.words) || tc.size%16 != 0 {
+			t.Errorf("the record of %d words is %d bytes, want %d, a multiple of 16", tc.words, tc.size, 88+8*tc.words)
+		}
+	}
+	// Any other block is an array of its own.
+	for words, inline := range map[int]bool{1: false, 8: true, 9: true, 10: true, 11: true, 12: false, 26: false} {
+		lay := NewStateLayout([]StateSlot{{NF: "x", Words: words}})
+		rec := newRecord(lay)
+		follows := uintptr(unsafe.Pointer(&rec.state.words[0])) == uintptr(unsafe.Pointer(rec))+unsafe.Sizeof(Record{})
+		if follows != inline || rec.state.lay != lay || len(rec.state.words) != words {
+			t.Errorf("%d words: inline %v, want %v; layout %p, %d words", words, follows, inline, rec.state.lay, len(rec.state.words))
+		}
 	}
 }
 

@@ -18,13 +18,15 @@ import (
 // found from there by one lock-free probe; its own lock orders
 // consolidations, probes, state hand-outs and standing changes of the
 // one flow and is a leaf — nothing is taken under it but what an NF's
-// condition or state hook takes, and the admission policy's lock. It
-// fills a 96-byte size class (TestRecordSizeClass).
+// condition or state hook takes, and the admission policy's lock. A
+// record made under a chain layout carries that layout's state words
+// in the same allocation (newRecord), filling a size class
+// (TestRecordSizeClass).
 type Record struct {
 	mu sync.Mutex
-	// state is the flow's NF state block, made on an NF's first use under
-	// the chain layout of the moment, heading the list of the blocks a
-	// chain change added for NFs that joined since.
+	// state is the flow's NF state block, made with the record or on an
+	// NF's first use under the chain layout of the moment, heading the
+	// list of the blocks a chain change added for NFs that joined since.
 	state stateBlock
 	// events are the flow's registrations, in registration order.
 	events []Registration
@@ -67,7 +69,7 @@ func (t *Table) Stand(ed flow.Edit, create bool, fn func(flow.Handle, *Standing)
 	if !ed.Found() || (create && h.Detached()) || (!create && h.Rec() == nil) {
 		return
 	}
-	rec := t.recordFor(ed)
+	rec := t.recordFor(ed, nil)
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
 	fn(h, &rec.own)
@@ -91,153 +93,161 @@ func (t *Table) record(fid flow.FID) *Record {
 }
 
 // recordFor returns the record of the entry under edit, hanging a fresh
-// one off it if it has none.
-func (t *Table) recordFor(ed flow.Edit) *Record {
+// one, made under lay (nil: none), off it if it has none.
+func (t *Table) recordFor(ed flow.Edit, lay *StateLayout) *Record {
 	rec := (*Record)(ed.Handle().Rec())
 	if rec == nil {
-		rec = &Record{}
+		rec = newRecord(lay)
 		ed.SetRec(unsafe.Pointer(rec))
 	}
 	return rec
 }
 
-// Publish stores on the record of the flow under edit the events a
-// traversal's NFs registered (register_event, paper Figure 2, gathered
-// per traversal), and returns what they recorded (localmat_add_HA and
-// localmat_add_SF) — spans, by chain position, in the traversal's
-// scratch, an NF that recorded nothing the zero LocalRule — copied into
-// exactly sized storage for the flow's rule to own (mat.GlobalRule.Spans),
-// in which an NF that recorded anything has non-nil Actions. The copy is
-// one allocation for a short chain's recording and its events (a
-// spanBlock), and a span that only forwards takes none: every such span
-// is one shared, read-only array. A flow's registrations past MaxPerFlow
-// publish nothing, and are an error.
-func (t *Table) Publish(ed flow.Edit, spans []mat.LocalRule, regs []Registration) ([]mat.LocalRule, error) {
-	if !ed.Found() {
-		return nil, nil
-	}
-	nActs, nFuncs := 0, 0
-	for _, sp := range spans {
-		if !forwardOnly(sp.Actions) {
-			nActs += len(sp.Actions)
-		}
-		nFuncs += len(sp.Funcs)
-	}
-	var rec *Record
-	if len(regs) > 0 {
-		rec = t.recordFor(ed)
-		rec.mu.Lock()
-		defer rec.mu.Unlock()
-		if err := rec.room(ed.Handle().FID(), len(regs)); err != nil {
-			return nil, err
-		}
-	}
-	n := len(spans)
-	var out []mat.LocalRule
-	var acts []mat.HeaderAction
-	var funcs []uint8
-	var events []Registration
-	var room spanBlock // the sizes of a block, never allocated
-	if (nActs > 0 || nFuncs > 0 || len(regs) > 0) && n <= len(room.spans) &&
-		nActs <= len(room.acts) && nFuncs <= len(room.funcs) && len(regs) <= len(room.events) {
-		b := new(spanBlock)
-		out, acts, funcs, events = b.spans[:n:n], b.acts[:0:nActs], b.funcs[:0:nFuncs], b.events[:0:len(regs)]
-	} else {
-		out, acts, funcs = make([]mat.LocalRule, n), make([]mat.HeaderAction, 0, nActs), make([]uint8, 0, nFuncs)
-		if len(regs) > 0 {
-			events = make([]Registration, 0, len(regs))
-		}
-	}
-	if rec != nil {
-		if len(rec.events) == 0 {
-			rec.events = events
-			t.armed.Add(1)
-		}
-		rec.events = append(rec.events, regs...)
-		t.registered.Add(uint64(len(regs)))
-	}
-	for i, sp := range spans {
-		if len(sp.Actions)+len(sp.Funcs) == 0 {
-			continue
-		}
-		span := &out[i]
-		if forwardOnly(sp.Actions) {
-			span.Actions = forwardSpan
-		} else {
-			a := len(acts)
-			acts = append(acts, sp.Actions...)
-			span.Actions = acts[a:len(acts):len(acts)]
-		}
-		f := len(funcs)
-		funcs = append(funcs, sp.Funcs...)
-		span.Funcs = funcs[f:len(funcs):len(funcs)]
-	}
-	return out, nil
+// Recording is what a rule is built from (Table.Consolidate): each NF's
+// Local MAT entry for the flow by chain position — what it recorded
+// through localmat_add_HA and localmat_add_SF, the zero LocalRule if
+// nothing — and the events a traversal's NFs registered
+// (register_event, paper Figure 2, gathered per traversal). The rule
+// takes Spans over, and the flow's record Regs: the caller must not
+// change either after.
+type Recording struct {
+	Spans []mat.LocalRule
+	Regs  []Registration
 }
 
-// spanBlock is the storage Publish carves a short chain's recording and
-// its events from in one allocation: Chain1's, say — four spans, three
-// actions that are not a lone forward, two state functions, one event.
-type spanBlock struct {
+// Room is the storage an engine traversal records into, in one
+// allocation with the rule built from what it records (core's set-up
+// block): Chain1's recording — four spans, three actions that are not a
+// lone forward with their ten bytes of values, two state functions, one
+// event. A recording past it grows into arrays of its own for what does
+// not fit, and a span that only forwards takes none: every such span is
+// one shared, read-only array (LoneForward).
+type Room struct {
 	spans  [4]mat.LocalRule
-	acts   [4]mat.HeaderAction
+	acts   [3]mat.HeaderAction
 	funcs  [2]uint8
+	values [14]byte
 	events [1]Registration
+}
+
+// Buffers returns the room's empty recording buffers: actions, state
+// functions, modify values and registrations, each of the room's
+// capacity, for a traversal to append to.
+func (r *Room) Buffers() ([]mat.HeaderAction, []uint8, []byte, []Registration) {
+	return r.acts[:0], r.funcs[:0], r.values[:0], r.events[:0]
+}
+
+// Spans copies a traversal's spans, by chain position, into the room's
+// (or, for a chain longer than it holds, a fresh array).
+func (r *Room) Spans(spans []mat.LocalRule) []mat.LocalRule {
+	out := r.spans[:0]
+	if len(spans) > len(r.spans) {
+		out = make([]mat.LocalRule, 0, len(spans))
+	}
+	return append(out, spans...)
 }
 
 // forwardSpan is the actions of every span that only forwards.
 var forwardSpan = []mat.HeaderAction{mat.Forward()}
+
+// LoneForward returns the actions of every span whose NF recorded a lone
+// forward: one shared array, never to be written.
+func LoneForward() []mat.HeaderAction { return forwardSpan }
 
 // forwardOnly reports a span whose actions are a lone forward.
 func forwardOnly(acts []mat.HeaderAction) bool {
 	return len(acts) == 1 && acts[0].Equal(forwardSpan[0])
 }
 
+// Forwards returns the recording of a chain of n NFs that each recorded
+// a lone forward and nothing else: the one a plain rule is built from.
+// It is read-only, for every such flow of the chain to share.
+func Forwards(n int) []mat.LocalRule {
+	spans := make([]mat.LocalRule, n)
+	for i := range spans {
+		spans[i].Actions = forwardSpan
+	}
+	return spans
+}
+
+// Forwarding reports whether spans record a lone forward for every NF,
+// and nothing else: the recording Forwards shares.
+func Forwarding(spans []mat.LocalRule) bool {
+	for _, sp := range spans {
+		if !forwardOnly(sp.Actions) || len(sp.Funcs) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // Consolidate builds the Global MAT rule of the flow under edit, which
-// must be found, from spans, the flow's recording by chain position under
-// the chain chain presents (each NF's name and Site, no rule, in the order
-// of lay): the one way a rule is built, from a traversal's recording
-// (Publish), from an event update's edited copy of a rule's or from an
-// image. The rule takes spans over as its Spans: the caller must not
-// change them after. Each NF that recorded state functions is given its
-// words on the flow to run them on. The rule carries the flow's
-// registered conditions as its guards, snapshotted under the record's
-// lock; a registration takes an edit of the entry, so the snapshot stays
-// current until the caller's edit ends — a rule installed inside it needs
-// no re-check, and one a later registration finds gets fresh guards from
-// the journal hook.
-func (t *Table) Consolidate(ed flow.Edit, lay *StateLayout, chain []mat.Contribution, spans []mat.LocalRule) (*mat.GlobalRule, error) {
+// must be found, from rec under the chain chain presents (each NF's name
+// and Site, no rule, in the order of lay): the one way a rule is built,
+// from a traversal's recording, from an event update's edited copy of a
+// rule's or from an image. The rule takes the recording over as its
+// Spans: the caller must not change them after. It is built into rule,
+// if set — zero, and not yet installed — and its slices carved from made
+// (mat.In). Each NF that recorded state functions is given its words on
+// the flow to run them on.
+//
+// Under one lock of the flow's record, the traversal's registrations
+// are published on it — a flow's registrations past MaxPerFlow publish
+// nothing, and are an error — and the rule is given the flow's
+// registered conditions as its guards. A registration takes an edit of
+// the entry, so the snapshot stays current until the caller's edit ends:
+// a rule installed inside it needs no re-check, and one a later
+// registration finds gets fresh guards from the journal hook.
+func (t *Table) Consolidate(ed flow.Edit, lay *StateLayout, chain []mat.Contribution, rec Recording, rule *mat.GlobalRule, made *mat.Room) (*mat.GlobalRule, error) {
 	fid := ed.Handle().FID()
+	spans := rec.Spans
 	if len(spans) != len(chain) {
 		return nil, fmt.Errorf("consolidating %v: %d spans for a chain of %d", fid, len(spans), len(chain))
 	}
 	var buf [8]mat.Contribution
 	contribs := append(buf[:0], chain...)
-	rec := (*Record)(ed.Handle().Rec())
+	r := (*Record)(ed.Handle().Rec())
 	for i := range contribs {
 		if spans[i].Actions == nil {
 			continue
 		}
 		contribs[i].Rule = &spans[i]
-		if len(spans[i].Funcs) > 0 && lay.slots[i].Words > 0 && rec == nil {
-			rec = t.recordFor(ed)
+		if len(spans[i].Funcs) > 0 && lay.slots[i].Words > 0 && r == nil {
+			r = t.recordFor(ed, lay)
 		}
+	}
+	if r == nil && len(rec.Regs) > 0 {
+		r = t.recordFor(ed, lay)
 	}
 	var gbuf [4]mat.Guard
 	guards := gbuf[:0]
-	if rec != nil {
-		rec.mu.Lock()
-		defer rec.mu.Unlock()
+	if r != nil {
+		r.mu.Lock()
+		if err := r.room(fid, len(rec.Regs)); err != nil {
+			r.mu.Unlock()
+			return nil, err
+		}
+		if n := len(rec.Regs); n > 0 {
+			if len(r.events) == 0 {
+				// Capacity-limited: a later registration appends elsewhere.
+				r.events = rec.Regs[:n:n]
+				t.armed.Add(1)
+			} else {
+				r.events = append(r.events, rec.Regs...)
+			}
+			t.registered.Add(uint64(n))
+		}
 		for i := range contribs {
-			if r := contribs[i].Rule; r != nil && len(r.Funcs) > 0 {
-				contribs[i].State = rec.slotState(lay, i)
+			if c := contribs[i].Rule; c != nil && len(c.Funcs) > 0 {
+				contribs[i].State = r.slotState(lay, i)
 			}
 		}
-		for i := range rec.events {
-			guards = append(guards, rec.events[i].guard())
+		for i := range r.events {
+			guards = append(guards, r.events[i].guard())
 		}
+		r.mu.Unlock()
 	}
-	rule, err := mat.Consolidate(fid, contribs, guards...)
+	rule, err := mat.In(rule, made, fid, contribs, guards)
 	if err != nil {
 		return nil, err
 	}

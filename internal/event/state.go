@@ -6,6 +6,8 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 
 	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/sfunc"
@@ -53,6 +55,8 @@ type StateSlot struct {
 type StateLayout struct {
 	slots []StateSlot
 	words int
+	// record makes a flow's record with its first block (newRecord).
+	record func(*StateLayout) *Record
 }
 
 // NewStateLayout lays the slots out in order. An NF that keeps no
@@ -63,7 +67,51 @@ func NewStateLayout(slots []StateSlot) *StateLayout {
 		l.slots[i].off = l.words
 		l.words += l.slots[i].Words
 	}
+	l.record = recordSized(l.words)
 	return l
+}
+
+// recordWith is a record and its state block's words in one allocation.
+type recordWith[W any] struct {
+	Record
+	words W
+}
+
+// withWords makes a record whose first block, under lay, is the words
+// that follow it in the allocation.
+func withWords[W any](lay *StateLayout) *Record {
+	r := new(recordWith[W])
+	r.state = stateBlock{lay: lay, words: unsafe.Slice((*atomic.Uint64)(unsafe.Pointer(&r.words)), lay.words)}
+	return &r.Record
+}
+
+// recordSized picks how a record of a block of n words is made: with the
+// words inline for the two sizes the benchmark's chains take — three
+// IPFilters' nine words and Chain1's ten — each filling its size class
+// (the 88-byte Record plus an odd number of words is a multiple of 16,
+// TestRecordSizeClass); any other block gets an array of its own.
+func recordSized(n int) func(*StateLayout) *Record {
+	switch n {
+	case 0:
+		return nil
+	case 8, 9:
+		return withWords[[9]atomic.Uint64]
+	case 10, 11:
+		return withWords[[11]atomic.Uint64]
+	}
+	return func(lay *StateLayout) *Record {
+		return &Record{state: stateBlock{lay: lay, words: make(State, lay.words)}}
+	}
+}
+
+// newRecord makes a flow's record; under a layout with state words (lay
+// may be nil) its state block comes with it, in the same allocation for
+// the sizes recordSized holds inline.
+func newRecord(lay *StateLayout) *Record {
+	if lay == nil || lay.record == nil {
+		return &Record{}
+	}
+	return lay.record(lay)
 }
 
 // stateBlock is one allocation of state words and the layout it was made
@@ -98,11 +146,12 @@ func (s *StateSlot) leave(st State, ended bool) {
 }
 
 // State returns the words of NF i of lay on the flow's record, nil if
-// the NF keeps none. The first use of any NF makes the flow's block,
-// sized for the whole chain: one pointer-free allocation a flow. A block
-// is never moved or resized — a chain change leaves the NFs that were in
-// it where they are and gives the flow a second block for the ones that
-// joined — so a slot, once handed out, is the NF's for the flow's life.
+// the NF keeps none. The flow's first block is sized for the whole chain
+// and made with the record (newRecord) or, for a record made without
+// one, on the first use of any NF. A block is never moved or resized — a
+// chain change leaves the NFs that were in it where they are and gives
+// the flow a second block for the ones that joined — so a slot, once
+// handed out, is the NF's for the flow's life.
 func (rec *Record) State(lay *StateLayout, i int) State {
 	if lay.slots[i].Words == 0 {
 		return nil
@@ -133,6 +182,30 @@ func (rec *Record) slotState(lay *StateLayout, i int) State {
 	}
 	*blk = stateBlock{lay: lay, words: make(State, lay.words)}
 	return blk.slot(want)
+}
+
+// Resolve returns the words of every NF of lay on the flow h is on, by
+// chain position (nil for an NF that keeps none), in out's storage — one
+// lock of the record for the whole chain, which a traversal takes once
+// and its NFs' FlowState calls then read. It also reports whether the
+// flow holds no recording to drop before it records again (Unrecorded).
+// A layout of no words resolves nothing (out, emptied) and makes no
+// record; a flow the table has let go of gets words nothing keeps.
+func (t *Table) Resolve(h flow.Handle, lay *StateLayout, out []State) (states []State, unrecorded bool) {
+	if lay.words == 0 {
+		return out[:0], Unrecorded(h)
+	}
+	if cap(out) < len(lay.slots) {
+		out = make([]State, len(lay.slots))
+	}
+	out = out[:len(lay.slots)]
+	rec := t.Record(h, lay)
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	for i := range out {
+		out[i] = rec.slotState(lay, i)
+	}
+	return out, rec.unrecorded()
 }
 
 // used calls fn for every slot of the record some NF has written, oldest
@@ -170,19 +243,19 @@ func (rec *Record) images() []StateImage {
 }
 
 // Record returns the record of the flow h is on, for its NFs' state,
-// hanging a fresh one off the entry if it has none. A flow the table has
-// let go of gets a record nothing keeps: what its NFs write there goes
-// with the packet.
-func (t *Table) Record(h flow.Handle) *Record {
+// hanging a fresh one, made under lay (nil: none), off the entry if it
+// has none. A flow the table has let go of gets a record nothing keeps:
+// what its NFs write there goes with the packet.
+func (t *Table) Record(h flow.Handle, lay *StateLayout) *Record {
 	if rec := (*Record)(h.Rec()); rec != nil {
 		return rec
 	}
 	ed := t.flows.EditHandle(h)
 	defer ed.Done()
 	if !ed.Found() {
-		return &Record{}
+		return newRecord(lay)
 	}
-	return t.recordFor(ed)
+	return t.recordFor(ed, lay)
 }
 
 // Entry returns a Handle on the FID's entry for a context outside any
@@ -191,7 +264,7 @@ func (t *Table) Record(h flow.Handle) *Record {
 func (t *Table) Entry(fid flow.FID) flow.Handle {
 	ed := t.flows.Edit(fid, true)
 	defer ed.Done()
-	t.recordFor(ed)
+	t.recordFor(ed, nil)
 	return ed.Handle()
 }
 
@@ -220,14 +293,20 @@ func (t *Table) DropState(ed flow.Edit, ended bool) []StateImage {
 	rec := (*Record)(ed.Handle().Rec())
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	rec.own.RetryAt.Store(0)
-	rec.own.Fails = 0
 	var out []StateImage
 	if !ended {
 		out = rec.images()
 	}
-	rec.used(func(s *StateSlot, st State) { s.leave(st, ended) })
+	rec.end(ended)
 	return out
+}
+
+// end is DropState on a record whose lock the caller holds, less the
+// images.
+func (rec *Record) end(ended bool) {
+	rec.own.RetryAt.Store(0)
+	rec.own.Fails = 0
+	rec.used(func(s *StateSlot, st State) { s.leave(st, ended) })
 }
 
 // AdoptState gives a tracked flow the NF state a migration record or a
@@ -243,10 +322,12 @@ func (t *Table) AdoptState(fid flow.FID, lay *StateLayout, images []StateImage) 
 	if !ed.Found() || ed.Handle().Detached() {
 		return
 	}
-	rec := t.recordFor(ed)
+	rec := t.recordFor(ed, lay)
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	rec.state = stateBlock{lay: lay, words: make(State, lay.words)}
+	if rec.state.lay != lay {
+		rec.state = stateBlock{lay: lay, words: make(State, lay.words)}
+	}
 	for _, im := range images {
 		st, s := rec.state.find(im.NF, len(im.Words), nil)
 		if s == nil {

@@ -73,6 +73,14 @@ var ErrNotConsolidatable = errcode.Sentinel("mat.not_consolidatable", "mat: acti
 // one block allocated with the rule; a count past the block's room gets
 // an array of its own. The rule's Spans are its caller's to set.
 func Consolidate(fid flow.FID, contribs []Contribution, guards ...Guard) (*GlobalRule, error) {
+	return In(nil, nil, fid, contribs, guards)
+}
+
+// In is Consolidate into rule — zero, and not yet installed, so nothing
+// else reads it — carving its slices from made. A nil rule is allocated
+// as Consolidate's is: alone, or with a Room if it holds anything to
+// carve.
+func In(rule *GlobalRule, made *Room, fid flow.FID, contribs []Contribution, guards []Guard) (*GlobalRule, error) {
 	// NFs after a recorded drop never see the packet on the original
 	// path: the dropping contribution is the last one folded.
 	end, nBatches, nFuncs, nHeader := len(contribs), 0, 0, 0
@@ -100,19 +108,22 @@ scan:
 			}
 		}
 	}
-	var (
-		rule  *GlobalRule
-		funcs []uint8
-		full  *fullBlock
-	)
-	if nBatches == 0 && nHeader == 0 && len(guards) == 0 {
+	carves := nBatches > 0 || nHeader > 0 || len(guards) > 0
+	switch {
+	case rule == nil && carves:
+		b := new(ruleBlock)
+		rule, made = &b.GlobalRule, &b.Room
+	case rule == nil:
 		rule = new(GlobalRule)
-	} else {
-		full = new(fullBlock)
-		rule = &full.GlobalRule
-		rule.Batches = room(full.batches[:], nBatches)
-		funcs = room(full.funcs[:], nFuncs)
-		rule.SetGuards(linkGuards(room(full.guards[:], len(guards)), guards))
+	case carves && made == nil:
+		made = new(Room)
+	}
+	var funcs []uint8
+	if carves {
+		rule.Batches = room(made.batches[:], nBatches)
+		funcs = room(made.funcs[:], nFuncs)
+		// Not yet installed: a plain store (SetGuards is for a live rule).
+		rule.guards = linkGuards(room(made.guards[:], len(guards)), guards)
 	}
 	rule.FID = fid
 
@@ -182,9 +193,9 @@ scan:
 	default:
 		rule.Stack.Encaps = stack
 		// Modifies reads its values in the program's operands.
-		rule.Modifies = append(room(full.mods[:], len(mods)), mods...)
+		rule.Modifies = append(room(made.mods[:], len(mods)), mods...)
 		size, at := programSize(rule)
-		rule.Prog = compile(room(full.prog[:], size), rule)
+		rule.Prog = compile(room(made.prog[:], size), rule)
 		for i := range rule.Modifies {
 			m := &rule.Modifies[i]
 			at += modOperands
@@ -192,24 +203,29 @@ scan:
 			at += len(m.Value)
 		}
 	}
-	if full != nil {
-		rule.Plan = sfunc.PlanIn(full.plan[:], rule.Batches)
+	if carves {
+		rule.Plan = sfunc.PlanIn(made.plan[:], rule.Batches)
 	}
 	return rule, nil
 }
 
-// fullBlock is a rule and the room its slices are carved from, for
+// Room is the storage a rule's slices are carved from, sized for
 // Chain1's — two batches of one function, three modifies, one guard,
-// their plan and program — in 576 bytes. A rule with none of them is a
-// GlobalRule alone.
-type fullBlock struct {
-	GlobalRule
+// their plan and program. A rule with none of them needs none.
+type Room struct {
 	batches [2]sfunc.Batch
 	funcs   [2]uint8
 	mods    [3]FieldValue
 	guards  [1]Guard
 	plan    [4]uint32 // a plan of two batches
 	prog    [48]byte
+}
+
+// ruleBlock is a rule and its room in one allocation, in 528 bytes (the
+// 576-byte size class): what Consolidate makes for a rule that carves.
+type ruleBlock struct {
+	GlobalRule
+	Room
 }
 
 // room is empty storage for n elements: buf's, or an exact fresh array.

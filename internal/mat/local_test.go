@@ -12,9 +12,8 @@ import (
 
 // The Local MAT tests. An NF's Local MAT entry for a flow is its span of
 // the recording the flow's rule was built from (GlobalRule.Spans), which
-// package event copies out of a traversal's scratch (Table.Publish) and
-// builds the rule from (Table.Consolidate), so these drive it from
-// outside the package.
+// package event copies out of a traversal's scratch and builds the rule
+// from (Table.Consolidate), so these drive it from outside the package.
 
 // newTable returns an Event Table over a flow table of its own.
 func newTable() (*flow.Table, *event.Table) {
@@ -22,17 +21,32 @@ func newTable() (*flow.Table, *event.Table) {
 	return flows, event.NewTable(flows)
 }
 
-// publish copies spans as a traversal's recording for the FID, as a
-// detached entry's if no flow holds it, registering regs.
+// publish builds a rule from spans as a traversal's recording for the
+// FID, as a detached entry's if no flow holds it, registering regs, and
+// returns the recording the rule holds. Each NF of the chain declares two
+// state functions.
 func publish(t *testing.T, flows *flow.Table, tbl *event.Table, fid flow.FID, spans []LocalRule, regs ...event.Registration) []LocalRule {
 	t.Helper()
+	lay, chain := layChain(len(spans))
 	ed := flows.Edit(fid, true)
 	defer ed.Done()
-	out, err := tbl.Publish(ed, spans, regs)
+	rule, err := tbl.Consolidate(ed, lay, chain, event.Recording{Spans: spans, Regs: regs}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out
+	return rule.Spans
+}
+
+// layChain is a chain of n NFs that keep no per-flow state and declare
+// two state functions each.
+func layChain(n int) (*event.StateLayout, []Contribution) {
+	fn := sfunc.Func{Name: "f", Class: sfunc.ClassIgnore, Run: func(sfunc.Args, *packet.Packet) (uint64, error) { return 0, nil }}
+	slots, chain := make([]event.StateSlot, n), make([]Contribution, n)
+	for i := range chain {
+		slots[i].NF, chain[i].NF = "x", "x"
+		chain[i].Site = &sfunc.Site{NF: "x", At: i, Funcs: []sfunc.Func{fn, fn}}
+	}
+	return event.NewStateLayout(slots), chain
 }
 
 func TestLocalMATRecordingOrder(t *testing.T) {
@@ -56,53 +70,19 @@ func TestLocalMATRecordingOrder(t *testing.T) {
 	}
 }
 
-// TestLocalMATReplaceIsExactCopy pins what publication promises: the
-// rule gets its own exactly sized copy, so the publisher may reuse its
-// buffers and an append to a copied span (an event Update on a copy of
-// it) reallocates instead of growing into storage it does not own — the
-// publisher's, or the next NF's span carved from the same array. An NF
-// that recorded nothing stays the zero span; one that recorded only
-// state functions gets non-nil actions.
-func TestLocalMATReplaceIsExactCopy(t *testing.T) {
-	flows, tbl := newTable()
-	buf := make([]HeaderAction, 1, 8)
-	buf[0] = Modify(packet.FieldDSCP, []byte{1})
-	spans := publish(t, flows, tbl, 1, []LocalRule{
-		{Actions: buf},
-		{Actions: []HeaderAction{Drop()}},
-		{},
-		{Funcs: []uint8{0}},
-	})
-	buf[0] = Drop()
-	buf = append(buf, Drop())
-	if r := spans[0]; len(r.Actions) != 1 || cap(r.Actions) != 1 || r.Actions[0].Kind != ActionModify {
-		t.Errorf("copied actions = %v (cap %d), want an exact copy of [modify]", r.Actions, cap(r.Actions))
-	}
-	spans[0].Actions = append(spans[0].Actions, Forward())
-	if buf[1].Kind != ActionDrop {
-		t.Error("append to the copied span wrote into the publisher's buffer")
-	}
-	if len(spans[1].Actions) != 1 || spans[1].Actions[0].Kind != ActionDrop {
-		t.Errorf("append to one span reached its neighbour: %v", spans)
-	}
-	if spans[2].Actions != nil || spans[3].Actions == nil || len(spans[3].Funcs) != 1 {
-		t.Errorf("spans %v: want the silent NF's zero and the counter's non-nil", spans)
-	}
-}
-
 // TestLocalMATIsTheRules: the flow's record keeps the events a
 // traversal registered and nothing of what it recorded, which the rule
 // built from it holds; without events a publication hangs nothing off
 // the flow's entry, and Remove takes the events away with the record.
 func TestLocalMATIsTheRules(t *testing.T) {
 	flows, tbl := newTable()
-	chain := []Contribution{{NF: "x"}}
 	spans := publish(t, flows, tbl, 3, []LocalRule{{Actions: []HeaderAction{Forward()}}})
 	if c := flows.Counts(); c.Records != 0 {
 		t.Errorf("a publication without events kept a record: %+v", c)
 	}
+	lay, chain := layChain(1)
 	ed := flows.Edit(3, true)
-	rule, err := tbl.Consolidate(ed, event.NewStateLayout([]event.StateSlot{{NF: "x"}}), chain, spans)
+	rule, err := tbl.Consolidate(ed, lay, chain, event.Recording{Spans: spans}, nil, nil)
 	ed.Done()
 	if err != nil || len(rule.Spans) != 1 || &rule.Spans[0] != &spans[0] {
 		t.Fatalf("rule %v (err %v): want it to hold the published spans", rule, err)

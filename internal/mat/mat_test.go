@@ -408,13 +408,11 @@ func TestGlobalRuleSizeClass(t *testing.T) {
 
 // TestConsolidateIsOneAllocation: a short chain's rule — batches,
 // functions, modifies, guards, plan and program — is one block, a
-// forward-only one a GlobalRule alone, each within its size class; the
-// merged values are the program's operands; a rule past the block's
-// room still consolidates, into storage of its own.
+// forward-only one a GlobalRule alone (core's TestSetupBlockSizeClass
+// pins the room's size); the merged values are the program's operands;
+// a rule past the block's room still consolidates, into storage of its
+// own.
 func TestConsolidateIsOneAllocation(t *testing.T) {
-	if full := unsafe.Sizeof(fullBlock{}); full != 528 {
-		t.Errorf("the block is %d bytes, want 528 (the 576-byte size class)", full)
-	}
 	fn := func(name string) []sfunc.Func {
 		return []sfunc.Func{{Name: name, Class: sfunc.ClassIgnore, Run: func(sfunc.Args, *packet.Packet) (uint64, error) { return 1, nil }}}
 	}

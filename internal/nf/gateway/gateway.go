@@ -13,7 +13,6 @@ import (
 
 	"github.com/fastpathnfv/speedybox/internal/core"
 	"github.com/fastpathnfv/speedybox/internal/flow"
-	"github.com/fastpathnfv/speedybox/internal/mat"
 	"github.com/fastpathnfv/speedybox/internal/packet"
 )
 
@@ -169,14 +168,14 @@ func (g *Gateway) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, erro
 	// exact — the paper makes the same observation when it defers
 	// "remaining fields ... such as checksum, TTL" to the end of
 	// consolidation (§V-B).
-	for _, a := range []mat.HeaderAction{
-		mat.Modify(packet.FieldTTL, []byte{newTTL}),
-		mat.Modify(packet.FieldDSCP, []byte{class.dscp()}),
-		mat.Modify(packet.FieldDstMAC, g.nextHop[:]),
-	} {
-		if err := ctx.AddHeaderAction(a); err != nil {
-			return 0, err
-		}
+	if err := ctx.AddModify(packet.FieldTTL, []byte{newTTL}); err != nil {
+		return 0, err
+	}
+	if err := ctx.AddModify(packet.FieldDSCP, []byte{class.dscp()}); err != nil {
+		return 0, err
+	}
+	if err := ctx.AddModify(packet.FieldDstMAC, g.nextHop[:]); err != nil {
+		return 0, err
 	}
 	return core.VerdictForward, nil
 }

@@ -441,11 +441,11 @@ func (lb *Maglev) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, erro
 		return core.VerdictForward, nil
 	}
 
-	if err := ctx.AddHeaderAction(mat.Modify(packet.FieldDstIP, backend.IP[:])); err != nil {
+	if err := ctx.AddModify(packet.FieldDstIP, backend.IP[:]); err != nil {
 		return 0, err
 	}
 	if lb.rewritePort {
-		if err := ctx.AddHeaderAction(mat.Modify(packet.FieldDstPort, packet.PutUint16(backend.Port))); err != nil {
+		if err := ctx.AddModify(packet.FieldDstPort, packet.PutUint16(backend.Port)); err != nil {
 			return 0, err
 		}
 	}

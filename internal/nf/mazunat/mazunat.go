@@ -316,10 +316,10 @@ func (n *NAT) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, error) {
 		if !ctx.Recording() {
 			break
 		}
-		if err := ctx.AddHeaderAction(mat.Modify(packet.FieldSrcIP, n.extIP[:])); err != nil {
+		if err := ctx.AddModify(packet.FieldSrcIP, n.extIP[:]); err != nil {
 			return 0, err
 		}
-		if err := ctx.AddHeaderAction(mat.Modify(packet.FieldSrcPort, packet.PutUint16(m.OutsidePort))); err != nil {
+		if err := ctx.AddModify(packet.FieldSrcPort, packet.PutUint16(m.OutsidePort)); err != nil {
 			return 0, err
 		}
 	case ft.DstIP == n.extIP:
@@ -346,10 +346,10 @@ func (n *NAT) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, error) {
 		if !ctx.Recording() {
 			break
 		}
-		if err := ctx.AddHeaderAction(mat.Modify(packet.FieldDstIP, m.InsideIP[:])); err != nil {
+		if err := ctx.AddModify(packet.FieldDstIP, m.InsideIP[:]); err != nil {
 			return 0, err
 		}
-		if err := ctx.AddHeaderAction(mat.Modify(packet.FieldDstPort, packet.PutUint16(m.InsidePort))); err != nil {
+		if err := ctx.AddModify(packet.FieldDstPort, packet.PutUint16(m.InsidePort)); err != nil {
 			return 0, err
 		}
 	default:
