@@ -238,7 +238,7 @@ func TestProcessBatchStaleRuleMidBatch(t *testing.T) {
 	// Arm the event: the next fast-path packet fires it, the Update
 	// flips the rule to drop, and the reinstall bumps the MAT
 	// generation.
-	evt.armed.Store(true)
+	evt.armed.Store(1)
 	rs, err := eng.ProcessBatch([]*packet.Packet{
 		udpPkt(t, 8401, "fires event"),
 		udpPkt(t, 8401, "must see drop"),
@@ -255,7 +255,7 @@ func TestProcessBatchStaleRuleMidBatch(t *testing.T) {
 	if _, err := eng2.ProcessPacket(udpPkt(t, 8401, "cached")); err != nil {
 		t.Fatal(err)
 	}
-	evt2.armed.Store(true)
+	evt2.armed.Store(1)
 	want := runScalar(t, eng2, []*packet.Packet{
 		udpPkt(t, 8401, "fires event"),
 		udpPkt(t, 8401, "must see drop"),
@@ -287,7 +287,7 @@ func (f *neighbourRegistrar) Process(ctx *Ctx, pkt *packet.Packet) (Verdict, err
 	ctx.Charge(ctx.Model.Parse + ctx.Model.Classify)
 	if pkt.SrcPort() == f.trigger {
 		err := f.events.Register(f.target, event.Registration{Event: &event.Event{
-			Condition: func(State) bool { return true },
+			Word: zeroWord,
 			Update: func(_ State, r *mat.LocalRule) {
 				r.Actions = []mat.HeaderAction{mat.Drop()}
 			},
@@ -529,7 +529,7 @@ func TestRekeyClearsContext(t *testing.T) {
 	}
 	eng.TeardownFlow(fc.h.FID())
 	nf.register.Store(true)
-	nf.armed.Store(true)
+	nf.armed.Store(1)
 	if _, err := eng.ProcessPacket(udpPkt(t, 8901, "reborn")); err != nil {
 		t.Fatal(err)
 	}

@@ -225,6 +225,57 @@ func TestMaglevFailoverReconsolidates(t *testing.T) {
 	}
 }
 
+// TestGuardFollowsPin: a Chain1 flow fails over twice on the fast path,
+// off backend A and then off backend B. Its guard is the down flag of
+// the backend it is pinned to, resolved when its rule is built, so each
+// failover must rebuild it on the new pin: each failure fires exactly
+// once on the next packet, the packet between is quiet, and
+// CheckRecords, which compares every guard's word with the one the
+// rule's recording builds, is clean after each.
+func TestGuardFollowsPin(t *testing.T) {
+	chain := chain1(t)
+	eng, err := core.NewEngine(chain, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lb *maglev.Maglev
+	for _, nf := range chain {
+		if m, ok := nf.(*maglev.Maglev); ok {
+			lb = m
+		}
+	}
+	first, err := eng.ProcessPacket(chain1Pkt(7400, packet.ProtoUDP, 0, "first"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fid := first.FID
+	seen := map[maglev.Backend]bool{}
+	for round := 0; round < 2; round++ {
+		// The default spec's backends are 192.168.1.10, .11 and .12, in order.
+		pinned, _ := lb.BackendOf(fid)
+		seen[pinned] = true
+		if err := lb.FailBackend(int(pinned.IP[3]) - 10); err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range []int{1, 0} {
+			p := chain1Pkt(7400, packet.ProtoUDP, 0, "after")
+			res, err := eng.ProcessPacket(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Path != core.PathFast || res.Fast.EventsFired != want {
+				t.Fatalf("failure %d, packet %d: path %v, %d events fired; want the fast path and %d", round+1, i+1, res.Path, res.Fast.EventsFired, want)
+			}
+			if nb, _ := lb.BackendOf(fid); seen[nb] || p.DstIP() != nb.IP {
+				t.Fatalf("failure %d, packet %d: pinned to %v, sent to %v; want a healthy backend", round+1, i+1, nb, p.DstIP())
+			}
+			if err := eng.CheckRecords(); err != nil {
+				t.Fatalf("failure %d, packet %d: %v", round+1, i+1, err)
+			}
+		}
+	}
+}
+
 // TestQuietFlowsNeverProbe: Chain1's fast path reaches the Event Table
 // only for a flow whose guard holds. With every backend healthy no
 // packet takes the locked probe; when one fails, each flow pinned to it

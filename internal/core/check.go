@@ -19,7 +19,7 @@ import (
 //     registration is an update the fast path would sleep through);
 //   - a live rule is priced, and its recording, which restores, moves
 //     and updates build from, builds it again (Engine.build): program,
-//     verdict, batches, guards and price;
+//     verdict, batches, guards (each its word and threshold) and price;
 //   - an entry's summary (flow.Handle.Plain) is of its rule, plain, at
 //     its price, and a live rule is summarized if and only if it is plain;
 //   - a detached entry holds a rule — the only reason the engine makes
@@ -111,7 +111,7 @@ func (e *Engine) CheckRecords() error {
 // the same program, verdict, batches, guards and price.
 func sameRule(r, built *mat.GlobalRule) bool {
 	g, bg := r.Guards(), built.Guards()
-	for ; g != nil && bg != nil && g.Ref == bg.Ref; g, bg = g.Next, bg.Next {
+	for ; g != nil && bg != nil && g.Ref == bg.Ref && g.Word == bg.Word && g.AtLeast == bg.AtLeast; g, bg = g.Next, bg.Next {
 	}
 	return g == nil && bg == nil && string(r.Prog) == string(built.Prog) && r.Drop == built.Drop &&
 		r.FixedCycles == built.FixedCycles && r.HeaderCycles == built.HeaderCycles &&

@@ -798,7 +798,7 @@ func (e *Engine) served(info *FastPathInfo, res *PacketResult, fixed, header uin
 // a firing on another worker builds on this one's rule, never beside it.
 func (e *Engine) fireEvents(h flow.Handle, info *FastPathInfo) (bool, error) {
 	fid := h.FID()
-	firings := e.events.Check(fid)
+	firings, _ := e.events.Probe(fid)
 	if len(firings) == 0 {
 		return false, nil
 	}

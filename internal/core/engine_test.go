@@ -50,6 +50,12 @@ func (d *declared) declare(funcs []sfunc.Func, events ...event.Event) *FlowState
 	return &d.flows
 }
 
+// zero is the word of a test event whose condition always holds (at
+// least 0) or never does (at least 1).
+var zero atomic.Uint64
+
+func zeroWord(State) *atomic.Uint64 { return &zero }
+
 // fakeCounter counts packets per flow via a state function.
 type fakeCounter struct {
 	declared
@@ -95,16 +101,17 @@ type fakeEventNF struct {
 	declared
 	name   string
 	silent bool
-	armed  atomic.Bool
+	armed  atomic.Uint64
 }
 
 func (f *fakeEventNF) Name() string { return f.name }
 
 func (f *fakeEventNF) FlowStates() *FlowStates {
 	return f.declare(nil, event.Event{
-		Condition: func(State) bool { return f.armed.Load() },
-		Update:    func(_ State, r *mat.LocalRule) { r.Actions = []mat.HeaderAction{mat.Drop()} },
-		OneShot:   true,
+		Word:    func(State) *atomic.Uint64 { return &f.armed },
+		AtLeast: 1,
+		Update:  func(_ State, r *mat.LocalRule) { r.Actions = []mat.HeaderAction{mat.Drop()} },
+		OneShot: true,
 	})
 }
 
@@ -328,7 +335,7 @@ func TestEventFlipsRuleMidStream(t *testing.T) {
 	}
 	// Arm the event: the very next packet must be dropped (invariant
 	// 6: fires before the packet is processed, never retroactively).
-	ev.armed.Store(true)
+	ev.armed.Store(1)
 	p := dataPkt(t, 4)
 	r, err := eng.ProcessPacket(p)
 	if err != nil {

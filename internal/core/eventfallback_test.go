@@ -15,15 +15,16 @@ import (
 type poisonEventNF struct {
 	declared
 	name  string
-	armed atomic.Bool
+	armed atomic.Uint64
 }
 
 func (p *poisonEventNF) Name() string { return p.name }
 
 func (p *poisonEventNF) FlowStates() *FlowStates {
 	return p.declare(nil, event.Event{
-		Condition: func(State) bool { return p.armed.Load() },
-		OneShot:   true,
+		Word:    func(State) *atomic.Uint64 { return &p.armed },
+		AtLeast: 1,
+		OneShot: true,
 		Update: func(_ State, r *mat.LocalRule) {
 			r.Actions = []mat.HeaderAction{
 				mat.Encap(packet.ExtraHeader{Type: packet.HeaderAH, SPI: 1}),
@@ -66,7 +67,7 @@ func TestEventUpdateToNonConsolidatableFallsBack(t *testing.T) {
 		t.Fatalf("pre-event path = %v", r.Path)
 	}
 
-	nf.armed.Store(true)
+	nf.armed.Store(1)
 	// The event fires on this packet's pre-check; reconsolidation
 	// fails; the packet must still be processed (slow-path fallback).
 	r, err = eng.ProcessPacket(mk(2))
@@ -86,7 +87,7 @@ func TestEventUpdateToNonConsolidatableFallsBack(t *testing.T) {
 	// correctly stays on the slow path. Once the condition clears,
 	// the next initial packet records a clean rule and the flow
 	// re-stabilizes on the fast path.
-	nf.armed.Store(false)
+	nf.armed.Store(0)
 	if _, err := eng.ProcessPacket(mk(3)); err != nil {
 		t.Fatal(err)
 	}

@@ -293,7 +293,7 @@ func TestFaultRecomputeDropMarksStale(t *testing.T) {
 	}
 
 	// Arm the event and lose its recomputation.
-	evt.armed.Store(true)
+	evt.armed.Store(1)
 	inj.SetRate(fault.KindRecomputeDrop, 1)
 	res, err = eng.ProcessPacket(tcpPkt(t, port, packet.TCPFlagACK, 3, "data"))
 	if err != nil {
@@ -331,7 +331,7 @@ func TestFaultRecomputeDelayRetriesImmediately(t *testing.T) {
 	}
 	fid := res.FID
 
-	evt.armed.Store(true)
+	evt.armed.Store(1)
 	inj.SetRate(fault.KindRecomputeDelay, 1)
 	if _, err := eng.ProcessPacket(tcpPkt(t, port, packet.TCPFlagACK, 3, "data")); err != nil {
 		t.Fatal(err)

@@ -19,7 +19,7 @@ type rewriterNF struct {
 	name  string
 	field packet.Field
 	value []byte
-	armed atomic.Bool
+	armed atomic.Uint64
 	hook  func()
 }
 
@@ -27,7 +27,8 @@ func (f *rewriterNF) Name() string { return f.name }
 
 func (f *rewriterNF) FlowStates() *FlowStates {
 	return f.declare(nil, event.Event{
-		Condition: func(State) bool { return f.armed.Load() },
+		Word:    func(State) *atomic.Uint64 { return &f.armed },
+		AtLeast: 1,
 		Update: func(_ State, r *mat.LocalRule) {
 			if f.hook != nil {
 				f.hook()
@@ -93,15 +94,15 @@ func TestConcurrentFiringsKeepEveryUpdate(t *testing.T) {
 			pkt := udpPkt(t, port, "fires")
 			errs <- eng.fastPathInto(fb.classified(h), eng.global.Live(h), pkt, &fb.info[0], &fb.res[0], fb)
 		}
-		src.armed.Store(true)
+		src.armed.Store(1)
 		wg.Add(2)
 		go fire()
 		<-srcStarted // src's firing is out of the table: dst's probe cannot take it
-		src.armed.Store(false)
-		dst.armed.Store(true)
+		src.armed.Store(0)
+		dst.armed.Store(1)
 		go fire()
 		wg.Wait()
-		dst.armed.Store(false)
+		dst.armed.Store(0)
 		close(errs)
 		for err := range errs {
 			if err != nil {
@@ -164,7 +165,7 @@ func TestFiringAfterReconfigureReRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	unrecorded := eng.tel.removals[CauseEventUnrecorded]
-	nf.armed.Store(true)
+	nf.armed.Store(1)
 	b.begin(1)
 	if err := eng.fastPathInto(b.classified(h), read, udpPkt(t, 9200, "fires"), &b.info[0], &b.res[0], b); err != nil {
 		t.Fatal(err)
@@ -172,7 +173,7 @@ func TestFiringAfterReconfigureReRecords(t *testing.T) {
 	if r := &b.res[0]; r.Path == PathFast {
 		t.Errorf("the firing packet took the fast path on a retired rule")
 	}
-	nf.armed.Store(false)
+	nf.armed.Store(0)
 	if n := unrecorded.Value(); n != 1 {
 		t.Errorf("%d event-unrecorded removals, want 1", n)
 	}

@@ -99,14 +99,14 @@ func TestGuardsFollowRegistrations(t *testing.T) {
 
 	// The one-shot fires: one probe, the event leaves the table, and the
 	// reconsolidated rule has nothing left to guard.
-	nf.armed.Store(true)
+	nf.armed.Store(1)
 	if r := send("fires"); r.Path != PathFast || r.Fast.EventsFired != 1 || r.Verdict != VerdictDrop {
 		t.Fatalf("armed packet: path %v, %d fired, verdict %v", r.Path, r.Fast.EventsFired, r.Verdict)
 	}
 	if got := probes() - before; got != 1 {
 		t.Errorf("a firing took %d locked probes, want 1", got)
 	}
-	nf.armed.Store(false)
+	nf.armed.Store(0)
 	fired := wantGuards(t, eng, fid, 0, "after the one-shot fired")
 
 	// Re-record over a stale rule: the old registrations are wiped, the
@@ -125,7 +125,7 @@ func TestGuardsFollowRegistrations(t *testing.T) {
 	// it takes the locked probe, and the firing's reconsolidation revives
 	// the rule — the packet stays on the fast path, as before guards.
 	eng.Global().MarkStale(fid)
-	nf.armed.Store(true)
+	nf.armed.Store(1)
 	before = probes()
 	res := fastProcess(t, eng, handleOf(t, eng, fid), udpPkt(t, 8601, "revive"), b)
 	if res.Path != PathFast || res.Fast.EventsFired != 1 || res.Verdict != VerdictDrop || probes()-before != 1 {
@@ -213,7 +213,7 @@ func TestGuardRaceHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	never := &event.Event{Condition: func(State) bool { return false }, Update: func(State, *mat.LocalRule) {}}
+	never := &event.Event{Word: zeroWord, AtLeast: 1, Update: func(State, *mat.LocalRule) {}}
 	const fids = 300
 	var raced, snapshotted int
 	for fid := flow.FID(1); fid <= fids; fid++ {

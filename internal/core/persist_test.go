@@ -486,7 +486,7 @@ func TestEventOnlyNFGuardTravels(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 		}
 		// The firing updates the rule the recording came back with.
-		lb.armed.Store(true)
+		lb.armed.Store(1)
 		if res, err := to.ProcessPacket(udpPkt(t, 6300, "fires")); err != nil || res.Path != PathFast ||
 			res.Verdict != VerdictDrop || res.Fast.EventsFired != 1 {
 			t.Fatalf("%s: armed event: %+v (err %v), want it fired on the fast path, dropping", name, res, err)

@@ -192,15 +192,16 @@ func TestInstalledRulePriced(t *testing.T) {
 type rerouteNF struct {
 	declared
 	name  string
-	armed atomic.Bool
+	armed atomic.Uint64
 }
 
 func (n *rerouteNF) Name() string { return n.name }
 
 func (n *rerouteNF) FlowStates() *FlowStates {
 	return n.declare(nil, event.Event{
-		Condition: func(State) bool { return n.armed.Load() },
-		OneShot:   true,
+		Word:    func(State) *atomic.Uint64 { return &n.armed },
+		AtLeast: 1,
+		OneShot: true,
 		Update: func(_ State, r *mat.LocalRule) {
 			r.Actions = []mat.HeaderAction{mat.Modify(packet.FieldDstIP, []byte{192, 168, 1, 11}), mat.Modify(packet.FieldTTL, []byte{9})}
 		},
@@ -246,7 +247,7 @@ func TestPriceSurvivesRestoreAndReconsolidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := priced(eng, first.FID, "after the initial packet").HeaderCycles
-	lb.armed.Store(true)
+	lb.armed.Store(1)
 	if res, err := eng.ProcessPacket(udpPkt(t, 4300, "second")); err != nil || res.Fast == nil || res.Fast.EventsFired != 1 {
 		t.Fatalf("second packet: %+v, %v; want one event fired on the fast path", res, err)
 	}

@@ -274,8 +274,8 @@ func mixedLives(t *testing.T) []*packet.Packet {
 type firingNF struct{}
 
 var firingDecl = FlowStates{Events: []event.Event{{
-	Condition: func(State) bool { return true },
-	Update:    func(State, *mat.LocalRule) {},
+	Word:   zeroWord,
+	Update: func(State, *mat.LocalRule) {},
 }}}
 
 func (firingNF) Name() string            { return "lb" }

@@ -121,7 +121,7 @@ func TestServedSummaryHammer(t *testing.T) {
 			}
 		}
 	}
-	never := &event.Event{Condition: func(State) bool { return false }, Update: func(State, *mat.LocalRule) {}}
+	never := &event.Event{Word: zeroWord, AtLeast: 1, Update: func(State, *mat.LocalRule) {}}
 	for w := 0; w < 3; w++ {
 		writers.Add(1)
 		go func(rng *rand.Rand) {

@@ -4,7 +4,9 @@
 // state functions at runtime when internal state reaches a condition
 // (a Maglev backend fails, a DoS counter crosses a threshold). The
 // Event Table stores (condition, update) pairs registered by NFs via
-// the register_event API. The Global MAT probes the table before
+// the register_event API; a condition is data — a word the NF resolves
+// for the flow and a threshold — which the data plane evaluates itself,
+// calling no NF. The Global MAT probes the table before
 // applying a cached rule and again after state-function batches update
 // state; when a condition fires, the update rewrites the owning NF's
 // Local MAT entry in a copy of the recording the flow's rule was built
@@ -42,13 +44,14 @@ var ErrTooManyEvents = errcode.Sentinel("event.registration_cap", "event: per-fl
 // flow's record and rule carry is a Registration, data binding the
 // declaration to the flow's state words, never a closure of its own.
 type Event struct {
-	// Condition reports whether the event's condition holds over the
-	// registering NF's state words on the flow — the paper's
-	// condition_handler. It is probed by the Event Table under the flow's
-	// record lock, and by the fast path as a guard on the flow's
-	// consolidated rule under no lock at all, from any worker: it must be
-	// safe for concurrent use and free of side effects.
-	Condition func(st State) bool
+	// Word and AtLeast are the paper's condition_handler as data: the
+	// condition holds while the word Word resolves from the NF's state
+	// words on the flow (never nil) is at least AtLeast. Word runs under
+	// the flow's record lock, where the flow's guards are built (with
+	// every rule) and in a probe, and must not call back into the flow
+	// or Event Table; the fast path only loads the word, under no lock.
+	Word    func(st State) *atomic.Uint64
+	AtLeast uint64
 	// Update edits the NF's Local MAT rule for the flow when the event
 	// fires (update_action / update_function_handler), over the same
 	// state words: its span of a copy of the flow's rule's recording,
@@ -63,7 +66,7 @@ type Event struct {
 
 // Validate reports whether the event is well-formed.
 func (e *Event) Validate() error {
-	if e == nil || e.Condition == nil || e.Update == nil {
+	if e == nil || e.Word == nil || e.Update == nil {
 		return fmt.Errorf("event: registration without a condition and an update")
 	}
 	return nil
@@ -75,8 +78,10 @@ func (e *Event) Validate() error {
 const EngineOwned = 1<<16 - 1
 
 // Storm is the event-storm fault's event, which the engine registers
-// under EngineOwned: it always fires and changes nothing.
-var Storm = Event{Condition: func(State) bool { return true }, Update: func(State, *mat.LocalRule) {}}
+// under EngineOwned: it always fires — any word is at least 0 — and
+// changes nothing.
+var Storm = Event{Word: func(State) *atomic.Uint64 { return &storm }, Update: func(State, *mat.LocalRule) {}}
+var storm atomic.Uint64
 
 // Registration is one event registered for a flow: the chain position
 // of the registering NF and the event's index among its declarations,
@@ -88,9 +93,9 @@ type Registration struct {
 	State State
 }
 
-// guard is the registration as a rule's guard.
+// guard is the registration as a rule's guard, under the record's lock.
 func (r *Registration) guard() mat.Guard {
-	return mat.Guard{Ref: r.Ref, Cond: r.Event.Condition, State: r.State}
+	return mat.Guard{Ref: r.Ref, Word: r.Event.Word(r.State), AtLeast: r.Event.AtLeast}
 }
 
 // Guards links the registrations, in order, into a rule's guard list.
@@ -185,18 +190,10 @@ func (rec *Record) room(fid flow.FID, n int) error {
 	return nil
 }
 
-// Check probes all events registered for the flow and returns the ones
-// whose conditions hold, removing one-shot firings from the table. The
-// caller applies the updates and reconsolidates. Events fire in
-// registration order. Conditions run under the flow's record lock here
-// (and under none as rule guards) and must not call back into the
-// Event Table.
-func (t *Table) Check(fid flow.FID) []Firing {
-	fired, _ := t.Probe(fid)
-	return fired
-}
-
-// Probe is Check plus a report of whether the flow had any events
+// Probe checks all events registered for the flow and returns the ones
+// whose conditions hold, in registration order, removing one-shot
+// firings from the table; the caller applies the updates and
+// reconsolidates. It also reports whether the flow had any events
 // registered at all.
 func (t *Table) Probe(fid flow.FID) (fired []Firing, registered bool) {
 	t.probes.Add(1)
@@ -211,7 +208,7 @@ func (t *Table) Probe(fid flow.FID) (fired []Firing, registered bool) {
 	}
 	remaining := rec.events[:0]
 	for _, r := range rec.events {
-		if r.Event.Condition(r.State) {
+		if r.Event.Word(r.State).Load() >= r.Event.AtLeast {
 			fired = append(fired, Firing{FID: fid, Registration: r})
 			t.fired.Add(1)
 			if r.Event.OneShot {
@@ -259,11 +256,11 @@ func (t *Table) ProbesTotal() uint64 { return t.probes.Load() }
 
 // Holds reports whether any guard of the list holds. It is how the fast
 // path makes both of its Event Table checks: off the rule it already
-// holds, with no lock and no table access, coming to Probe only when the
-// answer is yes.
+// holds, one load and one compare a guard, with no call, no lock and no
+// table access, coming to Probe only when the answer is yes.
 func Holds(g *mat.Guard) bool {
 	for ; g != nil; g = g.Next {
-		if g.Cond(g.State) {
+		if g.Word.Load() >= g.AtLeast {
 			return true
 		}
 	}

@@ -13,15 +13,28 @@ import (
 	"github.com/fastpathnfv/speedybox/internal/packet"
 )
 
-func always(State) bool              { return true }
-func never(State) bool               { return false }
 func noUpdate(State, *mat.LocalRule) {}
+
+// zero is a word no test sets: a condition on it at least 0 always
+// holds, and one at least 1 never does.
+var zero atomic.Uint64
+
+func zeroWord(State) *atomic.Uint64 { return &zero }
+
+// on resolves every flow's condition to the word c.
+func on(c *atomic.Uint64) func(State) *atomic.Uint64 { return func(State) *atomic.Uint64 { return c } }
 
 // names are the registering NFs of these tests, by declared index.
 var names = []string{"x", "maglev", "dos", "first", "second", "third", "sleeper", "recurring", "shot1", "shot2", "lb", "a", "b"}
 
 // ref names an event by its NF's name: the index of the name.
 func ref(nf string) mat.Ref { return mat.Ref{Index: uint16(slices.Index(names, nf))} }
+
+// check is what the probe of the FID fires.
+func check(tbl *Table, fid flow.FID) []Firing {
+	fired, _ := tbl.Probe(fid)
+	return fired
+}
 
 // nameOf is the NF name ref names.
 func nameOf(r mat.Ref) string { return names[r.Index] }
@@ -60,10 +73,10 @@ func TestRegisterValidation(t *testing.T) {
 		event   Registration
 		wantErr bool
 	}{
-		{"valid", Registration{Ref: ref("maglev"), Event: &Event{Condition: always, Update: noUpdate}}, false},
+		{"valid", Registration{Ref: ref("maglev"), Event: &Event{Word: zeroWord, Update: noUpdate}}, false},
 		{"no event", Registration{Ref: ref("maglev")}, true},
 		{"nil condition", Registration{Ref: ref("x"), Event: &Event{Update: noUpdate}}, true},
-		{"nil update", Registration{Ref: ref("x"), Event: &Event{Condition: always}}, true},
+		{"nil update", Registration{Ref: ref("x"), Event: &Event{Word: zeroWord}}, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -76,16 +89,15 @@ func TestRegisterValidation(t *testing.T) {
 
 func TestCheckFiresOnCondition(t *testing.T) {
 	tbl := NewTable(flow.NewTable())
-	armed := false
-	cond := func(State) bool { return armed }
-	if err := tbl.Register(tbl.Entry(5), Registration{Ref: ref("dos"), Event: &Event{Condition: cond, Update: noUpdate}}); err != nil {
+	var armed atomic.Uint64
+	if err := tbl.Register(tbl.Entry(5), Registration{Ref: ref("dos"), Event: &Event{Word: on(&armed), AtLeast: 1, Update: noUpdate}}); err != nil {
 		t.Fatal(err)
 	}
-	if fired := tbl.Check(5); len(fired) != 0 {
+	if fired, _ := tbl.Probe(5); len(fired) != 0 {
 		t.Errorf("fired %d events with condition false", len(fired))
 	}
-	armed = true
-	fired := tbl.Check(5)
+	armed.Store(1)
+	fired, _ := tbl.Probe(5)
 	if len(fired) != 1 || nameOf(fired[0].Ref) != "dos" || fired[0].FID != 5 {
 		t.Errorf("fired = %+v", fired)
 	}
@@ -96,23 +108,23 @@ func TestCheckFiresOnCondition(t *testing.T) {
 
 func TestCheckWrongFID(t *testing.T) {
 	tbl := NewTable(flow.NewTable())
-	if err := tbl.Register(tbl.Entry(5), Registration{Ref: ref("x"), Event: &Event{Condition: always, Update: noUpdate}}); err != nil {
+	if err := tbl.Register(tbl.Entry(5), Registration{Ref: ref("x"), Event: &Event{Word: zeroWord, Update: noUpdate}}); err != nil {
 		t.Fatal(err)
 	}
-	if fired := tbl.Check(6); len(fired) != 0 {
+	if fired, _ := tbl.Probe(6); len(fired) != 0 {
 		t.Error("event fired for a different flow")
 	}
 }
 
 func TestOneShotRemovedAfterFiring(t *testing.T) {
 	tbl := NewTable(flow.NewTable())
-	if err := tbl.Register(tbl.Entry(1), Registration{Ref: ref("maglev"), Event: &Event{Condition: always, Update: noUpdate, OneShot: true}}); err != nil {
+	if err := tbl.Register(tbl.Entry(1), Registration{Ref: ref("maglev"), Event: &Event{Word: zeroWord, Update: noUpdate, OneShot: true}}); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(tbl.Check(1)); got != 1 {
+	if got := len(check(tbl, 1)); got != 1 {
 		t.Fatalf("first Check fired %d", got)
 	}
-	if got := len(tbl.Check(1)); got != 0 {
+	if got := len(check(tbl, 1)); got != 0 {
 		t.Errorf("one-shot fired again: %d", got)
 	}
 	if tbl.Pending(1) != 0 {
@@ -125,11 +137,11 @@ func TestOneShotRemovedAfterFiring(t *testing.T) {
 
 func TestRecurringStaysArmed(t *testing.T) {
 	tbl := NewTable(flow.NewTable())
-	if err := tbl.Register(tbl.Entry(1), Registration{Ref: ref("dos"), Event: &Event{Condition: always, Update: noUpdate}}); err != nil {
+	if err := tbl.Register(tbl.Entry(1), Registration{Ref: ref("dos"), Event: &Event{Word: zeroWord, Update: noUpdate}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if got := len(tbl.Check(1)); got != 1 {
+		if got := len(check(tbl, 1)); got != 1 {
 			t.Fatalf("check %d fired %d", i, got)
 		}
 	}
@@ -144,15 +156,15 @@ func TestRecurringStaysArmed(t *testing.T) {
 func TestMultipleEventsFireInRegistrationOrder(t *testing.T) {
 	tbl := NewTable(flow.NewTable())
 	for _, nf := range []string{"first", "second", "third"} {
-		if err := tbl.Register(tbl.Entry(2), Registration{Ref: ref(nf), Event: &Event{Condition: always, Update: noUpdate, OneShot: true}}); err != nil {
+		if err := tbl.Register(tbl.Entry(2), Registration{Ref: ref(nf), Event: &Event{Word: zeroWord, Update: noUpdate, OneShot: true}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// One never-firing event interleaved.
-	if err := tbl.Register(tbl.Entry(2), Registration{Ref: ref("sleeper"), Event: &Event{Condition: never, Update: noUpdate}}); err != nil {
+	if err := tbl.Register(tbl.Entry(2), Registration{Ref: ref("sleeper"), Event: &Event{Word: zeroWord, AtLeast: 1, Update: noUpdate}}); err != nil {
 		t.Fatal(err)
 	}
-	fired := tbl.Check(2)
+	fired, _ := tbl.Probe(2)
 	if len(fired) != 3 {
 		t.Fatalf("fired %d, want 3", len(fired))
 	}
@@ -173,11 +185,11 @@ func TestMultipleEventsFireInRegistrationOrder(t *testing.T) {
 func TestProbeWriteBack(t *testing.T) {
 	tbl := NewTable(flow.NewTable())
 	const fid = 7
-	armed := map[string]bool{"recurring": true}
+	armed := map[string]*atomic.Uint64{"recurring": new(atomic.Uint64), "shot1": new(atomic.Uint64), "shot2": new(atomic.Uint64)}
+	armed["recurring"].Store(1)
 	reg := func(nf string, oneShot bool) {
 		t.Helper()
-		cond := func(State) bool { return armed[nf] }
-		if err := tbl.Register(tbl.Entry(fid), Registration{Ref: ref(nf), Event: &Event{Condition: cond, Update: noUpdate, OneShot: oneShot}}); err != nil {
+		if err := tbl.Register(tbl.Entry(fid), Registration{Ref: ref(nf), Event: &Event{Word: on(armed[nf]), AtLeast: 1, Update: noUpdate, OneShot: oneShot}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -198,7 +210,7 @@ func TestProbeWriteBack(t *testing.T) {
 	}
 	for _, st := range steps {
 		for _, nf := range st.arm {
-			armed[nf] = true
+			armed[nf].Store(1)
 		}
 		fired, registered := tbl.Probe(fid)
 		if !registered {
@@ -220,7 +232,7 @@ func TestProbeWriteBack(t *testing.T) {
 	remove(tbl, fid)
 	reg("shot1", true)
 	reg("shot2", true)
-	armed["shot2"] = true
+	armed["shot2"].Store(1)
 	if fired, _ := tbl.Probe(fid); len(fired) != 2 {
 		t.Fatalf("fired %d one-shots, want 2", len(fired))
 	}
@@ -235,7 +247,7 @@ func TestProbeWriteBack(t *testing.T) {
 func TestProbeQuietFlowDoesNotAllocate(t *testing.T) {
 	tbl := NewTable(flow.NewTable())
 	for _, nf := range []string{"a", "b"} {
-		if err := tbl.Register(tbl.Entry(3), Registration{Ref: ref(nf), Event: &Event{Condition: never, Update: noUpdate}}); err != nil {
+		if err := tbl.Register(tbl.Entry(3), Registration{Ref: ref(nf), Event: &Event{Word: zeroWord, AtLeast: 1, Update: noUpdate}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -270,8 +282,8 @@ func TestUpdateAppliesToLocalRule(t *testing.T) {
 	}
 	old := consolidate(Recording{Spans: []mat.LocalRule{{Actions: []mat.HeaderAction{mat.Modify(packet.FieldDstIP, []byte{10, 0, 0, 1})}}}})
 	err := tbl.Register(tbl.Entry(fid), Registration{Ref: ref("maglev"), Event: &Event{
-		Condition: always,
-		OneShot:   true,
+		Word:    zeroWord,
+		OneShot: true,
 		Update: func(_ State, r *mat.LocalRule) {
 			for i, a := range r.Actions {
 				if a.Kind == mat.ActionModify && a.Field == packet.FieldDstIP {
@@ -284,7 +296,7 @@ func TestUpdateAppliesToLocalRule(t *testing.T) {
 		t.Fatal(err)
 	}
 	edited := slices.Clone(old.Spans)
-	for _, f := range tbl.Check(fid) {
+	for _, f := range check(tbl, fid) {
 		edited[f.At] = *edited[f.At].Clone()
 		f.Event.Update(f.State, &edited[f.At])
 	}
@@ -304,7 +316,7 @@ func TestUpdateAppliesToLocalRule(t *testing.T) {
 func TestRegistrationCap(t *testing.T) {
 	fid := flow.FID(4)
 	tbl := NewTable(flow.NewTable())
-	r := Registration{Ref: ref("x"), Event: &Event{Condition: never, Update: noUpdate}}
+	r := Registration{Ref: ref("x"), Event: &Event{Word: zeroWord, AtLeast: 1, Update: noUpdate}}
 	for i := 0; i < MaxPerFlow-1; i++ {
 		if err := tbl.Register(tbl.Entry(fid), r); err != nil {
 			t.Fatal(err)
@@ -330,11 +342,11 @@ func TestRegistrationCap(t *testing.T) {
 
 func TestRemove(t *testing.T) {
 	tbl := NewTable(flow.NewTable())
-	if err := tbl.Register(tbl.Entry(9), Registration{Ref: ref("x"), Event: &Event{Condition: always, Update: noUpdate}}); err != nil {
+	if err := tbl.Register(tbl.Entry(9), Registration{Ref: ref("x"), Event: &Event{Word: zeroWord, Update: noUpdate}}); err != nil {
 		t.Fatal(err)
 	}
 	remove(tbl, 9)
-	if len(tbl.Check(9)) != 0 {
+	if len(check(tbl, 9)) != 0 {
 		t.Error("removed event fired")
 	}
 	if tbl.Len() != 0 {
@@ -351,7 +363,7 @@ func TestConcurrentCheckAndRegister(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				fid := flow.FID(g*100 + i)
-				if err := tbl.Register(tbl.Entry(fid), Registration{Ref: ref("x"), Event: &Event{Condition: always, Update: noUpdate, OneShot: true}}); err != nil {
+				if err := tbl.Register(tbl.Entry(fid), Registration{Ref: ref("x"), Event: &Event{Word: zeroWord, Update: noUpdate, OneShot: true}}); err != nil {
 					t.Errorf("Register: %v", err)
 					return
 				}
@@ -360,14 +372,14 @@ func TestConcurrentCheckAndRegister(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				tbl.Check(flow.FID(g*100 + i))
+				check(tbl, flow.FID(g*100+i))
 			}
 		}(g)
 	}
 	wg.Wait()
 	// Drain: every registered event fires exactly once overall.
 	for fid := flow.FID(0); fid < 400; fid++ {
-		tbl.Check(fid)
+		check(tbl, fid)
 	}
 	if got := tbl.FiredTotal(); got != 400 {
 		t.Errorf("FiredTotal = %d, want exactly 400", got)
@@ -385,11 +397,9 @@ func TestGuardsSnapshotRegistrations(t *testing.T) {
 	if g := guards(t, tbl, h); g != nil || !GuardsCurrent(h, nil) || Holds(g) {
 		t.Fatalf("flow without events: guards %v, want none, current and quiet", g)
 	}
-	armed := false
-	first := func(State) bool { return armed }
-	second := func(st State) bool { return st != nil }
-	for i, c := range []func(State) bool{first, second} {
-		if err := tbl.Register(h, Registration{Ref: mat.Ref{Index: uint16(i)}, Event: &Event{Condition: c, Update: noUpdate, OneShot: true}}); err != nil {
+	var armed atomic.Uint64
+	for i, w := range []func(State) *atomic.Uint64{on(&armed), zeroWord} {
+		if err := tbl.Register(h, Registration{Ref: mat.Ref{Index: uint16(i)}, Event: &Event{Word: w, AtLeast: 1, Update: noUpdate, OneShot: true}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -404,7 +414,7 @@ func TestGuardsSnapshotRegistrations(t *testing.T) {
 	if Holds(g) {
 		t.Error("guards hold with both conditions false")
 	}
-	armed = true
+	armed.Store(1)
 	if !Holds(g) || Holds(nil) {
 		t.Error("Holds: want the armed list to hold, the empty list not to")
 	}
@@ -430,7 +440,7 @@ func TestGuardsSnapshotRegistrations(t *testing.T) {
 	// guards.
 	remove(tbl, 9)
 	h = tbl.Entry(9)
-	if err := tbl.Register(h, Registration{Ref: mat.Ref{Index: 2}, Event: &Event{Condition: never, Update: noUpdate}}); err != nil {
+	if err := tbl.Register(h, Registration{Ref: mat.Ref{Index: 2}, Event: &Event{Word: zeroWord, AtLeast: 1, Update: noUpdate}}); err != nil {
 		t.Fatal(err)
 	}
 	if GuardsCurrent(h, g) {
@@ -453,7 +463,7 @@ func TestJournalRunsPerRegistration(t *testing.T) {
 		lens = append(lens, n)
 	})
 	for _, fid := range []flow.FID{3, 4, 3} {
-		if err := tbl.Register(tbl.Entry(fid), Registration{Ref: ref("x"), Event: &Event{Condition: never, Update: noUpdate}}); err != nil {
+		if err := tbl.Register(tbl.Entry(fid), Registration{Ref: ref("x"), Event: &Event{Word: zeroWord, AtLeast: 1, Update: noUpdate}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -464,7 +474,7 @@ func TestJournalRunsPerRegistration(t *testing.T) {
 		t.Errorf("journal saw %v with %v guards, want [3 4 3] with [1 1 2]", seen, lens)
 	}
 	tbl.SetJournal(nil)
-	if err := tbl.Register(tbl.Entry(6), Registration{Ref: ref("x"), Event: &Event{Condition: never, Update: noUpdate}}); err != nil {
+	if err := tbl.Register(tbl.Entry(6), Registration{Ref: ref("x"), Event: &Event{Word: zeroWord, AtLeast: 1, Update: noUpdate}}); err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != 3 {
@@ -518,7 +528,7 @@ func TestStandingOutlivesRecording(t *testing.T) {
 		t.Fatal(err)
 	}
 	fid := en.FID
-	if err := tbl.Register(tbl.Entry(fid), Registration{Ref: ref("x"), Event: &Event{Condition: never, Update: noUpdate}}); err != nil {
+	if err := tbl.Register(tbl.Entry(fid), Registration{Ref: ref("x"), Event: &Event{Word: zeroWord, AtLeast: 1, Update: noUpdate}}); err != nil {
 		t.Fatal(err)
 	}
 	stand(tbl, fid, true, func(_ flow.Handle, s *Standing) { s.RetryAt.Store(9) })

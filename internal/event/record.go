@@ -18,7 +18,8 @@ import (
 // found from there by one lock-free probe; its own lock orders
 // consolidations, probes, state hand-outs and standing changes of the
 // one flow and is a leaf — nothing is taken under it but what an NF's
-// condition or state hook takes, and the admission policy's lock. A
+// cell resolver (Event.Word) or state hook takes, and the admission
+// policy's lock. A
 // record made under a chain layout carries that layout's state words
 // in the same allocation (newRecord), filling a size class
 // (TestRecordSizeClass).
@@ -194,7 +195,8 @@ func Forwarding(spans []mat.LocalRule) bool {
 // Under one lock of the flow's record, the traversal's registrations
 // are published on it — a flow's registrations past MaxPerFlow publish
 // nothing, and are an error — and the rule is given the flow's
-// registered conditions as its guards. A registration takes an edit of
+// registered conditions as its guards, each registration's word resolved
+// for the flow. A registration takes an edit of
 // the entry, so the snapshot stays current until the caller's edit ends:
 // a rule installed inside it needs no re-check, and one a later
 // registration finds gets fresh guards from the journal hook.

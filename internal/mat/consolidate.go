@@ -221,8 +221,8 @@ type Room struct {
 	prog    [48]byte
 }
 
-// ruleBlock is a rule and its room in one allocation, in 528 bytes (the
-// 576-byte size class): what Consolidate makes for a rule that carves.
+// ruleBlock is a rule and its room in one allocation, in 512 bytes (the
+// 512-byte size class): what Consolidate makes for a rule that carves.
 type ruleBlock struct {
 	GlobalRule
 	Room

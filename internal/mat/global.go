@@ -78,13 +78,13 @@ type GlobalRule struct {
 type Ref struct{ At, Index uint16 }
 
 // Guard is a node of a rule's immutable list of event registrations, in
-// registration order: the declared condition and the state words it
-// runs on. Package event builds, evaluates and compares the lists.
+// registration order: its condition, which holds while Word is at least
+// AtLeast. Package event builds, evaluates and compares the lists.
 type Guard struct {
 	Ref
-	Cond  func(sfunc.State) bool
-	State sfunc.State
-	Next  *Guard
+	Word    *atomic.Uint64
+	AtLeast uint64
+	Next    *Guard
 }
 
 // Guards loads the rule's guard list.

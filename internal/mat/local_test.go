@@ -1,6 +1,7 @@
 package mat_test
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"github.com/fastpathnfv/speedybox/internal/event"
@@ -87,7 +88,7 @@ func TestLocalMATIsTheRules(t *testing.T) {
 	if err != nil || len(rule.Spans) != 1 || &rule.Spans[0] != &spans[0] {
 		t.Fatalf("rule %v (err %v): want it to hold the published spans", rule, err)
 	}
-	never := event.Event{Condition: func(sfunc.State) bool { return false }, Update: func(sfunc.State, *LocalRule) {}}
+	never := event.Event{Word: func(sfunc.State) *atomic.Uint64 { return new(atomic.Uint64) }, AtLeast: 1, Update: func(sfunc.State, *LocalRule) {}}
 	publish(t, flows, tbl, 4, []LocalRule{{Actions: []HeaderAction{Drop()}}}, event.Registration{Event: &never})
 	if c := flows.Counts(); c.Records != 1 || tbl.Pending(4) != 1 {
 		t.Errorf("after a publication with an event: %+v, %d pending", c, tbl.Pending(4))

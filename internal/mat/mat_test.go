@@ -3,6 +3,7 @@ package mat
 import (
 	"bytes"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 
@@ -425,7 +426,7 @@ func TestConsolidateIsOneAllocation(t *testing.T) {
 		{NF: "monitor", Rule: &LocalRule{Actions: []HeaderAction{Forward()}, Funcs: []uint8{0}}, Site: site("monitor", fn("count")...)},
 		{NF: "ipfilter", Rule: &LocalRule{Actions: []HeaderAction{Forward()}}},
 	}
-	failover := Guard{Ref: Ref{At: 1}, Cond: func(sfunc.State) bool { return false }}
+	failover := Guard{Ref: Ref{At: 1}, Word: new(atomic.Uint64), AtLeast: 1}
 	forwards := []Contribution{
 		{NF: "fw1", Rule: &LocalRule{Actions: []HeaderAction{Forward()}}},
 		{NF: "fw2", Rule: &LocalRule{Actions: []HeaderAction{Forward()}}},
@@ -466,5 +467,19 @@ func TestConsolidateIsOneAllocation(t *testing.T) {
 	if rule, err := Consolidate(1, long, failover, failover); err != nil || len(rule.Batches) != 4 ||
 		rule.Plan.String() != "[0 1 2 3]" || len(rule.Modifies) != 3 || rule.Guards().Next == nil {
 		t.Errorf("a chain past the block: %v, %v", rule, err)
+	}
+}
+
+// TestGuardSize pins a guard node at 32 bytes: a reference, the word its
+// condition reads, the threshold and the next node — no closure and no
+// state slice (48 bytes when a condition was NF code). A rule with its
+// room, what a firing's rebuild allocates, then fills the 512-byte size
+// class (528 bytes, in the 576-byte class, with the 48-byte guard).
+func TestGuardSize(t *testing.T) {
+	if n := unsafe.Sizeof(Guard{}); n != 32 {
+		t.Errorf("a guard takes %d bytes, want 32", n)
+	}
+	if n := unsafe.Sizeof(ruleBlock{}); n != 512 {
+		t.Errorf("a rule with its room takes %d bytes, want 512", n)
 	}
 }

@@ -7,6 +7,7 @@ package dosdefender
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"github.com/fastpathnfv/speedybox/internal/core"
 	"github.com/fastpathnfv/speedybox/internal/event"
@@ -27,7 +28,7 @@ type Config struct {
 
 // Defender is the DoS prevention NF. A flow's SYN counter and block mark
 // are two words of per-flow state on its flow record, which the declared
-// counting function and event condition read and write directly.
+// counting function writes and the event's condition reads directly.
 type Defender struct {
 	name      string
 	threshold uint64
@@ -48,9 +49,9 @@ func New(cfg Config) (*Defender, error) {
 	// The SYN counting handler inspects TCP flags only, so it ignores the
 	// payload (parallel-compatible with anything).
 	d.flows.Funcs = []sfunc.Func{{Name: "syncount", Class: sfunc.ClassIgnore, Run: d.count}}
-	// Figure 3's event: when the counter crosses the threshold, replace
+	// Figure 3's event: once the counter crosses the threshold, replace
 	// the forward action with drop and reconsolidate.
-	d.flows.Events = []event.Event{{Condition: blocked, Update: drop, OneShot: true}}
+	d.flows.Events = []event.Event{{Word: blockMark, AtLeast: 1, Update: drop, OneShot: true}}
 	return d, nil
 }
 
@@ -95,9 +96,9 @@ func (d *Defender) count(a sfunc.Args, p *packet.Packet) (uint64, error) {
 	return a.Model.CounterUpdate, nil
 }
 
-// blocked is the event's condition: flow_cnt > threshold, as observe last
-// left it.
-func blocked(st core.State) bool { return st[1].Load() != 0 }
+// blockMark is the word of the event's condition: flow_cnt > threshold,
+// as observe last left it.
+func blockMark(st core.State) *atomic.Uint64 { return &st[1] }
 
 // drop is the event's update.
 func drop(_ core.State, r *mat.LocalRule) { r.Actions = []mat.HeaderAction{mat.Drop()} }

@@ -114,13 +114,13 @@ func TestEventFlipsRuleToDrop(t *testing.T) {
 	if _, err := batch.RunSequential(synPkt(t)); err != nil {
 		t.Fatal(err)
 	}
-	if fired := events.Check(1); len(fired) != 0 {
+	if fired, _ := events.Probe(1); len(fired) != 0 {
 		t.Fatal("event fired below threshold")
 	}
 	if _, err := batch.RunSequential(synPkt(t)); err != nil {
 		t.Fatal(err)
 	}
-	fired := events.Check(1)
+	fired, _ := events.Probe(1)
 	if len(fired) != 1 {
 		t.Fatalf("fired = %d, want 1 above threshold", len(fired))
 	}

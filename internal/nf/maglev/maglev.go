@@ -59,14 +59,14 @@ type Maglev struct {
 	rewritePort bool
 	m           int
 	flows       core.FlowStates
-	// unhealthy counts failed backends (written under mu). While it is
-	// zero no flow can be pinned to one, and a flow's failover condition
-	// answers without mu.
-	unhealthy atomic.Int32
+	// backends and down never change length after New. down[i] is 1
+	// while backend i has failed (written under mu): the word a flow's
+	// failover condition reads for the backend it is pinned to, with no
+	// lock.
+	backends []Backend
+	down     []atomic.Uint64
 
 	mu       sync.Mutex
-	backends []Backend
-	healthy  []bool
 	table    []int // M entries, each a backend index (-1 when no healthy backend)
 	rerouted uint64
 }
@@ -94,7 +94,7 @@ func New(cfg Config) (*Maglev, error) {
 		rewritePort: cfg.RewritePort,
 		m:           m,
 		backends:    append([]Backend(nil), cfg.Backends...),
-		healthy:     make([]bool, len(cfg.Backends)),
+		down:        make([]atomic.Uint64, len(cfg.Backends)),
 	}
 	lb.flows.Words = 2
 	// Connection tracking is a state function, so the fast path keeps the
@@ -102,10 +102,7 @@ func New(cfg Config) (*Maglev, error) {
 	lb.flows.Funcs = []sfunc.Func{{Name: "conntrack", Class: sfunc.ClassIgnore, Run: conntrack}}
 	// The failover event (§V-A): when the flow's backend fails, replace
 	// the modify values with a freshly selected backend's.
-	lb.flows.Events = []event.Event{{Condition: lb.pinFailed, Update: lb.failover}}
-	for i := range lb.healthy {
-		lb.healthy[i] = true
-	}
+	lb.flows.Events = []event.Event{{Word: lb.pinDown, AtLeast: 1, Update: lb.failover}}
 	lb.populateLocked()
 	return lb, nil
 }
@@ -159,7 +156,7 @@ func (lb *Maglev) populateLocked() {
 	}
 	var perms []perm
 	for i, b := range lb.backends {
-		if !lb.healthy[i] {
+		if lb.down[i].Load() != 0 {
 			continue
 		}
 		perms = append(perms, perm{
@@ -203,12 +200,9 @@ func (lb *Maglev) FailBackend(i int) error {
 	if i < 0 || i >= len(lb.backends) {
 		return fmt.Errorf("maglev: backend %d out of range", i)
 	}
-	if !lb.healthy[i] {
-		return nil
+	if lb.down[i].Swap(1) == 0 {
+		lb.populateLocked()
 	}
-	lb.healthy[i] = false
-	lb.unhealthy.Add(1)
-	lb.populateLocked()
 	return nil
 }
 
@@ -219,12 +213,9 @@ func (lb *Maglev) RestoreBackend(i int) error {
 	if i < 0 || i >= len(lb.backends) {
 		return fmt.Errorf("maglev: backend %d out of range", i)
 	}
-	if lb.healthy[i] {
-		return nil
+	if lb.down[i].Swap(0) != 0 {
+		lb.populateLocked()
 	}
-	lb.healthy[i] = true
-	lb.unhealthy.Add(-1)
-	lb.populateLocked()
 	return nil
 }
 
@@ -244,9 +235,9 @@ var _ core.Snapshotter = (*Maglev)(nil)
 func (lb *Maglev) SnapshotState() ([]byte, error) {
 	lb.mu.Lock()
 	defer lb.mu.Unlock()
-	st := maglevState{
-		Healthy:  append([]bool(nil), lb.healthy...),
-		Rerouted: lb.rerouted,
+	st := maglevState{Healthy: make([]bool, len(lb.down)), Rerouted: lb.rerouted}
+	for i := range lb.down {
+		st.Healthy[i] = lb.down[i].Load() == 0
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
@@ -255,9 +246,10 @@ func (lb *Maglev) SnapshotState() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// RestoreState implements core.Snapshotter, replacing backend health and
-// the reroute counter, then rebuilding the lookup table from the
-// restored healthy set.
+// RestoreState implements core.Snapshotter, replacing backend health —
+// in the down flags the flows' guards already read — and the reroute
+// counter, then rebuilding the lookup table from the restored healthy
+// set.
 func (lb *Maglev) RestoreState(data []byte) error {
 	var st maglevState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
@@ -269,14 +261,13 @@ func (lb *Maglev) RestoreState(data []byte) error {
 		return fmt.Errorf("maglev: restore: %d backends in snapshot, %d configured",
 			len(st.Healthy), len(lb.backends))
 	}
-	lb.healthy = st.Healthy
-	var down int32
-	for _, ok := range st.Healthy {
-		if !ok {
-			down++
+	for i, ok := range st.Healthy {
+		if ok {
+			lb.down[i].Store(0)
+		} else {
+			lb.down[i].Store(1)
 		}
 	}
-	lb.unhealthy.Store(down)
 	lb.rerouted = st.Rerouted
 	lb.populateLocked()
 	return nil
@@ -338,7 +329,7 @@ func (lb *Maglev) hashTuple(ft packet.FiveTuple) uint64 {
 func (lb *Maglev) assign(st core.State, ft packet.FiveTuple) (idx int, backend Backend, isNew bool) {
 	lb.mu.Lock()
 	defer lb.mu.Unlock()
-	if i := lb.pin(st); i >= 0 && lb.healthy[i] {
+	if i := lb.pin(st); i >= 0 && lb.down[i].Load() == 0 {
 		return i, lb.backends[i], false
 	}
 	h := lb.hashTuple(ft)
@@ -351,18 +342,20 @@ func (lb *Maglev) assign(st core.State, ft packet.FiveTuple) (idx int, backend B
 	return i, backend, true
 }
 
-// pinFailed reports whether the backend the flow is pinned to has
-// failed — the event condition, evaluated per fast-path packet from
-// any worker.
-func (lb *Maglev) pinFailed(st core.State) bool {
-	if lb.unhealthy.Load() == 0 {
-		return false
+// pinDown is the word of the failover event's condition: the down flag
+// of the backend the flow is pinned to. It is resolved wherever the
+// flow's guards are built — every consolidation, so again once a
+// failover has moved the pin — and read by the fast path with no lock.
+func (lb *Maglev) pinDown(st core.State) *atomic.Uint64 {
+	if i := lb.pin(st); i >= 0 {
+		return &lb.down[i]
 	}
-	i := lb.pin(st)
-	lb.mu.Lock()
-	defer lb.mu.Unlock()
-	return i >= 0 && !lb.healthy[i]
+	return &unpinned
 }
+
+// unpinned is the word a flow with no backend is guarded by. It is never
+// set: such a flow has no backend to fail.
+var unpinned atomic.Uint64
 
 // reroute re-picks a healthy backend for the flow via the rebuilt
 // table, by the tuple hash it was first picked by, and returns it.

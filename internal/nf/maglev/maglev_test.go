@@ -1,6 +1,7 @@
 package maglev
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -217,7 +218,7 @@ func TestFailoverEvent(t *testing.T) {
 	orig, _ := lb.BackendOf(7)
 
 	// Condition false while the backend is healthy.
-	if fired := events.Check(7); len(fired) != 0 {
+	if fired, _ := events.Probe(7); len(fired) != 0 {
 		t.Fatal("event fired with healthy backend")
 	}
 
@@ -234,7 +235,7 @@ func TestFailoverEvent(t *testing.T) {
 	if err := lb.FailBackend(idx); err != nil {
 		t.Fatal(err)
 	}
-	fired := events.Check(7)
+	fired, _ := events.Probe(7)
 	if len(fired) != 1 {
 		t.Fatalf("fired = %d, want 1", len(fired))
 	}
@@ -342,11 +343,10 @@ func backendIndex(t *testing.T, n int, b Backend) int {
 	return -1
 }
 
-// TestFailoverFiresOnNextPacket: the condition answers from the count
-// of failed backends while none has failed, so a FailBackend between
-// two packets of a pinned flow must raise that count before it returns:
-// the very next packet fires the failover and leaves for a healthy
-// backend.
+// TestFailoverFiresOnNextPacket: the condition reads the pinned
+// backend's down flag, so a FailBackend between two packets of a pinned
+// flow must set that flag before it returns: the very next packet fires
+// the failover and leaves for a healthy backend.
 func TestFailoverFiresOnNextPacket(t *testing.T) {
 	lb, err := New(Config{Name: "lb", Backends: backends(3), TableSize: 101})
 	if err != nil {
@@ -380,57 +380,67 @@ func TestFailoverFiresOnNextPacket(t *testing.T) {
 	}
 }
 
-// TestUnhealthyCountFollowsPool: the count the condition's fast answer
-// rests on tracks FailBackend and RestoreBackend (repeats included) and
-// is rebuilt by RestoreState — a snapshot taken with a backend down
-// must not restore into a balancer that believes every flow healthy
-// (the pin itself is the flow's state, not the balancer's).
-// With the count at zero the condition answers without the mutex; with
-// a backend down it reads the pin under it.
-func TestUnhealthyCountFollowsPool(t *testing.T) {
-	tbl := event.NewTable(flow.NewTable())
+// TestFastPathTakesNoNFLock: a flow's failover condition is the down
+// flag of the backend it is pinned to, which its rule's guard reads with
+// no lock, so its fast path runs while the balancer's mutex is held —
+// with a backend down that the flow is not pinned to as well. The flags
+// follow FailBackend and RestoreBackend (repeats included), and a
+// snapshot taken with a backend down restores as down, into the flags
+// a restored balancer's flows read (the pin itself is the flow's state,
+// not the balancer's).
+func TestFastPathTakesNoNFLock(t *testing.T) {
 	lb, err := New(Config{Name: "lb", Backends: backends(3), TableSize: 101})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := core.NewCtx("lb", core.CtxConfig{FID: 7, Events: tbl, Recording: true, Flows: lb.FlowStates()})
-	if _, err := lb.Process(ctx, pkt(t, 4444)); err != nil {
+	eng, err := core.NewEngine([]core.NF{lb}, core.DefaultOptions())
+	if err != nil {
 		t.Fatal(err)
 	}
-	orig, _ := lb.BackendOf(7)
-	down := backendIndex(t, 3, orig)
-	pin := lb.flows.Of(7)
-	// answers evaluates the condition while the test holds the mutex: it
-	// reports whether the condition came back without it.
-	answers := func() (holds, lockFree bool) {
-		lb.mu.Lock()
-		defer lb.mu.Unlock()
-		done := make(chan bool, 1) // the one answer; never blocks the goroutine
-		go func() { done <- lb.pinFailed(pin) }()
-		select {
-		case holds = <-done:
-			return holds, true
-		case <-time.After(200 * time.Millisecond):
-			return false, false
-		}
+	first, err := eng.ProcessPacket(pkt(t, 4444))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if holds, lockFree := answers(); holds || !lockFree {
-		t.Errorf("healthy pool: condition holds=%v lock-free=%v, want false without the mutex", holds, lockFree)
-	}
-
+	orig, _ := lb.BackendOf(first.FID)
+	pinned := backendIndex(t, 3, orig)
+	other := (pinned + 1) % 3
 	for i := 0; i < 2; i++ { // the second call is a no-op
-		if err := lb.FailBackend(down); err != nil {
+		if err := lb.FailBackend(other); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := lb.unhealthy.Load(); n != 1 {
-		t.Fatalf("unhealthy count %d after failing one backend twice, want 1", n)
+	if lb.down[other].Load() != 1 || lb.down[pinned].Load() != 0 {
+		t.Fatalf("down flags %d (failed) and %d (pinned), want 1 and 0", lb.down[other].Load(), lb.down[pinned].Load())
 	}
-	if _, lockFree := answers(); lockFree {
-		t.Error("a backend is down: the condition answered without reading the pin under the mutex")
+	if got := lb.pinDown(lb.flows.Of(first.FID)); got != &lb.down[pinned] {
+		t.Error("the flow's condition does not read its pinned backend's flag")
 	}
-	if !lb.pinFailed(pin) {
-		t.Error("condition false for a flow pinned to the failed backend")
+
+	done := make(chan error, 1)
+	lb.mu.Lock()
+	go func() {
+		for i := 0; i < 100; i++ {
+			r, err := eng.ProcessPacket(pkt(t, 4444))
+			if err == nil && (r.Path != core.PathFast || r.Fast.EventsFired != 0) {
+				err = fmt.Errorf("packet %d: path %v, want a quiet fast-path packet", i, r.Path)
+			}
+			if err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err = <-done:
+		lb.mu.Unlock()
+	case <-time.After(time.Second):
+		lb.mu.Unlock()
+		<-done
+		t.Fatal("fast path of a flow pinned to a healthy backend waited on the balancer's mutex")
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	snap, err := lb.SnapshotState()
@@ -444,19 +454,64 @@ func TestUnhealthyCountFollowsPool(t *testing.T) {
 	if err := fresh.RestoreState(snap); err != nil {
 		t.Fatal(err)
 	}
-	if n := fresh.unhealthy.Load(); n != 1 || !fresh.pinFailed(pin) {
-		t.Errorf("restored balancer: unhealthy count %d, condition %v; want 1 and true", n, fresh.pinFailed(pin))
+	for i := range fresh.down {
+		if down := fresh.down[i].Load() != 0; down != (i == other) {
+			t.Errorf("restored balancer: backend %d down = %v, want %v", i, down, i == other)
+		}
 	}
 
 	for i := 0; i < 2; i++ {
-		if err := lb.RestoreBackend(down); err != nil {
+		if err := lb.RestoreBackend(other); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := lb.unhealthy.Load(); n != 0 {
-		t.Fatalf("unhealthy count %d after restoring the backend twice, want 0", n)
+	if lb.down[other].Load() != 0 {
+		t.Fatalf("down flag %d after restoring the backend twice, want 0", lb.down[other].Load())
 	}
-	if holds, lockFree := answers(); holds || !lockFree {
-		t.Errorf("pool restored: condition holds=%v lock-free=%v, want false without the mutex", holds, lockFree)
+}
+
+// TestRestoreKeepsCells: a flow whose guard was built before RestoreState
+// reads the restored health — the restore stores into the down flags
+// rather than replacing them — so the next packet after a snapshot that
+// has the flow's backend down fails over.
+func TestRestoreKeepsCells(t *testing.T) {
+	lb, err := New(Config{Name: "lb", Backends: backends(3), TableSize: 101})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := core.NewEngine([]core.NF{lb}, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := eng.ProcessPacket(pkt(t, 6666))
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig, _ := lb.BackendOf(first.FID)
+	peer, err := New(Config{Name: "lb", Backends: backends(3), TableSize: 101})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := peer.FailBackend(backendIndex(t, 3, orig)); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := peer.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lb.RestoreState(snap); err != nil {
+		t.Fatal(err)
+	}
+	p := pkt(t, 6666)
+	r, err := eng.ProcessPacket(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nb, _ := lb.BackendOf(first.FID); r.Path != core.PathFast || r.Fast.EventsFired != 1 || nb == orig || p.DstIP() != nb.IP {
+		t.Errorf("packet after the restore: path %v, backend %v -> %v, sent to %v; want one firing to a healthy backend",
+			r.Path, orig, nb, p.DstIP())
+	}
+	if err := eng.CheckRecords(); err != nil {
+		t.Error(err)
 	}
 }

@@ -7,10 +7,10 @@
 // The limiter tracks one packet counter per source address. Every flow
 // from that source records a state function updating the *shared*
 // counter, and registers an event whose condition reads the same
-// shared state — so when one flow exhausts the source's quota, the
+// shared counter — so when one flow exhausts the source's quota, the
 // Event Table flips *every* flow of that source to drop as their next
 // packets arrive. A flow's one word of per-flow state is its source
-// address, which both run on.
+// address, by which both find the counter.
 package ratelimiter
 
 import (
@@ -19,6 +19,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"github.com/fastpathnfv/speedybox/internal/core"
 	"github.com/fastpathnfv/speedybox/internal/event"
@@ -42,9 +43,12 @@ type Limiter struct {
 	quota uint64
 	flows core.FlowStates
 
-	mu      sync.Mutex
-	counts  map[[4]byte]uint64
-	blocked map[[4]byte]bool
+	// counts maps a source to its packet counter, an *atomic.Uint64 made
+	// on first use and never replaced: the flows' state functions charge
+	// it and their guards read it with no lock. mu orders snapshots and
+	// restores.
+	counts sync.Map
+	mu     sync.Mutex
 }
 
 // New builds a Limiter.
@@ -56,19 +60,16 @@ func New(cfg Config) (*Limiter, error) {
 	if quota == 0 {
 		quota = 1000
 	}
-	l := &Limiter{
-		name:    cfg.Name,
-		quota:   quota,
-		counts:  make(map[[4]byte]uint64),
-		blocked: make(map[[4]byte]bool),
-	}
+	l := &Limiter{name: cfg.Name, quota: quota}
 	l.flows.Words = 1
 	// The shared state function: every flow of the source records the
 	// same counting handler against the same counter.
 	l.flows.Funcs = []sfunc.Func{{Name: "quota", Class: sfunc.ClassIgnore, Run: l.charge}}
-	// The shared-condition event: it fires for a flow as soon as ANY
-	// flow of the same source exhausts the quota.
-	l.flows.Events = []event.Event{{Condition: l.sourceBlocked, Update: drop, OneShot: true}}
+	// The shared-condition event: it fires for a flow as soon as ANY flow
+	// of the same source exhausts the quota. Probed before the packet's
+	// state function charges the counter, count >= quota answers "would
+	// this packet exceed it", exactly as observe decides in the chain.
+	l.flows.Events = []event.Event{{Word: l.sourceCount, AtLeast: quota, Update: drop, OneShot: true}}
 	return l, nil
 }
 
@@ -89,7 +90,8 @@ func source(st core.State) (src [4]byte) {
 // limiterState is the gob image of the limiter: the cross-flow quota
 // state — a flow's binding to its source is its state word. Without it
 // a restored engine brings back the rules but forgets which sources
-// were blocked.
+// were blocked. A source is blocked once its count exceeds the quota,
+// as counts only grow: Blocked is derived from Counts.
 type limiterState struct {
 	Counts  map[[4]byte]uint64
 	Blocked map[[4]byte]bool
@@ -101,55 +103,64 @@ var _ core.Snapshotter = (*Limiter)(nil)
 func (l *Limiter) SnapshotState() ([]byte, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	st := limiterState{Counts: make(map[[4]byte]uint64), Blocked: make(map[[4]byte]bool)}
+	l.counts.Range(func(k, c any) bool {
+		src, n := k.([4]byte), c.(*atomic.Uint64).Load()
+		st.Counts[src] = n
+		if n > l.quota {
+			st.Blocked[src] = true
+		}
+		return true
+	})
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(limiterState{l.counts, l.blocked}); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
 		return nil, fmt.Errorf("ratelimiter: snapshot: %w", err)
 	}
 	return buf.Bytes(), nil
 }
 
-// RestoreState implements core.Snapshotter, replacing all quota state.
-// gob omits empty maps, so a snapshot taken before any traffic restores
-// to empty maps, not nil ones.
+// RestoreState implements core.Snapshotter, replacing all quota state
+// in the counters the flows' guards already read.
 func (l *Limiter) RestoreState(data []byte) error {
-	st := limiterState{
-		Counts:  make(map[[4]byte]uint64),
-		Blocked: make(map[[4]byte]bool),
-	}
+	var st limiterState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return fmt.Errorf("ratelimiter: restore: %w", err)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.counts, l.blocked = st.Counts, st.Blocked
+	l.counts.Range(func(src, c any) bool {
+		c.(*atomic.Uint64).Store(st.Counts[src.([4]byte)])
+		return true
+	})
+	for src, n := range st.Counts {
+		l.counter(src).Store(n)
+	}
 	return nil
+}
+
+// counter returns the source's shared packet counter, made on first use.
+func (l *Limiter) counter(src [4]byte) *atomic.Uint64 {
+	c, ok := l.counts.Load(src)
+	if !ok {
+		c, _ = l.counts.LoadOrStore(src, new(atomic.Uint64))
+	}
+	return c.(*atomic.Uint64)
 }
 
 // Count returns the shared packet counter for a source.
 func (l *Limiter) Count(src [4]byte) uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.counts[src]
+	if c, ok := l.counts.Load(src); ok {
+		return c.(*atomic.Uint64).Load()
+	}
+	return 0
 }
 
 // Blocked reports whether the source exhausted its quota.
-func (l *Limiter) Blocked(src [4]byte) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.blocked[src]
-}
+func (l *Limiter) Blocked(src [4]byte) bool { return l.Count(src) > l.quota }
 
 // observe charges one packet against the source's shared quota and
 // returns whether the source is (now) blocked.
-func (l *Limiter) observe(src [4]byte) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.counts[src]++
-	if l.counts[src] > l.quota {
-		l.blocked[src] = true
-	}
-	return l.blocked[src]
-}
+func (l *Limiter) observe(src [4]byte) bool { return l.counter(src).Add(1) > l.quota }
 
 // charge is the declared state function: observe on the flow's source.
 func (l *Limiter) charge(a sfunc.Args, _ *packet.Packet) (uint64, error) {
@@ -157,18 +168,9 @@ func (l *Limiter) charge(a sfunc.Args, _ *packet.Packet) (uint64, error) {
 	return a.Model.CounterUpdate, nil
 }
 
-// sourceBlocked is the shared event condition: it reads the state of
-// the flow's *source*, which every flow from that source updates. The
-// fast path probes events before the packet's state function charges
-// the counter, so the condition answers "would this packet exceed the
-// quota" — the packet that takes the source to quota+1 is the first
-// dropped, exactly as observe decides in the chain.
-func (l *Limiter) sourceBlocked(st core.State) bool {
-	src := source(st)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.blocked[src] || l.counts[src] >= l.quota
-}
+// sourceCount is the word of the shared event condition: the counter of
+// the flow's *source*, which every flow from that source charges.
+func (l *Limiter) sourceCount(st core.State) *atomic.Uint64 { return l.counter(source(st)) }
 
 // drop is the event's update.
 func drop(_ core.State, r *mat.LocalRule) { r.Actions = []mat.HeaderAction{mat.Drop()} }

@@ -1,8 +1,12 @@
 package ratelimiter
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/gob"
+	"fmt"
 	"testing"
+	"time"
 
 	"github.com/fastpathnfv/speedybox/internal/bess"
 	"github.com/fastpathnfv/speedybox/internal/core"
@@ -135,7 +139,7 @@ func TestSharedEventBlocksSiblingFlows(t *testing.T) {
 }
 
 // TestSnapshotRoundTrip: block state survives a checkpoint, and an
-// empty snapshot restores to usable (non-nil) maps.
+// empty snapshot restores to a usable limiter.
 func TestSnapshotRoundTrip(t *testing.T) {
 	tbl := event.NewTable(flow.NewTable())
 	src := packet.IP4(66, 6, 6, 6)
@@ -179,7 +183,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	st := make(core.State, 1)
 	st[0].Store(uint64(binary.BigEndian.Uint32(src[:])))
-	if !l.sourceBlocked(st) {
+	if l.sourceCount(st).Load() < l.quota {
 		t.Error("restored limiter: the condition of a flow from the blocked source does not hold")
 	}
 	if v := process(l); v != core.VerdictDrop {
@@ -188,6 +192,91 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := l.RestoreState([]byte("not gob")); err == nil {
 		t.Error("garbage snapshot accepted")
 	}
+}
+
+// TestFastPathTakesNoNFLock: a flow's state function charges its
+// source's counter and its guard reads it, both with no lock, so its
+// fast path runs under quota while the limiter's mutex is held.
+func TestFastPathTakesNoNFLock(t *testing.T) {
+	l, p := limited(t, 1000)
+	src := packet.IP4(66, 6, 6, 6)
+	if _, err := p.Process(mkPkt(t, src, 1000, 0)); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	l.mu.Lock()
+	go func() {
+		for i := 0; i < 100; i++ {
+			r, err := p.Process(mkPkt(t, src, 1000, i))
+			if err == nil && (r.Result.Path != core.PathFast || r.Result.Fast.EventsFired != 0) {
+				err = fmt.Errorf("packet %d: path %v, want a quiet fast-path packet", i, r.Result.Path)
+			}
+			if err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	var err error
+	select {
+	case err = <-done:
+		l.mu.Unlock()
+	case <-time.After(time.Second):
+		l.mu.Unlock()
+		<-done
+		t.Fatal("fast path of a flow under quota waited on the limiter's mutex")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := l.Count(src); n != 101 {
+		t.Errorf("count %d after 101 packets, want 101", n)
+	}
+}
+
+// TestRestoreKeepsCells: a flow whose guard was built before
+// RestoreState reads the restored count — the restore stores into the
+// counters rather than replacing them — so a snapshot that has the
+// source at its quota drops the flow's next packet by its event.
+func TestRestoreKeepsCells(t *testing.T) {
+	l, p := limited(t, 5)
+	src := packet.IP4(66, 6, 6, 6)
+	for i := 0; i < 2; i++ {
+		if _, err := p.Process(mkPkt(t, src, 1000, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var blob bytes.Buffer
+	if err := gob.NewEncoder(&blob).Encode(limiterState{Counts: map[[4]byte]uint64{src: 5}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.RestoreState(blob.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	pkt := mkPkt(t, src, 1000, 2)
+	r, err := p.Process(pkt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pkt.Dropped() || r.Result.Fast == nil || r.Result.Fast.EventsFired != 1 {
+		t.Errorf("packet after the restore: dropped %v, result %+v; want a drop by one firing", pkt.Dropped(), r.Result)
+	}
+}
+
+// limited is a limiter of the quota alone in a chain.
+func limited(t *testing.T, quota uint64) (*Limiter, *bess.Platform) {
+	t.Helper()
+	l, err := New(Config{Name: "rl", Quota: quota})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := bess.New(bess.Config{Chain: []core.NF{l}, Options: core.DefaultOptions()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	return l, p
 }
 
 func flowFID(n int) flow.FID { return flow.FID(n) }

@@ -241,7 +241,8 @@ type (
 	// PayloadClass describes payload interaction (Table I).
 	PayloadClass = sfunc.PayloadClass
 	// Event is a declared Event Table (condition -> update) pair over an
-	// NF's state words; NFs register it for a flow by index.
+	// NF's state words, its condition a word and a threshold; NFs
+	// register it for a flow by index.
 	Event = event.Event
 	// GlobalRule is a consolidated fast-path rule.
 	GlobalRule = mat.GlobalRule
