@@ -14,12 +14,10 @@ import (
 // record must satisfy between packets:
 //
 //   - a rule sits on the entry of its own FID;
-//   - a rule a packet could be served from knows its flow's events: its
-//     guards are the record's registrations, one for one (an unguarded
-//     registration is an update the fast path would sleep through);
-//   - a live rule is priced, and its recording, which restores, moves
-//     and updates build from, builds it again (Engine.build): program,
-//     verdict, batches, guards (each its word and threshold) and price;
+//   - a live rule is priced, and its recording and its guards'
+//     references, which restores, moves and updates build from, build it
+//     again (Engine.build): program, verdict, batches, guards (each its
+//     reference, word and threshold) and price;
 //   - an entry's summary (flow.Handle.Plain) is of its rule, plain, at
 //     its price, and a live rule is summarized if and only if it is plain;
 //   - a detached entry holds a rule — the only reason the engine makes
@@ -27,14 +25,14 @@ import (
 //     tracked flow;
 //   - an NF with state on a flow is in the current chain: a removed NF's
 //     slot left every flow with it;
-//   - the Global MAT's and the Event Table's sizes are what the walk
-//     counts.
+//   - the Global MAT's counts of rules, stale rules and guarded rules
+//     are what the walk counts.
 //
 // It returns the first violation. Writers must be quiesced, as for
 // Checkpoint; the oracles, soaks and leak tests call it where a trace
 // ends.
 func (e *Engine) CheckRecords() error {
-	var rules, stale, armed int
+	var rules, stale, guarded int
 	var err error
 	cs := e.state()
 	fail := func(format string, args ...any) {
@@ -45,10 +43,6 @@ func (e *Engine) CheckRecords() error {
 	flows := e.class.Flows()
 	flows.Each(func(h flow.Handle) {
 		fid := h.FID()
-		pending := e.events.Pending(fid)
-		if pending > 0 {
-			armed++
-		}
 		ed := flows.EditHandle(h)
 		e.events.Stand(ed, false, func(h flow.Handle, s *event.Standing) {
 			if h.Detached() && !s.Zero() {
@@ -75,6 +69,9 @@ func (e *Engine) CheckRecords() error {
 		if h.Stale() {
 			stale++
 		}
+		if r.Guards != nil {
+			guarded++
+		}
 		if r.FID != fid {
 			fail("entry of %v holds the rule of %v", fid, r.FID)
 		}
@@ -86,14 +83,15 @@ func (e *Engine) CheckRecords() error {
 		if e.global.Live(h) != r {
 			return
 		}
-		if !event.GuardsCurrent(h, r.Guards()) {
-			fail("rule of %v: guards are not the flow's %d registered event(s)", fid, pending)
-		}
 		if r.FixedCycles == 0 {
 			fail("rule of %v carries no price", fid)
 		}
 		ed = flows.EditHandle(h)
-		built, err := e.build(ed, cs, r.Epoch, event.Recording{Spans: r.Spans}, nil)
+		var refs []mat.Ref
+		for g := r.Guards; g != nil; g = g.Next {
+			refs = append(refs, g.Ref)
+		}
+		built, err := e.build(ed, cs, r.Epoch, event.Recording{Spans: r.Spans, Regs: refs}, nil)
 		ed.Done()
 		if err != nil {
 			fail("rule of %v: its recording does not build: %v", fid, err)
@@ -101,8 +99,8 @@ func (e *Engine) CheckRecords() error {
 			fail("rule of %v is %v %x, its recording builds %v %x", fid, r, r.Prog, built, built.Prog)
 		}
 	})
-	if n, s, a := e.global.Len(), e.global.StaleLen(), e.events.Len(); n != rules || s != stale || a != armed {
-		fail("walk counted %d rules, %d stale, %d flows with events; the tables say %d, %d, %d", rules, stale, armed, n, s, a)
+	if n, s, g := e.global.Len(), e.global.StaleLen(), e.global.Guarded(); n != rules || s != stale || g != guarded {
+		fail("walk counted %d rules, %d stale, %d guarded; the Global MAT says %d, %d, %d", rules, stale, guarded, n, s, g)
 	}
 	return err
 }
@@ -110,7 +108,7 @@ func (e *Engine) CheckRecords() error {
 // sameRule reports whether r is built, the rule its recording builds:
 // the same program, verdict, batches, guards and price.
 func sameRule(r, built *mat.GlobalRule) bool {
-	g, bg := r.Guards(), built.Guards()
+	g, bg := r.Guards, built.Guards
 	for ; g != nil && bg != nil && g.Ref == bg.Ref && g.Word == bg.Word && g.AtLeast == bg.AtLeast; g, bg = g.Next, bg.Next {
 	}
 	return g == nil && bg == nil && string(r.Prog) == string(built.Prog) && r.Drop == built.Drop &&

@@ -143,7 +143,7 @@ type Engine struct {
 	tel *engineTelemetry
 
 	// wal is the attached write-ahead log (persist.go), nil when
-	// durability is off; the tables' journal hooks feed it.
+	// durability is off; the Global MAT's journal hook feeds it.
 	wal *wal.Writer
 
 	// lastCheckpoint is the unix-nanosecond stamp of the last successful
@@ -182,7 +182,6 @@ func NewEngine(chain []NF, opts Options) (*Engine, error) {
 		class:  classifier.New(flows),
 	}
 	e.cur.Store(e.newChainState(chain, 0))
-	e.events.SetJournal(e.eventRegistered)
 	e.scalar.New = func() any { return NewBatch(1) }
 	e.faults = opts.Faults
 	e.admission = opts.Admission
@@ -338,11 +337,12 @@ func (e *Engine) beginTraversal(t *traversal, h flow.Handle, pkt *packet.Packet,
 	return ctx
 }
 
-// prepareRecording drops the recording of the flow ctx's traversal is
-// on — its spans and events, refunding the events' budget — so an
-// initial packet re-records from scratch; NF state and the ladder place
-// are untouched. The one lock of the flow's record that finds out
-// resolves the NFs' words for the traversal too.
+// prepareRecording readies the flow ctx's traversal is on to record
+// from scratch: the events' budget its last recording was charged is
+// refunded (what that recording holds is its rule's, which the new one
+// replaces); NF state and the ladder place are untouched. The one lock
+// of the flow's record that finds out resolves the NFs' words for the
+// traversal too.
 func (e *Engine) prepareRecording(ctx *Ctx) {
 	var unrecorded bool
 	if ctx.states, unrecorded = e.events.Resolve(ctx.h, ctx.lay, ctx.states); unrecorded {
@@ -359,12 +359,13 @@ func (e *Engine) dropRecording(ed flow.Edit) {
 	e.events.Remove(ed)
 }
 
-// dropConsolidated removes the rule and the recording of the flow under
-// edit, refunding both budgets, and reports whether a rule was there.
+// dropConsolidated removes the rule of the flow under edit, with the
+// recording and events it holds, refunding both budgets, and reports
+// whether a rule was there.
 func (e *Engine) dropConsolidated(ed flow.Edit) bool {
 	removed := e.global.RemoveAt(ed)
-	e.refund(ed, true, false)
-	e.dropRecording(ed)
+	e.refund(ed, true, true)
+	e.events.Remove(ed)
 	return removed
 }
 
@@ -468,11 +469,8 @@ func (e *Engine) slowPath(h flow.Handle, pkt *packet.Packet, recording bool, res
 	}
 	if recording {
 		ed := e.class.Flows().EditHandle(h)
-		fresh, err := e.consolidate(ed, ctx.tenant, info, cs, cs.recording(ctx, t.spans), ctx.blk)
+		err := e.consolidate(ed, ctx.tenant, info, cs, cs.recording(ctx, t.spans), ctx.blk)
 		ed.Done()
-		if fresh {
-			e.maybeStorm(h, cs) // it registers: after the edit
-		}
 		// Not consolidatable: no rule is installed, and the flow stays on
 		// the (always correct) slow path, just without acceleration.
 		if err != nil && !errors.Is(err, mat.ErrNotConsolidatable) {
@@ -484,19 +482,17 @@ func (e *Engine) slowPath(h flow.Handle, pkt *packet.Packet, recording bool, res
 }
 
 // consolidate builds the flow under edit's Global MAT rule from rec — a
-// traversal's recording, published on the flow with the events it
-// registered, or an event update's edited copy of the rule's — under the
-// chain snapshot and installs it, charging the work into info and
-// reporting whether the flow had no rule before. tenant is who a first
-// install is charged to. The rule carries the snapshot's epoch, so one
-// racing a reconfiguration is never served. Publication, the guard
-// snapshot, admission, the install and the ladder's clearing are one
-// edit of the entry: no registration lands between snapshot and
-// install, and a flow torn down under the traversal is charged and given
-// nothing.
-func (e *Engine) consolidate(ed flow.Edit, tenant int32, info *SlowPathInfo, cs *chainState, rec event.Recording, blk *setupBlock) (bool, error) {
+// traversal's recording with the events it registered, or an event
+// update's edited copy of the rule's with the events left — under the
+// chain snapshot and installs it, charging the work into info. tenant is
+// who a first install is charged to. The rule carries the snapshot's
+// epoch, so one racing a reconfiguration is never served. The build, the
+// guards' binding, admission, the install and the ladder's clearing are
+// one edit of the entry: a flow torn down under the traversal is charged
+// and given nothing.
+func (e *Engine) consolidate(ed flow.Edit, tenant int32, info *SlowPathInfo, cs *chainState, rec event.Recording, blk *setupBlock) error {
 	if !ed.Found() {
-		return false, nil
+		return nil
 	}
 	fid := ed.Handle().FID()
 	rule, err := e.build(ed, cs, cs.epoch, rec, blk)
@@ -504,13 +500,13 @@ func (e *Engine) consolidate(ed flow.Edit, tenant int32, info *SlowPathInfo, cs 
 		if e.tel != nil && errors.Is(err, mat.ErrNotConsolidatable) {
 			e.tel.unconsolidatable.Inc()
 		}
-		return false, err
+		return err
 	}
 	if e.admission != nil && !e.admitRule(ed, tenant) {
 		// Refused: nothing installed, marked or degraded; the flow retries
 		// on its next initial packet.
 		e.statsFor(fid).ruleQuotaDenied.Add(1)
-		return false, nil
+		return nil
 	}
 	contributed := 0
 	for _, sp := range rule.Spans {
@@ -525,19 +521,30 @@ func (e *Engine) consolidate(ed flow.Edit, tenant int32, info *SlowPathInfo, cs 
 		// installed version, which disagrees with the recording, must
 		// stop being served; the flow retries after backoff.
 		e.markStale(ed, fault.KindInstallFail, CauseInstallFault, true)
-		return false, nil
+		return nil
+	}
+	// Fault: an event storm — always-true no-op events guarding a flow's
+	// first rule force a reconsolidation on every fast-path packet until
+	// teardown, the load a misbehaving condition creates, leaving the
+	// rule's behaviour unchanged.
+	stormed := ed.Handle().Rule() == nil && e.faults != nil && e.faults.Should(fault.KindEventStorm, fid)
+	if stormed {
+		rule.Guards = event.Stormed(rule.Guards)
 	}
 	replaced := e.global.InstallAt(ed, rule)
 	if e.tel != nil {
 		e.tel.ruleInstalled(uint32(fid), replaced)
+		if stormed {
+			e.tel.rec.Append(telemetry.EvFaultInject, uint32(fid), fault.KindEventStorm.String())
+		}
 	}
 	e.clearDegraded(ed)
-	return !replaced, nil
+	return nil
 }
 
 // build is the one way a rule is made — live install, event update,
 // restore, log replay, AdoptFlow — from a recording over the flow under
-// edit's state and registrations (event.Table.Consolidate), stamped with
+// edit's state (event.Table.Consolidate), stamped with
 // epoch and priced for the caller's Global.InstallAt. A traversal's rule
 // is built in blk, the set-up block its recording is in, if it has one
 // (Ctx.own); any other rule is allocated as mat.In allocates it.
@@ -577,11 +584,11 @@ func (cs *chainState) recording(ctx *Ctx, spans []mat.LocalRule) event.Recording
 // so a packet served from it reads the lines a GlobalRule alone would,
 // the room the rule's slices are carved from, and the room the recording
 // traversal recorded into (Ctx.own) — the recording the rule is built
-// from and the events it registered, which the flow's record holds.
+// from and the events it registered, whose guards the rule carries.
 // Sized for Chain1 (TestSetupBlockSizeClass). A firing builds its flow a
-// new rule of its own (mat.In), and the record keeps the block's events
-// until the flow re-records: a flow holds at most one dead rule's worth
-// of a block.
+// new rule of its own (mat.In), and the new rule shares the block's
+// spans until the flow re-records: a flow holds at most one dead rule's
+// worth of a block.
 type setupBlock struct {
 	rule mat.GlobalRule
 	made mat.Room
@@ -627,37 +634,6 @@ func (e *Engine) price(rule *mat.GlobalRule) {
 	}
 }
 
-// eventRegistered is the Event Table's registration hook, run inside the
-// registering Edit: the installed rule guards the flow's registrations,
-// the new one included, from its very next packet on, which so is served
-// from the rule and not from a plain summary of it.
-func (e *Engine) eventRegistered(ed flow.Edit, g *mat.Guard) {
-	if r := e.global.Rule(ed.Handle()); r != nil {
-		r.SetGuards(g)
-		ed.ClearPlain()
-	}
-}
-
-// maybeStorm is the event-storm fault: always-true no-op events
-// registered against a freshly consolidated flow force a reconsolidation
-// on every fast-path packet until teardown — the load a misbehaving
-// condition handler creates, leaving the rule unchanged.
-func (e *Engine) maybeStorm(h flow.Handle, cs *chainState) {
-	fid := h.FID()
-	if e.faults == nil || !e.faults.Should(fault.KindEventStorm, fid) {
-		return
-	}
-	for i := 0; i < 3; i++ {
-		err := e.events.Register(h, event.Registration{Ref: mat.Ref{Index: event.EngineOwned}, Event: &event.Storm})
-		if err != nil {
-			break // the per-flow cap bounds the storm
-		}
-	}
-	if e.tel != nil {
-		e.tel.rec.Append(telemetry.EvFaultInject, uint32(fid), fault.KindEventStorm.String())
-	}
-}
-
 // evictConsolidated is the eviction-pressure fault: the flow's rule,
 // recording and events go as if the tables ran out of space; its entry
 // and NF state survive, as a real eviction leaves them, so the next
@@ -685,16 +661,16 @@ func (e *Engine) drop(ed flow.Edit, cause string) {
 // fast-path packets allocate nothing. fc is the flow's context and rule
 // the live rule the caller read off the entry its handle points at (nil:
 // none); both Event Table checks are made off the rule's guards, so only
-// a flow with a guard that holds takes the table's locked probe. On a
+// a flow with a guard that holds takes the flow's edit and probes. On a
 // rule miss the packet falls back to the slow path, which fills res
 // instead.
 func (e *Engine) fastPathInto(fc *flowCtx, rule *mat.GlobalRule, pkt *packet.Packet, info *FastPathInfo, res *PacketResult, b *Batch) error {
 	m := e.model
 
 	// Event pre-check: a previously-satisfied condition updates the rule
-	// before this packet is processed (§III) — or revives a stale one.
-	// A firing's faults read the clock.
-	if rule == nil || event.Holds(rule.Guards()) {
+	// before this packet is processed (§III). A firing's faults read the
+	// clock.
+	if rule != nil && event.Holds(rule.Guards) {
 		e.publish(b)
 		fired, err := e.fireEvents(fc.h, info)
 		if err != nil {
@@ -707,10 +683,10 @@ func (e *Engine) fastPathInto(fc *flowCtx, rule *mat.GlobalRule, pkt *packet.Pac
 		rule = e.global.Live(fc.h)
 	}
 	if rule == nil {
-		// The rule vanished (torn down or fault-evicted concurrently)
-		// or went stale (failed install, lost recomputation). Fall
-		// back to the original chain, which is always correct; the
-		// flow re-records via the degradation ladder.
+		// The rule vanished (fault-evicted under the packet, or dropped
+		// by a firing) or went stale (a lost recomputation). Fall back
+		// to the original chain, which is always correct; the flow
+		// re-records via the degradation ladder.
 		e.countFallback(fc.h.FID())
 		return e.slowPath(fc.h, pkt, false, res, b)
 	}
@@ -756,7 +732,7 @@ func (e *Engine) fastPathInto(fc *flowCtx, rule *mat.GlobalRule, pkt *packet.Pac
 
 	// Post-execution event check: state updates from this packet may
 	// arm a condition that changes processing for the next packet.
-	if event.Holds(rule.Guards()) {
+	if event.Holds(rule.Guards) {
 		e.publish(b)
 		if _, err := e.fireEvents(fc.h, info); err != nil {
 			return err
@@ -789,36 +765,51 @@ func (e *Engine) served(info *FastPathInfo, res *PacketResult, fixed, header uin
 		info.ReconsolidateCycles
 }
 
-// fireEvents takes the Event Table's locked probe for h's flow — the
-// authority a rule's guards only summarize: it removes one-shot
-// firings, applies each update to its NF's span of a copy of the
-// recording the flow's rule was built from and consolidates the copy
-// into the flow's next rule, reporting whether anything fired. The read
-// of the rule, the updates and the install are one edit of the entry, so
-// a firing on another worker builds on this one's rule, never beside it.
+// fireEvents takes h's flow's edit and, inside it, probes the guards of
+// its installed rule (event.Table.Probe): each update of one that holds
+// is applied to its NF's span of a copy of the recording the rule was
+// built from, and the copy is consolidated, with the rule's events less
+// the one-shots that fired, into the flow's next rule. It reports
+// whether anything fired. The probe, the updates and the install are one
+// edit of the entry, so a firing on another worker builds on this one's
+// rule, never beside it, and a one-shot fires once.
 func (e *Engine) fireEvents(h flow.Handle, info *FastPathInfo) (bool, error) {
 	fid := h.FID()
+	cs := e.state()
+	ed := e.class.Flows().EditHandle(h)
+	defer ed.Done()
+	if !ed.Found() {
+		return false, nil
+	}
 	firings, _ := e.events.Probe(fid)
 	if len(firings) == 0 {
 		return false, nil
 	}
-	cs := e.state()
-	ed := e.class.Flows().EditHandle(h)
-	defer ed.Done()
-	var r *mat.GlobalRule
-	if ed.Found() {
-		r = e.global.Rule(ed.Handle())
-	}
-	if r == nil || r.Epoch != cs.epoch || len(r.Spans) != len(cs.chain) {
+	r := e.global.Rule(ed.Handle())
+	if r.Epoch != cs.epoch || len(r.Spans) != len(cs.chain) {
 		// No rule of this chain to update: the flow re-records.
 		e.drop(ed, CauseEventUnrecorded)
 		return false, nil
 	}
 	spans := slices.Clone(r.Spans)
-	for _, f := range firings {
+	// The firings are the guards that held, in the guards' order: the
+	// walk pairs each with its guard and keeps every other guard's event.
+	var regs []mat.Ref
+	next := firings
+	for g := r.Guards; g != nil; g = g.Next {
+		if len(next) == 0 || next[0].Ref != g.Ref {
+			regs = append(regs, g.Ref)
+			continue
+		}
+		f := next[0]
+		next = next[1:]
 		// The update edits a span of its own: the rule's are immutable.
+		ev, st := e.events.Bind(ed, cs.lay, f.Ref)
 		spans[f.At] = *spans[f.At].Clone()
-		f.Event.Update(f.State, &spans[f.At])
+		ev.Update(st, &spans[f.At])
+		if !ev.OneShot {
+			regs = append(regs, g.Ref)
+		}
 		info.ReconsolidateCycles += e.model.EventFire
 		if e.tel != nil {
 			e.tel.rec.Append(telemetry.EvEventFire, uint32(fid), cs.chain[f.At].Name())
@@ -837,7 +828,7 @@ func (e *Engine) fireEvents(h flow.Handle, info *FastPathInfo) (bool, error) {
 	// A rebuild carries no packet: it is charged as untagged, unless the
 	// flow's events name its tenant. It replaces r: no first install.
 	var built SlowPathInfo
-	switch _, err := e.consolidate(ed, 0, &built, cs, event.Recording{Spans: spans}, nil); {
+	switch err := e.consolidate(ed, 0, &built, cs, event.Recording{Spans: spans, Regs: regs}, nil); {
 	case err == nil:
 		info.ReconsolidateCycles += built.ConsolidateCycles
 	case errors.Is(err, mat.ErrNotConsolidatable):

@@ -391,7 +391,7 @@ func TestFinTearsDownAllState(t *testing.T) {
 	if fin.DstIP() != [4]byte{9, 9, 9, 9} {
 		t.Errorf("FIN not transformed: DIP=%v", fin.DstIP())
 	}
-	if c := eng.class.Flows().Counts(); c != (flow.Counts{}) || eng.Events().Len() != 0 {
+	if c := eng.class.Flows().Counts(); c != (flow.Counts{}) || eng.Global().Guarded() != 0 {
 		t.Errorf("stale state survives FIN teardown: %+v", c)
 	}
 }

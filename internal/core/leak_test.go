@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/fastpathnfv/speedybox/internal/classifier"
+	"github.com/fastpathnfv/speedybox/internal/event"
 	"github.com/fastpathnfv/speedybox/internal/fault"
 	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/mat"
@@ -52,8 +53,8 @@ func TestNoStateLeakAcrossFlowLifecycles(t *testing.T) {
 	if err := eng.CheckRecords(); err != nil {
 		t.Error(err)
 	}
-	if c := eng.class.Flows().Counts(); c != (flow.Counts{}) || eng.Events().Len() != 0 {
-		t.Errorf("after every flow ended the flow table holds %+v and the Event Table %d flows", c, eng.Events().Len())
+	if c := eng.class.Flows().Counts(); c != (flow.Counts{}) || eng.Global().Guarded() != 0 {
+		t.Errorf("after every flow ended the flow table holds %+v and the Global MAT %d guarded rules", c, eng.Global().Guarded())
 	}
 	st := eng.Stats()
 	if st.Packets != 200*5 || st.Final != 200 {
@@ -153,8 +154,8 @@ func TestUnfinishedRecordingPublishesNothing(t *testing.T) {
 				t.Errorf("result %+v %+v: want an initial packet that did not consolidate", res, res.Slow)
 			}
 			// A record left is the crashed flow's place on the ladder.
-			if c := eng.class.Flows().Counts(); c.Records != eng.DegradedFlows() || c.Rules != 0 || eng.Events().Len() != 0 {
-				t.Errorf("%+v, %d flows with events; want no recording, rule or event", c, eng.Events().Len())
+			if c := eng.class.Flows().Counts(); c.Records != eng.DegradedFlows() || c.Rules != 0 || eng.Global().Guarded() != 0 {
+				t.Errorf("%+v, %d flows with events; want no recording, rule or event", c, eng.Global().Guarded())
 			}
 			if err := eng.CheckRecords(); err != nil {
 				t.Error(err)
@@ -176,6 +177,12 @@ func TestCtxRejectsMalformedRecording(t *testing.T) {
 	}
 	if err := ctx.RegisterEvent(0); err == nil {
 		t.Error("undeclared event accepted")
+	}
+	for _, ev := range []event.Event{{Update: func(State, *mat.LocalRule) {}}, {Word: zeroWord}} {
+		ill := NewCtx("x", CtxConfig{FID: 1, Recording: true, Flows: &FlowStates{Events: []event.Event{ev}}})
+		if err := ill.RegisterEvent(0); err == nil {
+			t.Error("an event declared without a condition or an update accepted")
+		}
 	}
 	if _, ok := ctx.Recorded(); ok {
 		t.Error("failed adds must not record")

@@ -27,9 +27,9 @@ func (e *Engine) FlowLen() int { return e.class.Flows().Len() }
 // ExtractFlow drains one flow out of the engine for migration: it
 // snapshots the flow entry, the live consolidated rule and the NFs'
 // per-flow state, then removes every trace of the
-// flow from this engine — Global MAT rule, recording, event
-// registrations, admission budgets, ladder state and the flow-table
-// entry itself. Each NF with state on the flow is told it is leaving,
+// flow from this engine — Global MAT rule with its recording and
+// events, admission budgets, ladder state and the flow-table entry
+// itself. Each NF with state on the flow is told it is leaving,
 // not ending (FlowStates.Leave). It reports ok=false, removing nothing,
 // when the flow is not tracked.
 //
@@ -86,11 +86,12 @@ func (e *Engine) AdoptFlow(mf wal.MigrationRecord) {
 }
 
 // release ends the flow the entry under edit carries: what
-// consolidation built and the budget it held go, then, in one lock of
-// the flow's record (event.Table.End), its NFs' per-flow state, its
-// place on the ladder (each NF told the flow is over; a later holder of
-// the entry starts clean instead of inheriting this one's backoff) and
-// its events. It reports whether a rule was installed.
+// consolidation built — the rule, with the events it guards — and the
+// budget it held go, then, in one lock of the flow's record
+// (event.Table.End), its NFs' per-flow state and its place on the ladder
+// (each NF told the flow is over; a later holder of the entry starts
+// clean instead of inheriting this one's backoff). It reports whether a
+// rule was installed.
 func (e *Engine) release(ed flow.Edit) bool {
 	removed := e.global.RemoveAt(ed)
 	e.refund(ed, true, true)

@@ -98,13 +98,13 @@ type Ctx struct {
 	// (AddModify). An engine traversal records into blk, the set-up block
 	// its recording and the rule built from it share, made on the first
 	// record that takes storage (own): until then the buffers are empty.
-	// It publishes them once the chain has run. mark is where the current
-	// NF's actions start, and fwd says it has recorded a forward, which
-	// takes no storage unless the NF records another action (a lone
-	// forward's span is event.LoneForward).
+	// Once the chain has run, the flow's rule is built from them. mark is
+	// where the current NF's actions start, and fwd says it has recorded a
+	// forward, which takes no storage unless the NF records another action
+	// (a lone forward's span is event.LoneForward).
 	acts  []mat.HeaderAction
 	funcs []uint8
-	regs  []event.Registration
+	regs  []mat.Ref
 	vals  []byte
 	blk   *setupBlock
 	mark  int
@@ -289,11 +289,10 @@ func (c *Ctx) Recorded() (*mat.LocalRule, bool) {
 }
 
 // RegisterEvent registers the NF's declared event i for the flow
-// (register_event). An engine's traversal publishes its registrations
-// with what its NFs recorded, once the chain has run
-// (event.Table.Consolidate);
-// a standalone context, which has no traversal to end, registers at once.
-// Either way the Event Table holds a flow to event.MaxPerFlow.
+// (register_event): the recording takes a reference to it, which the
+// rule built from the recording binds into a guard
+// (event.Table.Consolidate), holding a flow to event.MaxPerFlow. A
+// standalone context, which builds no rule, only records the reference.
 func (c *Ctx) RegisterEvent(i int) error {
 	if !c.recording {
 		return nil
@@ -306,12 +305,8 @@ func (c *Ctx) RegisterEvent(i int) error {
 		c.eventDenied = true
 		return nil
 	}
-	r := event.Registration{Ref: mat.Ref{At: uint16(c.slot), Index: uint16(i)}, Event: &c.decl.Events[i], State: c.FlowState(c.decl)}
-	if c.lay != nil {
-		c.own()
-		c.regs = append(c.regs, r)
-	} else if err := c.events.Register(c.h, r); err != nil {
-		return fmt.Errorf("core: %s: %w", c.nf, err)
-	}
+	c.own()
+	c.regs = append(c.regs, mat.Ref{At: uint16(c.slot), Index: uint16(i)})
+	c.events.Registered()
 	return nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/fastpathnfv/speedybox/internal/errcode"
@@ -144,8 +145,8 @@ func (e *Engine) LastCheckpoint() time.Time {
 // (FlowStates.Arrive) — and rules land on them (adopt), taking the
 // images' spans over. Each surviving journal record is applied with one
 // Install/Remove/MarkStale, the commit points live mutations use. Ladder
-// backoff and the event-storm fault's registrations do not survive a
-// restore: the faults died with the old process.
+// backoff and the event-storm fault's guards do not survive a restore:
+// the faults died with the old process.
 func (e *Engine) Restore(cp *wal.Checkpoint, walData []byte) error {
 	if cp == nil {
 		return ErrNilCheckpoint
@@ -233,9 +234,11 @@ func (e *Engine) Restore(cp *wal.Checkpoint, walData []byte) error {
 }
 
 // adopt installs the rule an image's recording builds, guarded by the
-// events its guards name (event.Table.Rebind), on its tracked flow. An
-// image the chain cannot build is dropped with the flow's older rule,
-// which it superseded, and its events: the flow re-records.
+// events its guards name, each bound to what the chain's NF declared and
+// to its words on the flow, on its tracked flow. An image the chain
+// cannot build or bind, or one naming the engine's own guards, which no
+// image carries, is dropped with the flow's older rule, which it
+// superseded: the flow re-records.
 func (e *Engine) adopt(im *wal.RuleImage) {
 	ed := e.class.Flows().Edit(im.FID, false)
 	defer ed.Done()
@@ -244,8 +247,8 @@ func (e *Engine) adopt(im *wal.RuleImage) {
 	}
 	cs := e.state()
 	var rule *mat.GlobalRule
-	if im.Of(cs.contribs) && e.events.Rebind(ed, cs.lay, im.Guards) {
-		rule, _ = e.build(ed, cs, im.Epoch, event.Recording{Spans: im.Spans}, nil)
+	if im.Of(cs.contribs) && !slices.ContainsFunc(im.Guards, func(r mat.Ref) bool { return r.Index == event.EngineOwned }) {
+		rule, _ = e.build(ed, cs, im.Epoch, event.Recording{Spans: im.Spans, Regs: im.Guards}, nil)
 	}
 	if rule == nil {
 		e.dropConsolidated(ed)

@@ -386,12 +386,16 @@ func TestImagelessInstallSupersedes(t *testing.T) {
 
 // TestAdoptFlowDropsHostileImages is TestRestoreDropsHostileImages for a
 // migration record: the flow arrives with its state, without the rule
-// its image cannot bind, and re-records on its new owner.
+// its image cannot bind, and re-records on its new owner. An image never
+// carries the engine's own guards, so one that names them is refused too.
 func TestAdoptFlowDropsHostileImages(t *testing.T) {
-	for _, tc := range append(hostileImages, struct {
+	for _, tc := range append(hostileImages, []struct {
 		name   string
 		tamper func(im *wal.RuleImage)
-	}{"untampered", nil}) {
+	}{
+		{"the engine's own guard", func(im *wal.RuleImage) { im.Guards[0] = mat.Ref{Index: event.EngineOwned} }},
+		{"untampered", nil},
+	}...) {
 		from, err := NewEngine(refChain(), DefaultOptions())
 		if err != nil {
 			t.Fatal(err)

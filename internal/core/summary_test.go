@@ -2,13 +2,11 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"testing"
 
-	"github.com/fastpathnfv/speedybox/internal/event"
 	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/mat"
 	"github.com/fastpathnfv/speedybox/internal/packet"
@@ -79,14 +77,14 @@ func summaryPrice(seq uint64) uint64 { return seq*3 + 1 }
 
 // TestServedSummaryHammer races the ladder's read of a plain rule's
 // summary (Engine.process) against every writer of it on shared FIDs:
-// installs and replacements of plain and non-plain rules, guard
-// registrations, stale marks, epoch advances and teardowns. Every install
+// installs and replacements of plain, non-plain and guarded rules, stale
+// marks, epoch advances and teardowns. Every install
 // is numbered under its flow's Edit and priced by its number, so a
 // reader can name the install a summary came from. A reader must only
 // take the summary of a plain install on that FID (never a torn price),
 // of an epoch not retired when the read began, and of an install not
-// killed — stale-marked, its flow registering an event, its entry torn
-// down — before the read began. Run under -race.
+// killed — stale-marked, replaced by a guarded rule, its entry torn down
+// — before the read began. Run under -race.
 func TestServedSummaryHammer(t *testing.T) {
 	eng, err := NewEngine([]NF{&forwarder{"fw"}}, DefaultOptions())
 	if err != nil {
@@ -121,7 +119,7 @@ func TestServedSummaryHammer(t *testing.T) {
 			}
 		}
 	}
-	never := &event.Event{Word: zeroWord, AtLeast: 1, Update: func(State, *mat.LocalRule) {}}
+	never := &mat.Guard{Word: &zero, AtLeast: 1}
 	for w := 0; w < 3; w++ {
 		writers.Add(1)
 		go func(rng *rand.Rand) {
@@ -138,19 +136,15 @@ func TestServedSummaryHammer(t *testing.T) {
 					eng.global.InstallAt(ed, r)
 					last[fid].Store(n)
 					ed.Done()
-				case op < 70: // register a guard on the installed rule
-					upTo := last[fid].Load()
-					h, ok := flows.AcquireFID(fid)
-					if !ok {
-						continue
-					}
-					err := eng.Events().Register(h, event.Registration{Event: never})
-					if errors.Is(err, event.ErrTooManyEvents) {
-						continue
-					} else if err != nil {
-						t.Error(err)
-						return
-					}
+				case op < 70: // replace with a guarded rule, which is never plain
+					ed := flows.Edit(fid, true)
+					upTo, n := last[fid].Load(), seq.Add(1)
+					r := &mat.GlobalRule{FID: fid, Epoch: eng.global.Epoch(), FixedCycles: n, HeaderCycles: summaryPrice(n), Guards: never}
+					r.Compile()
+					installs.Store(n, install{fid, r.Epoch, r.Plain()})
+					eng.global.InstallAt(ed, r)
+					last[fid].Store(n)
+					ed.Done()
 					kill(fid, upTo)
 				case op < 80:
 					ed := flows.Edit(fid, false)

@@ -202,7 +202,7 @@ func newEngineTelemetry(e *Engine, hub *telemetry.Hub, chain string) *engineTele
 	reg.GaugeFunc(n("speedybox_mat_global_rules"),
 		"Installed Global MAT rules", func() float64 { return float64(e.global.Len()) })
 	reg.GaugeFunc(n("speedybox_event_flows"),
-		"Flows with registered events", func() float64 { return float64(e.events.Len()) })
+		"Flows with registered events", func() float64 { return float64(e.global.Guarded()) })
 	reg.CounterFunc(n("speedybox_event_registered_total"),
 		"Event Table registrations", func() uint64 { return e.events.RegisteredTotal() })
 	reg.CounterFunc(n("speedybox_event_fired_total"),

@@ -10,18 +10,17 @@ import (
 	"github.com/fastpathnfv/speedybox/internal/mat"
 )
 
-// Record is what a flow's NFs keep on it: each NF's per-flow state
-// (state.go) and the events they registered, and what the engine keeps
-// on it, its Standing. What the NFs recorded is not here: it is the
-// flow's rule's (mat.GlobalRule.Spans). The record is the second word of
+// Record is what a flow's NFs keep on it, each NF's per-flow state
+// (state.go), and what the engine keeps on it, its Standing. What the
+// NFs recorded and registered is not here: it is the flow's rule's
+// (mat.GlobalRule.Spans and Guards). The record is the second word of
 // the flow's entry in the flow table, stored there under a flow.Edit and
 // found from there by one lock-free probe; its own lock orders
-// consolidations, probes, state hand-outs and standing changes of the
-// one flow and is a leaf — nothing is taken under it but what an NF's
-// cell resolver (Event.Word) or state hook takes, and the admission
-// policy's lock. A
-// record made under a chain layout carries that layout's state words
-// in the same allocation (newRecord), filling a size class
+// consolidations, state hand-outs and standing changes of the one flow
+// and is a leaf — nothing is taken under it but what an NF's cell
+// resolver (Event.Word) or state hook takes, and the admission policy's
+// lock. A record made under a chain layout carries that layout's state
+// words in the same allocation (newRecord), filling a size class
 // (TestRecordSizeClass).
 type Record struct {
 	mu sync.Mutex
@@ -29,9 +28,7 @@ type Record struct {
 	// NF's first use under the chain layout of the moment, heading the
 	// list of the blocks a chain change added for NFs that joined since.
 	state stateBlock
-	// events are the flow's registrations, in registration order.
-	events []Registration
-	own    Standing
+	own   Standing
 }
 
 // Standing is what the engine keeps on a flow's record for itself: the
@@ -107,13 +104,13 @@ func (t *Table) recordFor(ed flow.Edit, lay *StateLayout) *Record {
 // Recording is what a rule is built from (Table.Consolidate): each NF's
 // Local MAT entry for the flow by chain position — what it recorded
 // through localmat_add_HA and localmat_add_SF, the zero LocalRule if
-// nothing — and the events a traversal's NFs registered
-// (register_event, paper Figure 2, gathered per traversal). The rule
-// takes Spans over, and the flow's record Regs: the caller must not
-// change either after.
+// nothing — and the events the flow is registered for, by reference, in
+// registration order: a traversal's NFs' (register_event, paper Figure
+// 2), or a rule's guards'. The rule takes Spans over: the caller must
+// not change them after.
 type Recording struct {
 	Spans []mat.LocalRule
-	Regs  []Registration
+	Regs  []mat.Ref
 }
 
 // Room is the storage an engine traversal records into, in one
@@ -128,13 +125,13 @@ type Room struct {
 	acts   [3]mat.HeaderAction
 	funcs  [2]uint8
 	values [14]byte
-	events [1]Registration
+	events [1]mat.Ref
 }
 
 // Buffers returns the room's empty recording buffers: actions, state
 // functions, modify values and registrations, each of the room's
 // capacity, for a traversal to append to.
-func (r *Room) Buffers() ([]mat.HeaderAction, []uint8, []byte, []Registration) {
+func (r *Room) Buffers() ([]mat.HeaderAction, []uint8, []byte, []mat.Ref) {
 	return r.acts[:0], r.funcs[:0], r.values[:0], r.events[:0]
 }
 
@@ -189,64 +186,60 @@ func Forwarding(spans []mat.LocalRule) bool {
 // rule's or from an image. The rule takes the recording over as its
 // Spans: the caller must not change them after. It is built into rule,
 // if set — zero, and not yet installed — and its slices carved from made
-// (mat.In). Each NF that recorded state functions is given its words on
-// the flow to run them on.
+// (mat.In).
 //
-// Under one lock of the flow's record, the traversal's registrations
-// are published on it — a flow's registrations past MaxPerFlow publish
-// nothing, and are an error — and the rule is given the flow's
-// registered conditions as its guards, each registration's word resolved
-// for the flow. A registration takes an edit of
-// the entry, so the snapshot stays current until the caller's edit ends:
-// a rule installed inside it needs no re-check, and one a later
-// registration finds gets fresh guards from the journal hook.
+// Under one lock of the flow's record, each NF that recorded state
+// functions is given its words on the flow to run them on, and each
+// registration is bound into a guard of the rule: its event's word on
+// the flow and threshold. A registration lay does not declare, or more
+// than MaxPerFlow of them, build nothing, and are an error.
 func (t *Table) Consolidate(ed flow.Edit, lay *StateLayout, chain []mat.Contribution, rec Recording, rule *mat.GlobalRule, made *mat.Room) (*mat.GlobalRule, error) {
 	fid := ed.Handle().FID()
 	spans := rec.Spans
 	if len(spans) != len(chain) {
 		return nil, fmt.Errorf("consolidating %v: %d spans for a chain of %d", fid, len(spans), len(chain))
 	}
+	if len(rec.Regs) > MaxPerFlow {
+		return nil, fmt.Errorf("%w: %v registers %d", ErrTooManyEvents, fid, len(rec.Regs))
+	}
 	var buf [8]mat.Contribution
 	contribs := append(buf[:0], chain...)
-	r := (*Record)(ed.Handle().Rec())
+	words := false
 	for i := range contribs {
-		if spans[i].Actions == nil {
-			continue
-		}
-		contribs[i].Rule = &spans[i]
-		if len(spans[i].Funcs) > 0 && lay.slots[i].Words > 0 && r == nil {
-			r = t.recordFor(ed, lay)
+		if spans[i].Actions != nil {
+			contribs[i].Rule = &spans[i]
+			words = words || len(spans[i].Funcs) > 0 && lay.slots[i].Words > 0
 		}
 	}
-	if r == nil && len(rec.Regs) > 0 {
+	for _, ref := range rec.Regs {
+		if lay.event(ref) == nil {
+			return nil, fmt.Errorf("consolidating %v: NF %d declares no event %d", fid, ref.At, ref.Index)
+		}
+		words = words || ref.Index != EngineOwned && lay.slots[ref.At].Words > 0
+	}
+	r := (*Record)(ed.Handle().Rec())
+	if r == nil && words {
 		r = t.recordFor(ed, lay)
 	}
 	var gbuf [4]mat.Guard
 	guards := gbuf[:0]
 	if r != nil {
 		r.mu.Lock()
-		if err := r.room(fid, len(rec.Regs)); err != nil {
-			r.mu.Unlock()
-			return nil, err
-		}
-		if n := len(rec.Regs); n > 0 {
-			if len(r.events) == 0 {
-				// Capacity-limited: a later registration appends elsewhere.
-				r.events = rec.Regs[:n:n]
-				t.armed.Add(1)
-			} else {
-				r.events = append(r.events, rec.Regs...)
-			}
-			t.registered.Add(uint64(n))
-		}
 		for i := range contribs {
 			if c := contribs[i].Rule; c != nil && len(c.Funcs) > 0 {
 				contribs[i].State = r.slotState(lay, i)
 			}
 		}
-		for i := range r.events {
-			guards = append(guards, r.events[i].guard())
+	}
+	for _, ref := range rec.Regs {
+		var st State
+		if r != nil && ref.Index != EngineOwned {
+			st = r.slotState(lay, int(ref.At))
 		}
+		ev := lay.event(ref)
+		guards = append(guards, mat.Guard{Ref: ref, Word: ev.Word(st), AtLeast: ev.AtLeast})
+	}
+	if r != nil {
 		r.mu.Unlock()
 	}
 	rule, err := mat.In(rule, made, fid, contribs, guards)

@@ -87,17 +87,16 @@ func withWords[W any](lay *StateLayout) *Record {
 
 // recordSized picks how a record of a block of n words is made: with the
 // words inline for the two sizes the benchmark's chains take — three
-// IPFilters' nine words and Chain1's ten — each filling its size class
-// (the 88-byte Record plus an odd number of words is a multiple of 16,
-// TestRecordSizeClass); any other block gets an array of its own.
+// IPFilters' nine words and Chain1's ten — in one record of ten words,
+// which fills its size class (the 64-byte Record plus an even number of
+// words is a multiple of 16, TestRecordSizeClass); any other block gets
+// an array of its own.
 func recordSized(n int) func(*StateLayout) *Record {
 	switch n {
 	case 0:
 		return nil
-	case 8, 9:
-		return withWords[[9]atomic.Uint64]
-	case 10, 11:
-		return withWords[[11]atomic.Uint64]
+	case 9, 10:
+		return withWords[[10]atomic.Uint64]
 	}
 	return func(lay *StateLayout) *Record {
 		return &Record{state: stateBlock{lay: lay, words: make(State, lay.words)}}

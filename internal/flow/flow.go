@@ -657,7 +657,7 @@ func setWord(word *unsafe.Pointer, p unsafe.Pointer, n *int) {
 // SetRule clears the summary, stores the rule word, clears the stale mark
 // — in that order, which LiveRule and Plain rely on. Nil removes the rule.
 func (ed Edit) SetRule(p unsafe.Pointer) {
-	ed.ClearPlain()
+	ed.e.plain.Store(0)
 	setWord(&ed.e.rule, p, &ed.s.rules)
 	if ed.e.bits.Load()&staleBit != 0 {
 		ed.e.setBits(staleBit, 0)
@@ -674,12 +674,11 @@ func (ed Edit) MarkStale() {
 }
 
 // SetPlain summarizes the plain rule SetRule stored, of epoch and price (each
-// half below 1<<32), the epoch last; ClearPlain removes the summary.
+// half below 1<<32), the epoch last; the next SetRule removes the summary.
 func (ed Edit) SetPlain(epoch, fixed, header uint64) {
 	ed.e.price.Store(fixed<<32 | header)
 	ed.e.plain.Store(epoch + 1)
 }
-func (ed Edit) ClearPlain() { ed.e.plain.Store(0) }
 
 // SetRec stores the recording word.
 func (ed Edit) SetRec(p unsafe.Pointer) { setWord(&ed.e.rec, p, &ed.s.recs) }

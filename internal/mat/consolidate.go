@@ -122,8 +122,7 @@ scan:
 	if carves {
 		rule.Batches = room(made.batches[:], nBatches)
 		funcs = room(made.funcs[:], nFuncs)
-		// Not yet installed: a plain store (SetGuards is for a live rule).
-		rule.guards = linkGuards(room(made.guards[:], len(guards)), guards)
+		rule.Guards = linkGuards(room(made.guards[:], len(guards)), guards)
 	}
 	rule.FID = fid
 

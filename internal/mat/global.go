@@ -25,10 +25,10 @@ type GlobalRule struct {
 	// retired chain layout: LookupLive refuses it even before the
 	// post-reconfiguration sweep reaches its shard.
 	Epoch uint64
-	// guards is the flow's registered event conditions as consolidation
-	// found them (nil: none), the one word written after Install: a plain
-	// pointer — Install copies rules by value — behind Guards and SetGuards.
-	guards *Guard
+	// Guards is the flow's events (nil: none): the guard list the
+	// consolidation bound, the one record of which events the flow has.
+	// Like every field, it is never written once the rule is installed.
+	Guards *Guard
 	// FixedCycles and HeaderCycles are the rule's price in the cycle
 	// model: what every packet it serves is charged for reaching and
 	// holding the rule, and for its header work. Both are constant for
@@ -79,7 +79,7 @@ type Ref struct{ At, Index uint16 }
 
 // Guard is a node of a rule's immutable list of event registrations, in
 // registration order: its condition, which holds while Word is at least
-// AtLeast. Package event builds, evaluates and compares the lists.
+// AtLeast. Package event builds and evaluates the lists.
 type Guard struct {
 	Ref
 	Word    *atomic.Uint64
@@ -87,19 +87,9 @@ type Guard struct {
 	Next    *Guard
 }
 
-// Guards loads the rule's guard list.
-func (r *GlobalRule) Guards() *Guard {
-	return (*Guard)(atomic.LoadPointer((*unsafe.Pointer)(unsafe.Pointer(&r.guards))))
-}
-
-// SetGuards stores the rule's guard list.
-func (r *GlobalRule) SetGuards(g *Guard) {
-	atomic.StorePointer((*unsafe.Pointer)(unsafe.Pointer(&r.guards)), unsafe.Pointer(g))
-}
-
 // Plain reports a priced forward with no header work, function or guard.
 func (r *GlobalRule) Plain() bool {
-	return !r.Drop && string(r.Prog) == string(forwardProg) && len(r.Batches) == 0 && r.Guards() == nil &&
+	return !r.Drop && string(r.Prog) == string(forwardProg) && len(r.Batches) == 0 && r.Guards == nil &&
 		r.FixedCycles != 0 && max(r.FixedCycles, r.HeaderCycles) < 1<<32
 }
 
@@ -210,6 +200,9 @@ type Global struct {
 	// journal, when set, observes every mutation for write-ahead
 	// logging (stored as a pointer-to-interface for atomic swap).
 	journal atomic.Pointer[Journal]
+	// guarded counts the installed rules with guards, kept by the edits
+	// that install and remove them: what Guarded reports.
+	guarded atomic.Int64
 }
 
 // Journal observes Global MAT mutations for write-ahead logging (core
@@ -268,11 +261,13 @@ func (g *Global) Install(r *GlobalRule) (replaced bool) {
 // a plain rule of the current epoch leaves its summary there.
 func (g *Global) InstallAt(ed flow.Edit, r *GlobalRule) (replaced bool) {
 	stored := r
-	if old := (*GlobalRule)(ed.Handle().Rule()); old != nil {
+	old := (*GlobalRule)(ed.Handle().Rule())
+	if old != nil {
 		versioned := *r
 		versioned.Version = old.Version + 1
 		stored, replaced = &versioned, true
 	}
+	g.guard(old, stored)
 	ed.SetRule(unsafe.Pointer(stored))
 	if stored.Plain() && stored.Epoch == g.epoch.Load() {
 		ed.SetPlain(stored.Epoch, stored.FixedCycles, stored.HeaderCycles)
@@ -282,6 +277,21 @@ func (g *Global) InstallAt(ed flow.Edit, r *GlobalRule) (replaced bool) {
 	}
 	return replaced
 }
+
+// guard keeps the count of guarded rules as the rule on an entry goes
+// from old to now (either nil: none).
+func (g *Global) guard(old, now *GlobalRule) {
+	if old != nil && old.Guards != nil {
+		g.guarded.Add(-1)
+	}
+	if now != nil && now.Guards != nil {
+		g.guarded.Add(1)
+	}
+}
+
+// Guarded returns the number of installed rules with guards: the flows
+// with registered events.
+func (g *Global) Guarded() int { return int(g.guarded.Load()) }
 
 // Epoch returns the current chain epoch. Rules consolidated under an
 // earlier epoch are never served by LookupLive.
@@ -358,6 +368,7 @@ func (g *Global) Remove(fid flow.FID) bool {
 func (g *Global) RemoveAt(ed flow.Edit) bool {
 	removed := ed.Found() && ed.Handle().Rule() != nil
 	if removed {
+		g.guard((*GlobalRule)(ed.Handle().Rule()), nil)
 		ed.SetRule(nil)
 		if j := g.journalOf(); j != nil {
 			j.RuleRemoved(ed.Handle().FID())

@@ -24,9 +24,9 @@ func newTable() (*flow.Table, *event.Table) {
 
 // publish builds a rule from spans as a traversal's recording for the
 // FID, as a detached entry's if no flow holds it, registering regs, and
-// returns the recording the rule holds. Each NF of the chain declares two
-// state functions.
-func publish(t *testing.T, flows *flow.Table, tbl *event.Table, fid flow.FID, spans []LocalRule, regs ...event.Registration) []LocalRule {
+// returns the rule. Each NF of the chain declares two state functions and
+// an event.
+func publish(t *testing.T, flows *flow.Table, tbl *event.Table, fid flow.FID, spans []LocalRule, regs ...Ref) *GlobalRule {
 	t.Helper()
 	lay, chain := layChain(len(spans))
 	ed := flows.Edit(fid, true)
@@ -35,16 +35,20 @@ func publish(t *testing.T, flows *flow.Table, tbl *event.Table, fid flow.FID, sp
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rule.Spans
+	return rule
 }
 
+// never is the event layChain's NFs declare: its condition never holds.
+var never = event.Event{Word: func(sfunc.State) *atomic.Uint64 { return new(atomic.Uint64) }, AtLeast: 1, Update: func(sfunc.State, *LocalRule) {}}
+
 // layChain is a chain of n NFs that keep no per-flow state and declare
-// two state functions each.
+// two state functions and one event each.
 func layChain(n int) (*event.StateLayout, []Contribution) {
 	fn := sfunc.Func{Name: "f", Class: sfunc.ClassIgnore, Run: func(sfunc.Args, *packet.Packet) (uint64, error) { return 0, nil }}
+	decl := &event.FlowStates{Events: []event.Event{never}}
 	slots, chain := make([]event.StateSlot, n), make([]Contribution, n)
 	for i := range chain {
-		slots[i].NF, chain[i].NF = "x", "x"
+		slots[i], chain[i].NF = decl.Slot("x"), "x"
 		chain[i].Site = &sfunc.Site{NF: "x", At: i, Funcs: []sfunc.Func{fn, fn}}
 	}
 	return event.NewStateLayout(slots), chain
@@ -58,7 +62,7 @@ func TestLocalMATRecordingOrder(t *testing.T) {
 			Modify(packet.FieldDstPort, packet.PutUint16(8080)),
 		},
 		Funcs: []uint8{1, 0},
-	}})
+	}}).Spans
 	if len(spans) != 1 {
 		t.Fatal("rule missing")
 	}
@@ -71,16 +75,13 @@ func TestLocalMATRecordingOrder(t *testing.T) {
 	}
 }
 
-// TestLocalMATIsTheRules: the flow's record keeps the events a
-// traversal registered and nothing of what it recorded, which the rule
-// built from it holds; without events a publication hangs nothing off
-// the flow's entry, and Remove takes the events away with the record.
+// TestLocalMATIsTheRules: the rule built from a traversal's recording
+// holds what it recorded and the events it registered, as its guards;
+// the flow's record keeps neither, so a publication by NFs that keep no
+// per-flow state hangs nothing off the flow's entry.
 func TestLocalMATIsTheRules(t *testing.T) {
 	flows, tbl := newTable()
-	spans := publish(t, flows, tbl, 3, []LocalRule{{Actions: []HeaderAction{Forward()}}})
-	if c := flows.Counts(); c.Records != 0 {
-		t.Errorf("a publication without events kept a record: %+v", c)
-	}
+	spans := publish(t, flows, tbl, 3, []LocalRule{{Actions: []HeaderAction{Forward()}}}).Spans
 	lay, chain := layChain(1)
 	ed := flows.Edit(3, true)
 	rule, err := tbl.Consolidate(ed, lay, chain, event.Recording{Spans: spans}, nil, nil)
@@ -88,15 +89,8 @@ func TestLocalMATIsTheRules(t *testing.T) {
 	if err != nil || len(rule.Spans) != 1 || &rule.Spans[0] != &spans[0] {
 		t.Fatalf("rule %v (err %v): want it to hold the published spans", rule, err)
 	}
-	never := event.Event{Word: func(sfunc.State) *atomic.Uint64 { return new(atomic.Uint64) }, AtLeast: 1, Update: func(sfunc.State, *LocalRule) {}}
-	publish(t, flows, tbl, 4, []LocalRule{{Actions: []HeaderAction{Drop()}}}, event.Registration{Event: &never})
-	if c := flows.Counts(); c.Records != 1 || tbl.Pending(4) != 1 {
-		t.Errorf("after a publication with an event: %+v, %d pending", c, tbl.Pending(4))
-	}
-	ed = flows.Edit(4, false)
-	tbl.Remove(ed)
-	ed.Done()
-	if c := flows.Counts(); c.Records != 0 || tbl.Pending(4) != 0 {
-		t.Errorf("the record outlived its events: %+v", c)
+	rule = publish(t, flows, tbl, 4, []LocalRule{{Actions: []HeaderAction{Drop()}}}, Ref{})
+	if c := flows.Counts(); c.Records != 0 || rule.Guards == nil || rule.Guards.Ref != (Ref{}) || rule.Guards.Next != nil {
+		t.Errorf("after a publication with an event: %+v, guards %+v; want no record and the event guarded", c, rule.Guards)
 	}
 }

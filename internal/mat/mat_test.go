@@ -457,7 +457,7 @@ func TestConsolidateIsOneAllocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(rule.Batches) != 2 || rule.Plan.String() != "[0 1]" || len(rule.Modifies) != 3 ||
-		rule.Guards() == nil || rule.Guards().Next != nil || rule.Spans != nil {
+		rule.Guards == nil || rule.Guards.Next != nil || rule.Spans != nil {
 		t.Errorf("Chain1 rule %v: plan %v, modifies %d, spans %v", rule, rule.Plan, len(rule.Modifies), rule.Spans)
 	}
 	long := append(append([]Contribution(nil), chain1...), chain1...)
@@ -465,7 +465,7 @@ func TestConsolidateIsOneAllocation(t *testing.T) {
 		long[4+i].NF += "-again"
 	}
 	if rule, err := Consolidate(1, long, failover, failover); err != nil || len(rule.Batches) != 4 ||
-		rule.Plan.String() != "[0 1 2 3]" || len(rule.Modifies) != 3 || rule.Guards().Next == nil {
+		rule.Plan.String() != "[0 1 2 3]" || len(rule.Modifies) != 3 || rule.Guards.Next == nil {
 		t.Errorf("a chain past the block: %v, %v", rule, err)
 	}
 }

@@ -6,9 +6,7 @@ import (
 	"github.com/fastpathnfv/speedybox/internal/core"
 	"github.com/fastpathnfv/speedybox/internal/event"
 	"github.com/fastpathnfv/speedybox/internal/flow"
-	"github.com/fastpathnfv/speedybox/internal/mat"
 	"github.com/fastpathnfv/speedybox/internal/packet"
-	"github.com/fastpathnfv/speedybox/internal/sfunc"
 	"github.com/fastpathnfv/speedybox/internal/wal"
 )
 
@@ -100,34 +98,44 @@ func TestEventFlipsRuleToDrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := event.NewTable(flow.NewTable())
-	ctx := core.NewCtx("dos", core.CtxConfig{FID: 1, Events: events, Recording: true, Flows: d.FlowStates()})
-	if _, err := d.Process(ctx, synPkt(t)); err != nil {
+	eng, err := core.NewEngine([]core.NF{d}, core.DefaultOptions())
+	if err != nil {
 		t.Fatal(err)
 	}
-	rule, _ := ctx.Recorded()
-	if len(rule.Funcs) != 1 || rule.Actions[0].Kind != mat.ActionForward {
-		t.Fatalf("recorded rule = %+v", rule)
+	var fid flow.FID
+	for _, p := range []*packet.Packet{synPkt(t), ackPkt(t)} {
+		res, err := eng.ProcessPacket(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fid = res.FID
+	}
+	rule, ok := eng.Global().LookupLive(fid)
+	if !ok || len(rule.Batches) != 1 || rule.Drop || rule.Guards == nil {
+		t.Fatalf("recorded rule = %v, want a forward counting SYNs and guarded by the block", rule)
 	}
 	// Fast-path SYNs via the recorded handler.
-	batch := recorded(ctx, &d.flows)
-	if _, err := batch.RunSequential(synPkt(t)); err != nil {
+	if _, err := rule.Batches[0].RunSequential(synPkt(t)); err != nil {
 		t.Fatal(err)
 	}
-	if fired, _ := events.Probe(1); len(fired) != 0 {
+	events := eng.Events()
+	if fired, _ := events.Probe(fid); len(fired) != 0 {
 		t.Fatal("event fired below threshold")
 	}
-	if _, err := batch.RunSequential(synPkt(t)); err != nil {
+	if _, err := rule.Batches[0].RunSequential(synPkt(t)); err != nil {
 		t.Fatal(err)
 	}
-	fired, _ := events.Probe(1)
-	if len(fired) != 1 {
+	if fired, _ := events.Probe(fid); len(fired) != 1 {
 		t.Fatalf("fired = %d, want 1 above threshold", len(fired))
 	}
-	updated, _ := ctx.Recorded()
-	fired[0].Event.Update(fired[0].State, updated)
-	if updated.Actions[0].Kind != mat.ActionDrop {
-		t.Errorf("rule after event = %v, want drop", updated.Actions[0])
+	res, err := eng.ProcessPacket(ackPkt(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	updated, _ := eng.Global().LookupLive(fid)
+	if res.Path != core.PathFast || res.Fast.EventsFired != 1 || res.Verdict != core.VerdictDrop || !updated.Drop || updated.Guards != nil {
+		t.Errorf("packet after the threshold: path %v, %d fired, verdict %v; rule %v; want the event to make the rule a drop",
+			res.Path, res.Fast.EventsFired, res.Verdict, updated)
 	}
 }
 
@@ -184,11 +192,4 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if !pkt.Dropped() {
 		t.Error("blocked flow forwarded after restore")
 	}
-}
-
-// recorded is what a consolidation makes of the state functions ctx
-// recorded for the NF declaring v: the batch a rule runs.
-func recorded(ctx *core.Ctx, v *core.FlowStates) sfunc.Batch {
-	rule, _ := ctx.Recorded()
-	return sfunc.NewBatch(&sfunc.Site{Funcs: v.Funcs, Model: ctx.Model}, rule.Funcs, ctx.FID, ctx.FlowState(v))
 }

@@ -210,15 +210,20 @@ func TestFailoverEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := event.NewTable(flow.NewTable())
-	ctx := core.NewCtx("lb", core.CtxConfig{FID: 7, Events: events, Recording: true, Flows: lb.FlowStates()})
-	if _, err := lb.Process(ctx, pkt(t, 2222)); err != nil {
+	eng, err := core.NewEngine([]core.NF{lb}, core.DefaultOptions())
+	if err != nil {
 		t.Fatal(err)
 	}
-	orig, _ := lb.BackendOf(7)
+	first, err := eng.ProcessPacket(pkt(t, 2222))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fid := first.FID
+	orig, _ := lb.BackendOf(fid)
 
 	// Condition false while the backend is healthy.
-	if fired, _ := events.Probe(7); len(fired) != 0 {
+	events := eng.Events()
+	if fired, _ := events.Probe(fid); len(fired) != 0 {
 		t.Fatal("event fired with healthy backend")
 	}
 
@@ -235,21 +240,22 @@ func TestFailoverEvent(t *testing.T) {
 	if err := lb.FailBackend(idx); err != nil {
 		t.Fatal(err)
 	}
-	fired, _ := events.Probe(7)
-	if len(fired) != 1 {
+	if fired, _ := events.Probe(fid); len(fired) != 1 {
 		t.Fatalf("fired = %d, want 1", len(fired))
 	}
-	rule, _ := ctx.Recorded()
-	fired[0].Event.Update(fired[0].State, rule)
+	if r, err := eng.ProcessPacket(pkt(t, 2222)); err != nil || r.Path != core.PathFast || r.Fast.EventsFired != 1 {
+		t.Fatalf("packet after the failure: %+v (err %v), want a fast-path firing", r, err)
+	}
+	rule, _ := eng.Global().LookupLive(fid)
 
-	nb, ok := lb.BackendOf(7)
+	nb, ok := lb.BackendOf(fid)
 	if !ok || nb == orig {
 		t.Fatalf("flow not rerouted: %v -> %v", orig, nb)
 	}
-	if rule.Actions[0].Kind != mat.ActionModify || rule.Actions[0].Field != packet.FieldDstIP {
-		t.Fatalf("action after update = %+v", rule.Actions[0])
+	if len(rule.Modifies) == 0 || rule.Modifies[0].Field != packet.FieldDstIP {
+		t.Fatalf("rule after update = %v", rule)
 	}
-	if got := rule.Actions[0].Value; [4]byte{got[0], got[1], got[2], got[3]} != nb.IP {
+	if got := rule.Modifies[0].Value; [4]byte{got[0], got[1], got[2], got[3]} != nb.IP {
 		t.Errorf("updated DIP = %v, want %v", got, nb.IP)
 	}
 	if lb.Rerouted() != 1 {

@@ -9,9 +9,9 @@ import (
 // MigrationRecord is the wire form of one flow in transit between
 // cluster instances: the flow-table entry with its NFs' per-flow state,
 // plus its live consolidated rule, encoded as checkpoints encode them.
-// The new owner re-registers the flow's events from the rule's guards and
-// builds the rule again from its recording, over the state that
-// traveled, so an event firing there updates it in place. The
+// The new owner builds the rule again from its recording, guarded by the
+// events its guards name, over the state that traveled, so an event
+// firing there updates it in place. The
 // degradation-ladder reset is implicit: ladder
 // deadlines are ticks of the old owner's logical clock, so the record
 // simply omits them.

@@ -13,9 +13,9 @@
 // Every rule is data, so every rule is restorable: its image is the
 // recording it was built from — each NF's actions and declared state
 // functions by chain position — and its event guards as references to
-// what the chain's NFs declared (mat.Ref). A restore re-registers the
-// flow's events from the guards and builds the rule from the recording
-// as a live install does, over the flow's restored state.
+// what the chain's NFs declared (mat.Ref). A restore builds the rule from
+// the recording and the guards as a live install does, over the flow's
+// restored state.
 //
 // The package depends only on event, flow, mat and packet (for the rule
 // and flow images); the engine adapts its tables to the Writer, never
@@ -128,8 +128,7 @@ func ImageOf(r *mat.GlobalRule, nfs ...string) (*RuleImage, bool) { return Image
 
 // Image projects a GlobalRule into its serializable image, naming its
 // chain positions nfs (the chain's, shared by every image of it). The
-// guards are the flow's registrations: a consolidation snapshots them,
-// and a registration after it gives the rule a fresh list.
+// guards are the flow's events: an installed rule's never change.
 func Image(r *mat.GlobalRule, nfs []string) *RuleImage {
 	im := project(r, nfs, nil)
 	return &im
@@ -139,7 +138,7 @@ func Image(r *mat.GlobalRule, nfs []string) *RuleImage {
 // changes them — and appending its guard references to refs' storage.
 func project(r *mat.GlobalRule, nfs []string, refs []mat.Ref) RuleImage {
 	im := RuleImage{FID: r.FID, Epoch: r.Epoch, Version: r.Version, NFs: nfs, Spans: r.Spans}
-	for g := r.Guards(); g != nil; g = g.Next {
+	for g := r.Guards; g != nil; g = g.Next {
 		if g.Index != event.EngineOwned {
 			refs = append(refs, g.Ref)
 		}

@@ -91,9 +91,9 @@ func TestRecordRoundTrip(t *testing.T) {
 // declared index — all but the engine's own guards, which do not survive
 // a restore or a move — and nothing of what consolidation derived.
 func TestImageIsTheRecording(t *testing.T) {
-	r := &mat.GlobalRule{FID: 3, Epoch: 2, Version: 7, Spans: sampleImage(3).Spans, Drop: true, Prog: []byte{3, 1}}
-	r.SetGuards(&mat.Guard{Ref: mat.Ref{At: 1, Index: 4}, Next: &mat.Guard{Ref: mat.Ref{Index: event.EngineOwned},
-		Next: &mat.Guard{Ref: mat.Ref{At: 3, Index: 0}}}})
+	r := &mat.GlobalRule{FID: 3, Epoch: 2, Version: 7, Spans: sampleImage(3).Spans, Drop: true, Prog: []byte{3, 1},
+		Guards: &mat.Guard{Ref: mat.Ref{At: 1, Index: 4}, Next: &mat.Guard{Ref: mat.Ref{Index: event.EngineOwned},
+			Next: &mat.Guard{Ref: mat.Ref{At: 3, Index: 0}}}}}
 	nfs := sampleImage(3).NFs
 	im, ok := ImageOf(r, nfs...)
 	want := &RuleImage{FID: 3, Epoch: 2, Version: 7, NFs: nfs, Spans: r.Spans, Guards: []mat.Ref{{At: 1, Index: 4}, {At: 3, Index: 0}}}

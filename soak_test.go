@@ -53,7 +53,7 @@ func TestSoakChain1AtScale(t *testing.T) {
 			if err := eng.CheckRecords(); err != nil {
 				t.Error(err)
 			}
-			if r, e, f := eng.Global().Len(), eng.Events().Len(), eng.FlowLen(); r != 0 || e != 0 || f != 0 {
+			if r, e, f := eng.Global().Len(), eng.Global().Guarded(), eng.FlowLen(); r != 0 || e != 0 || f != 0 {
 				t.Errorf("after soak: %d rules, %d flows with events, %d flow records leaked", r, e, f)
 			}
 			// Flow-time distribution stays sane at scale.
@@ -99,7 +99,7 @@ func TestSoakONVMBatched(t *testing.T) {
 	if err := eng.CheckRecords(); err != nil {
 		t.Error(err)
 	}
-	if r, e, f := eng.Global().Len(), eng.Events().Len(), eng.FlowLen(); r != 0 || e != 0 || f != 0 {
+	if r, e, f := eng.Global().Len(), eng.Global().Guarded(), eng.FlowLen(); r != 0 || e != 0 || f != 0 {
 		t.Errorf("after soak: %d rules, %d flows with events, %d flow records leaked", r, e, f)
 	}
 }
