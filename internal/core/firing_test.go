@@ -191,3 +191,71 @@ func TestFiringAfterReconfigureReRecords(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestOneShotRemovedAfterFiring: a one-shot event fires once, on the
+// first packet that finds it holding; the rule that firing builds does
+// not guard it, so later packets, the word still set, neither fire nor
+// probe.
+func TestOneShotRemovedAfterFiring(t *testing.T) {
+	nf := &fakeEventNF{name: "lb"}
+	eng, err := NewEngine([]NF{nf}, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.ProcessPacket(udpPkt(t, 8701, "record"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fid := res.FID
+	wantGuards(t, eng, fid, 1, "after the recording")
+	nf.armed.Store(1)
+	for i, want := range []int{1, 0, 0} {
+		res, err := eng.ProcessPacket(udpPkt(t, 8701, "armed"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Path != PathFast || res.Fast.EventsFired != want || res.Verdict != VerdictDrop {
+			t.Fatalf("armed packet %d: path %v, %d fired, verdict %v; want the fast path, %d fired and a drop",
+				i, res.Path, res.Fast.EventsFired, res.Verdict, want)
+		}
+	}
+	wantGuards(t, eng, fid, 0, "after the one-shot fired")
+	if got := eng.Events().FiredTotal(); got != 1 {
+		t.Errorf("FiredTotal = %d, want 1", got)
+	}
+	if err := eng.CheckRecords(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestRecurringStaysArmed: a recurring event whose condition holds fires
+// on every fast-path packet, and each rule its firing builds guards it
+// again.
+func TestRecurringStaysArmed(t *testing.T) {
+	eng, err := NewEngine([]NF{firingNF{}}, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.ProcessPacket(udpPkt(t, 8702, "record"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fid := res.FID
+	before := eng.Events().FiredTotal()
+	for i := 0; i < 3; i++ {
+		res, err := eng.ProcessPacket(udpPkt(t, 8702, "fires"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Path != PathFast || res.Fast.EventsFired == 0 {
+			t.Fatalf("packet %d: path %v, %d fired; want the fast path to fire", i, res.Path, res.Fast.EventsFired)
+		}
+		wantGuards(t, eng, fid, 1, "after a firing")
+	}
+	if got := eng.Events().FiredTotal() - before; got < 3 {
+		t.Errorf("FiredTotal rose by %d over 3 packets, want at least 3", got)
+	}
+	if err := eng.CheckRecords(); err != nil {
+		t.Error(err)
+	}
+}
