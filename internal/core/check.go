@@ -23,6 +23,9 @@ import (
 //   - a detached entry holds a rule — the only reason the engine makes
 //     one — and no NF state, ladder place or budget: those belong to a
 //     tracked flow;
+//   - a flow holds an events' budget only with its rule's, and for no
+//     more than event.MaxPerFlow events: both are charged at the install
+//     of its rule (Engine.admit);
 //   - an NF with state on a flow is in the current chain: a removed NF's
 //     slot left every flow with it;
 //   - the Global MAT's counts of rules, stale rules and guarded rules
@@ -47,6 +50,9 @@ func (e *Engine) CheckRecords() error {
 		e.events.Stand(ed, false, func(h flow.Handle, s *event.Standing) {
 			if h.Detached() && !s.Zero() {
 				fail("detached entry of %v stands on the ladder or holds a budget", fid)
+			}
+			if s.Events > 0 && !s.Rule || s.Events > event.MaxPerFlow {
+				fail("%v holds %d events' budget without its rule's or past event.MaxPerFlow", fid, s.Events)
 			}
 		})
 		ed.Done()

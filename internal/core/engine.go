@@ -46,9 +46,10 @@ type Options struct {
 	// (see internal/fault). Nil disables injection entirely, with zero
 	// data-path overhead.
 	Faults *fault.Injector
-	// Admission attaches a tenant-isolation policy: fresh rule
-	// installs and event registrations are gated through it (see the
-	// Admission interface). Nil admits everything with zero overhead.
+	// Admission attaches a tenant-isolation policy: the install of a
+	// rule built from a traversal's recording is charged through it, for
+	// the rule and its events (see the Admission interface). Nil admits
+	// everything with zero overhead.
 	Admission Admission
 	// ChainLabel, when set, is appended as a {chain="..."} label to
 	// every engine metric name, so several chain engines sharing one
@@ -331,32 +332,9 @@ func (e *Engine) beginTraversal(t *traversal, h flow.Handle, pkt *packet.Packet,
 		recording: recording,
 		lay:       cs.lay,
 		states:    ctx.states[:0],
-		admit:     e.admission,
 		tenant:    pkt.Meta.Tenant,
 	}
 	return ctx
-}
-
-// prepareRecording readies the flow ctx's traversal is on to record
-// from scratch: the events' budget its last recording was charged is
-// refunded (what that recording holds is its rule's, which the new one
-// replaces); NF state and the ladder place are untouched. The one lock
-// of the flow's record that finds out resolves the NFs' words for the
-// traversal too.
-func (e *Engine) prepareRecording(ctx *Ctx) {
-	var unrecorded bool
-	if ctx.states, unrecorded = e.events.Resolve(ctx.h, ctx.lay, ctx.states); unrecorded {
-		return
-	}
-	ed := e.class.Flows().EditHandle(ctx.h)
-	e.dropRecording(ed)
-	ed.Done()
-}
-
-// dropRecording is prepareRecording on the flow under edit.
-func (e *Engine) dropRecording(ed flow.Edit) {
-	e.refund(ed, false, true)
-	e.events.Remove(ed)
 }
 
 // dropConsolidated removes the rule of the flow under edit, with the
@@ -364,7 +342,7 @@ func (e *Engine) dropRecording(ed flow.Edit) {
 // whether a rule was there.
 func (e *Engine) dropConsolidated(ed flow.Edit) bool {
 	removed := e.global.RemoveAt(ed)
-	e.refund(ed, true, true)
+	e.refund(ed)
 	e.events.Remove(ed)
 	return removed
 }
@@ -393,8 +371,7 @@ func (e *Engine) ProcessPacket(pkt *packet.Packet) (*PacketResult, error) {
 // recording behaviour when requested, and writes the account into res,
 // the packet's slot in b. It runs on b's traversal scratch; what the NFs
 // record is published only once the whole chain has run, so a traversal
-// cut short (an NF error, an injected crash, a refused event) leaves no
-// recording behind.
+// cut short (an NF error, an injected crash) leaves no recording behind.
 func (e *Engine) slowPath(h flow.Handle, pkt *packet.Packet, recording bool, res *PacketResult, b *Batch) error {
 	cs := e.state()
 	fid := h.FID()
@@ -407,9 +384,6 @@ func (e *Engine) slowPath(h flow.Handle, pkt *packet.Packet, recording bool, res
 	verdict := VerdictForward
 	ctx := e.beginTraversal(t, h, pkt, recording, cs)
 	if recording {
-		// Re-recording an initial packet (e.g. several packets raced
-		// in before consolidation) starts from a clean record.
-		e.prepareRecording(ctx)
 		if cap(t.spans) < len(cs.chain) {
 			t.spans = make([]mat.LocalRule, len(cs.chain))
 		}
@@ -454,22 +428,13 @@ func (e *Engine) slowPath(h flow.Handle, pkt *packet.Packet, recording bool, res
 	if recording && abortRecording {
 		// Drop the recording and park the flow on the ladder.
 		ed := e.class.Flows().EditHandle(h)
-		e.dropRecording(ed)
 		e.degrade(ed, CauseNFError, true)
 		ed.Done()
 		recording = false
 	}
-	if recording && ctx.eventDenied {
-		// An event registration ran into the tenant's cap: a rule without
-		// the event would skip the NF's update, so the recording goes and
-		// the flow retries on its next initial packet (not laddered).
-		e.prepareRecording(ctx)
-		e.statsFor(fid).eventCapDenied.Add(1)
-		recording = false
-	}
 	if recording {
 		ed := e.class.Flows().EditHandle(h)
-		err := e.consolidate(ed, ctx.tenant, info, cs, cs.recording(ctx, t.spans), ctx.blk)
+		err := e.consolidate(ed, ctx, info, cs, cs.recording(ctx, t.spans))
 		ed.Done()
 		// Not consolidatable: no rule is installed, and the flow stays on
 		// the (always correct) slow path, just without acceleration.
@@ -481,20 +446,25 @@ func (e *Engine) slowPath(h flow.Handle, pkt *packet.Packet, recording bool, res
 	return nil
 }
 
-// consolidate builds the flow under edit's Global MAT rule from rec — a
-// traversal's recording with the events it registered, or an event
-// update's edited copy of the rule's with the events left — under the
-// chain snapshot and installs it, charging the work into info. tenant is
-// who a first install is charged to. The rule carries the snapshot's
-// epoch, so one racing a reconfiguration is never served. The build, the
-// guards' binding, admission, the install and the ladder's clearing are
-// one edit of the entry: a flow torn down under the traversal is charged
-// and given nothing.
-func (e *Engine) consolidate(ed flow.Edit, tenant int32, info *SlowPathInfo, cs *chainState, rec event.Recording, blk *setupBlock) error {
+// consolidate builds the flow under edit's Global MAT rule from rec — the
+// recording of the traversal on ctx with the events it registered, or
+// (ctx nil) an event update's edited copy of the rule's with the events
+// left — under the chain snapshot and installs it, charging the work
+// into info. The rule carries the snapshot's epoch, so one racing a
+// reconfiguration is never served. The install of a traversal's rule is
+// the one place a tenant is charged (Engine.admit); a firing's rebuild is
+// charged nothing. The build, the guards' binding, admission, the install
+// and the ladder's clearing are one edit of the entry: a flow torn down
+// under the traversal is charged and given nothing.
+func (e *Engine) consolidate(ed flow.Edit, ctx *Ctx, info *SlowPathInfo, cs *chainState, rec event.Recording) error {
 	if !ed.Found() {
 		return nil
 	}
 	fid := ed.Handle().FID()
+	var blk *setupBlock
+	if ctx != nil {
+		blk = ctx.blk
+	}
 	rule, err := e.build(ed, cs, cs.epoch, rec, blk)
 	if err != nil {
 		if e.tel != nil && errors.Is(err, mat.ErrNotConsolidatable) {
@@ -502,10 +472,9 @@ func (e *Engine) consolidate(ed flow.Edit, tenant int32, info *SlowPathInfo, cs 
 		}
 		return err
 	}
-	if e.admission != nil && !e.admitRule(ed, tenant) {
+	if ctx != nil && e.admission != nil && !e.admit(ed, ctx.tenant, len(rec.Regs)) {
 		// Refused: nothing installed, marked or degraded; the flow retries
 		// on its next initial packet.
-		e.statsFor(fid).ruleQuotaDenied.Add(1)
 		return nil
 	}
 	contributed := 0
@@ -825,10 +794,8 @@ func (e *Engine) fireEvents(h flow.Handle, info *FastPathInfo) (bool, error) {
 			return true, nil
 		}
 	}
-	// A rebuild carries no packet: it is charged as untagged, unless the
-	// flow's events name its tenant. It replaces r: no first install.
 	var built SlowPathInfo
-	switch err := e.consolidate(ed, 0, &built, cs, event.Recording{Spans: spans, Regs: regs}, nil); {
+	switch err := e.consolidate(ed, nil, &built, cs, event.Recording{Spans: spans, Regs: regs}); {
 	case err == nil:
 		info.ReconsolidateCycles += built.ConsolidateCycles
 	case errors.Is(err, mat.ErrNotConsolidatable):

@@ -164,6 +164,45 @@ func TestUnfinishedRecordingPublishesNothing(t *testing.T) {
 	}
 }
 
+// noRules is a held counter that refuses every rule.
+type noRules struct{ *heldCounter }
+
+func (noRules) AdmitRule(int32) bool { return false }
+
+// TestRefusedRuleHoldsNothing: the install of a flow's rule is the one
+// place its tenant is charged, for the rule and the events its recording
+// registered together. Three tagged UDP flows through an event-registering
+// chain, under a policy that refuses every rule, leave the tenant holding
+// no rule and no event, and no record behind.
+func TestRefusedRuleHoldsNothing(t *testing.T) {
+	held := newHeldCounter()
+	opts := DefaultOptions()
+	opts.Admission = noRules{held}
+	eng, err := NewEngine([]NF{&fakeEventNF{name: "dos"}, &fakeCounter{name: "monitor"}}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for port := uint16(9701); port <= 9703; port++ {
+		p := udpPkt(t, port, "refused")
+		p.Meta.Tenant = 1
+		if _, err := eng.ProcessPacket(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r, ev := held.rules[1], held.events[1]; r != 0 || ev != 0 {
+		t.Errorf("tenant 1 holds %d rule(s) and %d event(s) with every rule refused", r, ev)
+	}
+	if st := eng.Stats(); st.RuleQuotaDenied != 3 || st.EventCapDenied != 0 {
+		t.Errorf("%d rule and %d event denials, want 3 and 0", st.RuleQuotaDenied, st.EventCapDenied)
+	}
+	if c := eng.class.Flows().Counts(); c.Records != 0 || c.Rules != 0 {
+		t.Errorf("%+v: want no record and no rule", c)
+	}
+	if err := eng.CheckRecords(); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestCtxRejectsMalformedRecording: the recording APIs validate what an
 // NF hands them; a refused item is not recorded (and still costs the
 // attempt), on an engine traversal and on a standalone context alike.

@@ -94,7 +94,7 @@ func (e *Engine) AdoptFlow(mf wal.MigrationRecord) {
 // rule was installed.
 func (e *Engine) release(ed flow.Edit) bool {
 	removed := e.global.RemoveAt(ed)
-	e.refund(ed, true, true)
+	e.refund(ed)
 	e.events.End(ed)
 	return removed
 }

@@ -109,12 +109,9 @@ type Ctx struct {
 	blk   *setupBlock
 	mark  int
 	fwd   bool
-	// admit is the engine's admission policy (nil = admit all), which
-	// RegisterEvent charges to the packet's tenant; eventDenied records a
-	// refusal, which abandons the traversal's recording (Engine.slowPath).
-	admit       Admission
-	tenant      int32
-	eventDenied bool
+	// tenant is the packet's, which the install of the rule built from
+	// the recording is charged to (Engine.admit).
+	tenant int32
 }
 
 // Snapshotter is an optional NF interface for crash-safe cross-flow
@@ -291,7 +288,8 @@ func (c *Ctx) Recorded() (*mat.LocalRule, bool) {
 // RegisterEvent registers the NF's declared event i for the flow
 // (register_event): the recording takes a reference to it, which the
 // rule built from the recording binds into a guard
-// (event.Table.Consolidate), holding a flow to event.MaxPerFlow. A
+// (event.Table.Consolidate), holding a flow to event.MaxPerFlow, and
+// whose install is charged for it (Engine.admit): it takes no lock. A
 // standalone context, which builds no rule, only records the reference.
 func (c *Ctx) RegisterEvent(i int) error {
 	if !c.recording {
@@ -300,10 +298,6 @@ func (c *Ctx) RegisterEvent(i int) error {
 	c.Charge(c.Model.RecordEvent)
 	if err := c.declared(i, true); err != nil {
 		return err
-	}
-	if c.admit != nil && !c.admitEvent() {
-		c.eventDenied = true
-		return nil
 	}
 	c.own()
 	c.regs = append(c.regs, mat.Ref{At: uint16(c.slot), Index: uint16(i)})

@@ -151,9 +151,10 @@ type Stats struct {
 	// admission policy refused (tenant rule quota); the affected flows
 	// stayed on the always-correct slow path.
 	RuleQuotaDenied uint64
-	// EventCapDenied counts recordings abandoned because an event
-	// registration exceeded the tenant's event cap; the affected flows
-	// stayed on the slow path and retry on their next initial packet.
+	// EventCapDenied counts rule installs the admission policy refused
+	// because the events the recording registered exceeded the tenant's
+	// event cap; the affected flows stayed on the slow path and retry on
+	// their next initial packet.
 	EventCapDenied uint64
 }
 

@@ -33,7 +33,7 @@ func (c *Ctx) FlowState(v *FlowStates) State {
 		return c.rec.State(v.Standalone(c.nf, c.events), 0)
 	}
 	if len(c.states) == 0 {
-		c.states, _ = c.events.Resolve(c.h, c.lay, c.states)
+		c.states = c.events.Resolve(c.h, c.lay, c.states)
 	}
 	return c.states[c.slot]
 }

@@ -136,14 +136,14 @@ func newEngineTelemetry(e *Engine, hub *telemetry.Hub, chain string) *engineTele
 		installs: reg.Counter(n("speedybox_mat_installs_total"),
 			"Global MAT first-time rule installations"),
 		replacements: reg.Counter(n("speedybox_mat_replacements_total"),
-			"Global MAT rule replacements (event-driven reconsolidations)"),
+			"Global MAT rule replacements (an event firing's rebuild, or a re-recording over a rule not served)"),
 		removals: make(map[string]*telemetry.Counter),
 		flowResets: reg.Counter(n("speedybox_flow_resets_total"),
 			"Flows reset by a SYN reusing a tracked 5-tuple"),
 		flowCacheHits: reg.Counter(n("speedybox_flow_cache_hits_total"),
 			"Fast-shaped packets classified from a worker's flow context without a lock"),
 		flowCacheMisses: reg.Counter(n("speedybox_flow_cache_misses_total"),
-			"Fast-shaped packets that acquired or revalidated the flow handle through the shard lock"),
+			"Fast-shaped packets whose flow handle came from the vector's staged table probe, not a worker's flow context"),
 		unconsolidatable: reg.Counter(n("speedybox_consolidate_unconsolidatable_total"),
 			"Consolidation attempts whose actions did not fold into one rule"),
 		reconfigRollbacks: reg.Counter(n("speedybox_reconfig_rollbacks_total"),
@@ -195,7 +195,7 @@ func newEngineTelemetry(e *Engine, hub *telemetry.Hub, chain string) *engineTele
 	reg.GaugeFunc(n("speedybox_flow_dead_slots"),
 		"Flow table tombstones awaiting compaction", func() float64 { return float64(e.class.Flows().DeadSlots()) })
 	reg.GaugeFunc(n("speedybox_flow_records"),
-		"Flow entries holding a record (NF state, events or a standing)", func() float64 { return float64(e.class.Flows().Counts().Records) })
+		"Flow entries holding a record (NF state or a standing)", func() float64 { return float64(e.class.Flows().Counts().Records) })
 	reg.GaugeFunc(n("speedybox_flow_detached_entries"),
 		"Flow-table entries no tuple maps to: rules installed under a FID no flow holds",
 		func() float64 { return float64(e.class.Flows().Counts().Detached) })
@@ -225,7 +225,7 @@ func newEngineTelemetry(e *Engine, hub *telemetry.Hub, chain string) *engineTele
 		"Consolidated-rule installs refused by the admission policy",
 		func() uint64 { return e.Stats().RuleQuotaDenied })
 	reg.CounterFunc(n("speedybox_engine_event_cap_denied_total"),
-		"Recordings abandoned on event-cap denial by the admission policy",
+		"Rule installs refused on the event cap by the admission policy",
 		func() uint64 { return e.Stats().EventCapDenied })
 	reg.GaugeFunc(n("speedybox_fault_degraded_flows"),
 		"Flows currently on the degradation ladder",

@@ -237,24 +237,6 @@ func Holds(g *mat.Guard) bool {
 	return false
 }
 
-// Unrecorded reports whether the flow h is on holds nothing Remove and
-// a refund of its events' budget would take: no record, or one that
-// holds NF state or a ladder place and no events' budget. A flow's first
-// recording costs its record's uncontended lock here, and no edit; a
-// traversal that resolves its NFs' state takes it there (Resolve).
-func Unrecorded(h flow.Handle) bool {
-	rec := (*Record)(h.Rec())
-	if rec == nil {
-		return true
-	}
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	return rec.unrecorded()
-}
-
-// unrecorded is Unrecorded for a caller holding rec.mu.
-func (rec *Record) unrecorded() bool { return rec.own.Events == 0 && rec.kept() }
-
 // Remove ends the recording of the flow under edit on its record — what
 // its NFs recorded and registered went with its rule — dropping a record
 // that holds neither NF state nor a standing.

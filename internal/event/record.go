@@ -38,7 +38,9 @@ type Record struct {
 // which the flow may not record again (0: off the ladder), loaded by the
 // recording gate with no lock; Fails counts consecutive failed
 // recoveries. Tenant is charged for the rule, if Rule, and for Events
-// event registrations, and is 0 when the flow holds neither.
+// of the events its recording registered — charged together, at the
+// rule's install, so never Events without Rule — and is 0 when the flow
+// holds neither.
 type Standing struct {
 	RetryAt atomic.Uint64
 	Tenant  int32

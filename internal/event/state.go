@@ -186,13 +186,12 @@ func (rec *Record) slotState(lay *StateLayout, i int) State {
 // Resolve returns the words of every NF of lay on the flow h is on, by
 // chain position (nil for an NF that keeps none), in out's storage — one
 // lock of the record for the whole chain, which a traversal takes once
-// and its NFs' FlowState calls then read. It also reports whether the
-// flow holds no recording to drop before it records again (Unrecorded).
-// A layout of no words resolves nothing (out, emptied) and makes no
-// record; a flow the table has let go of gets words nothing keeps.
-func (t *Table) Resolve(h flow.Handle, lay *StateLayout, out []State) (states []State, unrecorded bool) {
+// and its NFs' FlowState calls then read. A layout of no words resolves
+// nothing (out, emptied) and makes no record; a flow the table has let
+// go of gets words nothing keeps.
+func (t *Table) Resolve(h flow.Handle, lay *StateLayout, out []State) []State {
 	if lay.words == 0 {
-		return out[:0], Unrecorded(h)
+		return out[:0]
 	}
 	if cap(out) < len(lay.slots) {
 		out = make([]State, len(lay.slots))
@@ -204,7 +203,7 @@ func (t *Table) Resolve(h flow.Handle, lay *StateLayout, out []State) (states []
 	for i := range out {
 		out[i] = rec.slotState(lay, i)
 	}
-	return out, rec.unrecorded()
+	return out
 }
 
 // used calls fn for every slot of the record some NF has written, oldest

@@ -4,7 +4,7 @@ import "sync"
 
 // TenantAdmission implements core.Admission over the spec's tenant
 // quotas: each tenant holds at most RuleQuota concurrently installed
-// rules and EventCap concurrently registered events, summed across
+// rules and EventCap events those rules guard, summed across
 // every chain of the topology. It counts by tenant only — what each flow
 // holds is on the flow's record in its chain's engine, whose FIDs mean
 // nothing to another chain's. Tenants the spec does not declare — the
@@ -12,7 +12,7 @@ import "sync"
 // tracked for telemetry and never denied.
 //
 // All state lives behind one mutex — admission is consulted only at
-// control-plane sites (consolidation, event registration, teardown),
+// control-plane sites (a rule's install and its removal),
 // never per fast-path packet, so contention is bounded by the flow
 // arrival rate, not the packet rate.
 type TenantAdmission struct {

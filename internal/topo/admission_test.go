@@ -150,7 +150,9 @@ func TestAdmissionHoldsPerChain(t *testing.T) {
 // TestAdmissionHoldsUnderConcurrency: workers on disjoint flows, as RSS
 // deals them, share the one policy. Every charge is held on a flow's
 // record and every release matches one, so what a tenant holds is what
-// its flows hold — under -race, and back to zero once they end.
+// its flows hold — the rules installed for it and the events those rules
+// guard, none for a flow refused its rule — under -race, and back to
+// zero once they end.
 func TestAdmissionHoldsUnderConcurrency(t *testing.T) {
 	tp := build(t, tenantSpec([]TenantSpec{{ID: 1, RuleQuota: 8, EventCap: 12}, {ID: 2}}))
 	const workers, flows, pkts = 4, 16, 4
@@ -176,15 +178,20 @@ func TestAdmissionHoldsUnderConcurrency(t *testing.T) {
 	}
 	wg.Wait()
 	eng, adm := tp.Engine(0), tp.Admission()
-	rules := map[int32]uint64{}
+	rules, events := map[int32]uint64{}, map[int32]uint64{}
 	for _, en := range eng.FlowEntries() {
 		if _, ok := eng.Global().Lookup(en.FID); ok {
-			rules[int32(en.Tuple.DstPort/1000)]++
+			tenant := int32(en.Tuple.DstPort / 1000)
+			rules[tenant]++
+			events[tenant] += uint64(eng.Events().Pending(en.FID))
 		}
 	}
 	for tenant := int32(1); tenant <= 2; tenant++ {
 		if held := adm.RulesHeld(tenant); held != rules[tenant] {
 			t.Errorf("tenant %d holds %d rules; its flows have %d", tenant, held, rules[tenant])
+		}
+		if held := adm.EventsHeld(tenant); held != events[tenant] {
+			t.Errorf("tenant %d holds %d events; its rule-holding flows registered %d", tenant, held, events[tenant])
 		}
 	}
 	if adm.RuleDenials(1)+adm.EventDenials(1) == 0 || adm.RulesHeld(1) > 8 || adm.EventsHeld(1) > 12 {

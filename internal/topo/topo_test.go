@@ -305,9 +305,10 @@ func TestTenantRuleQuotaIsolation(t *testing.T) {
 }
 
 // TestTenantEventCapIsolation is the event-side twin: tenant 1's cap
-// of one concurrent Event Table registration forces its other flows to
-// abandon recording (staying on the always-correct slow path), while
-// tenant 2 keeps registering and consolidating, verdicts unchanged.
+// of one concurrent Event Table registration refuses the installs of its
+// other flows' rules, charged for their events (the flows stay on the
+// always-correct slow path), while tenant 2 keeps registering and
+// consolidating, verdicts unchanged.
 func TestTenantEventCapIsolation(t *testing.T) {
 	const cap = 1
 	limited := build(t, tenantSpec([]TenantSpec{{ID: 1, EventCap: cap}, {ID: 2}}))
