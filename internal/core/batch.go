@@ -372,7 +372,7 @@ func (b *Batch) flowCtxFor(flows *flow.Table, st *staged) (*flowCtx, bool) {
 		fc = &b.flows[b.clock&(flowCacheWays-1)]
 		b.clock++
 	}
-	*fc = flowCtx{kHi: st.kHi, kLo: st.kLo, h: h, gen: gen, used: ok}
+	fc.kHi, fc.kLo, fc.h, fc.gen, fc.used = st.kHi, st.kLo, h, gen, ok
 	if !ok {
 		return nil, false
 	}
@@ -383,8 +383,9 @@ func (b *Batch) flowCtxFor(flows *flow.Table, st *staged) (*flowCtx, bool) {
 // classified returns the context of a packet whose flow the full
 // Classify found, built from the handle it returned, with no probe.
 func (b *Batch) classified(h flow.Handle) *flowCtx {
-	b.scratch = flowCtx{h: h, used: true}
-	return &b.scratch
+	fc := &b.scratch
+	fc.kHi, fc.kLo, fc.h, fc.gen, fc.used = 0, 0, h, 0, true
+	return fc
 }
 
 // account folds one finished packet into the batch-local deltas and

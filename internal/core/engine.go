@@ -411,7 +411,7 @@ func (e *Engine) slowPath(h flow.Handle, pkt *packet.Packet, recording bool, res
 			return fmt.Errorf("%w: %s: %w", ErrNFFailed, nf.Name(), err)
 		}
 		if len(ctx.acts) > nActs || len(ctx.funcs) > nFuncs || ctx.fwd {
-			t.spans[i] = ctx.span(nActs, nFuncs)
+			ctx.span(&t.spans[i], nActs, nFuncs)
 		}
 		if v == VerdictDrop {
 			verdict = VerdictDrop

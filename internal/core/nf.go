@@ -199,20 +199,27 @@ func (c *Ctx) AddHeaderAction(a mat.HeaderAction) error {
 	if err := a.Validate(); err != nil {
 		return fmt.Errorf("core: %s: %w", c.nf, err)
 	}
+	// An NF's first action, a forward, is held back (fwd): if it stays
+	// the NF's only one, its span is the shared lone forward.
+	if c.lay != nil && a.Kind == mat.ActionForward && !c.fwd && len(c.acts) == c.mark && a.Equal(mat.Forward()) {
+		c.fwd = true
+		return nil
+	}
+	*c.next() = a
+	return nil
+}
+
+// next appends an action to the recording, after the held-back forward
+// if there is one, and returns it zeroed, to be written in place.
+func (c *Ctx) next() *mat.HeaderAction {
 	if c.lay != nil {
-		// An NF's first action, a forward, is held back (fwd): if it
-		// stays the NF's only one, its span is the shared lone forward.
-		if a.Kind == mat.ActionForward && !c.fwd && len(c.acts) == c.mark && a.Equal(mat.Forward()) {
-			c.fwd = true
-			return nil
-		}
 		c.own()
 		if c.fwd {
-			c.acts, c.fwd = append(c.acts, mat.Forward()), false
+			c.acts, c.fwd = append(c.acts, mat.HeaderAction{Kind: mat.ActionForward}), false
 		}
 	}
-	c.acts = append(c.acts, a)
-	return nil
+	c.acts = append(c.acts, mat.HeaderAction{})
+	return &c.acts[len(c.acts)-1]
 }
 
 // own gives an engine traversal's recording its set-up block, on the
@@ -225,33 +232,39 @@ func (c *Ctx) own() {
 	}
 }
 
-// span is the Local MAT entry of the NF that recorded from the
-// recording buffers' positions nActs and nFuncs on: capacity-limited, so
-// it never grows into the next NF's, and with non-nil actions.
-func (c *Ctx) span(nActs, nFuncs int) mat.LocalRule {
-	r := mat.LocalRule{Actions: c.acts[nActs:len(c.acts):len(c.acts)], Funcs: c.funcs[nFuncs:len(c.funcs):len(c.funcs)]}
+// span writes into r, in place, the Local MAT entry of the NF that
+// recorded from the recording buffers' positions nActs and nFuncs on:
+// capacity-limited, so it never grows into the next NF's, and with
+// non-nil actions.
+func (c *Ctx) span(r *mat.LocalRule, nActs, nFuncs int) {
+	r.Actions, r.Funcs = c.acts[nActs:len(c.acts):len(c.acts)], c.funcs[nFuncs:len(c.funcs):len(c.funcs)]
 	switch {
 	case c.fwd:
 		r.Actions = event.LoneForward()
 	case r.Actions == nil:
 		r.Actions = []mat.HeaderAction{}
 	}
-	return r
 }
 
 // AddModify records a modify of field f to value (localmat_add_HA, as
 // AddHeaderAction(mat.Modify(f, value)) does) without a copy of its own:
 // the value goes into the traversal's recording buffer, so the caller may
 // reuse its storage, and with the recording into the flow's set-up
-// block.
+// block, in place (DESIGN §16, "Stores in place").
 func (c *Ctx) AddModify(f packet.Field, value []byte) error {
 	if !c.recording {
 		return nil
 	}
+	c.Charge(c.Model.RecordHA)
+	if err := mat.ValidateModify(f, value); err != nil {
+		return fmt.Errorf("core: %s: %w", c.nf, err)
+	}
 	c.own()
 	n := len(c.vals)
 	c.vals = append(c.vals, value...)
-	return c.AddHeaderAction(mat.HeaderAction{Kind: mat.ActionModify, Field: f, Value: c.vals[n:len(c.vals):len(c.vals)]})
+	a := c.next()
+	a.Kind, a.Field, a.Value = mat.ActionModify, f, c.vals[n:len(c.vals):len(c.vals)]
+	return nil
 }
 
 // declared checks that the calling NF declares state function (event,

@@ -18,50 +18,71 @@ func (f *forwarder) Process(ctx *Ctx, pkt *packet.Packet) (Verdict, error) {
 	return VerdictForward, ctx.AddHeaderAction(mat.Forward())
 }
 
-// wideBatch is the repository benchmark's wide shape without its
-// module: 32 768 established UDP flows through three forwarders. It
-// returns a pass of one packet of each flow in 32-packet vectors, so
-// every packet misses the worker's flow contexts and most CPU caches
-// and its cost is the flow lookup, the rule and the entry's
-// bookkeeping; and the packets a pass drives.
-func wideBatch(tb testing.TB) (step func(), n int) {
-	const flows, vec = 32768, DefaultBatchSize
+// forwardBatch drives established UDP flows through three forwarders in
+// 32-packet vectors: a pass is perFlow rounds of one packet of each flow,
+// interleaved, every rule plain, so a fast-path packet is served from its
+// flow entry's summary (DESIGN §16, "The plain summary"). It returns the
+// pass, after a set-up pass in which every flow records and installs its
+// rule, and the packets a pass drives.
+func forwardBatch(tb testing.TB, flows, perFlow int) (step func(), n int) {
+	const vec = DefaultBatchSize
 	eng, err := NewEngine([]NF{&forwarder{"fw1"}, &forwarder{"fw2"}, &forwarder{"fw3"}}, DefaultOptions())
 	if err != nil {
 		tb.Fatal(err)
 	}
-	pkts := make([]*packet.Packet, flows)
+	pkts := make([]*packet.Packet, flows*perFlow)
 	for i := range pkts {
+		f := i % flows
 		pkts[i] = packet.MustBuild(packet.Spec{
-			SrcIP: packet.IP4(10, 0, byte(i>>8), byte(i)), DstIP: packet.IP4(10, 1, 0, 1),
-			SrcPort: uint16(1024 + i), DstPort: 53, Proto: packet.ProtoUDP, Payload: []byte("wide"),
+			SrcIP: packet.IP4(10, 0, byte(f>>8), byte(f)), DstIP: packet.IP4(10, 1, 0, 1),
+			SrcPort: uint16(1024 + f), DstPort: 53, Proto: packet.ProtoUDP, Payload: []byte("wide"),
 		})
 	}
 	bat := NewBatch(vec)
 	pass := func() {
-		for off := 0; off < flows; off += vec {
-			if _, err := eng.ProcessBatch(pkts[off:off+vec], bat); err != nil {
+		for off := 0; off < len(pkts); off += vec {
+			if _, err := eng.ProcessBatch(pkts[off:min(off+vec, len(pkts))], bat); err != nil {
 				tb.Fatal(err)
 			}
 		}
 	}
 	pass() // set-up: every flow records and installs its rule
-	if st := eng.Stats(); st.Consolidations != flows {
+	if st := eng.Stats(); st.Consolidations != uint64(flows) {
 		tb.Fatalf("set-up consolidated %d flows, want %d", st.Consolidations, flows)
 	}
 	tb.Cleanup(func() {
-		if st := eng.Stats(); st.FastPath+flows < st.Packets {
-			tb.Errorf("%d fast-path packets of %d after set-up", st.FastPath, st.Packets-flows)
+		if st := eng.Stats(); st.FastPath+uint64(flows) < st.Packets {
+			tb.Errorf("%d fast-path packets of %d after set-up", st.FastPath, st.Packets-uint64(flows))
 		}
 	})
-	return pass, flows
+	return pass, len(pkts)
 }
+
+// wideBatch is the repository benchmark's wide shape without its
+// module: 32 768 established flows, one packet each a pass, so every
+// packet misses the worker's flow contexts and most CPU caches and its
+// cost is the flow lookup, the rule and the entry's bookkeeping.
+func wideBatch(tb testing.TB) (step func(), n int) { return forwardBatch(tb, 32768, 1) }
 
 // BenchmarkWideBatch times wideBatch's passes. b.N counts packets, so
 // allocs/op reads allocations per packet; TestWideBatchAllocatesNothing
 // holds them at 0.
 func BenchmarkWideBatch(b *testing.B) {
-	step, n := wideBatch(b)
+	benchPasses(b, wideBatch)
+}
+
+// BenchmarkHotBatch is the repository benchmark's hot shape without its
+// module: 4 flows of 512 packets, interleaved, so every packet hits the
+// worker's flow contexts and its cost is the per-packet path itself:
+// context rebuilds, the summary's read and the vector's bookkeeping.
+// b.N counts packets.
+func BenchmarkHotBatch(b *testing.B) {
+	benchPasses(b, func(tb testing.TB) (func(), int) { return forwardBatch(tb, 4, 512) })
+}
+
+// benchPasses times a fixture's passes, b.N counting packets.
+func benchPasses(b *testing.B, fixture func(testing.TB) (func(), int)) {
+	step, n := fixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i += n {

@@ -102,13 +102,7 @@ func (a HeaderAction) Validate() error {
 	case ActionForward, ActionDrop:
 		return nil
 	case ActionModify:
-		if !a.Field.Valid() {
-			return fmt.Errorf("mat: modify with invalid field %d", int(a.Field))
-		}
-		if len(a.Value) != a.Field.Size() {
-			return fmt.Errorf("mat: modify %v needs %d bytes, got %d", a.Field, a.Field.Size(), len(a.Value))
-		}
-		return nil
+		return ValidateModify(a.Field, a.Value)
 	case ActionEncap:
 		if !knownHeader(a.Header.Type) {
 			return fmt.Errorf("mat: encap with unknown header type %d", int(a.Header.Type))
@@ -122,6 +116,17 @@ func (a HeaderAction) Validate() error {
 	default:
 		return fmt.Errorf("mat: invalid action kind %d", int(a.Kind))
 	}
+}
+
+// ValidateModify is Validate of a modify of field f to value.
+func ValidateModify(f packet.Field, value []byte) error {
+	if !f.Valid() {
+		return fmt.Errorf("mat: modify with invalid field %d", int(f))
+	}
+	if len(value) != f.Size() {
+		return fmt.Errorf("mat: modify %v needs %d bytes, got %d", f, f.Size(), len(value))
+	}
+	return nil
 }
 
 // String renders the action in the paper's notation, e.g.

@@ -28,6 +28,36 @@ func BenchmarkParse(b *testing.B) {
 	}
 }
 
+// BenchmarkParseVector parses 32-packet vectors the way the daemon's
+// pump and the repository benchmark's receive step do: 32 reused
+// descriptors, each loaded with SetFrame and then parsed. The frames are
+// UDP, of 4 flows interleaved. b.N counts packets.
+func BenchmarkParseVector(b *testing.B) {
+	const vec = 32
+	frames := make([][]byte, vec)
+	pkts := make([]*Packet, vec)
+	for i := range frames {
+		frames[i] = MustBuild(Spec{
+			SrcIP: IP4(10, 0, 0, byte(i%4)), DstIP: IP4(10, 1, 0, 1),
+			SrcPort: uint16(1024 + i%4), DstPort: 53, Proto: ProtoUDP,
+			Payload: make([]byte, 64),
+		}).Data()
+		pkts[i] = new(Packet)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n += vec {
+		for i, p := range pkts {
+			p.SetFrame(frames[i])
+		}
+		for _, p := range pkts {
+			if err := p.Parse(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkFinalizeChecksums measures the full recompute of both
 // checksums over a 512-byte payload. It is Build's cost — trace
 // generation's — and no per-packet path's: header rewrites patch by

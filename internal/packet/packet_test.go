@@ -501,3 +501,54 @@ func TestPacketString(t *testing.T) {
 		t.Errorf("dropped: %q, want %q", got, want)
 	}
 }
+
+// TestFailedParseKeepsPriorParse: Parse stores its headers only once the
+// frame has passed every check, so a parse that fails leaves the
+// descriptor reading exactly as the last one that succeeded.
+func TestFailedParseKeepsPriorParse(t *testing.T) {
+	p := MustBuild(sampleSpec())
+	if err := p.EncapVLAN(7); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.EncapAH(0x1234, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Parse(); err != nil {
+		t.Fatal(err)
+	}
+	hdr, _ := p.Headers()
+	if hdr.VLANs != 1 || hdr.AHCount != 1 {
+		t.Fatalf("headers %+v, want one VLAN tag and one AH", hdr)
+	}
+	hi, lo, _ := p.FlowKey()
+	tests := []struct {
+		name    string
+		at      int
+		corrupt []byte
+		want    string
+	}{
+		{"ip version", hdr.IPOff, []byte{0x65}, "packet: unsupported protocol: ip version 6"},
+		{"total length past the frame", hdr.IPOff + 2, []byte{0xff, 0xff}, "packet: truncated frame: ip total length 65535 exceeds frame"},
+		{"unknown ethertype", 12, []byte{0x86, 0xdd}, "packet: unsupported protocol: ethertype 0x86dd"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			b := p.Data()[tt.at : tt.at+len(tt.corrupt)]
+			orig := append([]byte(nil), b...)
+			copy(b, tt.corrupt)
+			defer copy(b, orig)
+			if err := p.Parse(); err == nil || err.Error() != tt.want {
+				t.Fatalf("Parse = %v, want %q", err, tt.want)
+			}
+			if got, ok := p.Headers(); got != hdr || !ok {
+				t.Errorf("Headers() = %+v, %v after the failed parse, want %+v, true", got, ok, hdr)
+			}
+			if !p.Parsed() {
+				t.Error("Parsed() = false after the failed parse")
+			}
+			if gotHi, gotLo, ok := p.FlowKey(); gotHi != hi || gotLo != lo || !ok {
+				t.Errorf("FlowKey() = %#x, %#x, %v, want %#x, %#x, true", gotHi, gotLo, ok, hi, lo)
+			}
+		})
+	}
+}

@@ -11,12 +11,12 @@ import (
 //
 // Parse is the functional counterpart of the parse step every NF in an
 // unconsolidated chain repeats (redundancy R1 in the paper, §II-A);
-// cycle accounting for it lives in the callers.
+// cycle accounting for it lives in the callers. A failing parse leaves
+// the descriptor as it was.
 func (p *Packet) Parse() error {
 	if p.dropped {
 		return ErrDropped
 	}
-	var h Headers
 	data := p.data
 	if len(data) < EthHeaderLen {
 		return fmt.Errorf("%w: %d bytes, need %d for ethernet", ErrTruncated, len(data), EthHeaderLen)
@@ -24,26 +24,26 @@ func (p *Packet) Parse() error {
 
 	// L2: Ethernet plus any stack of 802.1Q tags.
 	off := 12 // EtherType position
+	vlans := 0
 	etherType := binary.BigEndian.Uint16(data[off : off+2])
 	for etherType == EtherTypeVLAN {
 		if len(data) < off+2+VLANTagLen {
 			return fmt.Errorf("%w: truncated VLAN tag", ErrTruncated)
 		}
-		h.VLANs++
+		vlans++
 		off += VLANTagLen
 		etherType = binary.BigEndian.Uint16(data[off : off+2])
 	}
 	if etherType != EtherTypeIPv4 {
 		return fmt.Errorf("%w: ethertype 0x%04x", ErrUnsupported, etherType)
 	}
-	h.L2Len = off + 2
-	h.IPOff = h.L2Len
+	ipOff := off + 2
 
 	// L3: IPv4, no options.
-	if len(data) < h.IPOff+IPv4HeaderLen {
-		return fmt.Errorf("%w: %d bytes, need %d for ipv4", ErrTruncated, len(data), h.IPOff+IPv4HeaderLen)
+	if len(data) < ipOff+IPv4HeaderLen {
+		return fmt.Errorf("%w: %d bytes, need %d for ipv4", ErrTruncated, len(data), ipOff+IPv4HeaderLen)
 	}
-	vihl := data[h.IPOff]
+	vihl := data[ipOff]
 	if vihl>>4 != 4 {
 		return fmt.Errorf("%w: ip version %d", ErrUnsupported, vihl>>4)
 	}
@@ -51,24 +51,24 @@ func (p *Packet) Parse() error {
 	if ihl != IPv4HeaderLen {
 		return fmt.Errorf("%w: ipv4 options (ihl=%d)", ErrUnsupported, ihl)
 	}
-	totLen := int(binary.BigEndian.Uint16(data[h.IPOff+2 : h.IPOff+4]))
-	if h.IPOff+totLen > len(data) || totLen < IPv4HeaderLen {
+	totLen := int(binary.BigEndian.Uint16(data[ipOff+2 : ipOff+4]))
+	if ipOff+totLen > len(data) || totLen < IPv4HeaderLen {
 		return fmt.Errorf("%w: ip total length %d exceeds frame", ErrTruncated, totLen)
 	}
 
 	// AH stack, then transport.
-	proto := data[h.IPOff+9]
-	off = h.IPOff + IPv4HeaderLen
+	proto := data[ipOff+9]
+	off = ipOff + IPv4HeaderLen
+	ahs := 0
 	for proto == ProtoAH {
 		if len(data) < off+AHHeaderLen {
 			return fmt.Errorf("%w: truncated AH header", ErrTruncated)
 		}
-		h.AHCount++
+		ahs++
 		proto = data[off] // AH next-header field
 		off += AHHeaderLen
 	}
-	h.L4Off = off
-	h.L4Proto = proto
+	var payOff int
 	switch proto {
 	case ProtoTCP:
 		if len(data) < off+TCPHeaderLen {
@@ -78,21 +78,27 @@ func (p *Packet) Parse() error {
 		if dataOff < TCPHeaderLen || len(data) < off+dataOff {
 			return fmt.Errorf("%w: bad TCP data offset %d", ErrTruncated, dataOff)
 		}
-		h.PayloadOff = off + dataOff
+		payOff = off + dataOff
 	case ProtoUDP:
 		if len(data) < off+UDPHeaderLen {
 			return fmt.Errorf("%w: truncated UDP header", ErrTruncated)
 		}
-		h.PayloadOff = off + UDPHeaderLen
+		payOff = off + UDPHeaderLen
 	default:
 		return fmt.Errorf("%w: ip protocol %d", ErrUnsupported, proto)
 	}
-	h.End = h.IPOff + totLen
-	if h.PayloadOff > h.End {
+	end := ipOff + totLen
+	if payOff > end {
 		return fmt.Errorf("%w: ip total length %d cuts the transport header", ErrTruncated, totLen)
 	}
 
-	p.hdr = h
+	// Every check passed: store field by field. A Headers built on the
+	// stack and copied whole would be reloaded in 16-byte halves of its
+	// 8-byte stores, which the store buffer cannot forward (DESIGN §16,
+	// "Stores in place").
+	h := &p.hdr
+	h.L2Len, h.VLANs, h.IPOff, h.AHCount = ipOff, vlans, ipOff, ahs
+	h.L4Off, h.L4Proto, h.PayloadOff, h.End = off, proto, payOff, end
 	p.parsed = true
 	return nil
 }
