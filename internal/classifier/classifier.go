@@ -96,22 +96,32 @@ func (c *Classifier) Flows() *flow.Table { return c.flows }
 // before consolidation completes: each is treated as (re-)initial and
 // traverses the original chain, which is always safe.
 func (c *Classifier) Classify(pkt *packet.Packet, hasRule func(flow.Handle) bool) (Result, error) {
+	var res Result
+	err := c.ClassifyIn(pkt, hasRule, &res)
+	return res, err
+}
+
+// ClassifyIn is Classify filling res, which it zeroes first, in place:
+// the engine's caller reads the fields where they were stored, with no
+// copy of a returned value.
+func (c *Classifier) ClassifyIn(pkt *packet.Packet, hasRule func(flow.Handle) bool, res *Result) error {
+	*res = Result{}
 	if !pkt.Parsed() {
 		if err := pkt.Parse(); err != nil {
-			return Result{}, fmt.Errorf("classifier: %w", err)
+			return fmt.Errorf("classifier: %w", err)
 		}
 	}
 	hi, lo, _ := pkt.FlowKey() // parsed: always ok
 
 	h, existed, err := c.flows.InsertKey(hi, lo)
 	if err != nil {
-		return Result{}, fmt.Errorf("classifier: %w", err)
+		return fmt.Errorf("classifier: %w", err)
 	}
 	fid := h.FID()
 	pkt.Meta.FID = uint32(fid)
 	pkt.Meta.HasFID = true
 
-	res := Result{FID: fid, Handle: h, NewFlow: !existed}
+	res.FID, res.Handle, res.NewFlow = fid, h, !existed
 
 	flags, isTCP := pkt.TCPFlags()
 	final := isTCP && flags&(packet.TCPFlagFIN|packet.TCPFlagRST) != 0
@@ -146,7 +156,7 @@ func (c *Classifier) Classify(pkt *packet.Packet, hasRule func(flow.Handle) bool
 	h.SetState(next, c.flows.Seen())
 
 	if res.Kind != 0 {
-		return res, nil // already decided (handshake-completing ACK)
+		return nil // already decided (handshake-completing ACK)
 	}
 	switch {
 	case final:
@@ -160,7 +170,7 @@ func (c *Classifier) Classify(pkt *packet.Packet, hasRule func(flow.Handle) bool
 		pkt.Meta.Initial = true
 		res.Kind = KindInitial
 	}
-	return res, nil
+	return nil
 }
 
 // ClassifyData is the fast classification of one packet. It handles the

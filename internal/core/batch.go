@@ -530,8 +530,8 @@ func (e *Engine) process(pkt *packet.Packet, st *staged, info *FastPathInfo, res
 	} else {
 		// Unparseable, handshake, FIN/RST, untracked or not-yet-
 		// established flow: the full state machine.
-		cls, err := e.classify(pkt)
-		if err != nil {
+		var cls classifier.Result
+		if err := e.classify(pkt, &cls); err != nil {
 			return err
 		}
 		fid, kind = cls.FID, cls.Kind

@@ -112,12 +112,14 @@ func (e *Engine) CheckRecords() error {
 }
 
 // sameRule reports whether r is built, the rule its recording builds:
-// the same program, verdict, batches, guards and price.
+// the same program, verdict, batches, guards and price, its plan's
+// charge included.
 func sameRule(r, built *mat.GlobalRule) bool {
 	g, bg := r.Guards, built.Guards
 	for ; g != nil && bg != nil && g.Ref == bg.Ref && g.Word == bg.Word && g.AtLeast == bg.AtLeast; g, bg = g.Next, bg.Next {
 	}
 	return g == nil && bg == nil && string(r.Prog) == string(built.Prog) && r.Drop == built.Drop &&
 		r.FixedCycles == built.FixedCycles && r.HeaderCycles == built.HeaderCycles &&
-		slices.EqualFunc(r.Batches, built.Batches, func(a, b sfunc.Batch) bool { return a.At == b.At && slices.Equal(a.Calls, b.Calls) })
+		(r.Plan == nil) == (built.Plan == nil) && (r.Plan == nil || r.Plan.Charge == built.Plan.Charge) &&
+		slices.EqualFunc(r.Batches, built.Batches, func(a, b sfunc.Batch) bool { return a.At == b.At && slices.Equal(a.Calls(), b.Calls()) })
 }

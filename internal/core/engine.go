@@ -279,17 +279,18 @@ func (e *Engine) Stats() Stats {
 // Faults returns the engine's fault injector, nil when disabled.
 func (e *Engine) Faults() *fault.Injector { return e.faults }
 
-// classify runs the Packet Classifier on one packet; the clock tick is
-// ProcessBatch's to count (Engine.publish). A SYN restarting a tracked
-// flow (5-tuple reuse without FIN/RST) tears the previous connection's
-// rule, recording, events and NF state down here, or its established
-// packets would run the old connection's recorded actions.
-func (e *Engine) classify(pkt *packet.Packet) (classifier.Result, error) {
-	res, err := e.class.Classify(pkt, e.serves)
+// classify runs the Packet Classifier on one packet, filling res in
+// place; the clock tick is ProcessBatch's to count (Engine.publish). A
+// SYN restarting a tracked flow (5-tuple reuse without FIN/RST) tears
+// the previous connection's rule, recording, events and NF state down
+// here, or its established packets would run the old connection's
+// recorded actions.
+func (e *Engine) classify(pkt *packet.Packet, res *classifier.Result) error {
+	err := e.class.ClassifyIn(pkt, e.serves, res)
 	if err == nil && res.Reused {
 		e.resetReusedFlow(res.Handle)
 	}
-	return res, err
+	return err
 }
 
 // serves is the classifier's rule question, asked of the handle it has
@@ -565,9 +566,11 @@ type setupBlock struct {
 }
 
 // price works out what a packet served from the rule is charged, once,
-// before every install: the fast path reads it as two words.
+// before every install: the fast path reads it as two words and, for
+// state functions declared as data, its plan's charge.
 func (e *Engine) price(rule *mat.GlobalRule) {
 	m := e.model
+	rule.Plan.Price(rule.Batches, m.ForkJoin, e.opts.ParallelSF)
 	rule.FixedCycles = m.HashFID + m.FastPathBase + m.EventCheck + m.GMATLookup
 	if !rule.Drop {
 		rule.FixedCycles += m.FastPathPerHA * uint64(len(rule.Spans))
@@ -663,25 +666,23 @@ func (e *Engine) fastPathInto(fc *flowCtx, rule *mat.GlobalRule, pkt *packet.Pac
 	// the chain: payload-facing functions (the only kind with data
 	// dependencies, per Table I) see the same bytes as on the original
 	// path, and for consolidated drops the upstream NFs' functions
-	// still observe the packet before it is discarded.
-	if len(rule.Batches) > 0 {
-		var exec sfunc.ExecResult
+	// still observe the packet before it is discarded. Functions all
+	// declared as data are their adds, at the charge priced at install.
+	if x := rule.Plan; x != nil {
 		var err error
-		if e.opts.ParallelSF {
-			exec, err = rule.Plan.Execute(rule.Batches, pkt, m.ForkJoin)
-		} else {
-			exec, err = sfunc.ExecuteSequential(rule.Batches, pkt)
+		switch {
+		case x.Priced():
+			x.Add(pkt)
+			info.SF = x.Charge.SF
+		case e.opts.ParallelSF:
+			info.SF, err = x.Execute(rule.Batches, pkt, m.ForkJoin)
+		default:
+			info.SF, err = sfunc.ExecuteSequential(rule.Batches, pkt)
 		}
 		if err != nil {
 			return err
 		}
-		info.SF = exec
-		info.BatchCount = len(rule.Batches)
-		if e.opts.ParallelSF {
-			// Worker dispatch overhead; sequential execution stays
-			// inline and pays nothing extra.
-			info.DispatchCycles = m.ForkJoin / 2 * uint64(len(rule.Batches))
-		}
+		info.DispatchCycles, info.BatchCount = x.Charge.Dispatch, x.Charge.Batches
 	}
 
 	// Consolidated header work (functionally always the consolidated

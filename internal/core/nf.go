@@ -12,9 +12,10 @@
 //	localmat_add_SF(fid, h, t, a)-> Ctx.AddStateFunc(i)
 //	register_event(fid, c, a, u) -> Ctx.RegisterEvent(i)
 //
-// The handler h (or condition c — a word of a and a threshold — and
-// update u) is declared once, by index, on the NF's FlowStates; the
-// argument a is the flow's words on its record (state.go): data.
+// The state function h — adds to a's words and a price, or a handler —
+// (or condition c — a word of a and a threshold — and update u) is
+// declared once, by index, on the NF's FlowStates; the argument a is the
+// flow's words on its record (state.go): data.
 package core
 
 import (

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync/atomic"
@@ -11,6 +12,7 @@ import (
 	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/mat"
 	"github.com/fastpathnfv/speedybox/internal/packet"
+	"github.com/fastpathnfv/speedybox/internal/sfunc"
 	"github.com/fastpathnfv/speedybox/internal/wal"
 )
 
@@ -281,5 +283,111 @@ func TestPriceSurvivesRestoreAndReconsolidation(t *testing.T) {
 	fresh.Global().Install(&unpriced)
 	if err := fresh.CheckRecords(); err == nil || !strings.Contains(err.Error(), "carries no price") {
 		t.Errorf("CheckRecords over an unpriced live rule = %v", err)
+	}
+}
+
+// TestDataChargeMatchesExecute is the one pricing formula's property: for
+// random Table-I mixes of state functions declared as data, under both
+// ParallelSF settings, the charge Engine.price works out before the
+// install is what Execute (parallel) or ExecuteSequential (sequential)
+// charges for the same batches, and the flat loop of adds the fast path
+// runs instead leaves the flow's words as a run does. A rule with a
+// handler among its functions is not priced: it runs Execute.
+func TestDataChargeMatchesExecute(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	classes := []sfunc.PayloadClass{sfunc.ClassIgnore, sfunc.ClassRead, sfunc.ClassWrite}
+	prices := []cost.Price{cost.CounterUpdate, cost.ConnTrackLookup}
+	pkt := packet.MustBuild(packet.Spec{
+		SrcIP: packet.IP4(10, 0, 0, 1), DstIP: packet.IP4(10, 0, 0, 2),
+		SrcPort: 1234, DstPort: 80, Proto: packet.ProtoUDP, Payload: []byte("charged"),
+	})
+	handler := sfunc.Func{Name: "handler", Class: sfunc.ClassRead,
+		Run: func(a sfunc.Args, _ *packet.Packet) (uint64, error) { return a.Model.InspectBase, nil }}
+	shared := 0 // parallel trials with a shared stage beside another
+	for trial := 0; trial < 400; trial++ {
+		m := cost.DefaultModel()
+		m.ForkJoin, m.CounterUpdate, m.ConnTrackLookup = 1+rng.Uint64()%500, 1+rng.Uint64()%500, 1+rng.Uint64()%500
+		parallel, mixed := trial%2 == 0, trial%5 == 4
+		e := &Engine{model: m, opts: Options{EnableSpeedyBox: true, ConsolidateHeaders: true, ParallelSF: parallel}}
+		contribs := make([]mat.Contribution, 1+rng.Intn(6))
+		for i := range contribs {
+			words := 1 + rng.Intn(3)
+			funcs := make([]sfunc.Func, 1+rng.Intn(3))
+			for j := range funcs {
+				f := &funcs[j]
+				f.Name, f.Class, f.Price = fmt.Sprintf("f%d", j), classes[rng.Intn(3)], prices[rng.Intn(2)]
+				for k := rng.Intn(3); k > 0; k-- {
+					f.Adds = append(f.Adds, sfunc.Add{Word: uint8(rng.Intn(words)), Operand: sfunc.Operand(1 + rng.Intn(2))})
+				}
+			}
+			calls := []uint8{uint8(rng.Intn(len(funcs)))}
+			for k := rng.Intn(3); k > 0; k-- {
+				calls = append(calls, uint8(rng.Intn(len(funcs))))
+			}
+			if mixed && i == len(contribs)-1 {
+				funcs = append(funcs, handler)
+				calls = append(calls, uint8(len(funcs)-1))
+			}
+			name := fmt.Sprintf("nf%d", i)
+			contribs[i] = mat.Contribution{NF: name,
+				Rule:  &mat.LocalRule{Actions: []mat.HeaderAction{mat.Forward()}, Funcs: calls},
+				Site:  &sfunc.Site{NF: name, At: i, Funcs: funcs, Model: m},
+				State: make(sfunc.State, words)}
+		}
+		rule, err := mat.Consolidate(1, contribs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.price(rule)
+		x := rule.Plan
+		if parallel && x.ParallelStages() > 0 && x.Len() > 1 {
+			shared++
+		}
+		var run sfunc.ExecResult
+		if parallel {
+			run, err = x.Execute(rule.Batches, pkt, m.ForkJoin)
+		} else {
+			run, err = sfunc.ExecuteSequential(rule.Batches, pkt)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		dispatch := uint64(0)
+		if parallel {
+			dispatch = m.ForkJoin / 2 * uint64(len(rule.Batches))
+		}
+		if x.Charge.Dispatch != dispatch || x.Charge.Batches != len(rule.Batches) {
+			t.Fatalf("trial %d: charged dispatch %d for %d batches, want %d for %d",
+				trial, x.Charge.Dispatch, x.Charge.Batches, dispatch, len(rule.Batches))
+		}
+		if mixed {
+			if x.Priced() {
+				t.Fatalf("trial %d: a rule with a handler is priced %+v", trial, x.Charge.SF)
+			}
+			continue
+		}
+		if !x.Priced() || x.Charge.SF != run {
+			t.Fatalf("trial %d (parallel %v, plan %v): priced %+v, a run charges %+v", trial, parallel, x, x.Charge.SF, run)
+		}
+		// The run added each word's due once; the flat loop adds it again.
+		var once [][]uint64
+		for _, c := range contribs {
+			var ws []uint64
+			for i := range c.State {
+				ws = append(ws, c.State[i].Load())
+			}
+			once = append(once, ws)
+		}
+		x.Add(pkt)
+		for i, c := range contribs {
+			for w := range c.State {
+				if got := c.State[w].Load(); got != 2*once[i][w] {
+					t.Fatalf("trial %d: %s word %d is %d after a run and the adds, want %d", trial, c.NF, w, got, 2*once[i][w])
+				}
+			}
+		}
+	}
+	if shared == 0 {
+		t.Error("no parallel trial had a shared stage beside another: the fork/join charge went untested")
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -19,8 +18,10 @@ import (
 
 // packetPath are the functions a fast-path packet runs, by the symbol
 // objdump prints: the receive step's parse, the vector's staged lookup,
-// the per-packet ladder's fast arms and the rule's execution, and the
-// recorded modify a set-up's NFs call once per rewritten field.
+// the per-packet ladder — every arm of it, the full classification of a
+// handshake, untracked or unparsed packet filling its result in place —
+// and the rule's execution, and the recorded modify a set-up's NFs call
+// once per rewritten field.
 var packetPath = []string{
 	"packet.(*Packet).Parse",
 	"core.(*Engine).stage",
@@ -43,11 +44,6 @@ var inlinedHelpers = []struct{ file, decl, sym string }{
 	{"batch.go", "Engine.classifyFast", "core.(*Engine).classifyFast"},
 	{"batch.go", "Batch.classified", "core.(*Batch).classified"},
 }
-
-// slowArm is the text of the one scanned line only the slow path runs:
-// the full classification of a handshake, untracked or unparsed packet
-// returns its classifier.Result by value, outside process's fast arms.
-const slowArm = "cls, err := e.classify(pkt)"
 
 // stackReload is a 16-byte load from the frame: the copy out of a stack
 // temporary (DESIGN §16, "Stores in place").
@@ -106,7 +102,7 @@ func TestPacketPathCopiesNoStackTemporary(t *testing.T) {
 		}
 		pos, asm := f[0], strings.Join(f[3:], " ")
 		lines[pos] = true
-		if stackReload.MatchString(asm) && !onSlowArm(pos) {
+		if stackReload.MatchString(asm) {
 			t.Errorf("%s: %s at %s reloads a stack temporary", sym, asm, pos)
 		}
 	}
@@ -120,21 +116,6 @@ func TestPacketPathCopiesNoStackTemporary(t *testing.T) {
 			t.Errorf("%s has no body of its own and no scanned function inlines it", h.sym)
 		}
 	}
-}
-
-// onSlowArm reports whether the scanned position "file.go:N" is the
-// slow arm's line of this package.
-func onSlowArm(pos string) bool {
-	file, n, ok := splitPos(pos)
-	if !ok {
-		return false
-	}
-	src, err := os.ReadFile(file)
-	if err != nil {
-		return false
-	}
-	text := strings.Split(string(src), "\n")
-	return n <= len(text) && strings.TrimSpace(text[n-1]) == slowArm
 }
 
 // scanned reports whether some scanned instruction is on the lines of
@@ -175,14 +156,4 @@ func declName(fn *ast.FuncDecl) string {
 		return id.Name + "." + fn.Name.Name
 	}
 	return fn.Name.Name
-}
-
-// splitPos splits objdump's "file.go:N".
-func splitPos(pos string) (string, int, bool) {
-	i := strings.LastIndexByte(pos, ':')
-	if i < 0 {
-		return "", 0, false
-	}
-	n, err := strconv.Atoi(pos[i+1:])
-	return pos[:i], n, err == nil && n > 0
 }

@@ -238,6 +238,35 @@ func (m *Model) Validate() error {
 	return nil
 }
 
+// Price names one of the model's work primitives, so a state function
+// declared as data (sfunc.Func) is charged what the engine's model
+// prices, by name, and no NF code computes its cost.
+type Price uint8
+
+// The primitives a declared state function may be priced at. The zero
+// Price names none.
+const (
+	// CounterUpdate is Model.CounterUpdate: Monitor's count.
+	CounterUpdate Price = iota + 1
+	// ConnTrackLookup is Model.ConnTrackLookup: Maglev's
+	// connection-tracking touch.
+	ConnTrackLookup
+)
+
+// Valid reports whether p names a primitive.
+func (p Price) Valid() bool { return p >= CounterUpdate && p <= ConnTrackLookup }
+
+// Cycles returns the cycles of the primitive p names, 0 for none.
+func (m *Model) Cycles(p Price) uint64 {
+	switch p {
+	case CounterUpdate:
+		return m.CounterUpdate
+	case ConnTrackLookup:
+		return m.ConnTrackLookup
+	}
+	return 0
+}
+
 // InspectCost returns the payload-inspection cost for n payload bytes.
 func (m *Model) InspectCost(n int) uint64 {
 	return m.InspectBase + m.InspectPerByte*uint64(n)

@@ -16,8 +16,9 @@ import (
 // State is one NF's per-flow state: the 64-bit words the NF declared,
 // all zero until the NF first writes them. The words sit in a block on
 // the flow's Record and never move while the flow lives on its engine,
-// so what an NF records binds them — a state function or an event
-// handler runs on the flow's state itself, with no lookup and no lock.
+// so what an NF records binds them — a state function's adds or handler
+// and an event's condition and update run on the flow's state itself,
+// with no lookup and no lock.
 type State = sfunc.State
 
 func clearState(s State) {

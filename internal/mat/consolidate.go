@@ -61,7 +61,8 @@ var ErrNotConsolidatable = errcode.Sentinel("mat.not_consolidatable", "mat: acti
 //     identical bytes because the five standardized actions only touch
 //     disjoint whole fields — the property tests verify the identity).
 //   - State functions: batched per NF in chain order and scheduled for
-//     parallel execution per Table I.
+//     parallel execution per Table I; the adds of those declared as data
+//     are bound to the flow's words in that order (sfunc.Exec).
 //
 // Trailer fields (checksums) are patched once when the rule is
 // applied rather than once per NF (§V-B, "we modify these fields at
@@ -94,6 +95,9 @@ scan:
 				if c.Site == nil || int(f) >= len(c.Site.Funcs) {
 					return nil, fmt.Errorf("consolidating %v: %s records a state function %d it does not declare", fid, c.NF, f)
 				}
+			}
+			if n > sfunc.MaxBatch || len(c.State) > sfunc.MaxBatch {
+				return nil, fmt.Errorf("consolidating %v: %s records %d calls over %d words, past a batch's %d", fid, c.NF, n, len(c.State), sfunc.MaxBatch)
 			}
 			nBatches++
 			nFuncs += n
@@ -202,26 +206,35 @@ scan:
 			at += len(m.Value)
 		}
 	}
-	if carves {
-		rule.Plan = sfunc.PlanIn(made.plan[:], rule.Batches)
+	if nBatches > 0 {
+		var err error
+		if rule.Plan, err = sfunc.ExecIn(&made.exec, made.plan[:], made.incs[:], rule.Batches); err != nil {
+			return nil, fmt.Errorf("consolidating %v: %w", fid, err)
+		}
 	}
 	return rule, nil
 }
 
 // Room is the storage a rule's slices are carved from, sized for
-// Chain1's — two batches of one function, three modifies, one guard,
-// their plan and program. A rule with none of them needs none.
+// Chain1's — the batches' plan with Monitor's two adds, one guard, the
+// program, two batches of one function, three modifies and the plan's
+// schedule. A rule with none of them needs none. What a fast-path
+// packet of a rule whose functions are all data reads of it comes
+// first, in consecutive lines: the plan's charge and adds, the guard
+// and the program.
 type Room struct {
-	batches [2]sfunc.Batch
-	funcs   [2]uint8
-	mods    [3]FieldValue
+	exec    sfunc.Exec
+	incs    [2]sfunc.Inc
 	guards  [1]Guard
-	plan    [4]uint32 // a plan of two batches
 	prog    [48]byte
+	batches [2]sfunc.Batch
+	mods    [3]FieldValue
+	plan    [4]uint32 // a schedule of two batches
+	funcs   [2]uint8
 }
 
-// ruleBlock is a rule and its room in one allocation, in 512 bytes (the
-// 512-byte size class): what Consolidate makes for a rule that carves.
+// ruleBlock is a rule and its room in one allocation, 584 bytes (the
+// 640-byte size class): what Consolidate makes for a rule that carves.
 type ruleBlock struct {
 	GlobalRule
 	Room

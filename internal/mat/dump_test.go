@@ -47,10 +47,10 @@ func TestGlobalRuleString(t *testing.T) {
 			"batches and version",
 			func() *GlobalRule {
 				r := &GlobalRule{FID: 5, Version: 3, Batches: []sfunc.Batch{
-					{Site: &sfunc.Site{NF: "a", Funcs: []sfunc.Func{{Name: "f", Class: sfunc.ClassRead,
-						Run: func(sfunc.Args, *packet.Packet) (uint64, error) { return 0, nil }}}}, Calls: []uint8{0}},
+					sfunc.NewBatch(&sfunc.Site{NF: "a", Funcs: []sfunc.Func{{Name: "f", Class: sfunc.ClassRead,
+						Run: func(sfunc.Args, *packet.Packet) (uint64, error) { return 0, nil }}}}, []uint8{0}, 5, nil),
 				}}
-				r.Plan = sfunc.Plan(r.Batches)
+				r.Plan, _ = sfunc.ExecIn(nil, nil, nil, r.Batches)
 				return r
 			}(),
 			[]string{"1 SF batch(es) in 1 stage(s)", "[v3]"},

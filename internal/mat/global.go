@@ -17,8 +17,8 @@ import (
 // execution plan.
 type GlobalRule struct {
 	// The fields a packet served from the rule reads come first, so they
-	// share the rule's first cache line or two: Epoch (Global.Live), the
-	// guards, the price, the program and the batches.
+	// share the rule's first cache line: Epoch (Global.Live), the guards,
+	// the price, the program and the batches' plan.
 
 	// Epoch is the chain epoch the rule was consolidated under. A rule
 	// whose epoch differs from the table's current epoch encodes a
@@ -45,14 +45,16 @@ type GlobalRule struct {
 	// program may carry); ExecHeader then falls back to ApplyHeader, the
 	// reference implementation.
 	Prog []byte
+	// Plan is what the fast path runs of Batches (nil: no batch): their
+	// Table-I schedule, the adds of their functions declared as data, and
+	// their charge, priced with the rule's price.
+	Plan *sfunc.Exec
 	// Batches are the per-NF state-function batches in chain order.
 	// For dropped flows these are the batches of NFs up to and
 	// including the dropping NF, so internal state (e.g. Monitor
 	// counters upstream of a Firewall) evolves exactly as on the
 	// original path.
 	Batches []sfunc.Batch
-	// Plan is the Table-I parallel schedule over Batches.
-	Plan sfunc.Schedule
 
 	// FID identifies the flow.
 	FID flow.FID

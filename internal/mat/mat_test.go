@@ -7,6 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"github.com/fastpathnfv/speedybox/internal/cost"
 	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/packet"
 	"github.com/fastpathnfv/speedybox/internal/sfunc"
@@ -396,14 +397,15 @@ func TestGlobalInstallDoesNotRaceSharedPointer(t *testing.T) {
 	}
 }
 
-// TestGlobalRuleSizeClass: a GlobalRule is 216 bytes, in Go's 224-byte
+// TestGlobalRuleSizeClass: a GlobalRule is 200 bytes, in Go's 208-byte
 // size class, and every flow holds one — 32 768 of them on the
 // benchmark's wide workload, where it is the whole of a plain rule's
-// allocation. A field past the spare word costs every flow another 16
-// bytes (240).
+// allocation. Its batches' plan is one pointer into the rule's room (216
+// bytes, in the 224-byte class, while the rule held the schedule). A
+// field past the spare word costs every flow another 16 bytes (224).
 func TestGlobalRuleSizeClass(t *testing.T) {
-	if size := unsafe.Sizeof(GlobalRule{}); size != 216 {
-		t.Errorf("GlobalRule is %d bytes, want 216", size)
+	if size := unsafe.Sizeof(GlobalRule{}); size != 200 {
+		t.Errorf("GlobalRule is %d bytes, want 200", size)
 	}
 }
 
@@ -470,16 +472,42 @@ func TestConsolidateIsOneAllocation(t *testing.T) {
 	}
 }
 
+// TestConsolidateRefusesOversizedBatch: a batch holds its calls and the
+// flow's words as 16-bit lengths, so a contribution past either is
+// refused, not bound cut short; an add to a word the flow does not have
+// is refused too.
+func TestConsolidateRefusesOversizedBatch(t *testing.T) {
+	count := sfunc.Func{Name: "count", Class: sfunc.ClassIgnore, Price: cost.CounterUpdate,
+		Adds: []sfunc.Add{{Word: 1, Operand: sfunc.One}}}
+	fwd := []HeaderAction{Forward()}
+	for name, c := range map[string]Contribution{
+		"calls": {NF: "m", Rule: &LocalRule{Actions: fwd, Funcs: make([]uint8, sfunc.MaxBatch+1)}, Site: site("m", count), State: make(sfunc.State, 2)},
+		"words": {NF: "m", Rule: &LocalRule{Actions: fwd, Funcs: []uint8{0}}, Site: site("m", count), State: make(sfunc.State, sfunc.MaxBatch+1)},
+		"word":  {NF: "m", Rule: &LocalRule{Actions: fwd, Funcs: []uint8{0}}, Site: site("m", count), State: make(sfunc.State, 1)},
+	} {
+		if rule, err := Consolidate(1, []Contribution{c}); err == nil {
+			t.Errorf("%s: consolidated %v", name, rule)
+		}
+	}
+	ok := Contribution{NF: "m", Rule: &LocalRule{Actions: fwd, Funcs: []uint8{0}}, Site: site("m", count), State: make(sfunc.State, 2)}
+	if _, err := Consolidate(1, []Contribution{ok}); err != nil {
+		t.Errorf("a batch within bounds: %v", err)
+	}
+}
+
 // TestGuardSize pins a guard node at 32 bytes: a reference, the word its
 // condition reads, the threshold and the next node — no closure and no
 // state slice (48 bytes when a condition was NF code). A rule with its
-// room, what a firing's rebuild allocates, then fills the 512-byte size
-// class (528 bytes, in the 576-byte class, with the 48-byte guard).
+// room, what a firing's rebuild allocates, is 584 bytes — with the
+// allocator's 8-byte header, in the 640-byte size class: the room holds
+// the batches' plan — schedule, charge and Monitor's two adds, 120 bytes
+// — since Chain1's counting became data (512 bytes before, the 576-byte
+// class).
 func TestGuardSize(t *testing.T) {
 	if n := unsafe.Sizeof(Guard{}); n != 32 {
 		t.Errorf("a guard takes %d bytes, want 32", n)
 	}
-	if n := unsafe.Sizeof(ruleBlock{}); n != 512 {
-		t.Errorf("a rule with its room takes %d bytes, want 512", n)
+	if n := unsafe.Sizeof(ruleBlock{}); n != 584 {
+		t.Errorf("a rule with its room takes %d bytes, want 584", n)
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"sync/atomic"
 
 	"github.com/fastpathnfv/speedybox/internal/core"
+	"github.com/fastpathnfv/speedybox/internal/cost"
 	"github.com/fastpathnfv/speedybox/internal/event"
 	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/mat"
@@ -97,9 +98,10 @@ func New(cfg Config) (*Maglev, error) {
 		down:        make([]atomic.Uint64, len(cfg.Backends)),
 	}
 	lb.flows.Words = 2
-	// Connection tracking is a state function, so the fast path keeps the
-	// conn table warm exactly like the original path.
-	lb.flows.Funcs = []sfunc.Func{{Name: "conntrack", Class: sfunc.ClassIgnore, Run: conntrack}}
+	// Connection tracking is a state function, so the fast path is
+	// charged the conn-table touch the original path pays: data, no adds
+	// and a lookup's price.
+	lb.flows.Funcs = []sfunc.Func{{Name: "conntrack", Class: sfunc.ClassIgnore, Price: cost.ConnTrackLookup}}
 	// The failover event (§V-A): when the flow's backend fails, replace
 	// the modify values with a freshly selected backend's.
 	lb.flows.Events = []event.Event{{Word: lb.pinDown, AtLeast: 1, Update: lb.failover}}
@@ -298,11 +300,6 @@ func (lb *Maglev) BackendOf(fid flow.FID) (Backend, bool) {
 		return Backend{}, false
 	}
 	return lb.backends[i], true
-}
-
-// conntrack is the declared connection-tracking touch: a lookup's price.
-func conntrack(a sfunc.Args, _ *packet.Packet) (uint64, error) {
-	return a.Model.ConnTrackLookup, nil
 }
 
 // pin reads the flow's pinned backend index, -1 if it has none (or its

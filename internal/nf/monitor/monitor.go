@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 
 	"github.com/fastpathnfv/speedybox/internal/core"
+	"github.com/fastpathnfv/speedybox/internal/cost"
 	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/mat"
 	"github.com/fastpathnfv/speedybox/internal/packet"
@@ -26,10 +27,10 @@ type Counters struct {
 
 // Monitor is the NF. A flow's counters are two words of per-flow state
 // on its flow record — packets, then bytes — which the recorded state
-// function adds to directly; they are read from other goroutines
-// (Totals, Flow), so both sides use the words' atomic operations. The
-// monitor trusts the SpeedyBox classifier's flow identity, which is
-// stable across header rewrites.
+// function, declared as two adds, adds to directly; they are read from
+// other goroutines (Totals, Flow), so both sides use the words' atomic
+// operations. The monitor trusts the SpeedyBox classifier's flow
+// identity, which is stable across header rewrites.
 type Monitor struct {
 	name  string
 	flows core.FlowStates
@@ -45,7 +46,9 @@ func New(name string) (*Monitor, error) {
 	}
 	m := &Monitor{name: name}
 	m.flows.Words = 2
-	m.flows.Funcs = []sfunc.Func{{Name: "count", Class: sfunc.ClassIgnore, Run: countFunc}}
+	// Counting is data: the fast path adds to the words itself.
+	m.flows.Funcs = []sfunc.Func{{Name: "count", Class: sfunc.ClassIgnore,
+		Adds: []sfunc.Add{{Word: 0, Operand: sfunc.One}, {Word: 1, Operand: sfunc.Length}}, Price: cost.CounterUpdate}}
 	m.flows.Leave = m.left
 	return m, nil
 }
@@ -130,16 +133,10 @@ func count(st core.State, nbytes int) {
 	st[1].Add(uint64(nbytes))
 }
 
-// countFunc is the declared counting state function.
-func countFunc(a sfunc.Args, p *packet.Packet) (uint64, error) {
-	count(a.State, p.Len())
-	return a.Model.CounterUpdate, nil
-}
-
 // Process implements core.NF. On the initial packet it records a
-// forward action and its counting handler as a payload-ignoring state
-// function over the flow's counters — the very words the slow path just
-// counted into, so slow- and fast-path packets hit the same counter.
+// forward action and its count as a payload-ignoring state function
+// over the flow's counters — the very words the slow path just counted
+// into, so slow- and fast-path packets hit the same counter.
 func (m *Monitor) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, error) {
 	ctx.Charge(ctx.Model.Parse + ctx.Model.Classify)
 	st := ctx.FlowState(&m.flows)

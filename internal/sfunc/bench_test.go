@@ -13,7 +13,7 @@ import (
 func benchBatches(n int, work int) []Batch {
 	batches := make([]Batch, n)
 	for i := range batches {
-		batches[i] = Batch{Site: &Site{
+		batches[i] = NewBatch(&Site{
 			NF: fmt.Sprintf("nf%d", i),
 			Funcs: []Func{{
 				Name: "scan", Class: ClassRead,
@@ -28,8 +28,7 @@ func benchBatches(n int, work int) []Batch {
 					_ = sum
 					return uint64(len(payload)), nil
 				},
-			}}}, Calls: seq(1),
-		}
+			}}}, seq(1), 0, nil)
 	}
 	return batches
 }

@@ -3,6 +3,8 @@ package sfunc
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
+	"unsafe"
 
 	"github.com/fastpathnfv/speedybox/internal/packet"
 )
@@ -128,21 +130,27 @@ type ExecResult struct {
 	Stages int
 }
 
-// addStage folds one executed stage into the result.
-func (r *ExecResult) addStage(critical, total uint64) {
-	r.CriticalCycles += critical
-	r.TotalCycles += total
-	if critical > r.MaxStageCycles {
-		r.MaxStageCycles = critical
+// addStage folds one stage into the result by the stage formula
+// (§V-C2): a stage of several batches is charged its largest batch plus
+// forkJoin on the critical path and the sum of its batches plus forkJoin
+// in total; a stage of one batch pays no forkJoin. Execute,
+// ExecuteSequential and Exec.Price charge every stage through it.
+func (r *ExecResult) addStage(batches int, largest, sum, forkJoin uint64) {
+	if batches > 1 {
+		largest += forkJoin
+		sum += forkJoin
+	}
+	r.CriticalCycles += largest
+	r.TotalCycles += sum
+	if largest > r.MaxStageCycles {
+		r.MaxStageCycles = largest
 	}
 	r.Stages++
 }
 
 // Execute runs the schedule on pkt to completion on the calling
-// goroutine: stages in order, a stage's batches in chain order. A
-// parallel stage is charged max(batch cycles) + forkJoin on the
-// critical path and Σ(batch cycles) + forkJoin in total; a single-batch
-// stage pays no forkJoin.
+// goroutine: stages in order, a stage's batches in chain order, each
+// stage charged by the stage formula (addStage).
 //
 // Execution is fail-fast across stages: if any batch in a stage
 // errors, later stages do not run, mirroring an NF chain aborting on a
@@ -155,23 +163,17 @@ func (s Schedule) Execute(batches []Batch, pkt *packet.Packet, forkJoin uint64) 
 		n := 1 + int(p[0])
 		stage := p[1:n]
 		p = p[n:]
-		var critical, total uint64
+		var largest, sum uint64
 		var firstErr error
 		for _, i := range stage {
 			c, err := batches[i].RunSequential(pkt)
-			total += c
-			if c > critical {
-				critical = c
-			}
+			sum += c
+			largest = max(largest, c)
 			if err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
-		if len(stage) > 1 {
-			critical += forkJoin
-			total += forkJoin
-		}
-		res.addStage(critical, total)
+		res.addStage(len(stage), largest, sum, forkJoin)
 		if firstErr != nil {
 			return res, firstErr
 		}
@@ -189,10 +191,162 @@ func ExecuteSequential(batches []Batch, pkt *packet.Packet) (ExecResult, error) 
 			continue
 		}
 		c, err := b.RunSequential(pkt)
-		res.addStage(c, c)
+		res.addStage(1, c, c, 0)
 		if err != nil {
 			return res, err
 		}
 	}
 	return res, nil
+}
+
+// Inc is an add of a function declared as data bound to a flow: the
+// word it adds to and its operand.
+type Inc struct {
+	word    *atomic.Uint64
+	operand Operand
+}
+
+// Charge is what a packet served by a rule is charged for its batches:
+// the run, its batch dispatch and the batches, as the engine reports
+// them. Batches repeats the rule's batch count here, beside the rest, so
+// the fast path reads no further line of the rule for it.
+type Charge struct {
+	SF       ExecResult
+	Dispatch uint64
+	Batches  int
+}
+
+// Exec is what a rule runs of its batches: their Table-I schedule, the
+// adds of their functions declared as data in Execute's order, bound to
+// the flow's words, and the rule's charge, priced by the engine once,
+// before the rule is installed. A rule whose functions are all data
+// runs as a flat loop of its adds (Add) and copies its charge, whose SF
+// was priced by Price; one with a handler runs Execute. A nil *Exec runs
+// nothing.
+type Exec struct {
+	// The fast path reads the charge and the adds, in the struct's
+	// first 64 bytes; the schedule only Execute reads.
+	Charge Charge
+	// incs are the adds as a pointer and a length: a slice's capacity
+	// word would take Chain1's set-up block past its size class.
+	incs  *Inc
+	nIncs uint32
+	sched Schedule
+}
+
+// ExecIn is the Exec of batches, built in x (nil: allocated): its
+// schedule in plan's storage and its adds in incs', each grown into an
+// allocation of its own if it outgrows that. It refuses an add to a word
+// its batch's state does not have.
+func ExecIn(x *Exec, plan []uint32, incs []Inc, batches []Batch) (*Exec, error) {
+	incs = incs[:0]
+	for i := range batches {
+		b := &batches[i]
+		st := b.State()
+		for _, c := range b.Calls() {
+			f := &b.Funcs[c]
+			for _, a := range f.Adds {
+				if int(a.Word) >= len(st) {
+					return nil, fmt.Errorf("sfunc: %s/%s adds to word %d of %d", b.NF, f.Name, a.Word, len(st))
+				}
+				incs = append(incs, Inc{word: &st[a.Word], operand: a.Operand})
+			}
+		}
+	}
+	if x == nil {
+		x = new(Exec)
+	}
+	x.incs, x.nIncs = nil, uint32(len(incs))
+	if len(incs) > 0 {
+		x.incs = &incs[0]
+	}
+	x.sched = PlanIn(plan, batches)
+	return x, nil
+}
+
+// Execute runs the batches by the schedule (Schedule.Execute).
+func (x *Exec) Execute(batches []Batch, pkt *packet.Packet, forkJoin uint64) (ExecResult, error) {
+	if x == nil {
+		return ExecResult{}, nil
+	}
+	return x.sched.Execute(batches, pkt, forkJoin)
+}
+
+// Add runs the adds on pkt, in order: what Execute does to the flow's
+// words when every function is declared as data.
+func (x *Exec) Add(pkt *packet.Packet) {
+	n := pkt.Len()
+	for _, a := range unsafe.Slice(x.incs, x.nIncs) {
+		a.operand.grow(a.word, n)
+	}
+}
+
+// Price works out x's charge for batches, once, before the rule is
+// installed: the batches, their dispatch to worker cores when parallel
+// (forkJoin/2 a batch; sequential execution stays inline and pays
+// nothing extra) and, when every function is declared as data, the run —
+// by the schedule with forkJoin when parallel, else each batch a stage
+// of its own — worked out without running it. Execute and
+// ExecuteSequential charge exactly that run for the same batches. A run
+// with a handler has no price until it runs: SF stays zero. A nil x has
+// nothing to price.
+func (x *Exec) Price(batches []Batch, forkJoin uint64, parallel bool) {
+	if x == nil {
+		return
+	}
+	x.Charge = Charge{Batches: len(batches)}
+	var res ExecResult
+	ok := true
+	if parallel {
+		x.Charge.Dispatch = forkJoin / 2 * uint64(len(batches))
+		x.sched.each(func(stage []uint32) {
+			var largest, sum uint64
+			for _, i := range stage {
+				c, data := batches[i].price()
+				ok = ok && data
+				sum += c
+				largest = max(largest, c)
+			}
+			res.addStage(len(stage), largest, sum, forkJoin)
+		})
+	} else {
+		for i := range batches {
+			c, data := batches[i].price()
+			ok = ok && data
+			if !batches[i].Empty() {
+				res.addStage(1, c, c, 0)
+			}
+		}
+	}
+	if ok {
+		x.Charge.SF = res
+	}
+}
+
+// Priced reports whether the charge holds a priced run: the rule's
+// functions are all declared as data, and Add runs them.
+func (x *Exec) Priced() bool { return x != nil && x.Charge.SF.Stages > 0 }
+
+// Len returns the number of stages.
+func (x *Exec) Len() int {
+	if x == nil {
+		return 0
+	}
+	return x.sched.Len()
+}
+
+// ParallelStages returns how many stages contain more than one batch.
+func (x *Exec) ParallelStages() int {
+	if x == nil {
+		return 0
+	}
+	return x.sched.ParallelStages()
+}
+
+// String renders the schedule (Schedule.String).
+func (x *Exec) String() string {
+	if x == nil {
+		return ""
+	}
+	return x.sched.String()
 }

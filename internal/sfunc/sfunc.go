@@ -1,26 +1,31 @@
 // Package sfunc implements SpeedyBox's state-function abstraction
 // (paper §IV-A2) and the parallel batch executor (§V-C2).
 //
-// A state function is an NF-provided handler that updates NF internal
-// state and/or inspects the packet payload. The NF declares it once and
-// records it for a flow by index, with the flow's state words as its
-// argument. All state functions an NF records for one flow form a
-// batch; batches execute in chain order, and functions within a batch
-// execute in recording order, preserving
-// the NF's code dependencies (§IV-B). Batches from different NFs may
-// execute in parallel when the payload-dependency analysis of Table I
-// allows it.
+// A state function updates NF internal state and/or inspects the packet
+// payload. The NF declares it once, as data or as a handler, and records
+// it for a flow by index, with the flow's state words as its argument.
+// One declared as data is adds to the flow's words — each by one or by
+// the packet's length — and a price the cost model names (Monitor's
+// count, Maglev's connection-tracking touch); a handler is NF code that
+// returns its cycles (Snort's inspection). All state functions an NF
+// records for one flow form a batch; batches execute in chain order, and
+// functions within a batch execute in recording order, preserving the
+// NF's code dependencies (§IV-B). Batches from different NFs may execute
+// in parallel when the payload-dependency analysis of Table I allows it.
 //
 // That parallelism is planned and charged, executed inline: Plan groups
 // batches into Table-I stages and Execute charges a stage as the paper
 // measures it (max(batch cycles) + fork/join), but runs every batch to
-// completion on the calling goroutine, in chain order. Nothing in this
+// completion on the calling goroutine, in chain order. A rule whose
+// functions are all declared as data is priced once, by the same stage
+// formula, and run as a flat loop of its adds (Exec). Nothing in this
 // package starts a goroutine or allocates per packet.
 package sfunc
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"unsafe"
 
@@ -114,27 +119,76 @@ type Args struct {
 // honest.
 type Handler func(a Args, pkt *packet.Packet) (cycles uint64, err error)
 
-// Func is one declared state function: the handler plus the metadata
-// the localmat_add_SF API collects (paper Figure 2). An NF declares its
-// functions once (event.FlowStates) and records them for a flow by
-// index, so what a flow's rule carries is data — an index and the
-// flow's arguments — and never a closure of its own.
+// Operand is what a declared add adds to its word.
+type Operand uint8
+
+// Operands. Enum starts at one so the zero value is invalid.
+const (
+	// One counts: the word grows by one a packet.
+	One Operand = iota + 1
+	// Length sums: the word grows by the packet's length in bytes.
+	Length
+)
+
+// grow adds to w what the operand adds for a packet of n bytes.
+func (op Operand) grow(w *atomic.Uint64, n int) {
+	if op == Length {
+		w.Add(uint64(n))
+	} else {
+		w.Add(1)
+	}
+}
+
+// Add is one step of a state function declared as data: word Word of
+// the flow's state grows by Operand.
+type Add struct {
+	Word    uint8
+	Operand Operand
+}
+
+// Func is one declared state function: its body plus the metadata the
+// localmat_add_SF API collects (paper Figure 2). The body is either
+// data — Adds and a Price — or a handler, Run, never both: a function
+// that only counts into the flow's words is data, and the fast path runs
+// it without calling anything. An NF declares its functions once
+// (event.FlowStates) and records them for a flow by index, so what a
+// flow's rule carries is data — an index and the flow's arguments — and
+// never a closure of its own.
 type Func struct {
 	// Name identifies the function for logs and tests.
 	Name string
 	// Class is the declared payload interaction.
 	Class PayloadClass
-	// Run is the handler.
+	// Adds, in order, and the primitive each run is charged declare the
+	// function as data. A rule refuses an add to a word its NF's
+	// FlowStates does not declare (ExecIn).
+	Adds  []Add
+	Price cost.Price
+	// Run is the handler of a function that is not data.
 	Run Handler
 }
 
-// Validate reports whether the function is well-formed.
+// Data reports whether the function is declared as data.
+func (f *Func) Data() bool { return f.Run == nil }
+
+// Validate reports whether the function is well-formed: a handler or
+// declared as data — adds of a valid operand and a price — but not both.
 func (f Func) Validate() error {
-	if f.Run == nil {
-		return fmt.Errorf("sfunc: %q has nil handler", f.Name)
-	}
-	if !f.Class.Valid() {
+	data := f.Price != 0 || len(f.Adds) > 0
+	switch {
+	case f.Run != nil && data:
+		return fmt.Errorf("sfunc: %q is both a handler and declared as data", f.Name)
+	case f.Run == nil && !data:
+		return fmt.Errorf("sfunc: %q is neither a handler nor declared as data", f.Name)
+	case data && !f.Price.Valid():
+		return fmt.Errorf("sfunc: %q is priced at no primitive of the cost model (%d)", f.Name, f.Price)
+	case !f.Class.Valid():
 		return fmt.Errorf("sfunc: %q has invalid payload class %d", f.Name, int(f.Class))
+	}
+	for _, a := range f.Adds {
+		if a.Operand != One && a.Operand != Length {
+			return fmt.Errorf("sfunc: %q adds an invalid operand %d to word %d", f.Name, a.Operand, a.Word)
+		}
 	}
 	return nil
 }
@@ -157,33 +211,39 @@ type Site struct {
 // to the flow's state words.
 type Batch struct {
 	*Site
-	// Calls are the indices of the functions the NF recorded, in
-	// recording order.
-	Calls []uint8
-	// FID is the flow. state and words are its State as a pointer and a
-	// length: a slice's capacity word would cost every batch of every
-	// rule 16 bytes (mat.Consolidate carves Chain1's two into its block).
-	FID   flow.FID
-	words uint32
+	// calls are the indices of the functions the NF recorded, in
+	// recording order, and state the flow's State, each as a pointer and
+	// a length (n, words): a slice's length and capacity words would cost
+	// every batch of every rule 32 bytes (mat.Consolidate carves Chain1's
+	// two into its block).
+	calls *uint8
 	state *atomic.Uint64
+	// FID is the flow.
+	FID      flow.FID
+	n, words uint16
 }
 
-// NewBatch binds calls of the site's functions to a flow's state.
+// MaxBatch is the most calls, and the most state words, a batch binds.
+const MaxBatch = math.MaxUint16
+
+// NewBatch binds calls of the site's functions to a flow's state; each
+// is at most MaxBatch long.
 func NewBatch(site *Site, calls []uint8, fid flow.FID, st State) Batch {
-	b := Batch{Site: site, Calls: calls, FID: fid, words: uint32(len(st))}
+	b := Batch{Site: site, FID: fid, n: uint16(len(calls)), words: uint16(len(st))}
+	if len(calls) > 0 {
+		b.calls = &calls[0]
+	}
 	if len(st) > 0 {
 		b.state = &st[0]
 	}
 	return b
 }
 
+// Calls returns the indices of the functions the batch calls, in order.
+func (b *Batch) Calls() []uint8 { return unsafe.Slice(b.calls, b.n) }
+
 // State returns the flow's state words the batch runs on.
-func (b *Batch) State() State {
-	if b.state == nil {
-		return nil
-	}
-	return unsafe.Slice(b.state, b.words)
-}
+func (b *Batch) State() State { return unsafe.Slice(b.state, b.words) }
 
 // Class returns the batch's effective payload class: the class of the
 // highest-priority function it calls (§V-C2: "a batch with {read,
@@ -191,7 +251,7 @@ func (b *Batch) State() State {
 // ClassIgnore.
 func (b *Batch) Class() PayloadClass {
 	best := ClassIgnore
-	for _, i := range b.Calls {
+	for _, i := range b.Calls() {
 		if c := b.Funcs[i].Class; c.priority() > best.priority() {
 			best = c
 		}
@@ -200,19 +260,27 @@ func (b *Batch) Class() PayloadClass {
 }
 
 // Empty reports whether the batch calls nothing.
-func (b *Batch) Empty() bool { return len(b.Calls) == 0 }
+func (b *Batch) Empty() bool { return b.n == 0 }
 
 // ErrBatchFailed wraps state-function execution errors.
 var ErrBatchFailed = errors.New("sfunc: state function failed")
 
 // RunSequential executes the batch's functions in order on pkt,
-// returning the total cycles consumed. Execution stops at the first
+// returning the total cycles consumed: a function declared as data runs
+// its adds and is charged its price. Execution stops at the first
 // error.
 func (b *Batch) RunSequential(pkt *packet.Packet) (uint64, error) {
 	var total uint64
 	a := Args{FID: b.FID, State: b.State(), Model: b.Model}
-	for _, i := range b.Calls {
+	for _, i := range b.Calls() {
 		f := &b.Funcs[i]
+		if f.Data() {
+			for _, add := range f.Adds {
+				add.Operand.grow(&a.State[add.Word], pkt.Len())
+			}
+			total += b.Model.Cycles(f.Price)
+			continue
+		}
 		c, err := f.Run(a, pkt)
 		total += c
 		if err != nil {
@@ -220,6 +288,21 @@ func (b *Batch) RunSequential(pkt *packet.Packet) (uint64, error) {
 		}
 	}
 	return total, nil
+}
+
+// price is what a run of the batch is charged, without running it, and
+// whether every function it calls is declared as data: a handler's
+// cycles only a run knows.
+func (b *Batch) price() (uint64, bool) {
+	var total uint64
+	for _, i := range b.Calls() {
+		f := &b.Funcs[i]
+		if !f.Data() {
+			return 0, false
+		}
+		total += b.Model.Cycles(f.Price)
+	}
+	return total, true
 }
 
 // Parallelizable implements Table I plus the accompanying text: two

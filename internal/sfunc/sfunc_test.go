@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/fastpathnfv/speedybox/internal/cost"
 	"github.com/fastpathnfv/speedybox/internal/packet"
 )
 
@@ -63,11 +64,11 @@ func TestBatchClassPriority(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			b := Batch{Site: &Site{NF: "x"}}
+			site := &Site{NF: "x"}
 			for i, c := range tt.classes {
-				b.Funcs = append(b.Funcs, costed("f", c, uint64(i)))
-				b.Calls = append(b.Calls, uint8(i))
+				site.Funcs = append(site.Funcs, costed("f", c, uint64(i)))
 			}
+			b := NewBatch(site, seq(len(tt.classes)), 0, nil)
 			if got := b.Class(); got != tt.want {
 				t.Errorf("Class() = %v, want %v", got, tt.want)
 			}
@@ -114,7 +115,7 @@ func TestPlanGrouping(t *testing.T) {
 	mk := func(classes ...PayloadClass) []Batch {
 		bs := make([]Batch, len(classes))
 		for i, c := range classes {
-			bs[i] = Batch{Site: &Site{NF: "nf", Funcs: []Func{costed("f", c, 1)}}, Calls: seq(1)}
+			bs[i] = NewBatch(&Site{NF: "nf", Funcs: []Func{costed("f", c, 1)}}, seq(1), 0, nil)
 		}
 		return bs
 	}
@@ -130,7 +131,7 @@ func TestPlanGrouping(t *testing.T) {
 		{"write pairs with ignore", mk(ClassWrite, ClassIgnore), "[0 1]"},
 		{"ignore between writes fuses once", mk(ClassWrite, ClassIgnore, ClassWrite), "[0 1] [2]"},
 		{"snort then monitor (read, ignore)", mk(ClassRead, ClassIgnore), "[0 1]"},
-		{"empty batches skipped", []Batch{{Site: &Site{NF: "a"}}, {Site: &Site{NF: "b", Funcs: []Func{costed("f", ClassRead, 1)}}, Calls: seq(1)}, {Site: &Site{NF: "c"}}}, "[1]"},
+		{"empty batches skipped", []Batch{{Site: &Site{NF: "a"}}, NewBatch(&Site{NF: "b", Funcs: []Func{costed("f", ClassRead, 1)}}, seq(1), 0, nil), {Site: &Site{NF: "c"}}}, "[1]"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -147,7 +148,7 @@ func TestPlanPreservesOrder(t *testing.T) {
 	f := func(raw []uint8) bool {
 		batches := make([]Batch, len(raw))
 		for i, r := range raw {
-			batches[i] = Batch{Site: &Site{NF: "nf", Funcs: []Func{costed("f", PayloadClass(r%3)+1, 1)}}, Calls: seq(1)}
+			batches[i] = NewBatch(&Site{NF: "nf", Funcs: []Func{costed("f", PayloadClass(r%3)+1, 1)}}, seq(1), 0, nil)
 		}
 		var last = -1
 		for _, stage := range Plan(batches).Stages() {
@@ -169,7 +170,7 @@ func TestPlanStagesPairwiseCompatible(t *testing.T) {
 	f := func(raw []uint8) bool {
 		batches := make([]Batch, len(raw))
 		for i, r := range raw {
-			batches[i] = Batch{Site: &Site{NF: "nf", Funcs: []Func{costed("f", PayloadClass(r%3)+1, 1)}}, Calls: seq(1)}
+			batches[i] = NewBatch(&Site{NF: "nf", Funcs: []Func{costed("f", PayloadClass(r%3)+1, 1)}}, seq(1), 0, nil)
 		}
 		for _, stage := range Plan(batches).Stages() {
 			for i := 0; i < len(stage); i++ {
@@ -191,8 +192,8 @@ func TestExecuteCriticalPath(t *testing.T) {
 	// Two parallel read batches: critical path is max + forkJoin,
 	// total is sum + forkJoin.
 	batches := []Batch{
-		{Site: &Site{NF: "a", Funcs: []Func{costed("fa", ClassRead, 300)}}, Calls: seq(1)},
-		{Site: &Site{NF: "b", Funcs: []Func{costed("fb", ClassRead, 500)}}, Calls: seq(1)},
+		NewBatch(&Site{NF: "a", Funcs: []Func{costed("fa", ClassRead, 300)}}, seq(1), 0, nil),
+		NewBatch(&Site{NF: "b", Funcs: []Func{costed("fb", ClassRead, 500)}}, seq(1), 0, nil),
 	}
 	plan := Plan(batches)
 	if plan.ParallelStages() != 1 {
@@ -212,8 +213,8 @@ func TestExecuteCriticalPath(t *testing.T) {
 
 func TestExecuteSequentialStage(t *testing.T) {
 	// A single-batch stage pays no fork/join.
-	batches := []Batch{{Site: &Site{NF: "a", Funcs: []Func{costed("fa", ClassWrite, 300)}}, Calls: seq(1)},
-		{Site: &Site{NF: "b", Funcs: []Func{costed("fb", ClassWrite, 500)}}, Calls: seq(1)}}
+	batches := []Batch{NewBatch(&Site{NF: "a", Funcs: []Func{costed("fa", ClassWrite, 300)}}, seq(1), 0, nil),
+		NewBatch(&Site{NF: "b", Funcs: []Func{costed("fb", ClassWrite, 500)}}, seq(1), 0, nil)}
 	res, err := Plan(batches).Execute(batches, testPacket(t), 100)
 	if err != nil {
 		t.Fatal(err)
@@ -230,11 +231,11 @@ func orderedBatches(n int, class PayloadClass, order *[]int, fail map[int]error)
 	batches := make([]Batch, n)
 	for i := range batches {
 		i := i
-		batches[i] = Batch{Site: &Site{NF: fmt.Sprintf("nf%d", i), Funcs: []Func{{Name: "f", Class: class,
+		batches[i] = NewBatch(&Site{NF: fmt.Sprintf("nf%d", i), Funcs: []Func{{Name: "f", Class: class,
 			Run: func(Args, *packet.Packet) (uint64, error) {
 				*order = append(*order, i)
 				return 10, fail[i]
-			}}}}, Calls: seq(1)}
+			}}}}, seq(1), 0, nil)
 	}
 	return batches
 }
@@ -289,9 +290,9 @@ func TestExecuteParallelStageFirstErrorInChainOrder(t *testing.T) {
 
 func TestExecuteDoesNotAllocate(t *testing.T) {
 	batches := []Batch{
-		{Site: &Site{NF: "a", Funcs: []Func{costed("fa", ClassRead, 300)}}, Calls: seq(1)},
-		{Site: &Site{NF: "b", Funcs: []Func{costed("fb", ClassRead, 500)}}, Calls: seq(1)},
-		{Site: &Site{NF: "c", Funcs: []Func{costed("fc", ClassWrite, 7)}}, Calls: seq(1)},
+		NewBatch(&Site{NF: "a", Funcs: []Func{costed("fa", ClassRead, 300)}}, seq(1), 0, nil),
+		NewBatch(&Site{NF: "b", Funcs: []Func{costed("fb", ClassRead, 500)}}, seq(1), 0, nil),
+		NewBatch(&Site{NF: "c", Funcs: []Func{costed("fc", ClassWrite, 7)}}, seq(1), 0, nil),
 	}
 	plan := Plan(batches)
 	pkt := testPacket(t)
@@ -318,13 +319,13 @@ func TestExecuteErrorFailFast(t *testing.T) {
 	boom := errors.New("boom")
 	var ran atomic.Int32
 	batches := []Batch{
-		{Site: &Site{NF: "a", Funcs: []Func{{Name: "fail", Class: ClassWrite, Run: func(Args, *packet.Packet) (uint64, error) {
+		NewBatch(&Site{NF: "a", Funcs: []Func{{Name: "fail", Class: ClassWrite, Run: func(Args, *packet.Packet) (uint64, error) {
 			return 10, boom
-		}}}}, Calls: seq(1)},
-		{Site: &Site{NF: "b", Funcs: []Func{{Name: "later", Class: ClassWrite, Run: func(Args, *packet.Packet) (uint64, error) {
+		}}}}, seq(1), 0, nil),
+		NewBatch(&Site{NF: "b", Funcs: []Func{{Name: "later", Class: ClassWrite, Run: func(Args, *packet.Packet) (uint64, error) {
 			ran.Add(1)
 			return 10, nil
-		}}}}, Calls: seq(1)},
+		}}}}, seq(1), 0, nil),
 	}
 	_, err := Plan(batches).Execute(batches, testPacket(t), 0)
 	if !errors.Is(err, boom) {
@@ -346,7 +347,7 @@ func TestBatchRunSequentialOrder(t *testing.T) {
 			return 5, nil
 		}}
 	}
-	b := Batch{Site: &Site{NF: "nf", Funcs: []Func{mk("first"), mk("second"), mk("third")}}, Calls: seq(3)}
+	b := NewBatch(&Site{NF: "nf", Funcs: []Func{mk("first"), mk("second"), mk("third")}}, seq(3), 0, nil)
 	cycles, err := b.RunSequential(testPacket(t))
 	if err != nil {
 		t.Fatal(err)
@@ -361,9 +362,9 @@ func TestBatchRunSequentialOrder(t *testing.T) {
 
 func TestExecuteSequentialHelper(t *testing.T) {
 	batches := []Batch{
-		{Site: &Site{NF: "a", Funcs: []Func{costed("fa", ClassRead, 300)}}, Calls: seq(1)},
+		NewBatch(&Site{NF: "a", Funcs: []Func{costed("fa", ClassRead, 300)}}, seq(1), 0, nil),
 		{Site: &Site{NF: "b"}},
-		{Site: &Site{NF: "c", Funcs: []Func{costed("fc", ClassRead, 500)}}, Calls: seq(1)},
+		NewBatch(&Site{NF: "c", Funcs: []Func{costed("fc", ClassRead, 500)}}, seq(1), 0, nil),
 	}
 	res, err := ExecuteSequential(batches, testPacket(t))
 	if err != nil {
@@ -377,15 +378,52 @@ func TestExecuteSequentialHelper(t *testing.T) {
 	}
 }
 
+// TestFuncValidate: a function is a handler or declared as data — adds
+// of a valid operand and a price the cost model names — never both and
+// never neither.
 func TestFuncValidate(t *testing.T) {
-	if err := (Func{Name: "ok", Class: ClassRead, Run: func(Args, *packet.Packet) (uint64, error) { return 0, nil }}).Validate(); err != nil {
-		t.Errorf("valid func rejected: %v", err)
+	run := func(Args, *packet.Packet) (uint64, error) { return 0, nil }
+	count := []Add{{Word: 0, Operand: One}, {Word: 1, Operand: Length}}
+	for _, tt := range []struct {
+		f     Func
+		valid bool
+	}{
+		{Func{Name: "handler", Class: ClassRead, Run: run}, true},
+		{Func{Name: "count", Class: ClassIgnore, Adds: count, Price: cost.CounterUpdate}, true},
+		{Func{Name: "touch", Class: ClassIgnore, Price: cost.ConnTrackLookup}, true},
+		{Func{Name: "neither", Class: ClassRead}, false},
+		{Func{Name: "both", Class: ClassIgnore, Run: run, Price: cost.CounterUpdate}, false},
+		{Func{Name: "both-adds", Class: ClassIgnore, Run: run, Adds: count}, false},
+		{Func{Name: "unpriced", Class: ClassIgnore, Adds: count}, false},
+		{Func{Name: "badprice", Class: ClassIgnore, Price: 99}, false},
+		{Func{Name: "badoperand", Class: ClassIgnore, Adds: []Add{{Word: 0}}, Price: cost.CounterUpdate}, false},
+		{Func{Name: "badclass", Class: 0, Run: run}, false},
+		{Func{Name: "badclass-data", Class: 0, Price: cost.CounterUpdate}, false},
+	} {
+		if err := tt.f.Validate(); (err == nil) != tt.valid {
+			t.Errorf("%s: Validate() = %v, want valid %v", tt.f.Name, err, tt.valid)
+		}
 	}
-	if err := (Func{Name: "nil", Class: ClassRead}).Validate(); err == nil {
-		t.Error("nil handler accepted")
+}
+
+// TestDataFunctionRuns: a function declared as data runs, under
+// RunSequential, as its adds on the flow's words and its price.
+func TestDataFunctionRuns(t *testing.T) {
+	m := cost.DefaultModel()
+	site := &Site{NF: "monitor", Model: m, Funcs: []Func{{Name: "count", Class: ClassIgnore,
+		Adds: []Add{{Word: 0, Operand: One}, {Word: 1, Operand: Length}}, Price: cost.CounterUpdate}}}
+	st := make(State, 2)
+	b := NewBatch(site, []uint8{0, 0}, 7, st)
+	pkt := testPacket(t)
+	c, err := b.RunSequential(pkt)
+	if err != nil || c != 2*m.CounterUpdate {
+		t.Fatalf("RunSequential = %d, %v; want %d", c, err, 2*m.CounterUpdate)
 	}
-	if err := (Func{Name: "badclass", Class: 0, Run: func(Args, *packet.Packet) (uint64, error) { return 0, nil }}).Validate(); err == nil {
-		t.Error("invalid class accepted")
+	if st[0].Load() != 2 || st[1].Load() != 2*uint64(pkt.Len()) {
+		t.Errorf("words %d, %d after two counts of a %d-byte packet", st[0].Load(), st[1].Load(), pkt.Len())
+	}
+	if _, err := ExecIn(nil, nil, nil, []Batch{NewBatch(site, []uint8{0}, 7, st[:1])}); err == nil {
+		t.Error("an add to a word the flow does not have was bound")
 	}
 }
 
@@ -399,7 +437,7 @@ func TestQuickParallelReadersPreservePayload(t *testing.T) {
 		nBatches := int(n%4) + 2
 		batches := make([]Batch, nBatches)
 		for i := range batches {
-			batches[i] = Batch{Site: &Site{NF: "r", Funcs: []Func{{Name: "scan", Class: ClassRead,
+			batches[i] = NewBatch(&Site{NF: "r", Funcs: []Func{{Name: "scan", Class: ClassRead,
 				Run: func(_ Args, p *packet.Packet) (uint64, error) {
 					var sum byte
 					for _, b := range p.Payload() {
@@ -407,7 +445,7 @@ func TestQuickParallelReadersPreservePayload(t *testing.T) {
 					}
 					_ = sum
 					return uint64(len(p.Payload())), nil
-				}}}}, Calls: seq(1)}
+				}}}}, seq(1), 0, nil)
 		}
 		spec := packet.Spec{SrcIP: packet.IP4(1, 1, 1, 1), DstIP: packet.IP4(2, 2, 2, 2),
 			SrcPort: 1, DstPort: 2, Proto: packet.ProtoTCP, Payload: payload}

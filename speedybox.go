@@ -233,8 +233,14 @@ type (
 	// HeaderAction is one of the five standardized header actions.
 	HeaderAction = mat.HeaderAction
 	// StateFunc is a declared state function: name, payload class and a
-	// handler over the flow's StateArgs and the packet.
+	// body — adds to the flow's words and a Price (data), or a handler
+	// over the flow's StateArgs and the packet.
 	StateFunc = sfunc.Func
+	// StateAdd is one add of a state function declared as data.
+	StateAdd = sfunc.Add
+	// Price names the cost-model primitive a state function declared as
+	// data is charged.
+	Price = cost.Price
 	// StateArgs is what a state function runs on: the flow, its NF's
 	// state words and the cost model.
 	StateArgs = sfunc.Args
@@ -253,6 +259,15 @@ const (
 	ClassIgnore = sfunc.ClassIgnore
 	ClassRead   = sfunc.ClassRead
 	ClassWrite  = sfunc.ClassWrite
+)
+
+// What a StateAdd adds to its word, and the prices a state function
+// declared as data may name.
+const (
+	AddOne               = sfunc.One
+	AddLength            = sfunc.Length
+	PriceCounterUpdate   = cost.CounterUpdate
+	PriceConnTrackLookup = cost.ConnTrackLookup
 )
 
 // Header-action constructors.
