@@ -13,7 +13,7 @@ import (
 	"github.com/fastpathnfv/speedybox/internal/trace"
 )
 
-func filterChain(t *testing.T, n int) []core.NF {
+func filterChain(t testing.TB, n int) []core.NF {
 	t.Helper()
 	chain := make([]core.NF, n)
 	for i := 0; i < n; i++ {

@@ -10,6 +10,7 @@ import (
 	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/mat"
 	"github.com/fastpathnfv/speedybox/internal/packet"
+	"github.com/fastpathnfv/speedybox/internal/sfunc"
 	"github.com/fastpathnfv/speedybox/internal/telemetry"
 )
 
@@ -49,15 +50,16 @@ type flowCtx struct {
 // statsDelta accumulates a vector's counter increments in plain
 // (non-atomic) fields; fold publishes each non-zero one into a shared
 // shard with one atomic add per touched counter instead of several per
-// packet.
+// packet. plain counts summary-served packets, which fold expands.
 type statsDelta struct {
 	packets, initial, subsequent, handshake, final uint64
 	fastPath, slowPath, dropped                    uint64
 	eventsFired, consolidations                    uint64
+	plain                                          uint64
 }
 
-// add counts one finished packet — the one place a PacketResult is
-// turned into counter increments.
+// add counts one finished packet the summary did not serve: the one
+// place such a PacketResult is turned into counter increments.
 func (d *statsDelta) add(res *PacketResult) {
 	d.packets++
 	switch res.Kind {
@@ -94,12 +96,12 @@ func (s *statsShard) fold(d *statsDelta) {
 			c.Add(n)
 		}
 	}
-	add(&s.packets, d.packets)
+	add(&s.packets, d.packets+d.plain)
 	add(&s.initial, d.initial)
-	add(&s.subsequent, d.subsequent)
+	add(&s.subsequent, d.subsequent+d.plain)
 	add(&s.handshake, d.handshake)
 	add(&s.final, d.final)
-	add(&s.fastPath, d.fastPath)
+	add(&s.fastPath, d.fastPath+d.plain)
 	add(&s.slowPath, d.slowPath)
 	add(&s.dropped, d.dropped)
 	add(&s.eventsFired, d.eventsFired)
@@ -213,20 +215,17 @@ func NewBatch(n int) *Batch {
 	}
 }
 
-// begin resets the per-vector storage for n packets. The flow contexts
-// deliberately survive across vectors — that is where the amortization
-// for repeated flows comes from.
+// begin resets the per-vector storage for n packets, but for the result
+// and info slots, which process writes. The flow contexts deliberately
+// survive across vectors — that is where the amortization for repeated
+// flows comes from.
 func (b *Batch) begin(n int) {
-	if cap(b.res) < n {
+	if len(b.res) < n {
 		b.res = make([]PacketResult, n)
 		b.info = make([]FastPathInfo, n)
 		b.stage = make([]staged, n)
 		b.probes = make([]flow.KeyProbe, n)
 	}
-	b.res = b.res[:n]
-	b.info = b.info[:n]
-	clear(b.res)
-	clear(b.info)
 	b.out = b.out[:0]
 	b.slow.used = 0
 	b.slow.ledger.Reset()
@@ -388,13 +387,9 @@ func (b *Batch) classified(h flow.Handle) *flowCtx {
 	return fc
 }
 
-// account folds one finished packet into the batch-local deltas and
-// telemetry run-length buffers.
-func (b *Batch) account(e *Engine, res *PacketResult) {
-	b.delta.add(res)
-	if e.tel == nil {
-		return
-	}
+// tally is the hub's half of a finished packet's account, which every
+// packet takes under a hub (the counters' half is b.delta).
+func (b *Batch) tally(e *Engine, res *PacketResult) {
 	if res.Path != PathFast {
 		// Slow-path packets are rare within a batch and carry per-NF
 		// stage detail; record them individually.
@@ -457,10 +452,8 @@ func (e *Engine) flushStats(b *Batch) {
 	} else {
 		b.flowHits, b.flowMisses = 0, 0
 	}
-	if b.delta.packets != 0 {
-		e.stats[b.shard].fold(&b.delta)
-		b.delta = statsDelta{}
-	}
+	e.stats[b.shard].fold(&b.delta)
+	b.delta = statsDelta{}
 }
 
 // ProcessBatch classifies and processes a vector of packets in arrival
@@ -495,9 +488,10 @@ func (e *Engine) ProcessBatch(pkts []*packet.Packet, b *Batch) ([]*PacketResult,
 
 // process is the per-packet decision ladder: classify, eviction fault,
 // one arm per packet kind, account. st is the packet's stage record,
-// info and res its (zeroed) slots in b's result storage; a slow-path
-// packet leaves info unused and draws its SlowPathInfo from b's
-// traversal scratch.
+// info and res its slots in b's result storage, never cleared: each arm
+// writes res whole and what it reports of info; a slow-path packet
+// leaves info unused and draws its SlowPathInfo from b's traversal
+// scratch.
 func (e *Engine) process(pkt *packet.Packet, st *staged, info *FastPathInfo, res *PacketResult, b *Batch) error {
 	var (
 		fid           flow.FID
@@ -554,14 +548,23 @@ func (e *Engine) process(pkt *packet.Packet, st *staged, info *FastPathInfo, res
 	var err error
 	switch {
 	case kind == classifier.KindSubsequent && plain:
-		e.served(info, res, fixed, header, VerdictForward)
+		// The summary's price and nothing else; one count.
+		info.FixedCycles, info.HeaderCycles = fixed, header
+		info.SF = sfunc.ExecResult{}
+		info.DispatchCycles, info.BatchCount, info.EventsFired, info.ReconsolidateCycles = 0, 0, 0, 0
+		served(res, info, fid, kind, VerdictForward, fixed+header)
+		b.delta.plain++
+		if e.tel != nil {
+			b.tally(e, res)
+		}
+		return nil
 	case kind == classifier.KindSubsequent:
-		err = e.fastPathInto(fc, rule, pkt, info, res, b)
+		err = e.fastPathInto(fc, rule, kind, pkt, info, res, b)
 	case kind == classifier.KindFinal:
 		if rule = e.global.Live(fc.h); rule != nil {
-			err = e.fastPathInto(fc, rule, pkt, info, res, b)
+			err = e.fastPathInto(fc, rule, kind, pkt, info, res, b)
 		} else {
-			err = e.slowPath(fc.h, pkt, false, res, b)
+			err = e.slowPath(fc.h, kind, pkt, false, res, b)
 		}
 		if err == nil {
 			e.teardown(e.class.Flows().EditHandle(fc.h), CauseFinTeardown)
@@ -571,19 +574,20 @@ func (e *Engine) process(pkt *packet.Packet, st *staged, info *FastPathInfo, res
 		// The recording gate and the ladder read the clock.
 		e.publish(b)
 		recording := e.tryBeginRecording(fc.h)
-		err = e.slowPath(fc.h, pkt, recording, res, b)
+		err = e.slowPath(fc.h, kind, pkt, recording, res, b)
 		if recording {
 			fc.h.Unclaim()
 		}
 	default: // KindHandshake
-		err = e.slowPath(fc.h, pkt, false, res, b)
+		err = e.slowPath(fc.h, kind, pkt, false, res, b)
 	}
 	if err != nil {
 		return err
 	}
-	res.FID = fid
-	res.Kind = kind
-	b.account(e, res)
+	b.delta.add(res)
+	if e.tel != nil {
+		b.tally(e, res)
+	}
 	return nil
 }
 

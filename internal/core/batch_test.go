@@ -626,7 +626,7 @@ func TestWarmPathAllocatesNothing(t *testing.T) {
 	var res PacketResult
 	scratch := func() {
 		info, res = FastPathInfo{}, PacketResult{}
-		if err := eng.fastPathInto(b.classified(h), eng.global.Live(h), vec[0], &info, &res, b); err != nil {
+		if err := eng.fastPathInto(b.classified(h), eng.global.Live(h), classifier.KindSubsequent, vec[0], &info, &res, b); err != nil {
 			t.Fatal(err)
 		}
 	}

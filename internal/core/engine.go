@@ -368,12 +368,13 @@ func (e *Engine) ProcessPacket(pkt *packet.Packet) (*PacketResult, error) {
 	return out[0].clone(), nil
 }
 
-// slowPath runs the packet through the original service chain,
-// recording behaviour when requested, and writes the account into res,
-// the packet's slot in b. It runs on b's traversal scratch; what the NFs
-// record is published only once the whole chain has run, so a traversal
-// cut short (an NF error, an injected crash) leaves no recording behind.
-func (e *Engine) slowPath(h flow.Handle, pkt *packet.Packet, recording bool, res *PacketResult, b *Batch) error {
+// slowPath runs the packet, of kind, through the original service chain,
+// recording behaviour when requested, and writes the account whole into
+// res, the packet's slot in b. It runs on b's traversal scratch; what the
+// NFs record is published only once the whole chain has run, so a
+// traversal cut short (an NF error, an injected crash) leaves no
+// recording behind.
+func (e *Engine) slowPath(h flow.Handle, kind classifier.Kind, pkt *packet.Packet, recording bool, res *PacketResult, b *Batch) error {
 	cs := e.state()
 	fid := h.FID()
 	t := b.slow
@@ -425,7 +426,7 @@ func (e *Engine) slowPath(h flow.Handle, pkt *packet.Packet, recording bool, res
 	}
 	info.PerNF = t.ledger.Stages()
 
-	*res = PacketResult{Path: PathSlow, Verdict: verdict, Slow: info}
+	*res = PacketResult{FID: fid, Kind: kind, Path: PathSlow, Verdict: verdict, Slow: info}
 	if recording && abortRecording {
 		// Drop the recording and park the flow on the ladder.
 		ed := e.class.Flows().EditHandle(h)
@@ -628,16 +629,17 @@ func (e *Engine) drop(ed flow.Edit, cause string) {
 	}
 }
 
-// fastPathInto applies the consolidated rule, writing into the packet's
-// (zeroed) info and res slots of b — per-worker arrays, so steady-state
-// fast-path packets allocate nothing. fc is the flow's context and rule
-// the live rule the caller read off the entry its handle points at (nil:
-// none); both Event Table checks are made off the rule's guards, so only
-// a flow with a guard that holds takes the flow's edit and probes. On a
-// rule miss the packet falls back to the slow path, which fills res
-// instead.
-func (e *Engine) fastPathInto(fc *flowCtx, rule *mat.GlobalRule, pkt *packet.Packet, info *FastPathInfo, res *PacketResult, b *Batch) error {
+// fastPathInto applies the consolidated rule to a packet of kind,
+// writing into its info (zeroed first: the event checks add to it) and
+// res slots of b — per-worker arrays, so steady-state fast-path packets
+// allocate nothing. fc is the flow's context and rule the live rule the
+// caller read off the entry its handle points at (nil: none); both Event
+// Table checks are made off the rule's guards, so only a flow with a
+// guard that holds takes the flow's edit and probes. On a rule miss the
+// packet falls back to the slow path, which fills res instead.
+func (e *Engine) fastPathInto(fc *flowCtx, rule *mat.GlobalRule, kind classifier.Kind, pkt *packet.Packet, info *FastPathInfo, res *PacketResult, b *Batch) error {
 	m := e.model
+	*info = FastPathInfo{}
 
 	// Event pre-check: a previously-satisfied condition updates the rule
 	// before this packet is processed (§III). A firing's faults read the
@@ -660,7 +662,7 @@ func (e *Engine) fastPathInto(fc *flowCtx, rule *mat.GlobalRule, pkt *packet.Pac
 		// to the original chain, which is always correct; the flow
 		// re-records via the degradation ladder.
 		e.countFallback(fc.h.FID())
-		return e.slowPath(fc.h, pkt, false, res, b)
+		return e.slowPath(fc.h, kind, pkt, false, res, b)
 	}
 	// State functions execute first, on the packet as it arrived at
 	// the chain: payload-facing functions (the only kind with data
@@ -709,17 +711,8 @@ func (e *Engine) fastPathInto(fc *flowCtx, rule *mat.GlobalRule, pkt *packet.Pac
 		}
 	}
 
-	e.served(info, res, rule.FixedCycles, rule.HeaderCycles, verdict)
-	return nil
-}
-
-// served fills a fast-path result at a rule's or a summary's price.
-func (e *Engine) served(info *FastPathInfo, res *PacketResult, fixed, header uint64, verdict Verdict) {
-	info.FixedCycles += fixed
-	info.HeaderCycles = header
-	res.Path = PathFast
-	res.Verdict = verdict
-	res.Fast = info
+	info.FixedCycles += rule.FixedCycles
+	info.HeaderCycles = rule.HeaderCycles
 	// The "CPU cycle per packet" metric measures the primary
 	// processing core, as the paper's rdtsc instrumentation does:
 	// with parallel SF execution, worker-core cycles overlap the main
@@ -731,8 +724,22 @@ func (e *Engine) served(info *FastPathInfo, res *PacketResult, fixed, header uin
 	if e.opts.ParallelSF {
 		sfCycles = info.SF.CriticalCycles
 	}
-	res.WorkCycles = info.FixedCycles + info.HeaderCycles + sfCycles +
-		info.ReconsolidateCycles
+	served(res, info, fc.h.FID(), kind, verdict,
+		info.FixedCycles+info.HeaderCycles+sfCycles+info.ReconsolidateCycles)
+	return nil
+}
+
+// served writes a fast-path result whole, field by field (DESIGN §16,
+// "Stores in place"), info its rule's or summary's account.
+func served(res *PacketResult, info *FastPathInfo, fid flow.FID, kind classifier.Kind, verdict Verdict, work uint64) {
+	res.FID = fid
+	res.Kind = kind
+	res.Path = PathFast
+	res.Verdict = verdict
+	res.WorkCycles = work
+	res.Slow = nil
+	res.Fast = info
+	res.TornDown = false
 }
 
 // fireEvents takes h's flow's edit and, inside it, probes the guards of

@@ -40,7 +40,7 @@ func handleOf(t *testing.T, eng *Engine, fid flow.FID) flow.Handle {
 func fastProcess(t *testing.T, eng *Engine, h flow.Handle, pkt *packet.Packet, b *Batch) *PacketResult {
 	t.Helper()
 	b.begin(1)
-	if err := eng.fastPathInto(b.classified(h), eng.global.Live(h), pkt, &b.info[0], &b.res[0], b); err != nil {
+	if err := eng.fastPathInto(b.classified(h), eng.global.Live(h), classifier.KindSubsequent, pkt, &b.info[0], &b.res[0], b); err != nil {
 		t.Fatal(err)
 	}
 	return &b.res[0]
@@ -224,7 +224,7 @@ func TestFiringHammer(t *testing.T) {
 				fb := NewBatch(1)
 				fb.begin(1)
 				started.Add(1)
-				errs[w] = eng.fastPathInto(fb.classified(h), rule, udpPkt(t, port, "fires"), &fb.info[0], &fb.res[0], fb)
+				errs[w] = eng.fastPathInto(fb.classified(h), rule, classifier.KindSubsequent, udpPkt(t, port, "fires"), &fb.info[0], &fb.res[0], fb)
 				fired[w] = fb.info[0].EventsFired
 			}()
 		}

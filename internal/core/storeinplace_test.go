@@ -43,6 +43,7 @@ var inlinedHelpers = []struct{ file, decl, sym string }{
 	{"../packet/parse.go", "Packet.FlowKey", "packet.(*Packet).FlowKey"},
 	{"batch.go", "Engine.classifyFast", "core.(*Engine).classifyFast"},
 	{"batch.go", "Batch.classified", "core.(*Batch).classified"},
+	{"engine.go", "served", "core.served"},
 }
 
 // stackReload is a 16-byte load from the frame: the copy out of a stack

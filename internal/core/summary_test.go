@@ -180,11 +180,6 @@ func TestServedSummaryHammer(t *testing.T) {
 					continue
 				}
 				served.Add(1)
-				var info FastPathInfo
-				var res PacketResult
-				if eng.served(&info, &res, fixed, header, VerdictForward); res.WorkCycles != fixed+header {
-					t.Errorf("%v served at (%d, %d) costs %d cycles", fid, fixed, header, res.WorkCycles)
-				}
 				v, ok := installs.Load(fixed)
 				in, _ := v.(install)
 				switch {

@@ -247,7 +247,6 @@ func newEngineTelemetry(e *Engine, hub *telemetry.Hub, chain string) *engineTele
 		})
 	if inj := e.faults; inj != nil {
 		for _, k := range fault.Kinds() {
-			k := k
 			reg.CounterFunc(n(fmt.Sprintf("speedybox_faults_injected_total{kind=%q}", k)),
 				"Injected faults by kind", func() uint64 { return inj.Injected(k) })
 		}
@@ -268,26 +267,19 @@ func (t *engineTelemetry) hookWAL(w *wal.Writer) {
 		func() float64 { return float64(w.DurableLen()) })
 }
 
-// accountPacket records the per-path work histogram and the per-NF
-// slow-path stage timings for one finished packet. Fast-path cost is
-// exactly one atomic add.
+// accountPacket records one finished slow-path packet's work histogram
+// and per-NF stage timings; Batch.tally folds the fast path's.
 func (t *engineTelemetry) accountPacket(res *PacketResult) {
 	hint := uint32(res.FID)
-	if res.Path == PathFast {
-		t.fastLat.Record(res.WorkCycles, hint)
-		return
-	}
 	if res.Kind == classifier.KindHandshake {
 		t.handshakeLat.Record(res.WorkCycles, hint)
 	} else {
 		t.slowLat.Record(res.WorkCycles, hint)
 	}
-	if res.Slow != nil {
-		stages := *t.nfStage.Load()
-		for _, s := range res.Slow.PerNF {
-			if h, ok := stages[s.Name]; ok {
-				h.Record(s.Cycles, hint)
-			}
+	stages := *t.nfStage.Load()
+	for _, s := range res.Slow.PerNF {
+		if h, ok := stages[s.Name]; ok {
+			h.Record(s.Cycles, hint)
 		}
 	}
 }

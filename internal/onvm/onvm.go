@@ -70,10 +70,11 @@ func New(cfg Config) (*platform.Platform, error) {
 // (platform.Pricing); parallel is Options.ParallelSF.
 type formula struct{ parallel bool }
 
-func (f formula) Price(model *cost.Model, ms []platform.Measurement) {
-	for i := range ms {
+func (f formula) Price(model *cost.Model, results []*core.PacketResult, ms []platform.Measurement) {
+	for i, res := range results {
 		m := &ms[i]
-		switch res := m.Result; res.Path {
+		m.Result, m.WorkCycles = res, res.WorkCycles
+		switch res.Path {
 		case core.PathSlow:
 			traversed := len(res.Slow.PerNF)
 			if res.Slow.ConsolidateCycles > 0 {

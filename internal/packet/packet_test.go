@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func sampleSpec() Spec {
@@ -550,5 +551,18 @@ func TestFailedParseKeepsPriorParse(t *testing.T) {
 				t.Errorf("FlowKey() = %#x, %#x, %v, want %#x, %#x, true", gotHi, gotLo, ok, hi, lo)
 			}
 		})
+	}
+}
+
+// TestPacketSizeClass pins the descriptor to the 128-byte size class:
+// objects of that class start on a 128-byte boundary, so a descriptor
+// spans exactly two cache lines. The benchmark and a pooled trace
+// allocate one per frame, so a field that pushes it past 128 bytes puts
+// every descriptor across a third line. One that shrinks it into a
+// smaller class changes the lines descriptors span (in the 112-byte
+// class, half of them span three): move the pin with a measurement.
+func TestPacketSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Packet{}); n <= 112 || n > 128 {
+		t.Errorf("Packet is %d bytes, want 113-128 (the 128-byte size class)", n)
 	}
 }

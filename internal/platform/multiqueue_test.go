@@ -19,10 +19,10 @@ import (
 // path.
 type trivial struct{}
 
-func (trivial) Price(_ *cost.Model, ms []Measurement) {
-	for i := range ms {
-		ms[i].LatencyCycles = ms[i].WorkCycles + 100
-		ms[i].BottleneckCycles = ms[i].WorkCycles + 100
+func (trivial) Price(_ *cost.Model, results []*core.PacketResult, ms []Measurement) {
+	for i, res := range results {
+		ms[i] = Measurement{Result: res, WorkCycles: res.WorkCycles,
+			LatencyCycles: res.WorkCycles + 100, BottleneckCycles: res.WorkCycles + 100}
 	}
 }
 

@@ -8,6 +8,7 @@ package platform
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -40,11 +41,11 @@ type Measurement struct {
 	BottleneckCycles uint64
 }
 
-// Pricing is one topology's cost formula (paper §VI-A): Price fills in
-// a vector's latency, bottleneck and work under the cost model, given
-// each measurement's Result and the engine's WorkCycles.
+// Pricing is one topology's cost formula (paper §VI-A): Price measures
+// results[i] into ms[i], every field, under the cost model, in one pass
+// over the vector (ms is as long as results).
 type Pricing interface {
-	Price(model *cost.Model, ms []Measurement)
+	Price(model *cost.Model, results []*core.PacketResult, ms []Measurement)
 }
 
 // Platform is an NFV execution platform hosting one service chain: the
@@ -122,8 +123,9 @@ func (p *Platform) Process(pkt *packet.Packet) (Measurement, error) {
 	if err != nil {
 		return Measurement{}, err
 	}
-	ms := []Measurement{{Result: res, WorkCycles: res.WorkCycles}}
-	p.priceVector(ms)
+	ms := make([]Measurement, 1)
+	p.price.Price(p.eng.Model(), []*core.PacketResult{res}, ms)
+	p.record(ms)
 	return ms[0], nil
 }
 
@@ -138,18 +140,14 @@ func (p *Platform) ProcessBatch(pkts []*packet.Packet, b *Batch) ([]Measurement,
 	if err != nil {
 		return nil, err
 	}
-	ms := b.meas[:0]
-	for _, res := range results {
-		ms = append(ms, Measurement{Result: res, WorkCycles: res.WorkCycles})
-	}
-	b.meas = ms
-	p.priceVector(ms)
-	return ms, nil
+	b.meas = slices.Grow(b.meas[:0], len(results))[:len(results)]
+	p.price.Price(p.eng.Model(), results, b.meas)
+	p.record(b.meas)
+	return b.meas, nil
 }
 
-// priceVector prices one vector and records its latencies.
-func (p *Platform) priceVector(ms []Measurement) {
-	p.price.Price(p.eng.Model(), ms)
+// record puts a vector's latencies in the hub's histogram, if any.
+func (p *Platform) record(ms []Measurement) {
 	if p.lat != nil {
 		for i := range ms {
 			p.lat.Record(ms[i].LatencyCycles, uint32(ms[i].Result.FID))
