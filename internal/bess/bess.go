@@ -50,9 +50,9 @@ func New(cfg Config) (*Platform, error) {
 // parallel is Options.ParallelSF.
 type formula struct{ parallel bool }
 
-func (f formula) Price(model *cost.Model, results []*core.PacketResult, ms []platform.Measurement) {
-	for i, res := range results {
-		m := &ms[i]
+func (f formula) Price(model *cost.Model, results []core.PacketResult, ms []platform.Measurement) {
+	for i := range results {
+		res, m := &results[i], &ms[i]
 		m.Result, m.WorkCycles = res, res.WorkCycles
 		switch res.Path {
 		case core.PathSlow:
@@ -64,7 +64,7 @@ func (f formula) Price(model *cost.Model, results []*core.PacketResult, ms []pla
 			m.LatencyCycles = lat
 			m.BottleneckCycles = lat // run-to-completion: one core pays it all
 		case core.PathFast:
-			fp := res.Fast
+			fp := &res.Fast
 			mainCore := model.BESSFastFramework + fp.FixedCycles + fp.HeaderCycles +
 				fp.DispatchCycles + fp.ReconsolidateCycles
 			if f.parallel && fp.BatchCount > 0 {

@@ -66,3 +66,33 @@ func TestPlatformHotBatchAllocatesNothing(t *testing.T) {
 		t.Errorf("%v allocs a pass of %d packets, want 0", allocs, n)
 	}
 }
+
+// TestPlatformProcessAllocatesTwo: the per-packet API over the hot chain
+// allocates the caller's copy of the result and the measurement, and
+// nothing else: the copy is priced where it is. ProcessPacket draws its
+// Batch from a pool, so the count holds only without the race detector.
+func TestPlatformProcessAllocatesTwo(t *testing.T) {
+	p, err := New(Config{Chain: filterChain(t, 3), Options: core.DefaultOptions()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	pkt := packet.MustBuild(packet.Spec{
+		SrcIP: packet.IP4(10, 0, 0, 1), DstIP: packet.IP4(10, 1, 0, 1),
+		SrcPort: 1024, DstPort: 53, Proto: packet.ProtoUDP, Payload: []byte("hot"),
+	})
+	var m platform.Measurement
+	process := func() {
+		if m, err = p.Process(pkt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	process()
+	allocs := testing.AllocsPerRun(100, process)
+	if m.Result.Path != core.PathFast || m.LatencyCycles == 0 {
+		t.Fatalf("warm packet: path %v, %d latency cycles; want a priced fast-path packet", m.Result.Path, m.LatencyCycles)
+	}
+	if allocs > 2 && !raceEnabled {
+		t.Errorf("%v allocs a packet, want at most 2", allocs)
+	}
+}

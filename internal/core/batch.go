@@ -10,7 +10,6 @@ import (
 	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/mat"
 	"github.com/fastpathnfv/speedybox/internal/packet"
-	"github.com/fastpathnfv/speedybox/internal/sfunc"
 	"github.com/fastpathnfv/speedybox/internal/telemetry"
 )
 
@@ -37,8 +36,7 @@ const flowCacheWays = 4
 // per table instance), and the rule is loaded off the entry every time.
 type flowCtx struct {
 	// kHi/kLo are the packed flow key (packet.FlowKey) the probe
-	// compares; a context built from a handle (Batch.classified) leaves
-	// them zero.
+	// compares.
 	kHi, kLo uint64
 	h        flow.Handle
 	// gen is the flow table's generation read before h was acquired.
@@ -80,10 +78,8 @@ func (d *statsDelta) add(res *PacketResult) {
 	if res.Verdict == VerdictDrop {
 		d.dropped++
 	}
-	if res.Fast != nil {
-		d.eventsFired += uint64(res.Fast.EventsFired)
-	}
-	if res.Slow != nil && res.Slow.ConsolidateCycles > 0 {
+	d.eventsFired += uint64(res.Fast.EventsFired)
+	if res.Path == PathSlow && res.Slow.ConsolidateCycles > 0 {
 		d.consolidations++
 	}
 }
@@ -109,23 +105,19 @@ func (s *statsShard) fold(d *statsDelta) {
 }
 
 // Batch is the per-worker scratch state of the data path: the flow
-// contexts, preallocated result storage, the counter and telemetry
-// fold buffers, and the slow path's traversal scratch. A Batch must not
-// be shared between goroutines (each runner worker owns one;
-// ProcessPacket draws one from the engine's pool); results returned by
-// ProcessBatch — fast and slow alike — point into the Batch's storage
-// and are valid only until the next call on the same Batch.
+// contexts, one result slot a packet, the counter and telemetry fold
+// buffers, and the slow path's traversal scratch. A Batch must not be
+// shared between goroutines (each runner worker owns one; ProcessPacket
+// draws one from the engine's pool); the slots ProcessBatch returns, and
+// the slow-path info they point at, are valid only until the next call
+// on the same Batch.
 type Batch struct {
 	// flows is the keyed context cache, clock its round-robin victim
-	// pointer. scratch serves packets whose flow a full classification
-	// found (see classified).
-	flows   [flowCacheWays]flowCtx
-	clock   uint8
-	scratch flowCtx
+	// pointer.
+	flows [flowCacheWays]flowCtx
+	clock uint8
 
-	res  []PacketResult
-	info []FastPathInfo
-	out  []*PacketResult
+	res []PacketResult
 
 	// stage holds the stage pass's record of each packet of the vector,
 	// probes its one staged lookup, heads its dedup index (1 + the latest
@@ -206,8 +198,6 @@ func NewBatch(n int) *Batch {
 	}
 	return &Batch{
 		res:    make([]PacketResult, n),
-		info:   make([]FastPathInfo, n),
-		out:    make([]*PacketResult, 0, n),
 		stage:  make([]staged, n),
 		probes: make([]flow.KeyProbe, n),
 		shard:  batchSeq.Add(1) & (statsShardCount - 1),
@@ -216,17 +206,15 @@ func NewBatch(n int) *Batch {
 }
 
 // begin resets the per-vector storage for n packets, but for the result
-// and info slots, which process writes. The flow contexts deliberately
-// survive across vectors — that is where the amortization for repeated
-// flows comes from.
+// slots, which process writes. The flow contexts deliberately survive
+// across vectors — that is where the amortization for repeated flows
+// comes from.
 func (b *Batch) begin(n int) {
 	if len(b.res) < n {
 		b.res = make([]PacketResult, n)
-		b.info = make([]FastPathInfo, n)
 		b.stage = make([]staged, n)
 		b.probes = make([]flow.KeyProbe, n)
 	}
-	b.out = b.out[:0]
 	b.slow.used = 0
 	b.slow.ledger.Reset()
 }
@@ -379,14 +367,6 @@ func (b *Batch) flowCtxFor(flows *flow.Table, st *staged) (*flowCtx, bool) {
 	return fc, true
 }
 
-// classified returns the context of a packet whose flow the full
-// Classify found, built from the handle it returned, with no probe.
-func (b *Batch) classified(h flow.Handle) *flowCtx {
-	fc := &b.scratch
-	fc.kHi, fc.kLo, fc.h, fc.gen, fc.used = 0, 0, h, 0, true
-	return fc
-}
-
 // tally is the hub's half of a finished packet's account, which every
 // packet takes under a hub (the counters' half is b.delta).
 func (b *Batch) tally(e *Engine, res *PacketResult) {
@@ -465,38 +445,36 @@ func (e *Engine) flushStats(b *Batch) {
 // clock and counters take a few updates a vector. The vector size never changes
 // what a packet observes (the oracle holds vectors of 1 and 32
 // bit-identical), and arrival order is kept: NFs keep cross-flow state,
-// so reordering could change verdicts. Returned results point into the
-// Batch and are valid until its next use. Processing stops at the first
-// failing packet, whose predecessors stay accounted.
-func (e *Engine) ProcessBatch(pkts []*packet.Packet, b *Batch) ([]*PacketResult, error) {
+// so reordering could change verdicts. The returned results are the
+// Batch's slots, one a packet in order, valid until its next use; the
+// slice is capped at its length, so an append by the caller never writes
+// into the Batch. Processing stops at the first failing packet, whose
+// predecessors stay accounted.
+func (e *Engine) ProcessBatch(pkts []*packet.Packet, b *Batch) ([]PacketResult, error) {
 	b.begin(len(pkts))
 	if e.opts.EnableSpeedyBox {
 		e.stage(pkts, b)
 	}
-	out := b.out
 	for i, pkt := range pkts {
-		if err := e.process(pkt, &b.stage[i], &b.info[i], &b.res[i], b); err != nil {
+		if err := e.process(pkt, &b.stage[i], &b.res[i], b); err != nil {
 			e.flushStats(b)
 			return nil, err
 		}
-		out = append(out, &b.res[i])
 	}
-	b.out = out
 	e.flushStats(b)
-	return out, nil
+	return b.res[:len(pkts):len(pkts)], nil
 }
 
 // process is the per-packet decision ladder: classify, eviction fault,
-// one arm per packet kind, account. st is the packet's stage record,
-// info and res its slots in b's result storage, never cleared: each arm
-// writes res whole and what it reports of info; a slow-path packet
-// leaves info unused and draws its SlowPathInfo from b's traversal
-// scratch.
-func (e *Engine) process(pkt *packet.Packet, st *staged, info *FastPathInfo, res *PacketResult, b *Batch) error {
+// one arm per packet kind, account. st is the packet's stage record and
+// res its slot in b, never cleared: each arm writes res whole — a fast
+// packet's account in res.Fast, a slow packet's in a SlowPathInfo drawn
+// from b's traversal scratch.
+func (e *Engine) process(pkt *packet.Packet, st *staged, res *PacketResult, b *Batch) error {
 	var (
 		fid           flow.FID
 		kind          classifier.Kind
-		fc            *flowCtx
+		h             flow.Handle
 		rule          *mat.GlobalRule
 		fixed, header uint64
 		plain         bool
@@ -506,15 +484,15 @@ func (e *Engine) process(pkt *packet.Packet, st *staged, info *FastPathInfo, res
 	// alone, independent of the code it polices.
 	fastShaped := false
 	if e.opts.EnableSpeedyBox && st.shaped {
-		fc, fastShaped = e.classifyFast(st, pkt, b)
+		h, fastShaped = e.classifyFast(st, pkt, b)
 	}
 	if fastShaped {
 		// Established data packet: Subsequent with a live rule (or its
 		// summary), else the flow's initial packet (or a re-record after
 		// eviction or staleness) — the decision Classify asks Engine.serves.
-		fid, kind = fc.h.FID(), classifier.KindInitial
-		if fixed, header, plain = fc.h.Plain(e.global.Epoch()); !plain {
-			rule = e.global.Live(fc.h)
+		fid, kind = h.FID(), classifier.KindInitial
+		if fixed, header, plain = h.Plain(e.global.Epoch()); !plain {
+			rule = e.global.Live(h)
 		}
 		if rule != nil || plain {
 			kind = classifier.KindSubsequent
@@ -528,8 +506,7 @@ func (e *Engine) process(pkt *packet.Packet, st *staged, info *FastPathInfo, res
 		if err := e.classify(pkt, &cls); err != nil {
 			return err
 		}
-		fid, kind = cls.FID, cls.Kind
-		fc = b.classified(cls.Handle)
+		fid, kind, h = cls.FID, cls.Kind, cls.Handle
 	}
 	b.ticks++
 
@@ -541,45 +518,44 @@ func (e *Engine) process(pkt *packet.Packet, st *staged, info *FastPathInfo, res
 	// back to the slow path, it does not re-record as Initial.
 	if e.faults != nil && e.opts.EnableSpeedyBox &&
 		e.faults.Should(fault.KindEvictPressure, fid) {
-		e.evictConsolidated(fc.h)
-		rule, plain = e.global.Live(fc.h), false // the summary went with the rule
+		e.evictConsolidated(h)
+		rule, plain = e.global.Live(h), false // the summary went with the rule
 	}
 
 	var err error
 	switch {
 	case kind == classifier.KindSubsequent && plain:
 		// The summary's price and nothing else; one count.
-		info.FixedCycles, info.HeaderCycles = fixed, header
-		info.SF = sfunc.ExecResult{}
-		info.DispatchCycles, info.BatchCount, info.EventsFired, info.ReconsolidateCycles = 0, 0, 0, 0
-		served(res, info, fid, kind, VerdictForward, fixed+header)
+		res.Fast = FastPathInfo{}
+		res.Fast.FixedCycles, res.Fast.HeaderCycles = fixed, header
+		served(res, fid, kind, VerdictForward, fixed+header)
 		b.delta.plain++
 		if e.tel != nil {
 			b.tally(e, res)
 		}
 		return nil
 	case kind == classifier.KindSubsequent:
-		err = e.fastPathInto(fc, rule, kind, pkt, info, res, b)
+		err = e.fastPathInto(h, rule, kind, pkt, res, b)
 	case kind == classifier.KindFinal:
-		if rule = e.global.Live(fc.h); rule != nil {
-			err = e.fastPathInto(fc, rule, kind, pkt, info, res, b)
+		if rule = e.global.Live(h); rule != nil {
+			err = e.fastPathInto(h, rule, kind, pkt, res, b)
 		} else {
-			err = e.slowPath(fc.h, kind, pkt, false, res, b)
+			err = e.slowPath(h, kind, pkt, false, res, b)
 		}
 		if err == nil {
-			e.teardown(e.class.Flows().EditHandle(fc.h), CauseFinTeardown)
+			e.teardown(e.class.Flows().EditHandle(h), CauseFinTeardown)
 			res.TornDown = true
 		}
 	case kind == classifier.KindInitial:
 		// The recording gate and the ladder read the clock.
 		e.publish(b)
-		recording := e.tryBeginRecording(fc.h)
-		err = e.slowPath(fc.h, kind, pkt, recording, res, b)
+		recording := e.tryBeginRecording(h)
+		err = e.slowPath(h, kind, pkt, recording, res, b)
 		if recording {
-			fc.h.Unclaim()
+			h.Unclaim()
 		}
 	default: // KindHandshake
-		err = e.slowPath(fc.h, kind, pkt, false, res, b)
+		err = e.slowPath(h, kind, pkt, false, res, b)
 	}
 	if err != nil {
 		return err
@@ -596,14 +572,15 @@ func (e *Engine) process(pkt *packet.Packet, st *staged, info *FastPathInfo, res
 // found it — through the Batch's flow contexts: a key compare, a
 // generation load and a load of the state word replace Classify's hashes
 // and probe, and nothing shared is written but a seen stamp a sweep asks
-// for (flow.Handle.Touch). An untracked or not-yet-established flow
-// reports ok=false, mutating nothing, for the full Classify.
-func (e *Engine) classifyFast(st *staged, pkt *packet.Packet, b *Batch) (*flowCtx, bool) {
+// for (flow.Handle.Touch). It returns the flow's handle; an untracked or
+// not-yet-established flow reports ok=false, mutating nothing, for the
+// full Classify.
+func (e *Engine) classifyFast(st *staged, pkt *packet.Packet, b *Batch) (flow.Handle, bool) {
 	fc, ok := b.flowCtxFor(e.class.Flows(), st)
 	if !ok || !fc.h.Touch(b.seen) {
-		return nil, false
+		return flow.Handle{}, false
 	}
 	pkt.Meta.FID = uint32(fc.h.FID())
 	pkt.Meta.HasFID = true
-	return fc, true
+	return fc.h, true
 }

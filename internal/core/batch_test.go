@@ -438,14 +438,18 @@ func TestRuleCacheGenerationValidation(t *testing.T) {
 }
 
 // classifyOne stages a vector of one packet and classifies it through
-// b's flow contexts, outside the ladder.
+// b's flow contexts, outside the ladder, returning the context it
+// resolved to.
 func classifyOne(eng *Engine, b *Batch, pkt *packet.Packet) (*flowCtx, bool) {
 	b.begin(1)
 	eng.stage([]*packet.Packet{pkt}, b)
 	if !b.stage[0].shaped {
 		return nil, false
 	}
-	return eng.classifyFast(&b.stage[0], pkt, b)
+	if _, ok := eng.classifyFast(&b.stage[0], pkt, b); !ok {
+		return nil, false
+	}
+	return b.stage[0].fc, true
 }
 
 // TestRuleCacheEviction: four contexts holding four flows; a fifth flow
@@ -599,7 +603,7 @@ func TestOneBatchTwoEngines(t *testing.T) {
 
 // TestWarmPathAllocatesNothing: a warm 32-packet vector over cached
 // flows allocates nothing, and neither does the fast path on the
-// handle-built scratch context a fully classified packet runs on.
+// handle a fully classified packet runs on.
 func TestWarmPathAllocatesNothing(t *testing.T) {
 	// A state-function-only chain leaves packets byte-identical, so one
 	// vector can be replayed.
@@ -622,16 +626,15 @@ func TestWarmPathAllocatesNothing(t *testing.T) {
 		t.Errorf("warm 32-packet vector: %v allocs, want 0", n)
 	}
 	h := b.flows[0].h
-	var info FastPathInfo
 	var res PacketResult
-	scratch := func() {
-		info, res = FastPathInfo{}, PacketResult{}
-		if err := eng.fastPathInto(b.classified(h), eng.global.Live(h), classifier.KindSubsequent, vec[0], &info, &res, b); err != nil {
+	classified := func() {
+		res = PacketResult{}
+		if err := eng.fastPathInto(h, eng.global.Live(h), classifier.KindSubsequent, vec[0], &res, b); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := testing.AllocsPerRun(50, scratch); n != 0 || res.Path != PathFast {
-		t.Errorf("scratch context: %v allocs, path %v, want 0 on the fast path", n, res.Path)
+	if n := testing.AllocsPerRun(50, classified); n != 0 || res.Path != PathFast {
+		t.Errorf("classified handle: %v allocs, path %v, want 0 on the fast path", n, res.Path)
 	}
 }
 

@@ -296,7 +296,7 @@ func TestQuietFlowsNeverProbe(t *testing.T) {
 	}
 	const flows = 16
 	b := core.NewBatch(flows)
-	round := func(payload string) []*core.PacketResult {
+	round := func(payload string) []core.PacketResult {
 		t.Helper()
 		vec := make([]*packet.Packet, flows)
 		for f := range vec {

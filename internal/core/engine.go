@@ -370,7 +370,8 @@ func (e *Engine) ProcessPacket(pkt *packet.Packet) (*PacketResult, error) {
 
 // slowPath runs the packet, of kind, through the original service chain,
 // recording behaviour when requested, and writes the account whole into
-// res, the packet's slot in b. It runs on b's traversal scratch; what the
+// res, the packet's slot in b, field by field: Fast zeroed, Slow pointing
+// at an info of b's traversal scratch. It runs on that scratch; what the
 // NFs record is published only once the whole chain has run, so a
 // traversal cut short (an NF error, an injected crash) leaves no
 // recording behind.
@@ -426,7 +427,13 @@ func (e *Engine) slowPath(h flow.Handle, kind classifier.Kind, pkt *packet.Packe
 	}
 	info.PerNF = t.ledger.Stages()
 
-	*res = PacketResult{FID: fid, Kind: kind, Path: PathSlow, Verdict: verdict, Slow: info}
+	res.FID = fid
+	res.Kind = kind
+	res.Path = PathSlow
+	res.Verdict = verdict
+	res.Slow = info
+	res.Fast = FastPathInfo{}
+	res.TornDown = false
 	if recording && abortRecording {
 		// Drop the recording and park the flow on the ladder.
 		ed := e.class.Flows().EditHandle(h)
@@ -630,15 +637,16 @@ func (e *Engine) drop(ed flow.Edit, cause string) {
 }
 
 // fastPathInto applies the consolidated rule to a packet of kind,
-// writing into its info (zeroed first: the event checks add to it) and
-// res slots of b — per-worker arrays, so steady-state fast-path packets
-// allocate nothing. fc is the flow's context and rule the live rule the
-// caller read off the entry its handle points at (nil: none); both Event
-// Table checks are made off the rule's guards, so only a flow with a
-// guard that holds takes the flow's edit and probes. On a rule miss the
-// packet falls back to the slow path, which fills res instead.
-func (e *Engine) fastPathInto(fc *flowCtx, rule *mat.GlobalRule, kind classifier.Kind, pkt *packet.Packet, info *FastPathInfo, res *PacketResult, b *Batch) error {
+// writing into res, its slot of b — a per-worker array, so steady-state
+// fast-path packets allocate nothing — with res.Fast zeroed first: the
+// event checks add to it. h is the flow's handle and rule the live rule
+// the caller read off its entry (nil: none); both Event Table checks are
+// made off the rule's guards, so only a flow with a guard that holds
+// takes the flow's edit and probes. On a rule miss the packet falls back
+// to the slow path, which writes res whole instead.
+func (e *Engine) fastPathInto(h flow.Handle, rule *mat.GlobalRule, kind classifier.Kind, pkt *packet.Packet, res *PacketResult, b *Batch) error {
 	m := e.model
+	info := &res.Fast
 	*info = FastPathInfo{}
 
 	// Event pre-check: a previously-satisfied condition updates the rule
@@ -646,7 +654,7 @@ func (e *Engine) fastPathInto(fc *flowCtx, rule *mat.GlobalRule, kind classifier
 	// clock.
 	if rule != nil && event.Holds(rule.Guards) {
 		e.publish(b)
-		fired, err := e.fireEvents(fc.h, info)
+		fired, err := e.fireEvents(h, info)
 		if err != nil {
 			return err
 		}
@@ -654,15 +662,15 @@ func (e *Engine) fastPathInto(fc *flowCtx, rule *mat.GlobalRule, kind classifier
 			// The rule was rebuilt; the fresh lookup sees it.
 			info.FixedCycles += m.GMATLookup
 		}
-		rule = e.global.Live(fc.h)
+		rule = e.global.Live(h)
 	}
 	if rule == nil {
 		// The rule vanished (fault-evicted under the packet, or dropped
 		// by a firing) or went stale (a lost recomputation). Fall back
 		// to the original chain, which is always correct; the flow
 		// re-records via the degradation ladder.
-		e.countFallback(fc.h.FID())
-		return e.slowPath(fc.h, kind, pkt, false, res, b)
+		e.countFallback(h.FID())
+		return e.slowPath(h, kind, pkt, false, res, b)
 	}
 	// State functions execute first, on the packet as it arrived at
 	// the chain: payload-facing functions (the only kind with data
@@ -706,7 +714,7 @@ func (e *Engine) fastPathInto(fc *flowCtx, rule *mat.GlobalRule, kind classifier
 	// arm a condition that changes processing for the next packet.
 	if event.Holds(rule.Guards) {
 		e.publish(b)
-		if _, err := e.fireEvents(fc.h, info); err != nil {
+		if _, err := e.fireEvents(h, info); err != nil {
 			return err
 		}
 	}
@@ -724,21 +732,20 @@ func (e *Engine) fastPathInto(fc *flowCtx, rule *mat.GlobalRule, kind classifier
 	if e.opts.ParallelSF {
 		sfCycles = info.SF.CriticalCycles
 	}
-	served(res, info, fc.h.FID(), kind, verdict,
+	served(res, h.FID(), kind, verdict,
 		info.FixedCycles+info.HeaderCycles+sfCycles+info.ReconsolidateCycles)
 	return nil
 }
 
-// served writes a fast-path result whole, field by field (DESIGN §16,
-// "Stores in place"), info its rule's or summary's account.
-func served(res *PacketResult, info *FastPathInfo, fid flow.FID, kind classifier.Kind, verdict Verdict, work uint64) {
+// served writes the rest of a fast-path result, whose Fast the caller
+// wrote, field by field (DESIGN §16, "Stores in place").
+func served(res *PacketResult, fid flow.FID, kind classifier.Kind, verdict Verdict, work uint64) {
 	res.FID = fid
 	res.Kind = kind
 	res.Path = PathFast
 	res.Verdict = verdict
 	res.WorkCycles = work
 	res.Slow = nil
-	res.Fast = info
 	res.TornDown = false
 }
 

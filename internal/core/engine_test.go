@@ -458,7 +458,7 @@ func TestAblationModes(t *testing.T) {
 	haOnly := run(Options{EnableSpeedyBox: true, ConsolidateHeaders: true, ParallelSF: false})
 	sfOnly := run(Options{EnableSpeedyBox: true, ConsolidateHeaders: false, ParallelSF: true})
 
-	if haOnly.Fast == nil || sfOnly.Fast == nil || full.Fast == nil {
+	if haOnly.Path != PathFast || sfOnly.Path != PathFast || full.Path != PathFast {
 		t.Fatal("ablation run missed fast path")
 	}
 	// Without header consolidation, header work is priced with per-NF

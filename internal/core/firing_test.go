@@ -93,7 +93,7 @@ func TestConcurrentFiringsKeepEveryUpdate(t *testing.T) {
 			fb := NewBatch(1)
 			fb.begin(1)
 			pkt := udpPkt(t, port, "fires")
-			errs <- eng.fastPathInto(fb.classified(h), eng.global.Live(h), classifier.KindSubsequent, pkt, &fb.info[0], &fb.res[0], fb)
+			errs <- eng.fastPathInto(h, eng.global.Live(h), classifier.KindSubsequent, pkt, &fb.res[0], fb)
 		}
 		src.armed.Store(1)
 		wg.Add(2)
@@ -152,7 +152,7 @@ func TestFiringAfterReconfigureReRecords(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rs[0]
+		return &rs[0]
 	}
 	fid := send("record").FID
 	h := handleOf(t, eng, fid)
@@ -168,7 +168,7 @@ func TestFiringAfterReconfigureReRecords(t *testing.T) {
 	unrecorded := eng.tel.removals[CauseEventUnrecorded]
 	nf.armed.Store(1)
 	b.begin(1)
-	if err := eng.fastPathInto(b.classified(h), read, classifier.KindSubsequent, udpPkt(t, 9200, "fires"), &b.info[0], &b.res[0], b); err != nil {
+	if err := eng.fastPathInto(h, read, classifier.KindSubsequent, udpPkt(t, 9200, "fires"), &b.res[0], b); err != nil {
 		t.Fatal(err)
 	}
 	if r := &b.res[0]; r.Path == PathFast {

@@ -34,13 +34,13 @@ func handleOf(t *testing.T, eng *Engine, fid flow.FID) flow.Handle {
 }
 
 // fastProcess runs the consolidated fast path of h's flow on one packet,
-// as the ladder's Subsequent arm does, on a context built from h: the
+// as the ladder's Subsequent arm does, on h: the
 // live rule is read off the entry, none (stale or evicted) takes the
 // Event Table's probe first.
 func fastProcess(t *testing.T, eng *Engine, h flow.Handle, pkt *packet.Packet, b *Batch) *PacketResult {
 	t.Helper()
 	b.begin(1)
-	if err := eng.fastPathInto(b.classified(h), eng.global.Live(h), classifier.KindSubsequent, pkt, &b.info[0], &b.res[0], b); err != nil {
+	if err := eng.fastPathInto(h, eng.global.Live(h), classifier.KindSubsequent, pkt, &b.res[0], b); err != nil {
 		t.Fatal(err)
 	}
 	return &b.res[0]
@@ -76,7 +76,7 @@ func TestGuardsFollowRegistrations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rs[0]
+		return &rs[0]
 	}
 	probes := func() uint64 { return eng.Events().ProbesTotal() }
 
@@ -224,8 +224,8 @@ func TestFiringHammer(t *testing.T) {
 				fb := NewBatch(1)
 				fb.begin(1)
 				started.Add(1)
-				errs[w] = eng.fastPathInto(fb.classified(h), rule, classifier.KindSubsequent, udpPkt(t, port, "fires"), &fb.info[0], &fb.res[0], fb)
-				fired[w] = fb.info[0].EventsFired
+				errs[w] = eng.fastPathInto(h, rule, classifier.KindSubsequent, udpPkt(t, port, "fires"), &fb.res[0], fb)
+				fired[w] = fb.res[0].Fast.EventsFired
 			}()
 		}
 		wg.Wait()

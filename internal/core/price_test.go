@@ -250,7 +250,7 @@ func TestPriceSurvivesRestoreAndReconsolidation(t *testing.T) {
 	}
 	before := priced(eng, first.FID, "after the initial packet").HeaderCycles
 	lb.armed.Store(1)
-	if res, err := eng.ProcessPacket(udpPkt(t, 4300, "second")); err != nil || res.Fast == nil || res.Fast.EventsFired != 1 {
+	if res, err := eng.ProcessPacket(udpPkt(t, 4300, "second")); err != nil || res.Path != PathFast || res.Fast.EventsFired != 1 {
 		t.Fatalf("second packet: %+v, %v; want one event fired on the fast path", res, err)
 	}
 	if after := priced(eng, first.FID, "after the reconsolidation"); after.Version != 1 || after.HeaderCycles <= before {

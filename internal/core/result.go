@@ -72,6 +72,10 @@ type FastPathInfo struct {
 }
 
 // PacketResult is the engine's full account of one processed packet.
+// ProcessBatch writes it by value into the packet's slot of the Batch,
+// and Path is its one discriminant: a fast packet's account is the slot
+// alone (Fast), a slow packet's points into the Batch's traversal
+// scratch (Slow, and its PerNF).
 type PacketResult struct {
 	// FID is the flow identifier.
 	FID flow.FID
@@ -84,24 +88,21 @@ type PacketResult struct {
 	// WorkCycles is the total processing work — the paper's "CPU
 	// cycle per packet" metric (framework overheads excluded).
 	WorkCycles uint64
-	// Slow is populated when Path == PathSlow.
+	// Slow is populated when Path == PathSlow, nil otherwise.
 	Slow *SlowPathInfo
-	// Fast is populated when Path == PathFast.
-	Fast *FastPathInfo
+	// Fast is populated when Path == PathFast, zero otherwise.
+	Fast FastPathInfo
 	// TornDown reports that FIN/RST cleanup ran after processing.
 	TornDown bool
 }
 
-// clone returns a caller-owned deep copy of a result that points into a
-// Batch: the result and its path info in one allocation, plus PerNF.
+// clone returns a caller-owned deep copy of a result in a Batch slot:
+// one value copy on the fast path; on the slow path the result and its
+// path info in one allocation, plus PerNF.
 func (r *PacketResult) clone() *PacketResult {
-	if r.Fast != nil {
-		o := &struct {
-			PacketResult
-			FastPathInfo
-		}{*r, *r.Fast}
-		o.Fast = &o.FastPathInfo
-		return &o.PacketResult
+	if r.Path == PathFast {
+		o := *r
+		return &o
 	}
 	o := &struct {
 		PacketResult

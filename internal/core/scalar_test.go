@@ -55,9 +55,9 @@ func TestProcessPacketFoldsFlowBookkeeping(t *testing.T) {
 	}
 }
 
-// TestProcessPacketResultIsCallerOwned: a returned result (and its
-// Fast decomposition) must not alias the pooled Batch's storage — 100
-// further packets of other flows leave it intact.
+// TestProcessPacketResultIsCallerOwned: a returned result (its Fast
+// decomposition held in it) must not alias the pooled Batch's storage —
+// 100 further packets of other flows leave it intact.
 func TestProcessPacketResultIsCallerOwned(t *testing.T) {
 	eng := newBatchTestEngine(t, DefaultOptions())
 	if _, err := eng.ProcessPacket(udpPkt(t, 9201, "owned")); err != nil {
@@ -67,30 +67,31 @@ func TestProcessPacketResultIsCallerOwned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kept.Path != PathFast || kept.Fast == nil {
-		t.Fatalf("kept result path=%v fast=%v, want a fast-path result", kept.Path, kept.Fast)
+	if kept.Path != PathFast {
+		t.Fatalf("kept result path=%v fast=%+v, want a fast-path result", kept.Path, kept.Fast)
 	}
-	wantRes, wantFast := *kept, *kept.Fast
+	wantRes := *kept
 	for i := 0; i < 100; i++ {
 		port := uint16(9300 + i%7)
 		r, err := eng.ProcessPacket(udpPkt(t, port, "another flow, another payload length"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r == kept || (r.Fast != nil && r.Fast == kept.Fast) {
+		if r == kept {
 			t.Fatalf("call %d returned storage aliasing an earlier result", i)
 		}
 	}
-	if *kept != wantRes || *kept.Fast != wantFast {
-		t.Errorf("result changed under later calls:\nnow:  %+v %+v\nwant: %+v %+v", *kept, *kept.Fast, wantRes, wantFast)
+	if *kept != wantRes {
+		t.Errorf("result changed under later calls:\nnow:  %+v\nwant: %+v", *kept, wantRes)
 	}
 }
 
 // TestSlowResultLifetime: a slow-path result lives in the Batch like a
 // fast-path one. ProcessPacket hands out a deep copy — SlowPathInfo and
 // PerNF included — that 64 further calls leave intact; a result kept
-// from ProcessBatch is the Batch's storage and the next vector
-// overwrites it.
+// from ProcessBatch is the Batch's slot and the next vector overwrites
+// it; the returned slice is capped at its length, so an append by the
+// caller never reaches the next slot.
 func TestSlowResultLifetime(t *testing.T) {
 	eng := newBatchTestEngine(t, BaselineOptions())
 	kept, err := eng.ProcessPacket(udpPkt(t, 9251, "owned"))
@@ -120,12 +121,15 @@ func TestSlowResultLifetime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	held, heldFID := first[0], first[0].FID
+	held, heldFID := &first[0], first[0].FID
 	second, err := eng.ProcessBatch([]*packet.Packet{udpPkt(t, 9253, "second")}, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if held != second[0] || held.Slow != second[0].Slow || held.FID == heldFID {
+	if cap(first) != len(first) || cap(second) != len(second) {
+		t.Errorf("ProcessBatch returned slices of cap %d and %d for one packet each: an append would write into the Batch", cap(first), cap(second))
+	}
+	if held != &second[0] || held.Slow != second[0].Slow || held.FID == heldFID {
 		t.Errorf("a result kept across ProcessBatch calls still reads as the first packet's (%v): the contract is that it is overwritten", held.FID)
 	}
 }

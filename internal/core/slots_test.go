@@ -130,14 +130,11 @@ func slotMixTrace(t *testing.T) func() []*packet.Packet {
 	}
 }
 
-// ownedCopy is a caller-owned deep copy of a result, path info and PerNF
-// included (an empty PerNF as nil), for reflect.DeepEqual.
+// ownedCopy is a caller-owned deep copy of a result, its Fast held by
+// value and its Slow and PerNF copied (an empty PerNF as nil), for
+// reflect.DeepEqual.
 func ownedCopy(r *PacketResult) PacketResult {
 	c := *r
-	if r.Fast != nil {
-		f := *r.Fast
-		c.Fast = &f
-	}
 	if r.Slow != nil {
 		s := *r.Slow
 		s.PerNF = nil
@@ -149,13 +146,13 @@ func ownedCopy(r *PacketResult) PacketResult {
 	return c
 }
 
-// TestBatchSlotsCarryNothingOver: a Batch's result and info slots are not
+// TestBatchSlotsCarryNothingOver: a Batch's result slots are not
 // cleared between vectors, so each arm of the ladder must write a
 // packet's account whole. One warm Batch runs vectors of varied sizes
 // that mix handshake, initial (recording), summary-served, rule-served,
 // event-firing, FIN/teardown and drop packets over slot after slot; a
 // twin engine runs the same vectors on a fresh Batch each, and every
-// result — its path info and PerNF included — the counters and the
+// result — its Fast, its *Slow and PerNF included — the counters and the
 // hub's count of fast-path work must agree.
 func TestBatchSlotsCarryNothingOver(t *testing.T) {
 	newEngine := func() *Engine {
@@ -184,7 +181,7 @@ func TestBatchSlotsCarryNothingOver(t *testing.T) {
 			t.Fatalf("twin vector at %d: %v", off, err)
 		}
 		for i := range got {
-			g, w := ownedCopy(got[i]), ownedCopy(want[i])
+			g, w := ownedCopy(&got[i]), ownedCopy(&want[i])
 			if !reflect.DeepEqual(g, w) {
 				t.Errorf("packet %d (slot %d): warm Batch %+v fast %+v slow %+v\nfresh Batch %+v fast %+v slow %+v",
 					off+i, i, g, g.Fast, g.Slow, w, w.Fast, w.Slow)

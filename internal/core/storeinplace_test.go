@@ -42,7 +42,6 @@ var packetPath = []string{
 var inlinedHelpers = []struct{ file, decl, sym string }{
 	{"../packet/parse.go", "Packet.FlowKey", "packet.(*Packet).FlowKey"},
 	{"batch.go", "Engine.classifyFast", "core.(*Engine).classifyFast"},
-	{"batch.go", "Batch.classified", "core.(*Batch).classified"},
 	{"engine.go", "served", "core.served"},
 }
 

@@ -38,7 +38,7 @@ func TestSummaryServesAsTheRule(t *testing.T) {
 
 	viaRule := udpPkt(t, 8701, "served")
 	want := *fastProcess(t, eng, h, viaRule, b)
-	wantInfo := *want.Fast
+	wantInfo := want.Fast
 	// The rule's own price is not what the summary path reads: change it
 	// on the installed rule, and the packet is still charged the summary.
 	rule.FixedCycles++
@@ -48,10 +48,10 @@ func TestSummaryServesAsTheRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := *rs[0]
-	if got.Path != PathFast || got.Verdict != want.Verdict || got.WorkCycles != want.WorkCycles || *got.Fast != wantInfo {
+	got := rs[0]
+	if got.Path != PathFast || got.Verdict != want.Verdict || got.WorkCycles != want.WorkCycles || got.Fast != wantInfo {
 		t.Errorf("summary served %v %v %d cycles %+v; the rule %v %v %d cycles %+v",
-			got.Path, got.Verdict, got.WorkCycles, *got.Fast, want.Path, want.Verdict, want.WorkCycles, wantInfo)
+			got.Path, got.Verdict, got.WorkCycles, got.Fast, want.Path, want.Verdict, want.WorkCycles, wantInfo)
 	}
 	if !bytes.Equal(viaSummary.Data(), viaRule.Data()) {
 		t.Error("the summary and the rule leave different packet bytes")

@@ -106,7 +106,7 @@ func runPartitioned(p *platform.Platform, pkts []*packet.Packet, batch int) (*Pa
 					out.SubWork = append(out.SubWork, float64(m.WorkCycles))
 					out.SubLat = append(out.SubLat, float64(m.LatencyCycles))
 					out.SubBott = append(out.SubBott, float64(m.BottleneckCycles))
-					if res.Slow != nil {
+					if res.Path == core.PathSlow {
 						for _, s := range res.Slow.PerNF {
 							out.PerNFSub[s.Name] = append(out.PerNFSub[s.Name], float64(s.Cycles))
 						}

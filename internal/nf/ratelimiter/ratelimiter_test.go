@@ -133,7 +133,7 @@ func TestSharedEventBlocksSiblingFlows(t *testing.T) {
 	if !pkt.Dropped() {
 		t.Error("sibling flow not blocked by shared-state event")
 	}
-	if res.Result.Fast == nil || res.Result.Fast.EventsFired == 0 {
+	if res.Result.Path != core.PathFast || res.Result.Fast.EventsFired == 0 {
 		t.Error("sibling block did not come from an event firing")
 	}
 }
@@ -259,7 +259,7 @@ func TestRestoreKeepsCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pkt.Dropped() || r.Result.Fast == nil || r.Result.Fast.EventsFired != 1 {
+	if !pkt.Dropped() || r.Result.Path != core.PathFast || r.Result.Fast.EventsFired != 1 {
 		t.Errorf("packet after the restore: dropped %v, result %+v; want a drop by one firing", pkt.Dropped(), r.Result)
 	}
 }

@@ -70,9 +70,9 @@ func New(cfg Config) (*platform.Platform, error) {
 // (platform.Pricing); parallel is Options.ParallelSF.
 type formula struct{ parallel bool }
 
-func (f formula) Price(model *cost.Model, results []*core.PacketResult, ms []platform.Measurement) {
-	for i, res := range results {
-		m := &ms[i]
+func (f formula) Price(model *cost.Model, results []core.PacketResult, ms []platform.Measurement) {
+	for i := range results {
+		res, m := &results[i], &ms[i]
 		m.Result, m.WorkCycles = res, res.WorkCycles
 		switch res.Path {
 		case core.PathSlow:
@@ -103,7 +103,7 @@ func (f formula) Price(model *cost.Model, results []*core.PacketResult, ms []pla
 			// state lives there — costing one dispatch hop per batch
 			// (sequential mode) or per stage (parallel mode, where the
 			// dispatches to co-scheduled cores overlap).
-			fp := res.Fast
+			fp := &res.Fast
 			mgrWork := fp.FixedCycles + fp.HeaderCycles + fp.DispatchCycles + fp.ReconsolidateCycles
 			if f.parallel && fp.BatchCount > 0 {
 				m.LatencyCycles = model.ONVMRx + mgrWork +

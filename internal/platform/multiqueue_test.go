@@ -19,8 +19,9 @@ import (
 // path.
 type trivial struct{}
 
-func (trivial) Price(_ *cost.Model, results []*core.PacketResult, ms []Measurement) {
-	for i, res := range results {
+func (trivial) Price(_ *cost.Model, results []core.PacketResult, ms []Measurement) {
+	for i := range results {
+		res := &results[i]
 		ms[i] = Measurement{Result: res, WorkCycles: res.WorkCycles,
 			LatencyCycles: res.WorkCycles + 100, BottleneckCycles: res.WorkCycles + 100}
 	}

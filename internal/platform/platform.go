@@ -11,6 +11,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"github.com/fastpathnfv/speedybox/internal/core"
 	"github.com/fastpathnfv/speedybox/internal/cost"
@@ -26,7 +27,8 @@ var ErrClosed = errcode.Sentinel("platform.closed", "platform: closed")
 
 // Measurement is one packet's platform-level account.
 type Measurement struct {
-	// Result is the engine's path/verdict/work decomposition.
+	// Result is the engine's path/verdict/work decomposition: the
+	// packet's slot in the engine's Batch, or Process's own copy.
 	Result *core.PacketResult
 	// WorkCycles is the paper's "CPU cycle per packet" metric,
 	// including any platform-specific work additions (e.g. ONVM's
@@ -43,9 +45,10 @@ type Measurement struct {
 
 // Pricing is one topology's cost formula (paper §VI-A): Price measures
 // results[i] into ms[i], every field, under the cost model, in one pass
-// over the vector (ms is as long as results).
+// over the vector (ms is as long as results); ms[i].Result is
+// &results[i], so the results must outlive the measurements.
 type Pricing interface {
-	Price(model *cost.Model, results []*core.PacketResult, ms []Measurement)
+	Price(model *cost.Model, results []core.PacketResult, ms []Measurement)
 }
 
 // Platform is an NFV execution platform hosting one service chain: the
@@ -123,8 +126,9 @@ func (p *Platform) Process(pkt *packet.Packet) (Measurement, error) {
 	if err != nil {
 		return Measurement{}, err
 	}
+	// The clone is the caller's; it is priced where it is.
 	ms := make([]Measurement, 1)
-	p.price.Price(p.eng.Model(), []*core.PacketResult{res}, ms)
+	p.price.Price(p.eng.Model(), unsafe.Slice(res, 1), ms)
 	p.record(ms)
 	return ms[0], nil
 }

@@ -19,7 +19,7 @@ type scripted struct {
 	next     int
 }
 
-func (s *scripted) Price(_ *cost.Model, _ []*core.PacketResult, ms []Measurement) {
+func (s *scripted) Price(_ *cost.Model, _ []core.PacketResult, ms []Measurement) {
 	for i := range ms {
 		ms[i] = s.measures[s.next%len(s.measures)]
 		s.next++
