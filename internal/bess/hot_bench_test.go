@@ -67,11 +67,12 @@ func TestPlatformHotBatchAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestPlatformProcessAllocatesTwo: the per-packet API over the hot chain
-// allocates the caller's copy of the result and the measurement, and
-// nothing else: the copy is priced where it is. ProcessPacket draws its
-// Batch from a pool, so the count holds only without the race detector.
-func TestPlatformProcessAllocatesTwo(t *testing.T) {
+// TestPlatformProcessAllocatesOne: the per-packet API over the hot chain
+// allocates the caller's copy of the result and nothing else: the copy is
+// priced where it is, into a pooled measurement returned by value.
+// ProcessPacket draws its Batch from a pool too, so the count holds only
+// without the race detector.
+func TestPlatformProcessAllocatesOne(t *testing.T) {
 	p, err := New(Config{Chain: filterChain(t, 3), Options: core.DefaultOptions()})
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +93,7 @@ func TestPlatformProcessAllocatesTwo(t *testing.T) {
 	if m.Result.Path != core.PathFast || m.LatencyCycles == 0 {
 		t.Fatalf("warm packet: path %v, %d latency cycles; want a priced fast-path packet", m.Result.Path, m.LatencyCycles)
 	}
-	if allocs > 2 && !raceEnabled {
-		t.Errorf("%v allocs a packet, want at most 2", allocs)
+	if allocs > 1 && !raceEnabled {
+		t.Errorf("%v allocs a packet, want at most 1", allocs)
 	}
 }

@@ -180,7 +180,7 @@ func (c *Classifier) ClassifyIn(pkt *packet.Packet, hasRule func(flow.Handle) bo
 // (flow.Handle.Touch), which writes nothing but a seen stamp a sweep
 // asks for. The Kind in the returned Result is left undecided (zero):
 // the caller resolves Subsequent versus Initial itself, as core does
-// against its flow context's rule, in place of Classify's hasRule probe.
+// against its flow's rule, in place of Classify's hasRule probe.
 //
 // For every other packet shape — unparseable, handshake, teardown,
 // untracked or not-yet-established flow — it reports ok=false without

@@ -299,9 +299,9 @@ func (c *Cluster) Process(pkt *packet.Packet) (platform.Measurement, error) {
 // re-check the view, and route again if a rebalance published a new one
 // in between. fold, when non-nil, runs after each sub-run while its
 // measurements are still valid (they point into b, which the next run
-// reuses). One Batch serves every instance: its flow contexts validate
-// by generation and generations are banded per table, so a handle or
-// rule cached against one engine never validates against another's.
+// reuses). One Batch serves every instance: a handle it holds lives for
+// one vector, staged and looked up in the flow table of the engine that
+// runs it, so none is ever served by another instance's engine.
 func (c *Cluster) ProcessRuns(pkts []*packet.Packet, batchSize int, b *platform.Batch, fold func(off int, ms []platform.Measurement) error) error {
 	// v is the view runs are routed under. It is refreshed only when the
 	// fence finds it stale, so every run that is processed was routed

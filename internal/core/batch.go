@@ -18,33 +18,6 @@ import (
 // dispatch across the vector.
 const DefaultBatchSize = 32
 
-// flowCacheWays is the associativity of a worker's flow-context cache.
-// Four entries cover the handful of flows interleaved within one
-// 32-packet vector of a realistic trace; a miss costs one lock-free
-// probe of the flow table.
-const flowCacheWays = 4
-
-// flowCtx is what one worker knows about one flow, found by the
-// packet's single keyed probe: the flow-table handle, the way to the
-// flow's state, rule and event guards on its entry. The steady-state
-// packet is a key compare, a generation load and a few loads off one
-// entry — no lock, no map, no store to anything shared (the paper's DPDK
-// prototype keeps the analogous last-rule pointer in each lcore's local
-// storage). It must not be shared between goroutines. Correctness does
-// not depend on it: the handle is revalidated against the flow table's
-// generation, which only a flow's removal or replacement moves (banded
-// per table instance), and the rule is loaded off the entry every time.
-type flowCtx struct {
-	// kHi/kLo are the packed flow key (packet.FlowKey) the probe
-	// compares.
-	kHi, kLo uint64
-	h        flow.Handle
-	// gen is the flow table's generation read before h was acquired.
-	gen uint64
-	// used says h is a tracked entry's handle.
-	used bool
-}
-
 // statsDelta accumulates a vector's counter increments in plain
 // (non-atomic) fields; fold publishes each non-zero one into a shared
 // shard with one atomic add per touched counter instead of several per
@@ -104,19 +77,14 @@ func (s *statsShard) fold(d *statsDelta) {
 	add(&s.consolidations, d.consolidations)
 }
 
-// Batch is the per-worker scratch state of the data path: the flow
-// contexts, one result slot a packet, the counter and telemetry fold
-// buffers, and the slow path's traversal scratch. A Batch must not be
-// shared between goroutines (each runner worker owns one; ProcessPacket
-// draws one from the engine's pool); the slots ProcessBatch returns, and
-// the slow-path info they point at, are valid only until the next call
-// on the same Batch.
+// Batch is the per-worker scratch state of the data path: one result and
+// one stage record a packet, the staged lookup's probes, the counter and
+// telemetry fold buffers, and the slow path's traversal scratch. A Batch
+// must not be shared between goroutines (each runner worker owns one;
+// ProcessPacket draws one from the engine's pool); the slots ProcessBatch
+// returns, and the slow-path info they point at, are valid only until the
+// next call on the same Batch.
 type Batch struct {
-	// flows is the keyed context cache, clock its round-robin victim
-	// pointer.
-	flows [flowCacheWays]flowCtx
-	clock uint8
-
 	res []PacketResult
 
 	// stage holds the stage pass's record of each packet of the vector,
@@ -138,9 +106,9 @@ type Batch struct {
 	ticks uint64
 	seen  uint32
 
-	// flowHits/flowMisses count keyed probes that found a valid handle
-	// versus those that probed the flow table, once per fast-shaped
-	// packet; they fold into the hub at flush.
+	// flowHits/flowMisses count fast-shaped packets served the handle of
+	// an earlier packet of their vector versus those that probed the flow
+	// table; they fold into the hub at flush.
 	flowHits, flowMisses uint64
 
 	// telVal/telN/telHint fold the fast-path latency histogram: a run
@@ -206,9 +174,7 @@ func NewBatch(n int) *Batch {
 }
 
 // begin resets the per-vector storage for n packets, but for the result
-// slots, which process writes. The flow contexts deliberately survive
-// across vectors — that is where the amortization for repeated flows
-// comes from.
+// slots, which process writes, and the stage records, which stage writes.
 func (b *Batch) begin(n int) {
 	if len(b.res) < n {
 		b.res = make([]PacketResult, n)
@@ -221,22 +187,16 @@ func (b *Batch) begin(n int) {
 
 // staged is what the stage pass learned about one packet of a vector
 // before the ladder runs: its fast shape, its flow key, and where its
-// flow was found — a context way, the previous packet of the vector with
-// the same key, or a slot of the vector's one staged lookup.
+// flow is found — the vector's earlier packet with the same key, or a
+// slot of the vector's one staged lookup.
 type staged struct {
 	kHi, kLo uint64
-	// way is the context holding the key when the vector was staged; it
-	// is set only on the key's first packet in the vector.
-	way *flowCtx
-	// prev is the vector's previous packet with the key.
+	// prev is the vector's earlier packet with the key.
 	prev *staged
-	// fc is where the ladder left the key: the context this packet
-	// resolved to, or nil when no context holds the key.
-	fc *flowCtx
-	// h is the handle of a context that held the key under the current
-	// generation when the vector was staged (the zero Handle: none).
+	// h is the handle the ladder resolved the packet to (the zero Handle:
+	// none); it lives as long as the vector.
 	h flow.Handle
-	// probe is 1 + the key's slot in Batch.probes; 0: not looked up.
+	// probe is the key's slot in Batch.probes, on its first packet.
 	probe int32
 	// chain is 1 + the previous packet in the key's dedup bucket.
 	chain  int32
@@ -252,16 +212,13 @@ func dedupBucket(kHi, kLo uint64) uint32 {
 }
 
 // stage runs the fast-shape gate once for every packet of the vector —
-// parse, SYN/FIN/RST, flow key — and finds each fast-shaped packet's
-// flow: in the context that holds it, in the vector's previous packet
-// with the same key, or by one staged lookup (flow.Table.AcquireKeys)
-// over the keys no context holds under the current generation. A small
-// hash index links a key's packets. The ladder consumes the result
-// (flowCtxFor) in arrival order. Nothing here mutates a context, an
-// entry or the clock.
+// parse, SYN/FIN/RST, flow key — and links each fast-shaped packet to the
+// vector's earlier packet with the same key, through a small hash index;
+// the first packet of each key is looked up by one staged lookup
+// (flow.Table.AcquireKeys). The ladder consumes the result (flowFor) in
+// arrival order. Nothing here mutates an entry or the clock.
 func (e *Engine) stage(pkts []*packet.Packet, b *Batch) {
 	flows := e.class.Flows()
-	gen := flows.Gen()
 	b.seen = flows.Seen()
 	clear(b.heads[:])
 	n := 0
@@ -283,88 +240,49 @@ func (e *Engine) stage(pkts []*packet.Packet, b *Batch) {
 		head := &b.heads[dedupBucket(kHi, kLo)]
 		for j := *head; j != 0; j = b.stage[j-1].chain {
 			if p := &b.stage[j-1]; p.kHi == kHi && p.kLo == kLo {
-				st.prev, st.h, st.probe = p, p.h, p.probe
+				st.prev = p
 				break
 			}
 		}
 		st.chain, *head = *head, int32(i+1)
-		if st.prev != nil {
-			continue
+		if st.prev == nil {
+			b.probes[n].Hi, b.probes[n].Lo = kHi, kLo
+			st.probe = int32(n)
+			n++
 		}
-		for w := range b.flows {
-			if c := &b.flows[w]; c.used && c.kHi == kHi && c.kLo == kLo {
-				st.way = c
-				break
-			}
-		}
-		if st.way != nil && st.way.gen == gen {
-			st.h = st.way.h
-			continue
-		}
-		b.probes[n].Hi, b.probes[n].Lo = kHi, kLo
-		n++
-		st.probe = int32(n)
 	}
 	flows.AcquireKeys(b.probes[:n])
 }
 
-// flowCtxFor resolves a staged packet to its flow context. A context
-// still holding the key under the current generation is a hit; otherwise
-// the handle is the one staged — the staged lookup's, or that of the
-// context that held the key when the vector was staged — served while
-// its entry is not Gone (read after the generation: the entry is the
-// key's as of that load, DESIGN §16), else AcquireKey's: the entry has
-// since been unlinked, or the lookup found nothing and an earlier
-// fast-shaped packet of the vector was classified onto the key (inserts
-// do not move the generation). The context is rebuilt from nothing — a
-// re-acquired tuple may be a new connection under a new FID. It reports
-// ok=false when the flow is not tracked — the caller falls back to full
-// classification.
-func (b *Batch) flowCtxFor(flows *flow.Table, st *staged) (*flowCtx, bool) {
-	gen := flows.Gen()
-	fc := st.way
-	if st.prev != nil {
-		fc = st.prev.fc
-	}
-	// Only the key's packets bring it into a context, so a context that
-	// lost the key since has no other holding it.
-	if fc != nil && (!fc.used || fc.kHi != st.kHi || fc.kLo != st.kLo) {
-		fc = nil
-	}
-	if fc != nil && fc.gen == gen {
+// flowFor resolves a staged packet to its flow's handle. The handle the
+// vector's earlier packet with the key was resolved to is a hit, served
+// while its entry is not Gone (DESIGN §16); otherwise the packet probes
+// the table: the staged lookup's handle, if its entry is not Gone, else
+// AcquireKey's — the entry has since been unlinked, or the earlier packet
+// found nothing and was classified onto the key. It reports ok=false when
+// the flow is not tracked — the caller falls back to full classification.
+func (b *Batch) flowFor(flows *flow.Table, st *staged) (flow.Handle, bool) {
+	if p := st.prev; p != nil && p.h != (flow.Handle{}) && !p.h.Gone() {
 		b.flowHits++
-		st.fc = fc
-		return fc, true
+		st.h = p.h
+		return p.h, true
 	}
 	b.flowMisses++
-	h, ok := st.h, st.h != flow.Handle{}
-	if st.probe != 0 {
-		h, ok = b.probes[st.probe-1].Handle()
+	h, ok := flow.Handle{}, false
+	if st.prev == nil {
+		if h, ok = b.probes[st.probe].Handle(); !ok {
+			// Untracked when staged, and the key's first packet of the
+			// vector: full Classify, which the caller falls back to,
+			// decides as the fast path would for a flow tracked since (by
+			// a SYN earlier in the vector, or by another worker).
+			return h, false
+		}
 	}
-	switch {
-	case ok && !h.Gone():
-	case !ok && st.probe != 0 && st.prev == nil:
-		// Untracked when staged, and the key's first fast-shaped packet
-		// of the vector: full Classify, which the caller falls back to,
-		// decides as the fast path would for a flow tracked since (by a
-		// SYN earlier in the vector, or by another worker).
-	default:
+	if !ok || h.Gone() {
 		h, ok = flows.AcquireKey(st.kHi, st.kLo)
 	}
-	st.fc = nil
-	if fc == nil {
-		if !ok {
-			return nil, false
-		}
-		fc = &b.flows[b.clock&(flowCacheWays-1)]
-		b.clock++
-	}
-	fc.kHi, fc.kLo, fc.h, fc.gen, fc.used = st.kHi, st.kLo, h, gen, ok
-	if !ok {
-		return nil, false
-	}
-	st.fc = fc
-	return fc, true
+	st.h = h
+	return h, ok
 }
 
 // tally is the hub's half of a finished packet's account, which every
@@ -438,9 +356,9 @@ func (e *Engine) flushStats(b *Batch) {
 
 // ProcessBatch classifies and processes a vector of packets in arrival
 // order — the engine's one data path; ProcessPacket is a vector of one.
-// A stage pass finds every fast-shaped packet's flow first, with one
-// staged lookup for the vector's misses; then, packet by packet, its
-// classification and rule are loads off its context's entry, its event
+// A stage pass links every fast-shaped packet to its key's earlier
+// packet, with one staged lookup for each key's first; then, packet by
+// packet, its classification and rule are loads off its flow's entry, its event
 // checks guards on the rule; results go to preallocated storage, and the
 // clock and counters take a few updates a vector. The vector size never changes
 // what a packet observes (the oracle holds vectors of 1 and 32
@@ -479,7 +397,7 @@ func (e *Engine) process(pkt *packet.Packet, st *staged, res *PacketResult, b *B
 		fixed, header uint64
 		plain         bool
 	)
-	// The keyed flow contexts belong to SpeedyBox. The baseline engine —
+	// The staged flow lookup belongs to SpeedyBox. The baseline engine —
 	// every oracle's reference — classifies through the full Classify
 	// alone, independent of the code it polices.
 	fastShaped := false
@@ -569,18 +487,17 @@ func (e *Engine) process(pkt *packet.Packet, st *staged, res *PacketResult, b *B
 
 // classifyFast classifies one fast-shaped packet — a plain data packet
 // (no SYN/FIN/RST) of an established, tracked flow, as the stage pass
-// found it — through the Batch's flow contexts: a key compare, a
-// generation load and a load of the state word replace Classify's hashes
-// and probe, and nothing shared is written but a seen stamp a sweep asks
-// for (flow.Handle.Touch). It returns the flow's handle; an untracked or
-// not-yet-established flow reports ok=false, mutating nothing, for the
-// full Classify.
+// found it — through the handle flowFor resolves: a load of the state
+// word replaces Classify's hashes and probe, and nothing shared is
+// written but a seen stamp a sweep asks for (flow.Handle.Touch). It
+// returns the flow's handle; an untracked or not-yet-established flow
+// reports ok=false, mutating nothing, for the full Classify.
 func (e *Engine) classifyFast(st *staged, pkt *packet.Packet, b *Batch) (flow.Handle, bool) {
-	fc, ok := b.flowCtxFor(e.class.Flows(), st)
-	if !ok || !fc.h.Touch(b.seen) {
+	h, ok := b.flowFor(e.class.Flows(), st)
+	if !ok || !h.Touch(b.seen) {
 		return flow.Handle{}, false
 	}
-	pkt.Meta.FID = uint32(fc.h.FID())
+	pkt.Meta.FID = uint32(h.FID())
 	pkt.Meta.HasFID = true
-	return fc.h, true
+	return h, true
 }

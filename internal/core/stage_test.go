@@ -53,51 +53,38 @@ func matchesOneAtATime(t *testing.T, newEngine func() *Engine, mk func() [][]*pa
 // data packets, its FIN and a re-SYN of the same tuple with the new
 // connection's handshake and data, beside UDP flows. Every packet of the
 // tuple after the FIN was staged against the entry the FIN unlinks, so
-// each must find the new connection's entry instead. The flow reaches the
-// vector either still held by a context of the worker's or evicted from
-// all of them (the staged lookup's handle).
+// each must find the new connection's entry instead.
 func TestStagedVectorSpansFlowLifecycle(t *testing.T) {
-	for _, evicted := range []bool{false, true} {
-		mk := func() [][]*packet.Packet {
-			const port = 7601
-			warm := []*packet.Packet{
-				tcpPkt(t, port, packet.TCPFlagSYN, 0, ""),
-				tcpPkt(t, port, packet.TCPFlagACK, 1, ""),
-				tcpPkt(t, port, packet.TCPFlagACK, 2, "records"),
-			}
-			if evicted {
-				for p := uint16(0); p < flowCacheWays; p++ {
-					warm = append(warm, udpPkt(t, 7701+p, "filler"))
-				}
-			}
-			vec := []*packet.Packet{
-				tcpPkt(t, port, packet.TCPFlagACK, 3, "fast"),
-				udpPkt(t, 7801, "udp"),
-				tcpPkt(t, port, packet.TCPFlagACK, 4, "fast"),
-				tcpPkt(t, port, packet.TCPFlagFIN|packet.TCPFlagACK, 5, ""),
-				udpPkt(t, 7801, "udp"),
-				tcpPkt(t, port, packet.TCPFlagSYN, 0, ""),
-				tcpPkt(t, port, packet.TCPFlagACK, 1, ""),
-				tcpPkt(t, port, packet.TCPFlagACK, 2, "re-records"),
-				udpPkt(t, 7802, "udp"),
-				tcpPkt(t, port, packet.TCPFlagACK, 3, "fast again"),
-				tcpPkt(t, port, packet.TCPFlagACK, 4, "fast again"),
-			}
-			return [][]*packet.Packet{warm, vec}
+	mk := func() [][]*packet.Packet {
+		const port = 7601
+		warm := []*packet.Packet{
+			tcpPkt(t, port, packet.TCPFlagSYN, 0, ""),
+			tcpPkt(t, port, packet.TCPFlagACK, 1, ""),
+			tcpPkt(t, port, packet.TCPFlagACK, 2, "records"),
 		}
-		eng, res := matchesOneAtATime(t, func() *Engine { return newBatchTestEngine(t, DefaultOptions()) }, mk)
-		// Each connection, each UDP flow and each filler records once.
-		want := uint64(4)
-		if evicted {
-			want += flowCacheWays
+		vec := []*packet.Packet{
+			tcpPkt(t, port, packet.TCPFlagACK, 3, "fast"),
+			udpPkt(t, 7801, "udp"),
+			tcpPkt(t, port, packet.TCPFlagACK, 4, "fast"),
+			tcpPkt(t, port, packet.TCPFlagFIN|packet.TCPFlagACK, 5, ""),
+			udpPkt(t, 7801, "udp"),
+			tcpPkt(t, port, packet.TCPFlagSYN, 0, ""),
+			tcpPkt(t, port, packet.TCPFlagACK, 1, ""),
+			tcpPkt(t, port, packet.TCPFlagACK, 2, "re-records"),
+			udpPkt(t, 7802, "udp"),
+			tcpPkt(t, port, packet.TCPFlagACK, 3, "fast again"),
+			tcpPkt(t, port, packet.TCPFlagACK, 4, "fast again"),
 		}
-		if st := eng.Stats(); st.Consolidations != want {
-			t.Errorf("evicted=%v: %d consolidations, want each connection, each UDP flow and each filler once", evicted, st.Consolidations)
-		}
-		tail := res[len(res)-2:]
-		if tail[0].Path != PathFast || tail[1].Path != PathFast || tail[0].FID != tail[1].FID {
-			t.Errorf("evicted=%v: the new connection's data rode %v/%v", evicted, tail[0].Path, tail[1].Path)
-		}
+		return [][]*packet.Packet{warm, vec}
+	}
+	eng, res := matchesOneAtATime(t, func() *Engine { return newBatchTestEngine(t, DefaultOptions()) }, mk)
+	// Each connection and each UDP flow records once.
+	if st := eng.Stats(); st.Consolidations != 4 {
+		t.Errorf("%d consolidations, want each connection and each UDP flow once", st.Consolidations)
+	}
+	tail := res[len(res)-2:]
+	if tail[0].Path != PathFast || tail[1].Path != PathFast || tail[0].FID != tail[1].FID {
+		t.Errorf("the new connection's data rode %v/%v", tail[0].Path, tail[1].Path)
 	}
 }
 
@@ -162,34 +149,27 @@ func (f *tearer) Process(ctx *Ctx, pkt *packet.Packet) (Verdict, error) {
 func TestStagedHandleOfTornDownFlow(t *testing.T) {
 	victim := udpPkt(t, 7501, "")
 	ft, _ := victim.FiveTuple()
-	for _, evicted := range []bool{false, true} {
-		newEngine := func() *Engine {
-			f := &tearer{forwarder: forwarder{"tearer"}, victim: ft}
-			eng, err := NewEngine([]NF{f}, DefaultOptions())
-			if err != nil {
-				t.Fatal(err)
-			}
-			f.eng = eng
-			return eng
+	newEngine := func() *Engine {
+		f := &tearer{forwarder: forwarder{"tearer"}, victim: ft}
+		eng, err := NewEngine([]NF{f}, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
 		}
-		mk := func() [][]*packet.Packet {
-			warm := []*packet.Packet{udpPkt(t, 7501, "warm"), udpPkt(t, 7501, "warm")}
-			if evicted {
-				for p := uint16(0); p < flowCacheWays; p++ {
-					warm = append(warm, udpPkt(t, 7511+p, "filler"))
-				}
-			}
-			vec := []*packet.Packet{
-				udpPkt(t, 7501, "fast"),
-				udpPkt(t, 7502, "tear"), // a new flow: its first packet traverses the chain
-				udpPkt(t, 7501, "after"),
-				udpPkt(t, 7501, "after"),
-			}
-			return [][]*packet.Packet{warm, vec}
+		f.eng = eng
+		return eng
+	}
+	mk := func() [][]*packet.Packet {
+		warm := []*packet.Packet{udpPkt(t, 7501, "warm"), udpPkt(t, 7501, "warm")}
+		vec := []*packet.Packet{
+			udpPkt(t, 7501, "fast"),
+			udpPkt(t, 7502, "tear"), // a new flow: its first packet traverses the chain
+			udpPkt(t, 7501, "after"),
+			udpPkt(t, 7501, "after"),
 		}
-		_, res := matchesOneAtATime(t, newEngine, mk)
-		if r := res[len(res)-2]; r.Path == PathFast {
-			t.Errorf("evicted=%v: the torn-down flow's next packet rode the fast path", evicted)
-		}
+		return [][]*packet.Packet{warm, vec}
+	}
+	_, res := matchesOneAtATime(t, newEngine, mk)
+	if r := res[len(res)-2]; r.Path == PathFast {
+		t.Error("the torn-down flow's next packet rode the fast path")
 	}
 }

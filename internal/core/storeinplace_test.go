@@ -25,7 +25,7 @@ import (
 var packetPath = []string{
 	"packet.(*Packet).Parse",
 	"core.(*Engine).stage",
-	"core.(*Batch).flowCtxFor",
+	"core.(*Batch).flowFor",
 	"core.(*Engine).process",
 	"core.(*Engine).fastPathInto",
 	"mat.(*GlobalRule).ExecHeader",

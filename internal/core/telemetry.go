@@ -75,9 +75,10 @@ type engineTelemetry struct {
 	// Flow lifecycle.
 	flowResets *telemetry.Counter
 
-	// Fast-shaped packets whose keyed probe found a valid flow context
-	// versus those that probed the table; kept out of Stats, the
-	// oracle-compared surface, as rates differ with the vector size.
+	// Fast-shaped packets served the handle of an earlier packet of
+	// their vector versus those that probed the table; kept out of
+	// Stats, the oracle-compared surface, as rates differ with the
+	// vector size.
 	flowCacheHits   *telemetry.Counter
 	flowCacheMisses *telemetry.Counter
 
@@ -141,9 +142,9 @@ func newEngineTelemetry(e *Engine, hub *telemetry.Hub, chain string) *engineTele
 		flowResets: reg.Counter(n("speedybox_flow_resets_total"),
 			"Flows reset by a SYN reusing a tracked 5-tuple"),
 		flowCacheHits: reg.Counter(n("speedybox_flow_cache_hits_total"),
-			"Fast-shaped packets classified from a worker's flow context without a lock"),
+			"Fast-shaped packets served the flow handle of an earlier packet of their vector"),
 		flowCacheMisses: reg.Counter(n("speedybox_flow_cache_misses_total"),
-			"Fast-shaped packets whose flow handle came from the vector's staged table probe, not a worker's flow context"),
+			"Fast-shaped packets that probed the flow table: the vector's staged lookup or a re-acquire"),
 		unconsolidatable: reg.Counter(n("speedybox_consolidate_unconsolidatable_total"),
 			"Consolidation attempts whose actions did not fold into one rule"),
 		reconfigRollbacks: reg.Counter(n("speedybox_reconfig_rollbacks_total"),

@@ -60,8 +60,8 @@ func forwardBatch(tb testing.TB, flows, perFlow int) (step func(), n int) {
 
 // wideBatch is the repository benchmark's wide shape without its
 // module: 32 768 established flows, one packet each a pass, so every
-// packet misses the worker's flow contexts and most CPU caches and its
-// cost is the flow lookup, the rule and the entry's bookkeeping.
+// packet is its flow's first of its vector, misses most CPU caches, and
+// its cost is the flow lookup, the rule and the entry's bookkeeping.
 func wideBatch(tb testing.TB) (step func(), n int) { return forwardBatch(tb, 32768, 1) }
 
 // BenchmarkWideBatch times wideBatch's passes. b.N counts packets, so
@@ -72,9 +72,10 @@ func BenchmarkWideBatch(b *testing.B) {
 }
 
 // BenchmarkHotBatch is the repository benchmark's hot shape without its
-// module: 4 flows of 512 packets, interleaved, so every packet hits the
-// worker's flow contexts and its cost is the per-packet path itself:
-// context rebuilds, the summary's read and the vector's bookkeeping.
+// module: 4 flows of 512 packets, interleaved, so all but each flow's
+// first packet of a vector are served an earlier packet's handle and
+// the cost is the per-packet path itself: the handle's resolution, the
+// summary's read and the vector's bookkeeping.
 // b.N counts packets.
 func BenchmarkHotBatch(b *testing.B) {
 	benchPasses(b, func(tb testing.TB) (func(), int) { return forwardBatch(tb, 4, 512) })

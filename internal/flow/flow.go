@@ -200,11 +200,11 @@ func (e *tracked) snapshot() Entry {
 	return Entry{FID: e.fid, Tuple: packet.KeyTuple(e.hi, e.lo), State: State(e.bits.Load() & stateMask)}
 }
 
-// Handle is a stable, lock-free reference to a tracked flow. Batch
-// workers cache handles keyed by 5-tuple and revalidate them against
-// the table generation (Gen), so the steady-state per-packet look at a
-// flow is a few loads — no lock, no probe, no hashing, no store.
-// The zero Handle is invalid.
+// Handle is a stable, lock-free reference to a tracked flow. A batch
+// worker resolves a vector's packets of one flow to one handle, served
+// while its entry is not Gone, so a packet after the first of its flow
+// in a vector looks at the flow with a few loads — no lock, no probe, no
+// hashing, no store. The zero Handle is invalid.
 type Handle struct{ e *tracked }
 
 // FID returns the flow's identifier.
@@ -459,13 +459,6 @@ const cacheLine = 64
 // goroutine per RSS queue.
 type Table struct {
 	shards [ShardCount]tableShard
-	// gen counts mutations that can invalidate a cached Handle:
-	// removals and restore-time replacements, bumped after the slot
-	// stores. Workers revalidate cached handles with one atomic load;
-	// insertions of *new* flows deliberately do not bump it (they cannot
-	// change what an existing tuple's handle refers to), and neither
-	// does a rebuild (entries do not move).
-	gen atomic.Uint64
 	// seen is the current seen epoch's stamp (Seen).
 	seen atomic.Uint32
 	// rebuilds counts slot arrays published: growth, compaction, and the
@@ -474,30 +467,15 @@ type Table struct {
 	sweep    sweeper
 }
 
-// tableGen hands every table a distinct 2^32-wide generation band, so
-// a cached Handle validated against one table's generation can never be
-// accidentally revalidated by another table's — a cluster runs one flow
-// table per engine instance, and batch workers carry their caches
-// across instances.
-var tableGen atomic.Uint64
-
 // NewTable returns an empty flow table.
 func NewTable() *Table {
 	t := &Table{}
-	t.gen.Store(tableGen.Add(1) << 32)
 	for i := range t.shards {
 		t.shards[i].byKey.table.Store(emptySlots)
 		t.shards[i].byFID.table.Store(emptySlots)
 	}
 	return t
 }
-
-// Gen returns the handle-invalidation generation. A Handle acquired
-// after reading Gen() is valid for exactly as long as Gen() still
-// returns that value (read the generation *before* Acquire, so a
-// racing removal can only make the cached handle conservatively
-// stale).
-func (t *Table) Gen() uint64 { return t.gen.Load() }
 
 // Seen returns the current seen epoch's stamp, for Touch and SetState.
 func (t *Table) Seen() uint32 { return t.seen.Load() }
@@ -638,7 +616,6 @@ func (ed Edit) Handle() Handle { return Handle{ed.e} }
 func (ed Edit) Unlink() {
 	fs, _ := ed.s.byFID.table.Load().findFID(ed.e.fid)
 	ed.t.unlink(ed.s, fs, ed.e)
-	ed.t.gen.Add(1)
 }
 
 // setWord stores p in an entry's word and keeps n, the shard's count of
@@ -683,8 +660,8 @@ func (ed Edit) SetPlain(epoch, fixed, header uint64) {
 // SetRec stores the recording word.
 func (ed Edit) SetRec(p unsafe.Pointer) { setWord(&ed.e.rec, p, &ed.s.recs) }
 
-// Done ends the edit. A detached entry left holding nothing is unlinked;
-// the generation moves, since a Handle may have been acquired on it.
+// Done ends the edit. A detached entry left holding nothing is unlinked,
+// so a Handle acquired on it reads Gone.
 func (ed Edit) Done() {
 	if h := ed.Handle(); ed.e != nil && h.Detached() && !h.Gone() && h.Rule() == nil && h.Rec() == nil {
 		ed.Unlink()
@@ -694,8 +671,8 @@ func (ed Edit) Done() {
 
 // AcquireKey returns a Handle on the flow tracked under the packed
 // 5-tuple (packet.FlowKey's hi, lo): the FNV digest for the shard, the
-// seeded mix for the slot, one lock-free probe. Read Gen before calling
-// and revalidate cached handles against it; see Gen.
+// seeded mix for the slot, one lock-free probe. The handle is the
+// key's entry for as long as it is not Gone.
 func (t *Table) AcquireKey(hi, lo uint64) (Handle, bool) {
 	_, e := t.shardFor(HashKey(hi, lo)).byKey.table.Load().findKey(keyWord(hi, lo), hi, lo)
 	return Handle{e}, e != nil
@@ -723,8 +700,7 @@ func (p *KeyProbe) Handle() (Handle, bool) { return Handle{p.e}, p.e != nil }
 // on one another, so the cache misses of a vector overlap instead of
 // queueing behind each key's probe. A home slot that neither confirms
 // nor ends the chain (a tag collision, a tombstone, another flow's slot)
-// takes findKey's full probe. The result is AcquireKey's for every key;
-// the Gen contract is the same.
+// takes findKey's full probe. The result is AcquireKey's for every key.
 func (t *Table) AcquireKeys(ps []KeyProbe) {
 	for i := range ps {
 		p := &ps[i]
@@ -910,7 +886,7 @@ func (t *Table) Snapshot() []Entry {
 // snapshot was taken, so probe order must not re-run). An existing
 // entry at the FID or tuple is replaced — it and whatever its words held
 // are gone; the restored entry starts with empty words, stamped with the
-// current seen epoch — and cached handles are invalidated.
+// current seen epoch — and handles on it read Gone.
 func (t *Table) RestoreEntry(en Entry) {
 	e := &tracked{fid: en.FID}
 	e.hi, e.lo = en.Tuple.Key()
@@ -926,7 +902,6 @@ func (t *Table) RestoreEntry(en Entry) {
 		t.unlink(s, fs, old)
 	}
 	t.link(s, e)
-	t.gen.Add(1)
 }
 
 // seenEpochs bounds the seen epochs a table tells apart: the current one

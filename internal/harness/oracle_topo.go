@@ -104,7 +104,7 @@ type topoSystem struct {
 	// schedules.
 	target int
 	// pb serves every chain, as one Batch serves every cluster instance:
-	// its flow contexts are generation-validated per table.
+	// its handles live for one vector on one engine.
 	pb *platform.Batch
 
 	oc *oracleChain

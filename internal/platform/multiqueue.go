@@ -56,8 +56,8 @@ func NewMultiQueue(f Fleet, workers int) (*MultiQueue, error) {
 // Workers returns the configured queue count.
 func (m *MultiQueue) Workers() int { return m.workers }
 
-// SetBatchSize sets the vector size: each worker owns a Batch (rule
-// cache, pooled results) and feeds its queue through the fleet in
+// SetBatchSize sets the vector size: each worker owns a Batch (stage
+// records, pooled results) and feeds its queue through the fleet in
 // n-packet vectors. n <= 1 is a vector of one, which is also
 // NewMultiQueue's default. Call before Run, not during one.
 func (m *MultiQueue) SetBatchSize(n int) { m.batch = max(n, 1) }
@@ -66,10 +66,9 @@ func (m *MultiQueue) SetBatchSize(n int) { m.batch = max(n, 1) }
 func (m *MultiQueue) BatchSize() int { return m.batch }
 
 // drain is one worker's share of a Run: its queue through the fleet in
-// arrival order on a worker-owned Batch (flow contexts and result
-// storage persist across vectors of the same queue — by the RSS
-// partition, exactly the packets of the worker's own flows), folded
-// into the worker's private partial result.
+// arrival order on a worker-owned Batch (its scratch is reused vector
+// after vector; no flow handle outlives the vector that resolved it),
+// folded into the worker's private partial result.
 func (m *MultiQueue) drain(w int, q []*packet.Packet, part *RunResult) error {
 	if m.queueDepth != nil {
 		m.queueDepth[w].Set(int64(len(q)))

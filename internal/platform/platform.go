@@ -126,12 +126,18 @@ func (p *Platform) Process(pkt *packet.Packet) (Measurement, error) {
 	if err != nil {
 		return Measurement{}, err
 	}
-	// The clone is the caller's; it is priced where it is.
-	ms := make([]Measurement, 1)
-	p.price.Price(p.eng.Model(), unsafe.Slice(res, 1), ms)
-	p.record(ms)
-	return ms[0], nil
+	// The clone is the caller's; it is priced where it is, into a pooled
+	// measurement: a slice handed to the Pricing interface escapes.
+	ms := measOne.Get().(*[1]Measurement)
+	p.price.Price(p.eng.Model(), unsafe.Slice(res, 1), ms[:])
+	p.record(ms[:])
+	m := ms[0]
+	measOne.Put(ms)
+	return m, nil
 }
+
+// measOne holds Process's one-packet measurement buffers.
+var measOne = sync.Pool{New: func() any { return new([1]Measurement) }}
 
 // ProcessBatch is Process over a vector, in arrival order, on the
 // caller's Batch (one per worker goroutine); the measurements point
@@ -160,7 +166,7 @@ func (p *Platform) record(ms []Measurement) {
 }
 
 // Batch is per-worker scratch for ProcessBatch: the engine-level batch
-// state (flow contexts, pooled result storage) plus the platform's
+// state (stage records, pooled result storage) plus the platform's
 // measurement buffer. It must not be shared between goroutines.
 type Batch struct {
 	// Core is the engine-level batch scratch.

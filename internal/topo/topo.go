@@ -245,9 +245,9 @@ func (t *Topology) Route(pkt *packet.Packet) int {
 // (platform.Drain with Route), splitting the stream into maximal
 // same-chain runs of at most batch packets and draining each through
 // its chain platform's ProcessBatch on b. One Batch serves every chain:
-// its flow contexts validate by generation and generations are banded
-// per table, so a handle cached against one chain's engine never
-// validates against another's.
+// a handle it holds lives for one vector, staged and looked up in the
+// flow table of the engine that runs it, so none is ever served by
+// another chain's engine.
 func (t *Topology) ProcessRuns(pkts []*packet.Packet, batch int, b *platform.Batch, fold func(off int, ms []platform.Measurement) error) error {
 	err := platform.Drain(pkts, batch, t.Route,
 		func(chain int, run []*packet.Packet) ([]platform.Measurement, error) {
