@@ -421,7 +421,7 @@ func (e *Engine) process(pkt *packet.Packet, st *staged, res *PacketResult, b *B
 		// Unparseable, handshake, FIN/RST, untracked or not-yet-
 		// established flow: the full state machine.
 		var cls classifier.Result
-		if err := e.classify(pkt, &cls); err != nil {
+		if err := e.classify(pkt, st, &cls); err != nil {
 			return err
 		}
 		fid, kind, h = cls.FID, cls.Kind, cls.Handle

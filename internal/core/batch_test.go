@@ -647,11 +647,12 @@ func TestFlowChurnMutatesGlobalMATInPlace(t *testing.T) {
 // TestFlowCacheCounters: the hub's hit/miss pair counts fast-shaped
 // packets — one count each — as served the handle of an earlier packet
 // of their vector (a hit) or probing the flow table (a miss). Four
-// interleaved flows read 28 hits and 4 misses a warm 32-packet vector:
-// each flow's first packet of the vector is its one probe. A churning
-// connection's install and removal cost the steady flows nothing.
-// There is no second pair: the rule is read off the entry the handle
-// holds, so no install or removal invalidates it.
+// interleaved flows read 28 hits and 4 misses a 32-packet vector, cold
+// or warm: each flow's first packet of the vector is its one probe, and
+// a first packet the full classification set up leaves its handle for
+// the next. A churning connection's install and removal cost the steady
+// flows nothing. There is no second pair: the rule is read off the
+// entry the handle holds, so no install or removal invalidates it.
 func TestFlowCacheCounters(t *testing.T) {
 	hub := telemetry.NewHub()
 	opts := DefaultOptions()
@@ -683,10 +684,10 @@ func TestFlowCacheCounters(t *testing.T) {
 	}
 
 	// From cold: each flow's first packet is untracked when staged and
-	// records through the full Classify; its second probes the table
-	// again, since the first was resolved to no handle.
-	if cold := delta(fourFlows(32)); cold != (pair{24, 8}) {
-		t.Errorf("cold 4-flow vector: %+v, want 24 hits and 8 misses", cold)
+	// records through the full Classify, whose handle its second is
+	// served.
+	if cold := delta(fourFlows(32)); cold != (pair{28, 4}) {
+		t.Errorf("cold 4-flow vector: %+v, want 28 hits and 4 misses", cold)
 	}
 	const vectors = 16
 	if warm := delta(fourFlows(32 * vectors)); warm != (pair{28 * vectors, 4 * vectors}) {
@@ -699,19 +700,52 @@ func TestFlowCacheCounters(t *testing.T) {
 	// The same four flows, with one short connection in every vector: its
 	// install and removal cost the steady flows' rules nothing — they stay
 	// on the fast path and count as before — and of the connection's
-	// packets only the handshake ACK and the data packet are fast-shaped,
-	// each a probe (the ACK's key was untracked when staged).
+	// packets only the handshake ACK and the data packet are fast-shaped:
+	// the ACK a probe (its key was untracked when staged), classified in
+	// full, and the data packet served the ACK's handle.
 	var pkts []*packet.Packet
 	for v := 0; v < vectors; v++ {
 		pkts = append(pkts, fourFlows(28)...)
 		pkts = append(pkts, tcpLifecycle(t, uint16(100+v))...)
 	}
 	fastBefore := eng.Stats().FastPath
-	if churn := delta(pkts); churn != (pair{24 * vectors, 6 * vectors}) {
-		t.Errorf("with a churning flow: %+v over %d vectors, want 24 hits and 6 misses a vector", churn, vectors)
+	if churn := delta(pkts); churn != (pair{25 * vectors, 5 * vectors}) {
+		t.Errorf("with a churning flow: %+v over %d vectors, want 25 hits and 5 misses a vector", churn, vectors)
 	}
 	if got := eng.Stats().FastPath - fastBefore; got != 29*vectors {
 		t.Errorf("with a churning flow: %d fast-path packets, want the steady flows' %d and each connection's FIN", got, 29*vectors)
+	}
+}
+
+// TestHandshakeACKHandsItsHandleOn: a connection's handshake-completing
+// ACK and its first data packet share a vector. The ACK is fast-shaped
+// but untracked when staged, so the full classification resolves it; the
+// data packet is then served the ACK's handle, a hit, under the ACK's
+// FID, and records the flow's rule.
+func TestHandshakeACKHandsItsHandleOn(t *testing.T) {
+	hub := telemetry.NewHub()
+	opts := DefaultOptions()
+	opts.Telemetry = hub
+	eng := newBatchTestEngine(t, opts)
+	pkts := tcpLifecycle(t, 4242)[:3] // SYN, ACK, data
+	b := NewBatch(len(pkts))
+	rs, err := eng.ProcessBatch(pkts, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ack, data := &b.stage[1], &b.stage[2]
+	if !ack.shaped || !data.shaped || data.prev != ack {
+		t.Fatalf("ACK shaped %v, data shaped %v, data linked to %p (want the ACK's %p)", ack.shaped, data.shaped, data.prev, ack)
+	}
+	if ack.h == (flow.Handle{}) || data.h != ack.h || rs[2].FID != rs[1].FID || ack.h.FID() != rs[1].FID {
+		t.Fatalf("ACK handle %v (FID %v), data handle %v (FID %v)", ack.h, rs[1].FID, data.h, rs[2].FID)
+	}
+	c := hub.Registry.Snapshot().Counters
+	if hits, misses := c["speedybox_flow_cache_hits_total"], c["speedybox_flow_cache_misses_total"]; hits != 1 || misses != 1 {
+		t.Errorf("%d hits and %d misses, want the data packet's hit and the ACK's miss", hits, misses)
+	}
+	if _, ok := eng.Global().LookupLive(rs[2].FID); !ok {
+		t.Error("the data packet recorded no rule")
 	}
 }
 

@@ -97,7 +97,7 @@ func (e *Engine) CheckRecords() error {
 		for g := r.Guards; g != nil; g = g.Next {
 			refs = append(refs, g.Ref)
 		}
-		built, err := e.build(ed, cs, r.Epoch, event.Recording{Spans: r.Spans, Regs: refs}, nil)
+		built, err := e.build(ed, cs, r.Epoch, &event.Recording{Spans: r.Spans, Regs: refs}, nil)
 		ed.Done()
 		if err != nil {
 			fail("rule of %v: its recording does not build: %v", fid, err)

@@ -284,11 +284,15 @@ func (e *Engine) Faults() *fault.Injector { return e.faults }
 // SYN restarting a tracked flow (5-tuple reuse without FIN/RST) tears
 // the previous connection's rule, recording, events and NF state down
 // here, or its established packets would run the old connection's
-// recorded actions.
-func (e *Engine) classify(pkt *packet.Packet, res *classifier.Result) error {
+// recorded actions. A fast-shaped packet's stage record st keeps the
+// handle, for the key's next packet of the vector (DESIGN §16).
+func (e *Engine) classify(pkt *packet.Packet, st *staged, res *classifier.Result) error {
 	err := e.class.ClassifyIn(pkt, e.serves, res)
 	if err == nil && res.Reused {
 		e.resetReusedFlow(res.Handle)
+	}
+	if err == nil && st.shaped && e.opts.EnableSpeedyBox {
+		st.h = res.Handle
 	}
 	return err
 }
@@ -443,7 +447,8 @@ func (e *Engine) slowPath(h flow.Handle, kind classifier.Kind, pkt *packet.Packe
 	}
 	if recording {
 		ed := e.class.Flows().EditHandle(h)
-		err := e.consolidate(ed, ctx, info, cs, cs.recording(ctx, t.spans))
+		rec := cs.recording(ctx, t.spans)
+		err := e.consolidate(ed, ctx, info, cs, &rec)
 		ed.Done()
 		// Not consolidatable: no rule is installed, and the flow stays on
 		// the (always correct) slow path, just without acceleration.
@@ -465,7 +470,7 @@ func (e *Engine) slowPath(h flow.Handle, kind classifier.Kind, pkt *packet.Packe
 // charged nothing. The build, the guards' binding, admission, the install
 // and the ladder's clearing are one edit of the entry: a flow torn down
 // under the traversal is charged and given nothing.
-func (e *Engine) consolidate(ed flow.Edit, ctx *Ctx, info *SlowPathInfo, cs *chainState, rec event.Recording) error {
+func (e *Engine) consolidate(ed flow.Edit, ctx *Ctx, info *SlowPathInfo, cs *chainState, rec *event.Recording) error {
 	if !ed.Found() {
 		return nil
 	}
@@ -526,7 +531,7 @@ func (e *Engine) consolidate(ed flow.Edit, ctx *Ctx, info *SlowPathInfo, cs *cha
 // epoch and priced for the caller's Global.InstallAt. A traversal's rule
 // is built in blk, the set-up block its recording is in, if it has one
 // (Ctx.own); any other rule is allocated as mat.In allocates it.
-func (e *Engine) build(ed flow.Edit, cs *chainState, epoch uint64, rec event.Recording, blk *setupBlock) (*mat.GlobalRule, error) {
+func (e *Engine) build(ed flow.Edit, cs *chainState, epoch uint64, rec *event.Recording, blk *setupBlock) (*mat.GlobalRule, error) {
 	var rule *mat.GlobalRule
 	var made *mat.Room
 	if blk != nil {
@@ -588,9 +593,9 @@ func (e *Engine) price(rule *mat.GlobalRule) {
 	case rule.Drop:
 		rule.HeaderCycles = m.DropAction
 	case e.opts.ConsolidateHeaders:
-		rule.HeaderCycles = uint64(len(rule.Modifies))*m.ModifyField +
-			uint64(len(rule.Stack.Decaps))*m.DecapHeader + uint64(len(rule.Stack.Encaps))*m.EncapHeader
-		if _, _, ck := rule.HeaderWork(); ck {
+		mods, decaps, encaps := rule.HeaderWork()
+		rule.HeaderCycles = uint64(mods)*m.ModifyField + uint64(decaps)*m.DecapHeader + uint64(encaps)*m.EncapHeader
+		if mods+decaps+encaps > 0 {
 			rule.HeaderCycles += m.ChecksumUpdate
 		}
 	default:
@@ -697,9 +702,8 @@ func (e *Engine) fastPathInto(h flow.Handle, rule *mat.GlobalRule, kind classifi
 
 	// Consolidated header work (functionally always the consolidated
 	// rule; the ablation only changes the *charged* cost). ExecHeader
-	// runs the rule's compiled action program — byte-identical to the
-	// interpreted ApplyHeader, which it falls back to for uncompiled
-	// rules.
+	// runs the rule's compiled action program, the one form of its header
+	// work.
 	alive, err := rule.ExecHeader(pkt)
 	if err != nil {
 		return err
@@ -810,7 +814,7 @@ func (e *Engine) fireEvents(h flow.Handle, info *FastPathInfo) (bool, error) {
 		}
 	}
 	var built SlowPathInfo
-	switch err := e.consolidate(ed, nil, &built, cs, event.Recording{Spans: spans, Regs: regs}); {
+	switch err := e.consolidate(ed, nil, &built, cs, &event.Recording{Spans: spans, Regs: regs}); {
 	case err == nil:
 		info.ReconsolidateCycles += built.ConsolidateCycles
 	case errors.Is(err, mat.ErrNotConsolidatable):

@@ -501,8 +501,8 @@ func TestRepeatedInitialBeforeRuleIsSafe(t *testing.T) {
 	if r == nil {
 		t.Fatal("rule missing")
 	}
-	if len(r.Modifies) != 1 {
-		t.Errorf("rule has %d modifies, want 1 (no duplicate recording)", len(r.Modifies))
+	if acts, _ := r.HeaderActions(); len(acts) != 1 || acts[0].Kind != mat.ActionModify {
+		t.Errorf("rule's program is %v, want one modify (no duplicate recording)", acts)
 	}
 }
 

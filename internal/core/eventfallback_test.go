@@ -1,12 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"sync/atomic"
 	"testing"
 
 	"github.com/fastpathnfv/speedybox/internal/event"
 	"github.com/fastpathnfv/speedybox/internal/mat"
 	"github.com/fastpathnfv/speedybox/internal/packet"
+	"github.com/fastpathnfv/speedybox/internal/telemetry"
 )
 
 // poisonEventNF registers an event whose update rewrites the flow's
@@ -97,5 +99,77 @@ func TestEventUpdateToNonConsolidatableFallsBack(t *testing.T) {
 	}
 	if r.Path != PathFast {
 		t.Errorf("flow did not restabilize: path = %v", r.Path)
+	}
+}
+
+// taggerNF pushes n 802.1Q tags onto every packet of a flow and records
+// them: past 5 461 of them the residual encaps are more than a program's
+// 64 KiB can carry.
+type taggerNF struct{ n int }
+
+func (f *taggerNF) Name() string { return "tagger" }
+
+func (f *taggerNF) Process(ctx *Ctx, pkt *packet.Packet) (Verdict, error) {
+	for i := 0; i < f.n; i++ {
+		h := packet.ExtraHeader{Type: packet.HeaderVLAN, Tag: uint16(i % 4096)}
+		if err := pkt.Encap(h); err != nil {
+			return 0, err
+		}
+		if err := ctx.AddHeaderAction(mat.Encap(h)); err != nil {
+			return 0, err
+		}
+	}
+	return VerdictForward, nil
+}
+
+// TestUnprogrammableRecordingStaysOnSlowPath: header work no program can
+// carry is refused at consolidation (mat.ErrNotConsolidatable, counted
+// as unconsolidatable) and never installed, so every packet of the flow
+// is served by the chain itself, byte for byte as the baseline engine
+// serves it; a flow whose work fits is served a program as usual.
+func TestUnprogrammableRecordingStaysOnSlowPath(t *testing.T) {
+	for _, tc := range []struct {
+		tags int
+		path Path
+	}{{5462, PathSlow}, {3, PathFast}} {
+		hub := telemetry.NewHub()
+		opts := DefaultOptions()
+		opts.Telemetry = hub
+		sbox, err := NewEngine([]NF{&taggerNF{n: tc.tags}}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts = DefaultOptions()
+		opts.EnableSpeedyBox = false
+		base, err := NewEngine([]NF{&taggerNF{n: tc.tags}}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diverged := 0
+		for i := 0; i < 3; i++ {
+			p := udpPkt(t, 4343, "tagged")
+			q := p.Clone()
+			rs, err := sbox.ProcessPacket(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rb, err := base.ProcessPacket(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rs.Verdict != rb.Verdict || !bytes.Equal(p.Data(), q.Data()) {
+				diverged++
+			}
+			if want := tc.path; i > 0 && rs.Path != want {
+				t.Errorf("%d tags, packet %d: path %v, want %v", tc.tags, i, rs.Path, want)
+			}
+		}
+		refused := hub.Registry.Snapshot().Counters["speedybox_consolidate_unconsolidatable_total"]
+		if diverged != 0 {
+			t.Errorf("%d tags: %d packets diverged from the baseline", tc.tags, diverged)
+		}
+		if slow := tc.path == PathSlow; slow != (refused == 3) || slow != (sbox.Global().Len() == 0) {
+			t.Errorf("%d tags: %d consolidations refused, %d rules installed", tc.tags, refused, sbox.Global().Len())
+		}
 	}
 }

@@ -118,8 +118,8 @@ func TestConcurrentFiringsKeepEveryUpdate(t *testing.T) {
 		if !ok {
 			t.Fatalf("%v: no live rule after both firings", fid)
 		}
-		if len(rule.Modifies) != 2 {
-			t.Fatalf("%v: the rule rewrites %v, want both the source and the destination", fid, rule.Modifies)
+		if acts, _ := rule.HeaderActions(); len(acts) != 2 {
+			t.Fatalf("%v: the rule rewrites %v, want both the source and the destination", fid, acts)
 		}
 		if n := eng.Events().Pending(fid); n != 0 {
 			t.Fatalf("%v: %d event(s) left, want both fired", fid, n)

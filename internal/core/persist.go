@@ -248,7 +248,7 @@ func (e *Engine) adopt(im *wal.RuleImage) {
 	cs := e.state()
 	var rule *mat.GlobalRule
 	if im.Of(cs.contribs) && !slices.ContainsFunc(im.Guards, func(r mat.Ref) bool { return r.Index == event.EngineOwned }) {
-		rule, _ = e.build(ed, cs, im.Epoch, event.Recording{Spans: im.Spans, Regs: im.Guards}, nil)
+		rule, _ = e.build(ed, cs, im.Epoch, &event.Recording{Spans: im.Spans, Regs: im.Guards}, nil)
 	}
 	if rule == nil {
 		e.dropConsolidated(ed)

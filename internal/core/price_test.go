@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -29,10 +30,32 @@ func referencePrice(m *cost.Model, consolidateHeaders bool, rule *mat.GlobalRule
 	case rule.Drop:
 		header = m.DropAction
 	case consolidateHeaders:
-		header = uint64(len(rule.Modifies))*m.ModifyField +
-			uint64(len(rule.Stack.Decaps))*m.DecapHeader +
-			uint64(len(rule.Stack.Encaps))*m.EncapHeader
-		if len(rule.Modifies)+len(rule.Stack.Decaps)+len(rule.Stack.Encaps) > 0 {
+		// The recording's header work merged: a field rewritten once
+		// however often it is modified, an encap cancelled by the decap
+		// that pops it, a decap of a header the packet arrived with kept.
+		var fields []packet.Field
+		var pending []packet.HeaderType
+		decaps := 0
+		for _, sp := range rule.Spans {
+			for _, a := range sp.Actions {
+				switch a.Kind {
+				case mat.ActionModify:
+					if !slices.Contains(fields, a.Field) {
+						fields = append(fields, a.Field)
+					}
+				case mat.ActionEncap:
+					pending = append(pending, a.Header.Type)
+				case mat.ActionDecap:
+					if len(pending) > 0 {
+						pending = pending[:len(pending)-1]
+					} else {
+						decaps++
+					}
+				}
+			}
+		}
+		header = uint64(len(fields))*m.ModifyField + uint64(decaps)*m.DecapHeader + uint64(len(pending))*m.EncapHeader
+		if len(fields)+decaps+len(pending) > 0 {
 			header += m.ChecksumUpdate
 		}
 	default:
@@ -176,7 +199,7 @@ func TestInstalledRulePriced(t *testing.T) {
 			} else {
 				forwards++
 			}
-			if _, _, ck := rule.HeaderWork(); ck {
+			if mods, decaps, encaps := rule.HeaderWork(); mods+decaps+encaps > 0 {
 				headerWork++
 			}
 		}

@@ -18,13 +18,14 @@ import (
 
 // TestSetupBlockSizeClass pins the set-up block: the rule at offset 0, so
 // a packet served from it reads the lines a GlobalRule alone would, and
-// the rule's room and the recording's after it, 1016 bytes. With the
+// the rule's room and the recording's after it, 872 bytes. With the
 // 8-byte header Go's allocator puts before an object over 512 bytes that
-// holds pointers, that is the top of the 1024-byte size class. The room
-// holds the batches' plan — schedule, charge and Monitor's two adds —
-// which the rule points to (944 bytes before Chain1's counting became
-// data). A field that pushes it past 1016 costs every flow set-up 128
-// bytes more (the 1152-byte class).
+// holds pointers, that is 880 bytes, in the 896-byte size class. The
+// room holds the batches' plan — schedule, charge and Monitor's two adds
+// — which the rule points to, and the program, the one copy of the
+// rule's header work (1016 bytes, the 1024-byte class, while the rule
+// also kept its merged modifies and its stack work as slices). A field
+// that pushes it past 888 costs every flow set-up 128 bytes more.
 func TestSetupBlockSizeClass(t *testing.T) {
 	var blk setupBlock
 	if off := unsafe.Offsetof(blk.rule); off != 0 {
@@ -34,17 +35,17 @@ func TestSetupBlockSizeClass(t *testing.T) {
 		name      string
 		got, want uintptr
 	}{
-		{"mat.Room", unsafe.Sizeof(mat.Room{}), 384},
+		{"mat.Room", unsafe.Sizeof(mat.Room{}), 288},
 		{"event.Room", unsafe.Sizeof(event.Room{}), 432},
-		{"setupBlock", unsafe.Sizeof(blk), 1016},
+		{"setupBlock", unsafe.Sizeof(blk), 872},
 	}
 	for _, s := range sizes {
 		if s.got != s.want {
 			t.Errorf("%s is %d bytes, want %d", s.name, s.got, s.want)
 		}
 	}
-	if n := unsafe.Sizeof(blk) + mallocHeader; n <= 896 || n > 1024 {
-		t.Errorf("the block is %d bytes with its malloc header: not in the 1024-byte size class", n)
+	if n := unsafe.Sizeof(blk) + mallocHeader; n <= 768 || n > 896 {
+		t.Errorf("the block is %d bytes with its malloc header: not in the 896-byte size class", n)
 	}
 }
 

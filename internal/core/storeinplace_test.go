@@ -20,8 +20,10 @@ import (
 // objdump prints: the receive step's parse, the vector's staged lookup,
 // the per-packet ladder — every arm of it, the full classification of a
 // handshake, untracked or unparsed packet filling its result in place —
-// and the rule's execution, and the recorded modify a set-up's NFs call
-// once per rewritten field.
+// and the rule's execution; and what a set-up runs once a flow: the
+// recorded modify its NFs call once per rewritten field, and the rule's
+// build and consolidation, which take the recording by pointer and merge
+// the header work in place.
 var packetPath = []string{
 	"packet.(*Packet).Parse",
 	"core.(*Engine).stage",
@@ -32,6 +34,9 @@ var packetPath = []string{
 	"sfunc.Schedule.Execute",
 	"sfunc.(*Batch).RunSequential",
 	"core.(*Ctx).AddModify",
+	"core.(*Engine).consolidate",
+	"core.(*Engine).build",
+	"mat.In",
 }
 
 // inlinedHelpers are the small per-packet functions the compiler inlines

@@ -58,7 +58,7 @@ func install(t *testing.T, tbl *Table, fid flow.FID, lay *StateLayout, chain []m
 	t.Helper()
 	ed := tbl.flows.Edit(fid, true)
 	defer ed.Done()
-	rule, err := tbl.Consolidate(ed, lay, chain, Recording{Spans: Forwards(len(chain)), Regs: regs}, nil, nil)
+	rule, err := tbl.Consolidate(ed, lay, chain, &Recording{Spans: Forwards(len(chain)), Regs: regs}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,12 +229,21 @@ func TestUpdateAppliesToLocalRule(t *testing.T) {
 		t.Helper()
 		ed := tbl.flows.Edit(fid, true)
 		defer ed.Done()
-		r, err := tbl.Consolidate(ed, lay, chain, rec, nil, nil)
+		r, err := tbl.Consolidate(ed, lay, chain, &rec, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		mat.NewGlobal(tbl.flows).InstallAt(ed, r)
 		return r
+	}
+	// dip is the destination address the rule's program rewrites to.
+	dip := func(r *mat.GlobalRule) []byte {
+		t.Helper()
+		acts, ok := r.HeaderActions()
+		if !ok || len(acts) != 1 || acts[0].Field != packet.FieldDstIP {
+			t.Fatalf("rule %v: program %v, want one rewrite of the DIP", r, acts)
+		}
+		return acts[0].Value
 	}
 	old := consolidate(Recording{Spans: []mat.LocalRule{{Actions: []mat.HeaderAction{mat.Modify(packet.FieldDstIP, []byte{10, 0, 0, 1})}}}, Regs: []mat.Ref{{}}})
 	if len(check(tbl, fid)) != 0 {
@@ -250,10 +259,10 @@ func TestUpdateAppliesToLocalRule(t *testing.T) {
 	}
 	ed.Done()
 	next := consolidate(Recording{Spans: edited})
-	if got := next.Modifies[0].Value; got[3] != 2 || next.Guards != nil {
+	if got := dip(next); got[3] != 2 || next.Guards != nil {
 		t.Errorf("DIP after event = %v, guards %v; want the .2 backend and no guard", got, next.Guards)
 	}
-	if got := old.Spans[0].Actions[0].Value; got[3] != 1 || old.Modifies[0].Value[3] != 1 {
+	if got := old.Spans[0].Actions[0].Value; got[3] != 1 || dip(old)[3] != 1 {
 		t.Errorf("the update reached the old rule: its DIP is %v", got)
 	}
 }
@@ -269,7 +278,7 @@ func TestRegistrationCap(t *testing.T) {
 	build := func(regs []mat.Ref) (*mat.GlobalRule, error) {
 		ed := tbl.flows.Edit(fid, true)
 		defer ed.Done()
-		return tbl.Consolidate(ed, lay, chain, Recording{Spans: Forwards(1), Regs: regs}, nil, nil)
+		return tbl.Consolidate(ed, lay, chain, &Recording{Spans: Forwards(1), Regs: regs}, nil, nil)
 	}
 	if rule, err := build(regs); !errors.Is(err, ErrTooManyEvents) || rule != nil {
 		t.Errorf("a recording of %d registrations: rule %v, %v; want nothing and ErrTooManyEvents", len(regs), rule, err)
@@ -326,7 +335,7 @@ func TestGuardsBindRegistrations(t *testing.T) {
 	}
 	for _, bad := range []mat.Ref{{At: 1}, {Index: uint16(len(names))}} {
 		ed := tbl.flows.Edit(9, false)
-		rule, err := tbl.Consolidate(ed, lay, chain, Recording{Spans: Forwards(1), Regs: []mat.Ref{bad}}, nil, nil)
+		rule, err := tbl.Consolidate(ed, lay, chain, &Recording{Spans: Forwards(1), Regs: []mat.Ref{bad}}, nil, nil)
 		ed.Done()
 		if err == nil || rule != nil {
 			t.Errorf("registration %+v: rule %v, %v; want none and an error", bad, rule, err)
@@ -380,7 +389,7 @@ func TestConcurrentProbeAndInstall(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				ed := tbl.flows.Edit(flow.FID(g*per+i), true)
-				rule, err := tbl.Consolidate(ed, lay, chain, Recording{Spans: Forwards(1), Regs: []mat.Ref{ref("x")}}, nil, nil)
+				rule, err := tbl.Consolidate(ed, lay, chain, &Recording{Spans: Forwards(1), Regs: []mat.Ref{ref("x")}}, nil, nil)
 				if err == nil {
 					global.InstallAt(ed, rule)
 				}

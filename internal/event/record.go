@@ -195,7 +195,7 @@ func Forwarding(spans []mat.LocalRule) bool {
 // registration is bound into a guard of the rule: its event's word on
 // the flow and threshold. A registration lay does not declare, or more
 // than MaxPerFlow of them, build nothing, and are an error.
-func (t *Table) Consolidate(ed flow.Edit, lay *StateLayout, chain []mat.Contribution, rec Recording, rule *mat.GlobalRule, made *mat.Room) (*mat.GlobalRule, error) {
+func (t *Table) Consolidate(ed flow.Edit, lay *StateLayout, chain []mat.Contribution, rec *Recording, rule *mat.GlobalRule, made *mat.Room) (*mat.GlobalRule, error) {
 	fid := ed.Handle().FID()
 	spans := rec.Spans
 	if len(spans) != len(chain) {

@@ -56,9 +56,12 @@ type OracleConfig struct {
 	// Rates overrides the per-kind injection rates; nil selects a
 	// uniform moderate-chaos default across every fault kind.
 	Rates map[fault.Kind]float64
-	// TamperRule, when set, corrupts the flow's consolidated rule after
-	// each fast-engine vector. Test-only teeth: a deliberately broken
-	// consolidation must be caught. Single-engine system only.
+	// TamperRule, when set, corrupts a copy of the flow's consolidated
+	// rule after each fast-engine vector, which is installed in its place:
+	// the tamper must reach the rule's program, its one executable form
+	// (as Compile does from a hand-built Modifies and verdict). Test-only
+	// teeth: a deliberately broken consolidation must be caught.
+	// Single-engine system only.
 	TamperRule func(*mat.GlobalRule)
 	// Reconfigs is how many live chain reconfigurations to apply per
 	// schedule, at mid-trace offsets derived from the schedule seed. Each
@@ -632,9 +635,6 @@ func (s *engineSystem) run(pkts []*packet.Packet, batch int, fold func(off, chai
 				if r, ok := global.Lookup(m.Result.FID); ok {
 					broken := *r
 					s.cfg.TamperRule(&broken)
-					// Recompile so the tamper reaches the action program
-					// the data path executes, as a broken Consolidate would.
-					broken.Compile()
 					global.Install(&broken)
 				}
 			}

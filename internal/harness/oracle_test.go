@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -80,7 +81,7 @@ func TestOracleBatchCatchesTamper(t *testing.T) {
 	res, err := RunOracle(OracleConfig{
 		Seed: 1, Schedules: 2, Chain: 1, Batch: 32,
 		Rates:      fault.UniformRates(0),
-		TamperRule: func(r *mat.GlobalRule) { r.Drop = true },
+		TamperRule: func(r *mat.GlobalRule) { r.Drop = true; r.Compile() },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +98,7 @@ func TestOracleCatchesBrokenConsolidation(t *testing.T) {
 	res, err := RunOracle(OracleConfig{
 		Seed: 1, Schedules: 2, Chain: 1,
 		Rates:      fault.UniformRates(0), // isolate the tamper
-		TamperRule: func(r *mat.GlobalRule) { r.Drop = true },
+		TamperRule: func(r *mat.GlobalRule) { r.Drop = true; r.Compile() },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -122,11 +123,19 @@ func TestOracleCatchesCorruptedRewrite(t *testing.T) {
 		Seed: 3, Schedules: 2, Chain: 1,
 		Rates: fault.UniformRates(0),
 		TamperRule: func(r *mat.GlobalRule) {
-			for i := range r.Modifies {
-				for j := range r.Modifies[i].Value {
-					r.Modifies[i].Value[j] ^= 0xff
+			// The rule's rewrites, each value inverted, compiled into a
+			// program of their own.
+			acts, _ := r.HeaderActions()
+			for _, a := range acts {
+				if a.Kind == mat.ActionModify {
+					v := slices.Clone(a.Value)
+					for j := range v {
+						v[j] ^= 0xff
+					}
+					r.Modifies = append(r.Modifies, mat.FieldValue{Field: a.Field, Value: v})
 				}
 			}
+			r.Compile()
 		},
 	})
 	if err != nil {

@@ -347,8 +347,8 @@ var (
 func maxResidualStackOps(eng *core.Engine) int {
 	worst := 0
 	eng.Global().ForEach(func(rule *mat.GlobalRule) {
-		_, stackOps, _ := rule.HeaderWork()
-		worst = max(worst, stackOps)
+		_, decaps, encaps := rule.HeaderWork()
+		worst = max(worst, decaps+encaps)
 	})
 	return worst
 }

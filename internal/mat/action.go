@@ -97,7 +97,10 @@ func Decap(t packet.HeaderType) HeaderAction {
 }
 
 // Validate reports whether the action is well-formed.
-func (a HeaderAction) Validate() error {
+func (a HeaderAction) Validate() error { return validate(&a) }
+
+// validate is Validate of *a, which it does not copy.
+func validate(a *HeaderAction) error {
 	switch a.Kind {
 	case ActionForward, ActionDrop:
 		return nil

@@ -23,24 +23,11 @@ type Contribution struct {
 	State sfunc.State
 }
 
-// FieldValue is one merged modify: the final value a field takes after
-// consolidation.
+// FieldValue is one modify: the value a field takes.
 type FieldValue struct {
 	Field packet.Field
 	Value []byte
 }
-
-// StackOps is the residual encapsulation work after the stack
-// simulation of §V-B cancels matched encap/decap pairs: first pop
-// Decaps headers already on the packet (outermost first), then push
-// Encaps (bottom-to-top).
-type StackOps struct {
-	Decaps []packet.HeaderType
-	Encaps []packet.ExtraHeader
-}
-
-// Empty reports whether no stack work remains.
-func (s StackOps) Empty() bool { return len(s.Decaps) == 0 && len(s.Encaps) == 0 }
 
 // ErrNotConsolidatable reports an action sequence the algorithm cannot
 // fold into a single rule (e.g. a decap whose type does not match the
@@ -130,24 +117,30 @@ scan:
 	}
 	rule.FID = fid
 
-	// Merged modifies, in first-touch order; the values alias the
-	// contributions until the rule's own copy is made below. A chain
-	// rewrites a handful of fields, so finding one is a short scan.
+	// The header work is merged into locals, in first-touch order for the
+	// modifies, whose values alias the contributions, and compiled into the
+	// rule's program, which holds the only copy. A chain rewrites a handful
+	// of fields, so finding one is a short scan.
 	var modBuf [8]FieldValue
-	mods := modBuf[:0]
-	var stack []packet.ExtraHeader
+	var decBuf [4]packet.HeaderType
+	var encBuf [4]packet.ExtraHeader
+	mods, decaps, encaps := modBuf[:0], decBuf[:0], encBuf[:0]
 
-	for _, c := range contribs[:end] {
+	for ci := range contribs[:end] {
+		c := &contribs[ci]
 		if c.Rule == nil {
 			continue
 		}
 		if n := len(c.Rule.Funcs); n > 0 {
 			funcs = append(funcs, c.Rule.Funcs...)
-			rule.Batches = append(rule.Batches, sfunc.NewBatch(c.Site, funcs[len(funcs)-n:len(funcs):len(funcs)], fid, c.State))
+			// The first scan counted the batches: each is stored in place.
+			rule.Batches = rule.Batches[:len(rule.Batches)+1]
+			rule.Batches[len(rule.Batches)-1].Bind(c.Site, funcs[len(funcs)-n:len(funcs):len(funcs)], fid, c.State)
 		}
 	actions:
-		for _, a := range c.Rule.Actions {
-			if err := a.Validate(); err != nil {
+		for ai := range c.Rule.Actions {
+			a := &c.Rule.Actions[ai]
+			if err := validate(a); err != nil {
 				return nil, fmt.Errorf("consolidating %v from %s: %w", fid, c.NF, err)
 			}
 			switch a.Kind {
@@ -167,44 +160,27 @@ scan:
 				// Same field modified again: the latter wins.
 				mods[i].Value = a.Value
 			case ActionEncap:
-				stack = append(stack, a.Header)
+				encaps = append(encaps, a.Header)
 			case ActionDecap:
-				if len(stack) > 0 {
-					top := stack[len(stack)-1]
-					if top.Type != a.HeaderType {
+				if n := len(encaps); n > 0 {
+					if top := encaps[n-1]; top.Type != a.HeaderType {
 						return nil, fmt.Errorf("%w: decap(%v) does not match pending encap(%v)",
 							ErrNotConsolidatable, a.HeaderType, top.Type)
 					}
 					// Matched adjacent pair eliminated (§V-B).
-					stack = stack[:len(stack)-1]
+					encaps = encaps[:n-1]
 				} else {
 					// Pops a header that was on the packet at ingress.
-					rule.Stack.Decaps = append(rule.Stack.Decaps, a.HeaderType)
+					decaps = append(decaps, a.HeaderType)
 				}
 			default:
 				return nil, fmt.Errorf("consolidating %v: invalid action kind %d", fid, int(a.Kind))
 			}
 		}
 	}
-	switch {
-	case rule.Drop:
-		// Dropped flows do no header work on the fast path.
-		rule.Stack = StackOps{}
-		rule.Prog = dropProg
-	case len(mods) == 0 && len(rule.Stack.Decaps) == 0 && len(stack) == 0:
-		rule.Prog = forwardProg
-	default:
-		rule.Stack.Encaps = stack
-		// Modifies reads its values in the program's operands.
-		rule.Modifies = append(room(made.mods[:], len(mods)), mods...)
-		size, at := programSize(rule)
-		rule.Prog = compile(room(made.prog[:], size), rule)
-		for i := range rule.Modifies {
-			m := &rule.Modifies[i]
-			at += modOperands
-			m.Value = rule.Prog[at : at+len(m.Value) : at+len(m.Value)]
-			at += len(m.Value)
-		}
+	// Dropped flows do no header work on the fast path.
+	if rule.Prog = compile(made, rule.Drop, decaps, encaps, mods); rule.Prog == nil {
+		return nil, fmt.Errorf("%w: %v's header work does not fit a program", ErrNotConsolidatable, fid)
 	}
 	if nBatches > 0 {
 		var err error
@@ -217,24 +193,22 @@ scan:
 
 // Room is the storage a rule's slices are carved from, sized for
 // Chain1's — the batches' plan with Monitor's two adds, one guard, the
-// program, two batches of one function, three modifies and the plan's
-// schedule. A rule with none of them needs none. What a fast-path
-// packet of a rule whose functions are all data reads of it comes
-// first, in consecutive lines: the plan's charge and adds, the guard
-// and the program.
+// program, two batches of one function and the plan's schedule. A rule
+// with none of them needs none. What a fast-path packet of a rule whose
+// functions are all data reads of it comes first, in consecutive lines:
+// the plan's charge and adds, the guard and the program.
 type Room struct {
 	exec    sfunc.Exec
 	incs    [2]sfunc.Inc
 	guards  [1]Guard
 	prog    [48]byte
 	batches [2]sfunc.Batch
-	mods    [3]FieldValue
 	plan    [4]uint32 // a schedule of two batches
 	funcs   [2]uint8
 }
 
-// ruleBlock is a rule and its room in one allocation, 584 bytes (the
-// 640-byte size class): what Consolidate makes for a rule that carves.
+// ruleBlock is a rule and its room in one allocation, 440 bytes (the
+// 448-byte size class): what Consolidate makes for a rule that carves.
 type ruleBlock struct {
 	GlobalRule
 	Room
@@ -262,22 +236,27 @@ func linkGuards(buf []Guard, guards []Guard) (head *Guard) {
 // as the original chain would: each modify is applied and the
 // checksums patched immediately (the R3 redundancy), encaps/decaps
 // take effect in place, and a drop terminates the walk. It is the
-// reference semantics the consolidated rule must match; the
+// reference semantics the consolidated rule's program must match; the
 // equivalence property tests compare the two.
 func ApplyNaive(pkt *packet.Packet, contribs []Contribution) (dropped bool, err error) {
 	for _, c := range contribs {
 		if c.Rule == nil {
 			continue
 		}
-		for _, a := range c.Rule.Actions {
-			alive, err := a.Apply(pkt)
-			if err != nil {
-				return false, err
-			}
-			if !alive {
-				return true, nil
-			}
+		if alive, err := apply(pkt, c.Rule.Actions); !alive || err != nil {
+			return err == nil, err
 		}
 	}
 	return false, nil
+}
+
+// apply executes one NF's actions on a packet in order, reporting
+// whether it survived them.
+func apply(pkt *packet.Packet, actions []HeaderAction) (alive bool, err error) {
+	for _, a := range actions {
+		if alive, err := a.Apply(pkt); !alive || err != nil {
+			return false, err
+		}
+	}
+	return true, nil
 }

@@ -19,29 +19,39 @@ func TestGlobalRuleString(t *testing.T) {
 	}{
 		{
 			"drop",
-			&GlobalRule{FID: 1, Drop: true},
+			compiled(&GlobalRule{FID: 1, Drop: true}),
 			[]string{"fid:00001", "drop"},
 		},
 		{
 			"pure forward",
-			&GlobalRule{FID: 2},
+			compiled(&GlobalRule{FID: 2}),
 			[]string{"forward", "[v0]"},
 		},
 		{
+			"not compiled",
+			&GlobalRule{FID: 2, Drop: true},
+			[]string{"fid:00002 -> invalid program [v0]"},
+		},
+		{
 			"merged modifies in figure-1 notation",
-			&GlobalRule{FID: 3, Modifies: []FieldValue{
+			compiled(&GlobalRule{FID: 3, Modifies: []FieldValue{
 				{Field: packet.FieldDstIP, Value: []byte{1, 2, 3, 4}},
 				{Field: packet.FieldDstPort, Value: packet.PutUint16(80)},
-			}},
+			}}),
 			[]string{"modify(DIP,DPort)"},
 		},
 		{
 			"stack ops",
-			&GlobalRule{FID: 4, Stack: StackOps{
-				Decaps: []packet.HeaderType{packet.HeaderAH},
-				Encaps: []packet.ExtraHeader{{Type: packet.HeaderVLAN}},
-			}},
-			[]string{"decap(AH)", "encap(VLAN)"},
+			func() *GlobalRule {
+				r, err := Consolidate(4, []Contribution{{NF: "vpn", Rule: &LocalRule{Actions: []HeaderAction{
+					Decap(packet.HeaderAH), Encap(packet.ExtraHeader{Type: packet.HeaderVLAN}),
+				}}}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return r
+			}(),
+			[]string{"fid:00004 -> decap(AH) encap(VLAN) [v0]"},
 		},
 		{
 			"batches and version",
@@ -66,6 +76,12 @@ func TestGlobalRuleString(t *testing.T) {
 			}
 		})
 	}
+}
+
+// compiled is r with its program built.
+func compiled(r *GlobalRule) *GlobalRule {
+	r.Compile()
+	return r
 }
 
 func TestGlobalDumpSortedByFID(t *testing.T) {

@@ -36,14 +36,12 @@ type GlobalRule struct {
 	// out once (this package does not know the cost model), and an
 	// installed rule's FixedCycles is never zero.
 	FixedCycles, HeaderCycles uint64
-	// Prog is the compiled action program: the rule's header work
-	// (residual decaps, encaps, merged modifies) flattened into one
-	// opcode+immediate byte stream at consolidation time, each modify
-	// resolved to where its field lives, executed per packet by
-	// ExecHeader's small loop instead of interpreting the slices below.
-	// Nil means not compiled (hand-built rules, or header work no
-	// program may carry); ExecHeader then falls back to ApplyHeader, the
-	// reference implementation.
+	// Prog is the rule's header work — residual decaps, encaps, merged
+	// modifies — compiled into one opcode+immediate byte stream at
+	// consolidation time, each modify resolved to where its field lives:
+	// its one executable form, run per packet by ExecHeader, priced by
+	// HeaderWork and printed by String. Nil only on a hand-built rule not
+	// yet compiled, which ExecHeader refuses.
 	Prog []byte
 	// Plan is what the fast path runs of Batches (nil: no batch): their
 	// Table-I schedule, the adds of their functions declared as data, and
@@ -61,10 +59,10 @@ type GlobalRule struct {
 	// Drop is the consolidated verdict: the packet is dropped at the
 	// head of the chain (early packet drop, redundancy R2).
 	Drop bool
-	// Modifies are the merged field rewrites in first-touch order.
+	// Modifies is a hand-built rule's header work, which Compile reads:
+	// field rewrites in order. A consolidated rule's is nil; its program
+	// holds its rewrites.
 	Modifies []FieldValue
-	// Stack is the residual encap/decap work.
-	Stack StackOps
 	// Spans is the recording the rule was built from: each NF's Local MAT
 	// entry by chain position (non-nil Actions if the NF recorded
 	// anything). The rule owns it and never changes it, so a restore, a
@@ -95,81 +93,45 @@ func (r *GlobalRule) Plain() bool {
 		r.FixedCycles != 0 && max(r.FixedCycles, r.HeaderCycles) < 1<<32
 }
 
-// ApplyHeader performs the consolidated header work on a packet:
-// residual decaps, residual encaps, merged modifies, each patching the
-// checksums for what it rewrites. It returns false when the verdict is
-// drop. State-function execution is separate (the engine runs the
-// Plan).
+// ApplyHeader is the reference for the rule's program: every action of
+// its Spans applied in chain order, each modify patching the checksums
+// at once, as ApplyNaive applies a chain's contributions. It returns
+// false when the verdict is drop. State-function execution is separate
+// (the engine runs the Plan).
 func (r *GlobalRule) ApplyHeader(pkt *packet.Packet) (alive bool, err error) {
-	return r.applyHeader(pkt, 0)
-}
-
-// applyHeader is ApplyHeader less its first done operations, which a
-// compiled program that could run no further has performed.
-func (r *GlobalRule) applyHeader(pkt *packet.Packet, done int) (alive bool, err error) {
-	if r.Drop {
-		pkt.Drop()
-		return false, nil
-	}
-	for _, t := range past(r.Stack.Decaps, &done) {
-		if err := pkt.Decap(t); err != nil {
-			return false, fmt.Errorf("mat: global rule %v: %w", r.FID, err)
-		}
-	}
-	for _, h := range past(r.Stack.Encaps, &done) {
-		if err := pkt.Encap(h); err != nil {
-			return false, fmt.Errorf("mat: global rule %v: %w", r.FID, err)
-		}
-	}
-	for _, m := range past(r.Modifies, &done) {
-		if err := pkt.Set(m.Field, m.Value); err != nil {
-			return false, fmt.Errorf("mat: global rule %v: %w", r.FID, err)
+	for i := range r.Spans {
+		if alive, err := apply(pkt, r.Spans[i].Actions); !alive || err != nil {
+			return alive, err
 		}
 	}
 	return true, nil
 }
 
-// past is s less its first *done elements, which it counts off *done.
-func past[T any](s []T, done *int) []T {
-	n := min(*done, len(s))
-	*done -= n
-	return s[n:]
-}
-
-// HeaderWork summarizes the rule's header effort for the cost model:
-// the number of field rewrites and stack operations, and whether a
-// checksum refresh is needed.
-func (r *GlobalRule) HeaderWork() (modifies, stackOps int, checksum bool) {
-	modifies = len(r.Modifies)
-	stackOps = len(r.Stack.Decaps) + len(r.Stack.Encaps)
-	return modifies, stackOps, modifies > 0 || stackOps > 0
-}
-
-// String renders the rule in the paper's Figure-1 notation, e.g.
-// "fid:00001 -> modify(DIP,DPort) + 2 SF batches [v0]".
+// String renders the rule in the paper's Figure-1 notation, its program
+// disassembled in the order it runs — residual decaps and encaps, then
+// the merged modifies by field name — e.g. "fid:00001 -> decap(AH)
+// modify(DIP,DPort) + 2 SF batches [v0]"; "invalid program" for one
+// ExecHeader would refuse.
 func (r *GlobalRule) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%v -> ", r.FID)
-	switch {
-	case r.Drop:
-		b.WriteString("drop")
-	case len(r.Modifies) == 0 && r.Stack.Empty():
-		b.WriteString("forward")
-	default:
-		if len(r.Modifies) > 0 {
-			fields := make([]string, len(r.Modifies))
-			for i, m := range r.Modifies {
-				fields[i] = m.Field.String()
-			}
-			fmt.Fprintf(&b, "modify(%s)", strings.Join(fields, ","))
-		}
-		for _, t := range r.Stack.Decaps {
-			fmt.Fprintf(&b, " decap(%v)", t)
-		}
-		for _, h := range r.Stack.Encaps {
-			fmt.Fprintf(&b, " encap(%v)", h.Type)
+	acts, ok := r.HeaderActions()
+	var parts, fields []string
+	for _, a := range acts {
+		if a.Kind == ActionModify {
+			fields = append(fields, a.Field.String())
+		} else {
+			parts = append(parts, a.String())
 		}
 	}
+	switch {
+	case !ok:
+		parts = []string{"invalid program"}
+	case len(fields) > 0:
+		parts = append(parts, "modify("+strings.Join(fields, ",")+")")
+	case len(parts) == 0:
+		parts = []string{"forward"}
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%v -> %s", r.FID, strings.Join(parts, " "))
 	if n := len(r.Batches); n > 0 {
 		fmt.Fprintf(&b, " + %d SF batch(es) in %d stage(s)", n, r.Plan.Len())
 	}

@@ -31,7 +31,7 @@ func publish(t *testing.T, flows *flow.Table, tbl *event.Table, fid flow.FID, sp
 	lay, chain := layChain(len(spans))
 	ed := flows.Edit(fid, true)
 	defer ed.Done()
-	rule, err := tbl.Consolidate(ed, lay, chain, event.Recording{Spans: spans, Regs: regs}, nil, nil)
+	rule, err := tbl.Consolidate(ed, lay, chain, &event.Recording{Spans: spans, Regs: regs}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestLocalMATIsTheRules(t *testing.T) {
 	spans := publish(t, flows, tbl, 3, []LocalRule{{Actions: []HeaderAction{Forward()}}}).Spans
 	lay, chain := layChain(1)
 	ed := flows.Edit(3, true)
-	rule, err := tbl.Consolidate(ed, lay, chain, event.Recording{Spans: spans}, nil, nil)
+	rule, err := tbl.Consolidate(ed, lay, chain, &event.Recording{Spans: spans}, nil, nil)
 	ed.Done()
 	if err != nil || len(rule.Spans) != 1 || &rule.Spans[0] != &spans[0] {
 		t.Fatalf("rule %v (err %v): want it to hold the published spans", rule, err)

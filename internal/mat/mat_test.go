@@ -3,6 +3,7 @@ package mat
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"unsafe"
@@ -110,8 +111,8 @@ func TestConsolidateDropDominance(t *testing.T) {
 	if !r.Drop {
 		t.Fatal("verdict not drop")
 	}
-	if len(r.Modifies) != 0 || !r.Stack.Empty() {
-		t.Error("dropped rule retains header work")
+	if got := r.String(); got != "fid:00007 -> drop + 1 SF batch(es) in 1 stage(s) [v0]" {
+		t.Errorf("dropped rule is %q: it retains header work", got)
 	}
 	// Upstream monitor's batch must be retained for state
 	// equivalence.
@@ -150,11 +151,12 @@ func TestConsolidateModifySameFieldLatterWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Modifies) != 1 {
-		t.Fatalf("modifies = %v, want single merged entry", r.Modifies)
+	acts := program(t, r)
+	if len(acts) != 1 {
+		t.Fatalf("program = %v, want single merged modify", acts)
 	}
-	if !bytes.Equal(r.Modifies[0].Value, []byte{2, 2, 2, 2}) {
-		t.Errorf("merged value = %v, want the latter NF's", r.Modifies[0].Value)
+	if !bytes.Equal(acts[0].Value, []byte{2, 2, 2, 2}) {
+		t.Errorf("merged value = %v, want the latter NF's", acts[0].Value)
 	}
 }
 
@@ -169,13 +171,13 @@ func TestConsolidateModifyDifferentFieldsMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Modifies) != 2 {
-		t.Fatalf("modifies = %v, want 2", r.Modifies)
+	if got := r.String(); got != "fid:0000a -> modify(DPort,DIP) [v0]" {
+		t.Fatalf("rule = %q, want modify(DPort,DIP)", got)
 	}
 	p := testPkt(t)
-	alive, err := r.ApplyHeader(p)
+	alive, err := r.ExecHeader(p)
 	if err != nil || !alive {
-		t.Fatalf("ApplyHeader: alive=%v err=%v", alive, err)
+		t.Fatalf("ExecHeader: alive=%v err=%v", alive, err)
 	}
 	if p.DstPort() != 8080 || p.DstIP() != [4]byte{5, 5, 5, 5} {
 		t.Errorf("packet after apply: dport=%d dip=%v", p.DstPort(), p.DstIP())
@@ -197,12 +199,12 @@ func TestConsolidateEncapDecapCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Stack.Empty() {
-		t.Errorf("stack ops = %+v, want empty after cancellation", r.Stack)
+	if acts := program(t, r); len(acts) != 0 {
+		t.Errorf("program = %v, want empty after cancellation", acts)
 	}
 	p := testPkt(t)
 	before := append([]byte(nil), p.Data()...)
-	if _, err := r.ApplyHeader(p); err != nil {
+	if _, err := r.ExecHeader(p); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(p.Data(), before) {
@@ -221,11 +223,11 @@ func TestConsolidateResidualEncap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Stack.Encaps) != 2 || len(r.Stack.Decaps) != 0 {
-		t.Fatalf("stack = %+v", r.Stack)
+	if got := fmt.Sprint(program(t, r)); got != "[encap(VLAN) encap(AH)]" {
+		t.Fatalf("program = %s", got)
 	}
 	p := testPkt(t)
-	if _, err := r.ApplyHeader(p); err != nil {
+	if _, err := r.ExecHeader(p); err != nil {
 		t.Fatal(err)
 	}
 	if tag, ok := p.OutermostVLAN(); !ok || tag != 7 {
@@ -246,14 +248,14 @@ func TestConsolidateOutstandingDecap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Stack.Decaps) != 1 || r.Stack.Decaps[0] != packet.HeaderAH {
-		t.Fatalf("stack = %+v", r.Stack)
+	if got := fmt.Sprint(program(t, r)); got != "[decap(AH)]" {
+		t.Fatalf("program = %s", got)
 	}
 	p := testPkt(t)
 	if err := p.EncapAH(1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.ApplyHeader(p); err != nil {
+	if _, err := r.ExecHeader(p); err != nil {
 		t.Fatal(err)
 	}
 	h, _ := p.Headers()
@@ -275,6 +277,17 @@ func TestConsolidateMismatchedDecapFails(t *testing.T) {
 	}
 }
 
+// program disassembles the rule's program, failing on one ExecHeader
+// would refuse.
+func program(t *testing.T, r *GlobalRule) []HeaderAction {
+	t.Helper()
+	acts, ok := r.HeaderActions()
+	if !ok {
+		t.Fatalf("rule %v: program %x does not disassemble", r.FID, r.Prog)
+	}
+	return acts
+}
+
 func TestConsolidateNilAndEmptyContributions(t *testing.T) {
 	r, err := Consolidate(15, []Contribution{
 		{NF: "a", Rule: nil},
@@ -283,13 +296,13 @@ func TestConsolidateNilAndEmptyContributions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Drop || len(r.Modifies) != 0 || len(r.Batches) != 0 {
+	if r.Drop || len(program(t, r)) != 0 || len(r.Batches) != 0 {
 		t.Errorf("rule = %+v, want pure forward", r)
 	}
 	// Forward-only rule must not touch the packet.
 	p := testPkt(t)
 	before := append([]byte(nil), p.Data()...)
-	alive, err := r.ApplyHeader(p)
+	alive, err := r.ExecHeader(p)
 	if err != nil || !alive {
 		t.Fatal(err)
 	}
@@ -337,18 +350,33 @@ func TestGlobalMAT(t *testing.T) {
 	}
 }
 
+// TestGlobalRuleHeaderWork: the cost model's counts are the program's
+// ops — merged modifies, residual decaps and encaps — and a forward or
+// a drop has none.
 func TestGlobalRuleHeaderWork(t *testing.T) {
-	r := &GlobalRule{
-		Modifies: []FieldValue{{Field: packet.FieldDstIP, Value: []byte{1, 2, 3, 4}}},
-		Stack:    StackOps{Encaps: []packet.ExtraHeader{{Type: packet.HeaderAH}}},
+	r, err := Consolidate(1, []Contribution{
+		{NF: "nat", Rule: &LocalRule{Actions: []HeaderAction{
+			Modify(packet.FieldDstIP, []byte{1, 2, 3, 4}),
+			Decap(packet.HeaderVLAN),
+			Modify(packet.FieldDstIP, []byte{4, 3, 2, 1}),
+		}}},
+		{NF: "vpn", Rule: &LocalRule{Actions: []HeaderAction{
+			Encap(packet.ExtraHeader{Type: packet.HeaderAH}),
+			Encap(packet.ExtraHeader{Type: packet.HeaderVLAN}),
+			Decap(packet.HeaderVLAN),
+		}}},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	m, s, ck := r.HeaderWork()
-	if m != 1 || s != 1 || !ck {
-		t.Errorf("HeaderWork = (%d, %d, %v)", m, s, ck)
+	if m, d, e := r.HeaderWork(); m != 1 || d != 1 || e != 1 {
+		t.Errorf("HeaderWork = (%d, %d, %d), want one of each", m, d, e)
 	}
-	fwd := &GlobalRule{}
-	if _, _, ck := fwd.HeaderWork(); ck {
-		t.Error("forward rule claims checksum work")
+	for _, rule := range []*GlobalRule{{}, {Drop: true}} {
+		rule.Compile()
+		if m, d, e := rule.HeaderWork(); m+d+e != 0 {
+			t.Errorf("%v claims header work (%d, %d, %d)", rule, m, d, e)
+		}
 	}
 }
 
@@ -397,24 +425,25 @@ func TestGlobalInstallDoesNotRaceSharedPointer(t *testing.T) {
 	}
 }
 
-// TestGlobalRuleSizeClass: a GlobalRule is 200 bytes, in Go's 208-byte
+// TestGlobalRuleSizeClass: a GlobalRule is 152 bytes, in Go's 160-byte
 // size class, and every flow holds one — 32 768 of them on the
 // benchmark's wide workload, where it is the whole of a plain rule's
-// allocation. Its batches' plan is one pointer into the rule's room (216
-// bytes, in the 224-byte class, while the rule held the schedule). A
-// field past the spare word costs every flow another 16 bytes (224).
+// allocation. Its header work is its program alone (200 bytes, the
+// 208-byte class, while it also kept its stack work as two slices), and
+// its batches' plan one pointer into the rule's room. A field past the
+// spare word costs every flow another 16 bytes (176).
 func TestGlobalRuleSizeClass(t *testing.T) {
-	if size := unsafe.Sizeof(GlobalRule{}); size != 200 {
-		t.Errorf("GlobalRule is %d bytes, want 200", size)
+	if size := unsafe.Sizeof(GlobalRule{}); size != 152 {
+		t.Errorf("GlobalRule is %d bytes, want 152", size)
 	}
 }
 
 // TestConsolidateIsOneAllocation: a short chain's rule — batches,
-// functions, modifies, guards, plan and program — is one block, a
-// forward-only one a GlobalRule alone (core's TestSetupBlockSizeClass
-// pins the room's size); the merged values are the program's operands;
-// a rule past the block's room still consolidates, into storage of its
-// own.
+// functions, guards, plan and program — is one block, a forward-only one
+// a GlobalRule alone (core's TestSetupBlockSizeClass pins the room's
+// size); the merged values and the residual stack work are merged in
+// locals and live only in the program; a rule past the block's room
+// still consolidates, into storage of its own.
 func TestConsolidateIsOneAllocation(t *testing.T) {
 	fn := func(name string) []sfunc.Func {
 		return []sfunc.Func{{Name: name, Class: sfunc.ClassIgnore, Run: func(sfunc.Args, *packet.Packet) (uint64, error) { return 1, nil }}}
@@ -434,9 +463,25 @@ func TestConsolidateIsOneAllocation(t *testing.T) {
 		{NF: "fw2", Rule: &LocalRule{Actions: []HeaderAction{Forward()}}},
 		{NF: "fw3", Rule: &LocalRule{Actions: []HeaderAction{Forward()}}},
 	}
+	// A VPN gateway's recording: a tag popped off the packet on the way
+	// in, an AH pushed and popped again, an AH and a tag pushed on the
+	// way out, and a rewrite.
+	vpn := []Contribution{
+		{NF: "vpn-in", Rule: &LocalRule{Actions: []HeaderAction{
+			Decap(packet.HeaderVLAN),
+			Encap(packet.ExtraHeader{Type: packet.HeaderAH, SPI: 7, Seq: 1}),
+		}}},
+		{NF: "vpn-out", Rule: &LocalRule{Actions: []HeaderAction{
+			Decap(packet.HeaderAH),
+			Encap(packet.ExtraHeader{Type: packet.HeaderAH, SPI: 9, Seq: 2}),
+			Encap(packet.ExtraHeader{Type: packet.HeaderVLAN, Tag: 12}),
+			Modify(packet.FieldDSCP, []byte{0x2e}),
+		}}},
+	}
 	for name, consolidate := range map[string]func() (*GlobalRule, error){
 		"chain1":   func() (*GlobalRule, error) { return Consolidate(1, chain1, failover) },
 		"forwards": func() (*GlobalRule, error) { return Consolidate(1, forwards) },
+		"vpn":      func() (*GlobalRule, error) { return Consolidate(1, vpn) },
 	} {
 		var rule *GlobalRule
 		if n := testing.AllocsPerRun(20, func() {
@@ -447,28 +492,55 @@ func TestConsolidateIsOneAllocation(t *testing.T) {
 		}); n != 1 {
 			t.Errorf("%s: %v allocations a rule, want 1", name, n)
 		}
-		for _, m := range rule.Modifies {
-			if at := &m.Value[0]; uintptr(unsafe.Pointer(at)) < uintptr(unsafe.Pointer(&rule.Prog[0])) ||
+		if rule.Modifies != nil {
+			t.Errorf("%s: the rule carries Modifies %v beside its program", name, rule.Modifies)
+		}
+		for _, a := range program(t, rule) {
+			if a.Kind != ActionModify {
+				continue
+			}
+			if at := &a.Value[0]; uintptr(unsafe.Pointer(at)) < uintptr(unsafe.Pointer(&rule.Prog[0])) ||
 				uintptr(unsafe.Pointer(at)) >= uintptr(unsafe.Pointer(&rule.Prog[0]))+uintptr(len(rule.Prog)) {
-				t.Errorf("%s: the %v value is not the program's operand", name, m.Field)
+				t.Errorf("%s: the %v value is not the program's operand", name, a.Field)
 			}
 		}
+	}
+	if rule, err := Consolidate(1, vpn); err != nil || rule.String() != "fid:00001 -> decap(VLAN) encap(AH) encap(VLAN) modify(DSCP) [v0]" {
+		t.Errorf("VPN rule %v, %v", rule, err)
 	}
 	rule, err := Consolidate(1, chain1, failover)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rule.Batches) != 2 || rule.Plan.String() != "[0 1]" || len(rule.Modifies) != 3 ||
+	if len(rule.Batches) != 2 || rule.Plan.String() != "[0 1]" || len(program(t, rule)) != 3 ||
 		rule.Guards == nil || rule.Guards.Next != nil || rule.Spans != nil {
-		t.Errorf("Chain1 rule %v: plan %v, modifies %d, spans %v", rule, rule.Plan, len(rule.Modifies), rule.Spans)
+		t.Errorf("Chain1 rule %v: plan %v, spans %v", rule, rule.Plan, rule.Spans)
 	}
 	long := append(append([]Contribution(nil), chain1...), chain1...)
 	for i := range long[4:] {
 		long[4+i].NF += "-again"
 	}
 	if rule, err := Consolidate(1, long, failover, failover); err != nil || len(rule.Batches) != 4 ||
-		rule.Plan.String() != "[0 1 2 3]" || len(rule.Modifies) != 3 || rule.Guards.Next == nil {
+		rule.Plan.String() != "[0 1 2 3]" || len(program(t, rule)) != 3 || rule.Guards.Next == nil {
 		t.Errorf("a chain past the block: %v, %v", rule, err)
+	}
+}
+
+// TestConsolidateRefusesWhatNoProgramCarries: header work past what a
+// program can hold — more than 64 KiB of it, here 5 462 residual encaps
+// — is not consolidatable: the flow stays on the slow path, rather than
+// being served from anything but a program.
+func TestConsolidateRefusesWhatNoProgramCarries(t *testing.T) {
+	const n = (0xffff-progOps)/encapLen + 1
+	acts := make([]HeaderAction, n)
+	for i := range acts {
+		acts[i] = Encap(packet.ExtraHeader{Type: packet.HeaderVLAN, Tag: uint16(i % 4096)})
+	}
+	if rule, err := Consolidate(1, []Contribution{{NF: "tagger", Rule: &LocalRule{Actions: acts}}}); !errors.Is(err, ErrNotConsolidatable) {
+		t.Errorf("%d encaps: %v, %v; want ErrNotConsolidatable", n, rule, err)
+	}
+	if rule, err := Consolidate(1, []Contribution{{NF: "tagger", Rule: &LocalRule{Actions: acts[:n-1]}}}); err != nil || len(rule.Prog) > 0xffff {
+		t.Errorf("%d encaps: %v, %v; want a program of at most 64 KiB", n-1, rule, err)
 	}
 }
 
@@ -498,16 +570,20 @@ func TestConsolidateRefusesOversizedBatch(t *testing.T) {
 // TestGuardSize pins a guard node at 32 bytes: a reference, the word its
 // condition reads, the threshold and the next node — no closure and no
 // state slice (48 bytes when a condition was NF code). A rule with its
-// room, what a firing's rebuild allocates, is 584 bytes — with the
-// allocator's 8-byte header, in the 640-byte size class: the room holds
-// the batches' plan — schedule, charge and Monitor's two adds, 120 bytes
-// — since Chain1's counting became data (512 bytes before, the 576-byte
-// class).
+// room, what a firing's rebuild allocates, is 440 bytes — with the
+// allocator's 8-byte header, in the 448-byte size class: the room holds
+// the batches' plan — schedule, charge and Monitor's two adds — and the
+// program, the one copy of the rule's header work (584 bytes, the
+// 640-byte class, while the rule also kept its merged modifies and its
+// stack work as slices).
 func TestGuardSize(t *testing.T) {
 	if n := unsafe.Sizeof(Guard{}); n != 32 {
 		t.Errorf("a guard takes %d bytes, want 32", n)
 	}
-	if n := unsafe.Sizeof(ruleBlock{}); n != 584 {
-		t.Errorf("a rule with its room takes %d bytes, want 584", n)
+	if n := unsafe.Sizeof(ruleBlock{}); n != 440 {
+		t.Errorf("a rule with its room takes %d bytes, want 440", n)
+	}
+	if n := unsafe.Sizeof(ruleBlock{}) + 8; n <= 416 || n > 448 {
+		t.Errorf("a rule with its room takes %d bytes with its malloc header: not in the 448-byte size class", n)
 	}
 }

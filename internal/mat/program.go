@@ -4,17 +4,19 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"github.com/fastpathnfv/speedybox/internal/errcode"
 	"github.com/fastpathnfv/speedybox/internal/packet"
 )
 
 // Compiled action programs. A rule's header work is fixed at
-// consolidation time, so it compiles once into a flat byte program —
-// opcode, then immediate operands — and the per-packet executor is one
-// loop over it. What no packet changes is resolved when the program is
-// built: where each rewritten field sits in its header, which checksums
-// cover it, and what its new value adds to them. ApplyHeader remains the
-// reference implementation: the executor must be byte-identical to it
-// (FuzzProgramExec), and rules without a program fall back to it.
+// consolidation time, so Consolidate compiles it once into a flat byte
+// program — opcode, then immediate operands — and stores nothing else of
+// it: the program is the rule's one executable, priced and printed form
+// (ExecHeader, HeaderWork, String). What no packet changes is resolved
+// when the program is built: where each rewritten field sits in its
+// header, which checksums cover it, and what its new value adds to them.
+// The reference a program must match is the recording it was built from,
+// applied action by action (ApplyNaive, ApplyHeader; FuzzProgramExec).
 //
 // Layout: prog[0] is the format version. A forward-only rule compiles to
 // just the version byte, so the hot common case executes zero opcodes,
@@ -23,8 +25,8 @@ import (
 // opcodes from progOps on.
 const (
 	// progVersion is the program format tag in prog[0]; the executor
-	// falls back to ApplyHeader on any other. 3: a modify carries its
-	// field's place, and the program what its values add to each checksum.
+	// refuses any other. 3: a modify carries its field's place, and the
+	// program what its values add to each checksum.
 	progVersion = 3
 	// progLen holds the program's length (little-endian), so a program
 	// cut short anywhere is refused before it runs.
@@ -54,8 +56,12 @@ const (
 	opModify
 )
 
-// modOperands is the length of an opModify up to its value.
-const modOperands = 5
+// modOperands is the length of an opModify up to its value; decapLen and
+// encapLen are the lengths of the other two.
+const modOperands, decapLen, encapLen = 5, 2, 12
+
+// ErrBadProgram reports a program the executor cannot run to its end.
+var ErrBadProgram = errcode.Sentinel("mat.bad_program", "mat: malformed action program")
 
 // The programs Consolidate shares among rules without header work and
 // among drop rules: a built program is never written.
@@ -64,66 +70,48 @@ var (
 	dropProg    = []byte{progVersion, opDrop}
 )
 
-// Compile builds (and attaches) the rule's action program from its
-// consolidated header work: restore paths call it on rules decoded from
-// a WAL or checkpoint, whose encodings do not carry the program.
-func (r *GlobalRule) Compile() {
-	size, _ := programSize(r)
-	r.Prog = compile(make([]byte, 0, size), r)
-}
+// Compile builds (and attaches) the program of a hand-built rule's
+// Modifies and verdict; nil if they do not fit one. A consolidated
+// rule's program is built by Consolidate, and its Modifies stay nil.
+func (r *GlobalRule) Compile() { r.Prog = compile(nil, r.Drop, nil, nil, r.Modifies) }
 
-// programSize is the length of the rule's program; modsAt is where its
-// first modify opcode sits.
-func programSize(r *GlobalRule) (size, modsAt int) {
+// compile encodes a rule's header work into a program, in made's room if
+// it fits (made may be nil), in the order the program performs it: pop
+// decaps, headers already on the packet (outermost first); push encaps
+// (bottom to top) — the residue of §V-B's stack simulation — then
+// rewrite fields, the merged modifies, each resolved to its field's
+// place. A drop is the shared drop program whatever the work, no work
+// the shared forward. It returns nil for work no program may carry: a
+// field that is not one, a value of the wrong width, a header type Encap
+// and Decap do not know, more than 64 KiB of it.
+func compile(made *Room, drop bool, decaps []packet.HeaderType, encaps []packet.ExtraHeader, rewrites []FieldValue) []byte {
 	switch {
-	case r.Drop:
-		return len(dropProg), len(dropProg)
-	case len(r.Modifies) == 0 && r.Stack.Empty():
-		return len(forwardProg), len(forwardProg)
+	case drop:
+		return dropProg
+	case len(decaps) == 0 && len(encaps) == 0 && len(rewrites) == 0:
+		return forwardProg
 	}
-	modsAt = progOps + 2*len(r.Stack.Decaps) + 12*len(r.Stack.Encaps)
-	size = modsAt
-	for _, m := range r.Modifies {
-		size += modOperands + len(m.Value)
-	}
-	return size, modsAt
-}
-
-// compile encodes the rule's header work into the empty storage p in
-// ApplyHeader's exact order — decaps, encaps, modifies — each modify
-// resolved to its field's place. Drop rules compile to the lone drop
-// opcode (Consolidate already clears their header work). It returns nil,
-// leaving the rule to the reference, for work no program may carry: a
-// field that is not one, a value of the wrong width, a header type
-// Encap and Decap do not know, more than 64 KiB of it.
-func compile(p []byte, r *GlobalRule) []byte {
-	switch {
-	case r.Drop:
-		return append(p, dropProg...)
-	case len(r.Modifies) == 0 && r.Stack.Empty():
-		return append(p, forwardProg...)
+	var p []byte
+	if made != nil {
+		p = made.prog[:0]
 	}
 	p = append(p, make([]byte, progOps)...)
 	p[0] = progVersion
-	for _, t := range r.Stack.Decaps {
+	for _, t := range decaps {
 		if !knownHeader(t) {
 			return nil
 		}
 		p = append(p, opDecap, byte(t))
 	}
-	for _, h := range r.Stack.Encaps {
+	for _, h := range encaps {
 		if !knownHeader(h.Type) {
 			return nil
 		}
-		var op [12]byte
-		op[0], op[1] = opEncap, byte(h.Type)
-		binary.BigEndian.PutUint32(op[2:6], h.SPI)
-		binary.BigEndian.PutUint32(op[6:10], h.Seq)
-		binary.BigEndian.PutUint16(op[10:12], h.Tag)
-		p = append(p, op[:]...)
+		p = binary.BigEndian.AppendUint32(append(p, opEncap, byte(h.Type)), h.SPI)
+		p = binary.BigEndian.AppendUint16(binary.BigEndian.AppendUint32(p, h.Seq), h.Tag)
 	}
 	mods := len(p)
-	for _, m := range r.Modifies {
+	for _, m := range rewrites {
 		pl, ok := m.Field.Place()
 		if !ok || len(m.Value) != int(pl.Size) {
 			return nil
@@ -134,11 +122,86 @@ func compile(p []byte, r *GlobalRule) []byte {
 	if len(p) > 0xffff {
 		return nil
 	}
-	k, _ := newSums(p[mods:])
+	k := newSums(p[mods:])
 	binary.LittleEndian.PutUint16(p[progLen:], uint16(len(p)))
 	binary.LittleEndian.PutUint32(p[progSums:], k.IP)
 	binary.LittleEndian.PutUint32(p[progSums+4:], k.L4)
 	return p
+}
+
+// eachOp calls fn with each op of the program p in order and reports
+// whether p is one ExecHeader runs to its end (a forward and a drop have
+// no op).
+func eachOp(p []byte, fn func(op []byte)) bool {
+	switch {
+	case string(p) == string(forwardProg) || string(p) == string(dropProg):
+		return true
+	case len(p) <= progOps || p[0] != progVersion || int(binary.LittleEndian.Uint16(p[progLen:])) != len(p):
+		return false
+	}
+	for o := p[progOps:]; len(o) > 0; {
+		n := 0
+		switch {
+		case o[0] == opDecap:
+			n = decapLen
+		case o[0] == opEncap:
+			n = encapLen
+		case o[0] == opModify && len(o) >= modOperands:
+			n = modOperands + int(o[3])
+		}
+		if n == 0 || n > len(o) {
+			return false
+		}
+		fn(o[:n:n])
+		o = o[n:]
+	}
+	return true
+}
+
+// HeaderWork counts the header ops of the rule's program for the cost
+// model: field rewrites, residual decaps and residual encaps. Any of them
+// costs one checksum refresh.
+func (r *GlobalRule) HeaderWork() (modifies, decaps, encaps int) {
+	var n [opModify + 1]int
+	eachOp(r.Prog, func(op []byte) { n[op[0]]++ })
+	return n[opModify], n[opDecap], n[opEncap]
+}
+
+// HeaderActions disassembles the rule's program into the header actions
+// it performs, in order: a lone drop, or its residual decaps, its encaps
+// and its merged modifies, whose values alias the program — none for a
+// forward. ok is false for a program ExecHeader would refuse.
+func (r *GlobalRule) HeaderActions() (acts []HeaderAction, ok bool) {
+	if string(r.Prog) == string(dropProg) {
+		return []HeaderAction{Drop()}, true
+	}
+	valid := true
+	ok = eachOp(r.Prog, func(op []byte) {
+		a := Decap(packet.HeaderType(op[1]))
+		switch op[0] {
+		case opEncap:
+			a = Encap(header(op))
+		case opModify:
+			f, _ := packet.FieldAt(placeAt(op))
+			a = HeaderAction{Kind: ActionModify, Field: f, Value: op[modOperands:]}
+		}
+		valid = valid && validate(&a) == nil
+		acts = append(acts, a)
+	})
+	if !ok || !valid {
+		return nil, false
+	}
+	return acts, true
+}
+
+// header decodes the header the opEncap at op[:encapLen] pushes.
+func header(op []byte) packet.ExtraHeader {
+	return packet.ExtraHeader{
+		Type: packet.HeaderType(op[1]),
+		SPI:  binary.BigEndian.Uint32(op[2:6]),
+		Seq:  binary.BigEndian.Uint32(op[6:10]),
+		Tag:  binary.BigEndian.Uint16(op[10:12]),
+	}
 }
 
 // knownHeader reports whether Encap and Decap know the header type.
@@ -146,18 +209,18 @@ func knownHeader(t packet.HeaderType) bool {
 	return t == packet.HeaderAH || t == packet.HeaderVLAN
 }
 
-// newSums is K for the well-formed modifies ops — what writing their
-// values adds to each checksum — and n is how many there are.
-func newSums(ops []byte) (k packet.Sums, n int) {
-	for i := 0; i < len(ops); n++ {
-		pl := placeAt(ops[i:])
+// newSums is K for the well-formed modify ops in code — what writing
+// their values adds to each checksum.
+func newSums(code []byte) (k packet.Sums) {
+	for i := 0; i < len(code); {
+		pl := placeAt(code[i:])
 		end := i + modOperands + int(pl.Size)
-		s := 0xffff*((uint32(pl.Size)+1)/2) + wordSum(ops[i+modOperands:end], pl.Rel)
+		s := 0xffff*((uint32(pl.Size)+1)/2) + wordSum(code[i+modOperands:end], pl.Rel)
 		k.IP += s & -uint32(pl.Sums&packet.SumIP)
 		k.L4 += s & -uint32((pl.Sums&packet.SumL4)>>1)
 		i = end
 	}
-	return k, n
+	return k
 }
 
 // placeAt decodes the place of the opModify at op[0], which must hold
@@ -179,13 +242,11 @@ func wordSum(b []byte, rel uint8) (s uint32) {
 	return s
 }
 
-// ExecHeader performs the consolidated header work by running the
-// rule's compiled action program; it is the data path's ApplyHeader and
-// returns false when the verdict is drop. A rule without a program, or
-// with one the executor cannot run to its end — an unknown version or
-// opcode, an operand out of range, a program cut short — falls back to
-// the reference, which does what the program had not once the executor
-// has settled the checksums for what it ran.
+// ExecHeader performs the rule's header work by running its program to
+// its end; it returns false when the verdict is drop. A program the
+// executor cannot run to its end — none, an unknown version or opcode, an
+// operand out of range, a program cut short — is ErrBadProgram, with the
+// packet's state unspecified, as after any other failed action.
 func (r *GlobalRule) ExecHeader(pkt *packet.Packet) (alive bool, err error) {
 	p := r.Prog
 	switch {
@@ -195,25 +256,20 @@ func (r *GlobalRule) ExecHeader(pkt *packet.Packet) (alive bool, err error) {
 		pkt.Drop()
 		return false, nil
 	case len(p) <= progOps || p[0] != progVersion || int(binary.LittleEndian.Uint16(p[progLen:])) != len(p):
-		return r.ApplyHeader(pkt)
+		return false, fmt.Errorf("mat: global rule %v: %w", r.FID, ErrBadProgram)
 	}
-	i, done := progOps, 0
-	for ; i < len(p) && p[i] != opModify; done++ {
+	i := progOps
+	for i < len(p) && p[i] != opModify {
 		var err error
 		switch {
-		case p[i] == opDecap && i+2 <= len(p) && knownHeader(packet.HeaderType(p[i+1])):
+		case p[i] == opDecap && i+decapLen <= len(p) && knownHeader(packet.HeaderType(p[i+1])):
 			err = pkt.Decap(packet.HeaderType(p[i+1]))
-			i += 2
-		case p[i] == opEncap && i+12 <= len(p) && knownHeader(packet.HeaderType(p[i+1])):
-			err = pkt.Encap(packet.ExtraHeader{
-				Type: packet.HeaderType(p[i+1]),
-				SPI:  binary.BigEndian.Uint32(p[i+2 : i+6]),
-				Seq:  binary.BigEndian.Uint32(p[i+6 : i+10]),
-				Tag:  binary.BigEndian.Uint16(p[i+10 : i+12]),
-			})
-			i += 12
+			i += decapLen
+		case p[i] == opEncap && i+encapLen <= len(p) && knownHeader(packet.HeaderType(p[i+1])):
+			err = pkt.Encap(header(p[i : i+encapLen]))
+			i += encapLen
 		default:
-			return r.applyHeader(pkt, done)
+			err = ErrBadProgram
 		}
 		if err != nil {
 			return false, fmt.Errorf("mat: global rule %v: %w", r.FID, err)
@@ -224,10 +280,10 @@ func (r *GlobalRule) ExecHeader(pkt *packet.Packet) (alive bool, err error) {
 	// cover it. The checks keep a corrupt operand in bounds.
 	ip, l4, parsed := pkt.Bases()
 	if !parsed {
-		return r.applyHeader(pkt, done)
+		return false, fmt.Errorf("mat: global rule %v: %w", r.FID, packet.ErrNotParsed)
 	}
 	bases := [...]int{packet.BaseL2: 0, packet.BaseIP: ip, packet.BaseL4: l4}
-	data, mods := pkt.Data(), i
+	data := pkt.Data()
 	var old packet.Sums
 modifies:
 	for i+modOperands <= len(p) && p[i] == opModify {
@@ -263,16 +319,12 @@ modifies:
 		old.L4 += o & -uint32((pl.Sums&packet.SumL4)>>1)
 		i = end
 	}
-	if i == len(p) {
-		pkt.PatchChecksums(packet.Sums{
-			IP: binary.LittleEndian.Uint32(p[progSums:]) - old.IP,
-			L4: binary.LittleEndian.Uint32(p[progSums+4:]) - old.L4,
-		})
-		return true, nil
+	if i != len(p) {
+		return false, fmt.Errorf("mat: global rule %v: %w", r.FID, ErrBadProgram)
 	}
-	// Stopped short: the modifies that ran owe their own K less their old
-	// words, and the reference does the rest.
-	k, ran := newSums(p[mods:i])
-	pkt.PatchChecksums(packet.Sums{IP: k.IP - old.IP, L4: k.L4 - old.L4})
-	return r.applyHeader(pkt, done+ran)
+	pkt.PatchChecksums(packet.Sums{
+		IP: binary.LittleEndian.Uint32(p[progSums:]) - old.IP,
+		L4: binary.LittleEndian.Uint32(p[progSums+4:]) - old.L4,
+	})
+	return true, nil
 }

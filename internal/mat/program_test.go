@@ -3,6 +3,7 @@ package mat
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"github.com/fastpathnfv/speedybox/internal/packet"
@@ -24,48 +25,50 @@ func progTestPacket(t testing.TB) *packet.Packet {
 	return p
 }
 
-// diffExec runs the interpreted reference and the compiled executor on
-// clones of the same packet and fails on any observable divergence:
-// aliveness, error, drop flag, or output bytes.
-func diffExec(t *testing.T, rule *GlobalRule, base *packet.Packet) {
+// diffNaive runs the chain's contributions action by action
+// (ApplyNaive) and the rule's program on clones of the same packet, and
+// fails on any observable divergence: verdict, drop flag, output bytes,
+// checksums included — or on the program failing where the chain did
+// not. A chain that fails, decapping a header the packet never carried,
+// could never have been recorded: diffNaive reports false and compares
+// nothing.
+func diffNaive(t *testing.T, rule *GlobalRule, cs []Contribution, base *packet.Packet) bool {
 	t.Helper()
-	pRef, pProg := base.Clone(), base.Clone()
-	aliveRef, errRef := rule.ApplyHeader(pRef)
-	aliveProg, errProg := rule.ExecHeader(pProg)
-	if (errRef == nil) != (errProg == nil) {
-		t.Fatalf("error divergence: interpreted %v, compiled %v", errRef, errProg)
+	pNaive, pProg := base.Clone(), base.Clone()
+	dropped, err := ApplyNaive(pNaive, cs)
+	if err != nil {
+		return false
 	}
-	if errRef != nil {
-		if errRef.Error() != errProg.Error() {
-			t.Fatalf("error text divergence:\ninterpreted: %v\ncompiled:    %v", errRef, errProg)
-		}
-		return
+	alive, err := rule.ExecHeader(pProg)
+	if err != nil {
+		t.Fatalf("the chain ran, the program failed: %v", err)
 	}
-	if aliveRef != aliveProg {
-		t.Fatalf("verdict divergence: interpreted alive=%v, compiled alive=%v", aliveRef, aliveProg)
+	if dropped == alive || pNaive.Dropped() != pProg.Dropped() {
+		t.Fatalf("verdict divergence: naive dropped=%v (flag %v), program alive=%v (flag %v)",
+			dropped, pNaive.Dropped(), alive, pProg.Dropped())
 	}
-	if pRef.Dropped() != pProg.Dropped() {
-		t.Fatalf("drop-flag divergence: interpreted %v, compiled %v", pRef.Dropped(), pProg.Dropped())
+	if dropped {
+		return true
 	}
-	if !aliveRef {
-		return
+	if !bytes.Equal(pNaive.Data(), pProg.Data()) {
+		t.Fatalf("byte divergence:\nnaive:   %x\nprogram: %x", pNaive.Data(), pProg.Data())
 	}
-	if !bytes.Equal(pRef.Data(), pProg.Data()) {
-		t.Fatalf("byte divergence:\ninterpreted: %x\ncompiled:    %x", pRef.Data(), pProg.Data())
+	if pNaive.VerifyChecksums() != pProg.VerifyChecksums() {
+		t.Fatalf("checksum divergence: naive valid=%v, program valid=%v", pNaive.VerifyChecksums(), pProg.VerifyChecksums())
 	}
+	return true
 }
 
 // FuzzProgramExec is the compiled-program equivalence property: for
 // every rule the consolidator emits from fuzzed per-NF action lists,
-// executing the compiled program must be observably identical — alive
-// verdict, error, drop flag and output bytes — to interpreting the
-// rule with ApplyHeader, which remains the reference implementation.
+// executing the compiled program must be observably identical — verdict,
+// drop flag and output bytes, checksums included — to applying the same
+// contributions action by action with ApplyNaive, the one reference.
 // The corpus decoder is shared with FuzzConsolidate, so the program
 // executor is exercised over exactly the rule shapes consolidation can
-// produce (including decap-of-absent-header runtime errors), on frames
-// whose headers sit where a program resolved at compile time could get
-// wrong: behind one or two 802.1Q tags, or an AH header a decap pops
-// before the modifies run.
+// produce, on frames whose headers sit where a program resolved at
+// compile time could get wrong: behind one or two 802.1Q tags, or an AH
+// header a decap pops before the modifies run.
 func FuzzProgramExec(f *testing.F) {
 	f.Add([]byte{0, 1, 0})
 	f.Add([]byte{3, 4, 1, 1, 9, 9, 9, 9, 1, 0, 10, 0, 0, 2, 1})
@@ -152,7 +155,7 @@ func FuzzProgramExec(f *testing.F) {
 				base.Data()[h.L4Off+6], base.Data()[h.L4Off+7] = 0, 0
 			}
 		}
-		diffExec(t, rule, base)
+		diffNaive(t, rule, cs, base)
 	})
 }
 
@@ -195,13 +198,12 @@ func TestProgramDrop(t *testing.T) {
 	}
 }
 
-// TestProgramFallback checks every degradation path to the interpreted
-// reference: no program at all, an unknown format version, a program cut
-// short, and a corrupt opcode or operand, first or mid-program — where
-// the executor has rewritten a field and owes the checksums for it when
-// it bails, or has popped a header the reference must not pop again. All
-// must produce ApplyHeader's exact output, and none may panic.
-func TestProgramFallback(t *testing.T) {
+// TestProgramRefusesMalformed checks every way a program can be
+// malformed — none at all, an unknown format version, a program cut
+// short, a corrupt opcode or operand, first or mid-program, behind a
+// decap or not: ExecHeader returns ErrBadProgram, never panics, and
+// never reports a packet served.
+func TestProgramRefusesMalformed(t *testing.T) {
 	// The TTL modify sits at mod, its value at mod+modOperands; the
 	// destination port's modify at next. A decap (two bytes) moves both.
 	const mod, next = progOps, progOps + modOperands + 1
@@ -212,7 +214,6 @@ func TestProgramFallback(t *testing.T) {
 	}{
 		{"nil-program", false, func([]byte) []byte { return nil }},
 		{"unknown-version", false, func(p []byte) []byte { p[0] = progVersion + 1; return p }},
-		// Not an opcode: the executor must bail to the reference.
 		{"corrupt-opcode", false, func(p []byte) []byte { p[mod] = 0xee; return p }},
 		{"corrupt-second-opcode", false, func(p []byte) []byte { p[next] = 0xee; return p }},
 		{"corrupt-width", false, func(p []byte) []byte { p[mod+3] = 200; return p }},
@@ -229,37 +230,49 @@ func TestProgramFallback(t *testing.T) {
 		{"corrupt-width-after-decap", true, func(p []byte) []byte { p[next+2+3] = 200; return p }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rule := &GlobalRule{
-				FID: 9,
-				Modifies: []FieldValue{
-					{Field: packet.FieldTTL, Value: []byte{17}},
-					{Field: packet.FieldDstPort, Value: []byte{0x1f, 0x90}},
-				},
-			}
+			acts := []HeaderAction{Modify(packet.FieldTTL, []byte{17}), Modify(packet.FieldDstPort, []byte{0x1f, 0x90})}
 			base := progTestPacket(t)
 			if tc.decap {
-				rule.Stack.Decaps = []packet.HeaderType{packet.HeaderVLAN}
+				acts = append([]HeaderAction{Decap(packet.HeaderVLAN)}, acts...)
 				if err := base.EncapVLAN(7); err != nil {
 					t.Fatal(err)
 				}
 			}
-			rule.Compile()
+			cs := []Contribution{{NF: "rewriter", Rule: &LocalRule{Actions: acts}}}
+			rule, err := Consolidate(9, cs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !diffNaive(t, rule, cs, base) {
+				t.Fatal("the chain failed on the packet")
+			}
 			rule.Prog = tc.prog(rule.Prog)
-			diffExec(t, rule, base)
+			if alive, err := rule.ExecHeader(base.Clone()); !errors.Is(err, ErrBadProgram) || alive {
+				t.Errorf("ExecHeader = (%v, %v), want ErrBadProgram", alive, err)
+			}
+			if m, d, e := rule.HeaderWork(); tc.name == "nil-program" && m+d+e != 0 {
+				t.Errorf("no program prices as (%d, %d, %d) ops", m, d, e)
+			}
+			if acts, ok := rule.HeaderActions(); ok || !strings.Contains(rule.String(), "invalid program") {
+				t.Errorf("the malformed program disassembles to %v: %s", acts, rule)
+			}
 		})
 	}
 }
 
-// TestProgramErrorParity checks that runtime failures — here a decap
-// of a header the packet never carried — surface identically from the
-// compiled and interpreted paths, including the error text.
+// TestProgramErrorParity checks that a runtime failure — here a decap of
+// a header the packet never carried — fails the program as it fails the
+// chain, with the same cause.
 func TestProgramErrorParity(t *testing.T) {
-	rule := &GlobalRule{FID: 11, Stack: StackOps{Decaps: []packet.HeaderType{packet.HeaderAH}}}
-	rule.Compile()
-	diffExec(t, rule, progTestPacket(t))
-	p := progTestPacket(t)
-	if _, err := rule.ExecHeader(p); err == nil {
-		t.Fatal("decap of absent header succeeded")
+	cs := []Contribution{{NF: "vpn-term", Rule: &LocalRule{Actions: []HeaderAction{Decap(packet.HeaderAH)}}}}
+	rule, err := Consolidate(11, cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, errNaive := ApplyNaive(progTestPacket(t), cs)
+	_, errProg := rule.ExecHeader(progTestPacket(t))
+	if !errors.Is(errNaive, packet.ErrNoHeader) || !errors.Is(errProg, packet.ErrNoHeader) {
+		t.Fatalf("decap of an absent header: chain %v, program %v; want both packet.ErrNoHeader", errNaive, errProg)
 	}
 }
 

@@ -92,7 +92,7 @@ func TestQuickConsolidationEquivalence(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		aliveFast, err := rule.ApplyHeader(pFast)
+		aliveFast, err := rule.ExecHeader(pFast)
 		if err != nil {
 			return false
 		}
@@ -136,7 +136,7 @@ func TestQuickDropDominance(t *testing.T) {
 		if err != nil {
 			return errors.Is(err, ErrNotConsolidatable)
 		}
-		return rule.Drop && len(rule.Modifies) == 0 && rule.Stack.Empty()
+		return rule.Drop && string(rule.Prog) == string(dropProg)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -188,7 +188,7 @@ func TestQuickXORMergeIdentity(t *testing.T) {
 			return false
 		}
 		pFast := p0.Clone()
-		if _, err := rule.ApplyHeader(pFast); err != nil {
+		if _, err := rule.ExecHeader(pFast); err != nil {
 			return false
 		}
 		// Compare pre-checksum content: zero both checksum fields in
@@ -252,7 +252,7 @@ func TestQuickEncapStackEquivalence(t *testing.T) {
 		if _, err := ApplyNaive(pNaive, cs); err != nil {
 			return false
 		}
-		if _, err := rule.ApplyHeader(pFast); err != nil {
+		if _, err := rule.ExecHeader(pFast); err != nil {
 			return false
 		}
 		return bytes.Equal(pNaive.Data(), pFast.Data())
@@ -277,16 +277,7 @@ func TestQuickConsolidateIdempotent(t *testing.T) {
 		if err1 != nil {
 			return true
 		}
-		if r1.Drop != r2.Drop || len(r1.Modifies) != len(r2.Modifies) {
-			return false
-		}
-		for i := range r1.Modifies {
-			if r1.Modifies[i].Field != r2.Modifies[i].Field ||
-				!bytes.Equal(r1.Modifies[i].Value, r2.Modifies[i].Value) {
-				return false
-			}
-		}
-		return true
+		return r1.Drop == r2.Drop && bytes.Equal(r1.Prog, r2.Prog)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

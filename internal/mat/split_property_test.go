@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/fastpathnfv/speedybox/internal/packet"
@@ -72,7 +73,7 @@ func TestPropSplitComposition(t *testing.T) {
 			// sequence could never have been recorded.
 			continue
 		}
-		aliveW, err := whole.ApplyHeader(pWhole)
+		aliveW, err := whole.ExecHeader(pWhole)
 		if err != nil {
 			t.Fatalf("program %d: whole rule failed: %v", pi, err)
 		}
@@ -90,13 +91,13 @@ func TestPropSplitComposition(t *testing.T) {
 				continue
 			}
 			pSeq := propPacket(t)
-			aliveA, err := ruleA.ApplyHeader(pSeq)
+			aliveA, err := ruleA.ExecHeader(pSeq)
 			if err != nil {
 				t.Fatalf("program %d split %d: prefix rule failed: %v", pi, k, err)
 			}
 			aliveSeq := aliveA
 			if aliveA {
-				aliveSeq, err = ruleB.ApplyHeader(pSeq)
+				aliveSeq, err = ruleB.ExecHeader(pSeq)
 				if err != nil {
 					t.Fatalf("program %d split %d: suffix rule failed: %v", pi, k, err)
 				}
@@ -150,9 +151,8 @@ func TestPropDropDominanceCorpus(t *testing.T) {
 		if !rule.Drop {
 			t.Fatalf("program %d: dropper appended but rule.Drop is false", pi)
 		}
-		if len(rule.Modifies) != 0 || !rule.Stack.Empty() {
-			t.Fatalf("program %d: dropped rule retains header work: %d modifies, stack %+v",
-				pi, len(rule.Modifies), rule.Stack)
+		if acts, _ := rule.HeaderActions(); len(acts) != 1 || acts[0].Kind != ActionDrop {
+			t.Fatalf("program %d: dropped rule's program %v retains header work", pi, acts)
 		}
 		checked++
 	}
@@ -211,25 +211,29 @@ func TestPropStackResidue(t *testing.T) {
 		if err != nil {
 			t.Fatalf("program %d: model accepts but Consolidate refused: %v", pi, err)
 		}
-		wantDecaps, wantEncaps := ingress, model
-		if dropped {
-			wantDecaps, wantEncaps = nil, nil
-		}
-		if len(rule.Stack.Decaps) != len(wantDecaps) {
-			t.Fatalf("program %d: residual decaps %v, model %v", pi, rule.Stack.Decaps, wantDecaps)
-		}
-		for i := range wantDecaps {
-			if rule.Stack.Decaps[i] != wantDecaps[i] {
-				t.Fatalf("program %d: residual decaps %v, model %v", pi, rule.Stack.Decaps, wantDecaps)
+		// The program's stack ops, disassembled: its decaps, then its
+		// encaps.
+		var want []HeaderAction
+		if !dropped {
+			for _, t := range ingress {
+				want = append(want, Decap(t))
+			}
+			for _, h := range model {
+				want = append(want, Encap(h))
 			}
 		}
-		if len(rule.Stack.Encaps) != len(wantEncaps) {
-			t.Fatalf("program %d: residual encaps %v, model %v", pi, rule.Stack.Encaps, wantEncaps)
+		acts, ok := rule.HeaderActions()
+		if !ok {
+			t.Fatalf("program %d: %x does not disassemble", pi, rule.Prog)
 		}
-		for i := range wantEncaps {
-			if rule.Stack.Encaps[i] != wantEncaps[i] {
-				t.Fatalf("program %d: residual encaps %v, model %v", pi, rule.Stack.Encaps, wantEncaps)
+		var stack []HeaderAction
+		for _, a := range acts {
+			if a.Kind == ActionDecap || a.Kind == ActionEncap {
+				stack = append(stack, a)
 			}
+		}
+		if !slices.EqualFunc(stack, want, HeaderAction.Equal) {
+			t.Fatalf("program %d: residual stack ops %v, model %v", pi, stack, want)
 		}
 		checked++
 	}

@@ -125,7 +125,7 @@ func TestRecordingAndConsolidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	fast := pkt(t, 5060, 64)
-	if _, err := grule.ApplyHeader(fast); err != nil {
+	if _, err := grule.ExecHeader(fast); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(direct.Data(), fast.Data()) {

@@ -252,10 +252,11 @@ func TestFailoverEvent(t *testing.T) {
 	if !ok || nb == orig {
 		t.Fatalf("flow not rerouted: %v -> %v", orig, nb)
 	}
-	if len(rule.Modifies) == 0 || rule.Modifies[0].Field != packet.FieldDstIP {
+	acts, _ := rule.HeaderActions()
+	if len(acts) == 0 || acts[0].Kind != mat.ActionModify || acts[0].Field != packet.FieldDstIP {
 		t.Fatalf("rule after update = %v", rule)
 	}
-	if got := rule.Modifies[0].Value; [4]byte{got[0], got[1], got[2], got[3]} != nb.IP {
+	if got := acts[0].Value; [4]byte{got[0], got[1], got[2], got[3]} != nb.IP {
 		t.Errorf("updated DIP = %v, want %v", got, nb.IP)
 	}
 	if lb.Rerouted() != 1 {

@@ -92,6 +92,17 @@ func (f Field) Place() (pl Place, ok bool) {
 	return fieldPlaces[f], fieldPlaces[f].Size != 0
 }
 
+// FieldAt is the field whose place is pl, the inverse of Place; ok is
+// false if no field lives there.
+func FieldAt(pl Place) (f Field, ok bool) {
+	for f, fp := range fieldPlaces {
+		if fp.Size != 0 && fp == pl {
+			return Field(f), true
+		}
+	}
+	return 0, false
+}
+
 // Size returns the field width in bytes, or 0 for an invalid field.
 func (f Field) Size() int {
 	pl, _ := f.Place()

@@ -228,15 +228,22 @@ const MaxBatch = math.MaxUint16
 
 // NewBatch binds calls of the site's functions to a flow's state; each
 // is at most MaxBatch long.
-func NewBatch(site *Site, calls []uint8, fid flow.FID, st State) Batch {
-	b := Batch{Site: site, FID: fid, n: uint16(len(calls)), words: uint16(len(st))}
+func NewBatch(site *Site, calls []uint8, fid flow.FID, st State) (b Batch) {
+	b.Bind(site, calls, fid, st)
+	return b
+}
+
+// Bind makes b, field by field, the batch NewBatch returns: one stored in
+// place is not built on the stack and copied out.
+func (b *Batch) Bind(site *Site, calls []uint8, fid flow.FID, st State) {
+	b.Site, b.FID, b.n, b.words = site, fid, uint16(len(calls)), uint16(len(st))
+	b.calls, b.state = nil, nil
 	if len(calls) > 0 {
 		b.calls = &calls[0]
 	}
 	if len(st) > 0 {
 		b.state = &st[0]
 	}
-	return b
 }
 
 // Calls returns the indices of the functions the batch calls, in order.
