@@ -15,11 +15,11 @@ import (
 // to give back, the engine keeps on the flow's record (event.Standing),
 // so every release matches one admit.
 //
-// Denials are strictly non-destructive: a refused install leaves the
-// flow on the always-correct slow path (no stale-marking, no degradation
-// ladder, nothing of any other flow touched) and is retried naturally on
-// the flow's next initial packet. A quota can therefore never change a
-// packet verdict — only which path computes it — which is what keeps the
+// A denial parks the flow on the degradation ladder (Engine.degrade),
+// as every refused set-up does: it keeps the always-correct slow path,
+// nothing of any other flow is touched, and it records again once its
+// backoff has passed. A quota can therefore never change a packet
+// verdict — only which path computes it — which is what keeps the
 // differential oracle immune to admission accounting.
 //
 // Tenant identity travels in packet.Meta.Tenant (0 = untagged, which
@@ -29,8 +29,7 @@ import (
 type Admission interface {
 	// AdmitRule asks for a flow's rule once its events are admitted,
 	// unless the flow holds a rule's budget already. False refuses the
-	// install: the flow stays on the slow path and retries on its next
-	// initial packet.
+	// install.
 	AdmitRule(tenant int32) bool
 	// ReleaseRule returns one admitted rule's budget: the engine removed
 	// the flow's consolidated state (teardown, idle expiry, SYN reuse,
@@ -54,10 +53,9 @@ type Admission interface {
 // traversal it raced installed it — is charged no rule, and its events'
 // charge is swapped for this one; one whose rule went in uncharged (a
 // restore, a move) is charged nothing, as its rule was not. A refusal
-// gives back what it admitted and counts the denial; a record left
-// holding nothing goes.
-func (e *Engine) admit(ed flow.Edit, tenant int32, events int) bool {
-	ok := true
+// gives back what it admitted, counts the denial and returns its cause,
+// for the caller to park the flow under; an admission returns "".
+func (e *Engine) admit(ed flow.Edit, tenant int32, events int) (refused string) {
 	e.events.Stand(ed, true, func(h flow.Handle, s *event.Standing) {
 		switch {
 		case s.Rule:
@@ -78,21 +76,19 @@ func (e *Engine) admit(ed flow.Edit, tenant int32, events int) bool {
 		switch {
 		case n < events:
 			e.statsFor(h.FID()).eventCapDenied.Add(1)
+			refused = CauseEventCap
 		case !s.Rule && !e.admission.AdmitRule(tenant):
 			e.statsFor(h.FID()).ruleQuotaDenied.Add(1)
+			refused = CauseRuleQuota
 		default:
 			s.Tenant, s.Rule, s.Events = tenant, true, uint16(events)
 			return
 		}
-		ok = false
 		if n > 0 {
 			e.admission.ReleaseEvents(tenant, n)
 		}
 	})
-	if !ok {
-		e.events.Remove(ed)
-	}
-	return ok
+	return refused
 }
 
 // refund gives back what the flow under edit holds of its rule's and its

@@ -8,11 +8,12 @@ import (
 )
 
 // The degradation ladder tracks flows whose fast-path rule is missing,
-// stale-marked, or failed to install. Packets of a degraded flow take
-// the slow-path chain — which is always correct — while rule
-// reinstallation is retried with bounded exponential backoff, so a
-// persistently failing control plane cannot burn consolidation work on
-// every packet. Deadlines are logical-clock ticks (Engine.clock: one
+// stale-marked or refused: every set-up that fails (an NF error, a
+// recording no rule can carry, an admission denial, an install fault)
+// parks its flow here. Packets of a degraded flow take the slow-path
+// chain — which is always correct — while the set-up is retried with
+// bounded exponential backoff, so a refusal costs speed, not a set-up
+// on every packet. Deadlines are logical-clock ticks (Engine.clock: one
 // tick per classified packet), keeping the ladder deterministic for the
 // differential oracle. A flow's place on the ladder is part of
 // its standing on its flow record (event.Standing): it goes with the
@@ -27,7 +28,7 @@ const (
 )
 
 // degrade moves the flow under edit onto (or up) the ladder. escalate
-// counts a failed install or a lost recomputation: consecutive failures
+// counts a refused set-up or a lost recomputation: consecutive failures
 // double the retry deadline up to the cap. Without it the flow waits for
 // the very next initial packet (a delayed, not lost, recomputation).
 func (e *Engine) degrade(ed flow.Edit, cause string, escalate bool) {
@@ -95,20 +96,4 @@ func (e *Engine) DegradedFlows() int {
 		}
 	})
 	return n
-}
-
-// countDegradedPacket accounts one packet that would have been
-// accelerated but is held on the slow path by the ladder.
-func (e *Engine) countDegradedPacket(fid flow.FID) {
-	sh := e.statsFor(fid)
-	sh.degradedPackets.Add(1)
-	sh.slowFallbacks.Add(1)
-}
-
-// countFallback accounts one fast-path packet transparently redirected
-// to the slow path because its rule was missing or stale. Deliberately
-// not journaled: a long degradation would otherwise flood the flight
-// recorder with one record per packet.
-func (e *Engine) countFallback(fid flow.FID) {
-	e.statsFor(fid).slowFallbacks.Add(1)
 }

@@ -211,7 +211,9 @@ func (e *Engine) tryBeginRecording(h flow.Handle) bool {
 		return false
 	}
 	if e.clock.Load() < event.RetryAt(h) {
-		e.countDegradedPacket(h.FID())
+		sh := e.statsFor(h.FID())
+		sh.degradedPackets.Add(1)
+		sh.slowFallbacks.Add(1)
 		return false
 	}
 	return h.Claim()
@@ -438,21 +440,18 @@ func (e *Engine) slowPath(h flow.Handle, kind classifier.Kind, pkt *packet.Packe
 	res.Slow = info
 	res.Fast = FastPathInfo{}
 	res.TornDown = false
-	if recording && abortRecording {
-		// Drop the recording and park the flow on the ladder.
-		ed := e.class.Flows().EditHandle(h)
-		e.degrade(ed, CauseNFError, true)
-		ed.Done()
-		recording = false
-	}
 	if recording {
 		ed := e.class.Flows().EditHandle(h)
-		rec := cs.recording(ctx, t.spans)
-		err := e.consolidate(ed, ctx, info, cs, &rec)
+		var err error
+		if abortRecording {
+			// The recording is dropped and the flow parked on the ladder.
+			e.degrade(ed, CauseNFError, true)
+		} else {
+			rec := cs.recording(ctx, t.spans)
+			err = e.consolidate(ed, ctx, info, cs, &rec)
+		}
 		ed.Done()
-		// Not consolidatable: no rule is installed, and the flow stays on
-		// the (always correct) slow path, just without acceleration.
-		if err != nil && !errors.Is(err, mat.ErrNotConsolidatable) {
+		if err != nil {
 			return err
 		}
 	}
@@ -467,9 +466,12 @@ func (e *Engine) slowPath(h flow.Handle, kind classifier.Kind, pkt *packet.Packe
 // into info. The rule carries the snapshot's epoch, so one racing a
 // reconfiguration is never served. The install of a traversal's rule is
 // the one place a tenant is charged (Engine.admit); a firing's rebuild is
-// charged nothing. The build, the guards' binding, admission, the install
-// and the ladder's clearing are one edit of the entry: a flow torn down
-// under the traversal is charged and given nothing.
+// charged nothing. A refused set-up — a recording no rule can carry,
+// an admission denial, an install fault — parks the flow on the ladder
+// under its cause; of the refusals only a firing's unconsolidatable
+// update is returned, for fireEvents. The build, the guards' binding,
+// admission, the install and the ladder are one edit of the entry: a
+// flow torn down under the traversal is charged and given nothing.
 func (e *Engine) consolidate(ed flow.Edit, ctx *Ctx, info *SlowPathInfo, cs *chainState, rec *event.Recording) error {
 	if !ed.Found() {
 		return nil
@@ -480,15 +482,25 @@ func (e *Engine) consolidate(ed flow.Edit, ctx *Ctx, info *SlowPathInfo, cs *cha
 		blk = ctx.blk
 	}
 	rule, err := e.build(ed, cs, cs.epoch, rec, blk)
-	if err != nil {
-		if e.tel != nil && errors.Is(err, mat.ErrNotConsolidatable) {
+	refused := ""
+	switch {
+	case err == nil:
+		if ctx != nil && e.admission != nil {
+			refused = e.admit(ed, ctx.tenant, len(rec.Regs))
+		}
+	case errors.Is(err, mat.ErrNotConsolidatable):
+		if e.tel != nil {
 			e.tel.unconsolidatable.Inc()
 		}
+		if ctx == nil {
+			return err
+		}
+		refused = CauseUnconsolidatable
+	default:
 		return err
 	}
-	if ctx != nil && e.admission != nil && !e.admit(ed, ctx.tenant, len(rec.Regs)) {
-		// Refused: nothing installed, marked or degraded; the flow retries
-		// on its next initial packet.
+	if refused != "" {
+		e.degrade(ed, refused, true)
 		return nil
 	}
 	contributed := 0
@@ -673,8 +685,9 @@ func (e *Engine) fastPathInto(h flow.Handle, rule *mat.GlobalRule, kind classifi
 		// The rule vanished (fault-evicted under the packet, or dropped
 		// by a firing) or went stale (a lost recomputation). Fall back
 		// to the original chain, which is always correct; the flow
-		// re-records via the degradation ladder.
-		e.countFallback(h.FID())
+		// re-records via the degradation ladder. The fallback is counted,
+		// not journaled: a long degradation would flood the recorder.
+		e.statsFor(h.FID()).slowFallbacks.Add(1)
 		return e.slowPath(h, kind, pkt, false, res, b)
 	}
 	// State functions execute first, on the packet as it arrived at

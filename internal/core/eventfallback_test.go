@@ -126,7 +126,9 @@ func (f *taggerNF) Process(ctx *Ctx, pkt *packet.Packet) (Verdict, error) {
 // carry is refused at consolidation (mat.ErrNotConsolidatable, counted
 // as unconsolidatable) and never installed, so every packet of the flow
 // is served by the chain itself, byte for byte as the baseline engine
-// serves it; a flow whose work fits is served a program as usual.
+// serves it; the refusal parks the flow on the ladder, so its next two
+// packets do not record again. A flow whose work fits is served a
+// program as usual.
 func TestUnprogrammableRecordingStaysOnSlowPath(t *testing.T) {
 	for _, tc := range []struct {
 		tags int
@@ -168,8 +170,108 @@ func TestUnprogrammableRecordingStaysOnSlowPath(t *testing.T) {
 		if diverged != 0 {
 			t.Errorf("%d tags: %d packets diverged from the baseline", tc.tags, diverged)
 		}
-		if slow := tc.path == PathSlow; slow != (refused == 3) || slow != (sbox.Global().Len() == 0) {
+		if slow := tc.path == PathSlow; slow != (refused == 1) || slow != (sbox.Global().Len() == 0) {
 			t.Errorf("%d tags: %d consolidations refused, %d rules installed", tc.tags, refused, sbox.Global().Len())
 		}
+	}
+}
+
+// crossedNF pushes a VLAN tag and an AH and then pops the tag from under
+// the AH: the packet takes it, but no rule can carry it (a decap must
+// match the last pending encap), so every recording of it is refused.
+type crossedNF struct{}
+
+func (crossedNF) Name() string { return "crossed" }
+
+func (crossedNF) Process(ctx *Ctx, pkt *packet.Packet) (Verdict, error) {
+	for _, a := range []mat.HeaderAction{
+		mat.Encap(packet.ExtraHeader{Type: packet.HeaderVLAN, Tag: 7}),
+		mat.Encap(packet.ExtraHeader{Type: packet.HeaderAH, SPI: 1}),
+		mat.Decap(packet.HeaderVLAN),
+	} {
+		var err error
+		if a.Kind == mat.ActionEncap {
+			err = pkt.Encap(a.Header)
+		} else {
+			err = pkt.Decap(a.HeaderType)
+		}
+		if err == nil {
+			err = ctx.AddHeaderAction(a)
+		}
+		if err != nil {
+			return 0, err
+		}
+	}
+	return VerdictForward, nil
+}
+
+// TestRefusedSetupBacksOff: a refused set-up parks its flow on the
+// degradation ladder, whatever refused it. One flow alone on its engine
+// — its recording no rule can carry, or its rule refused by the
+// tenant's quota — sends 4096 packets: it records on the ladder's
+// schedule (8 ticks, doubling to the 1024-tick cap), at most 12 times,
+// not on every packet, every recording is refused, and each packet
+// leaves as the baseline engine's.
+func TestRefusedSetupBacksOff(t *testing.T) {
+	const packets = 4096
+	for _, tc := range []struct {
+		name  string
+		chain func() []NF
+		opts  func(*Options)
+	}{
+		{"unconsolidatable", func() []NF { return []NF{crossedNF{}} }, nil},
+		{"rule quota", func() []NF { return []NF{&fakeEventNF{name: "dos"}, &fakeCounter{name: "monitor"}} },
+			func(o *Options) { o.Admission = noRules{newHeldCounter()} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hub := telemetry.NewHub()
+			opts := DefaultOptions()
+			opts.Telemetry = hub
+			if tc.opts != nil {
+				tc.opts(&opts)
+			}
+			sbox, err := NewEngine(tc.chain(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base, err := NewEngine(tc.chain(), BaselineOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			diverged := 0
+			for i := 0; i < packets; i++ {
+				p := udpPkt(t, 4444, "refused")
+				p.Meta.Tenant = 1
+				q := p.Clone()
+				rs, err := sbox.ProcessPacket(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rb, err := base.ProcessPacket(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rs.Verdict != rb.Verdict || !bytes.Equal(p.Data(), q.Data()) {
+					diverged++
+				}
+			}
+			// Every packet is initial, as the flow never holds a rule; the
+			// ladder holds back all but those that record.
+			st := sbox.Stats()
+			records := st.Initial - st.DegradedPackets
+			refused := st.RuleQuotaDenied + hub.Registry.Snapshot().Counters["speedybox_consolidate_unconsolidatable_total"]
+			if st.Initial != packets || records > 12 || refused != records {
+				t.Errorf("%d packets, %d initial, %d held by the ladder: %d recordings, %d refused; want at most 12, all refused",
+					st.Packets, st.Initial, st.DegradedPackets, records, refused)
+			}
+			if diverged != 0 || sbox.Global().Len() != 0 || sbox.DegradedFlows() != 1 {
+				t.Errorf("%d packets diverged from the baseline, %d rules, %d flows on the ladder; want 0, 0, 1",
+					diverged, sbox.Global().Len(), sbox.DegradedFlows())
+			}
+			if err := sbox.CheckRecords(); err != nil {
+				t.Error(err)
+			}
+			t.Logf("%d recordings in %d packets", records, packets)
+		})
 	}
 }

@@ -173,7 +173,8 @@ func (noRules) AdmitRule(int32) bool { return false }
 // place its tenant is charged, for the rule and the events its recording
 // registered together. Three tagged UDP flows through an event-registering
 // chain, under a policy that refuses every rule, leave the tenant holding
-// no rule and no event, and no record behind.
+// no rule and no event: each flow's record holds its place on the
+// degradation ladder and no budget.
 func TestRefusedRuleHoldsNothing(t *testing.T) {
 	held := newHeldCounter()
 	opts := DefaultOptions()
@@ -195,8 +196,18 @@ func TestRefusedRuleHoldsNothing(t *testing.T) {
 	if st := eng.Stats(); st.RuleQuotaDenied != 3 || st.EventCapDenied != 0 {
 		t.Errorf("%d rule and %d event denials, want 3 and 0", st.RuleQuotaDenied, st.EventCapDenied)
 	}
-	if c := eng.class.Flows().Counts(); c.Records != 0 || c.Rules != 0 {
-		t.Errorf("%+v: want no record and no rule", c)
+	flows := eng.class.Flows()
+	flows.Each(func(h flow.Handle) {
+		ed := flows.EditHandle(h)
+		eng.events.Stand(ed, false, func(h flow.Handle, s *event.Standing) {
+			if s.Rule || s.Events != 0 {
+				t.Errorf("%v holds a budget: %+v", h.FID(), s)
+			}
+		})
+		ed.Done()
+	})
+	if c := flows.Counts(); c.Rules != 0 || eng.DegradedFlows() != 3 {
+		t.Errorf("%+v, %d flows on the ladder: want no rule and 3", c, eng.DegradedFlows())
 	}
 	if err := eng.CheckRecords(); err != nil {
 		t.Error(err)

@@ -191,7 +191,9 @@ func (c *Ctx) Recording() bool { return c.recording }
 // AddHeaderAction records a header action for the NF's Local MAT
 // (localmat_add_HA). The recording itself costs Model.RecordHA cycles,
 // charged to the NF — this is the "extra overhead for recording"
-// visible in Figure 4's one-action case.
+// visible in Figure 4's one-action case. The action, a stack argument,
+// is read through pointers and stored field by field: a copy of it
+// whole would reload it in 16-byte halves (DESIGN §16, "Stores in place").
 func (c *Ctx) AddHeaderAction(a mat.HeaderAction) error {
 	if !c.recording {
 		return nil
@@ -202,11 +204,12 @@ func (c *Ctx) AddHeaderAction(a mat.HeaderAction) error {
 	}
 	// An NF's first action, a forward, is held back (fwd): if it stays
 	// the NF's only one, its span is the shared lone forward.
-	if c.lay != nil && a.Kind == mat.ActionForward && !c.fwd && len(c.acts) == c.mark && a.Equal(mat.Forward()) {
+	if c.lay != nil && a.Kind == mat.ActionForward && !c.fwd && len(c.acts) == c.mark && a.Equal(&event.LoneForward()[0]) {
 		c.fwd = true
 		return nil
 	}
-	*c.next() = a
+	n := c.next()
+	n.Kind, n.Field, n.Value, n.Header, n.HeaderType = a.Kind, a.Field, a.Value, a.Header, a.HeaderType
 	return nil
 }
 

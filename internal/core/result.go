@@ -148,15 +148,14 @@ type Stats struct {
 	// FaultRecoveries counts degraded flows that returned to the fast
 	// path via a successful rule reinstall.
 	FaultRecoveries uint64
-	// RuleQuotaDenied counts fresh consolidated-rule installs the
-	// admission policy refused (tenant rule quota); the affected flows
-	// stayed on the always-correct slow path.
+	// RuleQuotaDenied counts set-ups the admission policy refused a rule
+	// (the tenant's rule quota), and EventCapDenied those it refused the
+	// events their recording registered (its event cap). A denial parks
+	// the flow on the degradation ladder, on the always-correct slow
+	// path, so a refused flow is denied again only once its backoff has
+	// passed: each counts attempts, not packets, and changes no verdict.
 	RuleQuotaDenied uint64
-	// EventCapDenied counts rule installs the admission policy refused
-	// because the events the recording registered exceeded the tenant's
-	// event cap; the affected flows stayed on the slow path and retry on
-	// their next initial packet.
-	EventCapDenied uint64
+	EventCapDenied  uint64
 }
 
 // Add folds another snapshot into s. Multi-chain dispatchers use it to

@@ -21,9 +21,10 @@ import (
 // the per-packet ladder — every arm of it, the full classification of a
 // handshake, untracked or unparsed packet filling its result in place —
 // and the rule's execution; and what a set-up runs once a flow: the
-// recorded modify its NFs call once per rewritten field, and the rule's
-// build and consolidation, which take the recording by pointer and merge
-// the header work in place.
+// recorded modify and header action its NFs call once per action, the
+// rule's build and consolidation, which take the recording by pointer and
+// merge the header work in place, and the journal's rule image, which
+// encodes the spans' actions through pointers.
 var packetPath = []string{
 	"packet.(*Packet).Parse",
 	"core.(*Engine).stage",
@@ -34,9 +35,11 @@ var packetPath = []string{
 	"sfunc.Schedule.Execute",
 	"sfunc.(*Batch).RunSequential",
 	"core.(*Ctx).AddModify",
+	"core.(*Ctx).AddHeaderAction",
 	"core.(*Engine).consolidate",
 	"core.(*Engine).build",
 	"mat.In",
+	"wal.appendRuleImage",
 }
 
 // inlinedHelpers are the small per-packet functions the compiler inlines

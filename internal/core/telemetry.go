@@ -40,6 +40,10 @@ const (
 	// CauseNFError is an injected transient NF crash-restart that
 	// aborted a recording in progress.
 	CauseNFError = "nf-error"
+	// CauseUnconsolidatable, CauseRuleQuota and CauseEventCap refuse a
+	// set-up: a recording no rule can carry, and the admission policy's
+	// refusal of the flow's rule or of its recording's events.
+	CauseUnconsolidatable, CauseRuleQuota, CauseEventCap = "unconsolidatable", "rule-quota", "event-cap"
 	// CauseFaultEvict is injected flow-table eviction pressure.
 	CauseFaultEvict = "fault-evict"
 )

@@ -156,7 +156,7 @@ func LoneForward() []mat.HeaderAction { return forwardSpan }
 
 // forwardOnly reports a span whose actions are a lone forward.
 func forwardOnly(acts []mat.HeaderAction) bool {
-	return len(acts) == 1 && acts[0].Equal(forwardSpan[0])
+	return len(acts) == 1 && acts[0].Equal(&forwardSpan[0])
 }
 
 // Forwards returns the recording of a chain of n NFs that each recorded

@@ -96,11 +96,10 @@ func Decap(t packet.HeaderType) HeaderAction {
 	return HeaderAction{Kind: ActionDecap, HeaderType: t}
 }
 
-// Validate reports whether the action is well-formed.
-func (a HeaderAction) Validate() error { return validate(&a) }
-
-// validate is Validate of *a, which it does not copy.
-func validate(a *HeaderAction) error {
+// Validate reports whether the action is well-formed. It takes the
+// action by pointer, as Equal does: a 72-byte action passed by value is
+// a stack copy on the recording path (DESIGN §16, "Stores in place").
+func (a *HeaderAction) Validate() error {
 	switch a.Kind {
 	case ActionForward, ActionDrop:
 		return nil
@@ -148,7 +147,7 @@ func (a HeaderAction) String() string {
 }
 
 // Equal reports deep equality of two actions.
-func (a HeaderAction) Equal(b HeaderAction) bool {
+func (a *HeaderAction) Equal(b *HeaderAction) bool {
 	return a.Kind == b.Kind &&
 		a.Field == b.Field &&
 		bytes.Equal(a.Value, b.Value) &&

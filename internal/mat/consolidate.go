@@ -140,7 +140,7 @@ scan:
 	actions:
 		for ai := range c.Rule.Actions {
 			a := &c.Rule.Actions[ai]
-			if err := validate(a); err != nil {
+			if err := a.Validate(); err != nil {
 				return nil, fmt.Errorf("consolidating %v from %s: %w", fid, c.NF, err)
 			}
 			switch a.Kind {

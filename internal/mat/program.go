@@ -185,7 +185,7 @@ func (r *GlobalRule) HeaderActions() (acts []HeaderAction, ok bool) {
 			f, _ := packet.FieldAt(placeAt(op))
 			a = HeaderAction{Kind: ActionModify, Field: f, Value: op[modOperands:]}
 		}
-		valid = valid && validate(&a) == nil
+		valid = valid && a.Validate() == nil
 		acts = append(acts, a)
 	})
 	if !ok || !valid {

@@ -232,7 +232,7 @@ func TestPropStackResidue(t *testing.T) {
 				stack = append(stack, a)
 			}
 		}
-		if !slices.EqualFunc(stack, want, HeaderAction.Equal) {
+		if !slices.EqualFunc(stack, want, func(a, b HeaderAction) bool { return a.Equal(&b) }) {
 			t.Fatalf("program %d: residual stack ops %v, model %v", pi, stack, want)
 		}
 		checked++

@@ -314,7 +314,8 @@ func appendRuleImage(buf []byte, im *RuleImage) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, im.Version)
 	buf = binary.LittleEndian.AppendUint64(buf, im.Epoch)
 	buf = appendUint16(buf, uint16(len(im.Spans)))
-	for i, sp := range im.Spans {
+	for i := range im.Spans {
+		sp := &im.Spans[i]
 		nf := ""
 		if i < len(im.NFs) {
 			nf = im.NFs[i]
@@ -326,8 +327,8 @@ func appendRuleImage(buf []byte, im *RuleImage) []byte {
 		}
 		buf = append(buf, 1)
 		buf = appendUint16(buf, uint16(len(sp.Actions)))
-		for _, a := range sp.Actions {
-			buf = appendAction(buf, a)
+		for j := range sp.Actions {
+			buf = appendAction(buf, &sp.Actions[j])
 		}
 		buf = appendBytes(buf, sp.Funcs)
 	}
@@ -340,7 +341,7 @@ func appendRuleImage(buf []byte, im *RuleImage) []byte {
 // header, a decap's header type. Every action is at least two bytes, so
 // a count of them is checked against the bytes behind it before
 // anything is sized by it.
-func appendAction(buf []byte, a mat.HeaderAction) []byte {
+func appendAction(buf []byte, a *mat.HeaderAction) []byte {
 	buf = append(buf, byte(a.Kind), 0)
 	at := len(buf)
 	switch a.Kind {
