@@ -70,9 +70,9 @@ func run() error {
 	_, err = postJSON(d.URL()+"/v1/plan", []byte(`{"op":"remove","name":"nosuch"}`))
 	fmt.Println("bad plan rejected:", err)
 
-	// Checkpoint at a packet boundary: the daemon gates the pump,
-	// snapshots the engine and resumes. Inline returns the bytes (and
-	// the durable WAL) for POST /v1/restore on a fresh daemon.
+	// Checkpoint while traffic flows: the engine waits out the vectors
+	// in flight and snapshots. Inline returns the bytes (and the durable
+	// WAL) for POST /v1/restore on a fresh daemon.
 	cp, err := postJSON(d.URL()+"/v1/checkpoint", []byte(`{"inline":true}`))
 	if err != nil {
 		return err

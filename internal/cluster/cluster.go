@@ -294,7 +294,7 @@ func (c *Cluster) Process(pkt *packet.Packet) (platform.Measurement, error) {
 // ProcessRuns feeds pkts through the cluster in arrival order
 // (platform.Drain), splitting the stream into maximal same-instance
 // runs of at most batchSize (0 picks the default vector size) and
-// draining each through the owner's ProcessBatch behind the same fence
+// draining each through the owner's ProcessBatch behind the same gate
 // Process uses: route under a view, take the instance's drain gate,
 // re-check the view, and route again if a rebalance published a new one
 // in between. fold, when non-nil, runs after each sub-run while its
@@ -304,7 +304,7 @@ func (c *Cluster) Process(pkt *packet.Packet) (platform.Measurement, error) {
 // runs it, so none is ever served by another instance's engine.
 func (c *Cluster) ProcessRuns(pkts []*packet.Packet, batchSize int, b *platform.Batch, fold func(off int, ms []platform.Measurement) error) error {
 	// v is the view runs are routed under. It is refreshed only when the
-	// fence finds it stale, so every run that is processed was routed
+	// gate check finds it stale, so every run that is processed was routed
 	// under the view current while its instance's gate was held.
 	v := c.cur.Load()
 	return platform.Drain(pkts, batchSize,
@@ -577,23 +577,16 @@ func (c *Cluster) migrate(fid flow.FID, from, to *instance) error {
 	return nil
 }
 
-// Reconfigure applies one chain plan to every instance at a common
-// packet boundary. The first instance decides cluster-wide success
-// with the abort injector live; once it commits, the remaining
-// instances apply the same plan with aborts suppressed — the fleet
-// either all moves to the new chain and epoch or none of it does.
+// Reconfigure applies one chain plan to every instance, each at a
+// packet boundary its engine holds. The first instance decides
+// cluster-wide success with the abort injector live; once it commits,
+// the remaining instances apply the same plan with aborts suppressed —
+// the fleet either all moves to the new chain and epoch or none of it
+// does.
 func (c *Cluster) Reconfigure(plan core.ChainPlan) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	v := c.cur.Load()
-	for _, in := range v.insts {
-		in.mu.Lock()
-	}
-	defer func() {
-		for _, in := range v.insts {
-			in.mu.Unlock()
-		}
-	}()
 	if err := v.insts[0].plat.Reconfigure(plan); err != nil {
 		return err
 	}

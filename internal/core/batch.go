@@ -367,8 +367,11 @@ func (e *Engine) flushStats(b *Batch) {
 // Batch's slots, one a packet in order, valid until its next use; the
 // slice is capped at its length, so an append by the caller never writes
 // into the Batch. Processing stops at the first failing packet, whose
-// predecessors stay accounted.
+// predecessors stay accounted. The vector holds the read side of its
+// Batch's fence shard (Engine.exclusive) from first packet to last.
 func (e *Engine) ProcessBatch(pkts []*packet.Packet, b *Batch) ([]PacketResult, error) {
+	fence := &e.stats[b.shard].fence
+	fence.RLock()
 	b.begin(len(pkts))
 	if e.opts.EnableSpeedyBox {
 		e.stage(pkts, b)
@@ -376,10 +379,12 @@ func (e *Engine) ProcessBatch(pkts []*packet.Packet, b *Batch) ([]PacketResult, 
 	for i, pkt := range pkts {
 		if err := e.process(pkt, &b.stage[i], &b.res[i], b); err != nil {
 			e.flushStats(b)
+			fence.RUnlock()
 			return nil, err
 		}
 	}
 	e.flushStats(b)
+	fence.RUnlock()
 	return b.res[:len(pkts):len(pkts)], nil
 }
 

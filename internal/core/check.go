@@ -31,10 +31,11 @@ import (
 //   - the Global MAT's counts of rules, stale rules and guarded rules
 //     are what the walk counts.
 //
-// It returns the first violation. Writers must be quiesced, as for
-// Checkpoint; the oracles, soaks and leak tests call it where a trace
-// ends.
+// It returns the first violation. It holds vectors off (Engine.exclusive),
+// not teardowns or idle sweeps; the oracles, soaks and leak tests call it
+// where a trace ends.
 func (e *Engine) CheckRecords() error {
+	defer e.exclusive()()
 	var rules, stale, guarded int
 	var err error
 	cs := e.state()

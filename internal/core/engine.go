@@ -87,8 +87,10 @@ var (
 const statsShardCount = 32
 
 // statsShardCore is one block of engine counters, updated with
-// atomics — never a lock — on the per-packet accounting path.
+// atomics on the per-packet accounting path, and the shard's side of
+// the packet-boundary fence (Engine.exclusive).
 type statsShardCore struct {
+	fence                                           sync.RWMutex
 	packets, initial, subsequent, handshake, final  atomic.Uint64
 	fastPath, slowPath, dropped                     atomic.Uint64
 	eventsFired, consolidations                     atomic.Uint64
@@ -117,15 +119,11 @@ type Engine struct {
 	model *cost.Model
 	opts  Options
 	// cur is the live chain snapshot, immutable once published:
-	// Reconfigure swaps in a fresh one, and a traversal loads it once and
-	// works against that view throughout.
-	cur atomic.Pointer[chainState]
-	// reconfigMu serializes Reconfigure: plan validation, epoch advance,
-	// snapshot publication and the stale sweep form one critical section.
-	reconfigMu sync.Mutex
-	global     *mat.Global
-	events     *event.Table
-	class      *classifier.Classifier
+	// Reconfigure swaps in a fresh one between vectors.
+	cur    atomic.Pointer[chainState]
+	global *mat.Global
+	events *event.Table
+	class  *classifier.Classifier
 
 	// clock is the logical clock, one tick per classified packet: the unit
 	// of the ladder's deadlines (§10). ProcessBatch publishes a vector's
@@ -190,6 +188,23 @@ func NewEngine(chain []NF, opts Options) (*Engine, error) {
 		e.tel = newEngineTelemetry(e, opts.Telemetry, opts.ChainLabel)
 	}
 	return e, nil
+}
+
+// exclusive holds a packet boundary for a control-plane step, and so
+// serialises the steps: it takes every shard's fence, waiting out the
+// vectors in flight, and returns the release. The fence is not
+// reentrant: no step calls another or ProcessBatch under it, and no NF
+// calls a step. Lock order: cluster instance gate, fence, flow shard
+// mutex, record lock.
+func (e *Engine) exclusive() (release func()) {
+	for i := range e.stats {
+		e.stats[i].fence.Lock()
+	}
+	return func() {
+		for i := range e.stats {
+			e.stats[i].fence.Unlock()
+		}
+	}
 }
 
 // statsFor returns the counter shard owning a FID.

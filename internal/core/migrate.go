@@ -31,11 +31,10 @@ func (e *Engine) FlowLen() int { return e.class.Flows().Len() }
 // events, admission budgets, ladder state and the flow-table entry
 // itself. Each NF with state on the flow is told it is leaving,
 // not ending (FlowStates.Leave). It reports ok=false, removing nothing,
-// when the flow is not tracked.
-//
-// The caller must hold the instance at a packet boundary (no Process
-// or ProcessBatch in flight), exactly like Checkpoint.
+// when the flow is not tracked. It runs at a packet boundary it holds
+// (Engine.exclusive), so no vector is inside the flow meanwhile.
 func (e *Engine) ExtractFlow(fid flow.FID) (wal.MigrationRecord, bool) {
+	defer e.exclusive()()
 	ed := e.class.Flows().Edit(fid, false)
 	defer ed.Done()
 	entry, ok := e.class.Flows().LookupFID(fid)
@@ -65,8 +64,10 @@ func (e *Engine) ExtractFlow(fid flow.FID) (wal.MigrationRecord, bool) {
 // resident flow of this engine holds (and its tuple may be tracked here
 // under another). RestoreEntry evicts such an entry; the flow it held is
 // ended first, as a teardown ends one, so the migrant inherits nothing
-// and the evicted tuple's next packet starts a new flow.
+// and the evicted tuple's next packet starts a new flow. It holds the
+// packet boundary, as ExtractFlow does.
 func (e *Engine) AdoptFlow(mf wal.MigrationRecord) {
+	defer e.exclusive()()
 	flows := e.class.Flows()
 	ed := flows.Edit(mf.Flow.FID, false)
 	e.release(ed)

@@ -74,13 +74,12 @@ func (e *Engine) WAL() *wal.Writer { return e.wal }
 // Checkpoint snapshots the engine's restorable state: chain epoch,
 // logical clock, flow-table occupancy with every flow's NF state, the
 // live Global MAT rules and the cross-flow state blob of every chain NF
-// implementing Snapshotter. The
+// implementing Snapshotter, at a packet boundary it holds
+// (Engine.exclusive), once the vectors in flight have ended. The
 // attached WAL (if any) is synced first so the recorded log position
-// is durable alongside everything it anchors. Call at a packet
-// boundary — checkpointing must not race Process, like Reconfigure.
+// is durable alongside everything it anchors.
 func (e *Engine) Checkpoint() (*wal.Checkpoint, error) {
-	e.reconfigMu.Lock()
-	defer e.reconfigMu.Unlock()
+	defer e.exclusive()()
 	start := time.Now()
 
 	e.wal.Sync()
@@ -137,8 +136,8 @@ func (e *Engine) LastCheckpoint() time.Time {
 
 // Restore rebuilds the engine's state from a checkpoint plus the
 // journal bytes written after it (walData may be nil for a
-// checkpoint-only restore). Call it on a freshly constructed engine
-// over the same chain layout, before traffic flows.
+// checkpoint-only restore), at a packet boundary it holds. Call it on a
+// fresh engine over the same chain layout, before traffic flows.
 //
 // The NFs' cross-flow state is restored first, then the flow entries —
 // each with its NFs' per-flow state, of which the NFs are told
@@ -151,8 +150,7 @@ func (e *Engine) Restore(cp *wal.Checkpoint, walData []byte) error {
 	if cp == nil {
 		return ErrNilCheckpoint
 	}
-	e.reconfigMu.Lock()
-	defer e.reconfigMu.Unlock()
+	defer e.exclusive()()
 	start := time.Now()
 
 	e.clock.Store(max(e.clock.Load(), cp.Clock)) // it never goes back

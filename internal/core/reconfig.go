@@ -13,14 +13,12 @@ import (
 )
 
 // Live chain reconfiguration. The engine's chain is an immutable
-// snapshot (chainState) behind an atomic pointer; Reconfigure builds
-// the next snapshot, advances the Global MAT's chain epoch, publishes
-// the snapshot and stale-sweeps every rule consolidated under the old
-// epoch. Traversals racing the swap keep the snapshot they loaded: the
-// packet is processed correctly by the *old* chain, and any rule it
-// installs carries the old epoch, so LookupLive never serves it — the
-// flow simply re-records under the new chain on its next slow-path
-// packet. No packet is dropped and no surviving NF loses state.
+// snapshot (chainState) behind an atomic pointer; Reconfigure, at a
+// packet boundary it holds (Engine.exclusive), builds the next snapshot,
+// advances the Global MAT's chain epoch, publishes the snapshot and
+// stale-sweeps every rule consolidated under the old epoch, whose flows
+// re-record under the new chain on their next packet. No packet is
+// dropped and no surviving NF loses state.
 
 // chainState is one immutable chain snapshot: the NF sequence, where
 // each NF's per-flow state sits in a flow's state block, and the chain
@@ -232,8 +230,8 @@ func (p ChainPlan) apply(cur []NF) (next []NF, removed NF, err error) {
 //     from this instant every old-epoch rule is dead to every reader
 //     (each checks the epoch of the rule it is about to serve);
 //  3. the old epoch's rules are stale-marked (the existing MarkStale
-//     representation), so in-flight batched workers fall back to the
-//     always-correct slow path and ordinary reclamation cleans up;
+//     representation), so their flows fall back to the always-correct
+//     slow path and ordinary reclamation cleans up;
 //  4. a removed or replaced-out NF's slot is dropped from every flow's
 //     state (the NF is told each flow has ended for it); inserted NFs
 //     join recording on each flow's next slow-path packet — their state
@@ -241,12 +239,13 @@ func (p ChainPlan) apply(cur []NF) (next []NF, removed NF, err error) {
 //     — repopulating the fast path through the normal
 //     record-and-consolidate cycle.
 //
+// All four run at a packet boundary it holds (Engine.exclusive), so no
+// traversal is inside a removed NF when its slot is dropped.
 // The KindReconfigAbort fault fails the transition after validation
 // but before publication; rollback is clean because nothing was
 // published.
 func (e *Engine) Reconfigure(plan ChainPlan) error {
-	e.reconfigMu.Lock()
-	defer e.reconfigMu.Unlock()
+	defer e.exclusive()()
 
 	cs := e.state()
 	next, removed, err := plan.apply(cs.chain)
@@ -272,10 +271,7 @@ func (e *Engine) Reconfigure(plan ChainPlan) error {
 	if removed != nil {
 		// The leaving NF drains: its slot leaves every live flow's
 		// state, and with it whatever the NF derived from that state (its
-		// Leave hook). It never processes another packet — a traversal
-		// racing the swap still holds the old snapshot and completes
-		// against it, which is correct and whose recording and rule are
-		// born under the old epoch.
+		// Leave hook). It never processes another packet.
 		if s, ok := removed.(Stateful); ok {
 			e.events.DropNF(s.FlowStates())
 			s.FlowStates().Detach(e.events)

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
 
 	"github.com/fastpathnfv/speedybox/internal/event"
@@ -14,6 +15,7 @@ import (
 	"github.com/fastpathnfv/speedybox/internal/mat"
 	"github.com/fastpathnfv/speedybox/internal/packet"
 	"github.com/fastpathnfv/speedybox/internal/sfunc"
+	"github.com/fastpathnfv/speedybox/internal/wal"
 )
 
 // TestSetupBlockSizeClass pins the set-up block: the rule at offset 0, so
@@ -212,6 +214,134 @@ func TestSetupHammer(t *testing.T) {
 	}
 	if st := eng.Stats(); st.Consolidations == 0 || st.FastPath == 0 {
 		t.Errorf("stats %+v: want flows consolidated and served", st)
+	}
+}
+
+// parker is a stateful NF whose Process resolves its flow's word and,
+// once armed, says so on parked and waits for release before it writes
+// the word: a traversal held inside the NF in the middle of a vector.
+type parker struct {
+	declared
+	armed           atomic.Bool
+	parked, release chan struct{}
+}
+
+func newParker() *parker {
+	p := &parker{parked: make(chan struct{}), release: make(chan struct{})}
+	p.flows.Words = 1
+	return p
+}
+
+func (p *parker) Name() string { return "parker" }
+
+func (p *parker) FlowStates() *FlowStates { return p.declare(nil) }
+
+func (p *parker) Process(ctx *Ctx, _ *packet.Packet) (Verdict, error) {
+	st := ctx.FlowState(p.FlowStates())
+	if p.armed.CompareAndSwap(true, false) {
+		p.parked <- struct{}{}
+		<-p.release
+	}
+	st[0].Add(1)
+	return VerdictForward, ctx.AddHeaderAction(mat.Forward())
+}
+
+// TestControlStepWaitsOutTraversal parks a traversal inside an NF, its
+// flow's words resolved, on the first packet of a two-packet vector, and
+// starts one control-plane step while it is parked: the step must not
+// return until the vector has ended, and the records must be clean after
+// it. Removing the parked NF is the step whose slot drop a traversal
+// still inside the NF would write past.
+func TestControlStepWaitsOutTraversal(t *testing.T) {
+	const port, other = 7700, 7701
+	steps := []struct {
+		name string
+		run  func(eng *Engine, fid flow.FID, migrant wal.MigrationRecord) error
+	}{
+		{"Reconfigure", func(eng *Engine, _ flow.FID, _ wal.MigrationRecord) error {
+			return eng.Reconfigure(ChainPlan{Op: OpRemove, Name: "parker"})
+		}},
+		{"Checkpoint", func(eng *Engine, _ flow.FID, _ wal.MigrationRecord) error {
+			_, err := eng.Checkpoint()
+			return err
+		}},
+		{"ExtractFlow", func(eng *Engine, fid flow.FID, _ wal.MigrationRecord) error {
+			if _, ok := eng.ExtractFlow(fid); !ok {
+				return fmt.Errorf("%v is not tracked", fid)
+			}
+			return nil
+		}},
+		{"AdoptFlow", func(eng *Engine, _ flow.FID, migrant wal.MigrationRecord) error {
+			eng.AdoptFlow(migrant)
+			return nil
+		}},
+		{"CheckRecords", func(eng *Engine, _ flow.FID, _ wal.MigrationRecord) error {
+			return eng.CheckRecords()
+		}},
+	}
+	for _, step := range steps {
+		t.Run(step.name, func(t *testing.T) {
+			p := newParker()
+			fwd := &scripted{name: "fwd", script: func(ctx *Ctx) error { return ctx.AddHeaderAction(mat.Forward()) }}
+			eng, err := NewEngine([]NF{p, fwd}, DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := NewBatch(2)
+			send := func(pkts ...*packet.Packet) flow.FID {
+				res, err := eng.ProcessBatch(pkts, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res[0].FID
+			}
+			// The migrant is a flow set up here and extracted, for AdoptFlow
+			// to put back.
+			send(tcpPkt(t, other, packet.TCPFlagSYN, 0, ""))
+			migrant, ok := eng.ExtractFlow(send(tcpPkt(t, other, packet.TCPFlagACK, 1, "m")))
+			if !ok {
+				t.Fatal("the migrant flow is not tracked")
+			}
+			fid := send(tcpPkt(t, port, packet.TCPFlagSYN, 0, ""))
+
+			p.armed.Store(true)
+			vector := make(chan error, 1)
+			go func() {
+				_, err := eng.ProcessBatch([]*packet.Packet{
+					tcpPkt(t, port, packet.TCPFlagACK, 1, "a"),
+					tcpPkt(t, port, packet.TCPFlagACK, 2, "b"),
+				}, NewBatch(2))
+				vector <- err
+			}()
+			<-p.parked
+			done := make(chan error, 1)
+			go func() { done <- step.run(eng, fid, migrant) }()
+			returned := false
+			select {
+			case err := <-done:
+				returned = true
+				t.Errorf("%s returned (err %v) while a vector was parked inside an NF", step.name, err)
+			case <-time.After(50 * time.Millisecond):
+			}
+			wait := func(what string, ch <-chan error) {
+				select {
+				case err := <-ch:
+					if err != nil {
+						t.Errorf("%s: %v", what, err)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatalf("%s did not return once the vector was released", what)
+				}
+			}
+			close(p.release)
+			wait("the parked vector", vector)
+			if !returned {
+				wait(step.name, done)
+			}
+			if err := eng.CheckRecords(); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
 

@@ -407,7 +407,7 @@ func (g *Global) StaleLen() int { return g.flows.Counts().Stale }
 // no lock held, so fn may safely call back into the table; under
 // concurrent writers the view is weakly consistent (a rule installed or
 // removed during the walk may or may not be seen), and exact once
-// writers are quiesced, as checkpoint and restore require. Rules must
+// writers are quiesced, as under the engine's packet-boundary fence. Rules must
 // still be treated as immutable.
 func (g *Global) ForEach(fn func(*GlobalRule)) {
 	g.flows.Each(func(h flow.Handle) {

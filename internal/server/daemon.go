@@ -16,9 +16,9 @@
 //	                    Stopped
 //
 // Admin operations serialize on one mutex; the data path never takes
-// it. Draining closes the traffic pump's window gate, which quiesces
-// the multi-queue workers at a packet boundary — the precondition both
-// Engine.Checkpoint and Engine.Restore state. Every API failure is
+// it. The engine holds its own packet boundary for a plan or a
+// checkpoint. Draining closes the traffic pump's window gate: a restore,
+// which needs a fresh engine, runs only with no traffic. Every API failure is
 // rendered as {"code","message"} where code is a registered
 // errcode.Code, so clients assert machine-readable codes, never
 // message strings.
@@ -55,9 +55,8 @@ const (
 	Starting State = iota
 	// Serving: traffic pump running, all admin operations accepted.
 	Serving
-	// Draining: pump gated at a packet boundary; checkpoint/restore
-	// safe, plans still accepted (the engine's epoch machinery handles
-	// them), undrain returns to Serving.
+	// Draining: pump gated between windows; restore accepted, plans
+	// and checkpoints too, undrain returns to Serving.
 	Draining
 	// Stopped: shutdown complete; every admin operation fails with
 	// server.stopped.
@@ -182,7 +181,7 @@ type Daemon struct {
 
 	// adminMu serializes every admin mutation (plan, checkpoint,
 	// restore, drain, undrain, shutdown). The data path never takes it;
-	// the engine's own reconfigMu discipline handles data-plane safety.
+	// the engine's packet-boundary fence handles data-plane safety.
 	adminMu sync.Mutex
 	state   atomic.Int32
 	pump    *pump
@@ -415,8 +414,7 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 }
 
 // checkpoint snapshots the engine and encodes it once, writing the
-// bytes to path when one is set. It quiesces nothing itself: callers
-// hold adminMu and have gated or stopped the pump.
+// bytes to path when one is set. Callers hold adminMu.
 func (d *Daemon) checkpoint(path string) (*wal.Checkpoint, []byte, error) {
 	cp, err := d.plat.Engine().Checkpoint()
 	if err != nil {

@@ -109,9 +109,9 @@ type planResponse struct {
 
 // handlePlan applies a chainspec.ChainPlan document to the running
 // chain via the platform's live-reconfiguration path. Traffic keeps
-// flowing: the engine's epoch machinery invalidates consolidated rules
-// and in-flight batch workers fall back to the slow path, so no pump
-// quiesce is needed or taken. The engine validates the plan.
+// flowing: Engine.Reconfigure waits out the vectors in flight, holds the
+// next off while it swaps the chain, and retires the old chain's rules by
+// their epoch, so the pump is not gated. The engine validates the plan.
 func (d *Daemon) handlePlan(w http.ResponseWriter, r *http.Request) {
 	var body []byte
 	d.admin(w, r, &body, func() (any, error) {
@@ -124,8 +124,7 @@ func (d *Daemon) handlePlan(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		if d.cl != nil {
-			// Cluster mode: the plan commits fleet-wide at a common
-			// packet boundary or not at all.
+			// Cluster mode: the plan commits fleet-wide or not at all.
 			err = d.cl.Reconfigure(compiled)
 		} else {
 			err = d.plat.Reconfigure(compiled)
@@ -158,18 +157,13 @@ type checkpointResponse struct {
 	WAL string `json:"wal,omitempty"`
 }
 
-// handleCheckpoint snapshots the engine at a packet boundary. When the
-// daemon is serving, the pump is gated for the duration — the window in
-// flight drains, the snapshot is taken, the gate reopens.
+// handleCheckpoint snapshots the engine. Engine.Checkpoint takes its own
+// packet boundary, so the pump keeps running.
 func (d *Daemon) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	var req checkpointRequest
 	d.admin(w, r, &req, func() (any, error) {
 		if d.cl != nil {
 			return nil, fmt.Errorf("%w: per-instance checkpoints are internal to the cluster", ErrClusterMode)
-		}
-		if d.pump != nil && d.State() == Serving {
-			d.pump.pause()
-			defer d.pump.resume()
 		}
 		path := req.Path
 		if path == "" {

@@ -44,8 +44,7 @@ func (c PumpConfig) withDefaults() PumpConfig {
 // counts the window's completed packets even alongside an error.
 // Between windows the pump observes a gate: pause() blocks until the
 // current window has fully drained — every worker joined inside
-// MultiQueue.Run — which is exactly the packet-boundary quiesce
-// Engine.Checkpoint and Engine.Restore require. The same trace replays
+// MultiQueue.Run — which is what drain waits for. The same trace replays
 // every window (Packets materializes fresh buffers), so flow state
 // reaches a deterministic steady rhythm: established flows ride the
 // fast path until their FIN, then a SYN reuse re-records them.
@@ -126,8 +125,8 @@ func (p *pump) run() {
 }
 
 // pause gates the pump and blocks until the in-flight window (if any)
-// has drained. After pause returns no packet is inside the platform, so
-// checkpoint/restore run at a packet boundary. Idempotent.
+// has drained. After pause returns no packet is inside the platform
+// until resume. Idempotent.
 func (p *pump) pause() {
 	p.mu.Lock()
 	p.pausing = true

@@ -283,11 +283,11 @@ func (t *Topology) RunBatch(pkts []*packet.Packet, batchSize int) (*platform.Run
 	return platform.RunBatch(t, pkts, batchSize, nil)
 }
 
-// CheckpointAll snapshots every chain engine at a common packet
-// boundary (the caller guarantees quiescence, as with single-engine
-// Checkpoint). Shared NFs are snapshotted once per chain listing them;
-// the blobs are identical at a boundary, so repeated restore is
-// idempotent.
+// CheckpointAll snapshots every chain engine, each at a packet boundary
+// it holds (core.Engine.Checkpoint); a boundary common to all chains is
+// the caller's to hold. Shared NFs are snapshotted once per chain listing
+// them; the blobs are identical at such a boundary, so repeated restore
+// is idempotent.
 func (t *Topology) CheckpointAll() ([]*wal.Checkpoint, error) {
 	out := make([]*wal.Checkpoint, len(t.chains))
 	for i := range t.chains {
