@@ -147,8 +147,27 @@ func TestSetupHammer(t *testing.T) {
 		gen     atomic.Uint32
 		stop    atomic.Bool
 		workers sync.WaitGroup
-		sent    atomic.Uint64
+		// Under mu, broadcast on moved: the packets the workers have begun
+		// and sent, the chain changes made and stop's store.
+		mu                   sync.Mutex
+		moved                = sync.NewCond(&mu)
+		begun, sent, changes uint64
 	)
+	// await blocks until *count has grown by n, the test stops or it has
+	// failed.
+	await := func(count *uint64, n uint64) {
+		mu.Lock()
+		defer mu.Unlock()
+		for want := *count + n; *count < want && !stop.Load() && !t.Failed(); {
+			moved.Wait()
+		}
+	}
+	bump := func(count *uint64) {
+		mu.Lock()
+		*count++
+		mu.Unlock()
+		moved.Broadcast()
+	}
 	for w := 0; w < 2; w++ {
 		workers.Add(1)
 		go func() {
@@ -156,30 +175,40 @@ func TestSetupHammer(t *testing.T) {
 			b := NewBatch(1)
 			for seq := 2; !stop.Load(); seq++ {
 				conn.RLock()
-				if g := gen.Load(); g > 0 {
+				g := gen.Load()
+				if g > 0 {
+					bump(&begun)
 					if _, err := eng.ProcessBatch([]*packet.Packet{pkt(packet.TCPFlagACK, g, seq)}, b); err != nil {
 						t.Error(err)
 					}
-					sent.Add(1)
 				}
 				conn.RUnlock()
+				if g > 0 {
+					bump(&sent)
+				}
+				// Take turns a packet at a time: on one CPU, a goroutine
+				// woken by the bump runs now, not a time slice later.
+				runtime.Gosched()
 			}
 		}()
 	}
+	// Chain changes, each made as a packet begins its traversal.
 	workers.Add(1)
 	go func() {
 		defer workers.Done()
 		for !stop.Load() {
+			await(&begun, 1)
 			if err := eng.Reconfigure(ChainPlan{Op: OpInsert, Pos: 0, NF: t0}); err != nil {
 				t.Error(err)
 				return
 			}
-			runtime.Gosched()
+			bump(&changes)
+			await(&begun, 1)
 			if err := eng.Reconfigure(ChainPlan{Op: OpRemove, Name: t0.name}); err != nil {
 				t.Error(err)
 				return
 			}
-			runtime.Gosched()
+			bump(&changes)
 		}
 	}()
 	b := NewBatch(1)
@@ -198,11 +227,15 @@ func TestSetupHammer(t *testing.T) {
 		}
 		gen.Store(g)
 		conn.Unlock()
-		for n := sent.Load(); sent.Load() < n+8 && !t.Failed(); {
-			runtime.Gosched()
-		}
+		// Each connection lives through eight packets and a chain
+		// change each way.
+		await(&sent, 8)
+		await(&changes, 2)
 	}
+	mu.Lock()
 	stop.Store(true)
+	mu.Unlock()
+	moved.Broadcast()
 	workers.Wait()
 	for _, g := range []*genTracer{t0, t1, t2} {
 		for _, e := range g.errs {

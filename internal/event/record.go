@@ -154,6 +154,13 @@ var forwardSpan = []mat.HeaderAction{mat.Forward()}
 // forward: one shared array, never to be written.
 func LoneForward() []mat.HeaderAction { return forwardSpan }
 
+// dropSpan is the actions of every span a Drop update leaves.
+var dropSpan = []mat.HeaderAction{mat.Drop()}
+
+// Drop is the update of an event that blocks its flow: its span becomes
+// one shared lone drop, never written (an update edits a span's Clone).
+func Drop(_ State, r *mat.LocalRule) { r.Actions = dropSpan }
+
 // forwardOnly reports a span whose actions are a lone forward.
 func forwardOnly(acts []mat.HeaderAction) bool {
 	return len(acts) == 1 && acts[0].Equal(&forwardSpan[0])

@@ -7,9 +7,11 @@ package dosdefender
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"github.com/fastpathnfv/speedybox/internal/core"
+	"github.com/fastpathnfv/speedybox/internal/cost"
 	"github.com/fastpathnfv/speedybox/internal/event"
 	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/mat"
@@ -22,13 +24,14 @@ type Config struct {
 	// Name is the NF instance name.
 	Name string
 	// SYNThreshold is the per-flow SYN count above which the flow is
-	// blocked; Figure 3 uses flow_cnt > 100. Defaults to 100.
+	// blocked; Figure 3 uses flow_cnt > 100. Defaults to 100; at most
+	// math.MaxUint64 - 1, as a count can never exceed the largest.
 	SYNThreshold uint64
 }
 
-// Defender is the DoS prevention NF. A flow's SYN counter and block mark
-// are two words of per-flow state on its flow record, which the declared
-// counting function writes and the event's condition reads directly.
+// Defender is the DoS prevention NF. A flow's SYN counter is its one
+// word of per-flow state on its flow record, which the declared counting
+// function adds to and the event's condition reads directly.
 type Defender struct {
 	name      string
 	threshold uint64
@@ -41,17 +44,21 @@ func New(cfg Config) (*Defender, error) {
 		return nil, fmt.Errorf("dosdefender: empty name")
 	}
 	th := cfg.SYNThreshold
-	if th == 0 {
+	switch th {
+	case 0:
 		th = 100
+	case math.MaxUint64:
+		return nil, fmt.Errorf("dosdefender: SYN threshold %d: no count exceeds it", th)
 	}
 	d := &Defender{name: cfg.Name, threshold: th}
-	d.flows.Words = 2
-	// The SYN counting handler inspects TCP flags only, so it ignores the
-	// payload (parallel-compatible with anything).
-	d.flows.Funcs = []sfunc.Func{{Name: "syncount", Class: sfunc.ClassIgnore, Run: d.count}}
+	d.flows.Words = 1
+	// The SYN count reads TCP flags only, so it ignores the payload
+	// (parallel-compatible with anything).
+	d.flows.Funcs = []sfunc.Func{{Name: "syncount", Class: sfunc.ClassIgnore,
+		Adds: []sfunc.Add{{Word: 0, Operand: sfunc.SYN}}, Price: cost.CounterUpdate}}
 	// Figure 3's event: once the counter crosses the threshold, replace
 	// the forward action with drop and reconsolidate.
-	d.flows.Events = []event.Event{{Word: blockMark, AtLeast: 1, Update: drop, OneShot: true}}
+	d.flows.Events = []event.Event{{Word: synCount, AtLeast: th + 1, Update: event.Drop, OneShot: true}}
 	return d, nil
 }
 
@@ -72,44 +79,21 @@ func (d *Defender) SYNCount(fid flow.FID) uint64 {
 }
 
 // Blocked reports whether the live flow crossed the threshold.
-func (d *Defender) Blocked(fid flow.FID) bool {
-	st := d.flows.Of(fid)
-	return st != nil && st[1].Load() != 0
-}
+func (d *Defender) Blocked(fid flow.FID) bool { return d.SYNCount(fid) > d.threshold }
 
-// observe counts a packet's SYN flag and returns whether the flow is
-// (now) over threshold.
-func (d *Defender) observe(st core.State, pkt *packet.Packet) bool {
-	syns := st[0].Load()
-	if flags, ok := pkt.TCPFlags(); ok && flags&packet.TCPFlagSYN != 0 {
-		syns = st[0].Add(1)
-	}
-	if syns > d.threshold {
-		st[1].Store(1)
-	}
-	return st[1].Load() != 0
-}
-
-// count is the declared SYN counting state function.
-func (d *Defender) count(a sfunc.Args, p *packet.Packet) (uint64, error) {
-	d.observe(a.State, p)
-	return a.Model.CounterUpdate, nil
-}
-
-// blockMark is the word of the event's condition: flow_cnt > threshold,
-// as observe last left it.
-func blockMark(st core.State) *atomic.Uint64 { return &st[1] }
-
-// drop is the event's update.
-func drop(_ core.State, r *mat.LocalRule) { r.Actions = []mat.HeaderAction{mat.Drop()} }
+// synCount is the word of the event's condition: flow_cnt, which holds
+// once it exceeds the threshold.
+func synCount(st core.State) *atomic.Uint64 { return &st[0] }
 
 // Process implements core.NF.
 func (d *Defender) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, error) {
 	ctx.Charge(ctx.Model.Parse + ctx.Model.Classify)
 	st := ctx.FlowState(&d.flows)
-	over := d.observe(st, pkt)
+	if flags, ok := pkt.TCPFlags(); ok && flags&packet.TCPFlagSYN != 0 {
+		st[0].Add(1)
+	}
 	ctx.Charge(ctx.Model.CounterUpdate)
-	if over {
+	if st[0].Load() > d.threshold {
 		if err := ctx.AddHeaderAction(mat.Drop()); err != nil {
 			return 0, err
 		}

@@ -1,30 +1,37 @@
 package dosdefender
 
 import (
+	"math"
+	"slices"
 	"testing"
 
+	"github.com/fastpathnfv/speedybox/internal/classifier"
 	"github.com/fastpathnfv/speedybox/internal/core"
 	"github.com/fastpathnfv/speedybox/internal/event"
 	"github.com/fastpathnfv/speedybox/internal/flow"
+	"github.com/fastpathnfv/speedybox/internal/nf/ipfilter"
+	"github.com/fastpathnfv/speedybox/internal/nf/monitor"
 	"github.com/fastpathnfv/speedybox/internal/packet"
 	"github.com/fastpathnfv/speedybox/internal/wal"
 )
 
-func synPkt(t *testing.T) *packet.Packet {
-	t.Helper()
+// tcpPkt is a packet of the test's one flow.
+func tcpPkt(flags uint8, payload string) *packet.Packet {
 	return packet.MustBuild(packet.Spec{
 		SrcIP: packet.IP4(6, 6, 6, 6), DstIP: packet.IP4(10, 0, 0, 2),
-		SrcPort: 6666, DstPort: 80, Proto: packet.ProtoTCP, TCPFlags: packet.TCPFlagSYN,
+		SrcPort: 6666, DstPort: 80, Proto: packet.ProtoTCP, TCPFlags: flags,
+		Payload: []byte(payload),
 	})
+}
+
+func synPkt(t *testing.T) *packet.Packet {
+	t.Helper()
+	return tcpPkt(packet.TCPFlagSYN, "")
 }
 
 func ackPkt(t *testing.T) *packet.Packet {
 	t.Helper()
-	return packet.MustBuild(packet.Spec{
-		SrcIP: packet.IP4(6, 6, 6, 6), DstIP: packet.IP4(10, 0, 0, 2),
-		SrcPort: 6666, DstPort: 80, Proto: packet.ProtoTCP, TCPFlags: packet.TCPFlagACK,
-		Payload: []byte("d"),
-	})
+	return tcpPkt(packet.TCPFlagACK, "d")
 }
 
 func TestNewValidation(t *testing.T) {
@@ -37,6 +44,17 @@ func TestNewValidation(t *testing.T) {
 	}
 	if d.threshold != 100 {
 		t.Errorf("default threshold = %d, want Figure 3's 100", d.threshold)
+	}
+	// The event holds at threshold+1 SYNs: the largest threshold would
+	// wrap it to 0 and drop every flow.
+	if _, err := New(Config{Name: "dos", SYNThreshold: math.MaxUint64}); err == nil {
+		t.Error("a threshold no count can exceed was accepted")
+	}
+	if d, err = New(Config{Name: "dos", SYNThreshold: math.MaxUint64 - 1}); err != nil {
+		t.Fatal(err)
+	}
+	if ev := d.flows.Events[0]; ev.AtLeast != math.MaxUint64 {
+		t.Errorf("event holds at %d SYNs, want %d", ev.AtLeast, uint64(math.MaxUint64))
 	}
 }
 
@@ -111,20 +129,16 @@ func TestEventFlipsRuleToDrop(t *testing.T) {
 		fid = res.FID
 	}
 	rule, ok := eng.Global().LookupLive(fid)
-	if !ok || len(rule.Batches) != 1 || rule.Drop || rule.Guards == nil {
-		t.Fatalf("recorded rule = %v, want a forward counting SYNs and guarded by the block", rule)
+	if !ok || len(rule.Batches) != 1 || !rule.Plan.Priced() || rule.Drop || rule.Guards == nil {
+		t.Fatalf("recorded rule = %v, want a forward counting SYNs as data and guarded by the block", rule)
 	}
-	// Fast-path SYNs via the recorded handler.
-	if _, err := rule.Batches[0].RunSequential(synPkt(t)); err != nil {
-		t.Fatal(err)
-	}
+	// Fast-path SYNs via the rule's adds.
+	rule.Plan.Add(synPkt(t))
 	events := eng.Events()
 	if fired, _ := events.Probe(fid); len(fired) != 0 {
 		t.Fatal("event fired below threshold")
 	}
-	if _, err := rule.Batches[0].RunSequential(synPkt(t)); err != nil {
-		t.Fatal(err)
-	}
+	rule.Plan.Add(synPkt(t))
 	if fired, _ := events.Probe(fid); len(fired) != 1 {
 		t.Fatalf("fired = %d, want 1 above threshold", len(fired))
 	}
@@ -139,9 +153,9 @@ func TestEventFlipsRuleToDrop(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTrip: a flow's SYN count and block mark are state on
-// its flow record, so they survive a checkpoint onto a fresh Defender
-// with no Snapshotter of the NF's own.
+// TestSnapshotRoundTrip: a flow's SYN count is state on its flow
+// record, so it survives a checkpoint onto a fresh Defender with no
+// Snapshotter of the NF's own.
 func TestSnapshotRoundTrip(t *testing.T) {
 	boot := func() (*Defender, *core.Engine) {
 		t.Helper()
@@ -191,5 +205,55 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if !pkt.Dropped() {
 		t.Error("blocked flow forwarded after restore")
+	}
+}
+
+// TestSYNFINOnTheFastPath: in a dos -> ipfilter -> monitor chain every
+// state function is data, so an established flow's rule is priced where
+// it is installed and run as its adds. A SYN|FIN, classified final, is
+// the one SYN the fast path serves: it must move the flow's SYN count as
+// the defender does on the baseline engine. The count is read as the
+// flow's state leaves, at the SYN|FIN's teardown.
+func TestSYNFINOnTheFastPath(t *testing.T) {
+	run := func(opts core.Options) (left []uint64, res *core.PacketResult, rule bool) {
+		t.Helper()
+		d, err := New(Config{Name: "dos"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.flows.Leave = func(st core.State, _ bool) { left = append(left, st[0].Load()) }
+		fw, err := ipfilter.New(ipfilter.Config{Name: "fw"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mon, err := monitor.New("mon")
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := core.NewEngine([]core.NF{d, fw, mon}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range []*packet.Packet{synPkt(t), ackPkt(t), ackPkt(t), tcpPkt(packet.TCPFlagSYN|packet.TCPFlagFIN, "")} {
+			if res, err = eng.ProcessPacket(p); err != nil {
+				t.Fatal(err)
+			}
+			if i == 1 && opts.EnableSpeedyBox {
+				r, ok := eng.Global().LookupLive(res.FID)
+				rule = ok && r.Plan.Priced()
+			}
+		}
+		return left, res, rule
+	}
+	base, _, _ := run(core.BaselineOptions())
+	got, res, priced := run(core.DefaultOptions())
+	if !priced {
+		t.Error("the flow's rule after set-up is not priced: a state function of the chain is not data")
+	}
+	if res.Kind != classifier.KindFinal || res.Path != core.PathFast || res.Verdict != core.VerdictForward {
+		t.Errorf("SYN|FIN: kind %v, path %v, verdict %v; want final, served on the fast path, forwarded", res.Kind, res.Path, res.Verdict)
+	}
+	if len(base) != 1 || base[0] != 2 || !slices.Equal(got, base) {
+		t.Errorf("SYN count as the flow's state leaves: %v, baseline %v; want [2] on both", got, base)
 	}
 }

@@ -374,7 +374,7 @@ func (lb *Maglev) reroute(st core.State) (Backend, bool) {
 func (lb *Maglev) failover(st core.State, r *mat.LocalRule) {
 	nb, ok := lb.reroute(st)
 	if !ok {
-		r.Actions = []mat.HeaderAction{mat.Drop()}
+		event.Drop(st, r)
 		return
 	}
 	for i, a := range r.Actions {

@@ -22,6 +22,7 @@ import (
 	"sync/atomic"
 
 	"github.com/fastpathnfv/speedybox/internal/core"
+	"github.com/fastpathnfv/speedybox/internal/cost"
 	"github.com/fastpathnfv/speedybox/internal/event"
 	"github.com/fastpathnfv/speedybox/internal/mat"
 	"github.com/fastpathnfv/speedybox/internal/packet"
@@ -63,13 +64,15 @@ func New(cfg Config) (*Limiter, error) {
 	l := &Limiter{name: cfg.Name, quota: quota}
 	l.flows.Words = 1
 	// The shared state function: every flow of the source records the
-	// same counting handler against the same counter.
-	l.flows.Funcs = []sfunc.Func{{Name: "quota", Class: sfunc.ClassIgnore, Run: l.charge}}
+	// same count, an add to the source's counter, bound where the flow's
+	// rule is built.
+	l.flows.Funcs = []sfunc.Func{{Name: "quota", Class: sfunc.ClassIgnore,
+		Adds: []sfunc.Add{{Cell: l.sourceCount, Operand: sfunc.One}}, Price: cost.CounterUpdate}}
 	// The shared-condition event: it fires for a flow as soon as ANY flow
 	// of the same source exhausts the quota. Probed before the packet's
 	// state function charges the counter, count >= quota answers "would
-	// this packet exceed it", exactly as observe decides in the chain.
-	l.flows.Events = []event.Event{{Word: l.sourceCount, AtLeast: quota, Update: drop, OneShot: true}}
+	// this packet exceed it", exactly as Process decides in the chain.
+	l.flows.Events = []event.Event{{Word: l.sourceCount, AtLeast: quota, Update: event.Drop, OneShot: true}}
 	return l, nil
 }
 
@@ -91,10 +94,9 @@ func source(st core.State) (src [4]byte) {
 // state — a flow's binding to its source is its state word. Without it
 // a restored engine brings back the rules but forgets which sources
 // were blocked. A source is blocked once its count exceeds the quota,
-// as counts only grow: Blocked is derived from Counts.
+// as counts only grow, so the counts are the whole image.
 type limiterState struct {
-	Counts  map[[4]byte]uint64
-	Blocked map[[4]byte]bool
+	Counts map[[4]byte]uint64
 }
 
 var _ core.Snapshotter = (*Limiter)(nil)
@@ -103,13 +105,9 @@ var _ core.Snapshotter = (*Limiter)(nil)
 func (l *Limiter) SnapshotState() ([]byte, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	st := limiterState{Counts: make(map[[4]byte]uint64), Blocked: make(map[[4]byte]bool)}
-	l.counts.Range(func(k, c any) bool {
-		src, n := k.([4]byte), c.(*atomic.Uint64).Load()
-		st.Counts[src] = n
-		if n > l.quota {
-			st.Blocked[src] = true
-		}
+	st := limiterState{Counts: make(map[[4]byte]uint64)}
+	l.counts.Range(func(src, c any) bool {
+		st.Counts[src.([4]byte)] = c.(*atomic.Uint64).Load()
 		return true
 	})
 	var buf bytes.Buffer
@@ -158,22 +156,9 @@ func (l *Limiter) Count(src [4]byte) uint64 {
 // Blocked reports whether the source exhausted its quota.
 func (l *Limiter) Blocked(src [4]byte) bool { return l.Count(src) > l.quota }
 
-// observe charges one packet against the source's shared quota and
-// returns whether the source is (now) blocked.
-func (l *Limiter) observe(src [4]byte) bool { return l.counter(src).Add(1) > l.quota }
-
-// charge is the declared state function: observe on the flow's source.
-func (l *Limiter) charge(a sfunc.Args, _ *packet.Packet) (uint64, error) {
-	l.observe(source(a.State))
-	return a.Model.CounterUpdate, nil
-}
-
-// sourceCount is the word of the shared event condition: the counter of
-// the flow's *source*, which every flow from that source charges.
+// sourceCount is the cell of the shared count and event condition: the
+// counter of the flow's *source*, which every flow from that source charges.
 func (l *Limiter) sourceCount(st core.State) *atomic.Uint64 { return l.counter(source(st)) }
-
-// drop is the event's update.
-func drop(_ core.State, r *mat.LocalRule) { r.Actions = []mat.HeaderAction{mat.Drop()} }
 
 // Process implements core.NF.
 func (l *Limiter) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, error) {
@@ -182,9 +167,8 @@ func (l *Limiter) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, erro
 	if err != nil {
 		return 0, fmt.Errorf("ratelimiter %s: %w", l.name, err)
 	}
-	over := l.observe(ft.SrcIP)
 	ctx.Charge(ctx.Model.CounterUpdate)
-	if over {
+	if l.counter(ft.SrcIP).Add(1) > l.quota {
 		if err := ctx.AddHeaderAction(mat.Drop()); err != nil {
 			return 0, err
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -261,6 +262,49 @@ func TestRestoreKeepsCells(t *testing.T) {
 	}
 	if !pkt.Dropped() || r.Result.Path != core.PathFast || r.Result.Fast.EventsFired != 1 {
 		t.Errorf("packet after the restore: dropped %v, result %+v; want a drop by one firing", pkt.Dropped(), r.Result)
+	}
+	// The rule's count adds to the cell bound before the restore, too.
+	if n := l.Count(src); n != 6 {
+		t.Errorf("count %d after the restored 5 and one packet, want 6", n)
+	}
+}
+
+// TestQuotaIsData: the quota is declared as data, an add to the source's
+// shared counter, so a flow's rule is priced where it is installed and
+// its fast path resolves the counter never: the add is bound once, when
+// the rule is built.
+func TestQuotaIsData(t *testing.T) {
+	l, err := New(Config{Name: "rl", Quota: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resolved atomic.Int64
+	add := &l.flows.Funcs[0].Adds[0]
+	cell := add.Cell
+	add.Cell = func(st core.State) *atomic.Uint64 {
+		resolved.Add(1)
+		return cell(st)
+	}
+	eng, err := core.NewEngine([]core.NF{l}, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := packet.IP4(66, 6, 6, 6)
+	for i := 0; i < 50; i++ {
+		res, err := eng.ProcessPacket(mkPkt(t, src, 1000, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			if r, ok := eng.Global().LookupLive(res.FID); !ok || !r.Plan.Priced() {
+				t.Fatalf("rule after set-up %v: want one priced, its functions all data", r)
+			}
+		} else if res.Path != core.PathFast {
+			t.Fatalf("packet %d: path %v, want fast", i, res.Path)
+		}
+	}
+	if n, c := resolved.Load(), l.Count(src); n != 1 || c != 50 {
+		t.Errorf("%d resolutions of the counter and count %d after 50 packets; want 1 (the rule's build), 50", n, c)
 	}
 }
 

@@ -59,13 +59,12 @@ func (p *Packet) EncapAH(spi, seq uint32) error {
 	insertAt := ip + IPv4HeaderLen
 	oldProto := p.data[ip+9]
 
-	ah := make([]byte, AHHeaderLen)
+	p.data = openGap(p.data, insertAt, AHHeaderLen)
+	ah := p.data[insertAt : insertAt+AHHeaderLen]
 	ah[0] = oldProto
 	ah[1] = (AHHeaderLen / 4) - 2 // RFC 4302 payload length encoding
 	binary.BigEndian.PutUint32(ah[4:8], spi)
 	binary.BigEndian.PutUint32(ah[8:12], seq)
-
-	p.data = insertBytes(p.data, insertAt, ah)
 	p.setIPProtoLen(ProtoAH, AHHeaderLen)
 	return p.Parse()
 }
@@ -104,12 +103,11 @@ func (p *Packet) EncapVLAN(tag uint16) error {
 	if !p.parsed {
 		return ErrNotParsed
 	}
-	vlan := make([]byte, VLANTagLen)
-	binary.BigEndian.PutUint16(vlan[0:2], EtherTypeVLAN)
-	binary.BigEndian.PutUint16(vlan[2:4], tag&0x0fff)
 	// The tag occupies the former EtherType position; the original
 	// EtherType (and any existing tags) shift right by 4 bytes.
-	p.data = insertBytes(p.data, 12, vlan)
+	p.data = openGap(p.data, 12, VLANTagLen)
+	binary.BigEndian.PutUint16(p.data[12:14], EtherTypeVLAN)
+	binary.BigEndian.PutUint16(p.data[14:16], tag&0x0fff)
 	return p.Parse()
 }
 
@@ -168,11 +166,12 @@ func (p *Packet) OutermostAH() (spi, seq uint32, ok bool) {
 		binary.BigEndian.Uint32(p.data[off+8 : off+12]), true
 }
 
-func insertBytes(data []byte, at int, ins []byte) []byte {
-	out := make([]byte, 0, len(data)+len(ins))
-	out = append(out, data[:at]...)
-	out = append(out, ins...)
-	out = append(out, data[at:]...)
+// openGap returns a new frame of data with n zero bytes opened at at, for
+// the caller to write a header into.
+func openGap(data []byte, at, n int) []byte {
+	out := make([]byte, len(data)+n)
+	copy(out, data[:at])
+	copy(out[at+n:], data[at:])
 	return out
 }
 

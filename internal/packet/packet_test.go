@@ -309,6 +309,27 @@ func TestEncapDecapVLAN(t *testing.T) {
 	}
 }
 
+// TestEncapAllocatesOnce: an encap writes its header straight into the
+// gap it opens in the one new frame it makes.
+func TestEncapAllocatesOnce(t *testing.T) {
+	for _, h := range []ExtraHeader{{Type: HeaderAH, SPI: 1, Seq: 2}, {Type: HeaderVLAN, Tag: 5}} {
+		pkts := make([]*Packet, 101) // AllocsPerRun's warm-up and its runs
+		for i := range pkts {
+			pkts[i] = MustBuild(sampleSpec())
+		}
+		n := 0
+		allocs := testing.AllocsPerRun(len(pkts)-1, func() {
+			if err := pkts[n].Encap(h); err != nil {
+				t.Fatal(err)
+			}
+			n++
+		})
+		if allocs != 1 {
+			t.Errorf("%v encap: %v allocations, want 1 (the new frame)", h.Type, allocs)
+		}
+	}
+}
+
 func TestEncapDispatch(t *testing.T) {
 	p := MustBuild(sampleSpec())
 	if err := p.Encap(ExtraHeader{Type: HeaderVLAN, Tag: 5}); err != nil {

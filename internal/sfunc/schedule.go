@@ -206,6 +206,21 @@ type Inc struct {
 	operand Operand
 }
 
+// grow adds to its word what its operand adds for pkt. Exec.Add, a loop
+// of it, is at the inliner's budget (80): it inlines into the fast path.
+func (a Inc) grow(pkt *packet.Packet) {
+	d := uint64(1)
+	switch a.operand {
+	case Length:
+		d = uint64(pkt.Len())
+	case SYN:
+		if flags, _ := pkt.TCPFlags(); flags&packet.TCPFlagSYN == 0 {
+			return
+		}
+	}
+	a.word.Add(d)
+}
+
 // Charge is what a packet served by a rule is charged for its batches:
 // the run, its batch dispatch and the batches, as the engine reports
 // them. Batches repeats the rule's batch count here, beside the rest, so
@@ -236,8 +251,8 @@ type Exec struct {
 
 // ExecIn is the Exec of batches, built in x (nil: allocated): its
 // schedule in plan's storage and its adds in incs', each grown into an
-// allocation of its own if it outgrows that. It refuses an add to a word
-// its batch's state does not have.
+// allocation of its own if it outgrows that; an add's Cell runs here. It
+// refuses an add to a word its batch's state does not have.
 func ExecIn(x *Exec, plan []uint32, incs []Inc, batches []Batch) (*Exec, error) {
 	incs = incs[:0]
 	for i := range batches {
@@ -246,10 +261,10 @@ func ExecIn(x *Exec, plan []uint32, incs []Inc, batches []Batch) (*Exec, error) 
 		for _, c := range b.Calls() {
 			f := &b.Funcs[c]
 			for _, a := range f.Adds {
-				if int(a.Word) >= len(st) {
+				if a.Cell == nil && int(a.Word) >= len(st) {
 					return nil, fmt.Errorf("sfunc: %s/%s adds to word %d of %d", b.NF, f.Name, a.Word, len(st))
 				}
-				incs = append(incs, Inc{word: &st[a.Word], operand: a.Operand})
+				incs = append(incs, Inc{word: a.word(st), operand: a.Operand})
 			}
 		}
 	}
@@ -275,9 +290,8 @@ func (x *Exec) Execute(batches []Batch, pkt *packet.Packet, forkJoin uint64) (Ex
 // Add runs the adds on pkt, in order: what Execute does to the flow's
 // words when every function is declared as data.
 func (x *Exec) Add(pkt *packet.Packet) {
-	n := pkt.Len()
 	for _, a := range unsafe.Slice(x.incs, x.nIncs) {
-		a.operand.grow(a.word, n)
+		a.grow(pkt)
 	}
 }
 

@@ -4,14 +4,15 @@
 // A state function updates NF internal state and/or inspects the packet
 // payload. The NF declares it once, as data or as a handler, and records
 // it for a flow by index, with the flow's state words as its argument.
-// One declared as data is adds to the flow's words — each by one or by
-// the packet's length — and a price the cost model names (Monitor's
-// count, Maglev's connection-tracking touch); a handler is NF code that
-// returns its cycles (Snort's inspection). All state functions an NF
-// records for one flow form a batch; batches execute in chain order, and
-// functions within a batch execute in recording order, preserving the
-// NF's code dependencies (§IV-B). Batches from different NFs may execute
-// in parallel when the payload-dependency analysis of Table I allows it.
+// One declared as data is adds to the flow's words or to cells they name
+// — each by one, the packet's length or its SYN flag — and a price the
+// cost model names (Monitor's count, the rate limiter's quota); a handler
+// is NF code that returns its cycles (Snort's inspection). All state
+// functions an NF records for one flow form a batch; batches execute in
+// chain order, and functions within a batch execute in recording order,
+// preserving the NF's code dependencies (§IV-B). Batches from different
+// NFs may execute in parallel when the payload-dependency analysis of
+// Table I allows it.
 //
 // That parallelism is planned and charged, executed inline: Plan groups
 // batches into Table-I stages and Execute charges a stage as the paper
@@ -128,22 +129,28 @@ const (
 	One Operand = iota + 1
 	// Length sums: the word grows by the packet's length in bytes.
 	Length
+	// SYN counts TCP SYNs: the word grows by one a packet carrying the
+	// SYN flag, whatever else it carries.
+	SYN
 )
 
-// grow adds to w what the operand adds for a packet of n bytes.
-func (op Operand) grow(w *atomic.Uint64, n int) {
-	if op == Length {
-		w.Add(uint64(n))
-	} else {
-		w.Add(1)
-	}
-}
-
 // Add is one step of a state function declared as data: word Word of
-// the flow's state grows by Operand.
+// the flow's state grows by Operand, or the cell Cell resolves from it,
+// if set (one several flows share). Like an event's condition word, Cell
+// runs where a rule is built (ExecIn); per packet only in a rule with a
+// handler, whose batches run by RunSequential.
 type Add struct {
+	Cell    func(st State) *atomic.Uint64
 	Word    uint8
 	Operand Operand
+}
+
+// word is the word the add grows on the flow's state st.
+func (a *Add) word(st State) *atomic.Uint64 {
+	if a.Cell != nil {
+		return a.Cell(st)
+	}
+	return &st[a.Word]
 }
 
 // Func is one declared state function: its body plus the metadata the
@@ -186,7 +193,7 @@ func (f Func) Validate() error {
 		return fmt.Errorf("sfunc: %q has invalid payload class %d", f.Name, int(f.Class))
 	}
 	for _, a := range f.Adds {
-		if a.Operand != One && a.Operand != Length {
+		if a.Operand < One || a.Operand > SYN {
 			return fmt.Errorf("sfunc: %q adds an invalid operand %d to word %d", f.Name, a.Operand, a.Word)
 		}
 	}
@@ -283,7 +290,7 @@ func (b *Batch) RunSequential(pkt *packet.Packet) (uint64, error) {
 		f := &b.Funcs[i]
 		if f.Data() {
 			for _, add := range f.Adds {
-				add.Operand.grow(&a.State[add.Word], pkt.Len())
+				Inc{word: add.word(a.State), operand: add.Operand}.grow(pkt)
 			}
 			total += b.Model.Cycles(f.Price)
 			continue

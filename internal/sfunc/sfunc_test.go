@@ -396,7 +396,9 @@ func TestFuncValidate(t *testing.T) {
 		{Func{Name: "both-adds", Class: ClassIgnore, Run: run, Adds: count}, false},
 		{Func{Name: "unpriced", Class: ClassIgnore, Adds: count}, false},
 		{Func{Name: "badprice", Class: ClassIgnore, Price: 99}, false},
+		{Func{Name: "syncount", Class: ClassIgnore, Adds: []Add{{Word: 0, Operand: SYN}}, Price: cost.CounterUpdate}, true},
 		{Func{Name: "badoperand", Class: ClassIgnore, Adds: []Add{{Word: 0}}, Price: cost.CounterUpdate}, false},
+		{Func{Name: "unknownoperand", Class: ClassIgnore, Adds: []Add{{Word: 0, Operand: SYN + 1}}, Price: cost.CounterUpdate}, false},
 		{Func{Name: "badclass", Class: 0, Run: run}, false},
 		{Func{Name: "badclass-data", Class: 0, Price: cost.CounterUpdate}, false},
 	} {
@@ -424,6 +426,53 @@ func TestDataFunctionRuns(t *testing.T) {
 	}
 	if _, err := ExecIn(nil, nil, nil, []Batch{NewBatch(site, []uint8{0}, 7, st[:1])}); err == nil {
 		t.Error("an add to a word the flow does not have was bound")
+	}
+}
+
+// TestCellAddBindsResolvedWord: a Cell add grows the word its resolver
+// returns for the flow's state, resolved once, where ExecIn builds the
+// rule, and never per packet; a SYN add counts only packets carrying the
+// SYN flag, a SYN|FIN among them.
+func TestCellAddBindsResolvedWord(t *testing.T) {
+	var shared atomic.Uint64
+	resolved := 0
+	cell := func(st State) *atomic.Uint64 {
+		resolved++
+		if st[0].Load() != 42 {
+			t.Errorf("resolver given word %d, want the flow's 42", st[0].Load())
+		}
+		return &shared
+	}
+	m := cost.DefaultModel()
+	site := &Site{NF: "limiter", Model: m, Funcs: []Func{{Name: "quota", Class: ClassIgnore,
+		Adds: []Add{{Cell: cell, Operand: One}, {Word: 1, Operand: SYN}}, Price: cost.CounterUpdate}}}
+	st := make(State, 2)
+	st[0].Store(42)
+	batches := []Batch{NewBatch(site, []uint8{0}, 7, st)}
+	x, err := ExecIn(nil, nil, nil, batches)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resolved != 1 {
+		t.Fatalf("ExecIn resolved the cell %d times, want once", resolved)
+	}
+	tcp := func(flags uint8) *packet.Packet {
+		return packet.MustBuild(packet.Spec{SrcIP: packet.IP4(10, 0, 0, 1), DstIP: packet.IP4(10, 0, 0, 2),
+			SrcPort: 1234, DstPort: 80, Proto: packet.ProtoTCP, TCPFlags: flags})
+	}
+	for _, flags := range []uint8{packet.TCPFlagACK, packet.TCPFlagSYN, packet.TCPFlagSYN | packet.TCPFlagFIN} {
+		x.Add(tcp(flags))
+	}
+	if resolved != 1 || shared.Load() != 3 || st[0].Load() != 42 || st[1].Load() != 2 {
+		t.Errorf("after three packets: %d resolutions, cell %d, words %d, %d; want 1, 3, 42, 2 (SYN and SYN|FIN counted)",
+			resolved, shared.Load(), st[0].Load(), st[1].Load())
+	}
+	// Run as a batch, the add resolves its cell on each run.
+	if _, err := batches[0].RunSequential(tcp(packet.TCPFlagACK)); err != nil {
+		t.Fatal(err)
+	}
+	if resolved != 2 || shared.Load() != 4 || st[1].Load() != 2 {
+		t.Errorf("RunSequential: %d resolutions, cell %d, SYNs %d; want 2, 4, 2", resolved, shared.Load(), st[1].Load())
 	}
 }
 
