@@ -33,7 +33,7 @@ func (c *costedNF) sf(sfunc.Args, *packet.Packet) (uint64, error) { return c.sfC
 
 func (c *costedNF) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, error) {
 	ctx.Charge(c.cycles)
-	if err := ctx.AddHeaderAction(mat.Forward()); err != nil {
+	if err := ctx.AddHeaderAction(pkt, mat.Forward()); err != nil {
 		return 0, err
 	}
 	if c.sfCycles > 0 {

@@ -444,7 +444,7 @@ func (f *lateEventNF) Process(ctx *Ctx, pkt *packet.Packet) (Verdict, error) {
 		return f.fakeEventNF.Process(ctx, pkt)
 	}
 	ctx.Charge(ctx.Model.Parse + ctx.Model.Classify)
-	return VerdictForward, ctx.AddHeaderAction(mat.Forward())
+	return VerdictForward, ctx.AddHeaderAction(pkt, mat.Forward())
 }
 
 // TestReSetUpTupleServedNextVector: a warm flow is torn down and its

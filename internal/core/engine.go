@@ -345,7 +345,6 @@ func (e *Engine) beginTraversal(t *traversal, h flow.Handle, pkt *packet.Packet,
 	ctx := &t.ctx
 	*ctx = Ctx{
 		FID:       h.FID(),
-		Initial:   recording,
 		Model:     e.model,
 		h:         h,
 		flows:     e.class.Flows(),
@@ -429,7 +428,7 @@ func (e *Engine) slowPath(h flow.Handle, kind classifier.Kind, pkt *packet.Packe
 			}
 		}
 		nActs, nFuncs := len(ctx.acts), len(ctx.funcs)
-		ctx.mark, ctx.fwd = nActs, false
+		ctx.mark, ctx.fwd, ctx.sum = nActs, false, nil
 		v, err := nf.Process(ctx, pkt)
 		if err != nil {
 			return fmt.Errorf("%w: %s: %w", ErrNFFailed, nf.Name(), err)

@@ -25,17 +25,7 @@ func (f *fakeModifier) Name() string { return f.name }
 
 func (f *fakeModifier) Process(ctx *Ctx, pkt *packet.Packet) (Verdict, error) {
 	ctx.Charge(ctx.Model.Parse + ctx.Model.Classify)
-	if err := pkt.Set(packet.FieldDstIP, f.dip[:]); err != nil {
-		return 0, err
-	}
-	if err := pkt.FinalizeChecksums(); err != nil {
-		return 0, err
-	}
-	ctx.Charge(ctx.Model.ModifyField + ctx.Model.ChecksumUpdate)
-	if err := ctx.AddHeaderAction(mat.Modify(packet.FieldDstIP, f.dip[:])); err != nil {
-		return 0, err
-	}
-	return VerdictForward, nil
+	return VerdictForward, ctx.AddHeaderAction(pkt, mat.Modify(packet.FieldDstIP, f.dip[:]))
 }
 
 // declared is a test NF's declaration, made on the engine's first ask:
@@ -89,7 +79,7 @@ func (f *fakeDropper) Name() string { return f.name }
 
 func (f *fakeDropper) Process(ctx *Ctx, pkt *packet.Packet) (Verdict, error) {
 	ctx.Charge(ctx.Model.Parse + ctx.Model.Classify)
-	if err := ctx.AddHeaderAction(mat.Drop()); err != nil {
+	if err := ctx.AddHeaderAction(pkt, mat.Drop()); err != nil {
 		return 0, err
 	}
 	return VerdictDrop, nil
@@ -118,7 +108,7 @@ func (f *fakeEventNF) FlowStates() *FlowStates {
 func (f *fakeEventNF) Process(ctx *Ctx, pkt *packet.Packet) (Verdict, error) {
 	ctx.Charge(ctx.Model.Parse + ctx.Model.Classify)
 	if !f.silent {
-		if err := ctx.AddHeaderAction(mat.Forward()); err != nil {
+		if err := ctx.AddHeaderAction(pkt, mat.Forward()); err != nil {
 			return 0, err
 		}
 	}

@@ -38,7 +38,7 @@ func (p *poisonEventNF) FlowStates() *FlowStates {
 
 func (p *poisonEventNF) Process(ctx *Ctx, pkt *packet.Packet) (Verdict, error) {
 	ctx.Charge(100)
-	if err := ctx.AddHeaderAction(mat.Forward()); err != nil {
+	if err := ctx.AddHeaderAction(pkt, mat.Forward()); err != nil {
 		return 0, err
 	}
 	if err := ctx.RegisterEvent(0); err != nil {
@@ -112,10 +112,7 @@ func (f *taggerNF) Name() string { return "tagger" }
 func (f *taggerNF) Process(ctx *Ctx, pkt *packet.Packet) (Verdict, error) {
 	for i := 0; i < f.n; i++ {
 		h := packet.ExtraHeader{Type: packet.HeaderVLAN, Tag: uint16(i % 4096)}
-		if err := pkt.Encap(h); err != nil {
-			return 0, err
-		}
-		if err := ctx.AddHeaderAction(mat.Encap(h)); err != nil {
+		if err := ctx.AddHeaderAction(pkt, mat.Encap(h)); err != nil {
 			return 0, err
 		}
 	}
@@ -189,16 +186,7 @@ func (crossedNF) Process(ctx *Ctx, pkt *packet.Packet) (Verdict, error) {
 		mat.Encap(packet.ExtraHeader{Type: packet.HeaderAH, SPI: 1}),
 		mat.Decap(packet.HeaderVLAN),
 	} {
-		var err error
-		if a.Kind == mat.ActionEncap {
-			err = pkt.Encap(a.Header)
-		} else {
-			err = pkt.Decap(a.HeaderType)
-		}
-		if err == nil {
-			err = ctx.AddHeaderAction(a)
-		}
-		if err != nil {
+		if err := ctx.AddHeaderAction(pkt, a); err != nil {
 			return 0, err
 		}
 	}

@@ -40,9 +40,9 @@ func (f *rewriterNF) FlowStates() *FlowStates {
 	})
 }
 
-func (f *rewriterNF) Process(ctx *Ctx, _ *packet.Packet) (Verdict, error) {
+func (f *rewriterNF) Process(ctx *Ctx, pkt *packet.Packet) (Verdict, error) {
 	ctx.Charge(ctx.Model.Parse + ctx.Model.Classify)
-	if err := ctx.AddHeaderAction(mat.Forward()); err != nil {
+	if err := ctx.AddHeaderAction(pkt, mat.Forward()); err != nil {
 		return 0, err
 	}
 	return VerdictForward, ctx.RegisterEvent(0)

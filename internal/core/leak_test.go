@@ -215,11 +215,13 @@ func TestRefusedRuleHoldsNothing(t *testing.T) {
 }
 
 // TestCtxRejectsMalformedRecording: the recording APIs validate what an
-// NF hands them; a refused item is not recorded (and still costs the
-// attempt), on an engine traversal and on a standalone context alike.
+// NF hands them; a refused item is not recorded (and a refused state
+// function or event still costs the attempt), on an engine traversal
+// and on a standalone context alike.
 func TestCtxRejectsMalformedRecording(t *testing.T) {
 	ctx := NewCtx("x", CtxConfig{FID: 1, Recording: true})
-	if err := ctx.AddHeaderAction(mat.HeaderAction{}); err == nil {
+	pkt := udpPkt(t, 1, "x")
+	if err := ctx.AddHeaderAction(pkt, mat.HeaderAction{}); err == nil {
 		t.Error("invalid action accepted")
 	}
 	if err := ctx.AddStateFunc(0); err == nil {
@@ -237,7 +239,7 @@ func TestCtxRejectsMalformedRecording(t *testing.T) {
 	if _, ok := ctx.Recorded(); ok {
 		t.Error("failed adds must not record")
 	}
-	if err := ctx.AddHeaderAction(mat.Forward()); err != nil {
+	if err := ctx.AddHeaderAction(pkt, mat.Forward()); err != nil {
 		t.Fatal(err)
 	}
 	if r, ok := ctx.Recorded(); !ok || len(r.Actions) != 1 || len(r.Funcs) != 0 {

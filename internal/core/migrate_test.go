@@ -21,13 +21,7 @@ func (perFlowNAT) Name() string { return "nat" }
 func (perFlowNAT) Process(ctx *Ctx, pkt *packet.Packet) (Verdict, error) {
 	ctx.Charge(ctx.Model.Parse + ctx.Model.Classify)
 	dip := natOf(pkt.SrcPort())
-	if err := pkt.Set(packet.FieldDstIP, dip[:]); err != nil {
-		return 0, err
-	}
-	if err := pkt.FinalizeChecksums(); err != nil {
-		return 0, err
-	}
-	return VerdictForward, ctx.AddHeaderAction(mat.Modify(packet.FieldDstIP, dip[:]))
+	return VerdictForward, ctx.AddHeaderAction(pkt, mat.Modify(packet.FieldDstIP, dip[:]))
 }
 
 // TestAdoptOntoTakenFID: FIDs are allocated per instance, so a migrant

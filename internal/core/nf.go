@@ -7,15 +7,16 @@
 // The paper's C APIs map to this package as follows:
 //
 //	nf_extract_fid(pkt)          -> Ctx.FID (assigned by the classifier)
-//	localmat_add_HA(fid, ha, a)  -> Ctx.AddHeaderAction(mat.HeaderAction),
-//	                                Ctx.AddModify(field, value)
-//	localmat_add_SF(fid, h, t, a)-> Ctx.AddStateFunc(i)
+//	localmat_add_HA(fid, ha, a)  -> Ctx.AddHeaderAction(pkt, mat.HeaderAction),
+//	                                Ctx.AddModify(pkt, field, value)
+//	localmat_add_SF(fid, h, t, a)-> Ctx.Run(v, i, pkt), Ctx.AddStateFunc(i)
 //	register_event(fid, c, a, u) -> Ctx.RegisterEvent(i)
 //
 // The state function h — adds to a's words and a price, or a handler —
 // (or condition c — a word of a and a threshold — and update u) is
 // declared once, by index, on the NF's FlowStates; the argument a is the
-// flow's words on its record (state.go): data.
+// flow's words on its record (state.go): data. Each call also applies
+// and charges its effect, recording or not, as the fast path would.
 package core
 
 import (
@@ -26,6 +27,7 @@ import (
 	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/mat"
 	"github.com/fastpathnfv/speedybox/internal/packet"
+	"github.com/fastpathnfv/speedybox/internal/sfunc"
 )
 
 // Verdict is an NF's per-packet decision on the slow path.
@@ -53,8 +55,9 @@ func (v Verdict) String() string {
 
 // NF is a network function integrated with SpeedyBox. Process runs the
 // NF's genuine logic on a packet traversing the original chain; inside
-// it, the NF calls the Ctx instrumentation APIs to record its per-flow
-// behaviour. The APIs are no-ops when recording is disabled (original
+// it, the NF applies its header actions and state functions through the
+// Ctx instrumentation APIs, which also record them as its per-flow
+// behaviour. They record nothing when recording is disabled (original
 // chain baseline, handshake packets), so one implementation serves
 // both the baseline and the SpeedyBox configurations.
 type NF interface {
@@ -68,9 +71,6 @@ type NF interface {
 type Ctx struct {
 	// FID is the flow identifier the classifier assigned.
 	FID flow.FID
-	// Initial reports whether this is the flow's initial packet
-	// (recording enabled).
-	Initial bool
 	// Model exposes the cycle-cost model so NFs charge calibrated
 	// costs for their work.
 	Model *cost.Model
@@ -110,6 +110,8 @@ type Ctx struct {
 	blk   *setupBlock
 	mark  int
 	fwd   bool
+	// sum is the packet the NF was charged a checksum update for.
+	sum *packet.Packet
 	// tenant is the packet's, which the install of the rule built from
 	// the recording is charged to (Engine.admit).
 	tenant int32
@@ -148,7 +150,7 @@ type CtxConfig struct {
 	// per-flow state: contexts that are to see one another's state share
 	// one. Defaults to a fresh one.
 	Events *event.Table
-	// Recording enables the instrumentation APIs.
+	// Recording makes the instrumentation APIs record.
 	Recording bool
 	// Flows is the NF's declaration, which AddStateFunc and RegisterEvent
 	// record from; nil for an NF that declares none.
@@ -168,7 +170,6 @@ func NewCtx(nf string, cfg CtxConfig) *Ctx {
 	}
 	return &Ctx{
 		FID:       cfg.FID,
-		Initial:   cfg.Recording,
 		Model:     cfg.Model,
 		nf:        nf,
 		h:         cfg.Events.Entry(cfg.FID),
@@ -185,23 +186,18 @@ func (c *Ctx) Charge(cycles uint64) {
 	c.ledger.Charge(c.nf, cycles)
 }
 
-// Recording reports whether the instrumentation APIs are live.
-func (c *Ctx) Recording() bool { return c.recording }
-
-// AddHeaderAction records a header action for the NF's Local MAT
-// (localmat_add_HA). The recording itself costs Model.RecordHA cycles,
+// AddHeaderAction applies and charges header action a (apply), which is
+// then valid, and records it for the NF's Local MAT (localmat_add_HA)
+// when recording. The recording itself costs Model.RecordHA cycles,
 // charged to the NF — this is the "extra overhead for recording"
 // visible in Figure 4's one-action case. The action, a stack argument,
 // is read through pointers and stored field by field: a copy of it
 // whole would reload it in 16-byte halves (DESIGN §16, "Stores in place").
-func (c *Ctx) AddHeaderAction(a mat.HeaderAction) error {
-	if !c.recording {
-		return nil
+func (c *Ctx) AddHeaderAction(pkt *packet.Packet, a mat.HeaderAction) error {
+	if err := c.apply(pkt, &a); err != nil || !c.recording {
+		return err
 	}
 	c.Charge(c.Model.RecordHA)
-	if err := a.Validate(); err != nil {
-		return fmt.Errorf("core: %s: %w", c.nf, err)
-	}
 	// An NF's first action, a forward, is held back (fwd): if it stays
 	// the NF's only one, its span is the shared lone forward.
 	if c.lay != nil && a.Kind == mat.ActionForward && !c.fwd && len(c.acts) == c.mark && a.Equal(&event.LoneForward()[0]) {
@@ -210,6 +206,24 @@ func (c *Ctx) AddHeaderAction(a mat.HeaderAction) error {
 	}
 	n := c.next()
 	n.Kind, n.Field, n.Value, n.Header, n.HeaderType = a.Kind, a.Field, a.Value, a.Header, a.HeaderType
+	return nil
+}
+
+// apply executes a on pkt by the fast path's reference
+// (mat.HeaderAction.Apply) and charges its primitive, a rewrite's with
+// one checksum update per NF and packet.
+func (c *Ctx) apply(pkt *packet.Packet, a *mat.HeaderAction) error {
+	if _, err := a.Apply(pkt); err != nil {
+		return fmt.Errorf("core: %s: %w", c.nf, err)
+	}
+	m := c.Model
+	cycles := [...]uint64{mat.ActionDrop: m.DropAction, mat.ActionModify: m.ModifyField, mat.ActionEncap: m.EncapHeader, mat.ActionDecap: m.DecapHeader}[a.Kind]
+	if a.Kind >= mat.ActionModify && c.sum != pkt {
+		c.sum, cycles = pkt, cycles+m.ChecksumUpdate
+	}
+	if cycles != 0 {
+		c.Charge(cycles)
+	}
 	return nil
 }
 
@@ -250,24 +264,22 @@ func (c *Ctx) span(r *mat.LocalRule, nActs, nFuncs int) {
 	}
 }
 
-// AddModify records a modify of field f to value (localmat_add_HA, as
-// AddHeaderAction(mat.Modify(f, value)) does) without a copy of its own:
-// the value goes into the traversal's recording buffer, so the caller may
-// reuse its storage, and with the recording into the flow's set-up
-// block, in place (DESIGN §16, "Stores in place").
-func (c *Ctx) AddModify(f packet.Field, value []byte) error {
-	if !c.recording {
-		return nil
+// AddModify is AddHeaderAction(pkt, mat.Modify(f, value)) without a copy
+// of its own: the recorded value goes into the traversal's recording
+// buffer, so the caller may reuse its storage, and with the recording
+// into the flow's set-up block, in place (DESIGN §16, "Stores in place").
+func (c *Ctx) AddModify(pkt *packet.Packet, f packet.Field, value []byte) error {
+	var a mat.HeaderAction
+	a.Kind, a.Field, a.Value = mat.ActionModify, f, value
+	if err := c.apply(pkt, &a); err != nil || !c.recording {
+		return err
 	}
 	c.Charge(c.Model.RecordHA)
-	if err := mat.ValidateModify(f, value); err != nil {
-		return fmt.Errorf("core: %s: %w", c.nf, err)
-	}
 	c.own()
 	n := len(c.vals)
 	c.vals = append(c.vals, value...)
-	a := c.next()
-	a.Kind, a.Field, a.Value = mat.ActionModify, f, c.vals[n:len(c.vals):len(c.vals)]
+	r := c.next()
+	r.Kind, r.Field, r.Value = mat.ActionModify, f, c.vals[n:len(c.vals):len(c.vals)]
 	return nil
 }
 
@@ -278,6 +290,14 @@ func (c *Ctx) declared(i int, event bool) error {
 		return fmt.Errorf("core: %s %w", c.nf, err)
 	}
 	return nil
+}
+
+// Run runs the NF's declared state function i over its words on the
+// flow, by the body its rule runs (sfunc.Func.Call), and charges it.
+func (c *Ctx) Run(v *FlowStates, i int, pkt *packet.Packet) error {
+	cycles, err := v.Funcs[i].Call(sfunc.Args{FID: c.FID, State: c.FlowState(v), Model: c.Model}, pkt)
+	c.Charge(cycles)
+	return err
 }
 
 // AddStateFunc records the NF's declared state function i for the flow

@@ -27,7 +27,7 @@ func (s *snapNF) Name() string { return s.name }
 func (s *snapNF) Process(ctx *Ctx, pkt *packet.Packet) (Verdict, error) {
 	ctx.Charge(ctx.Model.Parse + ctx.Model.Classify)
 	s.count.Add(1)
-	if err := ctx.AddHeaderAction(mat.Forward()); err != nil {
+	if err := ctx.AddHeaderAction(pkt, mat.Forward()); err != nil {
 		return 0, err
 	}
 	return VerdictForward, nil

@@ -95,12 +95,10 @@ func (n *scriptedNF) Name() string { return n.name }
 
 func (n *scriptedNF) Process(ctx *Ctx, pkt *packet.Packet) (Verdict, error) {
 	for _, a := range (*n.script)[n.at] {
-		if err := ctx.AddHeaderAction(a); err != nil {
+		if err := ctx.AddHeaderAction(pkt, a); err != nil {
 			return 0, err
 		}
-		if alive, err := a.Apply(pkt); err != nil {
-			return 0, err
-		} else if !alive {
+		if pkt.Dropped() {
 			return VerdictDrop, nil
 		}
 	}
@@ -234,7 +232,7 @@ func (n *rerouteNF) FlowStates() *FlowStates {
 }
 
 func (n *rerouteNF) Process(ctx *Ctx, pkt *packet.Packet) (Verdict, error) {
-	if err := ctx.AddHeaderAction(mat.Modify(packet.FieldDstIP, []byte{192, 168, 1, 10})); err != nil {
+	if err := ctx.AddHeaderAction(pkt, mat.Modify(packet.FieldDstIP, []byte{192, 168, 1, 10})); err != nil {
 		return 0, err
 	}
 	return VerdictForward, ctx.RegisterEvent(0)

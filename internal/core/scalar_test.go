@@ -284,9 +284,9 @@ var firingDecl = FlowStates{Events: []event.Event{{
 
 func (firingNF) Name() string            { return "lb" }
 func (firingNF) FlowStates() *FlowStates { return &firingDecl }
-func (firingNF) Process(ctx *Ctx, _ *packet.Packet) (Verdict, error) {
+func (firingNF) Process(ctx *Ctx, pkt *packet.Packet) (Verdict, error) {
 	ctx.Charge(ctx.Model.Parse)
-	if err := ctx.AddHeaderAction(mat.Forward()); err != nil {
+	if err := ctx.AddHeaderAction(pkt, mat.Forward()); err != nil {
 		return 0, err
 	}
 	return VerdictForward, ctx.RegisterEvent(0)

@@ -110,7 +110,7 @@ func (g *genTracer) Process(ctx *Ctx, pkt *packet.Packet) (Verdict, error) {
 	if err := ctx.AddStateFunc(0); err != nil {
 		return 0, err
 	}
-	if err := ctx.AddHeaderAction(mat.Forward()); err != nil {
+	if err := ctx.AddHeaderAction(pkt, mat.Forward()); err != nil {
 		return 0, err
 	}
 	return VerdictForward, nil
@@ -269,14 +269,14 @@ func (p *parker) Name() string { return "parker" }
 
 func (p *parker) FlowStates() *FlowStates { return p.declare(nil) }
 
-func (p *parker) Process(ctx *Ctx, _ *packet.Packet) (Verdict, error) {
+func (p *parker) Process(ctx *Ctx, pkt *packet.Packet) (Verdict, error) {
 	st := ctx.FlowState(p.FlowStates())
 	if p.armed.CompareAndSwap(true, false) {
 		p.parked <- struct{}{}
 		<-p.release
 	}
 	st[0].Add(1)
-	return VerdictForward, ctx.AddHeaderAction(mat.Forward())
+	return VerdictForward, ctx.AddHeaderAction(pkt, mat.Forward())
 }
 
 // TestControlStepWaitsOutTraversal parks a traversal inside an NF, its
@@ -315,7 +315,7 @@ func TestControlStepWaitsOutTraversal(t *testing.T) {
 	for _, step := range steps {
 		t.Run(step.name, func(t *testing.T) {
 			p := newParker()
-			fwd := &scripted{name: "fwd", script: func(ctx *Ctx) error { return ctx.AddHeaderAction(mat.Forward()) }}
+			fwd := &scripted{name: "fwd", script: func(ctx *Ctx, pkt *packet.Packet) error { return ctx.AddHeaderAction(pkt, mat.Forward()) }}
 			eng, err := NewEngine([]NF{p, fwd}, DefaultOptions())
 			if err != nil {
 				t.Fatal(err)
@@ -382,7 +382,7 @@ func TestControlStepWaitsOutTraversal(t *testing.T) {
 type scripted struct {
 	declared
 	name   string
-	script func(*Ctx) error
+	script func(*Ctx, *packet.Packet) error
 }
 
 func (s *scripted) Name() string { return s.name }
@@ -391,8 +391,8 @@ func (s *scripted) FlowStates() *FlowStates {
 	return s.declare([]sfunc.Func{{Name: "nop", Class: sfunc.ClassIgnore, Run: func(sfunc.Args, *packet.Packet) (uint64, error) { return 0, nil }}})
 }
 
-func (s *scripted) Process(ctx *Ctx, _ *packet.Packet) (Verdict, error) {
-	return VerdictForward, s.script(ctx)
+func (s *scripted) Process(ctx *Ctx, pkt *packet.Packet) (Verdict, error) {
+	return VerdictForward, s.script(ctx, pkt)
 }
 
 // TestRecordedSpansAreExactCopies pins what a traversal's recording
@@ -406,15 +406,15 @@ func (s *scripted) Process(ctx *Ctx, _ *packet.Packet) (Verdict, error) {
 func TestRecordedSpansAreExactCopies(t *testing.T) {
 	buf := []byte{1}
 	chain := []NF{
-		&scripted{name: "dscp", script: func(c *Ctx) error {
-			err := c.AddModify(packet.FieldDSCP, buf)
+		&scripted{name: "dscp", script: func(c *Ctx, pkt *packet.Packet) error {
+			err := c.AddModify(pkt, packet.FieldDSCP, buf)
 			buf[0] = 2
 			return err
 		}},
-		&scripted{name: "ttl", script: func(c *Ctx) error { return c.AddModify(packet.FieldTTL, []byte{9}) }},
-		&scripted{name: "fw", script: func(c *Ctx) error { return c.AddHeaderAction(mat.Forward()) }},
-		&scripted{name: "silent", script: func(*Ctx) error { return nil }},
-		&scripted{name: "counter", script: func(c *Ctx) error { return c.AddStateFunc(0) }},
+		&scripted{name: "ttl", script: func(c *Ctx, pkt *packet.Packet) error { return c.AddModify(pkt, packet.FieldTTL, []byte{9}) }},
+		&scripted{name: "fw", script: func(c *Ctx, pkt *packet.Packet) error { return c.AddHeaderAction(pkt, mat.Forward()) }},
+		&scripted{name: "silent", script: func(*Ctx, *packet.Packet) error { return nil }},
+		&scripted{name: "counter", script: func(c *Ctx, pkt *packet.Packet) error { return c.AddStateFunc(0) }},
 	}
 	eng, err := NewEngine(chain, DefaultOptions())
 	if err != nil {

@@ -44,26 +44,19 @@ func (f *slotMix) Process(ctx *Ctx, pkt *packet.Packet) (Verdict, error) {
 		st[1].Add(uint64(pkt.Len()))
 		ctx.Charge(ctx.Model.CounterUpdate)
 		dip := [4]byte{99, 0, 0, 1}
-		if err := pkt.Set(packet.FieldDstIP, dip[:]); err != nil {
-			return 0, err
-		}
-		if err := pkt.FinalizeChecksums(); err != nil {
-			return 0, err
-		}
-		ctx.Charge(ctx.Model.ModifyField + ctx.Model.ChecksumUpdate)
-		if err := ctx.AddHeaderAction(mat.Modify(packet.FieldDstIP, dip[:])); err != nil {
+		if err := ctx.AddHeaderAction(pkt, mat.Modify(packet.FieldDstIP, dip[:])); err != nil {
 			return 0, err
 		}
 		return VerdictForward, ctx.AddStateFunc(0)
 	case 2:
-		return VerdictDrop, ctx.AddHeaderAction(mat.Drop())
+		return VerdictDrop, ctx.AddHeaderAction(pkt, mat.Drop())
 	case 3:
-		if err := ctx.AddHeaderAction(mat.Forward()); err != nil {
+		if err := ctx.AddHeaderAction(pkt, mat.Forward()); err != nil {
 			return 0, err
 		}
 		return VerdictForward, ctx.RegisterEvent(0)
 	}
-	return VerdictForward, ctx.AddHeaderAction(mat.Forward())
+	return VerdictForward, ctx.AddHeaderAction(pkt, mat.Forward())
 }
 
 // slotMixTrace interleaves, in a fixed pseudo-random order, the lives of

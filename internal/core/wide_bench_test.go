@@ -15,7 +15,7 @@ func (f *forwarder) Name() string { return f.name }
 
 func (f *forwarder) Process(ctx *Ctx, pkt *packet.Packet) (Verdict, error) {
 	ctx.Charge(ctx.Model.Parse + ctx.Model.Classify)
-	return VerdictForward, ctx.AddHeaderAction(mat.Forward())
+	return VerdictForward, ctx.AddHeaderAction(pkt, mat.Forward())
 }
 
 // forwardBatch drives established UDP flows through three forwarders in

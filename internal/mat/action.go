@@ -156,10 +156,10 @@ func (a *HeaderAction) Equal(b *HeaderAction) bool {
 }
 
 // Apply executes the action on a packet the way an NF on the original
-// path would: a modify, encap or decap takes effect immediately,
-// checksum patch included. Apply returns whether the packet survived
-// (false after a drop).
-func (a HeaderAction) Apply(pkt *packet.Packet) (bool, error) {
+// path would, checksum patch included, and returns whether the packet
+// survived (false after a drop). It takes the action by pointer, as
+// Validate does, and its errors print it by String, so it never escapes.
+func (a *HeaderAction) Apply(pkt *packet.Packet) (bool, error) {
 	switch a.Kind {
 	case ActionForward:
 		return true, nil
@@ -168,17 +168,17 @@ func (a HeaderAction) Apply(pkt *packet.Packet) (bool, error) {
 		return false, nil
 	case ActionModify:
 		if err := pkt.Set(a.Field, a.Value); err != nil {
-			return false, fmt.Errorf("mat: applying %v: %w", a, err)
+			return false, fmt.Errorf("mat: applying %s: %w", a.String(), err)
 		}
 		return true, nil
 	case ActionEncap:
 		if err := pkt.Encap(a.Header); err != nil {
-			return false, fmt.Errorf("mat: applying %v: %w", a, err)
+			return false, fmt.Errorf("mat: applying %s: %w", a.String(), err)
 		}
 		return true, nil
 	case ActionDecap:
 		if err := pkt.Decap(a.HeaderType); err != nil {
-			return false, fmt.Errorf("mat: applying %v: %w", a, err)
+			return false, fmt.Errorf("mat: applying %s: %w", a.String(), err)
 		}
 		return true, nil
 	default:

@@ -85,33 +85,21 @@ func (d *Defender) Blocked(fid flow.FID) bool { return d.SYNCount(fid) > d.thres
 // once it exceeds the threshold.
 func synCount(st core.State) *atomic.Uint64 { return &st[0] }
 
-// Process implements core.NF.
+// Process implements core.NF: it counts the packet by its declared SYN
+// count and drops it once the count exceeds the threshold.
 func (d *Defender) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, error) {
 	ctx.Charge(ctx.Model.Parse + ctx.Model.Classify)
-	st := ctx.FlowState(&d.flows)
-	if flags, ok := pkt.TCPFlags(); ok && flags&packet.TCPFlagSYN != 0 {
-		st[0].Add(1)
+	if err := ctx.Run(&d.flows, 0, pkt); err != nil {
+		return 0, err
 	}
-	ctx.Charge(ctx.Model.CounterUpdate)
-	if st[0].Load() > d.threshold {
-		if err := ctx.AddHeaderAction(mat.Drop()); err != nil {
-			return 0, err
-		}
-		ctx.Charge(ctx.Model.DropAction)
-		return core.VerdictDrop, nil
+	if ctx.FlowState(&d.flows)[0].Load() > d.threshold {
+		return core.VerdictDrop, ctx.AddHeaderAction(pkt, mat.Drop())
 	}
-	if !ctx.Recording() {
-		return core.VerdictForward, nil
-	}
-
-	if err := ctx.AddHeaderAction(mat.Forward()); err != nil {
+	if err := ctx.AddHeaderAction(pkt, mat.Forward()); err != nil {
 		return 0, err
 	}
 	if err := ctx.AddStateFunc(0); err != nil {
 		return 0, err
 	}
-	if err := ctx.RegisterEvent(0); err != nil {
-		return 0, err
-	}
-	return core.VerdictForward, nil
+	return core.VerdictForward, ctx.RegisterEvent(0)
 }

@@ -147,35 +147,16 @@ func (g *Gateway) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, erro
 	}
 	class := g.classify(ctx.FlowState(&g.flows), ft.DstPort)
 
-	newTTL, err := pkt.DecrementTTL()
-	if err != nil {
+	// TTL is per-packet state in general, but within one chain position
+	// every packet of the flow arrives with the same TTL, so recording
+	// the decremented value as a Modify is exact — the paper makes the
+	// same observation when it defers "remaining fields ... such as
+	// checksum, TTL" to the end of consolidation (§V-B).
+	if err := ctx.AddModify(pkt, packet.FieldTTL, []byte{max(pkt.TTL(), 1) - 1}); err != nil {
 		return 0, err
 	}
-	if err := pkt.Set(packet.FieldDSCP, []byte{class.dscp()}); err != nil {
+	if err := ctx.AddModify(pkt, packet.FieldDSCP, []byte{class.dscp()}); err != nil {
 		return 0, err
 	}
-	if err := pkt.Set(packet.FieldDstMAC, g.nextHop[:]); err != nil {
-		return 0, err
-	}
-	ctx.Charge(3*ctx.Model.ModifyField + ctx.Model.ChecksumUpdate)
-	if !ctx.Recording() {
-		return core.VerdictForward, nil
-	}
-
-	// Recording note: TTL is per-packet state in general, but within
-	// one chain position every packet of the flow arrives with the
-	// same TTL, so recording the decremented value as a Modify is
-	// exact — the paper makes the same observation when it defers
-	// "remaining fields ... such as checksum, TTL" to the end of
-	// consolidation (§V-B).
-	if err := ctx.AddModify(packet.FieldTTL, []byte{newTTL}); err != nil {
-		return 0, err
-	}
-	if err := ctx.AddModify(packet.FieldDSCP, []byte{class.dscp()}); err != nil {
-		return 0, err
-	}
-	if err := ctx.AddModify(packet.FieldDstMAC, g.nextHop[:]); err != nil {
-		return 0, err
-	}
-	return core.VerdictForward, nil
+	return core.VerdictForward, ctx.AddModify(pkt, packet.FieldDstMAC, g.nextHop[:])
 }

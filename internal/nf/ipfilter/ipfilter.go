@@ -257,16 +257,9 @@ func (f *Filter) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, error
 		ctx.Charge(ctx.Model.ACLScanCost(len(f.acl)))
 	}
 	if deny {
-		if err := ctx.AddHeaderAction(mat.Drop()); err != nil {
-			return 0, err
-		}
-		ctx.Charge(ctx.Model.DropAction)
-		return core.VerdictDrop, nil
+		return core.VerdictDrop, ctx.AddHeaderAction(pkt, mat.Drop())
 	}
-	if err := ctx.AddHeaderAction(mat.Forward()); err != nil {
-		return 0, err
-	}
-	return core.VerdictForward, nil
+	return core.VerdictForward, ctx.AddHeaderAction(pkt, mat.Forward())
 }
 
 // PadRules appends synthetic never-matching deny rules until the ACL

@@ -393,57 +393,36 @@ func (lb *Maglev) failover(st core.State, r *mat.LocalRule) {
 }
 
 // Process implements core.NF: assign a backend, rewrite the
-// destination, record modify actions, the connection-tracking state
-// function and the failover event.
+// destination, and run the connection-tracking state function; on the
+// initial packet, record the modify actions, the state function and the
+// failover event.
 func (lb *Maglev) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, error) {
 	ctx.Charge(ctx.Model.Parse + ctx.Model.Classify)
 	ft, err := pkt.FiveTuple()
 	if err != nil {
 		return 0, fmt.Errorf("maglev %s: %w", lb.name, err)
 	}
-	st := ctx.FlowState(&lb.flows)
-	idx, backend, isNew := lb.assign(st, ft)
-
-	ctx.Charge(ctx.Model.ConnTrackLookup)
+	idx, backend, isNew := lb.assign(ctx.FlowState(&lb.flows), ft)
+	if err := ctx.Run(&lb.flows, 0, pkt); err != nil {
+		return 0, err
+	}
 	if isNew {
 		ctx.Charge(ctx.Model.MaglevTableLookup + ctx.Model.ConnTrackInsert)
 	}
 	if idx < 0 {
 		// No healthy backend: shed the flow.
-		if err := ctx.AddHeaderAction(mat.Drop()); err != nil {
-			return 0, err
-		}
-		return core.VerdictDrop, nil
+		return core.VerdictDrop, ctx.AddHeaderAction(pkt, mat.Drop())
 	}
-
-	if err := pkt.Set(packet.FieldDstIP, backend.IP[:]); err != nil {
-		return 0, err
-	}
-	ctx.Charge(ctx.Model.ModifyField)
-	if lb.rewritePort {
-		if err := pkt.Set(packet.FieldDstPort, packet.PutUint16(backend.Port)); err != nil {
-			return 0, err
-		}
-		ctx.Charge(ctx.Model.ModifyField)
-	}
-	ctx.Charge(ctx.Model.ChecksumUpdate)
-	if !ctx.Recording() {
-		return core.VerdictForward, nil
-	}
-
-	if err := ctx.AddModify(packet.FieldDstIP, backend.IP[:]); err != nil {
+	if err := ctx.AddModify(pkt, packet.FieldDstIP, backend.IP[:]); err != nil {
 		return 0, err
 	}
 	if lb.rewritePort {
-		if err := ctx.AddModify(packet.FieldDstPort, packet.PutUint16(backend.Port)); err != nil {
+		if err := ctx.AddModify(pkt, packet.FieldDstPort, packet.PutUint16(backend.Port)); err != nil {
 			return 0, err
 		}
 	}
 	if err := ctx.AddStateFunc(0); err != nil {
 		return 0, err
 	}
-	if err := ctx.RegisterEvent(0); err != nil {
-		return 0, err
-	}
-	return core.VerdictForward, nil
+	return core.VerdictForward, ctx.RegisterEvent(0)
 }

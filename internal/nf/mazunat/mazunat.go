@@ -306,20 +306,10 @@ func (n *NAT) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, error) {
 		} else {
 			ctx.Charge(ctx.Model.ConnTrackLookup)
 		}
-		if err := pkt.Set(packet.FieldSrcIP, n.extIP[:]); err != nil {
+		if err := ctx.AddModify(pkt, packet.FieldSrcIP, n.extIP[:]); err != nil {
 			return 0, err
 		}
-		if err := pkt.Set(packet.FieldSrcPort, packet.PutUint16(m.OutsidePort)); err != nil {
-			return 0, err
-		}
-		ctx.Charge(2*ctx.Model.ModifyField + ctx.Model.ChecksumUpdate)
-		if !ctx.Recording() {
-			break
-		}
-		if err := ctx.AddModify(packet.FieldSrcIP, n.extIP[:]); err != nil {
-			return 0, err
-		}
-		if err := ctx.AddModify(packet.FieldSrcPort, packet.PutUint16(m.OutsidePort)); err != nil {
+		if err := ctx.AddModify(pkt, packet.FieldSrcPort, packet.PutUint16(m.OutsidePort)); err != nil {
 			return 0, err
 		}
 	case ft.DstIP == n.extIP:
@@ -330,31 +320,17 @@ func (n *NAT) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, error) {
 		ctx.Charge(ctx.Model.ConnTrackLookup)
 		if !ok {
 			// Unsolicited inbound traffic is dropped, as mazu-nat does.
-			if err := ctx.AddHeaderAction(mat.Drop()); err != nil {
-				return 0, err
-			}
-			ctx.Charge(ctx.Model.DropAction)
-			return core.VerdictDrop, nil
+			return core.VerdictDrop, ctx.AddHeaderAction(pkt, mat.Drop())
 		}
-		if err := pkt.Set(packet.FieldDstIP, m.InsideIP[:]); err != nil {
+		if err := ctx.AddModify(pkt, packet.FieldDstIP, m.InsideIP[:]); err != nil {
 			return 0, err
 		}
-		if err := pkt.Set(packet.FieldDstPort, packet.PutUint16(m.InsidePort)); err != nil {
-			return 0, err
-		}
-		ctx.Charge(2*ctx.Model.ModifyField + ctx.Model.ChecksumUpdate)
-		if !ctx.Recording() {
-			break
-		}
-		if err := ctx.AddModify(packet.FieldDstIP, m.InsideIP[:]); err != nil {
-			return 0, err
-		}
-		if err := ctx.AddModify(packet.FieldDstPort, packet.PutUint16(m.InsidePort)); err != nil {
+		if err := ctx.AddModify(pkt, packet.FieldDstPort, packet.PutUint16(m.InsidePort)); err != nil {
 			return 0, err
 		}
 	default:
 		// Transit traffic passes untouched.
-		if err := ctx.AddHeaderAction(mat.Forward()); err != nil {
+		if err := ctx.AddHeaderAction(pkt, mat.Forward()); err != nil {
 			return 0, err
 		}
 	}

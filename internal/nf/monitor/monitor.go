@@ -128,29 +128,18 @@ func (m *Monitor) RestoreState(data []byte) error {
 	return nil
 }
 
-func count(st core.State, nbytes int) {
-	st[0].Add(1)
-	st[1].Add(uint64(nbytes))
-}
-
-// Process implements core.NF. On the initial packet it records a
-// forward action and its count as a payload-ignoring state function
-// over the flow's counters — the very words the slow path just counted
-// into, so slow- and fast-path packets hit the same counter.
+// Process implements core.NF. It counts the packet by its declared
+// count, the state function the fast path runs, and on the initial
+// packet records a forward action and the count over the flow's counters
+// — the very words the slow path just counted into, so slow- and
+// fast-path packets hit the same counter.
 func (m *Monitor) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, error) {
 	ctx.Charge(ctx.Model.Parse + ctx.Model.Classify)
-	st := ctx.FlowState(&m.flows)
-	count(st, pkt.Len())
-	ctx.Charge(ctx.Model.CounterUpdate)
-	if !ctx.Recording() {
-		return core.VerdictForward, nil
-	}
-
-	if err := ctx.AddHeaderAction(mat.Forward()); err != nil {
+	if err := ctx.Run(&m.flows, 0, pkt); err != nil {
 		return 0, err
 	}
-	if err := ctx.AddStateFunc(0); err != nil {
+	if err := ctx.AddHeaderAction(pkt, mat.Forward()); err != nil {
 		return 0, err
 	}
-	return core.VerdictForward, nil
+	return core.VerdictForward, ctx.AddStateFunc(0)
 }

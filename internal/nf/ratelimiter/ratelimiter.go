@@ -160,34 +160,27 @@ func (l *Limiter) Blocked(src [4]byte) bool { return l.Count(src) > l.quota }
 // counter of the flow's *source*, which every flow from that source charges.
 func (l *Limiter) sourceCount(st core.State) *atomic.Uint64 { return l.counter(source(st)) }
 
-// Process implements core.NF.
+// Process implements core.NF: it binds the flow to its source, counts
+// the packet against the source's quota by its declared quota function
+// and drops it once the count exceeds the quota.
 func (l *Limiter) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, error) {
 	ctx.Charge(ctx.Model.Parse + ctx.Model.Classify)
 	ft, err := pkt.FiveTuple()
 	if err != nil {
 		return 0, fmt.Errorf("ratelimiter %s: %w", l.name, err)
 	}
-	ctx.Charge(ctx.Model.CounterUpdate)
-	if l.counter(ft.SrcIP).Add(1) > l.quota {
-		if err := ctx.AddHeaderAction(mat.Drop()); err != nil {
-			return 0, err
-		}
-		ctx.Charge(ctx.Model.DropAction)
-		return core.VerdictDrop, nil
-	}
-	if !ctx.Recording() {
-		return core.VerdictForward, nil
-	}
-
-	if err := ctx.AddHeaderAction(mat.Forward()); err != nil {
+	ctx.FlowState(&l.flows)[0].Store(uint64(binary.BigEndian.Uint32(ft.SrcIP[:])))
+	if err := ctx.Run(&l.flows, 0, pkt); err != nil {
 		return 0, err
 	}
-	ctx.FlowState(&l.flows)[0].Store(uint64(binary.BigEndian.Uint32(ft.SrcIP[:])))
+	if l.Count(ft.SrcIP) > l.quota {
+		return core.VerdictDrop, ctx.AddHeaderAction(pkt, mat.Drop())
+	}
+	if err := ctx.AddHeaderAction(pkt, mat.Forward()); err != nil {
+		return 0, err
+	}
 	if err := ctx.AddStateFunc(0); err != nil {
 		return 0, err
 	}
-	if err := ctx.RegisterEvent(0); err != nil {
-		return 0, err
-	}
-	return core.VerdictForward, nil
+	return core.VerdictForward, ctx.RegisterEvent(0)
 }

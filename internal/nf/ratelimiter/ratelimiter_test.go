@@ -271,8 +271,9 @@ func TestRestoreKeepsCells(t *testing.T) {
 
 // TestQuotaIsData: the quota is declared as data, an add to the source's
 // shared counter, so a flow's rule is priced where it is installed and
-// its fast path resolves the counter never: the add is bound once, when
-// the rule is built.
+// its fast path resolves the counter never: the set-up resolves it
+// twice, once where the chain runs the add (core.Ctx.Run) and once where
+// the rule is built and binds it, and no later packet does.
 func TestQuotaIsData(t *testing.T) {
 	l, err := New(Config{Name: "rl", Quota: 1000})
 	if err != nil {
@@ -290,6 +291,7 @@ func TestQuotaIsData(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := packet.IP4(66, 6, 6, 6)
+	var setup int64
 	for i := 0; i < 50; i++ {
 		res, err := eng.ProcessPacket(mkPkt(t, src, 1000, i))
 		if err != nil {
@@ -299,12 +301,16 @@ func TestQuotaIsData(t *testing.T) {
 			if r, ok := eng.Global().LookupLive(res.FID); !ok || !r.Plan.Priced() {
 				t.Fatalf("rule after set-up %v: want one priced, its functions all data", r)
 			}
+			setup = resolved.Load()
 		} else if res.Path != core.PathFast {
 			t.Fatalf("packet %d: path %v, want fast", i, res.Path)
 		}
 	}
-	if n, c := resolved.Load(), l.Count(src); n != 1 || c != 50 {
-		t.Errorf("%d resolutions of the counter and count %d after 50 packets; want 1 (the rule's build), 50", n, c)
+	if setup != 2 {
+		t.Errorf("%d resolutions of the counter by the set-up; want 2 (the chain's add, the rule's build)", setup)
+	}
+	if n, c := resolved.Load()-setup, l.Count(src); n != 0 || c != 50 {
+		t.Errorf("%d resolutions of the counter on the fast path and count %d after 50 packets; want 0, 50", n, c)
 	}
 }
 

@@ -256,22 +256,14 @@ func (s *Snort) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, error)
 	if err != nil {
 		return 0, fmt.Errorf("snort %s: %w", s.name, err)
 	}
-	fid, st := ctx.FID, ctx.FlowState(&s.flows)
-	s.assign(st, ft)
-	payload := pkt.Payload()
-	s.inspect(fid, st, payload)
-	ctx.Charge(ctx.Model.InspectCost(len(payload)))
-	if !ctx.Recording() {
-		return core.VerdictForward, nil
-	}
-
-	if err := ctx.AddHeaderAction(mat.Forward()); err != nil {
+	s.assign(ctx.FlowState(&s.flows), ft)
+	if err := ctx.Run(&s.flows, 0, pkt); err != nil {
 		return 0, err
 	}
-	if err := ctx.AddStateFunc(0); err != nil {
+	if err := ctx.AddHeaderAction(pkt, mat.Forward()); err != nil {
 		return 0, err
 	}
-	return core.VerdictForward, nil
+	return core.VerdictForward, ctx.AddStateFunc(0)
 }
 
 // DefaultRules returns a small representative rule set with all three

@@ -75,8 +75,8 @@ func (n *NF) FlowStates() *core.FlowStates { return &n.flows }
 // fast path).
 func (n *NF) Invocations() uint64 { return n.invocations.Load() }
 
-// run is the state-function body shared by both paths.
-func (n *NF) run(model interface{ InspectCost(int) uint64 }, pkt *packet.Packet) (uint64, error) {
+// fn is the declared state function, which both paths run.
+func (n *NF) fn(a sfunc.Args, pkt *packet.Packet) (uint64, error) {
 	n.invocations.Add(1)
 	payload := pkt.Payload()
 	if n.touchPayload {
@@ -96,26 +96,15 @@ func (n *NF) run(model interface{ InspectCost(int) uint64 }, pkt *packet.Packet)
 	if n.cycles != 0 {
 		return n.cycles, nil
 	}
-	return model.InspectCost(len(payload)), nil
+	return a.Model.InspectCost(len(payload)), nil
 }
 
-// fn is the declared state function.
-func (n *NF) fn(a sfunc.Args, p *packet.Packet) (uint64, error) { return n.run(a.Model, p) }
-
 // Process implements core.NF: no header action (forward by default),
-// one recorded state function.
+// one state function, run and recorded.
 func (n *NF) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, error) {
 	ctx.Charge(ctx.Model.Parse + ctx.Model.Classify)
-	cycles, err := n.run(ctx.Model, pkt)
-	if err != nil {
+	if err := ctx.Run(&n.flows, 0, pkt); err != nil {
 		return 0, err
 	}
-	ctx.Charge(cycles)
-	if !ctx.Recording() {
-		return core.VerdictForward, nil
-	}
-	if err := ctx.AddStateFunc(0); err != nil {
-		return 0, err
-	}
-	return core.VerdictForward, nil
+	return core.VerdictForward, ctx.AddStateFunc(0)
 }

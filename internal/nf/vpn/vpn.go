@@ -112,22 +112,8 @@ func (g *Gateway) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, erro
 	switch g.mode {
 	case ModeEncap:
 		spi := g.spiFor(ctx.FlowState(&g.flows))
-		hdr := packet.ExtraHeader{Type: packet.HeaderAH, SPI: spi}
-		if err := pkt.Encap(hdr); err != nil {
-			return 0, fmt.Errorf("vpn %s: %w", g.name, err)
-		}
-		ctx.Charge(ctx.Model.EncapHeader + ctx.Model.ChecksumUpdate)
-		if err := ctx.AddHeaderAction(mat.Encap(hdr)); err != nil {
-			return 0, err
-		}
-	case ModeDecap:
-		if err := pkt.Decap(packet.HeaderAH); err != nil {
-			return 0, fmt.Errorf("vpn %s: %w", g.name, err)
-		}
-		ctx.Charge(ctx.Model.DecapHeader + ctx.Model.ChecksumUpdate)
-		if err := ctx.AddHeaderAction(mat.Decap(packet.HeaderAH)); err != nil {
-			return 0, err
-		}
+		return core.VerdictForward, ctx.AddHeaderAction(pkt, mat.Encap(packet.ExtraHeader{Type: packet.HeaderAH, SPI: spi}))
+	default:
+		return core.VerdictForward, ctx.AddHeaderAction(pkt, mat.Decap(packet.HeaderAH))
 	}
-	return core.VerdictForward, nil
 }

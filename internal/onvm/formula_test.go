@@ -33,7 +33,7 @@ func (c *costedNF) sf(sfunc.Args, *packet.Packet) (uint64, error) { return c.sfC
 
 func (c *costedNF) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, error) {
 	ctx.Charge(c.cycles)
-	if err := ctx.AddHeaderAction(mat.Forward()); err != nil {
+	if err := ctx.AddHeaderAction(pkt, mat.Forward()); err != nil {
 		return 0, err
 	}
 	if c.sfCycles > 0 {
@@ -176,8 +176,8 @@ func TestDropMidChainLatencyFormula(t *testing.T) {
 		t.Fatalf("verdict = %v", meas.Result.Verdict)
 	}
 	// RX -> a -> deny: 2 stages traversed, 3 hops (incl. the final
-	// one to the sink).
-	wantLat := m.ONVMRx + m.ONVMTx + 3*m.ONVMHop + 400 + 300
+	// one to the sink); deny's drop costs DropAction.
+	wantLat := m.ONVMRx + m.ONVMTx + 3*m.ONVMHop + 400 + 300 + m.DropAction
 	if meas.LatencyCycles != wantLat {
 		t.Errorf("latency = %d, want %d (NF b must not contribute)", meas.LatencyCycles, wantLat)
 	}
@@ -192,7 +192,7 @@ func (d *droppingNF) Name() string { return d.name }
 
 func (d *droppingNF) Process(ctx *core.Ctx, pkt *packet.Packet) (core.Verdict, error) {
 	ctx.Charge(d.cycles)
-	if err := ctx.AddHeaderAction(mat.Drop()); err != nil {
+	if err := ctx.AddHeaderAction(pkt, mat.Drop()); err != nil {
 		return 0, err
 	}
 	return core.VerdictDrop, nil

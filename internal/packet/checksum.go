@@ -60,8 +60,8 @@ func Checksum(data []byte) uint16 {
 // FinalizeChecksums recomputes the IPv4 header checksum and the
 // transport checksum from the frame's bytes. It is how Build finishes a
 // synthesized frame, and the reference the tests hold the header
-// mutators to; no per-packet path calls it — Set, DecrementTTL and the
-// AH encap/decap keep the checksums right by delta (PatchChecksums), so
+// mutators to; no per-packet path calls it — Set and the AH
+// encap/decap keep the checksums right by delta (PatchChecksums), so
 // a rewrite costs the words it overwrites, not the payload, and a
 // checksum that arrived wrong leaves wrong.
 func (p *Packet) FinalizeChecksums() error {

@@ -253,21 +253,6 @@ func (p *Packet) TTL() uint8 {
 	return p.data[p.hdr.IPOff+8]
 }
 
-// DecrementTTL decreases the TTL by one, saturating at zero, and
-// patches the IPv4 header checksum for it. It returns the new value.
-func (p *Packet) DecrementTTL() (uint8, error) {
-	if !p.parsed {
-		return 0, ErrNotParsed
-	}
-	off := p.hdr.IPOff + 8
-	if p.data[off] > 0 {
-		p.data[off]--
-		// The (TTL, protocol) word fell by 0x0100.
-		p.PatchChecksums(Sums{IP: 0xffff - 0x0100})
-	}
-	return p.data[off], nil
-}
-
 // PutUint16 and PutUint32 are conveniences for building field values.
 func PutUint16(v uint16) []byte {
 	b := make([]byte, 2)

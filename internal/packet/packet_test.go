@@ -405,21 +405,6 @@ func TestTCPFlags(t *testing.T) {
 	}
 }
 
-func TestDecrementTTL(t *testing.T) {
-	spec := sampleSpec()
-	spec.TTL = 2
-	p := MustBuild(spec)
-	if v, _ := p.DecrementTTL(); v != 1 {
-		t.Errorf("TTL = %d, want 1", v)
-	}
-	if v, _ := p.DecrementTTL(); v != 0 {
-		t.Errorf("TTL = %d, want 0", v)
-	}
-	if v, _ := p.DecrementTTL(); v != 0 {
-		t.Errorf("TTL saturation failed: %d", v)
-	}
-}
-
 func TestFiveTupleReverse(t *testing.T) {
 	ft := FiveTuple{SrcIP: IP4(1, 1, 1, 1), DstIP: IP4(2, 2, 2, 2), SrcPort: 10, DstPort: 20, Proto: ProtoTCP}
 	r := ft.Reverse()

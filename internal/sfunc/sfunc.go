@@ -178,6 +178,20 @@ type Func struct {
 // Data reports whether the function is declared as data.
 func (f *Func) Data() bool { return f.Run == nil }
 
+// Call runs the function once on the flow's arguments and pkt and
+// returns its cycles: one declared as data runs its adds and costs its
+// price. It is the one body of a function, which the NF's slow-path run
+// (core.Ctx.Run) and a rule's (RunSequential) both call.
+func (f *Func) Call(a Args, pkt *packet.Packet) (uint64, error) {
+	if f.Run != nil {
+		return f.Run(a, pkt)
+	}
+	for _, add := range f.Adds {
+		Inc{word: add.word(a.State), operand: add.Operand}.grow(pkt)
+	}
+	return a.Model.Cycles(f.Price), nil
+}
+
 // Validate reports whether the function is well-formed: a handler or
 // declared as data — adds of a valid operand and a price — but not both.
 func (f Func) Validate() error {
@@ -288,14 +302,7 @@ func (b *Batch) RunSequential(pkt *packet.Packet) (uint64, error) {
 	a := Args{FID: b.FID, State: b.State(), Model: b.Model}
 	for _, i := range b.Calls() {
 		f := &b.Funcs[i]
-		if f.Data() {
-			for _, add := range f.Adds {
-				Inc{word: add.word(a.State), operand: add.Operand}.grow(pkt)
-			}
-			total += b.Model.Cycles(f.Price)
-			continue
-		}
-		c, err := f.Run(a, pkt)
+		c, err := f.Call(a, pkt)
 		total += c
 		if err != nil {
 			return total, fmt.Errorf("%w: %s/%s: %w", ErrBatchFailed, b.NF, f.Name, err)

@@ -54,9 +54,9 @@ import (
 	"github.com/fastpathnfv/speedybox/internal/wal"
 )
 
-// Core NF-integration types. An NF implements Process and records its
-// behaviour through the Ctx instrumentation APIs (the paper's
-// localmat_add_HA, localmat_add_SF and register_event, Figure 2).
+// Core NF-integration types. An NF implements Process and applies and
+// records its behaviour through the Ctx instrumentation APIs (the
+// paper's localmat_add_HA, localmat_add_SF and register_event, Figure 2).
 type (
 	// NF is a network function integrated with SpeedyBox.
 	NF = core.NF
